@@ -44,14 +44,14 @@ func main() {
 	}
 
 	stateBytes := *stateGB << 30
-	cw, err := machine.CompressionWorkloadWithRatio("sz", stateBytes, 1e-3, res.Ratio(), chip)
+	pr := phases.NewPricer(chip, phases.PaperRule())
+	comp, err := pr.Compress("sz", stateBytes, 1e-3, res.Ratio())
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr := nfs.DefaultMount().Write(int64(float64(stateBytes) / res.Ratio()))
-	tw := machine.TransitWorkload(tr, chip)
+	write := pr.Move(nfs.DefaultMount().Write, int64(float64(stateBytes)/res.Ratio()))
 
-	plan := phases.CheckpointCampaign(*checkpoints, *computeSec, cw, tw)
+	plan := phases.Campaign(*checkpoints, *computeSec, comp, write)
 	cmp, err := phases.Compare(plan, phases.PaperRule(), node)
 	if err != nil {
 		log.Fatal(err)

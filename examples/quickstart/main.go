@@ -8,11 +8,10 @@ import (
 	"log"
 
 	"lcpio/internal/compress"
-	"lcpio/internal/core"
 	"lcpio/internal/dvfs"
 	"lcpio/internal/fpdata"
-	"lcpio/internal/machine"
 	"lcpio/internal/nfs"
+	"lcpio/internal/phases"
 )
 
 func main() {
@@ -44,7 +43,6 @@ func main() {
 	// 3. Estimate compressing + writing 64 GB of such data on a Broadwell
 	// node, at base clock and with Eqn 3 tuning.
 	chip := dvfs.Broadwell()
-	node := machine.NewNode(chip, 1)
 	const totalBytes = 64 << 30
 
 	szCodec, _ := compress.Lookup("sz")
@@ -52,17 +50,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cw, err := machine.CompressionWorkloadWithRatio("sz", totalBytes, 1e-3, res.Ratio(), chip)
+	basePricer := phases.NewPricer(chip, phases.BaseRule())
+	comp, err := basePricer.Compress("sz", totalBytes, 1e-3, res.Ratio())
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr := nfs.DefaultMount().Write(int64(totalBytes / res.Ratio()))
-	tw := machine.TransitWorkload(tr, chip)
-
-	rec := core.PaperRecommendation()
-	base := node.RunClean(cw, chip.BaseGHz).Joules + node.RunClean(tw, chip.BaseGHz).Joules
-	tuned := node.RunClean(cw, rec.CompressionFraction*chip.BaseGHz).Joules +
-		node.RunClean(tw, rec.WritingFraction*chip.BaseGHz).Joules
+	write := basePricer.Move(nfs.DefaultMount().Write, int64(totalBytes/res.Ratio()))
+	baseT, err := basePricer.Price(comp, write)
+	if err != nil {
+		log.Fatal(err)
+	}
+	tunedT, err := phases.NewPricer(chip, phases.PaperRule()).Price(comp, write)
+	if err != nil {
+		log.Fatal(err)
+	}
+	base, tuned := baseT.Joules, tunedT.Joules
 
 	fmt.Printf("\n64 GB compress+write on %s:\n", chip.Model)
 	fmt.Printf("  base clock (%.1f GHz): %8.1f kJ\n", chip.BaseGHz, base/1e3)

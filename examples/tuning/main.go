@@ -63,13 +63,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	paper, err := core.SavingsAt(sweep, core.PaperRecommendation().CompressionFraction)
+	paperFrac := core.PaperRecommendation().CompressionFraction
+	paper, err := core.SavingsAt(sweep, paperFrac)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nenergy-optimal: %.3f GHz (%.1f%% of base)\n",
 		frac*chip.BaseGHz, frac*100)
 	fmt.Printf("  %v\n", opt)
-	fmt.Printf("paper's rule (0.875 f_max = %.3f GHz):\n", 0.875*chip.BaseGHz)
+	fmt.Printf("paper's rule (%g f_max = %.3f GHz):\n", paperFrac, paperFrac*chip.BaseGHz)
 	fmt.Printf("  %v\n", paper)
 }

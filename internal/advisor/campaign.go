@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"math"
 
-	"lcpio/internal/machine"
 	"lcpio/internal/phases"
 )
 
 // Campaign materializes a decision as an executable phases.Plan: n
 // iterations of (compute, compress, write) with the decision's worker count
-// and frequency pair pinned on the phases. The write leg carries the
+// and frequency pair pinned on the phases (so the plan is executed as built;
+// ApplyRule would overwrite the pins). The write leg carries the
 // payload plus any parity premium; a delta decision compresses only the
 // churned fraction (the hash pass is folded into the compress leg's
 // workload so the three-phase shape holds). Executing the plan attributes
@@ -20,52 +20,39 @@ func (c *Controller) Campaign(dec Decision, n int, computeSec float64) (phases.P
 	if dec.raw <= 0 {
 		return phases.Plan{}, fmt.Errorf("advisor: decision was not produced by Decide")
 	}
-	req := dec.req
-	ranks := req.Ranks
-	if ranks < 1 {
-		ranks = 1
-	}
+	pr, req := c.pr, dec.req
+	ranks := max(req.Ranks, 1)
 	compBytes := dec.raw
 	if dec.Delta {
-		compBytes = int64(math.Ceil(float64(dec.raw) * req.ChurnRate))
-		if compBytes < 1 {
-			compBytes = 1
-		}
+		compBytes = max(int64(math.Ceil(float64(dec.raw)*req.ChurnRate)), 1)
 	}
 	ratio := dec.Predicted.Ratio
-	payload := int64(math.Ceil(float64(compBytes) / ratio))
-	if payload < 1 {
-		payload = 1
-	}
+	payload := max(int64(math.Ceil(float64(compBytes)/ratio)), 1)
 	if dec.ParityRanks > 0 {
 		// The parity premium rides the same write path at the same clock;
 		// folding it into the write bytes keeps the campaign three-phase.
 		payload += int64(math.Ceil(float64(payload) * float64(dec.ParityRanks) / float64(ranks)))
 	}
 
-	compW, err := machine.CompressionWorkloadWithRatio(dec.Codec, compBytes, dec.RelEB, ratio, c.chip)
+	comp, err := pr.Compress(dec.Codec, compBytes, dec.RelEB, ratio)
 	if err != nil {
 		return phases.Plan{}, err
 	}
-	compW = compW.WithCores(dec.Workers)
+	comp = comp.WithCores(dec.Workers)
 	if dec.Delta {
-		hashW, err := machine.DedupWorkload(dec.raw, c.chip)
+		hash, err := pr.Dedup(dec.raw)
 		if err != nil {
 			return phases.Plan{}, err
 		}
-		compW.CPUCycles += hashW.CPUCycles
-		compW.StallSeconds += hashW.StallSeconds
-		compW.MemBytes += hashW.MemBytes
+		comp.Workload.CPUCycles += hash.Workload.CPUCycles
+		comp.Workload.StallSeconds += hash.Workload.StallSeconds
+		comp.Workload.MemBytes += hash.Workload.MemBytes
 	}
-	var writeW machine.Workload
-	if req.WireLink != nil {
-		shipBytes := payload
-		if !dec.WireCompress {
-			shipBytes = compBytes
-		}
-		writeW = machine.LinkTransitWorkload(shipBytes, *req.WireLink, c.chip)
-	} else {
-		writeW = machine.TransitWorkload(c.cfg.Mount.Write(payload), c.chip)
+	to, _ := c.sinks(req)
+	if req.WireLink != nil && !dec.WireCompress {
+		payload = compBytes // raw over the wire
 	}
-	return phases.AdvisorCampaign(n, computeSec, compW, writeW, dec.CompressGHz, dec.WriteGHz), nil
+	return phases.Campaign(n, computeSec,
+		comp.Named("advisor-compress").At(dec.CompressGHz),
+		pr.Move(to, payload).Named("advisor-write").At(dec.WriteGHz)), nil
 }

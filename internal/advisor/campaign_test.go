@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"lcpio/internal/dvfs"
 	"lcpio/internal/fpdata"
 	"lcpio/internal/machine"
 	"lcpio/internal/obs"
@@ -16,6 +17,7 @@ import (
 func TestAdvisorCampaignReconciles(t *testing.T) {
 	spec := fpdata.IsabelFields()[5] // "W"
 	f := holdoutField(t, spec)
+	chip := dvfs.Broadwell() // the Config{} default
 	c, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +47,7 @@ func TestAdvisorCampaignReconciles(t *testing.T) {
 	t.Cleanup(func() { obs.Use(prev) })
 	r := obs.NewRegistry()
 	obs.Use(r)
-	tot, err := pl.Execute(machine.NewNode(c.chip, 1))
+	tot, err := pl.Execute(machine.NewNode(chip, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +61,7 @@ func TestAdvisorCampaignReconciles(t *testing.T) {
 
 	// The I/O share of one iteration must match the decision's modeled
 	// compress+write legs (the compute phase is extra by construction).
-	computeJ := c.chip.BusyPower(c.chip.BaseGHz) * 0.5
+	computeJ := chip.BusyPower(chip.BaseGHz) * 0.5
 	perIterIO := tot.Joules/iters - computeJ
 	model := dec.CompressJoules + dec.WriteJoules
 	if rel := math.Abs(perIterIO-model) / model; rel > 0.01 {

@@ -7,20 +7,12 @@ import (
 
 	"lcpio/internal/compress"
 	"lcpio/internal/dvfs"
-	"lcpio/internal/machine"
 	"lcpio/internal/netsim"
 	"lcpio/internal/nfs"
-	"lcpio/internal/transit"
+	"lcpio/internal/phases"
 )
 
-// Eqn 3's tuned operating points, as fractions of base clock. The controller
-// searches the full P-state grid; these only seed defaults for callers that
-// pin frequencies (EvaluateGrid, WorkerEnergies).
-const (
-	defaultCompressionFraction = 0.875
-	defaultWritingFraction     = 0.85
-	defaultPSNRMarginDB        = 3.0
-)
+const defaultPSNRMarginDB = 3.0
 
 // Config describes the search space the controller optimizes over.
 // The zero value means: Broadwell, the default NFS mount, the paper's
@@ -99,13 +91,15 @@ func (cfg Config) normalized() (Config, *dvfs.Chip, error) {
 
 // Controller is the online configuration optimizer. It prices candidate
 // (codec, bound, workers, frequency pair, parity, delta, wire) configurations
-// with the Eqn 2 machinery and picks the minimum expected-energy one that
+// through the phases pricer and picks the minimum expected-energy one that
 // meets the deadline and quality floor. Observe feeds measured outcomes back
 // into the ratio model so repeated dumps converge. A Controller is safe for
 // concurrent use.
 type Controller struct {
-	cfg   Config
-	chip  *dvfs.Chip
+	cfg Config
+	// pr prices every candidate; the controller pins each stage to the
+	// P-state it is searching, so the pricer's own rule never applies.
+	pr    *phases.Pricer
 	freqs []float64
 	model *model
 }
@@ -126,7 +120,7 @@ func New(cfg Config) (*Controller, error) {
 	if freqs[len(freqs)-1] != all[len(all)-1] {
 		freqs = append(freqs, all[len(all)-1])
 	}
-	return &Controller{cfg: cfg, chip: chip, freqs: freqs, model: newModel(defaultAlpha)}, nil
+	return &Controller{cfg: cfg, pr: phases.NewPricer(chip, phases.PaperRule()), freqs: freqs, model: newModel(defaultAlpha)}, nil
 }
 
 // Sketch samples a field with the controller's sketch configuration.
@@ -228,10 +222,11 @@ type axes struct {
 
 // legOption is one priced configuration of a pipeline leg.
 type legOption struct {
-	joules  float64 // includes amortized recovery share
-	seconds float64
-	workers int
-	freq    float64
+	joules   float64 // includes recovery, the leg's loss-weighted recovery share
+	recovery float64
+	seconds  float64
+	workers  int
+	freq     float64
 }
 
 // pricedConfig is a fully priced configuration.
@@ -247,83 +242,58 @@ type pricedConfig struct {
 func (p pricedConfig) total() float64   { return p.compJ + p.writeJ + p.recoveryJ }
 func (p pricedConfig) seconds() float64 { return p.compSec + p.wrSec }
 
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
-}
-
 // price enumerates the separable (workers × fComp) and (fWrite) legs of one
 // (codec, bound, axes) point and returns the minimum-energy configuration
 // meeting the deadline. The two legs only couple through the deadline, so
 // the write options are sorted by time with a prefix-min over energy and
 // each compress option does one binary search.
 func (c *Controller) price(codec string, relEB, ratio float64, raw int64, ax axes, req Request, workersList []int, compFreqs, writeFreqs []float64) (pricedConfig, error) {
-	node := machine.NewNode(c.chip, 1)
-	ranks := req.Ranks
-	if ranks < 1 {
-		ranks = 1
-	}
+	pr := c.pr
+	ranks := float64(max(req.Ranks, 1))
 	lossP := req.RankLossProb
 
 	// Bytes moved by each stage. A delta dump hashes all raw bytes but
 	// compresses and ships only the churned fraction.
 	compBytes := raw
 	if ax.delta {
-		compBytes = int64(math.Ceil(float64(raw) * req.ChurnRate))
-		if compBytes < 1 {
-			compBytes = 1
-		}
+		compBytes = max(int64(math.Ceil(float64(raw)*req.ChurnRate)), 1)
 	}
-	payload := int64(math.Ceil(float64(compBytes) / ratio))
-	if payload < 1 {
-		payload = 1
-	}
+	payload := max(int64(math.Ceil(float64(compBytes)/ratio)), 1)
 	parityBytes := int64(0)
 	if ax.parity > 0 {
-		parityBytes = int64(math.Ceil(float64(payload) * float64(ax.parity) / float64(ranks)))
+		parityBytes = int64(math.Ceil(float64(payload) * float64(ax.parity) / ranks))
 	}
 
-	compW, err := machine.CompressionWorkloadWithRatio(codec, compBytes, relEB, ratio, c.chip)
+	comp, err := pr.Compress(codec, compBytes, relEB, ratio)
 	if err != nil {
 		return pricedConfig{}, err
 	}
-	var extras []machine.Workload // single-core compression-class legs
+	var extras []phases.Phase // single-core compression-class stages
 	if ax.delta {
-		hashW, err := machine.DedupWorkload(raw, c.chip)
+		hash, err := pr.Dedup(raw)
 		if err != nil {
 			return pricedConfig{}, err
 		}
-		extras = append(extras, hashW)
+		extras = append(extras, hash)
 	}
 	if ax.wire {
-		verifyW, err := machine.DecompressionWorkload(codec, compBytes, relEB, ratio, c.chip)
+		verify, err := pr.Decompress(codec, compBytes, relEB, ratio)
 		if err != nil {
 			return pricedConfig{}, err
 		}
-		extras = append(extras, verifyW)
+		extras = append(extras, verify)
 	}
 
-	// Write-class workloads: either the NFS mount or the daemon link.
+	// Write-class stages: either the NFS mount or the daemon link.
 	shipBytes := payload + parityBytes
 	if req.WireLink != nil && !ax.wire {
 		shipBytes = compBytes + parityBytes // raw over the wire
 	}
-	var writeW, recoverW machine.Workload
-	if req.WireLink != nil {
-		writeW = machine.LinkTransitWorkload(shipBytes, *req.WireLink, c.chip)
-		if ax.parity > 0 {
-			recoverW = machine.LinkTransitWorkload(parityBytes, *req.WireLink, c.chip)
-		}
-	} else {
-		writeW = machine.TransitWorkload(c.cfg.Mount.Write(shipBytes), c.chip)
-		if ax.parity > 0 {
-			recoverW = machine.TransitWorkload(c.cfg.Mount.Read(parityBytes), c.chip)
-		}
+	to, from := c.sinks(req)
+	write := pr.Move(to, shipBytes)
+	var recover phases.Phase
+	if ax.parity > 0 {
+		recover = pr.Move(from, parityBytes)
 	}
 
 	// Compress-leg options over (workers × fComp). When no parity protects
@@ -331,19 +301,26 @@ func (c *Controller) price(codec string, relEB, ratio float64, raw int64, ax axe
 	// loss-weighted compress share into the leg's expected energy.
 	compOpts := make([]legOption, 0, len(workersList)*len(compFreqs))
 	for _, f := range compFreqs {
-		var exJ, exSec float64
-		for _, w := range extras {
-			s := node.RunClean(w, f)
-			exJ += s.Joules
-			exSec += s.Seconds
+		var ex phases.Leg
+		for _, st := range extras {
+			leg, err := pr.Leg(st.At(f))
+			if err != nil {
+				return pricedConfig{}, err
+			}
+			ex.Joules += leg.Joules
+			ex.Seconds += leg.Seconds
 		}
 		for _, workers := range workersList {
-			s := node.RunClean(compW.WithCores(workers), f)
-			j := s.Joules + exJ
-			if lossP > 0 && ax.parity == 0 {
-				j += lossP * s.Joules / float64(ranks)
+			leg, err := pr.Leg(comp.WithCores(workers).At(f))
+			if err != nil {
+				return pricedConfig{}, err
 			}
-			compOpts = append(compOpts, legOption{joules: j, seconds: s.Seconds + exSec, workers: workers, freq: f})
+			opt := legOption{joules: leg.Joules + ex.Joules, seconds: leg.Seconds + ex.Seconds, workers: workers, freq: f}
+			if lossP > 0 && ax.parity == 0 {
+				opt.recovery = lossP * leg.Joules / ranks
+				opt.joules += opt.recovery
+			}
+			compOpts = append(compOpts, opt)
 		}
 	}
 
@@ -351,16 +328,24 @@ func (c *Controller) price(codec string, relEB, ratio float64, raw int64, ax axe
 	// loss-weighted recovery (reconstruct with parity, rewrite without).
 	writeOpts := make([]legOption, 0, len(writeFreqs))
 	for _, f := range writeFreqs {
-		s := node.RunClean(writeW, f)
-		j := s.Joules
+		leg, err := pr.Leg(write.At(f))
+		if err != nil {
+			return pricedConfig{}, err
+		}
+		opt := legOption{joules: leg.Joules, seconds: leg.Seconds, freq: f}
 		if lossP > 0 {
 			if ax.parity > 0 {
-				j += lossP * node.RunClean(recoverW, f).Joules
+				rl, err := pr.Leg(recover.At(f))
+				if err != nil {
+					return pricedConfig{}, err
+				}
+				opt.recovery = lossP * rl.Joules
 			} else {
-				j += lossP * s.Joules / float64(ranks)
+				opt.recovery = lossP * leg.Joules / ranks
 			}
+			opt.joules += opt.recovery
 		}
-		writeOpts = append(writeOpts, legOption{joules: j, seconds: s.Seconds, freq: f})
+		writeOpts = append(writeOpts, opt)
 	}
 	sort.Slice(writeOpts, func(i, j int) bool { return writeOpts[i].seconds < writeOpts[j].seconds })
 	// prefixBest[i] = index of the cheapest write option among [0..i].
@@ -373,6 +358,7 @@ func (c *Controller) price(codec string, relEB, ratio float64, raw int64, ax axe
 	}
 
 	best := pricedConfig{}
+	var rc, rw float64 // the winner's recovery shares
 	found := false
 	for _, co := range compOpts {
 		hi := len(writeOpts)
@@ -394,27 +380,48 @@ func (c *Controller) price(codec string, relEB, ratio float64, raw int64, ax axe
 			writeJ: wo.joules, wrSec: wo.seconds,
 			ax: ax,
 		}
+		rc, rw = co.recovery, wo.recovery
 		found = true
 	}
 	if !found {
 		return pricedConfig{}, fmt.Errorf("advisor: no (workers, frequency) configuration of %s at eb=%g meets the %.3gs deadline", codec, relEB, req.DeadlineSeconds)
 	}
-	// Split recovery out of the legs for reporting.
-	best.recoveryJ = 0
-	if lossP > 0 {
-		// Recompute the recovery share priced into each leg above.
-		if ax.parity > 0 {
-			best.recoveryJ = lossP * node.RunClean(recoverW, best.fWrite).Joules
-			best.writeJ -= best.recoveryJ
-		} else {
-			cs := node.RunClean(compW.WithCores(best.workers), best.fComp)
-			ws := node.RunClean(writeW, best.fWrite)
-			rc := lossP * cs.Joules / float64(ranks)
-			rw := lossP * ws.Joules / float64(ranks)
-			best.compJ -= rc
-			best.writeJ -= rw
-			best.recoveryJ = rc + rw
+	// Split the recovery share priced into each leg back out for reporting.
+	best.compJ -= rc
+	best.writeJ -= rw
+	best.recoveryJ = rc + rw
+	return best, nil
+}
+
+// sinks picks where the request's Writing-class stages move bytes: the
+// daemon link when one is given (both directions), else the NFS mount.
+func (c *Controller) sinks(req Request) (to, from phases.Sink) {
+	if req.WireLink != nil {
+		l := phases.Link(*req.WireLink)
+		return l, l
+	}
+	return c.cfg.Mount.Write, c.cfg.Mount.Read
+}
+
+// bestOverAxes prices one (codec, bound) row at every enabled axes point
+// over the controller's full (workers × frequency pair) grid and returns the
+// cheapest; the error, when no point meets the deadline, is the last one.
+func (c *Controller) bestOverAxes(codec string, relEB, ratio float64, raw int64, combos []axes, req Request) (pricedConfig, error) {
+	var best pricedConfig
+	var lastErr error
+	found := false
+	for _, ax := range combos {
+		pc, err := c.price(codec, relEB, ratio, raw, ax, req, c.cfg.Workers, c.freqs, c.freqs)
+		if err != nil {
+			lastErr = err
+			continue
 		}
+		if !found || pc.total() < best.total() {
+			best, found = pc, true
+		}
+	}
+	if !found {
+		return pricedConfig{}, lastErr
 	}
 	return best, nil
 }
@@ -465,7 +472,6 @@ func (c *Controller) Decide(sk *Sketch, req Request) (Decision, error) {
 	var table []Candidate
 	bestIdx := -1
 	var bestCfg pricedConfig
-	bestQualIdx := -1
 	for _, codec := range c.cfg.Codecs {
 		eCorr := c.model.energyCorrection(codec)
 		for _, eb := range c.cfg.Bounds {
@@ -474,9 +480,6 @@ func (c *Controller) Decide(sk *Sketch, req Request) (Decision, error) {
 				return Decision{}, err
 			}
 			cand := Candidate{Codec: codec, RelEB: eb, Pred: pred}
-			if bestQualIdx < 0 || pred.PSNR > table[bestQualIdx].Pred.PSNR {
-				bestQualIdx = len(table)
-			}
 			switch {
 			case req.MinPSNR > 0 && pred.PSNR-c.cfg.PSNRMarginDB < req.MinPSNR:
 				cand.Reason = fmt.Sprintf("predicted %.1f dB (-%.0f dB margin) below the %.1f dB floor",
@@ -484,21 +487,9 @@ func (c *Controller) Decide(sk *Sketch, req Request) (Decision, error) {
 			case req.MaxMeanULP > 0 && pred.MeanULP > req.MaxMeanULP:
 				cand.Reason = fmt.Sprintf("predicted mean ULP %.3g above the %.3g cap", pred.MeanULP, req.MaxMeanULP)
 			default:
-				var rowBest pricedConfig
-				rowFound := false
-				var rowErr error
-				for _, ax := range combos {
-					pc, err := c.price(codec, eb, pred.Ratio, raw, ax, req, c.cfg.Workers, c.freqs, c.freqs)
-					if err != nil {
-						rowErr = err
-						continue
-					}
-					if !rowFound || pc.total() < rowBest.total() {
-						rowBest, rowFound = pc, true
-					}
-				}
-				if !rowFound {
-					cand.Reason = rowErr.Error()
+				rowBest, err := c.bestOverAxes(codec, eb, pred.Ratio, raw, combos, req)
+				if err != nil {
+					cand.Reason = err.Error()
 					break
 				}
 				cand.Feasible = true
@@ -515,24 +506,14 @@ func (c *Controller) Decide(sk *Sketch, req Request) (Decision, error) {
 			table = append(table, cand)
 		}
 	}
+	// The stable sort puts the cheapest feasible row first — the same row
+	// bestCfg was kept for — or, when nothing is feasible, the best-quality one.
 	sortTable(table)
+	win := table[0]
 	if bestIdx < 0 {
-		bq := table[0]
-		for _, cand := range table {
-			if cand.Pred.PSNR > bq.Pred.PSNR {
-				bq = cand
-			}
-		}
 		return Decision{Table: table}, fmt.Errorf(
 			"advisor: no feasible candidate; best quality was %s at eb=%g with predicted %.1f dB (%s)",
-			bq.Codec, bq.RelEB, bq.Pred.PSNR, bq.Reason)
-	}
-	// bestIdx indexed the pre-sort table; find the winner again by identity.
-	var win Candidate
-	for _, cand := range table {
-		if cand.Feasible && (win.Codec == "" || cand.EnergyJ < win.EnergyJ) {
-			win = cand
-		}
+			win.Codec, win.RelEB, win.Pred.PSNR, win.Reason)
 	}
 	dec := Decision{
 		Codec:          win.Codec,
@@ -571,79 +552,61 @@ func sortTable(table []Candidate) {
 	})
 }
 
-// breakEvens fills the winner's axis economics, reusing the ec / dedup /
-// transit break-even formulas at the decision's operating point.
+// breakEvens fills the winner's axis economics from the shared ec / dedup /
+// wire break-even formulas, priced at the decision's operating point.
 func (c *Controller) breakEvens(dec *Decision) error {
-	node := machine.NewNode(c.chip, 1)
+	pr := c.pr
 	req, raw := dec.req, dec.raw
-	ranks := req.Ranks
-	if ranks < 1 {
-		ranks = 1
-	}
+	ranks := max(req.Ranks, 1)
 	ratio := dec.Predicted.Ratio
-	payload := int64(math.Ceil(float64(raw) / ratio))
-	if payload < 1 {
-		payload = 1
-	}
-	compW, err := machine.CompressionWorkloadWithRatio(dec.Codec, raw, dec.RelEB, ratio, c.chip)
+	payload := max(int64(math.Ceil(float64(raw)/ratio)), 1)
+	comp, err := pr.Compress(dec.Codec, raw, dec.RelEB, ratio)
 	if err != nil {
 		return err
 	}
+	comp = comp.WithCores(dec.Workers).At(dec.CompressGHz)
+	to, from := c.sinks(req)
+	move := func(s phases.Sink, bytes int64) phases.Phase { return pr.Move(s, bytes).At(dec.WriteGHz) }
 
 	if req.ParityRanks > 0 {
-		// ec economics: parity premium vs expected redump (ckpt.ParityEnergy).
+		// ec economics: parity premium vs expected redump of one rank's
+		// share (the compress leg's 1/ranks plus rewriting its payload).
 		parityBytes := int64(math.Ceil(float64(payload) * float64(req.ParityRanks) / float64(ranks)))
-		var parityJ, reconJ float64
-		if req.WireLink != nil {
-			parityJ = node.RunClean(machine.LinkTransitWorkload(parityBytes, *req.WireLink, c.chip), dec.WriteGHz).Joules
-			reconJ = node.RunClean(machine.LinkTransitWorkload(parityBytes, *req.WireLink, c.chip), dec.WriteGHz).Joules
-		} else {
-			parityJ = node.RunClean(machine.TransitWorkload(c.cfg.Mount.Write(parityBytes), c.chip), dec.WriteGHz).Joules
-			reconJ = node.RunClean(machine.TransitWorkload(c.cfg.Mount.Read(parityBytes), c.chip), dec.WriteGHz).Joules
-		}
-		redumpJ := node.RunClean(compW.WithCores(dec.Workers), dec.CompressGHz).Joules / float64(ranks)
-		if req.WireLink != nil {
-			redumpJ += node.RunClean(machine.LinkTransitWorkload(payload/int64(ranks)+1, *req.WireLink, c.chip), dec.WriteGHz).Joules
-		} else {
-			redumpJ += node.RunClean(machine.TransitWorkload(c.cfg.Mount.Write(payload/int64(ranks)+1), c.chip), dec.WriteGHz).Joules
-		}
-		if gain := redumpJ - reconJ; gain > 0 {
-			dec.ParityBreakEvenLossProb = parityJ / gain
-		} else {
-			dec.ParityBreakEvenLossProb = math.Inf(1)
-		}
-	}
-
-	if req.ChurnRate > 0 && req.ChurnRate < 1 {
-		// dedup economics: churn rate above which hashing stops paying
-		// (ckpt.DeltaEnergy.BreakEvenChurn).
-		hashW, err := machine.DedupWorkload(raw, c.chip)
+		t, err := pr.Price(move(to, parityBytes), move(from, parityBytes),
+			comp, move(to, payload/int64(ranks)+1))
 		if err != nil {
 			return err
 		}
-		hashJ := node.RunClean(hashW, dec.CompressGHz).Joules
-		fullCompJ := node.RunClean(compW.WithCores(dec.Workers), dec.CompressGHz).Joules
-		var fullWriteJ float64
-		if req.WireLink != nil {
-			fullWriteJ = node.RunClean(machine.LinkTransitWorkload(payload, *req.WireLink, c.chip), dec.WriteGHz).Joules
-		} else {
-			fullWriteJ = node.RunClean(machine.TransitWorkload(c.cfg.Mount.Write(payload), c.chip), dec.WriteGHz).Joules
+		redumpJ := t.Legs[2].Joules/float64(ranks) + t.Legs[3].Joules
+		dec.ParityBreakEvenLossProb = phases.ParityBreakEven(t.Legs[0].Joules, redumpJ, t.Legs[1].Joules)
+	}
+
+	if req.ChurnRate > 0 && req.ChurnRate < 1 {
+		// dedup economics: churn rate above which hashing stops paying.
+		hash, err := pr.Dedup(raw)
+		if err != nil {
+			return err
 		}
-		if full := fullCompJ + fullWriteJ; full > 0 {
-			dec.DeltaBreakEvenChurn = clamp01((full - hashJ) / full)
+		t, err := pr.Price(hash.At(dec.CompressGHz), comp, move(to, payload))
+		if err != nil {
+			return err
 		}
+		dec.DeltaBreakEvenChurn = phases.ChurnBreakEven(t.Legs[1].Joules+t.Legs[2].Joules, t.Legs[0].Joules, 0)
 	}
 
 	if req.WireLink != nil {
 		// transit economics: the link bandwidth above which shipping raw
 		// beats wire compression. The marginal compute of the wire axis is
 		// the daemon's inflate verify (the client compresses either way).
-		verifyW, err := machine.DecompressionWorkload(dec.Codec, raw, dec.RelEB, ratio, c.chip)
+		verify, err := pr.Decompress(dec.Codec, raw, dec.RelEB, ratio)
 		if err != nil {
 			return err
 		}
-		verifySec := node.RunClean(verifyW, dec.CompressGHz).Seconds
-		dec.WireBreakEvenBps = transit.BreakEvenBps(*req.WireLink, raw, payload, verifySec)
+		leg, err := pr.Leg(verify.At(dec.CompressGHz))
+		if err != nil {
+			return err
+		}
+		dec.WireBreakEvenBps = phases.WireBreakEven(*req.WireLink, raw, payload, leg.Seconds)
 	}
 	return nil
 }

@@ -7,8 +7,8 @@ import (
 
 	"lcpio/internal/compress"
 	"lcpio/internal/dvfs"
-	"lcpio/internal/machine"
 	"lcpio/internal/nfs"
+	"lcpio/internal/phases"
 )
 
 // GridOptions parameterizes the static measured grid (EvaluateGrid) — the
@@ -26,10 +26,9 @@ type GridOptions struct {
 	// Codecs and Bounds span the grid (nil = {"sz","zfp"} × PaperErrorBounds).
 	Codecs []string
 	Bounds []float64
-	// CompressionFraction/WritingFraction pin the two tuned frequencies as
-	// fractions of base clock (0 = Eqn 3's 0.875 / 0.85).
-	CompressionFraction float64
-	WritingFraction     float64
+	// Rule pins the two tuned frequencies as fractions of base clock
+	// (zero = Eqn 3, phases.PaperRule).
+	Rule phases.Rule
 }
 
 // GridEntry is one measured (codec, bound) candidate priced at the tuned
@@ -64,19 +63,11 @@ func EvaluateGrid(data []float32, dims []int, opts GridOptions) ([]GridEntry, er
 	if len(opts.Bounds) == 0 {
 		opts.Bounds = append([]float64(nil), compress.PaperErrorBounds...)
 	}
-	if opts.CompressionFraction == 0 {
-		opts.CompressionFraction = defaultCompressionFraction
-	}
-	if opts.WritingFraction == 0 {
-		opts.WritingFraction = defaultWritingFraction
-	}
 	chip, err := dvfs.ChipByName(opts.Chip)
 	if err != nil {
 		return nil, err
 	}
-	node := machine.NewNode(chip, 1)
-	fComp := chip.ClampFreq(opts.CompressionFraction * chip.BaseGHz)
-	fWrite := chip.ClampFreq(opts.WritingFraction * chip.BaseGHz)
+	pr := phases.NewPricer(chip, opts.Rule)
 
 	var out []GridEntry
 	for _, codecName := range opts.Codecs {
@@ -90,22 +81,21 @@ func EvaluateGrid(data []float32, dims []int, opts GridOptions) ([]GridEntry, er
 			if err != nil {
 				return nil, fmt.Errorf("advisor: grid %s/%g: %w", codecName, rel, err)
 			}
-			cw, err := machine.CompressionWorkloadWithRatio(
-				codecName, opts.TotalBytes, rel, res.Ratio(), chip)
+			comp, err := pr.Compress(codecName, opts.TotalBytes, rel, res.Ratio())
 			if err != nil {
 				return nil, err
 			}
-			tr := opts.Mount.Write(int64(float64(opts.TotalBytes) / res.Ratio()))
-			tw := machine.TransitWorkload(tr, chip)
-			cs := node.RunClean(cw, fComp)
-			ws := node.RunClean(tw, fWrite)
+			t, err := pr.Price(comp, pr.Move(opts.Mount.Write, int64(float64(opts.TotalBytes)/res.Ratio())))
+			if err != nil {
+				return nil, err
+			}
 			out = append(out, GridEntry{
 				Codec:   codecName,
 				RelEB:   rel,
 				PSNR:    res.PSNR,
 				Ratio:   res.Ratio(),
-				EnergyJ: cs.Joules + ws.Joules,
-				Seconds: cs.Seconds + ws.Seconds,
+				EnergyJ: t.Joules,
+				Seconds: t.Seconds,
 				Meets:   res.PSNR >= opts.MinPSNR || math.IsInf(res.PSNR, 1),
 			})
 		}
@@ -123,8 +113,9 @@ type WorkerPoint struct {
 }
 
 // WorkerEnergies prices a compression job across worker counts at a fixed
-// frequency — the single-axis slice of the controller's (workers × fComp)
-// search, exposed for the multi-core study (core.EnergyVsCores wraps it).
+// frequency (0 = the Eqn 3 compression clock) — the single-axis slice of
+// the controller's (workers × fComp) search, exposed for the multi-core
+// study (core.EnergyVsCores wraps it).
 func WorkerEnergies(chipName, codec string, totalBytes int64, relEB, ratio, freqGHz float64, maxCores int) ([]WorkerPoint, error) {
 	if maxCores < 1 {
 		maxCores = 8
@@ -133,15 +124,18 @@ func WorkerEnergies(chipName, codec string, totalBytes int64, relEB, ratio, freq
 	if err != nil {
 		return nil, err
 	}
-	w, err := machine.CompressionWorkloadWithRatio(codec, totalBytes, relEB, ratio, chip)
+	pr := phases.NewPricer(chip, phases.PaperRule())
+	comp, err := pr.Compress(codec, totalBytes, relEB, ratio)
 	if err != nil {
 		return nil, err
 	}
-	node := machine.NewNode(chip, 1)
 	out := make([]WorkerPoint, 0, maxCores)
 	for n := 1; n <= maxCores; n++ {
-		s := node.RunClean(w.WithCores(n), freqGHz)
-		out = append(out, WorkerPoint{Cores: n, Seconds: s.Seconds, Joules: s.Joules})
+		leg, err := pr.Leg(comp.WithCores(n).At(freqGHz))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, WorkerPoint{Cores: n, Seconds: leg.Seconds, Joules: leg.Joules})
 	}
 	return out, nil
 }

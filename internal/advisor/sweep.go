@@ -69,21 +69,9 @@ func (c *Controller) ExhaustiveSweep(data []float32, dims []int, req Request) (*
 				sw.Entries = append(sw.Entries, e)
 				continue
 			}
-			var best pricedConfig
-			found := false
-			var lastErr error
-			for _, ax := range combos {
-				pc, err := c.price(codecName, rel, ratio, raw, ax, req, c.cfg.Workers, c.freqs, c.freqs)
-				if err != nil {
-					lastErr = err
-					continue
-				}
-				if !found || pc.total() < best.total() {
-					best, found = pc, true
-				}
-			}
-			if !found {
-				e.Reason = lastErr.Error()
+			best, err := c.bestOverAxes(codecName, rel, ratio, raw, combos, req)
+			if err != nil {
+				e.Reason = err.Error()
 				sw.Entries = append(sw.Entries, e)
 				continue
 			}

@@ -11,7 +11,6 @@ package bitstream
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // ErrOverrun is returned by Reader methods when a read extends past the end
@@ -124,27 +123,6 @@ func (w *Writer) Bytes() []byte {
 		w.ncur -= 8
 	}
 	return w.buf
-}
-
-var writerPool = sync.Pool{New: func() any { return &Writer{} }}
-
-// GetWriter returns a reset Writer from a package-level pool, growing its
-// buffer to at least capHint bytes of capacity. Pair with PutWriter on hot
-// paths to avoid re-allocating staging buffers per call.
-func GetWriter(capHint int) *Writer {
-	w := writerPool.Get().(*Writer)
-	w.Reset()
-	if capHint > 0 && cap(w.buf) < capHint {
-		w.buf = make([]byte, 0, capHint)
-	}
-	return w
-}
-
-// PutWriter returns w to the pool. The caller must not use w — or any slice
-// previously obtained from w.Bytes(), which aliases w's internal buffer —
-// after the call.
-func PutWriter(w *Writer) {
-	writerPool.Put(w)
 }
 
 // Reader consumes bits MSB-first from a byte slice.

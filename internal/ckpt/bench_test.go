@@ -1,15 +1,9 @@
 package ckpt
 
 import (
-	"encoding/json"
 	"math"
-	"os"
 	"runtime"
 	"testing"
-	"time"
-
-	"lcpio/internal/dedup"
-	"lcpio/internal/ec"
 )
 
 // benchSet builds a larger smooth set so compression dominates enough for
@@ -69,249 +63,4 @@ func BenchmarkRestore(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// TestEmitBenchJSON is the scripts/bench.sh hook: with LCPIO_BENCH_CKPT_OUT
-// set it measures pipeline overlap (serial vs pipelined schedule of the
-// same write) and the retry path's simulated overhead under seeded faults,
-// then writes BENCH_ckpt.json. Without the env var it is a no-op skip.
-func TestEmitBenchJSON(t *testing.T) {
-	out := os.Getenv("LCPIO_BENCH_CKPT_OUT")
-	if out == "" {
-		t.Skip("LCPIO_BENCH_CKPT_OUT not set")
-	}
-	set := benchSet(8, 1<<16)
-	workers := runtime.GOMAXPROCS(0)
-
-	clean := NewMemMedium()
-	res, err := Write(clean, set, WriteOptions{Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OverlapMargin() <= 0 {
-		t.Fatalf("pipelined schedule (%.6f s) did not beat serial (%.6f s)",
-			res.SimPipelinedSeconds, res.SimSerialSeconds)
-	}
-
-	faulty, err := Write(
-		NewFaultyMedium(NewMemMedium(), 17, FaultProfile{WriteErrProb: 0.15, ShortWriteProb: 0.15}),
-		set, WriteOptions{Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	retryOverhead := 0.0
-	if res.SimWriteSeconds > 0 {
-		retryOverhead = faulty.SimWriteSeconds/res.SimWriteSeconds - 1
-	}
-
-	doc := map[string]any{
-		"workers":                  workers,
-		"ranks":                    set.Ranks,
-		"fields":                   len(set.Fields),
-		"raw_bytes":                res.RawBytes,
-		"file_bytes":               res.FileBytes,
-		"ratio":                    res.Ratio(),
-		"compress_wall_seconds":    res.CompressWallSeconds,
-		"sim_write_seconds":        res.SimWriteSeconds,
-		"sim_serial_seconds":       res.SimSerialSeconds,
-		"sim_pipelined_seconds":    res.SimPipelinedSeconds,
-		"overlap_margin":           res.OverlapMargin(),
-		"faulty_retries":           faulty.Retries,
-		"faulty_sim_write_seconds": faulty.SimWriteSeconds,
-		"retry_overhead":           retryOverhead,
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("overlap margin %.1f%%, retry overhead %.1f%% -> %s",
-		100*res.OverlapMargin(), 100*retryOverhead, out)
-}
-
-// TestEmitDedupBenchJSON writes the incremental-checkpoint benchmark
-// document for scripts/bench.sh: raw chunking and digest throughput, the
-// measured dedup ratio and wire-byte ratio across a churn sweep, and the
-// delta-vs-full energy economics (hash cost, net saving, break-even churn)
-// at the acceptance churn point. Without LCPIO_BENCH_DEDUP_OUT it skips.
-func TestEmitDedupBenchJSON(t *testing.T) {
-	out := os.Getenv("LCPIO_BENCH_DEDUP_OUT")
-	if out == "" {
-		t.Skip("LCPIO_BENCH_DEDUP_OUT not set")
-	}
-	workers := runtime.GOMAXPROCS(0)
-
-	// Raw chunker and digest throughput over a 32 MiB noisy buffer at the
-	// default chunking geometry.
-	buf := make([]byte, 32<<20)
-	rng := uint64(0x9E3779B97F4A7C15)
-	for i := range buf {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		buf[i] = byte(rng >> 56)
-	}
-	p := dedup.Params{}.Normalized()
-	start := time.Now()
-	cuts := dedup.Split(buf, p)
-	splitSec := time.Since(start).Seconds()
-	start = time.Now()
-	prev := 0
-	for _, c := range cuts {
-		dedup.Sum(buf[prev:c])
-		prev = c
-	}
-	sumSec := time.Since(start).Seconds()
-
-	// Dedup ratio and wire-byte ratio across a churn sweep: one full dump,
-	// then one delta dump per churn rate against it.
-	full := deltaSet("bench-full", 4, 192, 256)
-	baseMed := NewMemMedium()
-	fullRes, err := Write(baseMed, full, WriteOptions{Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweep := []map[string]any{}
-	var energy map[string]any
-	for _, c := range []float64{0.05, 0.10, 0.25, 0.50} {
-		base, err := OpenBase(baseMed, nil, deltaParams, RestoreOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Write(NewMemMedium(), churn(full, "bench-delta", c), WriteOptions{
-			Workers: workers, Base: base})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sweep = append(sweep, map[string]any{
-			"churn":            c,
-			"dedup_ratio":      res.DedupRatio(),
-			"delta_file_bytes": res.FileBytes,
-			"full_file_bytes":  fullRes.FileBytes,
-			"byte_ratio":       float64(res.FileBytes) / float64(fullRes.FileBytes),
-		})
-		if c == 0.10 {
-			de, err := res.DeltaEnergy(fullRes, CampaignOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			energy = map[string]any{
-				"churn":            de.ChurnRate,
-				"hash_joules":      de.HashJoules,
-				"delta_joules":     de.DeltaJoules,
-				"full_joules":      de.FullJoules,
-				"net_saved_joules": de.NetSavedJoules,
-				"energy_ratio":     de.DeltaJoules / de.FullJoules,
-				"break_even_churn": de.BreakEvenChurn,
-			}
-		}
-	}
-
-	doc := map[string]any{
-		"workers":         workers,
-		"chunk_min":       p.MinSize,
-		"chunk_avg":       p.AvgSize,
-		"chunk_max":       p.MaxSize,
-		"split_gb_per_s":  float64(len(buf)) / splitSec / 1e9,
-		"digest_gb_per_s": float64(len(buf)) / sumSec / 1e9,
-		"raw_bytes":       fullRes.RawBytes,
-		"churn_sweep":     sweep,
-		"delta_energy":    energy,
-	}
-	buf2, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(buf2, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("split %.2f GB/s, digest %.2f GB/s, 10%% churn byte ratio %.3f -> %s",
-		float64(len(buf))/splitSec/1e9, float64(len(buf))/sumSec/1e9,
-		sweep[1]["byte_ratio"], out)
-}
-
-// TestEmitECBenchJSON writes the erasure-coding benchmark document for
-// scripts/bench.sh: raw coder throughput (encode and reconstruct), the
-// measured parity overhead of a real parity write, and the reconstruction
-// economics under Eqn 3 clocks.
-func TestEmitECBenchJSON(t *testing.T) {
-	out := os.Getenv("LCPIO_BENCH_EC_OUT")
-	if out == "" {
-		t.Skip("LCPIO_BENCH_EC_OUT not set")
-	}
-	workers := runtime.GOMAXPROCS(0)
-
-	// Raw coder throughput on an 8+2 stripe of 4 MiB shards.
-	const k, m, shardLen = 8, 2, 4 << 20
-	coder, err := ec.New(k, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([][]byte, k)
-	for i := range data {
-		data[i] = make([]byte, shardLen)
-		for j := range data[i] {
-			data[i][j] = byte(i*31 + j)
-		}
-	}
-	start := time.Now()
-	parity, err := coder.Encode(data, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encSec := time.Since(start).Seconds()
-	shards := make([][]byte, k+m)
-	for i := m; i < k; i++ { // lose the first m data shards
-		shards[i] = data[i]
-	}
-	for j := 0; j < m; j++ {
-		shards[k+j] = parity[j]
-	}
-	start = time.Now()
-	if err := coder.Reconstruct(shards, workers); err != nil {
-		t.Fatal(err)
-	}
-	recSec := time.Since(start).Seconds()
-
-	// Pipeline-level overhead and economics from a real parity write.
-	set := benchSet(8, 1<<16)
-	res, err := Write(NewMemMedium(), set, WriteOptions{Workers: workers, ParityRanks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pe, err := res.ParityEnergy(CampaignOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := 0.0
-	if pe.RedumpJoules > 0 {
-		ratio = pe.ReconstructJoules / pe.RedumpJoules
-	}
-	doc := map[string]any{
-		"workers":                workers,
-		"stripe_k":               k,
-		"stripe_m":               m,
-		"shard_bytes":            shardLen,
-		"encode_gb_per_s":        float64(k*shardLen) / encSec / 1e9,
-		"reconstruct_gb_per_s":   float64(m*shardLen) / recSec / 1e9,
-		"write_parity_ranks":     res.ParityRanks,
-		"write_parity_bytes":     res.ParityBytes,
-		"parity_overhead_pct":    100 * res.ParityOverhead(),
-		"ec_encode_seconds":      res.ECEncodeSeconds,
-		"parity_joules_per_ckpt": pe.ParityJoules,
-		"reconstruct_joules":     pe.ReconstructJoules,
-		"redump_joules":          pe.RedumpJoules,
-		"reconstruct_vs_redump":  ratio,
-		"break_even_loss_prob":   pe.BreakEvenLossProb,
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("encode %.2f GB/s, reconstruct %.2f GB/s, parity overhead %.1f%%, reconstruct/redump %.3f -> %s",
-		float64(k*shardLen)/encSec/1e9, float64(m*shardLen)/recSec/1e9,
-		100*res.ParityOverhead(), ratio, out)
 }

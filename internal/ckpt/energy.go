@@ -38,85 +38,83 @@ func (o CampaignOptions) normalized() CampaignOptions {
 	return o
 }
 
+// pricer resolves the campaign's chip under the paper's Eqn 3 rule
+// (compression at 0.875× base, transfers at 0.85×).
+func (o CampaignOptions) pricer() *phases.Pricer {
+	return phases.NewPricer(o.Chip, phases.PaperRule())
+}
+
 // CampaignPlan builds a phases.Plan from this write's measured splits: the
-// compression workload is parameterized by the set's codec, payload-weighted
-// relative error bound, and *measured* ratio; the transit workloads replay
+// compression stage is parameterized by the set's codec, payload-weighted
+// relative error bound, and *measured* ratio; the transfer stages replay
 // the set's full on-medium size (payload + manifest framing) through the
 // simulated mount. On a parity set (ParityRanks > 0) the write leg is split:
 // the payload write covers FileBytes minus the parity shards, and a separate
 // Writing-class "checkpoint-parity-write" phase carries the parity bytes, so
-// the redundancy premium is itemized per iteration and tuned to 0.85× base
-// like any other NFS transfer (Eqn 3). With WithRestore each iteration also
-// reads the payload back and decompresses it — a clean restart never reads
-// parity.
-// A delta write (format v3) maps to the DeltaCheckpointCampaign shape
-// instead: a dedup pass over the full raw state, compression of only the
-// locally-stored raw bytes at their measured ratio, and the (much smaller)
-// delta-file write. WithRestore is not supported for delta sets — a delta
-// restart also replays its base chain, which this result does not measure.
+// the redundancy premium is itemized per iteration and tuned like any other
+// NFS transfer. With WithRestore each iteration also reads the payload back
+// and decompresses it — a clean restart never reads parity.
+// A delta write (format v3) has a different pipeline: a dedup pass over the
+// full raw state (Compression-class: frequency-scaled CPU work), compression
+// of only the locally-stored raw bytes at their measured ratio, and the
+// (much smaller) delta-file write. WithRestore is not supported for delta
+// sets — a delta restart also replays its base chain, which this result
+// does not measure.
 func (r *WriteResult) CampaignPlan(opts CampaignOptions) (phases.Plan, error) {
 	opts = opts.normalized()
+	pr := opts.pricer()
 	m := r.Manifest
 	if m.IsDelta() {
 		if opts.WithRestore {
 			return phases.Plan{}, fmt.Errorf("ckpt: WithRestore campaign not supported for delta sets")
 		}
-		dedupW, err := machine.DedupWorkload(r.RawBytes, opts.Chip)
+		dedup, err := pr.Dedup(r.RawBytes)
 		if err != nil {
 			return phases.Plan{}, err
 		}
-		compress, err := machine.CompressionWorkloadWithRatio(
-			m.Codec, r.LocalRawBytes, r.MeanRelEB, r.localRatio(), opts.Chip)
+		compress, err := pr.Compress(m.Codec, r.LocalRawBytes, r.MeanRelEB, r.localRatio())
 		if err != nil {
 			return phases.Plan{}, err
 		}
-		write := machine.TransitWorkload(opts.Mount.Write(r.FileBytes), opts.Chip)
-		return phases.DeltaCheckpointCampaign(
-			opts.Iterations, opts.ComputeSeconds, dedupW, compress, write), nil
+		return phases.Campaign(opts.Iterations, opts.ComputeSeconds,
+			dedup.Named("checkpoint-dedup"),
+			compress.Named("checkpoint-compress"),
+			pr.Move(opts.Mount.Write, r.FileBytes).Named("checkpoint-write")), nil
 	}
-	compress, err := machine.CompressionWorkloadWithRatio(
-		m.Codec, r.RawBytes, r.MeanRelEB, r.Ratio(), opts.Chip)
+	compress, err := pr.Compress(m.Codec, r.RawBytes, r.MeanRelEB, r.Ratio())
 	if err != nil {
 		return phases.Plan{}, err
 	}
 	payloadFile := r.FileBytes - r.ParityBytes
-	write := machine.TransitWorkload(opts.Mount.Write(payloadFile), opts.Chip)
-	var parityWrite machine.Workload
-	if r.ParityBytes > 0 {
-		parityWrite = machine.TransitWorkload(opts.Mount.Write(r.ParityBytes), opts.Chip)
+	stages := []phases.Phase{
+		compress.Named("checkpoint-compress"),
+		pr.Move(opts.Mount.Write, payloadFile).Named("checkpoint-write"),
 	}
-	if !opts.WithRestore {
-		if r.ParityBytes > 0 {
-			return phases.CheckpointCampaignWithParity(
-				opts.Iterations, opts.ComputeSeconds, compress, write, parityWrite), nil
+	if r.ParityBytes > 0 {
+		stages = append(stages, pr.Move(opts.Mount.Write, r.ParityBytes).Named("checkpoint-parity-write"))
+	}
+	if opts.WithRestore {
+		decompress, err := pr.Decompress(m.Codec, r.RawBytes, r.MeanRelEB, r.Ratio())
+		if err != nil {
+			return phases.Plan{}, err
 		}
-		return phases.CheckpointCampaign(opts.Iterations, opts.ComputeSeconds, compress, write), nil
+		stages = append(stages,
+			pr.Move(opts.Mount.Read, payloadFile).Named("restart-read"),
+			decompress.Named("restart-decompress"))
 	}
-	decompress, err := machine.DecompressionWorkload(
-		m.Codec, r.RawBytes, r.MeanRelEB, r.Ratio(), opts.Chip)
-	if err != nil {
-		return phases.Plan{}, err
-	}
-	read := machine.TransitWorkload(opts.Mount.Read(payloadFile), opts.Chip)
-	if r.ParityBytes > 0 {
-		return phases.CheckpointRestartCampaignWithParity(
-			opts.Iterations, opts.ComputeSeconds, compress, write, parityWrite, read, decompress), nil
-	}
-	return phases.CheckpointRestartCampaign(
-		opts.Iterations, opts.ComputeSeconds, compress, write, read, decompress), nil
+	return phases.Campaign(opts.Iterations, opts.ComputeSeconds, stages...), nil
 }
 
 // EnergyReport executes the campaign at base clock and under the paper's
-// Eqn 3 rule (compression at 0.875× base, writing at 0.85×) and returns the
-// comparison — the "what does tuned checkpointing save" answer for this set.
+// Eqn 3 rule and returns the comparison — the "what does tuned
+// checkpointing save" answer for this set.
 func (r *WriteResult) EnergyReport(opts CampaignOptions) (phases.Comparison, error) {
 	opts = opts.normalized()
 	pl, err := r.CampaignPlan(opts)
 	if err != nil {
 		return phases.Comparison{}, err
 	}
-	node := machine.NewNode(opts.Chip, 1)
-	return phases.Compare(pl, phases.PaperRule(), node)
+	return phases.Compare(pl, phases.PaperRule(), machine.NewNode(opts.Chip, 1))
 }
 
 // ParityEnergy is the redundancy economics of one measured parity write:
@@ -158,33 +156,24 @@ func (r *WriteResult) ParityEnergy(opts CampaignOptions) (ParityEnergy, error) {
 		pe.BreakEvenLossProb = math.Inf(1)
 		return pe, nil
 	}
-	chip := opts.Chip
-	node := machine.NewNode(chip, 1)
-	rule := phases.PaperRule()
-	fIO := chip.ClampFreq(rule.WritingFraction * chip.BaseGHz)
-	fComp := chip.ClampFreq(rule.CompressionFraction * chip.BaseGHz)
-
-	s := node.RunClean(machine.TransitWorkload(opts.Mount.Write(r.ParityBytes), chip), fIO)
-	pe.ParityJoules, pe.ParitySeconds = s.Joules, s.Seconds
-
-	s = node.RunClean(machine.TransitWorkload(opts.Mount.Read(r.ParityBytes), chip), fIO)
-	pe.ReconstructJoules = s.Joules
-
+	pr := opts.pricer()
 	ranks := int64(r.Manifest.Ranks)
-	recompress, err := machine.CompressionWorkloadWithRatio(
-		r.Manifest.Codec, r.RawBytes/ranks, r.MeanRelEB, r.Ratio(), chip)
+	recompress, err := pr.Compress(r.Manifest.Codec, r.RawBytes/ranks, r.MeanRelEB, r.Ratio())
 	if err != nil {
 		return ParityEnergy{}, err
 	}
-	pe.RedumpJoules = node.RunClean(recompress, fComp).Joules +
-		node.RunClean(machine.TransitWorkload(
-			opts.Mount.Write((r.FileBytes-r.ParityBytes)/ranks), chip), fIO).Joules
-
-	if saving := pe.RedumpJoules - pe.ReconstructJoules; saving > 0 {
-		pe.BreakEvenLossProb = pe.ParityJoules / saving
-	} else {
-		pe.BreakEvenLossProb = math.Inf(1)
+	t, err := pr.Price(
+		pr.Move(opts.Mount.Write, r.ParityBytes),
+		pr.Move(opts.Mount.Read, r.ParityBytes),
+		recompress,
+		pr.Move(opts.Mount.Write, (r.FileBytes-r.ParityBytes)/ranks))
+	if err != nil {
+		return ParityEnergy{}, err
 	}
+	pe.ParityJoules, pe.ParitySeconds = t.Legs[0].Joules, t.Legs[0].Seconds
+	pe.ReconstructJoules = t.Legs[1].Joules
+	pe.RedumpJoules = t.Legs[2].Joules + t.Legs[3].Joules
+	pe.BreakEvenLossProb = phases.ParityBreakEven(pe.ParityJoules, pe.RedumpJoules, pe.ReconstructJoules)
 	return pe, nil
 }
 
@@ -238,56 +227,46 @@ func (r *WriteResult) DeltaEnergy(full *WriteResult, opts CampaignOptions) (Delt
 		return DeltaEnergy{}, fmt.Errorf("ckpt: baseline raw size %d != delta raw size %d",
 			full.RawBytes, r.RawBytes)
 	}
-	chip := opts.Chip
-	node := machine.NewNode(chip, 1)
-	rule := phases.PaperRule()
-	fIO := chip.ClampFreq(rule.WritingFraction * chip.BaseGHz)
-	fComp := chip.ClampFreq(rule.CompressionFraction * chip.BaseGHz)
-
+	pr := opts.pricer()
 	de := DeltaEnergy{
 		ChurnRate:  float64(r.LocalRawBytes) / float64(r.RawBytes),
 		DedupRatio: r.DedupRatio(),
 	}
 
-	dedupW, err := machine.DedupWorkload(r.RawBytes, chip)
+	dedup, err := pr.Dedup(r.RawBytes)
 	if err != nil {
 		return DeltaEnergy{}, err
 	}
-	de.HashJoules = node.RunClean(dedupW, fComp).Joules
-
-	de.DeltaJoules = de.HashJoules +
-		node.RunClean(machine.TransitWorkload(opts.Mount.Write(r.FileBytes), chip), fIO).Joules
+	fullCompress, err := pr.Compress(full.Manifest.Codec, full.RawBytes, full.MeanRelEB, full.Ratio())
+	if err != nil {
+		return DeltaEnergy{}, err
+	}
+	// The last leg is the delta's manifest framing alone: the fixed write
+	// cost a delta pays at any churn.
+	t, err := pr.Price(
+		dedup,
+		pr.Move(opts.Mount.Write, r.FileBytes),
+		fullCompress,
+		pr.Move(opts.Mount.Write, full.FileBytes),
+		pr.Move(opts.Mount.Write, r.FileBytes-r.PayloadBytes-r.ParityBytes))
+	if err != nil {
+		return DeltaEnergy{}, err
+	}
+	de.HashJoules = t.Legs[0].Joules
+	de.DeltaJoules = de.HashJoules + t.Legs[1].Joules
 	if r.LocalRawBytes > 0 {
-		cw, err := machine.CompressionWorkloadWithRatio(
-			r.Manifest.Codec, r.LocalRawBytes, r.MeanRelEB, r.localRatio(), chip)
+		compress, err := pr.Compress(r.Manifest.Codec, r.LocalRawBytes, r.MeanRelEB, r.localRatio())
 		if err != nil {
 			return DeltaEnergy{}, err
 		}
-		de.DeltaJoules += node.RunClean(cw, fComp).Joules
+		leg, err := pr.Leg(compress)
+		if err != nil {
+			return DeltaEnergy{}, err
+		}
+		de.DeltaJoules += leg.Joules
 	}
-
-	fullCompress, err := machine.CompressionWorkloadWithRatio(
-		full.Manifest.Codec, full.RawBytes, full.MeanRelEB, full.Ratio(), chip)
-	if err != nil {
-		return DeltaEnergy{}, err
-	}
-	compressFullJ := node.RunClean(fullCompress, fComp).Joules
-	writeFullJ := node.RunClean(machine.TransitWorkload(opts.Mount.Write(full.FileBytes), chip), fIO).Joules
-	de.FullJoules = compressFullJ + writeFullJ
+	de.FullJoules = t.Legs[2].Joules + t.Legs[3].Joules
 	de.NetSavedJoules = de.FullJoules - de.DeltaJoules
-
-	// Break-even: a delta at churn c costs roughly the fixed hash pass plus
-	// the manifest framing write plus c's share of the full compress+write
-	// energy (payload scales ~linearly with churn at fixed data hardness).
-	framingJ := node.RunClean(machine.TransitWorkload(
-		opts.Mount.Write(r.FileBytes-r.PayloadBytes-r.ParityBytes), chip), fIO).Joules
-	switch margin := de.FullJoules - de.HashJoules - framingJ; {
-	case margin <= 0:
-		de.BreakEvenChurn = 0
-	case compressFullJ+writeFullJ <= 0:
-		de.BreakEvenChurn = math.Inf(1)
-	default:
-		de.BreakEvenChurn = margin / (compressFullJ + writeFullJ)
-	}
+	de.BreakEvenChurn = phases.ChurnBreakEven(de.FullJoules, de.HashJoules, t.Legs[4].Joules)
 	return de, nil
 }

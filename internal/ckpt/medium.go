@@ -128,197 +128,6 @@ func (m *FileMedium) ReadAt(p []byte, off int64) (int, error) { return m.f.ReadA
 // Close closes the underlying file.
 func (m *FileMedium) Close() error { return m.f.Close() }
 
-// ReadPenaltyMedium is a Medium whose reads may carry extra simulated
-// latency beyond the wire — a cold server page cache forcing a
-// backing-store fetch. The restore path consults it per chunk read and adds
-// the penalty to the report's SimReadSeconds; plain media read with no
-// penalty, preserving the historical always-warm assumption.
-type ReadPenaltyMedium interface {
-	Medium
-	// ReadPenaltySeconds reports (and accounts) the extra simulated seconds
-	// of reading the extent [off, off+n): 0 on a cache hit.
-	ReadPenaltySeconds(off, n int64) float64
-}
-
-// CacheConfig tunes a WriteBackCache.
-type CacheConfig struct {
-	// CapacityBytes is the page-cache budget shared by every medium
-	// attached to the cache. <= 0 means unbounded (always warm — the
-	// historical model).
-	CapacityBytes int64
-	// BackingBWBps is the backing store's read bandwidth in bits per
-	// second (default 4e9, a ~500 MB/s disk array — far below the 20e9
-	// page-cache absorption path of nfs.DefaultMount).
-	BackingBWBps float64
-	// BackingLatencySec is the per-miss positioning cost (default 5 ms).
-	BackingLatencySec float64
-}
-
-func (c CacheConfig) normalized() CacheConfig {
-	if c.BackingBWBps <= 0 {
-		c.BackingBWBps = 4e9
-	}
-	if c.BackingLatencySec <= 0 {
-		c.BackingLatencySec = 5e-3
-	}
-	return c
-}
-
-// CacheStats is a WriteBackCache's observable state.
-type CacheStats struct {
-	Hits, Misses, Evictions int64
-	EvictedBytes, UsedBytes int64
-}
-
-// WriteBackCache models the server's shared page cache under multi-tenant
-// contention: extents written through a CachedMedium are warm (write-back
-// leaves the pages resident), reads of evicted extents pay a backing-store
-// penalty, and an LRU policy evicts the coldest extents when tenants
-// collectively overrun CapacityBytes. One cache is shared by every
-// CachedMedium attached to it, which is exactly how tenant count degrades
-// restore: each additional tenant's dump pushes earlier tenants' pages out.
-// Safe for concurrent use.
-type WriteBackCache struct {
-	mu      sync.Mutex
-	cfg     CacheConfig
-	used    int64
-	entries map[cacheKey]*cacheEntry
-	// Doubly-linked LRU list; mru.next is most recent, lru.prev is the
-	// eviction candidate. Sentinel nodes avoid nil checks.
-	mru, lru cacheEntry
-	stats    CacheStats
-}
-
-type cacheKey struct {
-	tag string
-	off int64
-}
-
-type cacheEntry struct {
-	key        cacheKey
-	size       int64
-	prev, next *cacheEntry
-}
-
-// NewWriteBackCache returns a cache with the given knobs.
-func NewWriteBackCache(cfg CacheConfig) *WriteBackCache {
-	c := &WriteBackCache{cfg: cfg.normalized(), entries: make(map[cacheKey]*cacheEntry)}
-	c.mru.next = &c.lru
-	c.lru.prev = &c.mru
-	return c
-}
-
-// Stats snapshots the cache counters.
-func (c *WriteBackCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stats
-	s.UsedBytes = c.used
-	return s
-}
-
-func (c *WriteBackCache) unlink(e *cacheEntry) {
-	e.prev.next = e.next
-	e.next.prev = e.prev
-}
-
-func (c *WriteBackCache) pushFront(e *cacheEntry) {
-	e.prev = &c.mru
-	e.next = c.mru.next
-	e.prev.next = e
-	e.next.prev = e
-}
-
-// insert makes the extent resident (touching it if already cached),
-// evicting LRU extents to fit. Caller holds c.mu.
-func (c *WriteBackCache) insert(key cacheKey, size int64) {
-	if e := c.entries[key]; e != nil {
-		c.used += size - e.size
-		e.size = size
-		c.unlink(e)
-		c.pushFront(e)
-	} else {
-		e = &cacheEntry{key: key, size: size}
-		c.entries[key] = e
-		c.pushFront(e)
-		c.used += size
-	}
-	limit := c.cfg.CapacityBytes
-	if limit <= 0 {
-		return
-	}
-	for c.used > limit {
-		victim := c.lru.prev
-		if victim == &c.mru || victim.key == key {
-			break // nothing older to evict; oversized extents stay resident
-		}
-		c.unlink(victim)
-		delete(c.entries, victim.key)
-		c.used -= victim.size
-		c.stats.Evictions++
-		c.stats.EvictedBytes += victim.size
-	}
-}
-
-// wrote records a written extent as warm.
-func (c *WriteBackCache) wrote(key cacheKey, size int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.insert(key, size)
-}
-
-// read accounts one read of the extent and returns its penalty seconds:
-// 0 on a hit; a miss pays the backing fetch and becomes resident (evicting
-// colder extents in turn).
-func (c *WriteBackCache) read(key cacheKey, size int64) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e := c.entries[key]; e != nil {
-		c.unlink(e)
-		c.pushFront(e)
-		c.stats.Hits++
-		return 0
-	}
-	c.stats.Misses++
-	c.insert(key, size)
-	return c.cfg.BackingLatencySec + float64(size)*8/c.cfg.BackingBWBps
-}
-
-// CachedMedium attaches a Medium to a shared WriteBackCache under a tenant
-// tag. Bytes pass straight through — the cache only shapes the simulated
-// read timeline via ReadPenaltySeconds.
-type CachedMedium struct {
-	inner Medium
-	cache *WriteBackCache
-	tag   string
-}
-
-// NewCachedMedium wraps inner; tag namespaces this medium's extents inside
-// the shared cache (use the tenant or set name).
-func NewCachedMedium(inner Medium, cache *WriteBackCache, tag string) *CachedMedium {
-	return &CachedMedium{inner: inner, cache: cache, tag: tag}
-}
-
-// Size forwards to the wrapped medium.
-func (m *CachedMedium) Size() int64 { return m.inner.Size() }
-
-// WriteAt forwards to the wrapped medium and marks the written extent warm.
-func (m *CachedMedium) WriteAt(p []byte, off int64) (int, error) {
-	n, err := m.inner.WriteAt(p, off)
-	if n > 0 {
-		m.cache.wrote(cacheKey{tag: m.tag, off: off}, int64(n))
-	}
-	return n, err
-}
-
-// ReadAt forwards to the wrapped medium.
-func (m *CachedMedium) ReadAt(p []byte, off int64) (int, error) { return m.inner.ReadAt(p, off) }
-
-// ReadPenaltySeconds implements ReadPenaltyMedium against the shared cache.
-func (m *CachedMedium) ReadPenaltySeconds(off, n int64) float64 {
-	return m.cache.read(cacheKey{tag: m.tag, off: off}, n)
-}
-
 // FaultProfile configures a FaultyMedium. All probabilities are per call.
 type FaultProfile struct {
 	// WriteErrProb: WriteAt fails entirely with ErrTransient.

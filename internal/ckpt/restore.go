@@ -388,11 +388,6 @@ func readVerified(med Medium, c *ChunkInfo, opts RestoreOptions) chunkOutcome {
 			o.simSec += opts.Retry.backoff(attempt - 1)
 		}
 		o.simSec += opts.Mount.Read(c.Size).NetworkSeconds
-		// A cold server page cache (multi-tenant eviction) surcharges the
-		// read; warm extents and plain media add nothing.
-		if pm, ok := med.(ReadPenaltyMedium); ok {
-			o.simSec += pm.ReadPenaltySeconds(c.Offset, c.Size)
-		}
 		if _, err := med.ReadAt(buf, c.Offset); err != nil {
 			lastErr = err
 			if errors.Is(err, ErrTransient) {

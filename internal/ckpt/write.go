@@ -145,71 +145,6 @@ type WriteOptions struct {
 	// manifest entries (see OpenBase). nil writes a full set as before.
 	// On a delta set the parity layer covers only locally-stored blobs.
 	Base *Base
-	// Advisor, when non-nil, is consulted once before the pipeline starts
-	// and may retune codec, error bound, workers and parity for this set
-	// (the online controller in internal/advisor implements it). A nil
-	// advisor — or a zero tuning — leaves the write exactly as configured.
-	Advisor WriteAdvisor
-}
-
-// WriteAdvisor retunes a write before it starts. Implementations get the
-// set about to be written and the options as passed; they must not mutate
-// either.
-type WriteAdvisor interface {
-	AdviseWrite(set *Set, opts WriteOptions) (WriteTuning, error)
-}
-
-// WriteTuning is the subset of write knobs an advisor may override. The
-// zero value changes nothing.
-type WriteTuning struct {
-	// Workers overrides the parallel compressor count when > 0.
-	Workers int
-	// Codec replaces the set's codec when non-empty.
-	Codec string
-	// RelEB, when > 0, recomputes every field's absolute error bound as
-	// this range-relative bound over the field's rank-0 array.
-	RelEB float64
-	// ParityRanks replaces WriteOptions.ParityRanks when SetParity is true
-	// (the flag lets an advisor force parity OFF, which a plain zero could
-	// not express).
-	SetParity   bool
-	ParityRanks int
-}
-
-// applyTuning folds an advisor's overrides into the set and options,
-// revalidating anything the tuning touched.
-func applyTuning(set Set, opts WriteOptions, tun WriteTuning) (Set, WriteOptions, error) {
-	if tun.Workers > 0 {
-		opts.Workers = tun.Workers
-		opts.QueueDepth = 0 // re-derive the backpressure window
-	}
-	if tun.SetParity {
-		opts.ParityRanks = tun.ParityRanks
-	}
-	if tun.Codec != "" && tun.Codec != set.Codec {
-		if _, err := compress.Lookup(tun.Codec); err != nil {
-			return set, opts, fmt.Errorf("ckpt: advisor codec: %w", err)
-		}
-		set.Codec = tun.Codec
-	}
-	if tun.RelEB > 0 {
-		if math.IsInf(tun.RelEB, 0) {
-			return set, opts, fmt.Errorf("ckpt: advisor relative bound %v", tun.RelEB)
-		}
-		fields := make([]Field, len(set.Fields))
-		copy(fields, set.Fields)
-		for i := range fields {
-			if len(fields[i].Data) == 0 {
-				continue
-			}
-			eb := compress.AbsBoundFromRelative(tun.RelEB, fields[i].Data[0])
-			if eb > 0 {
-				fields[i].ErrorBound = eb
-			}
-		}
-		set.Fields = fields
-	}
-	return set, opts, nil
 }
 
 func (o WriteOptions) normalized() WriteOptions {
@@ -334,18 +269,6 @@ func (r *WriteResult) OverlapMargin() float64 {
 func Write(med Medium, set Set, opts WriteOptions) (*WriteResult, error) {
 	if err := set.validate(); err != nil {
 		return nil, err
-	}
-	if opts.Advisor != nil {
-		tun, err := opts.Advisor.AdviseWrite(&set, opts)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: advisor: %w", err)
-		}
-		if set, opts, err = applyTuning(set, opts, tun); err != nil {
-			return nil, err
-		}
-		if err := set.validate(); err != nil {
-			return nil, err
-		}
 	}
 	opts = opts.normalized()
 	if opts.Base != nil {

@@ -15,10 +15,9 @@ import (
 	"lcpio/internal/ckpt"
 	"lcpio/internal/dedup"
 	"lcpio/internal/dvfs"
-	"lcpio/internal/machine"
 	"lcpio/internal/netsim"
 	"lcpio/internal/nfs"
-	"lcpio/internal/transit"
+	"lcpio/internal/phases"
 )
 
 // Config describes a homogeneous dump fleet.
@@ -74,7 +73,7 @@ type Config struct {
 	// work at the compression clock. Setting it alongside Ratio > 1 is an
 	// error — already-compressed payloads do not re-compress on the wire.
 	// The result reports the per-client link bandwidth at which the scheme
-	// stops paying (transit.BreakEvenBps).
+	// stops paying (phases.WireBreakEven).
 	WireCodec string
 	// WireRelEB is the range-relative error bound for the wire codec
 	// (0 = 1e-3).
@@ -94,7 +93,8 @@ type Config struct {
 	Advise bool
 	// AdviseMinPSNR is the advisor's quality floor in dB (0 = 60).
 	AdviseMinPSNR float64
-	// Seed for the representative node's noise source.
+	// Seed varies the sampled probe fields (advisor sketch, dedup churn
+	// placement); the priced legs themselves are deterministic.
 	Seed int64
 }
 
@@ -210,22 +210,6 @@ type Result struct {
 // payload plus checkpoint framing plus parity shards.
 func (r Result) WireBytes() int64 {
 	return r.CompressedBytes + r.CkptOverheadBytes + r.CkptParityBytes
-}
-
-// CkptOverheadFraction is the checkpoint framing's share of the wire bytes.
-func (r Result) CkptOverheadFraction() float64 {
-	if r.WireBytes() <= 0 {
-		return 0
-	}
-	return float64(r.CkptOverheadBytes) / float64(r.WireBytes())
-}
-
-// CkptParityFraction is the parity traffic's share of the wire bytes.
-func (r Result) CkptParityFraction() float64 {
-	if r.WireBytes() <= 0 {
-		return 0
-	}
-	return float64(r.CkptParityBytes) / float64(r.WireBytes())
 }
 
 func (r Result) String() string {
@@ -376,7 +360,6 @@ func Dump(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	node := machine.NewNode(chip, cfg.Seed)
 
 	// Contended per-client link: the shared server ingress divides across
 	// concurrent writers.
@@ -425,7 +408,11 @@ func Dump(cfg Config) (Result, error) {
 	payloadFrac := 1.0 // delta payload / full payload
 	parityFrac := 0.0  // parity / shipped payload
 	var dedupRatio float64
-	var dedupSample machine.Sample
+	// The node's legs are priced at the (possibly advisor-chosen) tuning
+	// fractions; normalized() already mapped "unset" to base clock.
+	pr := phases.NewPricer(chip, phases.Rule{
+		CompressionFraction: cfg.CompressionFraction, WritingFraction: cfg.WritingFraction})
+	var dedupLeg, compLeg phases.Leg
 	if cfg.CkptFields > 0 && cfg.CkptRanksPerNode > 0 {
 		sampled := cfg.CkptFields*cfg.CkptRanksPerNode <= maxSampledCkptChunks
 		switch {
@@ -462,16 +449,17 @@ func Dump(cfg Config) (Result, error) {
 		if cfg.CkptChurnRate > 0 {
 			// Every node hashes its full raw state to find the churn,
 			// regardless of how little it ends up writing.
-			dw, err := machine.DedupWorkload(cfg.PerNodeBytes, chip)
+			hash, err := pr.Dedup(cfg.PerNodeBytes)
 			if err != nil {
 				return Result{}, err
 			}
-			dedupSample = node.RunClean(dw, cfg.CompressionFraction*chip.BaseGHz)
+			if dedupLeg, err = pr.Leg(hash); err != nil {
+				return Result{}, err
+			}
 		}
 	}
 
 	compressedBytes := cfg.PerNodeBytes
-	var compSample machine.Sample
 	if cfg.Ratio > 1 {
 		compressedBytes = int64(float64(cfg.PerNodeBytes) / cfg.Ratio)
 		// An incremental dump only compresses the raw bytes it stores —
@@ -480,12 +468,13 @@ func Dump(cfg Config) (Result, error) {
 		if cfg.CkptChurnRate > 0 {
 			rawToCompress = int64((1 - dedupRatio) * float64(cfg.PerNodeBytes))
 		}
-		cw, err := machine.CompressionWorkloadWithRatio(
-			cfg.Codec, rawToCompress, cfg.RelEB, cfg.Ratio, chip)
+		comp, err := pr.Compress(cfg.Codec, rawToCompress, cfg.RelEB, cfg.Ratio)
 		if err != nil {
 			return Result{}, err
 		}
-		compSample = node.RunClean(cw, cfg.CompressionFraction*chip.BaseGHz)
+		if compLeg, err = pr.Leg(comp); err != nil {
+			return Result{}, err
+		}
 	}
 	compressedBytes = int64(payloadFrac * float64(compressedBytes))
 
@@ -496,21 +485,23 @@ func Dump(cfg Config) (Result, error) {
 	if cfg.WireCodec != "" {
 		rawWire := compressedBytes
 		compressedBytes = int64(float64(rawWire) / cfg.WireRatio)
-		cw, err := machine.CompressionWorkloadWithRatio(
-			cfg.WireCodec, rawWire, cfg.WireRelEB, cfg.WireRatio, chip)
+		comp, err := pr.Compress(cfg.WireCodec, rawWire, cfg.WireRelEB, cfg.WireRatio)
 		if err != nil {
 			return Result{}, err
 		}
-		compSample = node.RunClean(cw, cfg.CompressionFraction*chip.BaseGHz)
-		wireBE = transit.BreakEvenBps(link, rawWire, compressedBytes, compSample.Seconds)
+		if compLeg, err = pr.Leg(comp); err != nil {
+			return Result{}, err
+		}
+		wireBE = phases.WireBreakEven(link, rawWire, compressedBytes, compLeg.Seconds)
 	}
 	parityBytes := int64(parityFrac * float64(compressedBytes))
-	tr := mount.Write(compressedBytes + overhead + parityBytes)
-	tw := machine.TransitWorkload(tr, chip)
-	transSample := node.RunClean(tw, cfg.WritingFraction*chip.BaseGHz)
+	transLeg, err := pr.Leg(pr.Move(mount.Write, compressedBytes+overhead+parityBytes))
+	if err != nil {
+		return Result{}, err
+	}
 
-	nodeSeconds := compSample.Seconds + dedupSample.Seconds + transSample.Seconds
-	nodeJoules := compSample.Joules + dedupSample.Joules + transSample.Joules
+	nodeSeconds := compLeg.Seconds + dedupLeg.Seconds + transLeg.Seconds
+	nodeJoules := compLeg.Joules + dedupLeg.Joules + transLeg.Joules
 	eff := 0.0
 	if nodeSeconds > 0 {
 		eff = float64(cfg.PerNodeBytes) * 8 / nodeSeconds
@@ -532,9 +523,9 @@ func Dump(cfg Config) (Result, error) {
 		WireCompressed:      cfg.WireCodec != "",
 		WireBreakEvenBps:    wireBE,
 		EffectiveBps:        eff,
-		NodeCompressSeconds: compSample.Seconds,
-		NodeDedupSeconds:    dedupSample.Seconds,
-		NodeTransitSeconds:  transSample.Seconds,
+		NodeCompressSeconds: compLeg.Seconds,
+		NodeDedupSeconds:    dedupLeg.Seconds,
+		NodeTransitSeconds:  transLeg.Seconds,
 		NodeJoules:          nodeJoules,
 		WallSeconds:         nodeSeconds,
 		TotalJoules:         nodeJoules * float64(cfg.Nodes),

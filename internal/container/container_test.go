@@ -2,6 +2,7 @@ package container
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -217,7 +218,7 @@ func TestQuickChunkingInvariant(t *testing.T) {
 		out, _, err := Unpack(buf, Options{})
 		return err == nil && len(out) == n && maxAbsErr(data, out) <= eb
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.25, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"math"
 
 	"lcpio/internal/advisor"
-	"lcpio/internal/compress"
-	"lcpio/internal/dvfs"
 	"lcpio/internal/fpdata"
 )
 
@@ -14,103 +12,43 @@ import (
 // must dump this much data and keep at least this reconstruction quality —
 // which codec and error bound cost the least energy?" It extends the
 // paper's tuning rule from frequencies to the full (codec, bound,
-// frequency) configuration space.
+// frequency) configuration space: the advisor's static grid options plus
+// the dataset the sample field is drawn from.
 type AdvisorConfig struct {
-	// TotalBytes to dump; 0 means 512 GiB.
-	TotalBytes int64
-	// Chip; empty means Broadwell.
-	Chip string
+	advisor.GridOptions
 	// Dataset whose statistics drive ratio/quality measurement; empty
 	// means NYX.
 	Dataset string
-	// MinPSNR is the quality floor in dB the reconstruction must meet.
-	MinPSNR float64
-	// CandidateBounds are the range-relative bounds to consider; nil
-	// means the paper's four.
-	CandidateBounds []float64
-	// Tuning rule applied to each candidate; zero means Eqn 3.
-	Tuning Recommendation
 }
 
-// Advice is one evaluated configuration.
-type Advice struct {
-	Codec   string
-	EB      float64 // range-relative
-	PSNR    float64 // measured on the sample field
-	Ratio   float64
-	EnergyJ float64 // tuned compress+write energy for TotalBytes
-	Seconds float64
-	Meets   bool // satisfies the PSNR floor
-}
-
-func (a Advice) String() string {
-	status := "below target"
-	if a.Meets {
-		status = "ok"
-	}
-	return fmt.Sprintf("%-4s eb=%-6g PSNR=%5.1f dB ratio=%6.2f energy=%8.1f kJ (%s)",
-		a.Codec, a.EB, a.PSNR, a.Ratio, a.EnergyJ/1e3, status)
-}
+// Advice is one evaluated configuration: a measured (codec, bound)
+// candidate priced at the tuned frequencies.
+type Advice = advisor.GridEntry
 
 // Advise evaluates every (codec, bound) candidate on a sample field,
 // models the tuned dump energy for the full volume, and returns all
 // candidates sorted by energy with the quality verdict attached. The first
 // entry with Meets=true is the recommendation. The measurement and pricing
 // live in advisor.EvaluateGrid — this is the static slice of the online
-// controller's search space.
+// controller's search space. Codecs default to the experiment config's.
 func Advise(cfg Config, acfg AdvisorConfig) ([]Advice, error) {
 	cfg = cfg.normalized()
-	if acfg.TotalBytes <= 0 {
-		acfg.TotalBytes = 512 << 30
-	}
-	if acfg.Chip == "" {
-		acfg.Chip = "Broadwell"
-	}
 	if acfg.Dataset == "" {
 		acfg.Dataset = "NYX"
 	}
-	if len(acfg.CandidateBounds) == 0 {
-		acfg.CandidateBounds = append([]float64(nil), compress.PaperErrorBounds...)
-	}
-	if acfg.Tuning.CompressionFraction == 0 {
-		acfg.Tuning = PaperRecommendation()
-	}
-	if _, err := dvfs.ChipByName(acfg.Chip); err != nil {
-		return nil, err
+	if len(acfg.Codecs) == 0 {
+		acfg.Codecs = cfg.Codecs
 	}
 	spec, err := fpdata.Lookup(acfg.Dataset, "")
 	if err != nil {
 		return nil, err
 	}
 	field := fpdata.Generate(spec, spec.ScaleFor(cfg.RatioElems), cfg.Seed)
-	dcfg := DumpConfig{Chip: acfg.Chip, Tuning: acfg.Tuning}.normalized()
-
-	grid, err := advisor.EvaluateGrid(field.Data, field.Dims, advisor.GridOptions{
-		TotalBytes:          acfg.TotalBytes,
-		Chip:                acfg.Chip,
-		Mount:               dcfg.Mount,
-		MinPSNR:             acfg.MinPSNR,
-		Codecs:              cfg.Codecs,
-		Bounds:              acfg.CandidateBounds,
-		CompressionFraction: acfg.Tuning.CompressionFraction,
-		WritingFraction:     acfg.Tuning.WritingFraction,
-	})
+	grid, err := advisor.EvaluateGrid(field.Data, field.Dims, acfg.GridOptions)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	out := make([]Advice, 0, len(grid))
-	for _, e := range grid {
-		out = append(out, Advice{
-			Codec:   e.Codec,
-			EB:      e.RelEB,
-			PSNR:    e.PSNR,
-			Ratio:   e.Ratio,
-			EnergyJ: e.EnergyJ,
-			Seconds: e.Seconds,
-			Meets:   e.Meets,
-		})
-	}
-	return out, nil
+	return grid, nil
 }
 
 // Recommend returns the least-energy advice meeting the quality floor, or
@@ -132,16 +70,12 @@ func Recommend(cfg Config, acfg AdvisorConfig) (Advice, error) {
 		}
 	}
 	return Advice{}, fmt.Errorf("core: no candidate reaches %.1f dB; best was %s at eb=%g with %.1f dB",
-		acfg.MinPSNR, best.Codec, best.EB, best.PSNR)
+		acfg.MinPSNR, best.Codec, best.RelEB, best.PSNR)
 }
 
 // CoreSample is one point of the multi-core extension study: energy and
 // runtime of a compression job at a given worker count.
-type CoreSample struct {
-	Cores   int
-	Seconds float64
-	Joules  float64
-}
+type CoreSample = advisor.WorkerPoint
 
 // EnergyVsCores evaluates a compression job across worker counts at the
 // tuned frequency — the "energy-optimal parallelism" question the
@@ -151,19 +85,5 @@ type CoreSample struct {
 // axis (advisor.WorkerEnergies); this wrapper pins the paper's reference
 // workload (rel 1e-3, ratio 9) at the Eqn 3 compression frequency.
 func EnergyVsCores(cfg Config, chipName, codec string, totalBytes int64, maxCores int) ([]CoreSample, error) {
-	cfg = cfg.normalized()
-	chip, err := dvfs.ChipByName(chipName)
-	if err != nil {
-		return nil, err
-	}
-	f := PaperRecommendation().CompressionFraction * chip.BaseGHz
-	pts, err := advisor.WorkerEnergies(chipName, codec, totalBytes, 1e-3, 9, f, maxCores)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]CoreSample, 0, len(pts))
-	for _, p := range pts {
-		out = append(out, CoreSample{Cores: p.Cores, Seconds: p.Seconds, Joules: p.Joules})
-	}
-	return out, nil
+	return advisor.WorkerEnergies(chipName, codec, totalBytes, 1e-3, 9, 0, maxCores)
 }

@@ -3,10 +3,16 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"lcpio/internal/advisor"
 )
 
+func minPSNR(db float64) AdvisorConfig {
+	return AdvisorConfig{GridOptions: advisor.GridOptions{MinPSNR: db}}
+}
+
 func TestAdviseRanksByEnergy(t *testing.T) {
-	all, err := Advise(testConfig(), AdvisorConfig{MinPSNR: 60})
+	all, err := Advise(testConfig(), minPSNR(60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,14 +29,11 @@ func TestAdviseRanksByEnergy(t *testing.T) {
 		if a.EnergyJ <= 0 || a.Ratio <= 1 || a.Seconds <= 0 {
 			t.Fatalf("degenerate advice: %+v", a)
 		}
-		if a.String() == "" {
-			t.Fatal("empty String")
-		}
 	}
 }
 
 func TestAdviceQualityMonotone(t *testing.T) {
-	all, err := Advise(testConfig(), AdvisorConfig{MinPSNR: 0})
+	all, err := Advise(testConfig(), minPSNR(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +43,7 @@ func TestAdviceQualityMonotone(t *testing.T) {
 		if byCodec[a.Codec] == nil {
 			byCodec[a.Codec] = map[float64]Advice{}
 		}
-		byCodec[a.Codec][a.EB] = a
+		byCodec[a.Codec][a.RelEB] = a
 	}
 	for codec, m := range byCodec {
 		if m[1e-4].PSNR <= m[1e-1].PSNR {
@@ -54,7 +57,7 @@ func TestAdviceQualityMonotone(t *testing.T) {
 }
 
 func TestRecommendMeetsFloor(t *testing.T) {
-	rec, err := Recommend(testConfig(), AdvisorConfig{MinPSNR: 60})
+	rec, err := Recommend(testConfig(), minPSNR(60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +66,7 @@ func TestRecommendMeetsFloor(t *testing.T) {
 	}
 	// It must be the cheapest qualifying option: every cheaper one fails
 	// the floor.
-	all, _ := Advise(testConfig(), AdvisorConfig{MinPSNR: 60})
+	all, _ := Advise(testConfig(), minPSNR(60))
 	for _, a := range all {
 		if a.EnergyJ < rec.EnergyJ && a.Meets {
 			t.Fatalf("cheaper qualifying advice exists: %+v", a)
@@ -72,7 +75,7 @@ func TestRecommendMeetsFloor(t *testing.T) {
 }
 
 func TestRecommendImpossibleFloor(t *testing.T) {
-	_, err := Recommend(testConfig(), AdvisorConfig{MinPSNR: 500})
+	_, err := Recommend(testConfig(), minPSNR(500))
 	if err == nil {
 		t.Fatal("unreachable PSNR floor accepted")
 	}
@@ -84,7 +87,7 @@ func TestRecommendImpossibleFloor(t *testing.T) {
 }
 
 func TestAdviseValidation(t *testing.T) {
-	if _, err := Advise(testConfig(), AdvisorConfig{Chip: "EPYC"}); err == nil {
+	if _, err := Advise(testConfig(), AdvisorConfig{GridOptions: advisor.GridOptions{Chip: "EPYC"}}); err == nil {
 		t.Fatal("unknown chip accepted")
 	}
 	if _, err := Advise(testConfig(), AdvisorConfig{Dataset: "nope"}); err == nil {

@@ -6,9 +6,9 @@ import (
 	"lcpio/internal/compress"
 	"lcpio/internal/dvfs"
 	"lcpio/internal/fpdata"
-	"lcpio/internal/machine"
 	"lcpio/internal/nfs"
 	"lcpio/internal/obs"
+	"lcpio/internal/phases"
 )
 
 // DumpConfig describes the Section VI-B use case: compress a large field
@@ -23,7 +23,7 @@ type DumpConfig struct {
 	// Dataset whose statistics set the compression ratio; empty means NYX
 	// (the paper concatenates NYX velocity-x snapshots).
 	Dataset string
-	// Tuning rule; zero value means PaperRecommendation.
+	// Tuning rule; zero value means PaperRecommendation (Eqn 3).
 	Tuning Recommendation
 	// Mount; zero value means nfs.DefaultMount.
 	Mount nfs.Mount
@@ -41,9 +41,6 @@ func (d DumpConfig) normalized() DumpConfig {
 	}
 	if d.Dataset == "" {
 		d.Dataset = "NYX"
-	}
-	if d.Tuning.CompressionFraction == 0 {
-		d.Tuning = PaperRecommendation()
 	}
 	if d.Mount.WSize == 0 {
 		d.Mount = nfs.DefaultMount()
@@ -89,11 +86,23 @@ func (r DumpResult) String() string {
 		r.EB, r.Ratio, r.BaseTotalJ()/1e3, r.TunedTotalJ()/1e3, r.SavedJ()/1e3, r.SavedPct())
 }
 
-// RunDataDump reproduces Figure 6: for each error bound, measure the real
-// codec's compression ratio on a scaled field, model compressing TotalBytes
-// and writing the compressed output over NFS, at base clock and at the
-// tuned frequencies, and report the energy split.
-func RunDataDump(cfg Config, dcfg DumpConfig) ([]DumpResult, error) {
+// boundPrice is one error bound of a dump or load study: the measured
+// ratio, and the two-stage pipeline priced at base clock and under the
+// tuning rule.
+type boundPrice struct {
+	eb              float64
+	ratio           float64
+	compressedBytes int64
+	base, tuned     phases.Totals
+}
+
+// priceBounds is the shared body of RunDataDump and RunDataLoad: for each
+// error bound, measure the real codec's compression ratio on a scaled
+// field, build the study's pipeline for TotalBytes at that ratio, and price
+// it untuned and tuned. what ("dump"/"load") names the spans and errors;
+// pipeline gets the normalized dump config.
+func priceBounds(cfg Config, dcfg DumpConfig, what string,
+	pipeline func(pr *phases.Pricer, d DumpConfig, rel, ratio float64, compressedBytes int64) ([]phases.Phase, error)) ([]boundPrice, error) {
 	cfg = cfg.normalized()
 	dcfg = dcfg.normalized()
 
@@ -110,56 +119,69 @@ func RunDataDump(cfg Config, dcfg DumpConfig) ([]DumpResult, error) {
 		return nil, err
 	}
 	field := fpdata.Generate(spec, spec.ScaleFor(cfg.RatioElems), cfg.Seed)
-	node := machine.NewNode(chip, cfg.Seed+3)
+	base := phases.NewPricer(chip, phases.BaseRule())
+	tuned := phases.NewPricer(chip, dcfg.Tuning)
 
-	fComp := chip.ClampFreq(dcfg.Tuning.CompressionFraction * chip.BaseGHz)
-	fWrite := chip.ClampFreq(dcfg.Tuning.WritingFraction * chip.BaseGHz)
-
-	span := obs.Start("core.datadump")
+	span := obs.Start("core.data" + what)
 	defer span.End()
 	obs.Add("lcpio_sweep_points_expected", int64(len(cfg.ErrorBounds)))
 
-	var out []DumpResult
-	for _, rel := range cfg.ErrorBounds {
-		bspan := obs.Start("core.dump_bound")
+	priceOne := func(rel float64) (boundPrice, error) {
+		bspan := obs.Start("core." + what + "_bound")
+		defer bspan.End()
 		if bspan.Enabled() {
 			bspan.SetAttr("eb", fmt.Sprintf("%g", rel))
 		}
 		eb := compress.AbsBoundFromRelative(rel, field.Data)
 		res, err := compress.Evaluate(codec, field.Data, field.Dims, eb)
 		if err != nil {
-			bspan.End()
-			return nil, fmt.Errorf("core: dump codec run at eb=%g: %w", rel, err)
+			return boundPrice{}, fmt.Errorf("core: %s codec run at eb=%g: %w", what, rel, err)
 		}
-		ratio := res.Ratio()
-		compressedBytes := int64(float64(dcfg.TotalBytes) / ratio)
-
-		cw, err := machine.CompressionWorkloadWithRatio(
-			dcfg.Codec, dcfg.TotalBytes, rel, ratio, chip)
+		bp := boundPrice{eb: rel, ratio: res.Ratio()}
+		bp.compressedBytes = int64(float64(dcfg.TotalBytes) / bp.ratio)
+		stages, err := pipeline(base, dcfg, rel, bp.ratio, bp.compressedBytes)
+		if err != nil {
+			return boundPrice{}, err
+		}
+		if bp.base, err = base.Price(stages...); err != nil {
+			return boundPrice{}, err
+		}
+		bp.tuned, err = tuned.Price(stages...)
+		return bp, err
+	}
+	out := make([]boundPrice, 0, len(cfg.ErrorBounds))
+	for _, rel := range cfg.ErrorBounds {
+		bp, err := priceOne(rel)
 		if err != nil {
 			return nil, err
 		}
-		tr := dcfg.Mount.Write(compressedBytes)
-		tw := machine.TransitWorkload(tr, chip)
-
-		baseC := node.RunClean(cw, chip.BaseGHz)
-		baseT := node.RunClean(tw, chip.BaseGHz)
-		tunedC := node.RunClean(cw, fComp)
-		tunedT := node.RunClean(tw, fWrite)
-
-		out = append(out, DumpResult{
-			EB:              rel,
-			Ratio:           ratio,
-			CompressedBytes: compressedBytes,
-			BaseCompressJ:   baseC.Joules,
-			BaseTransitJ:    baseT.Joules,
-			TunedCompressJ:  tunedC.Joules,
-			TunedTransitJ:   tunedT.Joules,
-			BaseSeconds:     baseC.Seconds + baseT.Seconds,
-			TunedSeconds:    tunedC.Seconds + tunedT.Seconds,
-		})
-		bspan.End()
+		out = append(out, bp)
 		obs.Add("lcpio_sweep_points_total", 1)
+	}
+	return out, nil
+}
+
+// RunDataDump reproduces Figure 6: for each error bound, measure the real
+// codec's compression ratio on a scaled field, model compressing TotalBytes
+// and writing the compressed output over NFS, at base clock and at the
+// tuned frequencies, and report the energy split.
+func RunDataDump(cfg Config, dcfg DumpConfig) ([]DumpResult, error) {
+	bps, err := priceBounds(cfg, dcfg, "dump",
+		func(pr *phases.Pricer, d DumpConfig, rel, ratio float64, compressedBytes int64) ([]phases.Phase, error) {
+			comp, err := pr.Compress(d.Codec, d.TotalBytes, rel, ratio)
+			return []phases.Phase{comp, pr.Move(d.Mount.Write, compressedBytes)}, err
+		})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]DumpResult, len(bps))
+	for i, bp := range bps {
+		out[i] = DumpResult{
+			EB: bp.eb, Ratio: bp.ratio, CompressedBytes: bp.compressedBytes,
+			BaseCompressJ: bp.base.Legs[0].Joules, BaseTransitJ: bp.base.Legs[1].Joules,
+			TunedCompressJ: bp.tuned.Legs[0].Joules, TunedTransitJ: bp.tuned.Legs[1].Joules,
+			BaseSeconds: bp.base.Seconds, TunedSeconds: bp.tuned.Seconds,
+		}
 	}
 	return out, nil
 }
@@ -200,60 +222,22 @@ func (r LoadResult) SavedPct() float64 {
 // The paper leaves the read path to future work; this extension uses the
 // identical methodology.
 func RunDataLoad(cfg Config, dcfg DumpConfig) ([]LoadResult, error) {
-	cfg = cfg.normalized()
-	dcfg = dcfg.normalized()
-	chip, err := dvfs.ChipByName(dcfg.Chip)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := fpdata.Lookup(dcfg.Dataset, "")
-	if err != nil {
-		return nil, err
-	}
-	codec, err := compress.LookupParallel(dcfg.Codec, cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	field := fpdata.Generate(spec, spec.ScaleFor(cfg.RatioElems), cfg.Seed)
-	node := machine.NewNode(chip, cfg.Seed+4)
-
-	fDec := chip.ClampFreq(dcfg.Tuning.CompressionFraction * chip.BaseGHz)
-	fRead := chip.ClampFreq(dcfg.Tuning.WritingFraction * chip.BaseGHz)
-
-	span := obs.Start("core.dataload")
-	defer span.End()
-	obs.Add("lcpio_sweep_points_expected", int64(len(cfg.ErrorBounds)))
-
-	var out []LoadResult
-	for _, rel := range cfg.ErrorBounds {
-		eb := compress.AbsBoundFromRelative(rel, field.Data)
-		res, err := compress.Evaluate(codec, field.Data, field.Dims, eb)
-		if err != nil {
-			return nil, fmt.Errorf("core: load codec run at eb=%g: %w", rel, err)
-		}
-		ratio := res.Ratio()
-		compressedBytes := int64(float64(dcfg.TotalBytes) / ratio)
-
-		dw, err := machine.DecompressionWorkload(dcfg.Codec, dcfg.TotalBytes, rel, ratio, chip)
-		if err != nil {
-			return nil, err
-		}
-		tr := dcfg.Mount.Read(compressedBytes)
-		rw := machine.TransitWorkload(tr, chip)
-
-		baseR := node.RunClean(rw, chip.BaseGHz)
-		baseD := node.RunClean(dw, chip.BaseGHz)
-		tunedR := node.RunClean(rw, fRead)
-		tunedD := node.RunClean(dw, fDec)
-
-		out = append(out, LoadResult{
-			EB: rel, Ratio: ratio, CompressedBytes: compressedBytes,
-			BaseReadJ: baseR.Joules, BaseDecompressJ: baseD.Joules,
-			TunedReadJ: tunedR.Joules, TunedDecompressJ: tunedD.Joules,
-			BaseSeconds:  baseR.Seconds + baseD.Seconds,
-			TunedSeconds: tunedR.Seconds + tunedD.Seconds,
+	bps, err := priceBounds(cfg, dcfg, "load",
+		func(pr *phases.Pricer, d DumpConfig, rel, ratio float64, compressedBytes int64) ([]phases.Phase, error) {
+			dec, err := pr.Decompress(d.Codec, d.TotalBytes, rel, ratio)
+			return []phases.Phase{pr.Move(d.Mount.Read, compressedBytes), dec}, err
 		})
-		obs.Add("lcpio_sweep_points_total", 1)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]LoadResult, len(bps))
+	for i, bp := range bps {
+		out[i] = LoadResult{
+			EB: bp.eb, Ratio: bp.ratio, CompressedBytes: bp.compressedBytes,
+			BaseReadJ: bp.base.Legs[0].Joules, BaseDecompressJ: bp.base.Legs[1].Joules,
+			TunedReadJ: bp.tuned.Legs[0].Joules, TunedDecompressJ: bp.tuned.Legs[1].Joules,
+			BaseSeconds: bp.base.Seconds, TunedSeconds: bp.tuned.Seconds,
+		}
 	}
 	return out, nil
 }

@@ -5,25 +5,15 @@ import (
 	"math"
 
 	"lcpio/internal/perf"
+	"lcpio/internal/phases"
 )
 
 // Recommendation is the frequency-tuning rule of Eqn 3, expressed as
-// fractions of the base clock.
-type Recommendation struct {
-	CompressionFraction float64
-	WritingFraction     float64
-}
+// fractions of the base clock — the pricer's Rule under the paper's name.
+type Recommendation = phases.Rule
 
-// PaperRecommendation returns the paper's published rule:
-// f = 0.875 f_max during compression, 0.85 f_max during data writing.
-func PaperRecommendation() Recommendation {
-	return Recommendation{CompressionFraction: 0.875, WritingFraction: 0.85}
-}
-
-func (r Recommendation) String() string {
-	return fmt.Sprintf("f_IO = %.3f*f_max (compression), %.3f*f_max (data writing)",
-		r.CompressionFraction, r.WritingFraction)
-}
+// PaperRecommendation returns the paper's published rule (Eqn 3).
+func PaperRecommendation() Recommendation { return phases.PaperRule() }
 
 // Savings quantifies the effect of running at a reduced frequency relative
 // to base clock, from measured sweep data.

@@ -2,6 +2,7 @@ package dvfs
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -187,7 +188,7 @@ func TestQuickClampIdempotent(t *testing.T) {
 		steps := c1 / StepGHz
 		return math.Abs(steps-math.Round(steps)) < 1e-9 && c1 >= bw.MinGHz && c1 <= bw.BaseGHz
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 3, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -203,7 +204,7 @@ func TestQuickPowerMonotoneUtil(t *testing.T) {
 		}
 		return sk.Power(1.5, u1) <= sk.Power(1.5, u2)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 2, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

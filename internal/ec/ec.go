@@ -65,12 +65,6 @@ func New(k, m int) (*Coder, error) {
 	return &Coder{k: k, m: m, parity: p, decCache: make(map[string][]byte)}, nil
 }
 
-// K returns the data shard count.
-func (c *Coder) K() int { return c.k }
-
-// M returns the parity shard count.
-func (c *Coder) M() int { return c.m }
-
 // Coef returns the parity coefficient P[row][col] — exposed for the
 // checkpoint writer's incremental fold and for tests.
 func (c *Coder) Coef(row, col int) byte { return c.parity[row][col] }

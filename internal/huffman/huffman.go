@@ -378,23 +378,8 @@ func (c *Code) initFrom(lens []uint8) error {
 	return nil
 }
 
-// NumSymbols reports the alphabet size the code was built over.
-func (c *Code) NumSymbols() int { return len(c.lens) }
-
-// Lengths returns the per-symbol code lengths (shared; do not mutate).
-func (c *Code) Lengths() []uint8 { return c.lens }
-
 // MaxLen reports the longest assigned code length.
 func (c *Code) MaxLen() uint8 { return c.maxLen }
-
-// EncodedBits reports the number of bits symbol s encodes to, or 0 if the
-// symbol has no code.
-func (c *Code) EncodedBits(s int) int {
-	if s < 0 || s >= len(c.lens) {
-		return 0
-	}
-	return int(c.lens[s])
-}
 
 // Encode appends the code for symbol s to w. Encoding a symbol with no
 // assigned code is a programming error and panics.

@@ -193,7 +193,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		out, err := Decompress(comp)
 		return err == nil && bytes.Equal(out, src)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.6, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

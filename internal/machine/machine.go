@@ -210,12 +210,12 @@ func TransitWorkload(tr nfs.Transfer, chip *dvfs.Chip) Workload {
 // path: one send() (copies, checksums, framing) per 64 KiB segment.
 const linkSegmentBytes = 64 << 10
 
-// LinkTransitWorkload characterizes pushing payloadBytes through a bare
-// netsim link — the in-transit compression send leg, which has no NFS
-// window in front of it. Client cycles follow the same per-byte and per-RPC
-// coefficients as the NFS write path; the frequency-independent part is the
-// link's serialization plus latency.
-func LinkTransitWorkload(payloadBytes int64, link netsim.Link, chip *dvfs.Chip) Workload {
+// LinkTransfer is the transfer profile of pushing payloadBytes through a
+// bare netsim link — the in-transit compression send leg, which has no NFS
+// window in front of it. TransitWorkload prices it with the same per-byte
+// and per-RPC client-cycle coefficients as the NFS write path; the
+// frequency-independent part is the link's serialization plus latency.
+func LinkTransfer(payloadBytes int64, link netsim.Link) nfs.Transfer {
 	if payloadBytes < 0 {
 		payloadBytes = 0
 	}
@@ -223,11 +223,11 @@ func LinkTransitWorkload(payloadBytes int64, link netsim.Link, chip *dvfs.Chip) 
 	if rpcs < 1 {
 		rpcs = 1
 	}
-	return TransitWorkload(nfs.Transfer{
+	return nfs.Transfer{
 		PayloadBytes:   payloadBytes,
 		RPCs:           rpcs,
 		NetworkSeconds: link.MessageTime(payloadBytes),
-	}, chip)
+	}
 }
 
 // DedupWorkload characterizes the delta-checkpoint dedup pass (ckpt format

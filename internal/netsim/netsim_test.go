@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -112,7 +113,7 @@ func TestQuickSerializationMonotone(t *testing.T) {
 		}
 		return l.SerializationTime(x) <= l.SerializationTime(y)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 3, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package nfs
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -141,7 +142,7 @@ func TestQuickMonotoneInBytes(t *testing.T) {
 		return tx.NetworkSeconds <= ty.NetworkSeconds+1e-12 &&
 			tx.WireBusySeconds <= ty.WireBusySeconds+1e-12
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.6, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -158,7 +159,7 @@ func TestQuickWallBounds(t *testing.T) {
 			float64(2*tr.RPCs+2)*m.Link.LatencySec
 		return tr.NetworkSeconds >= lower-1e-12 && tr.NetworkSeconds <= serial+1e-9
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.6, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

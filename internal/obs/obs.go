@@ -280,10 +280,3 @@ func (s Span) End() time.Duration {
 	}
 	return d
 }
-
-// SpanCount returns how many spans the registry has recorded.
-func (r *Registry) SpanCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.spans)
-}

@@ -11,12 +11,12 @@ import (
 
 func campaign(t *testing.T, chip *dvfs.Chip) Plan {
 	t.Helper()
-	cw, err := machine.CompressionWorkloadWithRatio("sz", 8<<30, 1e-3, 9, chip)
+	pr := NewPricer(chip, PaperRule())
+	compress, err := pr.Compress("sz", 8<<30, 1e-3, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tw := machine.TransitWorkload(nfs.DefaultMount().Write(1<<30), chip)
-	return CheckpointCampaign(6, 300, cw, tw)
+	return Campaign(6, 300, compress, pr.Move(nfs.DefaultMount().Write, 1<<30))
 }
 
 func TestExecuteBaseClock(t *testing.T) {
@@ -155,17 +155,18 @@ func TestRepeatSemantics(t *testing.T) {
 
 func TestCheckpointRestartCampaign(t *testing.T) {
 	chip := dvfs.Skylake()
-	cw, err := machine.CompressionWorkloadWithRatio("sz", 8<<30, 1e-3, 9, chip)
+	pr := NewPricer(chip, PaperRule())
+	cw, err := pr.Compress("sz", 8<<30, 1e-3, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw, err := machine.DecompressionWorkload("sz", 8<<30, 1e-3, 9, chip)
+	dw, err := pr.Decompress("sz", 8<<30, 1e-3, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wt := machine.TransitWorkload(nfs.DefaultMount().Write(1<<30), chip)
-	rt := machine.TransitWorkload(nfs.DefaultMount().Read(1<<30), chip)
-	pl := CheckpointRestartCampaign(4, 300, cw, wt, rt, dw)
+	wt := pr.Move(nfs.DefaultMount().Write, 1<<30)
+	rt := pr.Move(nfs.DefaultMount().Read, 1<<30)
+	pl := Campaign(4, 300, cw, wt, rt, dw)
 	if len(pl.Phases) != 5 {
 		t.Fatalf("got %d phases", len(pl.Phases))
 	}
@@ -179,7 +180,7 @@ func TestCheckpointRestartCampaign(t *testing.T) {
 		}
 	}
 	node := machine.NewNode(chip, 1)
-	ckptOnly := CheckpointCampaign(4, 300, cw, wt)
+	ckptOnly := Campaign(4, 300, cw, wt)
 	full, err := pl.Execute(node)
 	if err != nil {
 		t.Fatal(err)

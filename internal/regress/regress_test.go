@@ -196,7 +196,7 @@ func TestQuickFitRobust(t *testing.T) {
 		return isFinite(fit.A) && isFinite(fit.B) && isFinite(fit.C) &&
 			fit.GF.SSE >= 0 && isFinite(fit.GF.RMSE)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.6, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -221,7 +221,7 @@ func TestQuickPolishMonotone(t *testing.T) {
 		}
 		return fit.GF.SSE <= gridOnly*1.0001
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.25, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

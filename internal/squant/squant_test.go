@@ -143,7 +143,7 @@ func TestQuickBoundInvariant(t *testing.T) {
 		out, _, err := Decompress(comp)
 		return err == nil && maxAbsErr(data, out) <= eb
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.4, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -204,7 +204,7 @@ func TestQuickVarianceProperties(t *testing.T) {
 		return almost(Variance(ys), v, 1e-6*(1+v)) &&
 			almost(Variance(zs), 9*v, 1e-6*(1+9*v))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 1, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -178,12 +178,6 @@ func Start(n int, opts Options, newProducer func(lane int) ProduceFunc) *Engine 
 	return e
 }
 
-// Workers reports the normalized producer count.
-func (e *Engine) Workers() int { return e.opts.Workers }
-
-// QueueDepth reports the normalized backpressure window.
-func (e *Engine) QueueDepth() int { return e.opts.QueueDepth }
-
 // Consumer returns the consumer lane's occupancy clock (nil when tracing is
 // off), so the caller can attribute out-of-band work — header and trailer
 // flushes around the drain loop — to named stages on the same lane.

@@ -157,7 +157,25 @@ const (
 	maxDims    = 8
 	maxDim     = 1 << 30
 	maxRawB    = int64(1) << 40
+	// maxExpansion bounds a projected file relative to the largest raw
+	// set: incompressible data plus framing stores at a ratio a little
+	// under 1, never at a vanishing one.
+	maxExpansion = 4
 )
+
+var errPricingInputs = fmt.Errorf("%w: pricing inputs", ErrCorruptFrame)
+
+// projectedBytes is admission pricing's float→bytes conversion: the size
+// rawBytes is projected to store at ratio. ok is false when a hostile ratio
+// (NaN, or small enough to overflow the conversion downstream extent
+// arithmetic relies on) puts the projection beyond maxExpansion×maxRawB.
+func projectedBytes(rawBytes int64, ratio float64) (n int64, ok bool) {
+	p := float64(rawBytes) / ratio
+	if !(p <= maxExpansion*float64(maxRawB)) {
+		return 0, false
+	}
+	return int64(p), true
+}
 
 // OpenRequest negotiates a dump session: who is asking, the set geometry
 // (which fixes the raw byte count and per-rank extent need), and the
@@ -291,7 +309,14 @@ func parseOpenRequest(b []byte) (OpenRequest, error) {
 	if !(r.RelEB > 0) || r.RelEB > 1 ||
 		r.ProjectedRatio < 0 || math.IsInf(r.ProjectedRatio, 0) || math.IsNaN(r.ProjectedRatio) ||
 		r.DeadlineSeconds < 0 || math.IsInf(r.DeadlineSeconds, 0) || math.IsNaN(r.DeadlineSeconds) {
-		return r, fmt.Errorf("%w: pricing inputs", ErrCorruptFrame)
+		return r, errPricingInputs
+	}
+	// 0 means "price at the server default"; anything else must project a
+	// file the extent arithmetic can represent.
+	if r.ProjectedRatio > 0 {
+		if _, ok := projectedBytes(raw, r.ProjectedRatio); !ok {
+			return r, errPricingInputs
+		}
 	}
 	return r, nil
 }
@@ -654,8 +679,8 @@ func parseSetEntries(b []byte) ([]SetEntry, error) {
 }
 
 // RestoreReply summarizes a server-side restore+verify of a finalized set:
-// the daemon reads the set back through the shared medium (including any
-// cache-eviction read penalties) and prices the read at the tuned clock.
+// the daemon reads the set back through the shared medium and prices the
+// read at the tuned clock.
 type RestoreReply struct {
 	Chunks          int
 	RawBytes        int64

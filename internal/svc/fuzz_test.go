@@ -86,6 +86,14 @@ func FuzzSvcFrame(f *testing.F) {
 		mut[pos] ^= 0x40
 		f.Add(mut)
 	}
+	// A vanishing projected ratio: parses field by field, overflows the
+	// float→bytes conversion of admission pricing if admitted.
+	hostile := OpenRequest{
+		Tenant: "t0", SetName: "s0", Codec: "sz", Ranks: 2,
+		Fields: []ckpt.FieldInfo{{Name: "p", Dims: []int{4, 8}, ErrorBound: 1e-3}},
+		RelEB:  1e-3, ProjectedRatio: 1e-300,
+	}
+	f.Add(appendFrame(nil, frame{Type: frameOpen, Payload: hostile.encode()}))
 	// A declared payload length far beyond the actual bytes.
 	huge := append([]byte(nil), open[:frameHdrLen]...)
 	huge = wire.AppendUint32(huge[:frameHdrLen-4], 1<<31-1)
@@ -111,6 +119,9 @@ func FuzzSvcFrame(f *testing.F) {
 					// geometry caps keep RawBytes positive and bounded.
 					if raw := req.RawBytes(); raw <= 0 || raw > maxRawB*4 {
 						t.Fatalf("parsed open request with absurd raw size %d", raw)
+					}
+					if _, ok := projectedBytes(req.RawBytes(), req.ProjectedRatio); req.ProjectedRatio > 0 && !ok {
+						t.Fatalf("parsed open request whose ratio %g overflows pricing", req.ProjectedRatio)
 					}
 					if !bytes.Equal(req.encode(), fr.Payload) {
 						t.Fatal("open request re-encode mismatch")

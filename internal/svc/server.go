@@ -13,7 +13,6 @@ import (
 	"lcpio/internal/ckpt"
 	"lcpio/internal/container"
 	"lcpio/internal/dvfs"
-	"lcpio/internal/machine"
 	"lcpio/internal/nfs"
 	"lcpio/internal/obs"
 	"lcpio/internal/phases"
@@ -24,8 +23,7 @@ import (
 // the Eqn 3 tuned clocks.
 type Config struct {
 	// Medium is the shared backing store every session's extent is carved
-	// from (nil = fresh ckpt.MemMedium). Wrap it in a ckpt.CachedMedium
-	// chain externally if read penalties should apply.
+	// from (nil = fresh ckpt.MemMedium).
 	Medium ckpt.Medium
 	// CapacityBytes bounds total extent allocation (0 = unbounded). The
 	// extent allocator is a bump pointer with backward coalescing: every
@@ -62,12 +60,6 @@ type Config struct {
 func (c Config) normalized() Config {
 	if c.Medium == nil {
 		c.Medium = ckpt.NewMemMedium()
-	}
-	if c.Chip == nil {
-		c.Chip = dvfs.Broadwell()
-	}
-	if c.Rule == (phases.Rule{}) {
-		c.Rule = phases.PaperRule()
 	}
 	if c.SaturationWindow <= 0 {
 		c.SaturationWindow = 2e-3
@@ -152,10 +144,11 @@ type session struct {
 // Server is the daemon: one shared medium, one shared simulated-NFS
 // timeline, registered tenants, and the admission ledger.
 type Server struct {
-	cfg   Config
-	node  *machine.Node
-	fComp float64
-	fIO   float64
+	cfg Config
+	// pr prices admission, advice and close-time attribution at the
+	// configured rule's clocks. Only its pure Price is called here:
+	// Plan.Execute would add the joules to spans a second time.
+	pr *phases.Pricer
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -181,9 +174,7 @@ func NewServer(cfg Config) *Server {
 	cfg = cfg.normalized()
 	s := &Server{
 		cfg:       cfg,
-		node:      machine.NewNode(cfg.Chip, 1),
-		fComp:     cfg.Chip.ClampFreq(cfg.Rule.CompressionFraction * cfg.Chip.BaseGHz),
-		fIO:       cfg.Chip.ClampFreq(cfg.Rule.WritingFraction * cfg.Chip.BaseGHz),
+		pr:        phases.NewPricer(cfg.Chip, cfg.Rule),
 		tenants:   make(map[string]*tenant),
 		sessions:  make(map[uint32]*session),
 		sets:      make(map[string]*setRecord),
@@ -374,15 +365,16 @@ func (s *Server) price(req OpenRequest, ratio float64) (projJ, projSec float64, 
 // with open: raw bytes through the codec at the assumed ratio, the
 // projected file (plus framing overhead) through the shared mount.
 func (s *Server) priceRaw(codec string, relEB float64, raw, overhead int64, ratio float64) (projJ, projSec float64, err error) {
-	compW, err := machine.CompressionWorkloadWithRatio(codec, raw, relEB, ratio, s.cfg.Chip)
+	comp, err := s.pr.Compress(codec, raw, relEB, ratio)
 	if err != nil {
 		return 0, 0, err
 	}
-	projFile := int64(float64(raw)/ratio) + overhead
-	wrW := machine.TransitWorkload(s.cfg.Mount.Write(projFile), s.cfg.Chip)
-	cs := s.node.RunClean(compW, s.fComp)
-	ws := s.node.RunClean(wrW, s.fIO)
-	return cs.Joules + ws.Joules, cs.Seconds + ws.Seconds, nil
+	projFile, ok := projectedBytes(raw, ratio)
+	if !ok {
+		return 0, 0, errPricingInputs
+	}
+	t, err := s.pr.Price(comp, s.pr.Move(s.cfg.Mount.Write, projFile+overhead))
+	return t.Joules, t.Seconds, err
 }
 
 func (s *Server) overhead(req OpenRequest) int64 {
@@ -590,12 +582,15 @@ func (s *Server) put(sess *session, idx int, blob []byte) (PutReply, error) {
 	}
 	if sess.compSec[field] == 0 {
 		f := sess.req.Fields[field]
-		w, err := machine.CompressionWorkloadWithRatio(
-			sess.req.Codec, int64(f.Elems())*4, sess.req.RelEB, sess.ratio, s.cfg.Chip)
+		comp, err := s.pr.Compress(sess.req.Codec, int64(f.Elems())*4, sess.req.RelEB, sess.ratio)
 		if err != nil {
 			return PutReply{}, err
 		}
-		sess.compSec[field] = s.node.RunClean(w, s.fComp).Seconds
+		leg, err := s.pr.Leg(comp)
+		if err != nil {
+			return PutReply{}, err
+		}
+		sess.compSec[field] = leg.Seconds
 	}
 	wireSec := s.cfg.Mount.Write(int64(len(blob))).NetworkSeconds
 
@@ -703,13 +698,15 @@ func (s *Server) closeSession(sess *session) (Result, error) {
 	// advise for this (codec, bound decade) prices with history, not the
 	// server default.
 	sess.ten.ratios.Observe(sess.req.Codec, sess.req.RelEB, ratio)
-	compW, err := machine.CompressionWorkloadWithRatio(
-		sess.req.Codec, raw, sess.req.RelEB, ratio, s.cfg.Chip)
+	comp, err := s.pr.Compress(sess.req.Codec, raw, sess.req.RelEB, ratio)
 	if err != nil {
 		return Result{}, err
 	}
-	cs := s.node.RunClean(compW, s.fComp)
-	ws := s.node.RunClean(machine.TransitWorkload(s.cfg.Mount.Write(transferBytes), s.cfg.Chip), s.fIO)
+	t, err := s.pr.Price(comp, s.pr.Move(s.cfg.Mount.Write, transferBytes))
+	if err != nil {
+		return Result{}, err
+	}
+	cs, ws := t.Legs[0], t.Legs[1]
 
 	s.mu.Lock()
 	start := sess.simClock
@@ -809,8 +806,7 @@ func (s *Server) List() []SetEntry {
 
 // OpenSet returns a read-only medium view of a finalized set, positioned
 // and sized so the unmodified ckpt.Restore / ckpt.Verify read it like a
-// standalone file. The view forwards read penalties when the shared
-// medium is cache-wrapped.
+// standalone file.
 func (s *Server) OpenSet(name string) (ckpt.Medium, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -835,8 +831,15 @@ func (s *Server) restoreSet(name string) (RestoreReply, error) {
 	s.mu.Lock()
 	rec := s.sets[name]
 	s.mu.Unlock()
-	tr := nfs.Transfer{PayloadBytes: rec.size, RPCs: 1, NetworkSeconds: got.Report.SimReadSeconds}
-	readJ := s.node.RunClean(machine.TransitWorkload(tr, s.cfg.Chip), s.fIO).Joules
+	// The read already happened inside Restore; replay its measured wire
+	// time as the sink instead of simulating the mount again.
+	measured := func(bytes int64) nfs.Transfer {
+		return nfs.Transfer{PayloadBytes: bytes, RPCs: 1, NetworkSeconds: got.Report.SimReadSeconds}
+	}
+	read, err := s.pr.Leg(s.pr.Move(measured, rec.size))
+	if err != nil {
+		return RestoreReply{}, err
+	}
 	ratio := 0.0
 	if rec.size > 0 {
 		ratio = float64(rec.raw) / float64(rec.size)
@@ -845,7 +848,7 @@ func (s *Server) restoreSet(name string) (RestoreReply, error) {
 		Chunks:          got.Manifest.NumChunks(),
 		RawBytes:        rec.raw,
 		SimReadSeconds:  got.Report.SimReadSeconds,
-		ReadJoules:      readJ,
+		ReadJoules:      read.Joules,
 		DecompressRatio: ratio,
 	}, nil
 }
@@ -909,15 +912,6 @@ func (v *subMedium) ReadAt(p []byte, off int64) (int, error) {
 		return rn, err
 	}
 	return rn, atEnd
-}
-
-// ReadPenaltySeconds forwards cache-eviction read penalties from a
-// cache-wrapped shared medium, translating the window offset.
-func (v *subMedium) ReadPenaltySeconds(off, n int64) float64 {
-	if pm, ok := v.inner.(ckpt.ReadPenaltyMedium); ok {
-		return pm.ReadPenaltySeconds(v.base+off, n)
-	}
-	return 0
 }
 
 // metricKey sanitizes a tenant name into a metric-name fragment.

@@ -2,9 +2,11 @@ package svc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -391,6 +393,78 @@ func TestAdmissionQueuesOnSessionPressure(t *testing.T) {
 	}
 	for i := 0; i < dumps; i++ {
 		restoreEqual(t, srv, fmt.Sprintf("q%d", i), genSet(fmt.Sprintf("q%d", i), 2, i))
+	}
+}
+
+// TestOpenRequestPricingInputs: the floats an open request feeds into
+// admission pricing are hostile until bounded. A vanishing projected ratio
+// used to parse, overflow the float→bytes conversion, and be admitted with
+// a negative rank stride and a near-zero price.
+func TestOpenRequestPricingInputs(t *testing.T) {
+	base := OpenRequest{
+		Tenant: "t", SetName: "s", Codec: "sz", Ranks: 2,
+		Fields: []ckpt.FieldInfo{{Name: "f", Dims: []int{16, 16}, ErrorBound: 1e-3}},
+		RelEB:  1e-3,
+	}
+	for _, tc := range []struct {
+		name            string
+		ratio, deadline float64
+		ok              bool
+	}{
+		{"server default ratio", 0, 0, true},
+		{"typical", 8, 2.5, true},
+		{"incompressible, slightly expanding", 0.9, 0, true},
+		{"negative ratio", -1, 0, false},
+		{"NaN ratio", math.NaN(), 0, false},
+		{"infinite ratio", math.Inf(1), 0, false},
+		{"vanishing ratio", 1e-300, 0, false},
+		{"ratio projecting past the expansion cap", 1e-12, 0, false},
+		{"negative deadline", 8, -1, false},
+	} {
+		req := base
+		req.ProjectedRatio, req.DeadlineSeconds = tc.ratio, tc.deadline
+		_, err := parseOpenRequest(req.encode())
+		if tc.ok && err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrCorruptFrame) {
+			t.Errorf("%s: got %v, want ErrCorruptFrame", tc.name, err)
+		}
+	}
+}
+
+// TestHostileRatioRefusedBeforeReservation: the server itself refuses a
+// vanishing projected ratio — over the wire and past the parser — before
+// any extent, quota or session slot is reserved.
+func TestHostileRatioRefusedBeforeReservation(t *testing.T) {
+	srv := NewServer(Config{})
+	if err := srv.AddTenant(TenantConfig{Name: "a", MaxSessions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	cl := startPair(t, srv)
+	set := genSet("hostile", 2, 1)
+	if _, err := cl.Dump("a", set, DumpOptions{Workers: 2, ProjectedRatio: 1e-300}); err == nil ||
+		!strings.Contains(err.Error(), "pricing inputs") {
+		t.Fatalf("wire open with vanishing ratio: %v, want a pricing-inputs refusal", err)
+	}
+	req := OpenRequest{Tenant: "a", SetName: set.Name, Codec: set.Codec, Ranks: set.Ranks,
+		RelEB: 1e-3, ProjectedRatio: 1e-300}
+	for _, f := range set.Fields {
+		req.Fields = append(req.Fields, ckpt.FieldInfo{Name: f.Name, Dims: f.Dims, ErrorBound: f.ErrorBound})
+	}
+	if sess, _, rej, err := srv.open(req); sess != nil || rej != nil || !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("direct open with vanishing ratio: session %v reject %v err %v", sess, rej, err)
+	}
+	if u, _ := srv.Usage("a"); u.ActiveSessions != 0 || u.ReservedBytes != 0 || u.ResidentBytes != 0 {
+		t.Fatalf("refused open left a reservation behind: %+v", u)
+	}
+	// The single session slot and the head of the medium are still free.
+	res, err := cl.Dump("a", set, DumpOptions{Workers: 2})
+	if err != nil {
+		t.Fatalf("dump after refusal: %v", err)
+	}
+	if res.ExtentBase != 0 {
+		t.Fatalf("first admitted extent at %d, want 0", res.ExtentBase)
 	}
 }
 

@@ -127,15 +127,6 @@ func pred2D[F Float](recon []F, i, j, d2 int) float64 {
 	}
 }
 
-// predPrev predicts from the immediately preceding element in flattened
-// order — the order-0 ablation baseline.
-func predPrev[F Float](recon []F, idx int) float64 {
-	if idx == 0 {
-		return 0
-	}
-	return float64(recon[idx-1])
-}
-
 func quantize2D[F Float](data, recon []F, codes []int, exact *[]F,
 	d1, d2 int, twoEB, eb float64, radius, quantCount int, opts Options) {
 	if opts.PredictorOrder == 0 {

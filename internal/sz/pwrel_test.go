@@ -168,7 +168,7 @@ func TestQuickPWRelInvariant(t *testing.T) {
 		}
 		return MaxPointwiseRelError(data, out) <= rel
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.3, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

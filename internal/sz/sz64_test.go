@@ -145,7 +145,7 @@ func TestQuickFloat64ErrorBound(t *testing.T) {
 		out, _, err := Decompress64(comp)
 		return err == nil && maxAbsErr64(data, out) <= eb
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.3, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -308,7 +308,7 @@ func TestQuickErrorBoundInvariant(t *testing.T) {
 		}
 		return maxAbsErr(data, out) <= eb
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.4, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -330,7 +330,7 @@ func TestQuickErrorBoundMultiDim(t *testing.T) {
 		out, _, err := Decompress(comp)
 		return err == nil && maxAbsErr(data, out) <= eb
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.3, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,61 +1,15 @@
-package transit_test
+package transit
 
 import (
-	"encoding/json"
 	"math"
 	"net"
-	"os"
 	"testing"
-	"time"
 
 	"lcpio/internal/ckpt"
-	"lcpio/internal/fpdata"
 	"lcpio/internal/netsim"
 	"lcpio/internal/nfs"
 	"lcpio/internal/svc"
-	"lcpio/internal/transit"
 )
-
-// benchPayload mirrors the in-package testPayload helper; this file lives
-// in an external test package so its svc import (svc -> advisor ->
-// transit) does not close an import cycle with the package under test.
-func benchPayload(t testing.TB, seed int64) transit.Payload {
-	t.Helper()
-	spec, err := fpdata.Lookup("Hurricane-ISABEL", "P")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := fpdata.Generate(spec, spec.ScaleFor(48_000), seed)
-	return transit.Payload{Data: f.Data, Dims: f.Dims}
-}
-
-func benchChannel(t testing.TB, codec string, relEB float64, workers int) *transit.Channel {
-	t.Helper()
-	c, err := transit.New(transit.Config{Link: netsim.TenGbE(), Codec: codec, RelEB: relEB, Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-type transitGoodputPoint struct {
-	Codec           string  `json:"codec"`
-	RelEB           float64 `json:"releb"`
-	BandwidthBps    float64 `json:"bandwidth_bps"`
-	GoodputBps      float64 `json:"goodput_bps"`
-	RawGoodputBps   float64 `json:"raw_goodput_bps"`
-	CompressionWins bool    `json:"compression_wins"`
-}
-
-type transitBreakEvenPoint struct {
-	Codec              string  `json:"codec"`
-	RelEB              float64 `json:"releb"`
-	Ratio              float64 `json:"ratio"`
-	CompressSeconds    float64 `json:"compress_seconds"`
-	DecompressSeconds  float64 `json:"decompress_seconds"`
-	BreakEvenBps       float64 `json:"break_even_bps"`
-	EnergyBreakEvenBps float64 `json:"energy_break_even_bps"`
-}
 
 // benchWireSet builds a small deterministic checkpoint set for the wire
 // codec overhead probe.
@@ -75,93 +29,46 @@ func benchWireSet(name string) ckpt.Set {
 	return set
 }
 
-// benchDump runs one dump against a fresh daemon on the saturating bench
-// mount and reports the daemon accounting plus wall-clock cost.
-func benchDump(t *testing.T, opts svc.DumpOptions) (svc.Result, float64) {
-	t.Helper()
+// benchDump runs one dump against a fresh daemon on a saturating mount and
+// returns the daemon's accounting.
+func benchDump(b *testing.B, opts svc.DumpOptions) svc.Result {
+	b.Helper()
 	mount := nfs.Mount{Link: netsim.Link{Name: "bench", BandwidthBps: 20e6, LatencySec: 5e-5, MTU: 9000}}
 	srv := svc.NewServer(svc.Config{Mount: mount})
 	if err := srv.AddTenant(svc.TenantConfig{Name: "bench"}); err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
 	cEnd, sEnd := net.Pipe()
 	done := make(chan struct{})
 	go func() { defer close(done); _ = srv.ServeConn(sEnd) }()
 	defer func() { cEnd.Close(); sEnd.Close(); <-done }()
-	t0 := time.Now()
 	res, err := svc.NewClient(cEnd).Dump("bench", benchWireSet("probe"), opts)
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	return res, time.Since(t0).Seconds()
+	return res
 }
 
-// TestEmitTransitBenchJSON is the scripts/bench.sh hook: with
-// LCPIO_BENCH_TRANSIT_OUT set it writes BENCH_transit.json — compress-vs-raw
-// goodput at three link bandwidths, break-even bandwidth per codec/bound,
-// and the wire-codec overhead of a dump on the svc bench mount. Without the
-// env var it is a no-op skip.
-func TestEmitTransitBenchJSON(t *testing.T) {
-	out := os.Getenv("LCPIO_BENCH_TRANSIT_OUT")
-	if out == "" {
-		t.Skip("LCPIO_BENCH_TRANSIT_OUT not set")
-	}
-	p := benchPayload(t, 99)
-	bandwidths := []float64{100e6, 1e9, 10e9}
-	var goodput []transitGoodputPoint
-	var breakEven []transitBreakEvenPoint
-	for _, codec := range []string{"sz", "zfp"} {
-		for _, relEB := range []float64{1e-3, 1e-5} {
-			c := benchChannel(t, codec, relEB, 2)
-			e, err := c.BreakEven(p)
-			if err != nil {
-				t.Fatal(err)
+// BenchmarkWireCodecDump is the wire-codec overhead probe: the wall cost of
+// a dump through the daemon with plain PUT frames versus inflate-verified
+// putZ frames, with the simulated makespan and the wire time saved reported
+// beside it. It imports svc from inside package transit — legal only because
+// svc's dependency chain no longer reaches transit.
+func BenchmarkWireCodecDump(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		opts svc.DumpOptions
+	}{
+		{"plain", svc.DumpOptions{Workers: 2}},
+		{"wirez", svc.DumpOptions{Workers: 2, WireCodec: "sz"}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var res svc.Result
+			for i := 0; i < b.N; i++ {
+				res = benchDump(b, bc.opts)
 			}
-			if e.BreakEvenBps <= 0 || math.IsInf(e.BreakEvenBps, 0) {
-				t.Fatalf("%s/%g: degenerate break-even %g", codec, relEB, e.BreakEvenBps)
-			}
-			breakEven = append(breakEven, transitBreakEvenPoint{
-				Codec: codec, RelEB: relEB, Ratio: e.Ratio,
-				CompressSeconds: e.CompressSeconds, DecompressSeconds: e.DecompressSeconds,
-				BreakEvenBps: e.BreakEvenBps, EnergyBreakEvenBps: e.EnergyBreakEvenBps,
-			})
-			for _, pt := range e.Sweep(bandwidths) {
-				goodput = append(goodput, transitGoodputPoint{
-					Codec: codec, RelEB: relEB, BandwidthBps: pt.BandwidthBps,
-					GoodputBps: pt.GoodputBps, RawGoodputBps: pt.RawGoodputBps,
-					CompressionWins: pt.CompressionWins,
-				})
-			}
-		}
-	}
-
-	plain, plainWall := benchDump(t, svc.DumpOptions{Workers: 2})
-	wirez, wirezWall := benchDump(t, svc.DumpOptions{Workers: 2, WireCodec: "sz"})
-	if wirez.WireVerifiedChunks == 0 || wirez.WireSavedSeconds <= 0 {
-		t.Fatalf("wire-codec dump missing wire accounting: %+v", wirez)
-	}
-	if plain.PayloadBytes != wirez.PayloadBytes {
-		t.Fatalf("wire codec changed payload bytes: %d vs %d", wirez.PayloadBytes, plain.PayloadBytes)
-	}
-
-	doc := map[string]any{
-		"payload_bytes": int64(len(p.Data)) * 4,
-		"goodput":       goodput,
-		"break_even":    breakEven,
-		"wire_codec_overhead": map[string]any{
-			"plain_sim_seconds":    plain.SimSeconds,
-			"wirez_sim_seconds":    wirez.SimSeconds,
-			"wire_saved_seconds":   wirez.WireSavedSeconds,
-			"wire_verified_chunks": wirez.WireVerifiedChunks,
-			"plain_wall_seconds":   plainWall,
-			"wirez_wall_seconds":   wirezWall,
-		},
-	}
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-		t.Fatal(err)
+			b.ReportMetric(res.SimSeconds, "sim-s/dump")
+			b.ReportMetric(res.WireSavedSeconds, "wire-saved-s/dump")
+		})
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"lcpio/internal/machine"
 	"lcpio/internal/netsim"
+	"lcpio/internal/phases"
 )
 
 // Economics is the break-even answer for one codec/bound on one payload:
@@ -41,28 +41,6 @@ type Economics struct {
 	EnergyBreakEvenBps float64
 }
 
-// BreakEvenBps solves time parity in closed form. Both sides ship one
-// message over the same link, so the latencies cancel and each transfer
-// time is linear in 1/B:
-//
-//	t_comp(B) = computeSeconds + 8·WireBytes(comp)/B
-//	t_raw(B)  = 8·WireBytes(raw)/B
-//
-// which cross at B* = 8·(WireBytes(raw) − WireBytes(comp))/computeSeconds.
-// WireBytes includes per-packet headers, so MTU and framing shift the
-// answer — that is why the sweep in SweepBreakEven checks the same number
-// without using this formula.
-func BreakEvenBps(link netsim.Link, rawBytes, compressedBytes int64, computeSeconds float64) float64 {
-	dWire := link.WireBytes(rawBytes) - link.WireBytes(compressedBytes)
-	if dWire <= 0 {
-		return 0
-	}
-	if computeSeconds <= 0 {
-		return math.Inf(1)
-	}
-	return 8 * float64(dWire) / computeSeconds
-}
-
 // BreakEven runs the real codec on the payload once and prices both sides
 // of the trade, emitting the per-codec/bound break-even bandwidths.
 func (c *Channel) BreakEven(p Payload) (Economics, error) {
@@ -85,7 +63,7 @@ func (c *Channel) BreakEven(p Payload) (Economics, error) {
 		CompressJoules:    m.CompressJoules,
 		DecompressJoules:  m.DecompressJoules,
 	}
-	e.BreakEvenBps = BreakEvenBps(e.Link, e.RawBytes, e.CompressedBytes,
+	e.BreakEvenBps = phases.WireBreakEven(e.Link, e.RawBytes, e.CompressedBytes,
 		e.CompressSeconds+e.DecompressSeconds)
 	e.EnergyBreakEvenBps = c.energyBreakEven(e)
 	return e, nil
@@ -111,7 +89,7 @@ func (e Economics) TimeSavedSeconds(bps float64) float64 {
 // SweepBreakEven finds the time-parity bandwidth without the closed form:
 // an exhaustive geometric sweep over [loBps, hiBps] brackets the sign
 // change of TimeSavedSeconds, then bisection refines the bracket. It must
-// agree with BreakEvenBps within a fraction of a percent — the acceptance
+// agree with phases.WireBreakEven within a fraction of a percent — the acceptance
 // check for the closed form. Returns 0 if compression loses everywhere on
 // the range and +Inf if it wins everywhere.
 func (e Economics) SweepBreakEven(loBps, hiBps float64, steps int) float64 {
@@ -129,17 +107,7 @@ func (e Economics) SweepBreakEven(loBps, hiBps float64, steps int) float64 {
 	for i := 1; i < steps; i++ {
 		b := loBps * math.Pow(ratio, float64(i))
 		if e.TimeSavedSeconds(b) <= 0 {
-			// Bracketed: refine by bisection.
-			lo, hi := prevB, b
-			for iter := 0; iter < 60; iter++ {
-				mid := math.Sqrt(lo * hi)
-				if e.TimeSavedSeconds(mid) > 0 {
-					lo = mid
-				} else {
-					hi = mid
-				}
-			}
-			return math.Sqrt(lo * hi)
+			return phases.BreakEven(e.TimeSavedSeconds, prevB, b)
 		}
 		prevB = b
 	}
@@ -180,34 +148,18 @@ func (e Economics) Sweep(bandwidths []float64) []SweepPoint {
 	return pts
 }
 
-// energyBreakEven bisects the energy-parity bandwidth. The wire energy is
-// priced by the transit machine model (CPU overlapping the link under a
-// smooth maximum), so the difference is monotone in B but has no closed
-// form.
+// energyBreakEven finds the energy-parity bandwidth with the shared
+// sign-change solver. The wire energy is priced by the transit machine model
+// (CPU overlapping the link under a smooth maximum), so the difference is
+// monotone in B but has no closed form.
 func (c *Channel) energyBreakEven(e Economics) float64 {
-	const loBps, hiBps = 1e3, 1e16
 	computeJ := e.CompressJoules + e.DecompressJoules
 	// saved(B) > 0 where compression spends less energy than raw.
 	saved := func(bps float64) float64 {
-		link := c.cfg.Link.WithBandwidth(bps)
-		rawJ := c.node.RunClean(machine.LinkTransitWorkload(e.RawBytes, link, c.cfg.Chip), c.fIO).Joules
-		compJ := c.node.RunClean(machine.LinkTransitWorkload(e.CompressedBytes, link, c.cfg.Chip), c.fIO).Joules
-		return rawJ - (computeJ + compJ)
+		wire := phases.Link(c.cfg.Link.WithBandwidth(bps))
+		// Move builds Writing-class stages, which Price cannot reject.
+		t, _ := c.pr.Price(c.pr.Move(wire, e.RawBytes), c.pr.Move(wire, e.CompressedBytes))
+		return t.Legs[0].Joules - (computeJ + t.Legs[1].Joules)
 	}
-	if saved(loBps) <= 0 {
-		return 0
-	}
-	if saved(hiBps) > 0 {
-		return math.Inf(1)
-	}
-	lo, hi := loBps, hiBps
-	for i := 0; i < 80; i++ {
-		mid := math.Sqrt(lo * hi)
-		if saved(mid) > 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return math.Sqrt(lo * hi)
+	return phases.BreakEven(saved, 1e3, 1e16)
 }

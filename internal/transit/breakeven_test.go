@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lcpio/internal/netsim"
+	"lcpio/internal/phases"
 )
 
 // TestBreakEvenMatchesSweep is the ISSUE acceptance check: the closed-form
@@ -108,19 +109,19 @@ func TestBreakEvenMonotoneInLinkBandwidth(t *testing.T) {
 
 func TestBreakEvenBpsClosedFormEdges(t *testing.T) {
 	link := netsim.TenGbE()
-	if got := BreakEvenBps(link, 1000, 1000, 1e-3); got != 0 {
+	if got := phases.WireBreakEven(link, 1000, 1000, 1e-3); got != 0 {
 		t.Errorf("incompressible payload: break-even %g, want 0", got)
 	}
-	if got := BreakEvenBps(link, 1000, 2000, 1e-3); got != 0 {
+	if got := phases.WireBreakEven(link, 1000, 2000, 1e-3); got != 0 {
 		t.Errorf("expanding payload: break-even %g, want 0", got)
 	}
-	if got := BreakEvenBps(link, 1000, 100, 0); !math.IsInf(got, 1) {
+	if got := phases.WireBreakEven(link, 1000, 100, 0); !math.IsInf(got, 1) {
 		t.Errorf("free compute: break-even %g, want +Inf", got)
 	}
 	// Framing matters: jumbo frames ship fewer header bytes, so the wire
 	// saving shrinks and the break-even point drops.
-	std := BreakEvenBps(netsim.TenGbE(), 1<<20, 1<<17, 1e-3)
-	jumbo := BreakEvenBps(netsim.JumboTenGbE(), 1<<20, 1<<17, 1e-3)
+	std := phases.WireBreakEven(netsim.TenGbE(), 1<<20, 1<<17, 1e-3)
+	jumbo := phases.WireBreakEven(netsim.JumboTenGbE(), 1<<20, 1<<17, 1e-3)
 	if jumbo >= std {
 		t.Errorf("jumbo framing %g should break even below standard %g", jumbo, std)
 	}

@@ -5,9 +5,9 @@
 // repo's framework:
 //
 //  1. Overhead vs. saving — when does compressing a payload beat shipping
-//     it raw? A Channel prices compression compute with the machine model
-//     (Eqn 2 at the phases.Rule tuned clocks, the same arithmetic as the
-//     campaign planner) and transfer time with the netsim link model, and
+//     it raw? A Channel prices compression compute through the phases
+//     pricer (Eqn 2 at the phases.Rule tuned clocks, the same stages the
+//     campaign planner runs) and transfer time with the netsim link model, and
 //     BreakEven emits the closed-form break-even link bandwidth per
 //     codec/bound, cross-checked by an exhaustive sweep.
 //  2. Ratio vs. quality — what did the bytes saved cost? Every send runs
@@ -31,7 +31,6 @@ import (
 
 	"lcpio/internal/compress"
 	"lcpio/internal/dvfs"
-	"lcpio/internal/machine"
 	"lcpio/internal/netsim"
 	"lcpio/internal/obs"
 	"lcpio/internal/par"
@@ -157,30 +156,19 @@ func (b Batch) RawGoodputBps() float64 {
 // TimeSavedSeconds is positive when compressing beat shipping raw.
 func (b Batch) TimeSavedSeconds() float64 { return b.RawSimSeconds - b.SimSeconds }
 
-// EnergySavedJoules is positive when compressing spent less energy.
-func (b Batch) EnergySavedJoules() float64 { return b.RawJoules - b.Joules }
-
 // Channel is a link plus a codec operating point. Methods are not safe for
 // concurrent use (the codec handles carry reusable scratch); open one
 // channel per goroutine, as with compress.Handle.
 type Channel struct {
 	cfg   Config
 	lanes []compress.Handle // nil for CodecRaw
-	node  *machine.Node
-	fComp float64
-	fIO   float64
+	pr    *phases.Pricer
 }
 
 // New validates the config and opens the channel.
 func New(cfg Config) (*Channel, error) {
 	if cfg.Link.BandwidthBps <= 0 {
 		return nil, fmt.Errorf("transit: link %q has no bandwidth", cfg.Link.Name)
-	}
-	if cfg.Chip == nil {
-		cfg.Chip = dvfs.Broadwell()
-	}
-	if cfg.Rule == (phases.Rule{}) {
-		cfg.Rule = phases.PaperRule()
 	}
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
@@ -194,12 +182,7 @@ func New(cfg Config) (*Channel, error) {
 	if cfg.RelEB < 0 || cfg.RelEB >= 1 {
 		return nil, fmt.Errorf("transit: relative error bound %g outside [0, 1)", cfg.RelEB)
 	}
-	c := &Channel{
-		cfg:   cfg,
-		node:  machine.NewNode(cfg.Chip, 1), // RunClean only: seed is inert
-		fComp: cfg.Chip.ClampFreq(cfg.Rule.CompressionFraction * cfg.Chip.BaseGHz),
-		fIO:   cfg.Chip.ClampFreq(cfg.Rule.WritingFraction * cfg.Chip.BaseGHz),
-	}
+	c := &Channel{cfg: cfg, pr: phases.NewPricer(cfg.Chip, cfg.Rule)}
 	if cfg.Codec != CodecRaw {
 		c.lanes = make([]compress.Handle, cfg.Workers)
 		for i := range c.lanes {
@@ -212,9 +195,6 @@ func New(cfg Config) (*Channel, error) {
 	}
 	return c, nil
 }
-
-// Config returns the channel's resolved configuration.
-func (c *Channel) Config() Config { return c.cfg }
 
 // Send ships one payload (a SendAll of one message).
 func (c *Channel) Send(p Payload) (Message, error) {
@@ -278,14 +258,16 @@ func (c *Channel) SendAll(ps []Payload) (Batch, error) {
 	}
 
 	b := Batch{Codec: c.cfg.Codec, RelEB: c.cfg.RelEB, Link: c.cfg.Link, Messages: msgs}
-	c.simulate(&b)
-	c.price(&b, span)
+	if err := c.price(&b); err != nil {
+		return Batch{}, err
+	}
+	c.rollUp(&b, span)
 	return b, nil
 }
 
 // roundTrip runs the real codec on one payload and fills the message's
-// byte/ratio/quality fields. Timing and energy are modeled later (simulate/
-// price) so they are deterministic, not wall-clock.
+// byte/ratio/quality fields. Timing and energy are modeled later (price) so
+// they are deterministic, not wall-clock.
 func (c *Channel) roundTrip(clock *obs.WorkerClock, lane, idx int, p Payload, m *Message) error {
 	m.Index = idx
 	m.RawBytes = int64(len(p.Data)) * 4
@@ -323,26 +305,48 @@ func (c *Channel) roundTrip(clock *obs.WorkerClock, lane, idx int, p Payload, m 
 	return nil
 }
 
-// simulate lays the batch out on the deterministic timeline: Workers
-// compress lanes feed a single serialized link, and Workers decompress
-// lanes drain arrivals at the receiver.
-func (c *Channel) simulate(b *Batch) {
+// codecStages builds the compress and decompress stages of rawBytes at the
+// measured ratio.
+func (c *Channel) codecStages(rawBytes int64, ratio float64) (comp, dec phases.Phase, err error) {
+	if comp, err = c.pr.Compress(c.cfg.Codec, rawBytes, c.cfg.RelEB, ratio); err != nil {
+		return comp, dec, err
+	}
+	dec, err = c.pr.Decompress(c.cfg.Codec, rawBytes, c.cfg.RelEB, ratio)
+	return comp, dec, err
+}
+
+// price models every message at the tuned clocks — the same stages the
+// campaign planner prices — and lays the batch out on the deterministic
+// timeline: Workers compress lanes feed a single serialized link, and
+// Workers decompress lanes drain arrivals at the receiver.
+func (c *Channel) price(b *Batch) error {
 	w := c.cfg.Workers
 	compFree := make([]float64, w)
 	decFree := make([]float64, w)
 	var linkFree, rawClock, makespan float64
+	wire := phases.Link(c.cfg.Link)
 
 	for i := range b.Messages {
 		m := &b.Messages[i]
 		lane := i % w
 
-		// Seconds at the tuned clocks, from the same workload models the
-		// campaign planner prices.
 		if c.lanes != nil {
-			cw, dw := c.workloads(m)
-			m.CompressSeconds = c.node.RunClean(cw, c.fComp).Seconds
-			m.DecompressSeconds = c.node.RunClean(dw, c.fComp).Seconds
+			comp, dec, err := c.codecStages(m.RawBytes, m.Ratio)
+			if err != nil {
+				return err
+			}
+			t, err := c.pr.Price(comp, dec)
+			if err != nil {
+				return err
+			}
+			m.CompressSeconds, m.CompressJoules = t.Legs[0].Seconds, t.Legs[0].Joules
+			m.DecompressSeconds, m.DecompressJoules = t.Legs[1].Seconds, t.Legs[1].Joules
 		}
+		t, err := c.pr.Price(c.pr.Move(wire, m.WireBytes), c.pr.Move(wire, m.RawBytes))
+		if err != nil {
+			return err
+		}
+		m.WireJoules, m.RawWireJoules = t.Legs[0].Joules, t.Legs[1].Joules
 		m.WireSeconds = c.cfg.Link.MessageTime(m.WireBytes)
 		m.RawWireSeconds = c.cfg.Link.MessageTime(m.RawBytes)
 
@@ -361,26 +365,17 @@ func (c *Channel) simulate(b *Batch) {
 	}
 	b.SimSeconds = makespan
 	b.RawSimSeconds = rawClock
+	return nil
 }
 
-// price attributes modeled joules to each message and rolls up the batch;
-// exact energy lands on child spans (AddEnergy) so a traced batch
-// reconciles with the campaign planner.
-func (c *Channel) price(b *Batch, span obs.Span) {
+// rollUp totals the priced messages into the batch; exact energy lands on
+// child spans (AddEnergy) so a traced batch reconciles with the campaign
+// planner.
+func (c *Channel) rollUp(b *Batch, span obs.Span) {
 	var ulpSum float64
 	var exact float64
 	for i := range b.Messages {
 		m := &b.Messages[i]
-		if c.lanes != nil {
-			cw, dw := c.workloads(m)
-			m.CompressJoules = c.node.RunClean(cw, c.fComp).Joules
-			m.DecompressJoules = c.node.RunClean(dw, c.fComp).Joules
-		}
-		wireW := machine.LinkTransitWorkload(m.WireBytes, c.cfg.Link, c.cfg.Chip)
-		m.WireJoules = c.node.RunClean(wireW, c.fIO).Joules
-		rawW := machine.LinkTransitWorkload(m.RawBytes, c.cfg.Link, c.cfg.Chip)
-		m.RawWireJoules = c.node.RunClean(rawW, c.fIO).Joules
-
 		b.RawBytes += m.RawBytes
 		b.WireBytes += m.WireBytes
 		b.Joules += m.Joules()
@@ -414,16 +409,10 @@ func (c *Channel) price(b *Batch, span obs.Span) {
 	}
 }
 
-// workloads builds the message's compute workloads at the measured ratio.
-func (c *Channel) workloads(m *Message) (compW, decW machine.Workload) {
-	compW, _ = machine.CompressionWorkloadWithRatio(c.cfg.Codec, m.RawBytes, c.cfg.RelEB, m.Ratio, c.cfg.Chip)
-	decW, _ = machine.DecompressionWorkload(c.cfg.Codec, m.RawBytes, c.cfg.RelEB, m.Ratio, c.cfg.Chip)
-	return compW, decW
-}
-
 // Campaign builds an n-iteration in-transit phases.Plan from measured batch
-// economics: each iteration computes for computeSec, compresses the batch's
-// raw bytes at its aggregate ratio, ships the compressed bytes, and
+// economics — the communication-bound shape of SNIPPETS §2 (jpekkila): each
+// iteration computes for computeSec, compresses the batch's raw bytes at its
+// aggregate ratio, ships the compressed bytes through the link, and
 // decompresses at the receiver. Executing the plan (after ApplyRule with
 // the channel's rule) reproduces the batch's modeled energy.
 func (c *Channel) Campaign(b Batch, n int, computeSec float64) (phases.Plan, error) {
@@ -433,16 +422,13 @@ func (c *Channel) Campaign(b Batch, n int, computeSec float64) (phases.Plan, err
 	if b.RawBytes <= 0 || b.Ratio <= 0 {
 		return phases.Plan{}, fmt.Errorf("transit: batch carries no data")
 	}
-	compW, err := machine.CompressionWorkloadWithRatio(c.cfg.Codec, b.RawBytes, c.cfg.RelEB, b.Ratio, c.cfg.Chip)
+	comp, dec, err := c.codecStages(b.RawBytes, b.Ratio)
 	if err != nil {
 		return phases.Plan{}, err
 	}
-	decW, err := machine.DecompressionWorkload(c.cfg.Codec, b.RawBytes, c.cfg.RelEB, b.Ratio, c.cfg.Chip)
-	if err != nil {
-		return phases.Plan{}, err
-	}
-	sendW := machine.LinkTransitWorkload(b.WireBytes, c.cfg.Link, c.cfg.Chip)
-	return phases.InTransitCampaign(n, computeSec, compW, sendW, decW), nil
+	send := c.pr.Move(phases.Link(c.cfg.Link), b.WireBytes)
+	return phases.Campaign(n, computeSec, comp.Named("transit-compress"),
+		send.Named("transit-send"), dec.Named("transit-decompress")), nil
 }
 
 // absBound converts the channel's range-relative bound to the absolute

@@ -294,8 +294,10 @@ func encodeBlock[F Float](w *bitstream.Writer, ln *zlane[F], dim int, eb float64
 // eb, without round-tripping through the bitstream. The group-tested coder is
 // lossless on the planes it transmits — the decoder recovers exactly
 // nb[i] & planeMask — so masking the negabinary words reproduces the decoder's
-// coefficients directly, and the accept/reject decision is bit-for-bit the one
-// the old encode-then-decode verification made.
+// coefficients directly. The comparison goes through the same cast to F the
+// decoder's store does: for float32 that rounding moves the value by up to
+// half an ULP, which decides the bound when the tolerance is near an ULP of
+// the block's magnitude.
 func verifyCutoff[F Float](ln *zlane[F], dim int, eb float64, emax, kmin, kmax int, tr traits) bool {
 	size := blockSize(dim)
 	// kmax <= tr.hi <= 62, so the shifts stay in range.
@@ -309,7 +311,7 @@ func verifyCutoff[F Float](ln *zlane[F], dim int, eb float64, emax, kmin, kmax i
 	inv := math.Ldexp(1, emax-tr.q)
 	blk := ln.blk
 	for i := 0; i < size; i++ {
-		if math.Abs(float64(dcoef[i])*inv-float64(blk[i])) > eb {
+		if math.Abs(float64(F(float64(dcoef[i])*inv))-float64(blk[i])) > eb {
 			return false
 		}
 	}

@@ -313,7 +313,7 @@ func TestQuickFixedRateRobust(t *testing.T) {
 		out, _, err := Decompress(comp)
 		return err == nil && len(out) == n
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.4, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -156,7 +156,7 @@ func TestQuickFloat64Tolerance(t *testing.T) {
 		out, _, err := Decompress64(comp)
 		return err == nil && maxAbsErr64(data, out) <= eb
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.25, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

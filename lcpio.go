@@ -303,7 +303,9 @@ type (
 
 // CheckpointCampaign builds an n-iteration (compute, compress, write) plan.
 func CheckpointCampaign(n int, computeSec float64, compress, write machine.Workload) Plan {
-	return phases.CheckpointCampaign(n, computeSec, compress, write)
+	return phases.Campaign(n, computeSec,
+		Phase{Name: "checkpoint-compress", Class: phases.Compression, Workload: compress},
+		Phase{Name: "checkpoint-write", Class: phases.Writing, Workload: write})
 }
 
 // Workload is abstract chip-specific work consumed by the node model.

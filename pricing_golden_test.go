@@ -1,0 +1,449 @@
+package lcpio
+
+import (
+	"fmt"
+	"math"
+	"net"
+	"strconv"
+	"testing"
+
+	"lcpio/internal/advisor"
+	"lcpio/internal/ckpt"
+	"lcpio/internal/cluster"
+	"lcpio/internal/core"
+	"lcpio/internal/dedup"
+	"lcpio/internal/dvfs"
+	"lcpio/internal/machine"
+	"lcpio/internal/netsim"
+	"lcpio/internal/phases"
+	"lcpio/internal/svc"
+	"lcpio/internal/transit"
+)
+
+// goldenField is the deterministic smooth-plus-noise field every pricing
+// site below is driven with.
+func goldenField(elems, rank, field int, bound float64) []float32 {
+	d := make([]float32, elems)
+	rng := uint64(rank*31+field+1) * 0x9E3779B97F4A7C15
+	for i := range d {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		noise := (float64(rng>>11)/float64(1<<53))*2 - 1
+		x := float64(i) / 96
+		d[i] = float32(math.Sin(x+float64(rank))*math.Cos(x/7+float64(field)) + noise*8*bound)
+	}
+	return d
+}
+
+func goldenSet(name string, ranks int) ckpt.Set {
+	dims := []int{64, 96}
+	fields := []ckpt.Field{
+		{Name: "pressure", Dims: dims, ErrorBound: 1e-3},
+		{Name: "velocity_x", Dims: dims, ErrorBound: 1e-4},
+	}
+	for fi := range fields {
+		for r := 0; r < ranks; r++ {
+			fields[fi].Data = append(fields[fi].Data, goldenField(dims[0]*dims[1], r, fi, fields[fi].ErrorBound))
+		}
+	}
+	return ckpt.Set{Name: name, Meta: "golden", Codec: "sz", Ranks: ranks, Fields: fields}
+}
+
+// goldenRows collects (name, value) pairs in a fixed order.
+type goldenRows struct {
+	names []string
+	vals  []float64
+}
+
+func (g *goldenRows) add(name string, v float64) {
+	g.names = append(g.names, name)
+	g.vals = append(g.vals, v)
+}
+
+func (g *goldenRows) totals(prefix string, t phases.Totals) {
+	g.add(prefix+".seconds", t.Seconds)
+	g.add(prefix+".joules", t.Joules)
+	g.add(prefix+".compute_j", t.ByClass[phases.Compute].Joules)
+	g.add(prefix+".compression_j", t.ByClass[phases.Compression].Joules)
+	g.add(prefix+".compression_s", t.ByClass[phases.Compression].Seconds)
+	g.add(prefix+".writing_j", t.ByClass[phases.Writing].Joules)
+	g.add(prefix+".writing_s", t.ByClass[phases.Writing].Seconds)
+}
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func goldenSvc(t *testing.T, g *goldenRows) {
+	srv := svc.NewServer(svc.Config{})
+	for _, tc := range []svc.TenantConfig{{Name: "a"}, {Name: "tight", EnergyBudgetJoules: 1e-9}} {
+		if err := srv.AddTenant(tc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cEnd, sEnd := net.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- srv.ServeConn(sEnd) }()
+	defer func() {
+		cEnd.Close()
+		sEnd.Close()
+		<-done
+	}()
+	cl := svc.NewClient(cEnd)
+	set := goldenSet("golden-svc", 2)
+
+	// The open-time projection rides back on an energy reject.
+	_, err := cl.Dump("tight", set, svc.DumpOptions{Workers: 2, ProjectedRatio: 6})
+	rej, ok := svc.IsReject(err)
+	if !ok {
+		t.Fatalf("want energy reject, got %v", err)
+	}
+	g.add("svc.open.projected_j", rej.ProjectedJoules)
+
+	res, err := cl.Dump("a", set, svc.DumpOptions{Workers: 2, ProjectedRatio: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.add("svc.close.compress_j", res.CompressJoules)
+	g.add("svc.close.transit_j", res.TransitJoules)
+	g.add("svc.close.joules", res.Joules)
+	g.add("svc.close.sim_s", res.SimSeconds)
+	rr, err := cl.Restore("golden-svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.add("svc.restore.read_j", rr.ReadJoules)
+	ar, err := cl.Advise(svc.AdviseRequest{Tenant: "a", RawBytes: 1 << 30, MinPSNR: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.add("svc.advise.rel_eb", ar.RelEB)
+	g.add("svc.advise.ratio", ar.Ratio)
+	g.add("svc.advise.proj_j", ar.ProjJoules)
+	g.add("svc.advise.proj_s", ar.ProjSeconds)
+}
+
+func goldenCkpt(t *testing.T, g *goldenRows) {
+	opts := ckpt.CampaignOptions{Iterations: 3, ComputeSeconds: 5}
+	report := func(prefix string, r *ckpt.WriteResult, o ckpt.CampaignOptions) {
+		cmp, err := r.EnergyReport(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.totals(prefix+".base", cmp.Base)
+		g.totals(prefix+".tuned", cmp.Tuned)
+	}
+	set := goldenSet("golden-full", 4)
+	baseMed := ckpt.NewMemMedium()
+	plain, err := ckpt.Write(baseMed, set, ckpt.WriteOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report("ckpt.plain", plain, opts)
+	restart := opts
+	restart.WithRestore = true
+	restart.Chip = dvfs.Skylake()
+	report("ckpt.plain.restart.skylake", plain, restart)
+	pe, err := plain.ParityEnergy(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.add("ckpt.plain.parity.breakeven", pe.BreakEvenLossProb)
+
+	par, err := ckpt.Write(ckpt.NewMemMedium(), set, ckpt.WriteOptions{Workers: 2, ParityRanks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report("ckpt.parity", par, opts)
+	restart.Chip = nil
+	report("ckpt.parity.restart", par, restart)
+	pe, err = par.ParityEnergy(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.add("ckpt.parity.parity_j", pe.ParityJoules)
+	g.add("ckpt.parity.parity_s", pe.ParitySeconds)
+	g.add("ckpt.parity.reconstruct_j", pe.ReconstructJoules)
+	g.add("ckpt.parity.redump_j", pe.RedumpJoules)
+	g.add("ckpt.parity.breakeven", pe.BreakEvenLossProb)
+
+	base, err := ckpt.OpenBase(baseMed, nil, dedup.Params{MinSize: 256, AvgSize: 1024, MaxSize: 4096},
+		ckpt.RestoreOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := goldenSet("golden-delta", 4)
+	for fi := range next.Fields {
+		for r, d := range next.Fields[fi].Data {
+			n := len(d) / 10
+			start := (r * 37) % (len(d) - n + 1)
+			for i := start; i < start+n; i++ {
+				d[i] += float32(10 * next.Fields[fi].ErrorBound)
+			}
+		}
+	}
+	delta, err := ckpt.Write(ckpt.NewMemMedium(), next, ckpt.WriteOptions{Workers: 2, ParityRanks: 1, Base: base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report("ckpt.delta", delta, opts)
+	de, err := delta.DeltaEnergy(plain, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.add("ckpt.delta.churn", de.ChurnRate)
+	g.add("ckpt.delta.hash_j", de.HashJoules)
+	g.add("ckpt.delta.delta_j", de.DeltaJoules)
+	g.add("ckpt.delta.full_j", de.FullJoules)
+	g.add("ckpt.delta.net_saved_j", de.NetSavedJoules)
+	g.add("ckpt.delta.breakeven", de.BreakEvenChurn)
+}
+
+func goldenAdvisor(t *testing.T, g *goldenRows) {
+	dims := []int{64, 96}
+	data := goldenField(dims[0]*dims[1], 0, 0, 1e-3)
+	ctrl, err := advisor.New(advisor.Config{Codecs: []string{"sz", "zfp", "squant"}, FreqStride: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := ctrl.Sketch(data, dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	link, err := netsim.Custom("golden-wan", 2e8, 1e-3, 1500, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := []struct {
+		name string
+		req  advisor.Request
+	}{
+		{"advisor.mount", advisor.Request{RawBytes: 8 << 30, MinPSNR: 50, Ranks: 8, ParityRanks: 2,
+			RankLossProb: 0.3, ChurnRate: 0.15}},
+		{"advisor.link", advisor.Request{RawBytes: 8 << 30, MinPSNR: 80, Ranks: 8, ParityRanks: 2,
+			RankLossProb: 0.02, ChurnRate: 0.15, WireLink: &link, DeadlineSeconds: 400}},
+		{"advisor.plain", advisor.Request{RawBytes: 1 << 30, RankLossProb: 0.05, Ranks: 4}},
+	}
+	for _, rc := range reqs {
+		dec, err := ctrl.Decide(sk, rc.req)
+		if err != nil {
+			t.Fatalf("%s: %v", rc.name, err)
+		}
+		g.add(rc.name+".codec_len", float64(len(dec.Codec)))
+		g.add(rc.name+".rel_eb", dec.RelEB)
+		g.add(rc.name+".workers", float64(dec.Workers))
+		g.add(rc.name+".compress_ghz", dec.CompressGHz)
+		g.add(rc.name+".write_ghz", dec.WriteGHz)
+		g.add(rc.name+".delta", b2f(dec.Delta))
+		g.add(rc.name+".parity", float64(dec.ParityRanks))
+		g.add(rc.name+".wire", b2f(dec.WireCompress))
+		g.add(rc.name+".energy_j", dec.EnergyJ)
+		g.add(rc.name+".seconds", dec.Seconds)
+		g.add(rc.name+".compress_j", dec.CompressJoules)
+		g.add(rc.name+".write_j", dec.WriteJoules)
+		g.add(rc.name+".recovery_j", dec.RecoveryJoules)
+		g.add(rc.name+".be_parity", dec.ParityBreakEvenLossProb)
+		g.add(rc.name+".be_churn", dec.DeltaBreakEvenChurn)
+		g.add(rc.name+".be_wire_bps", dec.WireBreakEvenBps)
+		for i, c := range dec.Table {
+			g.add(fmt.Sprintf("%s.table[%d].energy_j", rc.name, i), c.EnergyJ)
+			g.add(fmt.Sprintf("%s.table[%d].seconds", rc.name, i), c.Seconds)
+		}
+		pl, err := ctrl.Campaign(dec, 2, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tot, err := pl.Execute(machine.NewNode(dvfs.Broadwell(), 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.totals(rc.name+".campaign", tot)
+	}
+
+	grid, err := advisor.EvaluateGrid(data, dims, advisor.GridOptions{TotalBytes: 64 << 30, MinPSNR: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range grid {
+		g.add(fmt.Sprintf("advisor.grid[%d].rel_eb", i), e.RelEB)
+		g.add(fmt.Sprintf("advisor.grid[%d].energy_j", i), e.EnergyJ)
+		g.add(fmt.Sprintf("advisor.grid[%d].seconds", i), e.Seconds)
+	}
+	pts, err := advisor.WorkerEnergies("Skylake", "zfp", 32<<30, 1e-4, 5.5, 1.9, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pts {
+		g.add(fmt.Sprintf("advisor.workers[%d].seconds", p.Cores), p.Seconds)
+		g.add(fmt.Sprintf("advisor.workers[%d].joules", p.Cores), p.Joules)
+	}
+}
+
+func goldenTransit(t *testing.T, g *goldenRows) {
+	link, err := netsim.Custom("golden-lan", 5e8, 2e-4, 9000, 66)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := transit.New(transit.Config{Link: link, Codec: "zfp", RelEB: 1e-3, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dims := []int{64, 96}
+	var ps []transit.Payload
+	for r := 0; r < 3; r++ {
+		ps = append(ps, transit.Payload{Data: goldenField(dims[0]*dims[1], r, 1, 1e-3), Dims: dims})
+	}
+	b, err := ch.SendAll(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.add("transit.batch.joules", b.Joules)
+	g.add("transit.batch.raw_joules", b.RawJoules)
+	g.add("transit.batch.sim_s", b.SimSeconds)
+	g.add("transit.batch.raw_sim_s", b.RawSimSeconds)
+	for i, m := range b.Messages {
+		g.add(fmt.Sprintf("transit.msg[%d].compress_s", i), m.CompressSeconds)
+		g.add(fmt.Sprintf("transit.msg[%d].decompress_j", i), m.DecompressJoules)
+		g.add(fmt.Sprintf("transit.msg[%d].wire_j", i), m.WireJoules)
+	}
+	e, err := ch.BreakEven(ps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.add("transit.breakeven_bps", e.BreakEvenBps)
+	g.add("transit.energy_breakeven_bps", e.EnergyBreakEvenBps)
+	g.add("transit.sweep_breakeven_bps", e.SweepBreakEven(1e6, 1e12, 200))
+	pl, err := ch.Campaign(b, 2, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chip := dvfs.Broadwell()
+	tot, err := pl.ApplyRule(phases.PaperRule(), chip).Execute(machine.NewNode(chip, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.totals("transit.campaign", tot)
+}
+
+func goldenCluster(t *testing.T, g *goldenRows) {
+	cfgs := []struct {
+		name string
+		cfg  cluster.Config
+	}{
+		{"cluster.ckpt", cluster.Config{Nodes: 64, PerNodeBytes: 4 << 30, Codec: "sz", RelEB: 1e-3, Ratio: 8,
+			CompressionFraction: 0.875, WritingFraction: 0.85,
+			CkptFields: 3, CkptRanksPerNode: 4, CkptParityRanks: 1, CkptChurnRate: 0.2, Seed: 5}},
+		{"cluster.wire", cluster.Config{Nodes: 16, PerNodeBytes: 2 << 30, Ratio: 1,
+			CompressionFraction: 0.9, WritingFraction: 0.8,
+			WireCodec: "zfp", WireRatio: 4.5, Seed: 5}},
+		{"cluster.base.skylake", cluster.Config{Nodes: 8, Chip: "Skylake", PerNodeBytes: 1 << 30, Codec: "zfp", Ratio: 6,
+			CkptFields: 2, CkptRanksPerNode: 4096}},
+		{"cluster.advise", cluster.Config{Nodes: 128, PerNodeBytes: 4 << 30, Advise: true, Seed: 2}},
+	}
+	for _, c := range cfgs {
+		r, err := cluster.Dump(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		g.add(c.name+".node_j", r.NodeJoules)
+		g.add(c.name+".total_j", r.TotalJoules)
+		g.add(c.name+".wall_s", r.WallSeconds)
+		g.add(c.name+".compress_s", r.NodeCompressSeconds)
+		g.add(c.name+".dedup_s", r.NodeDedupSeconds)
+		g.add(c.name+".transit_s", r.NodeTransitSeconds)
+		g.add(c.name+".wire_be_bps", r.WireBreakEvenBps)
+	}
+}
+
+func goldenCore(t *testing.T, g *goldenRows) {
+	cfg := core.Config{Seed: 3, RatioElems: 1 << 13, ErrorBounds: []float64{1e-2, 1e-4}, Workers: 2}
+	dcfg := core.DumpConfig{TotalBytes: 16 << 30, Chip: "Skylake", Codec: "zfp", Dataset: "HACC"}
+	dump, err := core.RunDataDump(cfg, dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range dump {
+		p := fmt.Sprintf("core.dump[%d]", i)
+		g.add(p+".base_compress_j", r.BaseCompressJ)
+		g.add(p+".base_transit_j", r.BaseTransitJ)
+		g.add(p+".tuned_compress_j", r.TunedCompressJ)
+		g.add(p+".tuned_transit_j", r.TunedTransitJ)
+		g.add(p+".base_s", r.BaseSeconds)
+		g.add(p+".tuned_s", r.TunedSeconds)
+	}
+	load, err := core.RunDataLoad(cfg, core.DumpConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range load {
+		p := fmt.Sprintf("core.load[%d]", i)
+		g.add(p+".base_read_j", r.BaseReadJ)
+		g.add(p+".base_decompress_j", r.BaseDecompressJ)
+		g.add(p+".tuned_read_j", r.TunedReadJ)
+		g.add(p+".tuned_decompress_j", r.TunedDecompressJ)
+		g.add(p+".base_s", r.BaseSeconds)
+		g.add(p+".tuned_s", r.TunedSeconds)
+	}
+	var acfg AdvisorConfig
+	acfg.TotalBytes, acfg.MinPSNR = 8<<30, 40
+	acfg.Rule = Recommendation{CompressionFraction: 0.8, WritingFraction: 0.9}
+	adv, err := Advise(cfg, acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range adv {
+		g.add(fmt.Sprintf("core.advise[%d].energy_j", i), a.EnergyJ)
+		g.add(fmt.Sprintf("core.advise[%d].seconds", i), a.Seconds)
+	}
+	cores, err := core.EnergyVsCores(cfg, "Broadwell", "sz", 4<<30, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cores {
+		g.add(fmt.Sprintf("core.cores[%d].joules", c.Cores), c.Joules)
+		g.add(fmt.Sprintf("core.cores[%d].seconds", c.Cores), c.Seconds)
+	}
+}
+
+// TestPricingGolden is the characterization test of the one-pricer
+// refactor: every Eqn 2 pricing site, driven with fixed inputs, must keep
+// producing the exact float64 recorded from the hand-written arithmetic it
+// replaced. A mismatch is a pricing behaviour change, never noise — every
+// value here is deterministic.
+func TestPricingGolden(t *testing.T) {
+	var g goldenRows
+	goldenSvc(t, &g)
+	goldenCkpt(t, &g)
+	goldenAdvisor(t, &g)
+	goldenTransit(t, &g)
+	goldenCluster(t, &g)
+	goldenCore(t, &g)
+
+	if len(g.vals) != len(pricingGolden) {
+		t.Errorf("collected %d rows, golden table has %d", len(g.vals), len(pricingGolden))
+	}
+	bad := 0
+	for i, v := range g.vals {
+		if i < len(pricingGolden) && pricingGolden[i].name == g.names[i] &&
+			math.Float64bits(pricingGolden[i].want) == math.Float64bits(v) {
+			continue
+		}
+		bad++
+		t.Logf("\t{%q, %s},", g.names[i], goldenLiteral(v))
+	}
+	if bad > 0 {
+		t.Errorf("%d of %d rows differ from the recorded parent values (rows logged above)", bad, len(g.vals))
+	}
+}
+
+func goldenLiteral(v float64) string {
+	switch {
+	case math.IsInf(v, 1):
+		return "math.Inf(1)"
+	case math.IsInf(v, -1):
+		return "math.Inf(-1)"
+	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
+}

@@ -20,6 +20,19 @@ go test -race ./...
 # and FuzzSketch the advisor's hostile-field corpus).
 go test -run '^Fuzz' ./...
 
+# Deep property run: tier-1's quick.Check sites use a fixed seed and
+# MaxCountScale, so testing/quick's own -quickchecks flag scales every one
+# of them ~100x while staying reproducible. The codecs' error-bound
+# invariants are the ones worth the minutes.
+go test -count=1 -run 'Quick|Invariant' \
+    ./internal/zfp/ ./internal/sz/ ./internal/squant/ -quickchecks 10000
+
+# The benchmark is a nested module that root `go test ./...` does not
+# reach: vet and test it, and smoke every workload, so an internal/ API
+# change that breaks its build fails here and not at the next measurement.
+(cd bench && go vet ./... && go test -race ./...)
+bash bench/run.sh -workload all -smoke -trace 0 >/dev/null
+
 # Daemon concurrency gate: the checkpoint service must sustain 8
 # simultaneous tenant streams race-clean with byte-identical restores, and
 # its admission queue must drain under session pressure. Run by name (and
