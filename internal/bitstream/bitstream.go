@@ -9,6 +9,7 @@
 package bitstream
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -146,7 +147,22 @@ func (r *Reader) Reset(buf []byte) {
 	r.nc = 0
 }
 
+// fill tops cur up to more than 56 valid bits, or to the end of the buffer.
+// While at least 8 bytes remain it is one big-endian load, masked down to the
+// whole bytes that fit so the bits of cur below the top nc stay zero; only
+// the last 7 bytes of a buffer go through the byte loop.
 func (r *Reader) fill() {
+	if r.nc > 56 {
+		return
+	}
+	if r.pos+8 <= len(r.buf) {
+		k := (64 - r.nc) >> 3
+		nc := r.nc + k<<3
+		r.cur |= binary.BigEndian.Uint64(r.buf[r.pos:]) >> r.nc &^ (1<<(64-nc) - 1)
+		r.nc = nc
+		r.pos += int(k)
+		return
+	}
 	for r.nc <= 56 && r.pos < len(r.buf) {
 		r.cur |= uint64(r.buf[r.pos]) << (56 - r.nc)
 		r.nc += 8
@@ -207,27 +223,42 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 	return v<<(n-have) | rest, nil
 }
 
-// Peek returns the next n bits (n in [0,64]) MSB-first, right-aligned,
-// without consuming them. Bits past the end of the buffer read as zero, so
-// table-driven decoders can peek a full index width near the end of a stream;
-// pair with Skip, which does report overrun, to consume what was matched.
+// MaxPeek is the widest Peek: fill guarantees more than 56 buffered bits
+// whenever the buffer still holds them, and no more than that.
+const MaxPeek = 56
+
+// Peek returns the next n bits (n in [0,MaxPeek]) MSB-first, right-aligned,
+// without consuming them; a wider n panics. Bits past the end of the buffer
+// read as zero, so table-driven decoders can peek a full index width near the
+// end of a stream; pair with Skip, which does report overrun, to consume what
+// was matched.
 func (r *Reader) Peek(n uint) uint64 {
-	if n == 0 {
-		return 0
-	}
-	if n > 64 {
-		panic(fmt.Sprintf("bitstream: Peek n=%d out of range", n))
-	}
-	if r.nc < n {
-		r.fill()
+	if n > r.nc || n > MaxPeek {
+		r.peekFill(n)
 	}
 	// Bits of cur below the top nc valid ones are always zero, so this
 	// yields zero-padding automatically when fewer than n bits remain.
 	return r.cur >> (64 - n)
 }
 
+func (r *Reader) peekFill(n uint) {
+	if n > MaxPeek {
+		panic(fmt.Sprintf("bitstream: Peek n=%d out of range", n))
+	}
+	r.fill()
+}
+
 // Skip consumes n bits, returning ErrOverrun if fewer remain.
 func (r *Reader) Skip(n uint) error {
+	if n <= r.nc {
+		r.cur <<= n
+		r.nc -= n
+		return nil
+	}
+	return r.skipSlow(n)
+}
+
+func (r *Reader) skipSlow(n uint) error {
 	for n > 0 {
 		if r.nc == 0 {
 			r.fill()

@@ -275,3 +275,137 @@ func BenchmarkReaderReadBits(b *testing.B) {
 		}
 	}
 }
+
+// refBits returns bits [pos, pos+n) of buf MSB-first, right-aligned, reading
+// zero past the end — Peek's contract, one bit at a time.
+func refBits(buf []byte, pos, n int) uint64 {
+	var v uint64
+	for i := pos; i < pos+n; i++ {
+		v <<= 1
+		if i < len(buf)*8 {
+			v |= uint64(buf[i/8]>>(7-uint(i%8))) & 1
+		}
+	}
+	return v
+}
+
+// TestPeekSkipEveryWidthAndPhase walks Peek(n)/Skip(k) for every legal n
+// from every starting bit phase and every stride k, against the bit-at-a-time
+// reference: the value Peek returns must be the real stream bits wherever the
+// buffer still holds them (the wide refill and the tail byte loop both), zero
+// beyond, and Skip must report overrun exactly when the walk leaves the
+// buffer. Buffer lengths straddle the 8-byte load boundary.
+func TestPeekSkipEveryWidthAndPhase(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, size := range []int{0, 1, 7, 8, 9, 15, 16, 17, 37} {
+		buf := make([]byte, size)
+		rng.Read(buf)
+		total := size * 8
+		for n := 1; n <= MaxPeek; n++ {
+			for phase := 0; phase < 64; phase++ {
+				for k := 1; k <= 64; k++ {
+					r := NewReader(buf)
+					pos := 0
+					step := phase
+					for {
+						err := r.Skip(uint(step))
+						if pos+step > total {
+							if err != ErrOverrun {
+								t.Fatalf("size %d n %d phase %d k %d: Skip(%d) at bit %d of %d: err %v, want ErrOverrun",
+									size, n, phase, k, step, pos, total, err)
+							}
+							break
+						}
+						if err != nil {
+							t.Fatalf("size %d n %d phase %d k %d: Skip(%d) at bit %d of %d: %v",
+								size, n, phase, k, step, pos, total, err)
+						}
+						pos += step
+						if got, want := r.Peek(uint(n)), refBits(buf, pos, n); got != want {
+							t.Fatalf("size %d phase %d k %d: Peek(%d) at bit %d of %d = %#x, want %#x",
+								size, phase, k, n, pos, total, got, want)
+						}
+						if got := r.BitsRemaining(); got != total-pos {
+							t.Fatalf("size %d: BitsRemaining at bit %d = %d, want %d", size, pos, got, total-pos)
+						}
+						step = k
+					}
+				}
+			}
+		}
+	}
+}
+
+// Peek wider than MaxPeek cannot be served from one refill; it must panic
+// whatever happens to be buffered, never return zero-padded data while bytes
+// remain.
+func TestPeekBeyondMaxPanics(t *testing.T) {
+	buf := make([]byte, 32)
+	for n := uint(MaxPeek + 1); n <= 65; n++ {
+		for phase := uint(0); phase < 16; phase++ {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("Peek(%d) at phase %d did not panic", n, phase)
+					}
+				}()
+				r := NewReader(buf)
+				if err := r.Skip(phase); err != nil {
+					t.Fatal(err)
+				}
+				r.Peek(n)
+			}()
+		}
+	}
+}
+
+// Mixed ReadBits/ReadBit/Peek/Skip traffic over the refill paths must read
+// the same bits as the reference at every position.
+func TestReaderMixedAgainstReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 200; trial++ {
+		buf := make([]byte, rng.Intn(70))
+		rng.Read(buf)
+		r := NewReader(buf)
+		pos, total := 0, len(buf)*8
+		for pos < total {
+			n := rng.Intn(64) + 1
+			switch rng.Intn(4) {
+			case 0:
+				v, err := r.ReadBits(uint(n))
+				if pos+n > total {
+					if err != ErrOverrun {
+						t.Fatalf("ReadBits(%d) at %d/%d: err %v, want ErrOverrun", n, pos, total, err)
+					}
+					pos = total
+					continue
+				}
+				if err != nil || v != refBits(buf, pos, n) {
+					t.Fatalf("ReadBits(%d) at %d/%d = %#x, %v; want %#x", n, pos, total, v, err, refBits(buf, pos, n))
+				}
+				pos += n
+			case 1:
+				b, err := r.ReadBit()
+				if err != nil || uint64(b) != refBits(buf, pos, 1) {
+					t.Fatalf("ReadBit at %d/%d = %d, %v", pos, total, b, err)
+				}
+				pos++
+			case 2:
+				if n > MaxPeek {
+					n = MaxPeek
+				}
+				if got, want := r.Peek(uint(n)), refBits(buf, pos, n); got != want {
+					t.Fatalf("Peek(%d) at %d/%d = %#x, want %#x", n, pos, total, got, want)
+				}
+			default:
+				if pos+n > total {
+					n = total - pos
+				}
+				if err := r.Skip(uint(n)); err != nil {
+					t.Fatalf("Skip(%d) at %d/%d: %v", n, pos, total, err)
+				}
+				pos += n
+			}
+		}
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"lcpio/internal/ec"
 	"lcpio/internal/nfs"
 	"lcpio/internal/obs"
+	"lcpio/internal/par"
 	"lcpio/internal/retry"
 	"lcpio/internal/stream"
 	"lcpio/internal/wire"
@@ -491,19 +492,35 @@ func (s Set) MeanRelEB() float64 { return meanRelEB(s) }
 
 // meanRelEB is the raw-byte-weighted mean of each field's range-relative
 // error bound — the knob the machine package's cycle model takes.
+//
+// The value range is a scan of every element in front of every dump, so the
+// ranks are scanned in parallel, in float32: widening is exact and keeps
+// order, so the extrema widened once are the float64 scan's (NaNs compare
+// false and are skipped either way; which zero wins a tie cannot change
+// hi - lo).
 func meanRelEB(set Set) float64 {
 	var wsum, sum float64
 	for _, f := range set.Fields {
+		ext := make([][2]float32, len(f.Data))
+		par.Run(len(f.Data), runtime.GOMAXPROCS(0), func(r int) {
+			lo, hi := float32(math.Inf(1)), float32(math.Inf(-1))
+			for _, v := range f.Data[r] {
+				if v < lo {
+					lo = v
+				}
+				if v > hi {
+					hi = v
+				}
+			}
+			ext[r] = [2]float32{lo, hi}
+		})
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, rank := range f.Data {
-			for _, v := range rank {
-				fv := float64(v)
-				if fv < lo {
-					lo = fv
-				}
-				if fv > hi {
-					hi = fv
-				}
+		for _, e := range ext {
+			if l := float64(e[0]); l < lo {
+				lo = l
+			}
+			if h := float64(e[1]); h > hi {
+				hi = h
 			}
 		}
 		rng := hi - lo

@@ -44,13 +44,16 @@ type Code struct {
 	symsByCode []int32 // symbols sorted by (len, symbol)
 	maxLen     uint8
 
-	// Direct-lookup decode table, built lazily on the first DecodeAll:
+	// Decode tables, built lazily on the first Decode or DecodeAll (so a
+	// Code must not be shared between goroutines before its first decode):
 	// indexing by the next lutBits bits of the stream yields the symbol and
 	// its code length for every code no longer than lutBits. Longer codes
-	// fall back to the per-bit canonical walk.
+	// are resolved against limit: limit[l] is one past the last code of
+	// length l, left-aligned to maxLen bits.
 	lutBits uint8
 	lutLen  []uint8
 	lutSym  []int32
+	limit   [MaxCodeLen + 1]uint64
 }
 
 type hnode struct {
@@ -418,10 +421,10 @@ func (c *Code) EncodeAll(w *bitstream.Writer, syms []int) {
 // lutIndexBits caps the direct-lookup decode table at 2^12 entries (~20 KiB),
 // covering every code up to 12 bits in one table probe. SZ quantization codes
 // concentrate almost all mass on a few hundred symbols around the interval
-// radius, so in practice the fallback walk runs only for rare deep-tail codes.
+// radius, so in practice the long-code resolve runs only for deep-tail codes.
 const lutIndexBits = 12
 
-func (c *Code) buildLUT() {
+func (c *Code) buildDecodeTables() {
 	bits := uint8(lutIndexBits)
 	if c.maxLen < bits {
 		bits = c.maxLen
@@ -448,31 +451,19 @@ func (c *Code) buildLUT() {
 			}
 		}
 	}
+	for l := uint8(1); l <= c.maxLen; l++ {
+		count := uint64(c.firstSym[l+1] - c.firstSym[l])
+		c.limit[l] = (uint64(c.firstCode[l]) + count) << (c.maxLen - l)
+	}
 }
 
 // DecodeAll reads len(out) symbols from r into out, rejecting any symbol
-// >= max with ErrCorrupt. It decodes through the direct-lookup table —
-// Peek never overruns (it zero-pads), and Skip reports truncation — falling
-// back to the canonical per-bit walk only for codes longer than the table
-// index.
+// >= max with ErrCorrupt.
 func (c *Code) DecodeAll(r *bitstream.Reader, out []int, max int) error {
-	if c.lutBits == 0 {
-		c.buildLUT()
-	}
-	bits := uint(c.lutBits)
 	for i := range out {
-		v := r.Peek(bits)
-		var s int
-		if l := c.lutLen[v]; l != 0 {
-			if err := r.Skip(uint(l)); err != nil {
-				return err
-			}
-			s = int(c.lutSym[v])
-		} else {
-			var err error
-			if s, err = c.Decode(r); err != nil {
-				return err
-			}
+		s, err := c.Decode(r)
+		if err != nil {
+			return err
 		}
 		if s >= max {
 			return ErrCorrupt
@@ -482,20 +473,44 @@ func (c *Code) DecodeAll(r *bitstream.Reader, out []int, max int) error {
 	return nil
 }
 
-// Decode reads one symbol from r.
+// Decode reads one symbol from r: a table probe on the next lutBits bits —
+// Peek never overruns (it zero-pads), and Skip reports truncation — and the
+// canonical-limit resolve for the codes the table does not hold.
 func (c *Code) Decode(r *bitstream.Reader) (int, error) {
-	var code uint32
-	for l := uint8(1); l <= c.maxLen; l++ {
-		b, err := r.ReadBit()
-		if err != nil {
+	if c.lutBits == 0 {
+		c.buildDecodeTables()
+	}
+	v := r.Peek(uint(c.lutBits))
+	if l := c.lutLen[v]; l != 0 {
+		if err := r.Skip(uint(l)); err != nil {
 			return 0, err
 		}
-		code = code<<1 | uint32(b)
-		first := c.firstCode[l]
-		count := uint32(c.firstSym[l+1] - c.firstSym[l])
-		if count > 0 && code >= first && code < first+count {
-			return int(c.symsByCode[uint32(c.firstSym[l])+(code-first)]), nil
+		return int(c.lutSym[v]), nil
+	}
+	return c.decodeLong(r)
+}
+
+// decodeLong resolves a code longer than lutBits from one Peek(maxLen).
+// Canonical codes, left-aligned to maxLen bits, fill ascending disjoint
+// ranges in length order, each ending at limit[l]; so the code's length is
+// the first l whose limit exceeds the peeked word — the same l the per-bit
+// canonical walk stops at. A word at or beyond every limit is a prefix no
+// code has: ErrCorrupt when maxLen real bits were there to look at, and
+// ErrOverrun when the stream ran out first, as the walk would have reported.
+func (c *Code) decodeLong(r *bitstream.Reader) (int, error) {
+	maxLen := uint(c.maxLen)
+	v := r.Peek(maxLen)
+	for l := uint(c.lutBits) + 1; l <= maxLen; l++ {
+		if v < c.limit[l] {
+			if err := r.Skip(l); err != nil {
+				return 0, err
+			}
+			k := uint32(v>>(maxLen-l)) - c.firstCode[l]
+			return int(c.symsByCode[uint32(c.firstSym[l])+k]), nil
 		}
+	}
+	if r.BitsRemaining() < int(maxLen) {
+		return 0, bitstream.ErrOverrun
 	}
 	return 0, ErrCorrupt
 }
@@ -526,24 +541,29 @@ func (c *Code) WriteTable(w *bitstream.Writer) {
 func ReadTable(r *bitstream.Reader) (*Code, error) {
 	c := &Code{}
 	var lens []uint8
-	if err := ReadTableInto(r, c, &lens); err != nil {
+	if err := ReadTableInto(r, c, &lens, maxTableSyms); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
+// maxTableSyms is the widest alphabet a serialized table may claim.
+const maxTableSyms = 1 << 28
+
 // ReadTableInto is ReadTable decoding into a caller-owned Code and length
 // scratch buffer, so decoders that parse one table per partition reuse the
 // table storage across partitions instead of reallocating ~NumSymbols-sized
 // arrays each time. *lensBuf is grown as needed and left holding the parsed
-// lengths.
-func ReadTableInto(r *bitstream.Reader, c *Code, lensBuf *[]uint8) error {
+// lengths. A table claiming more than maxSyms symbols is ErrCorrupt before
+// anything is sized from the claim: the caller knows its alphabet, and the
+// storage it keeps across streams must not grow to a forged one.
+func ReadTableInto(r *bitstream.Reader, c *Code, lensBuf *[]uint8, maxSyms int) error {
 	n64, err := r.ReadBits(32)
 	if err != nil {
 		return err
 	}
 	n := int(n64)
-	if n < 0 || n > 1<<28 {
+	if n < 0 || n > min(maxSyms, maxTableSyms) {
 		return ErrCorrupt
 	}
 	lens := *lensBuf

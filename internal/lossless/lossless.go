@@ -224,6 +224,19 @@ func AppendCompress(dst, src []byte, opts Options) []byte {
 	return append(dst, w.Bytes()...)
 }
 
+// decState is the decode-side counterpart of encState: the bit reader, both
+// Huffman codes with their decode tables (a 12-bit table pair is ~20 KiB per
+// code) and the table-length scratch, so steady-state decompression allocates
+// nothing beyond growing dst.
+type decState struct {
+	r       bitstream.Reader
+	litLen  huffman.Code
+	dist    huffman.Code
+	lensBuf []uint8
+}
+
+var decPool = sync.Pool{New: func() any { return new(decState) }}
+
 // Decompress reverses Compress.
 func Decompress(buf []byte) ([]byte, error) {
 	return AppendDecompress(nil, buf)
@@ -233,7 +246,14 @@ func Decompress(buf []byte) ([]byte, error) {
 // returning the extended slice. Match distances are resolved only within the
 // newly decompressed region, never into the dst prefix.
 func AppendDecompress(dst, buf []byte) ([]byte, error) {
-	r := bitstream.NewReader(buf)
+	st := decPool.Get().(*decState)
+	defer decPool.Put(st)
+	return st.decompress(dst, buf)
+}
+
+func (st *decState) decompress(dst, buf []byte) ([]byte, error) {
+	r := &st.r
+	r.Reset(buf)
 	n64, err := r.ReadBits(64)
 	if err != nil {
 		return nil, err
@@ -253,14 +273,15 @@ func AppendDecompress(dst, buf []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	litLenCode, err := readTable(r)
-	if err != nil {
+	// A table wider than its token alphabet is forged: rejecting it before
+	// it is parsed keeps the pooled tables at their working size and every
+	// decoded symbol inside the base/extra-bits arrays.
+	litLenCode, distCode := &st.litLen, &st.dist
+	if err := huffman.ReadTableInto(r, litLenCode, &st.lensBuf, numLitLen); err != nil {
 		return nil, err
 	}
-	var distTab *code
 	if hasDist {
-		distTab, err = readTable(r)
-		if err != nil {
+		if err := huffman.ReadTableInto(r, distCode, &st.lensBuf, numDistSyms); err != nil {
 			return nil, err
 		}
 	}
@@ -276,7 +297,7 @@ func AppendDecompress(dst, buf []byte) ([]byte, error) {
 		out = append(make([]byte, 0, base+capHint), dst...)
 	}
 	for {
-		s, err := litLenCode.decode(r)
+		s, err := litLenCode.Decode(r)
 		if err != nil {
 			return nil, err
 		}
@@ -290,7 +311,7 @@ func AppendDecompress(dst, buf []byte) ([]byte, error) {
 			return out, nil
 		default:
 			lc := s - symLenBase
-			if lc >= 29 || distTab == nil {
+			if lc >= 29 || !hasDist {
 				return nil, ErrCorrupt
 			}
 			extra, err := r.ReadBits(lenExtra[lc])
@@ -298,7 +319,7 @@ func AppendDecompress(dst, buf []byte) ([]byte, error) {
 				return nil, err
 			}
 			length := lenBase[lc] + int(extra)
-			ds, err := distTab.decode(r)
+			ds, err := distCode.Decode(r)
 			if err != nil {
 				return nil, err
 			}
@@ -313,15 +334,29 @@ func AppendDecompress(dst, buf []byte) ([]byte, error) {
 			if len(out)-base+length > rawLen {
 				return nil, ErrCorrupt
 			}
-			start := len(out) - dist
-			for i := 0; i < length; i++ {
-				out = append(out, out[start+i])
-			}
+			out = appendMatch(out, dist, length)
 		}
 		if len(out)-base > rawLen {
 			return nil, ErrCorrupt
 		}
 	}
+}
+
+// appendMatch appends length bytes starting dist back from the end of out.
+// When the match overlaps its own output (dist < length) the source is a
+// period-dist pattern, so each pass copies everything produced so far and the
+// available span doubles; dist >= length is a single copy.
+func appendMatch(out []byte, dist, length int) []byte {
+	start := len(out) - dist
+	for length > 0 {
+		n := len(out) - start
+		if n > length {
+			n = length
+		}
+		out = append(out, out[start:start+n]...)
+		length -= n
+	}
+	return out
 }
 
 func hash4(b []byte) uint32 {

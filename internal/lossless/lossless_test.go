@@ -218,22 +218,6 @@ func BenchmarkCompressWindow(b *testing.B) {
 	}
 }
 
-func BenchmarkDecompress(b *testing.B) {
-	src := make([]byte, 1<<18)
-	for i := range src {
-		src[i] = byte((i / 11) % 61)
-	}
-	comp := Compress(src, Options{})
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decompress(comp); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func byteSize(n int) string {
 	return fmt.Sprintf("%dKiB", n>>10)
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // code is a thin adapter over huffman.Code keeping call sites in the token
-// coder terse.
+// encoder terse.
 type code struct {
 	h *huffman.Code
 }
@@ -23,14 +23,5 @@ func mustBuildWith(b *huffman.Builder, freqs []uint64) code {
 	return code{h: h}
 }
 
-func (c *code) encode(w *bitstream.Writer, s int)       { c.h.Encode(w, s) }
-func (c *code) decode(r *bitstream.Reader) (int, error) { return c.h.Decode(r) }
-func (c *code) writeTable(w *bitstream.Writer)          { c.h.WriteTable(w) }
-
-func readTable(r *bitstream.Reader) (*code, error) {
-	h, err := huffman.ReadTable(r)
-	if err != nil {
-		return nil, err
-	}
-	return &code{h: h}, nil
-}
+func (c *code) encode(w *bitstream.Writer, s int) { c.h.Encode(w, s) }
+func (c *code) writeTable(w *bitstream.Writer)    { c.h.WriteTable(w) }

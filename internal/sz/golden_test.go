@@ -221,3 +221,29 @@ func TestGoldenStreams(t *testing.T) {
 		})
 	}
 }
+
+// TestGoldenStreamPrefixes: every byte-prefix of every golden stream, both
+// format versions and precisions, is an error from the public decoders —
+// never a success, never a panic. The word-at-a-time entropy decoders peek
+// zero-padded bits past the end of their input; this pins that truncation
+// still surfaces.
+func TestGoldenStreamPrefixes(t *testing.T) {
+	paths, _ := filepath.Glob(filepath.Join("testdata", "golden_*.szs"))
+	if len(paths) == 0 {
+		t.Fatal("no golden streams")
+	}
+	for _, path := range paths {
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 0; cut < len(buf); cut++ {
+			if _, _, err := Decompress(buf[:cut]); err == nil {
+				t.Fatalf("%s: Decompress of %d-byte prefix succeeded", path, cut)
+			}
+			if _, _, err := Decompress64(buf[:cut]); err == nil {
+				t.Fatalf("%s: Decompress64 of %d-byte prefix succeeded", path, cut)
+			}
+		}
+	}
+}

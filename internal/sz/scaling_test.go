@@ -124,6 +124,43 @@ func TestCompressAllocsSteadyAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestDecompressAllocsSteadyAcrossWorkers is the decode row of the pin above:
+// a warm Decompressor allocates its output and little else. The lossless
+// stage's two Huffman codes, their decode tables and the table-length
+// scratch come from a pool, so the count no longer grows with the number of
+// partitions (it was ~10 per partition, 163 on this 16-partition field).
+func TestDecompressAllocsSteadyAcrossWorkers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-runtime bookkeeping inflates alloc counts")
+	}
+	data, dims := multiPartField(t)
+	buf, err := Compress(data, dims, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	measure := func(workers int) float64 {
+		d := NewDecompressor(Options{Parallelism: workers})
+		if _, _, err := d.Decompress(buf); err != nil { // warm: size all lanes
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, _, err := d.Decompress(buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+
+	a1 := measure(1)
+	a8 := measure(8)
+	if a1 > 32 {
+		t.Fatalf("1-worker warm decompress allocates %.0f times/op; want <= 32 (per-partition tables must be pooled)", a1)
+	}
+	if a8 > 128 {
+		t.Fatalf("8-worker warm decompress allocates %.0f times/op; want <= 128", a8)
+	}
+}
+
 // TestScalingGate is the CI scaling gate invoked by scripts/check.sh: on a
 // host with at least 8 cores, 8-worker compression must run at >= 3x the
 // 1-worker throughput. It is opt-in via LCPIO_SCALING_GATE because wall-time

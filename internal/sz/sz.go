@@ -859,7 +859,7 @@ func decodePartition[F Float](lane *decLane[F], payload []byte, outPart []F, dim
 	br := &lane.br
 	br.Reset(huffPayload)
 	code := &lane.code
-	if err := huffman.ReadTableInto(br, code, &lane.lens); err != nil {
+	if err := huffman.ReadTableInto(br, code, &lane.lens, quantCount); err != nil {
 		return fmt.Errorf("sz: huffman table: %w", err)
 	}
 	if cap(lane.codes) < n {

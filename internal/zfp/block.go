@@ -425,49 +425,130 @@ func encodePlanes(w *bitstream.Writer, nb []uint64, kmin, kmax int) {
 	}
 }
 
-// decodePlanes mirrors encodePlanes.
+// decodePlanes mirrors encodePlanes word for word. A 64-coefficient block is
+// rebuilt as one plane word per bit plane — the raw prefix reversed out of a
+// single read, each group-test run located with one LeadingZeros64 — held in
+// nb itself (plane k in nb[k]) until a single transpose64 turns the planes
+// back into coefficients, the way gatherPlanes made them. The 4- and
+// 16-coefficient blocks have too few columns to pay for a transpose (or for
+// clearing 64 words): they decode their runs the same way and drop each bit
+// straight into its coefficient.
 func decodePlanes(r *bitstream.Reader, nb []uint64, kmin, kmax int) error {
 	size := len(nb)
-	for i := range nb {
-		nb[i] = 0
+	if size != 64 {
+		return decodePlanesSmall(r, nb, kmin, kmax)
 	}
+	// Every word outside [kmin, kmax) must be an empty plane for the
+	// transpose; the ones inside are all assigned below.
+	clear(nb[:kmin])
+	clear(nb[kmax:])
 	n := 0
 	for k := kmax - 1; k >= kmin; k-- {
-		// The raw prefix is read in one call (n <= 64); bit n-1 of v was
-		// written first and belongs to coefficient 0.
+		var x uint64
+		// Bit n-1 of the raw prefix was written first and belongs to
+		// coefficient 0: reversed, it is the low n bits of the plane word.
 		if n > 0 {
 			v, err := r.ReadBits(uint(n))
 			if err != nil {
 				return err
 			}
-			for i := 0; i < n; i++ {
-				nb[i] |= ((v >> uint(n-1-i)) & 1) << uint(k)
-			}
+			x = bits.Reverse64(v) >> (64 - uint(n))
 		}
-		for i := n; i < size; {
-			g, err := r.ReadBit()
+		for n < size {
+			i, err := decodeRun(r, n, size)
 			if err != nil {
 				return err
 			}
-			if g == 0 {
+			if i < 0 {
 				break
 			}
-			for i < size-1 {
-				b, err := r.ReadBit()
-				if err != nil {
-					return err
-				}
-				if b == 1 {
-					break
-				}
-				i++
+			x |= 1 << uint(i)
+			n = i + 1
+		}
+		nb[k] = x
+	}
+	transpose64((*[64]uint64)(nb))
+	return nil
+}
+
+func decodePlanesSmall(r *bitstream.Reader, nb []uint64, kmin, kmax int) error {
+	size := len(nb)
+	clear(nb)
+	n := 0
+	for k := kmax - 1; k >= kmin; k-- {
+		bit := uint64(1) << uint(k)
+		if n > 0 {
+			// n <= 16 here, so the prefix is one peek; Skip reports a
+			// prefix the stream does not hold.
+			v := r.Peek(uint(n))
+			if err := r.Skip(uint(n)); err != nil {
+				return err
 			}
-			nb[i] |= 1 << uint(k)
-			i++
-			n = i
+			for i := n - 1; i >= 0; i-- {
+				nb[i] |= bit & -(v & 1)
+				v >>= 1
+			}
+		}
+		for n < size {
+			i, err := decodeRun(r, n, size)
+			if err != nil {
+				return err
+			}
+			if i < 0 {
+				break
+			}
+			nb[i] |= bit
+			n = i + 1
 		}
 	}
 	return nil
+}
+
+// decodeRun reads one group test of a plane whose coefficients before i are
+// already decided: a zero group bit (no coefficient from i on is set in this
+// plane) returns -1; otherwise the run "1 0^t 1" — or "1 0^t" when it reaches
+// the last slot, whose set bit the group bit already announced — returns
+// i+t, the coefficient that just became significant.
+//
+// The run is measured on peeked bits, as many as it can span. Peek zero-pads
+// past the end of the stream, so padding can only lengthen a run of zeros,
+// never supply its terminating one; every bit the answer rests on is then
+// consumed by Skip, which reports the overrun. A truncated stream therefore
+// ends in ErrOverrun, never in a fabricated coefficient.
+func decodeRun(r *bitstream.Reader, i, size int) (int, error) {
+	span := uint(size - i + 1) // group bit, at most size-1-i zeros, terminator
+	if span > bitstream.MaxPeek {
+		span = bitstream.MaxPeek
+	}
+	w := r.Peek(span) << (64 - span)
+	if w>>63 == 0 {
+		return -1, r.Skip(1)
+	}
+	w <<= 1
+	used, avail := uint(1), span-1
+	for {
+		t := uint(bits.LeadingZeros64(w))
+		m := uint(size - 1 - i) // zeros that would reach the last slot
+		if t < m && t < avail {
+			used += t + 1
+			i += int(t)
+			break
+		}
+		if m <= avail {
+			used += m
+			i += int(m)
+			break
+		}
+		// Nothing but zeros so far and the run goes on: take them and
+		// peek again.
+		if err := r.Skip(used + avail); err != nil {
+			return 0, err
+		}
+		i += int(avail)
+		used, avail = 0, bitstream.MaxPeek
+		w = r.Peek(avail) << (64 - avail)
+	}
+	return i, r.Skip(used)
 }
 
 // decodeBlock reads one block into blk. nb is caller-provided negabinary

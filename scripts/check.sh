@@ -27,6 +27,13 @@ go test -run '^Fuzz' ./...
 go test -count=1 -run 'Quick|Invariant' \
     ./internal/zfp/ ./internal/sz/ ./internal/squant/ -quickchecks 10000
 
+# Decode micro-benchmarks, one iteration each, so they cannot rot: the
+# literal-heavy lossless case, the long-tail Huffman case and the per-
+# dimension plane decoder are the ones that see the regime the end-to-end
+# restore runs in.
+go test -run '^$' -bench 'Decode|Decompress' -benchtime 1x \
+    ./internal/huffman/ ./internal/lossless/ ./internal/zfp/
+
 # The benchmark is a nested module that root `go test ./...` does not
 # reach: vet and test it, and smoke every workload, so an internal/ API
 # change that breaks its build fails here and not at the next measurement.
