@@ -191,8 +191,8 @@ func cmdCkptWrite(args []string) error {
 	elems := fs.Int("elems", 1<<16, "target elements per rank per field")
 	relEB := fs.Float64("releb", 1e-3, "range-relative error bound")
 	seed := fs.Int64("seed", 1, "synthetic data seed (rank r uses seed+r)")
-	parity := fs.Int("parity", 0, "Reed-Solomon parity shards per field stripe (format v2; any <= m lost ranks reconstruct on restore)")
-	baseSpec := fs.String("base", "", "write an incremental set (format v3) deduped against this base set file; comma-append the base's own chain, immediate base first")
+	parity := fs.Int("parity", 0, "Reed-Solomon parity shards per field stripe (any <= m lost ranks reconstruct on restore)")
+	baseSpec := fs.String("base", "", "write an incremental set deduped against this base set file; comma-append the base's own chain, immediate base first")
 	churnFlag := fs.Float64("churn", 0, "perturb this fraction of each rank's payload beyond the bound (synthetic churn for delta scenarios)")
 	churnSeed := fs.Int64("churn-seed", 1, "seed for the churned region placement")
 	queue := fs.Int("queue", 0, "pipeline queue depth (0 = 2x workers)")
@@ -533,13 +533,11 @@ func cmdCkptStats(args []string) error {
 	if err != nil {
 		return err
 	}
-	version := 1
+	kind := "full set"
 	if m.IsDelta() {
-		version = 3
-	} else if m.ParityRanks > 0 {
-		version = 2
+		kind = "delta set"
 	}
-	fmt.Printf("%s: %q (format v%d)\n", *in, m.SetName, version)
+	fmt.Printf("%s: %q (%s)\n", *in, m.SetName, kind)
 	fmt.Printf("  geometry:        %d ranks x %d fields, codec %s\n", m.Ranks, len(m.Fields), m.Codec)
 	fmt.Printf("  raw bytes:       %d\n", m.RawBytes())
 	fmt.Printf("  payload bytes:   %d (file %d)\n", m.PayloadBytes(), fm.Size())

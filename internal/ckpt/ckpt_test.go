@@ -288,7 +288,7 @@ func TestVerifyShallowAndDeep(t *testing.T) {
 	med := NewMemMedium()
 	res := mustWrite(t, med, set, WriteOptions{Workers: 2})
 	for _, deep := range []bool{false, true} {
-		rep, err := Verify(med, deep, 2)
+		rep, err := VerifySet(med, VerifyOptions{Deep: deep, Workers: 2})
 		if err != nil {
 			t.Fatalf("Verify(deep=%v): %v", deep, err)
 		}
@@ -298,7 +298,7 @@ func TestVerifyShallowAndDeep(t *testing.T) {
 	}
 	c := res.Manifest.Chunk(0, 1)
 	med.Corrupt(c.Offset + 1)
-	rep, err := Verify(med, false, 2)
+	rep, err := VerifySet(med, VerifyOptions{Workers: 2})
 	if err != nil {
 		t.Fatalf("Verify corrupted: %v", err)
 	}

@@ -54,7 +54,7 @@ func (o CampaignOptions) pricer() *phases.Pricer {
 // the redundancy premium is itemized per iteration and tuned like any other
 // NFS transfer. With WithRestore each iteration also reads the payload back
 // and decompresses it — a clean restart never reads parity.
-// A delta write (format v3) has a different pipeline: a dedup pass over the
+// A delta write has a different pipeline: a dedup pass over the
 // full raw state (Compression-class: frequency-scaled CPU work), compression
 // of only the locally-stored raw bytes at their measured ratio, and the
 // (much smaller) delta-file write. WithRestore is not supported for delta
@@ -141,13 +141,13 @@ type ParityEnergy struct {
 	// BreakEvenLossProb is the per-checkpoint probability of losing a rank
 	// at which the parity premium equals the expected redump saving:
 	// ParityJoules = p · (RedumpJoules − ReconstructJoules). Below it,
-	// plain v1 dumps are cheaper; above it, parity pays for itself.
+	// plain dumps are cheaper; above it, parity pays for itself.
 	// +Inf when reconstruction is not cheaper than redumping.
 	BreakEvenLossProb float64
 }
 
 // ParityEnergy prices this write's erasure-coding layer under Eqn 3. It is
-// only meaningful for parity sets; calling it on a v1 result returns a zero
+// only meaningful for parity sets; calling it on a plain result returns a zero
 // report with BreakEvenLossProb = +Inf (no premium, nothing to break even).
 func (r *WriteResult) ParityEnergy(opts CampaignOptions) (ParityEnergy, error) {
 	opts = opts.normalized()

@@ -5,14 +5,16 @@
 // restores it with digest verification, bounded re-reads of corrupted
 // chunks, and explicit partial-restore reporting when a rank is lost.
 //
-// Set layout on the medium:
+// Set layout on the medium — one format, every feature a manifest field:
 //
 //	header:  magic, version                                (8 bytes)
-//	payload: one container blob per (rank, field) chunk, rank-major,
-//	         written in logical order by the pipelined scheduler
-//	parity:  (format v2) m Reed–Solomon shards per field stripe,
+//	payload: full set: one container blob per (rank, field) chunk,
+//	         rank-major; delta set (ChainDepth > 0): one blob per run of
+//	         content the base chain lacks — either way written in logical
+//	         order by the pipelined scheduler
+//	parity:  (ParityRanks > 0) m Reed–Solomon shards per field stripe,
 //	         field-major, each digest-listed in the manifest
-//	manifest: encoded Manifest (see below)
+//	manifest: encoded Manifest (see encode)
 //	footer:  manifest offset, length, CRC32C, magic        (24 bytes)
 //
 // The writer overlaps parallel compression with draining completed chunks
@@ -32,10 +34,10 @@ import (
 )
 
 const (
-	magic     = 0x4C435054 // "LCPT"
-	version   = 1
-	version2  = 2 // v1 + erasure-coded parity ranks per field stripe
-	version3  = 3 // delta set: content-defined chunks dedup'd against a base set
+	magic = 0x4C435054 // "LCPT"
+	// version is the one set format; a set stamped with any other value is
+	// refused as unsupported rather than parsed.
+	version   = 4
 	headerLen = 8
 	footerLen = 24
 
@@ -112,8 +114,7 @@ type ChunkInfo struct {
 	CRC         uint32
 }
 
-// BlobInfo describes one stored chunk of a delta set (format v3): the
-// compressed container payload of one content-defined chunk that was not
+// BlobInfo describes one stored chunk of a delta set: the compressed container payload of one content-defined chunk that was not
 // found in the base. Blobs are shared — a chunk appearing in several
 // (rank, field) payloads is stored once and referenced Refs times.
 type BlobInfo struct {
@@ -136,7 +137,7 @@ type BlobInfo struct {
 	owner int
 }
 
-// ChunkRef is one entry of a (rank, field) chunk-ref stream (format v3).
+// ChunkRef is one entry of a delta set's (rank, field) chunk-ref stream.
 // Entries tile the field payload in order: each covers RawLen raw bytes,
 // either from a local blob (Blob >= 0) or from the base set's restored
 // content at (BaseRank, BaseField, BaseRawOff), authenticated by Digest —
@@ -165,10 +166,11 @@ type Manifest struct {
 	Codec  string
 	Ranks  int
 	Fields []FieldInfo
-	// Chunks holds Ranks×len(Fields) entries in rank-major order.
+	// Chunks holds Ranks×len(Fields) entries in rank-major order (full sets;
+	// nil on a delta set, whose payload is Blobs/Entries below).
 	Chunks []ChunkInfo
 	// ParityRanks is the number of Reed–Solomon parity shards appended to
-	// each field's rank stripe (format v2; 0 in v1 sets). Any <= ParityRanks
+	// each field's rank stripe (0 = no parity layer). Any <= ParityRanks
 	// lost or corrupt data chunks of a field can be reconstructed.
 	ParityRanks int
 	// ParityChunks holds len(Fields)×ParityRanks entries, field-major:
@@ -176,18 +178,19 @@ type Manifest struct {
 	// field's stripe. Parity entries reuse ChunkInfo with Rank = Ranks+j
 	// (a virtual parity rank); their Size is the stripe length — the
 	// largest data chunk of the field, to which shorter chunks are
-	// zero-padded during encode. In a v3 delta set the stripe member of
+	// zero-padded during encode. In a delta set the stripe member of
 	// (field, rank) is the concatenation of the blobs OWNED by that
 	// (rank, field) stream — parity covers only locally-written bytes;
 	// base-referenced content is the base set's responsibility.
 	ParityChunks []ChunkInfo
 
-	// Delta-set fields (format v3; zero values on v1/v2 sets).
+	// Delta-set fields (zero values on full sets).
 	//
 	// BaseName names the immediate base set; BasePin is the CRC32C of the
 	// base's canonical encoded manifest, so restore refuses a same-named
 	// impostor. ChainDepth is this set's distance from the full set at the
-	// root of the chain (1 = delta on a full set; capped at maxChainDepth).
+	// root of the chain (0 = full set, 1 = delta on a full set; capped at
+	// maxChainDepth).
 	BaseName   string
 	BasePin    uint32
 	ChainDepth int
@@ -200,7 +203,7 @@ type Manifest struct {
 	Entries [][]ChunkRef
 }
 
-// IsDelta reports whether the set dedups against a base chain (format v3).
+// IsDelta reports whether the set dedups against a base chain.
 func (m *Manifest) IsDelta() bool { return m.ChainDepth > 0 }
 
 // DedupParams returns the chunking geometry the set was written with.
@@ -256,17 +259,6 @@ func (m *Manifest) ParityBytes() int64 {
 	return n
 }
 
-// formatVersion is the wire version this manifest encodes as.
-func (m *Manifest) formatVersion() uint32 {
-	if m.IsDelta() {
-		return version3
-	}
-	if m.ParityRanks > 0 {
-		return version2
-	}
-	return version
-}
-
 // RawBytes is the uncompressed payload size the set represents.
 func (m *Manifest) RawBytes() int64 {
 	var n int64
@@ -301,12 +293,22 @@ func readString(rd *wire.Reader, maxLen int) (string, bool) {
 	return string(rd.Bytes(n)), rd.Err() == nil
 }
 
-// encode serializes the manifest. A set with no parity encodes exactly as
-// format v1 — adding the erasure-coding layer changed no v1 byte.
+// appendExtent encodes one {offset, size, CRC} table entry — the shape chunk,
+// blob and parity-shard tables share.
+func appendExtent(b []byte, off, size int64, crc uint32) []byte {
+	b = wire.AppendUint64(b, uint64(off))
+	b = wire.AppendUint64(b, uint64(size))
+	return wire.AppendUint32(b, crc)
+}
+
+// encode serializes the manifest: identity, field table, then the two counts
+// that select the sections after them — ChainDepth 0 means a dense chunk
+// table, > 0 base provenance + blob table + chunk-ref streams; ParityRanks
+// > 0 appends the parity-shard table.
 func (m *Manifest) encode() []byte {
 	var b []byte
 	b = wire.AppendUint32(b, magic)
-	b = wire.AppendUint32(b, m.formatVersion())
+	b = wire.AppendUint32(b, version)
 	b = appendString(b, m.SetName)
 	b = appendString(b, m.Meta)
 	b = appendString(b, m.Codec)
@@ -320,20 +322,17 @@ func (m *Manifest) encode() []byte {
 		}
 		b = wire.AppendFloat64(b, f.ErrorBound)
 	}
+	b = wire.AppendUint32(b, uint32(m.ParityRanks))
+	b = wire.AppendUint32(b, uint32(m.ChainDepth))
 	if m.IsDelta() {
-		// v3 replaces the dense chunk table with base provenance, chunking
-		// geometry, the blob table, and per-(rank,field) chunk-ref streams.
 		b = appendString(b, m.BaseName)
 		b = wire.AppendUint32(b, m.BasePin)
-		b = wire.AppendUint32(b, uint32(m.ChainDepth))
 		b = wire.AppendUint32(b, uint32(m.DedupMin))
 		b = wire.AppendUint32(b, uint32(m.DedupAvg))
 		b = wire.AppendUint32(b, uint32(m.DedupMax))
 		b = wire.AppendUint32(b, uint32(len(m.Blobs)))
 		for _, bl := range m.Blobs {
-			b = wire.AppendUint64(b, uint64(bl.Offset))
-			b = wire.AppendUint64(b, uint64(bl.Size))
-			b = wire.AppendUint32(b, bl.CRC)
+			b = appendExtent(b, bl.Offset, bl.Size, bl.CRC)
 			b = wire.AppendUint32(b, uint32(bl.RawLen))
 			b = append(b, bl.Digest[:]...)
 			b = wire.AppendUint32(b, uint32(bl.Refs))
@@ -354,41 +353,41 @@ func (m *Manifest) encode() []byte {
 				}
 			}
 		}
-		// v3 always carries the parity count (0 = no parity layer).
-		b = wire.AppendUint32(b, uint32(m.ParityRanks))
-		for _, c := range m.ParityChunks {
-			b = wire.AppendUint64(b, uint64(c.Offset))
-			b = wire.AppendUint64(b, uint64(c.Size))
-			b = wire.AppendUint32(b, c.CRC)
-		}
-		return b
 	}
 	for _, c := range m.Chunks {
-		b = wire.AppendUint64(b, uint64(c.Offset))
-		b = wire.AppendUint64(b, uint64(c.Size))
-		b = wire.AppendUint32(b, c.CRC)
+		b = appendExtent(b, c.Offset, c.Size, c.CRC)
 	}
-	if m.ParityRanks > 0 {
-		b = wire.AppendUint32(b, uint32(m.ParityRanks))
-		for _, c := range m.ParityChunks {
-			b = wire.AppendUint64(b, uint64(c.Offset))
-			b = wire.AppendUint64(b, uint64(c.Size))
-			b = wire.AppendUint32(b, c.CRC)
-		}
+	for _, c := range m.ParityChunks {
+		b = appendExtent(b, c.Offset, c.Size, c.CRC)
 	}
 	return b
 }
 
+// validExtent reports whether [off, off+size) lies inside the payload region
+// [headerLen, end) — the one bounds check behind every chunk, blob and
+// parity-shard entry. It subtracts rather than adds, so a forged size
+// cannot wrap the end of the extent back inside the region.
+func validExtent(off, size, end int64) bool {
+	return off >= headerLen && off <= end && size >= 0 && size <= end-off
+}
+
+// readExtent decodes and bounds-checks one table entry.
+func readExtent(rd *wire.Reader, payloadEnd int64) (c ChunkInfo, ok bool) {
+	c.Offset = int64(rd.Uint64())
+	c.Size = int64(rd.Uint64())
+	c.CRC = rd.Uint32()
+	return c, rd.Err() == nil && validExtent(c.Offset, c.Size, payloadEnd)
+}
+
 // parseManifest decodes and validates a manifest against the set's file
-// size. Every count is capped before allocation and every chunk must lie
-// inside the payload region.
+// size. Every count is capped before allocation and every stored extent
+// must lie inside the payload region.
 func parseManifest(buf []byte, fileSize int64) (*Manifest, error) {
 	rd := wire.NewReader(buf, ErrCorrupt)
 	if rd.Uint32() != magic {
 		return nil, ErrCorrupt
 	}
-	v := rd.Uint32()
-	if v != version && v != version2 && v != version3 {
+	if v := rd.Uint32(); v != version {
 		if rd.Err() != nil {
 			return nil, ErrCorrupt
 		}
@@ -442,60 +441,46 @@ func parseManifest(buf []byte, fileSize int64) (*Manifest, error) {
 			return nil, ErrCorrupt
 		}
 	}
+	m.ParityRanks = int(rd.Uint32())
+	m.ChainDepth = int(rd.Uint32())
+	if rd.Err() != nil || m.ParityRanks < 0 || m.ParityRanks > maxParityRanks ||
+		(m.ParityRanks > 0 && m.Ranks+m.ParityRanks > ec.MaxShards) ||
+		m.ChainDepth < 0 || m.ChainDepth > maxChainDepth {
+		return nil, ErrCorrupt
+	}
 	payloadEnd := fileSize - footerLen
-	if v == version3 {
+	if m.IsDelta() {
 		if err := parseDelta(&rd, &m, payloadEnd); err != nil {
 			return nil, err
 		}
-		if rd.Remaining() != 0 {
-			return nil, ErrCorrupt
-		}
-		return &m, nil
-	}
-	n := m.Ranks * nFields
-	m.Chunks = make([]ChunkInfo, n)
-	for i := range m.Chunks {
-		c := &m.Chunks[i]
-		c.Rank, c.Field = i/nFields, i%nFields
-		c.Offset = int64(rd.Uint64())
-		c.Size = int64(rd.Uint64())
-		c.CRC = rd.Uint32()
-		if rd.Err() != nil || c.Offset < headerLen || c.Size < 0 ||
-			c.Offset+c.Size > payloadEnd || c.Offset+c.Size < c.Offset {
-			return nil, ErrCorrupt
-		}
-	}
-	if v == version2 {
-		m.ParityRanks = int(rd.Uint32())
-		if rd.Err() != nil || m.ParityRanks < 1 || m.ParityRanks > maxParityRanks ||
-			m.Ranks+m.ParityRanks > ec.MaxShards {
-			return nil, ErrCorrupt
-		}
-		m.ParityChunks = make([]ChunkInfo, nFields*m.ParityRanks)
-		for i := range m.ParityChunks {
-			c := &m.ParityChunks[i]
-			c.Field = i / m.ParityRanks
-			c.Rank = m.Ranks + i%m.ParityRanks
-			c.Offset = int64(rd.Uint64())
-			c.Size = int64(rd.Uint64())
-			c.CRC = rd.Uint32()
-			if rd.Err() != nil || c.Offset < headerLen || c.Size < 0 ||
-				c.Offset+c.Size > payloadEnd || c.Offset+c.Size < c.Offset {
+	} else {
+		m.Chunks = make([]ChunkInfo, m.Ranks*nFields)
+		for i := range m.Chunks {
+			if m.Chunks[i], ok = readExtent(&rd, payloadEnd); !ok {
 				return nil, ErrCorrupt
 			}
+			m.Chunks[i].Rank, m.Chunks[i].Field = i/nFields, i%nFields
 		}
-		// Stripe coherence: every parity shard of a field carries the
-		// stripe length — the largest data chunk of that field, to which
-		// shorter chunks are zero-padded during encode.
+	}
+	if m.ParityRanks > 0 {
+		m.ParityChunks = make([]ChunkInfo, nFields*m.ParityRanks)
+		for i := range m.ParityChunks {
+			if m.ParityChunks[i], ok = readExtent(&rd, payloadEnd); !ok {
+				return nil, ErrCorrupt
+			}
+			m.ParityChunks[i].Rank, m.ParityChunks[i].Field = m.Ranks+i%m.ParityRanks, i/m.ParityRanks
+		}
+		// Stripe coherence: every parity shard of a field carries the stripe
+		// length — the longest region of any rank in that field, to which
+		// shorter regions are zero-padded during encode.
+		regions := m.regionSizes()
 		for fi := 0; fi < nFields; fi++ {
-			var shardLen int64
+			var stripeLen int64
 			for r := 0; r < m.Ranks; r++ {
-				if s := m.Chunk(r, fi).Size; s > shardLen {
-					shardLen = s
-				}
+				stripeLen = max(stripeLen, regions[r*nFields+fi])
 			}
 			for j := 0; j < m.ParityRanks; j++ {
-				if m.ParityChunk(fi, j).Size != shardLen {
+				if m.ParityChunk(fi, j).Size != stripeLen {
 					return nil, ErrCorrupt
 				}
 			}
@@ -507,8 +492,8 @@ func parseManifest(buf []byte, fileSize int64) (*Manifest, error) {
 	return &m, nil
 }
 
-// parseDelta decodes the v3 sections (base provenance, chunking geometry,
-// blob table, chunk-ref streams, parity) into m, enforcing the format's
+// parseDelta decodes a delta set's sections (base provenance, chunking
+// geometry, blob table, chunk-ref streams) into m, enforcing the format's
 // structural invariants so a forged manifest can neither demand giant
 // allocations nor smuggle an inconsistent dedup graph past restore:
 //
@@ -516,23 +501,18 @@ func parseManifest(buf []byte, fileSize int64) (*Manifest, error) {
 //   - every (rank, field) ref stream tiles its field payload exactly;
 //   - each blob's wire refcount equals the number of entries citing it;
 //   - blob owners (first-citing stream) are non-decreasing — the order the
-//     in-order drain loop necessarily commits them in;
-//   - parity stripes match the per-rank local-region lengths.
+//     in-order drain loop necessarily commits them in.
 func parseDelta(rd *wire.Reader, m *Manifest, payloadEnd int64) error {
 	var ok bool
 	if m.BaseName, ok = readString(rd, maxNameLen); !ok || m.BaseName == "" {
 		return ErrCorrupt
 	}
 	m.BasePin = rd.Uint32()
-	m.ChainDepth = int(rd.Uint32())
 	m.DedupMin = int(rd.Uint32())
 	m.DedupAvg = int(rd.Uint32())
 	m.DedupMax = int(rd.Uint32())
-	if rd.Err() != nil || m.ChainDepth < 1 || m.ChainDepth > maxChainDepth {
-		return ErrCorrupt
-	}
 	p := m.DedupParams()
-	if p.Validate() != nil {
+	if rd.Err() != nil || p.Validate() != nil {
 		return ErrCorrupt
 	}
 
@@ -545,14 +525,13 @@ func parseDelta(rd *wire.Reader, m *Manifest, payloadEnd int64) error {
 	offset := int64(headerLen)
 	for i := range m.Blobs {
 		b := &m.Blobs[i]
-		b.Offset = int64(rd.Uint64())
-		b.Size = int64(rd.Uint64())
-		b.CRC = rd.Uint32()
+		c, ok := readExtent(rd, payloadEnd)
+		b.Offset, b.Size, b.CRC = c.Offset, c.Size, c.CRC
 		b.RawLen = int(rd.Uint32())
 		copy(b.Digest[:], rd.Bytes(DigestWireLen))
 		b.Refs = int(rd.Uint32())
 		b.owner = -1
-		if rd.Err() != nil || b.Offset != offset || b.Size < 1 || b.Offset+b.Size > payloadEnd ||
+		if rd.Err() != nil || !ok || b.Offset != offset || b.Size < 1 ||
 			b.RawLen < dedupAlign || b.RawLen > dedup.MaxChunkSize || b.RawLen%dedupAlign != 0 ||
 			b.Refs < 1 || b.Refs > maxChunks {
 			return ErrCorrupt
@@ -630,57 +609,45 @@ func parseDelta(rd *wire.Reader, m *Manifest, payloadEnd int64) error {
 		}
 		owner = m.Blobs[i].owner
 	}
-
-	m.ParityRanks = int(rd.Uint32())
-	if rd.Err() != nil || m.ParityRanks < 0 || m.ParityRanks > maxParityRanks ||
-		m.Ranks+m.ParityRanks > ec.MaxShards {
-		return ErrCorrupt
-	}
-	if m.ParityRanks == 0 {
-		return nil
-	}
-	m.ParityChunks = make([]ChunkInfo, nFields*m.ParityRanks)
-	for i := range m.ParityChunks {
-		c := &m.ParityChunks[i]
-		c.Field = i / m.ParityRanks
-		c.Rank = m.Ranks + i%m.ParityRanks
-		c.Offset = int64(rd.Uint64())
-		c.Size = int64(rd.Uint64())
-		c.CRC = rd.Uint32()
-		if rd.Err() != nil || c.Offset < headerLen || c.Size < 0 ||
-			c.Offset+c.Size > payloadEnd || c.Offset+c.Size < c.Offset {
-			return ErrCorrupt
-		}
-	}
-	// Stripe coherence: every parity shard of a field carries the stripe
-	// length — the longest local region (concatenated owned blobs) of any
-	// rank in that field.
-	regions := m.localRegionSizes()
-	for fi := 0; fi < nFields; fi++ {
-		var stripeLen int64
-		for r := 0; r < m.Ranks; r++ {
-			if s := regions[r*nFields+fi]; s > stripeLen {
-				stripeLen = s
-			}
-		}
-		for j := 0; j < m.ParityRanks; j++ {
-			if m.ParityChunk(fi, j).Size != stripeLen {
-				return ErrCorrupt
-			}
-		}
-	}
 	return nil
 }
 
-// localRegionSizes returns, per rank-major (rank, field) stream, the total
-// compressed size of the blobs that stream owns — the stripe member the
-// parity layer protects.
-func (m *Manifest) localRegionSizes() []int64 {
-	regions := make([]int64, m.Ranks*len(m.Fields))
+// regionSizes returns, per rank-major (rank, field) stream, the stored bytes
+// the parity layer protects as that stream's stripe member: its chunk on a
+// full set, the concatenation of the blobs it owns on a delta set.
+func (m *Manifest) regionSizes() []int64 {
+	regions := make([]int64, m.NumChunks())
+	for i := range m.Chunks {
+		regions[i] = m.Chunks[i].Size
+	}
 	for i := range m.Blobs {
 		regions[m.Blobs[i].owner] += m.Blobs[i].Size
 	}
 	return regions
+}
+
+// piece is the read path's uniform view of one stored payload extent — a
+// (rank, field) chunk of a full set or a blob of a delta set: where it
+// lies, the stream whose parity region carries it (Rank, Field), and the
+// shape its container payload must decode to.
+type piece struct {
+	ChunkInfo
+	dims []int
+}
+
+func (m *Manifest) pieces() []piece {
+	nFields := len(m.Fields)
+	ps := make([]piece, 0, len(m.Chunks)+len(m.Blobs))
+	for _, c := range m.Chunks {
+		ps = append(ps, piece{c, m.Fields[c.Field].Dims})
+	}
+	for _, b := range m.Blobs {
+		ps = append(ps, piece{
+			ChunkInfo{Rank: b.owner / nFields, Field: b.owner % nFields, Offset: b.Offset, Size: b.Size, CRC: b.CRC},
+			[]int{b.RawLen / 4},
+		})
+	}
+	return ps
 }
 
 // ReadManifest locates the footer on the medium, verifies the manifest's
@@ -730,7 +697,7 @@ func OverheadBytes(fields, ranks, avgNameLen, ndims int) int64 {
 	if ndims <= 0 {
 		ndims = 3
 	}
-	manifest := int64(8)                                        // magic+version
+	manifest := int64(8)                                        // magic+version (the two section counts ride in the name slack)
 	manifest += 3 * int64(4+avgNameLen)                         // set name, meta, codec
 	manifest += 8                                               // ranks + nfields
 	manifest += int64(fields) * int64(4+avgNameLen+4+8*ndims+8) // field table

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"lcpio/internal/dedup"
@@ -112,7 +113,7 @@ func FuzzReadManifest(f *testing.F) {
 }
 
 // fuzzDeltaBytes writes a full set plus an incremental set on top of it and
-// returns both byte images. The delta carries every v3 structure the decoder
+// returns both byte images. The delta carries every delta-set structure the decoder
 // must survive corruption of: the blob table, per-stream chunk-ref streams
 // with base refs, refcounts, the base pin, and the chain depth.
 func fuzzDeltaBytes(f *testing.F) (full, delta []byte) {
@@ -161,7 +162,7 @@ func fuzzDeltaBytes(f *testing.F) (full, delta []byte) {
 	return append([]byte(nil), baseMed.Bytes()...), append([]byte(nil), deltaMed.Bytes()...)
 }
 
-// FuzzReadManifestDelta drives the v3 manifest decoder with corrupted
+// FuzzReadManifestDelta drives the manifest decoder with corrupted
 // incremental sets: truncations, bit flips across the blob table and ref
 // streams (dangling base refs, refcount mismatches, oversized RawLens), and
 // a damaged base pin. Contract: decode yields a coherent manifest or an
@@ -192,6 +193,15 @@ func FuzzReadManifestDelta(f *testing.F) {
 		c[pos] ^= 0x80
 		f.Add(c)
 	}
+	// A forged blob table under a valid manifest digest: the last blob's
+	// Size wraps Offset+Size negative, which the extent check must refuse
+	// before Restore sizes a read buffer from it.
+	forged, err := ReadManifest(memOf(f, delta))
+	if err != nil {
+		f.Fatal(err)
+	}
+	forged.Blobs[len(forged.Blobs)-1].Size = math.MaxInt64
+	f.Add(reimage(delta, forged))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		med := NewMemMedium()

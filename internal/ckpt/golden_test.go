@@ -2,15 +2,20 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"lcpio/internal/dedup"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden checkpoint images")
 
-// goldenSet is the fixed input behind the pinned v1/v2 byte images. Any
+// goldenSet is the fixed input behind the pinned byte images. Any
 // change here invalidates testdata/*.lcpt — regenerate with -update and
 // justify the format change in DESIGN.md.
 func goldenSet() Set {
@@ -37,24 +42,52 @@ func goldenSet() Set {
 	}
 }
 
-// TestGoldenFormatBytes pins the v1 and v2 wire images: a v3-aware Write
-// with no Base must keep emitting byte-identical pre-delta sets, and the
-// v3-aware reader must keep decoding them. The fixtures were generated
-// from the pre-v3 writer, so a mismatch means the on-disk format drifted
-// for users who never opt into incremental checkpoints.
+// goldenDeltaSet is goldenSet one step later: the middle third of rank 1's
+// rho moved well past its bound, everything else unchanged.
+func goldenDeltaSet() Set {
+	set := goldenSet()
+	set.Name = "golden-delta"
+	d := set.Fields[0].Data[1]
+	for i := len(d) / 3; i < 2*len(d)/3; i++ {
+		d[i] += 0.75
+	}
+	return set
+}
+
+// TestGoldenFormatBytes pins the wire image of the one set format in its
+// three shapes — full, full with parity, and a delta with parity written
+// against the pinned full image — and checks each pinned image still
+// restores within bound and deep-verifies. A mismatch means the on-disk
+// format drifted: bump `version`, regenerate with -update, and justify the
+// change in DESIGN.md.
 func TestGoldenFormatBytes(t *testing.T) {
 	cases := []struct {
-		file string
-		opts WriteOptions
-		ver  uint32
+		file  string
+		set   Set
+		opts  WriteOptions
+		delta bool
 	}{
-		{"golden_v1.lcpt", WriteOptions{Workers: 2}, 1},
-		{"golden_v2.lcpt", WriteOptions{Workers: 2, ParityRanks: 1}, 2},
+		{"golden_full.lcpt", goldenSet(), WriteOptions{Workers: 2}, false},
+		{"golden_parity.lcpt", goldenSet(), WriteOptions{Workers: 2, ParityRanks: 1}, false},
+		{"golden_delta_parity.lcpt", goldenDeltaSet(), WriteOptions{Workers: 2, ParityRanks: 1}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.file, func(t *testing.T) {
+			var bases []Medium
+			if tc.delta {
+				full, err := os.ReadFile(filepath.Join("testdata", cases[0].file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				bases = []Medium{memOf(t, full)}
+				tc.opts.Base, err = OpenBase(bases[0], nil,
+					dedup.Params{MinSize: 32, AvgSize: 64, MaxSize: 128}, RestoreOptions{Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
 			med := NewMemMedium()
-			if _, err := Write(med, goldenSet(), tc.opts); err != nil {
+			if _, err := Write(med, tc.set, tc.opts); err != nil {
 				t.Fatal(err)
 			}
 			got := med.Bytes()
@@ -72,46 +105,55 @@ func TestGoldenFormatBytes(t *testing.T) {
 				t.Fatalf("%v (run with -update to regenerate)", err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("Write emits %d bytes that differ from the pinned "+
-					"v%d image (%d bytes): the pre-delta wire format drifted",
-					len(got), tc.ver, len(want))
+				t.Fatalf("Write emits %d bytes that differ from the pinned image (%d bytes): "+
+					"the wire format drifted", len(got), len(want))
 			}
 
-			// The pinned image must round-trip through the v3-aware reader.
 			m, err := ReadManifest(med)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m.IsDelta() {
-				t.Fatalf("v%d image decodes as a delta set", tc.ver)
+			if m.IsDelta() != tc.delta || m.ParityRanks != tc.opts.ParityRanks {
+				t.Fatalf("image decodes as delta=%v parity=%d", m.IsDelta(), m.ParityRanks)
 			}
-			if m.formatVersion() != tc.ver {
-				t.Fatalf("format version %d, want %d", m.formatVersion(), tc.ver)
+			if tc.delta && (len(m.Blobs) == 0 || m.RefRawBytes() == 0) {
+				t.Fatalf("delta image pins no mix of blobs and base refs: %d blobs, %d ref bytes",
+					len(m.Blobs), m.RefRawBytes())
 			}
-			res, err := Restore(med, RestoreOptions{Workers: 2})
+			res, err := Restore(med, RestoreOptions{Workers: 2, Bases: bases})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want32 := goldenSet()
-			for fi, fd := range res.Fields {
-				for r := range fd.Data {
-					orig := want32.Fields[fi].Data[r]
-					bound := want32.Fields[fi].ErrorBound
-					for i, v := range fd.Data[r] {
-						if d := float64(v - orig[i]); d > bound || d < -bound {
-							t.Fatalf("field %d rank %d elem %d: |%g| > %g",
-								fi, r, i, d, bound)
-						}
-					}
-				}
-			}
-			rep, err := VerifySet(med, VerifyOptions{Deep: true, Workers: 2})
+			checkRestored(t, tc.set, res)
+			rep, err := VerifySet(med, VerifyOptions{Deep: true, Workers: 2, Bases: bases})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(rep.Failed) > 0 || len(rep.ParityFailed) > 0 {
-				t.Fatalf("pinned v%d image fails deep verify: %+v", tc.ver, rep)
+			if len(rep.Failed) > 0 || len(rep.ParityFailed) > 0 || rep.BaseErr != nil {
+				t.Fatalf("pinned image fails deep verify: %+v", rep)
 			}
 		})
+	}
+}
+
+// TestOtherVersionsRefused: a set stamped with any version but the current
+// one — the three retired per-feature layouts included — is refused as
+// unsupported, not misparsed and not reported as corruption.
+func TestOtherVersionsRefused(t *testing.T) {
+	image, err := os.ReadFile(filepath.Join("testdata", "golden_full.lcpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadManifest(memOf(t, image))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint32{0, 1, 2, 3, version + 1} {
+		mb := m.encode()
+		binary.LittleEndian.PutUint32(mb[4:], v)
+		_, err := parseManifest(mb, int64(len(image)))
+		if err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version") {
+			t.Errorf("version %d: %v, want unsupported version", v, err)
+		}
 	}
 }

@@ -89,7 +89,8 @@ func TestWritePipelineOccupancy(t *testing.T) {
 	}
 }
 
-// TestDeltaWritePipelineOccupancy is the same check for the v3 delta path.
+// TestDeltaWritePipelineOccupancy is the same check for a delta write: the
+// same engine under its own pipeline and stage names.
 func TestDeltaWritePipelineOccupancy(t *testing.T) {
 	prev := obs.Active()
 	t.Cleanup(func() { obs.Use(prev) })
@@ -111,8 +112,8 @@ func TestDeltaWritePipelineOccupancy(t *testing.T) {
 	if !ok {
 		t.Fatal("ckpt.delta_write pipeline missing from snapshot")
 	}
-	if p.Workers != 2+1 {
-		t.Fatalf("pipeline workers = %d, want 3 (classifiers + drain)", p.Workers)
+	if p.Workers != 2+2 {
+		t.Fatalf("pipeline workers = %d, want 4 (classifiers + drain + dispatcher)", p.Workers)
 	}
 	n := int64(set2.Ranks * len(set2.Fields))
 	if got := p.Stages["classify_compress"].Items; got != n {

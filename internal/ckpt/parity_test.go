@@ -38,7 +38,7 @@ func TestParityWriteByteIdenticalAcrossWorkerCounts(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(ref, med.Bytes()) {
-			t.Fatalf("workers=%d: v2 file bytes differ from workers=1", workers)
+			t.Fatalf("workers=%d: file bytes differ from workers=1", workers)
 		}
 		for i, c := range res.Manifest.ParityChunks {
 			if c != refParity[i] {
@@ -276,7 +276,7 @@ func TestVerifyScansParityAndReportsReconstructability(t *testing.T) {
 	med := NewMemMedium()
 	res := mustWrite(t, med, set, WriteOptions{Workers: 2, ParityRanks: 2})
 
-	rep, err := Verify(med, true, 2)
+	rep, err := VerifySet(med, VerifyOptions{Deep: true, Workers: 2})
 	if err != nil {
 		t.Fatalf("Verify clean: %v", err)
 	}
@@ -290,7 +290,7 @@ func TestVerifyScansParityAndReportsReconstructability(t *testing.T) {
 	// One data chunk + one parity shard of field 0 lost: still within budget.
 	med.Corrupt(res.Manifest.Chunk(0, 0).Offset + 1)
 	med.Corrupt(res.Manifest.ParityChunk(0, 1).Offset + 1)
-	rep, err = Verify(med, false, 2)
+	rep, err = VerifySet(med, VerifyOptions{Workers: 2})
 	if err != nil {
 		t.Fatalf("Verify damaged: %v", err)
 	}
@@ -304,7 +304,7 @@ func TestVerifyScansParityAndReportsReconstructability(t *testing.T) {
 	// A third stripe member of field 0 gone: budget exceeded.
 	med.Corrupt(res.Manifest.Chunk(2, 0).Offset + 1)
 	med.Corrupt(res.Manifest.Chunk(3, 0).Offset + 1)
-	rep, err = Verify(med, false, 2)
+	rep, err = VerifySet(med, VerifyOptions{Workers: 2})
 	if err != nil {
 		t.Fatalf("Verify over budget: %v", err)
 	}
@@ -313,29 +313,28 @@ func TestVerifyScansParityAndReportsReconstructability(t *testing.T) {
 	}
 }
 
+// TestParityV1SetsUnchanged: a set written without parity carries no parity
+// section and verifies as trivially reconstructable.
 func TestParityV1SetsUnchanged(t *testing.T) {
 	set := testSet(3)
 	med := NewMemMedium()
 	res := mustWrite(t, med, set, WriteOptions{Workers: 2})
 	if res.ParityRanks != 0 || res.ParityBytes != 0 || res.ParityOverhead() != 0 {
-		t.Fatalf("parity fields set on v1 write: %+v", res)
-	}
-	if res.Manifest.formatVersion() != version {
-		t.Fatalf("formatVersion = %d, want v1", res.Manifest.formatVersion())
+		t.Fatalf("parity fields set on a plain write: %+v", res)
 	}
 	m, err := ReadManifest(med)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.ParityRanks != 0 || len(m.ParityChunks) != 0 {
-		t.Fatalf("v1 manifest grew parity entries: %+v", m)
+		t.Fatalf("plain manifest grew parity entries: %+v", m)
 	}
-	rep, err := Verify(med, false, 2)
+	rep, err := VerifySet(med, VerifyOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.ParityChunks != 0 || !rep.Reconstructable {
-		t.Fatalf("v1 verify %+v", rep)
+		t.Fatalf("plain verify %+v", rep)
 	}
 }
 
@@ -414,14 +413,14 @@ func TestParityEnergyBreakEven(t *testing.T) {
 		t.Fatalf("break-even = %v, want finite positive", pe.BreakEvenLossProb)
 	}
 
-	// A v1 result has no premium and nothing to break even.
+	// A plain result has no premium and nothing to break even.
 	plain := mustWrite(t, NewMemMedium(), testSet(4), WriteOptions{Workers: 2})
 	pe0, err := plain.ParityEnergy(CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pe0.ParityJoules != 0 || !math.IsInf(pe0.BreakEvenLossProb, 1) {
-		t.Fatalf("v1 parity economics %+v", pe0)
+		t.Fatalf("plain parity economics %+v", pe0)
 	}
 }
 

@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
 	"lcpio/internal/container"
 	"lcpio/internal/ec"
 	"lcpio/internal/nfs"
 	"lcpio/internal/obs"
+	"lcpio/internal/par"
 )
 
 // RestoreOptions tunes Restore.
@@ -28,10 +28,10 @@ type RestoreOptions struct {
 	AllowPartial bool
 	// Mount is the simulated NFS read path (zero value = DefaultMount).
 	Mount nfs.Mount
-	// Bases is the base chain for delta sets (format v3), immediate base
-	// first: Bases[0] holds the set this one dedups against, Bases[1:] is
-	// that base's own chain. Ignored for full sets. A delta set restored
-	// without its chain fails with ErrBase.
+	// Bases is the base chain for delta sets, immediate base first: Bases[0]
+	// holds the set this one dedups against, Bases[1:] is that base's own
+	// chain. Ignored for full sets. A delta set restored without its chain
+	// fails with ErrBase.
 	Bases []Medium
 }
 
@@ -64,7 +64,7 @@ type RestoreReport struct {
 	ChunksReread int
 	// ChunksReconstructed counts chunks whose re-reads were exhausted and
 	// that were instead rebuilt byte-identically from the field stripe's
-	// Reed–Solomon parity shards (format v2 sets only).
+	// Reed–Solomon parity shards (on a delta set the unit is a stored blob).
 	ChunksReconstructed int
 	// ReconstructedRanks lists ranks with at least one reconstructed
 	// chunk, sorted and deduplicated.
@@ -152,8 +152,7 @@ type Restored struct {
 	Manifest *Manifest
 	Fields   []RestoredField
 	Report   RestoreReport
-	// Base is the restored base set when this set is a delta (format v3);
-	// nil otherwise.
+	// Base is the restored base set when this set is a delta; nil otherwise.
 	Base *Restored
 }
 
@@ -167,7 +166,9 @@ func (r *Restored) Field(name string) *RestoredField {
 	return nil
 }
 
-type chunkOutcome struct {
+// outcome is what the fetch/verify/decode pass — and reconstruction after
+// it — left of one stored piece.
+type outcome struct {
 	data          []float32
 	raw           []byte // verified compressed bytes; kept only on parity sets
 	err           error
@@ -177,13 +178,16 @@ type chunkOutcome struct {
 	simSec        float64
 }
 
-// Restore reads a checkpoint set back: it decodes the manifest, fans chunks
-// across Workers parallel readers, verifies every chunk's CRC32C digest
-// before decompression, and re-reads only the chunks whose digests fail —
-// transient corruption costs one extra fetch of that chunk, nothing else.
-// Unrecoverable chunks fail the restore unless AllowPartial is set, in
-// which case the affected ranks return nil Data and the report lists every
-// failure and fully missing rank explicitly.
+// Restore reads a checkpoint set back in one pass over one format: decode
+// the manifest (and, for a delta set, restore its base chain); fetch every
+// stored piece across Workers parallel readers, verifying its CRC32C digest
+// before decompression and re-reading only the pieces whose digests fail —
+// transient corruption costs one extra fetch of that piece, nothing else;
+// rebuild pieces that exhausted their re-reads from the parity layer; then
+// assemble each (rank, field) payload and report. Unrecoverable payloads
+// fail the restore unless AllowPartial is set, in which case the affected
+// ranks return nil Data and the report lists every failure and fully
+// missing rank explicitly.
 func Restore(med Medium, opts RestoreOptions) (*Restored, error) {
 	opts = opts.normalized()
 	span := obs.Start("ckpt.restore")
@@ -206,48 +210,68 @@ func Restore(med Medium, opts RestoreOptions) (*Restored, error) {
 		}
 		manifestRetries++
 	}
-	if m.IsDelta() {
-		return restoreDelta(med, m, manifestRetries, opts)
-	}
-	n := m.NumChunks()
 	nFields := len(m.Fields)
-	outcomes := make([]chunkOutcome, n)
-
-	// On parity sets every verified chunk keeps its compressed bytes so a
-	// reconstruction pass can use it as a stripe source without re-reading.
-	keepRaw := m.ParityRanks > 0
-	var wg sync.WaitGroup
-	next := make(chan int)
-	go func() {
-		defer close(next)
-		for i := 0; i < n; i++ {
-			next <- i
-		}
-	}()
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				outcomes[i] = restoreChunk(med, m, i, opts, keepRaw)
-			}
-		}()
-	}
-	wg.Wait()
-
 	out := &Restored{Manifest: m, Fields: make([]RestoredField, nFields)}
 	rep := &out.Report
 	// The manifest fetch itself rides the simulated read path.
 	rep.Retries = manifestRetries
 	rep.SimReadSeconds = float64(1+manifestRetries) *
 		opts.Mount.Read(int64(len(m.encode()))+footerLen).NetworkSeconds
-
-	// Chunks that exhausted their re-reads fall back to the parity layer:
-	// any <= ParityRanks lost or corrupt data chunks per field stripe are
-	// rebuilt byte-identically before decode.
-	if keepRaw {
-		reconstructMissing(med, m, outcomes, opts, rep)
+	if m.IsDelta() {
+		if out.Base, err = resolveBase(m, opts.Bases, opts); err != nil {
+			return nil, err
+		}
+		rep.Retries += out.Base.Report.Retries
+		rep.SimReadSeconds += out.Base.Report.SimReadSeconds
 	}
+
+	// On parity sets every verified piece keeps its compressed bytes so the
+	// reconstruction pass can use it as a stripe source without re-reading.
+	pieces := m.pieces()
+	keepRaw := m.ParityRanks > 0
+	outcomes := make([]outcome, len(pieces))
+	par.Run(len(pieces), opts.Workers, func(i int) {
+		o := readVerified(med, &pieces[i].ChunkInfo, opts)
+		if o.err == nil {
+			o.data, o.err = decodePiece(&pieces[i], o.raw)
+		}
+		if !keepRaw || o.err != nil {
+			o.raw = nil
+		}
+		outcomes[i] = o
+	})
+	for i := range outcomes {
+		o := &outcomes[i]
+		rep.SimReadSeconds += o.simSec
+		rep.Retries += o.retries
+		if o.reread {
+			rep.ChunksReread++
+			obs.Add("lcpio_ckpt_chunks_reread_total", 1)
+		}
+	}
+	if keepRaw {
+		reconstruct(med, m, pieces, outcomes, opts, rep)
+	}
+	for i := range outcomes {
+		if outcomes[i].reconstructed {
+			rep.ChunksReconstructed++
+			rep.ReconstructedRanks = append(rep.ReconstructedRanks, pieces[i].Rank)
+			obs.Add("lcpio_ckpt_chunks_reconstructed_total", 1)
+		}
+	}
+
+	// Assemble each (rank, field) payload: a full set's chunk is the payload;
+	// a delta set's is tiled from its blobs and digest-checked base content.
+	assemble := func(s int) ([]float32, error) { return outcomes[s].data, outcomes[s].err }
+	if m.IsDelta() {
+		baseRaw := baseBytes(out.Base)
+		assemble = func(s int) ([]float32, error) { return assembleStream(m, s, outcomes, out.Base, baseRaw) }
+	}
+	n := m.NumChunks()
+	data := make([][]float32, n)
+	errs := make([]error, n)
+	par.Run(n, opts.Workers, func(s int) { data[s], errs[s] = assemble(s) })
+
 	for fi, f := range m.Fields {
 		out.Fields[fi] = RestoredField{
 			Name:       f.Name,
@@ -257,27 +281,15 @@ func Restore(med Medium, opts RestoreOptions) (*Restored, error) {
 		}
 	}
 	rankOK := make([]bool, m.Ranks)
-	for i := range outcomes {
-		o := &outcomes[i]
-		rank, field := i/nFields, i%nFields
-		rep.SimReadSeconds += o.simSec
-		rep.Retries += o.retries
-		if o.reread {
-			rep.ChunksReread++
-			obs.Add("lcpio_ckpt_chunks_reread_total", 1)
-		}
-		if o.err != nil {
-			rep.Failed = append(rep.Failed, ChunkError{Rank: rank, Field: field, Err: o.err})
+	for s := range data {
+		rank, fi := s/nFields, s%nFields
+		if errs[s] != nil {
+			rep.Failed = append(rep.Failed, ChunkError{Rank: rank, Field: fi, Err: errs[s]})
 			continue
 		}
 		rep.ChunksOK++
-		if o.reconstructed {
-			rep.ChunksReconstructed++
-			rep.ReconstructedRanks = append(rep.ReconstructedRanks, rank)
-			obs.Add("lcpio_ckpt_chunks_reconstructed_total", 1)
-		}
 		rankOK[rank] = true
-		out.Fields[field].Data[rank] = o.data
+		out.Fields[fi].Data[rank] = data[s]
 	}
 	for r, ok := range rankOK {
 		if !ok {
@@ -286,53 +298,65 @@ func Restore(med Medium, opts RestoreOptions) (*Restored, error) {
 	}
 	rep.normalize()
 	if len(rep.Failed) > 0 && !opts.AllowPartial {
-		return nil, fmt.Errorf("ckpt: %d of %d chunks unrecoverable (first: %v)",
-			len(rep.Failed), n, rep.Failed[0])
+		first := rep.Failed[0]
+		return nil, fmt.Errorf("ckpt: %d of %d chunks unrecoverable (first: rank %d, field %d: %w)",
+			len(rep.Failed), n, first.Rank, first.Field, first.Err)
 	}
 	return out, nil
 }
 
-// reconstructMissing rebuilds data chunks whose re-reads were exhausted
-// from their field stripe's Reed–Solomon parity shards. Per field: if the
-// number of failed data chunks is within the erasure budget (ParityRanks),
-// the surviving chunks plus as many parity shards as needed are assembled
-// into a stripe — shorter chunks zero-padded to the stripe length, exactly
-// as the writer folded them — and the missing shards are recomputed. Each
-// rebuilt chunk must still match its manifest digest before it is decoded,
-// so a reconstruction can never silently substitute wrong bytes. Failures
-// here leave the chunk's original error in place and the restore degrades
-// to the usual partial report.
-func reconstructMissing(med Medium, m *Manifest, outcomes []chunkOutcome, opts RestoreOptions, rep *RestoreReport) {
+// reconstruct rebuilds pieces whose re-reads were exhausted from their
+// field stripe's Reed–Solomon parity shards. The stripe member of (rank,
+// field) is the concatenation of the pieces that stream owns — its one chunk
+// on a full set, its blobs on a delta set — zero-padded to the stripe
+// length exactly as the writer folded it. Per field: when the ranks with a
+// failed piece number within the erasure budget (ParityRanks), the intact
+// regions plus as many parity shards as needed are solved for the missing
+// ones. Each rebuilt piece must still match its manifest digest before it is
+// decoded, so a reconstruction can never silently substitute wrong bytes.
+// Failures here leave the piece's original error in place and the restore
+// degrades to the usual partial report.
+func reconstruct(med Medium, m *Manifest, pieces []piece, outcomes []outcome, opts RestoreOptions, rep *RestoreReport) {
 	coder, err := ec.New(m.Ranks, m.ParityRanks)
 	if err != nil {
-		// Geometry outside coder limits is rejected at manifest parse; this
-		// is unreachable on a set that decoded, but degrade gracefully.
-		return
+		return // geometry outside coder limits is rejected at manifest parse
 	}
 	span := obs.Start("ckpt.reconstruct")
 	defer span.End()
 	nFields := len(m.Fields)
+	owned := make([][]int, m.NumChunks())
+	for i := range pieces {
+		s := pieces[i].Rank*nFields + pieces[i].Field
+		owned[s] = append(owned[s], i)
+	}
 	for fi := 0; fi < nFields; fi++ {
-		var failed []int
-		for r := 0; r < m.Ranks; r++ {
-			if outcomes[r*nFields+fi].err != nil {
-				failed = append(failed, r)
+		failed := make([]bool, m.Ranks) // ranks with at least one failed owned piece
+		nFailed := 0
+		for r := range failed {
+			for _, pi := range owned[r*nFields+fi] {
+				if outcomes[pi].err != nil {
+					failed[r] = true
+					nFailed++
+					break
+				}
 			}
 		}
-		if len(failed) == 0 || len(failed) > m.ParityRanks {
+		if nFailed == 0 || nFailed > m.ParityRanks {
 			continue // nothing lost, or beyond the erasure budget
 		}
 		stripeLen := int(m.ParityChunk(fi, 0).Size)
 		shards := make([][]byte, m.Ranks+m.ParityRanks)
 		avail := 0
-		for r := 0; r < m.Ranks; r++ {
-			o := &outcomes[r*nFields+fi]
-			if o.err != nil {
+		for r := range failed {
+			if failed[r] {
 				continue
 			}
-			padded := make([]byte, stripeLen)
-			copy(padded, o.raw)
-			shards[r] = padded
+			region := make([]byte, stripeLen)
+			off := 0
+			for _, pi := range owned[r*nFields+fi] {
+				off += copy(region[off:], outcomes[pi].raw)
+			}
+			shards[r] = region
 			avail++
 		}
 		// Fetch just enough parity shards to reach k sources; a parity shard
@@ -357,28 +381,45 @@ func reconstructMissing(med Medium, m *Manifest, outcomes []chunkOutcome, opts R
 		if err := coder.Reconstruct(shards, opts.Workers); err != nil {
 			continue
 		}
-		for _, r := range failed {
-			o := &outcomes[r*nFields+fi]
-			c := m.Chunk(r, fi)
-			blob := shards[r][:c.Size]
-			if Digest(blob) != c.CRC {
-				o.err = fmt.Errorf("%w: reconstructed chunk digest mismatch", ErrCorrupt)
+		for r := range failed {
+			if !failed[r] {
 				continue
 			}
-			o.err = nil
-			decodeChunk(o, &m.Fields[fi], blob)
-			if o.err == nil {
-				o.reconstructed = true
+			off := 0
+			for _, pi := range owned[r*nFields+fi] {
+				p, o := &pieces[pi], &outcomes[pi]
+				blob := shards[r][off : off+int(p.Size)]
+				off += int(p.Size)
+				if o.err == nil {
+					continue
+				}
+				if Digest(blob) != p.CRC {
+					o.err = fmt.Errorf("%w: reconstructed chunk digest mismatch", ErrCorrupt)
+					continue
+				}
+				o.data, o.err = decodePiece(p, blob)
+				o.reconstructed = o.err == nil
 			}
 		}
 	}
 }
 
-// readVerified fetches one chunk's bytes and verifies its digest,
-// re-reading on transient read errors and digest mismatches with capped
-// backoff. On success o.raw holds the verified bytes.
-func readVerified(med Medium, c *ChunkInfo, opts RestoreOptions) chunkOutcome {
-	var o chunkOutcome
+// fetch reads one stored extent into buf and checks its digest.
+func fetch(med Medium, c *ChunkInfo, buf []byte) error {
+	if _, err := med.ReadAt(buf, c.Offset); err != nil {
+		return err
+	}
+	if Digest(buf) != c.CRC {
+		return fmt.Errorf("%w: chunk digest mismatch", ErrCorrupt)
+	}
+	return nil
+}
+
+// readVerified fetches one extent with its digest verified, re-reading on
+// transient read errors and digest mismatches with capped backoff. On
+// success o.raw holds the verified bytes.
+func readVerified(med Medium, c *ChunkInfo, opts RestoreOptions) outcome {
+	var o outcome
 	buf := make([]byte, c.Size)
 	var lastErr error
 	for attempt := 1; attempt <= opts.Retry.MaxAttempts; attempt++ {
@@ -388,56 +429,31 @@ func readVerified(med Medium, c *ChunkInfo, opts RestoreOptions) chunkOutcome {
 			o.simSec += opts.Retry.backoff(attempt - 1)
 		}
 		o.simSec += opts.Mount.Read(c.Size).NetworkSeconds
-		if _, err := med.ReadAt(buf, c.Offset); err != nil {
-			lastErr = err
-			if errors.Is(err, ErrTransient) {
-				continue
-			}
-			o.err = err
+		if lastErr = fetch(med, c, buf); lastErr == nil {
+			o.raw = buf
 			return o
 		}
-		if Digest(buf) != c.CRC {
-			lastErr = fmt.Errorf("%w: chunk digest mismatch", ErrCorrupt)
-			continue
+		if !errors.Is(lastErr, ErrTransient) && !errors.Is(lastErr, ErrCorrupt) {
+			o.err = lastErr
+			return o
 		}
-		o.raw = buf
-		return o
 	}
 	o.err = fmt.Errorf("giving up after %d attempts: %w", opts.Retry.MaxAttempts, lastErr)
 	return o
 }
 
-// decodeChunk decompresses verified chunk bytes and checks the shape
-// against the manifest, updating o in place.
-func decodeChunk(o *chunkOutcome, f *FieldInfo, blob []byte) {
+// decodePiece decompresses a piece's verified bytes and checks the shape
+// against the manifest. A payload that passes its digest but fails here
+// will not change on re-read.
+func decodePiece(p *piece, blob []byte) ([]float32, error) {
 	data, dims, err := container.Unpack(blob, container.Options{Parallelism: 1})
 	if err != nil {
-		// A payload that passes its digest but fails to decode will not
-		// change on re-read.
-		o.err = err
-		return
+		return nil, err
 	}
-	if len(data) != f.Elems() || !dimsEqual(dims, f.Dims) {
-		o.err = fmt.Errorf("%w: chunk shape %v disagrees with manifest %v", ErrCorrupt, dims, f.Dims)
-		return
+	if !dimsEqual(dims, p.dims) {
+		return nil, fmt.Errorf("%w: chunk shape %v disagrees with manifest %v", ErrCorrupt, dims, p.dims)
 	}
-	o.data = data
-}
-
-// restoreChunk fetches, verifies, and decompresses one data chunk. keepRaw
-// retains the verified compressed bytes so a later reconstruction pass can
-// use the chunk as a stripe source without re-reading it.
-func restoreChunk(med Medium, m *Manifest, idx int, opts RestoreOptions, keepRaw bool) chunkOutcome {
-	c := &m.Chunks[idx]
-	o := readVerified(med, c, opts)
-	if o.err != nil {
-		return o
-	}
-	decodeChunk(&o, &m.Fields[c.Field], o.raw)
-	if !keepRaw || o.err != nil {
-		o.raw = nil
-	}
-	return o
+	return data, nil
 }
 
 func dimsEqual(a, b []int) bool {
@@ -458,7 +474,7 @@ type VerifyReport struct {
 	ChunksOK int
 	Failed   []ChunkError
 	// ParityChunks/ParityOK/ParityFailed cover the Reed–Solomon parity
-	// shards of format v2 sets (all zero/nil on v1 sets). Parity shards are
+	// shards (all zero/nil on sets without parity). Parity shards are
 	// digest-checked only; they hold raw stripe bytes, not payloads, so
 	// deep mode does not try to decompress them.
 	ParityChunks int
@@ -492,20 +508,12 @@ type VerifyOptions struct {
 	Bases []Medium
 }
 
-// Verify checks a checkpoint set without materializing it: manifest digest
-// and structure always, then every chunk's CRC32C; with deep set it also
-// decompresses each data chunk to prove the payloads decode. On format v2
-// sets the parity shards are digest-scanned too and the report says
-// whether any damage found is still within the erasure budget. Workers fan
-// the chunk scans (0 = GOMAXPROCS). Delta sets (format v3) get their
-// stored blobs scanned; pass the base chain via VerifySet to also check
-// base references.
-func Verify(med Medium, deep bool, workers int) (*VerifyReport, error) {
-	return VerifySet(med, VerifyOptions{Deep: deep, Workers: workers})
-}
-
-// VerifySet is Verify with options; on delta sets it can additionally
-// resolve the base chain and digest-check every base reference.
+// VerifySet checks a checkpoint set without materializing it: manifest
+// digest and structure always, then the CRC32C of every stored piece and
+// parity shard; with Deep it also decompresses each piece to prove the
+// payloads decode. The report says whether any damage found is still within
+// the erasure budget, and — when a delta set's base chain is provided —
+// whether every base reference still matches the restored base.
 func VerifySet(med Medium, opts VerifyOptions) (*VerifyReport, error) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -515,70 +523,46 @@ func VerifySet(med Medium, opts VerifyOptions) (*VerifyReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.IsDelta() {
-		return verifyDelta(med, m, opts, workers)
-	}
-	nData := m.NumChunks()
-	n := nData + m.NumParityChunks()
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	go func() {
-		defer close(next)
-		for i := 0; i < n; i++ {
-			next <- i
+	pieces := m.pieces()
+	nData := len(pieces)
+	rep := &VerifyReport{Chunks: nData, ParityChunks: len(m.ParityChunks)}
+	errs := make([]error, nData+len(m.ParityChunks))
+	par.Run(len(errs), workers, func(i int) {
+		if i >= nData {
+			c := &m.ParityChunks[i-nData]
+			errs[i] = fetch(med, c, make([]byte, c.Size))
+			return
 		}
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				var c *ChunkInfo
-				if i < nData {
-					c = &m.Chunks[i]
-				} else {
-					c = &m.ParityChunks[i-nData]
-				}
-				buf := make([]byte, c.Size)
-				if _, err := med.ReadAt(buf, c.Offset); err != nil {
-					errs[i] = err
-					continue
-				}
-				if Digest(buf) != c.CRC {
-					errs[i] = fmt.Errorf("%w: chunk digest mismatch", ErrCorrupt)
-					continue
-				}
-				if opts.Deep && i < nData {
-					if _, _, err := container.Unpack(buf, container.Options{Parallelism: 1}); err != nil {
-						errs[i] = err
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	rep := &VerifyReport{Chunks: nData, ParityChunks: n - nData}
+		buf := make([]byte, pieces[i].Size)
+		if errs[i] = fetch(med, &pieces[i].ChunkInfo, buf); errs[i] == nil && opts.Deep {
+			_, errs[i] = decodePiece(&pieces[i], buf)
+		}
+	})
+	// lost[field] counts failed stripe members — ranks with a failed piece,
+	// and parity shards: both consume the erasure budget.
 	nFields := len(m.Fields)
-	// lost[field] counts failed stripe members (data chunks and parity
-	// shards alike — both consume the erasure budget).
 	lost := make([]int, nFields)
+	lostRegion := make([]bool, m.NumChunks())
 	for i, err := range errs[:nData] {
+		p := &pieces[i]
 		if err == nil {
 			rep.ChunksOK++
-		} else {
-			rep.Failed = append(rep.Failed, ChunkError{Rank: i / nFields, Field: i % nFields, Err: err})
-			lost[i%nFields]++
+			continue
+		}
+		rep.Failed = append(rep.Failed, ChunkError{Rank: p.Rank, Field: p.Field, Err: err})
+		if s := p.Rank*nFields + p.Field; !lostRegion[s] {
+			lostRegion[s] = true
+			lost[p.Field]++
 		}
 	}
 	for i, err := range errs[nData:] {
 		c := &m.ParityChunks[i]
 		if err == nil {
 			rep.ParityOK++
-		} else {
-			rep.ParityFailed = append(rep.ParityFailed, ChunkError{Rank: c.Rank, Field: c.Field, Err: err})
-			lost[c.Field]++
+			continue
 		}
+		rep.ParityFailed = append(rep.ParityFailed, ChunkError{Rank: c.Rank, Field: c.Field, Err: err})
+		lost[c.Field]++
 	}
 	rep.Reconstructable = true
 	for _, l := range lost {
@@ -586,8 +570,8 @@ func VerifySet(med Medium, opts VerifyOptions) (*VerifyReport, error) {
 			rep.Reconstructable = false
 		}
 	}
-	if len(rep.Failed) > 0 && m.ParityRanks == 0 {
-		rep.Reconstructable = false
+	if m.IsDelta() {
+		verifyRefs(m, opts.Bases, workers, rep)
 	}
 	return rep, nil
 }

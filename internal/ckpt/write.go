@@ -15,7 +15,6 @@ import (
 	"lcpio/internal/par"
 	"lcpio/internal/retry"
 	"lcpio/internal/stream"
-	"lcpio/internal/wire"
 )
 
 // Field is one input field of a checkpoint set: every rank contributes an
@@ -137,14 +136,13 @@ type WriteOptions struct {
 	// Retry caps medium-fault retries.
 	Retry RetryPolicy
 	// ParityRanks appends this many Reed–Solomon parity shards to every
-	// field's rank stripe (format v2), so Restore can reconstruct up to
-	// this many lost or corrupt ranks per field instead of reporting them.
-	// 0 (the default) writes format v1, byte-identical to before.
+	// field's rank stripe, so Restore can reconstruct up to this many lost
+	// or corrupt ranks per field instead of reporting them (0 = none).
 	ParityRanks int
-	// Base switches Write to the delta path (format v3): only content the
-	// base chain lacks is stored; unchanged chunks become by-reference
-	// manifest entries (see OpenBase). nil writes a full set as before.
-	// On a delta set the parity layer covers only locally-stored blobs.
+	// Base makes the set a delta: only content the base chain lacks is
+	// stored; unchanged chunks become by-reference manifest entries (see
+	// OpenBase). nil writes a full set. On a delta set the parity layer
+	// covers only locally-stored blobs.
 	Base *Base
 }
 
@@ -188,7 +186,7 @@ type WriteResult struct {
 	// ECEncodeSeconds is the real wall time spent folding chunks into the
 	// parity accumulators (0 without parity).
 	ECEncodeSeconds float64
-	// Delta-write statistics (format v3; zero on full sets). BaseName names
+	// Delta-write statistics (zero on full sets). BaseName names
 	// the base set; Blobs counts stored chunks; ChunksLocal / ChunksRef /
 	// ChunksShared split the content-defined chunks into newly stored,
 	// satisfied by a base reference, and satisfied by intra-set sharing.
@@ -258,45 +256,99 @@ func (r *WriteResult) OverlapMargin() float64 {
 	return (r.SimSerialSeconds - r.SimPipelinedSeconds) / r.SimSerialSeconds
 }
 
-// Write packages the set onto the medium through the pipelined scheduler:
-// a bounded work queue feeds Workers parallel compressors (one reusable
-// container.Packer each), while the caller's goroutine drains completed
-// chunks to the medium in logical order — so compression of chunk k+1
-// overlaps the wire time of chunk k, and the manifest is byte-identical at
-// any worker count. Transient medium faults are retried with capped
-// exponential backoff; wire faults come from the mount's own FaultConfig.
-// The scheduler itself is the shared stream.Engine; Write supplies the
-// compressors as producers and the medium drain as the in-order consumer.
+// streamWriter is what distinguishes one kind of set from another on the
+// write path: what a worker lane produces for one (rank, field) stream, and
+// how the in-order drain commits it. Header, scheduler, parity fold, parity
+// shards, manifest and footer are Write's and exist once.
+type streamWriter struct {
+	span, pipeline, stage string
+	// produce runs on a worker lane with that lane's packer.
+	produce func(p *container.Packer, idx int) ([]byte, error)
+	// commit stores what stream d.Idx produced and returns the bytes it added
+	// to the medium — the stream's member of its field's parity stripe.
+	commit func(w *setWriter, d stream.Item) (region []byte, err error)
+}
+
+// fullWriter packs each (rank, field) array into one chunk of m.Chunks.
+func fullWriter(set *Set, m *Manifest) streamWriter {
+	nFields := len(set.Fields)
+	m.Chunks = make([]ChunkInfo, set.Ranks*nFields)
+	return streamWriter{
+		span: "ckpt.write", pipeline: "ckpt.write", stage: "compress",
+		produce: func(p *container.Packer, idx int) ([]byte, error) {
+			f := &set.Fields[idx%nFields]
+			return p.Pack(f.Data[idx/nFields], f.Dims, f.ErrorBound)
+		},
+		commit: func(w *setWriter, d stream.Item) ([]byte, error) {
+			m.Chunks[d.Idx] = ChunkInfo{Rank: d.Idx / nFields, Field: d.Idx % nFields,
+				Offset: w.offset, Size: int64(len(d.Blob)), CRC: Digest(d.Blob)}
+			if err := w.putData(d.Blob, d.AvailAt); err != nil {
+				return nil, fmt.Errorf("ckpt: chunk %d: %w", d.Idx, err)
+			}
+			// The chunk itself is the stripe member: no region copy.
+			return d.Blob, nil
+		},
+	}
+}
+
+// Write packages the set onto the medium through the pipelined scheduler
+// (the shared stream.Engine): a bounded work queue feeds Workers parallel
+// lanes, one reusable container.Packer each, while the caller's goroutine
+// drains finished streams to the medium in logical order — so compression of
+// stream k+1 overlaps the wire time of stream k, and the file is
+// byte-identical at any worker count. Transient medium faults are retried
+// with capped exponential backoff; wire faults come from the mount's own
+// FaultConfig. With opts.Base the lanes classify content against the base
+// and only what it lacks is stored (see delta.go); the path is otherwise the
+// same.
 func Write(med Medium, set Set, opts WriteOptions) (*WriteResult, error) {
 	if err := set.validate(); err != nil {
 		return nil, err
 	}
 	opts = opts.normalized()
-	if opts.Base != nil {
-		return writeDelta(med, set, opts)
-	}
-	span := obs.Start("ckpt.write")
-	defer span.End()
-
-	nFields := len(set.Fields)
-	n := set.Ranks * nFields
-	var coder *ec.Coder
 	if opts.ParityRanks < 0 || opts.ParityRanks > maxParityRanks {
 		return nil, fmt.Errorf("ckpt: parity ranks %d outside [0, %d]", opts.ParityRanks, maxParityRanks)
 	}
+	var coder *ec.Coder
 	if opts.ParityRanks > 0 {
 		var err error
 		if coder, err = ec.New(set.Ranks, opts.ParityRanks); err != nil {
 			return nil, err
 		}
 	}
+	nFields := len(set.Fields)
+	n := set.Ranks * nFields
+	m := &Manifest{
+		SetName:     set.Name,
+		Meta:        set.Meta,
+		Codec:       set.Codec,
+		Ranks:       set.Ranks,
+		Fields:      make([]FieldInfo, nFields),
+		ParityRanks: opts.ParityRanks,
+	}
+	for i, f := range set.Fields {
+		m.Fields[i] = FieldInfo{Name: f.Name, Dims: append([]int(nil), f.Dims...), ErrorBound: f.ErrorBound}
+	}
+	res := &WriteResult{Manifest: m, Chunks: n, ParityRanks: opts.ParityRanks}
+	var sw streamWriter
+	if opts.Base == nil {
+		sw = fullWriter(&set, m)
+	} else {
+		var err error
+		if sw, err = deltaWriter(&set, opts.Base, m, res); err != nil {
+			return nil, err
+		}
+	}
+	span := obs.Start(sw.span)
+	defer span.End()
 
-	// Lanes 0..Workers-1 are the compressors; lane Workers is the in-order
-	// writer on the caller's goroutine; lane Workers+1 is the dispatcher.
+	// Lanes 0..Workers-1 produce; lane Workers is the in-order writer on the
+	// caller's goroutine; lane Workers+1 is the dispatcher.
 	eng := stream.Start(n, stream.Options{
-		Name:          "ckpt.write",
+		Name:          sw.pipeline,
 		Workers:       opts.Workers,
 		QueueDepth:    opts.QueueDepth,
+		ProduceStage:  sw.stage,
 		QueueGauge:    "lcpio_ckpt_queue_depth",
 		InFlightGauge: "lcpio_ckpt_bytes_in_flight",
 	}, func(lane int) stream.ProduceFunc {
@@ -306,140 +358,84 @@ func Write(med Medium, set Set, opts WriteOptions) (*WriteResult, error) {
 			if perr != nil {
 				return nil, perr
 			}
-			f := &set.Fields[idx%nFields]
-			return packer.Pack(f.Data[idx/nFields], f.Dims, f.ErrorBound)
+			return sw.produce(packer, idx)
 		}
 	})
 	defer eng.Close()
 
-	m := &Manifest{
-		SetName:     set.Name,
-		Meta:        set.Meta,
-		Codec:       set.Codec,
-		Ranks:       set.Ranks,
-		Fields:      make([]FieldInfo, nFields),
-		Chunks:      make([]ChunkInfo, n),
-		ParityRanks: opts.ParityRanks,
-	}
-	for i, f := range set.Fields {
-		m.Fields[i] = FieldInfo{Name: f.Name, Dims: append([]int(nil), f.Dims...), ErrorBound: f.ErrorBound}
-	}
-
-	res := &WriteResult{Manifest: m, Chunks: n, ParityRanks: opts.ParityRanks}
-	var header [headerLen]byte
-	wire.AppendUint32(wire.AppendUint32(header[:0], magic), m.formatVersion())
 	wr := eng.Consumer()
 	wr.Run("flush")
-	if _, err := writeChunk(med, header[:], 0, opts, res); err != nil {
+	if _, err := writeChunk(med, setHeader(), 0, opts, res); err != nil {
 		wr.WaitInput()
 		return nil, fmt.Errorf("ckpt: writing header: %w", err)
 	}
 	wr.WaitInput()
 
-	// In-order drain via the engine's reorder buffer, on this goroutine.
-	// writerClock is the simulated drain timeline: a chunk's transfer
-	// starts when both the wire is free and the chunk is compressed
-	// (AvailAt).
-	var writerClock, compressWall float64
-	offset := int64(headerLen)
-	// Parity accumulators, one stripe per field. Each committed chunk is
-	// folded in as it drains, so parity generation pipelines alongside the
-	// compression of later chunks; GF(2^8) accumulation is order- and
-	// padding-independent, so the shards are byte-identical at any worker
-	// count or queue depth.
-	var parity [][][]byte
-	if coder != nil {
-		parity = make([][][]byte, nFields)
-	}
+	// In-order drain via the engine's reorder buffer, on this goroutine. Each
+	// committed region is folded into its field's parity accumulators as it
+	// drains, so parity generation pipelines alongside the compression of
+	// later streams; GF(2^8) accumulation is order- and padding-independent,
+	// so the shards are byte-identical at any worker count or queue depth.
+	w := &setWriter{med: med, opts: opts, res: res, offset: headerLen}
+	var compressWall float64
+	parity := make([][][]byte, nFields)
 	if err := eng.Drain(func(d stream.Item) error {
+		rank, fi := d.Idx/nFields, d.Idx%nFields
 		if d.Err != nil {
-			return fmt.Errorf("ckpt: chunk %d (rank %d, field %q): %w",
-				d.Idx, d.Idx/nFields, set.Fields[d.Idx%nFields].Name, d.Err)
+			return fmt.Errorf("ckpt: chunk %d (rank %d, field %q): %w", d.Idx, rank, set.Fields[fi].Name, d.Err)
 		}
-		if d.AvailAt > compressWall {
-			compressWall = d.AvailAt
-		}
-		c := &m.Chunks[d.Idx]
-		c.Offset = offset
-		c.Size = int64(len(d.Blob))
-		c.CRC = Digest(d.Blob)
-		simSec, err := writeChunk(med, d.Blob, offset, opts, res)
+		compressWall = max(compressWall, d.AvailAt)
+		region, err := sw.commit(w, d)
 		if err != nil {
-			return fmt.Errorf("ckpt: chunk %d: %w", d.Idx, err)
+			return err
 		}
-		res.SimWriteSeconds += simSec
-		if d.AvailAt > writerClock {
-			writerClock = d.AvailAt
-		}
-		writerClock += simSec
-		if coder != nil {
-			fi := d.Idx % nFields
+		if coder != nil && len(region) > 0 {
 			ecStart := time.Now()
-			parity[fi], err = coder.UpdateParity(parity[fi], d.Idx/nFields, d.Blob, opts.Workers)
-			if err != nil {
+			if parity[fi], err = coder.UpdateParity(parity[fi], rank, region, opts.Workers); err != nil {
 				return fmt.Errorf("ckpt: parity fold of chunk %d: %w", d.Idx, err)
 			}
 			res.ECEncodeSeconds += time.Since(ecStart).Seconds()
 		}
-		offset += c.Size
-		res.PayloadBytes += c.Size
-		obs.Add("lcpio_ckpt_chunks_written_total", 1)
-		obs.Add("lcpio_ckpt_bytes_written_total", c.Size)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 	wr.Run("flush")
 
-	// Parity shards land after the data payload, field-major, riding the
-	// same retry/transfer path as data chunks.
+	// Parity shards land after the data payload, field-major, then manifest
+	// and footer — all on the same retry/transfer path as the payload.
 	if coder != nil {
 		m.ParityChunks = make([]ChunkInfo, nFields*opts.ParityRanks)
-		for fi := 0; fi < nFields; fi++ {
-			for j := 0; j < opts.ParityRanks; j++ {
-				blob := parity[fi][j]
-				c := m.ParityChunk(fi, j)
-				c.Rank, c.Field = set.Ranks+j, fi
-				c.Offset = offset
-				c.Size = int64(len(blob))
-				c.CRC = Digest(blob)
-				simSec, err := writeChunk(med, blob, offset, opts, res)
-				if err != nil {
-					return nil, fmt.Errorf("ckpt: parity shard (field %q, %d): %w",
-						set.Fields[fi].Name, j, err)
-				}
-				res.SimWriteSeconds += simSec
-				writerClock += simSec
-				offset += c.Size
-				res.ParityBytes += c.Size
-				obs.Add("lcpio_ckpt_parity_bytes_written_total", c.Size)
+		for i := range m.ParityChunks {
+			fi, j := i/opts.ParityRanks, i%opts.ParityRanks
+			var shard []byte // stays empty when no rank of the field stored a byte
+			if parity[fi] != nil {
+				shard = parity[fi][j]
 			}
+			m.ParityChunks[i] = ChunkInfo{Rank: set.Ranks + j, Field: fi,
+				Offset: w.offset, Size: int64(len(shard)), CRC: Digest(shard)}
+			if err := w.put(shard, 0); err != nil {
+				return nil, fmt.Errorf("ckpt: parity shard (field %q, %d): %w", set.Fields[fi].Name, j, err)
+			}
+			res.ParityBytes += int64(len(shard))
+			obs.Add("lcpio_ckpt_parity_bytes_written_total", int64(len(shard)))
 		}
 	}
-
-	// Manifest + footer ride the same retry/transfer path as chunks.
-	mb := m.encode()
-	simSec, err := writeChunk(med, mb, offset, opts, res)
-	if err != nil {
+	mb, foot := setTail(m, w.offset)
+	if err := w.put(mb, 0); err != nil {
 		return nil, fmt.Errorf("ckpt: writing manifest: %w", err)
 	}
-	res.SimWriteSeconds += simSec
-	writerClock += simSec
-	var foot []byte
-	foot = wire.AppendUint64(foot, uint64(offset))
-	foot = wire.AppendUint64(foot, uint64(len(mb)))
-	foot = wire.AppendUint32(foot, Digest(mb))
-	foot = wire.AppendUint32(foot, magic)
-	if _, err := writeChunk(med, foot, offset+int64(len(mb)), opts, res); err != nil {
+	if _, err := writeChunk(med, foot, w.offset, opts, res); err != nil {
 		return nil, fmt.Errorf("ckpt: writing footer: %w", err)
 	}
 
-	res.FileBytes = offset + int64(len(mb)) + footerLen
+	res.Blobs = len(m.Blobs)
+	res.FileBytes = w.offset + footerLen
 	res.RawBytes = m.RawBytes()
 	res.CompressWallSeconds = compressWall
 	// The parity fold is writer-side CPU work; it extends both schedules
 	// equally (the serial schedule would run it after compressing).
-	res.SimPipelinedSeconds = writerClock + res.ECEncodeSeconds
+	res.SimPipelinedSeconds = w.clock + res.ECEncodeSeconds
 	res.SimSerialSeconds = compressWall + res.SimWriteSeconds + res.ECEncodeSeconds
 	res.MeanRelEB = meanRelEB(set)
 	obs.AddFloat("lcpio_ckpt_sim_write_seconds_total", res.SimWriteSeconds)

@@ -53,12 +53,12 @@ type Config struct {
 	// fall back to the analytic estimate.
 	CkptFields       int
 	CkptRanksPerNode int
-	// CkptParityRanks appends this many parity shards per field stripe
-	// (format v2); their bytes ride the wire as extra Writing-class
-	// traffic. Requires the checkpoint layout fields above.
+	// CkptParityRanks appends this many parity shards per field stripe;
+	// their bytes ride the wire as extra Writing-class traffic. Requires
+	// the checkpoint layout fields above.
 	CkptParityRanks int
 	// CkptChurnRate, in (0,1), models each dump as an incremental
-	// checkpoint (ckpt format v3) against the previous one: roughly this
+	// checkpoint (a ckpt delta set) against the previous one: roughly this
 	// fraction of each node's state changed since the last dump. A sampled
 	// base+delta write pair through the real dedup pipeline measures how
 	// much the delta payload shrinks at this churn, the wire volume scales
@@ -285,8 +285,8 @@ func sampleCkptOverhead(cfg Config) (framing int64, parityFrac float64, err erro
 }
 
 // sampleCkptDedup writes a base+delta checkpoint pair with the fleet's
-// geometry and measured churn through the real dedup pipeline (ckpt format
-// v3): the base set is dumped in full, a contiguous seeded region of each
+// geometry and measured churn through the real dedup pipeline (a ckpt
+// delta set): the base set is dumped in full, a contiguous seeded region of each
 // rank covering CkptChurnRate of its payload is perturbed beyond the error
 // bound, and the next dump dedups against the restored base. It measures
 // the delta's framing bytes (manifest with base references), the payload

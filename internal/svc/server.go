@@ -501,7 +501,7 @@ func (s *Server) open(req OpenRequest) (*session, OpenAccept, *Reject, error) {
 		Ranks: req.Ranks, Fields: req.Fields,
 		Chunks: make([]ckpt.ChunkInfo, n),
 	}
-	if err := ckpt.WriteSetHeader(sess.view, sess.m); err != nil {
+	if err := ckpt.WriteSetHeader(sess.view); err != nil {
 		return nil, OpenAccept{}, nil, err
 	}
 	s.nextOff += extCap
@@ -805,7 +805,7 @@ func (s *Server) List() []SetEntry {
 }
 
 // OpenSet returns a read-only medium view of a finalized set, positioned
-// and sized so the unmodified ckpt.Restore / ckpt.Verify read it like a
+// and sized so the unmodified ckpt.Restore / ckpt.VerifySet read it like a
 // standalone file.
 func (s *Server) OpenSet(name string) (ckpt.Medium, error) {
 	s.mu.Lock()

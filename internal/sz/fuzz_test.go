@@ -56,12 +56,13 @@ func FuzzDecompress(f *testing.F) {
 	}
 	f.Add(b64)
 
-	// Pinned golden streams of every surviving format version (v3 onward),
-	// so decoder back-compat paths stay in the corpus as the format moves.
+	// The pinned golden streams, and each again stamped with the retired
+	// version 3, so the refusal of an old stream stays in the corpus.
 	goldens, _ := filepath.Glob(filepath.Join("testdata", "golden_*.szs"))
 	for _, path := range goldens {
 		if raw, err := os.ReadFile(path); err == nil {
 			f.Add(raw)
+			f.Add(retiredStamp(raw))
 		}
 	}
 

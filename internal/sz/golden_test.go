@@ -3,6 +3,7 @@ package sz
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -51,10 +52,9 @@ func goldenField64(dims []int) []float64 {
 	return out
 }
 
-// goldenCases are the streams pinned per format version. Compressed bytes are
-// regenerated with -update (named by the current version constant); files
-// from older versions stay on disk so decoder back-compat is asserted
-// forever.
+// goldenCases are the pinned streams. Compressed bytes are regenerated with
+// -update (named by the current version constant); the decoder reads only
+// that version, so a format bump replaces the files.
 var goldenCases = []struct {
 	name  string
 	dims  []int
@@ -120,11 +120,10 @@ func float64Bits(vals []float64) []byte {
 	return out
 }
 
-// TestGoldenStreams pins compressed streams and their decoded images across
-// format versions. With -update it regenerates the current version's files
-// (forcing a small partition granularity so the partition machinery is
-// exercised); without it, every pinned stream on disk — including ones
-// written by older encoders — must decode bit-identically to its pinned
+// TestGoldenStreams pins compressed streams and their decoded images. With
+// -update it regenerates the current version's files (forcing a small
+// partition granularity so the partition machinery is exercised); without
+// it, every pinned stream on disk must decode bit-identically to its pinned
 // image.
 func TestGoldenStreams(t *testing.T) {
 	dir := "testdata"
@@ -223,7 +222,7 @@ func TestGoldenStreams(t *testing.T) {
 }
 
 // TestGoldenStreamPrefixes: every byte-prefix of every golden stream, both
-// format versions and precisions, is an error from the public decoders —
+// precisions, is an error from the public decoders —
 // never a success, never a panic. The word-at-a-time entropy decoders peek
 // zero-padded bits past the end of their input; this pins that truncation
 // still surfaces.
@@ -245,5 +244,26 @@ func TestGoldenStreamPrefixes(t *testing.T) {
 				t.Fatalf("%s: Decompress64 of %d-byte prefix succeeded", path, cut)
 			}
 		}
+	}
+}
+
+// retiredStamp returns a copy of a current-version stream with the version
+// field rewritten to 3, the last format the decoder used to read as well.
+func retiredStamp(stream []byte) []byte {
+	out := append([]byte(nil), stream...)
+	binary.LittleEndian.PutUint32(out[4:], 3)
+	return out
+}
+
+// TestRetiredVersionUnsupported: a v3-stamped stream is refused by version
+// — not decoded under the v4 layout, not reported as corruption.
+func TestRetiredVersionUnsupported(t *testing.T) {
+	stream, err := os.ReadFile(filepath.Join("testdata", "golden_v4_order1_3d.f32.szs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = Decompress(retiredStamp(stream))
+	if err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version 3") {
+		t.Fatalf("v3-stamped stream: %v, want unsupported version", err)
 	}
 }

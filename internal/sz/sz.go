@@ -21,7 +21,7 @@
 // leading axis of depth splitDepth) when the slowest dimension alone is too
 // coarse. The partition layout is a pure function of the array shape — never
 // of the worker count — so compressed bytes are identical at any Parallelism
-// setting. Version 3 streams remain fully decodable.
+// setting.
 package sz
 
 import (
@@ -52,10 +52,6 @@ func init() {
 const (
 	magic   = 0x535A4C43 // "SZLC"
 	version = 4
-
-	// minReadVersion is the oldest stream format the decoder accepts.
-	// Version 3 lacks the splitDepth field (implied 1).
-	minReadVersion = 3
 
 	// defaultQuantBits sets the quantization code alphabet to 2^16
 	// intervals, SZ's default. Code 0 is reserved for unpredictable
@@ -653,8 +649,7 @@ func decompressWith[F Float](d *Decompressor, buf []byte) ([]F, []int, error) {
 	if rd.Uint32() != magic {
 		return nil, nil, ErrCorrupt
 	}
-	ver := rd.Uint32()
-	if ver < minReadVersion || ver > version {
+	if ver := rd.Uint32(); ver != version {
 		if rd.Err() != nil {
 			return nil, nil, ErrCorrupt
 		}
@@ -689,10 +684,7 @@ func decompressWith[F Float](d *Decompressor, buf []byte) ([]F, []int, error) {
 			return nil, nil, ErrCorrupt
 		}
 	}
-	splitDepth := 1
-	if ver >= 4 {
-		splitDepth = int(rd.Uint32())
-	}
+	splitDepth := int(rd.Uint32())
 	if rd.Err() != nil || splitDepth < 1 || splitDepth > ndims {
 		return nil, nil, ErrCorrupt
 	}

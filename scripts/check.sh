@@ -75,3 +75,6 @@ go build -o "$tmp/lcpio" ./cmd/lcpio
     -folded-out "$tmp/trace.folded" >/dev/null
 test -s "$tmp/trace_chrome.json"
 test -s "$tmp/trace.folded"
+
+# Size is a measured axis too: non-test Go lines per package, total last.
+sh scripts/loc.sh

@@ -1,0 +1,19 @@
+#!/bin/sh
+# Size of the program: non-test Go lines per package directory and the
+# total, bench/ (a nested module with its own budget) left out. `wc -l`
+# lines, comments and blanks included, so the number only moves when a file
+# does.
+set -eu
+cd "$(dirname "$0")/.."
+find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' |
+    sort | xargs wc -l | awk '
+    $2 != "total" {
+        dir = $2; sub(/\/[^\/]*$/, "", dir); sub(/^\.\/?/, "", dir)
+        if (dir == "") dir = "."
+        lines[dir] += $1; total += $1
+    }
+    END {
+        for (d in lines) printf "%7d  %s\n", lines[d], d | "sort -k2"
+        close("sort -k2")
+        printf "%7d  total non-test Go outside bench/\n", total
+    }'
