@@ -71,7 +71,7 @@ func cmdCompress(args []string) error {
 	if err != nil {
 		return err
 	}
-	codec, err := compress.LookupParallel(*codecName, globalWorkers)
+	codec, err := compress.NewHandle(*codecName, globalWorkers)
 	if err != nil {
 		return err
 	}
@@ -103,7 +103,7 @@ func cmdDecompress(args []string) error {
 	if *in == "" || *out == "" {
 		return fmt.Errorf("-in and -out are required")
 	}
-	codec, err := compress.LookupParallel(*codecName, globalWorkers)
+	codec, err := compress.NewHandle(*codecName, globalWorkers)
 	if err != nil {
 		return err
 	}
@@ -156,7 +156,7 @@ func cmdVerify(args []string) error {
 	if *orig == "" || *comp == "" {
 		return fmt.Errorf("-orig and -comp are required")
 	}
-	codec, err := compress.LookupParallel(*codecName, globalWorkers)
+	codec, err := compress.NewHandle(*codecName, globalWorkers)
 	if err != nil {
 		return err
 	}

@@ -26,7 +26,7 @@ func main() {
 		for _, rel := range compress.PaperErrorBounds {
 			eb := compress.AbsBoundFromRelative(rel, field.Data)
 			for _, name := range compress.Names() {
-				codec, err := compress.Lookup(name)
+				codec, err := compress.NewHandle(name, 0)
 				if err != nil {
 					log.Fatal(err)
 				}

@@ -32,7 +32,7 @@ func main() {
 	spec, _ := fpdata.Lookup("HACC", "")
 	field := fpdata.Generate(spec, spec.ScaleFor(1<<18), 5)
 	eb := compress.AbsBoundFromRelative(1e-3, field.Data)
-	codec, _ := compress.Lookup("sz")
+	codec, _ := compress.NewHandle("sz", 0)
 	res, err := compress.Evaluate(codec, field.Data, field.Dims, eb)
 	if err != nil {
 		log.Fatal(err)

@@ -28,7 +28,7 @@ func main() {
 	// 2. Compress with SZ and ZFP at a range-relative 1e-3 bound.
 	eb := compress.AbsBoundFromRelative(1e-3, field.Data)
 	for _, name := range compress.Names() {
-		codec, err := compress.Lookup(name)
+		codec, err := compress.NewHandle(name, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func main() {
 	chip := dvfs.Broadwell()
 	const totalBytes = 64 << 30
 
-	szCodec, _ := compress.Lookup("sz")
+	szCodec, _ := compress.NewHandle("sz", 0)
 	res, err := compress.Evaluate(szCodec, field.Data, field.Dims, eb)
 	if err != nil {
 		log.Fatal(err)

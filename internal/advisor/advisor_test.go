@@ -96,7 +96,7 @@ func TestSketchCheaperThanEvaluate(t *testing.T) {
 	}
 	full := func() {
 		for _, name := range codecs {
-			codec, err := compress.Lookup(name)
+			codec, err := compress.NewHandle(name, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +137,7 @@ func TestFeedbackConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	codec, err := compress.Lookup("sz")
+	codec, err := compress.NewHandle("sz", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func (cfg Config) normalized() (Config, *dvfs.Chip, error) {
 		cfg.Codecs = []string{"sz", "zfp"}
 	}
 	for _, name := range cfg.Codecs {
-		if _, err := compress.Lookup(name); err != nil {
+		if err := compress.CheckName(name); err != nil {
 			return cfg, nil, fmt.Errorf("advisor: %w", err)
 		}
 		if _, ok := calib[name]; !ok {

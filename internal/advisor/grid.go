@@ -71,7 +71,7 @@ func EvaluateGrid(data []float32, dims []int, opts GridOptions) ([]GridEntry, er
 
 	var out []GridEntry
 	for _, codecName := range opts.Codecs {
-		codec, err := compress.Lookup(codecName)
+		codec, err := compress.NewHandle(codecName, 0)
 		if err != nil {
 			return nil, err
 		}

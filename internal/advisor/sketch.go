@@ -415,7 +415,7 @@ func (sk *Sketch) Predict(codec string, relEB float64) (Prediction, error) {
 	if !ok {
 		return Prediction{}, fmt.Errorf("advisor: unknown codec %q", codec)
 	}
-	if _, err := compress.Lookup(codec); err != nil {
+	if err := compress.CheckName(codec); err != nil {
 		return Prediction{}, err
 	}
 	if !(relEB > 0) || math.IsInf(relEB, 0) {

@@ -25,7 +25,7 @@ func TestCalibrationReport(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, codecName := range []string{"sz", "zfp", "squant"} {
-			codec, err := compress.Lookup(codecName)
+			codec, err := compress.NewHandle(codecName, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

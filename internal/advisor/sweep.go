@@ -48,7 +48,7 @@ func (c *Controller) ExhaustiveSweep(data []float32, dims []int, req Request) (*
 	combos := axesCombos(req)
 	sw := &Sweep{Best: -1}
 	for _, codecName := range c.cfg.Codecs {
-		codec, err := compress.Lookup(codecName)
+		codec, err := compress.NewHandle(codecName, 0)
 		if err != nil {
 			return nil, err
 		}

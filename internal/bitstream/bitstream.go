@@ -90,25 +90,12 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	w.ncur = hi
 }
 
-// WriteUnary appends n as a unary code: n zero bits followed by a one bit.
-func (w *Writer) WriteUnary(n uint) {
-	for i := uint(0); i < n; i++ {
-		w.WriteBit(0)
-	}
-	w.WriteBit(1)
-}
-
 func (w *Writer) flushWord() {
 	w.buf = append(w.buf,
 		byte(w.cur>>56), byte(w.cur>>48), byte(w.cur>>40), byte(w.cur>>32),
 		byte(w.cur>>24), byte(w.cur>>16), byte(w.cur>>8), byte(w.cur))
 	w.cur = 0
 	w.ncur = 0
-}
-
-// BitLen reports the total number of bits written so far.
-func (w *Writer) BitLen() int {
-	return len(w.buf)*8 + int(w.ncur)
 }
 
 // Bytes flushes any partial byte (padding with zero bits) and returns the
@@ -275,21 +262,6 @@ func (r *Reader) skipSlow(n uint) error {
 		n -= k
 	}
 	return nil
-}
-
-// ReadUnary reads a unary code written by Writer.WriteUnary.
-func (r *Reader) ReadUnary() (uint, error) {
-	var n uint
-	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		if b == 1 {
-			return n, nil
-		}
-		n++
-	}
 }
 
 // BitsRemaining reports the number of unread bits.

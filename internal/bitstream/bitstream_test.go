@@ -70,39 +70,6 @@ func TestWriteBitsCrossesWordBoundary(t *testing.T) {
 	}
 }
 
-func TestUnary(t *testing.T) {
-	w := NewWriter(0)
-	vals := []uint{0, 1, 2, 7, 13, 64, 100}
-	for _, v := range vals {
-		w.WriteUnary(v)
-	}
-	r := NewReader(w.Bytes())
-	for i, want := range vals {
-		got, err := r.ReadUnary()
-		if err != nil {
-			t.Fatalf("unary %d: %v", i, err)
-		}
-		if got != want {
-			t.Fatalf("unary %d: got %d want %d", i, got, want)
-		}
-	}
-}
-
-func TestBitLen(t *testing.T) {
-	w := NewWriter(0)
-	if w.BitLen() != 0 {
-		t.Fatalf("empty BitLen = %d", w.BitLen())
-	}
-	w.WriteBits(0, 13)
-	if w.BitLen() != 13 {
-		t.Fatalf("BitLen = %d, want 13", w.BitLen())
-	}
-	w.WriteBits(0, 64)
-	if w.BitLen() != 77 {
-		t.Fatalf("BitLen = %d, want 77", w.BitLen())
-	}
-}
-
 func TestReaderOverrun(t *testing.T) {
 	r := NewReader([]byte{0xFF})
 	if _, err := r.ReadBits(8); err != nil {
@@ -193,7 +160,7 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: mixed bit/multi-bit/unary traffic round-trips.
+// Property: mixed bit/multi-bit/zero-run traffic round-trips.
 func TestQuickMixedOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -218,9 +185,13 @@ func TestQuickMixedOps(t *testing.T) {
 				ops[i] = op{kind: 1, v: v, n: n}
 				w.WriteBits(v, n)
 			default:
+				// A run of zero bits closed by a one, bit by bit.
 				u := uint(rng.Intn(40))
 				ops[i] = op{kind: 2, v: uint64(u)}
-				w.WriteUnary(u)
+				for j := uint(0); j < u; j++ {
+					w.WriteBit(0)
+				}
+				w.WriteBit(1)
 			}
 		}
 		r := NewReader(w.Bytes())
@@ -237,9 +208,13 @@ func TestQuickMixedOps(t *testing.T) {
 					t.Fatalf("trial %d op %d bits: got %#x err %v want %#x", trial, i, v, err, o.v)
 				}
 			default:
-				u, err := r.ReadUnary()
-				if err != nil || uint64(u) != o.v {
-					t.Fatalf("trial %d op %d unary: got %d err %v want %d", trial, i, u, err, o.v)
+				var u uint64
+				b, err := r.ReadBit()
+				for ; err == nil && b == 0; b, err = r.ReadBit() {
+					u++
+				}
+				if err != nil || u != o.v {
+					t.Fatalf("trial %d op %d run: got %d err %v want %d", trial, i, u, err, o.v)
 				}
 			}
 		}

@@ -50,7 +50,7 @@ func (s Set) validate() error {
 	if s.Codec == "" {
 		return errors.New("ckpt: empty codec")
 	}
-	if _, err := compress.Lookup(s.Codec); err != nil {
+	if err := compress.CheckName(s.Codec); err != nil {
 		return err
 	}
 	if len(s.Name) > maxNameLen || len(s.Meta) > maxMetaLen {

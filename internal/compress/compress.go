@@ -1,6 +1,6 @@
-// Package compress defines the common codec interface over the sz and zfp
-// implementations, a registry keyed by the names the paper uses, and the
-// quality metrics (compression ratio, maximum absolute error, PSNR) the
+// Package compress owns how a codec is configured and obtained: a codec is
+// (name, workers), and NewHandle is the only way to get one. It also carries
+// the quality metrics (compression ratio, maximum absolute error, PSNR) the
 // experiment harness reports.
 package compress
 
@@ -14,9 +14,10 @@ import (
 	"lcpio/internal/zfp"
 )
 
-// Codec is an error-bounded lossy compressor for float32 arrays.
+// Codec is an error-bounded lossy compressor for float32 arrays: the subset
+// of Handle that Evaluate needs.
 type Codec interface {
-	// Name returns the registry name ("sz" or "zfp").
+	// Name returns the registry name ("sz", "zfp" or "squant").
 	Name() string
 	// Compress encodes data (row-major, dims slowest first) so that every
 	// reconstructed value differs from the original by at most eb.
@@ -25,89 +26,55 @@ type Codec interface {
 	Decompress(buf []byte) ([]float32, []int, error)
 }
 
-type szCodec struct{}
-
-func (szCodec) Name() string { return "sz" }
-func (szCodec) Compress(data []float32, dims []int, eb float64) ([]byte, error) {
-	return sz.Compress(data, dims, eb)
-}
-func (szCodec) Decompress(buf []byte) ([]float32, []int, error) {
-	return sz.Decompress(buf)
-}
-
-type zfpCodec struct{}
-
-func (zfpCodec) Name() string { return "zfp" }
-func (zfpCodec) Compress(data []float32, dims []int, eb float64) ([]byte, error) {
-	return zfp.Compress(data, dims, eb)
-}
-func (zfpCodec) Decompress(buf []byte) ([]float32, []int, error) {
-	return zfp.Decompress(buf)
+// Handle is a codec: repeated calls reuse all codec scratch (quantization
+// codes, Huffman tables, bitstream and match buffers), reaching a
+// zero-allocation steady state. Both precisions are carried end to end, so
+// float64 bounds below float32 resolution are honored. Handles are NOT safe
+// for concurrent use — create one per worker goroutine.
+type Handle interface {
+	Codec
+	// CompressAppend appends the stream to dst, avoiding the output
+	// allocation too when dst has capacity.
+	CompressAppend(dst []byte, data []float32, dims []int, eb float64) ([]byte, error)
+	Compress64(data []float64, dims []int, eb float64) ([]byte, error)
+	CompressAppend64(dst []byte, data []float64, dims []int, eb float64) ([]byte, error)
+	Decompress64(buf []byte) ([]float64, []int, error)
 }
 
-type squantCodec struct{}
-
-func (squantCodec) Name() string { return "squant" }
-func (squantCodec) Compress(data []float32, dims []int, eb float64) ([]byte, error) {
-	return squant.Compress(data, dims, eb)
-}
-func (squantCodec) Decompress(buf []byte) ([]float32, []int, error) {
-	return squant.Decompress(buf)
+// codecs is the one table on the codec name, keyed by the names the paper
+// uses. The codec types satisfy Handle directly.
+var codecs = map[string]func(workers int) Handle{
+	"sz":     func(workers int) Handle { return sz.NewHandle(workers) },
+	"zfp":    func(workers int) Handle { return zfp.NewHandle(workers) },
+	"squant": func(int) Handle { return squant.Handle{} }, // flat quantizer, no parallel path
 }
 
-var registry = map[string]Codec{
-	"sz":     szCodec{},
-	"zfp":    zfpCodec{},
-	"squant": squantCodec{},
-}
-
-// Lookup returns the codec registered under name.
-func Lookup(name string) (Codec, error) {
-	c, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("compress: unknown codec %q (have %v)", name, Names())
+// NewHandle returns the named codec with the given intra-codec worker count
+// (0 = all cores). The worker count is a codec's only setting and affects
+// execution only, never the compressed bytes.
+func NewHandle(name string, workers int) (Handle, error) {
+	if err := CheckName(name); err != nil {
+		return nil, err
 	}
-	return c, nil
+	return codecs[name](workers), nil
+}
+
+// CheckName reports whether NewHandle knows the codec, without building one.
+func CheckName(name string) error {
+	if _, ok := codecs[name]; !ok {
+		return fmt.Errorf("compress: unknown codec %q (have %v)", name, Names())
+	}
+	return nil
 }
 
 // Names lists the registered codec names in sorted order.
 func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
+	out := make([]string, 0, len(codecs))
+	for n := range codecs {
 		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Compress64 compresses float64 data with the named codec. Both codecs
-// carry double precision end to end, so bounds below float32 resolution
-// are honored.
-func Compress64(codecName string, data []float64, dims []int, eb float64) ([]byte, error) {
-	switch codecName {
-	case "sz":
-		return sz.Compress64(data, dims, eb)
-	case "zfp":
-		return zfp.Compress64(data, dims, eb)
-	case "squant":
-		return squant.Compress64(data, dims, eb)
-	default:
-		return nil, fmt.Errorf("compress: unknown codec %q (have %v)", codecName, Names())
-	}
-}
-
-// Decompress64 reverses Compress64.
-func Decompress64(codecName string, buf []byte) ([]float64, []int, error) {
-	switch codecName {
-	case "sz":
-		return sz.Decompress64(buf)
-	case "zfp":
-		return zfp.Decompress64(buf)
-	case "squant":
-		return squant.Decompress64(buf)
-	default:
-		return nil, nil, fmt.Errorf("compress: unknown codec %q (have %v)", codecName, Names())
-	}
 }
 
 // Result summarizes one compression run for reporting.
@@ -211,21 +178,19 @@ func PSNR(orig, recon []float32) float64 {
 
 // AbsBoundFromRelative converts a range-relative bound (the 1e-1..1e-4
 // knobs in the paper) into the absolute bound both codecs take.
+// The range runs over finite values only — the codecs store non-finite
+// values verbatim, so they must not widen (or poison) the bound — and an
+// empty, constant or all-non-finite array falls back to a range of 1.
 func AbsBoundFromRelative(rel float64, data []float32) float64 {
-	if len(data) == 0 {
-		return rel
-	}
-	lo, hi := data[0], data[0]
-	for _, v := range data[1:] {
-		if v < lo {
-			lo = v
+	lo, hi := float32(math.Inf(1)), float32(math.Inf(-1))
+	for _, v := range data {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			continue
 		}
-		if v > hi {
-			hi = v
-		}
+		lo, hi = min(lo, v), max(hi, v)
 	}
-	r := float64(hi - lo)
-	if r == 0 {
+	r := float64(hi - lo) // float32 subtraction, as the bounds in every recorded study
+	if !(r > 0) {
 		r = 1
 	}
 	return rel * r

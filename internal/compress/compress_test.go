@@ -13,16 +13,22 @@ func TestRegistry(t *testing.T) {
 		t.Fatalf("Names() = %v", names)
 	}
 	for _, n := range names {
-		c, err := Lookup(n)
+		c, err := NewHandle(n, 1)
 		if err != nil {
-			t.Fatalf("Lookup(%q): %v", n, err)
+			t.Fatalf("NewHandle(%q): %v", n, err)
+		}
+		if err := CheckName(n); err != nil {
+			t.Fatalf("CheckName(%q): %v", n, err)
 		}
 		if c.Name() != n {
 			t.Fatalf("codec %q reports name %q", n, c.Name())
 		}
 	}
-	if _, err := Lookup("gzip"); err == nil {
+	if _, err := NewHandle("gzip", 1); err == nil {
 		t.Fatal("unknown codec accepted")
+	}
+	if err := CheckName("gzip"); err == nil {
+		t.Fatal("unknown codec name accepted")
 	}
 }
 
@@ -31,7 +37,7 @@ func TestEvaluateBothCodecs(t *testing.T) {
 	f := fpdata.Generate(spec, 32, 4)
 	eb := AbsBoundFromRelative(1e-3, f.Data)
 	for _, name := range Names() {
-		c, _ := Lookup(name)
+		c, _ := NewHandle(name, 0)
 		res, err := Evaluate(c, f.Data, f.Dims, eb)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -58,8 +64,8 @@ func TestSZBeatsZFPOnRatio(t *testing.T) {
 	spec, _ := fpdata.Lookup("CESM-ATM", "")
 	f := fpdata.Generate(spec, 64, 4)
 	eb := AbsBoundFromRelative(1e-2, f.Data)
-	szC, _ := Lookup("sz")
-	zfpC, _ := Lookup("zfp")
+	szC, _ := NewHandle("sz", 0)
+	zfpC, _ := NewHandle("zfp", 0)
 	szRes, err := Evaluate(szC, f.Data, f.Dims, eb)
 	if err != nil {
 		t.Fatal(err)
@@ -126,6 +132,54 @@ func TestAbsBoundFromRelative(t *testing.T) {
 	}
 }
 
+// TestAbsBoundFromRelativeNonFinite: the codecs store non-finite values
+// verbatim, so they take no part in the range: wherever a NaN or an infinity
+// sits, the bound is the one the finite values alone give, and the field
+// round-trips under it. A field with no finite value falls back to range 1.
+func TestAbsBoundFromRelativeNonFinite(t *testing.T) {
+	const n, rel = 4096, 1e-3
+	clean := make([]float32, n)
+	for i := range clean {
+		clean[i] = float32(math.Sin(float64(i)/50)) * 48
+	}
+	want := AbsBoundFromRelative(rel, clean)
+	if !(want > 0) || math.IsInf(want, 0) {
+		t.Fatalf("clean bound %v", want)
+	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, tc := range []struct {
+		name string
+		v    float32
+	}{{"NaN", nan}, {"+Inf", inf}, {"-Inf", -inf}} {
+		for _, at := range []int{0, n / 2, n - 1} {
+			data := append([]float32(nil), clean...)
+			data[at] = tc.v
+			// None of the three positions holds an extremum of the clean
+			// field, so the finite range — and the bound — is unchanged.
+			eb := AbsBoundFromRelative(rel, data)
+			if eb != want {
+				t.Errorf("%s at %d: bound %v, want %v wherever it sits", tc.name, at, eb, want)
+			}
+			for _, name := range Names() {
+				h, _ := NewHandle(name, 1)
+				if _, err := Evaluate(h, data, []int{n}, eb); err != nil {
+					t.Errorf("%s at %d, %s: %v", tc.name, at, name, err)
+				}
+			}
+		}
+	}
+	allNaN := []float32{nan, nan, nan, nan}
+	if eb := AbsBoundFromRelative(rel, allNaN); eb != rel {
+		t.Errorf("all-NaN bound %v, want the rel fallback %v", eb, rel)
+	}
+	for _, name := range Names() {
+		h, _ := NewHandle(name, 1)
+		if _, err := Evaluate(h, allNaN, []int{4}, rel); err != nil {
+			t.Errorf("all-NaN, %s: %v", name, err)
+		}
+	}
+}
+
 func TestPaperErrorBounds(t *testing.T) {
 	want := []float64{1e-1, 1e-2, 1e-3, 1e-4}
 	if len(PaperErrorBounds) != len(want) {
@@ -158,11 +212,15 @@ func TestFloat64Facade(t *testing.T) {
 		data[i] = float64(i) * 1e-5
 	}
 	for _, name := range Names() {
-		buf, err := Compress64(name, data, []int{1000}, 1e-9)
+		h, err := NewHandle(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, err := h.Compress64(data, []int{1000}, 1e-9)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		out, dims, err := Decompress64(name, buf)
+		out, dims, err := h.Decompress64(buf)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -174,11 +232,5 @@ func TestFloat64Facade(t *testing.T) {
 				t.Fatalf("%s bound violated at %d: %g", name, i, d)
 			}
 		}
-	}
-	if _, err := Compress64("nope", data, []int{1000}, 1e-9); err == nil {
-		t.Error("unknown codec accepted")
-	}
-	if _, _, err := Decompress64("nope", nil); err == nil {
-		t.Error("unknown codec accepted on decompress")
 	}
 }

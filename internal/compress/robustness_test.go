@@ -30,7 +30,7 @@ func TestDecompressRandomGarbage(t *testing.T) {
 		blob := make([]byte, rng.Intn(4096))
 		rng.Read(blob)
 		for _, name := range compress.Names() {
-			codec, _ := compress.Lookup(name)
+			codec, _ := compress.NewHandle(name, 0)
 			mustNotPanic(t, name, func() {
 				_, _, _ = codec.Decompress(blob)
 			})
@@ -51,7 +51,7 @@ func TestDecompressMutatedStreams(t *testing.T) {
 		data[i] = float32(rng.NormFloat64())
 	}
 	for _, name := range compress.Names() {
-		codec, _ := compress.Lookup(name)
+		codec, _ := compress.NewHandle(name, 0)
 		valid, err := codec.Compress(data, []int{2000}, 1e-3)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -140,7 +140,7 @@ type Packer struct {
 // NewPacker returns a Packer for the named codec. opts.Parallelism fixes
 // the worker count for every subsequent Pack call.
 func NewPacker(codecName string, opts Options) (*Packer, error) {
-	if _, err := compress.Lookup(codecName); err != nil {
+	if err := compress.CheckName(codecName); err != nil {
 		return nil, err
 	}
 	opts = opts.normalized()
@@ -163,7 +163,7 @@ func (p *Packer) Pack64(data []float64, dims []int, eb float64) ([]byte, error) 
 
 func packGeneric[F float32 | float64](codecName string, elemBits uint32, data []F,
 	dims []int, eb float64, opts Options, handles []compress.Handle) ([]byte, error) {
-	if _, err := compress.Lookup(codecName); err != nil {
+	if err := compress.CheckName(codecName); err != nil {
 		return nil, err
 	}
 	if len(dims) == 0 {
@@ -362,7 +362,7 @@ func unpackGeneric[F float32 | float64](buf []byte, opts Options, wantBits int) 
 		return nil, nil, fmt.Errorf("container: holds float%d values, caller asked for float%d",
 			p.info.ElemBits, wantBits)
 	}
-	if _, err := compress.Lookup(p.info.Codec); err != nil {
+	if err := compress.CheckName(p.info.Codec); err != nil {
 		return nil, nil, err
 	}
 	n := 1
@@ -418,42 +418,31 @@ func unpackGeneric[F float32 | float64](buf []byte, opts Options, wantBits int) 
 // ReadChunk decompresses a single float32 chunk by index, returning its
 // values, its dims, and the slab's starting row in the full array.
 func ReadChunk(buf []byte, idx int) ([]float32, []int, int, error) {
-	p, err := parse(buf)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if p.info.ElemBits != 32 {
-		return nil, nil, 0, fmt.Errorf("container: holds float%d values; use ReadChunk64", p.info.ElemBits)
-	}
-	if idx < 0 || idx >= len(p.spans) {
-		return nil, nil, 0, fmt.Errorf("container: chunk %d out of range [0,%d)", idx, len(p.spans))
-	}
-	codec, err := compress.Lookup(p.info.Codec)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	blob := buf[p.blobAt[idx] : p.blobAt[idx]+p.blobSz[idx]]
-	vals, dims, err := codec.Decompress(blob)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return vals, dims, p.spans[idx].lo, nil
+	return readChunk[float32](buf, idx, 32)
 }
 
 // ReadChunk64 is ReadChunk for float64 containers.
 func ReadChunk64(buf []byte, idx int) ([]float64, []int, int, error) {
+	return readChunk[float64](buf, idx, 64)
+}
+
+func readChunk[F float32 | float64](buf []byte, idx, wantBits int) ([]F, []int, int, error) {
 	p, err := parse(buf)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	if p.info.ElemBits != 64 {
-		return nil, nil, 0, fmt.Errorf("container: holds float%d values; use ReadChunk", p.info.ElemBits)
+	if p.info.ElemBits != wantBits {
+		return nil, nil, 0, fmt.Errorf("container: holds float%d values, caller asked for float%d",
+			p.info.ElemBits, wantBits)
 	}
 	if idx < 0 || idx >= len(p.spans) {
 		return nil, nil, 0, fmt.Errorf("container: chunk %d out of range [0,%d)", idx, len(p.spans))
 	}
-	blob := buf[p.blobAt[idx] : p.blobAt[idx]+p.blobSz[idx]]
-	vals, dims, err := compress.Decompress64(p.info.Codec, blob)
+	h, err := compress.NewHandle(p.info.Codec, 0)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	vals, dims, err := handleDecompress[F](h, buf[p.blobAt[idx]:p.blobAt[idx]+p.blobSz[idx]])
 	if err != nil {
 		return nil, nil, 0, err
 	}

@@ -102,7 +102,7 @@ func MeasureRatios(cfg Config, specs []fpdata.Spec) (*RatioTable, error) {
 	for _, spec := range specs {
 		field := fpdata.Generate(spec, spec.ScaleFor(cfg.RatioElems), cfg.Seed)
 		for _, codecName := range cfg.Codecs {
-			codec, err := compress.LookupParallel(codecName, cfg.Workers)
+			codec, err := compress.NewHandle(codecName, cfg.Workers)
 			if err != nil {
 				return nil, err
 			}

@@ -114,7 +114,7 @@ func priceBounds(cfg Config, dcfg DumpConfig, what string,
 	if err != nil {
 		return nil, err
 	}
-	codec, err := compress.LookupParallel(dcfg.Codec, cfg.Workers)
+	codec, err := compress.NewHandle(dcfg.Codec, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -34,15 +34,20 @@ func ValidateBroadwellModel(cfg Config, fit regress.PowerLawFit) (Validation, er
 	node := machine.NewNode(chip, cfg.Seed+2)
 	specs := fpdata.IsabelFields()
 
+	codecs := make([]compress.Handle, len(cfg.Codecs))
+	for i, name := range cfg.Codecs {
+		var err error
+		if codecs[i], err = compress.NewHandle(name, cfg.Workers); err != nil {
+			return Validation{}, err
+		}
+	}
+
 	var sweeps []perf.Sweep
 	var observedF, observedP []float64
 	for _, spec := range specs {
 		field := fpdata.Generate(spec, spec.ScaleFor(cfg.RatioElems), cfg.Seed)
-		for _, codecName := range cfg.Codecs {
-			codec, err := compress.Lookup(codecName)
-			if err != nil {
-				return Validation{}, err
-			}
+		for i, codecName := range cfg.Codecs {
+			codec := codecs[i]
 			eb := compress.AbsBoundFromRelative(heldOutEB, field.Data)
 			res, err := compress.Evaluate(codec, field.Data, field.Dims, eb)
 			if err != nil {

@@ -2,7 +2,29 @@ package core
 
 import (
 	"testing"
+
+	"lcpio/internal/obs"
+	"lcpio/internal/regress"
 )
+
+// TestValidationHonorsWorkers: the Figure 5 study states its worker count
+// like every other study, so `--workers 1` runs it single-worker. The codecs
+// publish the worker count they ran with as a gauge.
+func TestValidationHonorsWorkers(t *testing.T) {
+	r := obs.NewRegistry()
+	obs.Use(r)
+	defer obs.Use(nil)
+	cfg := testConfig()
+	cfg.Workers = 1
+	if _, err := ValidateBroadwellModel(cfg, regress.PowerLawFit{A: 1, B: 1, C: 0}); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []string{"lcpio_sz_workers", "lcpio_zfp_workers"} {
+		if got := r.Gauge(g).Value(); got != 1 {
+			t.Errorf("%s = %v with Config.Workers = 1", g, got)
+		}
+	}
+}
 
 func TestValidationFigure5(t *testing.T) {
 	cs, _ := sharedStudies(t)

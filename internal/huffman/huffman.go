@@ -11,7 +11,6 @@ package huffman
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"lcpio/internal/bitstream"
@@ -381,9 +380,6 @@ func (c *Code) initFrom(lens []uint8) error {
 	return nil
 }
 
-// MaxLen reports the longest assigned code length.
-func (c *Code) MaxLen() uint8 { return c.maxLen }
-
 // Encode appends the code for symbol s to w. Encoding a symbol with no
 // assigned code is a programming error and panics.
 func (c *Code) Encode(w *bitstream.Writer, s int) {
@@ -537,21 +533,11 @@ func (c *Code) WriteTable(w *bitstream.Writer) {
 	}
 }
 
-// ReadTable reconstructs a Code from a table written by WriteTable.
-func ReadTable(r *bitstream.Reader) (*Code, error) {
-	c := &Code{}
-	var lens []uint8
-	if err := ReadTableInto(r, c, &lens, maxTableSyms); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // maxTableSyms is the widest alphabet a serialized table may claim.
 const maxTableSyms = 1 << 28
 
-// ReadTableInto is ReadTable decoding into a caller-owned Code and length
-// scratch buffer, so decoders that parse one table per partition reuse the
+// ReadTableInto reconstructs a Code from a table written by WriteTable into a
+// caller-owned Code and length scratch buffer, so decoders that parse one table per partition reuse the
 // table storage across partitions instead of reallocating ~NumSymbols-sized
 // arrays each time. *lensBuf is grown as needed and left holding the parsed
 // lengths. A table claiming more than maxSyms symbols is ErrCorrupt before
@@ -604,19 +590,6 @@ func ReadTableInto(r *bitstream.Reader, c *Code, lensBuf *[]uint8, maxSyms int) 
 	return c.initFrom(lens)
 }
 
-// EstimateBits reports the exact compressed payload size in bits for the
-// given symbol stream under code c (excluding the table).
-func (c *Code) EstimateBits(syms []int) (int, error) {
-	total := 0
-	for _, s := range syms {
-		if s < 0 || s >= len(c.lens) || c.lens[s] == 0 {
-			return 0, fmt.Errorf("huffman: symbol %d has no code", s)
-		}
-		total += int(c.lens[s])
-	}
-	return total, nil
-}
-
 // Histogram counts symbol frequencies over syms for an alphabet of size n.
 func Histogram(syms []int, n int) []uint64 {
 	freqs := make([]uint64, n)
@@ -631,27 +604,6 @@ func HistogramInto(freqs []uint64, syms []int) {
 	for _, s := range syms {
 		freqs[s]++
 	}
-}
-
-// CodebookEntropy returns the Shannon entropy (bits/symbol) of a frequency
-// table, useful for diagnostics and tests of coding efficiency.
-func CodebookEntropy(freqs []uint64) float64 {
-	var total uint64
-	for _, f := range freqs {
-		total += f
-	}
-	if total == 0 {
-		return 0
-	}
-	var h float64
-	for _, f := range freqs {
-		if f == 0 {
-			continue
-		}
-		p := float64(f) / float64(total)
-		h -= p * math.Log2(p)
-	}
-	return h
 }
 
 // sortSymbolsByLen is used in tests to verify canonical ordering.

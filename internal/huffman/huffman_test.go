@@ -9,6 +9,38 @@ import (
 	"lcpio/internal/bitstream"
 )
 
+// readTable reads a table with no alphabet bound of its own, as a caller
+// that trusts its stream would.
+func readTable(r *bitstream.Reader) (*Code, error) {
+	c := &Code{}
+	var lens []uint8
+	if err := ReadTableInto(r, c, &lens, maxTableSyms); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// codebookEntropy returns the Shannon entropy (bits/symbol) of a frequency
+// table: the reference TestQuickOptimality holds the code lengths to.
+func codebookEntropy(freqs []uint64) float64 {
+	var total uint64
+	for _, f := range freqs {
+		total += f
+	}
+	if total == 0 {
+		return 0
+	}
+	var h float64
+	for _, f := range freqs {
+		if f == 0 {
+			continue
+		}
+		p := float64(f) / float64(total)
+		h -= p * math.Log2(p)
+	}
+	return h
+}
+
 func roundTrip(t *testing.T, freqs []uint64, stream []int) {
 	t.Helper()
 	c, err := Build(freqs)
@@ -21,9 +53,9 @@ func roundTrip(t *testing.T, freqs []uint64, stream []int) {
 		c.Encode(w, s)
 	}
 	r := bitstream.NewReader(w.Bytes())
-	c2, err := ReadTable(r)
+	c2, err := readTable(r)
 	if err != nil {
-		t.Fatalf("ReadTable: %v", err)
+		t.Fatalf("readTable: %v", err)
 	}
 	for i, want := range stream {
 		got, err := c2.Decode(r)
@@ -82,8 +114,8 @@ func TestFibonacciWorstCase(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if c.MaxLen() > MaxCodeLen {
-		t.Fatalf("MaxLen %d exceeds cap %d", c.MaxLen(), MaxCodeLen)
+	if c.maxLen > MaxCodeLen {
+		t.Fatalf("maxLen %d exceeds cap %d", c.maxLen, MaxCodeLen)
 	}
 	stream := []int{0, 39, 20, 5, 39, 0, 1}
 	roundTrip(t, freqs, stream)
@@ -148,33 +180,6 @@ func TestEncodeUnusedSymbolPanics(t *testing.T) {
 	c.Encode(bitstream.NewWriter(0), 1)
 }
 
-func TestEstimateBitsMatchesEncoding(t *testing.T) {
-	freqs := []uint64{10, 20, 5, 1, 40}
-	c, err := Build(freqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := []int{0, 1, 2, 3, 4, 4, 4, 1}
-	want, err := c.EstimateBits(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := bitstream.NewWriter(0)
-	for _, s := range stream {
-		c.Encode(w, s)
-	}
-	if got := w.BitLen(); got != want {
-		t.Fatalf("EstimateBits=%d but encoded %d bits", want, got)
-	}
-}
-
-func TestEstimateBitsRejectsUnknown(t *testing.T) {
-	c, _ := Build([]uint64{1, 1})
-	if _, err := c.EstimateBits([]int{0, 1, 2}); err == nil {
-		t.Fatal("expected error for out-of-alphabet symbol")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := Histogram([]int{0, 1, 1, 3, 3, 3}, 4)
 	want := []uint64{1, 2, 0, 3}
@@ -187,13 +192,13 @@ func TestHistogram(t *testing.T) {
 
 func TestCodebookEntropy(t *testing.T) {
 	// Uniform over 4 symbols: entropy exactly 2 bits.
-	if h := CodebookEntropy([]uint64{1, 1, 1, 1}); math.Abs(h-2) > 1e-12 {
+	if h := codebookEntropy([]uint64{1, 1, 1, 1}); math.Abs(h-2) > 1e-12 {
 		t.Fatalf("entropy %v, want 2", h)
 	}
-	if h := CodebookEntropy(nil); h != 0 {
+	if h := codebookEntropy(nil); h != 0 {
 		t.Fatalf("empty entropy %v", h)
 	}
-	if h := CodebookEntropy([]uint64{9}); h != 0 {
+	if h := codebookEntropy([]uint64{9}); h != 0 {
 		t.Fatalf("single-symbol entropy %v", h)
 	}
 }
@@ -224,7 +229,7 @@ func TestQuickOptimality(t *testing.T) {
 				avg += float64(fq) / float64(total) * float64(c.lens[s])
 			}
 		}
-		h := CodebookEntropy(freqs)
+		h := codebookEntropy(freqs)
 		// Huffman is within 1 bit of entropy (plus a hair for the 1-bit
 		// minimum on single-symbol alphabets).
 		return avg <= h+1.0+1e-9
@@ -257,7 +262,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			c.Encode(w, s)
 		}
 		r := bitstream.NewReader(w.Bytes())
-		c2, err := ReadTable(r)
+		c2, err := readTable(r)
 		if err != nil {
 			return false
 		}

@@ -3,7 +3,7 @@
 // value is independently quantized to round(x / 2eb), zigzag-varint
 // encoded, and passed through the lossless stage. No prediction, no
 // transform: the gap between squant's ratios and sz's quantifies what
-// Lorenzo/regression prediction buys, which is why it lives in the codec
+// Lorenzo prediction buys, which is why it lives in the codec
 // registry alongside the paper's two compressors.
 package squant
 
@@ -43,12 +43,12 @@ func elemKind[F Float]() uint32 {
 
 // Compress quantizes float32 data under absolute error bound eb.
 func Compress(data []float32, dims []int, eb float64) ([]byte, error) {
-	return compressGeneric(data, dims, eb)
+	return compressGeneric(nil, data, dims, eb)
 }
 
 // Compress64 is Compress for float64 data.
 func Compress64(data []float64, dims []int, eb float64) ([]byte, error) {
-	return compressGeneric(data, dims, eb)
+	return compressGeneric(nil, data, dims, eb)
 }
 
 // Decompress reverses Compress.
@@ -61,7 +61,43 @@ func Decompress64(buf []byte) ([]float64, []int, error) {
 	return decompressGeneric[float64](buf)
 }
 
-func compressGeneric[F Float](data []F, dims []int, eb float64) ([]byte, error) {
+// Handle is the codec as the registry holds it. It is the one-shot entry
+// points under the handle method set: a flat quantizer has no scratch worth
+// keeping between calls and no parallel path, so the zero value is ready and
+// there is nothing to configure.
+type Handle struct{}
+
+// Name returns the codec's registry name.
+func (Handle) Name() string { return "squant" }
+
+func (Handle) Compress(data []float32, dims []int, eb float64) ([]byte, error) {
+	return compressGeneric(nil, data, dims, eb)
+}
+
+// CompressAppend appends the stream to dst.
+func (Handle) CompressAppend(dst []byte, data []float32, dims []int, eb float64) ([]byte, error) {
+	return compressGeneric(dst, data, dims, eb)
+}
+
+func (Handle) Decompress(buf []byte) ([]float32, []int, error) {
+	return decompressGeneric[float32](buf)
+}
+
+func (Handle) Compress64(data []float64, dims []int, eb float64) ([]byte, error) {
+	return compressGeneric(nil, data, dims, eb)
+}
+
+// CompressAppend64 is CompressAppend for float64 data.
+func (Handle) CompressAppend64(dst []byte, data []float64, dims []int, eb float64) ([]byte, error) {
+	return compressGeneric(dst, data, dims, eb)
+}
+
+func (Handle) Decompress64(buf []byte) ([]float64, []int, error) {
+	return decompressGeneric[float64](buf)
+}
+
+// compressGeneric appends the compressed stream to dst.
+func compressGeneric[F Float](dst []byte, data []F, dims []int, eb float64) ([]byte, error) {
 	if !(eb > 0) || math.IsInf(eb, 0) {
 		return nil, fmt.Errorf("squant: invalid error bound %v", eb)
 	}
@@ -123,7 +159,7 @@ func compressGeneric[F Float](data []F, dims []int, eb float64) ([]byte, error) 
 	}
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(len(quanta)))
 	payload = append(payload, quanta...)
-	return lossless.Compress(payload, lossless.Defaults()), nil
+	return lossless.AppendCompress(dst, payload, lossless.Defaults()), nil
 }
 
 func decompressGeneric[F Float](buf []byte) ([]F, []int, error) {

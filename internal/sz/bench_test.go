@@ -39,9 +39,7 @@ func BenchmarkCompressWorkers(b *testing.B) {
 	data, dims := benchField(benchDim())
 	raw := int64(len(data)) * 4
 	for _, workers := range []int{1, 2, 4, 8} {
-		opts := Defaults()
-		opts.Parallelism = workers
-		c := NewCompressor(opts)
+		c := NewHandle(workers)
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.SetBytes(raw)
 			b.ReportAllocs()
@@ -63,7 +61,7 @@ func BenchmarkDecompressWorkers(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		d := NewDecompressor(Options{Parallelism: workers})
+		d := NewHandle(workers)
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.SetBytes(raw)
 			b.ReportAllocs()
@@ -77,7 +75,7 @@ func BenchmarkDecompressWorkers(b *testing.B) {
 }
 
 // BenchmarkCompressorReuse contrasts the one-shot package function (fresh
-// handle, cold pools every call) against a reused Compressor whose scratch
+// handle, cold pools every call) against a reused Handle whose scratch
 // pools are warm — the zero-alloc steady state the engine is built around.
 func BenchmarkCompressorReuse(b *testing.B) {
 	data, dims := benchField(benchDim())
@@ -92,7 +90,7 @@ func BenchmarkCompressorReuse(b *testing.B) {
 		}
 	})
 	b.Run("reused", func(b *testing.B) {
-		c := NewCompressor(Defaults())
+		c := NewHandle(0)
 		// One untimed call warms the scratch pools and sizes dst — the
 		// steady state this benchmark exists to measure.
 		dst, err := c.CompressAppend(nil, data, dims, 1e-3)
@@ -120,7 +118,7 @@ func BenchmarkCompressorReuse(b *testing.B) {
 func BenchmarkTelemetry(b *testing.B) {
 	data, dims := benchField(benchDim())
 	raw := int64(len(data)) * 4
-	c := NewCompressor(Defaults())
+	c := NewHandle(0)
 	run := func(b *testing.B) {
 		b.SetBytes(raw)
 		b.ReportAllocs()

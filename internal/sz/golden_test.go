@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -56,18 +57,50 @@ func goldenField64(dims []int) []float64 {
 // -update (named by the current version constant); the decoder reads only
 // that version, so a format bump replaces the files.
 var goldenCases = []struct {
-	name  string
-	dims  []int
-	eb    float64
-	order int
-	f64   bool
+	name string
+	dims []int
+	eb   float64
+	f64  bool
 }{
-	{"order1_3d", []int{6, 32, 32}, 1e-3, 1, false},
-	{"order0_3d", []int{6, 32, 32}, 1e-3, 0, false},
-	{"order2_3d", []int{6, 32, 32}, 1e-3, 2, false},
-	{"order1_2d", []int{48, 64}, 1e-4, 1, false},
-	{"order1_1d", []int{4096}, 1e-3, 1, false},
-	{"order1_3d_f64", []int{6, 32, 32}, 1e-6, 1, true},
+	{"order1_3d", []int{6, 32, 32}, 1e-3, false},
+	{"order1_2d", []int{48, 64}, 1e-4, false},
+	{"order1_1d", []int{4096}, 1e-3, false},
+	{"order1_3d_f64", []int{6, 32, 32}, 1e-6, true},
+}
+
+// retiredGoldens are streams of configurations the codec no longer has
+// (previous-value and hybrid-regression predictors). They stay committed
+// without a decoded image: the decoder must refuse them.
+var retiredGoldens = []string{
+	"golden_v4_order0_3d.f32.szs",
+	"golden_v4_order2_3d.f32.szs",
+}
+
+func isRetiredGolden(path string) bool {
+	for _, name := range retiredGoldens {
+		if filepath.Base(path) == name {
+			return true
+		}
+	}
+	return false
+}
+
+// requireRefused asserts that both decoders return an error on stream
+// without allocating anything the size of an output: the refusal comes from
+// the header, before the array the header describes is made.
+func requireRefused(t *testing.T, stream []byte) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err32 := Decompress(stream)
+	_, _, err64 := Decompress64(stream)
+	runtime.ReadMemStats(&after)
+	if err32 == nil || err64 == nil {
+		t.Fatalf("retired stream decoded: Decompress err %v, Decompress64 err %v", err32, err64)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
+		t.Fatalf("refusal allocated %d bytes; must come before any output is sized", got)
+	}
 }
 
 // reconFile layout: uint32 ndims, ndims x uint64 dims, then raw
@@ -124,7 +157,7 @@ func float64Bits(vals []float64) []byte {
 // -update it regenerates the current version's files (forcing a small
 // partition granularity so the partition machinery is exercised); without
 // it, every pinned stream on disk must decode bit-identically to its pinned
-// image.
+// image — or, for the retired configurations, be refused.
 func TestGoldenStreams(t *testing.T) {
 	dir := "testdata"
 	if *updateGolden {
@@ -135,8 +168,6 @@ func TestGoldenStreams(t *testing.T) {
 		partTargetElems = 2048
 		defer func() { partTargetElems = saved }()
 		for _, tc := range goldenCases {
-			opts := Defaults()
-			opts.PredictorOrder = tc.order
 			kind := "f32"
 			if tc.f64 {
 				kind = "f64"
@@ -146,7 +177,7 @@ func TestGoldenStreams(t *testing.T) {
 			var reconBits []byte
 			var err error
 			if tc.f64 {
-				stream, err = CompressOpts64(goldenField64(tc.dims), tc.dims, tc.eb, opts)
+				stream, err = Compress64(goldenField64(tc.dims), tc.dims, tc.eb)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -156,7 +187,7 @@ func TestGoldenStreams(t *testing.T) {
 				}
 				reconBits = float64Bits(out)
 			} else {
-				stream, err = CompressOpts(goldenField32(tc.dims), tc.dims, tc.eb, opts)
+				stream, err = Compress(goldenField32(tc.dims), tc.dims, tc.eb)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -190,6 +221,10 @@ func TestGoldenStreams(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if isRetiredGolden(path) {
+				requireRefused(t, stream)
+				return
+			}
 			wantDims, wantBits := readReconFile(t, strings.TrimSuffix(path, ".szs")+".recon")
 			var gotBits []byte
 			var gotDims []int
@@ -221,6 +256,48 @@ func TestGoldenStreams(t *testing.T) {
 	}
 }
 
+// TestHandleMatchesGoldens: at every worker count a Handle's Compress,
+// CompressAppend and Compress64 write exactly the committed streams (under
+// the partition granularity they were recorded with), so the one
+// configuration the codec has left is the one the goldens pin.
+func TestHandleMatchesGoldens(t *testing.T) {
+	saved := partTargetElems
+	partTargetElems = 2048
+	defer func() { partTargetElems = saved }()
+	for _, tc := range goldenCases {
+		kind := "f32"
+		if tc.f64 {
+			kind = "f64"
+		}
+		name := fmt.Sprintf("golden_v%d_%s.%s.szs", version, tc.name, kind)
+		want, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			h := NewHandle(workers)
+			var got, appended []byte
+			if tc.f64 {
+				got, err = h.Compress64(goldenField64(tc.dims), tc.dims, tc.eb)
+				if err == nil {
+					appended, err = h.CompressAppend64([]byte("pre"), goldenField64(tc.dims), tc.dims, tc.eb)
+				}
+			} else {
+				got, err = h.Compress(goldenField32(tc.dims), tc.dims, tc.eb)
+				if err == nil {
+					appended, err = h.CompressAppend([]byte("pre"), goldenField32(tc.dims), tc.dims, tc.eb)
+				}
+			}
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if !bytes.Equal(got, want) || !bytes.Equal(appended, append([]byte("pre"), want...)) {
+				t.Fatalf("%s workers=%d: handle bytes differ from the committed stream", name, workers)
+			}
+		}
+	}
+}
+
 // TestGoldenStreamPrefixes: every byte-prefix of every golden stream, both
 // precisions, is an error from the public decoders —
 // never a success, never a panic. The word-at-a-time entropy decoders peek
@@ -244,6 +321,41 @@ func TestGoldenStreamPrefixes(t *testing.T) {
 				t.Fatalf("%s: Decompress64 of %d-byte prefix succeeded", path, cut)
 			}
 		}
+	}
+}
+
+// TestRetiredConfigurationsRefused: streams written under a configuration the
+// codec no longer has — the committed order-0 and order-2 goldens, and
+// current streams whose quantBits or predictor-order header word is forged to
+// any other value — are refused from the header: an error, no panic, no
+// output allocation.
+func TestRetiredConfigurationsRefused(t *testing.T) {
+	for _, name := range retiredGoldens {
+		stream, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) { requireRefused(t, stream) })
+	}
+	current, err := os.ReadFile(filepath.Join("testdata", "golden_v4_order1_3d.f32.szs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Decompress(current); err != nil {
+		t.Fatalf("unforged stream: %v", err)
+	}
+	// Header words after magic, version, kind: quantBits at byte 12,
+	// predictor order at byte 16.
+	forge := func(off int, v uint32) []byte {
+		out := append([]byte(nil), current...)
+		binary.LittleEndian.PutUint32(out[off:], v)
+		return out
+	}
+	for _, qb := range []uint32{6, 15, 17, 20} {
+		t.Run(fmt.Sprintf("quantBits=%d", qb), func(t *testing.T) { requireRefused(t, forge(12, qb)) })
+	}
+	for _, po := range []uint32{0, 2, 3} {
+		t.Run(fmt.Sprintf("predOrder=%d", po), func(t *testing.T) { requireRefused(t, forge(16, po)) })
 	}
 }
 

@@ -31,7 +31,7 @@ func TestCompressOccupancyNamesSerializedStage(t *testing.T) {
 	for i := range data {
 		data[i] = float32(math.Sin(float64(i) / 37))
 	}
-	if _, err := CompressOpts(data, dims, 1e-3, Options{Parallelism: 8}); err != nil {
+	if _, err := NewHandle(8).Compress(data, dims, 1e-3); err != nil {
 		t.Fatal(err)
 	}
 

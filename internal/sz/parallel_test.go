@@ -31,20 +31,17 @@ func multiPartField(t *testing.T) ([]float32, []int) {
 
 // TestParallelBytesDeterministic: the compressed stream must be
 // byte-identical at every worker count — partition layout is a function of
-// shape, never of Parallelism.
+// shape, never of the worker count.
 func TestParallelBytesDeterministic(t *testing.T) {
 	data, dims := multiPartField(t)
 	const eb = 1e-3
 
-	opts := Defaults()
-	opts.Parallelism = 1
-	ref, err := CompressOpts(data, dims, eb, opts)
+	ref, err := NewHandle(1).Compress(data, dims, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for workers := 2; workers <= 8; workers++ {
-		opts.Parallelism = workers
-		got, err := CompressOpts(data, dims, eb, opts)
+		got, err := NewHandle(workers).Compress(data, dims, eb)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -67,7 +64,7 @@ func TestParallelDecodeEquivalence(t *testing.T) {
 	}
 	var ref []float32
 	for workers := 1; workers <= 8; workers++ {
-		out, gotDims, err := DecompressOpts(buf, Options{Parallelism: workers})
+		out, gotDims, err := NewHandle(workers).Decompress(buf)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -128,17 +125,16 @@ func TestCompressorReuseMatchesOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCompressor(Defaults())
-	d := NewDecompressor(Options{})
+	h := NewHandle(0)
 	for round := 0; round < 3; round++ {
-		got, err := c.Compress(data, dims, eb)
+		got, err := h.Compress(data, dims, eb)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		if !bytes.Equal(want, got) {
-			t.Fatalf("round %d: reused Compressor produced different bytes", round)
+			t.Fatalf("round %d: reused Handle produced different bytes", round)
 		}
-		out, _, err := d.Decompress(got)
+		out, _, err := h.Decompress(got)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -147,5 +143,27 @@ func TestCompressorReuseMatchesOneShot(t *testing.T) {
 				t.Fatalf("round %d: element %d error %g > %g", round, i, diff, eb)
 			}
 		}
+	}
+}
+
+// TestHandleScratchLazyPerDirection: one handle owns both directions, but a
+// dump-only client must not pay for decode lanes, nor a restore-only client
+// for encode lanes.
+func TestHandleScratchLazyPerDirection(t *testing.T) {
+	data, dims := multiPartField(t)
+	enc := NewHandle(2)
+	buf, err := enc.Compress(data, dims, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc.dec32.lanes != nil || enc.dec64.lanes != nil || enc.payloads != nil {
+		t.Fatal("compress-only handle holds decode scratch")
+	}
+	dec := NewHandle(2)
+	if _, _, err := dec.Decompress(buf); err != nil {
+		t.Fatal(err)
+	}
+	if dec.eng32.lanes != nil || dec.eng32.parts != nil || dec.eng64.lanes != nil {
+		t.Fatal("decompress-only handle holds encode scratch")
 	}
 }

@@ -7,6 +7,174 @@ import (
 	"testing/quick"
 )
 
+// The element-at-a-time reference the fused kernels in predict.go replaced:
+// one prediction, one quantization, one border switch per element.
+
+// quantizeOne maps a value to a quantization code given its prediction.
+// Codes are centered at radius; code 0 is reserved for unpredictable values.
+// ok is false when the value cannot be represented within the error bound,
+// in which case the caller stores it verbatim. Both guards are written as
+// accept-conditions so NaN (from non-finite input values, or predictions
+// contaminated by verbatim-stored non-finite neighbors) fails them and falls
+// through to the unpredictable path instead of producing a garbage code.
+func quantizeOne[F Float](val F, pred, twoEB, eb float64, radius int) (code int, recon F, ok bool) {
+	diff := float64(val) - pred
+	qf := math.Floor(diff/twoEB + 0.5)
+	if !(qf > float64(-radius) && qf < float64(radius)) {
+		return 0, 0, false
+	}
+	q := int(qf)
+	r := pred + float64(q)*twoEB
+	rf := F(r)
+	if !(math.Abs(float64(rf)-float64(val)) <= eb) {
+		// Catches reconstruction error > eb, and rf being NaN/Inf (the
+		// comparison is then false), in one test.
+		return 0, 0, false
+	}
+	return q + radius, rf, true
+}
+
+// dequantOne reconstructs a value from its code and prediction.
+func dequantOne[F Float](code int, pred, twoEB float64, radius int) F {
+	return F(pred + float64(code-radius)*twoEB)
+}
+
+// pred2D computes the first-order 2-D Lorenzo prediction
+// f(i,j) ~ f(i,j-1) + f(i-1,j) - f(i-1,j-1), degrading gracefully at the
+// array borders. The fused kernels in predict.go hoist this boundary switch
+// out of the inner loop; pred2D is the element-at-a-time reference
+// TestFusedKernelsMatchReference holds them to.
+func pred2D[F Float](recon []F, i, j, d2 int) float64 {
+	switch {
+	case i > 0 && j > 0:
+		return float64(recon[i*d2+j-1]) + float64(recon[(i-1)*d2+j]) - float64(recon[(i-1)*d2+j-1])
+	case j > 0:
+		return float64(recon[i*d2+j-1])
+	case i > 0:
+		return float64(recon[(i-1)*d2+j])
+	default:
+		return 0
+	}
+}
+
+// pred3D computes the first-order 3-D Lorenzo prediction: the inclusion–
+// exclusion sum over the 7 previously-seen corners of the unit cube at
+// (i,j,k), degrading to 2-D/1-D stencils on the boundary faces and edges.
+// Reference path; see pred2D's note.
+func pred3D[F Float](recon []F, i, j, k, d1, d2 int) float64 {
+	at := func(ii, jj, kk int) float64 {
+		return float64(recon[(ii*d1+jj)*d2+kk])
+	}
+	switch {
+	case i > 0 && j > 0 && k > 0:
+		return at(i, j, k-1) + at(i, j-1, k) + at(i-1, j, k) -
+			at(i, j-1, k-1) - at(i-1, j, k-1) - at(i-1, j-1, k) +
+			at(i-1, j-1, k-1)
+	case j > 0 && k > 0:
+		return at(i, j, k-1) + at(i, j-1, k) - at(i, j-1, k-1)
+	case i > 0 && k > 0:
+		return at(i, j, k-1) + at(i-1, j, k) - at(i-1, j, k-1)
+	case i > 0 && j > 0:
+		return at(i, j-1, k) + at(i-1, j, k) - at(i-1, j-1, k)
+	case k > 0:
+		return at(i, j, k-1)
+	case j > 0:
+		return at(i, j-1, k)
+	case i > 0:
+		return at(i-1, j, k)
+	default:
+		return 0
+	}
+}
+
+// refQuantize quantizes a d0 x d1 x d2 array (d0 = 1 for 2-D, d0 = d1 = 1 for
+// 1-D) one element at a time through pred3D and quantizeOne.
+func refQuantize[F Float](data []F, d0, d1, d2 int, eb float64) (codes []int, recon, exact []F) {
+	codes = make([]int, len(data))
+	recon = make([]F, len(data))
+	for i := 0; i < d0; i++ {
+		for j := 0; j < d1; j++ {
+			for k := 0; k < d2; k++ {
+				idx := (i*d1+j)*d2 + k
+				c, r, ok := quantizeOne(data[idx], pred3D(recon, i, j, k, d1, d2), 2*eb, eb, radius)
+				if !ok {
+					c, r = 0, data[idx]
+					exact = append(exact, data[idx])
+				}
+				codes[idx], recon[idx] = c, r
+			}
+		}
+	}
+	return codes, recon, exact
+}
+
+// TestFusedKernelsMatchReference: on noisy fields with spikes and non-finite
+// values, every fused kernel emits exactly the reference's codes,
+// reconstruction and verbatim values, and the fused reconstructors invert
+// them — the hoisted border cases and the term order of each stencil included.
+func TestFusedKernelsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const eb = 1e-3
+	for _, sh := range [][3]int{{1, 1, 257}, {1, 19, 23}, {1, 2, 1}, {5, 7, 11}, {2, 1, 9}, {3, 4, 1}} {
+		d0, d1, d2 := sh[0], sh[1], sh[2]
+		data := make([]float32, d0*d1*d2)
+		for i := range data {
+			data[i] = float32(math.Sin(float64(i)/9)) + rng.Float32()*0.01
+		}
+		data[len(data)/2] = 1e9
+		data[len(data)/3] = float32(math.NaN())
+		wantCodes, wantRecon, wantExact := refQuantize(data, d0, d1, d2, eb)
+
+		codes := make([]int, len(data))
+		recon := make([]float32, len(data))
+		var exact []float32
+		switch {
+		case d0 == 1 && d1 == 1:
+			quantize1D(data, recon, codes, &exact, 2*eb, eb)
+		case d0 == 1:
+			quantize2D(data, recon, codes, &exact, d1, d2, 2*eb, eb)
+		default:
+			quantize3D(data, recon, codes, &exact, d0, d1, d2, 2*eb, eb)
+		}
+		same := func(a, b []float32) bool {
+			if len(a) != len(b) {
+				return false
+			}
+			for i := range a {
+				if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+					return false
+				}
+			}
+			return true
+		}
+		for i := range codes {
+			if codes[i] != wantCodes[i] {
+				t.Fatalf("%v: code %d = %d, reference %d", sh, i, codes[i], wantCodes[i])
+			}
+		}
+		if !same(recon, wantRecon) || !same(exact, wantExact) {
+			t.Fatalf("%v: fused reconstruction or verbatim values differ from the reference", sh)
+		}
+
+		next := 0
+		nextExact := func() (float32, error) { next++; return exact[next-1], nil }
+		back := make([]float32, len(data))
+		var err error
+		switch {
+		case d0 == 1 && d1 == 1:
+			err = reconstruct1D(back, codes, nextExact, 2*eb)
+		case d0 == 1:
+			err = reconstruct2D(back, codes, nextExact, d1, d2, 2*eb)
+		default:
+			err = reconstruct3D(back, codes, nextExact, d0, d1, d2, 2*eb)
+		}
+		if err != nil || next != len(exact) || !same(back, recon) {
+			t.Fatalf("%v: reconstruct err %v, %d/%d verbatim values used, identical %v",
+				sh, err, next, len(exact), same(back, recon))
+		}
+	}
+}
+
 func TestPred2DBorders(t *testing.T) {
 	// 2x3 reconstructed grid:
 	//  1 2 3

@@ -28,25 +28,6 @@ const (
 // CompressPWRel compresses float32 data under the pointwise relative bound
 // rel (0 < rel < 1), e.g. 1e-3 keeps every value within 0.1% of itself.
 func CompressPWRel(data []float32, dims []int, rel float64) ([]byte, error) {
-	return compressPWRel(data, dims, rel)
-}
-
-// CompressPWRel64 is CompressPWRel for float64 data.
-func CompressPWRel64(data []float64, dims []int, rel float64) ([]byte, error) {
-	return compressPWRel(data, dims, rel)
-}
-
-// DecompressPWRel reverses CompressPWRel.
-func DecompressPWRel(buf []byte) ([]float32, []int, error) {
-	return decompressPWRel[float32](buf)
-}
-
-// DecompressPWRel64 reverses CompressPWRel64.
-func DecompressPWRel64(buf []byte) ([]float64, []int, error) {
-	return decompressPWRel[float64](buf)
-}
-
-func compressPWRel[F Float](data []F, dims []int, rel float64) ([]byte, error) {
 	if !(rel > 0) || rel >= 1 || math.IsNaN(rel) {
 		return nil, fmt.Errorf("sz: pointwise relative bound %v outside (0,1)", rel)
 	}
@@ -67,7 +48,7 @@ func compressPWRel[F Float](data []F, dims []int, rel float64) ([]byte, error) {
 	logs := make([]float64, n)
 	signs := make([]bool, n)
 	specialIdx := make([]int, 0)
-	specialVal := make([]F, 0)
+	specialVal := make([]float32, 0)
 	for i, v := range data {
 		f := float64(v)
 		a := math.Abs(f)
@@ -106,7 +87,7 @@ func compressPWRel[F Float](data []F, dims []int, rel float64) ([]byte, error) {
 			v = -v
 		}
 		orig := float64(data[i])
-		if math.Abs(float64(F(v))-orig) > rel*math.Abs(orig) {
+		if math.Abs(float64(float32(v))-orig) > rel*math.Abs(orig) {
 			specialIdx = append(specialIdx, i)
 			specialVal = append(specialVal, data[i])
 		}
@@ -117,7 +98,7 @@ func compressPWRel[F Float](data []F, dims []int, rel float64) ([]byte, error) {
 	out := make([]byte, 0, len(inner)+n/8+64)
 	out = binary.LittleEndian.AppendUint32(out, pwMagic)
 	out = binary.LittleEndian.AppendUint32(out, pwVersion)
-	out = binary.LittleEndian.AppendUint32(out, elemKind[F]())
+	out = binary.LittleEndian.AppendUint32(out, 32) // element kind: float32 only
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(rel))
 	out = binary.LittleEndian.AppendUint64(out, uint64(n))
 	out = append(out, packBools(signs)...)
@@ -131,7 +112,8 @@ func compressPWRel[F Float](data []F, dims []int, rel float64) ([]byte, error) {
 	return lossless.Compress(out, lossless.Defaults()), nil
 }
 
-func decompressPWRel[F Float](buf []byte) ([]F, []int, error) {
+// DecompressPWRel reverses CompressPWRel.
+func DecompressPWRel(buf []byte) ([]float32, []int, error) {
 	raw, err := lossless.Decompress(buf)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sz: pwrel lossless stage: %w", err)
@@ -146,12 +128,11 @@ func decompressPWRel[F Float](buf []byte) ([]F, []int, error) {
 		}
 		return nil, nil, fmt.Errorf("sz: unsupported pwrel version %d", v)
 	}
-	if kind := rd.Uint32(); kind != elemKind[F]() {
+	if kind := rd.Uint32(); kind != 32 {
 		if rd.Err() != nil {
 			return nil, nil, ErrCorrupt
 		}
-		return nil, nil, fmt.Errorf("sz: pwrel stream holds float%d values, caller asked for float%d",
-			kind, elemKind[F]())
+		return nil, nil, fmt.Errorf("sz: pwrel stream holds float%d values, only float32 is supported", kind)
 	}
 	rel := rd.Float64()
 	n := int(rd.Uint64())
@@ -168,14 +149,14 @@ func decompressPWRel[F Float](buf []byte) ([]F, []int, error) {
 		return nil, nil, ErrCorrupt
 	}
 	specialIdx := make([]int, numSpecial)
-	specialVal := make([]F, numSpecial)
+	specialVal := make([]float32, numSpecial)
 	for i := range specialIdx {
 		idx := int(rd.Uint64())
 		if idx < 0 || idx >= n {
 			return nil, nil, ErrCorrupt
 		}
 		specialIdx[i] = idx
-		specialVal[i] = readValue[F](&rd)
+		specialVal[i] = rd.Float32()
 	}
 	innerLen := int(rd.Uint64())
 	if rd.Err() != nil || innerLen < 0 || innerLen > rd.Remaining() {
@@ -193,13 +174,13 @@ func decompressPWRel[F Float](buf []byte) ([]F, []int, error) {
 	if len(logs) != n {
 		return nil, nil, ErrCorrupt
 	}
-	out := make([]F, n)
+	out := make([]float32, n)
 	for i, l := range logs {
 		v := math.Exp(l)
 		if signs[i] {
 			v = -v
 		}
-		out[i] = F(v)
+		out[i] = float32(v)
 	}
 	for i, idx := range specialIdx {
 		out[idx] = specialVal[i]
@@ -207,19 +188,22 @@ func decompressPWRel[F Float](buf []byte) ([]F, []int, error) {
 	return out, dims, nil
 }
 
-// MaxPointwiseRelError reports max_i |a_i - b_i| / |a_i| over nonzero
-// entries, the acceptance metric for pointwise-relative streams.
-func MaxPointwiseRelError[F Float](orig, recon []F) float64 {
-	m := 0.0
-	for i := range orig {
-		o := float64(orig[i])
-		if o == 0 || math.IsNaN(o) || math.IsInf(o, 0) {
-			continue
-		}
-		d := math.Abs(float64(recon[i])-o) / math.Abs(o)
-		if d > m {
-			m = d
+// packBools packs a bool slice LSB-first into bytes.
+func packBools(bs []bool) []byte {
+	out := make([]byte, (len(bs)+7)/8)
+	for i, b := range bs {
+		if b {
+			out[i/8] |= 1 << uint(i%8)
 		}
 	}
-	return m
+	return out
+}
+
+// unpackBools reverses packBools.
+func unpackBools(raw []byte, n int) []bool {
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = raw[i/8]&(1<<uint(i%8)) != 0
+	}
+	return out
 }

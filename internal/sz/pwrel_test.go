@@ -1,13 +1,33 @@
 package sz
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"lcpio/internal/fpdata"
+	"lcpio/internal/lossless"
 )
+
+// maxPointwiseRelError reports max_i |a_i - b_i| / |a_i| over nonzero
+// entries, the acceptance metric for pointwise-relative streams.
+func maxPointwiseRelError(orig, recon []float32) float64 {
+	m := 0.0
+	for i := range orig {
+		o := float64(orig[i])
+		if o == 0 || math.IsNaN(o) || math.IsInf(o, 0) {
+			continue
+		}
+		d := math.Abs(float64(recon[i])-o) / math.Abs(o)
+		if d > m {
+			m = d
+		}
+	}
+	return m
+}
 
 func pwRoundTrip(t *testing.T, data []float32, dims []int, rel float64) []byte {
 	t.Helper()
@@ -22,7 +42,7 @@ func pwRoundTrip(t *testing.T, data []float32, dims []int, rel float64) []byte {
 	if len(out) != len(data) || len(gotDims) != len(dims) {
 		t.Fatalf("shape mismatch")
 	}
-	if e := MaxPointwiseRelError(data, out); e > rel {
+	if e := maxPointwiseRelError(data, out); e > rel {
 		t.Fatalf("pointwise relative bound violated: %g > %g", e, rel)
 	}
 	// Zeros and non-finite values round-trip exactly.
@@ -106,32 +126,37 @@ func TestPWRelValidation(t *testing.T) {
 	}
 }
 
+// TestPWRelTypeMismatch: the container's element-kind word admits float32
+// only; a stream stamped float64 (older builds could write one) is refused by
+// kind, not decoded as float32.
 func TestPWRelTypeMismatch(t *testing.T) {
 	c32, err := CompressPWRel([]float32{1, 2, 3, 4}, []int{4}, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecompressPWRel64(c32); err == nil {
-		t.Error("float32 pwrel stream accepted by DecompressPWRel64")
+	raw, err := lossless.Decompress(c32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[8:], 64) // after magic and version
+	_, _, err = DecompressPWRel(lossless.Compress(raw, lossless.Defaults()))
+	if err == nil || errors.Is(err, ErrCorrupt) {
+		t.Errorf("float64-stamped pwrel stream: %v, want a kind refusal", err)
 	}
 }
 
-func TestPWRel64TightBound(t *testing.T) {
-	data := make([]float64, 1500)
-	for i := range data {
-		data[i] = math.Exp(math.Sin(float64(i)/40)) * 1e6
-	}
-	rel := 1e-7
-	comp, err := CompressPWRel64(data, []int{1500}, rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _, err := DecompressPWRel64(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := MaxPointwiseRelError(data, out); e > rel {
-		t.Fatalf("float64 pwrel bound violated: %g > %g", e, rel)
+func TestPackUnpackBools(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 8, 9, 64, 65} {
+		bs := make([]bool, n)
+		for i := range bs {
+			bs[i] = i%3 == 0
+		}
+		got := unpackBools(packBools(bs), n)
+		for i := range bs {
+			if got[i] != bs[i] {
+				t.Fatalf("n=%d mismatch at %d", n, i)
+			}
+		}
 	}
 }
 
@@ -166,7 +191,7 @@ func TestQuickPWRelInvariant(t *testing.T) {
 		if err != nil || len(out) != n {
 			return false
 		}
-		return MaxPointwiseRelError(data, out) <= rel
+		return maxPointwiseRelError(data, out) <= rel
 	}
 	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.3, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ func TestByteIdentityMatrix(t *testing.T) {
 
 		var refStream []byte
 		for _, workers := range workerCounts {
-			got, err := CompressOpts(data, dims, eb, Options{Parallelism: workers})
+			got, err := NewHandle(workers).Compress(data, dims, eb)
 			if err != nil {
 				t.Fatalf("target=%d workers=%d: %v", target, workers, err)
 			}
@@ -59,7 +59,7 @@ func TestByteIdentityMatrix(t *testing.T) {
 
 		var refOut []float32
 		for _, workers := range workerCounts {
-			out, _, err := DecompressOpts(refStream, Options{Parallelism: workers})
+			out, _, err := NewHandle(workers).Decompress(refStream)
 			if err != nil {
 				t.Fatalf("target=%d workers=%d: decompress: %v", target, workers, err)
 			}
@@ -97,7 +97,7 @@ func minAllocsPerRun(f func()) float64 {
 
 // TestCompressAllocsSteadyAcrossWorkers is the alloc-regression gate for the
 // historical 8-worker blow-up (25 -> 191 allocs/op at the seed): with a warm
-// Compressor and a reused destination buffer, raising the worker count may
+// Handle and a reused destination buffer, raising the worker count may
 // only add the per-run goroutine fan-out machinery, not per-partition
 // scratch.
 func TestCompressAllocsSteadyAcrossWorkers(t *testing.T) {
@@ -108,7 +108,7 @@ func TestCompressAllocsSteadyAcrossWorkers(t *testing.T) {
 	const eb = 1e-3
 
 	measure := func(workers int) float64 {
-		c := NewCompressor(Options{Parallelism: workers})
+		c := NewHandle(workers)
 		var dst []byte
 		var err error
 		dst, err = c.Compress(data, dims, eb) // warm: size all lanes and dst
@@ -138,7 +138,7 @@ func TestCompressAllocsSteadyAcrossWorkers(t *testing.T) {
 }
 
 // TestDecompressAllocsSteadyAcrossWorkers is the decode row of the pin above:
-// a warm Decompressor allocates its output and little else. The lossless
+// a warm Handle allocates its output and little else. The lossless
 // stage's two Huffman codes, their decode tables and the table-length
 // scratch come from a pool, so the count no longer grows with the number of
 // partitions (it was ~10 per partition, 163 on this 16-partition field).
@@ -153,7 +153,7 @@ func TestDecompressAllocsSteadyAcrossWorkers(t *testing.T) {
 	}
 
 	measure := func(workers int) float64 {
-		d := NewDecompressor(Options{Parallelism: workers})
+		d := NewHandle(workers)
 		if _, _, err := d.Decompress(buf); err != nil { // warm: size all lanes
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestScalingGate(t *testing.T) {
 	rawBytes := float64(len(data)) * 4
 
 	throughput := func(workers int) float64 {
-		c := NewCompressor(Options{Parallelism: workers})
+		c := NewHandle(workers)
 		dst, err := c.Compress(data, dims, 1e-3) // warm lanes and dst
 		if err != nil {
 			t.Fatal(err)
@@ -227,7 +227,7 @@ func TestCompressOccupancyParallelFanOut(t *testing.T) {
 
 	data, dims := multiPartField(t)
 	_, spans := partitionPlan(dims, nil)
-	if _, err := CompressOpts(data, dims, 1e-3, Options{Parallelism: 8}); err != nil {
+	if _, err := NewHandle(8).Compress(data, dims, 1e-3); err != nil {
 		t.Fatal(err)
 	}
 
@@ -256,7 +256,7 @@ func TestCompressOccupancyParallelFanOut(t *testing.T) {
 		big[i] = float32(math.Sin(float64(i%dims[2])/64) + 0.01*float64((i/dims[2])%dims[1]))
 	}
 	r2 := installObs(t)
-	if _, err := CompressOpts(big, dims, 1e-3, Options{Parallelism: 8}); err != nil {
+	if _, err := NewHandle(8).Compress(big, dims, 1e-3); err != nil {
 		t.Fatal(err)
 	}
 	p2, ok := r2.Snapshot().Pipelines["sz.compress"]

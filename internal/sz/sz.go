@@ -20,8 +20,11 @@
 // partMinFanout partitions, descending below dims[0] (splitting a flattened
 // leading axis of depth splitDepth) when the slowest dimension alone is too
 // coarse. The partition layout is a pure function of the array shape — never
-// of the worker count — so compressed bytes are identical at any Parallelism
-// setting.
+// of the worker count — so compressed bytes are identical at any worker count.
+//
+// The codec has one configuration, the one the paper runs: 2^16 quantization
+// intervals and the first-order Lorenzo predictor. The header still records
+// both, and the decoder refuses a stream that states anything else.
 package sz
 
 import (
@@ -53,11 +56,15 @@ const (
 	magic   = 0x535A4C43 // "SZLC"
 	version = 4
 
-	// defaultQuantBits sets the quantization code alphabet to 2^16
-	// intervals, SZ's default. Code 0 is reserved for unpredictable
-	// values; codes 1..2^16-1 carry quantized prediction errors centered
-	// at intvRadius.
-	defaultQuantBits = 16
+	// quantBits sets the quantization code alphabet to 2^16 intervals, SZ's
+	// default. Code 0 is reserved for unpredictable values; codes
+	// 1..2^16-1 carry quantized prediction errors centered at radius.
+	quantBits  = 16
+	quantCount = 1 << quantBits
+	radius     = quantCount / 2
+
+	// predOrder is the header word for the first-order Lorenzo predictor.
+	predOrder = 1
 
 	// maxPartitions bounds the partition count a decoder will accept.
 	// With n <= 1<<34 and the partition sizing rule, legitimate streams
@@ -89,92 +96,29 @@ var (
 // ErrCorrupt is returned when decompressing malformed input.
 var ErrCorrupt = errors.New("sz: corrupt stream")
 
-// Options tunes the compressor.
-type Options struct {
-	// QuantBits sets log2 of the quantization interval count (6..20).
-	QuantBits int
-	// PredictorOrder selects the predictor: 1 for the standard first-order
-	// Lorenzo stencil, 0 for a previous-value predictor (the ablation
-	// baseline in DESIGN.md), 2 for the SZ2-style hybrid that switches
-	// per block between Lorenzo and a least-squares linear model.
-	PredictorOrder int
-	// Lossless configures the final lossless stage.
-	Lossless lossless.Options
-	// Parallelism caps the worker goroutines used to compress or
-	// decompress partitions; 0 means all cores. It never changes the
-	// compressed bytes.
-	Parallelism int
-}
-
-// Defaults mirrors the SZ configuration used in the paper's experiments.
-func Defaults() Options {
-	return Options{QuantBits: defaultQuantBits, PredictorOrder: 1, Lossless: lossless.Defaults()}
-}
-
-func (o Options) normalized() Options {
-	if o.QuantBits == 0 {
-		o.QuantBits = defaultQuantBits
-	}
-	if o.QuantBits < 6 {
-		o.QuantBits = 6
-	}
-	if o.QuantBits > 20 {
-		o.QuantBits = 20
-	}
-	return o
-}
-
-func (o Options) workers() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Compress compresses float32 data (row-major with the given dims, slowest
-// first) under absolute error bound eb using default options.
+// first) under absolute error bound eb on all cores. For repeated calls, a
+// reusable Handle amortizes all scratch allocations.
 func Compress(data []float32, dims []int, eb float64) ([]byte, error) {
-	return CompressOpts(data, dims, eb, Defaults())
+	return NewHandle(0).Compress(data, dims, eb)
 }
 
 // Compress64 is Compress for float64 data. The quantization pipeline runs
 // in float64 throughout, so the bound holds at double precision.
 func Compress64(data []float64, dims []int, eb float64) ([]byte, error) {
-	return CompressOpts64(data, dims, eb, Defaults())
-}
-
-// CompressOpts is Compress with explicit options. For repeated calls, a
-// reusable Compressor amortizes all scratch allocations.
-func CompressOpts(data []float32, dims []int, eb float64, opts Options) ([]byte, error) {
-	return NewCompressor(opts).Compress(data, dims, eb)
-}
-
-// CompressOpts64 is Compress64 with explicit options.
-func CompressOpts64(data []float64, dims []int, eb float64, opts Options) ([]byte, error) {
-	return NewCompressor(opts).Compress64(data, dims, eb)
+	return NewHandle(0).Compress64(data, dims, eb)
 }
 
 // Decompress reverses Compress, returning the reconstructed float32 array
 // and dims. Decompressing a float64 stream returns an error directing the
 // caller to Decompress64.
 func Decompress(buf []byte) ([]float32, []int, error) {
-	return NewDecompressor(Options{}).Decompress(buf)
+	return NewHandle(0).Decompress(buf)
 }
 
 // Decompress64 reverses Compress64.
 func Decompress64(buf []byte) ([]float64, []int, error) {
-	return NewDecompressor(Options{}).Decompress64(buf)
-}
-
-// DecompressOpts is Decompress with explicit options (only Parallelism is
-// consulted; codec parameters come from the stream header).
-func DecompressOpts(buf []byte, opts Options) ([]float32, []int, error) {
-	return NewDecompressor(opts).Decompress(buf)
-}
-
-// DecompressOpts64 is Decompress64 with explicit options.
-func DecompressOpts64(buf []byte, opts Options) ([]float64, []int, error) {
-	return NewDecompressor(opts).Decompress64(buf)
+	return NewHandle(0).Decompress64(buf)
 }
 
 // elemKind tags the element type in the stream header.
@@ -273,7 +217,7 @@ func partDims(dims []int, splitDepth, rows int, buf []int) []int {
 // laneScratch holds every buffer one *worker lane* needs to run partition
 // pipelines back to back: quantization codes, the reconstruction mirror, the
 // Huffman builder and bit writer, and the pre-lossless container. Lanes
-// belong to the Compressor, so steady-state compression allocates only the
+// belong to the Handle, so steady-state compression allocates only the
 // per-partition payloads' growth and the output stream. Memory scales with
 // the worker count, never the partition count.
 type laneScratch[F Float] struct {
@@ -295,7 +239,8 @@ type partOut struct {
 	err     error
 }
 
-// engine carries the per-precision lane and partition state of a Compressor.
+// engine carries the per-precision encode lanes and partition state of a
+// Handle.
 type engine[F Float] struct {
 	lanes []*laneScratch[F]
 	parts []partOut
@@ -325,69 +270,88 @@ func (e *engine[F]) sizeTo(workers, parts int) {
 	e.parts = e.parts[:parts]
 }
 
-// Compressor is a reusable compression handle: scratch buffers, Huffman
-// builders, and LZ77 state persist across calls, eliminating steady-state
-// allocations. A Compressor is not safe for concurrent use; create one per
-// goroutine (its internal worker pool already uses Parallelism cores).
-type Compressor struct {
-	opts  Options
+// Handle is the reusable codec handle: the encode and decode lanes (scratch
+// buffers, Huffman builders and tables, LZ77 state) persist across calls,
+// eliminating steady-state allocations. Each direction's lanes are created
+// on its first call, so a handle that only compresses never holds decode
+// scratch and the reverse. A Handle is not safe for concurrent use; create
+// one per goroutine (its internal worker pool already uses workers cores).
+type Handle struct {
+	workers int
+
 	eng32 engine[float32]
 	eng64 engine[float64]
-	span  []partSpan
+	dec32 decEngine[float32]
+	dec64 decEngine[float64]
+
+	// Per-call partition index scratch: spans serves both directions, the
+	// rest is the decoder's.
+	spans    []partSpan
+	payloads [][]byte
+	plens    []int
+	errs     []error
+	pdims    []int
 }
 
-// NewCompressor returns a Compressor with the given options.
-func NewCompressor(opts Options) *Compressor {
-	return &Compressor{opts: opts}
+// NewHandle returns a Handle whose calls fan partitions out over workers
+// goroutines (0 = all cores). The worker count never changes the compressed
+// bytes.
+func NewHandle(workers int) *Handle {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return &Handle{workers: workers}
 }
 
-func engineFor[F Float](c *Compressor) *engine[F] {
+// Name returns the codec's registry name.
+func (h *Handle) Name() string { return "sz" }
+
+func engineFor[F Float](h *Handle) *engine[F] {
 	var z F
 	if _, ok := any(z).(float32); ok {
-		return any(&c.eng32).(*engine[F])
+		return any(&h.eng32).(*engine[F])
 	}
-	return any(&c.eng64).(*engine[F])
+	return any(&h.eng64).(*engine[F])
 }
 
 // Compress compresses float32 data under absolute error bound eb.
-func (c *Compressor) Compress(data []float32, dims []int, eb float64) ([]byte, error) {
-	return compressInto(c, nil, data, dims, eb)
+func (h *Handle) Compress(data []float32, dims []int, eb float64) ([]byte, error) {
+	return compressInto(h, nil, data, dims, eb)
 }
 
 // CompressAppend appends the compressed stream to dst, reusing dst's
-// capacity. With a warm Compressor and sufficient dst capacity the call does
-// not allocate.
-func (c *Compressor) CompressAppend(dst []byte, data []float32, dims []int, eb float64) ([]byte, error) {
-	return compressInto(c, dst, data, dims, eb)
+// capacity. With a warm Handle and sufficient dst capacity the call does not
+// allocate.
+func (h *Handle) CompressAppend(dst []byte, data []float32, dims []int, eb float64) ([]byte, error) {
+	return compressInto(h, dst, data, dims, eb)
 }
 
 // Compress64 is Compress for float64 data.
-func (c *Compressor) Compress64(data []float64, dims []int, eb float64) ([]byte, error) {
-	return compressInto(c, nil, data, dims, eb)
+func (h *Handle) Compress64(data []float64, dims []int, eb float64) ([]byte, error) {
+	return compressInto(h, nil, data, dims, eb)
 }
 
 // CompressAppend64 is CompressAppend for float64 data.
-func (c *Compressor) CompressAppend64(dst []byte, data []float64, dims []int, eb float64) ([]byte, error) {
-	return compressInto(c, dst, data, dims, eb)
+func (h *Handle) CompressAppend64(dst []byte, data []float64, dims []int, eb float64) ([]byte, error) {
+	return compressInto(h, dst, data, dims, eb)
 }
 
-func compressInto[F Float](c *Compressor, dst []byte, data []F, dims []int, eb float64) ([]byte, error) {
+func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float64) ([]byte, error) {
 	if eb <= 0 || math.IsNaN(eb) || math.IsInf(eb, 0) {
 		return nil, fmt.Errorf("sz: invalid error bound %v", eb)
 	}
 	if err := checkDims(data, dims); err != nil {
 		return nil, err
 	}
-	opts := c.opts.normalized()
 
 	rawBytes := int64(len(data)) * int64(elemKind[F]()/8)
 	span := obs.Start("sz.compress")
 	span.SetWorkload("sz.compress", rawBytes)
 	defer span.End()
 
-	splitDepth, spans := partitionPlan(dims, c.span)
-	c.span = spans
-	workers := opts.workers()
+	splitDepth, spans := partitionPlan(dims, h.spans)
+	h.spans = spans
+	workers := h.workers
 	obs.Set("lcpio_sz_workers", float64(workers))
 
 	ext := 1
@@ -395,11 +359,8 @@ func compressInto[F Float](c *Compressor, dst []byte, data []F, dims []int, eb f
 		ext *= d
 	}
 	rowElems := len(data) / ext
-	quantCount := 1 << opts.QuantBits
-	radius := quantCount / 2
-	twoEB := 2 * eb
 
-	eng := engineFor[F](c)
+	eng := engineFor[F](h)
 	laneCount := workers
 	if laneCount > len(spans) {
 		laneCount = len(spans)
@@ -420,8 +381,7 @@ func compressInto[F Float](c *Compressor, dst []byte, data []F, dims []int, eb f
 		lane := eng.lane(w)
 		pspan := obs.Start("sz.partition")
 		lane.pdims = partDims(dims, splitDepth, spans[i].hi-spans[i].lo, lane.pdims)
-		compressPartition(lane, &parts[i], wc, data[spans[i].lo*rowElems:spans[i].hi*rowElems],
-			eb, opts, quantCount, radius, twoEB)
+		compressPartition(lane, &parts[i], wc, data[spans[i].lo*rowElems:spans[i].hi*rowElems], eb)
 		obs.Observe("lcpio_sz_partition_seconds", pspan.End().Seconds())
 		wc.WaitInput()
 	})
@@ -448,8 +408,8 @@ func compressInto[F Float](c *Compressor, dst []byte, data []F, dims []int, eb f
 	out = wire.AppendUint32(out, magic)
 	out = wire.AppendUint32(out, version)
 	out = wire.AppendUint32(out, elemKind[F]())
-	out = wire.AppendUint32(out, uint32(opts.QuantBits))
-	out = wire.AppendUint32(out, uint32(opts.PredictorOrder))
+	out = wire.AppendUint32(out, quantBits)
+	out = wire.AppendUint32(out, predOrder)
 	out = wire.AppendFloat64(out, eb)
 	out = wire.AppendUint32(out, uint32(len(dims)))
 	for _, d := range dims {
@@ -477,9 +437,9 @@ func compressInto[F Float](c *Compressor, dst []byte, data []F, dims []int, eb f
 // over one partition on the given lane, leaving the coded payload in
 // out.payload. wc (nil when telemetry is off) tracks which stage the worker
 // occupies.
-func compressPartition[F Float](lane *laneScratch[F], out *partOut, wc *obs.WorkerClock, data []F, eb float64, opts Options,
-	quantCount, radius int, twoEB float64) {
+func compressPartition[F Float](lane *laneScratch[F], out *partOut, wc *obs.WorkerClock, data []F, eb float64) {
 	n := len(data)
+	twoEB := 2 * eb
 	if cap(lane.codes) < n {
 		lane.codes = make([]int, n)
 	}
@@ -493,29 +453,15 @@ func compressPartition[F Float](lane *laneScratch[F], out *partOut, wc *obs.Work
 
 	wc.Run("predict_quantize")
 	qspan := obs.Start("sz.predict_quantize")
-	var selections []bool
-	var coeffs []regCoeffs
 	switch effectiveDim(dims) {
 	case 1:
-		if opts.PredictorOrder == 2 {
-			selections, coeffs = quantizeRegression1D(data, recon, codes, &lane.exact, twoEB, eb, radius)
-		} else {
-			quantize1D(data, recon, codes, &lane.exact, twoEB, eb, radius, quantCount, opts)
-		}
+		quantize1D(data, recon, codes, &lane.exact, twoEB, eb)
 	case 2:
 		d1, d2 := squash2(dims)
-		if opts.PredictorOrder == 2 {
-			selections, coeffs = quantizeRegression2D(data, recon, codes, &lane.exact, d1, d2, twoEB, eb, radius)
-		} else {
-			quantize2D(data, recon, codes, &lane.exact, d1, d2, twoEB, eb, radius, quantCount, opts)
-		}
+		quantize2D(data, recon, codes, &lane.exact, d1, d2, twoEB, eb)
 	default:
 		d0, d1, d2 := squash3(dims)
-		if opts.PredictorOrder == 2 {
-			selections, coeffs = quantizeRegression3D(data, recon, codes, &lane.exact, d0, d1, d2, twoEB, eb, radius)
-		} else {
-			quantize3D(data, recon, codes, &lane.exact, d0, d1, d2, twoEB, eb, radius, quantCount, opts)
-		}
+		quantize3D(data, recon, codes, &lane.exact, d0, d1, d2, twoEB, eb)
 	}
 	qspan.End()
 	out.exact = len(lane.exact)
@@ -549,23 +495,13 @@ func compressPartition[F Float](lane *laneScratch[F], out *partOut, wc *obs.Work
 	for _, v := range lane.exact {
 		inner = appendValue(inner, v)
 	}
-	if opts.PredictorOrder == 2 {
-		// Hybrid-predictor sidecar: block selection bitmap + coefficients.
-		inner = wire.AppendUint64(inner, uint64(len(selections)))
-		inner = append(inner, packBools(selections)...)
-		packed := packCoeffs(coeffs, effectiveDim(dims))
-		inner = wire.AppendUint64(inner, uint64(len(packed)))
-		for _, v := range packed {
-			inner = wire.AppendUint32(inner, math.Float32bits(v))
-		}
-	}
 	inner = wire.AppendUint64(inner, uint64(len(huffPayload)))
 	inner = append(inner, huffPayload...)
 	lane.inner = inner
 
 	wc.Run("lossless")
 	lspan := obs.Start("sz.lossless")
-	out.payload = lossless.AppendCompress(out.payload[:0], inner, opts.Lossless)
+	out.payload = lossless.AppendCompress(out.payload[:0], inner, lossless.Defaults())
 	lspan.End()
 }
 
@@ -584,7 +520,7 @@ type decLane[F Float] struct {
 	br    bitstream.Reader
 }
 
-// decEngine carries the per-precision decode lanes of a Decompressor.
+// decEngine carries the per-precision decode lanes of a Handle.
 type decEngine[F Float] struct {
 	lanes []*decLane[F]
 }
@@ -605,43 +541,25 @@ func (e *decEngine[F]) sizeTo(workers int) {
 	e.lanes = e.lanes[:workers]
 }
 
-// Decompressor is the reusable decode-side handle, keeping per-lane scratch
-// across calls. Not safe for concurrent use.
-type Decompressor struct {
-	opts     Options
-	dec32    decEngine[float32]
-	dec64    decEngine[float64]
-	spans    []partSpan
-	payloads [][]byte
-	plens    []int
-	errs     []error
-	pdims    []int
-}
-
-// NewDecompressor returns a Decompressor; only opts.Parallelism is used.
-func NewDecompressor(opts Options) *Decompressor {
-	return &Decompressor{opts: opts}
-}
-
-func decEngineFor[F Float](d *Decompressor) *decEngine[F] {
+func decEngineFor[F Float](h *Handle) *decEngine[F] {
 	var z F
 	if _, ok := any(z).(float32); ok {
-		return any(&d.dec32).(*decEngine[F])
+		return any(&h.dec32).(*decEngine[F])
 	}
-	return any(&d.dec64).(*decEngine[F])
+	return any(&h.dec64).(*decEngine[F])
 }
 
 // Decompress reverses Compress.
-func (d *Decompressor) Decompress(buf []byte) ([]float32, []int, error) {
-	return decompressWith[float32](d, buf)
+func (h *Handle) Decompress(buf []byte) ([]float32, []int, error) {
+	return decompressWith[float32](h, buf)
 }
 
 // Decompress64 reverses Compress64.
-func (d *Decompressor) Decompress64(buf []byte) ([]float64, []int, error) {
-	return decompressWith[float64](d, buf)
+func (h *Handle) Decompress64(buf []byte) ([]float64, []int, error) {
+	return decompressWith[float64](h, buf)
 }
 
-func decompressWith[F Float](d *Decompressor, buf []byte) ([]F, []int, error) {
+func decompressWith[F Float](h *Handle, buf []byte) ([]F, []int, error) {
 	span := obs.Start("sz.decompress")
 	defer span.End()
 
@@ -662,13 +580,15 @@ func decompressWith[F Float](d *Decompressor, buf []byte) ([]F, []int, error) {
 		return nil, nil, fmt.Errorf("sz: stream holds float%d values, caller asked for float%d",
 			kind, elemKind[F]())
 	}
-	quantBits := int(rd.Uint32())
-	predOrder := int(rd.Uint32())
+	// The one configuration: any other quantizer width or predictor order
+	// (streams older builds could write) is refused before anything is sized.
+	qb, po := rd.Uint32(), rd.Uint32()
+	if rd.Err() == nil && (qb != quantBits || po != predOrder) {
+		return nil, nil, fmt.Errorf("sz: unsupported configuration (quantBits %d, predictor order %d)", qb, po)
+	}
 	eb := rd.Float64()
 	ndims := int(rd.Uint32())
-	if rd.Err() != nil || ndims <= 0 || ndims > maxDims || quantBits < 6 || quantBits > 20 ||
-		predOrder < 0 || predOrder > 2 ||
-		!(eb > 0) || math.IsInf(eb, 0) {
+	if rd.Err() != nil || ndims <= 0 || ndims > maxDims || !(eb > 0) || math.IsInf(eb, 0) {
 		return nil, nil, ErrCorrupt
 	}
 	dims := make([]int, ndims)
@@ -696,17 +616,17 @@ func decompressWith[F Float](d *Decompressor, buf []byte) ([]F, []int, error) {
 	if rd.Err() != nil || numParts <= 0 || numParts > maxPartitions {
 		return nil, nil, ErrCorrupt
 	}
-	d.spans = d.spans[:0]
-	if cap(d.payloads) < numParts {
-		d.payloads = make([][]byte, numParts)
+	h.spans = h.spans[:0]
+	if cap(h.payloads) < numParts {
+		h.payloads = make([][]byte, numParts)
 	}
-	payloads := d.payloads[:numParts]
+	payloads := h.payloads[:numParts]
 	rowSum := 0
 	payloadSum := 0
-	if cap(d.plens) < numParts {
-		d.plens = make([]int, numParts)
+	if cap(h.plens) < numParts {
+		h.plens = make([]int, numParts)
 	}
-	lens := d.plens[:numParts]
+	lens := h.plens[:numParts]
 	for i := 0; i < numParts; i++ {
 		rows := rd.Uint64()
 		plen := rd.Uint64()
@@ -714,7 +634,7 @@ func decompressWith[F Float](d *Decompressor, buf []byte) ([]F, []int, error) {
 			plen > uint64(rd.Remaining()) {
 			return nil, nil, ErrCorrupt
 		}
-		d.spans = append(d.spans, partSpan{rowSum, rowSum + int(rows)})
+		h.spans = append(h.spans, partSpan{rowSum, rowSum + int(rows)})
 		lens[i] = int(plen)
 		rowSum += int(rows)
 		payloadSum += int(plen)
@@ -727,7 +647,7 @@ func decompressWith[F Float](d *Decompressor, buf []byte) ([]F, []int, error) {
 	// payload byte. A partition claiming far more elements than its payload
 	// could carry is corrupt, and must not drive the output allocation.
 	rowElems := n / ext
-	for i, sp := range d.spans {
+	for i, sp := range h.spans {
 		elems := uint64(sp.hi-sp.lo) * uint64(rowElems)
 		if elems/8 > uint64(lens[i])*lossless.MaxExpansion+1024 {
 			return nil, nil, ErrCorrupt
@@ -740,30 +660,27 @@ func decompressWith[F Float](d *Decompressor, buf []byte) ([]F, []int, error) {
 		return nil, nil, ErrCorrupt
 	}
 
-	workers := d.opts.workers()
+	workers := h.workers
 	obs.Set("lcpio_sz_workers", float64(workers))
 	span.SetWorkload("sz.decompress", int64(n)*int64(elemKind[F]()/8))
 
 	out := make([]F, n)
-	quantCount := 1 << quantBits
-	radius := quantCount / 2
-	twoEB := 2 * eb
-	eng := decEngineFor[F](d)
-	spans := d.spans
+	eng := decEngineFor[F](h)
+	spans := h.spans
 	laneCount := workers
 	if laneCount > len(spans) {
 		laneCount = len(spans)
 	}
 	eng.sizeTo(laneCount)
-	if cap(d.errs) < len(spans) {
-		d.errs = make([]error, len(spans))
+	if cap(h.errs) < len(spans) {
+		h.errs = make([]error, len(spans))
 	}
-	errs := d.errs[:len(spans)]
+	errs := h.errs[:len(spans)]
 	pdLen := 1 + ndims - splitDepth
-	if cap(d.pdims) < len(spans)*pdLen {
-		d.pdims = make([]int, len(spans)*pdLen)
+	if cap(h.pdims) < len(spans)*pdLen {
+		h.pdims = make([]int, len(spans)*pdLen)
 	}
-	pdimsBuf := d.pdims[:len(spans)*pdLen]
+	pdimsBuf := h.pdims[:len(spans)*pdLen]
 
 	pt := obs.StartPipeline("sz.decompress", workers)
 	par.RunWorker(len(spans), workers, func(w, i int) {
@@ -773,7 +690,7 @@ func decompressWith[F Float](d *Decompressor, buf []byte) ([]F, []int, error) {
 		pd := partDims(dims, splitDepth, spans[i].hi-spans[i].lo,
 			pdimsBuf[i*pdLen:i*pdLen:i*pdLen+pdLen])
 		errs[i] = decodePartition(lane, payloads[i], out[spans[i].lo*rowElems:spans[i].hi*rowElems],
-			pd, predOrder, quantCount, radius, twoEB)
+			pd, 2*eb)
 		wc.WaitInput()
 	})
 	pt.End()
@@ -787,8 +704,7 @@ func decompressWith[F Float](d *Decompressor, buf []byte) ([]F, []int, error) {
 
 // decodePartition decodes one partition payload into outPart (the
 // partition's disjoint sub-range of the output array).
-func decodePartition[F Float](lane *decLane[F], payload []byte, outPart []F, dims []int,
-	predOrder, quantCount, radius int, twoEB float64) error {
+func decodePartition[F Float](lane *decLane[F], payload []byte, outPart []F, dims []int, twoEB float64) error {
 	raw, err := lossless.AppendDecompress(lane.raw[:0], payload)
 	if err != nil {
 		return fmt.Errorf("sz: lossless stage: %w", err)
@@ -810,34 +726,6 @@ func decodePartition[F Float](lane *decLane[F], payload []byte, outPart []F, dim
 	}
 	if rd.Err() != nil {
 		return ErrCorrupt
-	}
-	var selections []bool
-	var coeffs []regCoeffs
-	if predOrder == 2 {
-		numSel := int(rd.Uint64())
-		if rd.Err() != nil || numSel < 0 || numSel > n {
-			return ErrCorrupt
-		}
-		selBytes := rd.Bytes((numSel + 7) / 8)
-		if rd.Err() != nil {
-			return ErrCorrupt
-		}
-		selections = unpackBools(selBytes, numSel)
-		numC := int(rd.Uint64())
-		if rd.Err() != nil || numC < 0 || numC > 4*numSel {
-			return ErrCorrupt
-		}
-		packed := make([]float32, numC)
-		for i := range packed {
-			packed[i] = rd.Float32()
-		}
-		if rd.Err() != nil {
-			return ErrCorrupt
-		}
-		coeffs, err = unpackCoeffs(packed, effectiveDim(dims))
-		if err != nil {
-			return err
-		}
 	}
 	huffLen := int(rd.Uint64())
 	if rd.Err() != nil || huffLen < 0 || huffLen > rd.Remaining() {
@@ -862,7 +750,6 @@ func decodePartition[F Float](lane *decLane[F], payload []byte, outPart []F, dim
 		return fmt.Errorf("sz: huffman payload: %w", err)
 	}
 
-	opts := Options{PredictorOrder: predOrder}
 	exactIdx := 0
 	nextExact := func() (F, error) {
 		if exactIdx >= len(exact) {
@@ -872,28 +759,15 @@ func decodePartition[F Float](lane *decLane[F], payload []byte, outPart []F, dim
 		exactIdx++
 		return v, nil
 	}
-	recon := outPart
 	switch effectiveDim(dims) {
 	case 1:
-		if predOrder == 2 {
-			err = reconstructRegression1D(recon, codes, nextExact, twoEB, radius, selections, coeffs)
-		} else {
-			err = reconstruct1D(recon, codes, nextExact, twoEB, radius, opts)
-		}
+		err = reconstruct1D(outPart, codes, nextExact, twoEB)
 	case 2:
 		d1, d2 := squash2(dims)
-		if predOrder == 2 {
-			err = reconstructRegression2D(recon, codes, nextExact, d1, d2, twoEB, radius, selections, coeffs)
-		} else {
-			err = reconstruct2D(recon, codes, nextExact, d1, d2, twoEB, radius, opts)
-		}
+		err = reconstruct2D(outPart, codes, nextExact, d1, d2, twoEB)
 	default:
 		d0, d1, d2 := squash3(dims)
-		if predOrder == 2 {
-			err = reconstructRegression3D(recon, codes, nextExact, d0, d1, d2, twoEB, radius, selections, coeffs)
-		} else {
-			err = reconstruct3D(recon, codes, nextExact, d0, d1, d2, twoEB, radius, opts)
-		}
+		err = reconstruct3D(outPart, codes, nextExact, d0, d1, d2, twoEB)
 	}
 	if err != nil {
 		return err
@@ -902,26 +776,6 @@ func decodePartition[F Float](lane *decLane[F], payload []byte, outPart []F, dim
 		return ErrCorrupt
 	}
 	return nil
-}
-
-// packBools packs a bool slice LSB-first into bytes.
-func packBools(bs []bool) []byte {
-	out := make([]byte, (len(bs)+7)/8)
-	for i, b := range bs {
-		if b {
-			out[i/8] |= 1 << uint(i%8)
-		}
-	}
-	return out
-}
-
-// unpackBools reverses packBools.
-func unpackBools(raw []byte, n int) []bool {
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = raw[i/8]&(1<<uint(i%8)) != 0
-	}
-	return out
 }
 
 // checkDims validates that dims is consistent with len(data).

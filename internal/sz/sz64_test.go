@@ -79,31 +79,6 @@ func TestFloat64RoundTrip3D(t *testing.T) {
 	roundTrip64(t, data, []int{d, d, d}, 1e-8)
 }
 
-func TestFloat64RegressionPredictor(t *testing.T) {
-	d := 18
-	data := make([]float64, d*d*d)
-	for i := 0; i < d; i++ {
-		for j := 0; j < d; j++ {
-			for k := 0; k < d; k++ {
-				data[(i*d+j)*d+k] = 3*float64(i) - float64(j) + 0.5*float64(k)
-			}
-		}
-	}
-	o := Defaults()
-	o.PredictorOrder = 2
-	comp, err := CompressOpts64(data, []int{d, d, d}, 1e-6, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _, err := Decompress64(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := maxAbsErr64(data, out); e > 1e-6 {
-		t.Fatalf("regression float64 bound violated: %g", e)
-	}
-}
-
 func TestTypeMismatchRejected(t *testing.T) {
 	f32 := []float32{1, 2, 3, 4}
 	f64 := []float64{1, 2, 3, 4}

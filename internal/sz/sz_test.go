@@ -215,78 +215,6 @@ func TestDecompressCorrupt(t *testing.T) {
 	}
 }
 
-func TestPredictorOrderAblation(t *testing.T) {
-	// The Lorenzo predictor must beat the previous-value baseline on
-	// smooth 2-D data (the design rationale recorded in DESIGN.md §5).
-	d1, d2 := 96, 96
-	data := make([]float32, d1*d2)
-	for i := 0; i < d1; i++ {
-		for j := 0; j < d2; j++ {
-			data[i*d2+j] = float32(math.Sin(float64(i)/7) + math.Cos(float64(j)/5))
-		}
-	}
-	eb := 1e-4
-	lorenzo, err := CompressOpts(data, []int{d1, d2}, eb, Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := Defaults()
-	o.PredictorOrder = 0
-	baseline, err := CompressOpts(data, []int{d1, d2}, eb, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lorenzo) >= len(baseline) {
-		t.Errorf("Lorenzo (%d B) should beat previous-value (%d B) on smooth 2-D data",
-			len(lorenzo), len(baseline))
-	}
-	// Baseline must still round-trip within bound.
-	out, _, err := Decompress(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := maxAbsErr(data, out); e > eb {
-		t.Fatalf("order-0 error bound violated: %g > %g", e, eb)
-	}
-}
-
-func TestQuantBitsOption(t *testing.T) {
-	data := make([]float32, 512)
-	for i := range data {
-		data[i] = float32(i)
-	}
-	for _, qb := range []int{6, 8, 12, 16, 20} {
-		o := Defaults()
-		o.QuantBits = qb
-		comp, err := CompressOpts(data, []int{512}, 1e-2, o)
-		if err != nil {
-			t.Fatalf("qb=%d: %v", qb, err)
-		}
-		out, _, err := Decompress(comp)
-		if err != nil {
-			t.Fatalf("qb=%d decompress: %v", qb, err)
-		}
-		if e := maxAbsErr(data, out); e > 1e-2 {
-			t.Fatalf("qb=%d bound violated: %g", qb, e)
-		}
-	}
-}
-
-func TestOptionsNormalized(t *testing.T) {
-	o := Options{QuantBits: 3}.normalized()
-	if o.QuantBits != 6 {
-		t.Errorf("QuantBits clamp low: %d", o.QuantBits)
-	}
-	o = Options{QuantBits: 30}.normalized()
-	if o.QuantBits != 20 {
-		t.Errorf("QuantBits clamp high: %d", o.QuantBits)
-	}
-	o = Options{}.normalized()
-	if o.QuantBits != defaultQuantBits {
-		t.Errorf("QuantBits default: %d", o.QuantBits)
-	}
-}
-
 // Property: for arbitrary finite data, the absolute error bound holds.
 func TestQuickErrorBoundInvariant(t *testing.T) {
 	f := func(seed int64, ebExp uint8) bool {
@@ -389,29 +317,5 @@ func BenchmarkDecompressNYX(b *testing.B) {
 		if _, _, err := Decompress(comp); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// Ablation: Lorenzo vs previous-value predictor (DESIGN.md §5).
-func BenchmarkPredictorOrder(b *testing.B) {
-	spec, _ := fpdata.Lookup("CESM-ATM", "")
-	f := fpdata.Generate(spec, 64, 2)
-	lo, hi := f.Range()
-	eb := 1e-3 * float64(hi-lo)
-	for name, order := range map[string]int{"lorenzo1": 1, "prev0": 0} {
-		b.Run(name, func(b *testing.B) {
-			o := Defaults()
-			o.PredictorOrder = order
-			b.SetBytes(f.SizeBytes())
-			var compLen int
-			for i := 0; i < b.N; i++ {
-				comp, err := CompressOpts(f.Data, f.Dims, eb, o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				compLen = len(comp)
-			}
-			b.ReportMetric(float64(f.SizeBytes())/float64(compLen), "ratio")
-		})
 	}
 }

@@ -95,8 +95,3 @@ func AppendUint64(b []byte, v uint64) []byte {
 func AppendFloat64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
-
-// AppendFloat32 appends v as little-endian IEEE-754 bits.
-func AppendFloat32(b []byte, v float32) []byte {
-	return binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
-}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -12,7 +13,7 @@ func TestRoundTrip(t *testing.T) {
 	b = AppendUint32(b, 0xDEADBEEF)
 	b = AppendUint64(b, 1<<40+7)
 	b = AppendFloat64(b, 3.5)
-	b = AppendFloat32(b, -2.25)
+	b = AppendUint32(b, math.Float32bits(-2.25))
 	b = append(b, 'x', 'y')
 
 	r := NewReader(b, errTest)

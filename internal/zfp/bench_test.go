@@ -40,7 +40,7 @@ func BenchmarkCompressWorkers(b *testing.B) {
 	data, dims := benchField(benchDim())
 	raw := int64(len(data)) * 4
 	for _, workers := range []int{1, 2, 4, 8} {
-		c := NewCompressor(Options{Parallelism: workers})
+		c := NewHandle(workers)
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.SetBytes(raw)
 			b.ReportAllocs()
@@ -62,7 +62,7 @@ func BenchmarkDecompressWorkers(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		d := NewDecompressor(Options{Parallelism: workers})
+		d := NewHandle(workers)
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.SetBytes(raw)
 			b.ReportAllocs()
@@ -76,7 +76,7 @@ func BenchmarkDecompressWorkers(b *testing.B) {
 }
 
 // BenchmarkCompressorReuse contrasts the one-shot package function (fresh
-// handle, cold pools every call) against a reused Compressor whose scratch
+// handle, cold pools every call) against a reused Handle whose scratch
 // pools are warm — the zero-alloc steady state the engine is built around.
 func BenchmarkCompressorReuse(b *testing.B) {
 	data, dims := benchField(benchDim())
@@ -91,7 +91,7 @@ func BenchmarkCompressorReuse(b *testing.B) {
 		}
 	})
 	b.Run("reused", func(b *testing.B) {
-		c := NewCompressor(Options{})
+		c := NewHandle(0)
 		// One untimed call warms the scratch pools and sizes dst — the
 		// steady state this benchmark exists to measure.
 		dst, err := c.CompressAppend(nil, data, dims, 1e-3)
@@ -120,7 +120,7 @@ func BenchmarkCompressorReuse(b *testing.B) {
 func BenchmarkTelemetry(b *testing.B) {
 	data, dims := benchField(benchDim())
 	raw := int64(len(data)) * 4
-	c := NewCompressor(Options{})
+	c := NewHandle(0)
 	run := func(b *testing.B) {
 		b.SetBytes(raw)
 		b.ReportAllocs()

@@ -247,9 +247,10 @@ type goldenPayload struct {
 	bytes  []byte
 }
 
-// goldenPayloads cuts the fixed-accuracy and fixed-precision goldens into
-// their block streams (shards for the former, one serial stream for the
-// latter), the unit the plane decoder works on.
+// goldenPayloads cuts the fixed-accuracy goldens into their shards' block
+// streams, the unit the plane decoder works on. The retired fixed-precision
+// golden is refused by mode, but its payload is one serial stream of blocks
+// in the same layout, so it stays a plane-decoder input.
 func goldenPayloads(tb testing.TB) []goldenPayload {
 	tb.Helper()
 	paths, err := filepath.Glob(filepath.Join("testdata", "golden_*.zfs"))
@@ -262,6 +263,10 @@ func goldenPayloads(tb testing.TB) []goldenPayload {
 		if err != nil {
 			tb.Fatal(err)
 		}
+		retired := filepath.Base(path) == retiredGolden
+		if retired {
+			buf = forgeMode(buf, uint32(ModeFixedAccuracy))
+		}
 		h, err := parseHeader(buf)
 		if err != nil {
 			tb.Fatalf("%s: %v", path, err)
@@ -270,10 +275,10 @@ func goldenPayloads(tb testing.TB) []goldenPayload {
 		dim := dimensionality(h.dims)
 		nb0, nb1, nb2 := blockGrid(d0, d1, d2, dim)
 		total := nb0 * nb1 * nb2
-		switch h.mode {
-		case ModeFixedPrecision:
+		switch {
+		case retired:
 			out = append(out, goldenPayload{filepath.Base(path), h.kind, dim, total, buf[h.payloadOff:]})
-		case ModeFixedAccuracy:
+		case h.mode == ModeFixedAccuracy:
 			rd := wire.NewReader(buf[h.payloadOff:], ErrCorrupt)
 			shards, sb := int(rd.Uint32()), int(rd.Uint32())
 			lens := make([]int, shards)

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// FuzzDecompress drives the decoder with corrupted streams across all three
-// modes. Contract: coherent output or an error — never a panic, and never an
+// FuzzDecompress drives the decoder with corrupted streams across both
+// modes and the retired mode words. Contract: coherent output or an error — never a panic, and never an
 // output allocation the payload could not plausibly back (each block costs at
 // least its tag bits, checked before the slice is sized from header dims).
 func FuzzDecompress(f *testing.F) {
@@ -25,10 +25,7 @@ func FuzzDecompress(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	prec, err := CompressFixedPrecision(data, dims, 12)
-	if err != nil {
-		f.Fatal(err)
-	}
+	prec := forgeMode(acc, 2) // the retired fixed-precision mode word
 	d64 := make([]float64, 32)
 	for i := range d64 {
 		d64[i] = float64(i) * 1.5

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -57,7 +58,7 @@ var goldenCases = []struct {
 	name string
 	dims []int
 	mode Mode
-	// param: tolerance, bits/value, or precision depending on mode
+	// param: tolerance or bits/value depending on mode
 	param float64
 	f64   bool
 }{
@@ -66,7 +67,61 @@ var goldenCases = []struct {
 	{"acc_1d", []int{1000}, ModeFixedAccuracy, 1e-3, false},
 	{"acc_3d_f64", []int{12, 12, 12}, ModeFixedAccuracy, 1e-6, true},
 	{"rate_3d", []int{12, 12, 12}, ModeFixedRate, 8, false},
-	{"prec_3d", []int{12, 12, 12}, ModeFixedPrecision, 20, false},
+}
+
+// retiredGolden is a stream of the fixed-precision mode the codec no longer
+// has. It stays committed without a decoded image: the decoder must refuse it.
+const retiredGolden = "golden_v3_prec_3d.f32.zfs"
+
+// requireRefused asserts that both decoders return an error on stream
+// without allocating anything the size of an output: the refusal comes from
+// the header, before the array the header describes is made.
+func requireRefused(t *testing.T, stream []byte) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err32 := Decompress(stream)
+	_, _, err64 := Decompress64(stream)
+	runtime.ReadMemStats(&after)
+	if err32 == nil || err64 == nil {
+		t.Fatalf("retired stream decoded: Decompress err %v, Decompress64 err %v", err32, err64)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
+		t.Fatalf("refusal allocated %d bytes; must come before any output is sized", got)
+	}
+}
+
+// forgeMode returns a copy of stream with its mode word (after magic,
+// version and kind) rewritten.
+func forgeMode(stream []byte, mode uint32) []byte {
+	out := append([]byte(nil), stream...)
+	binary.LittleEndian.PutUint32(out[12:], mode)
+	return out
+}
+
+// TestRetiredConfigurationsRefused: the committed fixed-precision golden, and
+// current streams whose mode word is forged to the retired value or beyond,
+// are refused from the header: an error, no panic, no output allocation.
+func TestRetiredConfigurationsRefused(t *testing.T) {
+	stream, err := os.ReadFile(filepath.Join("testdata", retiredGolden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run(retiredGolden, func(t *testing.T) { requireRefused(t, stream) })
+	for _, name := range []string{"golden_v3_acc_3d.f32.zfs", "golden_v3_rate_3d.f32.zfs"} {
+		current, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Decompress(current); err != nil {
+			t.Fatalf("%s unforged: %v", name, err)
+		}
+		for _, mode := range []uint32{2, 3} {
+			t.Run(fmt.Sprintf("%s/mode=%d", name, mode), func(t *testing.T) {
+				requireRefused(t, forgeMode(current, mode))
+			})
+		}
+	}
 }
 
 func writeReconFile(path string, dims []int, bits []byte) error {
@@ -126,7 +181,7 @@ func goldenCompress(tc struct {
 }) ([]byte, error) {
 	f32 := goldenField32(tc.dims)
 	if tc.mode != ModeFixedAccuracy {
-		// Fixed-rate and fixed-precision modes reject non-finite input.
+		// Fixed-rate mode rejects non-finite input.
 		for i, v := range f32 {
 			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 				f32[i] = 1.5
@@ -137,22 +192,66 @@ func goldenCompress(tc struct {
 	for i, v := range f32 {
 		f64[i] = float64(v)
 	}
-	switch tc.mode {
-	case ModeFixedAccuracy:
-		if tc.f64 {
-			return Compress64(f64, tc.dims, tc.param)
-		}
-		return Compress(f32, tc.dims, tc.param)
-	case ModeFixedRate:
-		if tc.f64 {
-			return CompressFixedRate64(f64, tc.dims, tc.param)
-		}
+	switch {
+	case tc.mode == ModeFixedRate && tc.f64:
+		return compressFixedRate(f64, tc.dims, tc.param)
+	case tc.mode == ModeFixedRate:
 		return CompressFixedRate(f32, tc.dims, tc.param)
+	case tc.f64:
+		return Compress64(f64, tc.dims, tc.param)
 	default:
-		if tc.f64 {
-			return CompressFixedPrecision64(f64, tc.dims, int(tc.param))
+		return Compress(f32, tc.dims, tc.param)
+	}
+}
+
+// TestHandleMatchesGoldens: at every worker count a Handle's Compress,
+// CompressAppend and Compress64 write exactly the committed fixed-accuracy
+// streams, so the configuration the codec has left is the one the goldens pin.
+// The goldens predate the adaptive shard plan and carry its old fixed size of
+// 4096 blocks, which the plan is pinned to here.
+func TestHandleMatchesGoldens(t *testing.T) {
+	saved := shardMinBlocks
+	shardMinBlocks = shardTargetBlocks
+	defer func() { shardMinBlocks = saved }()
+	for _, tc := range goldenCases {
+		if tc.mode != ModeFixedAccuracy {
+			continue
 		}
-		return CompressFixedPrecision(f32, tc.dims, int(tc.param))
+		kind := "f32"
+		if tc.f64 {
+			kind = "f64"
+		}
+		name := fmt.Sprintf("golden_v%d_%s.%s.zfs", version, tc.name, kind)
+		want, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f32 := goldenField32(tc.dims)
+		f64 := make([]float64, len(f32))
+		for i, v := range f32 {
+			f64[i] = float64(v)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			h := NewHandle(workers)
+			var got, appended []byte
+			if tc.f64 {
+				got, err = h.Compress64(f64, tc.dims, tc.param)
+				if err == nil {
+					appended, err = h.CompressAppend64([]byte("pre"), f64, tc.dims, tc.param)
+				}
+			} else {
+				got, err = h.Compress(f32, tc.dims, tc.param)
+				if err == nil {
+					appended, err = h.CompressAppend([]byte("pre"), f32, tc.dims, tc.param)
+				}
+			}
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if !bytes.Equal(got, want) || !bytes.Equal(appended, append([]byte("pre"), want...)) {
+				t.Fatalf("%s workers=%d: handle bytes differ from the committed stream", name, workers)
+			}
+		}
 	}
 }
 
@@ -160,7 +259,8 @@ func goldenCompress(tc struct {
 // -update it regenerates the current version's files (forcing a small shard
 // granularity so the shard index machinery is exercised); without it, every
 // pinned stream on disk — including ones written by older encoders — must
-// decode bit-identically to its pinned image.
+// decode bit-identically to its pinned image, or, for the retired
+// fixed-precision stream, be refused.
 func TestGoldenStreams(t *testing.T) {
 	dir := "testdata"
 	if *updateGolden {
@@ -214,6 +314,10 @@ func TestGoldenStreams(t *testing.T) {
 			stream, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if filepath.Base(path) == retiredGolden {
+				requireRefused(t, stream)
+				return
 			}
 			wantDims, wantBits := readReconFile(t, strings.TrimSuffix(path, ".zfs")+".recon")
 			var gotBits []byte

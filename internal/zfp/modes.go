@@ -13,9 +13,6 @@ import (
 // block i lives at a known bit offset. Each block is laid out as a 10-bit
 // biased exponent followed by (budget-10) bits of budget-truncated embedded
 // plane coding; all-zero blocks use the reserved exponent 0.
-//
-// Fixed-precision mode reuses the fixed-accuracy block layout but chooses
-// the plane cutoff as kmax - precision instead of from a tolerance.
 
 const (
 	emaxBits = emaxFieldBits
@@ -32,11 +29,6 @@ const (
 // bitsPerValue bits per value (rounded to a whole number of bits per
 // block). Data must be finite: fixed-rate blocks have no raw escape hatch.
 func CompressFixedRate(data []float32, dims []int, bitsPerValue float64) ([]byte, error) {
-	return compressFixedRate(data, dims, bitsPerValue)
-}
-
-// CompressFixedRate64 is CompressFixedRate for float64 data.
-func CompressFixedRate64(data []float64, dims []int, bitsPerValue float64) ([]byte, error) {
 	return compressFixedRate(data, dims, bitsPerValue)
 }
 
@@ -400,9 +392,6 @@ func (fr *FixedRateReader) NumBlocks() int { return fr.nb0 * fr.nb1 * fr.nb2 }
 // Dims returns the array dimensions.
 func (fr *FixedRateReader) Dims() []int { return append([]int(nil), fr.h.dims...) }
 
-// BlockSize is the number of values per block (4^dim).
-func (fr *FixedRateReader) BlockSize() int { return fr.bs }
-
 // DecodeBlock decodes block `idx` (row-major block order) without decoding
 // anything else. The returned slice is freshly allocated.
 func (fr *FixedRateReader) DecodeBlock(idx int) ([]float32, error) {
@@ -478,97 +467,4 @@ func (fr *FixedRateReader) ValueAt(coords []int) (float32, error) {
 	default:
 		return blk[(oi*blockEdge+oj)*blockEdge+ok], nil
 	}
-}
-
-// CompressFixedPrecision encodes `precision` most-significant bit planes of
-// every block. Like fixed-rate mode it has no raw escape, so data must be
-// finite.
-func CompressFixedPrecision(data []float32, dims []int, precision int) ([]byte, error) {
-	return compressFixedPrecision(data, dims, precision)
-}
-
-// CompressFixedPrecision64 is CompressFixedPrecision for float64 data.
-func CompressFixedPrecision64(data []float64, dims []int, precision int) ([]byte, error) {
-	return compressFixedPrecision(data, dims, precision)
-}
-
-func compressFixedPrecision[F Float](data []F, dims []int, precision int) ([]byte, error) {
-	tr := traitsFor[F]()
-	if precision < 1 || precision > tr.hi {
-		return nil, fmt.Errorf("zfp: precision %d outside [1,%d]", precision, tr.hi)
-	}
-	if err := checkDims(data, dims); err != nil {
-		return nil, err
-	}
-	for i, v := range data {
-		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-			return nil, fmt.Errorf("zfp: non-finite value at %d unsupported in fixed-precision mode", i)
-		}
-	}
-	d0, d1, d2 := shape(dims)
-	dim := dimensionality(dims)
-	bs := blockSize(dim)
-
-	w := bitstream.NewWriter(len(data) + 256)
-	writeHeader[F](w, ModeFixedPrecision, dims, float64(precision))
-
-	blk := make([]F, bs)
-	coef := make([]int64, bs)
-	nb := make([]uint64, bs)
-	forEachBlock(d0, d1, d2, dim, func(bi, bj, bk int) {
-		gatherBlock(data, d0, d1, d2, dim, bi, bj, bk, blk)
-		encodeBlockFixedPrecision(w, blk, coef, nb, dim, precision)
-	})
-	return w.Bytes(), nil
-}
-
-func encodeBlockFixedPrecision[F Float](w *bitstream.Writer, blk []F, coef []int64, nb []uint64, dim, precision int) {
-	tr := traitsFor[F]()
-	size := blockSize(dim)
-	maxAbs := 0.0
-	for _, v := range blk[:size] {
-		if a := math.Abs(float64(v)); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	if maxAbs == 0 {
-		w.WriteBits(tagZero, 2)
-		return
-	}
-	_, emax := math.Frexp(maxAbs)
-	scale := math.Ldexp(1, tr.q-emax)
-	for i := 0; i < size; i++ {
-		coef[i] = int64(math.RoundToEven(float64(blk[i]) * scale))
-	}
-	fwdTransform(coef, dim)
-	perm := permFor(dim)
-	nb = nb[:size]
-	var all uint64
-	for i, p := range perm {
-		nb[i] = int2nb(coef[p])
-		all |= nb[i]
-	}
-	kmax := bits.Len64(all)
-	if kmax > tr.hi {
-		kmax = tr.hi
-	}
-	kmin := kmax - precision
-	if kmin < 0 {
-		kmin = 0
-	}
-	w.WriteBits(tagCoded, 2)
-	w.WriteBits(uint64(emax+emaxBias), emaxFieldBits)
-	w.WriteBits(uint64(kmin), 6)
-	w.WriteBits(uint64(kmax), 6)
-	encodePlanes(w, nb, kmin, kmax)
-}
-
-func decompressFixedPrecision[F Float](buf []byte, h header) ([]F, []int, error) {
-	precision := int(h.param)
-	if precision < 1 || precision > traitsFor[F]().hi {
-		return nil, nil, ErrCorrupt
-	}
-	// The block layout matches pre-v3 fixed-accuracy decoding: one
-	// contiguous serial block stream, no shard index.
-	return decompressSerialBlocks[F](buf, h)
 }

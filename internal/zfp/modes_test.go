@@ -117,9 +117,6 @@ func TestRandomAccessMatchesFullDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fr.BlockSize() != 64 {
-		t.Fatalf("block size %d", fr.BlockSize())
-	}
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
 		i, j, k := rng.Intn(d), rng.Intn(d), rng.Intn(d)
@@ -213,48 +210,9 @@ func TestFixedRateReaderValidation(t *testing.T) {
 	}
 }
 
-func TestFixedPrecisionRoundTrip(t *testing.T) {
-	d := 16
-	data := smoothField(d)
-	var prevErr = math.Inf(1)
-	for _, prec := range []int{8, 16, 28, 44} {
-		comp, err := CompressFixedPrecision(data, []int{d, d, d}, prec)
-		if err != nil {
-			t.Fatalf("prec %d: %v", prec, err)
-		}
-		out, _, err := Decompress(comp)
-		if err != nil {
-			t.Fatalf("prec %d: %v", prec, err)
-		}
-		e := maxAbsErr(data, out)
-		if e > prevErr*1.01 {
-			t.Errorf("prec %d: error %g above lower-precision error %g", prec, e, prevErr)
-		}
-		prevErr = e
-	}
-	if prevErr > 1e-6 {
-		t.Errorf("44-plane error %g should be near-lossless", prevErr)
-	}
-}
-
-func TestFixedPrecisionValidation(t *testing.T) {
-	data := make([]float32, 16)
-	if _, err := CompressFixedPrecision(data, []int{16}, 0); err == nil {
-		t.Fatal("precision 0 accepted")
-	}
-	if _, err := CompressFixedPrecision(data, []int{16}, 99); err == nil {
-		t.Fatal("excess precision accepted")
-	}
-	data[3] = float32(math.Inf(-1))
-	if _, err := CompressFixedPrecision(data, []int{16}, 16); err == nil {
-		t.Fatal("non-finite accepted")
-	}
-}
-
 func TestModeString(t *testing.T) {
 	for m, want := range map[Mode]string{
 		ModeFixedAccuracy: "fixed-accuracy", ModeFixedRate: "fixed-rate",
-		ModeFixedPrecision: "fixed-precision",
 	} {
 		if m.String() != want {
 			t.Errorf("Mode %d: %q", m, m.String())
@@ -277,8 +235,8 @@ func TestBudgetedPlaneCodingSymmetry(t *testing.T) {
 		budget := rng.Intn(size*20) + 1
 		w := newTestWriter()
 		encodePlanesBudget(w, nb, kmax, budget)
-		if got := w.BitLen(); got != budget {
-			t.Fatalf("encoder spent %d bits, budget %d", got, budget)
+		if got := len(w.Bytes()); got != (budget+7)/8 {
+			t.Fatalf("encoder filled %d bytes, budget %d bits", got, budget)
 		}
 		got := make([]uint64, size)
 		r := newTestReader(w)

@@ -34,12 +34,12 @@ func TestParallelBytesDeterministic(t *testing.T) {
 	data, dims := multiShardField(t)
 	const eb = 1e-3
 
-	ref, err := CompressOpts(data, dims, eb, Options{Parallelism: 1})
+	ref, err := NewHandle(1).Compress(data, dims, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for workers := 2; workers <= 8; workers++ {
-		got, err := CompressOpts(data, dims, eb, Options{Parallelism: workers})
+		got, err := NewHandle(workers).Compress(data, dims, eb)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -62,7 +62,7 @@ func TestParallelDecodeEquivalence(t *testing.T) {
 	}
 	var ref []float32
 	for workers := 1; workers <= 8; workers++ {
-		out, gotDims, err := DecompressOpts(buf, Options{Parallelism: workers})
+		out, gotDims, err := NewHandle(workers).Decompress(buf)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -95,17 +95,16 @@ func TestCompressorReuseMatchesOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCompressor(Options{})
-	d := NewDecompressor(Options{})
+	h := NewHandle(0)
 	for round := 0; round < 3; round++ {
-		got, err := c.Compress(data, dims, eb)
+		got, err := h.Compress(data, dims, eb)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		if !bytes.Equal(want, got) {
-			t.Fatalf("round %d: reused Compressor produced different bytes", round)
+			t.Fatalf("round %d: reused Handle produced different bytes", round)
 		}
-		out, _, err := d.Decompress(got)
+		out, _, err := h.Decompress(got)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -114,5 +113,27 @@ func TestCompressorReuseMatchesOneShot(t *testing.T) {
 				t.Fatalf("round %d: element %d error %g > %g", round, i, diff, eb)
 			}
 		}
+	}
+}
+
+// TestHandleScratchLazyPerDirection: one handle owns both directions, but a
+// dump-only client must not pay for decode lanes, nor a restore-only client
+// for encode lanes.
+func TestHandleScratchLazyPerDirection(t *testing.T) {
+	data, dims := multiShardField(t)
+	enc := NewHandle(2)
+	buf, err := enc.Compress(data, dims, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc.d32.lanes != nil || enc.d64.lanes != nil || enc.payloads != nil {
+		t.Fatal("compress-only handle holds decode scratch")
+	}
+	dec := NewHandle(2)
+	if _, _, err := dec.Decompress(buf); err != nil {
+		t.Fatal(err)
+	}
+	if dec.e32.lanes != nil || dec.e32.parts != nil || dec.e64.lanes != nil {
+		t.Fatal("decompress-only handle holds encode scratch")
 	}
 }

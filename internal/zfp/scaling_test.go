@@ -34,7 +34,7 @@ func TestByteIdentityMatrix(t *testing.T) {
 
 		var refStream []byte
 		for _, workers := range workerCounts {
-			got, err := CompressOpts(data, dims, eb, Options{Parallelism: workers})
+			got, err := NewHandle(workers).Compress(data, dims, eb)
 			if err != nil {
 				t.Fatalf("gran=%v workers=%d: %v", gran, workers, err)
 			}
@@ -49,7 +49,7 @@ func TestByteIdentityMatrix(t *testing.T) {
 
 		var refOut []float32
 		for _, workers := range workerCounts {
-			out, _, err := DecompressOpts(refStream, Options{Parallelism: workers})
+			out, _, err := NewHandle(workers).Decompress(refStream)
 			if err != nil {
 				t.Fatalf("gran=%v workers=%d: decompress: %v", gran, workers, err)
 			}
@@ -81,7 +81,7 @@ func TestByteIdentityMatrix(t *testing.T) {
 	}
 }
 
-// TestCompressAllocsSteadyAcrossWorkers: with a warm Compressor and reused
+// TestCompressAllocsSteadyAcrossWorkers: with a warm Handle and reused
 // destination, raising the worker count may only add goroutine fan-out
 // machinery — shard scratch is per-lane, so it must not scale with the
 // shard count.
@@ -93,7 +93,7 @@ func TestCompressAllocsSteadyAcrossWorkers(t *testing.T) {
 	const eb = 1e-3
 
 	measure := func(workers int) float64 {
-		c := NewCompressor(Options{Parallelism: workers})
+		c := NewHandle(workers)
 		var dst []byte
 		var err error
 		dst, err = c.Compress(data, dims, eb) // warm: size all lanes and dst
@@ -141,7 +141,7 @@ func TestScalingGate(t *testing.T) {
 	rawBytes := float64(len(data)) * 4
 
 	throughput := func(workers int) float64 {
-		c := NewCompressor(Options{Parallelism: workers})
+		c := NewHandle(workers)
 		dst, err := c.Compress(data, dims, 1e-3) // warm lanes and dst
 		if err != nil {
 			t.Fatal(err)

@@ -20,11 +20,10 @@
 // shardPlan) so that even mid-sized arrays split into enough shards to
 // occupy a wide worker pool, but it is a pure function of the array shape —
 // never of the worker count — so compressed bytes are identical at any
-// Parallelism setting. The size is recorded in the stream, which is how
+// worker count. The size is recorded in the stream, which is how
 // pre-adaptive fixed-size streams remain decodable. Fixed-rate streams keep
 // a single contiguous equal-budget block sequence — that contiguity is what
-// FixedRateReader's random access relies on — and fixed-precision streams
-// likewise stay serial.
+// FixedRateReader's random access relies on.
 package zfp
 
 import (
@@ -71,8 +70,9 @@ const (
 	tagZero  = 2 // all-zero block
 )
 
-// Mode selects the rate/quality control of the stream, mirroring the
-// reference codec's three main modes.
+// Mode selects the rate/quality control of the stream: the fixed-accuracy
+// mode the paper runs and the fixed-rate mode random access needs. (Mode
+// word 2 was fixed-precision; the decoder refuses it.)
 type Mode uint32
 
 const (
@@ -81,9 +81,6 @@ const (
 	// ModeFixedRate spends an exact bit budget per block, which makes
 	// every block independently addressable (random access).
 	ModeFixedRate
-	// ModeFixedPrecision encodes a fixed number of most-significant bit
-	// planes per block.
-	ModeFixedPrecision
 )
 
 func (m Mode) String() string {
@@ -92,25 +89,9 @@ func (m Mode) String() string {
 		return "fixed-accuracy"
 	case ModeFixedRate:
 		return "fixed-rate"
-	case ModeFixedPrecision:
-		return "fixed-precision"
 	default:
 		return fmt.Sprintf("Mode(%d)", uint32(m))
 	}
-}
-
-// Options tunes execution, not the stream: Parallelism caps the worker
-// goroutines used for fixed-accuracy shard encode/decode (0 = all cores)
-// and never changes the compressed bytes.
-type Options struct {
-	Parallelism int
-}
-
-func (o Options) workers() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // header is the parsed stream preamble shared by all modes.
@@ -118,7 +99,7 @@ type header struct {
 	kind  uint32 // 32 or 64: element type
 	mode  Mode
 	dims  []int
-	param float64 // tolerance, bits per value, or precision
+	param float64 // tolerance or bits per value
 	// byte offset where the block payload starts
 	payloadOff int
 	n          int
@@ -169,8 +150,11 @@ func parseHeader(buf []byte) (header, error) {
 		return h, ErrCorrupt
 	}
 	h.mode = Mode(rd.Uint32())
-	if h.mode > ModeFixedPrecision {
-		return h, ErrCorrupt
+	if h.mode > ModeFixedRate {
+		if rd.Err() != nil {
+			return h, ErrCorrupt
+		}
+		return h, fmt.Errorf("zfp: unsupported mode %d", uint32(h.mode))
 	}
 	ndims := int(rd.Uint32())
 	if rd.Err() != nil || ndims <= 0 || ndims > maxDims {
@@ -198,47 +182,27 @@ func parseHeader(buf []byte) (header, error) {
 }
 
 // Compress compresses float32 data (row-major, dims slowest first) in
-// fixed-accuracy mode with absolute tolerance eb.
+// fixed-accuracy mode with absolute tolerance eb on all cores. For repeated
+// calls, a reusable Handle amortizes all scratch allocations.
 func Compress(data []float32, dims []int, eb float64) ([]byte, error) {
-	return CompressOpts(data, dims, eb, Options{})
+	return NewHandle(0).Compress(data, dims, eb)
 }
 
 // Compress64 is Compress for float64 data, carrying 52 fractional bits
 // through the block transform.
 func Compress64(data []float64, dims []int, eb float64) ([]byte, error) {
-	return CompressOpts64(data, dims, eb, Options{})
+	return NewHandle(0).Compress64(data, dims, eb)
 }
 
-// CompressOpts is Compress with explicit options. For repeated calls, a
-// reusable Compressor amortizes all scratch allocations.
-func CompressOpts(data []float32, dims []int, eb float64, opts Options) ([]byte, error) {
-	return NewCompressor(opts).Compress(data, dims, eb)
-}
-
-// CompressOpts64 is Compress64 with explicit options.
-func CompressOpts64(data []float64, dims []int, eb float64, opts Options) ([]byte, error) {
-	return NewCompressor(opts).Compress64(data, dims, eb)
-}
-
-// Decompress reverses any of the three compression modes for float32
-// streams; float64 streams must use Decompress64.
+// Decompress reverses either compression mode for float32 streams; float64
+// streams must use Decompress64.
 func Decompress(buf []byte) ([]float32, []int, error) {
-	return NewDecompressor(Options{}).Decompress(buf)
+	return NewHandle(0).Decompress(buf)
 }
 
-// Decompress64 reverses any mode for float64 streams.
+// Decompress64 reverses either mode for float64 streams.
 func Decompress64(buf []byte) ([]float64, []int, error) {
-	return NewDecompressor(Options{}).Decompress64(buf)
-}
-
-// DecompressOpts is Decompress with explicit options.
-func DecompressOpts(buf []byte, opts Options) ([]float32, []int, error) {
-	return NewDecompressor(opts).Decompress(buf)
-}
-
-// DecompressOpts64 is Decompress64 with explicit options.
-func DecompressOpts64(buf []byte, opts Options) ([]float64, []int, error) {
-	return NewDecompressor(opts).Decompress64(buf)
+	return NewHandle(0).Decompress64(buf)
 }
 
 // --- shard geometry ----------------------------------------------------------
@@ -328,7 +292,7 @@ type zpartOut struct {
 	payload []byte
 }
 
-// zengine is the per-precision half of a Compressor: the worker lanes and
+// zengine is the per-precision encode half of a Handle: the worker lanes and
 // per-shard outputs.
 type zengine[F Float] struct {
 	lanes []*zlane[F]
@@ -362,50 +326,68 @@ func (e *zengine[F]) sizeTo(workers, parts int) {
 	e.parts = e.parts[:parts]
 }
 
-// Compressor is a reusable fixed-accuracy compression handle pooling all
-// block and shard scratch. Not safe for concurrent use; its internal worker
-// pool already spreads shards across Parallelism cores.
-type Compressor struct {
-	opts Options
-	e32  zengine[float32]
-	e64  zengine[float64]
+// Handle is the reusable codec handle pooling all block and shard scratch of
+// both directions. Each direction's lanes are created on its first call, so
+// a handle that only compresses never holds decode scratch and the reverse.
+// Not safe for concurrent use; its internal worker pool already spreads
+// shards across workers cores.
+type Handle struct {
+	workers int
+
+	e32 zengine[float32]
+	e64 zengine[float64]
+	d32 zdecEngine[float32]
+	d64 zdecEngine[float64]
+
+	// Per-call shard index scratch of the decoder, shared across precisions.
+	lens     []int
+	payloads [][]byte
+	errs     []error
 }
 
-// NewCompressor returns a Compressor with the given options.
-func NewCompressor(opts Options) *Compressor {
-	return &Compressor{opts: opts}
+// NewHandle returns a Handle whose fixed-accuracy calls fan shards out over
+// workers goroutines (0 = all cores). The worker count never changes the
+// compressed bytes.
+func NewHandle(workers int) *Handle {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return &Handle{workers: workers}
 }
 
-func zengineFor[F Float](c *Compressor) *zengine[F] {
+// Name returns the codec's registry name.
+func (h *Handle) Name() string { return "zfp" }
+
+func zengineFor[F Float](h *Handle) *zengine[F] {
 	var z F
 	if _, ok := any(z).(float32); ok {
-		return any(&c.e32).(*zengine[F])
+		return any(&h.e32).(*zengine[F])
 	}
-	return any(&c.e64).(*zengine[F])
+	return any(&h.e64).(*zengine[F])
 }
 
 // Compress compresses float32 data in fixed-accuracy mode.
-func (c *Compressor) Compress(data []float32, dims []int, eb float64) ([]byte, error) {
-	return compressInto(c, nil, data, dims, eb)
+func (h *Handle) Compress(data []float32, dims []int, eb float64) ([]byte, error) {
+	return compressInto(h, nil, data, dims, eb)
 }
 
-// CompressAppend appends the compressed stream to dst; with a warm
-// Compressor and sufficient dst capacity the call does not allocate.
-func (c *Compressor) CompressAppend(dst []byte, data []float32, dims []int, eb float64) ([]byte, error) {
-	return compressInto(c, dst, data, dims, eb)
+// CompressAppend appends the compressed stream to dst; with a warm Handle
+// and sufficient dst capacity the call does not allocate.
+func (h *Handle) CompressAppend(dst []byte, data []float32, dims []int, eb float64) ([]byte, error) {
+	return compressInto(h, dst, data, dims, eb)
 }
 
 // Compress64 is Compress for float64 data.
-func (c *Compressor) Compress64(data []float64, dims []int, eb float64) ([]byte, error) {
-	return compressInto(c, nil, data, dims, eb)
+func (h *Handle) Compress64(data []float64, dims []int, eb float64) ([]byte, error) {
+	return compressInto(h, nil, data, dims, eb)
 }
 
 // CompressAppend64 is CompressAppend for float64 data.
-func (c *Compressor) CompressAppend64(dst []byte, data []float64, dims []int, eb float64) ([]byte, error) {
-	return compressInto(c, dst, data, dims, eb)
+func (h *Handle) CompressAppend64(dst []byte, data []float64, dims []int, eb float64) ([]byte, error) {
+	return compressInto(h, dst, data, dims, eb)
 }
 
-func compressInto[F Float](c *Compressor, dst []byte, data []F, dims []int, eb float64) ([]byte, error) {
+func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float64) ([]byte, error) {
 	if eb <= 0 || math.IsNaN(eb) || math.IsInf(eb, 0) {
 		return nil, fmt.Errorf("zfp: invalid tolerance %v", eb)
 	}
@@ -422,10 +404,10 @@ func compressInto[F Float](c *Compressor, dst []byte, data []F, dims []int, eb f
 	nb0, nb1, nb2 := blockGrid(d0, d1, d2, dim)
 	totalBlocks := nb0 * nb1 * nb2
 	sb, numShards := shardPlan(totalBlocks)
-	workers := c.opts.workers()
+	workers := h.workers
 	obs.Set("lcpio_zfp_workers", float64(workers))
 
-	eng := zengineFor[F](c)
+	eng := zengineFor[F](h)
 	laneCount := workers
 	if laneCount > numShards {
 		laneCount = numShards
@@ -509,7 +491,7 @@ func (ln *zdecLane[F]) size(bs int) {
 	ln.nb = ln.nb[:bs]
 }
 
-// zdecEngine holds the per-precision decode lanes of a Decompressor.
+// zdecEngine holds the per-precision decode lanes of a Handle.
 type zdecEngine[F Float] struct {
 	lanes []*zdecLane[F]
 }
@@ -530,93 +512,69 @@ func (e *zdecEngine[F]) sizeTo(workers int) {
 	e.lanes = e.lanes[:workers]
 }
 
-// Decompressor is the reusable decode-side handle. Not safe for concurrent
-// use.
-type Decompressor struct {
-	opts Options
-	d32  zdecEngine[float32]
-	d64  zdecEngine[float64]
-
-	// Per-call shard index scratch, shared across precisions.
-	lens     []int
-	payloads [][]byte
-	errs     []error
-}
-
-// NewDecompressor returns a Decompressor with the given options.
-func NewDecompressor(opts Options) *Decompressor {
-	return &Decompressor{opts: opts}
-}
-
-func zdecEngineFor[F Float](d *Decompressor) *zdecEngine[F] {
+func zdecEngineFor[F Float](h *Handle) *zdecEngine[F] {
 	var z F
 	if _, ok := any(z).(float32); ok {
-		return any(&d.d32).(*zdecEngine[F])
+		return any(&h.d32).(*zdecEngine[F])
 	}
-	return any(&d.d64).(*zdecEngine[F])
+	return any(&h.d64).(*zdecEngine[F])
 }
 
 // shardIndex grows and returns the reusable per-shard index slices.
-func (d *Decompressor) shardIndex(numShards int) ([]int, [][]byte, []error) {
-	if cap(d.lens) < numShards {
-		d.lens = make([]int, numShards)
-		d.payloads = make([][]byte, numShards)
-		d.errs = make([]error, numShards)
+func (h *Handle) shardIndex(numShards int) ([]int, [][]byte, []error) {
+	if cap(h.lens) < numShards {
+		h.lens = make([]int, numShards)
+		h.payloads = make([][]byte, numShards)
+		h.errs = make([]error, numShards)
 	}
-	return d.lens[:numShards], d.payloads[:numShards], d.errs[:numShards]
+	return h.lens[:numShards], h.payloads[:numShards], h.errs[:numShards]
 }
 
-// Decompress reverses any compression mode for float32 streams.
-func (d *Decompressor) Decompress(buf []byte) ([]float32, []int, error) {
-	return decompressWith[float32](d, buf)
+// Decompress reverses either compression mode for float32 streams.
+func (h *Handle) Decompress(buf []byte) ([]float32, []int, error) {
+	return decompressWith[float32](h, buf)
 }
 
-// Decompress64 reverses any compression mode for float64 streams.
-func (d *Decompressor) Decompress64(buf []byte) ([]float64, []int, error) {
-	return decompressWith[float64](d, buf)
+// Decompress64 reverses either compression mode for float64 streams.
+func (h *Handle) Decompress64(buf []byte) ([]float64, []int, error) {
+	return decompressWith[float64](h, buf)
 }
 
-func decompressWith[F Float](d *Decompressor, buf []byte) ([]F, []int, error) {
-	h, err := parseHeader(buf)
+func decompressWith[F Float](h *Handle, buf []byte) ([]F, []int, error) {
+	hdr, err := parseHeader(buf)
 	if err != nil {
 		return nil, nil, err
 	}
-	if h.kind != elemKind[F]() {
+	if hdr.kind != elemKind[F]() {
 		return nil, nil, fmt.Errorf("zfp: stream holds float%d values, caller asked for float%d",
-			h.kind, elemKind[F]())
+			hdr.kind, elemKind[F]())
 	}
-	switch h.mode {
-	case ModeFixedAccuracy:
-		if !(h.param > 0) || math.IsInf(h.param, 0) {
-			return nil, nil, ErrCorrupt
-		}
-		return decompressAccuracy[F](d, buf, h)
-	case ModeFixedRate:
-		return decompressFixedRate[F](buf, h)
-	case ModeFixedPrecision:
-		return decompressFixedPrecision[F](buf, h)
-	default:
+	if hdr.mode == ModeFixedRate {
+		return decompressFixedRate[F](buf, hdr)
+	}
+	if !(hdr.param > 0) || math.IsInf(hdr.param, 0) {
 		return nil, nil, ErrCorrupt
 	}
+	return decompressAccuracy[F](h, buf, hdr)
 }
 
-func decompressAccuracy[F Float](d *Decompressor, buf []byte, h header) ([]F, []int, error) {
+func decompressAccuracy[F Float](h *Handle, buf []byte, hdr header) ([]F, []int, error) {
 	span := obs.Start("zfp.decompress")
 	defer span.End()
 
-	d0, d1, d2 := shape(h.dims)
-	dim := dimensionality(h.dims)
+	d0, d1, d2 := shape(hdr.dims)
+	dim := dimensionality(hdr.dims)
 	nb0, nb1, nb2 := blockGrid(d0, d1, d2, dim)
 	totalBlocks := nb0 * nb1 * nb2
 
-	rd := wire.NewReader(buf[h.payloadOff:], ErrCorrupt)
+	rd := wire.NewReader(buf[hdr.payloadOff:], ErrCorrupt)
 	numShards := int(rd.Uint32())
 	sb := int(rd.Uint32())
 	if rd.Err() != nil || numShards <= 0 || numShards > maxShards ||
 		sb <= 0 || numShards != (totalBlocks+sb-1)/sb {
 		return nil, nil, ErrCorrupt
 	}
-	lens, payloads, errs := d.shardIndex(numShards)
+	lens, payloads, errs := h.shardIndex(numShards)
 	total := 0
 	for i := range lens {
 		l := rd.Uint64()
@@ -642,12 +600,12 @@ func decompressAccuracy[F Float](d *Decompressor, buf []byte, h header) ([]F, []
 		return nil, nil, ErrCorrupt
 	}
 
-	workers := d.opts.workers()
+	workers := h.workers
 	obs.Set("lcpio_zfp_workers", float64(workers))
-	span.SetWorkload("zfp.decompress", int64(h.n)*int64(elemKind[F]()/8))
+	span.SetWorkload("zfp.decompress", int64(hdr.n)*int64(elemKind[F]()/8))
 
-	out := make([]F, h.n)
-	eng := zdecEngineFor[F](d)
+	out := make([]F, hdr.n)
+	eng := zdecEngineFor[F](h)
 	laneCount := workers
 	if laneCount > numShards {
 		laneCount = numShards
@@ -674,7 +632,7 @@ func decompressAccuracy[F Float](d *Decompressor, buf []byte, h header) ([]F, []
 			return nil, nil, err
 		}
 	}
-	return out, h.dims, nil
+	return out, hdr.dims, nil
 }
 
 // decodeShard decodes blocks [loBlk, hiBlk) from payload, scattering each
@@ -690,43 +648,6 @@ func decodeShard[F Float](ln *zdecLane[F], payload []byte, out []F, d0, d1, d2, 
 		bi, bj, bk := blockCoords(idx, nb1, nb2)
 		scatterBlock(out, d0, d1, d2, dim, bi, bj, bk, ln.blk)
 	}
-}
-
-// decompressSerialBlocks decodes a single contiguous block stream (the
-// fixed-precision layout; fixed-accuracy used it before version 3).
-func decompressSerialBlocks[F Float](buf []byte, h header) ([]F, []int, error) {
-	span := obs.Start("zfp.decompress")
-	defer span.End()
-	r := bitstream.NewReader(buf[h.payloadOff:])
-	d0, d1, d2 := shape(h.dims)
-	dim := dimensionality(h.dims)
-	// Plausibility: each block carries at least a 2-bit tag, so the payload
-	// must hold totalBlocks/4 bytes before we size the output from the header.
-	nb0, nb1, nb2 := blockGrid(d0, d1, d2, dim)
-	if nb0*nb1*nb2 > (len(buf)-h.payloadOff)*4+64 {
-		return nil, nil, ErrCorrupt
-	}
-	bs := blockSize(dim)
-	blk := make([]F, bs)
-	coef := make([]int64, bs)
-	nb := make([]uint64, bs)
-	out := make([]F, h.n)
-
-	var derr error
-	forEachBlock(d0, d1, d2, dim, func(bi, bj, bk int) {
-		if derr != nil {
-			return
-		}
-		if err := decodeBlock(r, blk, coef, nb, dim); err != nil {
-			derr = err
-			return
-		}
-		scatterBlock(out, d0, d1, d2, dim, bi, bj, bk, blk)
-	})
-	if derr != nil {
-		return nil, nil, derr
-	}
-	return out, h.dims, nil
 }
 
 func checkDims[F Float](data []F, dims []int) error {

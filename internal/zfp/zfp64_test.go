@@ -80,7 +80,7 @@ func TestFloat64FixedRate(t *testing.T) {
 	for i := range data {
 		data[i] = math.Sin(float64(i) / 20)
 	}
-	comp, err := CompressFixedRate64(data, []int{512}, 20)
+	comp, err := compressFixedRate(data, []int{512}, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,24 +94,6 @@ func TestFloat64FixedRate(t *testing.T) {
 	// 20 bpv on smooth doubles: small but nonzero error.
 	if e := maxAbsErr64(data, out); e > 1e-2 {
 		t.Errorf("20 bpv error %g too large", e)
-	}
-}
-
-func TestFloat64FixedPrecision(t *testing.T) {
-	data := make([]float64, 256)
-	for i := range data {
-		data[i] = math.Cos(float64(i) / 15)
-	}
-	comp, err := CompressFixedPrecision64(data, []int{256}, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _, err := Decompress64(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := maxAbsErr64(data, out); e > 1e-9 {
-		t.Errorf("50-plane error %g should be tiny", e)
 	}
 }
 
@@ -131,7 +113,7 @@ func TestZfpTypeMismatchRejected(t *testing.T) {
 		t.Error("float64 stream accepted by Decompress")
 	}
 	// FixedRateReader is float32-only.
-	r64, err := CompressFixedRate64(f64, []int{16}, 16)
+	r64, err := compressFixedRate(f64, []int{16}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,14 +82,12 @@ type Codec = compress.Codec
 // Result summarizes one compression run (ratio, max error, PSNR).
 type Result = compress.Result
 
-// LookupCodec returns a registered codec ("sz" or "zfp").
-func LookupCodec(name string) (Codec, error) { return compress.Lookup(name) }
-
-// LookupCodecParallel returns a codec that runs with the given intra-codec
-// worker count (0 = all cores). Worker count affects wall-clock time only;
-// the compressed bytes are identical at any setting.
-func LookupCodecParallel(name string, workers int) (Codec, error) {
-	return compress.LookupParallel(name, workers)
+// LookupCodec returns a registered codec ("sz", "zfp" or "squant") running
+// on all cores. The returned codec keeps scratch between calls and is not
+// safe for concurrent use — look one up per goroutine.
+func LookupCodec(name string) (Codec, error) {
+	h, err := compress.NewHandle(name, 0)
+	return h, err
 }
 
 // CodecHandle is a reusable compression handle: repeated calls through one
@@ -229,12 +227,20 @@ func FitPowerLaw(fs, ps []float64) (PowerLawFit, error) {
 // Compress64 compresses float64 data with the named codec at an absolute
 // error bound; both codecs preserve double precision end to end.
 func Compress64(codecName string, data []float64, dims []int, eb float64) ([]byte, error) {
-	return compress.Compress64(codecName, data, dims, eb)
+	h, err := compress.NewHandle(codecName, 0)
+	if err != nil {
+		return nil, err
+	}
+	return h.Compress64(data, dims, eb)
 }
 
 // Decompress64 reverses Compress64.
 func Decompress64(codecName string, buf []byte) ([]float64, []int, error) {
-	return compress.Decompress64(codecName, buf)
+	h, err := compress.NewHandle(codecName, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	return h.Decompress64(buf)
 }
 
 // --- extensions ---------------------------------------------------------------

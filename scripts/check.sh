@@ -32,7 +32,7 @@ go test -count=1 -run 'Quick|Invariant' \
 # dimension plane decoder are the ones that see the regime the end-to-end
 # restore runs in.
 go test -run '^$' -bench 'Decode|Decompress' -benchtime 1x \
-    ./internal/huffman/ ./internal/lossless/ ./internal/zfp/
+    ./internal/huffman/ ./internal/lossless/ ./internal/zfp/ ./internal/sz/
 
 # The benchmark is a nested module that root `go test ./...` does not
 # reach: vet and test it, and smoke every workload, so an internal/ API
@@ -78,3 +78,7 @@ test -s "$tmp/trace.folded"
 
 # Size is a measured axis too: non-test Go lines per package, total last.
 sh scripts/loc.sh
+
+# So is what only tests reach: exported funcs under internal/ that no
+# non-test Go names. Print-only (interface-satisfying methods make it noisy).
+sh scripts/unreached.sh
