@@ -240,3 +240,58 @@ func TestVerifyCommand(t *testing.T) {
 		t.Fatal("missing flags accepted")
 	}
 }
+
+// captureStdout runs fn with os.Stdout pointed at a file and returns what
+// it printed.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = f
+	runErr := fn()
+	os.Stdout = old
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), runErr
+}
+
+// TestCommandOutputGoldens pins the stdout of the modeled-economics
+// commands byte for byte. Everything they print is simulated seconds and
+// joules from seeded synthetic fields, so a differing byte is a behaviour
+// change; the files under testdata/ were recorded from the unmodified
+// commands.
+func TestCommandOutputGoldens(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		run    func([]string) error
+		args   []string
+	}{
+		{"advise.txt", cmdAdvise, nil},
+		{"advise_nofeasible.txt", cmdAdvise, []string{"-min-psnr", "80", "-deadline", "900"}},
+		{"cluster.txt", cmdCluster, nil},
+		{"cluster_skylake32.txt", cmdCluster, []string{"-chip", "Skylake", "-nodes", "32"}},
+		{"transit.txt", cmdTransit, []string{"-elems", "65536"}},
+		{"transit_chaos.txt", cmdTransit, []string{"-elems", "65536", "-chaos"}},
+		{"cores.txt", cmdCores, nil},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := captureStdout(t, func() error { return tc.run(tc.args) })
+		if err != nil {
+			t.Fatalf("%s: %v", tc.golden, err)
+		}
+		if got != string(want) {
+			t.Errorf("%s: stdout differs from the recorded output\n--- got\n%s--- want\n%s", tc.golden, got, want)
+		}
+	}
+}

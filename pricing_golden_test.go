@@ -279,6 +279,76 @@ func goldenAdvisor(t *testing.T, g *goldenRows) {
 		g.add(fmt.Sprintf("advisor.workers[%d].seconds", p.Cores), p.Seconds)
 		g.add(fmt.Sprintf("advisor.workers[%d].joules", p.Cores), p.Joules)
 	}
+
+	// The search a command reaches: the default controller, sketch-driven
+	// (Decide) and measured (ExhaustiveSweep) on the same field, free, under
+	// a binding deadline, and at a floor where the hedge costs energy.
+	plain, err := advisor.New(advisor.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	psk, err := plain.Sketch(data, dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rc := range []struct {
+		name string
+		req  advisor.Request
+	}{
+		{"free", advisor.Request{RawBytes: 8 << 30, MinPSNR: 60}},
+		{"deadline", advisor.Request{RawBytes: 8 << 30, MinPSNR: 60, DeadlineSeconds: 24}},
+		{"hedged", advisor.Request{RawBytes: 8 << 30, MinPSNR: 33}},
+	} {
+		dec, err := plain.Decide(psk, rc.req)
+		if err != nil {
+			t.Fatalf("%s: %v", rc.name, err)
+		}
+		p := "advisor.decide." + rc.name
+		g.add(p+".codec_len", float64(len(dec.Codec)))
+		g.add(p+".rel_eb", dec.RelEB)
+		g.add(p+".workers", float64(dec.Workers))
+		g.add(p+".compress_ghz", dec.CompressGHz)
+		g.add(p+".write_ghz", dec.WriteGHz)
+		g.add(p+".energy_j", dec.EnergyJ)
+		g.add(p+".seconds", dec.Seconds)
+		g.add(p+".compress_j", dec.CompressJoules)
+		g.add(p+".write_j", dec.WriteJoules)
+		for i, c := range dec.Table {
+			q := fmt.Sprintf("%s.table[%d]", p, i)
+			g.add(q+".codec_len", float64(len(c.Codec)))
+			g.add(q+".rel_eb", c.RelEB)
+			g.add(q+".feasible", b2f(c.Feasible))
+			g.add(q+".workers", float64(c.Workers))
+			g.add(q+".compress_ghz", c.CompressGHz)
+			g.add(q+".write_ghz", c.WriteGHz)
+			g.add(q+".energy_j", c.EnergyJ)
+			g.add(q+".seconds", c.Seconds)
+		}
+		sw, err := plain.ExhaustiveSweep(data, dims, rc.req)
+		if err != nil {
+			t.Fatalf("%s: %v", rc.name, err)
+		}
+		p = "advisor.measured." + rc.name
+		best := sw.Entries[sw.Best]
+		g.add(p+".best.codec_len", float64(len(best.Codec)))
+		g.add(p+".best.rel_eb", best.RelEB)
+		g.add(p+".best.energy_j", best.EnergyJ)
+		for _, e := range sw.Entries {
+			q := fmt.Sprintf("%s.%s@%g", p, e.Codec, e.RelEB)
+			g.add(q+".ratio", e.Ratio)
+			g.add(q+".psnr", e.PSNR)
+			g.add(q+".workers", float64(e.Workers))
+			g.add(q+".compress_ghz", e.CompressGHz)
+			g.add(q+".write_ghz", e.WriteGHz)
+			g.add(q+".energy_j", e.EnergyJ)
+			g.add(q+".seconds", e.Seconds)
+		}
+		regret, err := plain.Regret(dec, sw)
+		if err != nil {
+			t.Fatalf("%s: %v", rc.name, err)
+		}
+		g.add(p+".regret", regret)
+	}
 }
 
 func goldenTransit(t *testing.T, g *goldenRows) {
@@ -354,6 +424,29 @@ func goldenCluster(t *testing.T, g *goldenRows) {
 		g.add(c.name+".dedup_s", r.NodeDedupSeconds)
 		g.add(c.name+".transit_s", r.NodeTransitSeconds)
 		g.add(c.name+".wire_be_bps", r.WireBreakEvenBps)
+	}
+
+	// What `lcpio cluster` runs: the three-way comparison at its defaults,
+	// and on the other chip.
+	for _, chip := range []string{"Broadwell", "Skylake"} {
+		cmp, err := cluster.Compare(cluster.Config{Nodes: 256, Chip: chip, PerNodeBytes: 64 << 30,
+			Codec: "sz", RelEB: 1e-3, Ratio: 9, ServerIngressBps: 100e9, Seed: 1}, 0.875, 0.85)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []struct {
+			name string
+			res  cluster.Result
+		}{{"raw", cmp.Raw}, {"compressed", cmp.Compressed}, {"tuned", cmp.Tuned}} {
+			p := "cluster.compare." + chip + "." + r.name
+			g.add(p+".compressed_bytes", float64(r.res.CompressedBytes))
+			g.add(p+".effective_bps", r.res.EffectiveBps)
+			g.add(p+".compress_s", r.res.NodeCompressSeconds)
+			g.add(p+".transit_s", r.res.NodeTransitSeconds)
+			g.add(p+".node_j", r.res.NodeJoules)
+			g.add(p+".wall_s", r.res.WallSeconds)
+			g.add(p+".total_j", r.res.TotalJoules)
+		}
 	}
 }
 
