@@ -123,7 +123,12 @@ func cmdCluster(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rec := core.PaperRecommendation()
+	if *nodes < 1 {
+		return fmt.Errorf("-nodes must be at least 1, got %d", *nodes)
+	}
+	if !(*ingress > 0) {
+		return fmt.Errorf("-ingress-gbps must be positive, got %g", *ingress)
+	}
 	cmp, err := cluster.Compare(cluster.Config{
 		Nodes:            *nodes,
 		PerNodeBytes:     *perNodeGB << 30,
@@ -132,8 +137,7 @@ func cmdCluster(args []string) error {
 		Ratio:            *ratio,
 		ServerIngressBps: *ingress * 1e9,
 		Chip:             *chip,
-		Seed:             1,
-	}, rec.CompressionFraction, rec.WritingFraction)
+	}, core.PaperRecommendation())
 	if err != nil {
 		return err
 	}
@@ -215,6 +219,9 @@ func cmdAdvise(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *gb < 1 {
+		return fmt.Errorf("-gb must be at least 1, got %d", *gb)
+	}
 	ctrl, err := advisor.New(advisor.Config{Chip: *chip})
 	if err != nil {
 		return err
@@ -264,19 +271,16 @@ func cmdAdvise(args []string) error {
 	fmt.Printf("\npick: %s at eb=%g, %d workers, %.2f/%.2f GHz — %s predicted, %s\n",
 		dec.Codec, dec.RelEB, dec.Workers, dec.CompressGHz, dec.WriteGHz,
 		tables.FormatSI(dec.EnergyJ, "J"), fmt.Sprintf("%.0f s", dec.Seconds))
-	sw, err := ctrl.ExhaustiveSweep(f.Data, f.Dims, req)
+	opt, err := ctrl.ExhaustiveSweep(f.Data, f.Dims, req)
 	if err != nil {
 		return err
 	}
-	reg, err := ctrl.Regret(dec, sw)
+	reg, err := ctrl.Regret(dec, opt)
 	if err != nil {
 		return err
 	}
-	if sw.Best >= 0 {
-		opt := sw.Entries[sw.Best]
-		fmt.Printf("exhaustive optimum: %s at eb=%g — %s; sketch regret %.2f%%\n",
-			opt.Codec, opt.RelEB, tables.FormatSI(opt.EnergyJ, "J"), 100*reg)
-	}
+	fmt.Printf("exhaustive optimum: %s at eb=%g — %s; sketch regret %.2f%%\n",
+		opt.Codec, opt.RelEB, tables.FormatSI(opt.EnergyJ, "J"), 100*reg)
 	return nil
 }
 

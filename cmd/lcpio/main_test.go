@@ -295,3 +295,32 @@ func TestCommandOutputGoldens(t *testing.T) {
 		}
 	}
 }
+
+// TestFlagValuesRefused: a flag value the model cannot run at is an error,
+// not silently replaced by a default under a header that still prints the
+// flag.
+func TestFlagValuesRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func([]string) error
+		args []string
+	}{
+		{"cluster -nodes 0", cmdCluster, []string{"-nodes", "0"}},
+		{"cluster -nodes -5", cmdCluster, []string{"-nodes", "-5"}},
+		{"cluster -ingress-gbps 0", cmdCluster, []string{"-ingress-gbps", "0"}},
+		{"cluster -per-node-gb -1", cmdCluster, []string{"-per-node-gb", "-1"}},
+		{"transit -bounds 0", cmdTransit, []string{"-elems", "4096", "-bounds", "0"}},
+		{"transit -bounds 1", cmdTransit, []string{"-elems", "4096", "-bounds", "1e-3,1"}},
+		{"transit -bandwidths 0", cmdTransit, []string{"-elems", "4096", "-bandwidths", "0"}},
+		{"advise -gb 0", cmdAdvise, []string{"-gb", "0"}},
+		{"advise -gb -3", cmdAdvise, []string{"-gb", "-3"}},
+	} {
+		out, err := captureStdout(t, func() error { return tc.run(tc.args) })
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if out != "" {
+			t.Errorf("%s: printed before refusing:\n%s", tc.name, out)
+		}
+	}
+}

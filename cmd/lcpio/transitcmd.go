@@ -40,14 +40,23 @@ func cmdTransit(args []string) error {
 		return err
 	}
 	f := fpdata.Generate(spec, spec.ScaleFor(*elems), *seed)
-	payload := transit.Payload{Data: f.Data, Dims: f.Dims}
 	bws, err := parseFloats(*bwList)
 	if err != nil {
 		return fmt.Errorf("bad --bandwidths: %w", err)
 	}
+	for _, bw := range bws {
+		if !(bw > 0) {
+			return fmt.Errorf("bad --bandwidths: %g Gbps is not positive", bw)
+		}
+	}
 	bnds, err := parseFloats(*bounds)
 	if err != nil {
 		return fmt.Errorf("bad --bounds: %w", err)
+	}
+	for _, b := range bnds {
+		if !(b > 0 && b < 1) {
+			return fmt.Errorf("bad --bounds: %g outside (0, 1)", b)
+		}
 	}
 
 	fmt.Printf("in-transit compression economics: %s/%s, %d elements (%d B raw)\n",
@@ -56,36 +65,23 @@ func cmdTransit(args []string) error {
 	fmt.Printf("%-5s %-8s %8s %10s %10s %12s %12s %10s %10s\n",
 		"CODEC", "RELEB", "RATIO", "COMP s", "DECOMP s", "BREAKEVEN", "ENERGY-BE", "MEAN ULP", "MAX ULP")
 
-	type row struct {
-		codec string
-		relEB float64
-		eco   transit.Economics
+	link, err := netsim.Custom("transit-cli", 10e9, *latency, *mtu, *header)
+	if err != nil {
+		return err
 	}
-	var rows []row
+	var rows []transit.Economics
 	for _, codec := range strings.Split(*codecs, ",") {
 		codec = strings.TrimSpace(codec)
 		for _, relEB := range bnds {
-			link, err := netsim.Custom("transit-cli", 10e9, *latency, *mtu, *header)
-			if err != nil {
-				return err
-			}
-			ch, err := transit.New(transit.Config{Link: link, Codec: codec, RelEB: relEB})
-			if err != nil {
-				return err
-			}
-			eco, err := ch.BreakEven(payload)
-			if err != nil {
-				return err
-			}
-			m, err := ch.Send(payload)
+			eco, _, err := transit.BreakEven(link, codec, relEB, f.Data, f.Dims)
 			if err != nil {
 				return err
 			}
 			fmt.Printf("%-5s %-8.0e %8.2f %10.4f %10.4f %12s %12s %10.1f %10.0f\n",
 				codec, relEB, eco.Ratio, eco.CompressSeconds, eco.DecompressSeconds,
 				fmtBps(eco.BreakEvenBps), fmtBps(eco.EnergyBreakEvenBps),
-				m.ULP.Mean, m.ULP.Max)
-			rows = append(rows, row{codec, relEB, eco})
+				eco.ULP.Mean, eco.ULP.Max)
+			rows = append(rows, eco)
 		}
 	}
 
@@ -96,12 +92,12 @@ func cmdTransit(args []string) error {
 	}
 	fmt.Println()
 	for _, r := range rows {
-		fmt.Printf("%-5s %-8.0e", r.codec, r.relEB)
+		fmt.Printf("%-5s %-8.0e", r.Codec, r.RelEB)
 		var bps []float64
 		for _, bw := range bws {
 			bps = append(bps, bw*1e9)
 		}
-		for _, pt := range r.eco.Sweep(bps) {
+		for _, pt := range r.Sweep(bps) {
 			mark := " "
 			if pt.CompressionWins {
 				mark = "*"
@@ -117,22 +113,17 @@ func cmdTransit(args []string) error {
 		lor := transit.LorenzEnsemble(256, *seed)
 		logi := transit.LogisticEnsemble(512, *seed)
 		for _, r := range rows {
-			ch, err := transit.New(transit.Config{
-				Link: netsim.TenGbE(), Codec: r.codec, RelEB: r.relEB})
+			_, lr, err := transit.BreakEven(link, r.Codec, r.RelEB, lor, []int{len(lor) / 3, 3})
 			if err != nil {
 				return err
 			}
-			lm, err := ch.Send(transit.Payload{Data: lor, Dims: []int{len(lor) / 3, 3}})
+			_, gr, err := transit.BreakEven(link, r.Codec, r.RelEB, logi, []int{len(logi)})
 			if err != nil {
 				return err
 			}
-			gm, err := ch.Send(transit.Payload{Data: logi, Dims: []int{len(logi)}})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-5s %-8.0e %12d %12d\n", r.codec, r.relEB,
-				transit.LorenzDivergenceHorizon(lor, lm.Data, *chaosTol, *chaosSteps),
-				transit.LogisticDivergenceHorizon(logi, gm.Data, *chaosTol, *chaosSteps))
+			fmt.Printf("%-5s %-8.0e %12d %12d\n", r.Codec, r.RelEB,
+				transit.LorenzDivergenceHorizon(lor, lr, *chaosTol, *chaosSteps),
+				transit.LogisticDivergenceHorizon(logi, gr, *chaosTol, *chaosSteps))
 		}
 	}
 	return nil

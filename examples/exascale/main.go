@@ -40,7 +40,6 @@ func main() {
 	fmt.Printf("SZ on HACC-like velocities at eb=1e-3: ratio %.1f -> %.1f h compressed\n\n",
 		res.Ratio(), cluster.TransmitHours(int64(float64(cluster.HACCSnapshotBytes)/res.Ratio()), 500e9))
 
-	rec := core.PaperRecommendation()
 	cfg := cluster.Config{
 		Nodes:            *nodes,
 		PerNodeBytes:     *perNodeGB << 30,
@@ -48,9 +47,8 @@ func main() {
 		RelEB:            1e-3,
 		Ratio:            res.Ratio(),
 		ServerIngressBps: *ingressGbps * 1e9,
-		Seed:             1,
 	}
-	cmp, err := cluster.Compare(cfg, rec.CompressionFraction, rec.WritingFraction)
+	cmp, err := cluster.Compare(cfg, core.PaperRecommendation())
 	if err != nil {
 		log.Fatal(err)
 	}

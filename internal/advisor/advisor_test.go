@@ -6,9 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"lcpio/internal/compress"
 	"lcpio/internal/fpdata"
-	"lcpio/internal/netsim"
 )
 
 // holdoutElems sizes the held-out validation fields. Small enough that the
@@ -44,11 +42,11 @@ func TestAdvisorRegretGate(t *testing.T) {
 			if err != nil {
 				t.Fatalf("floor %g %s: %v", floor, spec.Field, err)
 			}
-			sw, err := c.ExhaustiveSweep(f.Data, f.Dims, req)
+			truth, err := c.ExhaustiveSweep(f.Data, f.Dims, req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			regret, err := c.Regret(dec, sw)
+			regret, err := c.Regret(dec, truth)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,15 +55,15 @@ func TestAdvisorRegretGate(t *testing.T) {
 					floor, spec.Field, dec.Codec, dec.RelEB, 100*regret, 100*maxRegret)
 			}
 			// The pick must hold up under measured quality.
-			for _, e := range sw.Entries {
+			for _, e := range truth.Table {
 				if e.Codec == dec.Codec && e.RelEB == dec.RelEB {
 					if !e.Feasible {
 						t.Errorf("floor %g %s: pick %s/%g measured-infeasible: %s",
 							floor, spec.Field, dec.Codec, dec.RelEB, e.Reason)
 					}
-					if floor > 0 && e.PSNR < floor && !math.IsInf(e.PSNR, 1) {
+					if floor > 0 && e.Pred.PSNR < floor && !math.IsInf(e.Pred.PSNR, 1) {
 						t.Errorf("floor %g %s: pick measured %.1f dB below floor",
-							floor, spec.Field, e.PSNR)
+							floor, spec.Field, e.Pred.PSNR)
 					}
 				}
 			}
@@ -73,39 +71,28 @@ func TestAdvisorRegretGate(t *testing.T) {
 	}
 }
 
-// TestSketchCheaperThanEvaluate pins the whole point of the sketch: pricing
-// the full (codec × bound) grid from a sketch must be at least 10x cheaper
-// than running full-field compress.Evaluate over the same grid.
+// TestSketchCheaperThanEvaluate pins the whole point of the sketch: deciding
+// from a sketch must be at least 10x cheaper than the same search fed by a
+// full-field compress.Evaluate per cell.
 func TestSketchCheaperThanEvaluate(t *testing.T) {
 	spec := fpdata.IsabelFields()[0]
 	f := fpdata.Generate(spec, spec.ScaleFor(1<<18), 42)
-	codecs := []string{"sz", "zfp"}
-
-	grid := func() {
-		sk, err := NewSketch(f.Data, f.Dims, SketchConfig{})
+	c, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sketched := func() {
+		sk, err := c.Sketch(f.Data, f.Dims)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range codecs {
-			for _, rel := range compress.PaperErrorBounds {
-				if _, err := sk.Predict(name, rel); err != nil {
-					t.Fatal(err)
-				}
-			}
+		if _, err := c.Decide(sk, Request{}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	full := func() {
-		for _, name := range codecs {
-			codec, err := compress.NewHandle(name, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, rel := range compress.PaperErrorBounds {
-				eb := compress.AbsBoundFromRelative(rel, f.Data)
-				if _, err := compress.Evaluate(codec, f.Data, f.Dims, eb); err != nil {
-					t.Fatal(err)
-				}
-			}
+	measured := func() {
+		if _, err := c.ExhaustiveSweep(f.Data, f.Dims, Request{}); err != nil {
+			t.Fatal(err)
 		}
 	}
 	best := func(fn func()) float64 {
@@ -119,85 +106,12 @@ func TestSketchCheaperThanEvaluate(t *testing.T) {
 		}
 		return min
 	}
-	grid() // warm up allocator and codec tables before timing
-	sketchSec, fullSec := best(grid), best(full)
+	sketched() // warm up allocator and codec tables before timing
+	sketchSec, fullSec := best(sketched), best(measured)
 	if fullSec < 10*sketchSec {
-		t.Fatalf("sketch grid %.4fs vs full Evaluate grid %.4fs: less than 10x cheaper", sketchSec, fullSec)
+		t.Fatalf("sketched search %.4fs vs measured search %.4fs: less than 10x cheaper", sketchSec, fullSec)
 	}
-	t.Logf("sketch grid %.2fms, full grid %.0fms (%.0fx)", 1e3*sketchSec, 1e3*fullSec, fullSec/sketchSec)
-}
-
-// TestFeedbackConvergence pins the online loop: over a 3-dump sequence of
-// the same tenant field, the predicted-vs-measured ratio error must strictly
-// decrease as Observe folds outcomes back into the model.
-func TestFeedbackConvergence(t *testing.T) {
-	spec := fpdata.IsabelFields()[1] // "P"
-	f := holdoutField(t, spec)
-	c, err := New(Config{Codecs: []string{"sz"}, Bounds: []float64{1e-3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	codec, err := compress.NewHandle("sz", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eb := compress.AbsBoundFromRelative(1e-3, f.Data)
-	res, err := compress.Evaluate(codec, f.Data, f.Dims, eb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	measured := res.Ratio()
-
-	var errs []float64
-	for dump := 0; dump < 3; dump++ {
-		sk, err := c.Sketch(f.Data, f.Dims)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := c.Decide(sk, Request{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		errs = append(errs, RatioError(dec.Predicted.Ratio, measured))
-		c.Observe(Outcome{
-			Codec: dec.Codec, RelEB: dec.RelEB,
-			PredictedRatio: dec.Predicted.Ratio, MeasuredRatio: measured,
-		})
-	}
-	t.Logf("ratio error per dump: %.4f -> %.4f -> %.4f", errs[0], errs[1], errs[2])
-	for i := 1; i < len(errs); i++ {
-		if !(errs[i] < errs[i-1]) {
-			t.Fatalf("dump %d: ratio error %.5f did not decrease from %.5f", i, errs[i], errs[i-1])
-		}
-	}
-}
-
-// TestEnergyFeedback checks the per-codec energy correction shifts pricing.
-func TestEnergyFeedback(t *testing.T) {
-	spec := fpdata.IsabelFields()[0]
-	f := holdoutField(t, spec)
-	c, err := New(Config{Codecs: []string{"sz"}, Bounds: []float64{1e-3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk, err := c.Sketch(f.Data, f.Dims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := c.Decide(sk, Request{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Report that reality costs 2x the model's estimate.
-	c.Observe(Outcome{Codec: "sz", RelEB: 1e-3, PredictedJoules: 1, MeasuredJoules: 2})
-	after, err := c.Decide(sk, Request{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := before.EnergyJ * math.Exp(0.5*math.Log(2))
-	if math.Abs(after.EnergyJ/want-1) > 1e-9 {
-		t.Fatalf("energy correction: got %.6g want %.6g (before %.6g)", after.EnergyJ, want, before.EnergyJ)
-	}
+	t.Logf("sketched search %.2fms, measured search %.0fms (%.0fx)", 1e3*sketchSec, 1e3*fullSec, fullSec/sketchSec)
 }
 
 // TestDecideNoFeasibleNamesBestCandidate pins the satellite fix: the
@@ -270,65 +184,6 @@ func TestDecideDeadline(t *testing.T) {
 	}
 }
 
-// TestDecideAxes exercises the parity, delta and wire axes and their
-// break-even economics.
-func TestDecideAxes(t *testing.T) {
-	spec := fpdata.IsabelFields()[3]
-	f := holdoutField(t, spec)
-	c, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk, err := c.Sketch(f.Data, f.Dims)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Tiny churn: a delta dump ships almost nothing, so it must win and the
-	// break-even churn must sit above the requested rate.
-	dec, err := c.Decide(sk, Request{ChurnRate: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dec.Delta {
-		t.Fatalf("churn 0.01 should pick delta; break-even %.3f", dec.DeltaBreakEvenChurn)
-	}
-	if !(dec.DeltaBreakEvenChurn > 0.01 && dec.DeltaBreakEvenChurn <= 1) {
-		t.Fatalf("delta break-even churn %.3f outside (0.01, 1]", dec.DeltaBreakEvenChurn)
-	}
-
-	// Parity axis: with loss probability far above break-even, parity wins.
-	req := Request{Ranks: 16, ParityRanks: 2, RankLossProb: 0.9}
-	dec, err = c.Decide(sk, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(dec.ParityBreakEvenLossProb > 0) {
-		t.Fatalf("parity break-even not computed: %v", dec.ParityBreakEvenLossProb)
-	}
-	if dec.ParityRanks == 0 && req.RankLossProb > dec.ParityBreakEvenLossProb {
-		t.Fatalf("loss prob %.2f above break-even %.3f but parity not chosen",
-			req.RankLossProb, dec.ParityBreakEvenLossProb)
-	}
-
-	// Wire axis over a slow link: compression on the wire must win and the
-	// break-even bandwidth must exceed the link's.
-	slow := netsim.TenGbE().WithBandwidth(50e6)
-	dec, err = c.Decide(sk, Request{WireLink: &slow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dec.WireCompress {
-		t.Fatal("50 Mbps link should pick wire compression")
-	}
-	if !(dec.WireBreakEvenBps > 50e6) {
-		t.Fatalf("wire break-even %.3g bps should exceed the 50e6 link", dec.WireBreakEvenBps)
-	}
-	if dec.RecoveryJoules != 0 {
-		t.Fatalf("no loss prob: recovery joules should be 0, got %g", dec.RecoveryJoules)
-	}
-}
-
 // TestDecisionTable checks the table covers the full grid, is sorted by
 // energy among feasible rows, and carries rejection reasons.
 func TestDecisionTable(t *testing.T) {
@@ -397,30 +252,67 @@ func TestRatioTracker(t *testing.T) {
 	}
 }
 
-// TestEvaluateGridMatchesStaticPricing sanity-checks the hoisted grid: 8
-// entries, sorted ascending, looser bounds cheaper within a codec.
-func TestEvaluateGrid(t *testing.T) {
+// measuredNYX runs the measured search on a small NYX field.
+func measuredNYX(t *testing.T, req Request) (Decision, error) {
+	t.Helper()
 	spec, err := fpdata.Lookup("NYX", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := fpdata.Generate(spec, spec.ScaleFor(1<<16), 1)
-	grid, err := EvaluateGrid(f.Data, f.Dims, GridOptions{MinPSNR: 40})
+	c, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(grid) != 8 {
-		t.Fatalf("grid has %d entries, want 8", len(grid))
+	return c.ExhaustiveSweep(f.Data, f.Dims, req)
+}
+
+// TestMeasuredQualityMonotone: per codec, a finer bound measures a higher
+// PSNR and costs more energy.
+func TestMeasuredQualityMonotone(t *testing.T) {
+	truth, err := measuredNYX(t, Request{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 1; i < len(grid); i++ {
-		if grid[i-1].EnergyJ > grid[i].EnergyJ {
-			t.Fatal("grid not sorted by energy")
+	if len(truth.Table) != 8 {
+		t.Fatalf("table has %d rows, want 8", len(truth.Table))
+	}
+	byCodec := map[string]map[float64]Candidate{}
+	for _, c := range truth.Table {
+		if !c.Feasible || c.EnergyJ <= 0 || c.Seconds <= 0 || c.Pred.Ratio < 1 {
+			t.Fatalf("degenerate row: %+v", c)
+		}
+		if byCodec[c.Codec] == nil {
+			byCodec[c.Codec] = map[float64]Candidate{}
+		}
+		byCodec[c.Codec][c.RelEB] = c
+	}
+	for codec, m := range byCodec {
+		if m[1e-4].Pred.PSNR <= m[1e-1].Pred.PSNR {
+			t.Errorf("%s: finer bound did not raise PSNR: %v vs %v", codec, m[1e-4].Pred.PSNR, m[1e-1].Pred.PSNR)
+		}
+		if m[1e-4].EnergyJ <= m[1e-1].EnergyJ {
+			t.Errorf("%s: finer bound did not cost more energy", codec)
 		}
 	}
-	for _, e := range grid {
-		if e.EnergyJ <= 0 || e.Seconds <= 0 || e.Ratio < 1 {
-			t.Fatalf("degenerate entry: %+v", e)
-		}
+}
+
+// TestMeasuredNoFeasibleNamesBestCandidate: an unreachable floor is an
+// error naming the codec and bound that came closest.
+func TestMeasuredNoFeasibleNamesBestCandidate(t *testing.T) {
+	_, err := measuredNYX(t, Request{MinPSNR: 500})
+	if err == nil {
+		t.Fatal("unreachable PSNR floor accepted")
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, "eb=") || !(strings.Contains(msg, "sz") || strings.Contains(msg, "zfp")) {
+		t.Fatalf("error does not name the best codec/bound: %q", msg)
+	}
+}
+
+func TestUnknownChipRefused(t *testing.T) {
+	if _, err := New(Config{Chip: "EPYC"}); err == nil {
+		t.Fatal("unknown chip accepted")
 	}
 }
 

@@ -6,105 +6,26 @@ import (
 	"sync"
 )
 
-// defaultAlpha is the EWMA gain of the feedback corrections. With a stable
-// workload each observation halves the remaining log-space error, which is
-// what the convergence test pins (strictly decreasing over three dumps).
+// defaultAlpha is the EWMA gain: with a stable workload each observation
+// halves the remaining log-space error.
 const defaultAlpha = 0.5
-
-// Outcome is one measured dump fed back into the controller. Predicted
-// values come from the Decision that configured the dump; measured values
-// from the actual compress.Result (ratio) and the obs span joules (energy).
-// Zero or non-finite fields are ignored.
-type Outcome struct {
-	Codec          string
-	RelEB          float64
-	PredictedRatio float64
-	MeasuredRatio  float64
-	// PredictedJoules/MeasuredJoules correct the per-codec energy scale
-	// (optional; ratio-only outcomes are common).
-	PredictedJoules float64
-	MeasuredJoules  float64
-}
-
-// model holds the multiplicative corrections the feedback loop learns:
-// a log-space EWMA per (codec, bound decade) for the compression ratio and
-// one per codec for the energy scale. Corrections start at 1 (trust the
-// sketch calibration) and move toward measured/predicted.
-type model struct {
-	mu        sync.Mutex
-	alpha     float64
-	logRatio  map[string]float64 // key: codec|log10(eb) decade
-	logEnergy map[string]float64 // key: codec
-}
-
-func newModel(alpha float64) *model {
-	return &model{
-		alpha:     alpha,
-		logRatio:  make(map[string]float64),
-		logEnergy: make(map[string]float64),
-	}
-}
 
 func ratioKey(codec string, relEB float64) string {
 	return fmt.Sprintf("%s|%d", codec, int(math.Round(math.Log10(relEB))))
 }
 
-// predict returns the sketch's prediction with the learned ratio correction
-// applied (and the bit rate rescaled to match).
-func (m *model) predict(sk *Sketch, codec string, relEB float64) (Prediction, error) {
-	pred, err := sk.Predict(codec, relEB)
-	if err != nil {
-		return Prediction{}, err
-	}
-	m.mu.Lock()
-	lc := m.logRatio[ratioKey(codec, relEB)]
-	m.mu.Unlock()
-	if lc != 0 {
-		pred.Ratio *= math.Exp(lc)
-		if pred.Ratio > maxPredictedRatio {
-			pred.Ratio = maxPredictedRatio
-		}
-		if pred.Ratio < 1 {
-			pred.Ratio = 1
-		}
-		pred.BitsPerValue = 32 / pred.Ratio
-	}
-	return pred, nil
-}
-
-// energyCorrection returns the learned multiplicative energy bias for a
-// codec (1 when nothing has been observed).
-func (m *model) energyCorrection(codec string) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return math.Exp(m.logEnergy[codec])
-}
-
-func (m *model) observe(o Outcome) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if o.Codec != "" && finitePos(o.PredictedRatio) && finitePos(o.MeasuredRatio) && finitePos(o.RelEB) {
-		k := ratioKey(o.Codec, o.RelEB)
-		m.logRatio[k] += m.alpha * math.Log(o.MeasuredRatio/o.PredictedRatio)
-	}
-	if o.Codec != "" && finitePos(o.PredictedJoules) && finitePos(o.MeasuredJoules) {
-		m.logEnergy[o.Codec] += m.alpha * math.Log(o.MeasuredJoules/o.PredictedJoules)
-	}
-}
-
 func finitePos(x float64) bool { return x > 0 && !math.IsInf(x, 0) }
 
-// RatioTracker is a standalone per-stream ratio smoother for callers (the
-// svc daemon's per-tenant advice path) that observe measured ratios but
-// never build sketches. It keeps the same log-space EWMA as the controller's
-// model, seeded with a prior.
+// RatioTracker is a per-stream ratio smoother for callers (the svc daemon's
+// per-tenant advice path) that observe measured ratios but never build
+// sketches: a log-space EWMA per (codec, bound decade).
 type RatioTracker struct {
 	mu    sync.Mutex
 	alpha float64
 	log   map[string]float64 // key: codec|decade → log measured ratio
 }
 
-// NewRatioTracker builds a tracker with the controller's default gain.
+// NewRatioTracker builds a tracker with the default gain.
 func NewRatioTracker() *RatioTracker {
 	return &RatioTracker{alpha: defaultAlpha, log: make(map[string]float64)}
 }

@@ -6,18 +6,19 @@
 // frame it as an energy-optimal-configuration search under a runtime
 // deadline.
 //
-// The subsystem has three parts:
+// The package is one search with two sources of (ratio, PSNR):
 //
 //   - a Sketch samples a dump's field cheaply (contiguous segments, so local
 //     smoothness survives) and predicts ratio and quality per (codec, bound)
 //     from Lorenzo-residual entropy — no full compress.Evaluate needed;
 //   - a Controller searches (codec, error bound, worker count, DVFS
-//     frequency pair, parity ranks, full-vs-delta, wire codec) for the
-//     minimum modeled Eqn 2 energy subject to a deadline and a quality
-//     floor, reusing the parity/delta/wire break-even machinery;
-//   - an online feedback loop compares predicted ratio and energy against
-//     measured outcomes after each dump and corrects the sketch-to-ratio
-//     model, so repeated dumps of the same tenant converge.
+//     frequency pair) for the minimum modeled Eqn 2 energy subject to a
+//     deadline and a quality floor: Decide feeds the search the sketch's
+//     predictions hedged by 3 dB, ExhaustiveSweep feeds it a measured round
+//     trip per cell, and Regret prices the gap between the two.
+//
+// RatioTracker is the per-stream ratio smoother the svc daemon keeps per
+// tenant; WorkerEnergies is the worker axis alone, for the multi-core study.
 package advisor
 
 import (
@@ -114,20 +115,6 @@ func (sk *Sketch) Range() float64 {
 		return 0
 	}
 	return sk.Max - sk.Min
-}
-
-// Smoothness is the mean absolute Lorenzo residual as a fraction of the
-// range — 0 for perfectly predictable fields, ~1 for white noise.
-func (sk *Sketch) Smoothness() float64 {
-	r := sk.Range()
-	if r <= 0 || len(sk.residuals) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, d := range sk.residuals {
-		sum += math.Abs(d)
-	}
-	return sum / float64(len(sk.residuals)) / r
 }
 
 // validateDims checks a dims slice against the data length, rejecting
@@ -354,9 +341,7 @@ type Prediction struct {
 // error, higher for codecs that undershoot their bound); errFrac is the
 // mean absolute reconstruction error as a fraction of the absolute bound.
 // The values are calibrated against compress.Evaluate on the fpdata
-// generators (see sketch_calib_test.go) and serve as priors — the online
-// feedback loop corrects the ratio model per (codec, bound) as measured
-// outcomes arrive.
+// generators (see sketch_calib_test.go).
 type codecCalib struct {
 	bitsScale    float64
 	bitsBase     float64

@@ -237,9 +237,6 @@ func (m *Manifest) DedupRatio() float64 {
 // NumChunks returns the data chunk count, Ranks × fields.
 func (m *Manifest) NumChunks() int { return m.Ranks * len(m.Fields) }
 
-// NumParityChunks returns the parity chunk count, fields × ParityRanks.
-func (m *Manifest) NumParityChunks() int { return len(m.Fields) * m.ParityRanks }
-
 // Chunk returns the entry for (rank, field).
 func (m *Manifest) Chunk(rank, field int) *ChunkInfo {
 	return &m.Chunks[rank*len(m.Fields)+field]

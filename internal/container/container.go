@@ -418,22 +418,13 @@ func unpackGeneric[F float32 | float64](buf []byte, opts Options, wantBits int) 
 // ReadChunk decompresses a single float32 chunk by index, returning its
 // values, its dims, and the slab's starting row in the full array.
 func ReadChunk(buf []byte, idx int) ([]float32, []int, int, error) {
-	return readChunk[float32](buf, idx, 32)
-}
-
-// ReadChunk64 is ReadChunk for float64 containers.
-func ReadChunk64(buf []byte, idx int) ([]float64, []int, int, error) {
-	return readChunk[float64](buf, idx, 64)
-}
-
-func readChunk[F float32 | float64](buf []byte, idx, wantBits int) ([]F, []int, int, error) {
 	p, err := parse(buf)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	if p.info.ElemBits != wantBits {
-		return nil, nil, 0, fmt.Errorf("container: holds float%d values, caller asked for float%d",
-			p.info.ElemBits, wantBits)
+	if p.info.ElemBits != 32 {
+		return nil, nil, 0, fmt.Errorf("container: holds float%d values, caller asked for float32",
+			p.info.ElemBits)
 	}
 	if idx < 0 || idx >= len(p.spans) {
 		return nil, nil, 0, fmt.Errorf("container: chunk %d out of range [0,%d)", idx, len(p.spans))
@@ -442,7 +433,7 @@ func readChunk[F float32 | float64](buf []byte, idx, wantBits int) ([]F, []int, 
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	vals, dims, err := handleDecompress[F](h, buf[p.blobAt[idx]:p.blobAt[idx]+p.blobSz[idx]])
+	vals, dims, err := h.Decompress(buf[p.blobAt[idx] : p.blobAt[idx]+p.blobSz[idx]])
 	if err != nil {
 		return nil, nil, 0, err
 	}

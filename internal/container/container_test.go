@@ -273,9 +273,6 @@ func TestPack64RoundTrip(t *testing.T) {
 		if _, _, _, err := ReadChunk(buf, 0); err == nil {
 			t.Fatalf("%s: float64 container accepted by ReadChunk", codec)
 		}
-		if vals, _, start, err := ReadChunk64(buf, 1); err != nil || start != 1024 || len(vals) != 1024 {
-			t.Fatalf("%s ReadChunk64: %d/%d err %v", codec, len(vals), start, err)
-		}
 	}
 	// And the reverse mismatch.
 	f32 := make([]float32, 256)
@@ -285,8 +282,5 @@ func TestPack64RoundTrip(t *testing.T) {
 	}
 	if _, _, err := Unpack64(b32, Options{}); err == nil {
 		t.Fatal("float32 container accepted by Unpack64")
-	}
-	if _, _, _, err := ReadChunk64(b32, 0); err == nil {
-		t.Fatal("float32 container accepted by ReadChunk64")
 	}
 }

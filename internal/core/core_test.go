@@ -155,22 +155,6 @@ func TestTableVShapes(t *testing.T) {
 	}
 }
 
-func TestPartitionSelection(t *testing.T) {
-	cs, _ := sharedStudies(t)
-	for _, name := range TableIIIPartitions {
-		sw, err := cs.Partition(name)
-		if err != nil {
-			t.Fatalf("partition %s: %v", name, err)
-		}
-		if len(sw.Points) == 0 {
-			t.Fatalf("partition %s empty", name)
-		}
-	}
-	if _, err := cs.Partition("GPU"); err == nil {
-		t.Fatal("unknown partition accepted")
-	}
-}
-
 func TestFigure1Shape(t *testing.T) {
 	cs, _ := sharedStudies(t)
 	series, err := cs.PowerCharacteristics()

@@ -24,33 +24,6 @@ func (r ModelRow) String() string {
 // order.
 var TableIIIPartitions = []string{"Total", "SZ", "ZFP", "Broadwell", "Skylake"}
 
-// Partition merges all sweeps matching the named Table III slice.
-func (s *CompressionStudy) Partition(name string) (perf.Sweep, error) {
-	var parts []perf.Sweep
-	for _, e := range s.Entries {
-		keep := false
-		switch name {
-		case "Total":
-			keep = true
-		case "SZ":
-			keep = e.Codec == "sz"
-		case "ZFP":
-			keep = e.Codec == "zfp"
-		case "Broadwell", "Skylake":
-			keep = e.Chip == name
-		default:
-			return perf.Sweep{}, fmt.Errorf("core: unknown partition %q", name)
-		}
-		if keep {
-			parts = append(parts, e.Sweep)
-		}
-	}
-	if len(parts) == 0 {
-		return perf.Sweep{}, fmt.Errorf("core: partition %q selected no sweeps", name)
-	}
-	return perf.Merge(name, parts...), nil
-}
-
 // scaledPartitionObservations pools the per-sweep *scaled* observations of
 // a partition: each sweep is normalized by its own max-frequency power
 // before pooling, exactly as the paper scales each measurement series

@@ -229,14 +229,6 @@ func (x *Index) Lookup(d Digest) (Location, bool) {
 	return Location{}, false
 }
 
-// Contains reports whether d is indexed without touching refcounts.
-func (x *Index) Contains(d Digest) bool {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	_, ok := x.m[d]
-	return ok
-}
-
 // Refs returns d's reference count (0 when absent).
 func (x *Index) Refs(d Digest) int {
 	x.mu.RLock()

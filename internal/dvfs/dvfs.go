@@ -246,6 +246,3 @@ func (g *Governor) Set(f float64) float64 {
 func (g *Governor) SetScaled(fraction float64) float64 {
 	return g.Set(fraction * g.chip.BaseGHz)
 }
-
-// Current returns the current frequency.
-func (g *Governor) Current() float64 { return g.cur }

@@ -155,14 +155,14 @@ func TestPowerUtilizationClamped(t *testing.T) {
 
 func TestGovernor(t *testing.T) {
 	g := NewGovernor(Broadwell())
-	if g.Current() != 2.0 {
-		t.Fatalf("initial frequency %v", g.Current())
+	if g.cur != 2.0 {
+		t.Fatalf("initial frequency %v", g.cur)
 	}
 	if got := g.Set(1.23); math.Abs(got-1.25) > 1e-9 {
 		t.Fatalf("Set(1.23) = %v", got)
 	}
-	if g.Current() != 1.25 {
-		t.Fatalf("Current() = %v", g.Current())
+	if g.cur != 1.25 {
+		t.Fatalf("current frequency %v", g.cur)
 	}
 	// Eqn 3: 0.875 * 2.0 = 1.75 is on the grid.
 	if got := g.SetScaled(0.875); math.Abs(got-1.75) > 1e-9 {

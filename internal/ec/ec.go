@@ -65,10 +65,6 @@ func New(k, m int) (*Coder, error) {
 	return &Coder{k: k, m: m, parity: p, decCache: make(map[string][]byte)}, nil
 }
 
-// Coef returns the parity coefficient P[row][col] — exposed for the
-// checkpoint writer's incremental fold and for tests.
-func (c *Coder) Coef(row, col int) byte { return c.parity[row][col] }
-
 // UpdateParity folds data shard idx into the m parity accumulators,
 // growing each to len(shard) as needed (shorter shards contribute implicit
 // zero padding, so fold order and final stripe length never change the

@@ -98,8 +98,8 @@ func TestSystematicProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < 2; j++ {
-		if parity[j][0] != c.Coef(j, 2) {
-			t.Fatalf("parity[%d][0] = %d, want coefficient %d", j, parity[j][0], c.Coef(j, 2))
+		if parity[j][0] != c.parity[j][2] {
+			t.Fatalf("parity[%d][0] = %d, want coefficient %d", j, parity[j][0], c.parity[j][2])
 		}
 	}
 }

@@ -128,13 +128,6 @@ func (l Link) MessageTime(payloadBytes int64) float64 {
 	return l.SerializationTime(payloadBytes) + l.LatencySec
 }
 
-// EffectiveGoodputBps is the steady-state payload throughput accounting for
-// packetization overhead (latency amortizes away on bulk transfers).
-func (l Link) EffectiveGoodputBps() float64 {
-	pp := float64(l.payloadPerPacket())
-	return l.BandwidthBps * pp / float64(pp+float64(l.HeaderBytes))
-}
-
 func (l Link) String() string {
 	return fmt.Sprintf("%s (%.1f Gbps, MTU %d, %.0f us)",
 		l.Name, l.BandwidthBps/1e9, l.MTU, l.LatencySec*1e6)

@@ -53,9 +53,6 @@ func TestJumboFramesReduceOverhead(t *testing.T) {
 	if jumbo.WireBytes(payload) >= std.WireBytes(payload) {
 		t.Fatal("jumbo frames should reduce wire bytes")
 	}
-	if jumbo.EffectiveGoodputBps() <= std.EffectiveGoodputBps() {
-		t.Fatal("jumbo frames should raise goodput")
-	}
 }
 
 func TestSerializationTimeScale(t *testing.T) {
@@ -91,14 +88,6 @@ func TestDegenerateMTU(t *testing.T) {
 	// or divide by zero.
 	if p := l.Packets(100); p != 100 {
 		t.Fatalf("degenerate MTU packets = %d", p)
-	}
-}
-
-func TestEffectiveGoodput(t *testing.T) {
-	l := TenGbE()
-	g := l.EffectiveGoodputBps()
-	if g >= l.BandwidthBps || g < 0.9*l.BandwidthBps {
-		t.Fatalf("goodput %v implausible for %v raw", g, l.BandwidthBps)
 	}
 }
 

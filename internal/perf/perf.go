@@ -164,45 +164,6 @@ func (s Sweep) ScaledRuntime() ([]float64, error) {
 	return stats.ScaleBy(s.MeanRuntime(), ref.Runtime.Mean), nil
 }
 
-// ScaledPowerCI returns the scaled 95% CI half-widths matching ScaledPower
-// — the shaded bands of the figures.
-func (s Sweep) ScaledPowerCI() ([]float64, error) {
-	ref, err := s.MaxFreqPoint()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		if ref.Power.Mean != 0 {
-			out[i] = p.Power.CI95 / ref.Power.Mean
-		}
-	}
-	return out, nil
-}
-
-// Merge concatenates several sweeps' points into one observation set —
-// how the paper pools partitions ("Total", per-compressor, per-chip) for
-// regression (Table III).
-func Merge(label string, sweeps ...Sweep) Sweep {
-	out := Sweep{Label: label, Chip: "mixed"}
-	if len(sweeps) > 0 {
-		allSame := true
-		for _, s := range sweeps[1:] {
-			if s.Chip != sweeps[0].Chip {
-				allSame = false
-				break
-			}
-		}
-		if allSame {
-			out.Chip = sweeps[0].Chip
-		}
-	}
-	for _, s := range sweeps {
-		out.Points = append(out.Points, s.Points...)
-	}
-	return out
-}
-
 // ScaledObservations flattens a sweep into (frequency, scaled power) pairs
 // for regression against Eqn 2.
 func (s Sweep) ScaledObservations() (fs, ps []float64, err error) {

@@ -97,19 +97,6 @@ func TestScaledRuntimeMinimumAtMaxFreq(t *testing.T) {
 	}
 }
 
-func TestScaledPowerCIBandsAreTight(t *testing.T) {
-	sw := sweepFor(t, dvfs.Broadwell(), 4, Config{})
-	cis, err := sw.ScaledPowerCI()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ci := range cis {
-		if ci < 0 || ci > 0.05 {
-			t.Fatalf("CI band %v at %v GHz implausible for 1%% noise", ci, sw.Points[i].FreqGHz)
-		}
-	}
-}
-
 func TestMaxFreqPoint(t *testing.T) {
 	sw := Sweep{Points: []Point{{FreqGHz: 1.0}, {FreqGHz: 2.0}, {FreqGHz: 1.5}}}
 	p, err := sw.MaxFreqPoint()
@@ -118,19 +105,6 @@ func TestMaxFreqPoint(t *testing.T) {
 	}
 	if _, err := (Sweep{}).MaxFreqPoint(); err == nil {
 		t.Fatal("empty sweep accepted")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := Sweep{Chip: "Broadwell", Points: []Point{{FreqGHz: 1}}}
-	b := Sweep{Chip: "Skylake", Points: []Point{{FreqGHz: 2}, {FreqGHz: 3}}}
-	m := Merge("total", a, b)
-	if len(m.Points) != 3 || m.Chip != "mixed" || m.Label != "total" {
-		t.Fatalf("Merge: %+v", m)
-	}
-	same := Merge("bw", a, a)
-	if same.Chip != "Broadwell" {
-		t.Fatalf("same-chip merge label %q", same.Chip)
 	}
 }
 

@@ -103,9 +103,6 @@ func (m *Meter) Energy(d Domain) float64 {
 	return m.counters[d].raw * energyUnit
 }
 
-// Elapsed returns the accumulated wall-clock seconds.
-func (m *Meter) Elapsed() float64 { return m.elapsed }
-
 // Report is the perf-stat-style summary of one measured run.
 type Report struct {
 	PackageJoules float64

@@ -1,11 +1,28 @@
+// Package transit answers the in-transit compression questions of
+// SNIPPETS §2 (jpekkila, data compression for communication-bound HPC) for
+// one payload on one link:
+//
+//  1. Overhead vs. saving — when does compressing a payload beat shipping
+//     it raw? BreakEven runs the real codec round trip once, prices
+//     compression and decompression through the phases pricer (Eqn 2 at the
+//     Eqn 3 clocks) and the transfer with the netsim link model, and emits
+//     the closed-form break-even link bandwidth and its energy counterpart.
+//  2. Ratio vs. quality — what did the bytes saved cost? The same round
+//     trip reports ULP error (stats.ULPError) and hands back the
+//     reconstruction, from which the chaos steppers in this package measure
+//     the divergence horizon of a chaotic system.
+//
+// The pipeline itself — compress, ship, inflate-verify — runs for real in
+// internal/svc (putZ frames); this package only prices the trade.
 package transit
 
 import (
 	"fmt"
-	"math"
 
+	"lcpio/internal/compress"
 	"lcpio/internal/netsim"
 	"lcpio/internal/phases"
+	"lcpio/internal/stats"
 )
 
 // Economics is the break-even answer for one codec/bound on one payload:
@@ -24,11 +41,15 @@ type Economics struct {
 	CompressedBytes int64
 	Ratio           float64
 
-	// Modeled at the channel's tuned clocks; bandwidth-independent.
+	// Modeled at the Eqn 3 clocks on the reference node;
+	// bandwidth-independent.
 	CompressSeconds   float64
 	DecompressSeconds float64
 	CompressJoules    float64
 	DecompressJoules  float64
+
+	// ULP is the reconstruction's error against the payload.
+	ULP stats.ULPStats
 
 	// BreakEvenBps is the closed-form time-parity bandwidth: compressing
 	// wins on links slower than this. 0 means the payload did not shrink
@@ -41,32 +62,67 @@ type Economics struct {
 	EnergyBreakEvenBps float64
 }
 
-// BreakEven runs the real codec on the payload once and prices both sides
-// of the trade, emitting the per-codec/bound break-even bandwidths.
-func (c *Channel) BreakEven(p Payload) (Economics, error) {
-	if c.lanes == nil {
-		return Economics{}, fmt.Errorf("transit: break-even needs a lossy codec, channel is %s", CodecRaw)
+// BreakEven runs the real codec round trip on the payload once at the
+// range-relative bound, prices both sides of the trade, and returns the
+// economics with the receiver-side reconstruction.
+func BreakEven(link netsim.Link, codec string, relEB float64, data []float32, dims []int) (Economics, []float32, error) {
+	if link.BandwidthBps <= 0 {
+		return Economics{}, nil, fmt.Errorf("transit: link %q has no bandwidth", link.Name)
 	}
-	m, err := c.Send(p)
+	if !(relEB > 0 && relEB < 1) {
+		return Economics{}, nil, fmt.Errorf("transit: relative error bound %g outside (0, 1)", relEB)
+	}
+	h, err := compress.NewHandle(codec, 1)
 	if err != nil {
-		return Economics{}, err
+		return Economics{}, nil, fmt.Errorf("transit: %w", err)
 	}
-	e := Economics{
-		Codec:             c.cfg.Codec,
-		RelEB:             c.cfg.RelEB,
-		Link:              c.cfg.Link,
-		RawBytes:          m.RawBytes,
-		CompressedBytes:   m.WireBytes,
-		Ratio:             m.Ratio,
-		CompressSeconds:   m.CompressSeconds,
-		DecompressSeconds: m.DecompressSeconds,
-		CompressJoules:    m.CompressJoules,
-		DecompressJoules:  m.DecompressJoules,
+	buf, err := h.Compress(data, dims, compress.AbsBoundFromRelative(relEB, data))
+	if err != nil {
+		return Economics{}, nil, fmt.Errorf("transit: compress: %w", err)
 	}
-	e.BreakEvenBps = phases.WireBreakEven(e.Link, e.RawBytes, e.CompressedBytes,
+	recon, _, err := h.Decompress(buf)
+	if err != nil {
+		return Economics{}, nil, fmt.Errorf("transit: decompress: %w", err)
+	}
+	ulp, err := stats.ULPError(data, recon)
+	if err != nil {
+		return Economics{}, nil, fmt.Errorf("transit: %w", err)
+	}
+
+	e := Economics{Codec: codec, RelEB: relEB, Link: link, ULP: ulp,
+		RawBytes: int64(len(data)) * 4, CompressedBytes: int64(len(buf))}
+	e.Ratio = float64(e.RawBytes) / float64(e.CompressedBytes)
+	pr := phases.NewPricer(nil, phases.PaperRule())
+	comp, err := pr.Compress(codec, e.RawBytes, relEB, e.Ratio)
+	if err != nil {
+		return Economics{}, nil, err
+	}
+	dec, err := pr.Decompress(codec, e.RawBytes, relEB, e.Ratio)
+	if err != nil {
+		return Economics{}, nil, err
+	}
+	t, err := pr.Price(comp, dec)
+	if err != nil {
+		return Economics{}, nil, err
+	}
+	e.CompressSeconds, e.CompressJoules = t.Legs[0].Seconds, t.Legs[0].Joules
+	e.DecompressSeconds, e.DecompressJoules = t.Legs[1].Seconds, t.Legs[1].Joules
+	e.BreakEvenBps = phases.WireBreakEven(link, e.RawBytes, e.CompressedBytes,
 		e.CompressSeconds+e.DecompressSeconds)
-	e.EnergyBreakEvenBps = c.energyBreakEven(e)
-	return e, nil
+
+	// The energy-parity bandwidth comes from the shared sign-change solver:
+	// the wire energy is priced by the transit machine model (CPU
+	// overlapping the link under a smooth maximum), so the difference is
+	// monotone in B but has no closed form. saved(B) > 0 where compression
+	// spends less energy than raw.
+	computeJ := e.CompressJoules + e.DecompressJoules
+	e.EnergyBreakEvenBps = phases.BreakEven(func(bps float64) float64 {
+		wire := phases.Link(link.WithBandwidth(bps))
+		// Move builds Writing-class stages, which Price cannot reject.
+		t, _ := pr.Price(pr.Move(wire, e.RawBytes), pr.Move(wire, e.CompressedBytes))
+		return t.Legs[0].Joules - (computeJ + t.Legs[1].Joules)
+	}, 1e3, 1e16)
+	return e, recon, nil
 }
 
 // CompressedSeconds is the end-to-end time of the compressed path on the
@@ -81,39 +137,6 @@ func (e Economics) RawSeconds(bps float64) float64 {
 	return e.Link.WithBandwidth(bps).MessageTime(e.RawBytes)
 }
 
-// TimeSavedSeconds is positive where compressing wins at bps.
-func (e Economics) TimeSavedSeconds(bps float64) float64 {
-	return e.RawSeconds(bps) - e.CompressedSeconds(bps)
-}
-
-// SweepBreakEven finds the time-parity bandwidth without the closed form:
-// an exhaustive geometric sweep over [loBps, hiBps] brackets the sign
-// change of TimeSavedSeconds, then bisection refines the bracket. It must
-// agree with phases.WireBreakEven within a fraction of a percent — the acceptance
-// check for the closed form. Returns 0 if compression loses everywhere on
-// the range and +Inf if it wins everywhere.
-func (e Economics) SweepBreakEven(loBps, hiBps float64, steps int) float64 {
-	if steps < 2 {
-		steps = 2
-	}
-	if !(loBps > 0) || !(hiBps > loBps) {
-		return 0
-	}
-	ratio := math.Pow(hiBps/loBps, 1/float64(steps-1))
-	if e.TimeSavedSeconds(loBps) <= 0 {
-		return 0 // losing even on the slowest link in range
-	}
-	prevB := loBps
-	for i := 1; i < steps; i++ {
-		b := loBps * math.Pow(ratio, float64(i))
-		if e.TimeSavedSeconds(b) <= 0 {
-			return phases.BreakEven(e.TimeSavedSeconds, prevB, b)
-		}
-		prevB = b
-	}
-	return math.Inf(1) // still winning on the fastest link in range
-}
-
 // SweepPoint is one row of a bandwidth sweep table.
 type SweepPoint struct {
 	BandwidthBps      float64
@@ -124,19 +147,13 @@ type SweepPoint struct {
 	CompressionWins   bool
 }
 
-// Sweep tabulates both paths at the given bandwidths — the CLI/bench view
-// of the trade.
+// Sweep tabulates both paths at the given bandwidths — the CLI view of the
+// trade.
 func (e Economics) Sweep(bandwidths []float64) []SweepPoint {
 	pts := make([]SweepPoint, 0, len(bandwidths))
 	for _, b := range bandwidths {
-		cs := e.CompressedSeconds(b)
-		rs := e.RawSeconds(b)
-		pt := SweepPoint{
-			BandwidthBps:      b,
-			CompressedSeconds: cs,
-			RawSeconds:        rs,
-			CompressionWins:   cs < rs,
-		}
+		cs, rs := e.CompressedSeconds(b), e.RawSeconds(b)
+		pt := SweepPoint{BandwidthBps: b, CompressedSeconds: cs, RawSeconds: rs, CompressionWins: cs < rs}
 		if cs > 0 {
 			pt.GoodputBps = float64(e.RawBytes) * 8 / cs
 		}
@@ -146,20 +163,4 @@ func (e Economics) Sweep(bandwidths []float64) []SweepPoint {
 		pts = append(pts, pt)
 	}
 	return pts
-}
-
-// energyBreakEven finds the energy-parity bandwidth with the shared
-// sign-change solver. The wire energy is priced by the transit machine model
-// (CPU overlapping the link under a smooth maximum), so the difference is
-// monotone in B but has no closed form.
-func (c *Channel) energyBreakEven(e Economics) float64 {
-	computeJ := e.CompressJoules + e.DecompressJoules
-	// saved(B) > 0 where compression spends less energy than raw.
-	saved := func(bps float64) float64 {
-		wire := phases.Link(c.cfg.Link.WithBandwidth(bps))
-		// Move builds Writing-class stages, which Price cannot reject.
-		t, _ := c.pr.Price(c.pr.Move(wire, e.RawBytes), c.pr.Move(wire, e.CompressedBytes))
-		return t.Legs[0].Joules - (computeJ + t.Legs[1].Joules)
-	}
-	return phases.BreakEven(saved, 1e3, 1e16)
 }

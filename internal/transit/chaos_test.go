@@ -2,6 +2,8 @@ package transit
 
 import (
 	"testing"
+
+	"lcpio/internal/netsim"
 )
 
 func TestLorenzStepStaysOnAttractor(t *testing.T) {
@@ -42,15 +44,13 @@ func TestDivergenceHorizonDeterministic(t *testing.T) {
 // clear a usability floor.
 func TestLossyRoundTripDivergenceAcceptance(t *testing.T) {
 	orig := LorenzEnsemble(256, 42)
-	p := Payload{Data: orig, Dims: []int{256, 3}}
 	const maxSteps = 4000
 	horizon := func(relEB float64) int {
-		c := newTestChannel(t, "sz", relEB, 1)
-		m, err := c.Send(p)
+		_, recon, err := BreakEven(netsim.TenGbE(), "sz", relEB, orig, []int{256, 3})
 		if err != nil {
 			t.Fatalf("relEB %g: %v", relEB, err)
 		}
-		return LorenzDivergenceHorizon(orig, m.Data, 0.05, maxSteps)
+		return LorenzDivergenceHorizon(orig, recon, 0.05, maxSteps)
 	}
 	loose := horizon(1e-2)
 	tight := horizon(1e-5)
@@ -67,14 +67,12 @@ func TestLossyRoundTripDivergenceAcceptance(t *testing.T) {
 
 func TestLogisticDivergenceTighterBoundTracksLonger(t *testing.T) {
 	orig := LogisticEnsemble(512, 3)
-	p := Payload{Data: orig, Dims: []int{512}}
 	horizon := func(relEB float64) int {
-		c := newTestChannel(t, "zfp", relEB, 1)
-		m, err := c.Send(p)
+		_, recon, err := BreakEven(netsim.TenGbE(), "zfp", relEB, orig, []int{512})
 		if err != nil {
 			t.Fatalf("relEB %g: %v", relEB, err)
 		}
-		return LogisticDivergenceHorizon(orig, m.Data, 0.05, 200)
+		return LogisticDivergenceHorizon(orig, recon, 0.05, 200)
 	}
 	loose := horizon(1e-2)
 	tight := horizon(1e-6)

@@ -28,6 +28,7 @@
 package lcpio
 
 import (
+	"lcpio/internal/advisor"
 	"lcpio/internal/cluster"
 	"lcpio/internal/compress"
 	"lcpio/internal/container"
@@ -279,25 +280,49 @@ type (
 	ClusterComparison = cluster.Comparison
 )
 
-// ClusterDump simulates a homogeneous fleet dump.
-func ClusterDump(cfg ClusterConfig) (ClusterResult, error) { return cluster.Dump(cfg) }
-
-// ClusterCompare contrasts raw, compressed and tuned fleet dumps.
-func ClusterCompare(cfg ClusterConfig, compFraction, writeFraction float64) (ClusterComparison, error) {
-	return cluster.Compare(cfg, compFraction, writeFraction)
+// ClusterDump simulates a homogeneous fleet dump at the rule's clocks (the
+// zero rule is Eqn 3).
+func ClusterDump(cfg ClusterConfig, rule PhaseRule) (ClusterResult, error) {
+	return cluster.Dump(cfg, rule)
 }
 
-// AdvisorConfig and Advice expose the energy-aware codec/bound advisor.
+// ClusterCompare contrasts raw, compressed and tuned fleet dumps.
+func ClusterCompare(cfg ClusterConfig, rule PhaseRule) (ClusterComparison, error) {
+	return cluster.Compare(cfg, rule)
+}
+
+// AdviceRequest and Advice expose the energy-aware configuration search
+// `lcpio advise` runs: the constraints of one dump, and the cheapest
+// (codec, bound, workers, frequency pair) meeting them with the candidate
+// table behind it.
 type (
-	AdvisorConfig = core.AdvisorConfig
-	Advice        = core.Advice
+	AdviceRequest = advisor.Request
+	Advice        = advisor.Decision
 )
 
-// Advise ranks every (codec, bound) candidate by tuned dump energy.
-func Advise(cfg Config, acfg AdvisorConfig) ([]Advice, error) { return core.Advise(cfg, acfg) }
+// Recommend picks from a cheap sketch of the field, hedging predicted
+// quality by 3 dB.
+func Recommend(data []float32, dims []int, req AdviceRequest) (Advice, error) {
+	ctrl, err := advisor.New(advisor.Config{})
+	if err != nil {
+		return Advice{}, err
+	}
+	sk, err := ctrl.Sketch(data, dims)
+	if err != nil {
+		return Advice{}, err
+	}
+	return ctrl.Decide(sk, req)
+}
 
-// Recommend returns the least-energy advice meeting the quality floor.
-func Recommend(cfg Config, acfg AdvisorConfig) (Advice, error) { return core.Recommend(cfg, acfg) }
+// Advise runs the same search with every candidate measured by a full
+// round trip of the field: exact, and orders of magnitude slower.
+func Advise(data []float32, dims []int, req AdviceRequest) (Advice, error) {
+	ctrl, err := advisor.New(advisor.Config{})
+	if err != nil {
+		return Advice{}, err
+	}
+	return ctrl.ExhaustiveSweep(data, dims, req)
+}
 
 // Plan, Phase and PhaseRule expose the campaign planner (compute /
 // compress / write phases with per-class frequency plans).

@@ -146,13 +146,35 @@ func TestFacadeExtensions(t *testing.T) {
 
 	// Cluster comparison through the facade.
 	cmp, err := ClusterCompare(ClusterConfig{
-		Nodes: 16, PerNodeBytes: 1 << 30, Ratio: 8, Seed: 1,
-	}, 0.875, 0.85)
+		Nodes: 16, PerNodeBytes: 1 << 30, Ratio: 8,
+	}, PaperRecommendation())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cmp.CompressionSpeedup() <= 0 {
 		t.Fatalf("cluster comparison: %+v", cmp)
+	}
+
+	// The advisor through the facade: the sketched pick heads its own
+	// table, and the measured search over the same field prices its regret.
+	field := make([]float32, 64*64)
+	for i := range field {
+		field[i] = float32(math.Sin(float64(i) / 40))
+	}
+	req := AdviceRequest{RawBytes: 1 << 30, MinPSNR: 40}
+	rec, err := Recommend(field, []int{64, 64}, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.EnergyJ <= 0 || rec.Table[0].Codec != rec.Codec || rec.Table[0].RelEB != rec.RelEB {
+		t.Fatalf("recommendation is not the head of its table: %+v", rec)
+	}
+	truth, err := Advise(field, []int{64, 64}, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if truth.EnergyJ <= 0 || truth.Predicted.PSNR < req.MinPSNR {
+		t.Fatalf("measured advice misses the floor: %+v", truth)
 	}
 
 	// Campaign planner through the facade.

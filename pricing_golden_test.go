@@ -10,10 +10,10 @@ import (
 	"lcpio/internal/advisor"
 	"lcpio/internal/ckpt"
 	"lcpio/internal/cluster"
+	"lcpio/internal/compress"
 	"lcpio/internal/core"
 	"lcpio/internal/dedup"
 	"lcpio/internal/dvfs"
-	"lcpio/internal/machine"
 	"lcpio/internal/netsim"
 	"lcpio/internal/phases"
 	"lcpio/internal/svc"
@@ -204,73 +204,6 @@ func goldenCkpt(t *testing.T, g *goldenRows) {
 func goldenAdvisor(t *testing.T, g *goldenRows) {
 	dims := []int{64, 96}
 	data := goldenField(dims[0]*dims[1], 0, 0, 1e-3)
-	ctrl, err := advisor.New(advisor.Config{Codecs: []string{"sz", "zfp", "squant"}, FreqStride: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk, err := ctrl.Sketch(data, dims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	link, err := netsim.Custom("golden-wan", 2e8, 1e-3, 1500, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := []struct {
-		name string
-		req  advisor.Request
-	}{
-		{"advisor.mount", advisor.Request{RawBytes: 8 << 30, MinPSNR: 50, Ranks: 8, ParityRanks: 2,
-			RankLossProb: 0.3, ChurnRate: 0.15}},
-		{"advisor.link", advisor.Request{RawBytes: 8 << 30, MinPSNR: 80, Ranks: 8, ParityRanks: 2,
-			RankLossProb: 0.02, ChurnRate: 0.15, WireLink: &link, DeadlineSeconds: 400}},
-		{"advisor.plain", advisor.Request{RawBytes: 1 << 30, RankLossProb: 0.05, Ranks: 4}},
-	}
-	for _, rc := range reqs {
-		dec, err := ctrl.Decide(sk, rc.req)
-		if err != nil {
-			t.Fatalf("%s: %v", rc.name, err)
-		}
-		g.add(rc.name+".codec_len", float64(len(dec.Codec)))
-		g.add(rc.name+".rel_eb", dec.RelEB)
-		g.add(rc.name+".workers", float64(dec.Workers))
-		g.add(rc.name+".compress_ghz", dec.CompressGHz)
-		g.add(rc.name+".write_ghz", dec.WriteGHz)
-		g.add(rc.name+".delta", b2f(dec.Delta))
-		g.add(rc.name+".parity", float64(dec.ParityRanks))
-		g.add(rc.name+".wire", b2f(dec.WireCompress))
-		g.add(rc.name+".energy_j", dec.EnergyJ)
-		g.add(rc.name+".seconds", dec.Seconds)
-		g.add(rc.name+".compress_j", dec.CompressJoules)
-		g.add(rc.name+".write_j", dec.WriteJoules)
-		g.add(rc.name+".recovery_j", dec.RecoveryJoules)
-		g.add(rc.name+".be_parity", dec.ParityBreakEvenLossProb)
-		g.add(rc.name+".be_churn", dec.DeltaBreakEvenChurn)
-		g.add(rc.name+".be_wire_bps", dec.WireBreakEvenBps)
-		for i, c := range dec.Table {
-			g.add(fmt.Sprintf("%s.table[%d].energy_j", rc.name, i), c.EnergyJ)
-			g.add(fmt.Sprintf("%s.table[%d].seconds", rc.name, i), c.Seconds)
-		}
-		pl, err := ctrl.Campaign(dec, 2, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tot, err := pl.Execute(machine.NewNode(dvfs.Broadwell(), 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.totals(rc.name+".campaign", tot)
-	}
-
-	grid, err := advisor.EvaluateGrid(data, dims, advisor.GridOptions{TotalBytes: 64 << 30, MinPSNR: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range grid {
-		g.add(fmt.Sprintf("advisor.grid[%d].rel_eb", i), e.RelEB)
-		g.add(fmt.Sprintf("advisor.grid[%d].energy_j", i), e.EnergyJ)
-		g.add(fmt.Sprintf("advisor.grid[%d].seconds", i), e.Seconds)
-	}
 	pts, err := advisor.WorkerEnergies("Skylake", "zfp", 32<<30, 1e-4, 5.5, 1.9, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -324,26 +257,34 @@ func goldenAdvisor(t *testing.T, g *goldenRows) {
 			g.add(q+".energy_j", c.EnergyJ)
 			g.add(q+".seconds", c.Seconds)
 		}
-		sw, err := plain.ExhaustiveSweep(data, dims, rc.req)
+		truth, err := plain.ExhaustiveSweep(data, dims, rc.req)
 		if err != nil {
 			t.Fatalf("%s: %v", rc.name, err)
 		}
 		p = "advisor.measured." + rc.name
-		best := sw.Entries[sw.Best]
-		g.add(p+".best.codec_len", float64(len(best.Codec)))
-		g.add(p+".best.rel_eb", best.RelEB)
-		g.add(p+".best.energy_j", best.EnergyJ)
-		for _, e := range sw.Entries {
-			q := fmt.Sprintf("%s.%s@%g", p, e.Codec, e.RelEB)
-			g.add(q+".ratio", e.Ratio)
-			g.add(q+".psnr", e.PSNR)
-			g.add(q+".workers", float64(e.Workers))
-			g.add(q+".compress_ghz", e.CompressGHz)
-			g.add(q+".write_ghz", e.WriteGHz)
-			g.add(q+".energy_j", e.EnergyJ)
-			g.add(q+".seconds", e.Seconds)
+		g.add(p+".best.codec_len", float64(len(truth.Codec)))
+		g.add(p+".best.rel_eb", truth.RelEB)
+		g.add(p+".best.energy_j", truth.EnergyJ)
+		// The rows were recorded in search order (codec-major), before the
+		// measured table was sorted like Decide's.
+		for _, codec := range []string{"sz", "zfp"} {
+			for _, eb := range compress.PaperErrorBounds {
+				for _, e := range truth.Table {
+					if e.Codec != codec || e.RelEB != eb {
+						continue
+					}
+					q := fmt.Sprintf("%s.%s@%g", p, e.Codec, e.RelEB)
+					g.add(q+".ratio", e.Pred.Ratio)
+					g.add(q+".psnr", e.Pred.PSNR)
+					g.add(q+".workers", float64(e.Workers))
+					g.add(q+".compress_ghz", e.CompressGHz)
+					g.add(q+".write_ghz", e.WriteGHz)
+					g.add(q+".energy_j", e.EnergyJ)
+					g.add(q+".seconds", e.Seconds)
+				}
+			}
 		}
-		regret, err := plain.Regret(dec, sw)
+		regret, err := plain.Regret(dec, truth)
 		if err != nil {
 			t.Fatalf("%s: %v", rc.name, err)
 		}
@@ -356,81 +297,21 @@ func goldenTransit(t *testing.T, g *goldenRows) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := transit.New(transit.Config{Link: link, Codec: "zfp", RelEB: 1e-3, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	dims := []int{64, 96}
-	var ps []transit.Payload
-	for r := 0; r < 3; r++ {
-		ps = append(ps, transit.Payload{Data: goldenField(dims[0]*dims[1], r, 1, 1e-3), Dims: dims})
-	}
-	b, err := ch.SendAll(ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.add("transit.batch.joules", b.Joules)
-	g.add("transit.batch.raw_joules", b.RawJoules)
-	g.add("transit.batch.sim_s", b.SimSeconds)
-	g.add("transit.batch.raw_sim_s", b.RawSimSeconds)
-	for i, m := range b.Messages {
-		g.add(fmt.Sprintf("transit.msg[%d].compress_s", i), m.CompressSeconds)
-		g.add(fmt.Sprintf("transit.msg[%d].decompress_j", i), m.DecompressJoules)
-		g.add(fmt.Sprintf("transit.msg[%d].wire_j", i), m.WireJoules)
-	}
-	e, err := ch.BreakEven(ps[0])
+	e, _, err := transit.BreakEven(link, "zfp", 1e-3, goldenField(dims[0]*dims[1], 0, 1, 1e-3), dims)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.add("transit.breakeven_bps", e.BreakEvenBps)
 	g.add("transit.energy_breakeven_bps", e.EnergyBreakEvenBps)
-	g.add("transit.sweep_breakeven_bps", e.SweepBreakEven(1e6, 1e12, 200))
-	pl, err := ch.Campaign(b, 2, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chip := dvfs.Broadwell()
-	tot, err := pl.ApplyRule(phases.PaperRule(), chip).Execute(machine.NewNode(chip, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.totals("transit.campaign", tot)
 }
 
 func goldenCluster(t *testing.T, g *goldenRows) {
-	cfgs := []struct {
-		name string
-		cfg  cluster.Config
-	}{
-		{"cluster.ckpt", cluster.Config{Nodes: 64, PerNodeBytes: 4 << 30, Codec: "sz", RelEB: 1e-3, Ratio: 8,
-			CompressionFraction: 0.875, WritingFraction: 0.85,
-			CkptFields: 3, CkptRanksPerNode: 4, CkptParityRanks: 1, CkptChurnRate: 0.2, Seed: 5}},
-		{"cluster.wire", cluster.Config{Nodes: 16, PerNodeBytes: 2 << 30, Ratio: 1,
-			CompressionFraction: 0.9, WritingFraction: 0.8,
-			WireCodec: "zfp", WireRatio: 4.5, Seed: 5}},
-		{"cluster.base.skylake", cluster.Config{Nodes: 8, Chip: "Skylake", PerNodeBytes: 1 << 30, Codec: "zfp", Ratio: 6,
-			CkptFields: 2, CkptRanksPerNode: 4096}},
-		{"cluster.advise", cluster.Config{Nodes: 128, PerNodeBytes: 4 << 30, Advise: true, Seed: 2}},
-	}
-	for _, c := range cfgs {
-		r, err := cluster.Dump(c.cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		g.add(c.name+".node_j", r.NodeJoules)
-		g.add(c.name+".total_j", r.TotalJoules)
-		g.add(c.name+".wall_s", r.WallSeconds)
-		g.add(c.name+".compress_s", r.NodeCompressSeconds)
-		g.add(c.name+".dedup_s", r.NodeDedupSeconds)
-		g.add(c.name+".transit_s", r.NodeTransitSeconds)
-		g.add(c.name+".wire_be_bps", r.WireBreakEvenBps)
-	}
-
 	// What `lcpio cluster` runs: the three-way comparison at its defaults,
 	// and on the other chip.
 	for _, chip := range []string{"Broadwell", "Skylake"} {
 		cmp, err := cluster.Compare(cluster.Config{Nodes: 256, Chip: chip, PerNodeBytes: 64 << 30,
-			Codec: "sz", RelEB: 1e-3, Ratio: 9, ServerIngressBps: 100e9, Seed: 1}, 0.875, 0.85)
+			Codec: "sz", RelEB: 1e-3, Ratio: 9, ServerIngressBps: 100e9}, phases.PaperRule())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -478,17 +359,6 @@ func goldenCore(t *testing.T, g *goldenRows) {
 		g.add(p+".tuned_decompress_j", r.TunedDecompressJ)
 		g.add(p+".base_s", r.BaseSeconds)
 		g.add(p+".tuned_s", r.TunedSeconds)
-	}
-	var acfg AdvisorConfig
-	acfg.TotalBytes, acfg.MinPSNR = 8<<30, 40
-	acfg.Rule = Recommendation{CompressionFraction: 0.8, WritingFraction: 0.9}
-	adv, err := Advise(cfg, acfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, a := range adv {
-		g.add(fmt.Sprintf("core.advise[%d].energy_j", i), a.EnergyJ)
-		g.add(fmt.Sprintf("core.advise[%d].seconds", i), a.Seconds)
 	}
 	cores, err := core.EnergyVsCores(cfg, "Broadwell", "sz", 4<<30, 3)
 	if err != nil {

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Extended tier-1 gate: formatting, static vetting, the full test suite
-# under the race detector (the obs registry, codecs' parallel paths, the
-# ckpt pipeline and the cluster simulator all exercise real concurrency),
-# and every fuzz target replayed over its seed corpus. See ROADMAP.md.
+# under the race detector (the obs registry, the codecs' parallel paths, the
+# ckpt pipeline and the svc daemon all exercise real concurrency), and every
+# fuzz target replayed over its seed corpus. See ROADMAP.md.
 set -eux
 cd "$(dirname "$0")/.."
 fmt="$(gofmt -l .)"
@@ -50,10 +50,10 @@ go test -race -count=1 -v \
 
 # Advisor regret gate: on every held-out fpdata recipe the sketch-driven
 # pick must land within 5% modeled energy of the exhaustive sweep optimum,
-# and the online feedback loop must shrink ratio error dump over dump. Run
-# by name so a calibration regression is unmissable.
+# and the daemon's per-tenant ratio smoother must track what it observes.
+# Run by name so a calibration regression is unmissable.
 go test -race -count=1 -v \
-    -run '^(TestAdvisorRegretGate|TestFeedbackConvergence)$' \
+    -run '^(TestAdvisorRegretGate|TestRatioTracker)$' \
     ./internal/advisor/
 
 # Worker-scaling gate: on hosts with >= 8 cores, 8-worker compression must
@@ -82,3 +82,7 @@ sh scripts/loc.sh
 # So is what only tests reach: exported funcs under internal/ that no
 # non-test Go names. Print-only (interface-satisfying methods make it noisy).
 sh scripts/unreached.sh
+
+# And the options nothing turns: exported *Config/*Options/*Request fields
+# under internal/ that no non-test Go sets. Print-only, same caveats.
+sh scripts/knobs.sh
