@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -263,11 +264,12 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 	return string(out), runErr
 }
 
-// TestCommandOutputGoldens pins the stdout of the modeled-economics
-// commands byte for byte. Everything they print is simulated seconds and
-// joules from seeded synthetic fields, so a differing byte is a behaviour
-// change; the files under testdata/ were recorded from the unmodified
-// commands.
+// TestCommandOutputGoldens pins the stdout of the paper's own artifacts
+// (`all` is Tables I-V, Figures 1-6 and the headlines) and of the
+// modeled-economics commands byte for byte. Everything they print is
+// simulated seconds and joules from seeded synthetic fields, so a differing
+// byte is a behaviour change; the files under testdata/ were recorded from
+// the unmodified commands.
 func TestCommandOutputGoldens(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -281,6 +283,11 @@ func TestCommandOutputGoldens(t *testing.T) {
 		{"transit.txt", cmdTransit, []string{"-elems", "65536"}},
 		{"transit_chaos.txt", cmdTransit, []string{"-elems", "65536", "-chaos"}},
 		{"cores.txt", cmdCores, nil},
+		{"all.txt", cmdAll, nil},
+		{"generations.txt", cmdGenerations, nil},
+		{"energy.txt", cmdEnergy, nil},
+		{"load.txt", cmdLoad, nil},
+		{"sweep_reps2.csv", cmdSweepCSV, []string{"-reps", "2"}},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
 		if err != nil {
@@ -291,9 +298,27 @@ func TestCommandOutputGoldens(t *testing.T) {
 			t.Fatalf("%s: %v", tc.golden, err)
 		}
 		if got != string(want) {
-			t.Errorf("%s: stdout differs from the recorded output\n--- got\n%s--- want\n%s", tc.golden, got, want)
+			t.Errorf("%s: stdout differs from the recorded output\n%s", tc.golden, lineDiff(got, string(want)))
 		}
 	}
+}
+
+// lineDiff lists the lines at which two outputs differ (the first twenty),
+// which is what a reader of a 538-line golden needs.
+func lineDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	var b strings.Builder
+	if len(g) != len(w) {
+		fmt.Fprintf(&b, "got %d lines, want %d\n", len(g), len(w))
+	}
+	shown := 0
+	for i := 0; i < len(g) && i < len(w) && shown < 20; i++ {
+		if g[i] != w[i] {
+			fmt.Fprintf(&b, "line %d\n  got  %s\n  want %s\n", i+1, g[i], w[i])
+			shown++
+		}
+	}
+	return b.String()
 }
 
 // TestFlagValuesRefused: a flag value the model cannot run at is an error,
