@@ -19,12 +19,12 @@ func benchConfig() Config {
 
 var (
 	benchOnce sync.Once
-	benchCS   *CompressionStudy
-	benchTS   *TransitStudy
+	benchCS   *Study
+	benchTS   *Study
 	benchErr  error
 )
 
-func benchStudies(b *testing.B) (*CompressionStudy, *TransitStudy) {
+func benchStudies(b *testing.B) (cs, ts *Study) {
 	b.Helper()
 	benchOnce.Do(func() {
 		benchCS, benchErr = RunCompressionStudy(benchConfig())
@@ -70,7 +70,7 @@ func BenchmarkTableIV(b *testing.B) {
 	b.ResetTimer()
 	var exponent float64
 	for i := 0; i < b.N; i++ {
-		rows, err := cs.FitTableIV()
+		rows, err := cs.Fit(TableIV)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func BenchmarkTableV(b *testing.B) {
 	b.ResetTimer()
 	var rmse float64
 	for i := 0; i < b.N; i++ {
-		rows, err := ts.FitTableV()
+		rows, err := ts.Fit(TableV)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func BenchmarkFigure1(b *testing.B) {
 	b.ResetTimer()
 	var floor float64
 	for i := 0; i < b.N; i++ {
-		series, err := cs.PowerCharacteristics()
+		series, err := cs.Characteristics(ScaledPower)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func BenchmarkFigure2(b *testing.B) {
 	b.ResetTimer()
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		series, err := cs.RuntimeCharacteristics()
+		series, err := cs.Characteristics(ScaledRuntime)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func BenchmarkFigure3(b *testing.B) {
 	b.ResetTimer()
 	var floor float64
 	for i := 0; i < b.N; i++ {
-		series, err := ts.PowerCharacteristics()
+		series, err := ts.Characteristics(ScaledPower)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func BenchmarkFigure4(b *testing.B) {
 	_, ts := benchStudies(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ts.RuntimeCharacteristics(); err != nil {
+		if _, err := ts.Characteristics(ScaledRuntime); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -161,7 +161,7 @@ func BenchmarkFigure4(b *testing.B) {
 // BenchmarkFigure5 validates the Broadwell model on held-out ISABEL data.
 func BenchmarkFigure5(b *testing.B) {
 	cs, _ := benchStudies(b)
-	rows, err := cs.FitTableIV()
+	rows, err := cs.Fit(TableIV)
 	if err != nil {
 		b.Fatal(err)
 	}

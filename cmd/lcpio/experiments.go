@@ -9,6 +9,7 @@ import (
 	"lcpio/internal/core"
 	"lcpio/internal/dvfs"
 	"lcpio/internal/fpdata"
+	"lcpio/internal/perf"
 	"lcpio/internal/tables"
 )
 
@@ -33,30 +34,33 @@ func experimentFlags(name string, args []string) (core.Config, error) {
 	return cfg, nil
 }
 
-// Studies are cached per config so `lcpio all` runs each campaign once.
-var (
-	studyMu    sync.Mutex
-	studyCfg   core.Config
-	studyComp  *core.CompressionStudy
-	studyTrans *core.TransitStudy
+// The two measurement campaigns the experiment commands draw on.
+const (
+	compression = iota // Section IV-A
+	writing            // Section IV-B
 )
 
-func studies(cfg core.Config) (*core.CompressionStudy, *core.TransitStudy, error) {
+// Studies are cached per config so `lcpio all` runs each campaign once.
+var (
+	studyMu   sync.Mutex
+	studyCfg  core.Config
+	studyBoth [2]*core.Study
+)
+
+func studies(cfg core.Config) (st [2]*core.Study, err error) {
 	studyMu.Lock()
 	defer studyMu.Unlock()
-	if studyComp != nil && cfgEqual(studyCfg, cfg) {
-		return studyComp, studyTrans, nil
+	if studyBoth[compression] != nil && cfgEqual(studyCfg, cfg) {
+		return studyBoth, nil
 	}
-	cs, err := core.RunCompressionStudy(cfg)
-	if err != nil {
-		return nil, nil, err
+	if st[compression], err = core.RunCompressionStudy(cfg); err != nil {
+		return st, err
 	}
-	ts, err := core.RunTransitStudy(cfg)
-	if err != nil {
-		return nil, nil, err
+	if st[writing], err = core.RunTransitStudy(cfg); err != nil {
+		return st, err
 	}
-	studyCfg, studyComp, studyTrans = cfg, cs, ts
-	return cs, ts, nil
+	studyCfg, studyBoth = cfg, st
+	return st, nil
 }
 
 func cfgEqual(a, b core.Config) bool {
@@ -112,12 +116,17 @@ func cmdTable3(args []string) error {
 	if _, err := experimentFlags("table3", args); err != nil {
 		return err
 	}
-	rows := [][]string{
-		{"Total", "SZ, ZFP", "Broadwell, Skylake"},
-		{"SZ", "SZ", "Broadwell, Skylake"},
-		{"ZFP", "ZFP", "Broadwell, Skylake"},
-		{"Broadwell", "SZ, ZFP", "Broadwell"},
-		{"Skylake", "SZ, ZFP", "Skylake"},
+	// Table III is the list of partitions Table IV fits.
+	rows := make([][]string, 0, len(core.TableIV))
+	for _, p := range core.TableIV {
+		codecs, chips := "SZ, ZFP", "Broadwell, Skylake"
+		if p.Codec != "" {
+			codecs = strings.ToUpper(p.Codec)
+		}
+		if p.Chip != "" {
+			chips = p.Chip
+		}
+		rows = append(rows, []string{p.Name, codecs, chips})
 	}
 	fmt.Print(tables.Render("TABLE III: models produced for tuning",
 		[]string{"Model Data", "Compressor(s)", "CPU(s)"}, rows))
@@ -139,38 +148,30 @@ func modelTable(title string, rows []core.ModelRow) string {
 		[]string{"Model Data", "P_fit(f)", "SSE", "RMSE", "R^2"}, out)
 }
 
-func cmdTable4(args []string) error {
-	cfg, err := experimentFlags("table4", args)
+// fitTable prints the models of one campaign over the given partitions.
+func fitTable(args []string, name, title string, campaign int, parts []core.Partition) error {
+	cfg, err := experimentFlags(name, args)
 	if err != nil {
 		return err
 	}
-	cs, _, err := studies(cfg)
+	st, err := studies(cfg)
 	if err != nil {
 		return err
 	}
-	rows, err := cs.FitTableIV()
+	rows, err := st[campaign].Fit(parts)
 	if err != nil {
 		return err
 	}
-	fmt.Print(modelTable("TABLE IV: model equations and GF for compression", rows))
+	fmt.Print(modelTable(title, rows))
 	return nil
 }
 
+func cmdTable4(args []string) error {
+	return fitTable(args, "table4", "TABLE IV: model equations and GF for compression", compression, core.TableIV)
+}
+
 func cmdTable5(args []string) error {
-	cfg, err := experimentFlags("table5", args)
-	if err != nil {
-		return err
-	}
-	_, ts, err := studies(cfg)
-	if err != nil {
-		return err
-	}
-	rows, err := ts.FitTableV()
-	if err != nil {
-		return err
-	}
-	fmt.Print(modelTable("TABLE V: models and GF data transit", rows))
-	return nil
+	return fitTable(args, "table5", "TABLE V: models and GF data transit", writing, core.TableV)
 }
 
 func plotSeries(ss []core.Series) []tables.PlotSeries {
@@ -181,17 +182,17 @@ func plotSeries(ss []core.Series) []tables.PlotSeries {
 	return out
 }
 
-func figure(args []string, name, title, ylabel string,
-	get func(cs *core.CompressionStudy, ts *core.TransitStudy) ([]core.Series, error)) error {
+// figure plots one campaign under extract.
+func figure(args []string, name, title, ylabel string, campaign int, extract core.Extract) error {
 	cfg, err := experimentFlags(name, args)
 	if err != nil {
 		return err
 	}
-	cs, ts, err := studies(cfg)
+	st, err := studies(cfg)
 	if err != nil {
 		return err
 	}
-	series, err := get(cs, ts)
+	series, err := st[campaign].Characteristics(extract)
 	if err != nil {
 		return err
 	}
@@ -208,30 +209,22 @@ func figure(args []string, name, title, ylabel string,
 
 func cmdFig1(args []string) error {
 	return figure(args, "fig1", "Fig. 1: Compression Scaled Power Characteristics",
-		"scaled power", func(cs *core.CompressionStudy, _ *core.TransitStudy) ([]core.Series, error) {
-			return cs.PowerCharacteristics()
-		})
+		"scaled power", compression, perf.Sweep.ScaledPower)
 }
 
 func cmdFig2(args []string) error {
 	return figure(args, "fig2", "Fig. 2: Compression Scaled Runtime Characteristics",
-		"scaled runtime", func(cs *core.CompressionStudy, _ *core.TransitStudy) ([]core.Series, error) {
-			return cs.RuntimeCharacteristics()
-		})
+		"scaled runtime", compression, perf.Sweep.ScaledRuntime)
 }
 
 func cmdFig3(args []string) error {
 	return figure(args, "fig3", "Fig. 3: Data Transit Scaled Power Characteristics",
-		"scaled power", func(_ *core.CompressionStudy, ts *core.TransitStudy) ([]core.Series, error) {
-			return ts.PowerCharacteristics()
-		})
+		"scaled power", writing, perf.Sweep.ScaledPower)
 }
 
 func cmdFig4(args []string) error {
 	return figure(args, "fig4", "Fig. 4: Data Transit Scaled Runtime Characteristics",
-		"scaled runtime", func(_ *core.CompressionStudy, ts *core.TransitStudy) ([]core.Series, error) {
-			return ts.RuntimeCharacteristics()
-		})
+		"scaled runtime", writing, perf.Sweep.ScaledRuntime)
 }
 
 func cmdFig5(args []string) error {
@@ -239,11 +232,11 @@ func cmdFig5(args []string) error {
 	if err != nil {
 		return err
 	}
-	cs, _, err := studies(cfg)
+	st, err := studies(cfg)
 	if err != nil {
 		return err
 	}
-	rows, err := cs.FitTableIV()
+	rows, err := st[compression].Fit(core.TableIV)
 	if err != nil {
 		return err
 	}
@@ -306,11 +299,11 @@ func cmdHeadlines(args []string) error {
 	if err != nil {
 		return err
 	}
-	cs, ts, err := studies(cfg)
+	st, err := studies(cfg)
 	if err != nil {
 		return err
 	}
-	h, err := core.ComputeHeadlinesFrom(cfg, cs, ts)
+	h, err := core.ComputeHeadlinesFrom(cfg, st[compression], st[writing])
 	if err != nil {
 		return err
 	}

@@ -301,13 +301,6 @@ func cmdSweepCSV(args []string) error {
 	if err != nil {
 		return err
 	}
-	var sweeps []perf.Sweep
-	for _, e := range cs.Entries {
-		sweeps = append(sweeps, e.Sweep)
-	}
-	for _, e := range ts.Entries {
-		sweeps = append(sweeps, e.Sweep)
-	}
 	var w io.Writer = os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -317,7 +310,7 @@ func cmdSweepCSV(args []string) error {
 		defer f.Close()
 		w = f
 	}
-	return perf.WriteCSV(w, sweeps...)
+	return perf.WriteCSV(w, append(cs.Sweeps(), ts.Sweeps()...)...)
 }
 
 func cmdGenerations(args []string) error {
@@ -328,11 +321,13 @@ func cmdGenerations(args []string) error {
 	if len(cfg.Chips) == 0 {
 		cfg.Chips = []string{"Broadwell", "Skylake", "CascadeLake"}
 	}
-	cs, ts, err := studies(cfg)
+	st, err := studies(cfg)
 	if err != nil {
 		return err
 	}
-	rows, err := cs.FitPerChip()
+	cs := st[compression]
+	chips := cs.ByChip()
+	rows, err := cs.Fit(chips)
 	if err != nil {
 		return err
 	}
@@ -342,22 +337,13 @@ func cmdGenerations(args []string) error {
 	rec := core.PaperRecommendation()
 	fmt.Printf("\nEqn 3 applied per chip (compression %g f_max, writing %g f_max):\n",
 		rec.CompressionFraction, rec.WritingFraction)
-	byChip := map[string][]core.CompressionEntry{}
-	for _, e := range cs.Entries {
-		byChip[e.Chip] = append(byChip[e.Chip], e)
-	}
-	for _, chipName := range cfg.Chips {
-		var sweeps []perf.Sweep
-		for _, e := range byChip[chipName] {
-			sweeps = append(sweeps, e.Sweep)
-		}
-		s, err := core.ClassSavings(sweeps, rec.CompressionFraction)
+	for _, chip := range chips {
+		s, err := cs.Select(chip).Savings(rec.CompressionFraction)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  %-12s compression: %v\n", chipName, s)
+		fmt.Printf("  %-12s compression: %v\n", chip.Name, s)
 	}
-	_ = ts
 	return nil
 }
 
@@ -366,15 +352,15 @@ func cmdEnergy(args []string) error {
 	if err != nil {
 		return err
 	}
-	cs, ts, err := studies(cfg)
+	st, err := studies(cfg)
 	if err != nil {
 		return err
 	}
-	cSeries, err := cs.EnergyCharacteristics()
+	cSeries, err := st[compression].Characteristics(core.ScaledEnergy)
 	if err != nil {
 		return err
 	}
-	tSeries, err := ts.EnergyCharacteristics()
+	tSeries, err := st[writing].Characteristics(core.ScaledEnergy)
 	if err != nil {
 		return err
 	}

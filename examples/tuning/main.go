@@ -19,12 +19,13 @@ func main() {
 	chip := dvfs.Skylake()
 	node := machine.NewNode(chip, 7)
 
-	// Characterize SZ compressing 1 GiB at eb=1e-3 and sweep it.
-	w, err := machine.CompressionWorkload("sz", 1<<30, 1e-3, chip)
+	// Characterize SZ compressing 1 GiB at eb=1e-3 (typical ratio ~8) and
+	// sweep it.
+	w, err := machine.CompressionWorkloadWithRatio("sz", 1<<30, 1e-3, 8, chip)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sweep, err := perf.Run(node, w, "sz on "+chip.Series, perf.Config{})
+	sweep, err := perf.Run(node, w, "sz on "+chip.Series, perf.DefaultRepetitions)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestIntegrationFullReproduction(t *testing.T) {
 	}
 
 	// Table IV: per-chip fits beat pooled, Skylake knee > Broadwell.
-	rows, err := cs.FitTableIV()
+	rows, err := cs.Fit(TableIV)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestIntegrationFullReproduction(t *testing.T) {
 	}
 
 	// Table V mirrors the structure.
-	vrows, err := ts.FitTableV()
+	vrows, err := ts.Fit(TableV)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestIntegrationFullReproduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows2, err := cs2.FitTableIV()
+	rows2, err := cs2.Fit(TableIV)
 	if err != nil {
 		t.Fatal(err)
 	}

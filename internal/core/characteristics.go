@@ -31,33 +31,16 @@ func (s Series) Min() (freq, y float64) {
 	return s.Freq[mi], s.Y[mi]
 }
 
-// At interpolates the series at frequency f (nearest point).
-func (s Series) At(f float64) float64 {
-	if len(s.Freq) == 0 {
-		return 0
-	}
-	best := 0
-	for i := range s.Freq {
-		if abs(s.Freq[i]-f) < abs(s.Freq[best]-f) {
-			best = i
-		}
-	}
-	return s.Y[best]
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-type scaledExtract func(perf.Sweep) ([]float64, error)
+// Extract turns one sweep into the scaled curve a figure plots. The
+// method expressions perf.Sweep.ScaledPower (Figures 1 and 3) and
+// perf.Sweep.ScaledRuntime (Figures 2 and 4) are Extracts, and so is
+// ScaledEnergy.
+type Extract func(perf.Sweep) ([]float64, error)
 
 // averageSeries pools scaled curves from several sweeps that share a
 // frequency grid: Y is the pointwise mean and CI the 95% band across
 // sweeps (the spread the paper shades around each trend).
-func averageSeries(label string, sweeps []perf.Sweep, extract scaledExtract) (Series, error) {
+func averageSeries(label string, sweeps []perf.Sweep, extract Extract) (Series, error) {
 	if len(sweeps) == 0 {
 		return Series{}, fmt.Errorf("core: no sweeps for series %q", label)
 	}
@@ -84,50 +67,26 @@ func averageSeries(label string, sweeps []perf.Sweep, extract scaledExtract) (Se
 	return out, nil
 }
 
-// chipCodecGroups returns the deterministic (chip, codec) label order of
-// the compression figures.
-func (s *CompressionStudy) chipCodecGroups() []struct{ chip, codec string } {
-	seen := map[string]bool{}
-	var out []struct{ chip, codec string }
-	for _, e := range s.Entries {
-		k := e.Chip + "/" + e.Codec
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, struct{ chip, codec string }{e.Chip, e.Codec})
-		}
+// trendOf names the trend an entry belongs to: chip and compressor for a
+// compression entry, the chip alone for a data-writing one.
+func trendOf(e Entry) Partition {
+	p := Partition{Name: e.Chip, Codec: e.Codec, Chip: e.Chip}
+	if e.Codec != "" {
+		p.Name += " " + e.Codec
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].chip != out[j].chip {
-			return out[i].chip < out[j].chip
-		}
-		return out[i].codec < out[j].codec
-	})
-	return out
+	return p
 }
 
-// PowerCharacteristics builds Figure 1: scaled compression power vs
-// frequency, one series per chip x compressor, averaged over datasets and
-// error bounds (whose trends the paper found indistinguishable after
-// scaling).
-func (s *CompressionStudy) PowerCharacteristics() ([]Series, error) {
-	return s.characteristics(func(sw perf.Sweep) ([]float64, error) { return sw.ScaledPower() })
-}
-
-// RuntimeCharacteristics builds Figure 2: scaled compression runtime.
-func (s *CompressionStudy) RuntimeCharacteristics() ([]Series, error) {
-	return s.characteristics(func(sw perf.Sweep) ([]float64, error) { return sw.ScaledRuntime() })
-}
-
-func (s *CompressionStudy) characteristics(extract scaledExtract) ([]Series, error) {
-	var out []Series
-	for _, g := range s.chipCodecGroups() {
-		var sweeps []perf.Sweep
-		for _, e := range s.Entries {
-			if e.Chip == g.chip && e.Codec == g.codec {
-				sweeps = append(sweeps, e.Sweep)
-			}
-		}
-		ser, err := averageSeries(fmt.Sprintf("%s %s", g.chip, g.codec), sweeps, extract)
+// Characteristics builds the figure of a study under extract: one series
+// per chip x compressor (Figures 1-2) or per chip (Figures 3-4), in label
+// order, each averaged over the datasets and error bounds, or payload
+// sizes, whose trends the paper found indistinguishable after scaling.
+func (s *Study) Characteristics(extract Extract) ([]Series, error) {
+	parts := s.groupBy(trendOf)
+	sort.Slice(parts, func(i, j int) bool { return parts[i].Name < parts[j].Name })
+	out := make([]Series, 0, len(parts))
+	for _, p := range parts {
+		ser, err := averageSeries(p.Name, s.Select(p).Sweeps(), extract)
 		if err != nil {
 			return nil, err
 		}
@@ -136,53 +95,11 @@ func (s *CompressionStudy) characteristics(extract scaledExtract) ([]Series, err
 	return out, nil
 }
 
-// PowerCharacteristics builds Figure 3: scaled data-writing power vs
-// frequency, one series per chip, averaged over payload sizes (which the
-// paper found indistinguishable after scaling).
-func (s *TransitStudy) PowerCharacteristics() ([]Series, error) {
-	return s.characteristics(func(sw perf.Sweep) ([]float64, error) { return sw.ScaledPower() })
-}
-
-// RuntimeCharacteristics builds Figure 4: scaled data-writing runtime.
-func (s *TransitStudy) RuntimeCharacteristics() ([]Series, error) {
-	return s.characteristics(func(sw perf.Sweep) ([]float64, error) { return sw.ScaledRuntime() })
-}
-
-func (s *TransitStudy) characteristics(extract scaledExtract) ([]Series, error) {
-	chips := map[string][]perf.Sweep{}
-	var order []string
-	for _, e := range s.Entries {
-		if _, ok := chips[e.Chip]; !ok {
-			order = append(order, e.Chip)
-		}
-		chips[e.Chip] = append(chips[e.Chip], e.Sweep)
-	}
-	sort.Strings(order)
-	var out []Series
-	for _, chip := range order {
-		ser, err := averageSeries(chip, chips[chip], extract)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ser)
-	}
-	return out, nil
-}
-
-// EnergyCharacteristics builds the energy-vs-frequency trend (scaled by
-// the max-frequency energy) for the compression study: the curve whose
-// interior minimum justifies Eqn 3's trade-off. Not a paper figure, but
-// directly implied by its Section V-A3 discussion.
-func (s *CompressionStudy) EnergyCharacteristics() ([]Series, error) {
-	return s.characteristics(scaledEnergy)
-}
-
-// EnergyCharacteristics is the transit-study counterpart.
-func (s *TransitStudy) EnergyCharacteristics() ([]Series, error) {
-	return s.characteristics(scaledEnergy)
-}
-
-func scaledEnergy(sw perf.Sweep) ([]float64, error) {
+// ScaledEnergy is the Extract of the energy-vs-frequency trend (scaled by
+// the max-frequency energy): the curve whose interior minimum justifies
+// Eqn 3's trade-off. Not a paper figure, but directly implied by its
+// Section V-A3 discussion.
+func ScaledEnergy(sw perf.Sweep) ([]float64, error) {
 	ref, err := sw.MaxFreqPoint()
 	if err != nil {
 		return nil, err

@@ -6,7 +6,7 @@
 // Figure 5, and the 512 GB compressed-data-dumping experiment of Figure 6.
 //
 // Everything below runs against the repository's simulated substrate (the
-// dvfs/rapl/machine/nfs packages) with the real sz/zfp codecs providing
+// dvfs/machine/nfs packages) with the real sz/zfp codecs providing
 // compression ratios; see DESIGN.md for the substitution inventory.
 package core
 
@@ -28,16 +28,12 @@ type Config struct {
 	// Seed drives every stochastic component (field generation and
 	// measurement noise); runs are reproducible per seed.
 	Seed int64
-	// Repetitions per frequency point (paper: 10).
+	// Repetitions per frequency point; 0 means the paper's 10.
 	Repetitions int
 	// RatioElems is the target element count for the real codec runs that
 	// measure compression ratios; each dataset is scaled down to roughly
 	// this many values. 0 means 256Ki (a ~1 MB field per run).
 	RatioElems int
-	// Codecs to study; nil means both of the paper's ("sz", "zfp").
-	Codecs []string
-	// ErrorBounds (range-relative); nil means the paper's four.
-	ErrorBounds []float64
 	// Chips to sweep (dvfs.ChipByName names); nil means the paper's
 	// Broadwell/Skylake pair. Adding "CascadeLake" runs the follow-up
 	// generation the paper's conclusion asks about.
@@ -48,18 +44,13 @@ type Config struct {
 	Workers int
 }
 
+// paperCodecs are the two compressors every study here runs; the four
+// error bounds beside them are compress.PaperErrorBounds.
+var paperCodecs = []string{"sz", "zfp"}
+
 func (c Config) normalized() Config {
-	if c.Repetitions <= 0 {
-		c.Repetitions = perf.DefaultRepetitions
-	}
 	if c.RatioElems <= 0 {
 		c.RatioElems = 1 << 18
-	}
-	if len(c.Codecs) == 0 {
-		c.Codecs = []string{"sz", "zfp"}
-	}
-	if len(c.ErrorBounds) == 0 {
-		c.ErrorBounds = append([]float64(nil), compress.PaperErrorBounds...)
 	}
 	if len(c.Chips) == 0 {
 		c.Chips = []string{"Broadwell", "Skylake"}
@@ -67,46 +58,32 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// resolveChips maps the config's chip names to profiles.
-func (c Config) resolveChips() ([]*dvfs.Chip, error) {
-	out := make([]*dvfs.Chip, 0, len(c.Chips))
-	for _, name := range c.Chips {
-		chip, err := dvfs.ChipByName(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, chip)
-	}
-	return out, nil
-}
-
-// RatioTable caches measured compression ratios per (codec, dataset, eb),
+// RatioTable holds measured compression ratios per (codec, dataset, eb),
 // obtained by running the real codecs on scaled synthetic fields.
-type RatioTable struct {
-	entries map[string]float64
+type RatioTable map[ratioKey]float64
+
+type ratioKey struct {
+	codec, dataset string
+	eb             float64
 }
 
-func ratioKey(codec, dataset string, eb float64) string {
-	return fmt.Sprintf("%s|%s|%g", codec, dataset, eb)
-}
-
-// MeasureRatios runs every codec over every spec at every error bound and
-// records the achieved ratios.
-func MeasureRatios(cfg Config, specs []fpdata.Spec) (*RatioTable, error) {
+// MeasureRatios runs both codecs over every spec at the paper's four error
+// bounds and records the achieved ratios.
+func MeasureRatios(cfg Config, specs []fpdata.Spec) (RatioTable, error) {
 	cfg = cfg.normalized()
 	span := obs.Start("core.measure_ratios")
 	defer span.End()
 	obs.Add("lcpio_sweep_points_expected",
-		int64(len(specs)*len(cfg.Codecs)*len(cfg.ErrorBounds)))
-	rt := &RatioTable{entries: make(map[string]float64)}
+		int64(len(specs)*len(paperCodecs)*len(compress.PaperErrorBounds)))
+	rt := RatioTable{}
 	for _, spec := range specs {
 		field := fpdata.Generate(spec, spec.ScaleFor(cfg.RatioElems), cfg.Seed)
-		for _, codecName := range cfg.Codecs {
+		for _, codecName := range paperCodecs {
 			codec, err := compress.NewHandle(codecName, cfg.Workers)
 			if err != nil {
 				return nil, err
 			}
-			for _, rel := range cfg.ErrorBounds {
+			for _, rel := range compress.PaperErrorBounds {
 				eb := compress.AbsBoundFromRelative(rel, field.Data)
 				res, err := compress.Evaluate(codec, field.Data, field.Dims, eb)
 				if err != nil {
@@ -117,7 +94,7 @@ func MeasureRatios(cfg Config, specs []fpdata.Spec) (*RatioTable, error) {
 					return nil, fmt.Errorf("core: %s violated bound on %s: %g > %g",
 						codecName, spec.Dataset, res.MaxAbsError, eb)
 				}
-				rt.entries[ratioKey(codecName, spec.Dataset, rel)] = res.Ratio()
+				rt[ratioKey{codecName, spec.Dataset, rel}] = res.Ratio()
 				obs.Add("lcpio_sweep_points_total", 1)
 			}
 		}
@@ -125,42 +102,78 @@ func MeasureRatios(cfg Config, specs []fpdata.Spec) (*RatioTable, error) {
 	return rt, nil
 }
 
-// Ratio looks up a measured ratio, falling back to a typical value of 8
-// when the tuple was not measured.
-func (rt *RatioTable) Ratio(codec, dataset string, eb float64) float64 {
-	if rt == nil {
-		return 8
+// Ratio looks up a measured ratio. A study that asks for a tuple the table
+// never measured has a bug; it gets an error, not a typical value.
+func (rt RatioTable) Ratio(codec, dataset string, eb float64) (float64, error) {
+	r, ok := rt[ratioKey{codec, dataset, eb}]
+	if !ok {
+		return 0, fmt.Errorf("core: no measured ratio for %s on %s at eb=%g", codec, dataset, eb)
 	}
-	if r, ok := rt.entries[ratioKey(codec, dataset, eb)]; ok {
-		return r
-	}
-	return 8
+	return r, nil
 }
 
-// Len reports the number of measured tuples.
-func (rt *RatioTable) Len() int { return len(rt.entries) }
-
-// CompressionEntry is one sweep of the compression experiment matrix.
-type CompressionEntry struct {
+// Entry is one sweep of a study's experiment matrix with the tags that
+// place it there. Compression entries carry the codec, dataset, bound and
+// measured ratio; data-writing entries carry the payload size and leave the
+// codec tags empty.
+type Entry struct {
 	Chip    string // series name
 	Codec   string
 	Dataset string
 	EB      float64 // range-relative bound
 	Ratio   float64 // measured compression ratio
+	SizeGB  int
 	Sweep   perf.Sweep
 }
 
-// CompressionStudy holds the full Section IV-A measurement campaign:
-// {SZ, ZFP} x {Broadwell, Skylake} x Table-I datasets x four error bounds,
-// each swept over the full P-state grid with repetitions.
-type CompressionStudy struct {
+// Study is a measurement campaign: every entry swept over its chip's full
+// P-state grid with repetitions. Section IV-A's compression campaign,
+// Section IV-B's data-writing campaign and Figure 5's held-out campaign are
+// all Studies; what differs is the list of workloads.
+type Study struct {
 	Config  Config
-	Entries []CompressionEntry
-	Ratios  *RatioTable
+	Entries []Entry
 }
 
-// RunCompressionStudy executes the compression measurement campaign.
-func RunCompressionStudy(cfg Config) (*CompressionStudy, error) {
+// sweepJob is one row of a study's matrix: the workload to sweep, its
+// label, and the entry tags it is filed under.
+type sweepJob struct {
+	label string
+	w     machine.Workload
+	tags  Entry
+}
+
+// runStudy is the one sweep driver: per chip, a node seeded with seed runs
+// that chip's jobs in order (one noise stream per chip, so order matters).
+func runStudy(cfg Config, seed int64, chips []string,
+	jobs func(chip *dvfs.Chip) ([]sweepJob, error)) (*Study, error) {
+	study := &Study{Config: cfg}
+	for _, name := range chips {
+		chip, err := dvfs.ChipByName(name)
+		if err != nil {
+			return nil, err
+		}
+		list, err := jobs(chip)
+		if err != nil {
+			return nil, err
+		}
+		node := machine.NewNode(chip, seed)
+		for _, j := range list {
+			sw, err := perf.Run(node, j.w, j.label, cfg.Repetitions)
+			if err != nil {
+				return nil, err
+			}
+			e := j.tags
+			e.Chip, e.Sweep = chip.Series, sw
+			study.Entries = append(study.Entries, e)
+		}
+	}
+	return study, nil
+}
+
+// RunCompressionStudy executes the Section IV-A measurement campaign:
+// {SZ, ZFP} x the config's chips x Table-I datasets x four error bounds.
+func RunCompressionStudy(cfg Config) (*Study, error) {
 	cfg = cfg.normalized()
 	span := obs.Start("core.compression_study")
 	defer span.End()
@@ -169,81 +182,57 @@ func RunCompressionStudy(cfg Config) (*CompressionStudy, error) {
 	if err != nil {
 		return nil, err
 	}
-	study := &CompressionStudy{Config: cfg, Ratios: ratios}
-	chips, err := cfg.resolveChips()
-	if err != nil {
-		return nil, err
-	}
-	for _, chip := range chips {
-		node := machine.NewNode(chip, cfg.Seed)
-		for _, codec := range cfg.Codecs {
+	return runStudy(cfg, cfg.Seed, cfg.Chips, compressionJobs(ratios, specs))
+}
+
+// compressionJobs lists one chip's share of the compression matrix, each
+// workload informed by the measured ratio of its (codec, dataset, bound).
+func compressionJobs(ratios RatioTable, specs []fpdata.Spec) func(*dvfs.Chip) ([]sweepJob, error) {
+	return func(chip *dvfs.Chip) ([]sweepJob, error) {
+		var list []sweepJob
+		for _, codec := range paperCodecs {
 			for _, spec := range specs {
-				for _, rel := range cfg.ErrorBounds {
-					ratio := ratios.Ratio(codec, spec.Dataset, rel)
+				for _, rel := range compress.PaperErrorBounds {
+					ratio, err := ratios.Ratio(codec, spec.Dataset, rel)
+					if err != nil {
+						return nil, err
+					}
 					w, err := machine.CompressionWorkloadWithRatio(
 						codec, spec.PaperBytes, rel, ratio, chip)
 					if err != nil {
 						return nil, err
 					}
-					label := fmt.Sprintf("%s/%s/%s/eb=%g", chip.Series, codec, spec.Dataset, rel)
-					sw, err := perf.Run(node, w, label, perf.Config{Repetitions: cfg.Repetitions})
-					if err != nil {
-						return nil, err
-					}
-					study.Entries = append(study.Entries, CompressionEntry{
-						Chip: chip.Series, Codec: codec, Dataset: spec.Dataset,
-						EB: rel, Ratio: ratio, Sweep: sw,
+					list = append(list, sweepJob{
+						label: fmt.Sprintf("%s/%s/%s/eb=%g", chip.Series, codec, spec.Dataset, rel),
+						w:     w,
+						tags:  Entry{Codec: codec, Dataset: spec.Dataset, EB: rel, Ratio: ratio},
 					})
 				}
 			}
 		}
+		return list, nil
 	}
-	return study, nil
 }
 
 // TransitSizesGB are the payload sizes of the Section IV-B experiment.
 var TransitSizesGB = []int{1, 2, 4, 8, 16}
 
-// TransitEntry is one sweep of the data-transit experiment matrix.
-type TransitEntry struct {
-	Chip   string
-	SizeGB int
-	Sweep  perf.Sweep
-}
-
-// TransitStudy holds the Section IV-B campaign: 1-16 GB NFS writes on both
-// chips across the frequency grid.
-type TransitStudy struct {
-	Config  Config
-	Mount   nfs.Mount
-	Entries []TransitEntry
-}
-
-// RunTransitStudy executes the data-writing measurement campaign.
-func RunTransitStudy(cfg Config) (*TransitStudy, error) {
+// RunTransitStudy executes the Section IV-B campaign: 1-16 GB NFS writes on
+// the config's chips across the frequency grid.
+func RunTransitStudy(cfg Config) (*Study, error) {
 	cfg = cfg.normalized()
 	span := obs.Start("core.transit_study")
 	defer span.End()
 	mount := nfs.DefaultMount()
-	study := &TransitStudy{Config: cfg, Mount: mount}
-	chips, err := cfg.resolveChips()
-	if err != nil {
-		return nil, err
-	}
-	for _, chip := range chips {
-		node := machine.NewNode(chip, cfg.Seed+1)
+	return runStudy(cfg, cfg.Seed+1, cfg.Chips, func(chip *dvfs.Chip) ([]sweepJob, error) {
+		var list []sweepJob
 		for _, gb := range TransitSizesGB {
-			tr := mount.Write(int64(gb) << 30)
-			w := machine.TransitWorkload(tr, chip)
-			label := fmt.Sprintf("%s/write/%dGB", chip.Series, gb)
-			sw, err := perf.Run(node, w, label, perf.Config{Repetitions: cfg.Repetitions})
-			if err != nil {
-				return nil, err
-			}
-			study.Entries = append(study.Entries, TransitEntry{
-				Chip: chip.Series, SizeGB: gb, Sweep: sw,
+			list = append(list, sweepJob{
+				label: fmt.Sprintf("%s/write/%dGB", chip.Series, gb),
+				w:     machine.TransitWorkload(mount.Write(int64(gb)<<30), chip),
+				tags:  Entry{SizeGB: gb},
 			})
 		}
-	}
-	return study, nil
+		return list, nil
+	})
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
 	"lcpio/internal/fpdata"
+	"lcpio/internal/perf"
 )
 
 // testConfig keeps test runs fast: fewer repetitions and tiny codec fields.
@@ -15,12 +17,12 @@ func testConfig() Config {
 // Studies are expensive enough to share across tests.
 var (
 	studyOnce sync.Once
-	csShared  *CompressionStudy
-	tsShared  *TransitStudy
+	csShared  *Study
+	tsShared  *Study
 	studyErr  error
 )
 
-func sharedStudies(t *testing.T) (*CompressionStudy, *TransitStudy) {
+func sharedStudies(t *testing.T) (cs, ts *Study) {
 	t.Helper()
 	studyOnce.Do(func() {
 		csShared, studyErr = RunCompressionStudy(testConfig())
@@ -88,7 +90,7 @@ func TestTransitStudyMatrix(t *testing.T) {
 
 func TestTableIVShapes(t *testing.T) {
 	cs, _ := sharedStudies(t)
-	rows, err := cs.FitTableIV()
+	rows, err := cs.Fit(TableIV)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +136,7 @@ func TestTableIVShapes(t *testing.T) {
 
 func TestTableVShapes(t *testing.T) {
 	_, ts := sharedStudies(t)
-	rows, err := ts.FitTableV()
+	rows, err := ts.Fit(TableV)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +159,7 @@ func TestTableVShapes(t *testing.T) {
 
 func TestFigure1Shape(t *testing.T) {
 	cs, _ := sharedStudies(t)
-	series, err := cs.PowerCharacteristics()
+	series, err := cs.Characteristics(perf.Sweep.ScaledPower)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +185,7 @@ func TestFigure1Shape(t *testing.T) {
 
 func TestFigure2Shape(t *testing.T) {
 	cs, _ := sharedStudies(t)
-	series, err := cs.RuntimeCharacteristics()
+	series, err := cs.Characteristics(perf.Sweep.ScaledRuntime)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +204,11 @@ func TestFigure2Shape(t *testing.T) {
 
 func TestFigure3TransitFloorAboveCompression(t *testing.T) {
 	cs, ts := sharedStudies(t)
-	cSeries, err := cs.PowerCharacteristics()
+	cSeries, err := cs.Characteristics(perf.Sweep.ScaledPower)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tSeries, err := ts.PowerCharacteristics()
+	tSeries, err := ts.Characteristics(perf.Sweep.ScaledPower)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +235,7 @@ func TestFigure3TransitFloorAboveCompression(t *testing.T) {
 
 func TestFigure4SkylakeRuntimeStagnant(t *testing.T) {
 	_, ts := sharedStudies(t)
-	series, err := ts.RuntimeCharacteristics()
+	series, err := ts.Characteristics(perf.Sweep.ScaledRuntime)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,29 +267,49 @@ func TestSeriesHelpers(t *testing.T) {
 	if f != 2 || y != 4 {
 		t.Fatalf("Min: %v %v", f, y)
 	}
-	if s.At(2.1) != 4 {
-		t.Fatalf("At: %v", s.At(2.1))
-	}
 	empty := Series{}
 	if f, y := empty.Min(); f != 0 || y != 0 {
 		t.Fatal("empty Min")
 	}
-	if empty.At(1) != 0 {
-		t.Fatal("empty At")
-	}
 }
 
-func TestRatioTableFallback(t *testing.T) {
-	var rt *RatioTable
-	if rt.Ratio("sz", "NYX", 1e-3) != 8 {
-		t.Fatal("nil RatioTable fallback")
+// A study that asks for a tuple nobody measured has a bug: the lookup must
+// say so, not answer "typical compressibility", and the sweep driver must
+// pass the error on.
+func TestRatioTableUnmeasuredTuple(t *testing.T) {
+	var none RatioTable
+	if r, err := none.Ratio("sz", "NYX", 1e-3); err == nil {
+		t.Fatalf("nil RatioTable answered %v", r)
 	}
-	rt2 := &RatioTable{entries: map[string]float64{}}
-	if rt2.Ratio("sz", "NYX", 1e-3) != 8 {
-		t.Fatal("missing-entry fallback")
+	rt, err := MeasureRatios(testConfig(), fpdata.TableI()[:1])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rt2.Len() != 0 {
-		t.Fatal("Len")
+	measured := fpdata.TableI()[0].Dataset
+	if r, err := rt.Ratio("sz", measured, 1e-3); err != nil || r <= 1 {
+		t.Fatalf("measured tuple: ratio %v, err %v", r, err)
+	}
+	for _, miss := range []struct {
+		codec, dataset string
+		eb             float64
+	}{
+		{"squant", measured, 1e-3},               // codec not run
+		{"sz", fpdata.TableI()[1].Dataset, 1e-3}, // dataset not run
+		{"sz", measured, 5e-3},                   // bound not run
+	} {
+		if r, err := rt.Ratio(miss.codec, miss.dataset, miss.eb); err == nil {
+			t.Errorf("%s/%s/%g was never measured but answered %v", miss.codec, miss.dataset, miss.eb, r)
+		}
+	}
+	// The compression matrix over all of Table I against a table that
+	// measured only its first dataset: the driver stops at the hole.
+	chips := []string{"Broadwell"}
+	if _, err := runStudy(testConfig(), 1, chips, compressionJobs(rt, fpdata.TableI())); err == nil ||
+		!strings.Contains(err.Error(), "no measured ratio") {
+		t.Fatalf("sweep driver ran a study with an unmeasured tuple: err = %v", err)
+	}
+	if st, err := runStudy(testConfig(), 1, chips, compressionJobs(rt, fpdata.TableI()[:1])); err != nil || len(st.Entries) != 8 {
+		t.Fatalf("fully measured matrix: %v", err)
 	}
 }
 
@@ -297,7 +319,7 @@ func TestMeasureRatiosBoundEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Len() != 8 { // 2 codecs x 4 bounds
-		t.Fatalf("ratio table has %d entries", rt.Len())
+	if len(rt) != 8 { // 2 codecs x 4 bounds
+		t.Fatalf("ratio table has %d entries", len(rt))
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // DumpConfig describes the Section VI-B use case: compress a large field
-// with SZ and push it to an NFS mount, with and without Eqn 3 tuning.
+// with SZ and push it to an NFS mount, at base clock and under Eqn 3.
 type DumpConfig struct {
 	// TotalBytes of uncompressed data; 0 means the paper's 512 GB.
 	TotalBytes int64
@@ -23,8 +23,6 @@ type DumpConfig struct {
 	// Dataset whose statistics set the compression ratio; empty means NYX
 	// (the paper concatenates NYX velocity-x snapshots).
 	Dataset string
-	// Tuning rule; zero value means PaperRecommendation (Eqn 3).
-	Tuning Recommendation
 	// Mount; zero value means nfs.DefaultMount.
 	Mount nfs.Mount
 }
@@ -87,8 +85,7 @@ func (r DumpResult) String() string {
 }
 
 // boundPrice is one error bound of a dump or load study: the measured
-// ratio, and the two-stage pipeline priced at base clock and under the
-// tuning rule.
+// ratio, and the two-stage pipeline priced at base clock and under Eqn 3.
 type boundPrice struct {
 	eb              float64
 	ratio           float64
@@ -97,7 +94,7 @@ type boundPrice struct {
 }
 
 // priceBounds is the shared body of RunDataDump and RunDataLoad: for each
-// error bound, measure the real codec's compression ratio on a scaled
+// of the paper's four error bounds, measure the real codec's compression ratio on a scaled
 // field, build the study's pipeline for TotalBytes at that ratio, and price
 // it untuned and tuned. what ("dump"/"load") names the spans and errors;
 // pipeline gets the normalized dump config.
@@ -120,11 +117,11 @@ func priceBounds(cfg Config, dcfg DumpConfig, what string,
 	}
 	field := fpdata.Generate(spec, spec.ScaleFor(cfg.RatioElems), cfg.Seed)
 	base := phases.NewPricer(chip, phases.BaseRule())
-	tuned := phases.NewPricer(chip, dcfg.Tuning)
+	tuned := phases.NewPricer(chip, phases.PaperRule())
 
 	span := obs.Start("core.data" + what)
 	defer span.End()
-	obs.Add("lcpio_sweep_points_expected", int64(len(cfg.ErrorBounds)))
+	obs.Add("lcpio_sweep_points_expected", int64(len(compress.PaperErrorBounds)))
 
 	priceOne := func(rel float64) (boundPrice, error) {
 		bspan := obs.Start("core." + what + "_bound")
@@ -149,8 +146,8 @@ func priceBounds(cfg Config, dcfg DumpConfig, what string,
 		bp.tuned, err = tuned.Price(stages...)
 		return bp, err
 	}
-	out := make([]boundPrice, 0, len(cfg.ErrorBounds))
-	for _, rel := range cfg.ErrorBounds {
+	out := make([]boundPrice, 0, len(compress.PaperErrorBounds))
+	for _, rel := range compress.PaperErrorBounds {
 		bp, err := priceOne(rel)
 		if err != nil {
 			return nil, err

@@ -17,7 +17,7 @@ func TestExtendedChipGeneration(t *testing.T) {
 	if len(cs.Entries) != 72 { // 3 chips x 2 codecs x 3 datasets x 4 bounds
 		t.Fatalf("extended study has %d entries", len(cs.Entries))
 	}
-	rows, err := cs.FitPerChip()
+	rows, err := cs.Fit(cs.ByChip())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +60,14 @@ func TestPaperRuleTransfersToNewChip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := PaperRecommendation()
-	comp, err := cs.CompressionSavings(rec.CompressionFraction)
+	comp, err := cs.Savings(rec.CompressionFraction)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if comp.EnergyPct <= 0 {
 		t.Errorf("Eqn 3 lost energy on CascadeLake compression: %+v", comp)
 	}
-	trans, err := ts.TransitSavings(rec.WritingFraction)
+	trans, err := ts.Savings(rec.WritingFraction)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +91,8 @@ func TestUnknownChipRejected(t *testing.T) {
 // below 1 — the existence proof behind Eqn 3's trade-off.
 func TestEnergyCharacteristicInteriorMinimum(t *testing.T) {
 	cs, ts := sharedStudies(t)
-	for _, study := range []func() ([]Series, error){
-		cs.EnergyCharacteristics, ts.EnergyCharacteristics,
-	} {
-		series, err := study()
+	for _, study := range []*Study{cs, ts} {
+		series, err := study.Characteristics(ScaledEnergy)
 		if err != nil {
 			t.Fatal(err)
 		}

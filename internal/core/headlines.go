@@ -49,13 +49,13 @@ func ComputeHeadlines(cfg Config) (Headlines, error) {
 
 // ComputeHeadlinesFrom aggregates headlines from already-run studies,
 // letting callers reuse expensive study objects.
-func ComputeHeadlinesFrom(cfg Config, cs *CompressionStudy, ts *TransitStudy) (Headlines, error) {
+func ComputeHeadlinesFrom(cfg Config, cs, ts *Study) (Headlines, error) {
 	rec := PaperRecommendation()
-	comp, err := cs.CompressionSavings(rec.CompressionFraction)
+	comp, err := cs.Savings(rec.CompressionFraction)
 	if err != nil {
 		return Headlines{}, err
 	}
-	trans, err := ts.TransitSavings(rec.WritingFraction)
+	trans, err := ts.Savings(rec.WritingFraction)
 	if err != nil {
 		return Headlines{}, err
 	}

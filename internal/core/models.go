@@ -15,20 +15,72 @@ type ModelRow struct {
 	N    int // observation count behind the fit
 }
 
-func (r ModelRow) String() string {
-	return fmt.Sprintf("%-10s P(f) = %-28s SSE=%.4g RMSE=%.4g R2=%.4g",
-		r.Name, r.Fit.String(), r.Fit.GF.SSE, r.Fit.GF.RMSE, r.Fit.GF.R2)
+// Partition is a named slice of a study's entries — a model-data row of
+// Table III or V, or one trend of a figure: the entries of one compressor,
+// of one chip, of both, or (neither named) all of them.
+type Partition struct {
+	Name, Codec, Chip string
 }
 
-// TableIIIPartitions lists the five model-data slices of Table III in paper
-// order.
-var TableIIIPartitions = []string{"Total", "SZ", "ZFP", "Broadwell", "Skylake"}
+func (p Partition) has(e Entry) bool {
+	return (p.Codec == "" || p.Codec == e.Codec) && (p.Chip == "" || p.Chip == e.Chip)
+}
 
-// scaledPartitionObservations pools the per-sweep *scaled* observations of
-// a partition: each sweep is normalized by its own max-frequency power
-// before pooling, exactly as the paper scales each measurement series
-// before regression.
-func scaledPartitionObservations(sweeps []perf.Sweep) (fs, ps []float64, err error) {
+// TableIV lists the five model-data slices of Table III, which Table IV
+// fits on the compression study, in paper order; TableV the three slices
+// of the data-writing study.
+var (
+	TableIV = []Partition{{Name: "Total"}, {Name: "SZ", Codec: "sz"}, {Name: "ZFP", Codec: "zfp"},
+		{Name: "Broadwell", Chip: "Broadwell"}, {Name: "Skylake", Chip: "Skylake"}}
+	TableV = []Partition{{Name: "Total"}, {Name: "Broadwell", Chip: "Broadwell"}, {Name: "Skylake", Chip: "Skylake"}}
+)
+
+// Select returns the sub-study of the entries in p.
+func (s *Study) Select(p Partition) *Study {
+	out := &Study{Config: s.Config}
+	for _, e := range s.Entries {
+		if p.has(e) {
+			out.Entries = append(out.Entries, e)
+		}
+	}
+	return out
+}
+
+// groupBy splits the study into the distinct partitions of(entry) names,
+// in the order they first appear.
+func (s *Study) groupBy(of func(Entry) Partition) []Partition {
+	seen := map[Partition]bool{}
+	var out []Partition
+	for _, e := range s.Entries {
+		if p := of(e); !seen[p] {
+			seen[p] = true
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// ByChip is one partition per chip present in the study — the
+// generalization of Table IV's per-chip rows to arbitrary hardware sets
+// (e.g. the Cascade Lake follow-up).
+func (s *Study) ByChip() []Partition {
+	return s.groupBy(func(e Entry) Partition { return Partition{Name: e.Chip, Chip: e.Chip} })
+}
+
+// Sweeps lists the study's sweeps in entry order.
+func (s *Study) Sweeps() []perf.Sweep {
+	out := make([]perf.Sweep, len(s.Entries))
+	for i, e := range s.Entries {
+		out[i] = e.Sweep
+	}
+	return out
+}
+
+// scaledObservations pools the per-sweep *scaled* observations of a set of
+// sweeps: each sweep is normalized by its own max-frequency power before
+// pooling, exactly as the paper scales each measurement series before
+// regression.
+func scaledObservations(sweeps []perf.Sweep) (fs, ps []float64, err error) {
 	for _, sw := range sweeps {
 		f, p, err := sw.ScaledObservations()
 		if err != nil {
@@ -40,86 +92,25 @@ func scaledPartitionObservations(sweeps []perf.Sweep) (fs, ps []float64, err err
 	return fs, ps, nil
 }
 
-// FitTableIV regresses Eqn 2 on each Table III partition of the
-// compression study, reproducing Table IV.
-func (s *CompressionStudy) FitTableIV() ([]ModelRow, error) {
-	rows := make([]ModelRow, 0, len(TableIIIPartitions))
-	for _, name := range TableIIIPartitions {
-		var parts []perf.Sweep
-		for _, e := range s.Entries {
-			switch {
-			case name == "Total",
-				name == "SZ" && e.Codec == "sz",
-				name == "ZFP" && e.Codec == "zfp",
-				(name == "Broadwell" || name == "Skylake") && e.Chip == name:
-				parts = append(parts, e.Sweep)
-			}
+// Fit regresses Eqn 2 on each partition of the study: Fit(TableIV) on the
+// compression study reproduces Table IV, Fit(TableV) on the data-writing
+// study Table V.
+func (s *Study) Fit(parts []Partition) ([]ModelRow, error) {
+	rows := make([]ModelRow, 0, len(parts))
+	for _, p := range parts {
+		sweeps := s.Select(p).Sweeps()
+		if len(sweeps) == 0 {
+			return nil, fmt.Errorf("core: partition %q selected no sweeps", p.Name)
 		}
-		row, err := fitPartition(name, parts)
+		fs, ps, err := scaledObservations(sweeps)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// TableVPartitions lists the three model-data slices of Table V.
-var TableVPartitions = []string{"Total", "Broadwell", "Skylake"}
-
-// FitTableV regresses Eqn 2 on each transit partition, reproducing Table V.
-func (s *TransitStudy) FitTableV() ([]ModelRow, error) {
-	rows := make([]ModelRow, 0, len(TableVPartitions))
-	for _, name := range TableVPartitions {
-		var parts []perf.Sweep
-		for _, e := range s.Entries {
-			if name == "Total" || e.Chip == name {
-				parts = append(parts, e.Sweep)
-			}
-		}
-		row, err := fitPartition(name, parts)
+		fit, err := regress.FitPowerLaw(fs, ps)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: fitting partition %q: %w", p.Name, err)
 		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-func fitPartition(name string, parts []perf.Sweep) (ModelRow, error) {
-	if len(parts) == 0 {
-		return ModelRow{}, fmt.Errorf("core: partition %q selected no sweeps", name)
-	}
-	fs, ps, err := scaledPartitionObservations(parts)
-	if err != nil {
-		return ModelRow{}, err
-	}
-	fit, err := regress.FitPowerLaw(fs, ps)
-	if err != nil {
-		return ModelRow{}, fmt.Errorf("core: fitting partition %q: %w", name, err)
-	}
-	return ModelRow{Name: name, Fit: fit, N: len(fs)}, nil
-}
-
-// FitPerChip fits Eqn 2 separately for every chip present in the study —
-// the generalization of Table IV's per-chip rows to arbitrary hardware
-// sets (e.g. the Cascade Lake follow-up).
-func (s *CompressionStudy) FitPerChip() ([]ModelRow, error) {
-	byChip := map[string][]perf.Sweep{}
-	var order []string
-	for _, e := range s.Entries {
-		if _, ok := byChip[e.Chip]; !ok {
-			order = append(order, e.Chip)
-		}
-		byChip[e.Chip] = append(byChip[e.Chip], e.Sweep)
-	}
-	rows := make([]ModelRow, 0, len(order))
-	for _, chip := range order {
-		row, err := fitPartition(chip, byChip[chip])
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
+		rows = append(rows, ModelRow{Name: p.Name, Fit: fit, N: len(fs)})
 	}
 	return rows, nil
 }

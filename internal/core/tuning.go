@@ -74,81 +74,55 @@ func EnergyOptimalFraction(sw perf.Sweep) (float64, error) {
 
 // DeriveRecommendation computes a data-driven Eqn 3 from the two studies:
 // the per-class mean of each sweep's energy-optimal fraction.
-func DeriveRecommendation(cs *CompressionStudy, ts *TransitStudy) (Recommendation, error) {
-	cf, err := meanOptimalFraction(cs.classSweeps())
+func DeriveRecommendation(compression, writing *Study) (Recommendation, error) {
+	cf, err := compression.meanOptimalFraction()
 	if err != nil {
 		return Recommendation{}, err
 	}
-	wf, err := meanOptimalFraction(ts.classSweeps())
+	wf, err := writing.meanOptimalFraction()
 	if err != nil {
 		return Recommendation{}, err
 	}
 	return Recommendation{CompressionFraction: cf, WritingFraction: wf}, nil
 }
 
-func (s *CompressionStudy) classSweeps() []perf.Sweep {
-	out := make([]perf.Sweep, 0, len(s.Entries))
-	for _, e := range s.Entries {
-		out = append(out, e.Sweep)
-	}
-	return out
-}
-
-func (s *TransitStudy) classSweeps() []perf.Sweep {
-	out := make([]perf.Sweep, 0, len(s.Entries))
-	for _, e := range s.Entries {
-		out = append(out, e.Sweep)
-	}
-	return out
-}
-
-func meanOptimalFraction(sweeps []perf.Sweep) (float64, error) {
-	if len(sweeps) == 0 {
+func (s *Study) meanOptimalFraction() (float64, error) {
+	if len(s.Entries) == 0 {
 		return 0, fmt.Errorf("core: no sweeps to optimize")
 	}
 	var sum float64
-	for _, sw := range sweeps {
-		f, err := EnergyOptimalFraction(sw)
+	for _, e := range s.Entries {
+		f, err := EnergyOptimalFraction(e.Sweep)
 		if err != nil {
 			return 0, err
 		}
 		sum += f
 	}
-	return sum / float64(len(sweeps)), nil
+	return sum / float64(len(s.Entries)), nil
 }
 
-// ClassSavings averages per-sweep savings at a tuning fraction — the
-// per-class numbers the paper quotes (19.4% power / +7.5% runtime at
+// Savings averages the study's per-sweep savings at a tuning fraction —
+// the per-class numbers the paper quotes (19.4% power / +7.5% runtime at
 // -12.5% for compression; 11.2% / +9.3% at -15% for writing).
-func ClassSavings(sweeps []perf.Sweep, fraction float64) (Savings, error) {
-	if len(sweeps) == 0 {
+func (s *Study) Savings(fraction float64) (Savings, error) {
+	if len(s.Entries) == 0 {
 		return Savings{}, fmt.Errorf("core: no sweeps")
 	}
 	var acc Savings
-	for _, sw := range sweeps {
-		s, err := SavingsAt(sw, fraction)
+	for _, e := range s.Entries {
+		sv, err := SavingsAt(e.Sweep, fraction)
 		if err != nil {
 			return Savings{}, err
 		}
-		acc.PowerPct += s.PowerPct
-		acc.RuntimePct += s.RuntimePct
-		acc.EnergyPct += s.EnergyPct
+		acc.PowerPct += sv.PowerPct
+		acc.RuntimePct += sv.RuntimePct
+		acc.EnergyPct += sv.EnergyPct
 	}
-	n := float64(len(sweeps))
+	n := float64(len(s.Entries))
 	return Savings{
 		Fraction:   fraction,
 		PowerPct:   acc.PowerPct / n,
 		RuntimePct: acc.RuntimePct / n,
 		EnergyPct:  acc.EnergyPct / n,
 	}, nil
-}
-
-// CompressionSavings evaluates the compression class at the given fraction.
-func (s *CompressionStudy) CompressionSavings(fraction float64) (Savings, error) {
-	return ClassSavings(s.classSweeps(), fraction)
-}
-
-// TransitSavings evaluates the data-writing class at the given fraction.
-func (s *TransitStudy) TransitSavings(fraction float64) (Savings, error) {
-	return ClassSavings(s.classSweeps(), fraction)
 }

@@ -21,7 +21,7 @@ func TestPaperRecommendation(t *testing.T) {
 func TestSavingsAtPaperTuning(t *testing.T) {
 	cs, ts := sharedStudies(t)
 	rec := PaperRecommendation()
-	comp, err := cs.CompressionSavings(rec.CompressionFraction)
+	comp, err := cs.Savings(rec.CompressionFraction)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestSavingsAtPaperTuning(t *testing.T) {
 		t.Errorf("compression tuning must save energy, got %.1f%%", comp.EnergyPct)
 	}
 
-	trans, err := ts.TransitSavings(rec.WritingFraction)
+	trans, err := ts.Savings(rec.WritingFraction)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +113,8 @@ func TestSavingsAtValidation(t *testing.T) {
 	if _, err := SavingsAt(perf.Sweep{}, 0.9); err == nil {
 		t.Fatal("empty sweep accepted")
 	}
-	if _, err := ClassSavings(nil, 0.9); err == nil {
-		t.Fatal("empty class accepted")
+	if _, err := (&Study{}).Savings(0.9); err == nil {
+		t.Fatal("empty study accepted")
 	}
 	if _, err := EnergyOptimalFraction(perf.Sweep{}); err == nil {
 		t.Fatal("empty sweep accepted by optimizer")

@@ -30,52 +30,44 @@ func ValidateBroadwellModel(cfg Config, fit regress.PowerLawFit) (Validation, er
 	cfg = cfg.normalized()
 	const heldOutEB = 1e-4
 
-	chip := dvfs.Broadwell()
-	node := machine.NewNode(chip, cfg.Seed+2)
-	specs := fpdata.IsabelFields()
-
-	codecs := make([]compress.Handle, len(cfg.Codecs))
-	for i, name := range cfg.Codecs {
-		var err error
-		if codecs[i], err = compress.NewHandle(name, cfg.Workers); err != nil {
-			return Validation{}, err
-		}
+	study, err := runStudy(cfg, cfg.Seed+2, []string{"Broadwell"},
+		func(chip *dvfs.Chip) ([]sweepJob, error) {
+			codecs := make([]compress.Handle, len(paperCodecs))
+			for i, name := range paperCodecs {
+				var err error
+				if codecs[i], err = compress.NewHandle(name, cfg.Workers); err != nil {
+					return nil, err
+				}
+			}
+			var list []sweepJob
+			for _, spec := range fpdata.IsabelFields() {
+				field := fpdata.Generate(spec, spec.ScaleFor(cfg.RatioElems), cfg.Seed)
+				eb := compress.AbsBoundFromRelative(heldOutEB, field.Data)
+				for i, codec := range paperCodecs {
+					res, err := compress.Evaluate(codecs[i], field.Data, field.Dims, eb)
+					if err != nil {
+						return nil, fmt.Errorf("core: validation codec run: %w", err)
+					}
+					w, err := machine.CompressionWorkloadWithRatio(
+						codec, spec.PaperBytes, heldOutEB, res.Ratio(), chip)
+					if err != nil {
+						return nil, err
+					}
+					list = append(list, sweepJob{
+						label: fmt.Sprintf("ISABEL/%s/%s", spec.Field, codec),
+						w:     w,
+						tags:  Entry{Codec: codec, Dataset: spec.Dataset, EB: heldOutEB, Ratio: res.Ratio()},
+					})
+				}
+			}
+			return list, nil
+		})
+	if err != nil {
+		return Validation{}, err
 	}
 
-	var sweeps []perf.Sweep
-	var observedF, observedP []float64
-	for _, spec := range specs {
-		field := fpdata.Generate(spec, spec.ScaleFor(cfg.RatioElems), cfg.Seed)
-		for i, codecName := range cfg.Codecs {
-			codec := codecs[i]
-			eb := compress.AbsBoundFromRelative(heldOutEB, field.Data)
-			res, err := compress.Evaluate(codec, field.Data, field.Dims, eb)
-			if err != nil {
-				return Validation{}, fmt.Errorf("core: validation codec run: %w", err)
-			}
-			w, err := machine.CompressionWorkloadWithRatio(
-				codecName, spec.PaperBytes, heldOutEB, res.Ratio(), chip)
-			if err != nil {
-				return Validation{}, err
-			}
-			sw, err := perf.Run(node, w,
-				fmt.Sprintf("ISABEL/%s/%s", spec.Field, codecName),
-				perf.Config{Repetitions: cfg.Repetitions})
-			if err != nil {
-				return Validation{}, err
-			}
-			sweeps = append(sweeps, sw)
-			fs, ps, err := sw.ScaledObservations()
-			if err != nil {
-				return Validation{}, err
-			}
-			observedF = append(observedF, fs...)
-			observedP = append(observedP, ps...)
-		}
-	}
-
-	measured, err := averageSeries("ISABEL measured", sweeps,
-		func(sw perf.Sweep) ([]float64, error) { return sw.ScaledPower() })
+	sweeps := study.Sweeps()
+	measured, err := averageSeries("ISABEL measured", sweeps, perf.Sweep.ScaledPower)
 	if err != nil {
 		return Validation{}, err
 	}
@@ -85,6 +77,10 @@ func ValidateBroadwellModel(cfg Config, fit regress.PowerLawFit) (Validation, er
 		predicted.Y[i] = fit.Eval(f)
 	}
 
+	observedF, observedP, err := scaledObservations(sweeps)
+	if err != nil {
+		return Validation{}, err
+	}
 	pred := make([]float64, len(observedF))
 	for i, f := range observedF {
 		pred[i] = fit.Eval(f)

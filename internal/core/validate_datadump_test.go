@@ -28,7 +28,7 @@ func TestValidationHonorsWorkers(t *testing.T) {
 
 func TestValidationFigure5(t *testing.T) {
 	cs, _ := sharedStudies(t)
-	rows, err := cs.FitTableIV()
+	rows, err := cs.Fit(TableIV)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ func TestCalibrationReport(t *testing.T) {
 	tr := nfs.DefaultMount().Write(4 << 30)
 	for _, chip := range dvfs.Chips() {
 		n := NewNode(chip, 1)
-		cw, _ := CompressionWorkload("sz", 1<<30, 1e-3, chip)
+		cw, _ := CompressionWorkloadWithRatio("sz", 1<<30, 1e-3, 8, chip)
 		cb := n.RunClean(cw, chip.BaseGHz)
 		ct := n.RunClean(cw, 0.875*chip.BaseGHz)
 		cf := n.RunClean(cw, chip.MinGHz)

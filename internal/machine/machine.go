@@ -128,19 +128,14 @@ const (
 	noiseSigma = 0.01
 )
 
-// CompressionWorkload characterizes compressing rawBytes with the named
-// codec ("sz"/"zfp") at range-relative error bound relEB on the given chip,
-// assuming typical compressibility (ratio ~8).
-func CompressionWorkload(codec string, rawBytes int64, relEB float64, chip *dvfs.Chip) (Workload, error) {
-	return CompressionWorkloadWithRatio(codec, rawBytes, relEB, 8, chip)
-}
-
-// CompressionWorkloadWithRatio is CompressionWorkload informed by the
-// measured compression ratio of the actual data: harder data (lower ratio)
-// produces more quantization outliers and entropy-coding work, costing more
-// cycles per byte. The experiment pipeline measures the ratio by running
-// the real codec on a scaled field and feeds it here, which is what makes
-// datasets distinguishable in the power model.
+// CompressionWorkloadWithRatio characterizes compressing rawBytes with the
+// named codec ("sz"/"zfp"/"squant") at range-relative error bound relEB on
+// the given chip, informed by the measured compression ratio of the actual
+// data: harder data (lower ratio) produces more quantization outliers and
+// entropy-coding work, costing more cycles per byte. The experiment
+// pipeline measures the ratio by running the real codec on a scaled field
+// and feeds it here, which is what makes datasets distinguishable in the
+// power model.
 func CompressionWorkloadWithRatio(codec string, rawBytes int64, relEB, ratio float64, chip *dvfs.Chip) (Workload, error) {
 	var cf, sf float64
 	switch codec {
@@ -274,7 +269,7 @@ func NewNode(chip *dvfs.Chip, seed int64) *Node {
 // Run executes w at frequency f (snapped to the P-state grid) and returns
 // the noisy measurement. Deterministic given the node's noise state.
 func (n *Node) Run(w Workload, f float64) Sample {
-	s := n.runClean(w, f)
+	s := n.RunClean(w, f)
 	// Multiplicative noise, correlated between time and energy the way
 	// real thermal/background variation is.
 	tn := 1 + noiseSigma*n.rng.normal()
@@ -287,15 +282,13 @@ func (n *Node) Run(w Workload, f float64) Sample {
 	return s
 }
 
-// RunClean executes w at frequency f without measurement noise — the
-// model's ground truth, used by the optimizer and in tests.
-func (n *Node) RunClean(w Workload, f float64) Sample { return n.runClean(w, f) }
-
 // serialFraction is the Amdahl serial share of multi-core compression
 // (chunk dispatch, container assembly).
 const serialFraction = 0.03
 
-func (n *Node) runClean(w Workload, f float64) Sample {
+// RunClean executes w at frequency f (snapped to the P-state grid) without
+// measurement noise — the model's ground truth, which the pricer reads.
+func (n *Node) RunClean(w Workload, f float64) Sample {
 	chip := n.Chip
 	f = chip.ClampFreq(f)
 	cpuSec := w.CPUCycles / (f * 1e9)

@@ -10,7 +10,7 @@ import (
 
 func compressWL(t *testing.T, chip *dvfs.Chip, codec string, relEB float64) Workload {
 	t.Helper()
-	w, err := CompressionWorkload(codec, 1<<30, relEB, chip)
+	w, err := CompressionWorkloadWithRatio(codec, 1<<30, relEB, 8, chip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,13 +19,13 @@ func compressWL(t *testing.T, chip *dvfs.Chip, codec string, relEB float64) Work
 
 func TestCompressionWorkloadValidation(t *testing.T) {
 	bw := dvfs.Broadwell()
-	if _, err := CompressionWorkload("lz4", 100, 1e-3, bw); err == nil {
+	if _, err := CompressionWorkloadWithRatio("lz4", 100, 1e-3, 8, bw); err == nil {
 		t.Error("unknown codec accepted")
 	}
-	if _, err := CompressionWorkload("sz", -1, 1e-3, bw); err == nil {
+	if _, err := CompressionWorkloadWithRatio("sz", -1, 1e-3, 8, bw); err == nil {
 		t.Error("negative size accepted")
 	}
-	w, err := CompressionWorkload("sz", 0, 1e-3, bw)
+	w, err := CompressionWorkloadWithRatio("sz", 0, 1e-3, 8, bw)
 	if err != nil || w.CPUCycles != 0 {
 		t.Errorf("zero-size workload: %+v err %v", w, err)
 	}
@@ -250,7 +250,7 @@ func TestPnorm3(t *testing.T) {
 func BenchmarkRunClean(b *testing.B) {
 	chip := dvfs.Skylake()
 	n := NewNode(chip, 1)
-	w, err := CompressionWorkload("sz", 1<<30, 1e-3, chip)
+	w, err := CompressionWorkloadWithRatio("sz", 1<<30, 1e-3, 8, chip)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -16,8 +16,8 @@
 //
 // A Mount may carry a FaultConfig backed by a seeded netsim.Injector, which
 // perturbs the pipeline with transient faults — dropped data legs (resent
-// after a retransmit timeout), latency spikes, and short writes (the server
-// persists a prefix and the client resends the tail). Faults only add
+// after a retransmit timeout) and short writes (the server persists a
+// prefix and the client resends the tail). Faults only add
 // simulated time and RPC work; given the same seed the schedule is
 // deterministic.
 package nfs
@@ -55,65 +55,26 @@ type FaultConfig struct {
 	// Injector supplies the randomness; nil disables all faults.
 	Injector *netsim.Injector
 	// DropProb is the per-attempt probability that an RPC's data leg is
-	// lost and must be resent after RetransmitTimeout.
+	// lost and must be resent after the retransmit timeout.
 	DropProb float64
-	// SpikeProb is the per-RPC probability of a latency spike; a spiking
-	// RPC sees its one-way latency multiplied by SpikeFactor (default 20).
-	SpikeProb   float64
-	SpikeFactor float64
 	// ShortWriteProb is the per-attempt probability that a WRITE RPC is
 	// only partially persisted; the client resends the tail.
 	ShortWriteProb float64
-	// RetransmitTimeout is the simulated client timeout before a dropped
-	// leg is resent (default 20 ms).
-	RetransmitTimeout float64
-	// RetransmitJitter spreads each retransmit wait by a factor uniform in
-	// [1-J, 1+J), drawn from the Injector — decorrelating retry storms
-	// across tenants sharing a link. 0 (the default) keeps the classic
-	// constant timeout, and consumes no Injector randomness, so existing
-	// seeded fault schedules are unchanged. Clamped to [0, 1).
-	RetransmitJitter float64
 }
 
-// retryPolicy expresses the client's retransmit behavior as the shared
+// retransmitTimeout is the simulated client timeout before a dropped leg
+// is resent.
+const retransmitTimeout = 20e-3
+
+// retransmit expresses the client's retransmit behavior as the shared
 // retry helper: a constant delay (Max == Base) per dropped leg — the NFS
-// timeout shape — capped at maxLegAttempts, optionally jittered. The ckpt
-// medium-fault writer prices its capped-exponential waits through the same
-// Policy type, so the backoff arithmetic cannot drift between layers.
-func (f FaultConfig) retryPolicy() retry.Policy {
-	return retry.Policy{
-		MaxAttempts: maxLegAttempts,
-		Base:        f.RetransmitTimeout,
-		Max:         f.RetransmitTimeout,
-		Jitter:      f.RetransmitJitter,
-	}
-}
-
-// retransmitWait is the simulated wait before resending leg attempt
-// `attempt` (1-based).
-func (f FaultConfig) retransmitWait(attempt int) float64 {
-	return f.retryPolicy().BackoffJittered(attempt, f.Injector.Uniform)
-}
+// timeout shape — capped at maxLegAttempts. The ckpt medium-fault writer
+// prices its capped-exponential waits through the same Policy type, so the
+// backoff arithmetic cannot drift between layers.
+var retransmit = retry.Policy{MaxAttempts: maxLegAttempts, Base: retransmitTimeout, Max: retransmitTimeout}
 
 func (f FaultConfig) enabled() bool {
-	return f.Injector != nil &&
-		(f.DropProb > 0 || f.SpikeProb > 0 || f.ShortWriteProb > 0)
-}
-
-func (f FaultConfig) normalized() FaultConfig {
-	if f.SpikeFactor <= 1 {
-		f.SpikeFactor = 20
-	}
-	if f.RetransmitTimeout <= 0 {
-		f.RetransmitTimeout = 20e-3
-	}
-	if f.RetransmitJitter < 0 {
-		f.RetransmitJitter = 0
-	}
-	if f.RetransmitJitter >= 1 {
-		f.RetransmitJitter = 0.999
-	}
-	return f
+	return f.Injector != nil && (f.DropProb > 0 || f.ShortWriteProb > 0)
 }
 
 // maxLegAttempts bounds retransmissions per data leg so a DropProb of 1
@@ -149,7 +110,6 @@ func (m Mount) normalized() Mount {
 	if m.ServerBWBps <= 0 {
 		m.ServerBWBps = d.ServerBWBps
 	}
-	m.Faults = m.Faults.normalized()
 	return m
 }
 
@@ -266,17 +226,12 @@ func (m Mount) transfer(bytes int64, dir direction) Transfer {
 			slotReady = ackAt[0]
 			ackAt = ackAt[1:]
 		}
-		lat := m.Link.LatencySec
-		if faults && m.Faults.Injector.Hit(m.Faults.SpikeProb) {
-			lat *= m.Faults.SpikeFactor
-		}
-
 		var ack float64
 		switch dir {
 		case dirWrite:
-			ack = m.writeRPC(sz, slotReady, lat, faults, &linkFree, &serverFree, &t)
+			ack = m.writeRPC(sz, slotReady, faults, &linkFree, &serverFree, &t)
 		default:
-			ack = m.readRPC(sz, slotReady, lat, faults, &linkFree, &serverFree, &t)
+			ack = m.readRPC(sz, slotReady, faults, &linkFree, &serverFree, &t)
 		}
 		ackAt = append(ackAt, ack)
 		lastAck = ack
@@ -297,8 +252,9 @@ func (m Mount) transfer(bytes int64, dir direction) Transfer {
 // absorb it, and returns the acknowledgement time. Dropped legs are resent
 // after the retransmit timeout; short writes persist a prefix and loop on
 // the tail through the same window slot.
-func (m Mount) writeRPC(sz int64, slotReady, lat float64, faults bool,
+func (m Mount) writeRPC(sz int64, slotReady float64, faults bool,
 	linkFree, serverFree *float64, t *Transfer) float64 {
+	lat := m.Link.LatencySec
 	pend := sz
 	ready := slotReady
 	var ack float64
@@ -309,11 +265,11 @@ func (m Mount) writeRPC(sz int64, slotReady, lat float64, faults bool,
 		sendStart := max(ready, *linkFree)
 		*linkFree = sendStart + ser
 		t.WireBusySeconds += ser
-		if faults && !m.Faults.retryPolicy().Exhausted(attempts) && m.Faults.Injector.Hit(m.Faults.DropProb) {
+		if faults && !retransmit.Exhausted(attempts) && m.Faults.Injector.Hit(m.Faults.DropProb) {
 			// The bytes burned wire time but never arrived; the client
 			// times out and resends the whole pending range.
 			t.Retransmits++
-			ready = *linkFree + m.Faults.retransmitWait(attempts)
+			ready = *linkFree + retransmit.Backoff(attempts)
 			continue
 		}
 		arrive := *linkFree + lat
@@ -346,8 +302,9 @@ func (m Mount) writeRPC(sz int64, slotReady, lat float64, faults bool,
 // readRPC sends one READ request, lets the server process it, and clocks
 // the data leg server→client, returning the time the data lands. Dropped
 // response legs are resent by the server after the client's timeout.
-func (m Mount) readRPC(sz int64, slotReady, lat float64, faults bool,
+func (m Mount) readRPC(sz int64, slotReady float64, faults bool,
 	linkFree, serverFree *float64, t *Transfer) float64 {
+	lat := m.Link.LatencySec
 	// Request: a small RPC reaches the server after one latency.
 	reqArrive := slotReady + lat
 	proc := m.ServerPerRPC + float64(sz)*8/m.ServerBWBps
@@ -363,9 +320,9 @@ func (m Mount) readRPC(sz int64, slotReady, lat float64, faults bool,
 		sendStart := max(ready, *linkFree)
 		*linkFree = sendStart + ser
 		t.WireBusySeconds += ser
-		if faults && !m.Faults.retryPolicy().Exhausted(attempt) && m.Faults.Injector.Hit(m.Faults.DropProb) {
+		if faults && !retransmit.Exhausted(attempt) && m.Faults.Injector.Hit(m.Faults.DropProb) {
 			t.Retransmits++
-			ready = *linkFree + m.Faults.retransmitWait(attempt)
+			ready = *linkFree + retransmit.Backoff(attempt)
 			continue
 		}
 		ack = *linkFree + lat

@@ -1,6 +1,7 @@
 package nfs
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -234,12 +235,11 @@ func TestWireBusySymmetry(t *testing.T) {
 	}
 }
 
-func faultyMount(seed int64, drop, spike, short float64) Mount {
+func faultyMount(seed int64, drop, short float64) Mount {
 	m := DefaultMount()
 	m.Faults = FaultConfig{
 		Injector:       netsim.NewInjector(seed),
 		DropProb:       drop,
-		SpikeProb:      spike,
 		ShortWriteProb: short,
 	}
 	return m
@@ -247,21 +247,47 @@ func faultyMount(seed int64, drop, spike, short float64) Mount {
 
 func TestFaultInjectionDeterministic(t *testing.T) {
 	b := int64(64 << 20)
-	a := faultyMount(7, 0.05, 0.02, 0.05).Write(b)
-	c := faultyMount(7, 0.05, 0.02, 0.05).Write(b)
+	a := faultyMount(7, 0.05, 0.05).Write(b)
+	c := faultyMount(7, 0.05, 0.05).Write(b)
 	if a != c {
 		t.Fatalf("same seed, different transfers:\n%+v\n%+v", a, c)
 	}
-	d := faultyMount(8, 0.05, 0.02, 0.05).Write(b)
+	d := faultyMount(8, 0.05, 0.05).Write(b)
 	if a == d {
 		t.Fatal("different seeds produced identical fault schedules")
+	}
+}
+
+// TestSeededScheduleUnchanged pins one seeded drop + short-write schedule
+// draw for draw: the fault counts and the exact simulated times recorded
+// before the spike and jitter knobs (which this schedule never used) were
+// removed from FaultConfig.
+func TestSeededScheduleUnchanged(t *testing.T) {
+	b := int64(64 << 20)
+	for _, tc := range []struct {
+		name                string
+		got                 Transfer
+		retransmits, shorts int64
+		wallBits, wireBits  uint64
+	}{
+		{"write", faultyMount(7, 0.1, 0.1).Write(b), 9, 1, 0x3fcf6f3303568473, 0x3fb08b04f8afa118},
+		{"read", faultyMount(7, 0.1, 0.1).Read(b), 4, 0, 0x3fc1f2bbc49dc684, 0x3fae8d28afe808cf},
+	} {
+		if tc.got.Retransmits != tc.retransmits || tc.got.ShortWrites != tc.shorts ||
+			math.Float64bits(tc.got.NetworkSeconds) != tc.wallBits ||
+			math.Float64bits(tc.got.WireBusySeconds) != tc.wireBits {
+			t.Errorf("%s: %d retransmits, %d short writes, wall %#x, wire %#x; recorded %d, %d, %#x, %#x",
+				tc.name, tc.got.Retransmits, tc.got.ShortWrites,
+				math.Float64bits(tc.got.NetworkSeconds), math.Float64bits(tc.got.WireBusySeconds),
+				tc.retransmits, tc.shorts, tc.wallBits, tc.wireBits)
+		}
 	}
 }
 
 func TestFaultsSlowTransferAndCount(t *testing.T) {
 	b := int64(64 << 20)
 	clean := DefaultMount().Write(b)
-	faulty := faultyMount(3, 0.1, 0.05, 0.1).Write(b)
+	faulty := faultyMount(3, 0.1, 0.1).Write(b)
 	if faulty.Retransmits == 0 || faulty.ShortWrites == 0 {
 		t.Fatalf("expected injected faults, got %+v", faulty)
 	}
@@ -281,7 +307,7 @@ func TestFaultsSlowTransferAndCount(t *testing.T) {
 func TestReadFaultsRetransmit(t *testing.T) {
 	b := int64(64 << 20)
 	clean := DefaultMount().Read(b)
-	faulty := faultyMount(5, 0.1, 0, 0).Read(b)
+	faulty := faultyMount(5, 0.1, 0).Read(b)
 	if faulty.Retransmits == 0 {
 		t.Fatal("expected read retransmits")
 	}
@@ -294,7 +320,7 @@ func TestReadFaultsRetransmit(t *testing.T) {
 }
 
 func TestCertainDropStillTerminates(t *testing.T) {
-	m := faultyMount(1, 1.0, 0, 0)
+	m := faultyMount(1, 1.0, 0)
 	tr := m.Write(8 << 20)
 	if tr.NetworkSeconds <= 0 || tr.Retransmits == 0 {
 		t.Fatalf("DropProb=1 transfer degenerate: %+v", tr)
@@ -313,40 +339,14 @@ func TestZeroProbFaultConfigMatchesClean(t *testing.T) {
 	}
 }
 
-func TestRetransmitJitterDeterministicAndDistinct(t *testing.T) {
-	b := int64(64 << 20)
-	jit := func(seed int64) Transfer {
-		m := faultyMount(seed, 0.1, 0, 0)
-		m.Faults.RetransmitJitter = 0.5
-		return m.Write(b)
-	}
-	a, c := jit(7), jit(7)
-	if a != c {
-		t.Fatalf("same seed, different jittered transfers:\n%+v\n%+v", a, c)
-	}
-	plain := faultyMount(7, 0.1, 0, 0).Write(b)
-	if plain.Retransmits == 0 {
-		t.Fatal("expected retransmits in the baseline schedule")
-	}
-	if a.NetworkSeconds == plain.NetworkSeconds {
-		t.Fatal("50% jitter left every retransmit wait unchanged")
-	}
-	// Jitter perturbs waits, not work: payload, RPC count unchanged.
-	if a.PayloadBytes != plain.PayloadBytes || a.RPCs != plain.RPCs {
-		t.Fatalf("jitter changed payload accounting: %+v vs %+v", a, plain)
-	}
-}
-
 func TestRetryPolicyShape(t *testing.T) {
 	// The NFS retransmit wait is the shared retry.Policy's constant shape:
 	// Max == Base, so the delay never grows with the attempt number.
-	f := FaultConfig{RetransmitTimeout: 20e-3}.normalized()
-	p := f.retryPolicy()
-	if p.MaxAttempts != maxLegAttempts {
-		t.Fatalf("policy caps at %d attempts, want %d", p.MaxAttempts, maxLegAttempts)
+	if retransmit.MaxAttempts != maxLegAttempts {
+		t.Fatalf("policy caps at %d attempts, want %d", retransmit.MaxAttempts, maxLegAttempts)
 	}
 	for a := 1; a <= maxLegAttempts; a++ {
-		if got := p.Backoff(a); got != 20e-3 {
+		if got := retransmit.Backoff(a); got != 20e-3 {
 			t.Fatalf("attempt %d wait %v, want constant 20ms", a, got)
 		}
 	}

@@ -18,22 +18,6 @@ import (
 // DefaultRepetitions matches the paper's repeat count per frequency step.
 const DefaultRepetitions = 10
 
-// Config controls a sweep.
-type Config struct {
-	// Repetitions per frequency point; 0 means DefaultRepetitions.
-	Repetitions int
-	// Frequencies overrides the swept grid; nil means the chip's full
-	// P-state grid.
-	Frequencies []float64
-}
-
-func (c Config) normalized() Config {
-	if c.Repetitions <= 0 {
-		c.Repetitions = DefaultRepetitions
-	}
-	return c
-}
-
 // Point aggregates the repeated measurements at one frequency.
 type Point struct {
 	FreqGHz float64
@@ -49,15 +33,15 @@ type Sweep struct {
 	Points []Point
 }
 
-// Run sweeps the workload on the node per the config.
-func Run(node *machine.Node, w machine.Workload, label string, cfg Config) (Sweep, error) {
-	cfg = cfg.normalized()
-	freqs := cfg.Frequencies
-	if freqs == nil {
-		freqs = node.Chip.Frequencies()
+// Run sweeps the workload across the node's full P-state grid, reps runs
+// per frequency (0 or less means DefaultRepetitions).
+func Run(node *machine.Node, w machine.Workload, label string, reps int) (Sweep, error) {
+	if reps <= 0 {
+		reps = DefaultRepetitions
 	}
+	freqs := node.Chip.Frequencies()
 	if len(freqs) == 0 {
-		return Sweep{}, fmt.Errorf("perf: empty frequency grid")
+		return Sweep{}, fmt.Errorf("perf: %s has an empty frequency grid", node.Chip.Series)
 	}
 	span := obs.Start("perf.sweep")
 	span.SetAttr("label", label)
@@ -69,10 +53,10 @@ func Run(node *machine.Node, w machine.Workload, label string, cfg Config) (Swee
 		if ps.Enabled() {
 			ps.SetAttr("freq_ghz", strconv.FormatFloat(f, 'g', 4, 64))
 		}
-		powers := make([]float64, cfg.Repetitions)
-		times := make([]float64, cfg.Repetitions)
-		energies := make([]float64, cfg.Repetitions)
-		for r := 0; r < cfg.Repetitions; r++ {
+		powers := make([]float64, reps)
+		times := make([]float64, reps)
+		energies := make([]float64, reps)
+		for r := 0; r < reps; r++ {
 			s := node.Run(w, f)
 			powers[r] = s.AvgWatts
 			times[r] = s.Seconds
@@ -87,7 +71,7 @@ func Run(node *machine.Node, w machine.Workload, label string, cfg Config) (Swee
 		en, _ := stats.Summarize(energies)
 		sw.Points = append(sw.Points, Point{FreqGHz: f, Power: pw, Runtime: tm, Energy: en})
 		ps.End()
-		obs.Add("lcpio_sweep_reps_total", int64(cfg.Repetitions))
+		obs.Add("lcpio_sweep_reps_total", int64(reps))
 		obs.Add("lcpio_sweep_points_total", 1)
 	}
 	return sw, nil

@@ -10,14 +10,14 @@ import (
 	"lcpio/internal/machine"
 )
 
-func sweepFor(t *testing.T, chip *dvfs.Chip, seed int64, cfg Config) Sweep {
+func sweepFor(t *testing.T, chip *dvfs.Chip, seed int64, reps int) Sweep {
 	t.Helper()
 	node := machine.NewNode(chip, seed)
-	w, err := machine.CompressionWorkload("sz", 256<<20, 1e-3, chip)
+	w, err := machine.CompressionWorkloadWithRatio("sz", 256<<20, 1e-3, 8, chip)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := Run(node, w, "sz/"+chip.Series, cfg)
+	sw, err := Run(node, w, "sz/"+chip.Series, reps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func sweepFor(t *testing.T, chip *dvfs.Chip, seed int64, cfg Config) Sweep {
 
 func TestSweepCoversFullGrid(t *testing.T) {
 	chip := dvfs.Broadwell()
-	sw := sweepFor(t, chip, 1, Config{})
+	sw := sweepFor(t, chip, 1, 0)
 	if len(sw.Points) != len(chip.Frequencies()) {
 		t.Fatalf("sweep has %d points, grid has %d", len(sw.Points), len(chip.Frequencies()))
 	}
@@ -43,19 +43,8 @@ func TestSweepCoversFullGrid(t *testing.T) {
 	}
 }
 
-func TestCustomFrequencies(t *testing.T) {
-	chip := dvfs.Skylake()
-	sw := sweepFor(t, chip, 1, Config{Frequencies: []float64{0.8, 1.5, 2.2}, Repetitions: 3})
-	if len(sw.Points) != 3 || sw.Points[1].FreqGHz != 1.5 {
-		t.Fatalf("custom grid: %+v", sw.Frequencies())
-	}
-	if sw.Points[0].Power.N != 3 {
-		t.Fatalf("reps %d", sw.Points[0].Power.N)
-	}
-}
-
 func TestScaledPowerEndsAtOne(t *testing.T) {
-	sw := sweepFor(t, dvfs.Broadwell(), 2, Config{})
+	sw := sweepFor(t, dvfs.Broadwell(), 2, 0)
 	scaled, err := sw.ScaledPower()
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +70,7 @@ func TestScaledPowerEndsAtOne(t *testing.T) {
 }
 
 func TestScaledRuntimeMinimumAtMaxFreq(t *testing.T) {
-	sw := sweepFor(t, dvfs.Skylake(), 3, Config{})
+	sw := sweepFor(t, dvfs.Skylake(), 3, 0)
 	scaled, err := sw.ScaledRuntime()
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +98,7 @@ func TestMaxFreqPoint(t *testing.T) {
 }
 
 func TestScaledObservations(t *testing.T) {
-	sw := sweepFor(t, dvfs.Broadwell(), 5, Config{Repetitions: 2})
+	sw := sweepFor(t, dvfs.Broadwell(), 5, 2)
 	fs, ps, err := sw.ScaledObservations()
 	if err != nil {
 		t.Fatal(err)
@@ -120,16 +109,21 @@ func TestScaledObservations(t *testing.T) {
 }
 
 func TestEmptyGridRejected(t *testing.T) {
-	node := machine.NewNode(dvfs.Broadwell(), 1)
-	w, _ := machine.CompressionWorkload("sz", 1<<20, 1e-3, node.Chip)
-	if _, err := Run(node, w, "x", Config{Frequencies: []float64{}}); err == nil {
-		// nil means full grid, but explicitly empty must fail
-		t.Skip("empty slice treated as full grid")
+	// A hand-built chip whose minimum clock sits above its base clock has
+	// no P-states to sweep.
+	chip := *dvfs.Broadwell()
+	chip.MinGHz = chip.BaseGHz + 1
+	w, err := machine.CompressionWorkloadWithRatio("sz", 1<<20, 1e-3, 8, &chip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(machine.NewNode(&chip, 1), w, "x", 0); err == nil {
+		t.Fatal("empty frequency grid swept")
 	}
 }
 
 func TestMeanAccessorsAligned(t *testing.T) {
-	sw := sweepFor(t, dvfs.Skylake(), 6, Config{Repetitions: 2})
+	sw := sweepFor(t, dvfs.Skylake(), 6, 2)
 	if len(sw.MeanPower()) != len(sw.MeanRuntime()) ||
 		len(sw.MeanRuntime()) != len(sw.MeanEnergy()) ||
 		len(sw.MeanEnergy()) != len(sw.Frequencies()) {
@@ -138,7 +132,10 @@ func TestMeanAccessorsAligned(t *testing.T) {
 }
 
 func TestWriteCSV(t *testing.T) {
-	sw := sweepFor(t, dvfs.Broadwell(), 9, Config{Repetitions: 2, Frequencies: []float64{0.8, 2.0}})
+	// A two-P-state chip keeps the expected row count readable.
+	chip := *dvfs.Broadwell()
+	chip.MinGHz = chip.BaseGHz - dvfs.StepGHz
+	sw := sweepFor(t, &chip, 9, 2)
 	var buf strings.Builder
 	if err := WriteCSV(&buf, sw, sw); err != nil {
 		t.Fatal(err)

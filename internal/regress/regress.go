@@ -8,9 +8,8 @@
 // scans a geometric grid over b with a closed-form linear solve at each
 // point, then polishes the best seed with Levenberg–Marquardt. Grid seeding
 // matters: the SSE surface in b is multi-modal on knee-shaped data (the
-// Skylake fits in Table IV land near b = 23), and a single-start descent
-// routinely stalls on the wrong mode; the seeding-vs-single-start tradeoff
-// is one of the ablation benches listed in DESIGN.md.
+// Skylake fits in Table IV land near b = 23); a single heuristic start was
+// the ablation baseline and lost (DESIGN.md section 5 keeps its numbers).
 package regress
 
 import (
@@ -26,6 +25,10 @@ import (
 const (
 	minExponent = 0.2
 	maxExponent = 40.0
+	// gridPoints exponent seeds are scanned geometrically over the bounds;
+	// lmIterations caps the polish.
+	gridPoints   = 60
+	lmIterations = 200
 )
 
 var (
@@ -52,35 +55,8 @@ func (p PowerLawFit) String() string {
 	return fmt.Sprintf("%.4gf^%.4g + %.4g", p.A, p.B, p.C)
 }
 
-// Options tunes the fitting procedure.
-type Options struct {
-	// GridPoints is the number of exponent seeds scanned geometrically
-	// over [0.2, 40]. Zero means the default of 60.
-	GridPoints int
-	// SkipGridSeeding disables the exponent scan and polishes from a
-	// single heuristic start — the ablation baseline.
-	SkipGridSeeding bool
-	// LMIterations bounds the Levenberg–Marquardt polish. Zero means 200.
-	LMIterations int
-}
-
-func (o Options) normalized() Options {
-	if o.GridPoints <= 0 {
-		o.GridPoints = 60
-	}
-	if o.LMIterations <= 0 {
-		o.LMIterations = 200
-	}
-	return o
-}
-
-// FitPowerLaw fits Eqn 2 to the observations with default options.
+// FitPowerLaw fits Eqn 2 to the observations.
 func FitPowerLaw(fs, ps []float64) (PowerLawFit, error) {
-	return FitPowerLawOpts(fs, ps, Options{})
-}
-
-// FitPowerLawOpts fits Eqn 2 with explicit options.
-func FitPowerLawOpts(fs, ps []float64, opts Options) (PowerLawFit, error) {
 	if len(fs) != len(ps) {
 		return PowerLawFit{}, ErrBadInput
 	}
@@ -92,44 +68,22 @@ func FitPowerLawOpts(fs, ps []float64, opts Options) (PowerLawFit, error) {
 			return PowerLawFit{}, ErrBadInput
 		}
 	}
-	opts = opts.normalized()
 
 	var bestA, bestB, bestC float64
 	bestSSE := math.Inf(1)
-	consider := func(a, b, c float64) {
-		if !isFinite(a) || !isFinite(b) || !isFinite(c) {
-			return
-		}
-		sse := sseFor(fs, ps, a, b, c)
-		if sse < bestSSE {
-			bestSSE, bestA, bestB, bestC = sse, a, b, c
-		}
-	}
-
-	if opts.SkipGridSeeding {
-		// Heuristic single start: exponent from log-log slope of the
-		// baseline-subtracted endpoints.
-		b := heuristicExponent(fs, ps)
-		if a, c, ok := linearSolveAC(fs, ps, b); ok {
-			consider(a, b, c)
-		} else {
-			consider(1, b, 0)
-		}
-	} else {
-		ratio := math.Pow(maxExponent/minExponent, 1/float64(opts.GridPoints-1))
-		b := minExponent
-		for i := 0; i < opts.GridPoints; i++ {
-			if a, c, ok := linearSolveAC(fs, ps, b); ok {
-				consider(a, b, c)
+	ratio := math.Pow(maxExponent/minExponent, 1/float64(gridPoints-1))
+	for i, b := 0, minExponent; i < gridPoints; i, b = i+1, b*ratio {
+		if a, c, ok := linearSolveAC(fs, ps, b); ok && isFinite(a) && isFinite(c) {
+			if sse := sseFor(fs, ps, a, b, c); sse < bestSSE {
+				bestSSE, bestA, bestB, bestC = sse, a, b, c
 			}
-			b *= ratio
 		}
 	}
 	if math.IsInf(bestSSE, 1) {
 		return PowerLawFit{}, ErrBadInput
 	}
 
-	a, b, c := levenbergMarquardt(fs, ps, bestA, bestB, bestC, opts.LMIterations)
+	a, b, c := levenbergMarquardt(fs, ps, bestA, bestB, bestC)
 	if sseFor(fs, ps, a, b, c) > bestSSE {
 		// Polish must never make things worse.
 		a, b, c = bestA, bestB, bestC
@@ -181,33 +135,6 @@ func linearSolveAC(fs, ps []float64, b float64) (a, c float64, ok bool) {
 	return a, c, true
 }
 
-// heuristicExponent estimates b from the log-log slope between the lowest
-// and highest frequency after subtracting the minimum power (proxy for c).
-func heuristicExponent(fs, ps []float64) float64 {
-	iLo, iHi := 0, 0
-	for i := range fs {
-		if fs[i] < fs[iLo] {
-			iLo = i
-		}
-		if fs[i] > fs[iHi] {
-			iHi = i
-		}
-	}
-	base := math.Inf(1)
-	for _, p := range ps {
-		if p < base {
-			base = p
-		}
-	}
-	dLo := ps[iLo] - base + 1e-9
-	dHi := ps[iHi] - base + 1e-9
-	if dHi <= dLo || fs[iHi] <= fs[iLo] {
-		return 2
-	}
-	b := math.Log(dHi/dLo) / math.Log(fs[iHi]/fs[iLo])
-	return clampExp(b)
-}
-
 func clampExp(b float64) float64 {
 	if !isFinite(b) || b < minExponent {
 		return minExponent
@@ -220,10 +147,10 @@ func clampExp(b float64) float64 {
 
 // levenbergMarquardt polishes (a,b,c) on the full non-linear problem with
 // an analytic Jacobian and damping adaptation.
-func levenbergMarquardt(fs, ps []float64, a, b, c float64, maxIter int) (float64, float64, float64) {
+func levenbergMarquardt(fs, ps []float64, a, b, c float64) (float64, float64, float64) {
 	lambda := 1e-3
 	sse := sseFor(fs, ps, a, b, c)
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < lmIterations; iter++ {
 		// Accumulate J^T J and J^T r. Residual r = p - model;
 		// d/da = f^b, d/db = a*f^b*ln f, d/dc = 1.
 		var jtj [3][3]float64

@@ -71,23 +71,6 @@ func TestNoisyRecovery(t *testing.T) {
 	}
 }
 
-func TestGridBeatsSingleStartOnKneeData(t *testing.T) {
-	// Knee-shaped (Skylake-like) data: single-start should do no better
-	// than the grid seed (DESIGN.md §5 ablation).
-	fs, ps := synth(9.1e-9, 20.9, 0.888, 0.005, 4)
-	grid, err := FitPowerLaw(fs, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := FitPowerLawOpts(fs, ps, Options{SkipGridSeeding: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grid.GF.SSE > single.GF.SSE*1.001 {
-		t.Fatalf("grid SSE %v worse than single-start %v", grid.GF.SSE, single.GF.SSE)
-	}
-}
-
 func TestEvalAndString(t *testing.T) {
 	fit := PowerLawFit{A: 2, B: 3, C: 1}
 	if fit.Eval(2) != 17 {
@@ -169,14 +152,6 @@ func TestSolve3(t *testing.T) {
 	}
 }
 
-func TestHeuristicExponentSane(t *testing.T) {
-	fs, ps := synth(0.01, 4, 0.8, 0, 5)
-	b := heuristicExponent(fs, ps)
-	if b < minExponent || b > maxExponent {
-		t.Fatalf("heuristic exponent %v out of bounds", b)
-	}
-}
-
 // Property: fitting always returns finite parameters and non-negative SSE
 // for positive, finite observations.
 func TestQuickFitRobust(t *testing.T) {
@@ -233,26 +208,5 @@ func BenchmarkFitPowerLaw(b *testing.B) {
 		if _, err := FitPowerLaw(fs, ps); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// Ablation bench: grid seeding vs single start (DESIGN.md §5).
-func BenchmarkFitSeeding(b *testing.B) {
-	fs, ps := synth(9.1e-9, 20.9, 0.888, 0.005, 4)
-	for name, opts := range map[string]Options{
-		"grid":   {},
-		"single": {SkipGridSeeding: true},
-	} {
-		b.Run(name, func(b *testing.B) {
-			var sse float64
-			for i := 0; i < b.N; i++ {
-				fit, err := FitPowerLawOpts(fs, ps, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sse = fit.GF.SSE
-			}
-			b.ReportMetric(sse, "sse")
-		})
 	}
 }

@@ -3,12 +3,6 @@
 // faults, the ckpt restore path's re-reads, and the nfs pipeline's
 // retransmit waits all price their simulated delays through one Policy, so
 // the backoff arithmetic (and its caps) cannot drift between layers.
-//
-// A Policy optionally adds deterministic jitter: each delay is scaled by a
-// factor drawn uniformly from [1-Jitter, 1+Jitter) using a caller-supplied
-// randomness source (typically a seeded netsim.Injector), which decorrelates
-// retry storms across concurrent tenants without giving up reproducible
-// schedules — the same seed yields the same jittered delays.
 package retry
 
 import "math"
@@ -23,10 +17,6 @@ type Policy struct {
 	// Max caps the exponential growth. Max == Base gives a constant delay —
 	// the shape of an NFS client's fixed retransmit timeout.
 	Max float64
-	// Jitter is the relative spread applied by BackoffJittered: each delay
-	// is multiplied by a factor uniform in [1-Jitter, 1+Jitter). Clamped to
-	// [0, 1); 0 (the default) keeps delays exact.
-	Jitter float64
 }
 
 // Normalized fills zero fields from defaults (which must itself be fully
@@ -41,17 +31,11 @@ func (p Policy) Normalized(defaults Policy) Policy {
 	if p.Max <= 0 {
 		p.Max = defaults.Max
 	}
-	if p.Jitter < 0 {
-		p.Jitter = 0
-	}
-	if p.Jitter >= 1 {
-		p.Jitter = defaults.Jitter
-	}
 	return p
 }
 
 // Backoff returns the capped exponential delay before retry `attempt`
-// (1-based: the delay after the attempt'th failure), without jitter.
+// (1-based: the delay after the attempt'th failure).
 func (p Policy) Backoff(attempt int) float64 {
 	if attempt < 1 {
 		attempt = 1
@@ -61,21 +45,6 @@ func (p Policy) Backoff(attempt int) float64 {
 		d = p.Max
 	}
 	return d
-}
-
-// BackoffJittered is Backoff scaled by a jitter factor drawn from rnd, a
-// [0, 1) source (e.g. a seeded netsim.Injector's Uniform). A nil rnd or a
-// zero Jitter returns the deterministic delay unchanged.
-func (p Policy) BackoffJittered(attempt int, rnd func() float64) float64 {
-	d := p.Backoff(attempt)
-	if p.Jitter <= 0 || rnd == nil {
-		return d
-	}
-	j := p.Jitter
-	if j >= 1 {
-		j = 0.999
-	}
-	return d * (1 - j + 2*j*rnd())
 }
 
 // Exhausted reports whether the policy allows no further attempt after

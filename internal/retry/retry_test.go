@@ -3,8 +3,6 @@ package retry
 import (
 	"math"
 	"testing"
-
-	"lcpio/internal/netsim"
 )
 
 func TestBackoffCappedExponential(t *testing.T) {
@@ -36,40 +34,9 @@ func TestNormalized(t *testing.T) {
 	if p != d {
 		t.Fatalf("zero policy normalized to %+v, want defaults %+v", p, d)
 	}
-	p = Policy{MaxAttempts: 2, Jitter: 0.5}.Normalized(d)
-	if p.MaxAttempts != 2 || p.Base != d.Base || p.Jitter != 0.5 {
+	p = Policy{MaxAttempts: 2}.Normalized(d)
+	if p.MaxAttempts != 2 || p.Base != d.Base || p.Max != d.Max {
 		t.Fatalf("partial policy normalized to %+v", p)
-	}
-	if p := (Policy{Jitter: -1}).Normalized(d); p.Jitter != 0 {
-		t.Fatalf("negative jitter normalized to %v, want 0", p.Jitter)
-	}
-}
-
-func TestJitterBoundsAndDeterminism(t *testing.T) {
-	p := Policy{MaxAttempts: 8, Base: 10e-3, Max: 100e-3, Jitter: 0.25}
-	mk := func() func() float64 {
-		inj := netsim.NewInjector(42)
-		return inj.Uniform
-	}
-	r1, r2 := mk(), mk()
-	for a := 1; a <= 8; a++ {
-		base := p.Backoff(a)
-		d1 := p.BackoffJittered(a, r1)
-		if d1 < base*0.75 || d1 >= base*1.25 {
-			t.Fatalf("attempt %d: jittered %v outside [%v, %v)", a, d1, base*0.75, base*1.25)
-		}
-		if d2 := p.BackoffJittered(a, r2); d2 != d1 {
-			t.Fatalf("attempt %d: same seed gave %v then %v", a, d1, d2)
-		}
-	}
-	// No source or no jitter: exact.
-	if got := p.BackoffJittered(3, nil); got != p.Backoff(3) {
-		t.Fatalf("nil source jittered = %v, want %v", got, p.Backoff(3))
-	}
-	q := p
-	q.Jitter = 0
-	if got := q.BackoffJittered(3, mk()); got != p.Backoff(3) {
-		t.Fatalf("zero jitter = %v, want %v", got, p.Backoff(3))
 	}
 }
 

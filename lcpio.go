@@ -37,6 +37,7 @@ import (
 	"lcpio/internal/fpdata"
 	"lcpio/internal/machine"
 	"lcpio/internal/obs"
+	"lcpio/internal/perf"
 	"lcpio/internal/phases"
 	"lcpio/internal/regress"
 )
@@ -162,11 +163,27 @@ func GenerateField(spec DatasetSpec, scale int, seed int64) *Field {
 // Config controls an experiment campaign.
 type Config = core.Config
 
-// CompressionStudy is the Section IV-A measurement campaign.
-type CompressionStudy = core.CompressionStudy
+// Study is a measurement campaign: Section IV-A's compression sweeps or
+// Section IV-B's data-writing sweeps. Study.Fit(TableIV) and Fit(TableV)
+// regress the paper's models; Study.Characteristics builds its figures.
+type Study = core.Study
 
-// TransitStudy is the Section IV-B measurement campaign.
-type TransitStudy = core.TransitStudy
+// Partition is a named slice of a study's entries; TableIV and TableV are
+// the model-data partitions of the paper's Tables IV and V.
+type Partition = core.Partition
+
+var (
+	TableIV = core.TableIV
+	TableV  = core.TableV
+)
+
+// ScaledPower (Figures 1 and 3), ScaledRuntime (Figures 2 and 4) and
+// ScaledEnergy select the curve Study.Characteristics plots.
+var (
+	ScaledPower   core.Extract = perf.Sweep.ScaledPower
+	ScaledRuntime core.Extract = perf.Sweep.ScaledRuntime
+	ScaledEnergy  core.Extract = core.ScaledEnergy
+)
 
 // ModelRow is one row of Table IV or V.
 type ModelRow = core.ModelRow
@@ -193,21 +210,22 @@ type (
 type Headlines = core.Headlines
 
 // RunCompressionStudy executes the compression measurement campaign.
-func RunCompressionStudy(cfg Config) (*CompressionStudy, error) {
+func RunCompressionStudy(cfg Config) (*Study, error) {
 	return core.RunCompressionStudy(cfg)
 }
 
 // RunTransitStudy executes the data-writing measurement campaign.
-func RunTransitStudy(cfg Config) (*TransitStudy, error) {
+func RunTransitStudy(cfg Config) (*Study, error) {
 	return core.RunTransitStudy(cfg)
 }
 
 // PaperRecommendation returns the paper's Eqn 3 fractions.
 func PaperRecommendation() Recommendation { return core.PaperRecommendation() }
 
-// DeriveRecommendation computes a data-driven Eqn 3 from two studies.
-func DeriveRecommendation(cs *CompressionStudy, ts *TransitStudy) (Recommendation, error) {
-	return core.DeriveRecommendation(cs, ts)
+// DeriveRecommendation computes a data-driven Eqn 3 from the compression
+// and the data-writing study.
+func DeriveRecommendation(compression, writing *Study) (Recommendation, error) {
+	return core.DeriveRecommendation(compression, writing)
 }
 
 // RunDataDump reproduces the Figure 6 experiment.

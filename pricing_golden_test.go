@@ -332,13 +332,15 @@ func goldenCluster(t *testing.T, g *goldenRows) {
 }
 
 func goldenCore(t *testing.T, g *goldenRows) {
-	cfg := core.Config{Seed: 3, RatioElems: 1 << 13, ErrorBounds: []float64{1e-2, 1e-4}, Workers: 2}
+	// The rows were recorded at two of the paper's four bounds, 1e-2 and
+	// 1e-4 (a study prices each bound on its own): results 1 and 3.
+	cfg := core.Config{Seed: 3, RatioElems: 1 << 13, Workers: 2}
 	dcfg := core.DumpConfig{TotalBytes: 16 << 30, Chip: "Skylake", Codec: "zfp", Dataset: "HACC"}
 	dump, err := core.RunDataDump(cfg, dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range dump {
+	for i, r := range []core.DumpResult{dump[1], dump[3]} {
 		p := fmt.Sprintf("core.dump[%d]", i)
 		g.add(p+".base_compress_j", r.BaseCompressJ)
 		g.add(p+".base_transit_j", r.BaseTransitJ)
@@ -351,7 +353,7 @@ func goldenCore(t *testing.T, g *goldenRows) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range load {
+	for i, r := range []core.LoadResult{load[1], load[3]} {
 		p := fmt.Sprintf("core.load[%d]", i)
 		g.add(p+".base_read_j", r.BaseReadJ)
 		g.add(p+".base_decompress_j", r.BaseDecompressJ)
