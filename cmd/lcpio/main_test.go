@@ -6,6 +6,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -347,5 +349,92 @@ func TestFlagValuesRefused(t *testing.T) {
 		if out != "" {
 			t.Errorf("%s: printed before refusing:\n%s", tc.name, out)
 		}
+	}
+}
+
+// siJoules reads back a tables.FormatSI energy such as "93.41 kJ".
+func siJoules(t *testing.T, value, unit string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(value, 64)
+	if err != nil {
+		t.Fatalf("energy %q %q: %v", value, unit, err)
+	}
+	scale, ok := map[string]float64{"J": 1, "kJ": 1e3, "MJ": 1e6, "GJ": 1e9}[unit]
+	if !ok {
+		t.Fatalf("energy unit %q", unit)
+	}
+	return v * scale
+}
+
+// TestCommandsPrintLinearEnergy: what a command prints must scale with the
+// volume it was asked about. A modeled joule count that wraps (a 32-bit
+// counter of 2^-14 J units does, every 262 kJ) turns the advisor's search
+// into a sawtooth, the fleet comparison's savings into noise, and the
+// break-even solver's lower bracket into "never".
+func TestCommandsPrintLinearEnergy(t *testing.T) {
+	run := func(cmd func([]string) error, args ...string) string {
+		out, err := captureStdout(t, func() error { return cmd(args) })
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		return out
+	}
+
+	// advise: 8x the volume is the same pick at 8x the energy.
+	pickRE := regexp.MustCompile(`(?m)^pick: (\S+ at eb=\S+ \d+ workers, \S+ GHz) — (\S+) (\S+) predicted`)
+	pick := func(gb string) (config string, joules float64) {
+		m := pickRE.FindStringSubmatch(run(cmdAdvise, "-gb", gb))
+		if m == nil {
+			t.Fatalf("advise -gb %s printed no pick line", gb)
+		}
+		return m[1], siJoules(t, m[2], m[3])
+	}
+	cfg512, j512 := pick("512")
+	cfg4096, j4096 := pick("4096")
+	if cfg512 != cfg4096 {
+		t.Errorf("advise picks %q for 512 GiB but %q for 4096 GiB", cfg512, cfg4096)
+	}
+	if r := j4096 / j512; math.Abs(r-8) > 0.01 {
+		t.Errorf("advise: 4096 GiB costs %.4g J, 512 GiB %.4g J: x%.3f, want x8", j4096, j512, r)
+	}
+
+	// cluster: the tuning saving is a ratio of energies, so it does not
+	// depend on the per-node volume.
+	savesRE := regexp.MustCompile(`tuning saves (\S+)% fleet energy`)
+	saves := func(gb string) string {
+		m := savesRE.FindStringSubmatch(run(cmdCluster, "-per-node-gb", gb))
+		if m == nil {
+			t.Fatalf("cluster -per-node-gb %s printed no savings line", gb)
+		}
+		return m[1]
+	}
+	if s64, s4096 := saves("64"), saves("4096"); s64 != s4096 {
+		t.Errorf("cluster: tuning saves %s%% at 64 GiB/node but %s%% at 4096 GiB/node", s64, s4096)
+	}
+
+	// transit at its default flags: a row with a finite break-even
+	// bandwidth has a finite energy break-even too. A bandwidth prints as
+	// two fields ("474.15 Mbps") or as one word, "never" or "always".
+	bandwidth := func(f []string) (string, []string) {
+		if len(f) >= 2 && strings.HasSuffix(f[1], "bps") {
+			return f[0] + " " + f[1], f[2:]
+		}
+		return f[0], f[1:]
+	}
+	rows := 0
+	for _, line := range strings.Split(run(cmdTransit), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 9 || (f[0] != "sz" && f[0] != "zfp") {
+			continue // not a row of the economics table
+		}
+		rows++
+		be, rest := bandwidth(f[5:])
+		energyBE, _ := bandwidth(rest)
+		if strings.HasSuffix(be, "bps") && !strings.HasSuffix(energyBE, "bps") {
+			t.Errorf("transit %s %s: break-even %s but energy break-even %q", f[0], f[1], be, energyBE)
+		}
+	}
+	if rows != 4 {
+		t.Errorf("transit printed %d economics rows, want 4", rows)
 	}
 }

@@ -12,10 +12,15 @@
 //	              the wire under the NFS async window, so wall time is a
 //	              smooth maximum of the two
 //
-// and integrates chip power (busy during CPU work, wait-power during
-// stalls) plus a DRAM component through a rapl.Meter. Multiplicative
-// measurement noise (seeded, deterministic) reproduces run-to-run variance
-// so the regression pipeline downstream is exercised realistically.
+// and integrates power over that time itself, per component: package energy
+// is busy power over the CPU work plus wait power over the stalls, DRAM
+// energy an idle floor over the whole run plus active power over the
+// stalls. Nothing sits between the power model and the (joules, seconds)
+// its consumers read — in particular no emulated hardware counter, whose
+// 61 uJ tick and 32-bit wrap belong to reading real RAPL, not to evaluating
+// a model. Multiplicative measurement noise (seeded, deterministic)
+// reproduces run-to-run variance so the regression pipeline downstream is
+// exercised realistically.
 //
 // The per-codec cycle and stall coefficients below are calibration
 // constants: they are chosen so the simulated timing shares reproduce the
@@ -31,7 +36,6 @@ import (
 	"lcpio/internal/dvfs"
 	"lcpio/internal/netsim"
 	"lcpio/internal/nfs"
-	"lcpio/internal/rapl"
 )
 
 // Kind labels the workload class, which selects the runtime composition.
@@ -248,10 +252,14 @@ func DedupWorkload(rawBytes int64, chip *dvfs.Chip) (Workload, error) {
 type Sample struct {
 	FreqGHz  float64
 	Seconds  float64
-	Joules   float64
+	Joules   float64 // PackageJoules + DRAMJoules
 	AvgWatts float64
 	CPUBusy  float64 // seconds the core spent in frequency-scaled work
-	Report   rapl.Report
+	// PackageJoules covers the CPU socket (cores, caches, uncore) and
+	// DRAMJoules the memory subsystem: the two components a RAPL reader
+	// reports as energy-pkg and energy-ram.
+	PackageJoules float64
+	DRAMJoules    float64
 }
 
 // Node is a simulated host.
@@ -320,27 +328,34 @@ func (n *Node) RunClean(w Workload, f float64) Sample {
 		wait = 0
 	}
 
-	var m rapl.Meter
-	sess := rapl.Start(&m)
 	busyPower := chip.BusyPower(f)
 	if cores > 1 {
 		busyPower = chip.PowerN(f, cores, 1)
 	}
-	m.AddPhase(rapl.Package, busyPower, busy)
-	m.AddPhase(rapl.Package, waitPower, wait)
-	m.AddPhase(rapl.DRAM, dramIdleWatts, total)
-	// Active DRAM power during the stall/transfer phases.
-	m.AddPhase(rapl.DRAM, dramActiveWatts-dramIdleWatts, wait)
-	rep := sess.Stop()
-
-	return Sample{
-		FreqGHz:  f,
-		Seconds:  rep.Seconds,
-		Joules:   rep.TotalJoules(),
-		AvgWatts: rep.AvgPowerWatts(),
-		CPUBusy:  busy,
-		Report:   rep,
+	s := Sample{
+		FreqGHz:       f,
+		Seconds:       busy + wait,
+		CPUBusy:       busy,
+		PackageJoules: joules(busyPower, busy) + joules(waitPower, wait),
+		// Idle floor over the whole run, active power during the
+		// stall/transfer phases.
+		DRAMJoules: joules(dramIdleWatts, total) + joules(dramActiveWatts-dramIdleWatts, wait),
 	}
+	s.Joules = s.PackageJoules + s.DRAMJoules
+	if s.Seconds > 0 {
+		s.AvgWatts = s.Joules / s.Seconds
+	}
+	return s
+}
+
+// joules is one term of the integral: constant power over a duration. A
+// negative or NaN term contributes nothing — workloads can be built from
+// numbers that arrived in a service frame, and energy must stay monotone.
+func joules(watts, seconds float64) float64 {
+	if j := watts * seconds; j > 0 {
+		return j
+	}
+	return 0
 }
 
 // pnorm3 is a smooth maximum: (a^3 + b^3)^(1/3).

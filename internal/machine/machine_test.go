@@ -112,8 +112,61 @@ func TestEnergyRuntimePowerConsistent(t *testing.T) {
 	if math.Abs(s.AvgWatts*s.Seconds-s.Joules) > 1e-6*s.Joules {
 		t.Fatalf("E != P*t: %v * %v != %v", s.AvgWatts, s.Seconds, s.Joules)
 	}
-	if s.Report.PackageJoules <= s.Report.DRAMJoules {
-		t.Fatalf("package energy should dominate DRAM: %+v", s.Report)
+	if s.PackageJoules <= s.DRAMJoules {
+		t.Fatalf("package energy should dominate DRAM: %+v", s)
+	}
+}
+
+// RunClean is the integral P·t written out per component, with nothing
+// rounding or wrapping the result on the way to the caller.
+func TestRunCleanIntegratesPowerOverTime(t *testing.T) {
+	chip := dvfs.Broadwell()
+	n := NewNode(chip, 1)
+	const f = 1.75
+	for _, bytes := range []int64{1, 1 << 10, 1 << 30, 1 << 50} {
+		w, err := CompressionWorkloadWithRatio("sz", bytes, 1e-3, 8, chip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := n.RunClean(w, f)
+		busy, wait := w.CPUCycles/(f*1e9), w.StallSeconds
+		wantPkg := chip.BusyPower(f)*busy + chip.MemWaitPower(f)*wait
+		wantDRAM := dramIdleWatts*(busy+wait) + (dramActiveWatts-dramIdleWatts)*wait
+		// Equal to rounding: no 61 uJ tick at 1 B, no wrap at 1 PiB.
+		near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-14*want }
+		if !near(s.Seconds, busy+wait) || s.CPUBusy != busy {
+			t.Errorf("%d B: seconds %v, busy %v; want %v, %v", bytes, s.Seconds, s.CPUBusy, busy+wait, busy)
+		}
+		if !near(s.PackageJoules, wantPkg) || !near(s.DRAMJoules, wantDRAM) || s.Joules != s.PackageJoules+s.DRAMJoules {
+			t.Errorf("%d B: package %v J, DRAM %v J, total %v J; want %v, %v, %v",
+				bytes, s.PackageJoules, s.DRAMJoules, s.Joules, wantPkg, wantDRAM, wantPkg+wantDRAM)
+		}
+		if s.Joules <= 0 {
+			t.Errorf("%d B: a run that takes %v s costs %v J", bytes, s.Seconds, s.Joules)
+		}
+	}
+}
+
+// A workload with a negative or NaN amount of work (its fields can come
+// from a service frame) must not subtract energy or poison the total.
+func TestRunCleanIgnoresNegativeAndNaNTerms(t *testing.T) {
+	chip := dvfs.Skylake()
+	n := NewNode(chip, 1)
+	stall := Workload{Kind: KindCompress, StallSeconds: 2}
+	want := n.RunClean(stall, chip.BaseGHz)
+	if want.Joules <= 0 {
+		t.Fatalf("a 2 s stall costs %v J", want.Joules)
+	}
+	for name, cycles := range map[string]float64{"negative": -1e12, "NaN": math.NaN()} {
+		w := stall
+		w.CPUCycles = cycles
+		got := n.RunClean(w, chip.BaseGHz)
+		if math.IsNaN(got.Joules) || got.Joules < 0 || got.PackageJoules < 0 || got.DRAMJoules < 0 {
+			t.Errorf("%s cycles: %+v", name, got)
+		}
+		if got.Joules > want.Joules {
+			t.Errorf("%s cycles cost %v J, more than the stall alone (%v J)", name, got.Joules, want.Joules)
+		}
 	}
 }
 

@@ -362,7 +362,9 @@ const bisectSteps = 80
 // is positive below the break-even and non-positive above it, by bisection
 // in log space over [lo, hi]. The degenerate answers are 0 when the saving
 // is already gone at lo (the option never pays) and +Inf when it persists
-// at hi (it always pays).
+// at hi (it always pays). Callers difference priced legs, so the premise
+// rests on a leg's joules being linear in bytes and monotone in bandwidth
+// at any magnitude (TestLegLinearInBytes, TestMoveMonotone).
 func BreakEven(saved func(x float64) float64, lo, hi float64) float64 {
 	if saved(lo) <= 0 {
 		return 0

@@ -8,9 +8,10 @@
 //   - pure-Go SZ-style and ZFP-style error-bounded lossy compressors for
 //     float32 scientific arrays (Compress, Decompress, Codecs);
 //   - a simulated measurement substrate — DVFS chip models of the paper's
-//     CloudLab nodes, RAPL-style energy accounting, and an NFS write path
-//     over 10 GbE — standing in for the privileged hardware access the
-//     paper uses (see DESIGN.md for the substitution inventory);
+//     CloudLab nodes, per-component (package + DRAM) energy integration, and
+//     an NFS write path over 10 GbE — standing in for the privileged
+//     hardware access the paper uses (see DESIGN.md for the substitution
+//     inventory);
 //   - the paper's methodology: frequency sweeps, non-linear regression of
 //     P(f) = a*f^b + c, scaled power/runtime characteristics, the Eqn 3
 //     frequency tuning rule, and the 512 GB data-dumping study.
