@@ -46,8 +46,8 @@ func (s *Study) Select(p Partition) *Study {
 	return out
 }
 
-// groupBy splits the study into the distinct partitions of(entry) names,
-// in the order they first appear.
+// groupBy lists the distinct partitions that of assigns the study's entries
+// to, in the order they first appear.
 func (s *Study) groupBy(of func(Entry) Partition) []Partition {
 	seen := map[Partition]bool{}
 	var out []Partition

@@ -48,15 +48,16 @@ func ValidateBroadwellModel(cfg Config, fit regress.PowerLawFit) (Validation, er
 					if err != nil {
 						return nil, fmt.Errorf("core: validation codec run: %w", err)
 					}
+					ratio := res.Ratio()
 					w, err := machine.CompressionWorkloadWithRatio(
-						codec, spec.PaperBytes, heldOutEB, res.Ratio(), chip)
+						codec, spec.PaperBytes, heldOutEB, ratio, chip)
 					if err != nil {
 						return nil, err
 					}
 					list = append(list, sweepJob{
 						label: fmt.Sprintf("ISABEL/%s/%s", spec.Field, codec),
 						w:     w,
-						tags:  Entry{Codec: codec, Dataset: spec.Dataset, EB: heldOutEB, Ratio: res.Ratio()},
+						tags:  Entry{Codec: codec, Dataset: spec.Dataset, EB: heldOutEB, Ratio: ratio},
 					})
 				}
 			}

@@ -252,7 +252,7 @@ func DedupWorkload(rawBytes int64, chip *dvfs.Chip) (Workload, error) {
 type Sample struct {
 	FreqGHz  float64
 	Seconds  float64
-	Joules   float64 // PackageJoules + DRAMJoules
+	Joules   float64 // both components together
 	AvgWatts float64
 	CPUBusy  float64 // seconds the core spent in frequency-scaled work
 	// PackageJoules covers the CPU socket (cores, caches, uncore) and
@@ -284,6 +284,8 @@ func (n *Node) Run(w Workload, f float64) Sample {
 	en := 1 + noiseSigma*(0.6*n.rng.normal()+0.4*(tn-1)/noiseSigma)
 	s.Seconds *= tn
 	s.Joules *= en
+	s.PackageJoules *= en
+	s.DRAMJoules *= en
 	if s.Seconds > 0 {
 		s.AvgWatts = s.Joules / s.Seconds
 	}

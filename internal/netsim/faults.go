@@ -2,7 +2,7 @@ package netsim
 
 // Injector is a deterministic seeded fault source shared by the transient-
 // fault models layered over this package's links: the nfs transfer pipeline
-// (dropped RPCs, latency spikes, short writes) and the checkpoint store's
+// (dropped RPCs, short writes) and the checkpoint store's
 // storage medium (transient write errors, read corruption). Every decision
 // is drawn from one xorshift128+ stream, so a given seed reproduces the
 // exact same fault schedule — which is what makes retry paths testable.

@@ -259,9 +259,8 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 }
 
 // TestSeededScheduleUnchanged pins one seeded drop + short-write schedule
-// draw for draw: the fault counts and the exact simulated times recorded
-// before the spike and jitter knobs (which this schedule never used) were
-// removed from FaultConfig.
+// draw for draw — fault counts and exact simulated times — so a change to
+// FaultConfig that is meant to leave seeded schedules alone can show it.
 func TestSeededScheduleUnchanged(t *testing.T) {
 	b := int64(64 << 20)
 	for _, tc := range []struct {

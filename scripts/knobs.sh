@@ -8,11 +8,12 @@
 #
 # Same spirit and caveats as unreached.sh: matching is by bare field name
 # with // comments and string literals stripped, so the list is a reading
-# aid, not a gate. A name shared by two structs hides both when either is
+# aid. A name shared by two structs hides both when either is
 # set; a `case Name:` or a map key of the same name hides it too; a default
 # written in a constructor rather than in normalized() counts as a setter;
 # embedded fields and structs declared inside a `type (...)` group are not
-# looked at. The count is printed last.
+# looked at. The count is printed last, and is a ratchet: scripts/check.sh
+# fails when it exceeds the total in scripts/census.txt.
 set -eu
 cd "$(dirname "$0")/.."
 find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | sort | xargs awk '
