@@ -456,17 +456,13 @@ func FuzzLosslessDifferential(f *testing.F) {
 }
 
 func BenchmarkDecompress(b *testing.B) {
-	repetitive := make([]byte, 1<<18)
-	for i := range repetitive {
-		repetitive[i] = byte((i / 11) % 61)
-	}
 	// repetitive is nearly all long matches; noisy is the regime the sz
 	// stage is in on a noisy field — literal after literal, ratio ~1 — which
 	// is where the Huffman decode, not the match copy, sets the speed.
 	for _, tc := range []struct {
 		name string
 		src  []byte
-	}{{"repetitive", repetitive}, {"noisy", noisyBytes(1<<18, 1)}} {
+	}{{"repetitive", repetitiveBytes(1 << 18)}, {"noisy", noisyBytes(1<<18, 1)}} {
 		b.Run(tc.name, func(b *testing.B) {
 			comp := Compress(tc.src, Options{})
 			dst := make([]byte, 0, len(tc.src))

@@ -1,0 +1,127 @@
+package sz
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"lcpio/internal/fpdata"
+	"lcpio/internal/wire"
+)
+
+var updateSweep = flag.Bool("update-sweep", false, "record testdata/stage_sweep.golden from the current encoder")
+
+const (
+	sweepElems = 256 << 10
+	sweepSeed  = 1
+	sweepPath  = "testdata/stage_sweep.golden"
+)
+
+// partitionPayloads walks a v4 stream's header and partition index and
+// returns each partition's lossless-coded payload.
+func partitionPayloads(t *testing.T, stream []byte) [][]byte {
+	t.Helper()
+	rd := wire.NewReader(stream, ErrCorrupt)
+	for i := 0; i < 5; i++ { // magic, version, kind, quantBits, predOrder
+		rd.Uint32()
+	}
+	rd.Float64()
+	for nd := rd.Uint32(); nd > 0; nd-- {
+		rd.Uint64()
+	}
+	rd.Uint32() // splitDepth
+	lens := make([]int, rd.Uint32())
+	for i := range lens {
+		rd.Uint64() // rows
+		lens[i] = int(rd.Uint64())
+	}
+	payloads := make([][]byte, len(lens))
+	for i, n := range lens {
+		payloads[i] = rd.Bytes(n)
+	}
+	if rd.Err() != nil || rd.Remaining() != 0 {
+		t.Fatalf("stream does not parse as header + index + payloads: err %v, %d bytes left", rd.Err(), rd.Remaining())
+	}
+	return payloads
+}
+
+// storedPartitions counts the payloads the lossless stage wrote in its stored
+// form: the top bit of the 64-bit length word, which a deflate stream (raw
+// length at most 2^40) never sets.
+func storedPartitions(payloads [][]byte) int {
+	n := 0
+	for _, p := range payloads {
+		if len(p) > 0 && p[0]&0x80 != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLosslessStageSweep holds the compressed size of every fpdata generator
+// at every bound from 1e-1 to 1e-6 against the sizes recorded before the
+// lossless stage was gated (testdata/stage_sweep.golden, one line per tuple).
+// A tuple all of whose partitions stay on deflate must keep its size exactly;
+// one with stored partitions may grow by at most 1.5 %, and is logged with
+// its old and new size.
+func TestLosslessStageSweep(t *testing.T) {
+	type tuple struct {
+		name string
+		size int
+	}
+	var got []tuple
+	stored := map[string][2]int{}
+	for _, spec := range append(fpdata.TableI(), fpdata.IsabelFields()...) {
+		f := fpdata.Generate(spec, spec.ScaleFor(sweepElems), sweepSeed)
+		lo, hi := f.Range()
+		for _, rel := range []float64{1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6} {
+			stream, err := NewHandle(1).Compress(f.Data, f.Dims, rel*float64(hi-lo))
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s/%s@%g", spec.Dataset, spec.Field, rel)
+			got = append(got, tuple{name, len(stream)})
+			parts := partitionPayloads(t, stream)
+			if n := storedPartitions(parts); n > 0 {
+				stored[name] = [2]int{n, len(parts)}
+			}
+		}
+	}
+	if *updateSweep {
+		var b strings.Builder
+		for _, tp := range got {
+			fmt.Fprintf(&b, "%s %d\n", tp.name, tp.size)
+		}
+		if err := os.WriteFile(filepath.FromSlash(sweepPath), []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(filepath.FromSlash(sweepPath))
+	if err != nil {
+		t.Fatalf("%v; record it with -update-sweep", err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != len(got) {
+		t.Fatalf("%s has %d tuples, the sweep %d", sweepPath, len(lines), len(got))
+	}
+	for i, line := range lines {
+		var name string
+		var want int
+		if _, err := fmt.Sscanf(line, "%s %d", &name, &want); err != nil || name != got[i].name {
+			t.Fatalf("%s line %d: %q, want tuple %s", sweepPath, i+1, line, got[i].name)
+		}
+		size := got[i].size
+		if st, ok := stored[name]; ok {
+			t.Logf("%s: %d of %d partitions stored, %d -> %d bytes (%+.3f %%)",
+				name, st[0], st[1], want, size, 100*float64(size-want)/float64(want))
+			if float64(size) > 1.015*float64(want) {
+				t.Errorf("%s: %d bytes, more than 1.5 %% above the recorded %d", name, size, want)
+			}
+		} else if size != want {
+			t.Errorf("%s: every partition on deflate, yet %d bytes differ from the recorded %d", name, size, want)
+		}
+	}
+}
