@@ -134,7 +134,7 @@ func TestHandleMatchesGoldens(t *testing.T) {
 			}
 		}
 	}
-	if decoded != 3*(4+5) {
-		t.Fatalf("decoded %d golden images, want 4 sz + 5 zfp at three worker counts", decoded)
+	if decoded != 3*(5+5) {
+		t.Fatalf("decoded %d golden images, want 5 sz + 5 zfp at three worker counts", decoded)
 	}
 }

@@ -2,10 +2,12 @@ package lossless
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"lcpio/internal/bitstream"
@@ -116,13 +118,23 @@ func (c *refCode) decode(r *bitstream.Reader) (int, error) {
 
 // refDecompress is the decode loop as it stood before the word-at-a-time
 // rewrite — bit-serial Huffman, one append per match byte — with every
-// hostile-input check in the same order. It returns the reader so tests can
-// compare the final bit position too.
+// hostile-input check in the same order, and the stored form read the same
+// way: a byte at a time. It returns the reader so tests can compare the
+// final bit position too.
 func refDecompress(dst, buf []byte) ([]byte, *bitstream.Reader, error) {
 	r := bitstream.NewReader(buf)
 	n64, err := r.ReadBits(64)
 	if err != nil {
 		return nil, r, err
+	}
+	if n64>>63 == 1 {
+		if n64<<1>>1 != uint64(len(buf)-8) {
+			return nil, r, ErrCorrupt
+		}
+		for _, b := range buf[8:] {
+			dst = append(dst, b)
+		}
+		return dst, r, nil
 	}
 	if n64 > 1<<40 {
 		return nil, r, ErrCorrupt
@@ -236,6 +248,15 @@ func diffDecompress(t *testing.T, buf []byte, what string) (ok bool) {
 	return true
 }
 
+// deflated returns src's deflate form whether or not it is the smaller one.
+// The decoder reads any well-formed deflate stream, so its corpus is not
+// limited to the inputs on which the encoder keeps that form.
+func deflated(src []byte) []byte {
+	st := encPool.Get().(*encState)
+	defer encPool.Put(st)
+	return append([]byte(nil), st.deflate(src, Defaults())...)
+}
+
 // noisyBytes is what the sz stage hands this one on a noisy field: Huffman
 // output, close to uniform, with just enough skew and the odd short repeat
 // that the matcher finds little and the ratio sits at 1.
@@ -304,22 +325,25 @@ func TestDecompressMatchesReference(t *testing.T) {
 				t.Fatalf("%s: tokenizer produced no match of the kind this case is for", tc.name)
 			}
 		}
-		comp := Compress(src, Options{})
-		if !diffDecompress(t, comp, tc.name) {
-			t.Fatalf("%s: valid stream rejected", tc.name)
-		}
-		got, err := Decompress(comp)
-		if err != nil || !bytes.Equal(got, src) {
-			t.Fatalf("%s: round trip failed: %v", tc.name, err)
-		}
-		for cut := 0; cut < len(comp); cut++ {
-			// Every prefix through the header and tables and at the tail;
-			// the long literal middle of the big streams is sampled.
-			if cut > 800 && cut < len(comp)-100 && cut%53 != 0 {
-				continue
+		// Both forms of every input: the deflate stream, and what Compress
+		// writes, which for five of the nine is the stored form.
+		for _, comp := range [][]byte{deflated(src), Compress(src, Options{})} {
+			if !diffDecompress(t, comp, tc.name) {
+				t.Fatalf("%s: valid stream rejected", tc.name)
 			}
-			if diffDecompress(t, comp[:cut], tc.name+" prefix") {
-				t.Fatalf("%s: %d-byte prefix of a %d-byte stream decoded", tc.name, cut, len(comp))
+			got, err := Decompress(comp)
+			if err != nil || !bytes.Equal(got, src) {
+				t.Fatalf("%s: round trip failed: %v", tc.name, err)
+			}
+			for cut := 0; cut < len(comp); cut++ {
+				// Every prefix through the header and tables and at the tail;
+				// the long literal middle of the big streams is sampled.
+				if cut > 800 && cut < len(comp)-100 && cut%53 != 0 {
+					continue
+				}
+				if diffDecompress(t, comp[:cut], tc.name+" prefix") {
+					t.Fatalf("%s: %d-byte prefix of a %d-byte stream decoded", tc.name, cut, len(comp))
+				}
 			}
 		}
 	}
@@ -414,7 +438,7 @@ func TestAppendDecompressSteadyStateAllocs(t *testing.T) {
 func losslessSeeds(tb testing.TB) [][]byte {
 	var seeds [][]byte
 	for _, tc := range matchCorpus {
-		seeds = append(seeds, Compress(tc.src(), Options{}))
+		seeds = append(seeds, deflated(tc.src()))
 	}
 	goldens, err := filepath.Glob(filepath.Join("..", "sz", "testdata", "golden_v4_*"))
 	if err != nil || len(goldens) == 0 {
@@ -434,9 +458,68 @@ func losslessSeeds(tb testing.TB) [][]byte {
 		if len(raw) > 1<<15 {
 			raw = raw[:1<<15]
 		}
-		seeds = append(seeds, Compress(raw, Options{}))
+		seeds = append(seeds, deflated(raw))
 	}
 	return seeds
+}
+
+// storedStreams returns well-formed stored streams — short, 64 KiB and
+// zero-length — and forgeries of them: every byte-prefix of the short one,
+// the long one cut short or with its length word off by one either way or
+// at 2^63-1, and a deflate stream with the stored flag forced on.
+func storedStreams(tb testing.TB) (valid, forged [][]byte) {
+	short := Compress(noisyBytes(40, 5), Defaults())
+	long := Compress(noisyBytes(1<<16, 9), Defaults())
+	empty := Compress(nil, Defaults())
+	valid = [][]byte{short, long, empty}
+	for _, s := range valid {
+		if !Stored(s) {
+			tb.Fatalf("%d-byte stream is not in the stored form", len(s))
+		}
+	}
+	for cut := 0; cut < len(short); cut++ {
+		forged = append(forged, short[:cut])
+	}
+	withWord := func(s []byte, word uint64) []byte {
+		out := append([]byte(nil), s...)
+		binary.BigEndian.PutUint64(out, word)
+		return out
+	}
+	n := uint64(len(long) - storedOverhead)
+	flagged := deflated(bytes.Repeat([]byte("hello world "), 100))
+	flagged[0] |= 0x80
+	forged = append(forged,
+		long[:len(long)-1],
+		withWord(long, storedFlag|(n+1)),
+		withWord(long, storedFlag|(n-1)),
+		withWord(long, 1<<64-1),
+		flagged)
+	return valid, forged
+}
+
+// TestStoredFormHostile: every forged stored stream is refused as corrupt
+// (or, shorter than its length word, as overrun) before its payload is
+// copied anywhere; the well-formed ones round-trip.
+func TestStoredFormHostile(t *testing.T) {
+	valid, forged := storedStreams(t)
+	for _, s := range valid {
+		got, err := Decompress(s)
+		if err != nil || !bytes.Equal(got, s[storedOverhead:]) {
+			t.Fatalf("%d-byte stored stream: err %v, payload intact %v", len(s), err, bytes.Equal(got, s[storedOverhead:]))
+		}
+	}
+	for i, s := range forged {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decompress(s)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, bitstream.ErrOverrun) {
+			t.Errorf("forged stream %d (%d bytes): err %v, want ErrCorrupt or ErrOverrun", i, len(s), err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
+			t.Errorf("forged stream %d (%d bytes): refusal allocated %d bytes", i, len(s), got)
+		}
+	}
 }
 
 // FuzzLosslessDifferential: on any bytes the decoder and the bit-serial
@@ -449,6 +532,10 @@ func FuzzLosslessDifferential(f *testing.F) {
 		flip := append([]byte(nil), s...)
 		flip[len(flip)*2/3] ^= 0x10
 		f.Add(flip)
+	}
+	valid, forged := storedStreams(f)
+	for _, s := range append(valid, forged...) {
+		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		diffDecompress(t, in, "fuzz input")

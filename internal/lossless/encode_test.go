@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -85,7 +86,8 @@ type namedInput struct {
 }
 
 // parentSHA is SHA-256 of Compress(x, Defaults()) for every corpus input,
-// recorded at the commit before the encoder was touched.
+// recorded at the commit before the encoder was touched, when every stream
+// was a deflate stream.
 var parentSHA = map[string]string{
 	"rle-dist1":          "1f3c2384e608d1a49edc0d2ebd7d1b2e92beea1814307e09795c66eaf986a81a", // 38 bytes
 	"period3-overlap":    "5187c31bd71cbf56d60419142338a0d8985b22a3838de93881fdf5055b304c71", // 45 bytes
@@ -106,17 +108,69 @@ var parentSHA = map[string]string{
 	"random-64k":         "135cf36222c3b41326ef7e676fab485a51ab5be755feb81c832658855d393989", // 65816 bytes
 }
 
-// TestCompressMatchesParentBytes: every stream the encoder writes is the
-// stream the parent wrote, byte for byte.
+// storedNow names the corpus inputs Compress writes in the stored form: the
+// near-uniform ones the gate sends there without a deflate pass, and the
+// short ones whose deflate form came out no smaller.
+var storedNow = map[string]bool{
+	"far-match": true, "noisy": true, "noisy-64k": true, "huffcoded-hacc": true, "random-64k": true,
+	"dist-equals-length": true, "empty": true, "one-literal": true, "two-bytes": true, "three-bytes": true,
+}
+
+// TestCompressMatchesParentBytes: the deflate form of every corpus input is
+// the stream the parent wrote, byte for byte, and Compress writes either
+// exactly that or the stored form — for the inputs named above and no other.
 func TestCompressMatchesParentBytes(t *testing.T) {
 	for _, tc := range encodeCorpus(t) {
+		body := deflated(tc.src)
+		sum := sha256.Sum256(body)
+		if got := hex.EncodeToString(sum[:]); got != parentSHA[tc.name] {
+			t.Errorf("%s: %d -> %d bytes, sha256 %s, parent wrote %q", tc.name, len(tc.src), len(body), got, parentSHA[tc.name])
+		}
 		comp := Compress(tc.src, Defaults())
 		if got, err := Decompress(comp); err != nil || !bytes.Equal(got, tc.src) {
 			t.Fatalf("%s: round trip failed: %v", tc.name, err)
 		}
-		sum := sha256.Sum256(comp)
-		if got := hex.EncodeToString(sum[:]); got != parentSHA[tc.name] {
-			t.Errorf("%s: %d -> %d bytes, sha256 %s, parent wrote %q", tc.name, len(tc.src), len(comp), got, parentSHA[tc.name])
+		switch {
+		case Stored(comp) != storedNow[tc.name]:
+			t.Errorf("%s: stored form %v, want %v (deflate %d bytes, gate estimate %.3f %%)",
+				tc.name, Stored(comp), storedNow[tc.name], len(body), 100*EntropyGain(tc.src))
+		case Stored(comp):
+			if len(comp) != len(tc.src)+storedOverhead || !bytes.Equal(comp[storedOverhead:], tc.src) {
+				t.Errorf("%s: stored form is not the length word and the input", tc.name)
+			}
+		case !bytes.Equal(comp, body):
+			t.Errorf("%s: Compress kept deflate but wrote other bytes than the deflate form", tc.name)
+		}
+	}
+}
+
+// TestNeverExpands: whatever the input — uniform bytes, Huffman-coded
+// residuals, a constant, every length too short to carry its own code tables
+// — the stream is at most the eight-byte length word longer.
+func TestNeverExpands(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	random := make([]byte, 1<<20)
+	rng.Read(random)
+	inputs := []namedInput{
+		{"random-1M", random},
+		{"random-64k", random[:1<<16]},
+		{"random-16", random[:16]},
+		{"huffcoded-nyx", huffCoded(t, "NYX", 1e-2, 128<<10)},
+		{"huffcoded-hacc", huffCoded(t, "HACC", 1e-4, 128<<10)},
+		{"zero-64k", make([]byte, 1<<16)},
+	}
+	for n := 0; n <= 64; n++ {
+		inputs = append(inputs,
+			namedInput{fmt.Sprintf("random-len%d", n), random[100 : 100+n]},
+			namedInput{fmt.Sprintf("zero-len%d", n), make([]byte, n)})
+	}
+	for _, tc := range inputs {
+		comp := Compress(tc.src, Defaults())
+		if len(comp) > len(tc.src)+storedOverhead {
+			t.Errorf("%s: %d bytes became %d", tc.name, len(tc.src), len(comp))
+		}
+		if got, err := Decompress(comp); err != nil || !bytes.Equal(got, tc.src) {
+			t.Fatalf("%s: round trip failed: %v", tc.name, err)
 		}
 	}
 }

@@ -10,12 +10,21 @@
 // (literals 0..255, end-of-block, length codes with extra bits, distance
 // codes with extra bits), which makes its compression behaviour — and its
 // CPU cost profile — representative of the real pipeline.
+//
+// The stage runs only where it can shrink its input. The encoder first
+// estimates, from one byte-histogram pass, what an order-0 coder could
+// remove; input with nothing to gain — the Huffman output of a noisy field
+// is all but uniform — is written in the stored form instead: the length
+// word with its top bit set, then the raw bytes. The same form replaces a
+// deflate body that came out no smaller, so a stream is never more than
+// eight bytes longer than its input. DESIGN §5i has the measurements.
 package lossless
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"lcpio/internal/bitstream"
@@ -42,6 +51,28 @@ const (
 
 	hashBits = 15
 	hashSize = 1 << hashBits
+
+	// storedFlag, in the 64-bit length word that opens every stream, marks
+	// the stored form: the low 63 bits count the raw bytes that follow
+	// verbatim. A deflate stream's length is at most 1<<40, so the forms
+	// cannot be confused, and a decoder older than the flag refuses a stored
+	// stream at that same length check.
+	storedFlag     = 1 << 63
+	storedOverhead = 8
+
+	// gateMinGain is the least share of its input the order-0 estimate must
+	// promise before the matcher runs. Over the 54-tuple sweep in DESIGN §5i
+	// every partition estimated below 0.5 % either grows under deflate or
+	// shrinks by less than 1.3 %, the next estimate up is 0.8 %, and each
+	// store decision costs a sixtieth of the deflate pass it replaces.
+	gateMinGain = 0.005
+
+	// gateMinLen is the shortest input the estimate is asked about. A
+	// 256-bin entropy estimate over n samples reads low by about
+	// 255/(2n ln 2) bits, which alone exceeds gateMinGain below 4.6 KB, so
+	// there it could only ever answer "deflate"; short inputs skip the
+	// histogram and go straight to deflate-then-compare.
+	gateMinLen = 4 << 10
 )
 
 // Options controls the matcher. The zero value is replaced by Defaults.
@@ -164,9 +195,23 @@ func Compress(src []byte, opts Options) []byte {
 // returning the extended slice. All scratch state comes from an internal
 // pool, so steady-state calls do not allocate beyond growing dst.
 func AppendCompress(dst, src []byte, opts Options) []byte {
-	opts = opts.normalized()
+	if len(src) >= gateMinLen && EntropyGain(src) < gateMinGain {
+		return appendStored(dst, src)
+	}
 	st := encPool.Get().(*encState)
 	defer encPool.Put(st)
+	// body aliases the pooled writer's buffer; it is copied into dst before
+	// the deferred Put makes it reusable.
+	body := st.deflate(src, opts.normalized())
+	if len(body) >= storedOverhead+len(src) {
+		return appendStored(dst, src)
+	}
+	return append(dst, body...)
+}
+
+// deflate writes src's deflate form — length word, code tables, token
+// payload — into st.w and returns its bytes.
+func (st *encState) deflate(src []byte, opts Options) []byte {
 	tokenizeInto(st, src, opts)
 
 	// Build histograms over the token alphabet.
@@ -198,9 +243,7 @@ func AppendCompress(dst, src []byte, opts Options) []byte {
 
 	w := &st.w
 	w.Reset()
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(src)))
-	w.WriteBits(binary.LittleEndian.Uint64(hdr[:]), 64)
+	w.WriteBits(uint64(len(src)), 64)
 	w.WriteBool(hasDist)
 	litLenCode.writeTable(w)
 	if hasDist {
@@ -219,9 +262,56 @@ func AppendCompress(dst, src []byte, opts Options) []byte {
 		w.WriteBits(uint64(t.matchDist()-distBase[dc]), distExtra[dc])
 	}
 	litLenCode.encode(w, symEOB)
-	// w.Bytes aliases the pooled writer's buffer; copy into dst before the
-	// deferred Put makes it reusable.
-	return append(dst, w.Bytes()...)
+	return w.Bytes()
+}
+
+func appendStored(dst, src []byte) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, storedFlag|uint64(len(src)))
+	return append(dst, src...)
+}
+
+// Stored reports whether stream, as written by Compress, is in the stored
+// form.
+func Stored(stream []byte) bool {
+	return len(stream) > 0 && stream[0]&(storedFlag>>56) != 0
+}
+
+// EntropyGain returns the share of src an ideal order-0 byte coder would
+// remove, 1 - H/8 with H the entropy of the byte histogram in bits: the
+// estimate AppendCompress gates the matcher on. It sees neither repeats nor
+// the cost of the code tables, which is why the encoder still compares sizes
+// after a deflate pass.
+func EntropyGain(src []byte) float64 {
+	if len(src) == 0 {
+		return 0
+	}
+	// Four lanes, so a run of one byte value is not a chain of dependent
+	// read-modify-writes of one counter. uint32 cannot wrap: the matcher's
+	// int32 positions already keep src below 2 GiB.
+	var lanes [4][256]uint32
+	i := 0
+	for ; i+8 <= len(src); i += 8 {
+		v := binary.LittleEndian.Uint64(src[i:])
+		lanes[0][byte(v)]++
+		lanes[1][byte(v>>8)]++
+		lanes[2][byte(v>>16)]++
+		lanes[3][byte(v>>24)]++
+		lanes[0][byte(v>>32)]++
+		lanes[1][byte(v>>40)]++
+		lanes[2][byte(v>>48)]++
+		lanes[3][byte(v>>56)]++
+	}
+	for ; i < len(src); i++ {
+		lanes[0][src[i]]++
+	}
+	n := float64(len(src))
+	var bits float64
+	for b := range lanes[0] {
+		if c := lanes[0][b] + lanes[1][b] + lanes[2][b] + lanes[3][b]; c > 0 {
+			bits += float64(c) * math.Log2(n/float64(c))
+		}
+	}
+	return 1 - bits/(8*n)
 }
 
 // decState is the decode-side counterpart of encState: the bit reader, both
@@ -257,6 +347,14 @@ func (st *decState) decompress(dst, buf []byte) ([]byte, error) {
 	n64, err := r.ReadBits(64)
 	if err != nil {
 		return nil, err
+	}
+	if n64&storedFlag != 0 {
+		// Stored: the word must count exactly the bytes that remain, so a
+		// forged length is refused before anything is sized by it.
+		if n64&^storedFlag != uint64(len(buf)-storedOverhead) {
+			return nil, ErrCorrupt
+		}
+		return append(dst, buf[storedOverhead:]...), nil
 	}
 	if n64 > 1<<40 {
 		return nil, ErrCorrupt

@@ -44,6 +44,25 @@ func goldenField32(dims []int) []float32 {
 	return data
 }
 
+// goldenNoisy32 is a particle-like 1-D field in the same exactly-specified
+// arithmetic: a slow staircase under bell-shaped noise (four summed bytes)
+// hundreds of quantization steps wide at eb 0.5, so the residual alphabet is
+// wide, the Huffman output close to uniform, and — in partitions of 8 Ki
+// elements, whose 8 KB is enough for the lossless stage's estimate to say so
+// — every partition is stored.
+func goldenNoisy32(dims []int) []float32 {
+	data := make([]float32, dims[0])
+	rng := uint32(0x2545F491)
+	for i := range data {
+		rng ^= rng << 13
+		rng ^= rng >> 17
+		rng ^= rng << 5
+		sum := float32(rng&0xFF) + float32(rng>>8&0xFF) + float32(rng>>16&0xFF) + float32(rng>>24)
+		data[i] = float32(i/512)*0.5 + (sum-510)*0.25
+	}
+	return data
+}
+
 func goldenField64(dims []int) []float64 {
 	f32 := goldenField32(dims)
 	out := make([]float64, len(f32))
@@ -56,16 +75,49 @@ func goldenField64(dims []int) []float64 {
 // goldenCases are the pinned streams. Compressed bytes are regenerated with
 // -update (named by the current version constant); the decoder reads only
 // that version, so a format bump replaces the files.
-var goldenCases = []struct {
+var goldenCases = []goldenCase{
+	{name: "order1_3d", dims: []int{6, 32, 32}, eb: 1e-3},
+	{name: "order1_2d", dims: []int{48, 64}, eb: 1e-4},
+	{name: "order1_1d", dims: []int{4096}, eb: 1e-3},
+	{name: "order1_3d_f64", dims: []int{6, 32, 32}, eb: 1e-6, f64: true},
+	{name: "stored_1d", dims: []int{16384}, eb: 0.5, partElems: 8192, field32: goldenNoisy32, stored: true},
+}
+
+type goldenCase struct {
 	name string
 	dims []int
 	eb   float64
 	f64  bool
-}{
-	{"order1_3d", []int{6, 32, 32}, 1e-3, false},
-	{"order1_2d", []int{48, 64}, 1e-4, false},
-	{"order1_1d", []int{4096}, 1e-3, false},
-	{"order1_3d_f64", []int{6, 32, 32}, 1e-6, true},
+	// partElems is the partition granularity the stream is recorded under
+	// (0: 2048, small enough that every case has several partitions).
+	partElems int
+	// field32 generates the input (nil: goldenField32).
+	field32 func([]int) []float32
+	// stored: every partition is in the lossless stage's stored form.
+	stored bool
+}
+
+func (tc goldenCase) file() string {
+	kind := "f32"
+	if tc.f64 {
+		kind = "f64"
+	}
+	return fmt.Sprintf("golden_v%d_%s.%s", version, tc.name, kind)
+}
+
+func (tc goldenCase) data32() []float32 {
+	if tc.field32 != nil {
+		return tc.field32(tc.dims)
+	}
+	return goldenField32(tc.dims)
+}
+
+// partTarget is the partition granularity tc is recorded under.
+func (tc goldenCase) partTarget() int {
+	if tc.partElems > 0 {
+		return tc.partElems
+	}
+	return 2048
 }
 
 // retiredGoldens are streams of configurations the codec no longer has
@@ -165,14 +217,10 @@ func TestGoldenStreams(t *testing.T) {
 			t.Fatal(err)
 		}
 		saved := partTargetElems
-		partTargetElems = 2048
 		defer func() { partTargetElems = saved }()
 		for _, tc := range goldenCases {
-			kind := "f32"
-			if tc.f64 {
-				kind = "f64"
-			}
-			base := fmt.Sprintf("golden_v%d_%s.%s", version, tc.name, kind)
+			partTargetElems = tc.partTarget()
+			base := tc.file()
 			var stream []byte
 			var reconBits []byte
 			var err error
@@ -187,7 +235,7 @@ func TestGoldenStreams(t *testing.T) {
 				}
 				reconBits = float64Bits(out)
 			} else {
-				stream, err = Compress(goldenField32(tc.dims), tc.dims, tc.eb)
+				stream, err = Compress(tc.data32(), tc.dims, tc.eb)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -262,17 +310,16 @@ func TestGoldenStreams(t *testing.T) {
 // configuration the codec has left is the one the goldens pin.
 func TestHandleMatchesGoldens(t *testing.T) {
 	saved := partTargetElems
-	partTargetElems = 2048
 	defer func() { partTargetElems = saved }()
 	for _, tc := range goldenCases {
-		kind := "f32"
-		if tc.f64 {
-			kind = "f64"
-		}
-		name := fmt.Sprintf("golden_v%d_%s.%s.szs", version, tc.name, kind)
+		partTargetElems = tc.partTarget()
+		name := tc.file() + ".szs"
 		want, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if parts := partitionPayloads(t, want); tc.stored && (len(parts) < 2 || storedPartitions(parts) != len(parts)) {
+			t.Fatalf("%s: %d of %d partitions stored, want all of several", name, storedPartitions(parts), len(parts))
 		}
 		for _, workers := range []int{1, 2, 8} {
 			h := NewHandle(workers)
@@ -283,9 +330,9 @@ func TestHandleMatchesGoldens(t *testing.T) {
 					appended, err = h.CompressAppend64([]byte("pre"), goldenField64(tc.dims), tc.dims, tc.eb)
 				}
 			} else {
-				got, err = h.Compress(goldenField32(tc.dims), tc.dims, tc.eb)
+				got, err = h.Compress(tc.data32(), tc.dims, tc.eb)
 				if err == nil {
-					appended, err = h.CompressAppend([]byte("pre"), goldenField32(tc.dims), tc.dims, tc.eb)
+					appended, err = h.CompressAppend([]byte("pre"), tc.data32(), tc.dims, tc.eb)
 				}
 			}
 			if err != nil {
@@ -377,5 +424,32 @@ func TestRetiredVersionUnsupported(t *testing.T) {
 	_, _, err = Decompress(retiredStamp(stream))
 	if err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version 3") {
 		t.Fatalf("v3-stamped stream: %v, want unsupported version", err)
+	}
+}
+
+// TestForgedStoredPartitionRefused: a stored partition expands one to one,
+// yet the pre-allocation plausibility check still allows every payload byte
+// lossless.MaxExpansion raw bytes, the bound that holds for both forms. A
+// stored-form stream whose header is forged to claim 2^30 elements — the
+// first partition's row count stretched to match — is refused there, before
+// the output it describes is made.
+func TestForgedStoredPartitionRefused(t *testing.T) {
+	stream, err := os.ReadFile(filepath.Join("testdata", "golden_v4_stored_1d.f32.szs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parts := partitionPayloads(t, stream); storedPartitions(parts) != len(parts) {
+		t.Fatal("golden_v4_stored_1d is not all stored partitions")
+	}
+	// One dim: dims[0] at byte 32, then splitDepth and the partition count,
+	// then (rows, payload length) per partition from byte 48.
+	const claimed = 1 << 30
+	forged := append([]byte(nil), stream...)
+	rows0 := binary.LittleEndian.Uint64(forged[48:])
+	binary.LittleEndian.PutUint64(forged[48:], rows0+claimed-binary.LittleEndian.Uint64(forged[32:]))
+	binary.LittleEndian.PutUint64(forged[32:], claimed)
+	requireRefused(t, forged)
+	if _, _, err := Decompress(forged); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("forged element count: err %v, want ErrCorrupt", err)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"lcpio/internal/fpdata"
+	"lcpio/internal/lossless"
 	"lcpio/internal/obs"
 )
 
@@ -108,5 +110,60 @@ func TestCompressWorkloadDeclared(t *testing.T) {
 	snap := r.Snapshot()
 	if j := snap.SpanTotals["sz.compress"].Joules; j != 1 {
 		t.Fatalf("sz.compress joules = %v, want the model's 1", j)
+	}
+}
+
+// TestLosslessStageCounters: the stage's decision is visible per partition.
+// A noisy particle field stores every partition and a smooth climate field
+// deflates every one; the byte counters are the stage's input and output, and
+// each deflated partition leaves one estimate-minus-achieved residual.
+func TestLosslessStageCounters(t *testing.T) {
+	for _, tc := range []struct {
+		dataset    string
+		rel        float64
+		wantStored bool
+	}{{"HACC", 1e-3, true}, {"CESM-ATM", 1e-2, false}} {
+		r := installObs(t)
+		spec, _ := fpdata.Lookup(tc.dataset, "")
+		f := fpdata.Generate(spec, spec.ScaleFor(256<<10), 3)
+		lo, hi := f.Range()
+		stream, err := NewHandle(2).Compress(f.Data, f.Dims, tc.rel*float64(hi-lo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts := partitionPayloads(t, stream)
+		var outBytes, inBytes int
+		for _, p := range parts {
+			raw, err := lossless.Decompress(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outBytes += len(p)
+			inBytes += len(raw)
+		}
+		counter := func(name string) int {
+			v, _ := r.CounterValue(name)
+			return int(v)
+		}
+		stored, deflated := counter("lcpio_sz_lossless_stored_partitions_total"), counter("lcpio_sz_lossless_deflated_partitions_total")
+		if want := storedPartitions(parts); stored != want || stored+deflated != len(parts) {
+			t.Fatalf("%s: counters say %d stored + %d deflated, the stream has %d stored of %d", tc.dataset, stored, deflated, want, len(parts))
+		}
+		if all := map[bool]int{true: stored, false: deflated}[tc.wantStored]; all != len(parts) {
+			t.Fatalf("%s: %d stored, %d deflated; want all %d stored %v", tc.dataset, stored, deflated, len(parts), tc.wantStored)
+		}
+		if in, out := counter("lcpio_sz_lossless_in_bytes_total"), counter("lcpio_sz_lossless_out_bytes_total"); in != inBytes || out != outBytes {
+			t.Fatalf("%s: byte counters %d -> %d, the partitions hold %d -> %d", tc.dataset, in, out, inBytes, outBytes)
+		}
+		if tc.wantStored && outBytes != inBytes+8*len(parts) {
+			t.Fatalf("%s: stored partitions cost %d bytes over their input, want 8 each", tc.dataset, outBytes-inBytes)
+		}
+		h := r.Histogram("lcpio_sz_lossless_estimate_residual")
+		if int(h.Count()) != deflated {
+			t.Fatalf("%s: %d residuals observed for %d deflated partitions", tc.dataset, h.Count(), deflated)
+		}
+		if deflated > 0 && math.Abs(h.Sum()/float64(deflated)) > 0.15 {
+			t.Fatalf("%s: mean estimate residual %.3f, the byte estimate should be within 15 points of deflate", tc.dataset, h.Sum()/float64(deflated))
+		}
 	}
 }

@@ -17,13 +17,19 @@ type Float interface {
 // through to the unpredictable path instead of producing a garbage code. The
 // element-at-a-time reference (quantizeOne, pred2D, pred3D) lives in
 // predict_test.go, which holds the kernels to it.
+//
+// The reconstruction is the loop-carried value of every kernel — element i+1
+// is predicted from it — so nothing that can wait sits on its path: it is
+// formed from the floored quotient as it stands (float64(int(qf)) == qf for
+// every integral qf the range guard admits, and qf is never -0: a sum with
+// +0.5 is -0 for no operand), and the conversion to int happens off the
+// chain, for the code alone.
 func qz[F Float](val F, pred, twoEB, eb float64) (int, F) {
 	qf := math.Floor((float64(val)-pred)/twoEB + 0.5)
 	if qf > float64(-radius) && qf < float64(radius) {
-		q := int(qf)
-		rf := F(pred + float64(q)*twoEB)
+		rf := F(pred + qf*twoEB)
 		if math.Abs(float64(rf)-float64(val)) <= eb {
-			return q + radius, rf
+			return int(qf) + radius, rf
 		}
 	}
 	return -1, 0
@@ -32,40 +38,43 @@ func qz[F Float](val F, pred, twoEB, eb float64) (int, F) {
 // --- 1-D ---------------------------------------------------------------------
 
 // quantize1D is the fused previous-value kernel: the 1-D Lorenzo stencil.
+// Like every kernel below it carries the element just reconstructed in a
+// local (left) instead of reloading recon[idx-1], which it stored one
+// iteration earlier: the store-to-load hop was on the chain from one
+// element's reconstruction to the next one's prediction.
 func quantize1D[F Float](data, recon []F, codes []int, exact *[]F, twoEB, eb float64) {
 	ex := *exact
-	var pred float64
+	var left float64
 	for i, val := range data {
-		if i > 0 {
-			pred = float64(recon[i-1])
-		}
-		if c, rf := qz(val, pred, twoEB, eb); c >= 0 {
+		if c, rf := qz(val, left, twoEB, eb); c >= 0 {
 			codes[i] = c
 			recon[i] = rf
+			left = float64(rf)
 		} else {
 			codes[i] = 0
 			recon[i] = val
 			ex = append(ex, val)
+			left = float64(val)
 		}
 	}
 	*exact = ex
 }
 
 func reconstruct1D[F Float](recon []F, codes []int, nextExact func() (F, error), twoEB float64) error {
-	var pred float64
+	var left float64
 	for i, c := range codes {
-		if i > 0 {
-			pred = float64(recon[i-1])
-		}
 		if c == 0 {
 			v, err := nextExact()
 			if err != nil {
 				return err
 			}
 			recon[i] = v
+			left = float64(v)
 			continue
 		}
-		recon[i] = F(pred + float64(c-radius)*twoEB)
+		rf := F(left + float64(c-radius)*twoEB)
+		recon[i] = rf
+		left = float64(rf)
 	}
 	return nil
 }
@@ -78,18 +87,17 @@ func reconstruct1D[F Float](recon []F, codes []int, nextExact func() (F, error),
 func quantize2D[F Float](data, recon []F, codes []int, exact *[]F, d1, d2 int, twoEB, eb float64) {
 	ex := *exact
 	// Row 0 warms up with the previous-value predictor (pred2D's j>0 case).
-	var pred float64
+	var left float64
 	for j := 0; j < d2; j++ {
-		if j > 0 {
-			pred = float64(recon[j-1])
-		}
-		if c, rf := qz(data[j], pred, twoEB, eb); c >= 0 {
+		if c, rf := qz(data[j], left, twoEB, eb); c >= 0 {
 			codes[j] = c
 			recon[j] = rf
+			left = float64(rf)
 		} else {
 			codes[j] = 0
 			recon[j] = data[j]
 			ex = append(ex, data[j])
+			left = float64(data[j])
 		}
 	}
 	for i := 1; i < d1; i++ {
@@ -98,22 +106,26 @@ func quantize2D[F Float](data, recon []F, codes []int, exact *[]F, d1, d2 int, t
 		if c, rf := qz(data[row], float64(recon[row-d2]), twoEB, eb); c >= 0 {
 			codes[row] = c
 			recon[row] = rf
+			left = float64(rf)
 		} else {
 			codes[row] = 0
 			recon[row] = data[row]
 			ex = append(ex, data[row])
+			left = float64(data[row])
 		}
 		// Interior: full stencil, evaluated left-to-right exactly as pred2D
 		// does so the float64 rounding matches term for term.
 		for idx := row + 1; idx < row+d2; idx++ {
-			pred := float64(recon[idx-1]) + float64(recon[idx-d2]) - float64(recon[idx-d2-1])
+			pred := left + float64(recon[idx-d2]) - float64(recon[idx-d2-1])
 			if c, rf := qz(data[idx], pred, twoEB, eb); c >= 0 {
 				codes[idx] = c
 				recon[idx] = rf
+				left = float64(rf)
 			} else {
 				codes[idx] = 0
 				recon[idx] = data[idx]
 				ex = append(ex, data[idx])
+				left = float64(data[idx])
 			}
 		}
 	}
@@ -121,43 +133,37 @@ func quantize2D[F Float](data, recon []F, codes []int, exact *[]F, d1, d2 int, t
 }
 
 func reconstruct2D[F Float](recon []F, codes []int, nextExact func() (F, error), d1, d2 int, twoEB float64) error {
-	var pred float64
-	for j := 0; j < d2; j++ {
-		if j > 0 {
-			pred = float64(recon[j-1])
-		}
-		if codes[j] == 0 {
+	var left float64
+	step := func(idx int, pred float64) error {
+		if codes[idx] == 0 {
 			v, err := nextExact()
 			if err != nil {
 				return err
 			}
-			recon[j] = v
-			continue
+			recon[idx] = v
+			left = float64(v)
+			return nil
 		}
-		recon[j] = F(pred + float64(codes[j]-radius)*twoEB)
+		rf := F(pred + float64(codes[idx]-radius)*twoEB)
+		recon[idx] = rf
+		left = float64(rf)
+		return nil
+	}
+	for j := 0; j < d2; j++ {
+		if err := step(j, left); err != nil {
+			return err
+		}
 	}
 	for i := 1; i < d1; i++ {
 		row := i * d2
-		if codes[row] == 0 {
-			v, err := nextExact()
-			if err != nil {
-				return err
-			}
-			recon[row] = v
-		} else {
-			recon[row] = F(float64(recon[row-d2]) + float64(codes[row]-radius)*twoEB)
+		if err := step(row, float64(recon[row-d2])); err != nil {
+			return err
 		}
 		for idx := row + 1; idx < row+d2; idx++ {
-			if codes[idx] == 0 {
-				v, err := nextExact()
-				if err != nil {
-					return err
-				}
-				recon[idx] = v
-				continue
+			pred := left + float64(recon[idx-d2]) - float64(recon[idx-d2-1])
+			if err := step(idx, pred); err != nil {
+				return err
 			}
-			pred := float64(recon[idx-1]) + float64(recon[idx-d2]) - float64(recon[idx-d2-1])
-			recon[idx] = F(pred + float64(codes[idx]-radius)*twoEB)
 		}
 	}
 	return nil
@@ -173,18 +179,17 @@ func quantize3D[F Float](data, recon []F, codes []int, exact *[]F, d0, d1, d2 in
 	// Slice 0 follows the 2-D stencil: pred3D with i=0 degenerates to
 	// pred2D over (j,k) exactly.
 	sd := d1 * d2 // slice stride
-	var pred float64
+	var left float64
 	for k := 0; k < d2; k++ {
-		if k > 0 {
-			pred = float64(recon[k-1])
-		}
-		if c, rf := qz(data[k], pred, twoEB, eb); c >= 0 {
+		if c, rf := qz(data[k], left, twoEB, eb); c >= 0 {
 			codes[k] = c
 			recon[k] = rf
+			left = float64(rf)
 		} else {
 			codes[k] = 0
 			recon[k] = data[k]
 			ex = append(ex, data[k])
+			left = float64(data[k])
 		}
 	}
 	for j := 1; j < d1; j++ {
@@ -192,20 +197,24 @@ func quantize3D[F Float](data, recon []F, codes []int, exact *[]F, d0, d1, d2 in
 		if c, rf := qz(data[row], float64(recon[row-d2]), twoEB, eb); c >= 0 {
 			codes[row] = c
 			recon[row] = rf
+			left = float64(rf)
 		} else {
 			codes[row] = 0
 			recon[row] = data[row]
 			ex = append(ex, data[row])
+			left = float64(data[row])
 		}
 		for idx := row + 1; idx < row+d2; idx++ {
-			pred := float64(recon[idx-1]) + float64(recon[idx-d2]) - float64(recon[idx-d2-1])
+			pred := left + float64(recon[idx-d2]) - float64(recon[idx-d2-1])
 			if c, rf := qz(data[idx], pred, twoEB, eb); c >= 0 {
 				codes[idx] = c
 				recon[idx] = rf
+				left = float64(rf)
 			} else {
 				codes[idx] = 0
 				recon[idx] = data[idx]
 				ex = append(ex, data[idx])
+				left = float64(data[idx])
 			}
 		}
 	}
@@ -215,20 +224,24 @@ func quantize3D[F Float](data, recon []F, codes []int, exact *[]F, d0, d1, d2 in
 		if c, rf := qz(data[base], float64(recon[base-sd]), twoEB, eb); c >= 0 {
 			codes[base] = c
 			recon[base] = rf
+			left = float64(rf)
 		} else {
 			codes[base] = 0
 			recon[base] = data[base]
 			ex = append(ex, data[base])
+			left = float64(data[base])
 		}
 		for idx := base + 1; idx < base+d2; idx++ {
-			pred := float64(recon[idx-1]) + float64(recon[idx-sd]) - float64(recon[idx-sd-1])
+			pred := left + float64(recon[idx-sd]) - float64(recon[idx-sd-1])
 			if c, rf := qz(data[idx], pred, twoEB, eb); c >= 0 {
 				codes[idx] = c
 				recon[idx] = rf
+				left = float64(rf)
 			} else {
 				codes[idx] = 0
 				recon[idx] = data[idx]
 				ex = append(ex, data[idx])
+				left = float64(data[idx])
 			}
 		}
 		for j := 1; j < d1; j++ {
@@ -238,24 +251,28 @@ func quantize3D[F Float](data, recon []F, codes []int, exact *[]F, d0, d1, d2 in
 			if c, rf := qz(data[row], pred, twoEB, eb); c >= 0 {
 				codes[row] = c
 				recon[row] = rf
+				left = float64(rf)
 			} else {
 				codes[row] = 0
 				recon[row] = data[row]
 				ex = append(ex, data[row])
+				left = float64(data[row])
 			}
 			// Interior: the full 7-term stencil, summed in pred3D's exact
 			// left-to-right order.
 			for idx := row + 1; idx < row+d2; idx++ {
-				pred := float64(recon[idx-1]) + float64(recon[idx-d2]) + float64(recon[idx-sd]) -
+				pred := left + float64(recon[idx-d2]) + float64(recon[idx-sd]) -
 					float64(recon[idx-d2-1]) - float64(recon[idx-sd-1]) - float64(recon[idx-sd-d2]) +
 					float64(recon[idx-sd-d2-1])
 				if c, rf := qz(data[idx], pred, twoEB, eb); c >= 0 {
 					codes[idx] = c
 					recon[idx] = rf
+					left = float64(rf)
 				} else {
 					codes[idx] = 0
 					recon[idx] = data[idx]
 					ex = append(ex, data[idx])
+					left = float64(data[idx])
 				}
 			}
 		}
@@ -265,6 +282,7 @@ func quantize3D[F Float](data, recon []F, codes []int, exact *[]F, d0, d1, d2 in
 
 func reconstruct3D[F Float](recon []F, codes []int, nextExact func() (F, error), d0, d1, d2 int, twoEB float64) error {
 	sd := d1 * d2
+	var left float64
 	step := func(idx int, pred float64) error {
 		if codes[idx] == 0 {
 			v, err := nextExact()
@@ -272,17 +290,16 @@ func reconstruct3D[F Float](recon []F, codes []int, nextExact func() (F, error),
 				return err
 			}
 			recon[idx] = v
+			left = float64(v)
 			return nil
 		}
-		recon[idx] = F(pred + float64(codes[idx]-radius)*twoEB)
+		rf := F(pred + float64(codes[idx]-radius)*twoEB)
+		recon[idx] = rf
+		left = float64(rf)
 		return nil
 	}
-	var pred float64
 	for k := 0; k < d2; k++ {
-		if k > 0 {
-			pred = float64(recon[k-1])
-		}
-		if err := step(k, pred); err != nil {
+		if err := step(k, left); err != nil {
 			return err
 		}
 	}
@@ -292,7 +309,7 @@ func reconstruct3D[F Float](recon []F, codes []int, nextExact func() (F, error),
 			return err
 		}
 		for idx := row + 1; idx < row+d2; idx++ {
-			pred := float64(recon[idx-1]) + float64(recon[idx-d2]) - float64(recon[idx-d2-1])
+			pred := left + float64(recon[idx-d2]) - float64(recon[idx-d2-1])
 			if err := step(idx, pred); err != nil {
 				return err
 			}
@@ -304,7 +321,7 @@ func reconstruct3D[F Float](recon []F, codes []int, nextExact func() (F, error),
 			return err
 		}
 		for idx := base + 1; idx < base+d2; idx++ {
-			pred := float64(recon[idx-1]) + float64(recon[idx-sd]) - float64(recon[idx-sd-1])
+			pred := left + float64(recon[idx-sd]) - float64(recon[idx-sd-1])
 			if err := step(idx, pred); err != nil {
 				return err
 			}
@@ -316,7 +333,7 @@ func reconstruct3D[F Float](recon []F, codes []int, nextExact func() (F, error),
 				return err
 			}
 			for idx := row + 1; idx < row+d2; idx++ {
-				pred := float64(recon[idx-1]) + float64(recon[idx-d2]) + float64(recon[idx-sd]) -
+				pred := left + float64(recon[idx-d2]) + float64(recon[idx-sd]) -
 					float64(recon[idx-d2-1]) - float64(recon[idx-sd-1]) - float64(recon[idx-sd-d2]) +
 					float64(recon[idx-sd-d2-1])
 				if err := step(idx, pred); err != nil {

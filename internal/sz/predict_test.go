@@ -108,70 +108,175 @@ func refQuantize[F Float](data []F, d0, d1, d2 int, eb float64) (codes []int, re
 	return codes, recon, exact
 }
 
+// sameBits reports whether a and b hold the same values bit for bit, so a
+// NaN matches itself and +0 does not match -0.
+func sameBits[F Float](a, b []F) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(float64(a[i])) != math.Float64bits(float64(b[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// fusedMatchesReference runs the fused kernel for the shape over data and
+// holds it to the element-at-a-time reference: the same codes, the same
+// reconstruction, the same verbatim values in raster order, and a fused
+// reconstructor that inverts them. It returns the codes for callers that
+// know what they should be.
+func fusedMatchesReference[F Float](t *testing.T, data []F, d0, d1, d2 int, eb float64) []int {
+	t.Helper()
+	wantCodes, wantRecon, wantExact := refQuantize(data, d0, d1, d2, eb)
+
+	codes := make([]int, len(data))
+	recon := make([]F, len(data))
+	var exact []F
+	switch {
+	case d0 == 1 && d1 == 1:
+		quantize1D(data, recon, codes, &exact, 2*eb, eb)
+	case d0 == 1:
+		quantize2D(data, recon, codes, &exact, d1, d2, 2*eb, eb)
+	default:
+		quantize3D(data, recon, codes, &exact, d0, d1, d2, 2*eb, eb)
+	}
+	for i := range codes {
+		if codes[i] != wantCodes[i] {
+			t.Fatalf("%dx%dx%d: code %d = %d, reference %d", d0, d1, d2, i, codes[i], wantCodes[i])
+		}
+	}
+	if !sameBits(recon, wantRecon) || !sameBits(exact, wantExact) {
+		t.Fatalf("%dx%dx%d: fused reconstruction or verbatim values differ from the reference", d0, d1, d2)
+	}
+
+	next := 0
+	nextExact := func() (F, error) { next++; return exact[next-1], nil }
+	back := make([]F, len(data))
+	var err error
+	switch {
+	case d0 == 1 && d1 == 1:
+		err = reconstruct1D(back, codes, nextExact, 2*eb)
+	case d0 == 1:
+		err = reconstruct2D(back, codes, nextExact, d1, d2, 2*eb)
+	default:
+		err = reconstruct3D(back, codes, nextExact, d0, d1, d2, 2*eb)
+	}
+	if err != nil || next != len(exact) || !sameBits(back, recon) {
+		t.Fatalf("%dx%dx%d: reconstruct err %v, %d/%d verbatim values used, identical %v",
+			d0, d1, d2, err, next, len(exact), sameBits(back, recon))
+	}
+	return codes
+}
+
+var fusedShapes = [][3]int{{1, 1, 257}, {1, 19, 23}, {1, 2, 1}, {5, 7, 11}, {2, 1, 9}, {3, 4, 1}}
+
 // TestFusedKernelsMatchReference: on noisy fields with spikes and non-finite
 // values, every fused kernel emits exactly the reference's codes,
 // reconstruction and verbatim values, and the fused reconstructors invert
 // them — the hoisted border cases and the term order of each stencil included.
 func TestFusedKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	const eb = 1e-3
-	for _, sh := range [][3]int{{1, 1, 257}, {1, 19, 23}, {1, 2, 1}, {5, 7, 11}, {2, 1, 9}, {3, 4, 1}} {
-		d0, d1, d2 := sh[0], sh[1], sh[2]
-		data := make([]float32, d0*d1*d2)
+	for _, sh := range fusedShapes {
+		data := make([]float32, sh[0]*sh[1]*sh[2])
 		for i := range data {
 			data[i] = float32(math.Sin(float64(i)/9)) + rng.Float32()*0.01
 		}
 		data[len(data)/2] = 1e9
 		data[len(data)/3] = float32(math.NaN())
-		wantCodes, wantRecon, wantExact := refQuantize(data, d0, d1, d2, eb)
+		fusedMatchesReference(t, data, sh[0], sh[1], sh[2], 1e-3)
+	}
+}
 
-		codes := make([]int, len(data))
-		recon := make([]float32, len(data))
-		var exact []float32
-		switch {
-		case d0 == 1 && d1 == 1:
-			quantize1D(data, recon, codes, &exact, 2*eb, eb)
-		case d0 == 1:
-			quantize2D(data, recon, codes, &exact, d1, d2, 2*eb, eb)
-		default:
-			quantize3D(data, recon, codes, &exact, d0, d1, d2, 2*eb, eb)
-		}
-		same := func(a, b []float32) bool {
-			if len(a) != len(b) {
-				return false
-			}
-			for i := range a {
-				if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
-					return false
+// quantizerEdges is a field of zeros, at eb 0.5 so that two error bounds are
+// one unit and every quotient below is exact, with the values the shortened
+// recurrence's identity rests on planted every fifth element: quotients at
+// the last codes inside the range (radius-1 either way), exactly at and just
+// past its ends (which must go verbatim), differences of -0 and of a
+// denormal either side of it, and non-finite neighbours. The zeros after a
+// planted value are quantized against it, so each quotient shows up with
+// both signs.
+func quantizerEdges[F Float](n int) []F {
+	tiny := math.SmallestNonzeroFloat32
+	planted := []float64{radius - 1, 1 - radius, radius, -radius, radius + 1, math.Copysign(0, -1),
+		-tiny, tiny, -0.5, 0.5, math.NaN(), math.Inf(1), math.Inf(-1)}
+	data := make([]F, n)
+	for k := 0; 5*k+2 < n; k++ {
+		data[5*k+2] = F(planted[k%len(planted)])
+	}
+	return data
+}
+
+// TestFusedKernelsAtQuantizerEdges pins the identity qz rests on — the
+// reconstruction formed from the floored quotient is the one formed from the
+// integer code — where it could break, in every kernel and both precisions,
+// and an all-verbatim field (every code 0) beside it.
+func TestFusedKernelsAtQuantizerEdges(t *testing.T) {
+	for _, sh := range fusedShapes {
+		n := sh[0] * sh[1] * sh[2]
+		c32 := fusedMatchesReference(t, quantizerEdges[float32](n), sh[0], sh[1], sh[2], 0.5)
+		c64 := fusedMatchesReference(t, quantizerEdges[float64](n), sh[0], sh[1], sh[2], 0.5)
+		if sh[0] == 1 && sh[1] == 1 {
+			// 1-D: each planted value is predicted from a zero, and the zero
+			// after it from the planted value.
+			want := map[int]int{2: 2*radius - 1, 3: 1, 7: 1, 8: 2*radius - 1, 12: 0, 13: 0, 17: 0, 18: 0, 22: 0, 23: 0, 27: radius}
+			for idx, code := range want {
+				if c32[idx] != code || c64[idx] != code {
+					t.Fatalf("1-D edge field: code[%d] = %d (float32), %d (float64), want %d", idx, c32[idx], c64[idx], code)
 				}
 			}
-			return true
-		}
-		for i := range codes {
-			if codes[i] != wantCodes[i] {
-				t.Fatalf("%v: code %d = %d, reference %d", sh, i, codes[i], wantCodes[i])
-			}
-		}
-		if !same(recon, wantRecon) || !same(exact, wantExact) {
-			t.Fatalf("%v: fused reconstruction or verbatim values differ from the reference", sh)
 		}
 
-		next := 0
-		nextExact := func() (float32, error) { next++; return exact[next-1], nil }
-		back := make([]float32, len(data))
-		var err error
-		switch {
-		case d0 == 1 && d1 == 1:
-			err = reconstruct1D(back, codes, nextExact, 2*eb)
-		case d0 == 1:
-			err = reconstruct2D(back, codes, nextExact, d1, d2, 2*eb)
-		default:
-			err = reconstruct3D(back, codes, nextExact, d0, d1, d2, 2*eb)
+		jumps32, jumps64 := make([]float32, n), make([]float64, n)
+		for i := range jumps64 {
+			jumps64[i] = float64(1+i) * 1e6 * float64(1-2*(i%2))
+			jumps32[i] = float32(jumps64[i])
 		}
-		if err != nil || next != len(exact) || !same(back, recon) {
-			t.Fatalf("%v: reconstruct err %v, %d/%d verbatim values used, identical %v",
-				sh, err, next, len(exact), same(back, recon))
+		for _, codes := range [][]int{
+			fusedMatchesReference(t, jumps32, sh[0], sh[1], sh[2], 0.5),
+			fusedMatchesReference(t, jumps64, sh[0], sh[1], sh[2], 0.5),
+		} {
+			for i, c := range codes {
+				if c != 0 {
+					t.Fatalf("%v: alternating 1e6 jumps: code[%d] = %d, want every value verbatim", sh, i, c)
+				}
+			}
 		}
+	}
+}
+
+// TestQuickFusedKernelsMatchReference is the same differential over random
+// shapes, bounds and fields salted with the edge values, in both precisions;
+// -quickchecks scales it with the bound invariants.
+func TestQuickFusedKernelsMatchReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		sh := fusedShapes[rng.Intn(len(fusedShapes))]
+		eb := []float64{0.5, 1e-3, 1e-6}[rng.Intn(3)]
+		edges := quantizerEdges[float64](64)
+		data := make([]float64, sh[0]*sh[1]*sh[2])
+		walk := 0.0
+		for i := range data {
+			walk += rng.NormFloat64() * eb * 40
+			data[i] = walk
+			if rng.Intn(16) == 0 {
+				data[i] = edges[rng.Intn(len(edges))] * 2 * eb
+			}
+		}
+		if seed%2 == 0 {
+			fusedMatchesReference(t, data, sh[0], sh[1], sh[2], eb)
+		} else {
+			d32 := make([]float32, len(data))
+			for i, v := range data {
+				d32[i] = float32(v)
+			}
+			fusedMatchesReference(t, d32, sh[0], sh[1], sh[2], eb)
+		}
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 2, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -5,6 +5,9 @@
 //	Lorenzo prediction -> linear error-bound quantization ->
 //	canonical Huffman coding -> LZ77+Huffman lossless stage
 //
+// The last stage decides for itself whether it runs: package lossless stores
+// a partition whose Huffman output has nothing left for a byte coder to take.
+//
 // Prediction always runs against *reconstructed* neighbor values, so the
 // absolute error bound holds end-to-end by construction; the property is
 // verified per element during compression, and elements whose quantized
@@ -50,6 +53,11 @@ func init() {
 	// Per-partition pipeline durations, for shard fan-out diagnostics.
 	obs.DefineHistogram("lcpio_sz_partition_seconds",
 		[]float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10})
+	// What the lossless stage's gate estimated it could remove minus what
+	// deflate then removed, as shares of the stage's input: a model residual,
+	// negative where the matcher found what a byte histogram cannot see.
+	obs.DefineHistogram("lcpio_sz_lossless_estimate_residual",
+		[]float64{-0.1, -0.03, -0.01, -0.003, 0, 0.003, 0.01, 0.03, 0.1})
 }
 
 const (
@@ -503,6 +511,17 @@ func compressPartition[F Float](lane *laneScratch[F], out *partOut, wc *obs.Work
 	lspan := obs.Start("sz.lossless")
 	out.payload = lossless.AppendCompress(out.payload[:0], inner, lossless.Defaults())
 	lspan.End()
+	if obs.Enabled() {
+		obs.Add("lcpio_sz_lossless_in_bytes_total", int64(len(inner)))
+		obs.Add("lcpio_sz_lossless_out_bytes_total", int64(len(out.payload)))
+		if lossless.Stored(out.payload) {
+			obs.Add("lcpio_sz_lossless_stored_partitions_total", 1)
+		} else {
+			obs.Add("lcpio_sz_lossless_deflated_partitions_total", 1)
+			saved := 1 - float64(len(out.payload))/float64(len(inner))
+			obs.Observe("lcpio_sz_lossless_estimate_residual", lossless.EntropyGain(inner)-saved)
+		}
+	}
 }
 
 // --- decompressor ------------------------------------------------------------

@@ -27,11 +27,12 @@ go test -run '^Fuzz' ./...
 go test -count=1 -run 'Quick|Invariant' \
     ./internal/zfp/ ./internal/sz/ ./internal/squant/ -quickchecks 10000
 
-# Decode micro-benchmarks, one iteration each, so they cannot rot: the
+# Codec micro-benchmarks, one iteration each, so they cannot rot: the
 # literal-heavy lossless case, the long-tail Huffman case and the per-
 # dimension plane decoder are the ones that see the regime the end-to-end
-# restore runs in.
-go test -run '^$' -bench 'Decode|Decompress' -benchtime 1x \
+# restore runs in; the Huffman-coded lossless inputs, the table builds and
+# the one-rank sz fields are the dump's.
+go test -run '^$' -bench 'Decode|Decompress|Compress|Build' -benchtime 1x \
     ./internal/huffman/ ./internal/lossless/ ./internal/zfp/ ./internal/sz/
 
 # The benchmark is a nested module that root `go test ./...` does not
