@@ -22,17 +22,19 @@ type Float interface {
 // is predicted from it — so nothing that can wait sits on its path: it is
 // formed from the floored quotient as it stands (float64(int(qf)) == qf for
 // every integral qf the range guard admits, and qf is never -0: a sum with
-// +0.5 is -0 for no operand), and the conversion to int happens off the
-// chain, for the code alone.
-func qz[F Float](val F, pred, twoEB, eb float64) (int, F) {
+// +0.5 is -0 for no operand), the conversion to int happens off the chain,
+// for the code alone, and the float64 the bound was checked on is returned
+// beside the element-typed value so the kernel does not convert it again.
+func qz[F Float](val F, pred, twoEB, eb float64) (code int, rf F, r float64) {
 	qf := math.Floor((float64(val)-pred)/twoEB + 0.5)
 	if qf > float64(-radius) && qf < float64(radius) {
-		rf := F(pred + qf*twoEB)
-		if math.Abs(float64(rf)-float64(val)) <= eb {
-			return int(qf) + radius, rf
+		rf = F(pred + qf*twoEB)
+		r = float64(rf)
+		if math.Abs(r-float64(val)) <= eb {
+			return int(qf) + radius, rf, r
 		}
 	}
-	return -1, 0
+	return -1, 0, 0
 }
 
 // --- 1-D ---------------------------------------------------------------------
@@ -46,10 +48,10 @@ func quantize1D[F Float](data, recon []F, codes []int, exact *[]F, twoEB, eb flo
 	ex := *exact
 	var left float64
 	for i, val := range data {
-		if c, rf := qz(val, left, twoEB, eb); c >= 0 {
+		if c, rf, r := qz(val, left, twoEB, eb); c >= 0 {
 			codes[i] = c
 			recon[i] = rf
-			left = float64(rf)
+			left = r
 		} else {
 			codes[i] = 0
 			recon[i] = val
@@ -89,10 +91,10 @@ func quantize2D[F Float](data, recon []F, codes []int, exact *[]F, d1, d2 int, t
 	// Row 0 warms up with the previous-value predictor (pred2D's j>0 case).
 	var left float64
 	for j := 0; j < d2; j++ {
-		if c, rf := qz(data[j], left, twoEB, eb); c >= 0 {
+		if c, rf, r := qz(data[j], left, twoEB, eb); c >= 0 {
 			codes[j] = c
 			recon[j] = rf
-			left = float64(rf)
+			left = r
 		} else {
 			codes[j] = 0
 			recon[j] = data[j]
@@ -103,10 +105,10 @@ func quantize2D[F Float](data, recon []F, codes []int, exact *[]F, d1, d2 int, t
 	for i := 1; i < d1; i++ {
 		row := i * d2
 		// Column 0: only the neighbor above exists.
-		if c, rf := qz(data[row], float64(recon[row-d2]), twoEB, eb); c >= 0 {
+		if c, rf, r := qz(data[row], float64(recon[row-d2]), twoEB, eb); c >= 0 {
 			codes[row] = c
 			recon[row] = rf
-			left = float64(rf)
+			left = r
 		} else {
 			codes[row] = 0
 			recon[row] = data[row]
@@ -117,10 +119,10 @@ func quantize2D[F Float](data, recon []F, codes []int, exact *[]F, d1, d2 int, t
 		// does so the float64 rounding matches term for term.
 		for idx := row + 1; idx < row+d2; idx++ {
 			pred := left + float64(recon[idx-d2]) - float64(recon[idx-d2-1])
-			if c, rf := qz(data[idx], pred, twoEB, eb); c >= 0 {
+			if c, rf, r := qz(data[idx], pred, twoEB, eb); c >= 0 {
 				codes[idx] = c
 				recon[idx] = rf
-				left = float64(rf)
+				left = r
 			} else {
 				codes[idx] = 0
 				recon[idx] = data[idx]
@@ -181,10 +183,10 @@ func quantize3D[F Float](data, recon []F, codes []int, exact *[]F, d0, d1, d2 in
 	sd := d1 * d2 // slice stride
 	var left float64
 	for k := 0; k < d2; k++ {
-		if c, rf := qz(data[k], left, twoEB, eb); c >= 0 {
+		if c, rf, r := qz(data[k], left, twoEB, eb); c >= 0 {
 			codes[k] = c
 			recon[k] = rf
-			left = float64(rf)
+			left = r
 		} else {
 			codes[k] = 0
 			recon[k] = data[k]
@@ -194,10 +196,10 @@ func quantize3D[F Float](data, recon []F, codes []int, exact *[]F, d0, d1, d2 in
 	}
 	for j := 1; j < d1; j++ {
 		row := j * d2
-		if c, rf := qz(data[row], float64(recon[row-d2]), twoEB, eb); c >= 0 {
+		if c, rf, r := qz(data[row], float64(recon[row-d2]), twoEB, eb); c >= 0 {
 			codes[row] = c
 			recon[row] = rf
-			left = float64(rf)
+			left = r
 		} else {
 			codes[row] = 0
 			recon[row] = data[row]
@@ -206,10 +208,10 @@ func quantize3D[F Float](data, recon []F, codes []int, exact *[]F, d0, d1, d2 in
 		}
 		for idx := row + 1; idx < row+d2; idx++ {
 			pred := left + float64(recon[idx-d2]) - float64(recon[idx-d2-1])
-			if c, rf := qz(data[idx], pred, twoEB, eb); c >= 0 {
+			if c, rf, r := qz(data[idx], pred, twoEB, eb); c >= 0 {
 				codes[idx] = c
 				recon[idx] = rf
-				left = float64(rf)
+				left = r
 			} else {
 				codes[idx] = 0
 				recon[idx] = data[idx]
@@ -221,10 +223,10 @@ func quantize3D[F Float](data, recon []F, codes []int, exact *[]F, d0, d1, d2 in
 	for i := 1; i < d0; i++ {
 		base := i * sd
 		// Row (i,0,*): neighbors exist only in k and the slice above.
-		if c, rf := qz(data[base], float64(recon[base-sd]), twoEB, eb); c >= 0 {
+		if c, rf, r := qz(data[base], float64(recon[base-sd]), twoEB, eb); c >= 0 {
 			codes[base] = c
 			recon[base] = rf
-			left = float64(rf)
+			left = r
 		} else {
 			codes[base] = 0
 			recon[base] = data[base]
@@ -233,10 +235,10 @@ func quantize3D[F Float](data, recon []F, codes []int, exact *[]F, d0, d1, d2 in
 		}
 		for idx := base + 1; idx < base+d2; idx++ {
 			pred := left + float64(recon[idx-sd]) - float64(recon[idx-sd-1])
-			if c, rf := qz(data[idx], pred, twoEB, eb); c >= 0 {
+			if c, rf, r := qz(data[idx], pred, twoEB, eb); c >= 0 {
 				codes[idx] = c
 				recon[idx] = rf
-				left = float64(rf)
+				left = r
 			} else {
 				codes[idx] = 0
 				recon[idx] = data[idx]
@@ -248,10 +250,10 @@ func quantize3D[F Float](data, recon []F, codes []int, exact *[]F, d0, d1, d2 in
 			row := base + j*d2
 			// Column (i,j,0): j and i neighbors only.
 			pred := float64(recon[row-d2]) + float64(recon[row-sd]) - float64(recon[row-sd-d2])
-			if c, rf := qz(data[row], pred, twoEB, eb); c >= 0 {
+			if c, rf, r := qz(data[row], pred, twoEB, eb); c >= 0 {
 				codes[row] = c
 				recon[row] = rf
-				left = float64(rf)
+				left = r
 			} else {
 				codes[row] = 0
 				recon[row] = data[row]
@@ -264,10 +266,10 @@ func quantize3D[F Float](data, recon []F, codes []int, exact *[]F, d0, d1, d2 in
 				pred := left + float64(recon[idx-d2]) + float64(recon[idx-sd]) -
 					float64(recon[idx-d2-1]) - float64(recon[idx-sd-1]) - float64(recon[idx-sd-d2]) +
 					float64(recon[idx-sd-d2-1])
-				if c, rf := qz(data[idx], pred, twoEB, eb); c >= 0 {
+				if c, rf, r := qz(data[idx], pred, twoEB, eb); c >= 0 {
 					codes[idx] = c
 					recon[idx] = rf
-					left = float64(rf)
+					left = r
 				} else {
 					codes[idx] = 0
 					recon[idx] = data[idx]
