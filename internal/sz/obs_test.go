@@ -149,8 +149,8 @@ func TestLosslessStageCounters(t *testing.T) {
 		if want := storedPartitions(parts); stored != want || stored+deflated != len(parts) {
 			t.Fatalf("%s: counters say %d stored + %d deflated, the stream has %d stored of %d", tc.dataset, stored, deflated, want, len(parts))
 		}
-		if all := map[bool]int{true: stored, false: deflated}[tc.wantStored]; all != len(parts) {
-			t.Fatalf("%s: %d stored, %d deflated; want all %d stored %v", tc.dataset, stored, deflated, len(parts), tc.wantStored)
+		if tc.wantStored != (stored == len(parts)) || tc.wantStored == (deflated == len(parts)) {
+			t.Fatalf("%s: %d stored, %d deflated of %d; want all stored %v, else all deflated", tc.dataset, stored, deflated, len(parts), tc.wantStored)
 		}
 		if in, out := counter("lcpio_sz_lossless_in_bytes_total"), counter("lcpio_sz_lossless_out_bytes_total"); in != inBytes || out != outBytes {
 			t.Fatalf("%s: byte counters %d -> %d, the partitions hold %d -> %d", tc.dataset, in, out, inBytes, outBytes)

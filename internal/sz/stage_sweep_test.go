@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"lcpio/internal/fpdata"
+	"lcpio/internal/lossless"
 	"lcpio/internal/wire"
 )
 
@@ -49,12 +50,11 @@ func partitionPayloads(t *testing.T, stream []byte) [][]byte {
 }
 
 // storedPartitions counts the payloads the lossless stage wrote in its stored
-// form: the top bit of the 64-bit length word, which a deflate stream (raw
-// length at most 2^40) never sets.
+// form.
 func storedPartitions(payloads [][]byte) int {
 	n := 0
 	for _, p := range payloads {
-		if len(p) > 0 && p[0]&0x80 != 0 {
+		if lossless.Stored(p) {
 			n++
 		}
 	}
@@ -69,11 +69,11 @@ func storedPartitions(payloads [][]byte) int {
 // its old and new size.
 func TestLosslessStageSweep(t *testing.T) {
 	type tuple struct {
-		name string
-		size int
+		name          string
+		size          int
+		stored, parts int
 	}
 	var got []tuple
-	stored := map[string][2]int{}
 	for _, spec := range append(fpdata.TableI(), fpdata.IsabelFields()...) {
 		f := fpdata.Generate(spec, spec.ScaleFor(sweepElems), sweepSeed)
 		lo, hi := f.Range()
@@ -82,12 +82,9 @@ func TestLosslessStageSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			name := fmt.Sprintf("%s/%s@%g", spec.Dataset, spec.Field, rel)
-			got = append(got, tuple{name, len(stream)})
 			parts := partitionPayloads(t, stream)
-			if n := storedPartitions(parts); n > 0 {
-				stored[name] = [2]int{n, len(parts)}
-			}
+			got = append(got, tuple{fmt.Sprintf("%s/%s@%g", spec.Dataset, spec.Field, rel),
+				len(stream), storedPartitions(parts), len(parts)})
 		}
 	}
 	if *updateSweep {
@@ -113,15 +110,15 @@ func TestLosslessStageSweep(t *testing.T) {
 		if _, err := fmt.Sscanf(line, "%s %d", &name, &want); err != nil || name != got[i].name {
 			t.Fatalf("%s line %d: %q, want tuple %s", sweepPath, i+1, line, got[i].name)
 		}
-		size := got[i].size
-		if st, ok := stored[name]; ok {
+		tp := got[i]
+		if tp.stored > 0 {
 			t.Logf("%s: %d of %d partitions stored, %d -> %d bytes (%+.3f %%)",
-				name, st[0], st[1], want, size, 100*float64(size-want)/float64(want))
-			if float64(size) > 1.015*float64(want) {
-				t.Errorf("%s: %d bytes, more than 1.5 %% above the recorded %d", name, size, want)
+				name, tp.stored, tp.parts, want, tp.size, 100*float64(tp.size-want)/float64(want))
+			if float64(tp.size) > 1.015*float64(want) {
+				t.Errorf("%s: %d bytes, more than 1.5 %% above the recorded %d", name, tp.size, want)
 			}
-		} else if size != want {
-			t.Errorf("%s: every partition on deflate, yet %d bytes differ from the recorded %d", name, size, want)
+		} else if tp.size != want {
+			t.Errorf("%s: every partition on deflate, yet %d bytes differ from the recorded %d", name, tp.size, want)
 		}
 	}
 }
