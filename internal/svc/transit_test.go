@@ -93,7 +93,8 @@ func TestPutZWithoutNegotiationRejected(t *testing.T) {
 }
 
 // TestPutZLengthLieRejected declares a raw length that disagrees with the
-// session's field geometry, and one the blob does not inflate to.
+// session's field geometry, and one the blob does not inflate to; then it
+// sends corrupt blobs under the truthful length.
 func TestPutZLengthLieRejected(t *testing.T) {
 	srv := NewServer(Config{})
 	if err := srv.AddTenant(TenantConfig{Name: "climate"}); err != nil {
@@ -102,9 +103,10 @@ func TestPutZLengthLieRejected(t *testing.T) {
 	cl := startPair(t, srv)
 	acc := openSession(t, cl, smallOpenReq("lie", "sz"))
 	blob := smallBlob(t)
-	for _, lie := range []int64{smallRawLen + 4, smallRawLen * 2} {
-		if err := writeFrame(cl.rw, frame{Type: framePutZ, Session: acc.Session,
-			Payload: encodePutZ(0, lie, blob)}); err != nil {
+	rejected := func(cl *Client, session uint32, rawLen int64, blob []byte, what string) {
+		t.Helper()
+		if err := writeFrame(cl.rw, frame{Type: framePutZ, Session: session,
+			Payload: encodePutZ(0, rawLen, blob)}); err != nil {
 			t.Fatal(err)
 		}
 		rf, err := readFrame(cl.rw)
@@ -112,25 +114,34 @@ func TestPutZLengthLieRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rf.Type != frameErr {
-			t.Fatalf("raw-length lie %d got %v, want error", lie, rf.Type)
+			t.Fatalf("%s got %v, want error", what, rf.Type)
 		}
 	}
+	for _, lie := range []int64{smallRawLen + 4, smallRawLen * 2} {
+		rejected(cl, acc.Session, lie, blob, fmt.Sprintf("raw-length lie %d", lie))
+	}
 	// A blob that no longer decodes must fail inflate verification under the
-	// truthful length rather than land on the medium. It is cut short, not
-	// bit-flipped: the verification is a decode, not a checksum, and a flip
-	// inside a stored partition (or any zfp block) decodes to other values.
-	bad := blob[:len(blob)-1]
-	if err := writeFrame(cl.rw, frame{Type: framePutZ, Session: acc.Session,
-		Payload: encodePutZ(0, smallRawLen, bad)}); err != nil {
-		t.Fatal(err)
+	// truthful length rather than land on the medium. The verification is a
+	// decode, not a checksum: it catches what breaks the stream's structure.
+	rejected(cl, acc.Session, smallRawLen, blob[:len(blob)-1], "blob cut one byte short")
+
+	// Two flipped payload bytes break a deflated partition's bit stream.
+	// (smallBlob's partition is stored, deflate's tables would outweigh it,
+	// and a flip inside stored codes decodes to other values: DESIGN 5i.)
+	// The ramp is long enough that its one-bit-per-element Huffman stream
+	// deflates; a blob under a bit per element can only be in that form.
+	const bigElems = 1 << 14
+	big := rampBlob(t, bigElems)
+	if len(big) >= bigElems/8 {
+		t.Fatalf("%d-element ramp packs to %d B: its partition no longer deflates, "+
+			"and this case needs one that does", bigElems, len(big))
 	}
-	rf, err := readFrame(cl.rw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rf.Type != frameErr {
-		t.Fatalf("corrupt blob got %v, want error", rf.Type)
-	}
+	bad := append([]byte(nil), big...)
+	bad[len(bad)/2] ^= 0xff
+	bad[len(bad)-1] ^= 0xff
+	cl2 := startPair(t, srv)
+	acc2 := openSession(t, cl2, rampOpenReq("lie-big", "sz", bigElems))
+	rejected(cl2, acc2.Session, bigElems*4, bad, "bit-flipped blob")
 }
 
 // watermark reads the allocator bump pointer (test-only).
@@ -144,21 +155,29 @@ const smallElems = 64
 const smallRawLen = int64(smallElems) * 4
 
 func smallOpenReq(name, wireCodec string) OpenRequest {
+	return rampOpenReq(name, wireCodec, smallElems)
+}
+
+func smallBlob(t *testing.T) []byte { return rampBlob(t, smallElems) }
+
+// rampOpenReq opens a one-rank, one-field sz set of elems float32s;
+// rampBlob packs the linear ramp that fills it.
+func rampOpenReq(name, wireCodec string, elems int) OpenRequest {
 	return OpenRequest{
 		Tenant: "climate", SetName: name, Codec: "sz", Ranks: 1,
-		Fields:    []ckpt.FieldInfo{{Name: "p", Dims: []int{smallElems}, ErrorBound: 1e-3}},
+		Fields:    []ckpt.FieldInfo{{Name: "p", Dims: []int{elems}, ErrorBound: 1e-3}},
 		RelEB:     1e-3,
 		WireCodec: wireCodec,
 	}
 }
 
-func smallBlob(t *testing.T) []byte {
+func rampBlob(t *testing.T, elems int) []byte {
 	t.Helper()
-	data := make([]float32, smallElems)
+	data := make([]float32, elems)
 	for i := range data {
 		data[i] = float32(i) * 0.25
 	}
-	blob, err := container.Pack("sz", data, []int{smallElems}, 1e-3, container.Options{Parallelism: 1})
+	blob, err := container.Pack("sz", data, []int{elems}, 1e-3, container.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
