@@ -509,15 +509,21 @@ func TestStoredFormHostile(t *testing.T) {
 		}
 	}
 	for i, s := range forged {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := Decompress(s)
-		runtime.ReadMemStats(&after)
-		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, bitstream.ErrOverrun) {
-			t.Errorf("forged stream %d (%d bytes): err %v, want ErrCorrupt or ErrOverrun", i, len(s), err)
+		// TotalAlloc counts the whole process: the least of three attempts
+		// is the decoder's own.
+		least := ^uint64(0)
+		for try := 0; try < 3 && least > 4096; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Decompress(s)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, bitstream.ErrOverrun) {
+				t.Fatalf("forged stream %d (%d bytes): err %v, want ErrCorrupt or ErrOverrun", i, len(s), err)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
-			t.Errorf("forged stream %d (%d bytes): refusal allocated %d bytes", i, len(s), got)
+		if least > 4096 {
+			t.Errorf("forged stream %d (%d bytes): refusal allocated %d bytes", i, len(s), least)
 		}
 	}
 }

@@ -195,7 +195,7 @@ func Compress(src []byte, opts Options) []byte {
 // returning the extended slice. All scratch state comes from an internal
 // pool, so steady-state calls do not allocate beyond growing dst.
 func AppendCompress(dst, src []byte, opts Options) []byte {
-	if len(src) >= gateMinLen && EntropyGain(src) < gateMinGain {
+	if gain, asked := EntropyGain(src); asked && gain < gateMinGain {
 		return appendStored(dst, src)
 	}
 	st := encPool.Get().(*encState)
@@ -278,12 +278,14 @@ func Stored(stream []byte) bool {
 
 // EntropyGain returns the share of src an ideal order-0 byte coder would
 // remove, 1 - H/8 with H the entropy of the byte histogram in bits: the
-// estimate AppendCompress gates the matcher on. It sees neither repeats nor
-// the cost of the code tables, which is why the encoder still compares sizes
-// after a deflate pass.
-func EntropyGain(src []byte) float64 {
-	if len(src) == 0 {
-		return 0
+// estimate AppendCompress gates the matcher on. asked is false, and nothing
+// is counted, for an input shorter than gateMinLen, which AppendCompress
+// does not ask about. The estimate sees neither repeats nor the cost of the
+// code tables, which is why the encoder still compares sizes after a deflate
+// pass.
+func EntropyGain(src []byte) (gain float64, asked bool) {
+	if len(src) < gateMinLen {
+		return 0, false
 	}
 	// Four lanes, so a run of one byte value is not a chain of dependent
 	// read-modify-writes of one counter. uint32 cannot wrap: the matcher's
@@ -311,7 +313,7 @@ func EntropyGain(src []byte) float64 {
 			bits += float64(c) * math.Log2(n/float64(c))
 		}
 	}
-	return 1 - bits/(8*n)
+	return 1 - bits/(8*n), true
 }
 
 // decState is the decode-side counterpart of encState: the bit reader, both

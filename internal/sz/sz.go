@@ -518,8 +518,12 @@ func compressPartition[F Float](lane *laneScratch[F], out *partOut, wc *obs.Work
 			obs.Add("lcpio_sz_lossless_stored_partitions_total", 1)
 		} else {
 			obs.Add("lcpio_sz_lossless_deflated_partitions_total", 1)
-			saved := 1 - float64(len(out.payload))/float64(len(inner))
-			obs.Observe("lcpio_sz_lossless_estimate_residual", lossless.EntropyGain(inner)-saved)
+			// The model against the measurement, where the gate consulted
+			// the model: a partition too short to estimate has no residual.
+			if est, asked := lossless.EntropyGain(inner); asked {
+				saved := 1 - float64(len(out.payload))/float64(len(inner))
+				obs.Observe("lcpio_sz_lossless_estimate_residual", est-saved)
+			}
 		}
 	}
 }
