@@ -332,3 +332,25 @@ func BenchmarkDecompressNYX(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDecompress2D decodes through reconstruct2D, which no fpdata field
+// reaches on its own (every generator is 1-D or 3-D): the CESM climate stack
+// read as one tall sheet, on one worker.
+func BenchmarkDecompress2D(b *testing.B) {
+	spec, _ := fpdata.Lookup("CESM-ATM", "")
+	f := fpdata.Generate(spec, spec.ScaleFor(1<<20), 1)
+	lo, hi := f.Range()
+	h := NewHandle(1)
+	comp, err := h.Compress(f.Data, []int{f.Dims[0] * f.Dims[1], f.Dims[2]}, 1e-3*float64(hi-lo))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(f.SizeBytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := h.Decompress(comp); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
