@@ -142,16 +142,23 @@ func isRetiredGolden(path string) bool {
 // the header, before the array the header describes is made.
 func requireRefused(t *testing.T, stream []byte) {
 	t.Helper()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, _, err32 := Decompress(stream)
-	_, _, err64 := Decompress64(stream)
-	runtime.ReadMemStats(&after)
-	if err32 == nil || err64 == nil {
-		t.Fatalf("retired stream decoded: Decompress err %v, Decompress64 err %v", err32, err64)
+	// TotalAlloc counts the whole process, so a runtime or test-harness
+	// allocation landing in the window reads as the decoder's: the least of
+	// three attempts is what is held to the budget.
+	least := ^uint64(0)
+	for try := 0; try < 3 && least > 4096; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err32 := Decompress(stream)
+		_, _, err64 := Decompress64(stream)
+		runtime.ReadMemStats(&after)
+		if err32 == nil || err64 == nil {
+			t.Fatalf("retired stream decoded: Decompress err %v, Decompress64 err %v", err32, err64)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
-		t.Fatalf("refusal allocated %d bytes; must come before any output is sized", got)
+	if least > 4096 {
+		t.Fatalf("refusal allocated %d bytes; must come before any output is sized", least)
 	}
 }
 
