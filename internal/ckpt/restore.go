@@ -230,10 +230,11 @@ func Restore(med Medium, opts RestoreOptions) (*Restored, error) {
 	pieces := m.pieces()
 	keepRaw := m.ParityRanks > 0
 	outcomes := make([]outcome, len(pieces))
-	par.Run(len(pieces), opts.Workers, func(i int) {
+	lanes := laneUnpackers(opts.Workers)
+	par.RunWorker(len(pieces), opts.Workers, func(w, i int) {
 		o := readVerified(med, &pieces[i].ChunkInfo, opts)
 		if o.err == nil {
-			o.data, o.err = decodePiece(&pieces[i], o.raw)
+			o.data, o.err = decodePiece(lanes[w], &pieces[i], o.raw)
 		}
 		if !keepRaw || o.err != nil {
 			o.raw = nil
@@ -323,6 +324,7 @@ func reconstruct(med Medium, m *Manifest, pieces []piece, outcomes []outcome, op
 	}
 	span := obs.Start("ckpt.reconstruct")
 	defer span.End()
+	unpacker := container.NewUnpacker(container.Options{Parallelism: 1})
 	nFields := len(m.Fields)
 	owned := make([][]int, m.NumChunks())
 	for i := range pieces {
@@ -397,7 +399,7 @@ func reconstruct(med Medium, m *Manifest, pieces []piece, outcomes []outcome, op
 					o.err = fmt.Errorf("%w: reconstructed chunk digest mismatch", ErrCorrupt)
 					continue
 				}
-				o.data, o.err = decodePiece(p, blob)
+				o.data, o.err = decodePiece(unpacker, p, blob)
 				o.reconstructed = o.err == nil
 			}
 		}
@@ -442,11 +444,22 @@ func readVerified(med Medium, c *ChunkInfo, opts RestoreOptions) outcome {
 	return o
 }
 
-// decodePiece decompresses a piece's verified bytes and checks the shape
-// against the manifest. A payload that passes its digest but fails here
-// will not change on re-read.
-func decodePiece(p *piece, blob []byte) ([]float32, error) {
-	data, dims, err := container.Unpack(blob, container.Options{Parallelism: 1})
+// laneUnpackers returns one single-threaded unpacker per decode lane: the
+// lanes are the fan-out, and each keeps its codec handles from piece to
+// piece.
+func laneUnpackers(workers int) []*container.Unpacker {
+	lanes := make([]*container.Unpacker, workers)
+	for w := range lanes {
+		lanes[w] = container.NewUnpacker(container.Options{Parallelism: 1})
+	}
+	return lanes
+}
+
+// decodePiece decompresses a piece's verified bytes on its lane's unpacker
+// and checks the shape against the manifest. A payload that passes its
+// digest but fails here will not change on re-read.
+func decodePiece(u *container.Unpacker, p *piece, blob []byte) ([]float32, error) {
+	data, dims, err := u.Unpack(blob)
 	if err != nil {
 		return nil, err
 	}
@@ -527,7 +540,8 @@ func VerifySet(med Medium, opts VerifyOptions) (*VerifyReport, error) {
 	nData := len(pieces)
 	rep := &VerifyReport{Chunks: nData, ParityChunks: len(m.ParityChunks)}
 	errs := make([]error, nData+len(m.ParityChunks))
-	par.Run(len(errs), workers, func(i int) {
+	lanes := laneUnpackers(workers)
+	par.RunWorker(len(errs), workers, func(w, i int) {
 		if i >= nData {
 			c := &m.ParityChunks[i-nData]
 			errs[i] = fetch(med, c, make([]byte, c.Size))
@@ -535,7 +549,7 @@ func VerifySet(med Medium, opts VerifyOptions) (*VerifyReport, error) {
 		}
 		buf := make([]byte, pieces[i].Size)
 		if errs[i] = fetch(med, &pieces[i].ChunkInfo, buf); errs[i] == nil && opts.Deep {
-			_, errs[i] = decodePiece(&pieces[i], buf)
+			_, errs[i] = decodePiece(lanes[w], &pieces[i], buf)
 		}
 	})
 	// lost[field] counts failed stripe members — ranks with a failed piece,

@@ -36,9 +36,16 @@ type Handle interface {
 	// CompressAppend appends the stream to dst, avoiding the output
 	// allocation too when dst has capacity.
 	CompressAppend(dst []byte, data []float32, dims []int, eb float64) ([]byte, error)
+	// DecompressInto is Decompress landing in dst's backing array: when
+	// cap(dst) holds the stream's element count the returned slice aliases
+	// dst and the output allocation is avoided too; otherwise it allocates
+	// as Decompress does. Every element of the returned slice is written,
+	// or an error is returned — dst's old contents never show through.
+	DecompressInto(dst []float32, buf []byte) ([]float32, []int, error)
 	Compress64(data []float64, dims []int, eb float64) ([]byte, error)
 	CompressAppend64(dst []byte, data []float64, dims []int, eb float64) ([]byte, error)
 	Decompress64(buf []byte) ([]float64, []int, error)
+	DecompressInto64(dst []float64, buf []byte) ([]float64, []int, error)
 }
 
 // codecs is the one table on the codec name, keyed by the names the paper

@@ -104,15 +104,16 @@ func handleCompress[F float32 | float64](h compress.Handle, chunk []F, dims []in
 	}
 }
 
-// handleDecompress dispatches a blob to the handle method matching F.
-func handleDecompress[F float32 | float64](h compress.Handle, blob []byte) ([]F, []int, error) {
-	var z F
-	if _, ok := any(z).(float32); ok {
-		vals, dims, err := h.Decompress(blob)
+// handleDecompressInto dispatches a blob to the handle method matching F.
+func handleDecompressInto[F float32 | float64](h compress.Handle, dst []F, blob []byte) ([]F, []int, error) {
+	switch d := any(dst).(type) {
+	case []float32:
+		vals, dims, err := h.DecompressInto(d, blob)
+		return any(vals).([]F), dims, err
+	default:
+		vals, dims, err := h.DecompressInto64(any(dst).([]float64), blob)
 		return any(vals).([]F), dims, err
 	}
-	vals, dims, err := h.Decompress64(blob)
-	return any(vals).([]F), dims, err
 }
 
 // Pack compresses float32 data into a chunked container with the named
@@ -252,6 +253,7 @@ func packGeneric[F float32 | float64](codecName string, elemBits uint32, data []
 // parsed is the decoded header plus blob locations.
 type parsed struct {
 	info   Info
+	n      int // elements the dims describe
 	spans  []chunkSpan
 	blobAt []int // byte offset of each blob
 	blobSz []int
@@ -306,6 +308,7 @@ func parse(buf []byte) (parsed, error) {
 		return p, ErrCorrupt
 	}
 	p.info.NumChunks = nChunks
+	p.n = n
 	p.info.RawBytes = int64(n) * int64(p.info.ElemBits/8)
 	p.info.PackedBytes = int64(len(buf))
 	prevHi := 0
@@ -344,32 +347,57 @@ func Stat(buf []byte) (Info, error) {
 
 // Unpack decompresses a float32 container, fanning chunks across workers.
 func Unpack(buf []byte, opts Options) ([]float32, []int, error) {
-	return unpackGeneric[float32](buf, opts, 32)
+	return NewUnpacker(opts).Unpack(buf)
 }
 
 // Unpack64 decompresses a float64 container.
 func Unpack64(buf []byte, opts Options) ([]float64, []int, error) {
-	return unpackGeneric[float64](buf, opts, 64)
+	return unpackGeneric[float64](NewUnpacker(opts), buf, 64)
 }
 
-func unpackGeneric[F float32 | float64](buf []byte, opts Options, wantBits int) ([]F, []int, error) {
-	opts = opts.normalized()
-	p, err := parse(buf)
-	if err != nil {
-		return nil, nil, err
+// Unpacker unpacks many containers through one fixed set of per-worker
+// codec handles — the read-side Packer: repeated calls (a restore decodes
+// one container per rank×field, the daemon inflate-verifies one per chunk
+// frame) reuse all codec scratch instead of building a handle per call.
+// An Unpacker is NOT safe for concurrent use — create one per goroutine.
+type Unpacker struct {
+	opts Options
+	// handles holds one handle per worker for each codec seen, built on
+	// first use; codec names the set the container being read uses.
+	handles map[string][]compress.Handle
+	codec   string
+	// slab is Check's decode target, grown to the largest chunk seen.
+	slab []float32
+}
+
+// NewUnpacker returns an Unpacker. opts.Parallelism fixes the worker count
+// for every subsequent call; opts.ChunkElems is a packing knob and ignored.
+func NewUnpacker(opts Options) *Unpacker {
+	return &Unpacker{opts: opts.normalized(), handles: make(map[string][]compress.Handle)}
+}
+
+// Unpack decompresses one float32 container, reusing the Unpacker's
+// handles. Each chunk decodes straight into its span of the one output
+// array.
+func (u *Unpacker) Unpack(buf []byte) ([]float32, []int, error) {
+	return unpackGeneric[float32](u, buf, 32)
+}
+
+// open parses buf, checks that it holds wantBits-wide elements of a known
+// codec and that no chunk claims more elements than its blob could carry,
+// and selects the handles of the container's codec.
+func (u *Unpacker) open(buf []byte, wantBits int) (p parsed, rowElems int, err error) {
+	if p, err = parse(buf); err != nil {
+		return p, 0, err
 	}
 	if p.info.ElemBits != wantBits {
-		return nil, nil, fmt.Errorf("container: holds float%d values, caller asked for float%d",
+		return p, 0, fmt.Errorf("container: holds float%d values, caller asked for float%d",
 			p.info.ElemBits, wantBits)
 	}
 	if err := compress.CheckName(p.info.Codec); err != nil {
-		return nil, nil, err
+		return p, 0, err
 	}
-	n := 1
-	for _, d := range p.info.Dims {
-		n *= d
-	}
-	rowElems := n / p.info.Dims[0]
+	rowElems = p.n / p.info.Dims[0]
 	// Plausibility: every codec spends at least one bit per element before
 	// its lossless stage, which expands at most lossless.MaxExpansion bytes
 	// per stored byte. A chunk claiming far more elements than its blob could
@@ -377,35 +405,61 @@ func unpackGeneric[F float32 | float64](buf []byte, opts Options, wantBits int) 
 	for i, span := range p.spans {
 		elems := uint64(span.hi-span.lo) * uint64(rowElems)
 		if elems/8 > uint64(p.blobSz[i])*lossless.MaxExpansion+1024 {
-			return nil, nil, ErrCorrupt
+			return p, 0, ErrCorrupt
 		}
 	}
-	out := make([]F, n)
-	errs := make([]error, len(p.spans))
+	if u.codec = p.info.Codec; u.handles[u.codec] == nil {
+		u.handles[u.codec] = make([]compress.Handle, u.opts.Parallelism)
+	}
+	return p, rowElems, nil
+}
 
-	handles := make([]compress.Handle, opts.Parallelism)
-	par.RunWorker(len(p.spans), opts.Parallelism, func(w, ci int) {
-		h := handles[w]
-		if h == nil {
-			var err error
-			if h, err = compress.NewHandle(p.info.Codec, 1); err != nil {
-				errs[ci] = err
-				return
-			}
-			handles[w] = h
+// handle returns worker w's handle for the selected codec, building it on
+// first use. Workers touch only their own slot of a slice open put in place.
+func (u *Unpacker) handle(w int) (compress.Handle, error) {
+	hs := u.handles[u.codec]
+	if hs[w] == nil {
+		h, err := compress.NewHandle(u.codec, 1)
+		if err != nil {
+			return nil, err
 		}
-		span := p.spans[ci]
-		blob := buf[p.blobAt[ci] : p.blobAt[ci]+p.blobSz[ci]]
-		vals, dims, err := handleDecompress[F](h, blob)
+		hs[w] = h
+	}
+	return hs[w], nil
+}
+
+// decodeChunk decodes chunk ci of p into dst, which holds exactly the
+// chunk's elements: a blob that claims any other count is corrupt (one
+// claiming more lands in an array of the codec's own, never past dst).
+func decodeChunk[F float32 | float64](h compress.Handle, buf []byte, p *parsed, ci int, dst []F) error {
+	span := p.spans[ci]
+	vals, dims, err := handleDecompressInto(h, dst, buf[p.blobAt[ci]:p.blobAt[ci]+p.blobSz[ci]])
+	if err != nil {
+		return err
+	}
+	if len(dims) == 0 || dims[0] != span.hi-span.lo || len(vals) != len(dst) {
+		return ErrCorrupt
+	}
+	return nil
+}
+
+func unpackGeneric[F float32 | float64](u *Unpacker, buf []byte, wantBits int) ([]F, []int, error) {
+	p, rowElems, err := u.open(buf, wantBits)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]F, p.n)
+	errs := make([]error, len(p.spans))
+	par.RunWorker(len(p.spans), u.opts.Parallelism, func(w, ci int) {
+		h, err := u.handle(w)
 		if err != nil {
 			errs[ci] = err
 			return
 		}
-		if len(dims) == 0 || dims[0] != span.hi-span.lo || len(vals) != (span.hi-span.lo)*rowElems {
-			errs[ci] = ErrCorrupt
-			return
-		}
-		copy(out[span.lo*rowElems:], vals)
+		// The capacity stops at the span's end: whatever a blob claims, its
+		// decode cannot reach a neighbour's elements.
+		lo, hi := p.spans[ci].lo*rowElems, p.spans[ci].hi*rowElems
+		errs[ci] = decodeChunk(h, buf, &p, ci, out[lo:hi:hi])
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -413,6 +467,36 @@ func unpackGeneric[F float32 | float64](buf []byte, opts Options, wantBits int) 
 		}
 	}
 	return out, p.info.Dims, nil
+}
+
+// Check decodes every chunk of a float32 container that must hold exactly
+// elems elements and discards the values: it reports what Unpack would —
+// every parse, shape and decode error — without materializing the array.
+// The element count is checked against the header before anything is
+// decoded, and chunks decode one at a time into a single slab the Unpacker
+// keeps, so a call allocates only when a chunk is larger than any before.
+func (u *Unpacker) Check(buf []byte, elems int) error {
+	p, rowElems, err := u.open(buf, 32)
+	if err != nil {
+		return err
+	}
+	if p.n != elems {
+		return fmt.Errorf("container: holds %d elements, want %d", p.n, elems)
+	}
+	h, err := u.handle(0)
+	if err != nil {
+		return err
+	}
+	for ci, span := range p.spans {
+		n := (span.hi - span.lo) * rowElems
+		if cap(u.slab) < n {
+			u.slab = make([]float32, n)
+		}
+		if err := decodeChunk(h, buf, &p, ci, u.slab[:n:n]); err != nil {
+			return fmt.Errorf("container: chunk decompression: %w", err)
+		}
+	}
+	return nil
 }
 
 // ReadChunk decompresses a single float32 chunk by index, returning its

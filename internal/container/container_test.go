@@ -1,8 +1,11 @@
 package container
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -180,6 +183,101 @@ func TestUnpackCorrupt(t *testing.T) {
 	mut[12] ^= 0xFF
 	if _, _, err := Unpack(mut, Options{}); err == nil {
 		t.Error("corrupted codec name accepted")
+	}
+}
+
+// TestUnpackerReuse: one Unpacker across containers of both codecs and two
+// shapes returns what one-shot Unpack does, its Check accepts each of them
+// at their element count and at no other, and once its slab has seen the
+// largest chunk a Check allocates nothing the size of an output.
+func TestUnpackerReuse(t *testing.T) {
+	f := nyxField(t)
+	eb := compress.AbsBoundFromRelative(1e-3, f.Data)
+	u := NewUnpacker(Options{Parallelism: 2})
+	var bufs [][]byte
+	for _, tc := range []struct {
+		codec string
+		chunk int
+	}{{"sz", 4096}, {"zfp", 8192}, {"sz", 0}, {"zfp", 4096}} {
+		buf, err := Pack(tc.codec, f.Data, f.Dims, eb, Options{ChunkElems: tc.chunk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bufs = append(bufs, buf)
+		want, _, err := Unpack(buf, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, dims, err := u.Unpack(buf)
+		if err != nil || len(dims) != len(f.Dims) || len(got) != len(want) {
+			t.Fatalf("%s chunk %d: %d values, dims %v, err %v", tc.codec, tc.chunk, len(got), dims, err)
+		}
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s chunk %d: element %d differs from Unpack", tc.codec, tc.chunk, i)
+			}
+		}
+		if err := u.Check(buf, len(want)); err != nil {
+			t.Fatalf("%s chunk %d: Check: %v", tc.codec, tc.chunk, err)
+		}
+		if err := u.Check(buf, len(want)+1); err == nil {
+			t.Fatalf("%s chunk %d: Check accepted the wrong element count", tc.codec, tc.chunk)
+		}
+		if err := u.Check(buf[:len(buf)-1], len(want)); err == nil {
+			t.Fatalf("%s chunk %d: Check accepted a container cut short", tc.codec, tc.chunk)
+		}
+	}
+	least := ^uint64(0)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, buf := range bufs[2:] { // sz then zfp: each codec's handles are kept
+			if err := u.Check(buf, len(f.Data)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if raw := uint64(len(f.Data)) * 4; least > raw {
+		t.Fatalf("two warm Checks allocated %d B against %d B of values", least, raw)
+	}
+}
+
+// TestChunkClaimsMoreThanItsSpan: a chunk whose codec stream describes more
+// rows than the chunk table gives it must be refused, and must not reach past
+// its span on the way: the decode lands in an array of the codec's own.
+func TestChunkClaimsMoreThanItsSpan(t *testing.T) {
+	pack := func(rows int) []byte {
+		data := make([]float32, rows*16)
+		for i := range data {
+			data[i] = float32(i) * 0.5
+		}
+		buf, err := Pack("sz", data, []int{rows, 16}, 1e-3, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	small, big := pack(4), pack(8)
+	ps, err := parse(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := parse(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The 4-row container's framing around the 8-row container's one blob:
+	// the chunk's size word is the last 8 bytes before the blobs.
+	forged := append([]byte(nil), small[:ps.blobAt[0]]...)
+	binary.LittleEndian.PutUint64(forged[len(forged)-8:], uint64(pb.blobSz[0]))
+	forged = append(forged, big[pb.blobAt[0]:]...)
+	if _, _, err := Unpack(forged, Options{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Unpack: %v, want ErrCorrupt", err)
+	}
+	if err := NewUnpacker(Options{Parallelism: 1}).Check(forged, 4*16); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Check: %v, want ErrCorrupt", err)
 	}
 }
 

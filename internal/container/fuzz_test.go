@@ -4,9 +4,11 @@ import (
 	"testing"
 )
 
-// FuzzUnpack drives Unpack/Unpack64/ReadChunk with corrupted containers.
-// Contract: coherent output or an error — never a panic, and never an output
-// allocation a chunk blob could not plausibly back.
+// FuzzUnpack drives Unpack/Unpack64/ReadChunk/Check with corrupted
+// containers. Contract: coherent output or an error — never a panic, and
+// never an output allocation a chunk blob could not plausibly back — and
+// Check, which decodes without keeping the values, accepts exactly what
+// Unpack does.
 func FuzzUnpack(f *testing.F) {
 	data := make([]float32, 8*16*16)
 	for i := range data {
@@ -43,8 +45,12 @@ func FuzzUnpack(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		if out, dims, err := Unpack(in, Options{}); err == nil {
+		out, dims, err := Unpack(in, Options{})
+		if err == nil {
 			checkCoherent(t, len(out), dims)
+		}
+		if cerr := NewUnpacker(Options{Parallelism: 1}).Check(in, len(out)); (cerr == nil) != (err == nil) {
+			t.Fatalf("Unpack: %v, Check: %v", err, cerr)
 		}
 		if out, dims, err := Unpack64(in, Options{}); err == nil {
 			checkCoherent(t, len(out), dims)

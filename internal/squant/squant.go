@@ -53,12 +53,12 @@ func Compress64(data []float64, dims []int, eb float64) ([]byte, error) {
 
 // Decompress reverses Compress.
 func Decompress(buf []byte) ([]float32, []int, error) {
-	return decompressGeneric[float32](buf)
+	return decompressGeneric[float32](nil, buf)
 }
 
 // Decompress64 reverses Compress64.
 func Decompress64(buf []byte) ([]float64, []int, error) {
-	return decompressGeneric[float64](buf)
+	return decompressGeneric[float64](nil, buf)
 }
 
 // Handle is the codec as the registry holds it. It is the one-shot entry
@@ -80,7 +80,13 @@ func (Handle) CompressAppend(dst []byte, data []float32, dims []int, eb float64)
 }
 
 func (Handle) Decompress(buf []byte) ([]float32, []int, error) {
-	return decompressGeneric[float32](buf)
+	return decompressGeneric[float32](nil, buf)
+}
+
+// DecompressInto is Decompress landing in dst's backing array when it has
+// the capacity for the stream's element count.
+func (Handle) DecompressInto(dst []float32, buf []byte) ([]float32, []int, error) {
+	return decompressGeneric(dst, buf)
 }
 
 func (Handle) Compress64(data []float64, dims []int, eb float64) ([]byte, error) {
@@ -93,7 +99,12 @@ func (Handle) CompressAppend64(dst []byte, data []float64, dims []int, eb float6
 }
 
 func (Handle) Decompress64(buf []byte) ([]float64, []int, error) {
-	return decompressGeneric[float64](buf)
+	return decompressGeneric[float64](nil, buf)
+}
+
+// DecompressInto64 is DecompressInto for float64 streams.
+func (Handle) DecompressInto64(dst []float64, buf []byte) ([]float64, []int, error) {
+	return decompressGeneric(dst, buf)
 }
 
 // compressGeneric appends the compressed stream to dst.
@@ -162,7 +173,7 @@ func compressGeneric[F Float](dst []byte, data []F, dims []int, eb float64) ([]b
 	return lossless.AppendCompress(dst, payload, lossless.Defaults()), nil
 }
 
-func decompressGeneric[F Float](buf []byte) ([]F, []int, error) {
+func decompressGeneric[F Float](dst []F, buf []byte) ([]F, []int, error) {
 	payload, err := lossless.Decompress(buf)
 	if err != nil {
 		return nil, nil, fmt.Errorf("squant: lossless stage: %w", err)
@@ -240,7 +251,12 @@ func decompressGeneric[F Float](buf []byte) ([]F, []int, error) {
 	}
 	quanta := payload[off : off+qLen]
 
-	out := make([]F, n)
+	out := dst
+	if cap(out) >= n {
+		out = out[:n]
+	} else {
+		out = make([]F, n)
+	}
 	twoEB := 2 * eb
 	var prev int64
 	pos := 0

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync/atomic"
 
 	"lcpio/internal/ckpt"
 	"lcpio/internal/container"
@@ -12,8 +13,12 @@ import (
 )
 
 // Client speaks the svc frame protocol over one byte-stream connection.
-// A client runs at most one dump session at a time (the protocol is one
-// request/reply pair in flight); run several Clients for concurrency.
+// A client runs one request at a time — a dump session, a list, a restore —
+// so run several Clients for concurrency. Inside a dump the put frames are
+// pipelined: the sender does not wait for a chunk's acknowledgement before
+// writing the next, and a second goroutine reads the acknowledgements off
+// the same connection, which must therefore allow one Read concurrent with
+// one Write (net.Conn and net.Pipe do).
 type Client struct {
 	rw io.ReadWriter
 }
@@ -138,37 +143,46 @@ func (c *Client) dump(set ckpt.Set, req OpenRequest, opts DumpOptions) (Result, 
 		}
 		rawLens[i] = elems * 4
 	}
+	// The drain writes each chunk's frame and moves on; acks, on its own
+	// goroutine, takes the replies in the same order. sent carries the index
+	// of every frame fully written — one reply is owed per entry — and never
+	// blocks the drain: it holds all n. Dump does not return, and sends no
+	// close, while that goroutine is running.
+	sent := make(chan int, n)
+	acks := &ackReader{r: c.rw, done: make(chan struct{})}
+	go acks.run(sent)
+	putType := framePut
+	if req.WireCodec != "" {
+		putType = framePutZ
+	}
+	var buf []byte
 	err = eng.Drain(func(d stream.Item) error {
 		if d.Err != nil {
 			return fmt.Errorf("svc: chunk %d: %w", d.Idx, d.Err)
 		}
-		out := frame{Type: framePut, Session: sid, Payload: encodePut(d.Idx, d.Blob)}
-		if req.WireCodec != "" {
-			out = frame{Type: framePutZ, Session: sid,
-				Payload: encodePutZ(d.Idx, rawLens[d.Idx%nFields], d.Blob)}
+		if acks.failed.Load() {
+			return errStopSending
 		}
-		if err := writeFrame(c.rw, out); err != nil {
+		h := putHeader{Idx: d.Idx, CRC: ckpt.Digest(d.Blob)}
+		if putType == framePutZ {
+			h.RawLen = rawLens[d.Idx%nFields]
+		}
+		var err error
+		if buf, err = appendPutFrame(buf[:0], putType, sid, h, d.Blob); err != nil {
 			return err
 		}
-		pf, err := readFrame(c.rw)
-		if err != nil {
+		if _, err := c.rw.Write(buf); err != nil {
 			return err
 		}
-		if pf.Type == frameErr {
-			return fmt.Errorf("svc: put %d failed: %s", d.Idx, pf.Payload)
-		}
-		if pf.Type != framePutOK {
-			return fmt.Errorf("%w: unexpected reply to put", ErrCorruptFrame)
-		}
-		pr, err := parsePutReply(pf.Payload)
-		if err != nil {
-			return err
-		}
-		if pr.Idx != d.Idx {
-			return fmt.Errorf("%w: put ack for %d, want %d", ErrCorruptFrame, pr.Idx, d.Idx)
-		}
+		sent <- d.Idx
 		return nil
 	})
+	close(sent)
+	<-acks.done
+	// The first refusal is the cause of whatever the drain saw after it.
+	if acks.err != nil {
+		err = acks.err
+	}
 	if err != nil {
 		return Result{}, err
 	}
@@ -187,6 +201,67 @@ func (c *Client) dump(set ckpt.Set, req OpenRequest, opts DumpOptions) (Result, 
 		return Result{}, fmt.Errorf("%w: unexpected reply to close", ErrCorruptFrame)
 	}
 	return parseResult(cf.Payload)
+}
+
+// errStopSending ends the drain once the ack reader has recorded a failure;
+// Dump reports that failure, never this.
+var errStopSending = errors.New("svc: a put was refused; not sending the rest")
+
+// ackReader takes the replies to one dump's put frames off the connection,
+// in send order, on its own goroutine.
+type ackReader struct {
+	r io.Reader
+	// failed tells the drain to stop sending; err, the first failure, is the
+	// reader's until done is closed.
+	failed atomic.Bool
+	err    error
+	done   chan struct{}
+}
+
+// run reads one reply per index received from sent and holds it to that
+// index. After the first refusal it keeps reading — every frame sent is
+// answered, and a daemon blocked on an unread reply would stop reading
+// frames — but a reply that cannot be read ends it: nothing more will come.
+func (a *ackReader) run(sent <-chan int) {
+	defer close(a.done)
+	for idx := range sent {
+		pf, err := readFrame(a.r)
+		if err != nil {
+			a.fail(err)
+			return
+		}
+		if a.err == nil {
+			if err := checkPutReply(pf, idx); err != nil {
+				a.fail(err)
+			}
+		}
+	}
+}
+
+// fail records the first failure and stops the sender.
+func (a *ackReader) fail(err error) {
+	if a.err == nil {
+		a.err = err
+		a.failed.Store(true)
+	}
+}
+
+// checkPutReply holds one reply to the put it answers.
+func checkPutReply(pf frame, idx int) error {
+	if pf.Type == frameErr {
+		return fmt.Errorf("svc: put %d failed: %s", idx, pf.Payload)
+	}
+	if pf.Type != framePutOK {
+		return fmt.Errorf("%w: unexpected reply to put", ErrCorruptFrame)
+	}
+	pr, err := parsePutReply(pf.Payload)
+	if err != nil {
+		return err
+	}
+	if pr.Idx != idx {
+		return fmt.Errorf("%w: put ack for %d, want %d", ErrCorruptFrame, pr.Idx, idx)
+	}
+	return nil
 }
 
 // List fetches the daemon's finalized-set table.

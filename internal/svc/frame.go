@@ -15,10 +15,14 @@
 //     whose projected joules exceed the tenant's budget, or whose
 //     projected wall time misses its deadline, is rejected at open.
 //
-// The wire protocol is deliberately dumb: length-prefixed frames, one
-// request/reply pair at a time per connection. Sets finalized by the
-// daemon are format-identical to ckpt.Write output and restore through
-// the unmodified ckpt.Restore path (see Server.OpenSet).
+// The wire protocol is deliberately dumb: length-prefixed frames, exactly
+// one reply per request, replies in request order. Put frames are
+// pipelined — a client may have several unanswered, the daemon verifies
+// them concurrently and commits and acknowledges them in arrival order —
+// and every other frame is a barrier, handled once the puts before it are
+// answered (see ServeConn). Sets finalized by the daemon are
+// format-identical to ckpt.Write output and restore through the
+// unmodified ckpt.Restore path (see Server.OpenSet).
 package svc
 
 import (
@@ -32,9 +36,10 @@ import (
 )
 
 // Frame layout: magic(4) | type(1) | session(4) | payload length(4) |
-// payload. Every request frame gets exactly one reply frame; the session
-// id echoes the openOK-assigned id (0 before open and for sessionless
-// requests such as list).
+// payload. Every request frame gets exactly one reply frame, and replies
+// leave in the order their requests arrived; the session id echoes the
+// openOK-assigned id (0 before open and for sessionless requests such as
+// list).
 const (
 	frameMagic    = 0x6c737663 // "lsvc"
 	frameHdrLen   = 13
@@ -48,7 +53,7 @@ const (
 	frameOpen                 // client → server: OpenRequest
 	frameOpenOK               // server → client: OpenAccept
 	frameReject               // server → client: Reject (admission denied)
-	framePut                  // client → server: chunk index + blob
+	framePut                  // client → server: chunk index + blob digest + blob
 	framePutOK                // server → client: PutReply
 	frameClose                // client → server: finalize session
 	frameCloseOK              // server → client: Result
@@ -57,7 +62,7 @@ const (
 	frameRestoreReq           // client → server: set name (server-side restore)
 	frameRestoreOK            // server → client: RestoreReply
 	frameErr                  // server → client: protocol/session error string
-	framePutZ                 // client → server: compressed-wire chunk (idx + raw length + blob)
+	framePutZ                 // client → server: compressed-wire chunk (idx + raw length + blob digest + blob)
 	frameAdvise               // client → server: AdviseRequest (sessionless)
 	frameAdviseOK             // server → client: AdviseReply
 	frameTypeEnd
@@ -91,21 +96,35 @@ func writeFrame(w io.Writer, f frame) error {
 // readFrame reads exactly one frame from r, refusing oversized payloads
 // before allocating them.
 func readFrame(r io.Reader) (frame, error) {
-	var hdr [frameHdrLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return frame{}, err
-	}
-	f, n, err := parseFrameHeader(hdr[:])
+	f, n, err := readFrameHeader(r)
 	if err != nil {
 		return frame{}, err
 	}
-	if n > 0 {
-		f.Payload = make([]byte, n)
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			return frame{}, fmt.Errorf("svc: truncated frame payload: %w", err)
-		}
+	f.Payload, err = readPayload(r, nil, n)
+	return f, err
+}
+
+// readFrameHeader reads one frame header and returns the payload length it
+// declares (already held to maxPayloadLen) without consuming the payload.
+func readFrameHeader(r io.Reader) (frame, int, error) {
+	var hdr [frameHdrLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return frame{}, 0, err
 	}
-	return f, nil
+	return parseFrameHeader(hdr[:])
+}
+
+// readPayload reads a frame's n payload bytes into buf's backing array,
+// allocating only when it is too small.
+func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, fmt.Errorf("svc: truncated frame payload: %w", err)
+	}
+	return buf, nil
 }
 
 // parseFrameHeader decodes a frame header and returns the declared payload
@@ -451,57 +470,71 @@ func parseReject(b []byte) (Reject, error) {
 	return r, nil
 }
 
-// putHdrLen prefixes a PUT payload: chunk index, then the blob bytes.
-const putHdrLen = 4
-
-func encodePut(idx int, blob []byte) []byte {
-	b := make([]byte, 0, putHdrLen+len(blob))
-	b = wire.AppendUint32(b, uint32(idx))
-	return append(b, blob...)
+// putHeader is what precedes the blob in a put or putZ payload: the chunk
+// index, for putZ the inflated (raw float) byte length the blob claims to
+// decode to, and the sender's ckpt.Digest of the blob. The daemon checks the
+// digest before anything else looks at the blob and stores that verified
+// value as the chunk's manifest CRC, so a byte flipped between the client's
+// packer and the daemon's medium is refused whatever it would have decoded
+// to.
+type putHeader struct {
+	Idx    int
+	RawLen int64 // putZ only
+	CRC    uint32
 }
 
-func parsePut(b []byte) (idx int, blob []byte, err error) {
-	rd := wire.NewReader(b, ErrCorruptFrame)
-	i := rd.Uint32()
-	if rd.Err() != nil {
-		return 0, nil, fmt.Errorf("%w: put header", ErrCorruptFrame)
+const (
+	putHdrLen  = 4 + 4     // idx | crc
+	putZHdrLen = 4 + 8 + 4 // idx | rawLen | crc
+)
+
+// appendPutFrame appends one complete put frame of type t (framePut or
+// framePutZ) — frame header, put header, blob — to b. The sender builds each
+// frame in one buffer it reuses, so a blob is copied once on its way to the
+// socket and the frame leaves in one Write.
+func appendPutFrame(b []byte, t frameType, sess uint32, h putHeader, blob []byte) ([]byte, error) {
+	n := putHdrLen + len(blob)
+	if t == framePutZ {
+		n = putZHdrLen + len(blob)
 	}
-	return int(i), b[putHdrLen:], nil
+	if n > maxPayloadLen {
+		return b, fmt.Errorf("svc: frame payload %d exceeds cap %d", n, maxPayloadLen)
+	}
+	b = wire.AppendUint32(b, frameMagic)
+	b = append(b, byte(t))
+	b = wire.AppendUint32(b, sess)
+	b = wire.AppendUint32(b, uint32(n))
+	b = wire.AppendUint32(b, uint32(h.Idx))
+	if t == framePutZ {
+		b = wire.AppendUint64(b, uint64(h.RawLen))
+	}
+	b = wire.AppendUint32(b, h.CRC)
+	return append(b, blob...), nil
 }
 
-// putZHdrLen prefixes a compressed-wire PUT payload: chunk index, the
-// inflated (raw float) byte length the blob claims to decode to, then the
-// blob bytes.
-const putZHdrLen = putHdrLen + 8
-
-// encodePutZ frames a compressed-wire chunk.
-func encodePutZ(idx int, rawLen int64, blob []byte) []byte {
-	b := make([]byte, 0, putZHdrLen+len(blob))
-	b = wire.AppendUint32(b, uint32(idx))
-	b = wire.AppendUint64(b, uint64(rawLen))
-	return append(b, blob...)
-}
-
-// parsePutZ decodes a compressed-wire chunk header. The declared raw
-// length is a hostile input: it is capped here, re-checked against the
-// session's field geometry before any inflation, and finally compared to
-// the actual inflated size — a lying length field can therefore never
+// parsePut decodes the payload of a put frame of type t (framePut or
+// framePutZ); blob aliases b. A putZ's declared raw length is a hostile
+// input: it is capped here, re-checked against the session's field geometry
+// before any inflation, and the container's own element count must equal it
+// before a chunk is decoded — a lying length field can therefore never
 // drive an allocation larger than the geometry the session negotiated.
-func parsePutZ(b []byte) (idx int, rawLen int64, blob []byte, err error) {
+func parsePut(t frameType, b []byte) (h putHeader, blob []byte, err error) {
 	rd := wire.NewReader(b, ErrCorruptFrame)
-	i := rd.Uint32()
-	n := int64(rd.Uint64())
+	h.Idx = int(rd.Uint32())
+	if t == framePutZ {
+		h.RawLen = int64(rd.Uint64())
+	}
+	h.CRC = rd.Uint32()
 	if rd.Err() != nil {
-		return 0, 0, nil, fmt.Errorf("%w: putz header", ErrCorruptFrame)
+		return h, nil, fmt.Errorf("%w: put header", ErrCorruptFrame)
 	}
-	if n <= 0 || n > maxRawB || n%4 != 0 {
-		return 0, 0, nil, fmt.Errorf("%w: putz raw length %d", ErrCorruptFrame, n)
+	if t == framePutZ && (h.RawLen <= 0 || h.RawLen > maxRawB || h.RawLen%4 != 0) {
+		return h, nil, fmt.Errorf("%w: putz raw length %d", ErrCorruptFrame, h.RawLen)
 	}
-	blob = b[putZHdrLen:]
-	if len(blob) == 0 {
-		return 0, 0, nil, fmt.Errorf("%w: putz empty blob", ErrCorruptFrame)
+	if blob = b[rd.Offset():]; len(blob) == 0 {
+		return h, nil, fmt.Errorf("%w: put with an empty blob", ErrCorruptFrame)
 	}
-	return int(i), n, blob, nil
+	return h, blob, nil
 }
 
 // PutReply acknowledges one chunk with its slice of the shared-medium

@@ -131,10 +131,12 @@ func FuzzSvcFrame(f *testing.F) {
 				_, _ = parseOpenAccept(fr.Payload)
 			case frameReject:
 				_, _ = parseReject(fr.Payload)
-			case framePut:
-				_, _, _ = parsePut(fr.Payload)
-			case framePutZ:
-				_, _, _, _ = parsePutZ(fr.Payload)
+			case framePut, framePutZ:
+				if h, blob, err := parsePut(fr.Type, fr.Payload); err == nil {
+					if re := putPayload(fr.Type, h, blob); !bytes.Equal(re, fr.Payload) {
+						t.Fatal("put re-encode mismatch")
+					}
+				}
 			case framePutOK:
 				_, _ = parsePutReply(fr.Payload)
 			case frameCloseOK:
@@ -167,12 +169,13 @@ func FuzzSvcFrame(f *testing.F) {
 }
 
 // FuzzTransitFrame drives the compressed-wire chunk decoder (framePutZ
-// payloads) plus the daemon's inflate-verification path. Contract:
-// parsePutZ either fails cleanly or returns a capped, 4-aligned raw length
-// and a non-empty blob that re-encodes to exactly the input; inflating the
-// blob the way Server.putZ does never panics, never allocates from the
-// hostile declared length, and any successful inflate exposes a raw-length
-// lie as a plain mismatch.
+// payloads) plus the daemon's verification path. Contract: parsePut either
+// fails cleanly or returns a capped, 4-aligned raw length and a non-empty
+// blob that re-encode to exactly the input; verifying the blob the way
+// Server.verify does never panics and never allocates from the hostile
+// declared length. The digest is the sender's word, and a sender can put a
+// matching one over any bytes, so the inflate is driven whether or not it
+// matches: it must stand hostile blobs on its own.
 func FuzzTransitFrame(f *testing.F) {
 	data := make([]float32, 96)
 	for i := range data {
@@ -197,37 +200,33 @@ func FuzzTransitFrame(f *testing.F) {
 	// Length-field lies: zero, unaligned, negative (as uint64), beyond the
 	// allocation cap, and well-formed-but-wrong.
 	lie := func(rawLen uint64) []byte {
-		b := wire.AppendUint32(nil, 2)
-		b = wire.AppendUint64(b, rawLen)
-		return append(b, blob...)
+		return encodePutZ(2, int64(rawLen), blob)
 	}
 	f.Add(lie(0))
 	f.Add(lie(7))
 	f.Add(lie(1 << 63))
 	f.Add(lie(uint64(maxRawB) + 4))
 	f.Add(lie(uint64(len(data))*4 + 4))
+	// A flip inside the digest field itself.
+	mut := append([]byte(nil), valid...)
+	mut[putZHdrLen-2] ^= 0x40
+	f.Add(mut)
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		idx, rawLen, pb, err := parsePutZ(payload)
+		h, pb, err := parsePut(framePutZ, payload)
 		if err != nil {
 			return
 		}
-		if rawLen <= 0 || rawLen > maxRawB || rawLen%4 != 0 || len(pb) == 0 {
-			t.Fatalf("accepted out-of-contract chunk: rawLen %d blob %d B", rawLen, len(pb))
+		if h.RawLen <= 0 || h.RawLen > maxRawB || h.RawLen%4 != 0 || len(pb) == 0 {
+			t.Fatalf("accepted out-of-contract chunk: rawLen %d blob %d B", h.RawLen, len(pb))
 		}
-		if re := encodePutZ(idx, rawLen, pb); !bytes.Equal(re, payload) {
+		if re := putPayload(framePutZ, h, pb); !bytes.Equal(re, payload) {
 			t.Fatalf("re-encode mismatch: %x vs %x", re, payload)
 		}
-		// Inflate exactly as Server.putZ does. The output allocation is
-		// bounded by the blob's own plausibility guard, not by rawLen.
-		floats, _, err := container.Unpack(pb, container.Options{Parallelism: 1})
-		if err != nil {
-			return
-		}
-		if got := int64(len(floats)) * 4; got != rawLen {
-			// The daemon rejects this declared/actual mismatch; the fuzz
-			// contract only needs the mismatch to be detectable.
-			return
-		}
+		_ = ckpt.Digest(pb) == h.CRC
+		// Inflate exactly as Server.verify does. A declared length that the
+		// container's own header does not state is refused before anything
+		// is decoded; the slab is bounded by the blob's plausibility guard.
+		_ = container.NewUnpacker(container.Options{Parallelism: 1}).Check(pb, int(h.RawLen/4))
 	})
 }

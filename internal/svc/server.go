@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lcpio/internal/advisor"
@@ -137,8 +139,12 @@ type session struct {
 	admitWait float64
 	payload   int64
 	projJ     float64
-	broken    bool
-	done      bool
+	// broken is set by the connection's committer at the first put that
+	// fails; verifiers read it to skip chunks that can no longer land.
+	// Every other mutable field is the committer's while puts are in
+	// flight and the reader's once they have drained.
+	broken atomic.Bool
+	done   bool
 }
 
 // Server is the daemon: one shared medium, one shared simulated-NFS
@@ -165,6 +171,15 @@ type Server struct {
 	nextSess   uint32
 	mediumFree float64 // simulated time the shared medium next goes idle
 	closed     bool
+
+	// verifiers is the daemon-wide verification pool: GOMAXPROCS unpackers,
+	// each with its codec handles and one chunk-sized slab, taken by a put's
+	// verification for as long as it runs. However many connections are
+	// pipelining, that many chunks are being checked at once and no more.
+	verifiers chan *container.Unpacker
+	// inflight counts put payloads held anywhere between a connection's
+	// reader and its committer (the lcpio_svc_put_inflight gauge).
+	inflight atomic.Int64
 }
 
 // NewServer builds a daemon from cfg. Tenants are registered separately
@@ -182,6 +197,10 @@ func NewServer(cfg Config) *Server {
 		slack:     make(map[int64]int64),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.verifiers = make(chan *container.Unpacker, runtime.GOMAXPROCS(0))
+	for i := 0; i < cap(s.verifiers); i++ {
+		s.verifiers <- container.NewUnpacker(container.Options{Parallelism: 1})
+	}
 	return s
 }
 
@@ -229,23 +248,49 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// ServeConn runs the frame loop for one connection: at most one dump
-// session at a time, plus sessionless list/restore requests. It returns
-// nil on clean EOF. A connection dying mid-session aborts the session and
-// refunds its extent reservation.
+// ServeConn runs one connection: at most one dump session at a time, plus
+// sessionless list/advise/restore requests. It returns nil on clean EOF. A
+// connection dying mid-session aborts the session and refunds its extent
+// reservation.
+//
+// Put frames are pipelined through three stages. This goroutine, the
+// reader, parses a put, runs the checks that need no payload byte (session,
+// index range, declared raw length) and queues it; verification (digest,
+// and for putZ the inflate) runs on the daemon-wide pool; the connection's
+// committer takes the queue in arrival order, waits for that chunk's
+// verdict, lands it and writes its reply. So replies leave in request
+// order, a chunk's offset, simulated clock and queue wait are what a
+// one-at-a-time exchange would have produced, and a peer that keeps one
+// frame in flight sees exactly that exchange. Every other frame is a
+// barrier: the reader handles it itself, after the puts before it have been
+// answered, so the socket has one writer at a time.
 func (s *Server) ServeConn(rw io.ReadWriter) error {
+	p := s.startPutPipe(rw)
 	var sess *session
 	defer func() {
+		p.stop()
 		if sess != nil && !sess.done {
 			s.abort(sess)
 		}
 	}()
 	for {
-		f, err := readFrame(rw)
+		f, n, err := readFrameHeader(rw)
+		switch {
+		case err != nil:
+		case f.Type == framePut || f.Type == framePutZ:
+			if err = p.receive(rw, f, n, sess); err == nil {
+				continue
+			}
+		default:
+			f.Payload, err = readPayload(rw, nil, n)
+		}
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
+			return err
+		}
+		if err = p.drain(); err != nil {
 			return err
 		}
 		switch f.Type {
@@ -271,39 +316,9 @@ func (s *Server) ServeConn(rw io.ReadWriter) error {
 			default:
 				err = reply(rw, frameOpenOK, sess.id, acc.encode())
 			}
-		case framePut:
-			if sess == nil || sess.done || f.Session != sess.id {
-				err = reply(rw, frameErr, f.Session, []byte("no such session"))
-				break
-			}
-			idx, blob, perr := parsePut(f.Payload)
-			if perr == nil {
-				var pr PutReply
-				pr, perr = s.put(sess, idx, blob)
-				if perr == nil {
-					err = reply(rw, framePutOK, sess.id, pr.encode())
-					break
-				}
-			}
-			err = reply(rw, frameErr, sess.id, []byte(perr.Error()))
-		case framePutZ:
-			if sess == nil || sess.done || f.Session != sess.id {
-				err = reply(rw, frameErr, f.Session, []byte("no such session"))
-				break
-			}
-			idx, rawLen, blob, perr := parsePutZ(f.Payload)
-			if perr == nil {
-				var pr PutReply
-				pr, perr = s.putZ(sess, idx, rawLen, blob)
-				if perr == nil {
-					err = reply(rw, framePutOK, sess.id, pr.encode())
-					break
-				}
-			}
-			err = reply(rw, frameErr, sess.id, []byte(perr.Error()))
 		case frameClose:
 			if sess == nil || sess.done || f.Session != sess.id {
-				err = reply(rw, frameErr, f.Session, []byte("no such session"))
+				err = reply(rw, frameErr, f.Session, []byte(errNoSession.Error()))
 				break
 			}
 			res, cerr := s.closeSession(sess)
@@ -348,6 +363,227 @@ func (s *Server) ServeConn(rw io.ReadWriter) error {
 			return err
 		}
 	}
+}
+
+// putWindow is how many put frames a connection may have queued behind the
+// one its committer is landing. It is a constant, not an option: the window
+// only has to cover the verification pool's depth, and it is also the bound
+// on what a client can make the daemon hold — putWindow+1 payloads per
+// connection, after which the reader stops reading and TCP pushes back.
+const putWindow = 4
+
+var (
+	errNoSession     = errors.New("no such session")
+	errSessionFailed = errors.New("svc: session failed; close the connection")
+)
+
+func init() {
+	// A chunk's wait for a verifier and the committer's wait for a verdict
+	// run from microseconds (idle pool, verdict already in) to a few
+	// inflates of a multi-megabyte chunk.
+	waits := []float64{1e-5, 1e-4, 1e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1}
+	obs.DefineHistogram("lcpio_svc_verify_wait_seconds", waits)
+	obs.DefineHistogram("lcpio_svc_commit_wait_seconds", waits)
+}
+
+// putJob is one put frame between a connection's reader and its committer.
+// putWindow+1 of them circulate per connection, each with the payload
+// buffer it reads frames into, so a steady dump allocates neither.
+type putJob struct {
+	sess    *session // nil: the frame named no open session
+	sid     uint32   // the session id the frame carried, echoed in the reply
+	z       bool     // arrived as framePutZ
+	hdr     putHeader
+	buf     []byte        // payload buffer, kept across uses
+	blob    []byte        // the chunk, aliasing buf
+	err     error         // the refusal, if any: the reader's, else the verifier's
+	verdict chan struct{} // signalled (capacity 1) once err is final
+	queued  time.Time
+}
+
+// putPipe is one connection's put pipeline.
+type putPipe struct {
+	s *Server
+	w io.Writer
+	// slots is the window: one token per job, taken by the reader before it
+	// reads a put's payload and returned by the committer after the reply.
+	// idle holds the jobs not in use, last returned first out, so a
+	// connection whose puts are answered as fast as they arrive keeps one or
+	// two payload buffers warm instead of cycling through all of them.
+	slots chan struct{}
+	mu    sync.Mutex
+	idle  []*putJob
+	// queue carries jobs to the committer in arrival order; it has room for
+	// every job, so the reader never blocks on it.
+	queue chan *putJob
+	// pending counts jobs queued and not yet answered; the reader waits on it
+	// before handling a barrier frame.
+	pending sync.WaitGroup
+	// werr is the first reply the committer could not write. It is the
+	// committer's until pending.Wait or stop returns.
+	werr error
+	done chan struct{}
+}
+
+func (s *Server) startPutPipe(w io.Writer) *putPipe {
+	p := &putPipe{
+		s: s, w: w,
+		slots: make(chan struct{}, putWindow+1),
+		queue: make(chan *putJob, putWindow+1),
+		done:  make(chan struct{}),
+	}
+	for i := 0; i < cap(p.slots); i++ {
+		p.release(&putJob{verdict: make(chan struct{}, 1)})
+	}
+	go p.commit()
+	return p
+}
+
+// acquire blocks until a job is free: while putWindow+1 payloads are held
+// the reader reads nothing more.
+func (p *putPipe) acquire() *putJob {
+	<-p.slots
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	job := p.idle[len(p.idle)-1]
+	p.idle = p.idle[:len(p.idle)-1]
+	return job
+}
+
+func (p *putPipe) release(job *putJob) {
+	p.mu.Lock()
+	p.idle = append(p.idle, job)
+	p.mu.Unlock()
+	p.slots <- struct{}{}
+}
+
+// receive reads one put frame's payload and queues it for verification and
+// commit. Only a failed read is an error; a frame the checks refuse is
+// queued with its refusal, which the committer sends in turn.
+func (p *putPipe) receive(r io.Reader, f frame, n int, sess *session) error {
+	job := p.acquire()
+	var err error
+	if job.buf, err = readPayload(r, job.buf[:0], n); err != nil {
+		p.release(job)
+		return err
+	}
+	obs.Set("lcpio_svc_put_inflight", float64(p.s.inflight.Add(1)))
+	job.sess, job.sid, job.z, job.err = nil, f.Session, f.Type == framePutZ, errNoSession
+	if sess != nil && !sess.done && f.Session == sess.id {
+		job.sess = sess
+		if job.hdr, job.blob, job.err = parsePut(f.Type, job.buf); job.err == nil {
+			job.err = sess.admits(job)
+		}
+	}
+	job.queued = time.Now()
+	p.pending.Add(1)
+	p.queue <- job
+	if job.err != nil {
+		job.verdict <- struct{}{}
+	} else {
+		// The wait for a verifier is the goroutine's, not the reader's: the
+		// reader goes on taking payloads off the socket up to the window, so
+		// a client is not stalled in Write behind a pool that is busy.
+		go p.s.verify(job)
+	}
+	return nil
+}
+
+// admits runs the checks a put needs no payload byte for. It reads only
+// what open fixed, so it is safe while the committer owns the session.
+func (sess *session) admits(job *putJob) error {
+	idx := job.hdr.Idx
+	if job.z && sess.wireCodec == "" {
+		return errors.New("svc: compressed-wire chunk without a negotiated wire codec")
+	}
+	if idx < 0 || idx >= len(sess.seen) {
+		return fmt.Errorf("svc: chunk index %d outside set of %d", idx, len(sess.seen))
+	}
+	if f := sess.req.Fields[idx%len(sess.req.Fields)]; job.z && job.hdr.RawLen != int64(f.Elems())*4 {
+		return fmt.Errorf("svc: chunk %d declares %d raw B; field %q inflates to %d B",
+			idx, job.hdr.RawLen, f.Name, int64(f.Elems())*4)
+	}
+	return nil
+}
+
+// verify gives a queued chunk its verdict on one of the pool's verifiers:
+// the sender's digest over the blob as it arrived, then, for a
+// compressed-wire chunk, a decode of every container chunk into the
+// verifier's slab — the values are dropped, the element count and any decode
+// error are the verdict. Goroutines blocked on the pool are served first
+// come, first served, so chunks are verified in close to arrival order; the
+// commit order does not depend on it.
+func (s *Server) verify(job *putJob) {
+	v := <-s.verifiers
+	t0 := time.Now()
+	obs.Observe("lcpio_svc_verify_wait_seconds", t0.Sub(job.queued).Seconds())
+	idx := job.hdr.Idx
+	switch {
+	case job.sess.broken.Load():
+		job.err = errSessionFailed // nothing of it can land: skip the work
+	case ckpt.Digest(job.blob) != job.hdr.CRC:
+		job.err = fmt.Errorf("svc: chunk %d does not match its sender's digest", idx)
+	case job.z:
+		if err := v.Check(job.blob, int(job.hdr.RawLen/4)); err != nil {
+			job.err = fmt.Errorf("svc: chunk %d failed inflate verification: %w", idx, err)
+		}
+	}
+	obs.AddFloat("lcpio_svc_verify_seconds_total", time.Since(t0).Seconds())
+	s.verifiers <- v
+	job.verdict <- struct{}{}
+}
+
+// commit is the connection's committer: jobs in arrival order, each landed
+// and answered once its verdict is in.
+func (p *putPipe) commit() {
+	defer close(p.done)
+	for job := range p.queue {
+		t0 := time.Now()
+		<-job.verdict
+		obs.Observe("lcpio_svc_commit_wait_seconds", time.Since(t0).Seconds())
+		p.answer(job)
+		obs.Set("lcpio_svc_put_inflight", float64(p.s.inflight.Add(-1)))
+		p.release(job)
+		p.pending.Done()
+	}
+}
+
+// answer lands a chunk that passed and writes the frame's one reply. The
+// first chunk of a session to fail — refused by the reader's checks, by its
+// verifier, or by put — marks the session broken, and every chunk behind it
+// is answered with the session-failed error without landing. Once a reply
+// could not be written nothing is landed or answered any more: the
+// connection is gone and the session will be aborted.
+func (p *putPipe) answer(job *putJob) {
+	if p.werr != nil {
+		return
+	}
+	sess, err := job.sess, job.err
+	var pr PutReply
+	if sess != nil && err == nil {
+		pr, err = p.s.put(sess, job)
+	}
+	if err != nil {
+		p.werr = reply(p.w, frameErr, job.sid, []byte(err.Error()))
+	} else {
+		p.werr = reply(p.w, framePutOK, job.sid, pr.encode())
+	}
+	if sess != nil && (err != nil || p.werr != nil) {
+		sess.broken.Store(true)
+	}
+}
+
+// drain returns once every put received so far has been answered, with the
+// reply-write failure that ended the connection's usefulness, if any.
+func (p *putPipe) drain() error {
+	p.pending.Wait()
+	return p.werr
+}
+
+// stop ends the committer after it has dealt with everything queued.
+func (p *putPipe) stop() {
+	close(p.queue)
+	<-p.done
 }
 
 func reply(w io.Writer, t frameType, sess uint32, payload []byte) error {
@@ -554,28 +790,27 @@ func (s *Server) countReject(ten *tenant, code RejectCode) {
 	_ = code
 }
 
-// put lands one compressed chunk: it advances the session's simulated
-// clock by the modeled compress time, serializes the wire transfer on the
-// shared medium timeline, and places the blob in the session's per-rank
-// lane. The queue wait — time the chunk sat compressed but unwritable
-// because other sessions held the medium — is the backpressure signal.
-func (s *Server) put(sess *session, idx int, blob []byte) (PutReply, error) {
-	if sess.broken {
-		return PutReply{}, errors.New("svc: session failed; close the connection")
+// put lands one verified chunk: it advances the session's simulated clock
+// by the modeled compress time, serializes the wire transfer on the shared
+// medium timeline, and places the blob in the session's per-rank lane. The
+// queue wait — time the chunk sat compressed but unwritable because other
+// sessions held the medium — is the backpressure signal. The manifest CRC is
+// the sender's digest, which the verifier matched against these bytes. A
+// compressed-wire chunk (framePutZ) is the same container blob a plain put
+// carries, stored byte-identically; its declared raw size, which the
+// verifier held to the session's geometry and to the decoded element count,
+// credits the shared-medium transfer time compression saved.
+func (s *Server) put(sess *session, job *putJob) (PutReply, error) {
+	if sess.broken.Load() {
+		return PutReply{}, errSessionFailed
 	}
+	idx, blob := job.hdr.Idx, job.blob
 	nf := len(sess.req.Fields)
-	if idx < 0 || idx >= len(sess.seen) {
-		return PutReply{}, fmt.Errorf("svc: chunk index %d outside set of %d", idx, len(sess.seen))
-	}
 	if sess.seen[idx] {
 		return PutReply{}, fmt.Errorf("svc: duplicate chunk %d", idx)
 	}
-	if len(blob) == 0 {
-		return PutReply{}, fmt.Errorf("svc: empty chunk %d", idx)
-	}
 	field, rank := idx%nf, idx/nf
 	if sess.rankUsed[rank]+int64(len(blob)) > sess.stride {
-		sess.broken = true
 		return PutReply{}, fmt.Errorf(
 			"svc: rank %d lane overflow: %d + %d B exceeds negotiated stride %d B (ratio shortfall)",
 			rank, sess.rankUsed[rank], len(blob), sess.stride)
@@ -614,62 +849,29 @@ func (s *Server) put(sess *session, idx int, blob []byte) (PutReply, error) {
 
 	rel := int64(ckpt.HeaderLen) + int64(rank)*sess.stride + sess.rankUsed[rank]
 	if _, err := sess.view.WriteAt(blob, rel); err != nil {
-		sess.broken = true
 		return PutReply{}, err
 	}
 	sess.m.Chunks[idx] = ckpt.ChunkInfo{
-		Rank: rank, Field: field, Offset: rel, Size: int64(len(blob)), CRC: ckpt.Digest(blob),
+		Rank: rank, Field: field, Offset: rel, Size: int64(len(blob)), CRC: job.hdr.CRC,
 	}
 	sess.rankUsed[rank] += int64(len(blob))
 	sess.seen[idx] = true
 	sess.nSeen++
 	sess.payload += int64(len(blob))
+	if job.z {
+		sess.wireSaved += s.cfg.Mount.Write(job.hdr.RawLen).NetworkSeconds - wireSec
+		sess.wireChunks++
+	}
 	obs.Add("lcpio_svc_chunks_total", 1)
 	obs.AddFloat("lcpio_svc_bytes_total", float64(len(blob)))
 	return PutReply{Idx: idx, QueueWaitSeconds: wait, Backpressure: bp}, nil
-}
-
-// putZ lands one compressed-wire chunk (framePutZ). The blob is the same
-// container blob a plain PUT carries, but the client declared the raw size
-// it inflates to, so the daemon can verify the chunk end to end and credit
-// the shared-medium transfer time compression saved. The declared length
-// is hostile until the blob proves it: it must match the session's field
-// geometry, and the blob must actually inflate to it. On success the blob
-// is stored byte-identically to a plain PUT, leaving restore unchanged.
-func (s *Server) putZ(sess *session, idx int, rawLen int64, blob []byte) (PutReply, error) {
-	if sess.wireCodec == "" {
-		return PutReply{}, errors.New("svc: compressed-wire chunk without a negotiated wire codec")
-	}
-	if idx < 0 || idx >= len(sess.seen) {
-		return PutReply{}, fmt.Errorf("svc: chunk index %d outside set of %d", idx, len(sess.seen))
-	}
-	f := sess.req.Fields[idx%len(sess.req.Fields)]
-	if want := int64(f.Elems()) * 4; rawLen != want {
-		return PutReply{}, fmt.Errorf(
-			"svc: chunk %d declares %d raw B; field %q inflates to %d B", idx, rawLen, f.Name, want)
-	}
-	floats, _, err := container.Unpack(blob, container.Options{Parallelism: 1})
-	if err != nil {
-		return PutReply{}, fmt.Errorf("svc: chunk %d failed inflate verification: %w", idx, err)
-	}
-	if got := int64(len(floats)) * 4; got != rawLen {
-		return PutReply{}, fmt.Errorf("svc: chunk %d inflates to %d B, declared %d B", idx, got, rawLen)
-	}
-	pr, err := s.put(sess, idx, blob)
-	if err != nil {
-		return PutReply{}, err
-	}
-	sess.wireSaved += s.cfg.Mount.Write(rawLen).NetworkSeconds -
-		s.cfg.Mount.Write(int64(len(blob))).NetworkSeconds
-	sess.wireChunks++
-	return pr, nil
 }
 
 // closeSession finalizes the set (manifest + footer through ckpt's format
 // helpers), attributes the session's energy at the tuned clocks, refunds
 // the extent slack, and publishes the set for restore.
 func (s *Server) closeSession(sess *session) (Result, error) {
-	if sess.broken {
+	if sess.broken.Load() {
 		return Result{}, errors.New("svc: session failed; nothing to finalize")
 	}
 	if sess.nSeen != len(sess.seen) {

@@ -21,10 +21,14 @@ import (
 // genSet builds a deterministic synthetic checkpoint set; seed varies the
 // data so different tenants dump different bytes.
 func genSet(name string, ranks, seed int) ckpt.Set {
+	return genCodecSet(name, "sz", ranks, seed)
+}
+
+func genCodecSet(name, codec string, ranks, seed int) ckpt.Set {
 	set := ckpt.Set{
 		Name:  name,
 		Meta:  "svc-test",
-		Codec: "sz",
+		Codec: codec,
 		Ranks: ranks,
 		Fields: []ckpt.Field{
 			{Name: "pressure", Dims: []int{16, 24}, ErrorBound: 1e-3},
@@ -507,9 +511,13 @@ func TestFrameRoundTrips(t *testing.T) {
 		t.Fatalf("result round trip: %+v, %v", got, err)
 	}
 
-	idx, blob, err := parsePut(encodePut(5, []byte{1, 2, 3}))
-	if err != nil || idx != 5 || !bytes.Equal(blob, []byte{1, 2, 3}) {
-		t.Fatalf("put round trip: %d %v %v", idx, blob, err)
+	ph, blob, err := parsePut(framePut, encodePut(5, []byte{1, 2, 3}))
+	if err != nil || ph != (putHeader{Idx: 5, CRC: ckpt.Digest([]byte{1, 2, 3})}) || !bytes.Equal(blob, []byte{1, 2, 3}) {
+		t.Fatalf("put round trip: %+v %v %v", ph, blob, err)
+	}
+	ph, blob, err = parsePut(framePutZ, encodePutZ(6, 64, []byte{4, 5}))
+	if err != nil || ph != (putHeader{Idx: 6, RawLen: 64, CRC: ckpt.Digest([]byte{4, 5})}) || !bytes.Equal(blob, []byte{4, 5}) {
+		t.Fatalf("putZ round trip: %+v %v %v", ph, blob, err)
 	}
 
 	entries := []SetEntry{{Name: "a", Tenant: "x", Bytes: 1, Joules: 2, RawByte: 3}}

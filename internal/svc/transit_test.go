@@ -2,6 +2,7 @@ package svc
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"lcpio/internal/ckpt"
@@ -94,18 +95,21 @@ func TestPutZWithoutNegotiationRejected(t *testing.T) {
 
 // TestPutZLengthLieRejected declares a raw length that disagrees with the
 // session's field geometry, and one the blob does not inflate to; then it
-// sends corrupt blobs under the truthful length.
+// sends corrupt blobs under the truthful length and a digest that matches
+// them, as a sender with a broken packer would. The first refusal breaks a
+// session, so each case opens its own and is held to the reason it names.
 func TestPutZLengthLieRejected(t *testing.T) {
 	srv := NewServer(Config{})
 	if err := srv.AddTenant(TenantConfig{Name: "climate"}); err != nil {
 		t.Fatal(err)
 	}
-	cl := startPair(t, srv)
-	acc := openSession(t, cl, smallOpenReq("lie", "sz"))
-	blob := smallBlob(t)
-	rejected := func(cl *Client, session uint32, rawLen int64, blob []byte, what string) {
+	cases := 0
+	rejected := func(elems int, rawLen int64, blob []byte, what, reason string) {
 		t.Helper()
-		if err := writeFrame(cl.rw, frame{Type: framePutZ, Session: session,
+		cases++
+		cl := startPair(t, srv)
+		acc := openSession(t, cl, rampOpenReq(fmt.Sprintf("lie-%d", cases), "sz", elems))
+		if err := writeFrame(cl.rw, frame{Type: framePutZ, Session: acc.Session,
 			Payload: encodePutZ(0, rawLen, blob)}); err != nil {
 			t.Fatal(err)
 		}
@@ -113,17 +117,22 @@ func TestPutZLengthLieRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rf.Type != frameErr {
-			t.Fatalf("%s got %v, want error", what, rf.Type)
+		if rf.Type != frameErr || !strings.Contains(string(rf.Payload), reason) {
+			t.Fatalf("%s got %v %q, want an error naming %q", what, rf.Type, rf.Payload, reason)
 		}
 	}
+	blob := smallBlob(t)
 	for _, lie := range []int64{smallRawLen + 4, smallRawLen * 2} {
-		rejected(cl, acc.Session, lie, blob, fmt.Sprintf("raw-length lie %d", lie))
+		rejected(smallElems, lie, blob, fmt.Sprintf("raw-length lie %d", lie), "raw B")
 	}
+	// The declared length agrees with the session and the container header
+	// does not: refused from the header, before anything is decoded.
+	rejected(2*smallElems, 2*smallRawLen, blob, "container of half the declared elements", "elements")
 	// A blob that no longer decodes must fail inflate verification under the
 	// truthful length rather than land on the medium. The verification is a
-	// decode, not a checksum: it catches what breaks the stream's structure.
-	rejected(cl, acc.Session, smallRawLen, blob[:len(blob)-1], "blob cut one byte short")
+	// decode: it catches what breaks the stream's structure, and the digest
+	// beside it catches what does not.
+	rejected(smallElems, smallRawLen, blob[:len(blob)-1], "blob cut one byte short", "inflate verification")
 
 	// Two flipped payload bytes break a deflated partition's bit stream.
 	// (smallBlob's partition is stored, deflate's tables would outweigh it,
@@ -139,9 +148,26 @@ func TestPutZLengthLieRejected(t *testing.T) {
 	bad := append([]byte(nil), big...)
 	bad[len(bad)/2] ^= 0xff
 	bad[len(bad)-1] ^= 0xff
-	cl2 := startPair(t, srv)
-	acc2 := openSession(t, cl2, rampOpenReq("lie-big", "sz", bigElems))
-	rejected(cl2, acc2.Session, bigElems*4, bad, "bit-flipped blob")
+	rejected(bigElems, bigElems*4, bad, "bit-flipped blob", "inflate verification")
+}
+
+// encodePut and encodePutZ build put payloads the way the client does — the
+// frame appendPutFrame writes, less its frame header — with the digest taken
+// over the blob as given.
+func encodePut(idx int, blob []byte) []byte {
+	return putPayload(framePut, putHeader{Idx: idx, CRC: ckpt.Digest(blob)}, blob)
+}
+
+func encodePutZ(idx int, rawLen int64, blob []byte) []byte {
+	return putPayload(framePutZ, putHeader{Idx: idx, RawLen: rawLen, CRC: ckpt.Digest(blob)}, blob)
+}
+
+func putPayload(t frameType, h putHeader, blob []byte) []byte {
+	b, err := appendPutFrame(nil, t, 0, h, blob)
+	if err != nil {
+		panic(err)
+	}
+	return b[frameHdrLen:]
 }
 
 // watermark reads the allocator bump pointer (test-only).

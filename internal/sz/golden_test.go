@@ -137,9 +137,10 @@ func isRetiredGolden(path string) bool {
 	return false
 }
 
-// requireRefused asserts that both decoders return an error on stream
-// without allocating anything the size of an output: the refusal comes from
-// the header, before the array the header describes is made.
+// requireRefused asserts that both decoders — and their Into forms, handed
+// no room — return an error on stream without allocating anything the size
+// of an output: the refusal comes from the header, before the array the
+// header describes is made.
 func requireRefused(t *testing.T, stream []byte) {
 	t.Helper()
 	// TotalAlloc counts the whole process, so a runtime or test-harness
@@ -151,9 +152,13 @@ func requireRefused(t *testing.T, stream []byte) {
 		runtime.ReadMemStats(&before)
 		_, _, err32 := Decompress(stream)
 		_, _, err64 := Decompress64(stream)
+		h := NewHandle(1)
+		_, _, into32 := h.DecompressInto(nil, stream)
+		_, _, into64 := h.DecompressInto64(nil, stream)
 		runtime.ReadMemStats(&after)
-		if err32 == nil || err64 == nil {
-			t.Fatalf("retired stream decoded: Decompress err %v, Decompress64 err %v", err32, err64)
+		if err32 == nil || err64 == nil || into32 == nil || into64 == nil {
+			t.Fatalf("retired stream decoded: Decompress err %v, Decompress64 err %v, DecompressInto err %v, DecompressInto64 err %v",
+				err32, err64, into32, into64)
 		}
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}

@@ -574,15 +574,28 @@ func decEngineFor[F Float](h *Handle) *decEngine[F] {
 
 // Decompress reverses Compress.
 func (h *Handle) Decompress(buf []byte) ([]float32, []int, error) {
-	return decompressWith[float32](h, buf)
+	return decompressWith[float32](h, nil, buf)
+}
+
+// DecompressInto is Decompress landing in dst's backing array when it has
+// the capacity for the stream's element count, avoiding the output
+// allocation; it allocates like Decompress when it does not. Every element
+// of the returned slice is written, or an error is returned.
+func (h *Handle) DecompressInto(dst []float32, buf []byte) ([]float32, []int, error) {
+	return decompressWith(h, dst, buf)
 }
 
 // Decompress64 reverses Compress64.
 func (h *Handle) Decompress64(buf []byte) ([]float64, []int, error) {
-	return decompressWith[float64](h, buf)
+	return decompressWith[float64](h, nil, buf)
 }
 
-func decompressWith[F Float](h *Handle, buf []byte) ([]F, []int, error) {
+// DecompressInto64 is DecompressInto for float64 streams.
+func (h *Handle) DecompressInto64(dst []float64, buf []byte) ([]float64, []int, error) {
+	return decompressWith(h, dst, buf)
+}
+
+func decompressWith[F Float](h *Handle, dst []F, buf []byte) ([]F, []int, error) {
 	span := obs.Start("sz.decompress")
 	defer span.End()
 
@@ -687,7 +700,14 @@ func decompressWith[F Float](h *Handle, buf []byte) ([]F, []int, error) {
 	obs.Set("lcpio_sz_workers", float64(workers))
 	span.SetWorkload("sz.decompress", int64(n)*int64(elemKind[F]()/8))
 
-	out := make([]F, n)
+	// Every check that refuses a stream from its header has run: dst is
+	// used when it can hold the array, and nothing was sized before now.
+	out := dst
+	if cap(out) >= n {
+		out = out[:n]
+	} else {
+		out = make([]F, n)
+	}
 	eng := decEngineFor[F](h)
 	spans := h.spans
 	laneCount := workers

@@ -295,7 +295,7 @@ func skipBits(r *bitstream.Reader, n int) error {
 	return nil
 }
 
-func decompressFixedRate[F Float](buf []byte, h header) ([]F, []int, error) {
+func decompressFixedRate[F Float](dst []F, buf []byte, h header) ([]F, []int, error) {
 	rate := h.param
 	if math.IsNaN(rate) || rate < MinBitsPerValue || rate > MaxBitsPerValue {
 		return nil, nil, ErrCorrupt
@@ -318,7 +318,7 @@ func decompressFixedRate[F Float](buf []byte, h header) ([]F, []int, error) {
 	blk := make([]F, bs)
 	coef := make([]int64, bs)
 	nb := make([]uint64, bs)
-	out := make([]F, h.n)
+	out := outputFor(dst, h.n)
 	var derr error
 	forEachBlock(d0, d1, d2, dim, func(bi, bj, bk int) {
 		if derr != nil {

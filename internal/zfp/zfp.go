@@ -532,15 +532,38 @@ func (h *Handle) shardIndex(numShards int) ([]int, [][]byte, []error) {
 
 // Decompress reverses either compression mode for float32 streams.
 func (h *Handle) Decompress(buf []byte) ([]float32, []int, error) {
-	return decompressWith[float32](h, buf)
+	return decompressWith[float32](h, nil, buf)
+}
+
+// DecompressInto is Decompress landing in dst's backing array when it has
+// the capacity for the stream's element count, avoiding the output
+// allocation; it allocates like Decompress when it does not. Every element
+// of the returned slice is written, or an error is returned.
+func (h *Handle) DecompressInto(dst []float32, buf []byte) ([]float32, []int, error) {
+	return decompressWith(h, dst, buf)
 }
 
 // Decompress64 reverses either compression mode for float64 streams.
 func (h *Handle) Decompress64(buf []byte) ([]float64, []int, error) {
-	return decompressWith[float64](h, buf)
+	return decompressWith[float64](h, nil, buf)
 }
 
-func decompressWith[F Float](h *Handle, buf []byte) ([]F, []int, error) {
+// DecompressInto64 is DecompressInto for float64 streams.
+func (h *Handle) DecompressInto64(dst []float64, buf []byte) ([]float64, []int, error) {
+	return decompressWith(h, dst, buf)
+}
+
+// outputFor returns dst resliced to n elements when it has the capacity,
+// a new array otherwise. Callers run it only after every check that can
+// refuse the stream from its header.
+func outputFor[F Float](dst []F, n int) []F {
+	if cap(dst) >= n {
+		return dst[:n]
+	}
+	return make([]F, n)
+}
+
+func decompressWith[F Float](h *Handle, dst []F, buf []byte) ([]F, []int, error) {
 	hdr, err := parseHeader(buf)
 	if err != nil {
 		return nil, nil, err
@@ -550,15 +573,15 @@ func decompressWith[F Float](h *Handle, buf []byte) ([]F, []int, error) {
 			hdr.kind, elemKind[F]())
 	}
 	if hdr.mode == ModeFixedRate {
-		return decompressFixedRate[F](buf, hdr)
+		return decompressFixedRate(dst, buf, hdr)
 	}
 	if !(hdr.param > 0) || math.IsInf(hdr.param, 0) {
 		return nil, nil, ErrCorrupt
 	}
-	return decompressAccuracy[F](h, buf, hdr)
+	return decompressAccuracy(h, dst, buf, hdr)
 }
 
-func decompressAccuracy[F Float](h *Handle, buf []byte, hdr header) ([]F, []int, error) {
+func decompressAccuracy[F Float](h *Handle, dst []F, buf []byte, hdr header) ([]F, []int, error) {
 	span := obs.Start("zfp.decompress")
 	defer span.End()
 
@@ -604,7 +627,7 @@ func decompressAccuracy[F Float](h *Handle, buf []byte, hdr header) ([]F, []int,
 	obs.Set("lcpio_zfp_workers", float64(workers))
 	span.SetWorkload("zfp.decompress", int64(hdr.n)*int64(elemKind[F]()/8))
 
-	out := make([]F, hdr.n)
+	out := outputFor(dst, hdr.n)
 	eng := zdecEngineFor[F](h)
 	laneCount := workers
 	if laneCount > numShards {

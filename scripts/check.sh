@@ -31,9 +31,12 @@ go test -count=1 -run 'Quick|Invariant' \
 # literal-heavy lossless case, the long-tail Huffman case and the per-
 # dimension plane decoder are the ones that see the regime the end-to-end
 # restore runs in; the Huffman-coded lossless inputs, the table builds and
-# the one-rank sz fields are the dump's.
+# the one-rank sz fields are the dump's. BenchmarkDumpLoopback is the whole
+# dump over a real loopback listener — client, frames, the daemon's
+# verification pool and committer — as zfp putZ and as sz put.
 go test -run '^$' -bench 'Decode|Decompress|Compress|Build' -benchtime 1x \
     ./internal/huffman/ ./internal/lossless/ ./internal/zfp/ ./internal/sz/
+go test -run '^$' -bench 'DumpLoopback' -benchtime 1x ./internal/svc/
 
 # The benchmark is a nested module that root `go test ./...` does not
 # reach: vet and test it, and smoke every workload, so an internal/ API
