@@ -41,11 +41,11 @@ const nbMask = 0xAAAAAAAAAAAAAAAA
 func int2nb(x int64) uint64 { return (uint64(x) + nbMask) ^ nbMask }
 func nb2int(x uint64) int64 { return int64((x ^ nbMask) - nbMask) }
 
-// fwdLift applies the ZFP lifted decorrelating transform to 4 samples at
-// stride s. The right-shifts deliberately drop low-order bits (matching the
-// reference codec); the block verifier compensates.
-func fwdLift(p []int64, off, s int) {
-	x, y, z, w := p[off], p[off+s], p[off+2*s], p[off+3*s]
+// lift applies the ZFP lifted decorrelating transform to four samples. The
+// right-shifts deliberately drop low-order bits (matching the reference
+// codec); the block verifier compensates. It works on values so the compiler
+// inlines it into the transforms below and the samples stay in registers.
+func lift(x, y, z, w int64) (int64, int64, int64, int64) {
 	x += w
 	x >>= 1
 	w -= x
@@ -57,12 +57,11 @@ func fwdLift(p []int64, off, s int) {
 	z -= x
 	w += y >> 1
 	y -= w >> 1
-	p[off], p[off+s], p[off+2*s], p[off+3*s] = x, y, z, w
+	return x, y, z, w
 }
 
-// invLift inverts fwdLift up to the bits lost in its right-shifts.
-func invLift(p []int64, off, s int) {
-	x, y, z, w := p[off], p[off+s], p[off+2*s], p[off+3*s]
+// unlift inverts lift up to the bits lost in its right-shifts.
+func unlift(x, y, z, w int64) (int64, int64, int64, int64) {
 	// step 4 inverse
 	y += w >> 1
 	w -= y >> 1
@@ -78,36 +77,37 @@ func invLift(p []int64, off, s int) {
 	w += x
 	x <<= 1
 	x -= w
-	p[off], p[off+s], p[off+2*s], p[off+3*s] = x, y, z, w
+	return x, y, z, w
 }
 
-// fwdTransform decorrelates a 4^dim block along every axis.
+// fwdTransform decorrelates a 4^dim block along every axis. The slice is
+// converted once to the block's fixed-size array, so the passes below index
+// without bounds checks.
 func fwdTransform(c []int64, dim int) {
 	switch dim {
 	case 1:
-		fwdLift(c, 0, 1)
+		c := (*[4]int64)(c)
+		c[0], c[1], c[2], c[3] = lift(c[0], c[1], c[2], c[3])
 	case 2:
-		for j := 0; j < 4; j++ { // along x (contiguous)
-			fwdLift(c, j*4, 1)
+		c := (*[16]int64)(c)
+		for o := 0; o < 16; o += 4 { // along x (contiguous)
+			c[o], c[o+1], c[o+2], c[o+3] = lift(c[o], c[o+1], c[o+2], c[o+3])
 		}
 		for k := 0; k < 4; k++ { // along y
-			fwdLift(c, k, 4)
+			c[k], c[k+4], c[k+8], c[k+12] = lift(c[k], c[k+4], c[k+8], c[k+12])
 		}
 	default:
-		for i := 0; i < 4; i++ { // along x
-			for j := 0; j < 4; j++ {
-				fwdLift(c, (i*4+j)*4, 1)
+		c := (*[64]int64)(c)
+		for o := 0; o < 64; o += 4 { // along x
+			c[o], c[o+1], c[o+2], c[o+3] = lift(c[o], c[o+1], c[o+2], c[o+3])
+		}
+		for i := 0; i < 64; i += 16 { // along y
+			for k := i; k < i+4; k++ {
+				c[k], c[k+4], c[k+8], c[k+12] = lift(c[k], c[k+4], c[k+8], c[k+12])
 			}
 		}
-		for i := 0; i < 4; i++ { // along y
-			for k := 0; k < 4; k++ {
-				fwdLift(c, i*16+k, 4)
-			}
-		}
-		for j := 0; j < 4; j++ { // along z
-			for k := 0; k < 4; k++ {
-				fwdLift(c, j*4+k, 16)
-			}
+		for k := 0; k < 16; k++ { // along z
+			c[k], c[k+16], c[k+32], c[k+48] = lift(c[k], c[k+16], c[k+32], c[k+48])
 		}
 	}
 }
@@ -116,29 +116,28 @@ func fwdTransform(c []int64, dim int) {
 func invTransform(c []int64, dim int) {
 	switch dim {
 	case 1:
-		invLift(c, 0, 1)
+		c := (*[4]int64)(c)
+		c[0], c[1], c[2], c[3] = unlift(c[0], c[1], c[2], c[3])
 	case 2:
+		c := (*[16]int64)(c)
 		for k := 0; k < 4; k++ {
-			invLift(c, k, 4)
+			c[k], c[k+4], c[k+8], c[k+12] = unlift(c[k], c[k+4], c[k+8], c[k+12])
 		}
-		for j := 0; j < 4; j++ {
-			invLift(c, j*4, 1)
+		for o := 0; o < 16; o += 4 {
+			c[o], c[o+1], c[o+2], c[o+3] = unlift(c[o], c[o+1], c[o+2], c[o+3])
 		}
 	default:
-		for j := 0; j < 4; j++ {
-			for k := 0; k < 4; k++ {
-				invLift(c, j*4+k, 16)
+		c := (*[64]int64)(c)
+		for k := 0; k < 16; k++ {
+			c[k], c[k+16], c[k+32], c[k+48] = unlift(c[k], c[k+16], c[k+32], c[k+48])
+		}
+		for i := 0; i < 64; i += 16 {
+			for k := i; k < i+4; k++ {
+				c[k], c[k+4], c[k+8], c[k+12] = unlift(c[k], c[k+4], c[k+8], c[k+12])
 			}
 		}
-		for i := 0; i < 4; i++ {
-			for k := 0; k < 4; k++ {
-				invLift(c, i*16+k, 4)
-			}
-		}
-		for i := 0; i < 4; i++ {
-			for j := 0; j < 4; j++ {
-				invLift(c, (i*4+j)*4, 1)
-			}
+		for o := 0; o < 64; o += 4 {
+			c[o], c[o+1], c[o+2], c[o+3] = unlift(c[o], c[o+1], c[o+2], c[o+3])
 		}
 	}
 }
@@ -196,6 +195,31 @@ func buildPerm(dim int) []int {
 	return out
 }
 
+// cutoff is what one compress call fixes for all of its blocks: the tolerance,
+// the plane it seeds each block's cutoff from, and the precision's traits.
+type cutoff struct {
+	eb     float64
+	ebLog2 int // floor(log2(eb))
+	tr     traits
+}
+
+func cutoffFor[F Float](eb float64) cutoff {
+	return cutoff{eb: eb, ebLog2: int(math.Floor(math.Log2(eb))), tr: traitsFor[F]()}
+}
+
+// maxAbs returns the largest magnitude in blk and whether every value is
+// finite, in one pass over the bit patterns: with the sign cleared, IEEE
+// patterns order like the magnitudes they encode, and every infinity and NaN
+// sorts at or above the infinity pattern.
+func maxAbs[F Float](blk []F) (float64, bool) {
+	const inf = 0x7FF << 52
+	var m uint64
+	for _, v := range blk {
+		m = max(m, math.Float64bits(float64(v))&^(1<<63))
+	}
+	return math.Float64frombits(m), m < inf
+}
+
 // encodeBlock writes the block held in ln.blk; all working buffers live in
 // ln so the hot path is allocation-free.
 //
@@ -204,46 +228,36 @@ func buildPerm(dim int) []int {
 // the already-computed negabinary words as a mask (see verifyCutoff), so the
 // expensive per-retry work of the old encode/decode/re-encode loop is gone
 // and each block's planes are emitted a single time.
-func encodeBlock[F Float](w *bitstream.Writer, ln *zlane[F], dim int, eb float64) {
-	tr := traitsFor[F]()
+func encodeBlock[F Float](w *bitstream.Writer, ln *zlane[F], dim int, co cutoff) {
+	tr := co.tr
 	size := blockSize(dim)
-	blk := ln.blk
+	blk := ln.blk[:size]
 
-	maxAbs := 0.0
-	finite := true
-	for _, v := range blk[:size] {
-		f := float64(v)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			finite = false
-			break
-		}
-		if a := math.Abs(f); a > maxAbs {
-			maxAbs = a
-		}
-	}
+	peak, finite := maxAbs(blk)
 	if !finite {
-		writeRawBlock(w, blk[:size])
+		writeRawBlock(w, blk)
 		return
 	}
-	if maxAbs == 0 {
+	if peak == 0 {
 		w.WriteBits(tagZero, 2)
 		return
 	}
-	// maxAbs < 2^emax with frexp: maxAbs = f * 2^e, f in [0.5, 1).
-	_, emax := math.Frexp(maxAbs)
+	// peak < 2^emax with frexp: peak = f * 2^e, f in [0.5, 1).
+	_, emax := math.Frexp(peak)
 
-	coef := ln.coef
+	// Lane scratch is indexed as arrays (perm entries and block offsets are
+	// all below 64), sliced only where a callee wants the block's length.
+	coef, nb := &ln.coef, &ln.nb
 	scale := math.Ldexp(1, tr.q-emax)
-	for i := 0; i < size; i++ {
-		coef[i] = int64(math.RoundToEven(float64(blk[i]) * scale))
+	for i, v := range blk {
+		coef[i&63] = int64(math.RoundToEven(float64(v) * scale))
 	}
-	fwdTransform(coef, dim)
-	perm := permFor(dim)
-	nb := ln.nb
+	fwdTransform(coef[:size], dim)
 	var all uint64
-	for i, p := range perm {
-		nb[i] = int2nb(coef[p])
-		all |= nb[i]
+	for i, p := range permFor(dim) {
+		v := int2nb(coef[p&63])
+		nb[i&63] = v
+		all |= v
 	}
 	// Skip leading all-zero planes: kmax is the bit length of the largest
 	// coefficient, stored per block so the decoder starts at the same plane.
@@ -255,10 +269,9 @@ func encodeBlock[F Float](w *bitstream.Writer, ln *zlane[F], dim int, eb float64
 	// Seed the plane cutoff from the tolerance: a coefficient error below
 	// 2^kmin in fixed point is eb' = 2^(kmin + emax - q) in value units.
 	// One guard bit absorbs typical transform gain; the verify-and-retry
-	// loop below catches the rare block that needs more planes, which is
-	// cheaper overall than padding every block conservatively.
+	// loop below catches the block that needs more planes.
 	const guard = 1
-	kmin := int(math.Floor(math.Log2(eb))) + tr.q - emax - guard
+	kmin := co.ebLog2 + tr.q - emax - guard
 	if kmin < 0 {
 		kmin = 0
 	}
@@ -271,16 +284,18 @@ func encodeBlock[F Float](w *bitstream.Writer, ln *zlane[F], dim int, eb float64
 		if kmax < kmin {
 			kmax = kmin
 		}
-		if verifyCutoff(ln, dim, eb, emax, kmin, kmax, tr) {
+		ln.verifies++
+		if verifyCutoff(ln, dim, co.eb, emax, kmin, kmax, tr) {
 			w.WriteBits(tagCoded, 2)
 			w.WriteBits(uint64(emax+emaxBias), emaxFieldBits)
 			w.WriteBits(uint64(kmin), 6)
 			w.WriteBits(uint64(kmax), 6)
 			encodePlanes(w, nb[:size], kmin, kmax)
+			ln.planes += int64(kmax - kmin)
 			return
 		}
 		if kmin == 0 {
-			writeRawBlock(w, blk[:size])
+			writeRawBlock(w, blk)
 			return
 		}
 		kmin -= 3
@@ -302,16 +317,14 @@ func verifyCutoff[F Float](ln *zlane[F], dim int, eb float64, emax, kmin, kmax i
 	size := blockSize(dim)
 	// kmax <= tr.hi <= 62, so the shifts stay in range.
 	mask := (uint64(1)<<uint(kmax) - 1) &^ (uint64(1)<<uint(kmin) - 1)
-	perm := permFor(dim)
-	nb, dcoef := ln.nb, ln.dcoef
-	for i, p := range perm {
-		dcoef[p] = nb2int(nb[i] & mask)
+	nb, dcoef, blk := &ln.nb, &ln.dcoef, &ln.blk
+	for i, p := range permFor(dim) {
+		dcoef[p&63] = nb2int(nb[i&63] & mask)
 	}
-	invTransform(dcoef, dim)
+	invTransform(dcoef[:size], dim)
 	inv := math.Ldexp(1, emax-tr.q)
-	blk := ln.blk
-	for i := 0; i < size; i++ {
-		if math.Abs(float64(F(float64(dcoef[i])*inv))-float64(blk[i])) > eb {
+	for i, c := range dcoef[:size] {
+		if math.Abs(float64(F(float64(c)*inv))-float64(blk[i&63])) > eb {
 			return false
 		}
 	}
@@ -346,37 +359,83 @@ func readRawValue[F Float](r *bitstream.Reader) (F, error) {
 	return F(math.Float64frombits(v)), nil
 }
 
-// transpose64 transposes a 64x64 bit matrix in place, LSB-first on both
-// axes: on return, bit c of word r equals bit r of the original word c.
-// The recursive block-swap runs in 6 rounds of 32 masked exchanges instead
-// of 4096 single-bit gathers. The function is an involution.
-func transpose64(a *[64]uint64) {
-	m := uint64(0x00000000FFFFFFFF)
-	for j := 32; j != 0; j, m = j>>1, m^(m<<uint(j>>1)) {
-		for k := 0; k < 64; k = (k + j + 1) &^ j {
-			t := (a[k]>>uint(j) ^ a[k+j]) & m
-			a[k] ^= t << uint(j)
-			a[k+j] ^= t
-		}
+// swapRound is one round of the recursive block-swap transpose on the rows
+// of a: it exchanges the upper j bits of every 2j-bit lane of row k with the
+// lower j bits of the same lane of row k+j, m selecting the lower halves.
+// Inlined with constant j and m, its shifts are immediates.
+func swapRound(a []uint64, j int, m uint64) {
+	for k := 0; k+j < len(a); k = (k + j + 1) &^ j {
+		x, y := a[k], a[k+j]
+		t := (x>>uint(j) ^ y) & m
+		a[k], a[k+j] = x^t<<uint(j), y^t
 	}
 }
 
-// gatherPlanes fills planes[k], for k in [kmin, kmax), with the k-th bit
-// plane of nb: bit i of planes[k] is bit k of nb[i]. Full 64-coefficient
-// blocks use the O(64 log 64) word transpose; smaller blocks gather the
-// needed planes directly.
-func gatherPlanes(planes *[64]uint64, nb []uint64, kmin, kmax int) {
-	if len(nb) == 64 {
-		copy(planes[:], nb)
-		transpose64(planes)
-		return
-	}
-	for k := kmax - 1; k >= kmin; k-- {
-		var x uint64
-		for i, v := range nb {
-			x |= ((v >> uint(k)) & 1) << uint(i)
+// transposeWindow transposes the bit matrix whose rows are src, LSB-first,
+// restricted to the cols columns from bit `from` up, into dst, placed from
+// bit `to` up: bit to+r of dst[c] is bit from+c of src[r], for r < len(src)
+// and c < cols, and dst[c] has no other bit set. The plane coder's two
+// directions are its two uses: coefficients to plane words (from = kmin, the
+// live planes only) and plane words back to coefficients (to = kmin). dst
+// doubles as the working rows and must hold cols rounded up to a power of
+// two; what it held is overwritten.
+//
+// A transpose exchanges bit b of the row index with bit b of the column
+// index, for each b, and the six exchanges commute. Where both bits vary the
+// exchange is the classic masked block swap of rows k and k+2^b. Where only
+// the row bit varies (the window has no column with bit b set) the swap's
+// upper halves are known empty and it degenerates to a pack, a[k] |=
+// a[k+2^b] << 2^b, which halves the live rows; where only the column bit
+// varies it is the reverse, an unpack that doubles them. All packs happen as
+// the rows are loaded and all unpacks as they are stored — one rotate and
+// one mask per word either way — so the swaps in between see the fewest
+// rows: 64 coefficients by 12 live planes load into 16 words and take four
+// rounds of 8 swaps instead of six rounds of 32, while a full 64 x 64 matrix
+// has nothing to pack and takes all six.
+func transposeWindow(dst, src []uint64, cols int, from, to uint) {
+	rows := len(src)
+	sb := min(bits.Len(uint(rows-1)), bits.Len(uint(cols-1)))
+	n := 1 << uint(sb)
+	a := dst[:n]
+	clear(a)
+	// Rows lo..lo+n-1 land in lane lo/n of the n working rows.
+	window := ^uint64(0) >> uint(64-cols)
+	for lo := 0; lo < rows; lo += n {
+		rot, m := lo-int(from), window<<uint(lo)
+		in := src[lo:min(lo+n, rows)]
+		for r, v := range a[:len(in)] {
+			a[r] = v | bits.RotateLeft64(in[r], rot)&m
 		}
-		planes[k] = x
+	}
+	switch sb {
+	case 6:
+		swapRound(a, 32, 0x00000000FFFFFFFF)
+		fallthrough
+	case 5:
+		swapRound(a, 16, 0x0000FFFF0000FFFF)
+		fallthrough
+	case 4:
+		swapRound(a, 8, 0x00FF00FF00FF00FF)
+		fallthrough
+	case 3:
+		swapRound(a, 4, 0x0F0F0F0F0F0F0F0F)
+		fallthrough
+	case 2:
+		swapRound(a, 2, 0x3333333333333333)
+		fallthrough
+	case 1:
+		swapRound(a, 1, 0x5555555555555555)
+	}
+	// Output rows lo..lo+n-1 are lane lo/n of the working rows (the whole
+	// word when rows were packed). Going down, the working rows are read
+	// for the last time when they are themselves stored.
+	lane := ^uint64(0) >> uint(64-max(n, rows)) << (to & 63)
+	for lo := (cols - 1) &^ (n - 1); lo >= 0; lo -= n {
+		rot := int(to) - lo
+		out := dst[lo:min(lo+n, cols)]
+		for r, v := range a[:len(out)] {
+			out[r] = bits.RotateLeft64(v, rot) & lane
+		}
 	}
 }
 
@@ -385,16 +444,21 @@ func gatherPlanes(planes *[64]uint64, nb []uint64, kmin, kmax int) {
 // the bits of already-significant coefficients are sent raw, then the
 // remainder is run-length coded, growing the significant set.
 //
-// The plane words come from gatherPlanes, and both the raw prefix and each
-// group-test run are emitted as single multi-bit writes; the bit sequence is
-// identical to the historical bit-at-a-time coder, so streams are unchanged.
+// The plane words — bit i of plane k is bit k of nb[i] — come from one
+// windowed transpose of the live planes only, and both the raw prefix and
+// each group-test run are emitted as single multi-bit writes; the bit
+// sequence is identical to the historical bit-at-a-time coder, so streams
+// are unchanged.
 func encodePlanes(w *bitstream.Writer, nb []uint64, kmin, kmax int) {
+	if kmax <= kmin {
+		return
+	}
 	size := len(nb)
 	var planes [64]uint64
-	gatherPlanes(&planes, nb, kmin, kmax)
+	transposeWindow(planes[:], nb, kmax-kmin, uint(kmin), 0)
 	n := 0
-	for k := kmax - 1; k >= kmin; k-- {
-		x := planes[k]
+	for k := kmax - kmin - 1; k >= 0; k-- {
+		x := planes[k&63]
 		// Raw bits for the first n (known-significant) coefficients,
 		// sent LSB-first: reverse so one WriteBits call matches n
 		// WriteBit(x&1); x >>= 1 iterations.
@@ -427,23 +491,24 @@ func encodePlanes(w *bitstream.Writer, nb []uint64, kmin, kmax int) {
 
 // decodePlanes mirrors encodePlanes word for word. A 64-coefficient block is
 // rebuilt as one plane word per bit plane — the raw prefix reversed out of a
-// single read, each group-test run located with one LeadingZeros64 — held in
-// nb itself (plane k in nb[k]) until a single transpose64 turns the planes
-// back into coefficients, the way gatherPlanes made them. The 4- and
-// 16-coefficient blocks have too few columns to pay for a transpose (or for
-// clearing 64 words): they decode their runs the same way and drop each bit
-// straight into its coefficient.
+// single read, each group-test run located with one LeadingZeros64 — and one
+// windowed transpose of the planes the stream carries turns them back into
+// coefficients, the way encodePlanes made them. The 4- and 16-coefficient
+// blocks have too few columns to pay for plane words: they decode their runs
+// the same way and drop each bit straight into its coefficient. On success
+// every word of nb is written.
 func decodePlanes(r *bitstream.Reader, nb []uint64, kmin, kmax int) error {
 	size := len(nb)
 	if size != 64 {
 		return decodePlanesSmall(r, nb, kmin, kmax)
 	}
-	// Every word outside [kmin, kmax) must be an empty plane for the
-	// transpose; the ones inside are all assigned below.
-	clear(nb[:kmin])
-	clear(nb[kmax:])
+	if kmax <= kmin {
+		clear(nb)
+		return nil
+	}
+	var planes [64]uint64
 	n := 0
-	for k := kmax - 1; k >= kmin; k-- {
+	for k := kmax - kmin - 1; k >= 0; k-- {
 		var x uint64
 		// Bit n-1 of the raw prefix was written first and belongs to
 		// coefficient 0: reversed, it is the low n bits of the plane word.
@@ -465,9 +530,9 @@ func decodePlanes(r *bitstream.Reader, nb []uint64, kmin, kmax int) error {
 			x |= 1 << uint(i)
 			n = i + 1
 		}
-		nb[k] = x
+		planes[k&63] = x
 	}
-	transpose64((*[64]uint64)(nb))
+	transposeWindow(nb, planes[:kmax-kmin], size, 0, uint(kmin))
 	return nil
 }
 
@@ -551,23 +616,20 @@ func decodeRun(r *bitstream.Reader, i, size int) (int, error) {
 	return i, r.Skip(used)
 }
 
-// decodeBlock reads one block into blk. nb is caller-provided negabinary
-// scratch of block size, reused across calls.
-func decodeBlock[F Float](r *bitstream.Reader, blk []F, coef []int64, nb []uint64, dim int) error {
-	tr := traitsFor[F]()
+// decodeBlock reads one block into ln.blk; the working buffers live in ln.
+func decodeBlock[F Float](r *bitstream.Reader, ln *zdecLane[F], dim int, tr traits) error {
 	size := blockSize(dim)
+	blk := ln.blk[:size]
 	tag, err := r.ReadBits(2)
 	if err != nil {
 		return err
 	}
 	switch tag {
 	case tagZero:
-		for i := 0; i < size; i++ {
-			blk[i] = 0
-		}
+		clear(blk)
 		return nil
 	case tagRaw:
-		for i := 0; i < size; i++ {
+		for i := range blk {
 			v, err := readRawValue[F](r)
 			if err != nil {
 				return err
@@ -594,17 +656,17 @@ func decodeBlock[F Float](r *bitstream.Reader, blk []F, coef []int64, nb []uint6
 		if kmin >= tr.hi || kmax > tr.hi || kmax < kmin {
 			return ErrCorrupt
 		}
+		nb, coef := &ln.nb, &ln.coef
 		if err := decodePlanes(r, nb[:size], kmin, kmax); err != nil {
 			return err
 		}
-		perm := permFor(dim)
-		for i, p := range perm {
-			coef[p] = nb2int(nb[i])
+		for i, p := range permFor(dim) {
+			coef[p&63] = nb2int(nb[i&63])
 		}
-		invTransform(coef, dim)
+		invTransform(coef[:size], dim)
 		inv := math.Ldexp(1, emax-tr.q)
-		for i := 0; i < size; i++ {
-			blk[i] = F(float64(coef[i]) * inv)
+		for i, c := range coef[:size] {
+			blk[i] = F(float64(c) * inv)
 		}
 		return nil
 	default:

@@ -192,23 +192,21 @@ func TestDecodePlanesMatchesReference(t *testing.T) {
 	s := xs64(0xFEEDFACE)
 	for _, size := range []int{4, 16, 64} {
 		nb := make([]uint64, size)
-		for _, kmax := range []int{0, 1, 7, 23, 54, 62} {
-			for _, kmin := range []int{0, 1, kmax / 2, kmax - 1, kmax} {
-				if kmin < 0 || kmin > kmax {
-					continue
+		for _, win := range planeWindows([]int{0, 1, 7, 23, 54, 62}, func(kmax int) []int {
+			return []int{0, 1, kmax / 2, kmax - 1, kmax}
+		}) {
+			kmin, kmax := win[0], win[1]
+			for trial := 0; trial < 6; trial++ {
+				randomPlaneWords(&s, nb, kmax)
+				if trial == 0 {
+					clear(nb) // all planes empty: one zero group bit each
 				}
-				for trial := 0; trial < 6; trial++ {
-					randomPlaneWords(&s, nb, kmax)
-					if trial == 0 {
-						clear(nb) // all planes empty: one zero group bit each
-					}
-					phase := int(s.next() % 64)
-					w := bitstream.NewWriter(512)
-					w.WriteBits(s.next(), uint(phase))
-					encodePlanes(w, nb, kmin, kmax)
-					diffPlanesStream(t, w.Bytes(), phase, size, kmin, kmax,
-						fmt.Sprintf("size %d kmin %d kmax %d trial %d", size, kmin, kmax, trial))
-				}
+				phase := int(s.next() % 64)
+				w := bitstream.NewWriter(512)
+				w.WriteBits(s.next(), uint(phase))
+				encodePlanes(w, nb, kmin, kmax)
+				diffPlanesStream(t, w.Bytes(), phase, size, kmin, kmax,
+					fmt.Sprintf("size %d kmin %d kmax %d trial %d", size, kmin, kmax, trial))
 			}
 		}
 	}
@@ -263,40 +261,53 @@ func goldenPayloads(tb testing.TB) []goldenPayload {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		retired := filepath.Base(path) == retiredGolden
-		if retired {
+		if filepath.Base(path) == retiredGolden {
 			buf = forgeMode(buf, uint32(ModeFixedAccuracy))
+			h, total := blockCount(tb, buf)
+			out = append(out, goldenPayload{retiredGolden, h.kind, dimensionality(h.dims), total, buf[h.payloadOff:]})
+			continue
 		}
-		h, err := parseHeader(buf)
-		if err != nil {
-			tb.Fatalf("%s: %v", path, err)
-		}
-		d0, d1, d2 := shape(h.dims)
-		dim := dimensionality(h.dims)
-		nb0, nb1, nb2 := blockGrid(d0, d1, d2, dim)
-		total := nb0 * nb1 * nb2
-		switch {
-		case retired:
-			out = append(out, goldenPayload{filepath.Base(path), h.kind, dim, total, buf[h.payloadOff:]})
-		case h.mode == ModeFixedAccuracy:
-			rd := wire.NewReader(buf[h.payloadOff:], ErrCorrupt)
-			shards, sb := int(rd.Uint32()), int(rd.Uint32())
-			lens := make([]int, shards)
-			for i := range lens {
-				lens[i] = int(rd.Uint64())
-			}
-			for i, l := range lens {
-				blocks := min(sb, total-i*sb)
-				out = append(out, goldenPayload{fmt.Sprintf("%s shard %d", filepath.Base(path), i),
-					h.kind, dim, blocks, rd.Bytes(l)})
-			}
-			if rd.Err() != nil {
-				tb.Fatalf("%s: shard index: %v", path, rd.Err())
-			}
-		}
+		out = append(out, shardPayloads(tb, filepath.Base(path), buf)...)
 	}
 	if len(out) == 0 {
 		tb.Fatal("goldens yielded no block streams")
+	}
+	return out
+}
+
+// blockCount parses a stream's header and counts the blocks of its grid.
+func blockCount(tb testing.TB, buf []byte) (header, int) {
+	tb.Helper()
+	h, err := parseHeader(buf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d0, d1, d2 := shape(h.dims)
+	nb0, nb1, nb2 := blockGrid(d0, d1, d2, dimensionality(h.dims))
+	return h, nb0 * nb1 * nb2
+}
+
+// shardPayloads cuts a fixed-accuracy stream into its shards' block streams;
+// a stream of any other mode yields none.
+func shardPayloads(tb testing.TB, name string, buf []byte) []goldenPayload {
+	tb.Helper()
+	h, total := blockCount(tb, buf)
+	if h.mode != ModeFixedAccuracy {
+		return nil
+	}
+	rd := wire.NewReader(buf[h.payloadOff:], ErrCorrupt)
+	shards, sb := int(rd.Uint32()), int(rd.Uint32())
+	lens := make([]int, shards)
+	for i := range lens {
+		lens[i] = int(rd.Uint64())
+	}
+	var out []goldenPayload
+	for i, l := range lens {
+		out = append(out, goldenPayload{fmt.Sprintf("%s shard %d", name, i),
+			h.kind, dimensionality(h.dims), min(sb, total-i*sb), rd.Bytes(l)})
+	}
+	if rd.Err() != nil {
+		tb.Fatalf("%s: shard index: %v", name, rd.Err())
 	}
 	return out
 }
@@ -369,6 +380,26 @@ func FuzzDecodePlanesDifferential(f *testing.F) {
 		flip := append([]byte(nil), p...)
 		flip[len(flip)/3] ^= 0x04
 		f.Add(sel, flip)
+	}
+	// Hand-built block streams whose live-plane counts sit on and either
+	// side of every shape change of the windowed transpose, which nothing
+	// obliges the goldens to reach; selector 6 reads them as 3-D float64
+	// blocks, the only kind that can carry 45 or 62 planes.
+	s := xs64(0x5EED5EED)
+	nb := make([]uint64, 64)
+	for _, win := range planeWindows(nil, nil) {
+		w := bitstream.NewWriter(1024)
+		for b := 0; b < 3; b++ {
+			randomPlaneWords(&s, nb, win[1])
+			w.WriteBits(tagCoded, 2)
+			w.WriteBits(emaxBias, emaxFieldBits)
+			w.WriteBits(uint64(win[0]), 6)
+			w.WriteBits(uint64(win[1]), 6)
+			encodePlanes(w, nb, win[0], win[1])
+		}
+		p := append([]byte(nil), w.Bytes()...)
+		f.Add(byte(6), p)
+		f.Add(byte(6), p[:len(p)*2/3])
 	}
 	f.Fuzz(func(t *testing.T, sel byte, payload []byte) {
 		dim := int(sel&3)%3 + 1

@@ -108,25 +108,55 @@ func TestEncodePlanesMatchesReference(t *testing.T) {
 	s := xs64(0xDEADBEEFCAFE1234)
 	for _, size := range []int{4, 16, 64} {
 		nb := make([]uint64, size)
-		for _, kmax := range []int{1, 7, 23, 54, 62} {
-			for _, kmin := range []int{0, 1, kmax / 2, kmax - 1} {
-				if kmin > kmax {
-					continue
-				}
-				for trial := 0; trial < 8; trial++ {
-					randomPlaneWords(&s, nb, kmax)
-					ref := bitstream.NewWriter(256)
-					refEncodePlanes(ref, nb, kmin, kmax)
-					got := bitstream.NewWriter(256)
-					encodePlanes(got, nb, kmin, kmax)
-					if !bytes.Equal(ref.Bytes(), got.Bytes()) {
-						t.Fatalf("size=%d kmin=%d kmax=%d trial=%d: batched coder diverges from reference",
-							size, kmin, kmax, trial)
+		for _, win := range planeWindows([]int{1, 7, 23, 54, 62}, func(kmax int) []int {
+			return []int{0, 1, kmax / 2, kmax - 1}
+		}) {
+			kmin, kmax := win[0], win[1]
+			for trial := 0; trial < 8; trial++ {
+				randomPlaneWords(&s, nb, kmax)
+				if trial%2 == 1 {
+					// Live bits below the cutoff too, as real coefficients
+					// have: the gather must leave them out.
+					for i := range nb {
+						nb[i] |= s.next() & (1<<uint(kmin) - 1)
 					}
+				}
+				ref := bitstream.NewWriter(256)
+				refEncodePlanes(ref, nb, kmin, kmax)
+				got := bitstream.NewWriter(256)
+				encodePlanes(got, nb, kmin, kmax)
+				if !bytes.Equal(ref.Bytes(), got.Bytes()) {
+					t.Fatalf("size=%d kmin=%d kmax=%d trial=%d: batched coder diverges from reference",
+						size, kmin, kmax, trial)
 				}
 			}
 		}
 	}
+}
+
+// planeWindows lists [kmin, kmax) windows for the plane-coder differentials:
+// every kmin that kmins yields for each kmax, then windows whose live-plane
+// count sits on and either side of each point where the windowed transpose
+// changes shape (8, 16 and 32 planes: one more pack on one side, one more
+// swap round on the other), at a low, a middle and the highest cutoff a
+// stream can carry, and float64-only windows of more than 32 planes.
+func planeWindows(kmaxs []int, kmins func(kmax int) []int) [][2]int {
+	var out [][2]int
+	for _, kmax := range kmaxs {
+		for _, kmin := range kmins(kmax) {
+			if kmin >= 0 && kmin <= kmax {
+				out = append(out, [2]int{kmin, kmax})
+			}
+		}
+	}
+	for _, live := range []int{7, 8, 9, 15, 16, 17, 31, 32, 33, 45, 62} {
+		for _, kmin := range []int{0, 11, 62 - live} {
+			if kmin+live <= 62 {
+				out = append(out, [2]int{kmin, kmin + live})
+			}
+		}
+	}
+	return out
 }
 
 // TestDecodePlanesRecoversMaskedWords pins the property the encoder's

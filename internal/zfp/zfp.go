@@ -266,24 +266,15 @@ func shardPlan(totalBlocks int) (sb, numShards int) {
 // index, so scratch is reused without locking and total scratch memory
 // scales with the worker count, not the shard count.
 type zlane[F Float] struct {
-	blk   []F
-	coef  []int64
-	dcoef []int64
-	nb    []uint64
+	blk   [64]F
+	coef  [64]int64
+	dcoef [64]int64
+	nb    [64]uint64
 	w     bitstream.Writer
-}
 
-func (ln *zlane[F]) size(bs int) {
-	if cap(ln.blk) < bs {
-		ln.blk = make([]F, bs)
-		ln.coef = make([]int64, bs)
-		ln.dcoef = make([]int64, bs)
-		ln.nb = make([]uint64, bs)
-	}
-	ln.blk = ln.blk[:bs]
-	ln.coef = ln.coef[:bs]
-	ln.dcoef = ln.dcoef[:bs]
-	ln.nb = ln.nb[:bs]
+	// What the blocks this lane has coded since the call began cost:
+	// planes emitted and cutoff verifications run (compressInto drains both).
+	planes, verifies int64
 }
 
 // zpartOut holds one shard's finished payload; the byte buffer is reused
@@ -448,8 +439,19 @@ func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float
 		out = append(out, parts[i].payload...)
 	}
 
+	// Planes per coded block is what a block costs to code; verifies per
+	// block is the retry rate of the cutoff seed.
+	var planes, verifies int64
+	for _, ln := range eng.lanes {
+		if ln != nil {
+			planes, verifies = planes+ln.planes, verifies+ln.verifies
+			ln.planes, ln.verifies = 0, 0
+		}
+	}
 	rawBytes := int64(len(data)) * int64(elemKind[F]()/8)
 	obs.Add("lcpio_zfp_blocks_total", int64(totalBlocks))
+	obs.Add("lcpio_zfp_planes_total", planes)
+	obs.Add("lcpio_zfp_verify_total", verifies)
 	obs.Add("lcpio_zfp_in_bytes_total", rawBytes)
 	obs.Add("lcpio_zfp_out_bytes_total", int64(len(out)-len(dst)))
 	return out, nil
@@ -457,13 +459,13 @@ func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float
 
 // encodeShard encodes blocks [loBlk, hiBlk) into ln.w.
 func encodeShard[F Float](ln *zlane[F], data []F, d0, d1, d2, dim, nb1, nb2, loBlk, hiBlk int, eb float64) {
-	ln.size(blockSize(dim))
+	co := cutoffFor[F](eb)
 	ln.w.Reset()
 	bspan := obs.Start("zfp.block_transform")
 	for idx := loBlk; idx < hiBlk; idx++ {
 		bi, bj, bk := blockCoords(idx, nb1, nb2)
-		gatherBlock(data, d0, d1, d2, dim, bi, bj, bk, ln.blk)
-		encodeBlock(&ln.w, ln, dim, eb)
+		gatherBlock(data, d0, d1, d2, dim, bi, bj, bk, ln.blk[:])
+		encodeBlock(&ln.w, ln, dim, co)
 	}
 	bspan.End()
 }
@@ -473,22 +475,11 @@ func encodeShard[F Float](ln *zlane[F], data []F, d0, d1, d2, dim, nb1, nb2, loB
 // zdecLane carries one worker's decode-side block buffers; lanes are owned
 // by a single worker index and reused across Decompress calls.
 type zdecLane[F Float] struct {
-	blk  []F
-	coef []int64
-	nb   []uint64
+	blk  [64]F
+	coef [64]int64
+	nb   [64]uint64
 	r    bitstream.Reader
 	err  error
-}
-
-func (ln *zdecLane[F]) size(bs int) {
-	if cap(ln.blk) < bs {
-		ln.blk = make([]F, bs)
-		ln.coef = make([]int64, bs)
-		ln.nb = make([]uint64, bs)
-	}
-	ln.blk = ln.blk[:bs]
-	ln.coef = ln.coef[:bs]
-	ln.nb = ln.nb[:bs]
 }
 
 // zdecEngine holds the per-precision decode lanes of a Handle.
@@ -661,15 +652,15 @@ func decompressAccuracy[F Float](h *Handle, dst []F, buf []byte, hdr header) ([]
 // decodeShard decodes blocks [loBlk, hiBlk) from payload, scattering each
 // into its (disjoint) region of out.
 func decodeShard[F Float](ln *zdecLane[F], payload []byte, out []F, d0, d1, d2, dim, nb1, nb2, loBlk, hiBlk int) {
-	ln.size(blockSize(dim))
+	tr := traitsFor[F]()
 	ln.r.Reset(payload)
 	for idx := loBlk; idx < hiBlk; idx++ {
-		if err := decodeBlock(&ln.r, ln.blk, ln.coef, ln.nb, dim); err != nil {
+		if err := decodeBlock(&ln.r, ln, dim, tr); err != nil {
 			ln.err = err
 			return
 		}
 		bi, bj, bk := blockCoords(idx, nb1, nb2)
-		scatterBlock(out, d0, d1, d2, dim, bi, bj, bk, ln.blk)
+		scatterBlock(out, d0, d1, d2, dim, bi, bj, bk, ln.blk[:])
 	}
 }
 
@@ -770,39 +761,51 @@ func forEachBlock(d0, d1, d2, dim int, visit func(bi, bj, bk int)) {
 	}
 }
 
+// row is one block row: four consecutive samples along the fastest axis,
+// moved as a unit where the array holds all four.
+type row[F Float] [blockEdge]F
+
+// gatherRow fills blk's first row from data[at+kb:], replicating the array's
+// last sample past its edge d2.
+func gatherRow[F Float](blk, data []F, at, kb, d2 int) {
+	if kb+blockEdge <= d2 {
+		*(*row[F])(blk) = row[F](data[at+kb:])
+		return
+	}
+	for k := 0; k < blockEdge; k++ {
+		blk[k] = data[at+min(kb+k, d2-1)]
+	}
+}
+
+// scatterRow writes blk's first row to out[at+kb:], up to the array's edge.
+func scatterRow[F Float](out, blk []F, at, kb, d2 int) {
+	if kb+blockEdge <= d2 {
+		*(*row[F])(out[at+kb:]) = row[F](blk)
+		return
+	}
+	for k := 0; kb+k < d2; k++ {
+		out[at+kb+k] = blk[k]
+	}
+}
+
 // gatherBlock copies one 4^dim block into blk, replicating edge samples for
 // partial blocks (padding never affects reconstruction of real samples).
 func gatherBlock[F Float](data []F, d0, d1, d2, dim, bi, bj, bk int, blk []F) {
-	clamp := func(v, hi int) int {
-		if v >= hi {
-			return hi - 1
-		}
-		return v
-	}
+	ib, jb, kb := bi*blockEdge, bj*blockEdge, bk*blockEdge
 	switch dim {
 	case 1:
-		base := bk * blockEdge
-		for k := 0; k < blockEdge; k++ {
-			blk[k] = data[clamp(base+k, d2)]
-		}
+		gatherRow(blk, data, 0, kb, d2)
 	case 2:
-		jb, kb := bj*blockEdge, bk*blockEdge
 		for j := 0; j < blockEdge; j++ {
-			sj := clamp(jb+j, d1)
-			for k := 0; k < blockEdge; k++ {
-				blk[j*blockEdge+k] = data[sj*d2+clamp(kb+k, d2)]
-			}
+			sj := min(jb+j, d1-1)
+			gatherRow(blk[j*blockEdge:], data, sj*d2, kb, d2)
 		}
 	default:
-		ib, jb, kb := bi*blockEdge, bj*blockEdge, bk*blockEdge
 		for i := 0; i < blockEdge; i++ {
-			si := clamp(ib+i, d0)
+			si := min(ib+i, d0-1)
 			for j := 0; j < blockEdge; j++ {
-				sj := clamp(jb+j, d1)
-				row := (si*d1 + sj) * d2
-				for k := 0; k < blockEdge; k++ {
-					blk[(i*blockEdge+j)*blockEdge+k] = data[row+clamp(kb+k, d2)]
-				}
+				sj := min(jb+j, d1-1)
+				gatherRow(blk[(i*blockEdge+j)*blockEdge:], data, (si*d1+sj)*d2, kb, d2)
 			}
 		}
 	}
@@ -810,27 +813,18 @@ func gatherBlock[F Float](data []F, d0, d1, d2, dim, bi, bj, bk int, blk []F) {
 
 // scatterBlock writes back the in-bounds portion of a decoded block.
 func scatterBlock[F Float](out []F, d0, d1, d2, dim, bi, bj, bk int, blk []F) {
+	ib, jb, kb := bi*blockEdge, bj*blockEdge, bk*blockEdge
 	switch dim {
 	case 1:
-		base := bk * blockEdge
-		for k := 0; k < blockEdge && base+k < d2; k++ {
-			out[base+k] = blk[k]
-		}
+		scatterRow(out, blk, 0, kb, d2)
 	case 2:
-		jb, kb := bj*blockEdge, bk*blockEdge
 		for j := 0; j < blockEdge && jb+j < d1; j++ {
-			for k := 0; k < blockEdge && kb+k < d2; k++ {
-				out[(jb+j)*d2+kb+k] = blk[j*blockEdge+k]
-			}
+			scatterRow(out, blk[j*blockEdge:], (jb+j)*d2, kb, d2)
 		}
 	default:
-		ib, jb, kb := bi*blockEdge, bj*blockEdge, bk*blockEdge
 		for i := 0; i < blockEdge && ib+i < d0; i++ {
 			for j := 0; j < blockEdge && jb+j < d1; j++ {
-				row := ((ib+i)*d1 + jb + j) * d2
-				for k := 0; k < blockEdge && kb+k < d2; k++ {
-					out[row+kb+k] = blk[(i*blockEdge+j)*blockEdge+k]
-				}
+				scatterRow(out, blk[(i*blockEdge+j)*blockEdge:], ((ib+i)*d1+jb+j)*d2, kb, d2)
 			}
 		}
 	}

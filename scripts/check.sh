@@ -34,7 +34,7 @@ go test -count=1 -run 'Quick|Invariant' \
 # the one-rank sz fields are the dump's. BenchmarkDumpLoopback is the whole
 # dump over a real loopback listener — client, frames, the daemon's
 # verification pool and committer — as zfp putZ and as sz put.
-go test -run '^$' -bench 'Decode|Decompress|Compress|Build' -benchtime 1x \
+go test -run '^$' -bench 'Decode|Decompress|Compress|Build|TransposeWindow' -benchtime 1x \
     ./internal/huffman/ ./internal/lossless/ ./internal/zfp/ ./internal/sz/
 go test -run '^$' -bench 'DumpLoopback' -benchtime 1x ./internal/svc/
 
