@@ -20,21 +20,12 @@ import (
 // (--workers, telemetry) apply to every subcommand and may appear anywhere
 // on the line; main hoists them before this runs.
 func cmdCkpt(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("usage: lcpio ckpt <write|restore|verify|stats> [flags]")
-	}
-	switch args[0] {
-	case "write":
-		return cmdCkptWrite(args[1:])
-	case "restore":
-		return cmdCkptRestore(args[1:])
-	case "verify":
-		return cmdCkptVerify(args[1:])
-	case "stats":
-		return cmdCkptStats(args[1:])
-	default:
-		return fmt.Errorf("unknown ckpt subcommand %q (want write, restore, verify or stats)", args[0])
-	}
+	return runSub("ckpt", []command{
+		{"write", "compress a synthetic multi-rank set into one file", cmdCkptWrite},
+		{"restore", "decode a set, whole or by rank and field", cmdCkptRestore},
+		{"verify", "check a set's digests, optionally its payloads", cmdCkptVerify},
+		{"stats", "print a set's manifest summary", cmdCkptStats},
+	}, args)
 }
 
 // ckptMeta encodes the synthetic-data recipe into the manifest Meta field

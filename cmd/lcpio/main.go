@@ -6,18 +6,8 @@
 //	lcpio [global flags] <command> [flags]
 //
 // Global flags (accepted anywhere on the line) control telemetry and
-// parallelism:
-//
-//	--metrics file     write Prometheus text-format metrics on exit
-//	--trace file       write a JSON span tree + metrics on exit
-//	--chrome file      write a Chrome trace-event JSON timeline on exit
-//	--folded file      write folded stacks (flamegraph input) on exit
-//	--spans            print the human-readable span tree to stderr
-//	--pprof addr       serve net/http/pprof (e.g. localhost:6060)
-//	--cpuprofile file  capture a pprof CPU profile of the command
-//	--memprofile file  write a pprof heap profile on exit
-//	--progress         force the sweep progress line even off-TTY
-//	--workers n        intra-codec worker goroutines (0 = all cores)
+// parallelism; newGlobalFlagSet declares them and `lcpio` with no arguments
+// prints them.
 //
 // Experiment commands (one per paper artifact):
 //
@@ -47,8 +37,10 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
+	"strings"
 )
 
 type command struct {
@@ -94,23 +86,46 @@ func commands() []command {
 	}
 }
 
+// find returns the command of that name in table.
+func find(table []command, name string) (command, bool) {
+	for _, c := range table {
+		if c.name == name {
+			return c, true
+		}
+	}
+	return command{}, false
+}
+
+// listing is a table's usage lines, one command per line.
+func listing(table []command) string {
+	var b strings.Builder
+	for _, c := range table {
+		fmt.Fprintf(&b, "  %-11s %s\n", c.name, c.brief)
+	}
+	return b.String()
+}
+
+// runSub dispatches args[0] through the subcommand table of `lcpio parent`.
+func runSub(parent string, table []command, args []string) error {
+	subs := strings.TrimSuffix(listing(table), "\n")
+	if len(args) < 1 {
+		return fmt.Errorf("usage: lcpio %s <subcommand> [flags]\n%s", parent, subs)
+	}
+	c, ok := find(table, args[0])
+	if !ok {
+		return fmt.Errorf("unknown %s subcommand %q; want one of\n%s", parent, args[0], subs)
+	}
+	return c.run(args[1:])
+}
+
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: lcpio [global flags] <command> [flags]")
 	fmt.Fprintln(os.Stderr, "\nglobal flags:")
-	fmt.Fprintln(os.Stderr, "  --metrics file     write Prometheus text-format metrics on exit")
-	fmt.Fprintln(os.Stderr, "  --trace file       write a JSON span tree + metrics on exit")
-	fmt.Fprintln(os.Stderr, "  --chrome file      write a Chrome trace-event JSON timeline on exit")
-	fmt.Fprintln(os.Stderr, "  --folded file      write folded stacks (flamegraph input) on exit")
-	fmt.Fprintln(os.Stderr, "  --spans            print the span tree to stderr on exit")
-	fmt.Fprintln(os.Stderr, "  --pprof addr       serve net/http/pprof on addr")
-	fmt.Fprintln(os.Stderr, "  --cpuprofile file  capture a pprof CPU profile of the command")
-	fmt.Fprintln(os.Stderr, "  --memprofile file  write a pprof heap profile on exit")
-	fmt.Fprintln(os.Stderr, "  --progress         force the sweep progress line even off-TTY")
-	fmt.Fprintln(os.Stderr, "  --workers n        intra-codec worker goroutines (0 = all cores)")
-	fmt.Fprintln(os.Stderr, "\ncommands:")
-	for _, c := range commands() {
-		fmt.Fprintf(os.Stderr, "  %-11s %s\n", c.name, c.brief)
-	}
+	newGlobalFlagSet(new(globalFlags)).VisitAll(func(f *flag.Flag) {
+		arg, help := flag.UnquoteUsage(f)
+		fmt.Fprintf(os.Stderr, "  %-18s %s\n", "--"+f.Name+" "+arg, help)
+	})
+	fmt.Fprint(os.Stderr, "\ncommands:\n", listing(commands()))
 }
 
 func main() {
@@ -124,25 +139,23 @@ func main() {
 		os.Exit(2)
 	}
 	name := rest[0]
-	for _, c := range commands() {
-		if c.name == name {
-			finish, err := setupTelemetry(gf, name)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lcpio: %v\n", err)
-				os.Exit(1)
-			}
-			runErr := c.run(rest[1:])
-			if ferr := finish(); runErr == nil {
-				runErr = ferr
-			}
-			if runErr != nil {
-				fmt.Fprintf(os.Stderr, "lcpio %s: %v\n", name, runErr)
-				os.Exit(1)
-			}
-			return
-		}
+	c, ok := find(commands(), name)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "lcpio: unknown command %q\n\n", name)
+		usage()
+		os.Exit(2)
 	}
-	fmt.Fprintf(os.Stderr, "lcpio: unknown command %q\n\n", name)
-	usage()
-	os.Exit(2)
+	finish, err := setupTelemetry(gf, name)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lcpio: %v\n", err)
+		os.Exit(1)
+	}
+	runErr := c.run(rest[1:])
+	if ferr := finish(); runErr == nil {
+		runErr = ferr
+	}
+	if runErr != nil {
+		fmt.Fprintf(os.Stderr, "lcpio %s: %v\n", name, runErr)
+		os.Exit(1)
+	}
 }

@@ -122,19 +122,11 @@ func orUnlimited(v int64, format string) string {
 // cmdClient talks to a running lcpiod: dump a synthetic checkpoint set,
 // list finalized sets, or run a server-side restore+verify.
 func cmdClient(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("usage: lcpio client <dump|list|restore> [flags]")
-	}
-	switch args[0] {
-	case "dump":
-		return cmdClientDump(args[1:])
-	case "list":
-		return cmdClientList(args[1:])
-	case "restore":
-		return cmdClientRestore(args[1:])
-	default:
-		return fmt.Errorf("unknown client subcommand %q (want dump, list or restore)", args[0])
-	}
+	return runSub("client", []command{
+		{"dump", "dump a synthetic checkpoint set to the daemon", cmdClientDump},
+		{"list", "list the daemon's finalized sets", cmdClientList},
+		{"restore", "run a server-side restore and verify of one set", cmdClientRestore},
+	}, args)
 }
 
 func dialClient(addr string) (*svc.Client, net.Conn, error) {

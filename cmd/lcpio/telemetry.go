@@ -19,11 +19,8 @@ import (
 	"lcpio/internal/obs"
 )
 
-// globalFlags may appear anywhere on the command line:
-//
-//	lcpio [--metrics f] [--trace f] [--chrome f] [--folded f] [--spans]
-//	      [--pprof addr] [--cpuprofile f] [--memprofile f] [--progress]
-//	      [--workers n] <command> ...
+// globalFlags may appear anywhere on the command line; newGlobalFlagSet
+// declares them.
 type globalFlags struct {
 	metrics    string // Prometheus text-format output file
 	trace      string // JSON span-tree + metrics output file
@@ -41,55 +38,9 @@ type globalFlags struct {
 // a codec. Worker count never changes compressed bytes.
 var globalWorkers int
 
-// hoistGlobalFlags partitions args into global-flag tokens and everything
-// else, so global flags may appear anywhere on the command line — before
-// the command, after it, or between a command and its subcommand (e.g.
-// `lcpio ckpt write --workers 4`). Only the exact global flag names are
-// hoisted; per-command flags are left in place. A bare "--" stops the scan
-// and the remainder passes through untouched.
-func hoistGlobalFlags(args []string) (globals, rest []string) {
-	valueFlags := map[string]bool{
-		"metrics": true, "trace": true, "chrome": true, "folded": true,
-		"pprof": true, "cpuprofile": true, "memprofile": true, "workers": true,
-	}
-	boolFlags := map[string]bool{"spans": true, "progress": true}
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		if a == "--" {
-			rest = append(rest, args[i:]...)
-			break
-		}
-		if len(a) > 1 && a[0] == '-' {
-			name := strings.TrimLeft(a, "-")
-			if eq := strings.IndexByte(name, '='); eq >= 0 {
-				if base := name[:eq]; valueFlags[base] || boolFlags[base] {
-					globals = append(globals, a)
-					continue
-				}
-			} else if valueFlags[name] {
-				globals = append(globals, a)
-				if i+1 < len(args) {
-					i++
-					globals = append(globals, args[i])
-				}
-				continue
-			} else if boolFlags[name] {
-				globals = append(globals, a)
-				continue
-			}
-		}
-		rest = append(rest, a)
-	}
-	return globals, rest
-}
-
-// parseGlobalFlags splits os.Args-style input into the global flags and
-// the remaining [command, args...] tail. Global flags are recognized
-// anywhere on the line (see hoistGlobalFlags), so every command and
-// subcommand honors --workers and the telemetry flags uniformly regardless
-// of ordering.
-func parseGlobalFlags(args []string) (globalFlags, []string, error) {
-	var gf globalFlags
+// newGlobalFlagSet is the one declaration of the global flags: parsing,
+// hoisting and the usage text all read it.
+func newGlobalFlagSet(gf *globalFlags) *flag.FlagSet {
 	fs := flag.NewFlagSet("lcpio", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	fs.Usage = usage
@@ -102,8 +53,49 @@ func parseGlobalFlags(args []string) (globalFlags, []string, error) {
 	fs.StringVar(&gf.cpuprofile, "cpuprofile", "", "capture a pprof CPU profile of the command to `file`")
 	fs.StringVar(&gf.memprofile, "memprofile", "", "write a pprof heap profile to `file` on exit")
 	fs.BoolVar(&gf.progress, "progress", false, "print sweep progress to stderr even when it is not a TTY")
-	fs.IntVar(&gf.workers, "workers", 0, "intra-codec worker goroutines (0 = all cores); never changes output bytes")
-	globals, rest := hoistGlobalFlags(args)
+	fs.IntVar(&gf.workers, "workers", 0, "intra-codec worker goroutines, `n` (0 = all cores); never changes output bytes")
+	return fs
+}
+
+// hoistGlobalFlags partitions args into the tokens of fs's flags and
+// everything else, so global flags may appear anywhere on the command line —
+// before the command, after it, or between a command and its subcommand
+// (e.g. `lcpio ckpt write --workers 4`). Only the exact global flag names
+// are hoisted; per-command flags are left in place. A bare "--" stops the
+// scan and the remainder passes through untouched.
+func hoistGlobalFlags(fs *flag.FlagSet, args []string) (globals, rest []string) {
+	for i := 0; i < len(args); i++ {
+		a := args[i]
+		if a == "--" {
+			rest = append(rest, args[i:]...)
+			break
+		}
+		name, _, hasValue := strings.Cut(strings.TrimLeft(a, "-"), "=")
+		f := fs.Lookup(name)
+		if len(a) < 2 || a[0] != '-' || f == nil {
+			rest = append(rest, a)
+			continue
+		}
+		globals = append(globals, a)
+		// A value flag written without "=" takes the next token.
+		b, _ := f.Value.(interface{ IsBoolFlag() bool })
+		if !hasValue && (b == nil || !b.IsBoolFlag()) && i+1 < len(args) {
+			i++
+			globals = append(globals, args[i])
+		}
+	}
+	return globals, rest
+}
+
+// parseGlobalFlags splits os.Args-style input into the global flags and
+// the remaining [command, args...] tail. Global flags are recognized
+// anywhere on the line (see hoistGlobalFlags), so every command and
+// subcommand honors --workers and the telemetry flags uniformly regardless
+// of ordering.
+func parseGlobalFlags(args []string) (globalFlags, []string, error) {
+	var gf globalFlags
+	fs := newGlobalFlagSet(&gf)
+	globals, rest := hoistGlobalFlags(fs, args)
 	if err := fs.Parse(globals); err != nil {
 		return gf, nil, err
 	}

@@ -26,6 +26,7 @@ import (
 	"math"
 
 	"lcpio/internal/compress"
+	"lcpio/internal/wire"
 )
 
 // SketchConfig bounds the sample a Sketch takes. The zero value picks the
@@ -47,10 +48,6 @@ const (
 	capMaxSamples     = 1 << 20
 	defaultSegmentLen = 64
 	capSegmentLen     = 4096
-
-	// maxSketchElems caps the dims product: beyond ~1T elements the int64
-	// index arithmetic below would be at risk and no real field applies.
-	maxSketchElems = int64(1) << 40
 
 	// maxPredictedRatio clamps ratio predictions: constant fields compress
 	// to framing, but the codecs' container overhead keeps real ratios
@@ -117,45 +114,23 @@ func (sk *Sketch) Range() float64 {
 	return sk.Max - sk.Min
 }
 
-// validateDims checks a dims slice against the data length, rejecting
-// hostile shapes before any allocation happens.
-func validateDims(dataLen int, dims []int) (rowLen int, err error) {
-	if dataLen == 0 {
-		return 0, fmt.Errorf("advisor: empty field")
-	}
-	if len(dims) == 0 {
-		return dataLen, nil // treat as 1-D
-	}
-	if len(dims) > 8 {
-		return 0, fmt.Errorf("advisor: %d dims exceed cap 8", len(dims))
-	}
-	prod := int64(1)
-	for _, d := range dims {
-		if d <= 0 {
-			return 0, fmt.Errorf("advisor: non-positive dim %d", d)
-		}
-		prod *= int64(d)
-		if prod > maxSketchElems {
-			return 0, fmt.Errorf("advisor: dims product exceeds %d elements", maxSketchElems)
-		}
-	}
-	if prod != int64(dataLen) {
-		return 0, fmt.Errorf("advisor: dims %v imply %d elements, data has %d", dims, prod, dataLen)
-	}
-	return dims[len(dims)-1], nil
-}
-
 // NewSketch samples data (laid out row-major with dims slowest-first, as the
 // codecs expect) into a bounded summary. NaN/Inf values are counted and
 // skipped; they break the residual chain but do not fail the sketch. The
 // cost is O(MaxSamples), independent of the field size.
 func NewSketch(data []float32, dims []int, cfg SketchConfig) (*Sketch, error) {
 	cfg = cfg.normalized()
-	rowLen, err := validateDims(len(data), dims)
-	if err != nil {
+	n := len(data)
+	if n == 0 {
+		return nil, fmt.Errorf("advisor: empty field")
+	}
+	if len(dims) == 0 {
+		dims = []int{n} // no shape given: 1-D
+	}
+	if err := wire.CheckDims("advisor", n, dims); err != nil {
 		return nil, err
 	}
-	n := len(data)
+	rowLen := dims[len(dims)-1]
 	sk := &Sketch{
 		Elems:    n,
 		RawBytes: int64(n) * 4,
@@ -220,26 +195,13 @@ func NewSketch(data []float32, dims []int, cfg SketchConfig) (*Sketch, error) {
 	return sk, nil
 }
 
-// sampleBlocks gathers strided 4^d spatial blocks (d = number of
-// non-trivial dims, capped at 3) and records each block's local dynamic
-// range — the statistic ZFP's bit-plane budget follows. Hostile or tiny
-// shapes simply yield no blocks; the ZFP predictor then falls back to the
-// whole-sample range.
+// sampleBlocks gathers strided 4^d spatial blocks (d = the rank zfp codes
+// the shape at) and records each block's local dynamic range — the statistic
+// ZFP's bit-plane budget follows. Tiny shapes simply yield no blocks; the
+// ZFP predictor then falls back to the whole-sample range.
 func (sk *Sketch) sampleBlocks(data []float32, dims []int, cfg SketchConfig) {
-	// Collapse leading size-1 dims and cap at the trailing 3 (ZFP's block
-	// dimensionality tops out at 3 in this repo's codec).
-	eff := make([]int, 0, 3)
-	for _, d := range dims {
-		if d > 1 || len(eff) > 0 {
-			eff = append(eff, d)
-		}
-	}
-	if len(eff) == 0 {
-		eff = []int{len(data)}
-	}
-	if len(eff) > 3 {
-		eff = eff[len(eff)-3:]
-	}
+	rank, d0, d1, d2 := wire.Collapse(dims)
+	eff := []int{d0, d1, d2}[3-rank:]
 	const edge = 4
 	// Block grid extents per effective dim.
 	grid := make([]int, len(eff))
@@ -264,16 +226,12 @@ func (sk *Sketch) sampleBlocks(data []float32, dims []int, cfg SketchConfig) {
 	}
 	sk.blockRanges = make([]float64, 0, want)
 	// Strides in the flattened array for the effective dims (row-major,
-	// slowest first); the collapsed leading dims contribute stride 0 offset.
+	// slowest first).
 	stride := make([]int, len(eff))
 	s := 1
 	for i := len(eff) - 1; i >= 0; i-- {
 		stride[i] = s
 		s *= eff[i]
-	}
-	base := len(data) - s // offset of the trailing eff-shaped region (0 unless leading dims collapsed)
-	if base < 0 {
-		base = 0
 	}
 	coord := make([]int, len(eff))
 	for b := 0; b < want; b++ {
@@ -283,7 +241,7 @@ func (sk *Sketch) sampleBlocks(data []float32, dims []int, cfg SketchConfig) {
 			coord[i] = int(bi%int64(grid[i])) * edge
 			bi /= int64(grid[i])
 		}
-		origin := base
+		origin := 0
 		for i := range coord {
 			origin += coord[i] * stride[i]
 		}

@@ -58,15 +58,14 @@ const (
 
 	// Plausibility caps enforced before any count-driven allocation, so a
 	// forged manifest cannot demand giant slices (the same discipline as
-	// the sz/zfp/container decoders).
+	// the sz/zfp/container decoders; a field's shape is held to package
+	// wire's caps).
 	maxRanks    = 1 << 16
 	maxFields   = 1 << 12
 	maxChunks   = 1 << 22
 	maxNameLen  = 256
 	maxMetaLen  = 4096
 	maxCodecLen = 64
-	maxDims     = 8
-	maxElems    = 1 << 34
 )
 
 // ErrCorrupt is returned for malformed checkpoint sets.
@@ -277,19 +276,6 @@ func (m *Manifest) PayloadBytes() int64 {
 	return n
 }
 
-func appendString(b []byte, s string) []byte {
-	b = wire.AppendUint32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-func readString(rd *wire.Reader, maxLen int) (string, bool) {
-	n := int(rd.Uint32())
-	if rd.Err() != nil || n < 0 || n > maxLen {
-		return "", false
-	}
-	return string(rd.Bytes(n)), rd.Err() == nil
-}
-
 // appendExtent encodes one {offset, size, CRC} table entry — the shape chunk,
 // blob and parity-shard tables share.
 func appendExtent(b []byte, off, size int64, crc uint32) []byte {
@@ -306,23 +292,20 @@ func (m *Manifest) encode() []byte {
 	var b []byte
 	b = wire.AppendUint32(b, magic)
 	b = wire.AppendUint32(b, version)
-	b = appendString(b, m.SetName)
-	b = appendString(b, m.Meta)
-	b = appendString(b, m.Codec)
+	b = wire.AppendString(b, m.SetName)
+	b = wire.AppendString(b, m.Meta)
+	b = wire.AppendString(b, m.Codec)
 	b = wire.AppendUint32(b, uint32(m.Ranks))
 	b = wire.AppendUint32(b, uint32(len(m.Fields)))
 	for _, f := range m.Fields {
-		b = appendString(b, f.Name)
-		b = wire.AppendUint32(b, uint32(len(f.Dims)))
-		for _, d := range f.Dims {
-			b = wire.AppendUint64(b, uint64(d))
-		}
+		b = wire.AppendString(b, f.Name)
+		b = wire.AppendDims(b, f.Dims)
 		b = wire.AppendFloat64(b, f.ErrorBound)
 	}
 	b = wire.AppendUint32(b, uint32(m.ParityRanks))
 	b = wire.AppendUint32(b, uint32(m.ChainDepth))
 	if m.IsDelta() {
-		b = appendString(b, m.BaseName)
+		b = wire.AppendString(b, m.BaseName)
 		b = wire.AppendUint32(b, m.BasePin)
 		b = wire.AppendUint32(b, uint32(m.DedupMin))
 		b = wire.AppendUint32(b, uint32(m.DedupAvg))
@@ -392,49 +375,22 @@ func parseManifest(buf []byte, fileSize int64) (*Manifest, error) {
 	}
 	var m Manifest
 	var ok bool
-	if m.SetName, ok = readString(&rd, maxNameLen); !ok {
-		return nil, ErrCorrupt
-	}
-	if m.Meta, ok = readString(&rd, maxMetaLen); !ok {
-		return nil, ErrCorrupt
-	}
-	if m.Codec, ok = readString(&rd, maxCodecLen); !ok {
-		return nil, ErrCorrupt
-	}
-	if m.Codec == "" {
-		return nil, ErrCorrupt
-	}
+	m.SetName = rd.String(maxNameLen)
+	m.Meta = rd.String(maxMetaLen)
+	m.Codec = rd.String(maxCodecLen)
 	m.Ranks = int(rd.Uint32())
 	nFields := int(rd.Uint32())
-	if rd.Err() != nil || m.Ranks <= 0 || m.Ranks > maxRanks ||
+	if rd.Err() != nil || m.Codec == "" || m.Ranks <= 0 || m.Ranks > maxRanks ||
 		nFields <= 0 || nFields > maxFields || m.Ranks*nFields > maxChunks {
 		return nil, ErrCorrupt
 	}
 	m.Fields = make([]FieldInfo, nFields)
 	for i := range m.Fields {
 		f := &m.Fields[i]
-		if f.Name, ok = readString(&rd, maxNameLen); !ok || f.Name == "" {
-			return nil, ErrCorrupt
-		}
-		nd := int(rd.Uint32())
-		if rd.Err() != nil || nd <= 0 || nd > maxDims {
-			return nil, ErrCorrupt
-		}
-		f.Dims = make([]int, nd)
-		elems := 1
-		for j := range f.Dims {
-			d := rd.Uint64()
-			if d == 0 || d > 1<<40 {
-				return nil, ErrCorrupt
-			}
-			f.Dims[j] = int(d)
-			elems *= int(d)
-			if elems <= 0 || elems > maxElems {
-				return nil, ErrCorrupt
-			}
-		}
+		f.Name = rd.String(maxNameLen)
+		f.Dims, _ = rd.Dims()
 		f.ErrorBound = rd.Float64()
-		if rd.Err() != nil || !(f.ErrorBound > 0) {
+		if rd.Err() != nil || f.Name == "" || !(f.ErrorBound > 0) {
 			return nil, ErrCorrupt
 		}
 	}
@@ -500,16 +456,13 @@ func parseManifest(buf []byte, fileSize int64) (*Manifest, error) {
 //   - blob owners (first-citing stream) are non-decreasing — the order the
 //     in-order drain loop necessarily commits them in.
 func parseDelta(rd *wire.Reader, m *Manifest, payloadEnd int64) error {
-	var ok bool
-	if m.BaseName, ok = readString(rd, maxNameLen); !ok || m.BaseName == "" {
-		return ErrCorrupt
-	}
+	m.BaseName = rd.String(maxNameLen)
 	m.BasePin = rd.Uint32()
 	m.DedupMin = int(rd.Uint32())
 	m.DedupAvg = int(rd.Uint32())
 	m.DedupMax = int(rd.Uint32())
 	p := m.DedupParams()
-	if rd.Err() != nil || p.Validate() != nil {
+	if rd.Err() != nil || m.BaseName == "" || p.Validate() != nil {
 		return ErrCorrupt
 	}
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lcpio/internal/dedup"
+	"lcpio/internal/wire"
 )
 
 // fuzzSetBytes builds one small valid checkpoint set to seed the corpus.
@@ -93,10 +94,10 @@ func FuzzReadManifest(f *testing.F) {
 			}
 		}
 		for _, fd := range m.Fields {
-			if fd.Name == "" || len(fd.Dims) == 0 || len(fd.Dims) > maxDims {
+			if fd.Name == "" || len(fd.Dims) == 0 || len(fd.Dims) > wire.MaxDims {
 				t.Fatalf("incoherent field %+v", fd)
 			}
-			if fd.Elems() <= 0 || fd.Elems() > maxElems {
+			if fd.Elems() <= 0 || fd.Elems() > wire.MaxElems {
 				t.Fatalf("field %q implies %d elems", fd.Name, fd.Elems())
 			}
 		}

@@ -15,6 +15,7 @@ import (
 	"lcpio/internal/par"
 	"lcpio/internal/retry"
 	"lcpio/internal/stream"
+	"lcpio/internal/wire"
 )
 
 // Field is one input field of a checkpoint set: every rank contributes an
@@ -60,16 +61,6 @@ func (s Set) validate() error {
 		if f.Name == "" || len(f.Name) > maxNameLen {
 			return fmt.Errorf("ckpt: field %d has invalid name %q", fi, f.Name)
 		}
-		if len(f.Dims) == 0 || len(f.Dims) > maxDims {
-			return fmt.Errorf("ckpt: field %q has %d dims", f.Name, len(f.Dims))
-		}
-		elems := 1
-		for _, d := range f.Dims {
-			if d <= 0 {
-				return fmt.Errorf("ckpt: field %q has non-positive dim", f.Name)
-			}
-			elems *= d
-		}
 		if !(f.ErrorBound > 0) || math.IsInf(f.ErrorBound, 0) {
 			return fmt.Errorf("ckpt: field %q has invalid error bound %v", f.Name, f.ErrorBound)
 		}
@@ -77,9 +68,8 @@ func (s Set) validate() error {
 			return fmt.Errorf("ckpt: field %q has %d rank arrays, want %d", f.Name, len(f.Data), s.Ranks)
 		}
 		for r, d := range f.Data {
-			if len(d) != elems {
-				return fmt.Errorf("ckpt: field %q rank %d has %d elements, dims %v imply %d",
-					f.Name, r, len(d), f.Dims, elems)
+			if err := wire.CheckDims("ckpt", len(d), f.Dims); err != nil {
+				return fmt.Errorf("%w (field %q, rank %d)", err, f.Name, r)
 			}
 		}
 	}

@@ -119,12 +119,12 @@ func handleDecompressInto[F float32 | float64](h compress.Handle, dst []F, blob 
 // Pack compresses float32 data into a chunked container with the named
 // codec.
 func Pack(codecName string, data []float32, dims []int, eb float64, opts Options) ([]byte, error) {
-	return packGeneric(codecName, 32, data, dims, eb, opts, nil)
+	return packGeneric(codecName, data, dims, eb, opts, nil)
 }
 
 // Pack64 is Pack for float64 data.
 func Pack64(codecName string, data []float64, dims []int, eb float64, opts Options) ([]byte, error) {
-	return packGeneric(codecName, 64, data, dims, eb, opts, nil)
+	return packGeneric(codecName, data, dims, eb, opts, nil)
 }
 
 // Packer packs many arrays through one fixed set of per-worker codec
@@ -154,31 +154,21 @@ func NewPacker(codecName string, opts Options) (*Packer, error) {
 
 // Pack compresses one float32 array, reusing the Packer's handles.
 func (p *Packer) Pack(data []float32, dims []int, eb float64) ([]byte, error) {
-	return packGeneric(p.codec, 32, data, dims, eb, p.opts, p.handles)
+	return packGeneric(p.codec, data, dims, eb, p.opts, p.handles)
 }
 
 // Pack64 is Pack for float64 data.
 func (p *Packer) Pack64(data []float64, dims []int, eb float64) ([]byte, error) {
-	return packGeneric(p.codec, 64, data, dims, eb, p.opts, p.handles)
+	return packGeneric(p.codec, data, dims, eb, p.opts, p.handles)
 }
 
-func packGeneric[F float32 | float64](codecName string, elemBits uint32, data []F,
+func packGeneric[F float32 | float64](codecName string, data []F,
 	dims []int, eb float64, opts Options, handles []compress.Handle) ([]byte, error) {
 	if err := compress.CheckName(codecName); err != nil {
 		return nil, err
 	}
-	if len(dims) == 0 {
-		return nil, errors.New("container: empty dims")
-	}
-	n := 1
-	for _, d := range dims {
-		if d <= 0 {
-			return nil, fmt.Errorf("container: non-positive dimension %d", d)
-		}
-		n *= d
-	}
-	if n != len(data) {
-		return nil, fmt.Errorf("container: dims %v imply %d elements, data has %d", dims, n, len(data))
+	if err := wire.CheckDims("container", len(data), dims); err != nil {
+		return nil, err
 	}
 	if !(eb > 0) || math.IsInf(eb, 0) {
 		return nil, fmt.Errorf("container: invalid error bound %v", eb)
@@ -186,7 +176,7 @@ func packGeneric[F float32 | float64](codecName string, elemBits uint32, data []
 	opts = opts.normalized()
 
 	spans := chunkSpans(dims, opts.ChunkElems)
-	rowElems := n / dims[0]
+	rowElems := len(data) / dims[0]
 	blobs := make([][]byte, len(spans))
 	errs := make([]error, len(spans))
 
@@ -229,14 +219,9 @@ func packGeneric[F float32 | float64](codecName string, elemBits uint32, data []
 	var out []byte
 	out = wire.AppendUint32(out, magic)
 	out = wire.AppendUint32(out, version)
-	name := codecName
-	out = wire.AppendUint32(out, uint32(len(name)))
-	out = append(out, name...)
-	out = wire.AppendUint32(out, elemBits)
-	out = wire.AppendUint32(out, uint32(len(dims)))
-	for _, d := range dims {
-		out = wire.AppendUint64(out, uint64(d))
-	}
+	out = wire.AppendString(out, codecName)
+	out = wire.AppendUint32(out, wire.ElemBits[F]())
+	out = wire.AppendDims(out, dims)
 	out = wire.AppendFloat64(out, eb)
 	out = wire.AppendUint32(out, uint32(len(spans)))
 	for ci, span := range spans {
@@ -271,45 +256,19 @@ func parse(buf []byte) (parsed, error) {
 		}
 		return p, fmt.Errorf("container: unsupported version %d", v)
 	}
-	nameLen := int(rd.Uint32())
-	if rd.Err() != nil || nameLen <= 0 || nameLen > 64 {
+	p.info.Codec = rd.String(64)
+	p.info.ElemBits = int(rd.Uint32())
+	if p.info.Codec == "" || (p.info.ElemBits != 32 && p.info.ElemBits != 64) {
 		return p, ErrCorrupt
 	}
-	name := rd.Bytes(nameLen)
-	if rd.Err() != nil {
-		return p, ErrCorrupt
-	}
-	p.info.Codec = string(name)
-	elemBits := rd.Uint32()
-	if elemBits != 32 && elemBits != 64 {
-		return p, ErrCorrupt
-	}
-	p.info.ElemBits = int(elemBits)
-	ndims := int(rd.Uint32())
-	if rd.Err() != nil || ndims <= 0 || ndims > 8 {
-		return p, ErrCorrupt
-	}
-	p.info.Dims = make([]int, ndims)
-	n := 1
-	for i := range p.info.Dims {
-		d := rd.Uint64()
-		if d == 0 || d > 1<<40 {
-			return p, ErrCorrupt
-		}
-		p.info.Dims[i] = int(d)
-		n *= int(d)
-		if n <= 0 || n > 1<<34 {
-			return p, ErrCorrupt
-		}
-	}
+	p.info.Dims, p.n = rd.Dims()
 	p.info.ErrorBound = rd.Float64()
 	nChunks := int(rd.Uint32())
 	if rd.Err() != nil || nChunks <= 0 || nChunks > 1<<24 {
 		return p, ErrCorrupt
 	}
 	p.info.NumChunks = nChunks
-	p.n = n
-	p.info.RawBytes = int64(n) * int64(p.info.ElemBits/8)
+	p.info.RawBytes = int64(p.n) * int64(p.info.ElemBits/8)
 	p.info.PackedBytes = int64(len(buf))
 	prevHi := 0
 	var sizes []int
@@ -352,7 +311,7 @@ func Unpack(buf []byte, opts Options) ([]float32, []int, error) {
 
 // Unpack64 decompresses a float64 container.
 func Unpack64(buf []byte, opts Options) ([]float64, []int, error) {
-	return unpackGeneric[float64](NewUnpacker(opts), buf, 64)
+	return unpackGeneric[float64](NewUnpacker(opts), buf)
 }
 
 // Unpacker unpacks many containers through one fixed set of per-worker
@@ -380,7 +339,7 @@ func NewUnpacker(opts Options) *Unpacker {
 // handles. Each chunk decodes straight into its span of the one output
 // array.
 func (u *Unpacker) Unpack(buf []byte) ([]float32, []int, error) {
-	return unpackGeneric[float32](u, buf, 32)
+	return unpackGeneric[float32](u, buf)
 }
 
 // open parses buf, checks that it holds wantBits-wide elements of a known
@@ -443,8 +402,8 @@ func decodeChunk[F float32 | float64](h compress.Handle, buf []byte, p *parsed, 
 	return nil
 }
 
-func unpackGeneric[F float32 | float64](u *Unpacker, buf []byte, wantBits int) ([]F, []int, error) {
-	p, rowElems, err := u.open(buf, wantBits)
+func unpackGeneric[F float32 | float64](u *Unpacker, buf []byte) ([]F, []int, error) {
+	p, rowElems, err := u.open(buf, int(wire.ElemBits[F]()))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -163,6 +164,12 @@ func TestPackValidation(t *testing.T) {
 	}
 	if _, err := Pack("sz", data, []int{-4}, 1e-3, Options{}); err == nil {
 		t.Error("negative dim accepted")
+	}
+	// The shape caps are package wire's; the error is this package's.
+	for _, dims := range [][]int{{1, 1, 1, 1, 1, 1, 1, 1, 4}, {4, 0}} {
+		if _, err := Pack("sz", data, dims, 1e-3, Options{}); err == nil || !strings.HasPrefix(err.Error(), "container: ") {
+			t.Errorf("dims %v: got %v, want a container error", dims, err)
+		}
 	}
 }
 

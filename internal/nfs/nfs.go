@@ -330,10 +330,3 @@ func (m Mount) readRPC(sz int64, slotReady float64, faults bool,
 	}
 	return ack
 }
-
-func max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -54,3 +54,34 @@ func RunWorker(n, workers int, fn func(worker, i int)) {
 	}
 	wg.Wait()
 }
+
+// Grow returns s with n elements, keeping the ones it has: s resliced when it
+// has the capacity, a longer copy otherwise.
+func Grow[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	g := make([]T, n)
+	copy(g, s[:cap(s)])
+	return g
+}
+
+// Lanes is the per-worker scratch of a RunWorker call, kept across calls: one
+// L per worker index, created the first time that worker asks for it. Memory
+// scales with the worker count, never with the item count.
+type Lanes[L any] struct{ lanes []*L }
+
+// SizeTo sets the table to workers entries, keeping the lanes it has.
+func (t *Lanes[L]) SizeTo(workers int) { t.lanes = Grow(t.lanes, workers) }
+
+// Lane returns worker w's scratch. A worker index belongs to one goroutine
+// for the length of a RunWorker call, so creating it here needs no lock.
+func (t *Lanes[L]) Lane(w int) *L {
+	if t.lanes[w] == nil {
+		t.lanes[w] = new(L)
+	}
+	return t.lanes[w]
+}
+
+// All returns the table as it stands; entries no worker has asked for are nil.
+func (t *Lanes[L]) All() []*L { return t.lanes }

@@ -14,6 +14,7 @@ import (
 	"math"
 
 	"lcpio/internal/lossless"
+	"lcpio/internal/wire"
 )
 
 const (
@@ -29,17 +30,7 @@ const (
 var ErrCorrupt = errors.New("squant: corrupt stream")
 
 // Float constrains the element types the codec accepts.
-type Float interface {
-	~float32 | ~float64
-}
-
-func elemKind[F Float]() uint32 {
-	var z F
-	if _, ok := any(z).(float32); ok {
-		return 32
-	}
-	return 64
-}
+type Float = wire.Float
 
 // Compress quantizes float32 data under absolute error bound eb.
 func Compress(data []float32, dims []int, eb float64) ([]byte, error) {
@@ -112,30 +103,18 @@ func compressGeneric[F Float](dst []byte, data []F, dims []int, eb float64) ([]b
 	if !(eb > 0) || math.IsInf(eb, 0) {
 		return nil, fmt.Errorf("squant: invalid error bound %v", eb)
 	}
-	n := 1
-	if len(dims) == 0 {
-		return nil, errors.New("squant: empty dims")
+	if err := wire.CheckDims("squant", len(data), dims); err != nil {
+		return nil, err
 	}
-	for _, d := range dims {
-		if d <= 0 {
-			return nil, fmt.Errorf("squant: non-positive dimension %d", d)
-		}
-		n *= d
-	}
-	if n != len(data) {
-		return nil, fmt.Errorf("squant: dims %v imply %d elements, data has %d", dims, n, len(data))
-	}
+	n := len(data)
 	twoEB := 2 * eb
 
 	payload := make([]byte, 0, n+64)
-	payload = binary.LittleEndian.AppendUint32(payload, magic)
-	payload = binary.LittleEndian.AppendUint32(payload, version)
-	payload = binary.LittleEndian.AppendUint32(payload, elemKind[F]())
-	payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(eb))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(dims)))
-	for _, d := range dims {
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(d))
-	}
+	payload = wire.AppendUint32(payload, magic)
+	payload = wire.AppendUint32(payload, version)
+	payload = wire.AppendUint32(payload, wire.ElemBits[F]())
+	payload = wire.AppendFloat64(payload, eb)
+	payload = wire.AppendDims(payload, dims)
 
 	var exceptIdx []int
 	var exceptVal []F
@@ -157,18 +136,12 @@ func compressGeneric[F Float](dst []byte, data []F, dims []int, eb float64) ([]b
 		quanta = binary.AppendVarint(quanta, qi-prev)
 		prev = qi
 	}
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(len(exceptIdx)))
+	payload = wire.AppendUint64(payload, uint64(len(exceptIdx)))
 	for i, idx := range exceptIdx {
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(idx))
-		switch x := any(exceptVal[i]).(type) {
-		case float32:
-			payload = binary.LittleEndian.AppendUint32(payload, math.Float32bits(x))
-		default:
-			payload = binary.LittleEndian.AppendUint64(payload,
-				math.Float64bits(any(exceptVal[i]).(float64)))
-		}
+		payload = wire.AppendUint64(payload, uint64(idx))
+		payload = wire.AppendValue(payload, exceptVal[i])
 	}
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(len(quanta)))
+	payload = wire.AppendUint64(payload, uint64(len(quanta)))
 	payload = append(payload, quanta...)
 	return lossless.AppendCompress(dst, payload, lossless.Defaults()), nil
 }
@@ -178,85 +151,45 @@ func decompressGeneric[F Float](dst []F, buf []byte) ([]F, []int, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("squant: lossless stage: %w", err)
 	}
-	off := 0
-	u32 := func() uint32 {
-		if off+4 > len(payload) {
-			off = len(payload) + 1
-			return 0
-		}
-		v := binary.LittleEndian.Uint32(payload[off:])
-		off += 4
-		return v
-	}
-	u64 := func() uint64 {
-		if off+8 > len(payload) {
-			off = len(payload) + 1
-			return 0
-		}
-		v := binary.LittleEndian.Uint64(payload[off:])
-		off += 8
-		return v
-	}
-	if u32() != magic {
+	rd := wire.NewReader(payload, ErrCorrupt)
+	if rd.Uint32() != magic {
 		return nil, nil, ErrCorrupt
 	}
-	if v := u32(); v != version {
+	if v := rd.Uint32(); v != version {
 		return nil, nil, fmt.Errorf("squant: unsupported version %d", v)
 	}
-	if kind := u32(); kind != elemKind[F]() {
+	if kind := rd.Uint32(); kind != wire.ElemBits[F]() {
 		return nil, nil, fmt.Errorf("squant: stream holds float%d values, caller asked for float%d",
-			kind, elemKind[F]())
+			kind, wire.ElemBits[F]())
 	}
-	eb := math.Float64frombits(u64())
-	ndims := int(u32())
-	if off > len(payload) || ndims <= 0 || ndims > 8 || !(eb > 0) {
-		return nil, nil, ErrCorrupt
-	}
-	dims := make([]int, ndims)
-	n := 1
-	for i := range dims {
-		d := u64()
-		if d == 0 || d > 1<<40 {
-			return nil, nil, ErrCorrupt
-		}
-		dims[i] = int(d)
-		n *= int(d)
-		if n <= 0 || n > 1<<34 {
-			return nil, nil, ErrCorrupt
-		}
-	}
-	numExc := int(u64())
-	if off > len(payload) || numExc < 0 || numExc > n {
+	eb := rd.Float64()
+	dims, n := rd.Dims()
+	numExc := rd.Uint64()
+	// Plausibility: an exception costs an index and a value, so a count the
+	// bytes left cannot hold is corrupt, and must not size the two tables.
+	excLen := uint64(8 + wire.ElemBits[F]()/8)
+	if rd.Err() != nil || !(eb > 0) || numExc > uint64(n) || numExc > uint64(rd.Remaining())/excLen {
 		return nil, nil, ErrCorrupt
 	}
 	excIdx := make([]int, numExc)
 	excVal := make([]F, numExc)
-	var zero F
-	_, is32 := any(zero).(float32)
 	for i := range excIdx {
-		idx := int(u64())
-		if idx < 0 || idx >= n {
+		idx := rd.Uint64()
+		if idx >= uint64(n) {
 			return nil, nil, ErrCorrupt
 		}
-		excIdx[i] = idx
-		if is32 {
-			excVal[i] = F(math.Float32frombits(u32()))
-		} else {
-			excVal[i] = F(math.Float64frombits(u64()))
-		}
+		excIdx[i] = int(idx)
+		excVal[i] = wire.ReadValue[F](&rd)
 	}
-	qLen := int(u64())
-	if off > len(payload) || qLen < 0 || off+qLen > len(payload) {
+	// A varint is at least one byte per element: fewer bytes than elements
+	// is corrupt, and must not size the output.
+	qLen := rd.Uint64()
+	if rd.Err() != nil || qLen > uint64(rd.Remaining()) || qLen < uint64(n) {
 		return nil, nil, ErrCorrupt
 	}
-	quanta := payload[off : off+qLen]
+	quanta := rd.Bytes(int(qLen))
 
-	out := dst
-	if cap(out) >= n {
-		out = out[:n]
-	} else {
-		out = make([]F, n)
-	}
+	out := wire.Sized(dst, n)
 	twoEB := 2 * eb
 	var prev int64
 	pos := 0

@@ -3,6 +3,7 @@ package squant
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -115,6 +116,12 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := Compress(data, []int{3}, 0); err == nil {
 		t.Error("zero bound accepted")
+	}
+	// The shape caps are package wire's; the error is this package's.
+	for _, dims := range [][]int{{1, 1, 1, 1, 1, 1, 1, 1, 3}, {3, 0}} {
+		if _, err := Compress(data, dims, 1e-3); err == nil || !strings.HasPrefix(err.Error(), "squant: ") {
+			t.Errorf("dims %v: got %v, want a squant error", dims, err)
+		}
 	}
 	if _, _, err := Decompress([]byte("junk")); err == nil {
 		t.Error("garbage accepted")

@@ -28,6 +28,13 @@ import (
 	"lcpio/internal/obs"
 )
 
+// The consumer's and the dispatcher's stages on the occupancy clocks: the
+// ckpt.write lane vocabulary, which every pipeline shares.
+const (
+	consumeStage  = "drain"
+	dispatchStage = "dispatch"
+)
+
 // Options configures one pipeline run.
 type Options struct {
 	// Name labels the obs pipeline trace (e.g. "ckpt.write"). Empty
@@ -39,11 +46,9 @@ type Options struct {
 	// pipeline's backpressure window (0 = 2×Workers, floor Workers+1).
 	// Production stalls when the consumer falls this far behind.
 	QueueDepth int
-	// Stage names for the occupancy clocks; defaults preserve the
-	// historical ckpt.write lane vocabulary.
-	ProduceStage  string // default "compress"
-	ConsumeStage  string // default "drain"
-	DispatchStage string // default "dispatch"
+	// ProduceStage names the producers' stage on the occupancy clocks
+	// (default "compress").
+	ProduceStage string
 	// QueueGauge, if non-empty, is an obs gauge set to the reorder
 	// buffer's depth after each received item; InFlightGauge tracks the
 	// buffered items' byte total after each consumed item.
@@ -63,12 +68,6 @@ func (o Options) normalized() Options {
 	}
 	if o.ProduceStage == "" {
 		o.ProduceStage = "compress"
-	}
-	if o.ConsumeStage == "" {
-		o.ConsumeStage = "drain"
-	}
-	if o.DispatchStage == "" {
-		o.DispatchStage = "dispatch"
 	}
 	return o
 }
@@ -137,7 +136,7 @@ func Start(n int, opts Options, newProducer func(lane int) ProduceFunc) *Engine 
 		defer close(e.tasks)
 		dc := e.pt.Worker(opts.Workers + 1)
 		for idx := 0; idx < n; idx++ {
-			dc.Run(opts.DispatchStage)
+			dc.Run(dispatchStage)
 			dc.Blocked()
 			select {
 			case e.sem <- struct{}{}:
@@ -209,7 +208,7 @@ func (e *Engine) Drain(consume func(Item) error) error {
 			if !ok {
 				break
 			}
-			e.wr.Run(e.opts.ConsumeStage)
+			e.wr.Run(consumeStage)
 			delete(pending, nextWrite)
 			pendingBytes -= int64(len(d.Blob))
 			if err := consume(d); err != nil {

@@ -160,8 +160,8 @@ func TestNormalizedDefaults(t *testing.T) {
 	if o.QueueDepth != 5 {
 		t.Fatalf("QueueDepth = %d, want floor Workers+1 = 5", o.QueueDepth)
 	}
-	if o.ProduceStage != "compress" || o.ConsumeStage != "drain" || o.DispatchStage != "dispatch" {
-		t.Fatalf("default stages = %q/%q/%q", o.ProduceStage, o.ConsumeStage, o.DispatchStage)
+	if o.ProduceStage != "compress" || consumeStage != "drain" || dispatchStage != "dispatch" {
+		t.Fatalf("default stages = %q/%q/%q", o.ProduceStage, consumeStage, dispatchStage)
 	}
 }
 

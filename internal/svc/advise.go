@@ -26,7 +26,7 @@ type AdviseRequest struct {
 }
 
 func (r AdviseRequest) encode() []byte {
-	b := appendString(nil, r.Tenant)
+	b := wire.AppendString(nil, r.Tenant)
 	b = wire.AppendUint64(b, uint64(r.RawBytes))
 	b = wire.AppendFloat64(b, r.DeadlineSeconds)
 	b = wire.AppendFloat64(b, r.MinPSNR)
@@ -36,8 +36,7 @@ func (r AdviseRequest) encode() []byte {
 func parseAdviseRequest(b []byte) (AdviseRequest, error) {
 	rd := wire.NewReader(b, ErrCorruptFrame)
 	var r AdviseRequest
-	var ok bool
-	if r.Tenant, ok = readString(&rd, maxNameLen); !ok || r.Tenant == "" {
+	if r.Tenant = rd.String(maxNameLen); r.Tenant == "" {
 		return r, fmt.Errorf("%w: advise tenant", ErrCorruptFrame)
 	}
 	r.RawBytes = int64(rd.Uint64())
@@ -72,7 +71,7 @@ type AdviseReply struct {
 }
 
 func (r AdviseReply) encode() []byte {
-	b := appendString(nil, r.Codec)
+	b := wire.AppendString(nil, r.Codec)
 	b = wire.AppendFloat64(b, r.RelEB)
 	b = wire.AppendFloat64(b, r.Ratio)
 	b = wire.AppendFloat64(b, r.ProjJoules)
@@ -82,14 +81,13 @@ func (r AdviseReply) encode() []byte {
 		flag = 1
 	}
 	b = append(b, flag)
-	return appendString(b, r.Reason)
+	return wire.AppendString(b, r.Reason)
 }
 
 func parseAdviseReply(b []byte) (AdviseReply, error) {
 	rd := wire.NewReader(b, ErrCorruptFrame)
 	var r AdviseReply
-	var ok bool
-	if r.Codec, ok = readString(&rd, maxNameLen); !ok || r.Codec == "" {
+	if r.Codec = rd.String(maxNameLen); r.Codec == "" {
 		return r, fmt.Errorf("%w: advise codec", ErrCorruptFrame)
 	}
 	r.RelEB = rd.Float64()
@@ -101,7 +99,7 @@ func parseAdviseReply(b []byte) (AdviseReply, error) {
 		return r, fmt.Errorf("%w: advise reply", ErrCorruptFrame)
 	}
 	r.Admissible = flag[0] == 1
-	if r.Reason, ok = readString(&rd, maxMetaLen); !ok || rd.Remaining() != 0 {
+	if r.Reason = rd.String(maxMetaLen); rd.Err() != nil || rd.Remaining() != 0 {
 		return r, fmt.Errorf("%w: advise reason", ErrCorruptFrame)
 	}
 	if !(r.RelEB > 0) || r.RelEB > 1 || !(r.Ratio >= 1) || math.IsInf(r.Ratio, 0) {

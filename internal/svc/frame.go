@@ -167,14 +167,15 @@ func ParseFrame(b []byte) (frame, int, error) {
 }
 
 // Payload caps, aligned with the ckpt format's parse limits so anything the
-// daemon admits is also storable.
+// daemon admits is also storable: a field's shape is held to package wire's
+// caps, the ones ckpt reads a manifest under. maxRawB is the daemon's own
+// cap, on the raw bytes of a whole set, and keeps quota and extent
+// arithmetic far from overflow.
 const (
 	maxNameLen = 256
 	maxMetaLen = 1 << 12
 	maxRanks   = 1 << 16
 	maxFields  = 1 << 12
-	maxDims    = 8
-	maxDim     = 1 << 30
 	maxRawB    = int64(1) << 40
 	// maxExpansion bounds a projected file relative to the largest raw
 	// set: incompressible data plus framing stores at a ratio a little
@@ -235,24 +236,21 @@ func (r OpenRequest) RawBytes() int64 {
 
 func (r OpenRequest) encode() []byte {
 	var b []byte
-	b = appendString(b, r.Tenant)
-	b = appendString(b, r.SetName)
-	b = appendString(b, r.Meta)
-	b = appendString(b, r.Codec)
+	b = wire.AppendString(b, r.Tenant)
+	b = wire.AppendString(b, r.SetName)
+	b = wire.AppendString(b, r.Meta)
+	b = wire.AppendString(b, r.Codec)
 	b = wire.AppendUint32(b, uint32(r.Ranks))
 	b = wire.AppendUint32(b, uint32(len(r.Fields)))
 	for _, f := range r.Fields {
-		b = appendString(b, f.Name)
-		b = wire.AppendUint32(b, uint32(len(f.Dims)))
-		for _, d := range f.Dims {
-			b = wire.AppendUint64(b, uint64(d))
-		}
+		b = wire.AppendString(b, f.Name)
+		b = wire.AppendDims(b, f.Dims)
 		b = wire.AppendFloat64(b, f.ErrorBound)
 	}
 	b = wire.AppendFloat64(b, r.RelEB)
 	b = wire.AppendFloat64(b, r.ProjectedRatio)
 	b = wire.AppendFloat64(b, r.DeadlineSeconds)
-	b = appendString(b, r.WireCodec)
+	b = wire.AppendString(b, r.WireCodec)
 	return b
 }
 
@@ -262,17 +260,16 @@ func (r OpenRequest) encode() []byte {
 func parseOpenRequest(b []byte) (OpenRequest, error) {
 	rd := wire.NewReader(b, ErrCorruptFrame)
 	var r OpenRequest
-	var ok bool
-	if r.Tenant, ok = readString(&rd, maxNameLen); !ok || r.Tenant == "" {
+	if r.Tenant = rd.String(maxNameLen); r.Tenant == "" {
 		return r, fmt.Errorf("%w: tenant name", ErrCorruptFrame)
 	}
-	if r.SetName, ok = readString(&rd, maxNameLen); !ok || r.SetName == "" {
+	if r.SetName = rd.String(maxNameLen); r.SetName == "" {
 		return r, fmt.Errorf("%w: set name", ErrCorruptFrame)
 	}
-	if r.Meta, ok = readString(&rd, maxMetaLen); !ok {
+	if r.Meta = rd.String(maxMetaLen); rd.Err() != nil {
 		return r, fmt.Errorf("%w: meta", ErrCorruptFrame)
 	}
-	if r.Codec, ok = readString(&rd, maxNameLen); !ok || r.Codec == "" {
+	if r.Codec = rd.String(maxNameLen); r.Codec == "" {
 		return r, fmt.Errorf("%w: codec", ErrCorruptFrame)
 	}
 	r.Ranks = int(rd.Uint32())
@@ -284,30 +281,18 @@ func parseOpenRequest(b []byte) (OpenRequest, error) {
 	var raw int64
 	for i := range r.Fields {
 		f := &r.Fields[i]
-		if f.Name, ok = readString(&rd, maxNameLen); !ok || f.Name == "" {
+		if f.Name = rd.String(maxNameLen); f.Name == "" {
 			return r, fmt.Errorf("%w: field name", ErrCorruptFrame)
 		}
-		nd := int(rd.Uint32())
-		if rd.Err() != nil || nd <= 0 || nd > maxDims {
+		var elems int
+		if f.Dims, elems = rd.Dims(); rd.Err() != nil {
 			return r, fmt.Errorf("%w: field dims", ErrCorruptFrame)
-		}
-		f.Dims = make([]int, nd)
-		elems := int64(1)
-		for j := range f.Dims {
-			d := rd.Uint64()
-			if rd.Err() != nil || d == 0 || d > maxDim {
-				return r, fmt.Errorf("%w: dimension", ErrCorruptFrame)
-			}
-			f.Dims[j] = int(d)
-			if elems *= int64(d); elems > maxRawB {
-				return r, fmt.Errorf("%w: field too large", ErrCorruptFrame)
-			}
 		}
 		f.ErrorBound = rd.Float64()
 		if !(f.ErrorBound > 0) || math.IsInf(f.ErrorBound, 0) {
 			return r, fmt.Errorf("%w: error bound", ErrCorruptFrame)
 		}
-		raw += elems * 4 * int64(r.Ranks)
+		raw += int64(elems) * 4 * int64(r.Ranks)
 		if raw > maxRawB {
 			return r, fmt.Errorf("%w: set too large", ErrCorruptFrame)
 		}
@@ -315,10 +300,10 @@ func parseOpenRequest(b []byte) (OpenRequest, error) {
 	r.RelEB = rd.Float64()
 	r.ProjectedRatio = rd.Float64()
 	r.DeadlineSeconds = rd.Float64()
-	if r.WireCodec, ok = readString(&rd, maxNameLen); !ok {
+	if r.WireCodec = rd.String(maxNameLen); rd.Err() != nil {
 		return r, fmt.Errorf("%w: wire codec", ErrCorruptFrame)
 	}
-	if rd.Err() != nil || rd.Remaining() != 0 {
+	if rd.Remaining() != 0 {
 		return r, fmt.Errorf("%w: trailing bytes", ErrCorruptFrame)
 	}
 	if r.WireCodec != "" && r.WireCodec != r.Codec {
@@ -367,7 +352,7 @@ func (a OpenAccept) encode() []byte {
 	b = wire.AppendUint64(b, uint64(a.RankStride))
 	b = wire.AppendFloat64(b, a.ProjectedJoules)
 	b = wire.AppendFloat64(b, a.AdmissionWaitSeconds)
-	b = appendString(b, a.WireCodec)
+	b = wire.AppendString(b, a.WireCodec)
 	return b
 }
 
@@ -381,12 +366,11 @@ func parseOpenAccept(b []byte) (OpenAccept, error) {
 	}
 	a.ProjectedJoules = rd.Float64()
 	a.AdmissionWaitSeconds = rd.Float64()
-	wc, ok := readString(&rd, maxNameLen)
-	if !ok || rd.Err() != nil || rd.Remaining() != 0 ||
+	a.WireCodec = rd.String(maxNameLen)
+	if rd.Err() != nil || rd.Remaining() != 0 ||
 		a.ExtentBase < 0 || a.ExtentBytes < 0 || a.RankStride < 0 {
 		return a, fmt.Errorf("%w: open accept", ErrCorruptFrame)
 	}
-	a.WireCodec = wc
 	return a, nil
 }
 
@@ -444,7 +428,7 @@ func (r *Reject) Error() string {
 func (r Reject) encode() []byte {
 	var b []byte
 	b = append(b, byte(r.Code))
-	b = appendString(b, r.Detail)
+	b = wire.AppendString(b, r.Detail)
 	b = wire.AppendFloat64(b, r.ProjectedJoules)
 	b = wire.AppendFloat64(b, r.BudgetJoules)
 	return b
@@ -458,8 +442,7 @@ func parseReject(b []byte) (Reject, error) {
 		return r, fmt.Errorf("%w: reject code", ErrCorruptFrame)
 	}
 	r.Code = RejectCode(code[0])
-	var ok bool
-	if r.Detail, ok = readString(&rd, maxMetaLen); !ok {
+	if r.Detail = rd.String(maxMetaLen); rd.Err() != nil {
 		return r, fmt.Errorf("%w: reject detail", ErrCorruptFrame)
 	}
 	r.ProjectedJoules = rd.Float64()
@@ -624,7 +607,7 @@ func (r Result) encode() []byte {
 	b = wire.AppendUint64(b, uint64(r.ExtentBase))
 	b = wire.AppendUint64(b, uint64(r.ExtentBytes))
 	b = wire.AppendFloat64(b, r.AdmissionWaitSeconds)
-	b = appendString(b, r.WireCodec)
+	b = wire.AppendString(b, r.WireCodec)
 	b = wire.AppendFloat64(b, r.WireSavedSeconds)
 	b = wire.AppendUint64(b, uint64(r.WireVerifiedChunks))
 	return b
@@ -647,15 +630,14 @@ func parseResult(b []byte) (Result, error) {
 	r.ExtentBase = int64(rd.Uint64())
 	r.ExtentBytes = int64(rd.Uint64())
 	r.AdmissionWaitSeconds = rd.Float64()
-	wc, ok := readString(&rd, maxNameLen)
+	r.WireCodec = rd.String(maxNameLen)
 	r.WireSavedSeconds = rd.Float64()
 	r.WireVerifiedChunks = int64(rd.Uint64())
-	if !ok || rd.Err() != nil || rd.Remaining() != 0 ||
+	if rd.Err() != nil || rd.Remaining() != 0 ||
 		r.SetBytes < 0 || r.PayloadBytes < 0 || r.RawBytes < 0 || r.Chunks < 0 ||
 		r.WireVerifiedChunks < 0 {
 		return r, fmt.Errorf("%w: result", ErrCorruptFrame)
 	}
-	r.WireCodec = wc
 	return r, nil
 }
 
@@ -672,8 +654,8 @@ func encodeSetEntries(entries []SetEntry) []byte {
 	var b []byte
 	b = wire.AppendUint32(b, uint32(len(entries)))
 	for _, e := range entries {
-		b = appendString(b, e.Name)
-		b = appendString(b, e.Tenant)
+		b = wire.AppendString(b, e.Name)
+		b = wire.AppendString(b, e.Tenant)
 		b = wire.AppendUint64(b, uint64(e.Bytes))
 		b = wire.AppendFloat64(b, e.Joules)
 		b = wire.AppendUint64(b, uint64(e.RawByte))
@@ -690,11 +672,10 @@ func parseSetEntries(b []byte) ([]SetEntry, error) {
 	entries := make([]SetEntry, 0, min(n, 1024))
 	for i := 0; i < n; i++ {
 		var e SetEntry
-		var ok bool
-		if e.Name, ok = readString(&rd, maxNameLen); !ok {
+		if e.Name = rd.String(maxNameLen); rd.Err() != nil {
 			return nil, fmt.Errorf("%w: list name", ErrCorruptFrame)
 		}
-		if e.Tenant, ok = readString(&rd, maxNameLen); !ok {
+		if e.Tenant = rd.String(maxNameLen); rd.Err() != nil {
 			return nil, fmt.Errorf("%w: list tenant", ErrCorruptFrame)
 		}
 		e.Bytes = int64(rd.Uint64())
@@ -746,34 +727,10 @@ func parseRestoreReply(b []byte) (RestoreReply, error) {
 	return r, nil
 }
 
-func encodeSetName(name string) []byte { return appendString(nil, name) }
+func encodeSetName(name string) []byte { return wire.AppendString(nil, name) }
 
 func parseSetName(b []byte) (string, bool) {
 	rd := wire.NewReader(b, ErrCorruptFrame)
-	name, ok := readString(&rd, maxNameLen)
-	return name, ok && name != "" && rd.Remaining() == 0
-}
-
-func appendString(b []byte, s string) []byte {
-	b = wire.AppendUint32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-func readString(rd *wire.Reader, limit int) (string, bool) {
-	n := int(rd.Uint32())
-	if rd.Err() != nil || n < 0 || n > limit {
-		return "", false
-	}
-	b := rd.Bytes(n)
-	if rd.Err() != nil {
-		return "", false
-	}
-	return string(b), true
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	name := rd.String(maxNameLen)
+	return name, name != "" && rd.Remaining() == 0
 }

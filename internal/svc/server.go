@@ -39,9 +39,6 @@ type Config struct {
 	// Mount is the simulated NFS path all sessions share; its bandwidth
 	// is the contended resource behind queue waits (zero = DefaultMount).
 	Mount nfs.Mount
-	// Rule supplies the per-phase clock fractions for pricing
-	// (zero = phases.PaperRule, the Eqn 3 tuned clocks).
-	Rule phases.Rule
 	// SaturationWindow is the per-chunk queue wait beyond which the
 	// daemon counts a backpressure event and flags the PUT reply
 	// (0 = 2ms).
@@ -49,15 +46,15 @@ type Config struct {
 	// DefaultRatio is the projected compression ratio used for pricing
 	// and extent sizing when a client does not supply one (0 = 8).
 	DefaultRatio float64
-	// ExtentSlack over-allocates each session's extent relative to its
-	// projected compressed size, absorbing ratio misprediction without
-	// renegotiation (0 = 2.0; clamped to >= 1.1).
-	ExtentSlack float64
 	// WireCodec, when set, requires every dump session to negotiate this
 	// compressed-wire codec at open ("" = sessions choose freely). Use it
 	// to keep plain raw-framed dumps off a bandwidth-constrained daemon.
 	WireCodec string
 }
+
+// extentSlack over-allocates each session's extent relative to its projected
+// compressed size, absorbing ratio misprediction without renegotiation.
+const extentSlack = 2.0
 
 func (c Config) normalized() Config {
 	if c.Medium == nil {
@@ -68,9 +65,6 @@ func (c Config) normalized() Config {
 	}
 	if c.DefaultRatio <= 0 {
 		c.DefaultRatio = 8
-	}
-	if c.ExtentSlack < 1.1 {
-		c.ExtentSlack = 2.0
 	}
 	return c
 }
@@ -189,7 +183,7 @@ func NewServer(cfg Config) *Server {
 	cfg = cfg.normalized()
 	s := &Server{
 		cfg:       cfg,
-		pr:        phases.NewPricer(cfg.Chip, cfg.Rule),
+		pr:        phases.NewPricer(cfg.Chip, phases.PaperRule()),
 		tenants:   make(map[string]*tenant),
 		sessions:  make(map[uint32]*session),
 		sets:      make(map[string]*setRecord),
@@ -642,7 +636,7 @@ func (s *Server) open(req OpenRequest) (*session, OpenAccept, *Reject, error) {
 
 	raw := req.RawBytes()
 	perRank := raw / int64(req.Ranks)
-	stride := int64(float64(perRank)/ratio*s.cfg.ExtentSlack) +
+	stride := int64(float64(perRank)/ratio*extentSlack) +
 		int64(len(req.Fields))*512 + 4096
 	extCap := int64(ckpt.HeaderLen) + int64(req.Ranks)*stride + 2*s.overhead(req)
 

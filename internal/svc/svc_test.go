@@ -437,6 +437,36 @@ func TestOpenRequestPricingInputs(t *testing.T) {
 	}
 }
 
+// TestOpenRequestShapeCaps: a field's shape is held at open to the caps the
+// set format reads a manifest under (package wire's), so the daemon admits
+// nothing ckpt would then refuse to re-read — 2^34 elements pass, one
+// doubling more does not.
+func TestOpenRequestShapeCaps(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dims []int
+		ok   bool
+	}{
+		{"largest field", []int{1 << 20, 1 << 14}, true},
+		{"nine dims", []int{1, 1, 1, 1, 1, 1, 1, 1, 16}, false},
+		{"zero extent", []int{16, 0}, false},
+		{"2^35 elements", []int{1 << 20, 1 << 15}, false},
+	} {
+		req := OpenRequest{
+			Tenant: "t", SetName: "s", Codec: "sz", Ranks: 1,
+			Fields: []ckpt.FieldInfo{{Name: "f", Dims: tc.dims, ErrorBound: 1e-3}},
+			RelEB:  1e-3,
+		}
+		_, err := parseOpenRequest(req.encode())
+		if tc.ok && err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrCorruptFrame) {
+			t.Errorf("%s: got %v, want ErrCorruptFrame", tc.name, err)
+		}
+	}
+}
+
 // TestHostileRatioRefusedBeforeReservation: the server itself refuses a
 // vanishing projected ratio — over the wire and past the parser — before
 // any extent, quota or session slot is reserved.

@@ -1,11 +1,13 @@
 package sz
 
-import "math"
+import (
+	"math"
+
+	"lcpio/internal/wire"
+)
 
 // Float constrains the element types both precisions of the codec accept.
-type Float interface {
-	~float32 | ~float64
-}
+type Float = wire.Float
 
 // qz is the fused quantize step, small enough for the compiler to inline into
 // the kernel loops below (Floor and Abs are intrinsics): floor(diff/twoEB +

@@ -31,7 +31,7 @@ func CompressPWRel(data []float32, dims []int, rel float64) ([]byte, error) {
 	if !(rel > 0) || rel >= 1 || math.IsNaN(rel) {
 		return nil, fmt.Errorf("sz: pointwise relative bound %v outside (0,1)", rel)
 	}
-	if err := checkDims(data, dims); err != nil {
+	if err := wire.CheckDims("sz", len(data), dims); err != nil {
 		return nil, err
 	}
 
@@ -105,7 +105,7 @@ func CompressPWRel(data []float32, dims []int, rel float64) ([]byte, error) {
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(specialIdx)))
 	for i, idx := range specialIdx {
 		out = binary.LittleEndian.AppendUint64(out, uint64(idx))
-		out = appendValue(out, specialVal[i])
+		out = wire.AppendValue(out, specialVal[i])
 	}
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(inner)))
 	out = append(out, inner...)
@@ -136,7 +136,7 @@ func DecompressPWRel(buf []byte) ([]float32, []int, error) {
 	}
 	rel := rd.Float64()
 	n := int(rd.Uint64())
-	if rd.Err() != nil || !(rel > 0) || rel >= 1 || n < 0 || n > 1<<34 {
+	if rd.Err() != nil || !(rel > 0) || rel >= 1 || n < 0 || n > wire.MaxElems {
 		return nil, nil, ErrCorrupt
 	}
 	signBytes := rd.Bytes((n + 7) / 8)

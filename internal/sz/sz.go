@@ -75,13 +75,9 @@ const (
 	predOrder = 1
 
 	// maxPartitions bounds the partition count a decoder will accept.
-	// With n <= 1<<34 and the partition sizing rule, legitimate streams
-	// stay far below this.
+	// With n <= wire.MaxElems and the partition sizing rule, legitimate
+	// streams stay far below this.
 	maxPartitions = 1 << 16
-
-	// maxDims is the most dimensions the wire format can carry; the
-	// decoder rejects streams above it, so the encoder must too.
-	maxDims = 8
 )
 
 // Partition sizing knobs. All three depend only on the array shape, keeping
@@ -127,32 +123,6 @@ func Decompress(buf []byte) ([]float32, []int, error) {
 // Decompress64 reverses Compress64.
 func Decompress64(buf []byte) ([]float64, []int, error) {
 	return NewHandle(0).Decompress64(buf)
-}
-
-// elemKind tags the element type in the stream header.
-func elemKind[F Float]() uint32 {
-	var z F
-	if _, ok := any(z).(float32); ok {
-		return 32
-	}
-	return 64
-}
-
-func appendValue[F Float](b []byte, v F) []byte {
-	switch x := any(v).(type) {
-	case float32:
-		return wire.AppendUint32(b, math.Float32bits(x))
-	default:
-		return wire.AppendUint64(b, math.Float64bits(any(v).(float64)))
-	}
-}
-
-func readValue[F Float](rd *wire.Reader) F {
-	var z F
-	if _, ok := any(z).(float32); ok {
-		return F(rd.Float32())
-	}
-	return F(rd.Float64())
 }
 
 // --- partitioning ------------------------------------------------------------
@@ -250,32 +220,8 @@ type partOut struct {
 // engine carries the per-precision encode lanes and partition state of a
 // Handle.
 type engine[F Float] struct {
-	lanes []*laneScratch[F]
+	lanes par.Lanes[laneScratch[F]]
 	parts []partOut
-}
-
-func (e *engine[F]) lane(w int) *laneScratch[F] {
-	if e.lanes[w] == nil {
-		e.lanes[w] = &laneScratch[F]{}
-	}
-	return e.lanes[w]
-}
-
-// sizeTo grows the lane table to workers entries and the partition table to
-// parts entries, reusing existing scratch.
-func (e *engine[F]) sizeTo(workers, parts int) {
-	if cap(e.lanes) < workers {
-		lanes := make([]*laneScratch[F], workers)
-		copy(lanes, e.lanes)
-		e.lanes = lanes
-	}
-	e.lanes = e.lanes[:workers]
-	if cap(e.parts) < parts {
-		po := make([]partOut, parts)
-		copy(po, e.parts)
-		e.parts = po
-	}
-	e.parts = e.parts[:parts]
 }
 
 // Handle is the reusable codec handle: the encode and decode lanes (scratch
@@ -289,8 +235,8 @@ type Handle struct {
 
 	eng32 engine[float32]
 	eng64 engine[float64]
-	dec32 decEngine[float32]
-	dec64 decEngine[float64]
+	dec32 par.Lanes[decLane[float32]]
+	dec64 par.Lanes[decLane[float64]]
 
 	// Per-call partition index scratch: spans serves both directions, the
 	// rest is the decoder's.
@@ -348,11 +294,11 @@ func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float
 	if eb <= 0 || math.IsNaN(eb) || math.IsInf(eb, 0) {
 		return nil, fmt.Errorf("sz: invalid error bound %v", eb)
 	}
-	if err := checkDims(data, dims); err != nil {
+	if err := wire.CheckDims("sz", len(data), dims); err != nil {
 		return nil, err
 	}
 
-	rawBytes := int64(len(data)) * int64(elemKind[F]()/8)
+	rawBytes := int64(len(data)) * int64(wire.ElemBits[F]()/8)
 	span := obs.Start("sz.compress")
 	span.SetWorkload("sz.compress", rawBytes)
 	defer span.End()
@@ -369,11 +315,8 @@ func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float
 	rowElems := len(data) / ext
 
 	eng := engineFor[F](h)
-	laneCount := workers
-	if laneCount > len(spans) {
-		laneCount = len(spans)
-	}
-	eng.sizeTo(laneCount, len(spans))
+	eng.lanes.SizeTo(min(workers, len(spans)))
+	eng.parts = par.Grow(eng.parts, len(spans))
 	parts := eng.parts
 	for i := range parts {
 		parts[i].err = nil
@@ -386,7 +329,7 @@ func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float
 	pt := obs.StartPipeline("sz.compress", workers)
 	par.RunWorker(len(spans), workers, func(w, i int) {
 		wc := pt.Worker(w)
-		lane := eng.lane(w)
+		lane := eng.lanes.Lane(w)
 		pspan := obs.Start("sz.partition")
 		lane.pdims = partDims(dims, splitDepth, spans[i].hi-spans[i].lo, lane.pdims)
 		compressPartition(lane, &parts[i], wc, data[spans[i].lo*rowElems:spans[i].hi*rowElems], eb)
@@ -415,14 +358,11 @@ func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float
 	out := dst
 	out = wire.AppendUint32(out, magic)
 	out = wire.AppendUint32(out, version)
-	out = wire.AppendUint32(out, elemKind[F]())
+	out = wire.AppendUint32(out, wire.ElemBits[F]())
 	out = wire.AppendUint32(out, quantBits)
 	out = wire.AppendUint32(out, predOrder)
 	out = wire.AppendFloat64(out, eb)
-	out = wire.AppendUint32(out, uint32(len(dims)))
-	for _, d := range dims {
-		out = wire.AppendUint64(out, uint64(d))
-	}
+	out = wire.AppendDims(out, dims)
 	out = wire.AppendUint32(out, uint32(splitDepth))
 	out = wire.AppendUint32(out, uint32(len(spans)))
 	for i, s := range spans {
@@ -448,27 +388,20 @@ func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float
 func compressPartition[F Float](lane *laneScratch[F], out *partOut, wc *obs.WorkerClock, data []F, eb float64) {
 	n := len(data)
 	twoEB := 2 * eb
-	if cap(lane.codes) < n {
-		lane.codes = make([]int, n)
-	}
-	codes := lane.codes[:n]
-	if cap(lane.recon) < n {
-		lane.recon = make([]F, n)
-	}
-	recon := lane.recon[:n]
+	lane.codes = wire.Sized(lane.codes, n)
+	codes := lane.codes
+	lane.recon = wire.Sized(lane.recon, n)
+	recon := lane.recon
 	lane.exact = lane.exact[:0]
-	dims := lane.pdims
 
 	wc.Run("predict_quantize")
 	qspan := obs.Start("sz.predict_quantize")
-	switch effectiveDim(dims) {
+	switch rank, d0, d1, d2 := wire.Collapse(lane.pdims); rank {
 	case 1:
 		quantize1D(data, recon, codes, &lane.exact, twoEB, eb)
 	case 2:
-		d1, d2 := squash2(dims)
 		quantize2D(data, recon, codes, &lane.exact, d1, d2, twoEB, eb)
 	default:
-		d0, d1, d2 := squash3(dims)
 		quantize3D(data, recon, codes, &lane.exact, d0, d1, d2, twoEB, eb)
 	}
 	qspan.End()
@@ -477,10 +410,8 @@ func compressPartition[F Float](lane *laneScratch[F], out *partOut, wc *obs.Work
 	// Entropy-code the quantization codes.
 	wc.Run("huffman_build")
 	hspan := obs.Start("sz.huffman_build")
-	if cap(lane.freqs) < quantCount {
-		lane.freqs = make([]uint64, quantCount)
-	}
-	freqs := lane.freqs[:quantCount]
+	lane.freqs = wire.Sized(lane.freqs, quantCount)
+	freqs := lane.freqs
 	huffman.HistogramInto(freqs, codes)
 	code, err := lane.hb.Build(freqs)
 	obs.Observe("lcpio_sz_huffman_build_seconds", hspan.End().Seconds())
@@ -501,7 +432,7 @@ func compressPartition[F Float](lane *laneScratch[F], out *partOut, wc *obs.Work
 	inner := lane.inner[:0]
 	inner = wire.AppendUint64(inner, uint64(len(lane.exact)))
 	for _, v := range lane.exact {
-		inner = appendValue(inner, v)
+		inner = wire.AppendValue(inner, v)
 	}
 	inner = wire.AppendUint64(inner, uint64(len(huffPayload)))
 	inner = append(inner, huffPayload...)
@@ -543,33 +474,12 @@ type decLane[F Float] struct {
 	br    bitstream.Reader
 }
 
-// decEngine carries the per-precision decode lanes of a Handle.
-type decEngine[F Float] struct {
-	lanes []*decLane[F]
-}
-
-func (e *decEngine[F]) lane(w int) *decLane[F] {
-	if e.lanes[w] == nil {
-		e.lanes[w] = &decLane[F]{}
-	}
-	return e.lanes[w]
-}
-
-func (e *decEngine[F]) sizeTo(workers int) {
-	if cap(e.lanes) < workers {
-		lanes := make([]*decLane[F], workers)
-		copy(lanes, e.lanes)
-		e.lanes = lanes
-	}
-	e.lanes = e.lanes[:workers]
-}
-
-func decEngineFor[F Float](h *Handle) *decEngine[F] {
+func decLanesFor[F Float](h *Handle) *par.Lanes[decLane[F]] {
 	var z F
 	if _, ok := any(z).(float32); ok {
-		return any(&h.dec32).(*decEngine[F])
+		return any(&h.dec32).(*par.Lanes[decLane[F]])
 	}
-	return any(&h.dec64).(*decEngine[F])
+	return any(&h.dec64).(*par.Lanes[decLane[F]])
 }
 
 // Decompress reverses Compress.
@@ -609,12 +519,12 @@ func decompressWith[F Float](h *Handle, dst []F, buf []byte) ([]F, []int, error)
 		}
 		return nil, nil, fmt.Errorf("sz: unsupported version %d", ver)
 	}
-	if kind := rd.Uint32(); kind != elemKind[F]() {
+	if kind := rd.Uint32(); kind != wire.ElemBits[F]() {
 		if rd.Err() != nil {
 			return nil, nil, ErrCorrupt
 		}
 		return nil, nil, fmt.Errorf("sz: stream holds float%d values, caller asked for float%d",
-			kind, elemKind[F]())
+			kind, wire.ElemBits[F]())
 	}
 	// The one configuration: any other quantizer width or predictor order
 	// (streams older builds could write) is refused before anything is sized.
@@ -623,25 +533,9 @@ func decompressWith[F Float](h *Handle, dst []F, buf []byte) ([]F, []int, error)
 		return nil, nil, fmt.Errorf("sz: unsupported configuration (quantBits %d, predictor order %d)", qb, po)
 	}
 	eb := rd.Float64()
-	ndims := int(rd.Uint32())
-	if rd.Err() != nil || ndims <= 0 || ndims > maxDims || !(eb > 0) || math.IsInf(eb, 0) {
-		return nil, nil, ErrCorrupt
-	}
-	dims := make([]int, ndims)
-	n := 1
-	for i := range dims {
-		v := rd.Uint64()
-		if v == 0 || v > 1<<40 {
-			return nil, nil, ErrCorrupt
-		}
-		dims[i] = int(v)
-		n *= int(v)
-		if n <= 0 || n > 1<<34 {
-			return nil, nil, ErrCorrupt
-		}
-	}
+	dims, n := rd.Dims()
 	splitDepth := int(rd.Uint32())
-	if rd.Err() != nil || splitDepth < 1 || splitDepth > ndims {
+	if rd.Err() != nil || !(eb > 0) || math.IsInf(eb, 0) || splitDepth < 1 || splitDepth > len(dims) {
 		return nil, nil, ErrCorrupt
 	}
 	ext := 1
@@ -653,16 +547,12 @@ func decompressWith[F Float](h *Handle, dst []F, buf []byte) ([]F, []int, error)
 		return nil, nil, ErrCorrupt
 	}
 	h.spans = h.spans[:0]
-	if cap(h.payloads) < numParts {
-		h.payloads = make([][]byte, numParts)
-	}
-	payloads := h.payloads[:numParts]
+	h.payloads = wire.Sized(h.payloads, numParts)
+	payloads := h.payloads
 	rowSum := 0
 	payloadSum := 0
-	if cap(h.plens) < numParts {
-		h.plens = make([]int, numParts)
-	}
-	lens := h.plens[:numParts]
+	h.plens = wire.Sized(h.plens, numParts)
+	lens := h.plens
 	for i := 0; i < numParts; i++ {
 		rows := rd.Uint64()
 		plen := rd.Uint64()
@@ -698,38 +588,25 @@ func decompressWith[F Float](h *Handle, dst []F, buf []byte) ([]F, []int, error)
 
 	workers := h.workers
 	obs.Set("lcpio_sz_workers", float64(workers))
-	span.SetWorkload("sz.decompress", int64(n)*int64(elemKind[F]()/8))
+	span.SetWorkload("sz.decompress", int64(n)*int64(wire.ElemBits[F]()/8))
 
 	// Every check that refuses a stream from its header has run: dst is
 	// used when it can hold the array, and nothing was sized before now.
-	out := dst
-	if cap(out) >= n {
-		out = out[:n]
-	} else {
-		out = make([]F, n)
-	}
-	eng := decEngineFor[F](h)
+	out := wire.Sized(dst, n)
+	lanes := decLanesFor[F](h)
 	spans := h.spans
-	laneCount := workers
-	if laneCount > len(spans) {
-		laneCount = len(spans)
-	}
-	eng.sizeTo(laneCount)
-	if cap(h.errs) < len(spans) {
-		h.errs = make([]error, len(spans))
-	}
-	errs := h.errs[:len(spans)]
-	pdLen := 1 + ndims - splitDepth
-	if cap(h.pdims) < len(spans)*pdLen {
-		h.pdims = make([]int, len(spans)*pdLen)
-	}
-	pdimsBuf := h.pdims[:len(spans)*pdLen]
+	lanes.SizeTo(min(workers, len(spans)))
+	h.errs = wire.Sized(h.errs, len(spans))
+	errs := h.errs
+	pdLen := 1 + len(dims) - splitDepth
+	h.pdims = wire.Sized(h.pdims, len(spans)*pdLen)
+	pdimsBuf := h.pdims
 
 	pt := obs.StartPipeline("sz.decompress", workers)
 	par.RunWorker(len(spans), workers, func(w, i int) {
 		wc := pt.Worker(w)
 		wc.Run("decode_partition")
-		lane := eng.lane(w)
+		lane := lanes.Lane(w)
 		pd := partDims(dims, splitDepth, spans[i].hi-spans[i].lo,
 			pdimsBuf[i*pdLen:i*pdLen:i*pdLen+pdLen])
 		errs[i] = decodePartition(lane, payloads[i], out[spans[i].lo*rowElems:spans[i].hi*rowElems],
@@ -760,12 +637,10 @@ func decodePartition[F Float](lane *decLane[F], payload []byte, outPart []F, dim
 	if rd.Err() != nil || numExact < 0 || numExact > n {
 		return ErrCorrupt
 	}
-	if cap(lane.exact) < numExact {
-		lane.exact = make([]F, numExact)
-	}
-	exact := lane.exact[:numExact]
+	lane.exact = wire.Sized(lane.exact, numExact)
+	exact := lane.exact
 	for i := range exact {
-		exact[i] = readValue[F](&rd)
+		exact[i] = wire.ReadValue[F](&rd)
 	}
 	if rd.Err() != nil {
 		return ErrCorrupt
@@ -785,10 +660,8 @@ func decodePartition[F Float](lane *decLane[F], payload []byte, outPart []F, dim
 	if err := huffman.ReadTableInto(br, code, &lane.lens, quantCount); err != nil {
 		return fmt.Errorf("sz: huffman table: %w", err)
 	}
-	if cap(lane.codes) < n {
-		lane.codes = make([]int, n)
-	}
-	codes := lane.codes[:n]
+	lane.codes = wire.Sized(lane.codes, n)
+	codes := lane.codes
 	if err := code.DecodeAll(br, codes, quantCount); err != nil {
 		return fmt.Errorf("sz: huffman payload: %w", err)
 	}
@@ -802,14 +675,12 @@ func decodePartition[F Float](lane *decLane[F], payload []byte, outPart []F, dim
 		exactIdx++
 		return v, nil
 	}
-	switch effectiveDim(dims) {
+	switch rank, d0, d1, d2 := wire.Collapse(dims); rank {
 	case 1:
 		err = reconstruct1D(outPart, codes, nextExact, twoEB)
 	case 2:
-		d1, d2 := squash2(dims)
 		err = reconstruct2D(outPart, codes, nextExact, d1, d2, twoEB)
 	default:
-		d0, d1, d2 := squash3(dims)
 		err = reconstruct3D(outPart, codes, nextExact, d0, d1, d2, twoEB)
 	}
 	if err != nil {
@@ -819,77 +690,4 @@ func decodePartition[F Float](lane *decLane[F], payload []byte, outPart []F, dim
 		return ErrCorrupt
 	}
 	return nil
-}
-
-// checkDims validates that dims is consistent with len(data).
-func checkDims[F Float](data []F, dims []int) error {
-	if len(dims) == 0 {
-		return errors.New("sz: empty dims")
-	}
-	if len(dims) > maxDims {
-		return fmt.Errorf("sz: %d dims exceeds the format maximum %d", len(dims), maxDims)
-	}
-	n := 1
-	for _, d := range dims {
-		if d <= 0 {
-			return fmt.Errorf("sz: non-positive dimension %d", d)
-		}
-		n *= d
-	}
-	if n != len(data) {
-		return fmt.Errorf("sz: dims %v imply %d elements, data has %d", dims, n, len(data))
-	}
-	return nil
-}
-
-// effectiveDim collapses leading singleton dimensions: a 1xN array is 1-D.
-func effectiveDim(dims []int) int {
-	nontrivial := 0
-	for _, d := range dims {
-		if d > 1 {
-			nontrivial++
-		}
-	}
-	switch {
-	case nontrivial <= 1:
-		return 1
-	case nontrivial == 2:
-		return 2
-	default:
-		return 3
-	}
-}
-
-// squash2 reduces dims to two non-trivial extents (d1 slow, d2 fast). The
-// scratch array stays on the stack — this runs per partition per call and
-// must not allocate.
-func squash2(dims []int) (d1, d2 int) {
-	var nt [maxDims]int
-	k := 0
-	for _, d := range dims {
-		if d > 1 {
-			nt[k] = d
-			k++
-		}
-	}
-	return nt[0], nt[1]
-}
-
-// squash3 reduces dims to three extents, folding extra leading dims into d0.
-func squash3(dims []int) (d0, d1, d2 int) {
-	var nt [maxDims]int
-	k := 0
-	for _, d := range dims {
-		if d > 1 {
-			nt[k] = d
-			k++
-		}
-	}
-	d2 = nt[k-1]
-	d1 = nt[k-2]
-	d0 = 1
-	for _, d := range nt[:k-2] {
-		d0 *= d
-	}
-	return d0, d1, d2
 }

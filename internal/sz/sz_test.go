@@ -3,10 +3,12 @@ package sz
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"lcpio/internal/fpdata"
+	"lcpio/internal/wire"
 )
 
 func maxAbsErr(a, b []float32) float64 {
@@ -161,14 +163,14 @@ func TestEffectiveDim(t *testing.T) {
 		{[]int{2, 2, 2, 2}, 3},
 	}
 	for _, c := range cases {
-		if got := effectiveDim(c.dims); got != c.want {
+		if got, _, _, _ := wire.Collapse(c.dims); got != c.want {
 			t.Errorf("effectiveDim(%v) = %d, want %d", c.dims, got, c.want)
 		}
 	}
 }
 
 func TestSquash3FoldsExtraDims(t *testing.T) {
-	d0, d1, d2 := squash3([]int{2, 3, 4, 5})
+	_, d0, d1, d2 := wire.Collapse([]int{2, 3, 4, 5})
 	if d0 != 6 || d1 != 4 || d2 != 5 {
 		t.Fatalf("squash3: %d %d %d", d0, d1, d2)
 	}
@@ -187,6 +189,12 @@ func TestInvalidInputs(t *testing.T) {
 	}
 	if _, err := Compress(data, []int{3}, -1); err == nil {
 		t.Error("negative error bound accepted")
+	}
+	// The shape caps are package wire's; the error is this package's.
+	for _, dims := range [][]int{{1, 1, 1, 1, 1, 1, 1, 1, 3}, {3, 0}} {
+		if _, err := Compress(data, dims, 1e-3); err == nil || !strings.HasPrefix(err.Error(), "sz: ") {
+			t.Errorf("dims %v: got %v, want an sz error", dims, err)
+		}
 	}
 	if _, err := Compress(data, []int{3}, math.NaN()); err == nil {
 		t.Error("NaN error bound accepted")

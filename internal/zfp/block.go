@@ -5,12 +5,11 @@ import (
 	"math/bits"
 
 	"lcpio/internal/bitstream"
+	"lcpio/internal/wire"
 )
 
 // Float constrains the element types both precisions of the codec accept.
-type Float interface {
-	~float32 | ~float64
-}
+type Float = wire.Float
 
 // traits carries the per-precision fixed-point parameters: float64 data
 // keeps more fractional bits and therefore more bit planes.

@@ -264,7 +264,7 @@ func goldenPayloads(tb testing.TB) []goldenPayload {
 		if filepath.Base(path) == retiredGolden {
 			buf = forgeMode(buf, uint32(ModeFixedAccuracy))
 			h, total := blockCount(tb, buf)
-			out = append(out, goldenPayload{retiredGolden, h.kind, dimensionality(h.dims), total, buf[h.payloadOff:]})
+			out = append(out, goldenPayload{retiredGolden, h.kind, rank(h.dims), total, buf[h.payloadOff:]})
 			continue
 		}
 		out = append(out, shardPayloads(tb, filepath.Base(path), buf)...)
@@ -282,8 +282,8 @@ func blockCount(tb testing.TB, buf []byte) (header, int) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	d0, d1, d2 := shape(h.dims)
-	nb0, nb1, nb2 := blockGrid(d0, d1, d2, dimensionality(h.dims))
+	dim, d0, d1, d2 := wire.Collapse(h.dims)
+	nb0, nb1, nb2 := blockGrid(d0, d1, d2, dim)
 	return h, nb0 * nb1 * nb2
 }
 
@@ -304,7 +304,7 @@ func shardPayloads(tb testing.TB, name string, buf []byte) []goldenPayload {
 	var out []goldenPayload
 	for i, l := range lens {
 		out = append(out, goldenPayload{fmt.Sprintf("%s shard %d", name, i),
-			h.kind, dimensionality(h.dims), min(sb, total-i*sb), rd.Bytes(l)})
+			h.kind, rank(h.dims), min(sb, total-i*sb), rd.Bytes(l)})
 	}
 	if rd.Err() != nil {
 		tb.Fatalf("%s: shard index: %v", name, rd.Err())

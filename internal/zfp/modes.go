@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"lcpio/internal/bitstream"
+	"lcpio/internal/wire"
 )
 
 // Fixed-rate mode: every block consumes exactly the same bit budget, which
@@ -37,7 +38,7 @@ func compressFixedRate[F Float](data []F, dims []int, bitsPerValue float64) ([]b
 		return nil, fmt.Errorf("zfp: bits per value %v outside [%d,%d]",
 			bitsPerValue, MinBitsPerValue, MaxBitsPerValue)
 	}
-	if err := checkDims(data, dims); err != nil {
+	if err := wire.CheckDims("zfp", len(data), dims); err != nil {
 		return nil, err
 	}
 	for i, v := range data {
@@ -45,8 +46,7 @@ func compressFixedRate[F Float](data []F, dims []int, bitsPerValue float64) ([]b
 			return nil, fmt.Errorf("zfp: non-finite value at %d unsupported in fixed-rate mode", i)
 		}
 	}
-	d0, d1, d2 := shape(dims)
-	dim := dimensionality(dims)
+	dim, d0, d1, d2 := wire.Collapse(dims)
 	bs := blockSize(dim)
 	budget := blockBudgetBits(bitsPerValue, bs)
 
@@ -300,8 +300,7 @@ func decompressFixedRate[F Float](dst []F, buf []byte, h header) ([]F, []int, er
 	if math.IsNaN(rate) || rate < MinBitsPerValue || rate > MaxBitsPerValue {
 		return nil, nil, ErrCorrupt
 	}
-	d0, d1, d2 := shape(h.dims)
-	dim := dimensionality(h.dims)
+	dim, d0, d1, d2 := wire.Collapse(h.dims)
 	bs := blockSize(dim)
 	budget := blockBudgetBits(rate, bs)
 
@@ -318,7 +317,7 @@ func decompressFixedRate[F Float](dst []F, buf []byte, h header) ([]F, []int, er
 	blk := make([]F, bs)
 	coef := make([]int64, bs)
 	nb := make([]uint64, bs)
-	out := outputFor(dst, h.n)
+	out := wire.Sized(dst, h.n)
 	var derr error
 	forEachBlock(d0, d1, d2, dim, func(bi, bj, bk int) {
 		if derr != nil {
@@ -367,18 +366,11 @@ func NewFixedRateReader(buf []byte) (*FixedRateReader, error) {
 		return nil, ErrCorrupt
 	}
 	fr := &FixedRateReader{buf: buf, h: h}
-	fr.dim = dimensionality(h.dims)
-	fr.bs = blockSize(fr.dim)
+	dim, d0, d1, d2 := wire.Collapse(h.dims)
+	fr.dim = dim
+	fr.bs = blockSize(dim)
 	fr.budget = blockBudgetBits(h.param, fr.bs)
-	d0, d1, d2 := shape(h.dims)
-	fr.nb2 = (d2 + blockEdge - 1) / blockEdge
-	fr.nb1, fr.nb0 = 1, 1
-	if fr.dim >= 2 {
-		fr.nb1 = (d1 + blockEdge - 1) / blockEdge
-	}
-	if fr.dim >= 3 {
-		fr.nb0 = (d0 + blockEdge - 1) / blockEdge
-	}
+	fr.nb0, fr.nb1, fr.nb2 = blockGrid(d0, d1, d2, dim)
 	need := (len(buf)-h.payloadOff)*8 - fr.NumBlocks()*fr.budget
 	if need < 0 {
 		return nil, ErrCorrupt
@@ -424,33 +416,14 @@ func (fr *FixedRateReader) ValueAt(coords []int) (float32, error) {
 			return 0, fmt.Errorf("zfp: coord %d out of range", i)
 		}
 	}
-	// Collapse to the squashed (d0,d1,d2) shape the block grid uses:
-	// non-trivial coordinates in order, extra leading ones folded into i0
-	// exactly the way squash-style shape() folds extents.
-	var sq, sqDims []int
-	for i, d := range fr.h.dims {
-		if d > 1 {
-			sq = append(sq, coords[i])
-			sqDims = append(sqDims, d)
-		}
+	// The collapsed (d0,d1,d2) shape the block grid uses keeps row-major
+	// order, so the element's offset splits into its collapsed coordinates.
+	off := 0
+	for i, c := range coords {
+		off = off*fr.h.dims[i] + c
 	}
-	var i0, j0, k0 int
-	switch fr.dim {
-	case 1:
-		if len(sq) >= 1 {
-			k0 = sq[len(sq)-1]
-		}
-	case 2:
-		j0, k0 = sq[len(sq)-2], sq[len(sq)-1]
-	default:
-		k0 = sq[len(sq)-1]
-		j0 = sq[len(sq)-2]
-		stride := 1
-		for x := len(sq) - 3; x >= 0; x-- {
-			i0 += sq[x] * stride
-			stride *= sqDims[x]
-		}
-	}
+	_, _, d1, d2 := wire.Collapse(fr.h.dims)
+	i0, j0, k0 := off/(d1*d2), off/d2%d1, off%d2
 	bi, oi := i0/blockEdge, i0%blockEdge
 	bj, oj := j0/blockEdge, j0%blockEdge
 	bk, ok := k0/blockEdge, k0%blockEdge

@@ -176,6 +176,43 @@ func TestRandomAccess1DAnd2D(t *testing.T) {
 	}
 }
 
+// TestRandomAccessFoldedShapes: shapes with singleton and more than three
+// dimensions, which the block grid sees collapsed — every element is found
+// where the full decode put it.
+func TestRandomAccessFoldedShapes(t *testing.T) {
+	for _, dims := range [][]int{{2, 1, 3, 6, 5}, {1, 9, 1, 7}, {1, 1, 30}, {1, 1}} {
+		n := 1
+		for _, d := range dims {
+			n *= d
+		}
+		data := make([]float32, n)
+		for i := range data {
+			data[i] = float32(math.Sin(float64(i) / 11))
+		}
+		comp, err := CompressFixedRate(data, dims, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, _, err := Decompress(comp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr, err := NewFixedRateReader(comp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coords := make([]int, len(dims))
+		for off := 0; off < n; off++ {
+			for i, rem := len(dims)-1, off; i >= 0; i-- {
+				coords[i], rem = rem%dims[i], rem/dims[i]
+			}
+			if v, err := fr.ValueAt(coords); err != nil || v != full[off] {
+				t.Fatalf("dims %v: ValueAt(%v) = %v err %v, want %v", dims, coords, v, err, full[off])
+			}
+		}
+	}
+}
+
 func TestFixedRateReaderValidation(t *testing.T) {
 	data := smoothField(8)
 	acc, err := Compress(data, []int{8, 8, 8}, 1e-3)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"lcpio/internal/wire"
 )
 
 // multiShardField returns a field whose block grid the adaptive plan splits
@@ -18,8 +20,8 @@ func multiShardField(t *testing.T) ([]float32, []int) {
 		z := float64(i / (dims[1] * dims[2]))
 		data[i] = float32(math.Cos(x)*2 + 0.05*z + 0.2*math.Sin(float64(i)/777))
 	}
-	d0, d1, d2 := shape(dims)
-	nb0, nb1, nb2 := blockGrid(d0, d1, d2, dimensionality(dims))
+	dim, d0, d1, d2 := wire.Collapse(dims)
+	nb0, nb1, nb2 := blockGrid(d0, d1, d2, dim)
 	if _, numShards := shardPlan(nb0 * nb1 * nb2); numShards < shardMinFanout {
 		t.Fatalf("test field plans %d shard(s); want >= %d for a multi-shard stream",
 			numShards, shardMinFanout)
@@ -126,14 +128,14 @@ func TestHandleScratchLazyPerDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if enc.d32.lanes != nil || enc.d64.lanes != nil || enc.payloads != nil {
+	if enc.d32.All() != nil || enc.d64.All() != nil || enc.payloads != nil {
 		t.Fatal("compress-only handle holds decode scratch")
 	}
 	dec := NewHandle(2)
 	if _, _, err := dec.Decompress(buf); err != nil {
 		t.Fatal(err)
 	}
-	if dec.e32.lanes != nil || dec.e32.parts != nil || dec.e64.lanes != nil {
+	if dec.e32.lanes.All() != nil || dec.e32.parts != nil || dec.e64.lanes.All() != nil {
 		t.Fatal("decompress-only handle holds encode scratch")
 	}
 }

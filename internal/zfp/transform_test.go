@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"lcpio/internal/wire"
 )
 
 func TestTransformRoundTripBounded(t *testing.T) {
@@ -100,11 +102,11 @@ func TestGatherScatterPartialBlocks(t *testing.T) {
 }
 
 func TestShapeFoldsExtraDims(t *testing.T) {
-	d0, d1, d2 := shape([]int{2, 3, 4, 5})
+	_, d0, d1, d2 := wire.Collapse([]int{2, 3, 4, 5})
 	if d0 != 6 || d1 != 4 || d2 != 5 {
 		t.Fatalf("shape: %d %d %d", d0, d1, d2)
 	}
-	d0, d1, d2 = shape([]int{1, 1, 1})
+	_, d0, d1, d2 = wire.Collapse([]int{1, 1, 1})
 	if d0 != 1 || d1 != 1 || d2 != 1 {
 		t.Fatalf("all-singleton shape: %d %d %d", d0, d1, d2)
 	}

@@ -51,13 +51,9 @@ const (
 	blockEdge = 4
 
 	// maxShards bounds the shard count a decoder will accept; with
-	// n <= 1<<34 elements, >= 4 elements per block and >= shardMinBlocks
-	// blocks per shard, legitimate streams stay well below it.
+	// n <= wire.MaxElems elements, >= 4 elements per block and >=
+	// shardMinBlocks blocks per shard, legitimate streams stay well below it.
 	maxShards = 1 << 26
-
-	// maxDims is the most dimensions the wire format can carry; the
-	// decoder rejects streams above it, so the encoder must too.
-	maxDims = 8
 )
 
 // ErrCorrupt is returned when decompressing malformed input.
@@ -105,26 +101,14 @@ type header struct {
 	n          int
 }
 
-func elemKind[F Float]() uint32 {
-	var z F
-	if _, ok := any(z).(float32); ok {
-		return 32
-	}
-	return 64
-}
-
 // appendHeader appends the stream preamble to dst.
 func appendHeader[F Float](dst []byte, mode Mode, dims []int, param float64) []byte {
 	dst = wire.AppendUint32(dst, magic)
 	dst = wire.AppendUint32(dst, version)
-	dst = wire.AppendUint32(dst, elemKind[F]())
+	dst = wire.AppendUint32(dst, wire.ElemBits[F]())
 	dst = wire.AppendUint32(dst, uint32(mode))
-	dst = wire.AppendUint32(dst, uint32(len(dims)))
-	for _, d := range dims {
-		dst = wire.AppendUint64(dst, uint64(d))
-	}
-	dst = wire.AppendFloat64(dst, param)
-	return dst
+	dst = wire.AppendDims(dst, dims)
+	return wire.AppendFloat64(dst, param)
 }
 
 func writeHeader[F Float](w *bitstream.Writer, mode Mode, dims []int, param float64) {
@@ -156,23 +140,7 @@ func parseHeader(buf []byte) (header, error) {
 		}
 		return h, fmt.Errorf("zfp: unsupported mode %d", uint32(h.mode))
 	}
-	ndims := int(rd.Uint32())
-	if rd.Err() != nil || ndims <= 0 || ndims > maxDims {
-		return h, ErrCorrupt
-	}
-	h.dims = make([]int, ndims)
-	h.n = 1
-	for i := range h.dims {
-		d := rd.Uint64()
-		if d == 0 || d > 1<<40 {
-			return h, ErrCorrupt
-		}
-		h.dims[i] = int(d)
-		h.n *= int(d)
-		if h.n <= 0 || h.n > 1<<34 {
-			return h, ErrCorrupt
-		}
-	}
+	h.dims, h.n = rd.Dims()
 	h.param = rd.Float64()
 	if rd.Err() != nil {
 		return h, ErrCorrupt
@@ -286,35 +254,8 @@ type zpartOut struct {
 // zengine is the per-precision encode half of a Handle: the worker lanes and
 // per-shard outputs.
 type zengine[F Float] struct {
-	lanes []*zlane[F]
+	lanes par.Lanes[zlane[F]]
 	parts []zpartOut
-}
-
-// lane returns worker w's scratch, creating it on first use. Each worker
-// index is owned by exactly one goroutine during a Run, so lazy creation
-// needs no locking.
-func (e *zengine[F]) lane(w int) *zlane[F] {
-	if e.lanes[w] == nil {
-		e.lanes[w] = &zlane[F]{}
-	}
-	return e.lanes[w]
-}
-
-// sizeTo grows the lane table to workers entries and the shard-output table
-// to parts entries, preserving existing scratch.
-func (e *zengine[F]) sizeTo(workers, parts int) {
-	if cap(e.lanes) < workers {
-		lanes := make([]*zlane[F], workers)
-		copy(lanes, e.lanes)
-		e.lanes = lanes
-	}
-	e.lanes = e.lanes[:workers]
-	if cap(e.parts) < parts {
-		po := make([]zpartOut, parts)
-		copy(po, e.parts)
-		e.parts = po
-	}
-	e.parts = e.parts[:parts]
 }
 
 // Handle is the reusable codec handle pooling all block and shard scratch of
@@ -327,8 +268,8 @@ type Handle struct {
 
 	e32 zengine[float32]
 	e64 zengine[float64]
-	d32 zdecEngine[float32]
-	d64 zdecEngine[float64]
+	d32 par.Lanes[zdecLane[float32]]
+	d64 par.Lanes[zdecLane[float64]]
 
 	// Per-call shard index scratch of the decoder, shared across precisions.
 	lens     []int
@@ -382,14 +323,13 @@ func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float
 	if eb <= 0 || math.IsNaN(eb) || math.IsInf(eb, 0) {
 		return nil, fmt.Errorf("zfp: invalid tolerance %v", eb)
 	}
-	if err := checkDims(data, dims); err != nil {
+	if err := wire.CheckDims("zfp", len(data), dims); err != nil {
 		return nil, err
 	}
-	d0, d1, d2 := shape(dims)
-	dim := dimensionality(dims)
+	dim, d0, d1, d2 := wire.Collapse(dims)
 
 	span := obs.Start("zfp.compress")
-	span.SetWorkload("zfp.compress", int64(len(data))*int64(elemKind[F]()/8))
+	span.SetWorkload("zfp.compress", int64(len(data))*int64(wire.ElemBits[F]()/8))
 	defer span.End()
 
 	nb0, nb1, nb2 := blockGrid(d0, d1, d2, dim)
@@ -399,11 +339,8 @@ func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float
 	obs.Set("lcpio_zfp_workers", float64(workers))
 
 	eng := zengineFor[F](h)
-	laneCount := workers
-	if laneCount > numShards {
-		laneCount = numShards
-	}
-	eng.sizeTo(laneCount, numShards)
+	eng.lanes.SizeTo(min(workers, numShards))
+	eng.parts = par.Grow(eng.parts, numShards)
 	parts := eng.parts
 
 	// The pipeline trace covers the *requested* workers: par clamps
@@ -413,7 +350,7 @@ func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float
 	par.RunWorker(numShards, workers, func(w, s int) {
 		wc := pt.Worker(w)
 		wc.Run("encode_shard")
-		ln := eng.lane(w)
+		ln := eng.lanes.Lane(w)
 		sspan := obs.Start("zfp.shard")
 		lo := s * sb
 		hi := lo + sb
@@ -442,13 +379,13 @@ func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float
 	// Planes per coded block is what a block costs to code; verifies per
 	// block is the retry rate of the cutoff seed.
 	var planes, verifies int64
-	for _, ln := range eng.lanes {
+	for _, ln := range eng.lanes.All() {
 		if ln != nil {
 			planes, verifies = planes+ln.planes, verifies+ln.verifies
 			ln.planes, ln.verifies = 0, 0
 		}
 	}
-	rawBytes := int64(len(data)) * int64(elemKind[F]()/8)
+	rawBytes := int64(len(data)) * int64(wire.ElemBits[F]()/8)
 	obs.Add("lcpio_zfp_blocks_total", int64(totalBlocks))
 	obs.Add("lcpio_zfp_planes_total", planes)
 	obs.Add("lcpio_zfp_verify_total", verifies)
@@ -482,33 +419,12 @@ type zdecLane[F Float] struct {
 	err  error
 }
 
-// zdecEngine holds the per-precision decode lanes of a Handle.
-type zdecEngine[F Float] struct {
-	lanes []*zdecLane[F]
-}
-
-func (e *zdecEngine[F]) lane(w int) *zdecLane[F] {
-	if e.lanes[w] == nil {
-		e.lanes[w] = &zdecLane[F]{}
-	}
-	return e.lanes[w]
-}
-
-func (e *zdecEngine[F]) sizeTo(workers int) {
-	if cap(e.lanes) < workers {
-		lanes := make([]*zdecLane[F], workers)
-		copy(lanes, e.lanes)
-		e.lanes = lanes
-	}
-	e.lanes = e.lanes[:workers]
-}
-
-func zdecEngineFor[F Float](h *Handle) *zdecEngine[F] {
+func zdecLanesFor[F Float](h *Handle) *par.Lanes[zdecLane[F]] {
 	var z F
 	if _, ok := any(z).(float32); ok {
-		return any(&h.d32).(*zdecEngine[F])
+		return any(&h.d32).(*par.Lanes[zdecLane[F]])
 	}
-	return any(&h.d64).(*zdecEngine[F])
+	return any(&h.d64).(*par.Lanes[zdecLane[F]])
 }
 
 // shardIndex grows and returns the reusable per-shard index slices.
@@ -544,24 +460,14 @@ func (h *Handle) DecompressInto64(dst []float64, buf []byte) ([]float64, []int, 
 	return decompressWith(h, dst, buf)
 }
 
-// outputFor returns dst resliced to n elements when it has the capacity,
-// a new array otherwise. Callers run it only after every check that can
-// refuse the stream from its header.
-func outputFor[F Float](dst []F, n int) []F {
-	if cap(dst) >= n {
-		return dst[:n]
-	}
-	return make([]F, n)
-}
-
 func decompressWith[F Float](h *Handle, dst []F, buf []byte) ([]F, []int, error) {
 	hdr, err := parseHeader(buf)
 	if err != nil {
 		return nil, nil, err
 	}
-	if hdr.kind != elemKind[F]() {
+	if hdr.kind != wire.ElemBits[F]() {
 		return nil, nil, fmt.Errorf("zfp: stream holds float%d values, caller asked for float%d",
-			hdr.kind, elemKind[F]())
+			hdr.kind, wire.ElemBits[F]())
 	}
 	if hdr.mode == ModeFixedRate {
 		return decompressFixedRate(dst, buf, hdr)
@@ -576,8 +482,7 @@ func decompressAccuracy[F Float](h *Handle, dst []F, buf []byte, hdr header) ([]
 	span := obs.Start("zfp.decompress")
 	defer span.End()
 
-	d0, d1, d2 := shape(hdr.dims)
-	dim := dimensionality(hdr.dims)
+	dim, d0, d1, d2 := wire.Collapse(hdr.dims)
 	nb0, nb1, nb2 := blockGrid(d0, d1, d2, dim)
 	totalBlocks := nb0 * nb1 * nb2
 
@@ -616,20 +521,16 @@ func decompressAccuracy[F Float](h *Handle, dst []F, buf []byte, hdr header) ([]
 
 	workers := h.workers
 	obs.Set("lcpio_zfp_workers", float64(workers))
-	span.SetWorkload("zfp.decompress", int64(hdr.n)*int64(elemKind[F]()/8))
+	span.SetWorkload("zfp.decompress", int64(hdr.n)*int64(wire.ElemBits[F]()/8))
 
-	out := outputFor(dst, hdr.n)
-	eng := zdecEngineFor[F](h)
-	laneCount := workers
-	if laneCount > numShards {
-		laneCount = numShards
-	}
-	eng.sizeTo(laneCount)
+	out := wire.Sized(dst, hdr.n)
+	lanes := zdecLanesFor[F](h)
+	lanes.SizeTo(min(workers, numShards))
 	pt := obs.StartPipeline("zfp.decompress", workers)
 	par.RunWorker(numShards, workers, func(w, s int) {
 		wc := pt.Worker(w)
 		wc.Run("decode_shard")
-		ln := eng.lane(w)
+		ln := lanes.Lane(w)
 		ln.err = nil
 		lo := s * sb
 		hi := lo + sb
@@ -661,79 +562,6 @@ func decodeShard[F Float](ln *zdecLane[F], payload []byte, out []F, d0, d1, d2, 
 		}
 		bi, bj, bk := blockCoords(idx, nb1, nb2)
 		scatterBlock(out, d0, d1, d2, dim, bi, bj, bk, ln.blk[:])
-	}
-}
-
-func checkDims[F Float](data []F, dims []int) error {
-	if len(dims) == 0 {
-		return errors.New("zfp: empty dims")
-	}
-	if len(dims) > maxDims {
-		return fmt.Errorf("zfp: %d dims exceeds the format maximum %d", len(dims), maxDims)
-	}
-	n := 1
-	for _, d := range dims {
-		if d <= 0 {
-			return fmt.Errorf("zfp: non-positive dimension %d", d)
-		}
-		n *= d
-	}
-	if n != len(data) {
-		return fmt.Errorf("zfp: dims %v imply %d elements, data has %d", dims, n, len(data))
-	}
-	return nil
-}
-
-// dimensionality collapses singleton dims like the sz codec does: 1, 2 or 3.
-func dimensionality(dims []int) int {
-	nt := 0
-	for _, d := range dims {
-		if d > 1 {
-			nt++
-		}
-	}
-	switch {
-	case nt <= 1:
-		return 1
-	case nt == 2:
-		return 2
-	default:
-		return 3
-	}
-}
-
-// shape returns the (d0,d1,d2) extents matching dimensionality: unused
-// leading extents are 1.
-func shape(dims []int) (d0, d1, d2 int) {
-	// The scratch array stays on the stack — shape runs on every compress
-	// and decode call (and once per shard via callers) and must not allocate.
-	var nt [maxDims]int
-	k := 0
-	for _, d := range dims {
-		if d > 1 {
-			nt[k] = d
-			k++
-		}
-	}
-	switch k {
-	case 0:
-		n := 1
-		for _, d := range dims {
-			n *= d
-		}
-		return 1, 1, n
-	case 1:
-		return 1, 1, nt[0]
-	case 2:
-		return 1, nt[0], nt[1]
-	default:
-		d2 = nt[k-1]
-		d1 = nt[k-2]
-		d0 = 1
-		for _, d := range nt[:k-2] {
-			d0 *= d
-		}
-		return d0, d1, d2
 	}
 }
 

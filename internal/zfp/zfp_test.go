@@ -3,6 +3,7 @@ package zfp
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -215,6 +216,12 @@ func TestInvalidInputs(t *testing.T) {
 	}
 	if _, err := Compress(data, []int{4}, math.Inf(1)); err == nil {
 		t.Error("infinite tolerance accepted")
+	}
+	// The shape caps are package wire's; the error is this package's.
+	for _, dims := range [][]int{{1, 1, 1, 1, 1, 1, 1, 1, 4}, {4, 0}} {
+		if _, err := Compress(data, dims, 1e-3); err == nil || !strings.HasPrefix(err.Error(), "zfp: ") {
+			t.Errorf("dims %v: got %v, want a zfp error", dims, err)
+		}
 	}
 }
 

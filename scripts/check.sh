@@ -80,16 +80,14 @@ go build -o "$tmp/lcpio" ./cmd/lcpio
 test -s "$tmp/trace_chrome.json"
 test -s "$tmp/trace.folded"
 
-# Size is a measured axis too: non-test Go lines per package, total last.
-sh scripts/loc.sh
-
-# So is what only tests reach (exported funcs under internal/ that no
-# non-test Go names) and the options nothing turns (exported *Config/
-# *Options/*Request fields under internal/ that no non-test Go sets). Both
-# lists are reading aids with the caveats in their headers, but their totals
-# only go down: each is printed, then held against the ceiling recorded in
-# scripts/census.txt.
-for census in unreached knobs; do
+# Size is a measured axis too: non-test Go lines per package and the total
+# (scripts/loc.sh). So is what only tests reach (exported funcs under
+# internal/ that no non-test Go names) and the options nothing turns
+# (exported *Config/*Options/*Request fields under internal/ that no non-test
+# Go sets). The two lists are reading aids with the caveats in their headers,
+# but all three totals only go down: each is printed, then held against the
+# ceiling recorded in scripts/census.txt.
+for census in loc unreached knobs; do
     list="$(sh "scripts/$census.sh")"
     echo "$list"
     total="$(echo "$list" | awk 'END { print $1 }')"
