@@ -2,10 +2,54 @@ package dedup
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
+
+// splitReference is the chunker's definition: the byte-at-a-time loop Split
+// ran before it learned to skip (one hash step, one size test and one
+// alignment test per byte, the hash cleared at every cut). Split,
+// SplitFloat32 and FuzzSplit are held to its cuts.
+func splitReference(data []byte, p Params) []int {
+	p = p.Normalized()
+	if len(data) == 0 {
+		return nil
+	}
+	mask := p.mask()
+	var cuts []int
+	start := 0
+	var h uint64
+	for i := 0; i < len(data); i++ {
+		h = h<<1 + gearTable[data[i]]
+		size := i + 1 - start
+		if size < p.MinSize || (i+1)%p.Align != 0 {
+			continue
+		}
+		if size >= p.MaxSize || h&mask == 0 {
+			cuts = append(cuts, i+1)
+			start = i + 1
+			h = 0
+		}
+	}
+	if start < len(data) {
+		cuts = append(cuts, len(data))
+	}
+	return cuts
+}
+
+// f32le is the byte domain the float entry points promise to match.
+func f32le(data []float32) []byte {
+	b := make([]byte, len(data)*4)
+	for i, v := range data {
+		binary.LittleEndian.PutUint32(b[i*4:], math.Float32bits(v))
+	}
+	return b
+}
 
 func testData(n int, seed int64) []byte {
 	rng := rand.New(rand.NewSource(seed))
@@ -126,6 +170,112 @@ func TestSplitLocality(t *testing.T) {
 	}
 }
 
+// splitInputs are the contents the equivalence tests chunk: random bytes
+// (cuts from the hash), constants (every test fires, or none does and MaxSize
+// forces every cut) and a short period (the same window at many offsets).
+func splitInputs(n int) map[string][]byte {
+	periodic := make([]byte, n)
+	for i := range periodic {
+		periodic[i] = byte(i % 7 * 37)
+	}
+	return map[string][]byte{
+		"random":   testData(n, int64(n)),
+		"zeros":    make([]byte, n),
+		"ones":     bytes.Repeat([]byte{0xFF}, n),
+		"periodic": periodic,
+	}
+}
+
+// TestSplitMatchesReference: skipping each chunk's first MinSize-64 bytes and
+// testing once per Align bytes must not move a cut, at window-sized,
+// sub-window and window-straddling MinSize, on lengths that end off the
+// alignment.
+func TestSplitMatchesReference(t *testing.T) {
+	for _, align := range []int{1, 4, 8} {
+		for _, minSize := range []int{16, 32, 64, 68, 2048} {
+			for _, avgOver := range []int{0, 1, 8, 64} {
+				p := Params{MinSize: minSize, AvgSize: minSize + avgOver*align*3, MaxSize: 4*minSize + 24, Align: align}
+				if err := p.Normalized().Validate(); err != nil {
+					t.Fatalf("params %+v: %v", p, err)
+				}
+				for _, n := range []int{0, 1, minSize - 1, minSize, minSize + 1, 4*minSize + 24, 10007, 40003} {
+					for name, data := range splitInputs(n) {
+						got, want := Split(data, p), splitReference(data, p)
+						if !slices.Equal(got, want) {
+							t.Fatalf("%s, %d bytes, %+v: cuts %v, reference loop %v", name, n, p, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	// The defaults, at a size where a chunk's skipped prefix is most of it.
+	data := testData(1<<20+3, 9)
+	if got, want := Split(data, Params{Align: 4}), splitReference(data, Params{Align: 4}); !slices.Equal(got, want) {
+		t.Fatalf("defaults: %d cuts, reference loop %d", len(got), len(want))
+	}
+}
+
+// floatInputs are arrays whose byte images exercise the float-domain entry
+// points: random bit patterns (NaNs and infinities included), a constant,
+// and a smooth ramp.
+func floatInputs(n int) map[string][]float32 {
+	rng := rand.New(rand.NewSource(int64(n)))
+	random, constant, ramp := make([]float32, n), make([]float32, n), make([]float32, n)
+	for i := range random {
+		random[i] = math.Float32frombits(rng.Uint32())
+		constant[i] = -1.5
+		ramp[i] = float32(i) * 0.25
+	}
+	return map[string][]float32{"random": random, "constant": constant, "ramp": ramp}
+}
+
+// TestFloat32DomainMatchesBytes: chunking and digesting an array in place
+// gives the cuts and digests of its little-endian bytes.
+func TestFloat32DomainMatchesBytes(t *testing.T) {
+	var h Float32Hasher
+	for _, p := range []Params{
+		{Align: 4},
+		{MinSize: 16, AvgSize: 64, MaxSize: 256, Align: 4},
+		{MinSize: 64, AvgSize: 256, MaxSize: 1024, Align: 8},
+		{MinSize: 68, AvgSize: 68, MaxSize: 4096, Align: 4},
+	} {
+		for _, n := range []int{0, 1, 15, 16, 17, 2500, 1<<16 + 1} {
+			for name, data := range floatInputs(n) {
+				raw := f32le(data)
+				cuts := SplitFloat32(data, p)
+				if want := splitReference(raw, p); !slices.Equal(cuts, want) {
+					t.Fatalf("%s, %d values, %+v: cuts %v, reference loop over bytes %v", name, n, p, cuts, want)
+				}
+				prev := 0
+				for _, c := range cuts {
+					if got, want := h.Sum(data[prev/4:c/4]), Sum(raw[prev:c]); got != want {
+						t.Fatalf("%s, %d values, chunk [%d, %d): digest %v, Sum over bytes %v", name, n, prev, c, got, want)
+					}
+					prev = c
+				}
+			}
+		}
+	}
+	// One digest longer than the hasher's scratch, and an empty one.
+	long := floatInputs(3*hasherScratch/4 + 5)["random"]
+	if got, want := h.Sum(long), Sum(f32le(long)); got != want {
+		t.Fatalf("multi-block digest %v, Sum over bytes %v", got, want)
+	}
+	if got, want := h.Sum(nil), Sum(nil); got != want {
+		t.Fatalf("empty digest %v, Sum %v", got, want)
+	}
+}
+
+func TestSplitFloat32RefusesSubValueAlignment(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SplitFloat32 accepted Align 2")
+		}
+	}()
+	SplitFloat32(make([]float32, 64), Params{Align: 2})
+}
+
 func TestSumStable(t *testing.T) {
 	a := Sum([]byte("checkpoint"))
 	b := Sum([]byte("checkpoint"))
@@ -214,13 +364,14 @@ func TestParamsValidate(t *testing.T) {
 }
 
 // FuzzSplit drives the chunker with arbitrary bytes and geometry.
-// Contract: never panic, boundaries ascending and bounded, chunks
-// concatenate back to the input.
+// Contract: never panic, the reference loop's cuts, boundaries ascending and
+// bounded, chunks concatenate back to the input.
 func FuzzSplit(f *testing.F) {
 	f.Add([]byte("hello world"), 64, 256, 1024, 4)
 	f.Add(testData(1<<12, 1), 16, 16, 16, 1)
 	f.Add([]byte{}, 0, 0, 0, 0)
 	f.Add(bytes.Repeat([]byte{0}, 5000), 32, 128, 512, 8)
+	f.Add(testData(3001, 2), 68, 100, 300, 4) // hashing starts 4 bytes into each chunk
 	f.Fuzz(func(t *testing.T, data []byte, minS, avgS, maxS, align int) {
 		// Clamp fuzzed geometry the way callers must: normalize, validate,
 		// and skip what Validate rejects.
@@ -234,6 +385,9 @@ func FuzzSplit(f *testing.F) {
 			return
 		}
 		cuts := Split(data, p)
+		if want := splitReference(data, p); !slices.Equal(cuts, want) {
+			t.Fatalf("params %+v, %d bytes: cuts %v, reference loop %v", p, len(data), cuts, want)
+		}
 		prev := 0
 		for i, c := range cuts {
 			if c <= prev || c > len(data) {
@@ -248,4 +402,34 @@ func FuzzSplit(f *testing.F) {
 			t.Fatalf("cuts %v do not cover input of %d bytes", cuts, len(data))
 		}
 	})
+}
+
+// BenchmarkSplit chunks 8 MiB — one rank of the bench/ workloads — at the
+// checkpoint layer's geometry, as bytes and in the float domain.
+func BenchmarkSplit(b *testing.B) {
+	const n = 8 << 20
+	p := Params{Align: 4}
+	raw := testData(n, 1)
+	vals := make([]float32, n/4)
+	for i := range vals {
+		vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+	}
+	for _, bc := range []struct {
+		name string
+		run  func() []int
+	}{
+		{"bytes", func() []int { return Split(raw, p) }},
+		{"float32", func() []int { return SplitFloat32(vals, p) }},
+		{"reference", func() []int { return splitReference(raw, p) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if cuts := bc.run(); cuts[len(cuts)-1] != n {
+					b.Fatal(fmt.Sprint("last cut ", cuts[len(cuts)-1]))
+				}
+			}
+		})
+	}
 }
