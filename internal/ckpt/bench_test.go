@@ -4,6 +4,10 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"lcpio/internal/compress"
+	"lcpio/internal/dedup"
+	"lcpio/internal/fpdata"
 )
 
 // benchSet builds a larger smooth set so compression dominates enough for
@@ -61,6 +65,114 @@ func BenchmarkRestore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Restore(med, RestoreOptions{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// deltaBench is the bench/ delta-parity workload's input (bench/workloads.go):
+// 8 NYX velocity_x ranks of 2 Mi elements under the seed-0 realization's
+// rel 1e-3 bound, written with 2 parity ranks, and the next state with a
+// rank-staggered contiguous 10 % of every rank moved by 10 bounds.
+type deltaBench struct {
+	set, next Set
+	baseMed   *MemMedium
+	raw       int64
+}
+
+func newDeltaBench(b *testing.B) *deltaBench {
+	b.Helper()
+	const ranks, parity = 8, 2
+	spec, err := fpdata.Lookup("NYX", "velocity_x")
+	if err != nil {
+		b.Fatal(err)
+	}
+	scale := spec.ScaleFor(2 << 20)
+	ref := fpdata.Generate(spec, scale, 0)
+	f := Field{Name: spec.Field, Dims: ref.Dims, ErrorBound: compress.AbsBoundFromRelative(1e-3, ref.Data)}
+	nf := f
+	for r := 0; r < ranks; r++ {
+		d := fpdata.Generate(spec, scale, int64(1+r)).Data
+		c := append([]float32(nil), d...)
+		n := len(c) / 10
+		start := (1 + r*31) % (len(c) - n + 1)
+		for i := start; i < start+n; i++ {
+			c[i] += float32(10 * f.ErrorBound)
+		}
+		f.Data, nf.Data = append(f.Data, d), append(nf.Data, c)
+	}
+	db := &deltaBench{
+		set:     Set{Name: "bench-base", Codec: "sz", Ranks: ranks, Fields: []Field{f}},
+		next:    Set{Name: "bench-next", Codec: "sz", Ranks: ranks, Fields: []Field{nf}},
+		baseMed: NewMemMedium(),
+		raw:     int64(ranks) * int64(len(ref.Data)) * 4,
+	}
+	if _, err := Write(db.baseMed, db.set, WriteOptions{Workers: 2, ParityRanks: parity}); err != nil {
+		b.Fatal(err)
+	}
+	return db
+}
+
+func (db *deltaBench) openBase(b *testing.B) *Base {
+	b.Helper()
+	base, err := OpenBase(db.baseMed, nil, dedup.Params{}, RestoreOptions{Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return base
+}
+
+func (db *deltaBench) start(b *testing.B) {
+	b.ReportAllocs()
+	b.SetBytes(db.raw)
+	b.ResetTimer()
+}
+
+// BenchmarkDeltaWrite is the delta-parity workload's write half: classify
+// every chunk against the base, compress the churned runs, fold parity.
+func BenchmarkDeltaWrite(b *testing.B) {
+	db := newDeltaBench(b)
+	base := db.openBase(b)
+	db.start(b)
+	for i := 0; i < b.N; i++ {
+		if _, err := Write(NewMemMedium(), db.next, WriteOptions{Workers: 2, ParityRanks: 2, Base: base}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkChainRestore restores the delta set through its base.
+func BenchmarkChainRestore(b *testing.B) {
+	db := newDeltaBench(b)
+	med := NewMemMedium()
+	if _, err := Write(med, db.next, WriteOptions{Workers: 2, ParityRanks: 2, Base: db.openBase(b)}); err != nil {
+		b.Fatal(err)
+	}
+	db.start(b)
+	for i := 0; i < b.N; i++ {
+		if _, err := Restore(med, RestoreOptions{Workers: 2, Bases: []Medium{db.baseMed}}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLostRankRestore restores the base set with one rank's chunk
+// damaged beyond re-reads, so it is rebuilt from the parity stripe.
+func BenchmarkLostRankRestore(b *testing.B) {
+	db := newDeltaBench(b)
+	m, err := ReadManifest(db.baseMed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := m.Chunk(3, 0)
+	db.baseMed.Corrupt(c.Offset + c.Size/2)
+	db.start(b)
+	for i := 0; i < b.N; i++ {
+		res, err := Restore(db.baseMed, RestoreOptions{Workers: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Report.ChunksReconstructed != 1 {
+			b.Fatalf("reconstructed %d chunks, want 1", res.Report.ChunksReconstructed)
 		}
 	}
 }

@@ -1,21 +1,19 @@
 package ckpt
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
-	"lcpio/internal/container"
 	"lcpio/internal/dedup"
+	"lcpio/internal/obs"
 	"lcpio/internal/stream"
 )
 
 // Delta checkpoints.
 //
 // A delta set stores only content the base chain does not already hold.
-// Each (rank, field) payload is content-defined-chunked (dedup.Split) in
-// its ORIGINAL float32 domain; every chunk is then classified:
+// Each (rank, field) payload is content-defined-chunked (dedup.SplitFloat32)
+// in its ORIGINAL float32 domain; every chunk is then classified:
 //
 //  1. exact: its digest is present in the base's index of RESTORED
 //     content — the chunk becomes a by-reference entry to that location;
@@ -49,12 +47,17 @@ type Base struct {
 	Pin      uint32
 
 	params dedup.Params
-	// raw holds the restored little-endian float32 bytes per rank-major
-	// (rank, field) stream.
-	raw [][]byte
+	// fields is the restored content; base references address the
+	// little-endian bytes of a (rank, field) array.
+	fields []RestoredField
 	// index maps digests of the base's content-defined chunks (over
 	// restored bytes) to their locations.
 	index *dedup.Index
+}
+
+// stream returns the restored values of rank-major (rank, field) stream s.
+func (b *Base) stream(s int) []float32 {
+	return b.fields[s%len(b.fields)].Data[s/len(b.fields)]
 }
 
 // DedupParams returns the chunking geometry the base was indexed with —
@@ -86,16 +89,15 @@ func OpenBase(med Medium, chain []Medium, p dedup.Params, opts RestoreOptions) (
 		Manifest: res.Manifest,
 		Pin:      Digest(res.Manifest.encode()),
 		params:   p,
-		raw:      baseBytes(res),
+		fields:   res.Fields,
 		index:    dedup.NewIndex(),
 	}
-	nFields := len(res.Manifest.Fields)
+	var h dedup.Float32Hasher
 	for fi := range res.Fields {
-		for r := range res.Fields[fi].Data {
-			s := r*nFields + fi
+		for r, data := range res.Fields[fi].Data {
 			prev := 0
-			for _, cut := range dedup.Split(b.raw[s], p) {
-				b.index.Add(dedup.Sum(b.raw[s][prev:cut]), dedup.Location{
+			for _, cut := range dedup.SplitFloat32(data, p) {
+				b.index.Add(h.Sum(data[prev/4:cut/4]), dedup.Location{
 					Rank: r, Field: fi, RawOff: int64(prev), RawLen: int64(cut - prev),
 				})
 				prev = cut
@@ -105,23 +107,11 @@ func OpenBase(med Medium, chain []Medium, p dedup.Params, opts RestoreOptions) (
 	return b, nil
 }
 
-// f32le serializes float32s as little-endian bytes — the byte domain the
-// chunker, digests, and base references all live in.
-func f32le(data []float32) []byte {
-	b := make([]byte, len(data)*4)
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(b[i*4:], math.Float32bits(v))
-	}
-	return b
-}
-
 // withinBound reports whether every value of cur is within bound of the
-// base's restored value at the same position (baseRaw in LE float32
-// bytes). NaNs never match.
-func withinBound(cur []float32, baseRaw []byte, bound float64) bool {
+// base's restored value at the same position. NaNs never match.
+func withinBound(cur, base []float32, bound float64) bool {
 	for i, v := range cur {
-		bv := math.Float32frombits(binary.LittleEndian.Uint32(baseRaw[i*4:]))
-		d := float64(v) - float64(bv)
+		d := float64(v) - float64(base[i])
 		if !(d <= bound && d >= -bound) {
 			return false
 		}
@@ -148,16 +138,29 @@ type deltaEntry struct {
 // its uint32 wire field.
 const maxRefRunLen = 1 << 30
 
+// streamDelta is what a lane hands the drain for one stream: the runs, and
+// the work it counted getting them — chunks referenced by bound match and by
+// digest lookup, and the bytes it put through SHA-256.
+type streamDelta struct {
+	entries      []deltaEntry
+	bound, exact int
+	digested     int64
+}
+
 // classifyStream chunks one (rank, field) payload, classifies every chunk
 // against the base, merges runs, and compresses local runs — all here in
-// the worker, so only the dedup decision is left for the drain loop.
-func classifyStream(set *Set, base *Base, idx int, packer *container.Packer) ([]deltaEntry, error) {
+// the worker, so only the dedup decision is left for the drain loop. It reads
+// the payload and the base as the float arrays they are: chunker and digests
+// take values, and the lane's hasher is the only byte buffer.
+func classifyStream(set *Set, base *Base, idx int, l *lane) (streamDelta, error) {
 	nFields := len(set.Fields)
-	rank, fi := idx/nFields, idx%nFields
-	f := &set.Fields[fi]
-	raw := f32le(f.Data[rank])
-	baseRaw := base.raw[idx]
-	cuts := dedup.Split(raw, base.params)
+	f := &set.Fields[idx%nFields]
+	cur, old := f.Data[idx/nFields], base.stream(idx)
+	var sd streamDelta
+	sum := func(vals []float32) dedup.Digest {
+		sd.digested += int64(len(vals)) * 4
+		return l.hasher.Sum(vals)
+	}
 
 	// Per-chunk classification: local, or a reference into some base
 	// stream's restored bytes.
@@ -167,27 +170,26 @@ func classifyStream(set *Set, base *Base, idx int, packer *container.Packer) ([]
 		baseStream int
 		baseOff    int64
 	}
+	cuts := dedup.SplitFloat32(cur, base.params)
 	classes := make([]chunkClass, 0, len(cuts))
 	prev := 0
 	for _, cut := range cuts {
-		n := cut - prev
-		if loc, ok := base.index.Lookup(dedup.Sum(raw[prev:cut])); ok && loc.RawLen == int64(n) {
-			// Exact content match somewhere in the base's restored data.
-			classes = append(classes, chunkClass{prev, cut, false, loc.Rank*nFields + loc.Field, loc.RawOff})
-		} else if withinBound(f.Data[rank][prev/4:cut/4], baseRaw[prev:cut], f.ErrorBound) {
-			// Unchanged within the codec's contract: reference the base's
-			// restored bytes at the same position.
-			classes = append(classes, chunkClass{prev, cut, false, idx, int64(prev)})
+		c := chunkClass{start: prev, end: cut, baseStream: idx, baseOff: int64(prev)}
+		if loc, ok := base.index.Lookup(sum(cur[prev/4 : cut/4])); ok && loc.RawLen == int64(cut-prev) {
+			c.baseStream, c.baseOff = loc.Rank*nFields+loc.Field, loc.RawOff
+			sd.exact++
+		} else if withinBound(cur[prev/4:cut/4], old[prev/4:cut/4], f.ErrorBound) {
+			sd.bound++
 		} else {
-			classes = append(classes, chunkClass{prev, cut, true, 0, 0})
+			c.local = true
 		}
+		classes = append(classes, c)
 		prev = cut
 	}
 
 	// Merge pass: consecutive local chunks become one compressed run;
 	// consecutive references contiguous in the same base stream become one
 	// spanning reference (digest over the whole base range).
-	var entries []deltaEntry
 	for i := 0; i < len(classes); {
 		c := classes[i]
 		j := i + 1
@@ -197,13 +199,13 @@ func classifyStream(set *Set, base *Base, idx int, packer *container.Packer) ([]
 				end = classes[j].end
 				j++
 			}
-			blob, err := packer.Pack(f.Data[rank][c.start/4:end/4], []int{(end - c.start) / 4}, f.ErrorBound)
+			run := cur[c.start/4 : end/4]
+			blob, err := l.packer.Pack(run, []int{len(run)}, f.ErrorBound)
 			if err != nil {
-				return nil, err
+				return streamDelta{}, err
 			}
-			entries = append(entries, deltaEntry{
-				rawLen: end - c.start, chunks: j - i, local: true,
-				blob: blob, digest: dedup.Sum(raw[c.start:end]),
+			sd.entries = append(sd.entries, deltaEntry{
+				rawLen: end - c.start, chunks: j - i, local: true, blob: blob, digest: sum(run),
 			})
 		} else {
 			endOff := c.baseOff + int64(c.end-c.start)
@@ -213,14 +215,14 @@ func classifyStream(set *Set, base *Base, idx int, packer *container.Packer) ([]
 				j++
 			}
 			n := int(endOff - c.baseOff)
-			entries = append(entries, deltaEntry{rawLen: n, chunks: j - i, ref: ChunkRef{
+			sd.entries = append(sd.entries, deltaEntry{rawLen: n, chunks: j - i, ref: ChunkRef{
 				RawLen: n, Blob: -1, BaseRank: c.baseStream / nFields, BaseField: c.baseStream % nFields,
-				BaseRawOff: c.baseOff, Digest: dedup.Sum(base.raw[c.baseStream][c.baseOff:endOff]),
+				BaseRawOff: c.baseOff, Digest: sum(base.stream(c.baseStream)[c.baseOff/4 : endOff/4]),
 			}})
 		}
 		i = j
 	}
-	return entries, nil
+	return sd, nil
 }
 
 // deltaWriter is Write's delta kind: lanes chunk/hash/classify/compress one
@@ -242,23 +244,24 @@ func deltaWriter(set *Set, base *Base, m *Manifest, res *WriteResult) (streamWri
 	m.DedupMin, m.DedupAvg, m.DedupMax = base.params.MinSize, base.params.AvgSize, base.params.MaxSize
 	m.Entries = make([][]ChunkRef, n)
 	res.BaseName = m.BaseName
-	produced := make([][]deltaEntry, n)
+	produced := make([]streamDelta, n)
 	// Local candidates are dedup'd against blobs already committed in this
 	// set; drain order = logical order, so the intra-set index — and
 	// therefore blob IDs, offsets and refcounts — is worker-count independent.
 	intra := make(map[dedup.Digest]int)
 	return streamWriter{
 		span: "ckpt.write.delta", pipeline: "ckpt.delta_write", stage: "classify_compress",
-		produce: func(p *container.Packer, idx int) (_ []byte, err error) {
-			produced[idx], err = classifyStream(set, base, idx, p)
+		produce: func(l *lane, idx int) (_ []byte, err error) {
+			produced[idx], err = classifyStream(set, base, idx, l)
 			return nil, err
 		},
 		commit: func(w *setWriter, d stream.Item) ([]byte, error) {
-			entries := produced[d.Idx]
-			produced[d.Idx] = nil
-			refs := make([]ChunkRef, 0, len(entries))
+			sd := produced[d.Idx]
+			produced[d.Idx] = streamDelta{}
+			refs := make([]ChunkRef, 0, len(sd.entries))
+			local, shared := res.ChunksLocal, res.ChunksShared
 			var region []byte // this stream's newly committed blob bytes, for parity
-			for _, e := range entries {
+			for _, e := range sd.entries {
 				if !e.local {
 					refs = append(refs, e.ref)
 					res.ChunksRef += e.chunks
@@ -287,6 +290,11 @@ func deltaWriter(set *Set, base *Base, m *Manifest, res *WriteResult) (streamWri
 				res.LocalRawBytes += int64(e.rawLen)
 			}
 			m.Entries[d.Idx] = refs
+			obs.Add("lcpio_ckpt_delta_chunks_bound_total", int64(sd.bound))
+			obs.Add("lcpio_ckpt_delta_chunks_exact_total", int64(sd.exact))
+			obs.Add("lcpio_ckpt_delta_chunks_local_total", int64(res.ChunksLocal-local))
+			obs.Add("lcpio_ckpt_delta_chunks_shared_total", int64(res.ChunksShared-shared))
+			obs.Add("lcpio_ckpt_delta_digest_bytes_total", sd.digested)
 			return region, nil
 		},
 	}, nil
@@ -380,13 +388,13 @@ func verifyRefs(m *Manifest, bases []Medium, workers int, rep *VerifyReport) {
 		return
 	}
 	nFields := len(m.Fields)
-	baseRaw := baseBytes(baseRes)
+	var h dedup.Float32Hasher
 	for s, stream := range m.Entries {
 		for i := range stream {
 			if stream[i].Local() {
 				continue
 			}
-			if err := checkRef(&stream[i], baseRaw, nFields); err != nil {
+			if _, err := refContent(&stream[i], baseRes, &h); err != nil {
 				rep.Failed = append(rep.Failed, ChunkError{Rank: s / nFields, Field: s % nFields, Err: err})
 				rep.Reconstructable = false // base damage is beyond this set's parity
 				continue
@@ -396,35 +404,23 @@ func verifyRefs(m *Manifest, bases []Medium, workers int, rep *VerifyReport) {
 	}
 }
 
-// baseBytes serializes a restored set per rank-major (rank, field) stream —
-// the byte domain base references are addressed and digested in.
-func baseBytes(res *Restored) [][]byte {
-	nFields := len(res.Fields)
-	raw := make([][]byte, res.Manifest.Ranks*nFields)
-	for fi := range res.Fields {
-		for r, data := range res.Fields[fi].Data {
-			raw[r*nFields+fi] = f32le(data)
-		}
-	}
-	return raw
-}
-
-// checkRef digest-checks one base reference against the restored base's
-// bytes — a mismatch means the base's content is not what the writer saw.
-func checkRef(e *ChunkRef, baseRaw [][]byte, nFields int) error {
-	bb := baseRaw[e.BaseRank*nFields+e.BaseField][e.BaseRawOff : e.BaseRawOff+int64(e.RawLen)]
-	if dedup.Sum(bb) != e.Digest {
-		return fmt.Errorf("%w: base content digest mismatch at (rank %d, field %d, off %d)",
+// refContent returns the restored base values a reference names, after
+// checking their digest — a mismatch means the base's content is not what the
+// writer saw. The digest is of their little-endian bytes, taken through the
+// caller's hasher.
+func refContent(e *ChunkRef, baseRes *Restored, h *dedup.Float32Hasher) ([]float32, error) {
+	vals := baseRes.Fields[e.BaseField].Data[e.BaseRank][e.BaseRawOff/4 : (e.BaseRawOff+int64(e.RawLen))/4]
+	if h.Sum(vals) != e.Digest {
+		return nil, fmt.Errorf("%w: base content digest mismatch at (rank %d, field %d, off %d)",
 			ErrBase, e.BaseRank, e.BaseField, e.BaseRawOff)
 	}
-	return nil
+	return vals, nil
 }
 
 // assembleStream rebuilds one (rank, field) payload of a delta set from its
 // decoded blobs and digest-checked base references.
-func assembleStream(m *Manifest, s int, outcomes []outcome, baseRes *Restored, baseRaw [][]byte) ([]float32, error) {
-	nFields := len(m.Fields)
-	out := make([]float32, m.Fields[s%nFields].Elems())
+func assembleStream(m *Manifest, s int, outcomes []outcome, baseRes *Restored, h *dedup.Float32Hasher) ([]float32, error) {
+	out := make([]float32, m.Fields[s%len(m.Fields)].Elems())
 	pos := 0
 	for i := range m.Entries[s] {
 		e := &m.Entries[s][i]
@@ -435,11 +431,11 @@ func assembleStream(m *Manifest, s int, outcomes []outcome, baseRes *Restored, b
 			}
 			copy(out[pos/4:], o.data)
 		} else {
-			if err := checkRef(e, baseRaw, nFields); err != nil {
+			vals, err := refContent(e, baseRes, h)
+			if err != nil {
 				return nil, err
 			}
-			bf := baseRes.Fields[e.BaseField].Data[e.BaseRank]
-			copy(out[pos/4:], bf[e.BaseRawOff/4:(e.BaseRawOff+int64(e.RawLen))/4])
+			copy(out[pos/4:], vals)
 		}
 		pos += e.RawLen
 	}

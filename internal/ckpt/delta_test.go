@@ -2,12 +2,24 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
 
 	"lcpio/internal/dedup"
 )
+
+// f32le serializes float32s as little-endian bytes — the byte domain base
+// references are addressed and digested in, which the write and read paths
+// no longer materialise.
+func f32le(data []float32) []byte {
+	b := make([]byte, len(data)*4)
+	for i, v := range data {
+		binary.LittleEndian.PutUint32(b[i*4:], math.Float32bits(v))
+	}
+	return b
+}
 
 // deltaParams is a small chunking geometry so unit-scale fields split into
 // many chunks.

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"lcpio/internal/container"
+	"lcpio/internal/dedup"
 	"lcpio/internal/ec"
 	"lcpio/internal/nfs"
 	"lcpio/internal/obs"
@@ -263,15 +264,17 @@ func Restore(med Medium, opts RestoreOptions) (*Restored, error) {
 
 	// Assemble each (rank, field) payload: a full set's chunk is the payload;
 	// a delta set's is tiled from its blobs and digest-checked base content.
-	assemble := func(s int) ([]float32, error) { return outcomes[s].data, outcomes[s].err }
-	if m.IsDelta() {
-		baseRaw := baseBytes(out.Base)
-		assemble = func(s int) ([]float32, error) { return assembleStream(m, s, outcomes, out.Base, baseRaw) }
-	}
 	n := m.NumChunks()
 	data := make([][]float32, n)
 	errs := make([]error, n)
-	par.Run(n, opts.Workers, func(s int) { data[s], errs[s] = assemble(s) })
+	hashers := make([]dedup.Float32Hasher, opts.Workers)
+	par.RunWorker(n, opts.Workers, func(w, s int) {
+		if m.IsDelta() {
+			data[s], errs[s] = assembleStream(m, s, outcomes, out.Base, &hashers[w])
+		} else {
+			data[s], errs[s] = outcomes[s].data, outcomes[s].err
+		}
+	})
 
 	for fi, f := range m.Fields {
 		out.Fields[fi] = RestoredField{

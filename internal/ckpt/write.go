@@ -9,6 +9,7 @@ import (
 
 	"lcpio/internal/compress"
 	"lcpio/internal/container"
+	"lcpio/internal/dedup"
 	"lcpio/internal/ec"
 	"lcpio/internal/nfs"
 	"lcpio/internal/obs"
@@ -252,11 +253,18 @@ func (r *WriteResult) OverlapMargin() float64 {
 // shards, manifest and footer are Write's and exist once.
 type streamWriter struct {
 	span, pipeline, stage string
-	// produce runs on a worker lane with that lane's packer.
-	produce func(p *container.Packer, idx int) ([]byte, error)
+	// produce runs on a worker lane.
+	produce func(l *lane, idx int) ([]byte, error)
 	// commit stores what stream d.Idx produced and returns the bytes it added
 	// to the medium — the stream's member of its field's parity stripe.
 	commit func(w *setWriter, d stream.Item) (region []byte, err error)
+}
+
+// lane is what one worker keeps from stream to stream: its packer, and the
+// hasher a delta write digests float content through.
+type lane struct {
+	packer *container.Packer
+	hasher dedup.Float32Hasher
 }
 
 // fullWriter packs each (rank, field) array into one chunk of m.Chunks.
@@ -265,9 +273,9 @@ func fullWriter(set *Set, m *Manifest) streamWriter {
 	m.Chunks = make([]ChunkInfo, set.Ranks*nFields)
 	return streamWriter{
 		span: "ckpt.write", pipeline: "ckpt.write", stage: "compress",
-		produce: func(p *container.Packer, idx int) ([]byte, error) {
+		produce: func(l *lane, idx int) ([]byte, error) {
 			f := &set.Fields[idx%nFields]
-			return p.Pack(f.Data[idx/nFields], f.Dims, f.ErrorBound)
+			return l.packer.Pack(f.Data[idx/nFields], f.Dims, f.ErrorBound)
 		},
 		commit: func(w *setWriter, d stream.Item) ([]byte, error) {
 			m.Chunks[d.Idx] = ChunkInfo{Rank: d.Idx / nFields, Field: d.Idx % nFields,
@@ -341,14 +349,15 @@ func Write(med Medium, set Set, opts WriteOptions) (*WriteResult, error) {
 		ProduceStage:  sw.stage,
 		QueueGauge:    "lcpio_ckpt_queue_depth",
 		InFlightGauge: "lcpio_ckpt_bytes_in_flight",
-	}, func(lane int) stream.ProduceFunc {
+	}, func(int) stream.ProduceFunc {
 		packer, perr := container.NewPacker(set.Codec,
 			container.Options{ChunkElems: opts.ChunkElems, Parallelism: 1})
+		l := &lane{packer: packer}
 		return func(idx int) ([]byte, error) {
 			if perr != nil {
 				return nil, perr
 			}
-			return sw.produce(packer, idx)
+			return sw.produce(l, idx)
 		}
 	})
 	defer eng.Close()
