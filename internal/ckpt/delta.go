@@ -13,19 +13,29 @@ import (
 //
 // A delta set stores only content the base chain does not already hold.
 // Each (rank, field) payload is content-defined-chunked (dedup.SplitFloat32)
-// in its ORIGINAL float32 domain; every chunk is then classified:
+// in its ORIGINAL float32 domain; every chunk is then classified, cheapest
+// test first:
 //
-//  1. exact: its digest is present in the base's index of RESTORED
-//     content — the chunk becomes a by-reference entry to that location;
-//  2. unchanged-within-bound: every value of the chunk is within the
+//  1. unchanged-within-bound: every value of the chunk is within the
 //     field's error bound of the base's restored value at the same
 //     position — exactly the lossy codec's contract, so serving the base's
 //     bytes for this chunk is as correct as recompressing it. The entry
 //     references the same position and carries the digest of the base's
-//     restored bytes there, which restore checks byte-exactly;
+//     restored bytes there, which restore checks byte-exactly. On lossy data
+//     this is where nearly every unchanged chunk lands (original values are
+//     not the restored ones), so it runs first and a chunk it accepts is
+//     never digested on its own;
+//  2. exact: the chunk failed the bound at its own position (it moved, or it
+//     holds a NaN, which no bound admits) but its digest is present in the
+//     base's index of RESTORED content — the chunk becomes a by-reference
+//     entry to that location;
 //  3. changed: the chunk is compressed on its own (a 1-D container blob)
 //     and stored, deduplicated against identical chunks already committed
 //     in THIS set (intra-set sharing via refcounts).
+//
+// A chunk both tests would accept restores within bound either way; taking
+// the same-position reference keeps neighbours contiguous, so they merge into
+// one entry.
 //
 // Classification happens in the workers; which chunks become new blobs is
 // decided in the in-order drain loop, so blob IDs, offsets, refcounts and
@@ -175,11 +185,11 @@ func classifyStream(set *Set, base *Base, idx int, l *lane) (streamDelta, error)
 	prev := 0
 	for _, cut := range cuts {
 		c := chunkClass{start: prev, end: cut, baseStream: idx, baseOff: int64(prev)}
-		if loc, ok := base.index.Lookup(sum(cur[prev/4 : cut/4])); ok && loc.RawLen == int64(cut-prev) {
+		if withinBound(cur[prev/4:cut/4], old[prev/4:cut/4], f.ErrorBound) {
+			sd.bound++
+		} else if loc, ok := base.index.Lookup(sum(cur[prev/4 : cut/4])); ok && loc.RawLen == int64(cut-prev) {
 			c.baseStream, c.baseOff = loc.Rank*nFields+loc.Field, loc.RawOff
 			sd.exact++
-		} else if withinBound(cur[prev/4:cut/4], old[prev/4:cut/4], f.ErrorBound) {
-			sd.bound++
 		} else {
 			c.local = true
 		}

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"lcpio/internal/dedup"
+	"lcpio/internal/obs"
 )
 
 // f32le serializes float32s as little-endian bytes — the byte domain base
@@ -423,4 +425,234 @@ func TestDeltaParityReconstruction(t *testing.T) {
 		t.Fatal("expected parity reconstruction of the damaged blob")
 	}
 	checkRestored(t, next, restored)
+}
+
+// classificationCase is a base set and a next state built from the base's
+// RESTORED values, so exact matches exist, with one rank per row of the
+// classification table. Rank 0 is unchanged. Rank 1 is unchanged too, and in
+// the base it is a copy of rank 0, so every one of its chunks is also an exact
+// match at rank 0 — the index's first-seen location. Rank 2 is unchanged and
+// holds a NaN. Rank 3 is the base's rank 3 moved down by the length of its
+// first chunk behind a prefix of new values; shifts holds that length in
+// bytes, per field.
+func classificationCase(t *testing.T) (baseMed *MemMedium, next Set, shifts []int) {
+	t.Helper()
+	const nanAt = 1000
+	full := deltaSet("full", 4, 64, 96)
+	for fi := range full.Fields {
+		d := full.Fields[fi].Data
+		d[1] = append([]float32(nil), d[0]...)
+		d[2][nanAt] = float32(math.NaN())
+	}
+	baseMed = NewMemMedium()
+	mustWrite(t, baseMed, full, WriteOptions{Workers: 2})
+	restored, err := Restore(baseMed, RestoreOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := deltaParams
+	p.Align = dedupAlign
+	next = Set{Name: "next", Meta: full.Meta, Codec: full.Codec, Ranks: full.Ranks}
+	for fi, f := range full.Fields {
+		rd := restored.Fields[fi].Data
+		if !math.IsNaN(float64(rd[2][nanAt])) {
+			t.Fatalf("field %d: the codec did not hand the NaN back", fi)
+		}
+		shift := dedup.SplitFloat32(rd[3], p)[0]
+		shifts = append(shifts, shift)
+		moved := make([]float32, len(rd[3]))
+		for i := range moved[:shift/4] {
+			moved[i] = 7 + float32(i%13)*float32(50*f.ErrorBound)
+		}
+		copy(moved[shift/4:], rd[3])
+		nf := Field{Name: f.Name, Dims: f.Dims, ErrorBound: f.ErrorBound}
+		for _, d := range [][]float32{rd[0], rd[1], rd[2], moved} {
+			nf.Data = append(nf.Data, append([]float32(nil), d...))
+		}
+		next.Fields = append(next.Fields, nf)
+	}
+	return baseMed, next, shifts
+}
+
+// classifyInBytes is the classification done the slow way, in the byte
+// domain the format is defined in (f32le, dedup.Split, dedup.Sum), one chunk
+// at a time with nothing merged: how many chunks of next are within bound of
+// the base at their own position, how many of the rest are byte-identical to
+// some chunk of the base, and how many are neither.
+func classifyInBytes(next Set, base *Restored, p dedup.Params) (bound, exact, local int) {
+	p.Align = dedupAlign
+	chunks := func(raw []byte, visit func(lo, hi int)) {
+		prev := 0
+		for _, cut := range dedup.Split(raw, p) {
+			visit(prev, cut)
+			prev = cut
+		}
+	}
+	known := map[dedup.Digest]bool{}
+	for _, f := range base.Fields {
+		for _, d := range f.Data {
+			raw := f32le(d)
+			chunks(raw, func(lo, hi int) { known[dedup.Sum(raw[lo:hi])] = true })
+		}
+	}
+	for fi, f := range next.Fields {
+		for r, cur := range f.Data {
+			raw, old := f32le(cur), base.Fields[fi].Data[r]
+			chunks(raw, func(lo, hi int) {
+				within := true
+				for i := lo / 4; i < hi/4; i++ {
+					if d := float64(cur[i]) - float64(old[i]); !(d <= f.ErrorBound && d >= -f.ErrorBound) {
+						within = false
+					}
+				}
+				switch {
+				case within:
+					bound++
+				case known[dedup.Sum(raw[lo:hi])]:
+					exact++
+				default:
+					local++
+				}
+			})
+		}
+	}
+	return bound, exact, local
+}
+
+// TestDeltaClassification pins which test claims a chunk: (a) within bound
+// at its own position and an exact match elsewhere → the same-position
+// reference; (b) identical to the base but holding a NaN, which no bound
+// admits → an exact reference; (c) content moved by one chunk → an exact
+// reference at the moved offset; (d) changed → stored. The counted classes
+// must be the byte-domain classification's, the file must not depend on the
+// worker count, and the set must restore and deep-verify.
+func TestDeltaClassification(t *testing.T) {
+	baseMed, next, shifts := classificationCase(t)
+	base := mustOpenBase(t, baseMed, nil, deltaParams)
+
+	prev := obs.Active()
+	t.Cleanup(func() { obs.Use(prev) })
+	reg := obs.NewRegistry()
+	obs.Use(reg)
+	med := NewMemMedium()
+	res := mustWrite(t, med, next, WriteOptions{Workers: 1, Base: base})
+	obs.Use(prev)
+	for _, workers := range []int{2, 4} {
+		again := NewMemMedium()
+		mustWrite(t, again, next, WriteOptions{Workers: workers, Base: base})
+		if !bytes.Equal(med.Bytes(), again.Bytes()) {
+			t.Fatalf("delta bytes differ between Workers=1 and Workers=%d", workers)
+		}
+	}
+
+	m := res.Manifest
+	nFields := len(m.Fields)
+	for s, entries := range m.Entries {
+		rank, fi := s/nFields, s%nFields
+		shift := shifts[fi]
+		pos, refBytes := 0, 0
+		for i, e := range entries {
+			wantOff := int64(pos)
+			if rank == 3 {
+				wantOff -= int64(shift) // (c)
+			}
+			switch {
+			case e.Local() && rank != 3:
+				t.Fatalf("rank %d field %d: unchanged content stored at %d", rank, fi, pos)
+			case e.Local():
+				if i == 0 && e.RawLen < shift { // (d)
+					t.Fatalf("rank 3 field %d: first stored run covers %d of the %d new bytes", fi, e.RawLen, shift)
+				}
+			case e.BaseRank != rank || e.BaseField != fi || e.BaseRawOff != wantOff: // (a), (b), (c)
+				t.Fatalf("rank %d field %d: %d bytes at %d reference (rank %d, field %d, off %d), want (%d, %d, %d)",
+					rank, fi, e.RawLen, pos, e.BaseRank, e.BaseField, e.BaseRawOff, rank, fi, wantOff)
+			default:
+				refBytes += e.RawLen
+			}
+			pos += e.RawLen
+		}
+		if rank == 3 && (!entries[0].Local() || refBytes < pos/2) {
+			t.Fatalf("rank 3 field %d: %d of %d bytes found at the moved offset, first entry local = %v",
+				fi, refBytes, pos, entries[0].Local())
+		}
+	}
+
+	restoredBase, err := Restore(baseMed, RestoreOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, exact, local := classifyInBytes(next, restoredBase, deltaParams)
+	if bound == 0 || exact < 2*nFields || local == 0 {
+		t.Fatalf("the case does not reach every class: bound %d, exact %d, local %d", bound, exact, local)
+	}
+	count := func(class string) int {
+		return int(reg.Snapshot().Counters["lcpio_ckpt_delta_chunks_"+class+"_total"])
+	}
+	if count("bound") != bound || count("exact") != exact || count("local")+count("shared") != local {
+		t.Fatalf("counted bound %d, exact %d, local %d + shared %d; the byte-domain classification has %d, %d, %d",
+			count("bound"), count("exact"), count("local"), count("shared"), bound, exact, local)
+	}
+	if res.ChunksRef != bound+exact || res.ChunksLocal+res.ChunksShared != local {
+		t.Fatalf("WriteResult counts %d referenced, %d + %d stored; want %d and %d",
+			res.ChunksRef, res.ChunksLocal, res.ChunksShared, bound+exact, local)
+	}
+
+	got, err := Restore(med, RestoreOptions{Workers: 2, Bases: []Medium{baseMed}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRestored(t, next, got)
+	rep, err := VerifySet(med, VerifyOptions{Deep: true, Workers: 2, Bases: []Medium{baseMed}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Failed) > 0 || rep.BaseErr != nil || rep.RefsOK != rep.RefChunks {
+		t.Fatalf("deep verify: %+v", rep)
+	}
+}
+
+// TestDeltaWriteBudgets holds one delta write of a lossy set with 10 % churn
+// to the work the classification order promises: SHA-256 sees each
+// referenced base range, each chunk that failed its bound and each stored run
+// once — 1.1 × the raw bytes, where digesting every chunk first made it 2.0 —
+// and the write allocates for what it stores, with no buffer the size of the
+// set (the byte copy of every array was 1.0 × raw on its own).
+func TestDeltaWriteBudgets(t *testing.T) {
+	full := deltaSet("full", 4, 512, 1024)
+	baseMed := NewMemMedium()
+	mustWrite(t, baseMed, full, WriteOptions{Workers: 2})
+	base := mustOpenBase(t, baseMed, nil, dedup.Params{})
+	next := churn(full, "next", 0.10)
+	med := NewMemMedium()
+	mustWrite(t, med, next, WriteOptions{Workers: 2, Base: base}) // sizes the medium
+
+	prev := obs.Active()
+	t.Cleanup(func() { obs.Use(prev) })
+	reg := obs.NewRegistry()
+	obs.Use(reg)
+	const writes = 3
+	var raw int64
+	alloc := uint64(math.MaxUint64) // TotalAlloc is process-wide: the least of three
+	for i := 0; i < writes; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := mustWrite(t, med, next, WriteOptions{Workers: 2, Base: base})
+		runtime.ReadMemStats(&after)
+		alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+		raw = res.RawBytes
+		if dr := res.DedupRatio(); dr < 0.8 || dr > 0.95 {
+			t.Fatalf("dedup ratio %.3f: not a 10 %% churn write", dr)
+		}
+	}
+	obs.Use(prev)
+	digested := reg.Snapshot().Counters["lcpio_ckpt_delta_digest_bytes_total"] / writes
+	t.Logf("raw %d bytes: digested %.3f x raw, allocated %.3f x raw", raw, digested/float64(raw), float64(alloc)/float64(raw))
+	if digested > 1.15*float64(raw) {
+		t.Fatalf("digested %.0f bytes for %d raw: %.2f x, want <= 1.15 x", digested, raw, digested/float64(raw))
+	}
+	// The constant is the two lanes' codec state, which every Write makes
+	// anew: 2.1 MB measured, at any set size.
+	if budget := uint64(0.30*float64(raw)) + 3<<20; alloc > budget {
+		t.Fatalf("one delta write of %d raw bytes allocated %d, want <= %d (0.30 x raw + 3 MiB)", raw, alloc, budget)
+	}
 }

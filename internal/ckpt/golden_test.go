@@ -109,31 +109,59 @@ func TestGoldenFormatBytes(t *testing.T) {
 					"the wire format drifted", len(got), len(want))
 			}
 
-			m, err := ReadManifest(med)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m.IsDelta() != tc.delta || m.ParityRanks != tc.opts.ParityRanks {
-				t.Fatalf("image decodes as delta=%v parity=%d", m.IsDelta(), m.ParityRanks)
-			}
-			if tc.delta && (len(m.Blobs) == 0 || m.RefRawBytes() == 0) {
-				t.Fatalf("delta image pins no mix of blobs and base refs: %d blobs, %d ref bytes",
-					len(m.Blobs), m.RefRawBytes())
-			}
-			res, err := Restore(med, RestoreOptions{Workers: 2, Bases: bases})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkRestored(t, tc.set, res)
-			rep, err := VerifySet(med, VerifyOptions{Deep: true, Workers: 2, Bases: bases})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rep.Failed) > 0 || len(rep.ParityFailed) > 0 || rep.BaseErr != nil {
-				t.Fatalf("pinned image fails deep verify: %+v", rep)
-			}
+			checkGoldenImage(t, med, bases, tc.set, tc.delta, tc.opts.ParityRanks)
 		})
 	}
+}
+
+// checkGoldenImage holds a pinned image to what a reader must get from it:
+// the set's shape, a restore within bound, a clean deep verify.
+func checkGoldenImage(t *testing.T, med Medium, bases []Medium, set Set, delta bool, parity int) {
+	t.Helper()
+	m, err := ReadManifest(med)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.IsDelta() != delta || m.ParityRanks != parity {
+		t.Fatalf("image decodes as delta=%v parity=%d", m.IsDelta(), m.ParityRanks)
+	}
+	if delta && (len(m.Blobs) == 0 || m.RefRawBytes() == 0) {
+		t.Fatalf("delta image pins no mix of blobs and base refs: %d blobs, %d ref bytes",
+			len(m.Blobs), m.RefRawBytes())
+	}
+	res, err := Restore(med, RestoreOptions{Workers: 2, Bases: bases})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRestored(t, set, res)
+	rep, err := VerifySet(med, VerifyOptions{Deep: true, Workers: 2, Bases: bases})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Failed) > 0 || len(rep.ParityFailed) > 0 || rep.BaseErr != nil || rep.RefsOK != rep.RefChunks {
+		t.Fatalf("pinned image fails deep verify: %+v", rep)
+	}
+}
+
+// TestGoldenDeltaDigestFirstStillReads: golden_delta_parity_digest_first.lcpt
+// is the delta image the writer emitted while it looked every chunk up in the
+// base's digest index before trying the bound. The unchanged chunks of the
+// golden set repeat across ranks, so each was referenced at the index's
+// first-seen location; the writer now references them at their own position,
+// where neighbours merge into one entry (1377 → 933 bytes). The parse did not
+// change and `version` did not move, so sets written that way must keep
+// restoring within bound and deep-verifying against the same base. Nothing
+// rewrites this file.
+func TestGoldenDeltaDigestFirstStillReads(t *testing.T) {
+	read := func(name string) Medium {
+		image, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return memOf(t, image)
+	}
+	checkGoldenImage(t, read("golden_delta_parity_digest_first.lcpt"),
+		[]Medium{read("golden_full.lcpt")}, goldenDeltaSet(), true, 1)
 }
 
 // TestOtherVersionsRefused: a set stamped with any version but the current
