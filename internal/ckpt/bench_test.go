@@ -74,9 +74,9 @@ func BenchmarkRestore(b *testing.B) {
 // rel 1e-3 bound, written with 2 parity ranks, and the next state with a
 // rank-staggered contiguous 10 % of every rank moved by 10 bounds.
 type deltaBench struct {
-	set, next Set
-	baseMed   *MemMedium
-	raw       int64
+	next    Set
+	baseMed *MemMedium
+	raw     int64
 }
 
 func newDeltaBench(b *testing.B) *deltaBench {
@@ -101,12 +101,12 @@ func newDeltaBench(b *testing.B) *deltaBench {
 		f.Data, nf.Data = append(f.Data, d), append(nf.Data, c)
 	}
 	db := &deltaBench{
-		set:     Set{Name: "bench-base", Codec: "sz", Ranks: ranks, Fields: []Field{f}},
 		next:    Set{Name: "bench-next", Codec: "sz", Ranks: ranks, Fields: []Field{nf}},
 		baseMed: NewMemMedium(),
 		raw:     int64(ranks) * int64(len(ref.Data)) * 4,
 	}
-	if _, err := Write(db.baseMed, db.set, WriteOptions{Workers: 2, ParityRanks: parity}); err != nil {
+	set := Set{Name: "bench-base", Codec: "sz", Ranks: ranks, Fields: []Field{f}}
+	if _, err := Write(db.baseMed, set, WriteOptions{Workers: 2, ParityRanks: parity}); err != nil {
 		b.Fatal(err)
 	}
 	return db

@@ -13,8 +13,8 @@ import (
 )
 
 // f32le serializes float32s as little-endian bytes — the byte domain base
-// references are addressed and digested in, which the write and read paths
-// no longer materialise.
+// references are addressed and digested in, and the reference the tests hold
+// the float-domain write and read paths to.
 func f32le(data []float32) []byte {
 	b := make([]byte, len(data)*4)
 	for i, v := range data {

@@ -37,6 +37,11 @@ go test -count=1 -run 'Quick|Invariant' \
 go test -run '^$' -bench 'Decode|Decompress|Compress|Build|TransposeWindow' -benchtime 1x \
     ./internal/huffman/ ./internal/lossless/ ./internal/zfp/ ./internal/sz/
 go test -run '^$' -bench 'DumpLoopback' -benchtime 1x ./internal/svc/
+# The delta path's own: the chunker over bytes and over floats beside the
+# loop it replaced, and the bench/ delta-parity workload's three operations
+# (delta write, chain restore, lost-rank restore) on that workload's input.
+go test -run '^$' -bench 'Split|DeltaWrite|ChainRestore|LostRankRestore' -benchtime 1x \
+    ./internal/dedup/ ./internal/ckpt/
 
 # The benchmark is a nested module that root `go test ./...` does not
 # reach: vet and test it, and smoke every workload, so an internal/ API
