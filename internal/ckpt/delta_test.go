@@ -651,8 +651,11 @@ func TestDeltaWriteBudgets(t *testing.T) {
 		t.Fatalf("digested %.0f bytes for %d raw: %.2f x, want <= 1.15 x", digested, raw, digested/float64(raw))
 	}
 	// The constant is the two lanes' codec state, which every Write makes
-	// anew: 2.1 MB measured, at any set size.
-	if budget := uint64(0.30*float64(raw)) + 3<<20; alloc > budget {
-		t.Fatalf("one delta write of %d raw bytes allocated %d, want <= %d (0.30 x raw + 3 MiB)", raw, alloc, budget)
+	// anew: 2.1 MB measured, at any set size. Under -race sync.Pool drops a
+	// quarter of what lossless returns to it, and the same write reads up to
+	// 0.47 x raw here (6.0 MB without, 7.8 MB with): 4 MiB leaves room for
+	// that and still none for a copy of the set.
+	if budget := uint64(0.30*float64(raw)) + 4<<20; alloc > budget {
+		t.Fatalf("one delta write of %d raw bytes allocated %d, want <= %d (0.30 x raw + 4 MiB)", raw, alloc, budget)
 	}
 }
