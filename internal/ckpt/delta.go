@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"lcpio/internal/container"
 	"lcpio/internal/dedup"
 	"lcpio/internal/obs"
 	"lcpio/internal/stream"
@@ -148,6 +149,13 @@ type deltaEntry struct {
 // its uint32 wire field.
 const maxRefRunLen = 1 << 30
 
+// lane is what one delta worker keeps from stream to stream: its packer, and
+// the hasher it digests float content through.
+type lane struct {
+	packer *container.Packer
+	hasher dedup.Float32Hasher
+}
+
 // streamDelta is what a lane hands the drain for one stream: the runs, and
 // the work it counted getting them — chunks referenced by bound match and by
 // digest lookup, and the bytes it put through SHA-256.
@@ -241,7 +249,7 @@ func classifyStream(set *Set, base *Base, idx int, l *lane) (streamDelta, error)
 // parks its stream's entries in a slot indexed by stream and the drain picks
 // them up when the engine hands it that index (the result channel orders
 // the two accesses).
-func deltaWriter(set *Set, base *Base, m *Manifest, res *WriteResult) (streamWriter, error) {
+func deltaWriter(set *Set, base *Base, m *Manifest, res *WriteResult, chunkElems int) (streamWriter, error) {
 	if err := sameGeometry(set.Ranks, setFieldInfos(*set), base.Manifest); err != nil {
 		return streamWriter{}, fmt.Errorf("ckpt: delta against base %q: %w", base.Manifest.SetName, err)
 	}
@@ -261,9 +269,15 @@ func deltaWriter(set *Set, base *Base, m *Manifest, res *WriteResult) (streamWri
 	intra := make(map[dedup.Digest]int)
 	return streamWriter{
 		span: "ckpt.write.delta", pipeline: "ckpt.delta_write", stage: "classify_compress",
-		produce: func(l *lane, idx int) (_ []byte, err error) {
-			produced[idx], err = classifyStream(set, base, idx, l)
-			return nil, err
+		lane: func() stream.ProduceFunc {
+			packer, perr := lanePacker(set.Codec, chunkElems)
+			l := &lane{packer: packer}
+			return func(idx int) (_ []byte, err error) {
+				if err = perr; err == nil {
+					produced[idx], err = classifyStream(set, base, idx, l)
+				}
+				return nil, err
+			}
 		},
 		commit: func(w *setWriter, d stream.Item) ([]byte, error) {
 			sd := produced[d.Idx]

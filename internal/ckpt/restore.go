@@ -216,8 +216,7 @@ func Restore(med Medium, opts RestoreOptions) (*Restored, error) {
 	rep := &out.Report
 	// The manifest fetch itself rides the simulated read path.
 	rep.Retries = manifestRetries
-	rep.SimReadSeconds = float64(1+manifestRetries) *
-		opts.Mount.Read(int64(len(m.encode()))+footerLen).NetworkSeconds
+	rep.SimReadSeconds = float64(1+manifestRetries) * opts.Mount.Read(m.TailBytes()).NetworkSeconds
 	if m.IsDelta() {
 		if out.Base, err = resolveBase(m, opts.Bases, opts); err != nil {
 			return nil, err

@@ -8,21 +8,23 @@ import (
 )
 
 // This file is what every writer of a set shares: the header and tail
-// encoders, the in-order appender Write drains through, and the external-
-// placement surface for the svc daemon, which assembles sets chunk by chunk
-// as session frames arrive — placement decided by its extent allocator
-// rather than Write's in-order drain — and needs to emit a format-correct
-// header, manifest, and footer without the format internals leaking out of
-// this package. A set finalized through these helpers is read back by the
-// unmodified Restore / VerifySet / ReadManifest paths.
+// encoders, the in-order appender Write drains through, and the surface the
+// svc daemon finalizes a set through. The daemon appends chunks as session
+// frames arrive, at a running offset that starts at HeaderLen, exactly as
+// Write's drain does; it needs a format-correct header, manifest and footer
+// without the format internals leaking out of this package. A set finalized
+// through these helpers is read back by the unmodified Restore / VerifySet /
+// ReadManifest paths, and one whose chunks arrived in index order is the
+// image Write produces.
+//
+// The two writers share the encoders and not one appender type: Write's drain
+// goes through the retry path and keeps a simulated clock per blob (chunks,
+// delta runs, parity shards), the daemon's committer does a plain WriteAt
+// under its own shared-medium clock, and an appender serving both would have
+// each caller passing the other's arguments through.
 
-// HeaderLen is the fixed set header size; externally placed chunks must
-// start at or after this offset (parseManifest enforces it on read).
+// HeaderLen is the fixed set header size: the offset of a set's first chunk.
 const HeaderLen = headerLen
-
-// FooterLen is the fixed footer size; a set's total size is the manifest
-// offset plus its encoded length plus FooterLen.
-const FooterLen = footerLen
 
 // setHeader is the fixed header every set starts with.
 func setHeader() []byte {
@@ -39,6 +41,11 @@ func setTail(m *Manifest, off int64) (manifest, footer []byte) {
 	foot = wire.AppendUint32(foot, magic)
 	return mb, foot
 }
+
+// TailBytes is the size of what closes the set behind its payload: the
+// encoded manifest and the footer. A full set's chunk table is fixed-width,
+// so the size is known from the geometry before any chunk exists.
+func (m *Manifest) TailBytes() int64 { return int64(len(m.encode())) + footerLen }
 
 // setWriter is the in-order half of Write: it appends blobs to the medium
 // through the retry path, keeping the byte offset and the simulated drain

@@ -9,7 +9,6 @@ import (
 
 	"lcpio/internal/compress"
 	"lcpio/internal/container"
-	"lcpio/internal/dedup"
 	"lcpio/internal/ec"
 	"lcpio/internal/nfs"
 	"lcpio/internal/obs"
@@ -253,30 +252,42 @@ func (r *WriteResult) OverlapMargin() float64 {
 // shards, manifest and footer are Write's and exist once.
 type streamWriter struct {
 	span, pipeline, stage string
-	// produce runs on a worker lane.
-	produce func(l *lane, idx int) ([]byte, error)
+	// lane returns one worker lane's producer.
+	lane func() stream.ProduceFunc
 	// commit stores what stream d.Idx produced and returns the bytes it added
 	// to the medium — the stream's member of its field's parity stripe.
 	commit func(w *setWriter, d stream.Item) (region []byte, err error)
 }
 
-// lane is what one worker keeps from stream to stream: its packer, and the
-// hasher a delta write digests float content through.
-type lane struct {
-	packer *container.Packer
-	hasher dedup.Float32Hasher
+// lanePacker is the packer a worker lane keeps from stream to stream.
+func lanePacker(codec string, chunkElems int) (*container.Packer, error) {
+	return container.NewPacker(codec, container.Options{ChunkElems: chunkElems, Parallelism: 1})
+}
+
+// PackLane returns one lane's producer of a full set's chunks: chunk idx —
+// rank-major, rank idx / fields — is that rank's array of field idx % fields,
+// packed on a packer the lane keeps. It is where a full set's chunk is made,
+// for Write's lanes and for a client that ships the chunks to the daemon
+// instead (svc.Client.Dump), so the two dumps store the same bytes.
+func PackLane(set *Set, chunkElems int) stream.ProduceFunc {
+	packer, perr := lanePacker(set.Codec, chunkElems)
+	nFields := len(set.Fields)
+	return func(idx int) ([]byte, error) {
+		if perr != nil {
+			return nil, perr
+		}
+		f := &set.Fields[idx%nFields]
+		return packer.Pack(f.Data[idx/nFields], f.Dims, f.ErrorBound)
+	}
 }
 
 // fullWriter packs each (rank, field) array into one chunk of m.Chunks.
-func fullWriter(set *Set, m *Manifest) streamWriter {
+func fullWriter(set *Set, m *Manifest, chunkElems int) streamWriter {
 	nFields := len(set.Fields)
 	m.Chunks = make([]ChunkInfo, set.Ranks*nFields)
 	return streamWriter{
 		span: "ckpt.write", pipeline: "ckpt.write", stage: "compress",
-		produce: func(l *lane, idx int) ([]byte, error) {
-			f := &set.Fields[idx%nFields]
-			return l.packer.Pack(f.Data[idx/nFields], f.Dims, f.ErrorBound)
-		},
+		lane: func() stream.ProduceFunc { return PackLane(set, chunkElems) },
 		commit: func(w *setWriter, d stream.Item) ([]byte, error) {
 			m.Chunks[d.Idx] = ChunkInfo{Rank: d.Idx / nFields, Field: d.Idx % nFields,
 				Offset: w.offset, Size: int64(len(d.Blob)), CRC: Digest(d.Blob)}
@@ -330,10 +341,10 @@ func Write(med Medium, set Set, opts WriteOptions) (*WriteResult, error) {
 	res := &WriteResult{Manifest: m, Chunks: n, ParityRanks: opts.ParityRanks}
 	var sw streamWriter
 	if opts.Base == nil {
-		sw = fullWriter(&set, m)
+		sw = fullWriter(&set, m, opts.ChunkElems)
 	} else {
 		var err error
-		if sw, err = deltaWriter(&set, opts.Base, m, res); err != nil {
+		if sw, err = deltaWriter(&set, opts.Base, m, res, opts.ChunkElems); err != nil {
 			return nil, err
 		}
 	}
@@ -349,17 +360,7 @@ func Write(med Medium, set Set, opts WriteOptions) (*WriteResult, error) {
 		ProduceStage:  sw.stage,
 		QueueGauge:    "lcpio_ckpt_queue_depth",
 		InFlightGauge: "lcpio_ckpt_bytes_in_flight",
-	}, func(int) stream.ProduceFunc {
-		packer, perr := container.NewPacker(set.Codec,
-			container.Options{ChunkElems: opts.ChunkElems, Parallelism: 1})
-		l := &lane{packer: packer}
-		return func(idx int) ([]byte, error) {
-			if perr != nil {
-				return nil, perr
-			}
-			return sw.produce(l, idx)
-		}
-	})
+	}, func(int) stream.ProduceFunc { return sw.lane() })
 	defer eng.Close()
 
 	wr := eng.Consumer()

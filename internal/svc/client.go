@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"lcpio/internal/ckpt"
-	"lcpio/internal/container"
 	"lcpio/internal/stream"
 )
 
@@ -114,35 +113,15 @@ func (c *Client) dump(set ckpt.Set, req OpenRequest, opts DumpOptions) (Result, 
 	}
 	sid := acc.Session
 
-	// Compress chunks exactly like ckpt.Write — same engine, same per-lane
-	// packer, rank-major index order — but the in-order drain ships PUT
-	// frames instead of writing a local medium.
+	// The lanes are ckpt.Write's; the in-order drain ships PUT frames instead
+	// of writing a local medium.
 	nFields := len(set.Fields)
 	n := set.Ranks * nFields
 	eng := stream.Start(n, stream.Options{
 		Name:    "svc.client",
 		Workers: opts.Workers, QueueDepth: opts.QueueDepth,
-	}, func(lane int) stream.ProduceFunc {
-		packer, perr := container.NewPacker(set.Codec, container.Options{
-			ChunkElems: opts.ChunkElems, Parallelism: 1,
-		})
-		return func(idx int) ([]byte, error) {
-			if perr != nil {
-				return nil, perr
-			}
-			f := &set.Fields[idx%nFields]
-			return packer.Pack(f.Data[idx/nFields], f.Dims, f.ErrorBound)
-		}
-	})
+	}, func(int) stream.ProduceFunc { return ckpt.PackLane(&set, opts.ChunkElems) })
 	defer eng.Close()
-	rawLens := make([]int64, nFields)
-	for i, f := range set.Fields {
-		elems := int64(1)
-		for _, d := range f.Dims {
-			elems *= int64(d)
-		}
-		rawLens[i] = elems * 4
-	}
 	// The drain writes each chunk's frame and moves on; acks, on its own
 	// goroutine, takes the replies in the same order. sent carries the index
 	// of every frame fully written — one reply is owed per entry — and never
@@ -165,7 +144,7 @@ func (c *Client) dump(set ckpt.Set, req OpenRequest, opts DumpOptions) (Result, 
 		}
 		h := putHeader{Idx: d.Idx, CRC: ckpt.Digest(d.Blob)}
 		if putType == framePutZ {
-			h.RawLen = rawLens[d.Idx%nFields]
+			h.RawLen = int64(req.Fields[d.Idx%nFields].Elems()) * 4
 		}
 		var err error
 		if buf, err = appendPutFrame(buf[:0], putType, sid, h, d.Blob); err != nil {

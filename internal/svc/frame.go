@@ -8,8 +8,9 @@
 //   - medium bandwidth — every admitted chunk rides a single shared
 //     simulated NFS timeline, so a busy daemon queues writes and the
 //     queue wait is reported per chunk (backpressure);
-//   - medium space — sessions negotiate a contiguous extent at open,
-//     subdivided per rank, and tenants have byte quotas;
+//   - medium space — sessions negotiate a contiguous extent at open, fill
+//     it from the front and return what the finalized set does not occupy,
+//     and tenants have byte quotas;
 //   - energy — admission is priced with the paper's Eqn 2 cost model at
 //     the Eqn 3 tuned clocks before any payload byte moves: a session
 //     whose projected joules exceed the tenant's budget, or whose
@@ -20,9 +21,10 @@
 // pipelined — a client may have several unanswered, the daemon verifies
 // them concurrently and commits and acknowledges them in arrival order —
 // and every other frame is a barrier, handled once the puts before it are
-// answered (see ServeConn). Sets finalized by the daemon are
-// format-identical to ckpt.Write output and restore through the
-// unmodified ckpt.Restore path (see Server.OpenSet).
+// answered (see ServeConn). A chunk lands at its session's running offset,
+// so a set whose chunks arrive in index order — what Client.Dump sends — is
+// byte for byte the image ckpt.Write produces, and any finalized set
+// restores through the unmodified ckpt.Restore path (see Server.OpenSet).
 package svc
 
 import (
@@ -330,10 +332,12 @@ func parseOpenRequest(b []byte) (OpenRequest, error) {
 type OpenAccept struct {
 	Session uint32
 	// ExtentBase/ExtentBytes is the contiguous region reserved on the
-	// shared medium; RankStride subdivides it per rank.
+	// shared medium for the whole set: header, chunks in arrival order,
+	// manifest and footer. A put that would leave no room for the tail is
+	// refused as a ratio shortfall; what the finalized set does not occupy
+	// goes back to the allocator at close.
 	ExtentBase  int64
 	ExtentBytes int64
-	RankStride  int64
 	// ProjectedJoules is the Eqn 2 admission price quoted at open.
 	ProjectedJoules float64
 	// AdmissionWaitSeconds is wall time spent queued for a session slot
@@ -349,7 +353,6 @@ func (a OpenAccept) encode() []byte {
 	b = wire.AppendUint32(b, a.Session)
 	b = wire.AppendUint64(b, uint64(a.ExtentBase))
 	b = wire.AppendUint64(b, uint64(a.ExtentBytes))
-	b = wire.AppendUint64(b, uint64(a.RankStride))
 	b = wire.AppendFloat64(b, a.ProjectedJoules)
 	b = wire.AppendFloat64(b, a.AdmissionWaitSeconds)
 	b = wire.AppendString(b, a.WireCodec)
@@ -362,13 +365,12 @@ func parseOpenAccept(b []byte) (OpenAccept, error) {
 		Session:     rd.Uint32(),
 		ExtentBase:  int64(rd.Uint64()),
 		ExtentBytes: int64(rd.Uint64()),
-		RankStride:  int64(rd.Uint64()),
 	}
 	a.ProjectedJoules = rd.Float64()
 	a.AdmissionWaitSeconds = rd.Float64()
 	a.WireCodec = rd.String(maxNameLen)
 	if rd.Err() != nil || rd.Remaining() != 0 ||
-		a.ExtentBase < 0 || a.ExtentBytes < 0 || a.RankStride < 0 {
+		a.ExtentBase < 0 || a.ExtentBytes < 0 {
 		return a, fmt.Errorf("%w: open accept", ErrCorruptFrame)
 	}
 	return a, nil
@@ -575,8 +577,9 @@ type Result struct {
 	BackpressureEvents int64
 	// GoodputBps is payload bits landed per simulated second.
 	GoodputBps float64
-	// Extent placement (matches the OpenAccept negotiation; ExtentBytes
-	// shrinks to the finalized set size, the slack is refunded).
+	// Extent placement: ExtentBase is the OpenAccept's, ExtentBytes what of
+	// that reservation the finalized set occupies — SetBytes, since a set
+	// has no holes; the rest was refunded at close.
 	ExtentBase  int64
 	ExtentBytes int64
 	// AdmissionWaitSeconds echoes the open-time queue wait (wall time).

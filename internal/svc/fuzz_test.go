@@ -20,7 +20,7 @@ func fuzzFrames() [][]byte {
 		},
 		RelEB: 1e-3, ProjectedRatio: 8, DeadlineSeconds: 0.5,
 	}
-	acc := OpenAccept{Session: 1, ExtentBase: 8, ExtentBytes: 4096, RankStride: 1024,
+	acc := OpenAccept{Session: 1, ExtentBase: 8, ExtentBytes: 4096,
 		ProjectedJoules: 2.5, AdmissionWaitSeconds: 0.01}
 	rej := Reject{Code: RejectQuota, Detail: "no room", ProjectedJoules: 2.5, BudgetJoules: 1}
 	pr := PutReply{Idx: 3, QueueWaitSeconds: 0.125, Backpressure: true}

@@ -106,19 +106,22 @@ type setRecord struct {
 }
 
 type session struct {
-	id       uint32
-	ten      *tenant
-	req      OpenRequest
-	view     *subMedium
-	m        *ckpt.Manifest
-	base     int64
-	extCap   int64
-	stride   int64
-	ratio    float64 // projected compression ratio the session was priced at
-	rankUsed []int64
-	seen     []bool
-	nSeen    int
-	compSec  []float64 // per-field modeled compress seconds at the tuned clock
+	id     uint32
+	ten    *tenant
+	req    OpenRequest
+	view   *subMedium
+	m      *ckpt.Manifest
+	base   int64
+	extCap int64
+	// off is where the next chunk lands, relative to the extent: the
+	// committer appends chunks in arrival order behind the set header, as
+	// ckpt.Write's drain does. tail is the size of what closes the set behind
+	// the last of them (manifest + footer), fixed by the geometry at open.
+	off, tail int64
+	ratio     float64 // projected compression ratio the session was priced at
+	seen      []bool
+	nSeen     int
+	compSec   []float64 // per-field modeled compress seconds at the tuned clock
 	// wireCodec is the negotiated compressed-wire codec ("" = plain PUT
 	// frames only); wireSaved accumulates the shared-medium transfer time
 	// saved versus shipping raw, wireChunks the inflate-verified chunks.
@@ -634,11 +637,14 @@ func (s *Server) open(req OpenRequest) (*session, OpenAccept, *Reject, error) {
 		return nil, OpenAccept{}, nil, err
 	}
 
-	raw := req.RawBytes()
-	perRank := raw / int64(req.Ranks)
-	stride := int64(float64(perRank)/ratio*extentSlack) +
-		int64(len(req.Fields))*512 + 4096
-	extCap := int64(ckpt.HeaderLen) + int64(req.Ranks)*stride + 2*s.overhead(req)
+	// The extent is measured from the set's first chunk: per rank its
+	// projected compressed share with extentSlack over it and room for the
+	// containers' own framing, then twice the estimated manifest. It is a
+	// reservation for the whole set — no rank has a share of its own.
+	start := int64(ckpt.HeaderLen)
+	perRank := req.RawBytes() / int64(req.Ranks)
+	extCap := start + 2*s.overhead(req) + int64(req.Ranks)*
+		(int64(float64(perRank)/ratio*extentSlack)+int64(len(req.Fields))*512+4096)
 
 	t0 := time.Now()
 	s.mu.Lock()
@@ -646,24 +652,24 @@ func (s *Server) open(req OpenRequest) (*session, OpenAccept, *Reject, error) {
 
 	ten := s.tenants[req.Tenant]
 	if ten == nil {
-		s.countReject(nil, RejectTenant)
+		s.countReject(nil)
 		return nil, OpenAccept{}, &Reject{Code: RejectTenant,
 			Detail: fmt.Sprintf("tenant %q not registered", req.Tenant)}, nil
 	}
 	if b := ten.cfg.EnergyBudgetJoules; b > 0 && projJ > b {
-		s.countReject(ten, RejectEnergy)
+		s.countReject(ten)
 		return nil, OpenAccept{}, &Reject{Code: RejectEnergy,
 			Detail:          fmt.Sprintf("projected %.1f J exceeds budget %.1f J", projJ, b),
 			ProjectedJoules: projJ, BudgetJoules: b}, nil
 	}
 	if d := req.DeadlineSeconds; d > 0 && projSec > d {
-		s.countReject(ten, RejectDeadline)
+		s.countReject(ten)
 		return nil, OpenAccept{}, &Reject{Code: RejectDeadline,
 			Detail:          fmt.Sprintf("projected %.3f s misses deadline %.3f s", projSec, d),
 			ProjectedJoules: projJ}, nil
 	}
 	if q := ten.cfg.QuotaBytes; q > 0 && ten.resident+extCap > q {
-		s.countReject(ten, RejectQuota)
+		s.countReject(ten)
 		return nil, OpenAccept{}, &Reject{Code: RejectQuota,
 			Detail: fmt.Sprintf("extent %d B cannot fit quota %d B (resident %d B)",
 				extCap, q, ten.resident),
@@ -699,7 +705,7 @@ func (s *Server) open(req OpenRequest) (*session, OpenAccept, *Reject, error) {
 		return nil, OpenAccept{}, nil, fmt.Errorf("svc: set %q already exists", req.SetName)
 	}
 	if c := s.cfg.CapacityBytes; c > 0 && s.nextOff+extCap > c {
-		s.countReject(ten, RejectCapacity)
+		s.countReject(ten)
 		return nil, OpenAccept{}, &Reject{Code: RejectCapacity,
 			Detail: fmt.Sprintf("extent %d B exceeds medium capacity (allocated %d of %d B)",
 				extCap, s.nextOff, c),
@@ -717,10 +723,9 @@ func (s *Server) open(req OpenRequest) (*session, OpenAccept, *Reject, error) {
 		},
 		base:      s.nextOff,
 		extCap:    extCap,
-		stride:    stride,
+		off:       start,
 		ratio:     ratio,
 		wireCodec: req.WireCodec,
-		rankUsed:  make([]int64, req.Ranks),
 		seen:      make([]bool, n),
 		compSec:   make([]float64, len(req.Fields)),
 		admitWait: time.Since(t0).Seconds(),
@@ -731,6 +736,7 @@ func (s *Server) open(req OpenRequest) (*session, OpenAccept, *Reject, error) {
 		Ranks: req.Ranks, Fields: req.Fields,
 		Chunks: make([]ckpt.ChunkInfo, n),
 	}
+	sess.tail = sess.m.TailBytes()
 	if err := ckpt.WriteSetHeader(sess.view); err != nil {
 		return nil, OpenAccept{}, nil, err
 	}
@@ -744,8 +750,7 @@ func (s *Server) open(req OpenRequest) (*session, OpenAccept, *Reject, error) {
 	obs.Set("lcpio_svc_active_sessions", float64(len(s.sessions)))
 	acc := OpenAccept{
 		Session: sess.id, ExtentBase: sess.base, ExtentBytes: extCap,
-		RankStride: stride, ProjectedJoules: projJ, AdmissionWaitSeconds: sess.admitWait,
-		WireCodec: sess.wireCodec,
+		ProjectedJoules: projJ, AdmissionWaitSeconds: sess.admitWait, WireCodec: sess.wireCodec,
 	}
 	return sess, acc, nil, nil
 }
@@ -776,17 +781,16 @@ func (s *Server) reclaimLocked(end, tail int64) {
 }
 
 // countReject must run with s.mu held (ten may be nil for unknown tenants).
-func (s *Server) countReject(ten *tenant, code RejectCode) {
+func (s *Server) countReject(ten *tenant) {
 	obs.Add("lcpio_svc_rejected_total", 1)
 	if ten != nil {
 		obs.Add("lcpio_svc_tenant_"+ten.key+"_rejected_total", 1)
 	}
-	_ = code
 }
 
 // put lands one verified chunk: it advances the session's simulated clock
 // by the modeled compress time, serializes the wire transfer on the shared
-// medium timeline, and places the blob in the session's per-rank lane. The
+// medium timeline, and appends the blob at the session's running offset. The
 // queue wait — time the chunk sat compressed but unwritable because other
 // sessions held the medium — is the backpressure signal. The manifest CRC is
 // the sender's digest, which the verifier matched against these bytes. A
@@ -804,10 +808,10 @@ func (s *Server) put(sess *session, job *putJob) (PutReply, error) {
 		return PutReply{}, fmt.Errorf("svc: duplicate chunk %d", idx)
 	}
 	field, rank := idx%nf, idx/nf
-	if sess.rankUsed[rank]+int64(len(blob)) > sess.stride {
+	if sess.off+int64(len(blob))+sess.tail > sess.extCap {
 		return PutReply{}, fmt.Errorf(
-			"svc: rank %d lane overflow: %d + %d B exceeds negotiated stride %d B (ratio shortfall)",
-			rank, sess.rankUsed[rank], len(blob), sess.stride)
+			"svc: chunk %d: %d B at offset %d and the set's %d B tail exceed the %d B extent (ratio shortfall)",
+			idx, len(blob), sess.off, sess.tail, sess.extCap)
 	}
 	if sess.compSec[field] == 0 {
 		f := sess.req.Fields[field]
@@ -841,14 +845,13 @@ func (s *Server) put(sess *session, job *putJob) (PutReply, error) {
 		obs.Add("lcpio_svc_tenant_"+sess.ten.key+"_backpressure_total", 1)
 	}
 
-	rel := int64(ckpt.HeaderLen) + int64(rank)*sess.stride + sess.rankUsed[rank]
-	if _, err := sess.view.WriteAt(blob, rel); err != nil {
+	if _, err := sess.view.WriteAt(blob, sess.off); err != nil {
 		return PutReply{}, err
 	}
 	sess.m.Chunks[idx] = ckpt.ChunkInfo{
-		Rank: rank, Field: field, Offset: rel, Size: int64(len(blob)), CRC: job.hdr.CRC,
+		Rank: rank, Field: field, Offset: sess.off, Size: int64(len(blob)), CRC: job.hdr.CRC,
 	}
-	sess.rankUsed[rank] += int64(len(blob))
+	sess.off += int64(len(blob))
 	sess.seen[idx] = true
 	sess.nSeen++
 	sess.payload += int64(len(blob))
@@ -861,9 +864,10 @@ func (s *Server) put(sess *session, job *putJob) (PutReply, error) {
 	return PutReply{Idx: idx, QueueWaitSeconds: wait, Backpressure: bp}, nil
 }
 
-// closeSession finalizes the set (manifest + footer through ckpt's format
-// helpers), attributes the session's energy at the tuned clocks, refunds
-// the extent slack, and publishes the set for restore.
+// closeSession finalizes the set behind its last chunk (manifest + footer
+// through ckpt's format helpers), attributes the session's energy at the
+// tuned clocks, refunds everything of the extent the set does not occupy,
+// and publishes the set for restore.
 func (s *Server) closeSession(sess *session) (Result, error) {
 	if sess.broken.Load() {
 		return Result{}, errors.New("svc: session failed; nothing to finalize")
@@ -871,24 +875,22 @@ func (s *Server) closeSession(sess *session) (Result, error) {
 	if sess.nSeen != len(sess.seen) {
 		return Result{}, fmt.Errorf("svc: close with %d of %d chunks", sess.nSeen, len(sess.seen))
 	}
-	mOff := int64(ckpt.HeaderLen) + int64(sess.req.Ranks)*sess.stride
-	total, err := ckpt.FinalizeSet(sess.view, sess.m, mOff)
+	// total is header + chunks + manifest + footer with nothing between
+	// them: what crossed the wire, what the set occupies, and the FileBytes
+	// of an identical local ckpt.Write — which is what makes the energy
+	// attribution below reconcile exactly with a phases.CheckpointCampaign of
+	// the same set.
+	total, err := ckpt.FinalizeSet(sess.view, sess.m, sess.off)
 	if err != nil {
 		return Result{}, err
 	}
 
-	// The tail transfer (header flushed at open rides along here) takes
-	// its turn on the shared medium like any chunk.
-	tailBytes := int64(ckpt.HeaderLen) + (total - mOff)
-	wireSec := s.cfg.Mount.Write(tailBytes).NetworkSeconds
+	// The framing transfer (the header flushed at open rides along with the
+	// manifest and footer here) takes its turn on the shared medium like any
+	// chunk.
+	wireSec := s.cfg.Mount.Write(total - sess.payload).NetworkSeconds
 
 	raw := sess.req.RawBytes()
-	// transferBytes is what actually crossed the wire: header + chunks +
-	// manifest + footer. Extent slack never moves, so this equals the
-	// FileBytes of an identical local ckpt.Write — which is what makes
-	// the energy attribution below reconcile exactly with a
-	// phases.CheckpointCampaign of the same set.
-	transferBytes := tailBytes + sess.payload
 	ratio := float64(raw) / float64(sess.payload)
 	// Feed the measured ratio into the tenant's advice model: the next
 	// advise for this (codec, bound decade) prices with history, not the
@@ -898,7 +900,7 @@ func (s *Server) closeSession(sess *session) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	t, err := s.pr.Price(comp, s.pr.Move(s.cfg.Mount.Write, transferBytes))
+	t, err := s.pr.Price(comp, s.pr.Move(s.cfg.Mount.Write, total))
 	if err != nil {
 		return Result{}, err
 	}
@@ -932,7 +934,7 @@ func (s *Server) closeSession(sess *session) (Result, error) {
 	s.mu.Unlock()
 
 	res := Result{
-		SetBytes:     transferBytes,
+		SetBytes:     total,
 		PayloadBytes: sess.payload,
 		RawBytes:     raw,
 		Chunks:       len(sess.seen),

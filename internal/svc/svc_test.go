@@ -69,7 +69,20 @@ func startPair(t *testing.T, srv *Server) *Client {
 	return NewClient(cEnd)
 }
 
+// restoreEqual holds a set Client.Dump sent — its chunks in index order — to
+// a local dump of the same set: it restores to the same elements, and it is
+// that dump's image byte for byte.
 func restoreEqual(t *testing.T, srv *Server, name string, want ckpt.Set) {
+	t.Helper()
+	if local := restoresLikeLocal(t, srv, name, want); !bytes.Equal(setImage(t, srv, name), local) {
+		t.Fatalf("set %q: the daemon's image differs from a local ckpt.Write's %d B", name, len(local))
+	}
+}
+
+// restoresLikeLocal compares the restore of a daemon set, element for
+// element, with the restore of a local single-writer dump of want, and
+// returns that dump's image.
+func restoresLikeLocal(t *testing.T, srv *Server, name string, want ckpt.Set) []byte {
 	t.Helper()
 	view, err := srv.OpenSet(name)
 	if err != nil {
@@ -79,8 +92,6 @@ func restoreEqual(t *testing.T, srv *Server, name string, want ckpt.Set) {
 	if err != nil {
 		t.Fatalf("restore %q: %v", name, err)
 	}
-	// Byte-identical to a local dump+restore of the same set: the daemon
-	// must not perturb payload bytes, only placement.
 	local := ckpt.NewMemMedium()
 	if _, err := ckpt.Write(local, want, ckpt.WriteOptions{Workers: 2}); err != nil {
 		t.Fatalf("local write: %v", err)
@@ -103,6 +114,7 @@ func restoreEqual(t *testing.T, srv *Server, name string, want ckpt.Set) {
 			}
 		}
 	}
+	return local.Bytes()
 }
 
 func TestServiceRoundTrip(t *testing.T) {
@@ -517,7 +529,7 @@ func TestFrameRoundTrips(t *testing.T) {
 		t.Fatalf("open request round trip: %+v vs %+v", got, req)
 	}
 
-	acc := OpenAccept{Session: 7, ExtentBase: 100, ExtentBytes: 2048, RankStride: 512,
+	acc := OpenAccept{Session: 7, ExtentBase: 100, ExtentBytes: 2048,
 		ProjectedJoules: 3.5, AdmissionWaitSeconds: 0.25}
 	if got, err := parseOpenAccept(acc.encode()); err != nil || got != acc {
 		t.Fatalf("open accept round trip: %+v, %v", got, err)

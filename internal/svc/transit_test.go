@@ -335,9 +335,12 @@ func TestExtentReclaimOutOfOrderClose(t *testing.T) {
 	}
 }
 
-// TestExtentReclaimManyOutOfOrder drives a longer random-ish close order
-// and checks the invariant that once every session is gone, the watermark
-// equals the top of the highest finalized set.
+// TestExtentReclaimManyOutOfOrder drives a longer random-ish order of
+// hand-driven closes, aborts and whole Client.Dumps and checks what must hold
+// once every session is gone: the watermark equals the top of the highest
+// finalized set, the finalized sets' extents are disjoint, and the three
+// statements of what the tenant holds — its resident ledger, the listing,
+// the sets' own sizes — are one number.
 func TestExtentReclaimManyOutOfOrder(t *testing.T) {
 	srv := NewServer(Config{})
 	if err := srv.AddTenant(TenantConfig{Name: "climate"}); err != nil {
@@ -351,17 +354,45 @@ func TestExtentReclaimManyOutOfOrder(t *testing.T) {
 		accs[i] = openSession(t, clients[i], smallOpenReq(fmt.Sprintf("m%d", i), ""))
 	}
 	// Close the even sessions (keeping their sets resident), abort the odd
-	// ones, in an interleaved non-stack order.
-	results := make(map[int]Result)
-	for _, i := range []int{2, 0, 4} {
-		results[i] = finishSession(t, clients[i], accs[i])
+	// ones, in an interleaved non-stack order, with a dump of a larger set
+	// opened above them all part-way through.
+	var results []Result
+	finish := func(i int) { results = append(results, finishSession(t, clients[i], accs[i])) }
+	dump := func(name string) {
+		res, err := startPair(t, srv).Dump("climate", genSet(name, 3, len(results)), DumpOptions{Workers: 2})
+		if err != nil {
+			t.Fatalf("dump %s: %v", name, err)
+		}
+		results = append(results, res)
 	}
-	for _, i := range []int{1, 5, 3} {
-		abortSession(t, srv, accs[i].Session)
+	finish(2)
+	abortSession(t, srv, accs[1].Session)
+	dump("d0")
+	finish(0)
+	abortSession(t, srv, accs[5].Session)
+	finish(4)
+	abortSession(t, srv, accs[3].Session)
+	dump("d1")
+
+	var top, stored, listed int64
+	for i, r := range results {
+		top = max(top, r.ExtentBase+r.ExtentBytes)
+		stored += r.SetBytes
+		for j, o := range results[:i] {
+			if r.ExtentBase < o.ExtentBase+o.ExtentBytes && o.ExtentBase < r.ExtentBase+r.ExtentBytes {
+				t.Fatalf("extent %d [%d, +%d) overlaps extent %d [%d, +%d)",
+					i, r.ExtentBase, r.ExtentBytes, j, o.ExtentBase, o.ExtentBytes)
+			}
+		}
 	}
-	// Highest finalized set is m4: everything above its tail is free.
-	want := accs[4].ExtentBase + results[4].ExtentBytes
-	if got := srv.watermark(); got != want {
-		t.Fatalf("watermark %d with all sessions resolved, want %d", got, want)
+	if got := srv.watermark(); got != top {
+		t.Fatalf("watermark %d with all sessions resolved, want the highest set's top %d", got, top)
+	}
+	for _, e := range srv.List() {
+		listed += e.Bytes
+	}
+	if u, _ := srv.Usage("climate"); u.ResidentBytes != stored || listed != stored || u.ReservedBytes != 0 {
+		t.Fatalf("resident %d B, listed %d B, reserved %d B; the %d sets hold %d B",
+			u.ResidentBytes, listed, u.ReservedBytes, len(results), stored)
 	}
 }
