@@ -5,9 +5,11 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
+	"lcpio/internal/container"
 	"lcpio/internal/netsim"
 	"lcpio/internal/nfs"
 )
@@ -304,6 +306,40 @@ func TestVerifyShallowAndDeep(t *testing.T) {
 	}
 	if len(rep.Failed) != 1 || rep.Failed[0].Rank != 0 || rep.Failed[0].Field != 1 {
 		t.Fatalf("Verify failed list = %+v", rep.Failed)
+	}
+}
+
+// TestDeepVerifyBudget holds a deep verify of a 16 MiB set to what it needs:
+// each piece's stored bytes, read once to be digested, and per lane one slab
+// the size of the largest container chunk, which every piece decodes into.
+// Decoding each piece into an array of its own made this 1.1 × the raw bytes
+// on top.
+func TestDeepVerifyBudget(t *testing.T) {
+	const lanes = 2
+	set := deltaSet("deep", 4, 512, 1024)
+	med := NewMemMedium()
+	res := mustWrite(t, med, set, WriteOptions{Workers: lanes})
+	var slab int64
+	for _, f := range res.Manifest.Fields {
+		slab = max(slab, 4*min(int64(f.Elems()), container.DefaultChunkElems))
+	}
+	alloc := uint64(math.MaxUint64) // TotalAlloc is process-wide: the least of three
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep, err := VerifySet(med, VerifyOptions{Deep: true, Workers: lanes})
+		runtime.ReadMemStats(&after)
+		if err != nil || rep.ChunksOK != res.Chunks {
+			t.Fatalf("deep verify: %+v, %v", rep, err)
+		}
+		alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("raw %d B, stored %d B, slab %d B: deep verify allocated %d B", res.RawBytes, res.FileBytes, slab, alloc)
+	// The constant is the lanes' codec state, which every VerifySet makes
+	// anew, with the room -race needs (see TestDeltaWriteBudgets).
+	if budget := uint64(res.FileBytes+lanes*slab) + 4<<20; alloc > budget {
+		t.Fatalf("deep verify of %d raw bytes allocated %d, want <= %d (stored %d + %d slabs of %d + 4 MiB)",
+			res.RawBytes, alloc, budget, res.FileBytes, lanes, slab)
 	}
 }
 
