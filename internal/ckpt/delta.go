@@ -3,8 +3,8 @@ package ckpt
 import (
 	"errors"
 	"fmt"
+	"slices"
 
-	"lcpio/internal/container"
 	"lcpio/internal/dedup"
 	"lcpio/internal/obs"
 	"lcpio/internal/stream"
@@ -152,7 +152,7 @@ const maxRefRunLen = 1 << 30
 // lane is what one delta worker keeps from stream to stream: its packer, and
 // the hasher it digests float content through.
 type lane struct {
-	packer *container.Packer
+	pack   packFunc
 	hasher dedup.Float32Hasher
 }
 
@@ -218,7 +218,7 @@ func classifyStream(set *Set, base *Base, idx int, l *lane) (streamDelta, error)
 				j++
 			}
 			run := cur[c.start/4 : end/4]
-			blob, err := l.packer.Pack(run, []int{len(run)}, f.ErrorBound)
+			blob, err := l.pack(run, []int{len(run)}, f.ErrorBound)
 			if err != nil {
 				return streamDelta{}, err
 			}
@@ -270,12 +270,9 @@ func deltaWriter(set *Set, base *Base, m *Manifest, res *WriteResult, chunkElems
 	return streamWriter{
 		span: "ckpt.write.delta", pipeline: "ckpt.delta_write", stage: "classify_compress",
 		lane: func() stream.ProduceFunc {
-			packer, perr := lanePacker(set.Codec, chunkElems)
-			l := &lane{packer: packer}
+			l := &lane{pack: lanePack(set.Codec, chunkElems)}
 			return func(idx int) (_ []byte, err error) {
-				if err = perr; err == nil {
-					produced[idx], err = classifyStream(set, base, idx, l)
-				}
+				produced[idx], err = classifyStream(set, base, idx, l)
 				return nil, err
 			}
 		},
@@ -348,7 +345,7 @@ func sameGeometry(ranks int, fields []FieldInfo, bm *Manifest) error {
 		if f.Name != bf.Name {
 			return fmt.Errorf("field %d is %q, base has %q", i, f.Name, bf.Name)
 		}
-		if !dimsEqual(f.Dims, bf.Dims) {
+		if !slices.Equal(f.Dims, bf.Dims) {
 			return fmt.Errorf("field %q dims %v != base %v", f.Name, f.Dims, bf.Dims)
 		}
 	}

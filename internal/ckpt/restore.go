@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 
 	"lcpio/internal/container"
@@ -465,7 +466,7 @@ func decodePiece(u *container.Unpacker, p *piece, blob []byte) ([]float32, error
 	if err != nil {
 		return nil, err
 	}
-	if !dimsEqual(dims, p.dims) {
+	if !slices.Equal(dims, p.dims) {
 		return nil, fmt.Errorf("%w: chunk shape %v disagrees with manifest %v", ErrCorrupt, dims, p.dims)
 	}
 	return data, nil
@@ -479,22 +480,10 @@ func checkPiece(u *container.Unpacker, p *piece, blob []byte) error {
 	if err != nil {
 		return err
 	}
-	if !dimsEqual(info.Dims, p.dims) {
+	if !slices.Equal(info.Dims, p.dims) {
 		return fmt.Errorf("%w: chunk shape %v disagrees with manifest %v", ErrCorrupt, info.Dims, p.dims)
 	}
 	return u.Check(blob, FieldInfo{Dims: p.dims}.Elems())
-}
-
-func dimsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // VerifyReport summarizes a Verify pass.

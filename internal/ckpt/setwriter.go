@@ -8,20 +8,13 @@ import (
 )
 
 // This file is what every writer of a set shares: the header and tail
-// encoders, the in-order appender Write drains through, and the surface the
-// svc daemon finalizes a set through. The daemon appends chunks as session
-// frames arrive, at a running offset that starts at HeaderLen, exactly as
-// Write's drain does; it needs a format-correct header, manifest and footer
-// without the format internals leaking out of this package. A set finalized
-// through these helpers is read back by the unmodified Restore / VerifySet /
-// ReadManifest paths, and one whose chunks arrived in index order is the
-// image Write produces.
-//
-// The two writers share the encoders and not one appender type: Write's drain
-// goes through the retry path and keeps a simulated clock per blob (chunks,
-// delta runs, parity shards), the daemon's committer does a plain WriteAt
-// under its own shared-medium clock, and an appender serving both would have
-// each caller passing the other's arguments through.
+// encoders, the in-order appender Write drains through, and the two helpers
+// the svc daemon — which appends chunks at a running offset from HeaderLen as
+// session frames arrive, the way Write's drain does — opens and finalizes a
+// set through without the format internals leaking out of this package. Such
+// a set is read back by the unmodified Restore / VerifySet / ReadManifest
+// paths, and when its chunks arrived in index order it is Write's image.
+// (Why the daemon does not drain through setWriter itself: DESIGN §5j.)
 
 // HeaderLen is the fixed set header size: the offset of a set's first chunk.
 const HeaderLen = headerLen

@@ -259,25 +259,27 @@ type streamWriter struct {
 	commit func(w *setWriter, d stream.Item) (region []byte, err error)
 }
 
-// lanePacker is the packer a worker lane keeps from stream to stream.
-func lanePacker(codec string, chunkElems int) (*container.Packer, error) {
-	return container.NewPacker(codec, container.Options{ChunkElems: chunkElems, Parallelism: 1})
+// packFunc is the Pack of the packer a worker lane keeps from stream to
+// stream (or the reason it has none).
+type packFunc func(data []float32, dims []int, eb float64) ([]byte, error)
+
+func lanePack(codec string, chunkElems int) packFunc {
+	packer, err := container.NewPacker(codec, container.Options{ChunkElems: chunkElems, Parallelism: 1})
+	if err != nil {
+		return func([]float32, []int, float64) ([]byte, error) { return nil, err }
+	}
+	return packer.Pack
 }
 
-// PackLane returns one lane's producer of a full set's chunks: chunk idx —
-// rank-major, rank idx / fields — is that rank's array of field idx % fields,
-// packed on a packer the lane keeps. It is where a full set's chunk is made,
-// for Write's lanes and for a client that ships the chunks to the daemon
-// instead (svc.Client.Dump), so the two dumps store the same bytes.
+// PackLane returns one lane's producer of a full set's chunks: chunk idx is
+// rank idx / fields' array of field idx % fields. It is where a full set's
+// chunk is made — for Write's lanes and for svc.Client.Dump, which ships the
+// chunks to the daemon instead — so the two dumps store the same bytes.
 func PackLane(set *Set, chunkElems int) stream.ProduceFunc {
-	packer, perr := lanePacker(set.Codec, chunkElems)
-	nFields := len(set.Fields)
+	pack, nFields := lanePack(set.Codec, chunkElems), len(set.Fields)
 	return func(idx int) ([]byte, error) {
-		if perr != nil {
-			return nil, perr
-		}
 		f := &set.Fields[idx%nFields]
-		return packer.Pack(f.Data[idx/nFields], f.Dims, f.ErrorBound)
+		return pack(f.Data[idx/nFields], f.Dims, f.ErrorBound)
 	}
 }
 

@@ -113,10 +113,9 @@ type session struct {
 	m      *ckpt.Manifest
 	base   int64
 	extCap int64
-	// off is where the next chunk lands, relative to the extent: the
-	// committer appends chunks in arrival order behind the set header, as
-	// ckpt.Write's drain does. tail is the size of what closes the set behind
-	// the last of them (manifest + footer), fixed by the geometry at open.
+	// off is where the next chunk lands in the extent: chunks are appended in
+	// arrival order behind the set header, as ckpt.Write's drain appends them.
+	// tail is the size of the manifest + footer that will close the set.
 	off, tail int64
 	ratio     float64 // projected compression ratio the session was priced at
 	seen      []bool
@@ -637,10 +636,9 @@ func (s *Server) open(req OpenRequest) (*session, OpenAccept, *Reject, error) {
 		return nil, OpenAccept{}, nil, err
 	}
 
-	// The extent is measured from the set's first chunk: per rank its
-	// projected compressed share with extentSlack over it and room for the
-	// containers' own framing, then twice the estimated manifest. It is a
-	// reservation for the whole set — no rank has a share of its own.
+	// The extent, from the set's first chunk on: each rank's projected
+	// compressed share with extentSlack over it and room for container
+	// framing, then twice the estimated manifest. It is the set's as a whole.
 	start := int64(ckpt.HeaderLen)
 	perRank := req.RawBytes() / int64(req.Ranks)
 	extCap := start + 2*s.overhead(req) + int64(req.Ranks)*
@@ -715,12 +713,10 @@ func (s *Server) open(req OpenRequest) (*session, OpenAccept, *Reject, error) {
 	s.nextSess++
 	n := req.Ranks * len(req.Fields)
 	sess := &session{
-		id:  s.nextSess,
-		ten: ten,
-		req: req,
-		view: &subMedium{
-			inner: s.cfg.Medium, base: s.nextOff, size: extCap, limit: extCap,
-		},
+		id:        s.nextSess,
+		ten:       ten,
+		req:       req,
+		view:      &subMedium{inner: s.cfg.Medium, base: s.nextOff, size: extCap},
 		base:      s.nextOff,
 		extCap:    extCap,
 		off:       start,
@@ -875,19 +871,17 @@ func (s *Server) closeSession(sess *session) (Result, error) {
 	if sess.nSeen != len(sess.seen) {
 		return Result{}, fmt.Errorf("svc: close with %d of %d chunks", sess.nSeen, len(sess.seen))
 	}
-	// total is header + chunks + manifest + footer with nothing between
-	// them: what crossed the wire, what the set occupies, and the FileBytes
-	// of an identical local ckpt.Write — which is what makes the energy
-	// attribution below reconcile exactly with a phases.CheckpointCampaign of
-	// the same set.
+	// total is header + chunks + manifest + footer with nothing between:
+	// what crossed the wire, what the set occupies, and the FileBytes of an
+	// identical local ckpt.Write — so the energy attribution below reconciles
+	// exactly with a phases.CheckpointCampaign of the same set.
 	total, err := ckpt.FinalizeSet(sess.view, sess.m, sess.off)
 	if err != nil {
 		return Result{}, err
 	}
 
-	// The framing transfer (the header flushed at open rides along with the
-	// manifest and footer here) takes its turn on the shared medium like any
-	// chunk.
+	// The framing (the header flushed at open rides along with manifest and
+	// footer) takes its turn on the shared medium like any chunk.
 	wireSec := s.cfg.Mount.Write(total - sess.payload).NetworkSeconds
 
 	raw := sess.req.RawBytes()
@@ -921,11 +915,10 @@ func (s *Server) closeSession(sess *session) (Result, error) {
 	ten.active--
 	ten.joules += cs.Joules + ws.Joules
 	s.reclaimLocked(sess.base+sess.extCap, sess.base+total)
-	sess.view.size = total
-	sess.view.limit = total
 	sess.done = true
 	delete(s.sessions, sess.id)
 	delete(s.openNames, sess.req.SetName)
+	obs.Set("lcpio_svc_active_sessions", float64(len(s.sessions)))
 	s.sets[sess.req.SetName] = &setRecord{
 		tenant: ten.cfg.Name, base: sess.base, size: total,
 		raw: raw, joules: cs.Joules + ws.Joules,
@@ -962,9 +955,6 @@ func (s *Server) closeSession(sess *session) (Result, error) {
 	obs.AddFloat("lcpio_svc_tenant_"+key+"_queue_wait_seconds_total", res.QueueWaitSeconds)
 	obs.AddFloat("lcpio_svc_tenant_"+key+"_bytes_total", float64(res.PayloadBytes))
 	obs.Set("lcpio_svc_tenant_"+key+"_goodput_bps", res.GoodputBps)
-	s.mu.Lock()
-	obs.Set("lcpio_svc_active_sessions", float64(len(s.sessions)))
-	s.mu.Unlock()
 	return res, nil
 }
 
@@ -1012,7 +1002,7 @@ func (s *Server) OpenSet(name string) (ckpt.Medium, error) {
 	if rec == nil {
 		return nil, fmt.Errorf("svc: no such set %q", name)
 	}
-	return &subMedium{inner: s.cfg.Medium, base: rec.base, size: rec.size, limit: rec.size}, nil
+	return &subMedium{inner: s.cfg.Medium, base: rec.base, size: rec.size}, nil
 }
 
 // restoreSet performs a server-side restore+verify of a finalized set and
@@ -1038,16 +1028,12 @@ func (s *Server) restoreSet(name string) (RestoreReply, error) {
 	if err != nil {
 		return RestoreReply{}, err
 	}
-	ratio := 0.0
-	if rec.size > 0 {
-		ratio = float64(rec.raw) / float64(rec.size)
-	}
 	return RestoreReply{
 		Chunks:          got.Manifest.NumChunks(),
 		RawBytes:        rec.raw,
 		SimReadSeconds:  got.Report.SimReadSeconds,
 		ReadJoules:      read.Joules,
-		DecompressRatio: ratio,
+		DecompressRatio: float64(rec.raw) / float64(rec.size),
 	}, nil
 }
 
@@ -1075,22 +1061,21 @@ func (s *Server) Usage(name string) (TenantUsage, bool) {
 	}, true
 }
 
-// subMedium is an offset-translating window onto the shared medium. Size()
-// reports the window's logical size (the finalized set size after close),
-// which is how ckpt.ReadManifest finds the footer without the set being
-// alone on a medium.
+// subMedium is an offset-translating window onto the shared medium: a
+// session's extent while it fills, a finalized set once published. Size()
+// reports the window's size, which is how ckpt.ReadManifest finds the footer
+// without the set being alone on a medium.
 type subMedium struct {
 	inner ckpt.Medium
 	base  int64
 	size  int64
-	limit int64
 }
 
 func (v *subMedium) Size() int64 { return v.size }
 
 func (v *subMedium) WriteAt(p []byte, off int64) (int, error) {
-	if off < 0 || off+int64(len(p)) > v.limit {
-		return 0, fmt.Errorf("svc: write [%d, %d) escapes extent of %d B", off, off+int64(len(p)), v.limit)
+	if off < 0 || off+int64(len(p)) > v.size {
+		return 0, fmt.Errorf("svc: write [%d, %d) escapes extent of %d B", off, off+int64(len(p)), v.size)
 	}
 	return v.inner.WriteAt(p, v.base+off)
 }
