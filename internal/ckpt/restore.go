@@ -529,9 +529,10 @@ type VerifyOptions struct {
 // VerifySet checks a checkpoint set without materializing it: manifest
 // digest and structure always, then the CRC32C of every stored piece and
 // parity shard; with Deep it also decodes each piece, a container chunk at a
-// time into its lane's slab, to prove the payloads decode. The report says whether any damage found is still within
-// the erasure budget, and — when a delta set's base chain is provided —
-// whether every base reference still matches the restored base.
+// time into its lane's slab, to prove the payloads decode. The report says
+// whether any damage found is still within the erasure budget, and — when a
+// delta set's base chain is provided — whether every base reference still
+// matches the restored base.
 func VerifySet(med Medium, opts VerifyOptions) (*VerifyReport, error) {
 	workers := opts.Workers
 	if workers <= 0 {

@@ -40,25 +40,11 @@ func settled(t *testing.T, base int, what string) {
 // and the accounting are the reference Client.Dump is held to.
 func handDump(t *testing.T, c *Client, tenant string, set ckpt.Set, wireCodec string) Result {
 	t.Helper()
-	req := OpenRequest{
-		Tenant: tenant, SetName: set.Name, Meta: set.Meta, Codec: set.Codec,
-		Ranks: set.Ranks, RelEB: set.MeanRelEB(), WireCodec: wireCodec,
-	}
-	for _, f := range set.Fields {
-		req.Fields = append(req.Fields, ckpt.FieldInfo{Name: f.Name, Dims: f.Dims, ErrorBound: f.ErrorBound})
-	}
+	req := setOpenReq(tenant, set, 0)
+	req.WireCodec = wireCodec
 	acc := openSession(t, c, req)
-	packer, err := container.NewPacker(set.Codec, container.Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	nf := len(set.Fields)
-	for idx := 0; idx < set.Ranks*nf; idx++ {
-		f := &set.Fields[idx%nf]
-		blob, err := packer.Pack(f.Data[idx/nf], f.Dims, f.ErrorBound)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for idx, blob := range packAll(t, set) {
 		out := frame{Type: framePut, Session: acc.Session, Payload: encodePut(idx, blob)}
 		if wireCodec != "" {
 			out = frame{Type: framePutZ, Session: acc.Session,

@@ -712,14 +712,21 @@ func (s *Server) open(req OpenRequest) (*session, OpenAccept, *Reject, error) {
 
 	s.nextSess++
 	n := req.Ranks * len(req.Fields)
+	m := &ckpt.Manifest{
+		SetName: req.SetName, Meta: req.Meta, Codec: req.Codec,
+		Ranks: req.Ranks, Fields: req.Fields,
+		Chunks: make([]ckpt.ChunkInfo, n),
+	}
 	sess := &session{
 		id:        s.nextSess,
 		ten:       ten,
 		req:       req,
 		view:      &subMedium{inner: s.cfg.Medium, base: s.nextOff, size: extCap},
+		m:         m,
 		base:      s.nextOff,
 		extCap:    extCap,
 		off:       start,
+		tail:      m.TailBytes(),
 		ratio:     ratio,
 		wireCodec: req.WireCodec,
 		seen:      make([]bool, n),
@@ -727,12 +734,6 @@ func (s *Server) open(req OpenRequest) (*session, OpenAccept, *Reject, error) {
 		admitWait: time.Since(t0).Seconds(),
 		projJ:     projJ,
 	}
-	sess.m = &ckpt.Manifest{
-		SetName: req.SetName, Meta: req.Meta, Codec: req.Codec,
-		Ranks: req.Ranks, Fields: req.Fields,
-		Chunks: make([]ckpt.ChunkInfo, n),
-	}
-	sess.tail = sess.m.TailBytes()
 	if err := ckpt.WriteSetHeader(sess.view); err != nil {
 		return nil, OpenAccept{}, nil, err
 	}
