@@ -26,11 +26,11 @@ type Codec interface {
 	Decompress(buf []byte) ([]float32, []int, error)
 }
 
-// Handle is a codec: repeated calls reuse all codec scratch (quantization
-// codes, Huffman tables, bitstream and match buffers), reaching a
-// zero-allocation steady state. Both precisions are carried end to end, so
-// float64 bounds below float32 resolution are honored. Handles are NOT safe
-// for concurrent use — create one per worker goroutine.
+// Handle is a codec. sz and zfp handles reuse all scratch across calls, so a
+// warm call allocates a small constant, and refuse a hostile stream from its
+// header; squant, the flat baseline, allocates per call and inflates a stream
+// before checking it. Both precisions run end to end, so float64 bounds below
+// float32 resolution hold. NOT safe for concurrent use: one per goroutine.
 type Handle interface {
 	Codec
 	// CompressAppend appends the stream to dst, avoiding the output
