@@ -23,17 +23,6 @@ func nyxField(t *testing.T) *fpdata.Field {
 	return fpdata.Generate(spec, 16, 3) // 32^3
 }
 
-func maxAbsErr(a, b []float32) float64 {
-	m := 0.0
-	for i := range a {
-		d := math.Abs(float64(a[i]) - float64(b[i]))
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 func TestPackUnpackRoundTrip(t *testing.T) {
 	f := nyxField(t)
 	eb := compress.AbsBoundFromRelative(1e-3, f.Data)
@@ -49,7 +38,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 		if len(dims) != 3 || dims[0] != f.Dims[0] {
 			t.Fatalf("%s dims %v", codec, dims)
 		}
-		if e := maxAbsErr(f.Data, out); e > eb {
+		if e := compress.MaxAbsError(f.Data, out); e > eb {
 			t.Fatalf("%s bound violated: %g > %g", codec, e, eb)
 		}
 	}
@@ -100,7 +89,7 @@ func TestReadChunkMatchesSlab(t *testing.T) {
 		}
 		covered += dims[0]
 		slab := f.Data[startRow*rowElems : startRow*rowElems+len(vals)]
-		if e := maxAbsErr(slab, vals); e > eb {
+		if e := compress.MaxAbsError(slab, vals); e > eb {
 			t.Fatalf("chunk %d bound violated: %g", ci, e)
 		}
 	}
@@ -321,7 +310,7 @@ func TestQuickChunkingInvariant(t *testing.T) {
 			return false
 		}
 		out, _, err := Unpack(buf, Options{})
-		return err == nil && len(out) == n && maxAbsErr(data, out) <= eb
+		return err == nil && len(out) == n && compress.MaxAbsError(data, out) <= eb
 	}
 	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.25, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)

@@ -57,15 +57,11 @@ func FuzzDecompress(f *testing.F) {
 	f.Add(forgedStream(0))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		if out, dims, err := Decompress(in); err == nil {
-			if err := wire.CheckDims("squant", len(out), dims); err != nil {
-				t.Fatalf("decode succeeded with an incoherent shape: %v", err)
-			}
+		if out, dims, err := Decompress(in); err == nil && wire.CheckDims("squant", len(out), dims) != nil {
+			t.Fatalf("decode succeeded with dims %v for %d values", dims, len(out))
 		}
-		if out, dims, err := Decompress64(in); err == nil {
-			if err := wire.CheckDims("squant", len(out), dims); err != nil {
-				t.Fatalf("decode succeeded with an incoherent shape: %v", err)
-			}
+		if out, dims, err := Decompress64(in); err == nil && wire.CheckDims("squant", len(out), dims) != nil {
+			t.Fatalf("decode succeeded with dims %v for %d values", dims, len(out))
 		}
 	})
 }

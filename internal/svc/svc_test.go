@@ -92,9 +92,10 @@ func restoresLikeLocal(t *testing.T, srv *Server, name string, want ckpt.Set) []
 	if err != nil {
 		t.Fatalf("restore %q: %v", name, err)
 	}
+	_, image := localWrite(t, want)
 	local := ckpt.NewMemMedium()
-	if _, err := ckpt.Write(local, want, ckpt.WriteOptions{Workers: 2}); err != nil {
-		t.Fatalf("local write: %v", err)
+	if _, err := local.WriteAt(image, 0); err != nil {
+		t.Fatal(err)
 	}
 	ref, err := ckpt.Restore(local, ckpt.RestoreOptions{})
 	if err != nil {
@@ -114,7 +115,7 @@ func restoresLikeLocal(t *testing.T, srv *Server, name string, want ckpt.Set) []
 			}
 		}
 	}
-	return local.Bytes()
+	return image
 }
 
 func TestServiceRoundTrip(t *testing.T) {

@@ -64,10 +64,9 @@ func goldenNoisy32(dims []int) []float32 {
 }
 
 func goldenField64(dims []int) []float64 {
-	f32 := goldenField32(dims)
-	out := make([]float64, len(f32))
-	for i, v := range f32 {
-		out[i] = float64(v)
+	var out []float64
+	for _, v := range goldenField32(dims) {
+		out = append(out, float64(v))
 	}
 	return out
 }
@@ -105,11 +104,15 @@ func (tc goldenCase) file() string {
 	return fmt.Sprintf("golden_v%d_%s.%s", version, tc.name, kind)
 }
 
-func (tc goldenCase) data32() []float32 {
-	if tc.field32 != nil {
-		return tc.field32(tc.dims)
+// compress appends tc's stream, written by h, to dst.
+func (tc goldenCase) compress(h *Handle, dst []byte) ([]byte, error) {
+	switch {
+	case tc.f64:
+		return h.CompressAppend64(dst, goldenField64(tc.dims), tc.dims, tc.eb)
+	case tc.field32 != nil:
+		return h.CompressAppend(dst, tc.field32(tc.dims), tc.dims, tc.eb)
 	}
-	return goldenField32(tc.dims)
+	return h.CompressAppend(dst, goldenField32(tc.dims), tc.dims, tc.eb)
 }
 
 // partTarget is the partition granularity tc is recorded under.
@@ -167,54 +170,40 @@ func requireRefused(t *testing.T, stream []byte) {
 	}
 }
 
-// reconFile layout: uint32 ndims, ndims x uint64 dims, then raw
-// little-endian element bits.
-func writeReconFile(path string, dims []int, bits []byte) error {
-	var hdr []byte
-	var b4 [4]byte
-	binary.LittleEndian.PutUint32(b4[:], uint32(len(dims)))
-	hdr = append(hdr, b4[:]...)
+// bitsOf is vals' little-endian bit image.
+func bitsOf[F Float](vals []F) []byte {
+	var out []byte
+	for _, v := range vals {
+		if f, ok := any(v).(float32); ok {
+			out = binary.LittleEndian.AppendUint32(out, math.Float32bits(f))
+		} else {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(float64(v)))
+		}
+	}
+	return out
+}
+
+// decodeRecon decodes stream at the precision its path names and returns the
+// image a .recon file holds: uint32 ndims, ndims x uint64 dims, then the
+// decoded element bits.
+func decodeRecon(path string, stream []byte) ([]byte, error) {
+	var dims []int
+	var bits []byte
+	var err error
+	if strings.Contains(path, ".f64.") {
+		var out []float64
+		out, dims, err = Decompress64(stream)
+		bits = bitsOf(out)
+	} else {
+		var out []float32
+		out, dims, err = Decompress(stream)
+		bits = bitsOf(out)
+	}
+	img := binary.LittleEndian.AppendUint32(nil, uint32(len(dims)))
 	for _, d := range dims {
-		var b8 [8]byte
-		binary.LittleEndian.PutUint64(b8[:], uint64(d))
-		hdr = append(hdr, b8[:]...)
+		img = binary.LittleEndian.AppendUint64(img, uint64(d))
 	}
-	return os.WriteFile(path, append(hdr, bits...), 0o644)
-}
-
-func readReconFile(t *testing.T, path string) ([]int, []byte) {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) < 4 {
-		t.Fatalf("%s: truncated recon file", path)
-	}
-	nd := int(binary.LittleEndian.Uint32(raw))
-	raw = raw[4:]
-	dims := make([]int, nd)
-	for i := range dims {
-		dims[i] = int(binary.LittleEndian.Uint64(raw))
-		raw = raw[8:]
-	}
-	return dims, raw
-}
-
-func float32Bits(vals []float32) []byte {
-	out := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(v))
-	}
-	return out
-}
-
-func float64Bits(vals []float64) []byte {
-	out := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
-	}
-	return out
+	return append(img, bits...), err
 }
 
 // TestGoldenStreams pins compressed streams and their decoded images. With
@@ -225,57 +214,34 @@ func float64Bits(vals []float64) []byte {
 func TestGoldenStreams(t *testing.T) {
 	dir := "testdata"
 	if *updateGolden {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
 		saved := partTargetElems
 		defer func() { partTargetElems = saved }()
 		for _, tc := range goldenCases {
 			partTargetElems = tc.partTarget()
-			base := tc.file()
-			var stream []byte
-			var reconBits []byte
-			var err error
-			if tc.f64 {
-				stream, err = Compress64(goldenField64(tc.dims), tc.dims, tc.eb)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out, _, derr := Decompress64(stream)
-				if derr != nil {
-					t.Fatal(derr)
-				}
-				reconBits = float64Bits(out)
-			} else {
-				stream, err = Compress(tc.data32(), tc.dims, tc.eb)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out, _, derr := Decompress(stream)
-				if derr != nil {
-					t.Fatal(derr)
-				}
-				reconBits = float32Bits(out)
-			}
-			if err := os.WriteFile(filepath.Join(dir, base+".szs"), stream, 0o644); err != nil {
+			path := filepath.Join(dir, tc.file()+".szs")
+			stream, err := tc.compress(NewHandle(1), nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := writeReconFile(filepath.Join(dir, base+".recon"), tc.dims, reconBits); err != nil {
+			img, err := decodeRecon(path, stream)
+			if err == nil {
+				err = os.WriteFile(path, stream, 0o644)
+			}
+			if err == nil {
+				err = os.WriteFile(strings.TrimSuffix(path, ".szs")+".recon", img, 0o644)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("wrote %s (%d stream bytes)", base, len(stream))
+			t.Logf("wrote %s (%d stream bytes)", path, len(stream))
 		}
 	}
 
-	streams, err := filepath.Glob(filepath.Join(dir, "golden_*.szs"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	streams, _ := filepath.Glob(filepath.Join(dir, "golden_*.szs"))
 	if len(streams) == 0 {
 		t.Fatal("no golden streams; run with -update once")
 	}
 	for _, path := range streams {
-		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
 			stream, err := os.ReadFile(path)
 			if err != nil {
@@ -285,41 +251,21 @@ func TestGoldenStreams(t *testing.T) {
 				requireRefused(t, stream)
 				return
 			}
-			wantDims, wantBits := readReconFile(t, strings.TrimSuffix(path, ".szs")+".recon")
-			var gotBits []byte
-			var gotDims []int
-			if strings.Contains(path, ".f64.") {
-				out, d, err := Decompress64(stream)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotBits, gotDims = float64Bits(out), d
-			} else {
-				out, d, err := Decompress(stream)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotBits, gotDims = float32Bits(out), d
+			want, err := os.ReadFile(strings.TrimSuffix(path, ".szs") + ".recon")
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(gotDims) != len(wantDims) {
-				t.Fatalf("dims %v, want %v", gotDims, wantDims)
-			}
-			for i := range gotDims {
-				if gotDims[i] != wantDims[i] {
-					t.Fatalf("dims %v, want %v", gotDims, wantDims)
-				}
-			}
-			if !bytes.Equal(gotBits, wantBits) {
-				t.Fatalf("decoded image differs from pinned golden")
+			if got, err := decodeRecon(path, stream); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("err %v, or the decoded image differs from the pinned one", err)
 			}
 		})
 	}
 }
 
-// TestHandleMatchesGoldens: at every worker count a Handle's Compress,
-// CompressAppend and Compress64 write exactly the committed streams (under
-// the partition granularity they were recorded with), so the one
-// configuration the codec has left is the one the goldens pin.
+// TestHandleMatchesGoldens: at every worker count a Handle's CompressAppend
+// and CompressAppend64 write exactly the committed streams (under the
+// partition granularity they were recorded with), so the one configuration
+// the codec has left is the one the goldens pin.
 func TestHandleMatchesGoldens(t *testing.T) {
 	saved := partTargetElems
 	defer func() { partTargetElems = saved }()
@@ -334,24 +280,9 @@ func TestHandleMatchesGoldens(t *testing.T) {
 			t.Fatalf("%s: %d of %d partitions stored, want all of several", name, storedPartitions(parts), len(parts))
 		}
 		for _, workers := range []int{1, 2, 8} {
-			h := NewHandle(workers)
-			var got, appended []byte
-			if tc.f64 {
-				got, err = h.Compress64(goldenField64(tc.dims), tc.dims, tc.eb)
-				if err == nil {
-					appended, err = h.CompressAppend64([]byte("pre"), goldenField64(tc.dims), tc.dims, tc.eb)
-				}
-			} else {
-				got, err = h.Compress(tc.data32(), tc.dims, tc.eb)
-				if err == nil {
-					appended, err = h.CompressAppend([]byte("pre"), tc.data32(), tc.dims, tc.eb)
-				}
-			}
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
-			}
-			if !bytes.Equal(got, want) || !bytes.Equal(appended, append([]byte("pre"), want...)) {
-				t.Fatalf("%s workers=%d: handle bytes differ from the committed stream", name, workers)
+			got, err := tc.compress(NewHandle(workers), []byte("pre"))
+			if err != nil || !bytes.Equal(got, append([]byte("pre"), want...)) {
+				t.Fatalf("%s workers=%d: err %v, or handle bytes differ from the committed stream", name, workers, err)
 			}
 		}
 	}

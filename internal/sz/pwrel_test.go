@@ -198,6 +198,27 @@ func TestQuickPWRelInvariant(t *testing.T) {
 	}
 }
 
+// TestDecompressIntoRefusesPWRel: a pointwise-relative stream is its own
+// format behind its own entry points; the Into path refuses it as Decompress
+// does, leaving dst alone.
+func TestDecompressIntoRefusesPWRel(t *testing.T) {
+	stream, err := CompressPWRel(goldenNoisy32([]int{4096}), []int{4096}, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecompressPWRel(stream); err != nil {
+		t.Fatal(err)
+	}
+	dst := []float32{float32(math.NaN())}
+	_, _, err = NewHandle(1).DecompressInto(dst[:0], stream)
+	if _, _, derr := Decompress(stream); err == nil || derr == nil {
+		t.Fatalf("pw-rel stream decoded as a plain one: Into %v, Decompress %v", err, derr)
+	}
+	if dst[0] == dst[0] {
+		t.Fatal("refusal wrote into dst")
+	}
+}
+
 func BenchmarkCompressPWRel(b *testing.B) {
 	data := make([]float32, 1<<17)
 	for i := range data {

@@ -1,6 +1,7 @@
 package sz
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -11,42 +12,32 @@ import (
 	"lcpio/internal/wire"
 )
 
-func maxAbsErr(a, b []float32) float64 {
-	m := 0.0
-	for i := range a {
-		d := math.Abs(float64(a[i]) - float64(b[i]))
-		if d > m {
-			m = d
-		}
+// The bound, worker identity, Into and hostile-bytes contracts every codec
+// shares are the compress package's conformance suite, which runs them on the
+// same classes as the tests below; these hold what only sz claims on them.
+
+// ratio is data's raw size over its one-worker stream's at eb.
+func ratio[F Float](t *testing.T, data []F, dims []int, eb float64) float64 {
+	t.Helper()
+	stream, err := compressInto(NewHandle(1), nil, data, dims, eb)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return m
+	return float64(len(data)*int(wire.ElemBits[F]()/8)) / float64(len(stream))
 }
 
-func roundTrip(t *testing.T, data []float32, dims []int, eb float64) ([]byte, []float32) {
+// decoded is data back through its one-worker stream at eb.
+func decoded[F Float](t *testing.T, data []F, dims []int, eb float64) []F {
 	t.Helper()
-	comp, err := Compress(data, dims, eb)
+	stream, err := compressInto(NewHandle(1), nil, data, dims, eb)
 	if err != nil {
-		t.Fatalf("Compress: %v", err)
+		t.Fatal(err)
 	}
-	out, gotDims, err := Decompress(comp)
+	out, _, err := decompressWith[F](NewHandle(1), nil, stream)
 	if err != nil {
-		t.Fatalf("Decompress: %v", err)
+		t.Fatal(err)
 	}
-	if len(gotDims) != len(dims) {
-		t.Fatalf("dims %v, want %v", gotDims, dims)
-	}
-	for i := range dims {
-		if gotDims[i] != dims[i] {
-			t.Fatalf("dims %v, want %v", gotDims, dims)
-		}
-	}
-	if len(out) != len(data) {
-		t.Fatalf("len %d, want %d", len(out), len(data))
-	}
-	if e := maxAbsErr(data, out); e > eb {
-		t.Fatalf("error bound violated: %g > %g", e, eb)
-	}
-	return comp, out
+	return out
 }
 
 func TestConstantField(t *testing.T) {
@@ -54,9 +45,8 @@ func TestConstantField(t *testing.T) {
 	for i := range data {
 		data[i] = 3.25
 	}
-	comp, _ := roundTrip(t, data, []int{4096}, 1e-3)
-	if len(comp) > 2048 {
-		t.Fatalf("constant field should compress tiny, got %d bytes", len(comp))
+	if r := ratio(t, data, []int{4096}, 1e-3); r < 8 {
+		t.Fatalf("constant field should compress to <= 2048 bytes, got ratio %.1f", r)
 	}
 }
 
@@ -65,12 +55,13 @@ func TestLinearRamp1D(t *testing.T) {
 	for i := range data {
 		data[i] = float32(i) * 0.001
 	}
-	comp, _ := roundTrip(t, data, []int{10000}, 1e-4)
-	if r := float64(len(data)*4) / float64(len(comp)); r < 10 {
+	if r := ratio(t, data, []int{10000}, 1e-4); r < 10 {
 		t.Fatalf("linear ramp should compress >10x, got %.1f", r)
 	}
 }
 
+// TestSmooth2D: the 2-D Lorenzo predictor pays — the same values read as one
+// long row compress to barely half as much.
 func TestSmooth2D(t *testing.T) {
 	d1, d2 := 64, 128
 	data := make([]float32, d1*d2)
@@ -79,7 +70,10 @@ func TestSmooth2D(t *testing.T) {
 			data[i*d2+j] = float32(math.Sin(float64(i)/9) * math.Cos(float64(j)/11))
 		}
 	}
-	roundTrip(t, data, []int{d1, d2}, 1e-3)
+	r2, r1 := ratio(t, data, []int{d1, d2}, 1e-3), ratio(t, data, []int{d1 * d2}, 1e-3)
+	if r2 < 1.5*r1 {
+		t.Fatalf("2-D ratio %.2f vs %.2f as 1-D; want the 2-D predictor 1.5x ahead", r2, r1)
+	}
 }
 
 func TestSmooth3D(t *testing.T) {
@@ -92,65 +86,98 @@ func TestSmooth3D(t *testing.T) {
 			}
 		}
 	}
-	roundTrip(t, data, []int{d, d, d}, 1e-4)
+	if r := ratio(t, data, []int{d, d, d}, 1e-4); r < 15 {
+		t.Fatalf("smooth 3-D ratio %.2f; want >= 15", r)
+	}
 }
 
 func TestErrorBoundSweep(t *testing.T) {
 	spec, _ := fpdata.Lookup("NYX", "")
 	f := fpdata.Generate(spec, 32, 5)
 	lo, hi := f.Range()
-	rng := float64(hi - lo)
-	var prevSize int
+	prev := math.Inf(1)
 	for _, rel := range []float64{1e-1, 1e-2, 1e-3, 1e-4} {
-		eb := rel * rng
-		comp, _ := roundTrip(t, f.Data, f.Dims, eb)
-		if prevSize > 0 && len(comp) < prevSize {
-			t.Errorf("finer bound %g produced smaller stream (%d < %d)", rel, len(comp), prevSize)
+		r := ratio(t, f.Data, f.Dims, rel*float64(hi-lo))
+		if r > prev {
+			t.Errorf("finer bound %g compressed better (%.2f > %.2f)", rel, r, prev)
 		}
-		prevSize = len(comp)
+		prev = r
 	}
 }
 
+// TestRandomNoiseStillBounded: noise far wider than the quantizer's range is
+// stored verbatim, and the stream still fits in the raw bytes.
 func TestRandomNoiseStillBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	data := make([]float32, 5000)
 	for i := range data {
 		data[i] = float32(rng.NormFloat64() * 1e6)
 	}
-	roundTrip(t, data, []int{5000}, 0.5)
+	if r := ratio(t, data, []int{5000}, 0.5); r < 1 {
+		t.Fatalf("noise expanded: ratio %.3f", r)
+	}
 }
 
+// TestExtremeValues: values beyond the quantizer's range are unpredictable
+// and come back exactly.
 func TestExtremeValues(t *testing.T) {
 	data := []float32{0, math.MaxFloat32, -math.MaxFloat32, 1e-38, -1e-38,
 		1, -1, 65504, 3.4e38, -3.4e38, 0, 0, 0, 0, 0, 0}
-	roundTrip(t, data, []int{len(data)}, 1e-3)
+	out := decoded(t, data, []int{len(data)}, 1e-3)
+	for _, i := range []int{1, 2, 8, 9} {
+		if out[i] != data[i] {
+			t.Errorf("element %d: %g decoded as %g", i, data[i], out[i])
+		}
+	}
 }
 
+// TestSingleElement: one element is one partition.
 func TestSingleElement(t *testing.T) {
-	roundTrip(t, []float32{42.5}, []int{1}, 1e-2)
+	stream, err := Compress([]float32{42.5}, []int{1}, 1e-2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parts := partitionPayloads(t, stream); len(parts) != 1 {
+		t.Fatalf("%d partitions for one element", len(parts))
+	}
 }
 
 func TestHACCStyle1D(t *testing.T) {
 	spec, _ := fpdata.Lookup("HACC", "")
 	f := fpdata.Generate(spec, 20000, 9)
 	lo, hi := f.Range()
-	roundTrip(t, f.Data, f.Dims, 1e-2*float64(hi-lo))
+	if r := ratio(t, f.Data, f.Dims, 1e-2*float64(hi-lo)); r < 6 {
+		t.Fatalf("HACC-like 1-D ratio %.2f; want >= 6", r)
+	}
 }
 
 func TestCESMStyle3D(t *testing.T) {
 	spec, _ := fpdata.Lookup("CESM-ATM", "")
 	f := fpdata.Generate(spec, 32, 9)
 	lo, hi := f.Range()
-	roundTrip(t, f.Data, f.Dims, 1e-3*float64(hi-lo))
+	if r := ratio(t, f.Data, f.Dims, 1e-3*float64(hi-lo)); r < 9 {
+		t.Fatalf("CESM-like 3-D ratio %.2f; want >= 9", r)
+	}
 }
 
+// TestLeadingSingletonDimsTreatedAs1D: HACC's shape is 1 x N; it takes the
+// 1-D path, so its stream is the 1-D one plus the extra dimension's word.
 func TestLeadingSingletonDimsTreatedAs1D(t *testing.T) {
-	// HACC's shape is 1 x N; it must take the 1-D path and round-trip.
 	data := make([]float32, 2048)
 	for i := range data {
 		data[i] = float32(i % 17)
 	}
-	roundTrip(t, data, []int{1, 2048}, 1e-3)
+	a, err := Compress(data, []int{1, 2048}, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Compress(data, []int{2048}, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) != len(b)+8 {
+		t.Fatalf("1 x 2048 stream %d bytes, 2048 stream %d: want one u64 apart", len(a), len(b))
+	}
 }
 
 func TestEffectiveDim(t *testing.T) {
@@ -176,34 +203,25 @@ func TestSquash3FoldsExtraDims(t *testing.T) {
 	}
 }
 
+// TestInvalidInputs: a shape that does not fit the data and a bound that is not
+// positive and finite are refused with a sz error, though the shape caps
+// are package wire's.
 func TestInvalidInputs(t *testing.T) {
 	data := []float32{1, 2, 3}
-	if _, err := Compress(data, []int{4}, 1e-3); err == nil {
-		t.Error("dims/data mismatch accepted")
-	}
-	if _, err := Compress(data, nil, 1e-3); err == nil {
-		t.Error("empty dims accepted")
-	}
-	if _, err := Compress(data, []int{3}, 0); err == nil {
-		t.Error("zero error bound accepted")
-	}
-	if _, err := Compress(data, []int{3}, -1); err == nil {
-		t.Error("negative error bound accepted")
-	}
-	// The shape caps are package wire's; the error is this package's.
-	for _, dims := range [][]int{{1, 1, 1, 1, 1, 1, 1, 1, 3}, {3, 0}} {
-		if _, err := Compress(data, dims, 1e-3); err == nil || !strings.HasPrefix(err.Error(), "sz: ") {
-			t.Errorf("dims %v: got %v, want an sz error", dims, err)
+	for _, c := range []struct {
+		dims []int
+		eb   float64
+	}{
+		{[]int{4}, 1e-3}, {nil, 1e-3}, {[]int{3}, 0}, {[]int{3}, -1}, {[]int{3}, math.NaN()},
+		{[]int{-3}, 1e-3}, {[]int{1, 1, 1, 1, 1, 1, 1, 1, 3}, 1e-3}, {[]int{3, 0}, 1e-3},
+	} {
+		if _, err := Compress(data, c.dims, c.eb); err == nil || !strings.HasPrefix(err.Error(), "sz: ") {
+			t.Errorf("dims %v eb %g: got %v, want an sz error", c.dims, c.eb, err)
 		}
-	}
-	if _, err := Compress(data, []int{3}, math.NaN()); err == nil {
-		t.Error("NaN error bound accepted")
-	}
-	if _, err := Compress(data, []int{-3}, 1e-3); err == nil {
-		t.Error("negative dim accepted")
 	}
 }
 
+// TestDecompressCorrupt: a truncated or garbage stream is ErrCorrupt.
 func TestDecompressCorrupt(t *testing.T) {
 	data := make([]float32, 1000)
 	for i := range data {
@@ -213,44 +231,20 @@ func TestDecompressCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cut := range []int{0, 1, len(comp) / 2, len(comp) - 1} {
-		if _, _, err := Decompress(comp[:cut]); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
+	for _, bad := range [][]byte{comp[:0], comp[:1], comp[:len(comp)/2], comp[:len(comp)-1], []byte("definitely not a stream")} {
+		if _, _, err := Decompress(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%d-byte stream: %v, want ErrCorrupt", len(bad), err)
 		}
-	}
-	if _, _, err := Decompress([]byte("definitely not a stream")); err == nil {
-		t.Error("garbage accepted")
 	}
 }
 
-// Property: for arbitrary finite data, the absolute error bound holds.
-func TestQuickErrorBoundInvariant(t *testing.T) {
-	f := func(seed int64, ebExp uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(2000) + 1
-		data := make([]float32, n)
-		for i := range data {
-			// Mix of scales, including subnormals and large magnitudes.
-			data[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4)))
-		}
-		eb := math.Pow(10, -float64(ebExp%6)) // 1 .. 1e-5
-		comp, err := Compress(data, []int{n}, eb)
-		if err != nil {
-			return false
-		}
-		out, _, err := Decompress(comp)
-		if err != nil || len(out) != n {
-			return false
-		}
-		return maxAbsErr(data, out) <= eb
-	}
-	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.4, Rand: rand.New(rand.NewSource(1))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: 2-D and 3-D paths preserve the bound for random smooth fields.
+// TestQuickErrorBoundMultiDim: the bound on random smooth 2-D fields holds at
+// a partition granularity of 64 elements, where every field crosses partition
+// borders in both directions — a plan the compress suite cannot set.
 func TestQuickErrorBoundMultiDim(t *testing.T) {
+	saved := partTargetElems
+	partTargetElems = 64
+	defer func() { partTargetElems = saved }()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d1, d2 := rng.Intn(30)+2, rng.Intn(30)+2
@@ -258,36 +252,44 @@ func TestQuickErrorBoundMultiDim(t *testing.T) {
 		for i := range data {
 			data[i] = float32(math.Sin(float64(i)/3) * 100)
 		}
-		eb := 1e-3
-		comp, err := Compress(data, []int{d1, d2}, eb)
-		if err != nil {
-			return false
-		}
-		out, _, err := Decompress(comp)
-		return err == nil && maxAbsErr(data, out) <= eb
+		return withinBound(data, []int{d1, d2}, 1e-3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.3, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// withinBound reports whether data decodes within eb of itself under the
+// partition granularity the caller set.
+func withinBound[F Float](data []F, dims []int, eb float64) bool {
+	stream, err := compressInto(NewHandle(2), nil, data, dims, eb)
+	if err != nil {
+		return false
+	}
+	out, _, err := decompressWith[F](NewHandle(2), nil, stream)
+	if err != nil || len(out) != len(data) {
+		return false
+	}
+	for i := range out {
+		if !(math.Abs(float64(out[i])-float64(data[i])) <= eb) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestIdempotentRecompression: a reconstruction sits on the quantizer's
+// grid, so compressing it again at the same bound costs no more than the
+// original did.
 func TestIdempotentRecompression(t *testing.T) {
-	// Compressing already-reconstructed data at the same bound must keep
-	// values within bound of the *original* reconstruction (stability).
 	data := make([]float32, 2000)
 	for i := range data {
 		data[i] = float32(math.Sin(float64(i) / 20))
 	}
-	eb := 1e-3
-	comp1, _ := Compress(data, []int{2000}, eb)
-	out1, _, _ := Decompress(comp1)
-	comp2, _ := Compress(out1, []int{2000}, eb)
-	out2, _, err := Decompress(comp2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := maxAbsErr(out1, out2); e > eb {
-		t.Fatalf("recompression drift %g > %g", e, eb)
+	const eb = 1e-3
+	out := decoded(t, data, []int{2000}, eb)
+	if r1, r2 := ratio(t, data, []int{2000}, eb), ratio(t, out, []int{2000}, eb); r2 < r1 {
+		t.Fatalf("recompressed reconstruction ratio %.2f < original %.2f", r2, r1)
 	}
 }
 
@@ -320,24 +322,6 @@ func BenchmarkCompressField(b *testing.B) {
 			}
 			b.ReportMetric(float64(f.SizeBytes())/float64(len(dst)), "ratio")
 		})
-	}
-}
-
-func BenchmarkDecompressNYX(b *testing.B) {
-	spec, _ := fpdata.Lookup("NYX", "")
-	f := fpdata.Generate(spec, 16, 2)
-	lo, hi := f.Range()
-	comp, err := Compress(f.Data, f.Dims, 1e-3*float64(hi-lo))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(f.SizeBytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Decompress(comp); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

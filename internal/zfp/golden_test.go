@@ -45,28 +45,53 @@ func goldenField32(dims []int) []float32 {
 	return data
 }
 
-func goldenField64(dims []int) []float64 {
-	f32 := goldenField32(dims)
-	out := make([]float64, len(f32))
-	for i, v := range f32 {
-		out[i] = float64(v)
-	}
-	return out
-}
-
-var goldenCases = []struct {
+type goldenCase struct {
 	name string
 	dims []int
 	mode Mode
 	// param: tolerance or bits/value depending on mode
 	param float64
 	f64   bool
-}{
+}
+
+var goldenCases = []goldenCase{
 	{"acc_3d", []int{12, 12, 12}, ModeFixedAccuracy, 1e-3, false},
 	{"acc_2d", []int{40, 40}, ModeFixedAccuracy, 1e-4, false},
 	{"acc_1d", []int{1000}, ModeFixedAccuracy, 1e-3, false},
 	{"acc_3d_f64", []int{12, 12, 12}, ModeFixedAccuracy, 1e-6, true},
 	{"rate_3d", []int{12, 12, 12}, ModeFixedRate, 8, false},
+}
+
+func (tc goldenCase) file() string {
+	kind := "f32"
+	if tc.f64 {
+		kind = "f64"
+	}
+	return fmt.Sprintf("golden_v%d_%s.%s.zfs", version, tc.name, kind)
+}
+
+// compress appends tc's stream to dst: a fixed-accuracy one written by h, a
+// fixed-rate one by the one-shot.
+func (tc goldenCase) compress(h *Handle, dst []byte) ([]byte, error) {
+	f32 := goldenField32(tc.dims)
+	if tc.mode == ModeFixedRate {
+		// Fixed-rate mode rejects non-finite input.
+		for i, v := range f32 {
+			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+				f32[i] = 1.5
+			}
+		}
+		stream, err := CompressFixedRate(f32, tc.dims, tc.param)
+		return append(dst, stream...), err
+	}
+	if tc.f64 {
+		var f64 []float64
+		for _, v := range f32 {
+			f64 = append(f64, float64(v))
+		}
+		return h.CompressAppend64(dst, f64, tc.dims, tc.param)
+	}
+	return h.CompressAppend(dst, f32, tc.dims, tc.param)
 }
 
 // retiredGolden is a stream of the fixed-precision mode the codec no longer
@@ -136,84 +161,40 @@ func TestRetiredConfigurationsRefused(t *testing.T) {
 	}
 }
 
-func writeReconFile(path string, dims []int, bits []byte) error {
-	var hdr []byte
-	var b4 [4]byte
-	binary.LittleEndian.PutUint32(b4[:], uint32(len(dims)))
-	hdr = append(hdr, b4[:]...)
-	for _, d := range dims {
-		var b8 [8]byte
-		binary.LittleEndian.PutUint64(b8[:], uint64(d))
-		hdr = append(hdr, b8[:]...)
-	}
-	return os.WriteFile(path, append(hdr, bits...), 0o644)
-}
-
-func readReconFile(t *testing.T, path string) ([]int, []byte) {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) < 4 {
-		t.Fatalf("%s: truncated recon file", path)
-	}
-	nd := int(binary.LittleEndian.Uint32(raw))
-	raw = raw[4:]
-	dims := make([]int, nd)
-	for i := range dims {
-		dims[i] = int(binary.LittleEndian.Uint64(raw))
-		raw = raw[8:]
-	}
-	return dims, raw
-}
-
-func float32Bits(vals []float32) []byte {
-	out := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(v))
-	}
-	return out
-}
-
-func float64Bits(vals []float64) []byte {
-	out := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
-	}
-	return out
-}
-
-func goldenCompress(tc struct {
-	name  string
-	dims  []int
-	mode  Mode
-	param float64
-	f64   bool
-}) ([]byte, error) {
-	f32 := goldenField32(tc.dims)
-	if tc.mode != ModeFixedAccuracy {
-		// Fixed-rate mode rejects non-finite input.
-		for i, v := range f32 {
-			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-				f32[i] = 1.5
-			}
+// bitsOf is vals' little-endian bit image.
+func bitsOf[F Float](vals []F) []byte {
+	var out []byte
+	for _, v := range vals {
+		if f, ok := any(v).(float32); ok {
+			out = binary.LittleEndian.AppendUint32(out, math.Float32bits(f))
+		} else {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(float64(v)))
 		}
 	}
-	f64 := make([]float64, len(f32))
-	for i, v := range f32 {
-		f64[i] = float64(v)
+	return out
+}
+
+// decodeRecon decodes stream at the precision its path names and returns the
+// image a .recon file holds: uint32 ndims, ndims x uint64 dims, then the
+// decoded element bits.
+func decodeRecon(path string, stream []byte) ([]byte, error) {
+	var dims []int
+	var bits []byte
+	var err error
+	if strings.Contains(path, ".f64.") {
+		var out []float64
+		out, dims, err = Decompress64(stream)
+		bits = bitsOf(out)
+	} else {
+		var out []float32
+		out, dims, err = Decompress(stream)
+		bits = bitsOf(out)
 	}
-	switch {
-	case tc.mode == ModeFixedRate && tc.f64:
-		return compressFixedRate(f64, tc.dims, tc.param)
-	case tc.mode == ModeFixedRate:
-		return CompressFixedRate(f32, tc.dims, tc.param)
-	case tc.f64:
-		return Compress64(f64, tc.dims, tc.param)
-	default:
-		return Compress(f32, tc.dims, tc.param)
+	img := binary.LittleEndian.AppendUint32(nil, uint32(len(dims)))
+	for _, d := range dims {
+		img = binary.LittleEndian.AppendUint64(img, uint64(d))
 	}
+	return append(img, bits...), err
 }
 
 // TestHandleMatchesGoldens: at every worker count a Handle's Compress,
@@ -229,99 +210,52 @@ func TestHandleMatchesGoldens(t *testing.T) {
 		if tc.mode != ModeFixedAccuracy {
 			continue
 		}
-		kind := "f32"
-		if tc.f64 {
-			kind = "f64"
-		}
-		name := fmt.Sprintf("golden_v%d_%s.%s.zfs", version, tc.name, kind)
-		want, err := os.ReadFile(filepath.Join("testdata", name))
+		want, err := os.ReadFile(filepath.Join("testdata", tc.file()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		f32 := goldenField32(tc.dims)
-		f64 := make([]float64, len(f32))
-		for i, v := range f32 {
-			f64[i] = float64(v)
-		}
 		for _, workers := range []int{1, 2, 8} {
-			h := NewHandle(workers)
-			var got, appended []byte
-			if tc.f64 {
-				got, err = h.Compress64(f64, tc.dims, tc.param)
-				if err == nil {
-					appended, err = h.CompressAppend64([]byte("pre"), f64, tc.dims, tc.param)
-				}
-			} else {
-				got, err = h.Compress(f32, tc.dims, tc.param)
-				if err == nil {
-					appended, err = h.CompressAppend([]byte("pre"), f32, tc.dims, tc.param)
-				}
-			}
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
-			}
-			if !bytes.Equal(got, want) || !bytes.Equal(appended, append([]byte("pre"), want...)) {
-				t.Fatalf("%s workers=%d: handle bytes differ from the committed stream", name, workers)
+			got, err := tc.compress(NewHandle(workers), []byte("pre"))
+			if err != nil || !bytes.Equal(got, append([]byte("pre"), want...)) {
+				t.Fatalf("%s workers=%d: err %v, or handle bytes differ from the committed stream", tc.file(), workers, err)
 			}
 		}
 	}
 }
 
 // TestGoldenStreams pins compressed streams and their decoded images. With
-// -update it regenerates the current version's files (forcing a small shard
-// granularity so the shard index machinery is exercised); without it, every
+// -update it regenerates the current version's files; without it, every
 // pinned stream on disk — including ones written by older encoders — must
 // decode bit-identically to its pinned image, or, for the retired
 // fixed-precision stream, be refused.
 func TestGoldenStreams(t *testing.T) {
 	dir := "testdata"
 	if *updateGolden {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
 		for _, tc := range goldenCases {
-			kind := "f32"
-			if tc.f64 {
-				kind = "f64"
-			}
-			base := fmt.Sprintf("golden_v%d_%s.%s", version, tc.name, kind)
-			stream, err := goldenCompress(tc)
+			path := filepath.Join(dir, tc.file())
+			stream, err := tc.compress(NewHandle(1), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var reconBits []byte
-			if tc.f64 {
-				out, _, derr := Decompress64(stream)
-				if derr != nil {
-					t.Fatal(derr)
-				}
-				reconBits = float64Bits(out)
-			} else {
-				out, _, derr := Decompress(stream)
-				if derr != nil {
-					t.Fatal(derr)
-				}
-				reconBits = float32Bits(out)
+			img, err := decodeRecon(path, stream)
+			if err == nil {
+				err = os.WriteFile(path, stream, 0o644)
 			}
-			if err := os.WriteFile(filepath.Join(dir, base+".zfs"), stream, 0o644); err != nil {
+			if err == nil {
+				err = os.WriteFile(strings.TrimSuffix(path, ".zfs")+".recon", img, 0o644)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := writeReconFile(filepath.Join(dir, base+".recon"), tc.dims, reconBits); err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("wrote %s (%d stream bytes)", base, len(stream))
+			t.Logf("wrote %s (%d stream bytes)", path, len(stream))
 		}
 	}
 
-	streams, err := filepath.Glob(filepath.Join(dir, "golden_*.zfs"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	streams, _ := filepath.Glob(filepath.Join(dir, "golden_*.zfs"))
 	if len(streams) == 0 {
 		t.Fatal("no golden streams; run with -update once")
 	}
 	for _, path := range streams {
-		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
 			stream, err := os.ReadFile(path)
 			if err != nil {
@@ -331,32 +265,12 @@ func TestGoldenStreams(t *testing.T) {
 				requireRefused(t, stream)
 				return
 			}
-			wantDims, wantBits := readReconFile(t, strings.TrimSuffix(path, ".zfs")+".recon")
-			var gotBits []byte
-			var gotDims []int
-			if strings.Contains(path, ".f64.") {
-				out, d, err := Decompress64(stream)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotBits, gotDims = float64Bits(out), d
-			} else {
-				out, d, err := Decompress(stream)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotBits, gotDims = float32Bits(out), d
+			want, err := os.ReadFile(strings.TrimSuffix(path, ".zfs") + ".recon")
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(gotDims) != len(wantDims) {
-				t.Fatalf("dims %v, want %v", gotDims, wantDims)
-			}
-			for i := range gotDims {
-				if gotDims[i] != wantDims[i] {
-					t.Fatalf("dims %v, want %v", gotDims, wantDims)
-				}
-			}
-			if !bytes.Equal(gotBits, wantBits) {
-				t.Fatalf("decoded image differs from pinned golden")
+			if got, err := decodeRecon(path, stream); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("err %v, or the decoded image differs from the pinned one", err)
 			}
 		})
 	}

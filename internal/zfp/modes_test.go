@@ -58,7 +58,10 @@ func TestFixedRateRoundTripQuality(t *testing.T) {
 		if len(dims) != 3 || dims[0] != d {
 			t.Fatalf("dims %v", dims)
 		}
-		e := maxAbsErr(data, out)
+		e := 0.0
+		for i := range data {
+			e = max(e, math.Abs(float64(out[i])-float64(data[i])))
+		}
 		// Error decreases (weakly) with rate and becomes tiny at 40 bpv.
 		if e > prevErr*1.01 {
 			t.Errorf("rate %v: error %g above lower-rate error %g", rate, e, prevErr)

@@ -2,6 +2,7 @@ package zfp
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 
@@ -29,93 +30,80 @@ func multiShardField(t *testing.T) ([]float32, []int) {
 	return data, dims
 }
 
-// TestParallelBytesDeterministic: fixed-accuracy output must be
-// byte-identical at every worker count — the shard layout depends only on
-// the block grid.
-func TestParallelBytesDeterministic(t *testing.T) {
-	data, dims := multiShardField(t)
-	const eb = 1e-3
+// The compress suite holds byte identity across workers and reuse, and
+// DecompressInto against Decompress, on its own field; the tests below hold
+// them where zfp's plan is known to fan out into a full set of shards.
 
-	ref, err := NewHandle(1).Compress(data, dims, eb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for workers := 2; workers <= 8; workers++ {
-		got, err := NewHandle(workers).Compress(data, dims, eb)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !bytes.Equal(ref, got) {
-			t.Fatalf("workers=%d: compressed bytes differ from serial (%d vs %d bytes)",
-				workers, len(got), len(ref))
-		}
-	}
-}
-
-// TestParallelDecodeEquivalence: one fixed stream decodes to identical
-// values, within the bound, at every decoder worker count.
-func TestParallelDecodeEquivalence(t *testing.T) {
-	data, dims := multiShardField(t)
-	const eb = 1e-3
-
-	buf, err := Compress(data, dims, eb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ref []float32
+// matches holds got's bytes at 1 to 8 workers to want.
+func matches(t *testing.T, want []byte, got func(workers int) ([]byte, error)) {
+	t.Helper()
 	for workers := 1; workers <= 8; workers++ {
-		out, gotDims, err := NewHandle(workers).Decompress(buf)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(gotDims) != len(dims) || gotDims[0] != dims[0] {
-			t.Fatalf("workers=%d: dims %v, want %v", workers, gotDims, dims)
-		}
-		for i := range data {
-			if d := math.Abs(float64(out[i]) - float64(data[i])); d > eb {
-				t.Fatalf("workers=%d: element %d error %g > bound %g", workers, i, d, eb)
-			}
-		}
-		if ref == nil {
-			ref = out
-			continue
-		}
-		for i := range ref {
-			if ref[i] != out[i] {
-				t.Fatalf("workers=%d: element %d = %g, serial decode = %g", workers, i, out[i], ref[i])
-			}
+		if b, err := got(workers); err != nil || !bytes.Equal(b, want) {
+			t.Fatalf("workers=%d: err %v, or the bytes differ from the one-shot's", workers, err)
 		}
 	}
 }
 
-// TestCompressorReuseMatchesOneShot: handle reuse must not change bytes.
-func TestCompressorReuseMatchesOneShot(t *testing.T) {
-	data, dims := multiShardField(t)
-	const eb = 5e-4
-
-	want, err := Compress(data, dims, eb)
+// oneShot is data's one-shot stream at 1e-3 and the stream's decoded bits.
+func oneShot(t *testing.T, data []float32, dims []int) (stream, decoded []byte) {
+	stream, err := Compress(data, dims, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewHandle(0)
-	for round := 0; round < 3; round++ {
-		got, err := h.Compress(data, dims, eb)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if !bytes.Equal(want, got) {
-			t.Fatalf("round %d: reused Handle produced different bytes", round)
-		}
-		out, _, err := h.Decompress(got)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		for i := range data {
-			if diff := math.Abs(float64(out[i]) - float64(data[i])); diff > eb {
-				t.Fatalf("round %d: element %d error %g > %g", round, i, diff, eb)
-			}
-		}
+	out, _, err := Decompress(stream)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return stream, bitsOf(out)
+}
+
+// fannedOut is multiShardField, its one-shot stream and decoded bits.
+func fannedOut(t *testing.T) (data []float32, dims []int, stream, decoded []byte) {
+	data, dims = multiShardField(t)
+	stream, decoded = oneShot(t, data, dims)
+	return data, dims, stream, decoded
+}
+
+// TestParallelBytesDeterministic: the stream is the same at every worker
+// count — the shard layout depends only on the block grid.
+func TestParallelBytesDeterministic(t *testing.T) {
+	data, dims, stream, _ := fannedOut(t)
+	matches(t, stream, func(w int) ([]byte, error) { return NewHandle(w).Compress(data, dims, 1e-3) })
+}
+
+// TestParallelDecodeEquivalence: one stream decodes to the same bits at every
+// decoder worker count.
+func TestParallelDecodeEquivalence(t *testing.T) {
+	_, _, stream, decoded := fannedOut(t)
+	matches(t, decoded, func(w int) ([]byte, error) {
+		out, _, err := NewHandle(w).Decompress(stream)
+		return bitsOf(out), err
+	})
+}
+
+// TestDecompressIntoMatchesGoldens: every shard decodes straight into its
+// blocks of a NaN-poisoned dst.
+func TestDecompressIntoMatchesGoldens(t *testing.T) {
+	data, _, stream, decoded := fannedOut(t)
+	dst := make([]float32, len(data))
+	matches(t, decoded, func(w int) ([]byte, error) {
+		for i := range dst {
+			dst[i] = float32(math.NaN())
+		}
+		out, _, err := NewHandle(w).DecompressInto(dst, stream)
+		if err == nil && &out[0] != &dst[0] {
+			err = errors.New("decoded outside dst")
+		}
+		return bitsOf(dst), err
+	})
+}
+
+// TestCompressorReuseMatchesOneShot: a reused all-core handle writes the
+// one-shot stream on each of eight rounds.
+func TestCompressorReuseMatchesOneShot(t *testing.T) {
+	data, dims, stream, _ := fannedOut(t)
+	h := NewHandle(0)
+	matches(t, stream, func(int) ([]byte, error) { return h.Compress(data, dims, 1e-3) })
 }
 
 // TestHandleScratchLazyPerDirection: one handle owns both directions, but a

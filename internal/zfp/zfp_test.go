@@ -1,6 +1,8 @@
 package zfp
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -8,57 +10,71 @@ import (
 	"testing/quick"
 
 	"lcpio/internal/fpdata"
+	"lcpio/internal/wire"
 )
 
-func maxAbsErr(a, b []float32) float64 {
-	m := 0.0
-	for i := range a {
-		d := math.Abs(float64(a[i]) - float64(b[i]))
-		if d > m {
-			m = d
-		}
+// The bound, worker identity, Into and hostile-bytes contracts every codec
+// shares are the compress package's conformance suite, which runs them on the
+// same classes as the tests below; these hold what only zfp claims on them.
+
+// ratio is data's raw size over its one-worker stream's at eb.
+func ratio[F Float](t *testing.T, data []F, dims []int, eb float64) float64 {
+	t.Helper()
+	stream, err := compressInto(NewHandle(1), nil, data, dims, eb)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return m
+	return float64(len(data)*int(wire.ElemBits[F]()/8)) / float64(len(stream))
 }
 
-func roundTrip(t *testing.T, data []float32, dims []int, eb float64) []byte {
+// decoded is data back through its one-worker stream at eb.
+func decoded[F Float](t *testing.T, data []F, dims []int, eb float64) []F {
 	t.Helper()
-	comp, err := Compress(data, dims, eb)
+	stream, err := compressInto(NewHandle(1), nil, data, dims, eb)
 	if err != nil {
-		t.Fatalf("Compress: %v", err)
+		t.Fatal(err)
 	}
-	out, gotDims, err := Decompress(comp)
+	out, _, err := decompressWith[F](NewHandle(1), nil, stream)
 	if err != nil {
-		t.Fatalf("Decompress: %v", err)
+		t.Fatal(err)
 	}
-	if len(out) != len(data) {
-		t.Fatalf("len %d, want %d", len(out), len(data))
+	return out
+}
+
+// withinBound reports whether data decodes within eb of itself under the
+// shard plan the caller set.
+func withinBound[F Float](data []F, dims []int, eb float64) bool {
+	stream, err := compressInto(NewHandle(2), nil, data, dims, eb)
+	if err != nil {
+		return false
 	}
-	for i := range dims {
-		if gotDims[i] != dims[i] {
-			t.Fatalf("dims %v, want %v", gotDims, dims)
+	out, _, err := decompressWith[F](NewHandle(2), nil, stream)
+	if err != nil || len(out) != len(data) {
+		return false
+	}
+	for i := range out {
+		if !(math.Abs(float64(out[i])-float64(data[i])) <= eb) {
+			return false
 		}
 	}
-	if e := maxAbsErr(data, out); e > eb {
-		t.Fatalf("tolerance violated: %g > %g", e, eb)
-	}
-	return comp
+	return true
 }
 
 func TestZeroField(t *testing.T) {
-	data := make([]float32, 256)
-	comp := roundTrip(t, data, []int{256}, 1e-6)
-	if len(comp) > 200 {
-		t.Fatalf("zero field should compress to near-header size, got %d", len(comp))
+	if r := ratio(t, make([]float32, 256), []int{256}, 1e-6); r < 1024.0/200 {
+		t.Fatalf("zero field should compress to near-header size, got ratio %.2f", r)
 	}
 }
 
+// TestConstantField3D: a constant block is its DC coefficient alone.
 func TestConstantField3D(t *testing.T) {
 	data := make([]float32, 16*16*16)
 	for i := range data {
 		data[i] = 2.5
 	}
-	roundTrip(t, data, []int{16, 16, 16}, 1e-4)
+	if r := ratio(t, data, []int{16, 16, 16}, 1e-4); r < 25 {
+		t.Fatalf("constant 3-D field ratio %.2f; want >= 25", r)
+	}
 }
 
 func TestSmooth1D(t *testing.T) {
@@ -66,23 +82,27 @@ func TestSmooth1D(t *testing.T) {
 	for i := range data {
 		data[i] = float32(math.Sin(float64(i) / 50))
 	}
-	comp := roundTrip(t, data, []int{4000}, 1e-3)
 	// 1-D blocks carry a 20-bit header per 4 values, so expect a modest
 	// ratio.
-	if r := float64(len(data)*4) / float64(len(comp)); r < 1.9 {
+	if r := ratio(t, data, []int{4000}, 1e-3); r < 1.9 {
 		t.Fatalf("smooth 1-D should compress ~2x, got %.2f", r)
 	}
 }
 
+// TestSmooth2D: 4x4 blocks pay even when neither dimension is a multiple of
+// four — the same values read as one row compress worse.
 func TestSmooth2D(t *testing.T) {
-	d1, d2 := 60, 100 // deliberately not multiples of 4 (partial blocks)
+	d1, d2 := 60, 100
 	data := make([]float32, d1*d2)
 	for i := 0; i < d1; i++ {
 		for j := 0; j < d2; j++ {
 			data[i*d2+j] = float32(math.Sin(float64(i)/9) * math.Cos(float64(j)/7))
 		}
 	}
-	roundTrip(t, data, []int{d1, d2}, 1e-4)
+	r2, r1 := ratio(t, data, []int{d1, d2}, 1e-4), ratio(t, data, []int{d1 * d2}, 1e-4)
+	if r2 < 1.3*r1 {
+		t.Fatalf("2-D ratio %.2f vs %.2f as 1-D; want 2-D blocks 1.3x ahead", r2, r1)
+	}
 }
 
 func TestSmooth3D(t *testing.T) {
@@ -95,10 +115,9 @@ func TestSmooth3D(t *testing.T) {
 			}
 		}
 	}
-	comp := roundTrip(t, data, []int{d, d, d}, 1e-3)
 	// 18^3 means every axis ends in a padded partial block (~37% replicated
 	// samples), so expect less than the full-block ratio.
-	if r := float64(len(data)*4) / float64(len(comp)); r < 2 {
+	if r := ratio(t, data, []int{d, d, d}, 1e-3); r < 2 {
 		t.Fatalf("smooth 3-D should compress >2x even with partial blocks, got %.2f", r)
 	}
 }
@@ -107,14 +126,13 @@ func TestAccuracySweepMonotone(t *testing.T) {
 	spec, _ := fpdata.Lookup("NYX", "")
 	f := fpdata.Generate(spec, 32, 5)
 	lo, hi := f.Range()
-	rng := float64(hi - lo)
-	var prev int
+	prev := math.Inf(1)
 	for _, rel := range []float64{1e-1, 1e-2, 1e-3, 1e-4} {
-		comp := roundTrip(t, f.Data, f.Dims, rel*rng)
-		if prev > 0 && len(comp) < prev {
-			t.Errorf("finer tolerance %g gave smaller stream (%d < %d)", rel, len(comp), prev)
+		r := ratio(t, f.Data, f.Dims, rel*float64(hi-lo))
+		if r > prev {
+			t.Errorf("finer tolerance %g compressed better (%.2f > %.2f)", rel, r, prev)
 		}
-		prev = len(comp)
+		prev = r
 	}
 }
 
@@ -125,27 +143,12 @@ func TestNonFiniteValuesGoRaw(t *testing.T) {
 	}
 	data[10] = float32(math.NaN())
 	data[33] = float32(math.Inf(1))
-	comp, err := Compress(data, []int{64}, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _, err := Decompress(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsNaN(float64(out[10])) {
-		t.Errorf("NaN not preserved: %v", out[10])
-	}
-	if !math.IsInf(float64(out[33]), 1) {
-		t.Errorf("+Inf not preserved: %v", out[33])
-	}
-	// Finite values in raw blocks round-trip exactly; the rest respect eb.
-	for i, v := range out {
-		if i == 10 || i == 33 {
-			continue
-		}
-		if math.Abs(float64(v)-float64(data[i])) > 1e-3 {
-			t.Fatalf("bound violated at %d: %v vs %v", i, v, data[i])
+	out := decoded(t, data, []int{64}, 1e-3)
+	// The blocks holding them (8..11, 32..35) are raw: their finite values
+	// come back exactly.
+	for _, i := range []int{8, 9, 11, 32, 34, 35} {
+		if out[i] != data[i] {
+			t.Errorf("element %d of a raw block: %g decoded as %g", i, data[i], out[i])
 		}
 	}
 }
@@ -158,73 +161,90 @@ func TestTinyToleranceFallsBackToRaw(t *testing.T) {
 	for i := range data {
 		data[i] = float32(rng.NormFloat64())
 	}
-	comp, err := Compress(data, []int{64}, 1e-30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _, err := Decompress(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := decoded(t, data, []int{64}, 1e-30)
 	for i := range data {
 		if out[i] != data[i] {
-			// raw fallback stores bit-exact float32
-			if math.Abs(float64(out[i])-float64(data[i])) > 1e-30 {
-				t.Fatalf("raw fallback not exact at %d: %v vs %v", i, out[i], data[i])
-			}
+			t.Fatalf("raw fallback not exact at %d: %v vs %v", i, out[i], data[i])
 		}
 	}
 }
 
+// TestMixedMagnitudes: a block's common exponent is its largest value's, so
+// that value comes back exactly while the block's small ones fall to the
+// tolerance's grid.
 func TestMixedMagnitudes(t *testing.T) {
 	data := []float32{1e-20, 1e20, -1e20, 1, -1, 0, 3.14, -2.71,
 		1e10, -1e-10, 42, 0.001, 7e7, -7e-7, 0, 1e5}
-	roundTrip(t, data, []int{16}, 1.0)
+	out := decoded(t, data, []int{16}, 1.0)
+	for _, i := range []int{1, 2, 8, 12, 15} {
+		if out[i] != data[i] {
+			t.Errorf("block maximum %d: %g decoded as %g", i, data[i], out[i])
+		}
+	}
 }
 
+// TestSingletonDims: singleton dimensions fold away, so each costs the
+// stream only its u64 in the header.
 func TestSingletonDims(t *testing.T) {
 	data := make([]float32, 128)
 	for i := range data {
 		data[i] = float32(i) / 8
 	}
-	roundTrip(t, data, []int{1, 128}, 1e-3)
-	roundTrip(t, data, []int{1, 1, 128}, 1e-3)
-	roundTrip(t, data, []int{8, 16}, 1e-3)
-	roundTrip(t, data, []int{2, 8, 8}, 1e-3)
+	var lens []int
+	for _, dims := range [][]int{{128}, {1, 128}, {1, 1, 128}} {
+		stream, err := Compress(data, dims, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lens = append(lens, len(stream))
+	}
+	if lens[1] != lens[0]+8 || lens[2] != lens[0]+16 {
+		t.Fatalf("stream lengths %v for 128, 1x128, 1x1x128; want one u64 apart", lens)
+	}
 }
 
+// TestOddLengths: a partial block is padded, never split — an odd length's
+// stream is no longer than the next multiple of four's.
 func TestOddLengths(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 15, 17, 63, 65} {
+	length := func(n int) int {
 		data := make([]float32, n)
 		for i := range data {
 			data[i] = float32(math.Sin(float64(i)))
 		}
-		roundTrip(t, data, []int{n}, 1e-4)
+		stream, err := Compress(data, []int{n}, 1e-4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(stream)
 	}
-}
-
-func TestInvalidInputs(t *testing.T) {
-	data := []float32{1, 2, 3, 4}
-	if _, err := Compress(data, []int{5}, 1e-3); err == nil {
-		t.Error("dims mismatch accepted")
-	}
-	if _, err := Compress(data, nil, 1e-3); err == nil {
-		t.Error("nil dims accepted")
-	}
-	if _, err := Compress(data, []int{4}, 0); err == nil {
-		t.Error("zero tolerance accepted")
-	}
-	if _, err := Compress(data, []int{4}, math.Inf(1)); err == nil {
-		t.Error("infinite tolerance accepted")
-	}
-	// The shape caps are package wire's; the error is this package's.
-	for _, dims := range [][]int{{1, 1, 1, 1, 1, 1, 1, 1, 4}, {4, 0}} {
-		if _, err := Compress(data, dims, 1e-3); err == nil || !strings.HasPrefix(err.Error(), "zfp: ") {
-			t.Errorf("dims %v: got %v, want a zfp error", dims, err)
+	for _, n := range []int{1, 2, 3, 5, 7, 15, 17, 63, 65} {
+		if odd, whole := length(n), length((n+3)/4*4); odd > whole {
+			t.Errorf("n=%d: %d bytes, more than the %d of n=%d", n, odd, whole, (n+3)/4*4)
 		}
 	}
 }
 
+// TestInvalidInputs: a shape that does not fit the data and a bound that is not
+// positive and finite are refused with a zfp error, though the shape caps
+// are package wire's.
+func TestInvalidInputs(t *testing.T) {
+	data := []float32{1, 2, 3, 4}
+	for _, c := range []struct {
+		dims []int
+		eb   float64
+	}{
+		{[]int{5}, 1e-3}, {nil, 1e-3}, {[]int{4}, 0}, {[]int{4}, math.Inf(1)},
+		{[]int{1, 1, 1, 1, 1, 1, 1, 1, 4}, 1e-3}, {[]int{4, 0}, 1e-3},
+	} {
+		if _, err := Compress(data, c.dims, c.eb); err == nil || !strings.HasPrefix(err.Error(), "zfp: ") {
+			t.Errorf("dims %v eb %g: got %v, want a zfp error", c.dims, c.eb, err)
+		}
+	}
+}
+
+// TestDecompressCorrupt: a truncated or garbage stream is ErrCorrupt, and so
+// is a header claiming far more blocks than the payload could code — refused
+// before the output it describes is sized.
 func TestDecompressCorrupt(t *testing.T) {
 	data := make([]float32, 300)
 	for i := range data {
@@ -234,14 +254,20 @@ func TestDecompressCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cut := range []int{0, 4, 11, len(comp) / 2} {
-		if _, _, err := Decompress(comp[:cut]); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
+	for _, bad := range [][]byte{comp[:0], comp[:4], comp[:11], comp[:len(comp)/2], make([]byte, 64)} {
+		if _, _, err := Decompress(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%d-byte stream: %v, want ErrCorrupt", len(bad), err)
 		}
 	}
-	garbage := make([]byte, 64)
-	if _, _, err := Decompress(garbage); err == nil {
-		t.Error("garbage accepted")
+	// One dim: dims[0] at byte 20, then the tolerance, the shard count and
+	// the shard size. Claim 2^22 elements in one shard that covers them all.
+	forged := append([]byte(nil), comp...)
+	binary.LittleEndian.PutUint64(forged[20:], 1<<22)
+	binary.LittleEndian.PutUint32(forged[36:], 1)
+	binary.LittleEndian.PutUint32(forged[40:], 1<<20)
+	requireRefused(t, forged)
+	if _, _, err := Decompress(forged); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("forged element count: %v, want ErrCorrupt", err)
 	}
 }
 
@@ -371,7 +397,8 @@ func TestPlaneCodingRoundTrip(t *testing.T) {
 	}
 }
 
-// toleranceCase is TestQuickToleranceInvariant's generator: up to 1500
+// toleranceCase is the generator the tolerance property ran on when it found
+// TestToleranceNearULP's inputs: up to 1500
 // normal values at magnitudes 1e-3..1e3 and a tolerance in 1e0..1e-5, so
 // some cases put the tolerance near or below a float32 ULP of the data.
 func toleranceCase(seed int64, tolExp uint8) (data []float32, eb float64) {
@@ -397,24 +424,6 @@ func shapes(n int) [][]int {
 	return out
 }
 
-func TestQuickToleranceInvariant(t *testing.T) {
-	f := func(seed int64, tolExp uint8) bool {
-		data, eb := toleranceCase(seed, tolExp)
-		comp, err := Compress(data, []int{len(data)}, eb)
-		if err != nil {
-			return false
-		}
-		out, _, err := Decompress(comp)
-		if err != nil || len(out) != len(data) {
-			return false
-		}
-		return maxAbsErr(data, out) <= eb
-	}
-	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.3, Rand: rand.New(rand.NewSource(1))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestToleranceNearULP pins inputs whose tolerance sits within a float32
 // ULP of the block magnitude. The verifier used to compare the float64
 // reconstruction against the bound while the decoder stores it rounded to
@@ -438,38 +447,30 @@ func TestToleranceNearULP(t *testing.T) {
 			for _, d := range dims {
 				n *= d
 			}
-			comp, err := Compress(data[:n], dims, eb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, _, err := Decompress(comp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := maxAbsErr(data[:n], out); got > eb {
-				t.Errorf("seed %d dims %v: float32 error %g > tolerance %g", c.seed, dims, got, eb)
-			}
-
 			data64 := make([]float64, n)
 			for i := range data64 {
 				data64[i] = float64(data[i])
 			}
-			comp, err = Compress64(data64, dims, eb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out64, _, err := Decompress64(comp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := maxAbsErr64(data64, out64); got > eb {
-				t.Errorf("seed %d dims %v: float64 error %g > tolerance %g", c.seed, dims, got, eb)
+			if !withinBound(data[:n], dims, eb) || !withinBound(data64, dims, eb) {
+				t.Errorf("seed %d dims %v: error past tolerance %g", c.seed, dims, eb)
 			}
 		}
 	}
 }
 
+// smallShards pins the shard plan to shards as small as one block for the
+// rest of the test, so every stream is many shards — a plan the compress
+// suite cannot set.
+func smallShards(t *testing.T) {
+	saved := shardMinBlocks
+	shardMinBlocks = 1
+	t.Cleanup(func() { shardMinBlocks = saved })
+}
+
+// TestQuickTolerance3D: the tolerance holds on random 3-D shapes, partial
+// blocks on every axis, cut into one-block shards.
 func TestQuickTolerance3D(t *testing.T) {
+	smallShards(t)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d0, d1, d2 := rng.Intn(9)+1, rng.Intn(9)+1, rng.Intn(9)+1
@@ -477,52 +478,9 @@ func TestQuickTolerance3D(t *testing.T) {
 		for i := range data {
 			data[i] = float32(math.Sin(float64(i)/4) * 50)
 		}
-		eb := 1e-2
-		comp, err := Compress(data, []int{d0, d1, d2}, eb)
-		if err != nil {
-			return false
-		}
-		out, _, err := Decompress(comp)
-		return err == nil && maxAbsErr(data, out) <= eb
+		return withinBound(data, []int{d0, d1, d2}, 1e-2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.3, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkCompressNYX(b *testing.B) {
-	spec, _ := fpdata.Lookup("NYX", "")
-	f := fpdata.Generate(spec, 16, 2)
-	lo, hi := f.Range()
-	eb := 1e-3 * float64(hi-lo)
-	b.SetBytes(f.SizeBytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	var compLen int
-	for i := 0; i < b.N; i++ {
-		comp, err := Compress(f.Data, f.Dims, eb)
-		if err != nil {
-			b.Fatal(err)
-		}
-		compLen = len(comp)
-	}
-	b.ReportMetric(float64(f.SizeBytes())/float64(compLen), "ratio")
-}
-
-func BenchmarkDecompressNYX(b *testing.B) {
-	spec, _ := fpdata.Lookup("NYX", "")
-	f := fpdata.Generate(spec, 16, 2)
-	lo, hi := f.Range()
-	comp, err := Compress(f.Data, f.Dims, 1e-3*float64(hi-lo))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(f.SizeBytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Decompress(comp); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -23,9 +23,11 @@ go test -run '^Fuzz' ./...
 # Deep property run: tier-1's quick.Check sites use a fixed seed and
 # MaxCountScale, so testing/quick's own -quickchecks flag scales every one
 # of them ~100x while staying reproducible. The codecs' error-bound
-# invariants are the ones worth the minutes.
+# invariants are the ones worth the minutes: every codec's, in both
+# precisions, in the compress conformance suite; sz's and zfp's under the
+# partition and shard plans only their own packages can set.
 go test -count=1 -run 'Quick|Invariant' \
-    ./internal/zfp/ ./internal/sz/ ./internal/squant/ -quickchecks 10000
+    ./internal/compress/ ./internal/zfp/ ./internal/sz/ -quickchecks 10000
 
 # Codec micro-benchmarks, one iteration each, so they cannot rot: the
 # literal-heavy lossless case, the long-tail Huffman case and the per-
@@ -35,7 +37,7 @@ go test -count=1 -run 'Quick|Invariant' \
 # dump over a real loopback listener — client, frames, the daemon's
 # verification pool and committer — as zfp putZ and as sz put.
 go test -run '^$' -bench 'Decode|Decompress|Compress|Build|TransposeWindow' -benchtime 1x \
-    ./internal/huffman/ ./internal/lossless/ ./internal/zfp/ ./internal/sz/
+    ./internal/huffman/ ./internal/lossless/ ./internal/compress/ ./internal/zfp/ ./internal/sz/
 go test -run '^$' -bench 'DumpLoopback' -benchtime 1x ./internal/svc/
 # The delta path's own: the chunker over bytes and over floats beside the
 # loop it replaced, and the bench/ delta-parity workload's three operations
@@ -66,10 +68,10 @@ go test -race -count=1 -v \
     ./internal/advisor/
 
 # Worker-scaling gate: on hosts with >= 8 cores, 8-worker compression must
-# reach >= 3x the 1-worker throughput on both codecs (the tests self-skip on
-# narrower machines, where wall-clock scaling assertions are meaningless).
-LCPIO_SCALING_GATE=1 go test -run '^TestScalingGate$' -count=1 -v \
-    ./internal/sz/ ./internal/zfp/
+# reach >= 3x the 1-worker throughput on every codec with a parallel path
+# (the test self-skips on narrower machines, where wall-clock scaling
+# assertions are meaningless).
+LCPIO_SCALING_GATE=1 go test -run '^TestScalingGate$' -count=1 -v ./internal/compress/
 
 # `lcpio report` smoke: record a traced checkpoint write plus its campaign
 # energy report, then replay the trace through the offline report renderer
@@ -86,13 +88,14 @@ test -s "$tmp/trace_chrome.json"
 test -s "$tmp/trace.folded"
 
 # Size is a measured axis too: non-test Go lines per package and the total
-# (scripts/loc.sh). So is what only tests reach (exported funcs under
-# internal/ that no non-test Go names) and the options nothing turns
-# (exported *Config/*Options/*Request fields under internal/ that no non-test
-# Go sets). The two lists are reading aids with the caveats in their headers,
-# but all three totals only go down: each is printed, then held against the
-# ceiling recorded in scripts/census.txt.
-for census in loc unreached knobs; do
+# (scripts/loc.sh), and the same for _test.go lines (scripts/tests.sh). So is
+# what only tests reach (exported funcs under internal/ that no non-test Go
+# names) and the options nothing turns (exported *Config/*Options/*Request
+# fields under internal/ that no non-test Go sets). The two lists are reading
+# aids with the caveats in their headers, but all four totals only go down:
+# each is printed, then held against the ceiling recorded in
+# scripts/census.txt.
+for census in loc tests unreached knobs; do
     list="$(sh "scripts/$census.sh")"
     echo "$list"
     total="$(echo "$list" | awk 'END { print $1 }')"

@@ -1,13 +1,21 @@
 #!/bin/sh
 # Size of the program: non-test Go lines per package directory and the
-# total, bench/ (a nested module with its own budget) left out. `wc -l`
+# total, bench/ (a nested module with its own budget) left out; with the
+# argument `tests`, the _test.go lines instead (scripts/tests.sh). `wc -l`
 # lines, comments and blanks included, so the number only moves when a file
 # does. The total is printed last, and is a ratchet: scripts/check.sh fails
 # when it exceeds the one in scripts/census.txt.
 set -eu
 cd "$(dirname "$0")/.."
-find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' |
-    sort | xargs wc -l | awk '
+if [ "${1:-}" = tests ]; then
+    set -- -name '*_test.go'
+    what='_test.go lines'
+else
+    set -- -name '*.go' ! -name '*_test.go'
+    what='non-test Go'
+fi
+find . "$@" ! -path './bench/*' ! -path './.bench_build/*' |
+    sort | xargs wc -l | awk -v what="$what" '
     $2 != "total" {
         dir = $2; sub(/\/[^\/]*$/, "", dir); sub(/^\.\/?/, "", dir)
         if (dir == "") dir = "."
@@ -16,5 +24,5 @@ find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_bu
     END {
         for (d in lines) printf "%7d  %s\n", lines[d], d | "sort -k2"
         close("sort -k2")
-        printf "%7d  total non-test Go outside bench/\n", total
+        printf "%7d  total %s outside bench/\n", total, what
     }'
