@@ -115,14 +115,6 @@ func goldenSvc(t *testing.T, g *goldenRows) {
 		t.Fatal(err)
 	}
 	g.add("svc.restore.read_j", rr.ReadJoules)
-	ar, err := cl.Advise(svc.AdviseRequest{Tenant: "a", RawBytes: 1 << 30, MinPSNR: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.add("svc.advise.rel_eb", ar.RelEB)
-	g.add("svc.advise.ratio", ar.Ratio)
-	g.add("svc.advise.proj_j", ar.ProjJoules)
-	g.add("svc.advise.proj_s", ar.ProjSeconds)
 }
 
 func goldenCkpt(t *testing.T, g *goldenRows) {
