@@ -225,33 +225,6 @@ func TestDecisionTable(t *testing.T) {
 	}
 }
 
-// TestRatioTracker pins the per-stream smoother the svc advice path uses.
-func TestRatioTracker(t *testing.T) {
-	tr := NewRatioTracker()
-	if got := tr.Estimate("sz", 1e-3, 7); got != 7 {
-		t.Fatalf("empty tracker fallback: got %g want 7", got)
-	}
-	tr.Observe("sz", 1e-3, 10)
-	if got := tr.Estimate("sz", 1e-3, 7); math.Abs(got-10) > 1e-12 {
-		t.Fatalf("first observation should seed the estimate: got %g", got)
-	}
-	tr.Observe("sz", 1e-3, 40)
-	got := tr.Estimate("sz", 1e-3, 7)
-	if !(got > 10 && got < 40) {
-		t.Fatalf("smoothed estimate %g outside (10, 40)", got)
-	}
-	// Bad inputs are ignored, other keys untouched.
-	tr.Observe("", 1e-3, 10)
-	tr.Observe("sz", 0, 10)
-	tr.Observe("sz", 1e-3, math.Inf(1))
-	if got2 := tr.Estimate("sz", 1e-3, 7); got2 != got {
-		t.Fatalf("bad observations changed the estimate: %g -> %g", got, got2)
-	}
-	if got := tr.Estimate("zfp", 1e-3, 3); got != 3 {
-		t.Fatalf("unseen key should fall back: got %g", got)
-	}
-}
-
 // measuredNYX runs the measured search on a small NYX field.
 func measuredNYX(t *testing.T, req Request) (Decision, error) {
 	t.Helper()

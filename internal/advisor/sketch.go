@@ -17,8 +17,7 @@
 //     predictions hedged by 3 dB, ExhaustiveSweep feeds it a measured round
 //     trip per cell, and Regret prices the gap between the two.
 //
-// RatioTracker is the per-stream ratio smoother the svc daemon keeps per
-// tenant; WorkerEnergies is the worker axis alone, for the multi-core study.
+// WorkerEnergies is the worker axis alone, for the multi-core study.
 package advisor
 
 import (
@@ -333,21 +332,6 @@ func (c codecCalib) psnrEstimate(relEB float64) float64 {
 		p += c.psnrSlopeDB * math.Log10(1e-2/relEB)
 	}
 	return p
-}
-
-// TheoreticalPSNR is the data-independent quality estimate for a codec at a
-// range-relative bound: uniform quantization noise against the field's
-// range. It is what the svc daemon uses to screen bounds against a
-// tenant's floor without ever seeing the data.
-func TheoreticalPSNR(codec string, relEB float64) (float64, error) {
-	c, ok := calib[codec]
-	if !ok {
-		return 0, fmt.Errorf("advisor: unknown codec %q", codec)
-	}
-	if !(relEB > 0) || math.IsInf(relEB, 0) {
-		return 0, fmt.Errorf("advisor: invalid error bound %g", relEB)
-	}
-	return c.psnrEstimate(relEB), nil
 }
 
 // Predict estimates ratio and quality for one (codec, bound) from the

@@ -65,8 +65,6 @@ const (
 	frameRestoreOK            // server → client: RestoreReply
 	frameErr                  // server → client: protocol/session error string
 	framePutZ                 // client → server: compressed-wire chunk (idx + raw length + blob digest + blob)
-	frameAdvise               // client → server: AdviseRequest (sessionless)
-	frameAdviseOK             // server → client: AdviseReply
 	frameTypeEnd
 )
 

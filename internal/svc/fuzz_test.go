@@ -28,9 +28,6 @@ func fuzzFrames() [][]byte {
 		CompressJoules: 1, TransitJoules: 2, Joules: 3, SimSeconds: 0.5, GoodputBps: 1536,
 		WireCodec: "sz", WireSavedSeconds: 0.01, WireVerifiedChunks: 4}
 	rr := RestoreReply{Chunks: 4, RawBytes: 512, SimReadSeconds: 0.1, ReadJoules: 0.7, DecompressRatio: 5.3}
-	areq := AdviseRequest{Tenant: "t0", RawBytes: 1 << 20, DeadlineSeconds: 0.5, MinPSNR: 60}
-	arep := AdviseReply{Codec: "zfp", RelEB: 1e-3, Ratio: 8.5, ProjJoules: 2.5,
-		ProjSeconds: 0.25, Admissible: true}
 
 	frames := []frame{
 		{Type: frameOpen, Payload: req.encode()},
@@ -45,8 +42,6 @@ func fuzzFrames() [][]byte {
 		{Type: frameListOK, Payload: encodeSetEntries([]SetEntry{{Name: "s0", Tenant: "t0", Bytes: 128}})},
 		{Type: frameRestoreReq, Payload: encodeSetName("s0")},
 		{Type: frameRestoreOK, Session: 1, Payload: rr.encode()},
-		{Type: frameAdvise, Payload: areq.encode()},
-		{Type: frameAdviseOK, Payload: arep.encode()},
 		{Type: frameErr, Payload: []byte("boom")},
 	}
 	out := make([][]byte, len(frames))
@@ -60,8 +55,9 @@ func fuzzFrames() [][]byte {
 // streams. Contract: ParseFrame either fails cleanly or yields a frame
 // that re-encodes to exactly the consumed bytes; payload parsers for the
 // recognized type never panic or over-allocate (quota/geometry fields are
-// capped before any size arithmetic); and parsing continues frame by
-// frame through interleaved streams like a real connection would.
+// capped before any size arithmetic); a type byte that names no frame is
+// refused; and parsing continues frame by frame through interleaved streams
+// like a real connection would.
 func FuzzSvcFrame(f *testing.F) {
 	seeds := fuzzFrames()
 	for _, s := range seeds {
@@ -98,11 +94,19 @@ func FuzzSvcFrame(f *testing.F) {
 	huge := append([]byte(nil), open[:frameHdrLen]...)
 	huge = wire.AppendUint32(huge[:frameHdrLen-4], 1<<31-1)
 	f.Add(huge)
+	// The retired advise request and reply (types 14 and 15), as a client
+	// and daemon of an older build would have sent them: refused.
+	advise := wire.AppendFloat64(wire.AppendFloat64(wire.AppendUint64(wire.AppendString(nil, "t0"), 1<<20), 0.5), 60)
+	f.Add(appendFrame(nil, frame{Type: 14, Payload: advise}))
+	f.Add(appendFrame(nil, frame{Type: 15, Payload: wire.AppendString(advise, "zfp")}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rest := data
 		for depth := 0; len(rest) >= frameHdrLen && depth < 64; depth++ {
 			fr, n, err := ParseFrame(rest)
+			if ft := frameType(rest[4]); err == nil && (ft == frameInvalid || ft >= frameTypeEnd) {
+				t.Fatalf("parsed a frame of unknown type %d", ft)
+			}
 			if err != nil {
 				break
 			}
@@ -147,21 +151,6 @@ func FuzzSvcFrame(f *testing.F) {
 				_, _ = parseSetName(fr.Payload)
 			case frameRestoreOK:
 				_, _ = parseRestoreReply(fr.Payload)
-			case frameAdvise:
-				if req, err := parseAdviseRequest(fr.Payload); err == nil {
-					if req.RawBytes <= 0 || req.RawBytes > maxRawB {
-						t.Fatalf("parsed advise request with absurd raw size %d", req.RawBytes)
-					}
-					if !bytes.Equal(req.encode(), fr.Payload) {
-						t.Fatal("advise request re-encode mismatch")
-					}
-				}
-			case frameAdviseOK:
-				if rep, err := parseAdviseReply(fr.Payload); err == nil {
-					if !bytes.Equal(rep.encode(), fr.Payload) {
-						t.Fatal("advise reply re-encode mismatch")
-					}
-				}
 			}
 			rest = rest[n:]
 		}

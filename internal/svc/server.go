@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lcpio/internal/advisor"
 	"lcpio/internal/ckpt"
 	"lcpio/internal/container"
 	"lcpio/internal/dvfs"
@@ -92,9 +91,6 @@ type tenant struct {
 	resident int64 // finalized set bytes on the medium
 	reserved int64 // in-flight extent reservations
 	joules   float64
-	// ratios smooths the tenant's measured compression ratios per
-	// (codec, bound decade); the advise path prices candidates with it.
-	ratios *advisor.RatioTracker
 }
 
 type setRecord struct {
@@ -147,7 +143,7 @@ type session struct {
 // timeline, registered tenants, and the admission ledger.
 type Server struct {
 	cfg Config
-	// pr prices admission, advice and close-time attribution at the
+	// pr prices admission, close-time attribution and restores at the
 	// configured rule's clocks. Only its pure Price is called here:
 	// Plan.Execute would add the joules to spans a second time.
 	pr *phases.Pricer
@@ -211,7 +207,7 @@ func (s *Server) AddTenant(tc TenantConfig) error {
 		t.cfg = tc
 		return nil
 	}
-	s.tenants[tc.Name] = &tenant{cfg: tc, key: metricKey(tc.Name), ratios: advisor.NewRatioTracker()}
+	s.tenants[tc.Name] = &tenant{cfg: tc, key: metricKey(tc.Name)}
 	return nil
 }
 
@@ -245,7 +241,7 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // ServeConn runs one connection: at most one dump session at a time, plus
-// sessionless list/advise/restore requests. It returns nil on clean EOF. A
+// sessionless list/restore requests. It returns nil on clean EOF. A
 // connection dying mid-session aborts the session and refunds its extent
 // reservation.
 //
@@ -326,18 +322,6 @@ func (s *Server) ServeConn(rw io.ReadWriter) error {
 			sess = nil
 		case frameList:
 			err = reply(rw, frameListOK, 0, encodeSetEntries(s.List()))
-		case frameAdvise:
-			areq, perr := parseAdviseRequest(f.Payload)
-			if perr != nil {
-				err = reply(rw, frameErr, f.Session, []byte(perr.Error()))
-				break
-			}
-			rep, aerr := s.advise(areq)
-			if aerr != nil {
-				err = reply(rw, frameErr, f.Session, []byte(aerr.Error()))
-				break
-			}
-			err = reply(rw, frameAdviseOK, f.Session, rep.encode())
 		case frameRestoreReq:
 			name, ok := parseSetName(f.Payload)
 			if !ok {
@@ -350,7 +334,7 @@ func (s *Server) ServeConn(rw io.ReadWriter) error {
 				break
 			}
 			err = reply(rw, frameRestoreOK, f.Session, rr.encode())
-		case frameErr, frameOpenOK, frameReject, framePutOK, frameCloseOK, frameListOK, frameRestoreOK, frameAdviseOK:
+		case frameErr, frameOpenOK, frameReject, framePutOK, frameCloseOK, frameListOK, frameRestoreOK:
 			err = reply(rw, frameErr, f.Session, []byte("unexpected reply frame"))
 		default:
 			err = reply(rw, frameErr, f.Session, []byte("unknown frame"))
@@ -590,14 +574,8 @@ func reply(w io.Writer, t frameType, sess uint32, payload []byte) error {
 // the raw bytes at the assumed ratio, then push the projected file through
 // the shared mount.
 func (s *Server) price(req OpenRequest, ratio float64) (projJ, projSec float64, err error) {
-	return s.priceRaw(req.Codec, req.RelEB, req.RawBytes(), s.overhead(req), ratio)
-}
-
-// priceRaw is the geometry-free admission pricer the advise path shares
-// with open: raw bytes through the codec at the assumed ratio, the
-// projected file (plus framing overhead) through the shared mount.
-func (s *Server) priceRaw(codec string, relEB float64, raw, overhead int64, ratio float64) (projJ, projSec float64, err error) {
-	comp, err := s.pr.Compress(codec, raw, relEB, ratio)
+	raw := req.RawBytes()
+	comp, err := s.pr.Compress(req.Codec, raw, req.RelEB, ratio)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -605,7 +583,7 @@ func (s *Server) priceRaw(codec string, relEB float64, raw, overhead int64, rati
 	if !ok {
 		return 0, 0, errPricingInputs
 	}
-	t, err := s.pr.Price(comp, s.pr.Move(s.cfg.Mount.Write, projFile+overhead))
+	t, err := s.pr.Price(comp, s.pr.Move(s.cfg.Mount.Write, projFile+s.overhead(req)))
 	return t.Joules, t.Seconds, err
 }
 
@@ -887,10 +865,6 @@ func (s *Server) closeSession(sess *session) (Result, error) {
 
 	raw := sess.req.RawBytes()
 	ratio := float64(raw) / float64(sess.payload)
-	// Feed the measured ratio into the tenant's advice model: the next
-	// advise for this (codec, bound decade) prices with history, not the
-	// server default.
-	sess.ten.ratios.Observe(sess.req.Codec, sess.req.RelEB, ratio)
 	comp, err := s.pr.Compress(sess.req.Codec, raw, sess.req.RelEB, ratio)
 	if err != nil {
 		return Result{}, err

@@ -515,6 +515,23 @@ func TestHostileRatioRefusedBeforeReservation(t *testing.T) {
 	}
 }
 
+// TestFrameHeaderRefusesUnknownTypes: a header whose type byte names no
+// frame — 0, the retired advise request and reply (14, 15), anything past
+// them — is refused as unknown from its 13 bytes alone, before any payload
+// byte is read.
+func TestFrameHeaderRefusesUnknownTypes(t *testing.T) {
+	for _, ft := range []frameType{frameInvalid, 14, 15, 255} {
+		r := bytes.NewReader(appendFrame(nil, frame{Type: ft, Payload: []byte("payload")}))
+		_, _, err := readFrameHeader(r)
+		if !errors.Is(err, ErrCorruptFrame) || !strings.Contains(err.Error(), "unknown frame type") {
+			t.Errorf("type %d: got %v, want an unknown-frame-type refusal", ft, err)
+		}
+		if r.Len() != len("payload") {
+			t.Errorf("type %d: %d payload bytes read before the refusal", ft, len("payload")-r.Len())
+		}
+	}
+}
+
 // TestFrameRoundTrips pins every payload codec through encode→parse.
 func TestFrameRoundTrips(t *testing.T) {
 	req := OpenRequest{

@@ -60,12 +60,9 @@ go test -race -count=1 -v \
     ./internal/svc/
 
 # Advisor regret gate: on every held-out fpdata recipe the sketch-driven
-# pick must land within 5% modeled energy of the exhaustive sweep optimum,
-# and the daemon's per-tenant ratio smoother must track what it observes.
+# pick must land within 5% modeled energy of the exhaustive sweep optimum.
 # Run by name so a calibration regression is unmissable.
-go test -race -count=1 -v \
-    -run '^(TestAdvisorRegretGate|TestRatioTracker)$' \
-    ./internal/advisor/
+go test -race -count=1 -v -run '^TestAdvisorRegretGate$' ./internal/advisor/
 
 # Worker-scaling gate: on hosts with >= 8 cores, 8-worker compression must
 # reach >= 3x the 1-worker throughput on every codec with a parallel path
