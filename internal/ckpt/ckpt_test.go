@@ -12,6 +12,7 @@ import (
 	"lcpio/internal/container"
 	"lcpio/internal/netsim"
 	"lcpio/internal/nfs"
+	"lcpio/internal/retry"
 )
 
 // faultyNFSMount returns a default mount with seeded wire-level faults.
@@ -187,7 +188,7 @@ func TestWriteFaultDeterminism(t *testing.T) {
 
 func TestRetryExhaustion(t *testing.T) {
 	med := NewFaultyMedium(NewMemMedium(), 1, FaultProfile{WriteErrProb: 1})
-	_, err := Write(med, testSet(1), WriteOptions{Workers: 1, Retry: RetryPolicy{MaxAttempts: 3}})
+	_, err := Write(med, testSet(1), WriteOptions{Workers: 1, Retry: retry.Policy{MaxAttempts: 3}})
 	if err == nil || !errors.Is(err, ErrTransient) {
 		t.Fatalf("want ErrTransient exhaustion, got %v", err)
 	}
@@ -222,7 +223,7 @@ func TestTransientReadErrorsRetried(t *testing.T) {
 	inner := NewMemMedium()
 	mustWrite(t, inner, set, WriteOptions{Workers: 2})
 	med := NewFaultyMedium(inner, 3, FaultProfile{ReadErrProb: 0.2})
-	got, err := Restore(med, RestoreOptions{Workers: 2, Retry: RetryPolicy{MaxAttempts: 8}})
+	got, err := Restore(med, RestoreOptions{Workers: 2, Retry: retry.Policy{MaxAttempts: 8}})
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -241,7 +242,7 @@ func TestPersistentCorruptionDetectedAndReported(t *testing.T) {
 	}
 
 	got, err := Restore(med, RestoreOptions{Workers: 2, AllowPartial: true,
-		Retry: RetryPolicy{MaxAttempts: 2}})
+		Retry: retry.Policy{MaxAttempts: 2}})
 	if err != nil {
 		t.Fatalf("partial restore: %v", err)
 	}
@@ -273,7 +274,7 @@ func TestMissingRankReported(t *testing.T) {
 		med.Corrupt(c.Offset + 3)
 	}
 	got, err := Restore(med, RestoreOptions{Workers: 2, AllowPartial: true,
-		Retry: RetryPolicy{MaxAttempts: 2}})
+		Retry: retry.Policy{MaxAttempts: 2}})
 	if err != nil {
 		t.Fatalf("partial restore: %v", err)
 	}

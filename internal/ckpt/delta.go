@@ -71,10 +71,6 @@ func (b *Base) stream(s int) []float32 {
 	return b.fields[s%len(b.fields)].Data[s/len(b.fields)]
 }
 
-// DedupParams returns the chunking geometry the base was indexed with —
-// the geometry Write will use for deltas against it.
-func (b *Base) DedupParams() dedup.Params { return b.params }
-
 // OpenBase restores the set on med (resolving its own base chain through
 // the chain media, immediate base first) and indexes its restored content
 // for delta writes. The dedup params become the delta set's chunking
@@ -249,7 +245,7 @@ func classifyStream(set *Set, base *Base, idx int, l *lane) (streamDelta, error)
 // parks its stream's entries in a slot indexed by stream and the drain picks
 // them up when the engine hands it that index (the result channel orders
 // the two accesses).
-func deltaWriter(set *Set, base *Base, m *Manifest, res *WriteResult, chunkElems int) (streamWriter, error) {
+func deltaWriter(set *Set, base *Base, m *Manifest, res *WriteResult) (streamWriter, error) {
 	if err := sameGeometry(set.Ranks, setFieldInfos(*set), base.Manifest); err != nil {
 		return streamWriter{}, fmt.Errorf("ckpt: delta against base %q: %w", base.Manifest.SetName, err)
 	}
@@ -270,7 +266,7 @@ func deltaWriter(set *Set, base *Base, m *Manifest, res *WriteResult, chunkElems
 	return streamWriter{
 		span: "ckpt.write.delta", pipeline: "ckpt.delta_write", stage: "classify_compress",
 		lane: func() stream.ProduceFunc {
-			l := &lane{pack: lanePack(set.Codec, chunkElems)}
+			l := &lane{pack: lanePack(set.Codec)}
 			return func(idx int) (_ []byte, err error) {
 				produced[idx], err = classifyStream(set, base, idx, l)
 				return nil, err

@@ -10,6 +10,7 @@ import (
 
 	"lcpio/internal/dedup"
 	"lcpio/internal/obs"
+	"lcpio/internal/retry"
 )
 
 // f32le serializes float32s as little-endian bytes — the byte domain base
@@ -417,7 +418,7 @@ func TestDeltaParityReconstruction(t *testing.T) {
 	med.Corrupt(b.Offset + b.Size/2)
 
 	restored, err := Restore(med, RestoreOptions{Workers: 2, Bases: []Medium{baseMed},
-		Retry: RetryPolicy{MaxAttempts: 2}})
+		Retry: retry.Policy{MaxAttempts: 2}})
 	if err != nil {
 		t.Fatalf("Restore with damaged blob: %v", err)
 	}

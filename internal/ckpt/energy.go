@@ -20,13 +20,14 @@ type CampaignOptions struct {
 	ComputeSeconds float64
 	// Chip the campaign runs on (nil = Broadwell, the paper's primary).
 	Chip *dvfs.Chip
-	// Mount is the simulated NFS path the campaign's transfers ride
-	// (zero value = DefaultMount).
-	Mount nfs.Mount
 	// WithRestore appends read + decompress phases per iteration, the
 	// checkpoint/restart shape of Moran et al.
 	WithRestore bool
 }
+
+// campaignMount is the simulated NFS path a campaign's transfers ride: the
+// zero Mount, which prices as nfs.DefaultMount.
+var campaignMount nfs.Mount
 
 func (o CampaignOptions) normalized() CampaignOptions {
 	if o.Iterations <= 0 {
@@ -79,7 +80,7 @@ func (r *WriteResult) CampaignPlan(opts CampaignOptions) (phases.Plan, error) {
 		return phases.Campaign(opts.Iterations, opts.ComputeSeconds,
 			dedup.Named("checkpoint-dedup"),
 			compress.Named("checkpoint-compress"),
-			pr.Move(opts.Mount.Write, r.FileBytes).Named("checkpoint-write")), nil
+			pr.Move(campaignMount.Write, r.FileBytes).Named("checkpoint-write")), nil
 	}
 	compress, err := pr.Compress(m.Codec, r.RawBytes, r.MeanRelEB, r.Ratio())
 	if err != nil {
@@ -88,10 +89,10 @@ func (r *WriteResult) CampaignPlan(opts CampaignOptions) (phases.Plan, error) {
 	payloadFile := r.FileBytes - r.ParityBytes
 	stages := []phases.Phase{
 		compress.Named("checkpoint-compress"),
-		pr.Move(opts.Mount.Write, payloadFile).Named("checkpoint-write"),
+		pr.Move(campaignMount.Write, payloadFile).Named("checkpoint-write"),
 	}
 	if r.ParityBytes > 0 {
-		stages = append(stages, pr.Move(opts.Mount.Write, r.ParityBytes).Named("checkpoint-parity-write"))
+		stages = append(stages, pr.Move(campaignMount.Write, r.ParityBytes).Named("checkpoint-parity-write"))
 	}
 	if opts.WithRestore {
 		decompress, err := pr.Decompress(m.Codec, r.RawBytes, r.MeanRelEB, r.Ratio())
@@ -99,7 +100,7 @@ func (r *WriteResult) CampaignPlan(opts CampaignOptions) (phases.Plan, error) {
 			return phases.Plan{}, err
 		}
 		stages = append(stages,
-			pr.Move(opts.Mount.Read, payloadFile).Named("restart-read"),
+			pr.Move(campaignMount.Read, payloadFile).Named("restart-read"),
 			decompress.Named("restart-decompress"))
 	}
 	return phases.Campaign(opts.Iterations, opts.ComputeSeconds, stages...), nil
@@ -163,10 +164,10 @@ func (r *WriteResult) ParityEnergy(opts CampaignOptions) (ParityEnergy, error) {
 		return ParityEnergy{}, err
 	}
 	t, err := pr.Price(
-		pr.Move(opts.Mount.Write, r.ParityBytes),
-		pr.Move(opts.Mount.Read, r.ParityBytes),
+		pr.Move(campaignMount.Write, r.ParityBytes),
+		pr.Move(campaignMount.Read, r.ParityBytes),
 		recompress,
-		pr.Move(opts.Mount.Write, (r.FileBytes-r.ParityBytes)/ranks))
+		pr.Move(campaignMount.Write, (r.FileBytes-r.ParityBytes)/ranks))
 	if err != nil {
 		return ParityEnergy{}, err
 	}
@@ -245,10 +246,10 @@ func (r *WriteResult) DeltaEnergy(full *WriteResult, opts CampaignOptions) (Delt
 	// cost a delta pays at any churn.
 	t, err := pr.Price(
 		dedup,
-		pr.Move(opts.Mount.Write, r.FileBytes),
+		pr.Move(campaignMount.Write, r.FileBytes),
 		fullCompress,
-		pr.Move(opts.Mount.Write, full.FileBytes),
-		pr.Move(opts.Mount.Write, r.FileBytes-r.PayloadBytes-r.ParityBytes))
+		pr.Move(campaignMount.Write, full.FileBytes),
+		pr.Move(campaignMount.Write, r.FileBytes-r.PayloadBytes-r.ParityBytes))
 	if err != nil {
 		return DeltaEnergy{}, err
 	}

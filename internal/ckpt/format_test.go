@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"lcpio/internal/retry"
 	"lcpio/internal/wire"
 )
 
@@ -76,7 +77,7 @@ func TestManifestRejectsExtentOverflow(t *testing.T) {
 				t.Errorf("%s: ReadManifest = %v, want ErrCorrupt", name, err)
 			}
 			if _, err := Restore(forged, RestoreOptions{Workers: 2, AllowPartial: true, Bases: k.bases,
-				Retry: RetryPolicy{MaxAttempts: 2}}); err == nil {
+				Retry: retry.Policy{MaxAttempts: 2}}); err == nil {
 				t.Errorf("%s: Restore accepted the forged set", name)
 			}
 		}

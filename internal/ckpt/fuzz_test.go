@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lcpio/internal/dedup"
+	"lcpio/internal/retry"
 	"lcpio/internal/wire"
 )
 
@@ -104,7 +105,7 @@ func FuzzReadManifest(f *testing.F) {
 		// Restore on a decodable manifest must never panic; partial mode
 		// must degrade to explicit chunk errors rather than failing hard.
 		if got, err := Restore(med, RestoreOptions{Workers: 2, AllowPartial: true,
-			Retry: RetryPolicy{MaxAttempts: 2}}); err == nil {
+			Retry: retry.Policy{MaxAttempts: 2}}); err == nil {
 			if got.Report.ChunksOK+len(got.Report.Failed) != m.NumChunks() {
 				t.Fatalf("report covers %d+%d chunks of %d",
 					got.Report.ChunksOK, len(got.Report.Failed), m.NumChunks())

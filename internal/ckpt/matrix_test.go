@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"lcpio/internal/retry"
 )
 
 // The report matrices characterize Restore and VerifySet over both parity-
@@ -178,7 +180,7 @@ func TestRestoreReportMatrix(t *testing.T) {
 			for _, workers := range []int{1, 2, 8} {
 				name := k.name + "/" + sc
 				got, err := Restore(k.damaged(t, sc), RestoreOptions{Workers: workers, Bases: k.bases,
-					AllowPartial: sc == "beyond-budget", Retry: RetryPolicy{MaxAttempts: 2}})
+					AllowPartial: sc == "beyond-budget", Retry: retry.Policy{MaxAttempts: 2}})
 				if err != nil {
 					t.Fatalf("%s workers=%d: %v", name, workers, err)
 				}

@@ -7,6 +7,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"lcpio/internal/retry"
 )
 
 // restoreFloats flattens a Restored into field-major [][]float32 for exact
@@ -112,7 +114,7 @@ func TestParityReconstructsErasedRanks(t *testing.T) {
 			// The seeded wire-fault injector is documented single-threaded,
 			// so the faulted restore runs one worker; a clean-mount restore
 			// below re-checks the same outcome at higher worker counts.
-			ropts := RestoreOptions{Workers: 1, Retry: RetryPolicy{MaxAttempts: 2}}
+			ropts := RestoreOptions{Workers: 1, Retry: retry.Policy{MaxAttempts: 2}}
 			ropts.Mount = faultyNFSMount(17)
 			got, err := Restore(med, ropts)
 			if err != nil {
@@ -142,7 +144,7 @@ func TestParityReconstructsErasedRanks(t *testing.T) {
 			// Same erasures, clean mount, more workers: identical outcome.
 			for _, workers := range []int{2, 4} {
 				gw, err := Restore(med, RestoreOptions{Workers: workers,
-					Retry: RetryPolicy{MaxAttempts: 2}})
+					Retry: retry.Policy{MaxAttempts: 2}})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -169,7 +171,7 @@ func TestParityBeyondBudgetDegradesToPartial(t *testing.T) {
 			med.Corrupt(c.Offset + 1)
 		}
 	}
-	ropts := RestoreOptions{Workers: 2, Retry: RetryPolicy{MaxAttempts: 2}}
+	ropts := RestoreOptions{Workers: 2, Retry: retry.Policy{MaxAttempts: 2}}
 	if _, err := Restore(med, ropts); err == nil {
 		t.Fatal("strict restore accepted > m erased ranks")
 	}
@@ -206,7 +208,7 @@ func TestParityShardLossConsumesBudget(t *testing.T) {
 	p := res.Manifest.ParityChunk(0, 0)
 	med.Corrupt(p.Offset + 1)
 
-	got, err := Restore(med, RestoreOptions{Workers: 2, Retry: RetryPolicy{MaxAttempts: 2}})
+	got, err := Restore(med, RestoreOptions{Workers: 2, Retry: retry.Policy{MaxAttempts: 2}})
 	if err != nil {
 		t.Fatalf("strict restore: %v", err)
 	}
@@ -242,7 +244,7 @@ func TestReportDeterministicAcrossWorkerCounts(t *testing.T) {
 	var refMissing []int
 	for workers := 1; workers <= 8; workers++ {
 		got, err := Restore(med, RestoreOptions{Workers: workers, AllowPartial: true,
-			Retry: RetryPolicy{MaxAttempts: 2}})
+			Retry: retry.Policy{MaxAttempts: 2}})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

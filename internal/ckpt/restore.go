@@ -13,6 +13,7 @@ import (
 	"lcpio/internal/nfs"
 	"lcpio/internal/obs"
 	"lcpio/internal/par"
+	"lcpio/internal/retry"
 )
 
 // RestoreOptions tunes Restore.
@@ -21,8 +22,8 @@ type RestoreOptions struct {
 	// (0 = GOMAXPROCS).
 	Workers int
 	// Retry caps per-chunk re-reads of transient faults and digest
-	// mismatches.
-	Retry RetryPolicy
+	// mismatches (zero fields = retryDefaults).
+	Retry retry.Policy
 	// AllowPartial turns unrecoverable chunks into a partial restore —
 	// the affected ranks come back with nil Data and are reported in
 	// Report.Failed / Report.MissingRanks — instead of failing the whole
@@ -41,7 +42,7 @@ func (o RestoreOptions) normalized() RestoreOptions {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	o.Retry = o.Retry.normalized()
+	o.Retry = o.Retry.Normalized(retryDefaults)
 	return o
 }
 
@@ -431,7 +432,7 @@ func readVerified(med Medium, c *ChunkInfo, opts RestoreOptions) outcome {
 		if attempt > 1 {
 			o.retries++
 			o.reread = true
-			o.simSec += opts.Retry.backoff(attempt - 1)
+			o.simSec += opts.Retry.Backoff(attempt - 1)
 		}
 		o.simSec += opts.Mount.Read(c.Size).NetworkSeconds
 		if lastErr = fetch(med, c, buf); lastErr == nil {

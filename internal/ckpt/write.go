@@ -76,37 +76,10 @@ func (s Set) validate() error {
 	return nil
 }
 
-// RetryPolicy caps the writer's retries of transient medium faults. It is a
-// thin wrapper over the shared retry.Policy helper, which the nfs pipeline's
-// retransmit waits price through too.
-type RetryPolicy struct {
-	// MaxAttempts per chunk (default 5).
-	MaxAttempts int
-	// BaseBackoff is the first retry's simulated delay (default 5 ms);
-	// subsequent retries double it up to MaxBackoff (default 500 ms).
-	BaseBackoff float64
-	MaxBackoff  float64
-}
-
-// retryDefaults is the medium-fault backoff shape.
+// retryDefaults is the medium-fault backoff shape the writer's and the
+// restore path's zero retry.Policy fields take: 5 attempts per chunk, the
+// first retry after 5 ms of simulated delay, doubling up to 500 ms.
 var retryDefaults = retry.Policy{MaxAttempts: 5, Base: 5e-3, Max: 500e-3}
-
-// policy maps onto the shared helper, filling defaults.
-func (r RetryPolicy) policy() retry.Policy {
-	return retry.Policy{MaxAttempts: r.MaxAttempts, Base: r.BaseBackoff, Max: r.MaxBackoff}.
-		Normalized(retryDefaults)
-}
-
-func (r RetryPolicy) normalized() RetryPolicy {
-	p := r.policy()
-	return RetryPolicy{MaxAttempts: p.MaxAttempts, BaseBackoff: p.Base, MaxBackoff: p.Max}
-}
-
-// backoff returns the capped exponential delay before retry `attempt`
-// (1-based: the delay after the attempt'th failure).
-func (r RetryPolicy) backoff(attempt int) float64 {
-	return r.policy().Backoff(attempt)
-}
 
 // WriteOptions tunes the pipelined writer.
 type WriteOptions struct {
@@ -117,14 +90,11 @@ type WriteOptions struct {
 	// Workers+1). Compression stalls when the writer falls this far
 	// behind.
 	QueueDepth int
-	// ChunkElems is the container's per-slab target (0 = container
-	// default).
-	ChunkElems int
 	// Mount is the simulated NFS write path (zero value = DefaultMount);
 	// its FaultConfig injects wire-level faults.
 	Mount nfs.Mount
-	// Retry caps medium-fault retries.
-	Retry RetryPolicy
+	// Retry caps medium-fault retries (zero fields = retryDefaults).
+	Retry retry.Policy
 	// ParityRanks appends this many Reed–Solomon parity shards to every
 	// field's rank stripe, so Restore can reconstruct up to this many lost
 	// or corrupt ranks per field instead of reporting them (0 = none).
@@ -146,7 +116,7 @@ func (o WriteOptions) normalized() WriteOptions {
 	if o.QueueDepth <= o.Workers {
 		o.QueueDepth = o.Workers + 1
 	}
-	o.Retry = o.Retry.normalized()
+	o.Retry = o.Retry.Normalized(retryDefaults)
 	return o
 }
 
@@ -263,8 +233,8 @@ type streamWriter struct {
 // stream (or the reason it has none).
 type packFunc func(data []float32, dims []int, eb float64) ([]byte, error)
 
-func lanePack(codec string, chunkElems int) packFunc {
-	packer, err := container.NewPacker(codec, container.Options{ChunkElems: chunkElems, Parallelism: 1})
+func lanePack(codec string) packFunc {
+	packer, err := container.NewPacker(codec, container.Options{Parallelism: 1})
 	if err != nil {
 		return func([]float32, []int, float64) ([]byte, error) { return nil, err }
 	}
@@ -275,8 +245,8 @@ func lanePack(codec string, chunkElems int) packFunc {
 // rank idx / fields' array of field idx % fields. It is where a full set's
 // chunk is made — for Write's lanes and for svc.Client.Dump, which ships the
 // chunks to the daemon instead — so the two dumps store the same bytes.
-func PackLane(set *Set, chunkElems int) stream.ProduceFunc {
-	pack, nFields := lanePack(set.Codec, chunkElems), len(set.Fields)
+func PackLane(set *Set) stream.ProduceFunc {
+	pack, nFields := lanePack(set.Codec), len(set.Fields)
 	return func(idx int) ([]byte, error) {
 		f := &set.Fields[idx%nFields]
 		return pack(f.Data[idx/nFields], f.Dims, f.ErrorBound)
@@ -284,12 +254,12 @@ func PackLane(set *Set, chunkElems int) stream.ProduceFunc {
 }
 
 // fullWriter packs each (rank, field) array into one chunk of m.Chunks.
-func fullWriter(set *Set, m *Manifest, chunkElems int) streamWriter {
+func fullWriter(set *Set, m *Manifest) streamWriter {
 	nFields := len(set.Fields)
 	m.Chunks = make([]ChunkInfo, set.Ranks*nFields)
 	return streamWriter{
 		span: "ckpt.write", pipeline: "ckpt.write", stage: "compress",
-		lane: func() stream.ProduceFunc { return PackLane(set, chunkElems) },
+		lane: func() stream.ProduceFunc { return PackLane(set) },
 		commit: func(w *setWriter, d stream.Item) ([]byte, error) {
 			m.Chunks[d.Idx] = ChunkInfo{Rank: d.Idx / nFields, Field: d.Idx % nFields,
 				Offset: w.offset, Size: int64(len(d.Blob)), CRC: Digest(d.Blob)}
@@ -343,10 +313,10 @@ func Write(med Medium, set Set, opts WriteOptions) (*WriteResult, error) {
 	res := &WriteResult{Manifest: m, Chunks: n, ParityRanks: opts.ParityRanks}
 	var sw streamWriter
 	if opts.Base == nil {
-		sw = fullWriter(&set, m, opts.ChunkElems)
+		sw = fullWriter(&set, m)
 	} else {
 		var err error
-		if sw, err = deltaWriter(&set, opts.Base, m, res, opts.ChunkElems); err != nil {
+		if sw, err = deltaWriter(&set, opts.Base, m, res); err != nil {
 			return nil, err
 		}
 	}
@@ -467,12 +437,12 @@ func writeChunk(med Medium, blob []byte, off int64, opts WriteOptions, res *Writ
 		if err == nil {
 			err = fmt.Errorf("%w: short write (%d of %d bytes)", ErrTransient, wrote, len(blob))
 		}
-		if attempt >= opts.Retry.MaxAttempts {
+		if opts.Retry.Exhausted(attempt) {
 			return simSec, fmt.Errorf("giving up after %d attempts: %w", attempt, err)
 		}
 		res.Retries++
 		obs.Add("lcpio_ckpt_retries_total", 1)
-		backoff := opts.Retry.backoff(attempt)
+		backoff := opts.Retry.Backoff(attempt)
 		// The resent tail costs wire time again, after the backoff.
 		rt := opts.Mount.Write(int64(len(blob) - wrote))
 		res.WireRetransmits += rt.Retransmits

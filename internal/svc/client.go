@@ -37,12 +37,10 @@ func Dial(network, addr string) (*Client, net.Conn, error) {
 
 // DumpOptions tunes a client-side dump.
 type DumpOptions struct {
-	// Workers/QueueDepth/ChunkElems mirror ckpt.WriteOptions: the client
-	// compresses chunks through the same pipelined streaming engine, but
-	// drains them into PUT frames instead of a local medium.
-	Workers    int
-	QueueDepth int
-	ChunkElems int
+	// Workers mirrors ckpt.WriteOptions: the client compresses chunks
+	// through the same pipelined streaming engine, but drains them into PUT
+	// frames instead of a local medium.
+	Workers int
 	// ProjectedRatio and DeadlineSeconds feed the daemon's admission
 	// pricing (see OpenRequest).
 	ProjectedRatio  float64
@@ -119,8 +117,8 @@ func (c *Client) dump(set ckpt.Set, req OpenRequest, opts DumpOptions) (Result, 
 	n := set.Ranks * nFields
 	eng := stream.Start(n, stream.Options{
 		Name:    "svc.client",
-		Workers: opts.Workers, QueueDepth: opts.QueueDepth,
-	}, func(int) stream.ProduceFunc { return ckpt.PackLane(&set, opts.ChunkElems) })
+		Workers: opts.Workers,
+	}, func(int) stream.ProduceFunc { return ckpt.PackLane(&set) })
 	defer eng.Close()
 	// The drain writes each chunk's frame and moves on; acks, on its own
 	// goroutine, takes the replies in the same order. sent carries the index

@@ -62,7 +62,7 @@ func TestDaemonSetIsLocalWriteImage(t *testing.T) {
 // packAll packs every chunk of set on the lane the client and ckpt.Write use.
 func packAll(t *testing.T, set ckpt.Set) [][]byte {
 	t.Helper()
-	lane := ckpt.PackLane(&set, 0)
+	lane := ckpt.PackLane(&set)
 	blobs := make([][]byte, set.Ranks*len(set.Fields))
 	for idx := range blobs {
 		var err error

@@ -13,7 +13,6 @@ import (
 
 	"lcpio/internal/ckpt"
 	"lcpio/internal/container"
-	"lcpio/internal/dvfs"
 	"lcpio/internal/nfs"
 	"lcpio/internal/obs"
 	"lcpio/internal/phases"
@@ -33,8 +32,6 @@ type Config struct {
 	// is reclaimed immediately, so a full medium rejects rather than
 	// queues.
 	CapacityBytes int64
-	// Chip prices admission and attribution (nil = dvfs.Broadwell).
-	Chip *dvfs.Chip
 	// Mount is the simulated NFS path all sessions share; its bandwidth
 	// is the contended resource behind queue waits (zero = DefaultMount).
 	Mount nfs.Mount
@@ -181,7 +178,7 @@ func NewServer(cfg Config) *Server {
 	cfg = cfg.normalized()
 	s := &Server{
 		cfg:       cfg,
-		pr:        phases.NewPricer(cfg.Chip, phases.PaperRule()),
+		pr:        phases.NewPricer(nil, phases.PaperRule()),
 		tenants:   make(map[string]*tenant),
 		sessions:  make(map[uint32]*session),
 		sets:      make(map[string]*setRecord),
