@@ -44,7 +44,7 @@ func TestHandleMatchesGoldens(t *testing.T) {
 	}{
 		"sz":     {sz.Compress, sz.Compress64},
 		"zfp":    {zfp.Compress, zfp.Compress64},
-		"squant": {squant.Compress, squant.Compress64},
+		"squant": {squant.Handle{}.Compress, squant.Handle{}.Compress64},
 	}
 	eachCodec(t, func(t *testing.T, name string, p precision[float32]) {
 		identical(t, name, p, oneShot[name].c32)

@@ -157,11 +157,6 @@ func (p *Packer) Pack(data []float32, dims []int, eb float64) ([]byte, error) {
 	return packGeneric(p.codec, data, dims, eb, p.opts, p.handles)
 }
 
-// Pack64 is Pack for float64 data.
-func (p *Packer) Pack64(data []float64, dims []int, eb float64) ([]byte, error) {
-	return packGeneric(p.codec, data, dims, eb, p.opts, p.handles)
-}
-
 func packGeneric[F float32 | float64](codecName string, data []F,
 	dims []int, eb float64, opts Options, handles []compress.Handle) ([]byte, error) {
 	if err := compress.CheckName(codecName); err != nil {

@@ -231,9 +231,6 @@ func NewGovernor(chip *Chip) *Governor {
 	return &Governor{chip: chip, cur: chip.BaseGHz}
 }
 
-// Chip returns the governed chip.
-func (g *Governor) Chip() *Chip { return g.chip }
-
 // Set requests frequency f; the governor snaps it to the P-state grid and
 // returns the actual frequency applied.
 func (g *Governor) Set(f float64) float64 {

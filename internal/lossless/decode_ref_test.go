@@ -569,7 +569,7 @@ func BenchmarkDecompress(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(Ratio(len(tc.src), len(comp)), "ratio")
+			b.ReportMetric(float64(len(tc.src))/float64(len(comp)), "ratio")
 		})
 	}
 }

@@ -194,7 +194,7 @@ func BenchmarkCompress(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				dst = AppendCompress(dst[:0], tc.src, Defaults())
 			}
-			b.ReportMetric(Ratio(len(tc.src), len(dst)), "ratio")
+			b.ReportMetric(float64(len(tc.src))/float64(len(dst)), "ratio")
 		})
 	}
 }

@@ -578,12 +578,3 @@ func tokenizeInto(st *encState, src []byte, opts Options) {
 	}
 	st.tokens = tokens
 }
-
-// Ratio reports the compression ratio raw/compressed for a given input, a
-// convenience for tests and diagnostics.
-func Ratio(raw, compressed int) float64 {
-	if compressed == 0 {
-		return 0
-	}
-	return float64(raw) / float64(compressed)
-}

@@ -46,7 +46,7 @@ func TestShortInputs(t *testing.T) {
 func TestAllSameByte(t *testing.T) {
 	src := bytes.Repeat([]byte{7}, 100000)
 	comp := roundTrip(t, src, Options{})
-	if r := Ratio(len(src), len(comp)); r < 50 {
+	if r := float64(len(src)) / float64(len(comp)); r < 50 {
 		t.Fatalf("constant input should compress hugely; ratio %.1f", r)
 	}
 }
@@ -54,7 +54,7 @@ func TestAllSameByte(t *testing.T) {
 func TestRepetitiveText(t *testing.T) {
 	src := []byte(strings.Repeat("the quick brown fox jumps over the lazy dog. ", 500))
 	comp := roundTrip(t, src, Options{})
-	if r := Ratio(len(src), len(comp)); r < 5 {
+	if r := float64(len(src)) / float64(len(comp)); r < 5 {
 		t.Fatalf("repetitive text should compress well; ratio %.2f", r)
 	}
 }
@@ -213,7 +213,7 @@ func BenchmarkCompressWindow(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				compLen = len(Compress(src, opts))
 			}
-			b.ReportMetric(Ratio(len(src), compLen), "ratio")
+			b.ReportMetric(float64(len(src))/float64(compLen), "ratio")
 		})
 	}
 }

@@ -34,7 +34,7 @@ func fuzzSeedStream(tb testing.TB) []byte {
 		data[i] = float32(i%17) * 0.25
 	}
 	data[9] = float32(1e30) // one exception
-	buf, err := Compress(data, []int{4, 64}, 1e-3)
+	buf, err := Handle{}.Compress(data, []int{4, 64}, 1e-3)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -57,10 +57,10 @@ func FuzzDecompress(f *testing.F) {
 	f.Add(forgedStream(0))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		if out, dims, err := Decompress(in); err == nil && wire.CheckDims("squant", len(out), dims) != nil {
+		if out, dims, err := (Handle{}).Decompress(in); err == nil && wire.CheckDims("squant", len(out), dims) != nil {
 			t.Fatalf("decode succeeded with dims %v for %d values", dims, len(out))
 		}
-		if out, dims, err := Decompress64(in); err == nil && wire.CheckDims("squant", len(out), dims) != nil {
+		if out, dims, err := (Handle{}).Decompress64(in); err == nil && wire.CheckDims("squant", len(out), dims) != nil {
 			t.Fatalf("decode succeeded with dims %v for %d values", dims, len(out))
 		}
 	})
@@ -82,7 +82,7 @@ func TestForgedCountsRefusedInsideBudget(t *testing.T) {
 		for try := 0; try < 3 && least > budget; try++ {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, _, err := Decompress(stream)
+			_, _, err := Handle{}.Decompress(stream)
 			runtime.ReadMemStats(&after)
 			if err == nil {
 				t.Fatalf("%s: forged stream decoded", name)

@@ -32,30 +32,9 @@ var ErrCorrupt = errors.New("squant: corrupt stream")
 // Float constrains the element types the codec accepts.
 type Float = wire.Float
 
-// Compress quantizes float32 data under absolute error bound eb.
-func Compress(data []float32, dims []int, eb float64) ([]byte, error) {
-	return compressGeneric(nil, data, dims, eb)
-}
-
-// Compress64 is Compress for float64 data.
-func Compress64(data []float64, dims []int, eb float64) ([]byte, error) {
-	return compressGeneric(nil, data, dims, eb)
-}
-
-// Decompress reverses Compress.
-func Decompress(buf []byte) ([]float32, []int, error) {
-	return decompressGeneric[float32](nil, buf)
-}
-
-// Decompress64 reverses Compress64.
-func Decompress64(buf []byte) ([]float64, []int, error) {
-	return decompressGeneric[float64](nil, buf)
-}
-
-// Handle is the codec as the registry holds it. It is the one-shot entry
-// points under the handle method set: a flat quantizer has no scratch worth
-// keeping between calls and no parallel path, so the zero value is ready and
-// there is nothing to configure.
+// Handle is the codec: a flat quantizer has no scratch worth keeping between
+// calls and no parallel path, so the zero value is ready, there is nothing to
+// configure, and Handle{}.Compress is the one-shot entry point.
 type Handle struct{}
 
 // Name returns the codec's registry name.

@@ -17,7 +17,7 @@ func TestBasicRoundTrip(t *testing.T) {
 	for i := range data {
 		data[i] = float32(math.Sin(float64(i) / 40))
 	}
-	comp, err := Compress(data, []int{5000}, 1e-3)
+	comp, err := Handle{}.Compress(data, []int{5000}, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestConstantData(t *testing.T) {
 	for i := range data {
 		data[i] = 7.5
 	}
-	comp, err := Compress(data, []int{1000}, 1e-4)
+	comp, err := Handle{}.Compress(data, []int{1000}, 1e-4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +43,11 @@ func TestConstantData(t *testing.T) {
 func TestExceptions(t *testing.T) {
 	data := []float32{0, 1, float32(math.NaN()), float32(math.Inf(1)), -5,
 		math.MaxFloat32, 3, 2, 1, 0, -1, -2, 0, 0, 1e-30, 42}
-	comp, err := Compress(data, []int{16}, 1e-3)
+	comp, err := Handle{}.Compress(data, []int{16}, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := Decompress(comp)
+	out, _, err := Handle{}.Decompress(comp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestSZBeatsScalarQuantization(t *testing.T) {
 		hi = math.Max(hi, float64(v))
 	}
 	eb := 1e-3 * (hi - lo)
-	sq, err := Compress(f.Data, f.Dims, eb)
+	sq, err := Handle{}.Compress(f.Data, f.Dims, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestValidation(t *testing.T) {
 	}{
 		{[]int{4}, 1e-3}, {nil, 1e-3}, {[]int{3}, 0}, {[]int{1, 1, 1, 1, 1, 1, 1, 1, 3}, 1e-3}, {[]int{3, 0}, 1e-3},
 	} {
-		if _, err := Compress(data, c.dims, c.eb); err == nil || !strings.HasPrefix(err.Error(), "squant: ") {
+		if _, err := (Handle{}).Compress(data, c.dims, c.eb); err == nil || !strings.HasPrefix(err.Error(), "squant: ") {
 			t.Errorf("dims %v eb %g: got %v, want a squant error", c.dims, c.eb, err)
 		}
 	}
@@ -107,7 +107,7 @@ func BenchmarkCompress(b *testing.B) {
 	}
 	b.SetBytes(int64(len(data) * 4))
 	for i := 0; i < b.N; i++ {
-		if _, err := Compress(data, []int{len(data)}, 1e-3); err != nil {
+		if _, err := (Handle{}).Compress(data, []int{len(data)}, 1e-3); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -381,9 +381,6 @@ func NewFixedRateReader(buf []byte) (*FixedRateReader, error) {
 // NumBlocks is the total number of blocks in the stream.
 func (fr *FixedRateReader) NumBlocks() int { return fr.nb0 * fr.nb1 * fr.nb2 }
 
-// Dims returns the array dimensions.
-func (fr *FixedRateReader) Dims() []int { return append([]int(nil), fr.h.dims...) }
-
 // DecodeBlock decodes block `idx` (row-major block order) without decoding
 // anything else. The returned slice is freshly allocated.
 func (fr *FixedRateReader) DecodeBlock(idx int) ([]float32, error) {
