@@ -73,9 +73,9 @@ func BenchmarkDecompressWorkers(b *testing.B) {
 	})
 }
 
-// BenchmarkCompressorReuse contrasts a fresh handle per call (cold pools, as
-// the codecs' one-shot functions run) against a reused one whose scratch is
-// warm — the steady state the sz and zfp engines are built around.
+// BenchmarkCompressorReuse contrasts a fresh handle per call (cold pools)
+// against a reused one whose scratch is warm — the steady state the sz and
+// zfp engines are built around.
 func BenchmarkCompressorReuse(b *testing.B) {
 	eachBench(b, func(b *testing.B, name string, data []float32, dims []int) {
 		b.Run("oneshot", func(b *testing.B) {

@@ -306,8 +306,8 @@ func committedGoldens(t *testing.T) []golden {
 			out = append(out, golden{g.codec, path, stream, recon[4+8*nd:]})
 		}
 	}
-	if len(out) != 5+5 {
-		t.Fatalf("%d committed goldens with an image, want 5 sz + 5 zfp", len(out))
+	if len(out) != 5+4 {
+		t.Fatalf("%d committed goldens with an image, want 5 sz + 4 zfp", len(out))
 	}
 	return out
 }

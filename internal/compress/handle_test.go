@@ -31,19 +31,19 @@ func handleField[F elem]() ([]F, []int) {
 
 // TestHandleMatchesGoldens: the worker count is execution policy only, and
 // the handle NewHandle returns is the codec the goldens pin. At 1, 2 and 8
-// workers, on every reuse, its Compress and CompressAppend write the codec
-// package's one-shot stream (which sz and zfp hold to the committed streams in
-// their own TestHandleMatchesGoldens, where the recorded partition granularity
-// can be set) and its Decompress reads it back to the same bits. That every
-// committed stream decodes to its committed image is
-// TestDecompressIntoMatchesGoldens.
+// workers, on every reuse, its Compress and CompressAppend write the stream
+// of the codec package's own fresh handle on all cores (which sz and zfp hold
+// to the committed streams in their own TestHandleMatchesGoldens, where the
+// recorded partition granularity can be set) and its Decompress reads it back
+// to the same bits. That every committed stream decodes to its committed image
+// is TestDecompressIntoMatchesGoldens.
 func TestHandleMatchesGoldens(t *testing.T) {
 	oneShot := map[string]struct {
 		c32 func([]float32, []int, float64) ([]byte, error)
 		c64 func([]float64, []int, float64) ([]byte, error)
 	}{
-		"sz":     {sz.Compress, sz.Compress64},
-		"zfp":    {zfp.Compress, zfp.Compress64},
+		"sz":     {sz.NewHandle(0).Compress, sz.NewHandle(0).Compress64},
+		"zfp":    {zfp.NewHandle(0).Compress, zfp.NewHandle(0).Compress64},
 		"squant": {squant.Handle{}.Compress, squant.Handle{}.Compress64},
 	}
 	eachCodec(t, func(t *testing.T, name string, p precision[float32]) {
@@ -69,7 +69,7 @@ func identical[F elem](t *testing.T, name string, p precision[F], oneShot func([
 		for round := 0; round < 3; round++ {
 			fresh, err := p.fresh(h, data, dims, eb)
 			if err != nil || !bytes.Equal(fresh, want) {
-				t.Fatalf("workers=%d round %d Compress: err %v, or bytes differ from the one-shot's", workers, round, err)
+				t.Fatalf("workers=%d round %d Compress: err %v, or bytes differ from the fresh handle's", workers, round, err)
 			}
 			appended, err := p.compress(h, []byte("pre"), data, dims, eb)
 			if err != nil || !bytes.Equal(appended, append([]byte("pre"), want...)) {

@@ -74,7 +74,7 @@ func TestSZBeatsScalarQuantization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	szc, err := sz.Compress(f.Data, f.Dims, eb)
+	szc, err := sz.NewHandle(0).Compress(f.Data, f.Dims, eb)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ func fuzzSeedStream(tb testing.TB) []byte {
 	for i := range data {
 		data[i] = float32(i%17) * 0.25
 	}
-	buf, err := Compress(data, []int{4, 8, 8}, 1e-3)
+	buf, err := NewHandle(0).Compress(data, []int{4, 8, 8}, 1e-3)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func FuzzDecompress(f *testing.F) {
 	for i := range d64 {
 		d64[i] = float64(i) * 0.5
 	}
-	b64, err := Compress64(d64, []int{64}, 1e-4)
+	b64, err := NewHandle(0).Compress64(d64, []int{64}, 1e-4)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -69,10 +69,11 @@ func FuzzDecompress(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		if out, dims, err := Decompress(in); err == nil && wire.CheckDims("sz", len(out), dims) != nil {
+		h := NewHandle(0)
+		if out, dims, err := h.Decompress(in); err == nil && wire.CheckDims("sz", len(out), dims) != nil {
 			t.Fatalf("decode succeeded with dims %v for %d values", dims, len(out))
 		}
-		if out, dims, err := Decompress64(in); err == nil && wire.CheckDims("sz", len(out), dims) != nil {
+		if out, dims, err := h.Decompress64(in); err == nil && wire.CheckDims("sz", len(out), dims) != nil {
 			t.Fatalf("decode succeeded with dims %v for %d values", dims, len(out))
 		}
 	})

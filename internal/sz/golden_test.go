@@ -153,9 +153,9 @@ func requireRefused(t *testing.T, stream []byte) {
 	for try := 0; try < 3 && least > 4096; try++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, err32 := Decompress(stream)
-		_, _, err64 := Decompress64(stream)
 		h := NewHandle(1)
+		_, _, err32 := h.Decompress(stream)
+		_, _, err64 := h.Decompress64(stream)
 		_, _, into32 := h.DecompressInto(nil, stream)
 		_, _, into64 := h.DecompressInto64(nil, stream)
 		runtime.ReadMemStats(&after)
@@ -192,11 +192,11 @@ func decodeRecon(path string, stream []byte) ([]byte, error) {
 	var err error
 	if strings.Contains(path, ".f64.") {
 		var out []float64
-		out, dims, err = Decompress64(stream)
+		out, dims, err = NewHandle(0).Decompress64(stream)
 		bits = bitsOf(out)
 	} else {
 		var out []float32
-		out, dims, err = Decompress(stream)
+		out, dims, err = NewHandle(0).Decompress(stream)
 		bits = bitsOf(out)
 	}
 	img := binary.LittleEndian.AppendUint32(nil, uint32(len(dims)))
@@ -298,16 +298,17 @@ func TestGoldenStreamPrefixes(t *testing.T) {
 	if len(paths) == 0 {
 		t.Fatal("no golden streams")
 	}
+	h := NewHandle(0)
 	for _, path := range paths {
 		buf, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for cut := 0; cut < len(buf); cut++ {
-			if _, _, err := Decompress(buf[:cut]); err == nil {
+			if _, _, err := h.Decompress(buf[:cut]); err == nil {
 				t.Fatalf("%s: Decompress of %d-byte prefix succeeded", path, cut)
 			}
-			if _, _, err := Decompress64(buf[:cut]); err == nil {
+			if _, _, err := h.Decompress64(buf[:cut]); err == nil {
 				t.Fatalf("%s: Decompress64 of %d-byte prefix succeeded", path, cut)
 			}
 		}
@@ -331,7 +332,7 @@ func TestRetiredConfigurationsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Decompress(current); err != nil {
+	if _, _, err := NewHandle(0).Decompress(current); err != nil {
 		t.Fatalf("unforged stream: %v", err)
 	}
 	// Header words after magic, version, kind: quantBits at byte 12,
@@ -364,7 +365,7 @@ func TestRetiredVersionUnsupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = Decompress(retiredStamp(stream))
+	_, _, err = NewHandle(0).Decompress(retiredStamp(stream))
 	if err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version 3") {
 		t.Fatalf("v3-stamped stream: %v, want unsupported version", err)
 	}
@@ -392,7 +393,7 @@ func TestForgedStoredPartitionRefused(t *testing.T) {
 	binary.LittleEndian.PutUint64(forged[48:], rows0+claimed-binary.LittleEndian.Uint64(forged[32:]))
 	binary.LittleEndian.PutUint64(forged[32:], claimed)
 	requireRefused(t, forged)
-	if _, _, err := Decompress(forged); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := NewHandle(0).Decompress(forged); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("forged element count: err %v, want ErrCorrupt", err)
 	}
 }

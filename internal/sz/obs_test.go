@@ -92,11 +92,11 @@ func TestCompressWorkloadDeclared(t *testing.T) {
 	for i := range data {
 		data[i] = float32(i % 17)
 	}
-	blob, err := Compress(data, dims, 1e-3)
+	blob, err := NewHandle(0).Compress(data, dims, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Decompress(blob); err != nil {
+	if _, _, err := NewHandle(0).Decompress(blob); err != nil {
 		t.Fatal(err)
 	}
 

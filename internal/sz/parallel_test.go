@@ -44,13 +44,15 @@ func matches(t *testing.T, want []byte, got func(workers int) ([]byte, error)) {
 	}
 }
 
-// oneShot is data's one-shot stream at 1e-3 and the stream's decoded bits.
+// oneShot is data's stream at 1e-3 from a fresh all-core handle (one shot,
+// cold scratch) and the stream's decoded bits.
 func oneShot(t *testing.T, data []float32, dims []int) (stream, decoded []byte) {
-	stream, err := Compress(data, dims, 1e-3)
+	h := NewHandle(0)
+	stream, err := h.Compress(data, dims, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := Decompress(stream)
+	out, _, err := h.Decompress(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func TestPartitionOverheadBounded(t *testing.T) {
 	data, dims := multiPartField(t)
 	const eb = 1e-3
 
-	parted, err := Compress(data, dims, eb)
+	parted, err := NewHandle(0).Compress(data, dims, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,7 @@ func TestPartitionOverheadBounded(t *testing.T) {
 	partTargetElems = 1 << 30 // force one partition
 	partMinFanout = 1
 	defer func() { partTargetElems, partMinFanout = savedTarget, savedFanout }()
-	whole, err := Compress(data, dims, eb)
+	whole, err := NewHandle(0).Compress(data, dims, eb)
 	if err != nil {
 		t.Fatal(err)
 	}

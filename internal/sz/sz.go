@@ -100,31 +100,6 @@ var (
 // ErrCorrupt is returned when decompressing malformed input.
 var ErrCorrupt = errors.New("sz: corrupt stream")
 
-// Compress compresses float32 data (row-major with the given dims, slowest
-// first) under absolute error bound eb on all cores. For repeated calls, a
-// reusable Handle amortizes all scratch allocations.
-func Compress(data []float32, dims []int, eb float64) ([]byte, error) {
-	return NewHandle(0).Compress(data, dims, eb)
-}
-
-// Compress64 is Compress for float64 data. The quantization pipeline runs
-// in float64 throughout, so the bound holds at double precision.
-func Compress64(data []float64, dims []int, eb float64) ([]byte, error) {
-	return NewHandle(0).Compress64(data, dims, eb)
-}
-
-// Decompress reverses Compress, returning the reconstructed float32 array
-// and dims. Decompressing a float64 stream returns an error directing the
-// caller to Decompress64.
-func Decompress(buf []byte) ([]float32, []int, error) {
-	return NewHandle(0).Decompress(buf)
-}
-
-// Decompress64 reverses Compress64.
-func Decompress64(buf []byte) ([]float64, []int, error) {
-	return NewHandle(0).Decompress64(buf)
-}
-
 // --- partitioning ------------------------------------------------------------
 
 // partSpan is a half-open range [lo, hi) of virtual rows: rows along the
@@ -268,7 +243,8 @@ func engineFor[F Float](h *Handle) *engine[F] {
 	return any(&h.eng64).(*engine[F])
 }
 
-// Compress compresses float32 data under absolute error bound eb.
+// Compress compresses float32 data (row-major with the given dims, slowest
+// first) under absolute error bound eb.
 func (h *Handle) Compress(data []float32, dims []int, eb float64) ([]byte, error) {
 	return compressInto(h, nil, data, dims, eb)
 }
@@ -280,7 +256,8 @@ func (h *Handle) CompressAppend(dst []byte, data []float32, dims []int, eb float
 	return compressInto(h, dst, data, dims, eb)
 }
 
-// Compress64 is Compress for float64 data.
+// Compress64 is Compress for float64 data. The quantization pipeline runs
+// in float64 throughout, so the bound holds at double precision.
 func (h *Handle) Compress64(data []float64, dims []int, eb float64) ([]byte, error) {
 	return compressInto(h, nil, data, dims, eb)
 }
@@ -482,7 +459,8 @@ func decLanesFor[F Float](h *Handle) *par.Lanes[decLane[F]] {
 	return any(&h.dec64).(*par.Lanes[decLane[F]])
 }
 
-// Decompress reverses Compress.
+// Decompress reverses Compress. Decompressing a float64 stream returns an
+// error directing the caller to Decompress64.
 func (h *Handle) Decompress(buf []byte) ([]float32, []int, error) {
 	return decompressWith[float32](h, nil, buf)
 }

@@ -53,18 +53,18 @@ func TestFloat64RoundTrip3D(t *testing.T) {
 // TestTypeMismatchRejected: a stream decoded at the other precision is
 // refused by its kind word, and the error says which precision it holds.
 func TestTypeMismatchRejected(t *testing.T) {
-	c32, err := Compress([]float32{1, 2, 3, 4}, []int{4}, 1e-3)
+	c32, err := NewHandle(0).Compress([]float32{1, 2, 3, 4}, []int{4}, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c64, err := Compress64([]float64{1, 2, 3, 4}, []int{4}, 1e-3)
+	c64, err := NewHandle(0).Compress64([]float64{1, 2, 3, 4}, []int{4}, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Decompress64(c32); err == nil || !strings.Contains(err.Error(), "holds float32 values") {
+	if _, _, err := NewHandle(0).Decompress64(c32); err == nil || !strings.Contains(err.Error(), "holds float32 values") {
 		t.Errorf("float32 stream through Decompress64: %v", err)
 	}
-	if _, _, err := Decompress(c64); err == nil || !strings.Contains(err.Error(), "holds float64 values") {
+	if _, _, err := NewHandle(0).Decompress(c64); err == nil || !strings.Contains(err.Error(), "holds float64 values") {
 		t.Errorf("float64 stream through Decompress: %v", err)
 	}
 }
@@ -109,7 +109,7 @@ func BenchmarkCompress64(b *testing.B) {
 	}
 	b.SetBytes(int64(len(data) * 8))
 	for i := 0; i < b.N; i++ {
-		if _, err := Compress64(data, []int{len(data)}, 1e-8); err != nil {
+		if _, err := NewHandle(0).Compress64(data, []int{len(data)}, 1e-8); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -133,7 +133,7 @@ func TestExtremeValues(t *testing.T) {
 
 // TestSingleElement: one element is one partition.
 func TestSingleElement(t *testing.T) {
-	stream, err := Compress([]float32{42.5}, []int{1}, 1e-2)
+	stream, err := NewHandle(0).Compress([]float32{42.5}, []int{1}, 1e-2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +167,11 @@ func TestLeadingSingletonDimsTreatedAs1D(t *testing.T) {
 	for i := range data {
 		data[i] = float32(i % 17)
 	}
-	a, err := Compress(data, []int{1, 2048}, 1e-3)
+	a, err := NewHandle(0).Compress(data, []int{1, 2048}, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Compress(data, []int{2048}, 1e-3)
+	b, err := NewHandle(0).Compress(data, []int{2048}, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestInvalidInputs(t *testing.T) {
 		{[]int{4}, 1e-3}, {nil, 1e-3}, {[]int{3}, 0}, {[]int{3}, -1}, {[]int{3}, math.NaN()},
 		{[]int{-3}, 1e-3}, {[]int{1, 1, 1, 1, 1, 1, 1, 1, 3}, 1e-3}, {[]int{3, 0}, 1e-3},
 	} {
-		if _, err := Compress(data, c.dims, c.eb); err == nil || !strings.HasPrefix(err.Error(), "sz: ") {
+		if _, err := NewHandle(0).Compress(data, c.dims, c.eb); err == nil || !strings.HasPrefix(err.Error(), "sz: ") {
 			t.Errorf("dims %v eb %g: got %v, want an sz error", c.dims, c.eb, err)
 		}
 	}
@@ -227,12 +227,12 @@ func TestDecompressCorrupt(t *testing.T) {
 	for i := range data {
 		data[i] = float32(math.Sin(float64(i) / 10))
 	}
-	comp, err := Compress(data, []int{1000}, 1e-3)
+	comp, err := NewHandle(0).Compress(data, []int{1000}, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range [][]byte{comp[:0], comp[:1], comp[:len(comp)/2], comp[:len(comp)-1], []byte("definitely not a stream")} {
-		if _, _, err := Decompress(bad); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := NewHandle(0).Decompress(bad); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%d-byte stream: %v, want ErrCorrupt", len(bad), err)
 		}
 	}

@@ -27,7 +27,7 @@ func traitsFor[F Float]() traits {
 }
 
 // emax block-header field: 12 bits, bias 1100, covering the full float64
-// exponent range; the value 0 is reserved (fixed-rate zero blocks).
+// exponent range.
 const (
 	emaxFieldBits = 12
 	emaxBias      = 1100

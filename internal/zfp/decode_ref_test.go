@@ -245,10 +245,11 @@ type goldenPayload struct {
 	bytes  []byte
 }
 
-// goldenPayloads cuts the fixed-accuracy goldens into their shards' block
-// streams, the unit the plane decoder works on. The retired fixed-precision
-// golden is refused by mode, but its payload is one serial stream of blocks
-// in the same layout, so it stays a plane-decoder input.
+// goldenPayloads cuts the goldens into their shards' block streams, the unit
+// the plane decoder works on. The retired fixed-precision golden is refused by
+// mode, but its payload is one serial stream of blocks in the same layout, so
+// it stays a plane-decoder input; the retired fixed-rate golden's blocks have
+// another layout, so it is skipped.
 func goldenPayloads(tb testing.TB) []goldenPayload {
 	tb.Helper()
 	paths, err := filepath.Glob(filepath.Join("testdata", "golden_*.zfs"))
@@ -261,10 +262,13 @@ func goldenPayloads(tb testing.TB) []goldenPayload {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if filepath.Base(path) == retiredGolden {
-			buf = forgeMode(buf, uint32(ModeFixedAccuracy))
+		switch filepath.Base(path) {
+		case rateGolden:
+			continue
+		case precGolden:
+			buf = forgeMode(buf, modeAccuracy)
 			h, total := blockCount(tb, buf)
-			out = append(out, goldenPayload{retiredGolden, h.kind, rank(h.dims), total, buf[h.payloadOff:]})
+			out = append(out, goldenPayload{precGolden, h.kind, rank(h.dims), total, buf[h.payloadOff:]})
 			continue
 		}
 		out = append(out, shardPayloads(tb, filepath.Base(path), buf)...)
@@ -287,14 +291,10 @@ func blockCount(tb testing.TB, buf []byte) (header, int) {
 	return h, nb0 * nb1 * nb2
 }
 
-// shardPayloads cuts a fixed-accuracy stream into its shards' block streams;
-// a stream of any other mode yields none.
+// shardPayloads cuts a stream into its shards' block streams.
 func shardPayloads(tb testing.TB, name string, buf []byte) []goldenPayload {
 	tb.Helper()
 	h, total := blockCount(tb, buf)
-	if h.mode != ModeFixedAccuracy {
-		return nil
-	}
 	rd := wire.NewReader(buf[h.payloadOff:], ErrCorrupt)
 	shards, sb := int(rd.Uint32()), int(rd.Uint32())
 	lens := make([]int, shards)
@@ -338,23 +338,24 @@ func TestGoldenPayloadPrefixes(t *testing.T) {
 }
 
 // TestGoldenStreamPrefixes: every byte-prefix of every golden stream, in
-// every mode and precision, is an error from the public decoders — never a
-// success, never a panic.
+// either precision, and of the retired modes' too, is an error from the
+// public decoders — never a success, never a panic.
 func TestGoldenStreamPrefixes(t *testing.T) {
 	paths, _ := filepath.Glob(filepath.Join("testdata", "golden_*.zfs"))
 	if len(paths) == 0 {
 		t.Fatal("no golden streams")
 	}
+	h := NewHandle(0)
 	for _, path := range paths {
 		buf, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for cut := 0; cut < len(buf); cut++ {
-			if _, _, err := Decompress(buf[:cut]); err == nil {
+			if _, _, err := h.Decompress(buf[:cut]); err == nil {
 				t.Fatalf("%s: Decompress of %d-byte prefix succeeded", path, cut)
 			}
-			if _, _, err := Decompress64(buf[:cut]); err == nil {
+			if _, _, err := h.Decompress64(buf[:cut]); err == nil {
 				t.Fatalf("%s: Decompress64 of %d-byte prefix succeeded", path, cut)
 			}
 		}

@@ -8,8 +8,8 @@ import (
 	"lcpio/internal/wire"
 )
 
-// FuzzDecompress drives the decoder with corrupted streams across both
-// modes and the retired mode words. Contract: coherent output or an error — never a panic, and never an
+// FuzzDecompress drives the decoder with corrupted streams and streams
+// forged to the retired mode words. Contract: coherent output or an error — never a panic, and never an
 // output allocation the payload could not plausibly back (each block costs at
 // least its tag bits, checked before the slice is sized from header dims).
 func FuzzDecompress(f *testing.F) {
@@ -19,20 +19,18 @@ func FuzzDecompress(f *testing.F) {
 	}
 	dims := []int{8, 8, 8}
 
-	acc, err := Compress(data, dims, 1e-3)
+	h := NewHandle(0)
+	acc, err := h.Compress(data, dims, 1e-3)
 	if err != nil {
 		f.Fatal(err)
 	}
-	rate, err := CompressFixedRate(data, dims, 8)
-	if err != nil {
-		f.Fatal(err)
-	}
+	rate := forgeMode(acc, 1) // the retired fixed-rate mode word
 	prec := forgeMode(acc, 2) // the retired fixed-precision mode word
 	d64 := make([]float64, 32)
 	for i := range d64 {
 		d64[i] = float64(i) * 1.5
 	}
-	acc64, err := Compress64(d64, []int{32}, 1e-6)
+	acc64, err := h.Compress64(d64, []int{32}, 1e-6)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -66,7 +64,7 @@ func FuzzDecompress(f *testing.F) {
 		}
 	}
 
-	// Pinned golden streams (all modes, both precisions, including ones
+	// Pinned golden streams (both precisions, the retired modes, and ones
 	// written by older encoders with fixed-size shards), so decoder
 	// back-compat stays in the corpus as the encoder evolves.
 	goldens, _ := filepath.Glob(filepath.Join("testdata", "golden_*.zfs"))
@@ -77,10 +75,11 @@ func FuzzDecompress(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		if out, dims, err := Decompress(in); err == nil && wire.CheckDims("zfp", len(out), dims) != nil {
+		h := NewHandle(0)
+		if out, dims, err := h.Decompress(in); err == nil && wire.CheckDims("zfp", len(out), dims) != nil {
 			t.Fatalf("decode succeeded with dims %v for %d values", dims, len(out))
 		}
-		if out, dims, err := Decompress64(in); err == nil && wire.CheckDims("zfp", len(out), dims) != nil {
+		if out, dims, err := h.Decompress64(in); err == nil && wire.CheckDims("zfp", len(out), dims) != nil {
 			t.Fatalf("decode succeeded with dims %v for %d values", dims, len(out))
 		}
 	})

@@ -48,18 +48,15 @@ func goldenField32(dims []int) []float32 {
 type goldenCase struct {
 	name string
 	dims []int
-	mode Mode
-	// param: tolerance or bits/value depending on mode
-	param float64
-	f64   bool
+	eb   float64
+	f64  bool
 }
 
 var goldenCases = []goldenCase{
-	{"acc_3d", []int{12, 12, 12}, ModeFixedAccuracy, 1e-3, false},
-	{"acc_2d", []int{40, 40}, ModeFixedAccuracy, 1e-4, false},
-	{"acc_1d", []int{1000}, ModeFixedAccuracy, 1e-3, false},
-	{"acc_3d_f64", []int{12, 12, 12}, ModeFixedAccuracy, 1e-6, true},
-	{"rate_3d", []int{12, 12, 12}, ModeFixedRate, 8, false},
+	{"acc_3d", []int{12, 12, 12}, 1e-3, false},
+	{"acc_2d", []int{40, 40}, 1e-4, false},
+	{"acc_1d", []int{1000}, 1e-3, false},
+	{"acc_3d_f64", []int{12, 12, 12}, 1e-6, true},
 }
 
 func (tc goldenCase) file() string {
@@ -70,33 +67,31 @@ func (tc goldenCase) file() string {
 	return fmt.Sprintf("golden_v%d_%s.%s.zfs", version, tc.name, kind)
 }
 
-// compress appends tc's stream to dst: a fixed-accuracy one written by h, a
-// fixed-rate one by the one-shot.
+// compress appends tc's stream, written by h, to dst.
 func (tc goldenCase) compress(h *Handle, dst []byte) ([]byte, error) {
 	f32 := goldenField32(tc.dims)
-	if tc.mode == ModeFixedRate {
-		// Fixed-rate mode rejects non-finite input.
-		for i, v := range f32 {
-			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-				f32[i] = 1.5
-			}
-		}
-		stream, err := CompressFixedRate(f32, tc.dims, tc.param)
-		return append(dst, stream...), err
-	}
 	if tc.f64 {
 		var f64 []float64
 		for _, v := range f32 {
 			f64 = append(f64, float64(v))
 		}
-		return h.CompressAppend64(dst, f64, tc.dims, tc.param)
+		return h.CompressAppend64(dst, f64, tc.dims, tc.eb)
 	}
-	return h.CompressAppend(dst, f32, tc.dims, tc.param)
+	return h.CompressAppend(dst, f32, tc.dims, tc.eb)
 }
 
-// retiredGolden is a stream of the fixed-precision mode the codec no longer
-// has. It stays committed without a decoded image: the decoder must refuse it.
-const retiredGolden = "golden_v3_prec_3d.f32.zfs"
+// The retired goldens are streams of the fixed-precision and fixed-rate
+// modes the codec no longer has. They stay committed without a decoded
+// image: the decoder must refuse them.
+const (
+	precGolden = "golden_v3_prec_3d.f32.zfs"
+	rateGolden = "golden_v3_rate_3d.f32.zfs"
+)
+
+func retired(path string) bool {
+	base := filepath.Base(path)
+	return base == precGolden || base == rateGolden
+}
 
 // requireRefused asserts that both decoders — and their Into forms, handed
 // no room — return an error on stream without allocating anything the size
@@ -111,9 +106,9 @@ func requireRefused(t *testing.T, stream []byte) {
 	for try := 0; try < 3 && least > 4096; try++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, err32 := Decompress(stream)
-		_, _, err64 := Decompress64(stream)
 		h := NewHandle(1)
+		_, _, err32 := h.Decompress(stream)
+		_, _, err64 := h.Decompress64(stream)
 		_, _, into32 := h.DecompressInto(nil, stream)
 		_, _, into64 := h.DecompressInto64(nil, stream)
 		runtime.ReadMemStats(&after)
@@ -136,28 +131,31 @@ func forgeMode(stream []byte, mode uint32) []byte {
 	return out
 }
 
-// TestRetiredConfigurationsRefused: the committed fixed-precision golden, and
-// current streams whose mode word is forged to the retired value or beyond,
-// are refused from the header: an error, no panic, no output allocation.
+// TestRetiredConfigurationsRefused: the committed fixed-precision and
+// fixed-rate goldens are refused from the header (an error, no panic, no
+// output allocation), and so is each of them and a current stream with its
+// mode word forged to any other retired value or beyond.
 func TestRetiredConfigurationsRefused(t *testing.T) {
-	stream, err := os.ReadFile(filepath.Join("testdata", retiredGolden))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Run(retiredGolden, func(t *testing.T) { requireRefused(t, stream) })
-	for _, name := range []string{"golden_v3_acc_3d.f32.zfs", "golden_v3_rate_3d.f32.zfs"} {
-		current, err := os.ReadFile(filepath.Join("testdata", name))
+	for _, name := range []string{precGolden, rateGolden, "golden_v3_acc_3d.f32.zfs"} {
+		stream, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := Decompress(current); err != nil {
-			t.Fatalf("%s unforged: %v", name, err)
-		}
-		for _, mode := range []uint32{2, 3} {
-			t.Run(fmt.Sprintf("%s/mode=%d", name, mode), func(t *testing.T) {
-				requireRefused(t, forgeMode(current, mode))
-			})
-		}
+		t.Run(name, func(t *testing.T) {
+			if retired(name) {
+				requireRefused(t, stream)
+			} else if _, _, err := NewHandle(0).Decompress(stream); err != nil {
+				t.Fatalf("unforged: %v", err)
+			}
+			for _, mode := range []uint32{1, 2, 3} {
+				if mode == binary.LittleEndian.Uint32(stream[12:]) {
+					continue
+				}
+				t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
+					requireRefused(t, forgeMode(stream, mode))
+				})
+			}
+		})
 	}
 }
 
@@ -183,11 +181,11 @@ func decodeRecon(path string, stream []byte) ([]byte, error) {
 	var err error
 	if strings.Contains(path, ".f64.") {
 		var out []float64
-		out, dims, err = Decompress64(stream)
+		out, dims, err = NewHandle(0).Decompress64(stream)
 		bits = bitsOf(out)
 	} else {
 		var out []float32
-		out, dims, err = Decompress(stream)
+		out, dims, err = NewHandle(0).Decompress(stream)
 		bits = bitsOf(out)
 	}
 	img := binary.LittleEndian.AppendUint32(nil, uint32(len(dims)))
@@ -198,8 +196,8 @@ func decodeRecon(path string, stream []byte) ([]byte, error) {
 }
 
 // TestHandleMatchesGoldens: at every worker count a Handle's Compress,
-// CompressAppend and Compress64 write exactly the committed fixed-accuracy
-// streams, so the configuration the codec has left is the one the goldens pin.
+// CompressAppend and Compress64 write exactly the committed streams, so the
+// configuration the codec has is the one the goldens pin.
 // The goldens predate the adaptive shard plan and carry its old fixed size of
 // 4096 blocks, which the plan is pinned to here.
 func TestHandleMatchesGoldens(t *testing.T) {
@@ -207,9 +205,6 @@ func TestHandleMatchesGoldens(t *testing.T) {
 	shardMinBlocks = shardTargetBlocks
 	defer func() { shardMinBlocks = saved }()
 	for _, tc := range goldenCases {
-		if tc.mode != ModeFixedAccuracy {
-			continue
-		}
 		want, err := os.ReadFile(filepath.Join("testdata", tc.file()))
 		if err != nil {
 			t.Fatal(err)
@@ -227,7 +222,7 @@ func TestHandleMatchesGoldens(t *testing.T) {
 // -update it regenerates the current version's files; without it, every
 // pinned stream on disk — including ones written by older encoders — must
 // decode bit-identically to its pinned image, or, for the retired
-// fixed-precision stream, be refused.
+// fixed-precision and fixed-rate streams, be refused.
 func TestGoldenStreams(t *testing.T) {
 	dir := "testdata"
 	if *updateGolden {
@@ -261,7 +256,7 @@ func TestGoldenStreams(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if filepath.Base(path) == retiredGolden {
+			if retired(path) {
 				requireRefused(t, stream)
 				return
 			}

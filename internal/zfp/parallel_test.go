@@ -44,13 +44,15 @@ func matches(t *testing.T, want []byte, got func(workers int) ([]byte, error)) {
 	}
 }
 
-// oneShot is data's one-shot stream at 1e-3 and the stream's decoded bits.
+// oneShot is data's stream at 1e-3 from a fresh all-core handle (one shot,
+// cold scratch) and the stream's decoded bits.
 func oneShot(t *testing.T, data []float32, dims []int) (stream, decoded []byte) {
-	stream, err := Compress(data, dims, 1e-3)
+	h := NewHandle(0)
+	stream, err := h.Compress(data, dims, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := Decompress(stream)
+	out, _, err := h.Decompress(stream)
 	if err != nil {
 		t.Fatal(err)
 	}

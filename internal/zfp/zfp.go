@@ -21,9 +21,10 @@
 // occupy a wide worker pool, but it is a pure function of the array shape —
 // never of the worker count — so compressed bytes are identical at any
 // worker count. The size is recorded in the stream, which is how
-// pre-adaptive fixed-size streams remain decodable. Fixed-rate streams keep
-// a single contiguous equal-budget block sequence — that contiguity is what
-// FixedRateReader's random access relies on.
+// pre-adaptive fixed-size streams remain decodable. Fixed accuracy is the
+// one mode the codec has: a stream whose mode word names the retired
+// fixed-rate (1) or fixed-precision (2) mode, or any other, is refused from
+// its header.
 package zfp
 
 import (
@@ -66,55 +67,28 @@ const (
 	tagZero  = 2 // all-zero block
 )
 
-// Mode selects the rate/quality control of the stream: the fixed-accuracy
-// mode the paper runs and the fixed-rate mode random access needs. (Mode
-// word 2 was fixed-precision; the decoder refuses it.)
-type Mode uint32
+// modeAccuracy is the header's mode word for fixed accuracy, the one mode
+// the codec writes and reads.
+const modeAccuracy = 0
 
-const (
-	// ModeFixedAccuracy bounds the absolute reconstruction error.
-	ModeFixedAccuracy Mode = iota
-	// ModeFixedRate spends an exact bit budget per block, which makes
-	// every block independently addressable (random access).
-	ModeFixedRate
-)
-
-func (m Mode) String() string {
-	switch m {
-	case ModeFixedAccuracy:
-		return "fixed-accuracy"
-	case ModeFixedRate:
-		return "fixed-rate"
-	default:
-		return fmt.Sprintf("Mode(%d)", uint32(m))
-	}
-}
-
-// header is the parsed stream preamble shared by all modes.
+// header is the parsed stream preamble.
 type header struct {
-	kind  uint32 // 32 or 64: element type
-	mode  Mode
-	dims  []int
-	param float64 // tolerance or bits per value
+	kind uint32 // 32 or 64: element type
+	dims []int
+	eb   float64 // absolute tolerance
 	// byte offset where the block payload starts
 	payloadOff int
 	n          int
 }
 
 // appendHeader appends the stream preamble to dst.
-func appendHeader[F Float](dst []byte, mode Mode, dims []int, param float64) []byte {
+func appendHeader[F Float](dst []byte, dims []int, eb float64) []byte {
 	dst = wire.AppendUint32(dst, magic)
 	dst = wire.AppendUint32(dst, version)
 	dst = wire.AppendUint32(dst, wire.ElemBits[F]())
-	dst = wire.AppendUint32(dst, uint32(mode))
+	dst = wire.AppendUint32(dst, modeAccuracy)
 	dst = wire.AppendDims(dst, dims)
-	return wire.AppendFloat64(dst, param)
-}
-
-func writeHeader[F Float](w *bitstream.Writer, mode Mode, dims []int, param float64) {
-	for _, b := range appendHeader[F](nil, mode, dims, param) {
-		w.WriteBits(uint64(b), 8)
-	}
+	return wire.AppendFloat64(dst, eb)
 }
 
 func parseHeader(buf []byte) (header, error) {
@@ -133,15 +107,14 @@ func parseHeader(buf []byte) (header, error) {
 	if h.kind != 32 && h.kind != 64 {
 		return h, ErrCorrupt
 	}
-	h.mode = Mode(rd.Uint32())
-	if h.mode > ModeFixedRate {
+	if mode := rd.Uint32(); mode != modeAccuracy {
 		if rd.Err() != nil {
 			return h, ErrCorrupt
 		}
-		return h, fmt.Errorf("zfp: unsupported mode %d", uint32(h.mode))
+		return h, fmt.Errorf("zfp: unsupported mode %d", mode)
 	}
 	h.dims, h.n = rd.Dims()
-	h.param = rd.Float64()
+	h.eb = rd.Float64()
 	if rd.Err() != nil {
 		return h, ErrCorrupt
 	}
@@ -149,34 +122,10 @@ func parseHeader(buf []byte) (header, error) {
 	return h, nil
 }
 
-// Compress compresses float32 data (row-major, dims slowest first) in
-// fixed-accuracy mode with absolute tolerance eb on all cores. For repeated
-// calls, a reusable Handle amortizes all scratch allocations.
-func Compress(data []float32, dims []int, eb float64) ([]byte, error) {
-	return NewHandle(0).Compress(data, dims, eb)
-}
-
-// Compress64 is Compress for float64 data, carrying 52 fractional bits
-// through the block transform.
-func Compress64(data []float64, dims []int, eb float64) ([]byte, error) {
-	return NewHandle(0).Compress64(data, dims, eb)
-}
-
-// Decompress reverses either compression mode for float32 streams; float64
-// streams must use Decompress64.
-func Decompress(buf []byte) ([]float32, []int, error) {
-	return NewHandle(0).Decompress(buf)
-}
-
-// Decompress64 reverses either mode for float64 streams.
-func Decompress64(buf []byte) ([]float64, []int, error) {
-	return NewHandle(0).Decompress64(buf)
-}
-
 // --- shard geometry ----------------------------------------------------------
 
-// blockGrid returns the per-axis block counts matching forEachBlock's
-// row-major visit order.
+// blockGrid returns the per-axis block counts of the row-major block grid;
+// unused axes have a single block.
 func blockGrid(d0, d1, d2, dim int) (nb0, nb1, nb2 int) {
 	nb0, nb1, nb2 = 1, 1, (d2+blockEdge-1)/blockEdge
 	if dim >= 2 {
@@ -298,7 +247,8 @@ func zengineFor[F Float](h *Handle) *zengine[F] {
 	return any(&h.e64).(*zengine[F])
 }
 
-// Compress compresses float32 data in fixed-accuracy mode.
+// Compress compresses float32 data (row-major, dims slowest first) in
+// fixed-accuracy mode with absolute tolerance eb.
 func (h *Handle) Compress(data []float32, dims []int, eb float64) ([]byte, error) {
 	return compressInto(h, nil, data, dims, eb)
 }
@@ -309,7 +259,8 @@ func (h *Handle) CompressAppend(dst []byte, data []float32, dims []int, eb float
 	return compressInto(h, dst, data, dims, eb)
 }
 
-// Compress64 is Compress for float64 data.
+// Compress64 is Compress for float64 data, carrying 52 fractional bits
+// through the block transform.
 func (h *Handle) Compress64(data []float64, dims []int, eb float64) ([]byte, error) {
 	return compressInto(h, nil, data, dims, eb)
 }
@@ -366,7 +317,7 @@ func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float
 
 	// Assemble: header + shard index + byte-aligned shard payloads.
 	out := dst
-	out = appendHeader[F](out, ModeFixedAccuracy, dims, eb)
+	out = appendHeader[F](out, dims, eb)
 	out = wire.AppendUint32(out, uint32(numShards))
 	out = wire.AppendUint32(out, uint32(sb))
 	for i := range parts {
@@ -437,7 +388,7 @@ func (h *Handle) shardIndex(numShards int) ([]int, [][]byte, []error) {
 	return h.lens[:numShards], h.payloads[:numShards], h.errs[:numShards]
 }
 
-// Decompress reverses either compression mode for float32 streams.
+// Decompress reverses Compress for float32 streams.
 func (h *Handle) Decompress(buf []byte) ([]float32, []int, error) {
 	return decompressWith[float32](h, nil, buf)
 }
@@ -450,7 +401,7 @@ func (h *Handle) DecompressInto(dst []float32, buf []byte) ([]float32, []int, er
 	return decompressWith(h, dst, buf)
 }
 
-// Decompress64 reverses either compression mode for float64 streams.
+// Decompress64 reverses Compress64 for float64 streams.
 func (h *Handle) Decompress64(buf []byte) ([]float64, []int, error) {
 	return decompressWith[float64](h, nil, buf)
 }
@@ -469,10 +420,7 @@ func decompressWith[F Float](h *Handle, dst []F, buf []byte) ([]F, []int, error)
 		return nil, nil, fmt.Errorf("zfp: stream holds float%d values, caller asked for float%d",
 			hdr.kind, wire.ElemBits[F]())
 	}
-	if hdr.mode == ModeFixedRate {
-		return decompressFixedRate(dst, buf, hdr)
-	}
-	if !(hdr.param > 0) || math.IsInf(hdr.param, 0) {
+	if !(hdr.eb > 0) || math.IsInf(hdr.eb, 0) {
 		return nil, nil, ErrCorrupt
 	}
 	return decompressAccuracy(h, dst, buf, hdr)
@@ -573,19 +521,6 @@ func blockSize(dim int) int {
 		return blockEdge * blockEdge
 	default:
 		return blockEdge * blockEdge * blockEdge
-	}
-}
-
-// forEachBlock visits the block grid in row-major order. Unused axes have a
-// single block at index 0.
-func forEachBlock(d0, d1, d2, dim int, visit func(bi, bj, bk int)) {
-	nb0, nb1, nb2 := blockGrid(d0, d1, d2, dim)
-	for bi := 0; bi < nb0; bi++ {
-		for bj := 0; bj < nb1; bj++ {
-			for bk := 0; bk < nb2; bk++ {
-				visit(bi, bj, bk)
-			}
-		}
 	}
 }
 

@@ -47,33 +47,8 @@ func TestFloat64HugeExponents(t *testing.T) {
 	}
 }
 
-func TestFloat64FixedRate(t *testing.T) {
-	data := make([]float64, 512)
-	for i := range data {
-		data[i] = math.Sin(float64(i) / 20)
-	}
-	comp, err := compressFixedRate(data, []int{512}, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _, err := Decompress64(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 512 {
-		t.Fatalf("len %d", len(out))
-	}
-	// 20 bpv on smooth doubles: small but nonzero error.
-	for i, v := range out {
-		if math.Abs(v-data[i]) > 1e-2 {
-			t.Fatalf("20 bpv: element %d error %g too large", i, math.Abs(v-data[i]))
-		}
-	}
-}
-
 // TestZfpTypeMismatchRejected: a stream decoded at the other precision is
-// refused by its kind word, naming the precision it holds; FixedRateReader is
-// float32-only.
+// refused by its kind word, naming the precision it holds.
 func TestZfpTypeMismatchRejected(t *testing.T) {
 	f32 := make([]float32, 16)
 	f64 := make([]float64, 16)
@@ -81,20 +56,14 @@ func TestZfpTypeMismatchRejected(t *testing.T) {
 		f32[i] = float32(i)
 		f64[i] = float64(i)
 	}
-	c32, _ := Compress(f32, []int{16}, 1e-3)
-	c64, _ := Compress64(f64, []int{16}, 1e-3)
-	if _, _, err := Decompress64(c32); err == nil || !strings.Contains(err.Error(), "holds float32 values") {
+	h := NewHandle(0)
+	c32, _ := h.Compress(f32, []int{16}, 1e-3)
+	c64, _ := h.Compress64(f64, []int{16}, 1e-3)
+	if _, _, err := h.Decompress64(c32); err == nil || !strings.Contains(err.Error(), "holds float32 values") {
 		t.Errorf("float32 stream through Decompress64: %v", err)
 	}
-	if _, _, err := Decompress(c64); err == nil || !strings.Contains(err.Error(), "holds float64 values") {
+	if _, _, err := h.Decompress(c64); err == nil || !strings.Contains(err.Error(), "holds float64 values") {
 		t.Errorf("float64 stream through Decompress: %v", err)
-	}
-	r64, err := compressFixedRate(f64, []int{16}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewFixedRateReader(r64); err == nil {
-		t.Error("float64 fixed-rate stream accepted by FixedRateReader")
 	}
 }
 

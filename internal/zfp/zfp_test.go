@@ -192,7 +192,7 @@ func TestSingletonDims(t *testing.T) {
 	}
 	var lens []int
 	for _, dims := range [][]int{{128}, {1, 128}, {1, 1, 128}} {
-		stream, err := Compress(data, dims, 1e-3)
+		stream, err := NewHandle(0).Compress(data, dims, 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestOddLengths(t *testing.T) {
 		for i := range data {
 			data[i] = float32(math.Sin(float64(i)))
 		}
-		stream, err := Compress(data, []int{n}, 1e-4)
+		stream, err := NewHandle(0).Compress(data, []int{n}, 1e-4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestInvalidInputs(t *testing.T) {
 		{[]int{5}, 1e-3}, {nil, 1e-3}, {[]int{4}, 0}, {[]int{4}, math.Inf(1)},
 		{[]int{1, 1, 1, 1, 1, 1, 1, 1, 4}, 1e-3}, {[]int{4, 0}, 1e-3},
 	} {
-		if _, err := Compress(data, c.dims, c.eb); err == nil || !strings.HasPrefix(err.Error(), "zfp: ") {
+		if _, err := NewHandle(0).Compress(data, c.dims, c.eb); err == nil || !strings.HasPrefix(err.Error(), "zfp: ") {
 			t.Errorf("dims %v eb %g: got %v, want a zfp error", c.dims, c.eb, err)
 		}
 	}
@@ -250,12 +250,12 @@ func TestDecompressCorrupt(t *testing.T) {
 	for i := range data {
 		data[i] = float32(math.Sin(float64(i) / 5))
 	}
-	comp, err := Compress(data, []int{300}, 1e-3)
+	comp, err := NewHandle(0).Compress(data, []int{300}, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range [][]byte{comp[:0], comp[:4], comp[:11], comp[:len(comp)/2], make([]byte, 64)} {
-		if _, _, err := Decompress(bad); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := NewHandle(0).Decompress(bad); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%d-byte stream: %v, want ErrCorrupt", len(bad), err)
 		}
 	}
@@ -266,7 +266,7 @@ func TestDecompressCorrupt(t *testing.T) {
 	binary.LittleEndian.PutUint32(forged[36:], 1)
 	binary.LittleEndian.PutUint32(forged[40:], 1<<20)
 	requireRefused(t, forged)
-	if _, _, err := Decompress(forged); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := NewHandle(0).Decompress(forged); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("forged element count: %v, want ErrCorrupt", err)
 	}
 }
