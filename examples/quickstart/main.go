@@ -1,5 +1,5 @@
-// Quickstart: compress a scientific field with both lossy codecs, verify
-// the error bound, and estimate the energy of compressing + writing it on a
+// Quickstart: compress a field with every registered codec, verify the
+// error bound, and estimate the energy of compressing + writing it on a
 // simulated HPC node at base clock versus the paper's tuned frequencies.
 package main
 
@@ -25,8 +25,12 @@ func main() {
 		spec.Dataset, field.Dims, field.NumElements(),
 		float64(field.SizeBytes())/1e6)
 
-	// 2. Compress with SZ and ZFP at a range-relative 1e-3 bound.
+	// 2. Compress with every registered codec at a range-relative 1e-3 bound.
 	eb := compress.AbsBoundFromRelative(1e-3, field.Data)
+	width := 0
+	for _, name := range compress.Names() {
+		width = max(width, len(name))
+	}
 	for _, name := range compress.Names() {
 		codec, err := compress.NewHandle(name, 0)
 		if err != nil {
@@ -36,11 +40,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-4s ratio %6.2f   max error %.3g (bound %.3g)   PSNR %.1f dB\n",
-			name, res.Ratio(), res.MaxAbsError, eb, res.PSNR)
+		fmt.Printf("%-*s  ratio %6.2f   max error %.3g (bound %.3g)   PSNR %.1f dB\n",
+			width, name, res.Ratio(), res.MaxAbsError, eb, res.PSNR)
 	}
 
-	// 3. Estimate compressing + writing 64 GB of such data on a Broadwell
+	// 3. Estimate compressing + writing 64 GiB of such data on a Broadwell
 	// node, at base clock and with Eqn 3 tuning.
 	chip := dvfs.Broadwell()
 	const totalBytes = 64 << 30
@@ -66,8 +70,8 @@ func main() {
 	}
 	base, tuned := baseT.Joules, tunedT.Joules
 
-	fmt.Printf("\n64 GB compress+write on %s:\n", chip.Model)
+	fmt.Printf("\n64 GiB compress+write on %s:\n", chip.Model)
 	fmt.Printf("  base clock (%.1f GHz): %8.1f kJ\n", chip.BaseGHz, base/1e3)
-	fmt.Printf("  tuned (Eqn 3):         %8.1f kJ  (saved %.1f kJ, %.1f%%)\n",
+	fmt.Printf("  tuned (Eqn 3):        %8.1f kJ  (saved %.1f kJ, %.1f%%)\n",
 		tuned/1e3, (base-tuned)/1e3, 100*(base-tuned)/base)
 }

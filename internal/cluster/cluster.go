@@ -1,10 +1,8 @@
 // Package cluster scales the paper's single-node results to the exascale
 // setting that motivates it: many nodes concurrently dumping compressed
 // snapshots to shared storage. It models NFS-server ingress contention
-// (per-client bandwidth shrinks as clients pile on), aggregates energy
-// across the fleet, and reproduces the introduction's motivating
-// arithmetic — HACC-class snapshot sets needing ~10 hours at 500 GB/s
-// aggregate bandwidth.
+// (per-client bandwidth shrinks as clients pile on) and aggregates energy
+// across the fleet.
 package cluster
 
 import (
@@ -143,20 +141,6 @@ func Dump(cfg Config, rule phases.Rule) (Result, error) {
 		TotalJoules:         nodeJoules * float64(cfg.Nodes),
 	}, nil
 }
-
-// TransmitHours reproduces the introduction's motivating arithmetic: hours
-// to move `bytes` at `aggregateBytesPerSec` (e.g. HACC snapshot sets at
-// 500 GB/s need ~10 hours).
-func TransmitHours(bytes int64, aggregateBytesPerSec float64) float64 {
-	if aggregateBytesPerSec <= 0 {
-		return math.Inf(1)
-	}
-	return float64(bytes) / aggregateBytesPerSec / 3600
-}
-
-// HACCSnapshotBytes is the aggregate snapshot volume implied by the
-// paper's introduction: 10 hours at 500 GB/s.
-const HACCSnapshotBytes = int64(10 * 3600 * 500e9)
 
 // Comparison contrasts raw vs compressed vs compressed+tuned fleet dumps.
 type Comparison struct {

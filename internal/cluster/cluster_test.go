@@ -129,22 +129,6 @@ func TestRawDumpSkipsCompression(t *testing.T) {
 	}
 }
 
-func TestTransmitHours(t *testing.T) {
-	// The introduction's arithmetic: HACC snapshots at 500 GB/s ~ 10 h.
-	h := TransmitHours(HACCSnapshotBytes, 500e9)
-	if math.Abs(h-10) > 1e-9 {
-		t.Fatalf("HACC transmit hours %.3f, want 10", h)
-	}
-	if !math.IsInf(TransmitHours(100, 0), 1) {
-		t.Fatal("zero bandwidth must be +Inf")
-	}
-	// Compression at ratio 9 cuts it to ~1.1 h.
-	compressed := TransmitHours(HACCSnapshotBytes/9, 500e9)
-	if compressed >= h/8 {
-		t.Fatalf("compressed transmit %.2f h not ~9x better", compressed)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Chip = "EPYC"

@@ -84,6 +84,11 @@ go build -o "$tmp/lcpio" ./cmd/lcpio
 test -s "$tmp/trace_chrome.json"
 test -s "$tmp/trace.folded"
 
+# The examples run, not just compile: each once, gated on its exit status.
+for example in quickstart tuning codeccompare checkpoint; do
+    go run "./examples/$example" >/dev/null
+done
+
 # Size is a measured axis too: non-test Go lines per package and the total
 # (scripts/loc.sh), and the same for _test.go lines (scripts/tests.sh). So is
 # what only tests reach (exported funcs under internal/ that no non-test Go
