@@ -39,11 +39,6 @@
 //	                          the obs race and lane-packing tests are built on it
 //	svc.(*Server).Usage       the admission ledger the svc tests hold to zero
 //	                          after every abort, refusal and close
-//	zfp.(*FixedRateReader).ValueAt
-//	                          the random-access reader
-//	zfp.Compress, Compress64, Decompress64
-//	                          zfp's one-shot streams, which its goldens and the
-//	                          compress suite hold every handle to
 //	{sz,zfp}.(*Handle).CompressAppend, squant.(Handle).CompressAppend, and
 //	their *64 twins           lcpio.CodecHandle makes them public, and a
 //	                          steady-state client allocation budget needs them
@@ -54,7 +49,7 @@
 //	                          FuzzSketch drives hostile values through them:
 //	                          the clamps are the contract
 //	ckpt.WriteOptions.Retry   the fault tests bound MaxAttempts with it
-//	core.DumpConfig.Dataset, .Mount
+//	core.DumpConfig.TotalBytes, .Chip, .Codec, .Dataset, .Mount
 //	                          the facade's lcpio.DumpConfig exposes them
 //	svc.Config.Mount          the backpressure tests slow the shared mount
 package main
