@@ -8,28 +8,33 @@ import (
 	"sync"
 	"testing"
 
+	"lcpio/internal/compress"
 	"lcpio/internal/core"
+	"lcpio/internal/dvfs"
+	"lcpio/internal/fpdata"
+	"lcpio/internal/obs"
+	"lcpio/internal/perf"
 )
 
 // benchConfig keeps a single benchmark iteration in the hundreds of
 // milliseconds while preserving the full experiment structure.
-func benchConfig() Config {
-	return Config{Seed: 1, Repetitions: 3, RatioElems: 1 << 14}
+func benchConfig() core.Config {
+	return core.Config{Seed: 1, Repetitions: 3, RatioElems: 1 << 14}
 }
 
 var (
 	benchOnce sync.Once
-	benchCS   *Study
-	benchTS   *Study
+	benchCS   *core.Study
+	benchTS   *core.Study
 	benchErr  error
 )
 
-func benchStudies(b *testing.B) (cs, ts *Study) {
+func benchStudies(b *testing.B) (cs, ts *core.Study) {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchCS, benchErr = RunCompressionStudy(benchConfig())
+		benchCS, benchErr = core.RunCompressionStudy(benchConfig())
 		if benchErr == nil {
-			benchTS, benchErr = RunTransitStudy(benchConfig())
+			benchTS, benchErr = core.RunTransitStudy(benchConfig())
 		}
 	})
 	if benchErr != nil {
@@ -43,8 +48,8 @@ func benchStudies(b *testing.B) (cs, ts *Study) {
 func BenchmarkTableI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var bytes int64
-		for _, spec := range TableI() {
-			f := GenerateField(spec, spec.ScaleFor(1<<14), 1)
+		for _, spec := range fpdata.TableI() {
+			f := fpdata.Generate(spec, spec.ScaleFor(1<<14), 1)
 			bytes += f.SizeBytes()
 		}
 		b.SetBytes(bytes)
@@ -55,7 +60,7 @@ func BenchmarkTableI(b *testing.B) {
 // grid, voltage and power curves.
 func BenchmarkTableII(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, chip := range Chips() {
+		for _, chip := range dvfs.Chips() {
 			for _, f := range chip.Frequencies() {
 				_ = chip.Voltage(f)
 				_ = chip.BusyPower(f)
@@ -70,7 +75,7 @@ func BenchmarkTableIV(b *testing.B) {
 	b.ResetTimer()
 	var exponent float64
 	for i := 0; i < b.N; i++ {
-		rows, err := cs.Fit(TableIV)
+		rows, err := cs.Fit(core.TableIV)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,7 +94,7 @@ func BenchmarkTableV(b *testing.B) {
 	b.ResetTimer()
 	var rmse float64
 	for i := 0; i < b.N; i++ {
-		rows, err := ts.Fit(TableV)
+		rows, err := ts.Fit(core.TableV)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -108,7 +113,7 @@ func BenchmarkFigure1(b *testing.B) {
 	b.ResetTimer()
 	var floor float64
 	for i := 0; i < b.N; i++ {
-		series, err := cs.Characteristics(ScaledPower)
+		series, err := cs.Characteristics(perf.Sweep.ScaledPower)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -123,7 +128,7 @@ func BenchmarkFigure2(b *testing.B) {
 	b.ResetTimer()
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		series, err := cs.Characteristics(ScaledRuntime)
+		series, err := cs.Characteristics(perf.Sweep.ScaledRuntime)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -138,7 +143,7 @@ func BenchmarkFigure3(b *testing.B) {
 	b.ResetTimer()
 	var floor float64
 	for i := 0; i < b.N; i++ {
-		series, err := ts.Characteristics(ScaledPower)
+		series, err := ts.Characteristics(perf.Sweep.ScaledPower)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -152,7 +157,7 @@ func BenchmarkFigure4(b *testing.B) {
 	_, ts := benchStudies(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ts.Characteristics(ScaledRuntime); err != nil {
+		if _, err := ts.Characteristics(perf.Sweep.ScaledRuntime); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -161,7 +166,7 @@ func BenchmarkFigure4(b *testing.B) {
 // BenchmarkFigure5 validates the Broadwell model on held-out ISABEL data.
 func BenchmarkFigure5(b *testing.B) {
 	cs, _ := benchStudies(b)
-	rows, err := cs.Fit(TableIV)
+	rows, err := cs.Fit(core.TableIV)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -185,7 +190,7 @@ func BenchmarkFigure5(b *testing.B) {
 func BenchmarkFigure6(b *testing.B) {
 	var savedPct float64
 	for i := 0; i < b.N; i++ {
-		results, err := RunDataDump(benchConfig(), DumpConfig{})
+		results, err := core.RunDataDump(benchConfig(), core.DumpConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -201,9 +206,9 @@ func BenchmarkFigure6(b *testing.B) {
 
 func benchSZInput(b *testing.B) ([]float32, []int, float64) {
 	b.Helper()
-	spec := TableI()[2] // NYX
-	f := GenerateField(spec, spec.ScaleFor(1<<16), 1)
-	return f.Data, f.Dims, AbsBoundFromRelative(1e-3, f.Data)
+	spec := fpdata.TableI()[2] // NYX
+	f := fpdata.Generate(spec, spec.ScaleFor(1<<16), 1)
+	return f.Data, f.Dims, compress.AbsBoundFromRelative(1e-3, f.Data)
 }
 
 // BenchmarkSZCompressTelemetryOff measures SZ compression throughput on
@@ -216,9 +221,9 @@ func benchSZInput(b *testing.B) ([]float32, []int, float64) {
 // assertion lives in internal/obs's TestNoopOverheadNegligible and
 // TestNoopPathAllocatesNothing).
 func BenchmarkSZCompressTelemetryOff(b *testing.B) {
-	UseTelemetry(nil)
+	obs.Use(nil)
 	data, dims, eb := benchSZInput(b)
-	codec, err := LookupCodec("sz")
+	codec, err := compress.NewHandle("sz", 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -234,10 +239,10 @@ func BenchmarkSZCompressTelemetryOff(b *testing.B) {
 // BenchmarkSZCompressTelemetryOn is the same workload with a live
 // registry collecting spans and metrics.
 func BenchmarkSZCompressTelemetryOn(b *testing.B) {
-	UseTelemetry(NewTelemetry())
-	defer UseTelemetry(nil)
+	obs.Use(obs.NewRegistry())
+	defer obs.Use(nil)
 	data, dims, eb := benchSZInput(b)
-	codec, err := LookupCodec("sz")
+	codec, err := compress.NewHandle("sz", 0)
 	if err != nil {
 		b.Fatal(err)
 	}

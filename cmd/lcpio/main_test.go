@@ -146,6 +146,11 @@ func TestToolValidation(t *testing.T) {
 	if err := cmdStat(nil); err == nil {
 		t.Error("stat without flags accepted")
 	}
+	// An unknown flag is an error returned to main, which still writes the
+	// --metrics and --trace files, not an exit from inside the command.
+	if err := cmdReport([]string{"-bogus"}); err == nil {
+		t.Error("report with an unknown flag accepted")
+	}
 	if _, err := parseDims("4xbad"); err == nil {
 		t.Error("bad dims accepted")
 	}

@@ -18,7 +18,7 @@ import (
 func cmdReport(args []string) error {
 	// The input flag is -in, not -trace: -trace is a global flag and would
 	// be hoisted off the subcommand's argument list before it parses.
-	fs := flag.NewFlagSet("report", flag.ExitOnError)
+	fs := flag.NewFlagSet("report", flag.ContinueOnError)
 	traceFile := fs.String("in", "", "recorded trace JSON `file` (from lcpio --trace)")
 	chromeOut := fs.String("chrome-out", "", "also write a Chrome trace-event timeline to `file`")
 	foldedOut := fs.String("folded-out", "", "also write self-time folded stacks to `file`")

@@ -14,18 +14,18 @@ func TestIntegrationFullReproduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full reproduction")
 	}
-	cfg := Config{Seed: 99, Repetitions: 5, RatioElems: 1 << 16}
-	cs, err := RunCompressionStudy(cfg)
+	cfg := core.Config{Seed: 99, Repetitions: 5, RatioElems: 1 << 16}
+	cs, err := core.RunCompressionStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := RunTransitStudy(cfg)
+	ts, err := core.RunTransitStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Table IV: per-chip fits beat pooled, Skylake knee > Broadwell.
-	rows, err := cs.Fit(TableIV)
+	rows, err := cs.Fit(core.TableIV)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestIntegrationFullReproduction(t *testing.T) {
 	}
 
 	// Table V mirrors the structure.
-	vrows, err := ts.Fit(TableV)
+	vrows, err := ts.Fit(core.TableV)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestIntegrationFullReproduction(t *testing.T) {
 	// Different seeds agree on the qualitative result.
 	cfg2 := cfg
 	cfg2.Seed = 12345
-	cs2, err := RunCompressionStudy(cfg2)
+	cs2, err := core.RunCompressionStudy(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows2, err := cs2.Fit(TableIV)
+	rows2, err := cs2.Fit(core.TableIV)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -531,10 +531,9 @@ func TestDeltaClassification(t *testing.T) {
 	baseMed, next, shifts := classificationCase(t)
 	base := mustOpenBase(t, baseMed, nil, deltaParams)
 
-	prev := obs.Active()
-	t.Cleanup(func() { obs.Use(prev) })
 	reg := obs.NewRegistry()
-	obs.Use(reg)
+	prev := obs.Use(reg)
+	t.Cleanup(func() { obs.Use(prev) })
 	med := NewMemMedium()
 	res := mustWrite(t, med, next, WriteOptions{Workers: 1, Base: base})
 	obs.Use(prev)
@@ -627,10 +626,9 @@ func TestDeltaWriteBudgets(t *testing.T) {
 	med := NewMemMedium()
 	mustWrite(t, med, next, WriteOptions{Workers: 2, Base: base}) // sizes the medium
 
-	prev := obs.Active()
-	t.Cleanup(func() { obs.Use(prev) })
 	reg := obs.NewRegistry()
-	obs.Use(reg)
+	prev := obs.Use(reg)
+	t.Cleanup(func() { obs.Use(prev) })
 	const writes = 3
 	var raw int64
 	alloc := uint64(math.MaxUint64) // TotalAlloc is process-wide: the least of three

@@ -18,11 +18,10 @@ func TestCampaignEnergyReconcilesWithTrace(t *testing.T) {
 	med := NewMemMedium()
 	res := mustWrite(t, med, testSet(3), WriteOptions{Workers: 2})
 
-	prev := obs.Active()
-	t.Cleanup(func() { obs.Use(prev) })
 	r := obs.NewRegistry()
 	r.SetEnergyModel(machine.EnergyModel(dvfs.Broadwell()))
-	obs.Use(r)
+	prev := obs.Use(r)
+	t.Cleanup(func() { obs.Use(prev) })
 
 	root := obs.Start("campaign")
 	cmp, err := res.EnergyReport(CampaignOptions{Iterations: 5, ComputeSeconds: 60})
@@ -51,10 +50,9 @@ func TestCampaignEnergyReconcilesWithTrace(t *testing.T) {
 // the writer and dispatcher, count every chunk through compress and drain,
 // and run the flush stage for the header/manifest/footer leg.
 func TestWritePipelineOccupancy(t *testing.T) {
-	prev := obs.Active()
-	t.Cleanup(func() { obs.Use(prev) })
 	r := obs.NewRegistry()
-	obs.Use(r)
+	prev := obs.Use(r)
+	t.Cleanup(func() { obs.Use(prev) })
 
 	const workers = 3
 	set := testSet(4)
@@ -92,10 +90,9 @@ func TestWritePipelineOccupancy(t *testing.T) {
 // TestDeltaWritePipelineOccupancy is the same check for a delta write: the
 // same engine under its own pipeline and stage names.
 func TestDeltaWritePipelineOccupancy(t *testing.T) {
-	prev := obs.Active()
-	t.Cleanup(func() { obs.Use(prev) })
 	r := obs.NewRegistry()
-	obs.Use(r)
+	prev := obs.Use(r)
+	t.Cleanup(func() { obs.Use(prev) })
 
 	baseMed := NewMemMedium()
 	set := testSet(2)

@@ -29,8 +29,7 @@ type Codec interface {
 // Handle is a codec. sz and zfp handles reuse all scratch across calls, so a
 // warm call allocates a small constant, and refuse a hostile stream from its
 // header; squant, the flat baseline, allocates per call and inflates a stream
-// before checking it. Both precisions run end to end, so float64 bounds below
-// float32 resolution hold. NOT safe for concurrent use: one per goroutine.
+// before checking it. NOT safe for concurrent use: one per goroutine.
 type Handle interface {
 	Codec
 	// CompressAppend appends the stream to dst, avoiding the output
@@ -42,10 +41,6 @@ type Handle interface {
 	// as Decompress does. Every element of the returned slice is written,
 	// or an error is returned — dst's old contents never show through.
 	DecompressInto(dst []float32, buf []byte) ([]float32, []int, error)
-	Compress64(data []float64, dims []int, eb float64) ([]byte, error)
-	CompressAppend64(dst []byte, data []float64, dims []int, eb float64) ([]byte, error)
-	Decompress64(buf []byte) ([]float64, []int, error)
-	DecompressInto64(dst []float64, buf []byte) ([]float64, []int, error)
 }
 
 // codecs is the one table on the codec name, keyed by the names the paper

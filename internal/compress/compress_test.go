@@ -205,32 +205,3 @@ func TestResultDerivedMetrics(t *testing.T) {
 		t.Fatal("zero Result metrics should be 0")
 	}
 }
-
-func TestFloat64Facade(t *testing.T) {
-	data := make([]float64, 1000)
-	for i := range data {
-		data[i] = float64(i) * 1e-5
-	}
-	for _, name := range Names() {
-		h, err := NewHandle(name, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf, err := h.Compress64(data, []int{1000}, 1e-9)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		out, dims, err := h.Decompress64(buf)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(dims) != 1 || dims[0] != 1000 {
-			t.Fatalf("%s dims %v", name, dims)
-		}
-		for i := range data {
-			if d := out[i] - data[i]; d > 1e-9 || d < -1e-9 {
-				t.Fatalf("%s bound violated at %d: %g", name, i, d)
-			}
-		}
-	}
-}

@@ -18,7 +18,7 @@ import (
 )
 
 // The compress.Handle contracts, each stated once and run for every
-// registered codec in both precisions: the error bound on every element
+// registered codec: the error bound on every element
 // (TestErrorBoundHolds), byte identity across workers and reuse
 // (TestHandleMatchesGoldens), DecompressInto against Decompress, refusal of
 // hostile bytes (TestDecompressRandomGarbage, TestDecompressMutatedStreams),
@@ -27,37 +27,12 @@ import (
 // partition or shard plan, lane scratch, golden stream bytes, retired formats)
 // is tested in that codec's package.
 
-type elem interface{ float32 | float64 }
-
-// precision is one element type's Handle entry points, and what its contracts
-// draw on.
-type precision[F elem] struct {
-	fresh      func(compress.Handle, []F, []int, float64) ([]byte, error)
-	compress   func(compress.Handle, []byte, []F, []int, float64) ([]byte, error)
-	decompress func(compress.Handle, []byte) ([]F, []int, error)
-	into       func(compress.Handle, []F, []byte) ([]F, []int, error)
-	tag        string  // in the name of a committed golden of this precision
-	big        float64 // the largest finite value
-	magExp     int     // quickBoundOf's data magnitudes: 10^±magExp
-	ebExp      int     // quickBoundOf's bounds: 1 down to 10^-ebExp
-}
-
-var (
-	p32 = precision[float32]{compress.Handle.Compress, compress.Handle.CompressAppend, compress.Handle.Decompress,
-		compress.Handle.DecompressInto, ".f32.", math.MaxFloat32, 4, 5}
-	p64 = precision[float64]{compress.Handle.Compress64, compress.Handle.CompressAppend64, compress.Handle.Decompress64,
-		compress.Handle.DecompressInto64, ".f64.", math.MaxFloat64, 6, 9}
-)
-
-// eachCodec runs a contract as one subtest per registered codec, each with an
-// f32 and an f64 subtest; the contract is usually one generic function
-// instantiated at both precisions.
-func eachCodec(t *testing.T, c32 func(*testing.T, string, precision[float32]),
-	c64 func(*testing.T, string, precision[float64])) {
+// eachCodec runs a contract as one subtest per registered codec, named
+// <codec>/f32 after the one element type every stream holds.
+func eachCodec(t *testing.T, contract func(*testing.T, string)) {
 	for _, name := range compress.Names() {
 		t.Run(name, func(t *testing.T) {
-			t.Run("f32", func(t *testing.T) { c32(t, name, p32) })
-			t.Run("f64", func(t *testing.T) { c64(t, name, p64) })
+			t.Run("f32", func(t *testing.T) { contract(t, name) })
 		})
 	}
 }
@@ -79,10 +54,10 @@ func elems(dims []int) int {
 	return n
 }
 
-func convert[F elem](vals []float64) []F {
-	out := make([]F, len(vals))
+func convert(vals []float64) []float32 {
+	out := make([]float32, len(vals))
 	for i, v := range vals {
-		out[i] = F(v)
+		out[i] = float32(v)
 	}
 	return out
 }
@@ -90,7 +65,7 @@ func convert[F elem](vals []float64) []F {
 // boundErr reports the first element of out that breaks eb against in: a
 // finite value must come back within eb, a NaN as a NaN and an infinity as
 // itself.
-func boundErr[F elem](in, out []F, eb float64) error {
+func boundErr(in, out []float32, eb float64) error {
 	if len(out) != len(in) {
 		return fmt.Errorf("%d elements decoded, want %d", len(out), len(in))
 	}
@@ -114,12 +89,12 @@ func boundErr[F elem](in, out []F, eb float64) error {
 
 // boundKept sends data through h at eb and holds what comes back to data's
 // shape and to the bound.
-func boundKept[F elem](h compress.Handle, p precision[F], data []F, dims []int, eb float64) error {
-	stream, err := p.compress(h, nil, data, dims, eb)
+func boundKept(h compress.Handle, data []float32, dims []int, eb float64) error {
+	stream, err := h.CompressAppend(nil, data, dims, eb)
 	if err != nil {
 		return err
 	}
-	out, got, err := p.decompress(h, stream)
+	out, got, err := h.Decompress(stream)
 	if err == nil && !slices.Equal(got, dims) {
 		err = fmt.Errorf("dims %v, want %v", got, dims)
 	}
@@ -129,17 +104,16 @@ func boundKept[F elem](h compress.Handle, p precision[F], data []F, dims []int, 
 	return boundErr(data, out, eb)
 }
 
-// boundClass is one adversarial input: values are drawn for an element type
-// whose largest finite value is big.
+// boundClass is one adversarial input.
 type boundClass struct {
 	name   string
 	dims   []int
 	eb     float64
-	values func(n int, big float64) []float64
+	values func(n int) []float64
 }
 
-func fill(f func(i int) float64) func(int, float64) []float64 {
-	return func(n int, _ float64) []float64 {
+func fill(f func(i int) float64) func(int) []float64 {
+	return func(n int) []float64 {
 		out := make([]float64, n)
 		for i := range out {
 			out[i] = f(i)
@@ -166,11 +140,12 @@ func boundClasses() []boundClass {
 		{"smooth-3d", []int{18, 18, 18}, 1e-3, fill(func(i int) float64 {
 			return math.Sin(float64(i/324)/6)*math.Cos(float64(i/18%18)/5) + math.Sin(float64(i%18)/7)
 		})},
-		{"noise", []int{5000}, 0.5, func(int, float64) []float64 { return noise }},
-		{"extremes", []int{16}, 1e-3, func(_ int, big float64) []float64 {
+		{"noise", []int{5000}, 0.5, func(int) []float64 { return noise }},
+		{"extremes", []int{16}, 1e-3, func(int) []float64 {
+			const big = math.MaxFloat32
 			return []float64{0, big, -big, 1e-38, -1e-38, 1, -1, 65504, big / 2, -big / 2, 0, 0, 0, 0, 0, 0}
 		}},
-		{"mixed-magnitudes", []int{16}, 1, func(int, float64) []float64 {
+		{"mixed-magnitudes", []int{16}, 1, func(int) []float64 {
 			return []float64{1e-20, 1e20, -1e20, 1, -1, 0, 3.14, -2.71, 1e10, -1e-10, 42, 0.001, 7e7, -7e-7, 0, 1e5}
 		}},
 		{"non-finite", []int{64}, 1e-3, fill(func(i int) float64 {
@@ -214,46 +189,46 @@ func binEdges() boundClass {
 		edge := centre + eb + float64(j%9-4)*ulp
 		vals = append(vals, centre, edge)
 	}
-	return boundClass{"bin-edges", []int{len(vals)}, eb, func(int, float64) []float64 { return vals }}
+	return boundClass{"bin-edges", []int{len(vals)}, eb, func(int) []float64 { return vals }}
 }
 
 // TestErrorBoundHolds: every codec keeps its bound on every element of every
 // adversarial class, and on fixed-seed random arrays of any shape.
-func TestErrorBoundHolds(t *testing.T) { eachCodec(t, boundHolds[float32], boundHolds[float64]) }
+func TestErrorBoundHolds(t *testing.T) { eachCodec(t, boundHolds) }
 
-func boundHolds[F elem](t *testing.T, name string, p precision[F]) {
+func boundHolds(t *testing.T, name string) {
 	h := newHandle(t, name, 2)
 	for _, c := range boundClasses() {
 		t.Run(c.name, func(t *testing.T) {
-			if err := boundKept(h, p, convert[F](c.values(elems(c.dims), p.big)), c.dims, c.eb); err != nil {
+			if err := boundKept(h, convert(c.values(elems(c.dims))), c.dims, c.eb); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	quickBoundOf(t, name, p)
+	quickBoundOf(t, name)
 }
 
-// quickBound is the bound property for one codec in both precisions.
+// quickBound is the bound property for one codec, in the subtest named after
+// the element type, as eachCodec names them.
 func quickBound(t *testing.T, name string) {
-	t.Run("f32", func(t *testing.T) { quickBoundOf(t, name, p32) })
-	t.Run("f64", func(t *testing.T) { quickBoundOf(t, name, p64) })
+	t.Run("f32", func(t *testing.T) { quickBoundOf(t, name) })
 }
 
 // quickBoundOf checks the bound on up to 2000 normal values at magnitudes
-// 10^±magExp, shaped 1-, 2- or 3-D, under a bound of 1 down to 10^-ebExp —
-// so some bounds sit below the data's resolution.
-func quickBoundOf[F elem](t *testing.T, name string, p precision[F]) {
+// 10^±4, shaped 1-, 2- or 3-D, under a bound of 1 down to 10^-5 — so some
+// bounds sit below the data's resolution.
+func quickBoundOf(t *testing.T, name string) {
 	h := newHandle(t, name, 2)
 	f := func(seed int64, ebSel uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(2000) + 1
 		dims := [][]int{{n}, {n/7 + 1, 7}, {n/35 + 1, 5, 7}}[rng.Intn(3)]
-		data := make([]F, elems(dims))
+		data := make([]float32, elems(dims))
 		for i := range data {
-			data[i] = F(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(2*p.magExp+1)-p.magExp)))
+			data[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4)))
 		}
-		eb := math.Pow(10, -float64(int(ebSel)%(p.ebExp+1)))
-		err := boundKept(h, p, data, dims, eb)
+		eb := math.Pow(10, -float64(int(ebSel)%6))
+		err := boundKept(h, data, dims, eb)
 		if err != nil {
 			t.Logf("seed %d dims %v eb %g: %v", seed, dims, eb, err)
 		}
@@ -264,15 +239,10 @@ func quickBoundOf[F elem](t *testing.T, name string, p precision[F]) {
 	}
 }
 
-func bitsOf[F elem](vals []F) []byte {
+func bitsOf(vals []float32) []byte {
 	var out []byte
 	for _, v := range vals {
-		switch v := any(v).(type) {
-		case float32:
-			out = binary.LittleEndian.AppendUint32(out, math.Float32bits(v))
-		case float64:
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
-		}
+		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(v))
 	}
 	return out
 }
@@ -306,8 +276,8 @@ func committedGoldens(t *testing.T) []golden {
 			out = append(out, golden{g.codec, path, stream, recon[4+8*nd:]})
 		}
 	}
-	if len(out) != 5+4 {
-		t.Fatalf("%d committed goldens with an image, want 5 sz + 4 zfp", len(out))
+	if len(out) != 4+3 {
+		t.Fatalf("%d committed goldens with an image, want 4 sz + 3 zfp", len(out))
 	}
 	return out
 }
@@ -315,25 +285,23 @@ func committedGoldens(t *testing.T) []golden {
 // TestDecompressIntoMatchesGoldens: DecompressInto is Decompress landing in
 // dst, on a fresh stream of every codec and on every committed golden, which
 // both decode to its committed image, at 1, 2 and 8 workers.
-func TestDecompressIntoMatchesGoldens(t *testing.T) {
-	eachCodec(t, intoMatches[float32], intoMatches[float64])
-}
+func TestDecompressIntoMatchesGoldens(t *testing.T) { eachCodec(t, intoMatches) }
 
-func intoMatches[F elem](t *testing.T, name string, p precision[F]) {
-	data, dims := handleField[F]()
-	fresh, err := p.compress(newHandle(t, name, 1), nil, data, dims, 1e-3)
+func intoMatches(t *testing.T, name string) {
+	data, dims := handleField()
+	fresh, err := newHandle(t, name, 1).CompressAppend(nil, data, dims, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	goldens := []golden{{stream: fresh}}
 	for _, g := range committedGoldens(t) {
-		if g.codec == name && strings.Contains(g.path, p.tag) {
+		if g.codec == name {
 			goldens = append(goldens, g)
 		}
 	}
 	for _, g := range goldens {
 		for _, workers := range []int{1, 2, 8} {
-			if got := checkInto(t, newHandle(t, name, workers), p, g.stream); g.image != nil && !bytes.Equal(got, g.image) {
+			if got := checkInto(t, newHandle(t, name, workers), g.stream); g.image != nil && !bytes.Equal(got, g.image) {
 				t.Fatalf("%s workers=%d: the decoded image differs from the committed one", g.path, workers)
 			}
 		}
@@ -345,22 +313,22 @@ func intoMatches[F elem](t *testing.T, name string, p precision[F]) {
 // the result is dst's own memory and bit-identical, so every element was
 // written; a dst one element short is left as it was and a new array with the
 // same bits returned. It returns Decompress's bits.
-func checkInto[F elem](t *testing.T, h compress.Handle, p precision[F], stream []byte) []byte {
+func checkInto(t *testing.T, h compress.Handle, stream []byte) []byte {
 	t.Helper()
-	want, wantDims, err := p.decompress(h, stream)
+	want, wantDims, err := h.Decompress(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	poisoned := func(n, capacity int) []F {
-		dst := make([]F, n, capacity)
+	poisoned := func(n, capacity int) []float32 {
+		dst := make([]float32, n, capacity)
 		for i := range dst[:capacity] {
-			dst[:capacity][i] = F(math.NaN())
+			dst[:capacity][i] = float32(math.NaN())
 		}
 		return dst
 	}
 	n := len(want)
-	for _, dst := range [][]F{poisoned(n, n), poisoned(0, n+7), poisoned(n-1, n-1)} {
-		got, dims, err := p.into(h, dst, stream)
+	for _, dst := range [][]float32{poisoned(n, n), poisoned(0, n+7), poisoned(n-1, n-1)} {
+		got, dims, err := h.DecompressInto(dst, stream)
 		if err != nil {
 			t.Fatalf("cap %d: %v", cap(dst), err)
 		}
@@ -371,7 +339,7 @@ func checkInto[F elem](t *testing.T, h compress.Handle, p precision[F], stream [
 		if fits := cap(dst) >= n; landed != fits {
 			t.Fatalf("cap %d for %d elements: landed in dst = %v", cap(dst), n, landed)
 		}
-		if !landed && slices.ContainsFunc(dst, func(v F) bool { return v == v }) {
+		if !landed && slices.ContainsFunc(dst, func(v float32) bool { return v == v }) {
 			t.Fatalf("cap %d: a short dst was written", cap(dst))
 		}
 	}
@@ -395,27 +363,27 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-runtime bookkeeping inflates alloc counts")
 	}
-	eachCodec(t, steady[float32], steady[float64])
+	eachCodec(t, steady)
 }
 
-func steady[F elem](t *testing.T, name string, p precision[F]) {
-	data, dims := handleField[F]()
+func steady(t *testing.T, name string) {
+	data, dims := handleField()
 	want, ok := promises[name]
 	if !ok {
 		t.Skipf("%s promises no steady state", name)
 	}
 	for _, workers := range []int{1, 8} {
 		h := newHandle(t, name, workers)
-		stream, err := p.compress(h, nil, data, dims, 1e-3)
+		stream, err := h.CompressAppend(nil, data, dims, 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, _, err := p.into(h, nil, stream)
+		out, _, err := h.DecompressInto(nil, stream)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := minAllocs(func() { stream, _ = p.compress(h, stream[:0], data, dims, 1e-3) })
-		d := minAllocs(func() { out, _, _ = p.into(h, out, stream) })
+		c := minAllocs(func() { stream, _ = h.CompressAppend(stream[:0], data, dims, 1e-3) })
+		d := minAllocs(func() { out, _, _ = h.DecompressInto(out, stream) })
 		fanOut := float64(3 * (workers - 1))
 		if c > want.compress+fanOut || d > want.decompress+fanOut {
 			t.Errorf("workers=%d: warm compress allocates %.0f times, decompress %.0f; want <= %.0f and %.0f",

@@ -21,10 +21,10 @@ var (
 
 // handleField is large enough that sz and zfp split it into several
 // partitions and shards, so the worker count has something to reorder.
-func handleField[F elem]() ([]F, []int) {
-	data := make([]F, 48*64*64)
+func handleField() ([]float32, []int) {
+	data := make([]float32, 48*64*64)
 	for i := range data {
-		data[i] = F(math.Sin(float64(i)/37) + 0.2*math.Cos(float64(i/64)/11))
+		data[i] = float32(math.Sin(float64(i)/37) + 0.2*math.Cos(float64(i/64)/11))
 	}
 	return data, []int{48, 64, 64}
 }
@@ -38,44 +38,37 @@ func handleField[F elem]() ([]F, []int) {
 // to the same bits. That every committed stream decodes to its committed image
 // is TestDecompressIntoMatchesGoldens.
 func TestHandleMatchesGoldens(t *testing.T) {
-	oneShot := map[string]struct {
-		c32 func([]float32, []int, float64) ([]byte, error)
-		c64 func([]float64, []int, float64) ([]byte, error)
-	}{
-		"sz":     {sz.NewHandle(0).Compress, sz.NewHandle(0).Compress64},
-		"zfp":    {zfp.NewHandle(0).Compress, zfp.NewHandle(0).Compress64},
-		"squant": {squant.Handle{}.Compress, squant.Handle{}.Compress64},
+	oneShot := map[string]func([]float32, []int, float64) ([]byte, error){
+		"sz":     sz.NewHandle(0).Compress,
+		"zfp":    zfp.NewHandle(0).Compress,
+		"squant": squant.Handle{}.Compress,
 	}
-	eachCodec(t, func(t *testing.T, name string, p precision[float32]) {
-		identical(t, name, p, oneShot[name].c32)
-	}, func(t *testing.T, name string, p precision[float64]) {
-		identical(t, name, p, oneShot[name].c64)
-	})
+	eachCodec(t, func(t *testing.T, name string) { identical(t, name, oneShot[name]) })
 }
 
-func identical[F elem](t *testing.T, name string, p precision[F], oneShot func([]F, []int, float64) ([]byte, error)) {
-	data, dims := handleField[F]()
+func identical(t *testing.T, name string, oneShot func([]float32, []int, float64) ([]byte, error)) {
+	data, dims := handleField()
 	const eb = 1e-3
 	want, err := oneShot(data, dims, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantOut, _, err := p.decompress(newHandle(t, name, 1), want)
+	wantOut, _, err := newHandle(t, name, 1).Decompress(want)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
 		h := newHandle(t, name, workers)
 		for round := 0; round < 3; round++ {
-			fresh, err := p.fresh(h, data, dims, eb)
+			fresh, err := h.Compress(data, dims, eb)
 			if err != nil || !bytes.Equal(fresh, want) {
 				t.Fatalf("workers=%d round %d Compress: err %v, or bytes differ from the fresh handle's", workers, round, err)
 			}
-			appended, err := p.compress(h, []byte("pre"), data, dims, eb)
+			appended, err := h.CompressAppend([]byte("pre"), data, dims, eb)
 			if err != nil || !bytes.Equal(appended, append([]byte("pre"), want...)) {
 				t.Fatalf("workers=%d round %d CompressAppend: err %v, or bytes differ", workers, round, err)
 			}
-			out, _, err := p.decompress(h, want)
+			out, _, err := h.Decompress(want)
 			if err != nil || !bytes.Equal(bitsOf(out), bitsOf(wantOut)) {
 				t.Fatalf("workers=%d round %d: err %v, or decoded bits differ from one worker's", workers, round, err)
 			}

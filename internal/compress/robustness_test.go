@@ -1,6 +1,8 @@
 package compress_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -8,12 +10,13 @@ import (
 
 	"lcpio/internal/compress"
 	"lcpio/internal/container"
+	"lcpio/internal/lossless"
 )
 
 // Decompressors face untrusted bytes (files on shared storage). These tests
-// throw deterministic garbage — random blobs, truncations, type-mismatched
-// streams and single-bit mutations of valid streams — at every registered
-// codec in both precisions, and at the container layer: whatever is refused
+// throw deterministic garbage — random blobs, truncations, streams forged to
+// the retired float64 element width and single-bit mutations of valid
+// streams — at every registered codec, and at the container layer: whatever is refused
 // is refused from the header, before anything near an output is sized, and
 // nothing panics.
 
@@ -32,14 +35,14 @@ func mustNotPanic(t *testing.T, what string, fn func()) {
 // inflates its whole payload before it reads a header word. TotalAlloc counts
 // the whole process, so a runtime allocation landing in the window reads as
 // the decoder's: the least of three attempts is what is held to the budget.
-func requireRefused[F elem](t *testing.T, h compress.Handle, p precision[F], what string, stream []byte) {
+func requireRefused(t *testing.T, h compress.Handle, what string, stream []byte) {
 	t.Helper()
 	least := ^uint64(0)
 	for try := 0; try < 3 && least > 4096; try++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, errDec := p.decompress(h, stream)
-		_, _, errInto := p.into(h, nil, stream)
+		_, _, errDec := h.Decompress(stream)
+		_, _, errInto := h.DecompressInto(nil, stream)
 		runtime.ReadMemStats(&after)
 		if errDec == nil || errInto == nil {
 			t.Fatalf("%s: Decompress err %v, DecompressInto err %v", what, errDec, errInto)
@@ -63,7 +66,7 @@ func garbage() [][]byte {
 }
 
 func TestDecompressRandomGarbage(t *testing.T) {
-	eachCodec(t, refuseGarbage[float32], refuseGarbage[float64])
+	eachCodec(t, refuseGarbage)
 	for _, blob := range garbage() {
 		mustNotPanic(t, "container", func() {
 			_, _, _ = container.Unpack(blob, container.Options{})
@@ -74,43 +77,51 @@ func TestDecompressRandomGarbage(t *testing.T) {
 	}
 }
 
-func refuseGarbage[F elem](t *testing.T, name string, p precision[F]) {
+func refuseGarbage(t *testing.T, name string) {
 	h := newHandle(t, name, 0)
 	for i, blob := range garbage() {
-		requireRefused(t, h, p, fmt.Sprintf("blob %d", i), blob)
+		requireRefused(t, h, fmt.Sprintf("blob %d", i), blob)
 	}
 }
 
-// TestDecompressMutatedStreams: every truncation of a valid stream, and the
-// same array's stream at the other precision, is refused; a mutated stream may
-// decode — the formats carry no checksums, as the reference codecs don't — but
-// only to an array its shape describes.
-func TestDecompressMutatedStreams(t *testing.T) {
-	eachCodec(t, func(t *testing.T, name string, p precision[float32]) {
-		mutated(t, name, p, p64)
-	}, func(t *testing.T, name string, p precision[float64]) {
-		mutated(t, name, p, p32)
-	})
+// widened returns stream with its element-width header word — the third
+// u32 of every codec's header — forged to 64, the retired float64 width.
+// squant's header sits inside its lossless stage.
+func widened(t *testing.T, name string, stream []byte) []byte {
+	t.Helper()
+	if name != "squant" {
+		out := bytes.Clone(stream)
+		binary.LittleEndian.PutUint32(out[8:], 64)
+		return out
+	}
+	payload, err := lossless.Decompress(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(payload[8:], 64)
+	return lossless.AppendCompress(nil, payload, lossless.Defaults())
 }
 
-func mutated[F, G elem](t *testing.T, name string, p precision[F], other precision[G]) {
+// TestDecompressMutatedStreams: every truncation of a valid stream, and the
+// stream with its element width forged to 64, is refused; a mutated stream
+// may decode — the formats carry no checksums, as the reference codecs
+// don't — but only to an array its shape describes.
+func TestDecompressMutatedStreams(t *testing.T) { eachCodec(t, mutated) }
+
+func mutated(t *testing.T, name string) {
 	rng := rand.New(rand.NewSource(2))
 	data := make([]float64, 2000)
 	for i := range data {
 		data[i] = rng.NormFloat64()
 	}
 	h := newHandle(t, name, 0)
-	valid, err := p.compress(h, nil, convert[F](data), []int{2000}, 1e-3)
+	valid, err := h.CompressAppend(nil, convert(data), []int{2000}, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mismatched, err := other.compress(h, nil, convert[G](data), []int{2000}, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireRefused(t, h, p, "type-mismatched", mismatched)
+	requireRefused(t, h, "float64-width", widened(t, name, valid))
 	for _, cut := range []int{0, 1, 8, len(valid) / 10, len(valid) / 2, len(valid) * 9 / 10, len(valid) - 1} {
-		requireRefused(t, h, p, fmt.Sprintf("truncated to %d bytes", cut), valid[:cut])
+		requireRefused(t, h, fmt.Sprintf("truncated to %d bytes", cut), valid[:cut])
 	}
 	for trial := 0; trial < 100; trial++ {
 		blob := append([]byte(nil), valid...)
@@ -118,7 +129,7 @@ func mutated[F, G elem](t *testing.T, name string, p precision[F], other precisi
 			blob[rng.Intn(len(blob))] ^= byte(1 << rng.Intn(8))
 		}
 		mustNotPanic(t, "mutate", func() {
-			if out, dims, err := p.decompress(h, blob); err == nil && len(out) != elems(dims) {
+			if out, dims, err := h.Decompress(blob); err == nil && len(out) != elems(dims) {
 				t.Fatalf("decoded %d values for dims %v", len(out), dims)
 			}
 		})

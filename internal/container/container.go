@@ -59,8 +59,6 @@ type Info struct {
 	Dims       []int
 	ErrorBound float64
 	NumChunks  int
-	// ElemBits is 32 or 64: the element type of the packed values.
-	ElemBits int
 	// RawBytes and PackedBytes give the overall ratio.
 	RawBytes    int64
 	PackedBytes int64
@@ -94,37 +92,10 @@ func chunkSpans(dims []int, targetElems int) []chunkSpan {
 	return out
 }
 
-// handleCompress dispatches a chunk to the handle method matching F.
-func handleCompress[F float32 | float64](h compress.Handle, chunk []F, dims []int, eb float64) ([]byte, error) {
-	switch c := any(chunk).(type) {
-	case []float32:
-		return h.Compress(c, dims, eb)
-	default:
-		return h.Compress64(any(chunk).([]float64), dims, eb)
-	}
-}
-
-// handleDecompressInto dispatches a blob to the handle method matching F.
-func handleDecompressInto[F float32 | float64](h compress.Handle, dst []F, blob []byte) ([]F, []int, error) {
-	switch d := any(dst).(type) {
-	case []float32:
-		vals, dims, err := h.DecompressInto(d, blob)
-		return any(vals).([]F), dims, err
-	default:
-		vals, dims, err := h.DecompressInto64(any(dst).([]float64), blob)
-		return any(vals).([]F), dims, err
-	}
-}
-
 // Pack compresses float32 data into a chunked container with the named
 // codec.
 func Pack(codecName string, data []float32, dims []int, eb float64, opts Options) ([]byte, error) {
-	return packGeneric(codecName, data, dims, eb, opts, nil)
-}
-
-// Pack64 is Pack for float64 data.
-func Pack64(codecName string, data []float64, dims []int, eb float64, opts Options) ([]byte, error) {
-	return packGeneric(codecName, data, dims, eb, opts, nil)
+	return pack(codecName, data, dims, eb, opts, nil)
 }
 
 // Packer packs many arrays through one fixed set of per-worker codec
@@ -154,11 +125,11 @@ func NewPacker(codecName string, opts Options) (*Packer, error) {
 
 // Pack compresses one float32 array, reusing the Packer's handles.
 func (p *Packer) Pack(data []float32, dims []int, eb float64) ([]byte, error) {
-	return packGeneric(p.codec, data, dims, eb, p.opts, p.handles)
+	return pack(p.codec, data, dims, eb, p.opts, p.handles)
 }
 
-func packGeneric[F float32 | float64](codecName string, data []F,
-	dims []int, eb float64, opts Options, handles []compress.Handle) ([]byte, error) {
+func pack(codecName string, data []float32, dims []int, eb float64, opts Options,
+	handles []compress.Handle) ([]byte, error) {
 	if err := compress.CheckName(codecName); err != nil {
 		return nil, err
 	}
@@ -196,7 +167,7 @@ func packGeneric[F float32 | float64](codecName string, data []F,
 		span := spans[ci]
 		chunkDims := append([]int{span.hi - span.lo}, dims[1:]...)
 		chunk := data[span.lo*rowElems : span.hi*rowElems]
-		blob, err := handleCompress(h, chunk, chunkDims, eb)
+		blob, err := h.Compress(chunk, chunkDims, eb)
 		if err != nil {
 			errs[ci] = err
 			return
@@ -215,7 +186,7 @@ func packGeneric[F float32 | float64](codecName string, data []F,
 	out = wire.AppendUint32(out, magic)
 	out = wire.AppendUint32(out, version)
 	out = wire.AppendString(out, codecName)
-	out = wire.AppendUint32(out, wire.ElemBits[F]())
+	out = wire.AppendUint32(out, wire.ElemBits)
 	out = wire.AppendDims(out, dims)
 	out = wire.AppendFloat64(out, eb)
 	out = wire.AppendUint32(out, uint32(len(spans)))
@@ -252,9 +223,12 @@ func parse(buf []byte) (parsed, error) {
 		return p, fmt.Errorf("container: unsupported version %d", v)
 	}
 	p.info.Codec = rd.String(64)
-	p.info.ElemBits = int(rd.Uint32())
-	if p.info.Codec == "" || (p.info.ElemBits != 32 && p.info.ElemBits != 64) {
+	bits := rd.Uint32()
+	if rd.Err() != nil || p.info.Codec == "" {
 		return p, ErrCorrupt
+	}
+	if bits != wire.ElemBits {
+		return p, fmt.Errorf("container: unsupported element width %d", bits)
 	}
 	p.info.Dims, p.n = rd.Dims()
 	p.info.ErrorBound = rd.Float64()
@@ -263,7 +237,7 @@ func parse(buf []byte) (parsed, error) {
 		return p, ErrCorrupt
 	}
 	p.info.NumChunks = nChunks
-	p.info.RawBytes = int64(p.n) * int64(p.info.ElemBits/8)
+	p.info.RawBytes = int64(p.n) * wire.ElemBits / 8
 	p.info.PackedBytes = int64(len(buf))
 	prevHi := 0
 	var sizes []int
@@ -304,11 +278,6 @@ func Unpack(buf []byte, opts Options) ([]float32, []int, error) {
 	return NewUnpacker(opts).Unpack(buf)
 }
 
-// Unpack64 decompresses a float64 container.
-func Unpack64(buf []byte, opts Options) ([]float64, []int, error) {
-	return unpackGeneric[float64](NewUnpacker(opts), buf)
-}
-
 // Unpacker unpacks many containers through one fixed set of per-worker
 // codec handles — the read-side Packer: repeated calls (a restore decodes
 // one container per rank×field, the daemon inflate-verifies one per chunk
@@ -330,23 +299,12 @@ func NewUnpacker(opts Options) *Unpacker {
 	return &Unpacker{opts: opts.normalized(), handles: make(map[string][]compress.Handle)}
 }
 
-// Unpack decompresses one float32 container, reusing the Unpacker's
-// handles. Each chunk decodes straight into its span of the one output
-// array.
-func (u *Unpacker) Unpack(buf []byte) ([]float32, []int, error) {
-	return unpackGeneric[float32](u, buf)
-}
-
-// open parses buf, checks that it holds wantBits-wide elements of a known
-// codec and that no chunk claims more elements than its blob could carry,
-// and selects the handles of the container's codec.
-func (u *Unpacker) open(buf []byte, wantBits int) (p parsed, rowElems int, err error) {
+// open parses buf, checks that it names a known codec and that no chunk
+// claims more elements than its blob could carry, and selects the handles of
+// the container's codec.
+func (u *Unpacker) open(buf []byte) (p parsed, rowElems int, err error) {
 	if p, err = parse(buf); err != nil {
 		return p, 0, err
-	}
-	if p.info.ElemBits != wantBits {
-		return p, 0, fmt.Errorf("container: holds float%d values, caller asked for float%d",
-			p.info.ElemBits, wantBits)
 	}
 	if err := compress.CheckName(p.info.Codec); err != nil {
 		return p, 0, err
@@ -385,9 +343,9 @@ func (u *Unpacker) handle(w int) (compress.Handle, error) {
 // decodeChunk decodes chunk ci of p into dst, which holds exactly the
 // chunk's elements: a blob that claims any other count is corrupt (one
 // claiming more lands in an array of the codec's own, never past dst).
-func decodeChunk[F float32 | float64](h compress.Handle, buf []byte, p *parsed, ci int, dst []F) error {
+func decodeChunk(h compress.Handle, buf []byte, p *parsed, ci int, dst []float32) error {
 	span := p.spans[ci]
-	vals, dims, err := handleDecompressInto(h, dst, buf[p.blobAt[ci]:p.blobAt[ci]+p.blobSz[ci]])
+	vals, dims, err := h.DecompressInto(dst, buf[p.blobAt[ci]:p.blobAt[ci]+p.blobSz[ci]])
 	if err != nil {
 		return err
 	}
@@ -397,12 +355,15 @@ func decodeChunk[F float32 | float64](h compress.Handle, buf []byte, p *parsed, 
 	return nil
 }
 
-func unpackGeneric[F float32 | float64](u *Unpacker, buf []byte) ([]F, []int, error) {
-	p, rowElems, err := u.open(buf, int(wire.ElemBits[F]()))
+// Unpack decompresses one float32 container, reusing the Unpacker's
+// handles. Each chunk decodes straight into its span of the one output
+// array.
+func (u *Unpacker) Unpack(buf []byte) ([]float32, []int, error) {
+	p, rowElems, err := u.open(buf)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]F, p.n)
+	out := make([]float32, p.n)
 	errs := make([]error, len(p.spans))
 	par.RunWorker(len(p.spans), u.opts.Parallelism, func(w, ci int) {
 		h, err := u.handle(w)
@@ -430,7 +391,7 @@ func unpackGeneric[F float32 | float64](u *Unpacker, buf []byte) ([]F, []int, er
 // decoded, and chunks decode one at a time into a single slab the Unpacker
 // keeps, so a call allocates only when a chunk is larger than any before.
 func (u *Unpacker) Check(buf []byte, elems int) error {
-	p, rowElems, err := u.open(buf, 32)
+	p, rowElems, err := u.open(buf)
 	if err != nil {
 		return err
 	}
@@ -451,29 +412,4 @@ func (u *Unpacker) Check(buf []byte, elems int) error {
 		}
 	}
 	return nil
-}
-
-// ReadChunk decompresses a single float32 chunk by index, returning its
-// values, its dims, and the slab's starting row in the full array.
-func ReadChunk(buf []byte, idx int) ([]float32, []int, int, error) {
-	p, err := parse(buf)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if p.info.ElemBits != 32 {
-		return nil, nil, 0, fmt.Errorf("container: holds float%d values, caller asked for float32",
-			p.info.ElemBits)
-	}
-	if idx < 0 || idx >= len(p.spans) {
-		return nil, nil, 0, fmt.Errorf("container: chunk %d out of range [0,%d)", idx, len(p.spans))
-	}
-	h, err := compress.NewHandle(p.info.Codec, 0)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	vals, dims, err := h.Decompress(buf[p.blobAt[idx] : p.blobAt[idx]+p.blobSz[idx]])
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return vals, dims, p.spans[idx].lo, nil
 }

@@ -66,41 +66,6 @@ func TestStat(t *testing.T) {
 	}
 }
 
-func TestReadChunkMatchesSlab(t *testing.T) {
-	f := nyxField(t)
-	eb := compress.AbsBoundFromRelative(1e-3, f.Data)
-	buf, err := Pack("sz", f.Data, f.Dims, eb, Options{ChunkElems: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := Stat(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowElems := len(f.Data) / f.Dims[0]
-	covered := 0
-	for ci := 0; ci < info.NumChunks; ci++ {
-		vals, dims, startRow, err := ReadChunk(buf, ci)
-		if err != nil {
-			t.Fatalf("chunk %d: %v", ci, err)
-		}
-		if startRow != covered {
-			t.Fatalf("chunk %d starts at row %d, want %d", ci, startRow, covered)
-		}
-		covered += dims[0]
-		slab := f.Data[startRow*rowElems : startRow*rowElems+len(vals)]
-		if e := compress.MaxAbsError(slab, vals); e > eb {
-			t.Fatalf("chunk %d bound violated: %g", ci, e)
-		}
-	}
-	if covered != f.Dims[0] {
-		t.Fatalf("chunks cover %d rows of %d", covered, f.Dims[0])
-	}
-	if _, _, _, err := ReadChunk(buf, info.NumChunks); err == nil {
-		t.Fatal("out-of-range chunk accepted")
-	}
-}
-
 func TestSingleChunkWhenTargetHuge(t *testing.T) {
 	f := nyxField(t)
 	eb := compress.AbsBoundFromRelative(1e-2, f.Data)
@@ -331,50 +296,5 @@ func BenchmarkPackParallel(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func TestPack64RoundTrip(t *testing.T) {
-	data := make([]float64, 8192)
-	for i := range data {
-		data[i] = math.Sin(float64(i)/40) * 1e6
-	}
-	for _, codec := range []string{"sz", "zfp", "squant"} {
-		buf, err := Pack64(codec, data, []int{8192}, 1e-3, Options{ChunkElems: 1024})
-		if err != nil {
-			t.Fatalf("%s: %v", codec, err)
-		}
-		info, err := Stat(buf)
-		if err != nil || info.ElemBits != 64 {
-			t.Fatalf("%s stat: %+v err %v", codec, info, err)
-		}
-		if info.RawBytes != int64(len(data))*8 {
-			t.Fatalf("%s raw bytes %d", codec, info.RawBytes)
-		}
-		out, dims, err := Unpack64(buf, Options{})
-		if err != nil || len(out) != len(data) || dims[0] != 8192 {
-			t.Fatalf("%s unpack: %d err %v", codec, len(out), err)
-		}
-		for i := range data {
-			if d := out[i] - data[i]; d > 1e-3 || d < -1e-3 {
-				t.Fatalf("%s bound violated at %d", codec, i)
-			}
-		}
-		// Type mismatch errors.
-		if _, _, err := Unpack(buf, Options{}); err == nil {
-			t.Fatalf("%s: float64 container accepted by Unpack", codec)
-		}
-		if _, _, _, err := ReadChunk(buf, 0); err == nil {
-			t.Fatalf("%s: float64 container accepted by ReadChunk", codec)
-		}
-	}
-	// And the reverse mismatch.
-	f32 := make([]float32, 256)
-	b32, err := Pack("sz", f32, []int{256}, 1e-3, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Unpack64(b32, Options{}); err == nil {
-		t.Fatal("float32 container accepted by Unpack64")
 	}
 }

@@ -33,20 +33,6 @@ func (h Headlines) String() string {
 		h.DumpSavedKJ, h.DumpSavedPct, h.Derived)
 }
 
-// ComputeHeadlines runs the full pipeline — both studies, the tuning rule,
-// and the 512 GB dump — and aggregates the headline numbers.
-func ComputeHeadlines(cfg Config) (Headlines, error) {
-	cs, err := RunCompressionStudy(cfg)
-	if err != nil {
-		return Headlines{}, err
-	}
-	ts, err := RunTransitStudy(cfg)
-	if err != nil {
-		return Headlines{}, err
-	}
-	return ComputeHeadlinesFrom(cfg, cs, ts)
-}
-
 // ComputeHeadlinesFrom aggregates headlines from already-run studies,
 // letting callers reuse expensive study objects.
 func ComputeHeadlinesFrom(cfg Config, cs, ts *Study) (Headlines, error) {

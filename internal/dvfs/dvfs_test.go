@@ -19,6 +19,9 @@ func TestTableIIRanges(t *testing.T) {
 	if bw.TDP != 45 || sk.TDP != 85 {
 		t.Fatalf("TDP: bw=%v sk=%v", bw.TDP, sk.TDP)
 	}
+	if cs := Chips(); len(cs) != 2 || cs[0].Model != "Xeon D-1548" || cs[1].Model != "Xeon Silver 4114" {
+		t.Fatalf("Table II matrix: %+v", cs)
+	}
 }
 
 func TestFrequencyGrid(t *testing.T) {
@@ -164,9 +167,12 @@ func TestGovernor(t *testing.T) {
 	if g.cur != 1.25 {
 		t.Fatalf("current frequency %v", g.cur)
 	}
-	// Eqn 3: 0.875 * 2.0 = 1.75 is on the grid.
+	// Eqn 3: 0.875 * 2.0 = 1.75 and 0.85 * 2.0 = 1.70 are on the grid.
 	if got := g.SetScaled(0.875); math.Abs(got-1.75) > 1e-9 {
 		t.Fatalf("SetScaled(0.875) = %v", got)
+	}
+	if got := g.SetScaled(0.85); math.Abs(got-1.70) > 1e-9 {
+		t.Fatalf("SetScaled(0.85) = %v", got)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 
 func TestTableIRegistry(t *testing.T) {
 	specs := TableI()
-	if len(specs) != 3 {
-		t.Fatalf("Table I has %d datasets, want 3", len(specs))
+	if len(specs) != 3 || specs[0].Dataset != "CESM-ATM" || specs[1].Dataset != "HACC" || specs[2].Dataset != "NYX" {
+		t.Fatalf("Table I datasets %+v, want CESM-ATM, HACC, NYX in that order", specs)
 	}
 	wantDims := map[string][]int{
 		"CESM-ATM": {26, 1800, 3600},

@@ -444,10 +444,12 @@ func losslessSeeds(tb testing.TB) [][]byte {
 	if err != nil || len(goldens) == 0 {
 		tb.Fatalf("no sz goldens to seed from: %v", err)
 	}
-	// Two decoded float images from the zfp goldens stand in for the images
-	// of the retired sz streams, which were deleted with their configuration:
-	// the corpus keeps its raw-float inputs and its size.
-	for _, name := range []string{"golden_v3_acc_2d.f32.recon", "golden_v3_acc_3d.f32.recon"} {
+	// Three decoded float images from the zfp goldens stand in for the
+	// images of the retired sz streams (order-0, order-2, float64), which
+	// were deleted with their configuration: the corpus keeps its raw-float
+	// inputs and its size.
+	for _, name := range []string{"golden_v3_acc_2d.f32.recon", "golden_v3_acc_3d.f32.recon",
+		"golden_v3_acc_1d.f32.recon"} {
 		goldens = append(goldens, filepath.Join("..", "zfp", "testdata", name))
 	}
 	for _, path := range goldens {

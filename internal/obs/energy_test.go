@@ -41,8 +41,6 @@ func TestAddEnergyRollsUpTree(t *testing.T) {
 }
 
 func TestEnergyModelPricesWorkload(t *testing.T) {
-	prev := Active()
-	t.Cleanup(func() { Use(prev) })
 	r := NewRegistry()
 	r.SetEnergyModel(func(class string, bytes int64, elapsed time.Duration) float64 {
 		if class != "codec.compress" {
@@ -56,7 +54,8 @@ func TestEnergyModelPricesWorkload(t *testing.T) {
 		}
 		return 2.5
 	})
-	Use(r)
+	prev := Use(r)
+	t.Cleanup(func() { Use(prev) })
 
 	s := Start("codec.compress")
 	s.SetWorkload("codec.compress", 4096)
@@ -78,8 +77,6 @@ func TestEnergyModelPricesWorkload(t *testing.T) {
 func TestEnergyModelMayTouchRegistry(t *testing.T) {
 	// The model runs outside the registry lock, so models that record
 	// metrics (or even spans) must not deadlock.
-	prev := Active()
-	t.Cleanup(func() { Use(prev) })
 	r := NewRegistry()
 	r.SetEnergyModel(func(class string, bytes int64, elapsed time.Duration) float64 {
 		Add("model_invocations_total", 1)
@@ -87,7 +84,8 @@ func TestEnergyModelMayTouchRegistry(t *testing.T) {
 		inner.End()
 		return 1
 	})
-	Use(r)
+	prev := Use(r)
+	t.Cleanup(func() { Use(prev) })
 
 	s := Start("work")
 	s.SetWorkload("work", 1)

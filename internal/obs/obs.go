@@ -45,12 +45,10 @@ type Recorder interface {
 // active is the installed registry; nil disables all instrumentation.
 var active atomic.Pointer[Registry]
 
-// Use installs r as the process-global registry. Pass nil to disable
-// telemetry (the default state).
-func Use(r *Registry) { active.Store(r) }
-
-// Active returns the installed registry, or nil when telemetry is off.
-func Active() *Registry { return active.Load() }
+// Use installs r as the process-global registry and returns the one it
+// replaced, so a caller can put it back. Pass nil to disable telemetry (the
+// default state).
+func Use(r *Registry) *Registry { return active.Swap(r) }
 
 // Enabled reports whether a registry is installed.
 func Enabled() bool { return active.Load() != nil }

@@ -13,9 +13,8 @@ import (
 // the test ends.
 func install(t *testing.T) *Registry {
 	t.Helper()
-	prev := Active()
 	r := NewRegistry()
-	Use(r)
+	prev := Use(r)
 	t.Cleanup(func() { Use(prev) })
 	return r
 }
@@ -296,12 +295,14 @@ func (t *tapRecorder) MetricUpdate(name string, v float64) {
 }
 
 func TestRecorderTap(t *testing.T) {
-	prev := Active()
-	t.Cleanup(func() { Use(prev) })
 	r := NewRegistry()
 	tap := &tapRecorder{}
 	r.SetTap(tap)
-	Use(r)
+	prev := Use(r)
+	t.Cleanup(func() { Use(prev) })
+	if again := Use(r); again != r {
+		t.Fatalf("Use returned %p, want the registry it replaced (%p)", again, r)
+	}
 
 	s := Start("a")
 	Add("m", 1)

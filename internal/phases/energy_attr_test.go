@@ -19,10 +19,9 @@ func TestExecuteAttributesExactEnergyToSpans(t *testing.T) {
 	chip := dvfs.Broadwell()
 	pl := campaign(t, chip).ApplyRule(PaperRule(), chip)
 
-	prev := obs.Active()
-	t.Cleanup(func() { obs.Use(prev) })
 	r := obs.NewRegistry()
-	obs.Use(r)
+	prev := obs.Use(r)
+	t.Cleanup(func() { obs.Use(prev) })
 	tot, err := pl.Execute(machine.NewNode(chip, 1))
 	if err != nil {
 		t.Fatal(err)

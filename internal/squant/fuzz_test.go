@@ -60,9 +60,6 @@ func FuzzDecompress(f *testing.F) {
 		if out, dims, err := (Handle{}).Decompress(in); err == nil && wire.CheckDims("squant", len(out), dims) != nil {
 			t.Fatalf("decode succeeded with dims %v for %d values", dims, len(out))
 		}
-		if out, dims, err := (Handle{}).Decompress64(in); err == nil && wire.CheckDims("squant", len(out), dims) != nil {
-			t.Fatalf("decode succeeded with dims %v for %d values", dims, len(out))
-		}
 	})
 }
 

@@ -29,9 +29,6 @@ const (
 // ErrCorrupt is returned when decompressing malformed input.
 var ErrCorrupt = errors.New("squant: corrupt stream")
 
-// Float constrains the element types the codec accepts.
-type Float = wire.Float
-
 // Handle is the codec: a flat quantizer has no scratch worth keeping between
 // calls and no parallel path, so the zero value is ready, there is nothing to
 // configure, and Handle{}.Compress is the one-shot entry point.
@@ -41,44 +38,19 @@ type Handle struct{}
 func (Handle) Name() string { return "squant" }
 
 func (Handle) Compress(data []float32, dims []int, eb float64) ([]byte, error) {
-	return compressGeneric(nil, data, dims, eb)
+	return compressInto(nil, data, dims, eb)
 }
 
 // CompressAppend appends the stream to dst.
 func (Handle) CompressAppend(dst []byte, data []float32, dims []int, eb float64) ([]byte, error) {
-	return compressGeneric(dst, data, dims, eb)
+	return compressInto(dst, data, dims, eb)
 }
 
-func (Handle) Decompress(buf []byte) ([]float32, []int, error) {
-	return decompressGeneric[float32](nil, buf)
+func (h Handle) Decompress(buf []byte) ([]float32, []int, error) {
+	return h.DecompressInto(nil, buf)
 }
 
-// DecompressInto is Decompress landing in dst's backing array when it has
-// the capacity for the stream's element count.
-func (Handle) DecompressInto(dst []float32, buf []byte) ([]float32, []int, error) {
-	return decompressGeneric(dst, buf)
-}
-
-func (Handle) Compress64(data []float64, dims []int, eb float64) ([]byte, error) {
-	return compressGeneric(nil, data, dims, eb)
-}
-
-// CompressAppend64 is CompressAppend for float64 data.
-func (Handle) CompressAppend64(dst []byte, data []float64, dims []int, eb float64) ([]byte, error) {
-	return compressGeneric(dst, data, dims, eb)
-}
-
-func (Handle) Decompress64(buf []byte) ([]float64, []int, error) {
-	return decompressGeneric[float64](nil, buf)
-}
-
-// DecompressInto64 is DecompressInto for float64 streams.
-func (Handle) DecompressInto64(dst []float64, buf []byte) ([]float64, []int, error) {
-	return decompressGeneric(dst, buf)
-}
-
-// compressGeneric appends the compressed stream to dst.
-func compressGeneric[F Float](dst []byte, data []F, dims []int, eb float64) ([]byte, error) {
+func compressInto(dst []byte, data []float32, dims []int, eb float64) ([]byte, error) {
 	if !(eb > 0) || math.IsInf(eb, 0) {
 		return nil, fmt.Errorf("squant: invalid error bound %v", eb)
 	}
@@ -91,12 +63,12 @@ func compressGeneric[F Float](dst []byte, data []F, dims []int, eb float64) ([]b
 	payload := make([]byte, 0, n+64)
 	payload = wire.AppendUint32(payload, magic)
 	payload = wire.AppendUint32(payload, version)
-	payload = wire.AppendUint32(payload, wire.ElemBits[F]())
+	payload = wire.AppendUint32(payload, wire.ElemBits)
 	payload = wire.AppendFloat64(payload, eb)
 	payload = wire.AppendDims(payload, dims)
 
 	var exceptIdx []int
-	var exceptVal []F
+	var exceptVal []float32
 	quanta := make([]byte, 0, n*2)
 	var prev int64
 	for i, v := range data {
@@ -104,7 +76,7 @@ func compressGeneric[F Float](dst []byte, data []F, dims []int, eb float64) ([]b
 		q := math.Floor(f/twoEB + 0.5)
 		recon := q * twoEB
 		if math.IsNaN(f) || math.IsInf(f, 0) || math.Abs(q) > maxQuantum ||
-			math.Abs(float64(F(recon))-f) > eb {
+			math.Abs(float64(float32(recon))-f) > eb {
 			exceptIdx = append(exceptIdx, i)
 			exceptVal = append(exceptVal, v)
 			q = 0
@@ -118,14 +90,16 @@ func compressGeneric[F Float](dst []byte, data []F, dims []int, eb float64) ([]b
 	payload = wire.AppendUint64(payload, uint64(len(exceptIdx)))
 	for i, idx := range exceptIdx {
 		payload = wire.AppendUint64(payload, uint64(idx))
-		payload = wire.AppendValue(payload, exceptVal[i])
+		payload = wire.AppendFloat32(payload, exceptVal[i])
 	}
 	payload = wire.AppendUint64(payload, uint64(len(quanta)))
 	payload = append(payload, quanta...)
 	return lossless.AppendCompress(dst, payload, lossless.Defaults()), nil
 }
 
-func decompressGeneric[F Float](dst []F, buf []byte) ([]F, []int, error) {
+// DecompressInto is Decompress landing in dst's backing array when it has
+// the capacity for the stream's element count.
+func (Handle) DecompressInto(dst []float32, buf []byte) ([]float32, []int, error) {
 	payload, err := lossless.Decompress(buf)
 	if err != nil {
 		return nil, nil, fmt.Errorf("squant: lossless stage: %w", err)
@@ -137,28 +111,27 @@ func decompressGeneric[F Float](dst []F, buf []byte) ([]F, []int, error) {
 	if v := rd.Uint32(); v != version {
 		return nil, nil, fmt.Errorf("squant: unsupported version %d", v)
 	}
-	if kind := rd.Uint32(); kind != wire.ElemBits[F]() {
-		return nil, nil, fmt.Errorf("squant: stream holds float%d values, caller asked for float%d",
-			kind, wire.ElemBits[F]())
+	if bits := rd.Uint32(); bits != wire.ElemBits {
+		return nil, nil, fmt.Errorf("squant: unsupported element width %d", bits)
 	}
 	eb := rd.Float64()
 	dims, n := rd.Dims()
 	numExc := rd.Uint64()
 	// Plausibility: an exception costs an index and a value, so a count the
 	// bytes left cannot hold is corrupt, and must not size the two tables.
-	excLen := uint64(8 + wire.ElemBits[F]()/8)
+	const excLen = 8 + wire.ElemBits/8
 	if rd.Err() != nil || !(eb > 0) || numExc > uint64(n) || numExc > uint64(rd.Remaining())/excLen {
 		return nil, nil, ErrCorrupt
 	}
 	excIdx := make([]int, numExc)
-	excVal := make([]F, numExc)
+	excVal := make([]float32, numExc)
 	for i := range excIdx {
 		idx := rd.Uint64()
 		if idx >= uint64(n) {
 			return nil, nil, ErrCorrupt
 		}
 		excIdx[i] = int(idx)
-		excVal[i] = wire.ReadValue[F](&rd)
+		excVal[i] = rd.Float32()
 	}
 	// A varint is at least one byte per element: fewer bytes than elements
 	// is corrupt, and must not size the output.
@@ -179,7 +152,7 @@ func decompressGeneric[F Float](dst []F, buf []byte) ([]F, []int, error) {
 		}
 		pos += sz
 		prev += d
-		out[i] = F(float64(prev) * twoEB)
+		out[i] = float32(float64(prev) * twoEB)
 	}
 	for i, idx := range excIdx {
 		out[idx] = excVal[i]

@@ -337,11 +337,10 @@ func (tap *inflightTap) highest() float64 {
 // duration.
 func recording(t *testing.T) (*obs.Registry, *inflightTap) {
 	t.Helper()
-	prev := obs.Active()
-	t.Cleanup(func() { obs.Use(prev) })
 	reg, tap := obs.NewRegistry(), &inflightTap{}
 	reg.SetTap(tap)
-	obs.Use(reg)
+	prev := obs.Use(reg)
+	t.Cleanup(func() { obs.Use(prev) })
 	return reg, tap
 }
 

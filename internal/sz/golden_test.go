@@ -63,14 +63,6 @@ func goldenNoisy32(dims []int) []float32 {
 	return data
 }
 
-func goldenField64(dims []int) []float64 {
-	var out []float64
-	for _, v := range goldenField32(dims) {
-		out = append(out, float64(v))
-	}
-	return out
-}
-
 // goldenCases are the pinned streams. Compressed bytes are regenerated with
 // -update (named by the current version constant); the decoder reads only
 // that version, so a format bump replaces the files.
@@ -78,7 +70,6 @@ var goldenCases = []goldenCase{
 	{name: "order1_3d", dims: []int{6, 32, 32}, eb: 1e-3},
 	{name: "order1_2d", dims: []int{48, 64}, eb: 1e-4},
 	{name: "order1_1d", dims: []int{4096}, eb: 1e-3},
-	{name: "order1_3d_f64", dims: []int{6, 32, 32}, eb: 1e-6, f64: true},
 	{name: "stored_1d", dims: []int{16384}, eb: 0.5, partElems: 8192, field32: goldenNoisy32, stored: true},
 }
 
@@ -86,7 +77,6 @@ type goldenCase struct {
 	name string
 	dims []int
 	eb   float64
-	f64  bool
 	// partElems is the partition granularity the stream is recorded under
 	// (0: 2048, small enough that every case has several partitions).
 	partElems int
@@ -97,19 +87,12 @@ type goldenCase struct {
 }
 
 func (tc goldenCase) file() string {
-	kind := "f32"
-	if tc.f64 {
-		kind = "f64"
-	}
-	return fmt.Sprintf("golden_v%d_%s.%s", version, tc.name, kind)
+	return fmt.Sprintf("golden_v%d_%s.f32", version, tc.name)
 }
 
 // compress appends tc's stream, written by h, to dst.
 func (tc goldenCase) compress(h *Handle, dst []byte) ([]byte, error) {
-	switch {
-	case tc.f64:
-		return h.CompressAppend64(dst, goldenField64(tc.dims), tc.dims, tc.eb)
-	case tc.field32 != nil:
+	if tc.field32 != nil {
 		return h.CompressAppend(dst, tc.field32(tc.dims), tc.dims, tc.eb)
 	}
 	return h.CompressAppend(dst, goldenField32(tc.dims), tc.dims, tc.eb)
@@ -124,11 +107,12 @@ func (tc goldenCase) partTarget() int {
 }
 
 // retiredGoldens are streams of configurations the codec no longer has
-// (previous-value and hybrid-regression predictors). They stay committed
-// without a decoded image: the decoder must refuse them.
+// (previous-value and hybrid-regression predictors, float64 elements). They
+// stay committed without a decoded image: the decoder must refuse them.
 var retiredGoldens = []string{
 	"golden_v4_order0_3d.f32.szs",
 	"golden_v4_order2_3d.f32.szs",
+	"golden_v4_order1_3d_f64.f64.szs",
 }
 
 func isRetiredGolden(path string) bool {
@@ -140,10 +124,10 @@ func isRetiredGolden(path string) bool {
 	return false
 }
 
-// requireRefused asserts that both decoders — and their Into forms, handed
-// no room — return an error on stream without allocating anything the size
-// of an output: the refusal comes from the header, before the array the
-// header describes is made.
+// requireRefused asserts that Decompress — and DecompressInto, handed no
+// room — return an error on stream without allocating anything the size of
+// an output: the refusal comes from the header, before the array the header
+// describes is made.
 func requireRefused(t *testing.T, stream []byte) {
 	t.Helper()
 	// TotalAlloc counts the whole process, so a runtime or test-harness
@@ -154,14 +138,11 @@ func requireRefused(t *testing.T, stream []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		h := NewHandle(1)
-		_, _, err32 := h.Decompress(stream)
-		_, _, err64 := h.Decompress64(stream)
-		_, _, into32 := h.DecompressInto(nil, stream)
-		_, _, into64 := h.DecompressInto64(nil, stream)
+		_, _, errDec := h.Decompress(stream)
+		_, _, errInto := h.DecompressInto(nil, stream)
 		runtime.ReadMemStats(&after)
-		if err32 == nil || err64 == nil || into32 == nil || into64 == nil {
-			t.Fatalf("retired stream decoded: Decompress err %v, Decompress64 err %v, DecompressInto err %v, DecompressInto64 err %v",
-				err32, err64, into32, into64)
+		if errDec == nil || errInto == nil {
+			t.Fatalf("retired stream decoded: Decompress err %v, DecompressInto err %v", errDec, errInto)
 		}
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
@@ -171,39 +152,23 @@ func requireRefused(t *testing.T, stream []byte) {
 }
 
 // bitsOf is vals' little-endian bit image.
-func bitsOf[F Float](vals []F) []byte {
+func bitsOf(vals []float32) []byte {
 	var out []byte
 	for _, v := range vals {
-		if f, ok := any(v).(float32); ok {
-			out = binary.LittleEndian.AppendUint32(out, math.Float32bits(f))
-		} else {
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(float64(v)))
-		}
+		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(v))
 	}
 	return out
 }
 
-// decodeRecon decodes stream at the precision its path names and returns the
-// image a .recon file holds: uint32 ndims, ndims x uint64 dims, then the
-// decoded element bits.
-func decodeRecon(path string, stream []byte) ([]byte, error) {
-	var dims []int
-	var bits []byte
-	var err error
-	if strings.Contains(path, ".f64.") {
-		var out []float64
-		out, dims, err = NewHandle(0).Decompress64(stream)
-		bits = bitsOf(out)
-	} else {
-		var out []float32
-		out, dims, err = NewHandle(0).Decompress(stream)
-		bits = bitsOf(out)
-	}
+// decodeRecon decodes stream and returns the image a .recon file holds:
+// uint32 ndims, ndims x uint64 dims, then the decoded element bits.
+func decodeRecon(stream []byte) ([]byte, error) {
+	out, dims, err := NewHandle(0).Decompress(stream)
 	img := binary.LittleEndian.AppendUint32(nil, uint32(len(dims)))
 	for _, d := range dims {
 		img = binary.LittleEndian.AppendUint64(img, uint64(d))
 	}
-	return append(img, bits...), err
+	return append(img, bitsOf(out)...), err
 }
 
 // TestGoldenStreams pins compressed streams and their decoded images. With
@@ -223,7 +188,7 @@ func TestGoldenStreams(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			img, err := decodeRecon(path, stream)
+			img, err := decodeRecon(stream)
 			if err == nil {
 				err = os.WriteFile(path, stream, 0o644)
 			}
@@ -255,7 +220,7 @@ func TestGoldenStreams(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, err := decodeRecon(path, stream); err != nil || !bytes.Equal(got, want) {
+			if got, err := decodeRecon(stream); err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("err %v, or the decoded image differs from the pinned one", err)
 			}
 		})
@@ -263,7 +228,7 @@ func TestGoldenStreams(t *testing.T) {
 }
 
 // TestHandleMatchesGoldens: at every worker count a Handle's CompressAppend
-// and CompressAppend64 write exactly the committed streams (under the
+// writes exactly the committed streams (under the
 // partition granularity they were recorded with), so the one configuration
 // the codec has left is the one the goldens pin.
 func TestHandleMatchesGoldens(t *testing.T) {
@@ -288,8 +253,8 @@ func TestHandleMatchesGoldens(t *testing.T) {
 	}
 }
 
-// TestGoldenStreamPrefixes: every byte-prefix of every golden stream, both
-// precisions, is an error from the public decoders —
+// TestGoldenStreamPrefixes: every byte-prefix of every golden stream is an
+// error from the public decoder —
 // never a success, never a panic. The word-at-a-time entropy decoders peek
 // zero-padded bits past the end of their input; this pins that truncation
 // still surfaces.
@@ -308,18 +273,15 @@ func TestGoldenStreamPrefixes(t *testing.T) {
 			if _, _, err := h.Decompress(buf[:cut]); err == nil {
 				t.Fatalf("%s: Decompress of %d-byte prefix succeeded", path, cut)
 			}
-			if _, _, err := h.Decompress64(buf[:cut]); err == nil {
-				t.Fatalf("%s: Decompress64 of %d-byte prefix succeeded", path, cut)
-			}
 		}
 	}
 }
 
 // TestRetiredConfigurationsRefused: streams written under a configuration the
-// codec no longer has — the committed order-0 and order-2 goldens, and
-// current streams whose quantBits or predictor-order header word is forged to
-// any other value — are refused from the header: an error, no panic, no
-// output allocation.
+// codec no longer has — the committed order-0, order-2 and float64 goldens,
+// and current streams whose element-width, quantBits or predictor-order
+// header word is forged to any other value — are refused from the header: an
+// error, no panic, no output allocation.
 func TestRetiredConfigurationsRefused(t *testing.T) {
 	for _, name := range retiredGoldens {
 		stream, err := os.ReadFile(filepath.Join("testdata", name))
@@ -335,12 +297,15 @@ func TestRetiredConfigurationsRefused(t *testing.T) {
 	if _, _, err := NewHandle(0).Decompress(current); err != nil {
 		t.Fatalf("unforged stream: %v", err)
 	}
-	// Header words after magic, version, kind: quantBits at byte 12,
-	// predictor order at byte 16.
+	// Header words after magic and version: element width at byte 8,
+	// quantBits at byte 12, predictor order at byte 16.
 	forge := func(off int, v uint32) []byte {
 		out := append([]byte(nil), current...)
 		binary.LittleEndian.PutUint32(out[off:], v)
 		return out
+	}
+	for _, bits := range []uint32{0, 16, 64} {
+		t.Run(fmt.Sprintf("elemBits=%d", bits), func(t *testing.T) { requireRefused(t, forge(8, bits)) })
 	}
 	for _, qb := range []uint32{6, 15, 17, 20} {
 		t.Run(fmt.Sprintf("quantBits=%d", qb), func(t *testing.T) { requireRefused(t, forge(12, qb)) })

@@ -13,9 +13,8 @@ import (
 
 func installObs(t *testing.T) *obs.Registry {
 	t.Helper()
-	prev := obs.Active()
 	r := obs.NewRegistry()
-	obs.Use(r)
+	prev := obs.Use(r)
 	t.Cleanup(func() { obs.Use(prev) })
 	return r
 }
@@ -74,8 +73,6 @@ func TestCompressOccupancyNamesSerializedStage(t *testing.T) {
 // inside sz: with an energy model installed, the top-level compress and
 // decompress spans declare their raw-byte workloads and get priced.
 func TestCompressWorkloadDeclared(t *testing.T) {
-	prev := obs.Active()
-	t.Cleanup(func() { obs.Use(prev) })
 	r := obs.NewRegistry()
 	classes := make(map[string]int64)
 	var mu sync.Mutex
@@ -85,7 +82,8 @@ func TestCompressWorkloadDeclared(t *testing.T) {
 		mu.Unlock()
 		return 1
 	})
-	obs.Use(r)
+	prev := obs.Use(r)
+	t.Cleanup(func() { obs.Use(prev) })
 
 	dims := []int{32, 32}
 	data := make([]float32, dims[0]*dims[1])

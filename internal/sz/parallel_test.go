@@ -146,14 +146,14 @@ func TestHandleScratchLazyPerDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if enc.dec32.All() != nil || enc.dec64.All() != nil || enc.payloads != nil {
+	if enc.dec.All() != nil || enc.payloads != nil {
 		t.Fatal("compress-only handle holds decode scratch")
 	}
 	dec := NewHandle(2)
 	if _, _, err := dec.Decompress(buf); err != nil {
 		t.Fatal(err)
 	}
-	if dec.eng32.lanes.All() != nil || dec.eng32.parts != nil || dec.eng64.lanes.All() != nil {
+	if dec.lanes.All() != nil || dec.parts != nil {
 		t.Fatal("decompress-only handle holds encode scratch")
 	}
 }

@@ -1,13 +1,6 @@
 package sz
 
-import (
-	"math"
-
-	"lcpio/internal/wire"
-)
-
-// Float constrains the element types both precisions of the codec accept.
-type Float = wire.Float
+import "math"
 
 // qz is the fused quantize step, small enough for the compiler to inline into
 // the kernel loops below (Floor and Abs are intrinsics): floor(diff/twoEB +
@@ -26,11 +19,11 @@ type Float = wire.Float
 // every integral qf the range guard admits, and qf is never -0: a sum with
 // +0.5 is -0 for no operand), the conversion to int happens off the chain,
 // for the code alone, and the float64 the bound was checked on is returned
-// beside the element-typed value so the kernel does not convert it again.
-func qz[F Float](val F, pred, twoEB, eb float64) (code int, rf F, r float64) {
+// beside the float32 value so the kernel does not convert it again.
+func qz(val float32, pred, twoEB, eb float64) (code int, rf float32, r float64) {
 	qf := math.Floor((float64(val)-pred)/twoEB + 0.5)
 	if qf > float64(-radius) && qf < float64(radius) {
-		rf = F(pred + qf*twoEB)
+		rf = float32(pred + qf*twoEB)
 		r = float64(rf)
 		if math.Abs(r-float64(val)) <= eb {
 			return int(qf) + radius, rf, r
@@ -46,7 +39,7 @@ func qz[F Float](val F, pred, twoEB, eb float64) (code int, rf F, r float64) {
 // local (left) instead of reloading recon[idx-1], which it stored one
 // iteration earlier: the store-to-load hop was on the chain from one
 // element's reconstruction to the next one's prediction.
-func quantize1D[F Float](data, recon []F, codes []int, exact *[]F, twoEB, eb float64) {
+func quantize1D(data, recon []float32, codes []int, exact *[]float32, twoEB, eb float64) {
 	ex := *exact
 	var left float64
 	for i, val := range data {
@@ -64,7 +57,7 @@ func quantize1D[F Float](data, recon []F, codes []int, exact *[]F, twoEB, eb flo
 	*exact = ex
 }
 
-func reconstruct1D[F Float](recon []F, codes []int, nextExact func() (F, error), twoEB float64) error {
+func reconstruct1D(recon []float32, codes []int, nextExact func() (float32, error), twoEB float64) error {
 	var left float64
 	for i, c := range codes {
 		if c == 0 {
@@ -76,7 +69,7 @@ func reconstruct1D[F Float](recon []F, codes []int, nextExact func() (F, error),
 			left = float64(v)
 			continue
 		}
-		rf := F(left + float64(c-radius)*twoEB)
+		rf := float32(left + float64(c-radius)*twoEB)
 		recon[i] = rf
 		left = float64(rf)
 	}
@@ -88,7 +81,7 @@ func reconstruct1D[F Float](recon []F, codes []int, nextExact func() (F, error),
 // quantize2D is the fused first-order 2-D Lorenzo kernel,
 // f(i,j) ~ f(i,j-1) + f(i-1,j) - f(i-1,j-1), with the border cases hoisted
 // out of the inner loop.
-func quantize2D[F Float](data, recon []F, codes []int, exact *[]F, d1, d2 int, twoEB, eb float64) {
+func quantize2D(data, recon []float32, codes []int, exact *[]float32, d1, d2 int, twoEB, eb float64) {
 	ex := *exact
 	// Row 0 warms up with the previous-value predictor (pred2D's j>0 case).
 	var left float64
@@ -136,7 +129,7 @@ func quantize2D[F Float](data, recon []F, codes []int, exact *[]F, d1, d2 int, t
 	*exact = ex
 }
 
-func reconstruct2D[F Float](recon []F, codes []int, nextExact func() (F, error), d1, d2 int, twoEB float64) error {
+func reconstruct2D(recon []float32, codes []int, nextExact func() (float32, error), d1, d2 int, twoEB float64) error {
 	var left float64
 	step := func(idx int, pred float64) error {
 		if codes[idx] == 0 {
@@ -148,7 +141,7 @@ func reconstruct2D[F Float](recon []F, codes []int, nextExact func() (F, error),
 			left = float64(v)
 			return nil
 		}
-		rf := F(pred + float64(codes[idx]-radius)*twoEB)
+		rf := float32(pred + float64(codes[idx]-radius)*twoEB)
 		recon[idx] = rf
 		left = float64(rf)
 		return nil
@@ -178,7 +171,7 @@ func reconstruct2D[F Float](recon []F, codes []int, nextExact func() (F, error),
 // quantize3D is the fused first-order 3-D Lorenzo kernel: the inclusion–
 // exclusion sum over the 7 previously-seen corners of the unit cube at
 // (i,j,k), degrading to 2-D/1-D stencils on the boundary faces and edges.
-func quantize3D[F Float](data, recon []F, codes []int, exact *[]F, d0, d1, d2 int, twoEB, eb float64) {
+func quantize3D(data, recon []float32, codes []int, exact *[]float32, d0, d1, d2 int, twoEB, eb float64) {
 	ex := *exact
 	// Slice 0 follows the 2-D stencil: pred3D with i=0 degenerates to
 	// pred2D over (j,k) exactly.
@@ -284,7 +277,7 @@ func quantize3D[F Float](data, recon []F, codes []int, exact *[]F, d0, d1, d2 in
 	*exact = ex
 }
 
-func reconstruct3D[F Float](recon []F, codes []int, nextExact func() (F, error), d0, d1, d2 int, twoEB float64) error {
+func reconstruct3D(recon []float32, codes []int, nextExact func() (float32, error), d0, d1, d2 int, twoEB float64) error {
 	sd := d1 * d2
 	var left float64
 	step := func(idx int, pred float64) error {
@@ -297,7 +290,7 @@ func reconstruct3D[F Float](recon []F, codes []int, nextExact func() (F, error),
 			left = float64(v)
 			return nil
 		}
-		rf := F(pred + float64(codes[idx]-radius)*twoEB)
+		rf := float32(pred + float64(codes[idx]-radius)*twoEB)
 		recon[idx] = rf
 		left = float64(rf)
 		return nil

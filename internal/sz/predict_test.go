@@ -17,7 +17,7 @@ import (
 // accept-conditions so NaN (from non-finite input values, or predictions
 // contaminated by verbatim-stored non-finite neighbors) fails them and falls
 // through to the unpredictable path instead of producing a garbage code.
-func quantizeOne[F Float](val F, pred, twoEB, eb float64, radius int) (code int, recon F, ok bool) {
+func quantizeOne(val float32, pred, twoEB, eb float64, radius int) (code int, recon float32, ok bool) {
 	diff := float64(val) - pred
 	qf := math.Floor(diff/twoEB + 0.5)
 	if !(qf > float64(-radius) && qf < float64(radius)) {
@@ -25,7 +25,7 @@ func quantizeOne[F Float](val F, pred, twoEB, eb float64, radius int) (code int,
 	}
 	q := int(qf)
 	r := pred + float64(q)*twoEB
-	rf := F(r)
+	rf := float32(r)
 	if !(math.Abs(float64(rf)-float64(val)) <= eb) {
 		// Catches reconstruction error > eb, and rf being NaN/Inf (the
 		// comparison is then false), in one test.
@@ -35,8 +35,8 @@ func quantizeOne[F Float](val F, pred, twoEB, eb float64, radius int) (code int,
 }
 
 // dequantOne reconstructs a value from its code and prediction.
-func dequantOne[F Float](code int, pred, twoEB float64, radius int) F {
-	return F(pred + float64(code-radius)*twoEB)
+func dequantOne(code int, pred, twoEB float64, radius int) float32 {
+	return float32(pred + float64(code-radius)*twoEB)
 }
 
 // pred2D computes the first-order 2-D Lorenzo prediction
@@ -44,7 +44,7 @@ func dequantOne[F Float](code int, pred, twoEB float64, radius int) F {
 // array borders. The fused kernels in predict.go hoist this boundary switch
 // out of the inner loop; pred2D is the element-at-a-time reference
 // TestFusedKernelsMatchReference holds them to.
-func pred2D[F Float](recon []F, i, j, d2 int) float64 {
+func pred2D(recon []float32, i, j, d2 int) float64 {
 	switch {
 	case i > 0 && j > 0:
 		return float64(recon[i*d2+j-1]) + float64(recon[(i-1)*d2+j]) - float64(recon[(i-1)*d2+j-1])
@@ -61,7 +61,7 @@ func pred2D[F Float](recon []F, i, j, d2 int) float64 {
 // exclusion sum over the 7 previously-seen corners of the unit cube at
 // (i,j,k), degrading to 2-D/1-D stencils on the boundary faces and edges.
 // Reference path; see pred2D's note.
-func pred3D[F Float](recon []F, i, j, k, d1, d2 int) float64 {
+func pred3D(recon []float32, i, j, k, d1, d2 int) float64 {
 	at := func(ii, jj, kk int) float64 {
 		return float64(recon[(ii*d1+jj)*d2+kk])
 	}
@@ -89,9 +89,9 @@ func pred3D[F Float](recon []F, i, j, k, d1, d2 int) float64 {
 
 // refQuantize quantizes a d0 x d1 x d2 array (d0 = 1 for 2-D, d0 = d1 = 1 for
 // 1-D) one element at a time through pred3D and quantizeOne.
-func refQuantize[F Float](data []F, d0, d1, d2 int, eb float64) (codes []int, recon, exact []F) {
+func refQuantize(data []float32, d0, d1, d2 int, eb float64) (codes []int, recon, exact []float32) {
 	codes = make([]int, len(data))
-	recon = make([]F, len(data))
+	recon = make([]float32, len(data))
 	for i := 0; i < d0; i++ {
 		for j := 0; j < d1; j++ {
 			for k := 0; k < d2; k++ {
@@ -110,7 +110,7 @@ func refQuantize[F Float](data []F, d0, d1, d2 int, eb float64) (codes []int, re
 
 // sameBits reports whether a and b hold the same values bit for bit, so a
 // NaN matches itself and +0 does not match -0.
-func sameBits[F Float](a, b []F) bool {
+func sameBits(a, b []float32) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -127,13 +127,13 @@ func sameBits[F Float](a, b []F) bool {
 // reconstruction, the same verbatim values in raster order, and a fused
 // reconstructor that inverts them. It returns the codes for callers that
 // know what they should be.
-func fusedMatchesReference[F Float](t *testing.T, data []F, d0, d1, d2 int, eb float64) []int {
+func fusedMatchesReference(t *testing.T, data []float32, d0, d1, d2 int, eb float64) []int {
 	t.Helper()
 	wantCodes, wantRecon, wantExact := refQuantize(data, d0, d1, d2, eb)
 
 	codes := make([]int, len(data))
-	recon := make([]F, len(data))
-	var exact []F
+	recon := make([]float32, len(data))
+	var exact []float32
 	switch {
 	case d0 == 1 && d1 == 1:
 		quantize1D(data, recon, codes, &exact, 2*eb, eb)
@@ -152,8 +152,8 @@ func fusedMatchesReference[F Float](t *testing.T, data []F, d0, d1, d2 int, eb f
 	}
 
 	next := 0
-	nextExact := func() (F, error) { next++; return exact[next-1], nil }
-	back := make([]F, len(data))
+	nextExact := func() (float32, error) { next++; return exact[next-1], nil }
+	back := make([]float32, len(data))
 	var err error
 	switch {
 	case d0 == 1 && d1 == 1:
@@ -197,82 +197,67 @@ func TestFusedKernelsMatchReference(t *testing.T) {
 // denormal either side of it, and non-finite neighbours. The zeros after a
 // planted value are quantized against it, so each quotient shows up with
 // both signs.
-func quantizerEdges[F Float](n int) []F {
+func quantizerEdges(n int) []float32 {
 	tiny := math.SmallestNonzeroFloat32
 	planted := []float64{radius - 1, 1 - radius, radius, -radius, radius + 1, math.Copysign(0, -1),
 		-tiny, tiny, -0.5, 0.5, math.NaN(), math.Inf(1), math.Inf(-1)}
-	data := make([]F, n)
+	data := make([]float32, n)
 	for k := 0; 5*k+2 < n; k++ {
-		data[5*k+2] = F(planted[k%len(planted)])
+		data[5*k+2] = float32(planted[k%len(planted)])
 	}
 	return data
 }
 
 // TestFusedKernelsAtQuantizerEdges pins the identity qz rests on — the
 // reconstruction formed from the floored quotient is the one formed from the
-// integer code — where it could break, in every kernel and both precisions,
-// and an all-verbatim field (every code 0) beside it.
+// integer code — where it could break, in every kernel, and an all-verbatim
+// field (every code 0) beside it.
 func TestFusedKernelsAtQuantizerEdges(t *testing.T) {
 	for _, sh := range fusedShapes {
 		n := sh[0] * sh[1] * sh[2]
-		c32 := fusedMatchesReference(t, quantizerEdges[float32](n), sh[0], sh[1], sh[2], 0.5)
-		c64 := fusedMatchesReference(t, quantizerEdges[float64](n), sh[0], sh[1], sh[2], 0.5)
+		codes := fusedMatchesReference(t, quantizerEdges(n), sh[0], sh[1], sh[2], 0.5)
 		if sh[0] == 1 && sh[1] == 1 {
 			// 1-D: each planted value is predicted from a zero, and the zero
 			// after it from the planted value.
 			want := map[int]int{2: 2*radius - 1, 3: 1, 7: 1, 8: 2*radius - 1, 12: 0, 13: 0, 17: 0, 18: 0, 22: 0, 23: 0, 27: radius}
 			for idx, code := range want {
-				if c32[idx] != code || c64[idx] != code {
-					t.Fatalf("1-D edge field: code[%d] = %d (float32), %d (float64), want %d", idx, c32[idx], c64[idx], code)
+				if codes[idx] != code {
+					t.Fatalf("1-D edge field: code[%d] = %d, want %d", idx, codes[idx], code)
 				}
 			}
 		}
 
-		jumps32, jumps64 := make([]float32, n), make([]float64, n)
-		for i := range jumps64 {
-			jumps64[i] = float64(1+i) * 1e6 * float64(1-2*(i%2))
-			jumps32[i] = float32(jumps64[i])
+		jumps := make([]float32, n)
+		for i := range jumps {
+			jumps[i] = float32(float64(1+i) * 1e6 * float64(1-2*(i%2)))
 		}
-		for _, codes := range [][]int{
-			fusedMatchesReference(t, jumps32, sh[0], sh[1], sh[2], 0.5),
-			fusedMatchesReference(t, jumps64, sh[0], sh[1], sh[2], 0.5),
-		} {
-			for i, c := range codes {
-				if c != 0 {
-					t.Fatalf("%v: alternating 1e6 jumps: code[%d] = %d, want every value verbatim", sh, i, c)
-				}
+		for i, c := range fusedMatchesReference(t, jumps, sh[0], sh[1], sh[2], 0.5) {
+			if c != 0 {
+				t.Fatalf("%v: alternating 1e6 jumps: code[%d] = %d, want every value verbatim", sh, i, c)
 			}
 		}
 	}
 }
 
 // TestQuickFusedKernelsMatchReference is the same differential over random
-// shapes, bounds and fields salted with the edge values, in both precisions;
-// -quickchecks scales it with the bound invariants.
+// shapes, bounds and fields salted with the edge values; -quickchecks scales
+// it with the bound invariants.
 func TestQuickFusedKernelsMatchReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		sh := fusedShapes[rng.Intn(len(fusedShapes))]
 		eb := []float64{0.5, 1e-3, 1e-6}[rng.Intn(3)]
-		edges := quantizerEdges[float64](64)
-		data := make([]float64, sh[0]*sh[1]*sh[2])
+		edges := quantizerEdges(64)
+		data := make([]float32, sh[0]*sh[1]*sh[2])
 		walk := 0.0
 		for i := range data {
 			walk += rng.NormFloat64() * eb * 40
-			data[i] = walk
+			data[i] = float32(walk)
 			if rng.Intn(16) == 0 {
-				data[i] = edges[rng.Intn(len(edges))] * 2 * eb
+				data[i] = float32(float64(edges[rng.Intn(len(edges))]) * 2 * eb)
 			}
 		}
-		if seed%2 == 0 {
-			fusedMatchesReference(t, data, sh[0], sh[1], sh[2], eb)
-		} else {
-			d32 := make([]float32, len(data))
-			for i, v := range data {
-				d32[i] = float32(v)
-			}
-			fusedMatchesReference(t, d32, sh[0], sh[1], sh[2], eb)
-		}
+		fusedMatchesReference(t, data, sh[0], sh[1], sh[2], eb)
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCountScale: 2, Rand: rand.New(rand.NewSource(1))}); err != nil {
@@ -341,7 +326,7 @@ func TestPred3DInclusionExclusion(t *testing.T) {
 func TestQuantizeOneExactCenter(t *testing.T) {
 	// A value exactly at the prediction quantizes to the center code and
 	// reconstructs exactly.
-	code, recon, ok := quantizeOne[float32](5.0, 5.0, 2e-3, 1e-3, 1<<15)
+	code, recon, ok := quantizeOne(5.0, 5.0, 2e-3, 1e-3, 1<<15)
 	if !ok || code != 1<<15 || recon != 5.0 {
 		t.Fatalf("center: code=%d recon=%v ok=%v", code, recon, ok)
 	}
@@ -350,11 +335,11 @@ func TestQuantizeOneExactCenter(t *testing.T) {
 func TestQuantizeOneRangeLimits(t *testing.T) {
 	radius := 8 // tiny quantizer for the test
 	// Diff just inside the representable range quantizes...
-	if _, _, ok := quantizeOne[float32](float32(2*1e-3*6), 0, 2e-3, 1e-3, radius); !ok {
+	if _, _, ok := quantizeOne(float32(2*1e-3*6), 0, 2e-3, 1e-3, radius); !ok {
 		t.Error("in-range diff rejected")
 	}
 	// ... and just beyond it falls back to exact storage.
-	if _, _, ok := quantizeOne[float32](float32(2*1e-3*9), 0, 2e-3, 1e-3, radius); ok {
+	if _, _, ok := quantizeOne(float32(2*1e-3*9), 0, 2e-3, 1e-3, radius); ok {
 		t.Error("out-of-range diff accepted")
 	}
 }
@@ -362,10 +347,10 @@ func TestQuantizeOneRangeLimits(t *testing.T) {
 func TestQuantizeOneNonFinitePrediction(t *testing.T) {
 	// A NaN prediction (possible from corrupted neighbors) must not
 	// produce a bogus quantization.
-	if _, _, ok := quantizeOne[float32](1.0, math.NaN(), 2e-3, 1e-3, 1<<15); ok {
+	if _, _, ok := quantizeOne(1.0, math.NaN(), 2e-3, 1e-3, 1<<15); ok {
 		t.Error("NaN prediction accepted")
 	}
-	if _, _, ok := quantizeOne[float32](1.0, math.Inf(1), 2e-3, 1e-3, 1<<15); ok {
+	if _, _, ok := quantizeOne(1.0, math.Inf(1), 2e-3, 1e-3, 1<<15); ok {
 		t.Error("Inf prediction accepted")
 	}
 }
@@ -383,7 +368,7 @@ func TestQuickQuantDequantConsistent(t *testing.T) {
 		if !ok {
 			return true
 		}
-		back := dequantOne[float32](code, pred, 2*eb, 1<<15)
+		back := dequantOne(code, pred, 2*eb, 1<<15)
 		return back == recon && math.Abs(float64(recon)-float64(val)) <= eb
 	}
 	if err := quick.Check(f, &quick.Config{MaxCountScale: 5, Rand: rand.New(rand.NewSource(1))}); err != nil {

@@ -26,8 +26,9 @@
 // of the worker count — so compressed bytes are identical at any worker count.
 //
 // The codec has one configuration, the one the paper runs: 2^16 quantization
-// intervals and the first-order Lorenzo predictor. The header still records
-// both, and the decoder refuses a stream that states anything else.
+// intervals and the first-order Lorenzo predictor, over float32 values. The
+// header still records all three, and the decoder refuses a stream that
+// states anything else.
 package sz
 
 import (
@@ -173,10 +174,10 @@ func partDims(dims []int, splitDepth, rows int, buf []int) []int {
 // belong to the Handle, so steady-state compression allocates only the
 // per-partition payloads' growth and the output stream. Memory scales with
 // the worker count, never the partition count.
-type laneScratch[F Float] struct {
+type laneScratch struct {
 	codes []int
-	recon []F
-	exact []F
+	recon []float32
+	exact []float32
 	freqs []uint64
 	hb    huffman.Builder
 	w     bitstream.Writer
@@ -192,13 +193,6 @@ type partOut struct {
 	err     error
 }
 
-// engine carries the per-precision encode lanes and partition state of a
-// Handle.
-type engine[F Float] struct {
-	lanes par.Lanes[laneScratch[F]]
-	parts []partOut
-}
-
 // Handle is the reusable codec handle: the encode and decode lanes (scratch
 // buffers, Huffman builders and tables, LZ77 state) persist across calls,
 // eliminating steady-state allocations. Each direction's lanes are created
@@ -208,10 +202,9 @@ type engine[F Float] struct {
 type Handle struct {
 	workers int
 
-	eng32 engine[float32]
-	eng64 engine[float64]
-	dec32 par.Lanes[decLane[float32]]
-	dec64 par.Lanes[decLane[float64]]
+	lanes par.Lanes[laneScratch]
+	parts []partOut
+	dec   par.Lanes[decLane]
 
 	// Per-call partition index scratch: spans serves both directions, the
 	// rest is the decoder's.
@@ -235,14 +228,6 @@ func NewHandle(workers int) *Handle {
 // Name returns the codec's registry name.
 func (h *Handle) Name() string { return "sz" }
 
-func engineFor[F Float](h *Handle) *engine[F] {
-	var z F
-	if _, ok := any(z).(float32); ok {
-		return any(&h.eng32).(*engine[F])
-	}
-	return any(&h.eng64).(*engine[F])
-}
-
 // Compress compresses float32 data (row-major with the given dims, slowest
 // first) under absolute error bound eb.
 func (h *Handle) Compress(data []float32, dims []int, eb float64) ([]byte, error) {
@@ -256,18 +241,7 @@ func (h *Handle) CompressAppend(dst []byte, data []float32, dims []int, eb float
 	return compressInto(h, dst, data, dims, eb)
 }
 
-// Compress64 is Compress for float64 data. The quantization pipeline runs
-// in float64 throughout, so the bound holds at double precision.
-func (h *Handle) Compress64(data []float64, dims []int, eb float64) ([]byte, error) {
-	return compressInto(h, nil, data, dims, eb)
-}
-
-// CompressAppend64 is CompressAppend for float64 data.
-func (h *Handle) CompressAppend64(dst []byte, data []float64, dims []int, eb float64) ([]byte, error) {
-	return compressInto(h, dst, data, dims, eb)
-}
-
-func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float64) ([]byte, error) {
+func compressInto(h *Handle, dst []byte, data []float32, dims []int, eb float64) ([]byte, error) {
 	if eb <= 0 || math.IsNaN(eb) || math.IsInf(eb, 0) {
 		return nil, fmt.Errorf("sz: invalid error bound %v", eb)
 	}
@@ -275,7 +249,7 @@ func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float
 		return nil, err
 	}
 
-	rawBytes := int64(len(data)) * int64(wire.ElemBits[F]()/8)
+	rawBytes := int64(len(data)) * wire.ElemBits / 8
 	span := obs.Start("sz.compress")
 	span.SetWorkload("sz.compress", rawBytes)
 	defer span.End()
@@ -291,10 +265,9 @@ func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float
 	}
 	rowElems := len(data) / ext
 
-	eng := engineFor[F](h)
-	eng.lanes.SizeTo(min(workers, len(spans)))
-	eng.parts = par.Grow(eng.parts, len(spans))
-	parts := eng.parts
+	h.lanes.SizeTo(min(workers, len(spans)))
+	h.parts = par.Grow(h.parts, len(spans))
+	parts := h.parts
 	for i := range parts {
 		parts[i].err = nil
 	}
@@ -306,7 +279,7 @@ func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float
 	pt := obs.StartPipeline("sz.compress", workers)
 	par.RunWorker(len(spans), workers, func(w, i int) {
 		wc := pt.Worker(w)
-		lane := eng.lanes.Lane(w)
+		lane := h.lanes.Lane(w)
 		pspan := obs.Start("sz.partition")
 		lane.pdims = partDims(dims, splitDepth, spans[i].hi-spans[i].lo, lane.pdims)
 		compressPartition(lane, &parts[i], wc, data[spans[i].lo*rowElems:spans[i].hi*rowElems], eb)
@@ -335,7 +308,7 @@ func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float
 	out := dst
 	out = wire.AppendUint32(out, magic)
 	out = wire.AppendUint32(out, version)
-	out = wire.AppendUint32(out, wire.ElemBits[F]())
+	out = wire.AppendUint32(out, wire.ElemBits)
 	out = wire.AppendUint32(out, quantBits)
 	out = wire.AppendUint32(out, predOrder)
 	out = wire.AppendFloat64(out, eb)
@@ -362,7 +335,7 @@ func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float
 // over one partition on the given lane, leaving the coded payload in
 // out.payload. wc (nil when telemetry is off) tracks which stage the worker
 // occupies.
-func compressPartition[F Float](lane *laneScratch[F], out *partOut, wc *obs.WorkerClock, data []F, eb float64) {
+func compressPartition(lane *laneScratch, out *partOut, wc *obs.WorkerClock, data []float32, eb float64) {
 	n := len(data)
 	twoEB := 2 * eb
 	lane.codes = wire.Sized(lane.codes, n)
@@ -409,7 +382,7 @@ func compressPartition[F Float](lane *laneScratch[F], out *partOut, wc *obs.Work
 	inner := lane.inner[:0]
 	inner = wire.AppendUint64(inner, uint64(len(lane.exact)))
 	for _, v := range lane.exact {
-		inner = wire.AppendValue(inner, v)
+		inner = wire.AppendFloat32(inner, v)
 	}
 	inner = wire.AppendUint64(inner, uint64(len(huffPayload)))
 	inner = append(inner, huffPayload...)
@@ -442,27 +415,18 @@ func compressPartition[F Float](lane *laneScratch[F], out *partOut, wc *obs.Work
 // partitions the lane picks up and across calls: the Huffman table parse
 // alone touches ~NumSymbols of storage per partition, so reusing it is most
 // of the decode-side allocation win.
-type decLane[F Float] struct {
+type decLane struct {
 	codes []int
 	raw   []byte // lossless-decoded partition container
-	exact []F
+	exact []float32
 	code  huffman.Code
 	lens  []uint8
 	br    bitstream.Reader
 }
 
-func decLanesFor[F Float](h *Handle) *par.Lanes[decLane[F]] {
-	var z F
-	if _, ok := any(z).(float32); ok {
-		return any(&h.dec32).(*par.Lanes[decLane[F]])
-	}
-	return any(&h.dec64).(*par.Lanes[decLane[F]])
-}
-
-// Decompress reverses Compress. Decompressing a float64 stream returns an
-// error directing the caller to Decompress64.
+// Decompress reverses Compress.
 func (h *Handle) Decompress(buf []byte) ([]float32, []int, error) {
-	return decompressWith[float32](h, nil, buf)
+	return h.DecompressInto(nil, buf)
 }
 
 // DecompressInto is Decompress landing in dst's backing array when it has
@@ -470,20 +434,6 @@ func (h *Handle) Decompress(buf []byte) ([]float32, []int, error) {
 // allocation; it allocates like Decompress when it does not. Every element
 // of the returned slice is written, or an error is returned.
 func (h *Handle) DecompressInto(dst []float32, buf []byte) ([]float32, []int, error) {
-	return decompressWith(h, dst, buf)
-}
-
-// Decompress64 reverses Compress64.
-func (h *Handle) Decompress64(buf []byte) ([]float64, []int, error) {
-	return decompressWith[float64](h, nil, buf)
-}
-
-// DecompressInto64 is DecompressInto for float64 streams.
-func (h *Handle) DecompressInto64(dst []float64, buf []byte) ([]float64, []int, error) {
-	return decompressWith(h, dst, buf)
-}
-
-func decompressWith[F Float](h *Handle, dst []F, buf []byte) ([]F, []int, error) {
 	span := obs.Start("sz.decompress")
 	defer span.End()
 
@@ -497,12 +447,11 @@ func decompressWith[F Float](h *Handle, dst []F, buf []byte) ([]F, []int, error)
 		}
 		return nil, nil, fmt.Errorf("sz: unsupported version %d", ver)
 	}
-	if kind := rd.Uint32(); kind != wire.ElemBits[F]() {
+	if bits := rd.Uint32(); bits != wire.ElemBits {
 		if rd.Err() != nil {
 			return nil, nil, ErrCorrupt
 		}
-		return nil, nil, fmt.Errorf("sz: stream holds float%d values, caller asked for float%d",
-			kind, wire.ElemBits[F]())
+		return nil, nil, fmt.Errorf("sz: unsupported element width %d", bits)
 	}
 	// The one configuration: any other quantizer width or predictor order
 	// (streams older builds could write) is refused before anything is sized.
@@ -566,14 +515,13 @@ func decompressWith[F Float](h *Handle, dst []F, buf []byte) ([]F, []int, error)
 
 	workers := h.workers
 	obs.Set("lcpio_sz_workers", float64(workers))
-	span.SetWorkload("sz.decompress", int64(n)*int64(wire.ElemBits[F]()/8))
+	span.SetWorkload("sz.decompress", int64(n)*wire.ElemBits/8)
 
 	// Every check that refuses a stream from its header has run: dst is
 	// used when it can hold the array, and nothing was sized before now.
 	out := wire.Sized(dst, n)
-	lanes := decLanesFor[F](h)
 	spans := h.spans
-	lanes.SizeTo(min(workers, len(spans)))
+	h.dec.SizeTo(min(workers, len(spans)))
 	h.errs = wire.Sized(h.errs, len(spans))
 	errs := h.errs
 	pdLen := 1 + len(dims) - splitDepth
@@ -584,7 +532,7 @@ func decompressWith[F Float](h *Handle, dst []F, buf []byte) ([]F, []int, error)
 	par.RunWorker(len(spans), workers, func(w, i int) {
 		wc := pt.Worker(w)
 		wc.Run("decode_partition")
-		lane := lanes.Lane(w)
+		lane := h.dec.Lane(w)
 		pd := partDims(dims, splitDepth, spans[i].hi-spans[i].lo,
 			pdimsBuf[i*pdLen:i*pdLen:i*pdLen+pdLen])
 		errs[i] = decodePartition(lane, payloads[i], out[spans[i].lo*rowElems:spans[i].hi*rowElems],
@@ -602,7 +550,7 @@ func decompressWith[F Float](h *Handle, dst []F, buf []byte) ([]F, []int, error)
 
 // decodePartition decodes one partition payload into outPart (the
 // partition's disjoint sub-range of the output array).
-func decodePartition[F Float](lane *decLane[F], payload []byte, outPart []F, dims []int, twoEB float64) error {
+func decodePartition(lane *decLane, payload []byte, outPart []float32, dims []int, twoEB float64) error {
 	raw, err := lossless.AppendDecompress(lane.raw[:0], payload)
 	if err != nil {
 		return fmt.Errorf("sz: lossless stage: %w", err)
@@ -618,7 +566,7 @@ func decodePartition[F Float](lane *decLane[F], payload []byte, outPart []F, dim
 	lane.exact = wire.Sized(lane.exact, numExact)
 	exact := lane.exact
 	for i := range exact {
-		exact[i] = wire.ReadValue[F](&rd)
+		exact[i] = rd.Float32()
 	}
 	if rd.Err() != nil {
 		return ErrCorrupt
@@ -645,7 +593,7 @@ func decodePartition[F Float](lane *decLane[F], payload []byte, outPart []F, dim
 	}
 
 	exactIdx := 0
-	nextExact := func() (F, error) {
+	nextExact := func() (float32, error) {
 		if exactIdx >= len(exact) {
 			return 0, ErrCorrupt
 		}

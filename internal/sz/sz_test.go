@@ -17,23 +17,23 @@ import (
 // same classes as the tests below; these hold what only sz claims on them.
 
 // ratio is data's raw size over its one-worker stream's at eb.
-func ratio[F Float](t *testing.T, data []F, dims []int, eb float64) float64 {
+func ratio(t *testing.T, data []float32, dims []int, eb float64) float64 {
 	t.Helper()
-	stream, err := compressInto(NewHandle(1), nil, data, dims, eb)
+	stream, err := NewHandle(1).Compress(data, dims, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return float64(len(data)*int(wire.ElemBits[F]()/8)) / float64(len(stream))
+	return float64(len(data)*4) / float64(len(stream))
 }
 
 // decoded is data back through its one-worker stream at eb.
-func decoded[F Float](t *testing.T, data []F, dims []int, eb float64) []F {
+func decoded(t *testing.T, data []float32, dims []int, eb float64) []float32 {
 	t.Helper()
-	stream, err := compressInto(NewHandle(1), nil, data, dims, eb)
+	stream, err := NewHandle(1).Compress(data, dims, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := decompressWith[F](NewHandle(1), nil, stream)
+	out, _, err := NewHandle(1).Decompress(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,12 +261,12 @@ func TestQuickErrorBoundMultiDim(t *testing.T) {
 
 // withinBound reports whether data decodes within eb of itself under the
 // partition granularity the caller set.
-func withinBound[F Float](data []F, dims []int, eb float64) bool {
-	stream, err := compressInto(NewHandle(2), nil, data, dims, eb)
+func withinBound(data []float32, dims []int, eb float64) bool {
+	stream, err := NewHandle(2).Compress(data, dims, eb)
 	if err != nil {
 		return false
 	}
-	out, _, err := decompressWith[F](NewHandle(2), nil, stream)
+	out, _, err := NewHandle(2).Decompress(stream)
 	if err != nil || len(out) != len(data) {
 		return false
 	}

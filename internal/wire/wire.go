@@ -26,19 +26,10 @@ const (
 	MaxElems  = 1 << 34
 )
 
-// Float constrains the element types the codecs accept.
-type Float interface {
-	~float32 | ~float64
-}
-
-// ElemBits is the header word for F's width: 32 or 64.
-func ElemBits[F Float]() uint32 {
-	var z F
-	if _, ok := any(z).(float32); ok {
-		return 32
-	}
-	return 64
-}
+// ElemBits is the element-width header word every stream carries: the
+// formats hold float32 values, so it is always 32, and a decoder refuses any
+// other word from the header.
+const ElemBits = 32
 
 // Sized returns dst resliced to n elements when it has the capacity, a new
 // slice otherwise; what dst held is not kept. Decoders call it for their
@@ -245,18 +236,7 @@ func AppendFloat64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
-// AppendValue appends one element at F's own width.
-func AppendValue[F Float](b []byte, v F) []byte {
-	if ElemBits[F]() == 32 {
-		return AppendUint32(b, math.Float32bits(float32(v)))
-	}
-	return AppendFloat64(b, float64(v))
-}
-
-// ReadValue reads one element at F's own width.
-func ReadValue[F Float](r *Reader) F {
-	if ElemBits[F]() == 32 {
-		return F(r.Float32())
-	}
-	return F(r.Float64())
+// AppendFloat32 appends v as little-endian IEEE-754 bits.
+func AppendFloat32(b []byte, v float32) []byte {
+	return binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"errors"
-	"math"
 	"strings"
 	"testing"
 )
@@ -14,7 +13,7 @@ func TestRoundTrip(t *testing.T) {
 	b = AppendUint32(b, 0xDEADBEEF)
 	b = AppendUint64(b, 1<<40+7)
 	b = AppendFloat64(b, 3.5)
-	b = AppendUint32(b, math.Float32bits(-2.25))
+	b = AppendFloat32(b, -2.25)
 	b = append(b, 'x', 'y')
 
 	r := NewReader(b, errTest)
@@ -190,19 +189,13 @@ func TestCollapse(t *testing.T) {
 }
 
 func TestElemValues(t *testing.T) {
-	if ElemBits[float32]() != 32 || ElemBits[float64]() != 64 {
-		t.Fatal("ElemBits")
-	}
-	b := AppendValue(AppendValue(nil, float32(-2.25)), 3.5)
-	if len(b) != 12 {
-		t.Fatalf("a float32 and a float64 took %d bytes", len(b))
+	b := AppendFloat32(nil, -2.25)
+	if len(b) != ElemBits/8 {
+		t.Fatalf("a float32 took %d bytes", len(b))
 	}
 	r := NewReader(b, errTest)
-	if v := ReadValue[float32](&r); v != -2.25 {
-		t.Errorf("float32 = %v", v)
-	}
-	if v := ReadValue[float64](&r); v != 3.5 || r.Err() != nil {
-		t.Errorf("float64 = %v, err %v", v, r.Err())
+	if v := r.Float32(); v != -2.25 || r.Err() != nil {
+		t.Errorf("float32 = %v, err %v", v, r.Err())
 	}
 }
 

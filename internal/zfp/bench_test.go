@@ -81,8 +81,8 @@ func BenchmarkDecompressRank(b *testing.B) {
 
 // BenchmarkTransposeWindow times the plane transpose alone on a
 // 64-coefficient block, in both directions, at live-plane counts either side
-// of its pack thresholds: NYX at rel 1e-3 codes 7 to 15 planes a block,
-// float64 streams up to 62; 64 is the full-width transpose.
+// of its pack thresholds: NYX at rel 1e-3 codes 7 to 15 planes a block, and
+// no block more than hiPlane; 64 is the full-width transpose.
 func BenchmarkTransposeWindow(b *testing.B) {
 	s := xs64(0xB17B17)
 	var nb, planes, out [64]uint64

@@ -5,29 +5,18 @@ import (
 	"math/bits"
 
 	"lcpio/internal/bitstream"
-	"lcpio/internal/wire"
 )
 
-// Float constrains the element types both precisions of the codec accept.
-type Float = wire.Float
+// The fixed-point parameters: block values are scaled to |i| <= 2^qBits,
+// and hiPlane is the top bit plane after transform gain and negabinary
+// headroom.
+const (
+	qBits   = 40
+	hiPlane = 54
+)
 
-// traits carries the per-precision fixed-point parameters: float64 data
-// keeps more fractional bits and therefore more bit planes.
-type traits struct {
-	q  int // fixed-point scaling: block values scaled to |i| <= 2^q
-	hi int // top bit plane after transform gain + negabinary headroom
-}
-
-func traitsFor[F Float]() traits {
-	var z F
-	if _, ok := any(z).(float32); ok {
-		return traits{q: 40, hi: 54}
-	}
-	return traits{q: 52, hi: 62}
-}
-
-// emax block-header field: 12 bits, bias 1100, covering the full float64
-// exponent range.
+// emax block-header field: 12 bits, bias 1100, wide enough for any float64
+// exponent, so it covers every block peak with room to spare.
 const (
 	emaxFieldBits = 12
 	emaxBias      = 1100
@@ -194,23 +183,22 @@ func buildPerm(dim int) []int {
 	return out
 }
 
-// cutoff is what one compress call fixes for all of its blocks: the tolerance,
-// the plane it seeds each block's cutoff from, and the precision's traits.
+// cutoff is what one compress call fixes for all of its blocks: the tolerance
+// and the plane it seeds each block's cutoff from.
 type cutoff struct {
 	eb     float64
 	ebLog2 int // floor(log2(eb))
-	tr     traits
 }
 
-func cutoffFor[F Float](eb float64) cutoff {
-	return cutoff{eb: eb, ebLog2: int(math.Floor(math.Log2(eb))), tr: traitsFor[F]()}
+func cutoffFor(eb float64) cutoff {
+	return cutoff{eb: eb, ebLog2: int(math.Floor(math.Log2(eb)))}
 }
 
 // maxAbs returns the largest magnitude in blk and whether every value is
 // finite, in one pass over the bit patterns: with the sign cleared, IEEE
 // patterns order like the magnitudes they encode, and every infinity and NaN
 // sorts at or above the infinity pattern.
-func maxAbs[F Float](blk []F) (float64, bool) {
+func maxAbs(blk []float32) (float64, bool) {
 	const inf = 0x7FF << 52
 	var m uint64
 	for _, v := range blk {
@@ -227,8 +215,7 @@ func maxAbs[F Float](blk []F) (float64, bool) {
 // the already-computed negabinary words as a mask (see verifyCutoff), so the
 // expensive per-retry work of the old encode/decode/re-encode loop is gone
 // and each block's planes are emitted a single time.
-func encodeBlock[F Float](w *bitstream.Writer, ln *zlane[F], dim int, co cutoff) {
-	tr := co.tr
+func encodeBlock(w *bitstream.Writer, ln *zlane, dim int, co cutoff) {
 	size := blockSize(dim)
 	blk := ln.blk[:size]
 
@@ -247,7 +234,7 @@ func encodeBlock[F Float](w *bitstream.Writer, ln *zlane[F], dim int, co cutoff)
 	// Lane scratch is indexed as arrays (perm entries and block offsets are
 	// all below 64), sliced only where a callee wants the block's length.
 	coef, nb := &ln.coef, &ln.nb
-	scale := math.Ldexp(1, tr.q-emax)
+	scale := math.Ldexp(1, qBits-emax)
 	for i, v := range blk {
 		coef[i&63] = int64(math.RoundToEven(float64(v) * scale))
 	}
@@ -261,21 +248,21 @@ func encodeBlock[F Float](w *bitstream.Writer, ln *zlane[F], dim int, co cutoff)
 	// Skip leading all-zero planes: kmax is the bit length of the largest
 	// coefficient, stored per block so the decoder starts at the same plane.
 	kmaxFull := bits.Len64(all)
-	if kmaxFull > tr.hi {
-		kmaxFull = tr.hi
+	if kmaxFull > hiPlane {
+		kmaxFull = hiPlane
 	}
 
 	// Seed the plane cutoff from the tolerance: a coefficient error below
-	// 2^kmin in fixed point is eb' = 2^(kmin + emax - q) in value units.
+	// 2^kmin in fixed point is eb' = 2^(kmin + emax - qBits) in value units.
 	// One guard bit absorbs typical transform gain; the verify-and-retry
 	// loop below catches the block that needs more planes.
 	const guard = 1
-	kmin := co.ebLog2 + tr.q - emax - guard
+	kmin := co.ebLog2 + qBits - emax - guard
 	if kmin < 0 {
 		kmin = 0
 	}
-	if kmin >= tr.hi {
-		kmin = tr.hi - 1
+	if kmin >= hiPlane {
+		kmin = hiPlane - 1
 	}
 
 	for {
@@ -284,7 +271,7 @@ func encodeBlock[F Float](w *bitstream.Writer, ln *zlane[F], dim int, co cutoff)
 			kmax = kmin
 		}
 		ln.verifies++
-		if verifyCutoff(ln, dim, co.eb, emax, kmin, kmax, tr) {
+		if verifyCutoff(ln, dim, co.eb, emax, kmin, kmax) {
 			w.WriteBits(tagCoded, 2)
 			w.WriteBits(uint64(emax+emaxBias), emaxFieldBits)
 			w.WriteBits(uint64(kmin), 6)
@@ -308,54 +295,33 @@ func encodeBlock[F Float](w *bitstream.Writer, ln *zlane[F], dim int, co cutoff)
 // eb, without round-tripping through the bitstream. The group-tested coder is
 // lossless on the planes it transmits — the decoder recovers exactly
 // nb[i] & planeMask — so masking the negabinary words reproduces the decoder's
-// coefficients directly. The comparison goes through the same cast to F the
-// decoder's store does: for float32 that rounding moves the value by up to
-// half an ULP, which decides the bound when the tolerance is near an ULP of
-// the block's magnitude.
-func verifyCutoff[F Float](ln *zlane[F], dim int, eb float64, emax, kmin, kmax int, tr traits) bool {
+// coefficients directly. The comparison goes through the same cast to float32
+// the decoder's store does: that rounding moves the value by up to half an
+// ULP, which decides the bound when the tolerance is near an ULP of the
+// block's magnitude.
+func verifyCutoff(ln *zlane, dim int, eb float64, emax, kmin, kmax int) bool {
 	size := blockSize(dim)
-	// kmax <= tr.hi <= 62, so the shifts stay in range.
+	// kmax <= hiPlane < 64, so the shifts stay in range.
 	mask := (uint64(1)<<uint(kmax) - 1) &^ (uint64(1)<<uint(kmin) - 1)
 	nb, dcoef, blk := &ln.nb, &ln.dcoef, &ln.blk
 	for i, p := range permFor(dim) {
 		dcoef[p&63] = nb2int(nb[i&63] & mask)
 	}
 	invTransform(dcoef[:size], dim)
-	inv := math.Ldexp(1, emax-tr.q)
+	inv := math.Ldexp(1, emax-qBits)
 	for i, c := range dcoef[:size] {
-		if math.Abs(float64(F(float64(c)*inv))-float64(blk[i&63])) > eb {
+		if math.Abs(float64(float32(float64(c)*inv))-float64(blk[i&63])) > eb {
 			return false
 		}
 	}
 	return true
 }
 
-func writeRawBlock[F Float](w *bitstream.Writer, blk []F) {
+func writeRawBlock(w *bitstream.Writer, blk []float32) {
 	w.WriteBits(tagRaw, 2)
 	for _, v := range blk {
-		switch x := any(v).(type) {
-		case float32:
-			w.WriteBits(uint64(math.Float32bits(x)), 32)
-		default:
-			w.WriteBits(math.Float64bits(any(v).(float64)), 64)
-		}
+		w.WriteBits(uint64(math.Float32bits(v)), 32)
 	}
-}
-
-func readRawValue[F Float](r *bitstream.Reader) (F, error) {
-	var z F
-	if _, ok := any(z).(float32); ok {
-		v, err := r.ReadBits(32)
-		if err != nil {
-			return 0, err
-		}
-		return F(math.Float32frombits(uint32(v))), nil
-	}
-	v, err := r.ReadBits(64)
-	if err != nil {
-		return 0, err
-	}
-	return F(math.Float64frombits(v)), nil
 }
 
 // swapRound is one round of the recursive block-swap transpose on the rows
@@ -616,7 +582,7 @@ func decodeRun(r *bitstream.Reader, i, size int) (int, error) {
 }
 
 // decodeBlock reads one block into ln.blk; the working buffers live in ln.
-func decodeBlock[F Float](r *bitstream.Reader, ln *zdecLane[F], dim int, tr traits) error {
+func decodeBlock(r *bitstream.Reader, ln *zdecLane, dim int) error {
 	size := blockSize(dim)
 	blk := ln.blk[:size]
 	tag, err := r.ReadBits(2)
@@ -629,11 +595,11 @@ func decodeBlock[F Float](r *bitstream.Reader, ln *zdecLane[F], dim int, tr trai
 		return nil
 	case tagRaw:
 		for i := range blk {
-			v, err := readRawValue[F](r)
+			v, err := r.ReadBits(32)
 			if err != nil {
 				return err
 			}
-			blk[i] = v
+			blk[i] = math.Float32frombits(uint32(v))
 		}
 		return nil
 	case tagCoded:
@@ -652,7 +618,7 @@ func decodeBlock[F Float](r *bitstream.Reader, ln *zdecLane[F], dim int, tr trai
 			return err
 		}
 		kmax := int(kx64)
-		if kmin >= tr.hi || kmax > tr.hi || kmax < kmin {
+		if kmin >= hiPlane || kmax > hiPlane || kmax < kmin {
 			return ErrCorrupt
 		}
 		nb, coef := &ln.nb, &ln.coef
@@ -663,9 +629,9 @@ func decodeBlock[F Float](r *bitstream.Reader, ln *zdecLane[F], dim int, tr trai
 			coef[p&63] = nb2int(nb[i&63])
 		}
 		invTransform(coef[:size], dim)
-		inv := math.Ldexp(1, emax-tr.q)
+		inv := math.Ldexp(1, emax-qBits)
 		for i, c := range coef[:size] {
-			blk[i] = F(float64(c) * inv)
+			blk[i] = float32(float64(c) * inv)
 		}
 		return nil
 	default:

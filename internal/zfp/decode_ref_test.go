@@ -62,8 +62,7 @@ func refDecodePlanes(r *bitstream.Reader, nb []uint64, kmin, kmax int) error {
 // that the block carries none. It is decodeBlock's own parse, shared by the
 // block-level differential so both decoders start each block's planes from
 // the same bit.
-func planesHeader[F Float](r *bitstream.Reader, dim int) (coded bool, kmin, kmax int, err error) {
-	tr := traitsFor[F]()
+func planesHeader(r *bitstream.Reader, dim int) (coded bool, kmin, kmax int, err error) {
 	tag, err := r.ReadBits(2)
 	if err != nil {
 		return false, 0, 0, err
@@ -73,7 +72,7 @@ func planesHeader[F Float](r *bitstream.Reader, dim int) (coded bool, kmin, kmax
 		return false, 0, 0, nil
 	case tagRaw:
 		for i := 0; i < blockSize(dim); i++ {
-			if _, err := readRawValue[F](r); err != nil {
+			if _, err := r.ReadBits(32); err != nil {
 				return false, 0, 0, err
 			}
 		}
@@ -91,7 +90,7 @@ func planesHeader[F Float](r *bitstream.Reader, dim int) (coded bool, kmin, kmax
 			return false, 0, 0, err
 		}
 		kmin, kmax = int(k64), int(kx64)
-		if kmin >= tr.hi || kmax > tr.hi || kmax < kmin {
+		if kmin >= hiPlane || kmax > hiPlane || kmax < kmin {
 			return false, 0, 0, ErrCorrupt
 		}
 		return true, kmin, kmax, nil
@@ -215,12 +214,12 @@ func TestDecodePlanesMatchesReference(t *testing.T) {
 // diffBlocks walks a block payload with both plane decoders until the
 // blocks, the payload or the decoders' patience run out, comparing them at
 // every coded block. It reports whether all `blocks` blocks decoded.
-func diffBlocks[F Float](t testing.TB, payload []byte, dim, blocks int, what string) bool {
+func diffBlocks(t testing.TB, payload []byte, dim, blocks int, what string) bool {
 	t.Helper()
 	got, ref := bitstream.NewReader(payload), bitstream.NewReader(payload)
 	for b := 0; b < blocks; b++ {
-		coded, kmin, kmax, err := planesHeader[F](got, dim)
-		if _, _, _, rerr := planesHeader[F](ref, dim); planesErrClass(rerr) != planesErrClass(err) {
+		coded, kmin, kmax, err := planesHeader(got, dim)
+		if _, _, _, rerr := planesHeader(ref, dim); planesErrClass(rerr) != planesErrClass(err) {
 			t.Fatalf("%s: block %d header: %v vs %v", what, b, err, rerr)
 		}
 		if err != nil {
@@ -239,7 +238,6 @@ func diffBlocks[F Float](t testing.TB, payload []byte, dim, blocks int, what str
 // goldenPayload is one contiguous block stream out of a pinned golden file.
 type goldenPayload struct {
 	name   string
-	kind   uint32
 	dim    int
 	blocks int
 	bytes  []byte
@@ -248,8 +246,8 @@ type goldenPayload struct {
 // goldenPayloads cuts the goldens into their shards' block streams, the unit
 // the plane decoder works on. The retired fixed-precision golden is refused by
 // mode, but its payload is one serial stream of blocks in the same layout, so
-// it stays a plane-decoder input; the retired fixed-rate golden's blocks have
-// another layout, so it is skipped.
+// it stays a plane-decoder input; the retired fixed-rate and float64 goldens'
+// blocks have another layout, so they are skipped.
 func goldenPayloads(tb testing.TB) []goldenPayload {
 	tb.Helper()
 	paths, err := filepath.Glob(filepath.Join("testdata", "golden_*.zfs"))
@@ -263,12 +261,12 @@ func goldenPayloads(tb testing.TB) []goldenPayload {
 			tb.Fatal(err)
 		}
 		switch filepath.Base(path) {
-		case rateGolden:
+		case rateGolden, f64Golden:
 			continue
 		case precGolden:
 			buf = forgeMode(buf, modeAccuracy)
 			h, total := blockCount(tb, buf)
-			out = append(out, goldenPayload{precGolden, h.kind, rank(h.dims), total, buf[h.payloadOff:]})
+			out = append(out, goldenPayload{precGolden, rank(h.dims), total, buf[h.payloadOff:]})
 			continue
 		}
 		out = append(out, shardPayloads(tb, filepath.Base(path), buf)...)
@@ -304,7 +302,7 @@ func shardPayloads(tb testing.TB, name string, buf []byte) []goldenPayload {
 	var out []goldenPayload
 	for i, l := range lens {
 		out = append(out, goldenPayload{fmt.Sprintf("%s shard %d", name, i),
-			h.kind, rank(h.dims), min(sb, total-i*sb), rd.Bytes(l)})
+			rank(h.dims), min(sb, total-i*sb), rd.Bytes(l)})
 	}
 	if rd.Err() != nil {
 		tb.Fatalf("%s: shard index: %v", name, rd.Err())
@@ -313,10 +311,7 @@ func shardPayloads(tb testing.TB, name string, buf []byte) []goldenPayload {
 }
 
 func (g goldenPayload) diff(t testing.TB, payload []byte, what string) bool {
-	if g.kind == 32 {
-		return diffBlocks[float32](t, payload, g.dim, g.blocks, what)
-	}
-	return diffBlocks[float64](t, payload, g.dim, g.blocks, what)
+	return diffBlocks(t, payload, g.dim, g.blocks, what)
 }
 
 // TestGoldenPayloadPrefixes: every golden block stream decodes identically
@@ -337,9 +332,9 @@ func TestGoldenPayloadPrefixes(t *testing.T) {
 	}
 }
 
-// TestGoldenStreamPrefixes: every byte-prefix of every golden stream, in
-// either precision, and of the retired modes' too, is an error from the
-// public decoders — never a success, never a panic.
+// TestGoldenStreamPrefixes: every byte-prefix of every golden stream, the
+// retired configurations' too, is an error from the public decoder — never a
+// success, never a panic.
 func TestGoldenStreamPrefixes(t *testing.T) {
 	paths, _ := filepath.Glob(filepath.Join("testdata", "golden_*.zfs"))
 	if len(paths) == 0 {
@@ -355,23 +350,17 @@ func TestGoldenStreamPrefixes(t *testing.T) {
 			if _, _, err := h.Decompress(buf[:cut]); err == nil {
 				t.Fatalf("%s: Decompress of %d-byte prefix succeeded", path, cut)
 			}
-			if _, _, err := h.Decompress64(buf[:cut]); err == nil {
-				t.Fatalf("%s: Decompress64 of %d-byte prefix succeeded", path, cut)
-			}
 		}
 	}
 }
 
 // FuzzDecodePlanesDifferential: on any bytes read as a block stream of any
-// dimensionality and precision, the plane-word decoder and the bit-serial
+// dimensionality, the plane-word decoder and the bit-serial
 // reference agree block by block — words, position, error class. Seeded with
 // the golden block streams, whole, truncated and bit-flipped.
 func FuzzDecodePlanesDifferential(f *testing.F) {
 	for _, g := range goldenPayloads(f) {
 		sel := byte(g.dim - 1)
-		if g.kind == 64 {
-			sel |= 4
-		}
 		p := g.bytes
 		if len(p) > 2048 {
 			p = p[:2048]
@@ -384,8 +373,7 @@ func FuzzDecodePlanesDifferential(f *testing.F) {
 	}
 	// Hand-built block streams whose live-plane counts sit on and either
 	// side of every shape change of the windowed transpose, which nothing
-	// obliges the goldens to reach; selector 6 reads them as 3-D float64
-	// blocks, the only kind that can carry 45 or 62 planes.
+	// obliges the goldens to reach; selector 2 reads them as 3-D blocks.
 	s := xs64(0x5EED5EED)
 	nb := make([]uint64, 64)
 	for _, win := range planeWindows(nil, nil) {
@@ -399,16 +387,11 @@ func FuzzDecodePlanesDifferential(f *testing.F) {
 			encodePlanes(w, nb, win[0], win[1])
 		}
 		p := append([]byte(nil), w.Bytes()...)
-		f.Add(byte(6), p)
-		f.Add(byte(6), p[:len(p)*2/3])
+		f.Add(byte(2), p)
+		f.Add(byte(2), p[:len(p)*2/3])
 	}
 	f.Fuzz(func(t *testing.T, sel byte, payload []byte) {
-		dim := int(sel&3)%3 + 1
-		if sel&4 == 0 {
-			diffBlocks[float32](t, payload, dim, 1<<12, "fuzz payload")
-		} else {
-			diffBlocks[float64](t, payload, dim, 1<<12, "fuzz payload")
-		}
+		diffBlocks(t, payload, int(sel&3)%3+1, 1<<12, "fuzz payload")
 	})
 }
 
@@ -416,7 +399,6 @@ func FuzzDecodePlanesDifferential(f *testing.F) {
 // field the way encodeBlock would (quantize, transform, negabinary, cutoff
 // from the tolerance) and returns the stream with each block's plane range.
 func benchPlanes(dim, blocks int, eb float64) (stream []byte, kmins, kmaxs []int) {
-	tr := traitsFor[float32]()
 	size := blockSize(dim)
 	s := xs64(0xABCDEF12345)
 	coef := make([]int64, size)
@@ -431,7 +413,7 @@ func benchPlanes(dim, blocks int, eb float64) (stream []byte, kmins, kmaxs []int
 			maxAbs = math.Max(maxAbs, math.Abs(vals[i]))
 		}
 		_, emax := math.Frexp(maxAbs)
-		scale := math.Ldexp(1, tr.q-emax)
+		scale := math.Ldexp(1, qBits-emax)
 		for i, v := range vals {
 			coef[i] = int64(math.RoundToEven(v * scale))
 		}
@@ -441,8 +423,8 @@ func benchPlanes(dim, blocks int, eb float64) (stream []byte, kmins, kmaxs []int
 			nb[i] = int2nb(coef[p])
 			all |= nb[i]
 		}
-		kmax := min(bitsLen(all), tr.hi)
-		kmin := min(max(int(math.Floor(math.Log2(eb)))+tr.q-emax-1, 0), kmax)
+		kmax := min(bitsLen(all), hiPlane)
+		kmin := min(max(int(math.Floor(math.Log2(eb)))+qBits-emax-1, 0), kmax)
 		encodePlanes(w, nb, kmin, kmax)
 		kmins = append(kmins, kmin)
 		kmaxs = append(kmaxs, kmax)

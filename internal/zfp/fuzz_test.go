@@ -9,9 +9,10 @@ import (
 )
 
 // FuzzDecompress drives the decoder with corrupted streams and streams
-// forged to the retired mode words. Contract: coherent output or an error — never a panic, and never an
-// output allocation the payload could not plausibly back (each block costs at
-// least its tag bits, checked before the slice is sized from header dims).
+// forged to the retired mode and element-width words. Contract: coherent
+// output or an error — never a panic, and never an output allocation the
+// payload could not plausibly back (each block costs at least its tag bits,
+// checked before the slice is sized from header dims).
 func FuzzDecompress(f *testing.F) {
 	data := make([]float32, 8*8*8)
 	for i := range data {
@@ -24,23 +25,16 @@ func FuzzDecompress(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	rate := forgeMode(acc, 1) // the retired fixed-rate mode word
-	prec := forgeMode(acc, 2) // the retired fixed-precision mode word
-	d64 := make([]float64, 32)
-	for i := range d64 {
-		d64[i] = float64(i) * 1.5
-	}
-	acc64, err := h.Compress64(d64, []int{32}, 1e-6)
-	if err != nil {
-		f.Fatal(err)
-	}
+	rate := forgeMode(acc, 1)     // the retired fixed-rate mode word
+	prec := forgeMode(acc, 2)     // the retired fixed-precision mode word
+	wide := forgeWord(acc, 8, 64) // the retired float64 element width
 
 	f.Add([]byte(nil))
 	f.Add(acc[:4]) // magic only
 	f.Add(acc)
 	f.Add(rate)
 	f.Add(prec)
-	f.Add(acc64)
+	f.Add(wide)
 	// Truncations: mid-header, mid-shard-index, mid-payload.
 	for _, cut := range []int{1, 8, 16, 24, 40, 48, 56, len(acc) / 2, len(acc) - 1} {
 		if cut < len(acc) {
@@ -64,7 +58,7 @@ func FuzzDecompress(f *testing.F) {
 		}
 	}
 
-	// Pinned golden streams (both precisions, the retired modes, and ones
+	// Pinned golden streams (the retired modes and width too, and ones
 	// written by older encoders with fixed-size shards), so decoder
 	// back-compat stays in the corpus as the encoder evolves.
 	goldens, _ := filepath.Glob(filepath.Join("testdata", "golden_*.zfs"))
@@ -77,9 +71,6 @@ func FuzzDecompress(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		h := NewHandle(0)
 		if out, dims, err := h.Decompress(in); err == nil && wire.CheckDims("zfp", len(out), dims) != nil {
-			t.Fatalf("decode succeeded with dims %v for %d values", dims, len(out))
-		}
-		if out, dims, err := h.Decompress64(in); err == nil && wire.CheckDims("zfp", len(out), dims) != nil {
 			t.Fatalf("decode succeeded with dims %v for %d values", dims, len(out))
 		}
 	})

@@ -49,54 +49,41 @@ type goldenCase struct {
 	name string
 	dims []int
 	eb   float64
-	f64  bool
 }
 
 var goldenCases = []goldenCase{
-	{"acc_3d", []int{12, 12, 12}, 1e-3, false},
-	{"acc_2d", []int{40, 40}, 1e-4, false},
-	{"acc_1d", []int{1000}, 1e-3, false},
-	{"acc_3d_f64", []int{12, 12, 12}, 1e-6, true},
+	{"acc_3d", []int{12, 12, 12}, 1e-3},
+	{"acc_2d", []int{40, 40}, 1e-4},
+	{"acc_1d", []int{1000}, 1e-3},
 }
 
 func (tc goldenCase) file() string {
-	kind := "f32"
-	if tc.f64 {
-		kind = "f64"
-	}
-	return fmt.Sprintf("golden_v%d_%s.%s.zfs", version, tc.name, kind)
+	return fmt.Sprintf("golden_v%d_%s.f32.zfs", version, tc.name)
 }
 
 // compress appends tc's stream, written by h, to dst.
 func (tc goldenCase) compress(h *Handle, dst []byte) ([]byte, error) {
-	f32 := goldenField32(tc.dims)
-	if tc.f64 {
-		var f64 []float64
-		for _, v := range f32 {
-			f64 = append(f64, float64(v))
-		}
-		return h.CompressAppend64(dst, f64, tc.dims, tc.eb)
-	}
-	return h.CompressAppend(dst, f32, tc.dims, tc.eb)
+	return h.CompressAppend(dst, goldenField32(tc.dims), tc.dims, tc.eb)
 }
 
 // The retired goldens are streams of the fixed-precision and fixed-rate
-// modes the codec no longer has. They stay committed without a decoded
-// image: the decoder must refuse them.
+// modes and of the float64 element width, which the codec no longer has.
+// They stay committed without a decoded image: the decoder must refuse them.
 const (
 	precGolden = "golden_v3_prec_3d.f32.zfs"
 	rateGolden = "golden_v3_rate_3d.f32.zfs"
+	f64Golden  = "golden_v3_acc_3d_f64.f64.zfs"
 )
 
 func retired(path string) bool {
 	base := filepath.Base(path)
-	return base == precGolden || base == rateGolden
+	return base == precGolden || base == rateGolden || base == f64Golden
 }
 
-// requireRefused asserts that both decoders — and their Into forms, handed
-// no room — return an error on stream without allocating anything the size
-// of an output: the refusal comes from the header, before the array the
-// header describes is made.
+// requireRefused asserts that Decompress — and DecompressInto, handed no
+// room — return an error on stream without allocating anything the size of
+// an output: the refusal comes from the header, before the array the header
+// describes is made.
 func requireRefused(t *testing.T, stream []byte) {
 	t.Helper()
 	// TotalAlloc counts the whole process, so a runtime or test-harness
@@ -107,14 +94,11 @@ func requireRefused(t *testing.T, stream []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		h := NewHandle(1)
-		_, _, err32 := h.Decompress(stream)
-		_, _, err64 := h.Decompress64(stream)
-		_, _, into32 := h.DecompressInto(nil, stream)
-		_, _, into64 := h.DecompressInto64(nil, stream)
+		_, _, errDec := h.Decompress(stream)
+		_, _, errInto := h.DecompressInto(nil, stream)
 		runtime.ReadMemStats(&after)
-		if err32 == nil || err64 == nil || into32 == nil || into64 == nil {
-			t.Fatalf("retired stream decoded: Decompress err %v, Decompress64 err %v, DecompressInto err %v, DecompressInto64 err %v",
-				err32, err64, into32, into64)
+		if errDec == nil || errInto == nil {
+			t.Fatalf("retired stream decoded: Decompress err %v, DecompressInto err %v", errDec, errInto)
 		}
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
@@ -123,20 +107,24 @@ func requireRefused(t *testing.T, stream []byte) {
 	}
 }
 
-// forgeMode returns a copy of stream with its mode word (after magic,
-// version and kind) rewritten.
-func forgeMode(stream []byte, mode uint32) []byte {
+// forgeWord returns a copy of stream with the header word at off rewritten:
+// the element width at byte 8, the mode at byte 12.
+func forgeWord(stream []byte, off int, v uint32) []byte {
 	out := append([]byte(nil), stream...)
-	binary.LittleEndian.PutUint32(out[12:], mode)
+	binary.LittleEndian.PutUint32(out[off:], v)
 	return out
 }
 
-// TestRetiredConfigurationsRefused: the committed fixed-precision and
-// fixed-rate goldens are refused from the header (an error, no panic, no
-// output allocation), and so is each of them and a current stream with its
-// mode word forged to any other retired value or beyond.
+// forgeMode returns a copy of stream with its mode word rewritten.
+func forgeMode(stream []byte, mode uint32) []byte { return forgeWord(stream, 12, mode) }
+
+// TestRetiredConfigurationsRefused: the committed fixed-precision,
+// fixed-rate and float64 goldens are refused from the header (an error, no
+// panic, no output allocation), and so is each of them and a current stream
+// with its mode word forged to any other retired value or beyond, and a
+// current stream with its element-width word forged to anything but 32.
 func TestRetiredConfigurationsRefused(t *testing.T) {
-	for _, name := range []string{precGolden, rateGolden, "golden_v3_acc_3d.f32.zfs"} {
+	for _, name := range []string{precGolden, rateGolden, f64Golden, "golden_v3_acc_3d.f32.zfs"} {
 		stream, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
@@ -146,6 +134,12 @@ func TestRetiredConfigurationsRefused(t *testing.T) {
 				requireRefused(t, stream)
 			} else if _, _, err := NewHandle(0).Decompress(stream); err != nil {
 				t.Fatalf("unforged: %v", err)
+			} else {
+				for _, bits := range []uint32{0, 16, 64} {
+					t.Run(fmt.Sprintf("elemBits=%d", bits), func(t *testing.T) {
+						requireRefused(t, forgeWord(stream, 8, bits))
+					})
+				}
 			}
 			for _, mode := range []uint32{1, 2, 3} {
 				if mode == binary.LittleEndian.Uint32(stream[12:]) {
@@ -160,43 +154,27 @@ func TestRetiredConfigurationsRefused(t *testing.T) {
 }
 
 // bitsOf is vals' little-endian bit image.
-func bitsOf[F Float](vals []F) []byte {
+func bitsOf(vals []float32) []byte {
 	var out []byte
 	for _, v := range vals {
-		if f, ok := any(v).(float32); ok {
-			out = binary.LittleEndian.AppendUint32(out, math.Float32bits(f))
-		} else {
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(float64(v)))
-		}
+		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(v))
 	}
 	return out
 }
 
-// decodeRecon decodes stream at the precision its path names and returns the
-// image a .recon file holds: uint32 ndims, ndims x uint64 dims, then the
-// decoded element bits.
-func decodeRecon(path string, stream []byte) ([]byte, error) {
-	var dims []int
-	var bits []byte
-	var err error
-	if strings.Contains(path, ".f64.") {
-		var out []float64
-		out, dims, err = NewHandle(0).Decompress64(stream)
-		bits = bitsOf(out)
-	} else {
-		var out []float32
-		out, dims, err = NewHandle(0).Decompress(stream)
-		bits = bitsOf(out)
-	}
+// decodeRecon decodes stream and returns the image a .recon file holds:
+// uint32 ndims, ndims x uint64 dims, then the decoded element bits.
+func decodeRecon(stream []byte) ([]byte, error) {
+	out, dims, err := NewHandle(0).Decompress(stream)
 	img := binary.LittleEndian.AppendUint32(nil, uint32(len(dims)))
 	for _, d := range dims {
 		img = binary.LittleEndian.AppendUint64(img, uint64(d))
 	}
-	return append(img, bits...), err
+	return append(img, bitsOf(out)...), err
 }
 
-// TestHandleMatchesGoldens: at every worker count a Handle's Compress,
-// CompressAppend and Compress64 write exactly the committed streams, so the
+// TestHandleMatchesGoldens: at every worker count a Handle's CompressAppend
+// writes exactly the committed streams, so the
 // configuration the codec has is the one the goldens pin.
 // The goldens predate the adaptive shard plan and carry its old fixed size of
 // 4096 blocks, which the plan is pinned to here.
@@ -222,7 +200,7 @@ func TestHandleMatchesGoldens(t *testing.T) {
 // -update it regenerates the current version's files; without it, every
 // pinned stream on disk — including ones written by older encoders — must
 // decode bit-identically to its pinned image, or, for the retired
-// fixed-precision and fixed-rate streams, be refused.
+// fixed-precision, fixed-rate and float64 streams, be refused.
 func TestGoldenStreams(t *testing.T) {
 	dir := "testdata"
 	if *updateGolden {
@@ -232,7 +210,7 @@ func TestGoldenStreams(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			img, err := decodeRecon(path, stream)
+			img, err := decodeRecon(stream)
 			if err == nil {
 				err = os.WriteFile(path, stream, 0o644)
 			}
@@ -264,7 +242,7 @@ func TestGoldenStreams(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, err := decodeRecon(path, stream); err != nil || !bytes.Equal(got, want) {
+			if got, err := decodeRecon(stream); err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("err %v, or the decoded image differs from the pinned one", err)
 			}
 		})

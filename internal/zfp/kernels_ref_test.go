@@ -114,8 +114,7 @@ func transpose64(a *[64]uint64) {
 
 // refVerifyCutoff is verifyCutoff as it stood: mask, strided inverse
 // transform, and a compare that leaves at the first element out of bound.
-func refVerifyCutoff[F Float](blk []F, nb []uint64, dim int, eb float64, emax, kmin, kmax int) bool {
-	tr := traitsFor[F]()
+func refVerifyCutoff(blk []float32, nb []uint64, dim int, eb float64, emax, kmin, kmax int) bool {
 	size := blockSize(dim)
 	mask := (uint64(1)<<uint(kmax) - 1) &^ (uint64(1)<<uint(kmin) - 1)
 	dcoef := make([]int64, size)
@@ -123,9 +122,9 @@ func refVerifyCutoff[F Float](blk []F, nb []uint64, dim int, eb float64, emax, k
 		dcoef[p] = nb2int(nb[i] & mask)
 	}
 	refInvTransform(dcoef, dim)
-	inv := math.Ldexp(1, emax-tr.q)
+	inv := math.Ldexp(1, emax-qBits)
 	for i := 0; i < size; i++ {
-		if math.Abs(float64(F(float64(dcoef[i])*inv))-float64(blk[i])) > eb {
+		if math.Abs(float64(float32(float64(dcoef[i])*inv))-float64(blk[i])) > eb {
 			return false
 		}
 	}
@@ -260,7 +259,7 @@ func TestTransposeWindowMatchesDefinition(t *testing.T) {
 
 // refMaxAbs is the finite / max-abs scan as encodeBlock made it: IsNaN and
 // IsInf per element, leaving at the first non-finite value.
-func refMaxAbs[F Float](blk []F) (float64, bool) {
+func refMaxAbs(blk []float32) (float64, bool) {
 	peak := 0.0
 	for _, v := range blk {
 		f := float64(v)
@@ -278,64 +277,60 @@ func refMaxAbs[F Float](blk []F) (float64, bool) {
 // as 64-value blocks (shorter blocks take a prefix): non-finite values in
 // every position class, signed zeros, subnormals, constants, ranges that
 // span the whole exponent field, and smooth data at a given magnitude.
-func adversarialBlocks[F Float](s *xs64) [][]F {
-	var z F
-	_, single := any(z).(float32)
-	tinyF, hugeF := math.SmallestNonzeroFloat64, math.MaxFloat64
-	if single {
-		tinyF, hugeF = math.SmallestNonzeroFloat32, math.MaxFloat32
-	}
-	tiny, huge := F(tinyF), F(hugeF)
-	fill := func(f func(i int) F) []F {
-		b := make([]F, 64)
+func adversarialBlocks(s *xs64) [][]float32 {
+	tiny, huge := float32(math.SmallestNonzeroFloat32), float32(math.MaxFloat32)
+	fill := func(f func(i int) float32) []float32 {
+		b := make([]float32, 64)
 		for i := range b {
 			b[i] = f(i)
 		}
 		return b
 	}
 	unit := func() float64 { return float64(s.next()>>11) / (1 << 53) }
-	negZero := F(math.Copysign(0, -1))
-	out := [][]F{
-		fill(func(int) F { return 0 }),
-		fill(func(int) F { return negZero }),
-		fill(func(i int) F { return []F{0, negZero}[i%2] }),
-		fill(func(int) F { return tiny }),
-		fill(func(i int) F { return tiny * F(i%7) }),
-		fill(func(i int) F { return []F{tiny, -tiny, 0, negZero}[i%4] }),
-		fill(func(int) F { return huge }),
-		fill(func(i int) F { return []F{huge, -huge}[i%2] }),
-		fill(func(i int) F { return []F{huge, tiny, -1, 0}[i%4] }),
-		fill(func(int) F { return 1 }),
-		fill(func(int) F { return F(-123456.789) }),
-		fill(func(int) F { return F(1) / 3 }),
-		fill(func(i int) F { return F(math.Ldexp(1, i-32)) }),
+	negZero := float32(math.Copysign(0, -1))
+	out := [][]float32{
+		fill(func(int) float32 { return 0 }),
+		fill(func(int) float32 { return negZero }),
+		fill(func(i int) float32 { return []float32{0, negZero}[i%2] }),
+		fill(func(int) float32 { return tiny }),
+		fill(func(i int) float32 { return tiny * float32(i%7) }),
+		fill(func(i int) float32 { return []float32{tiny, -tiny, 0, negZero}[i%4] }),
+		fill(func(int) float32 { return huge }),
+		fill(func(i int) float32 { return []float32{huge, -huge}[i%2] }),
+		fill(func(i int) float32 { return []float32{huge, tiny, -1, 0}[i%4] }),
+		fill(func(int) float32 { return 1 }),
+		fill(func(int) float32 { return float32(-123456.789) }),
+		fill(func(int) float32 { return float32(1) / 3 }),
+		fill(func(i int) float32 { return float32(math.Ldexp(1, i-32)) }),
 	}
-	for _, bad := range []F{F(math.NaN()), F(math.Inf(1)), F(math.Inf(-1))} {
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
 		for _, at := range []int{0, 1, 3, 15, 63} {
-			out = append(out, fill(func(i int) F {
+			out = append(out, fill(func(i int) float32 {
 				if i == at {
 					return bad
 				}
-				return F(i) - 20
+				return float32(i) - 20
 			}))
 		}
-		out = append(out, fill(func(int) F { return bad }))
+		out = append(out, fill(func(int) float32 { return bad }))
 	}
 	for _, mag := range []float64{1e-30, 1e-3, 1, 1e3, 1e30} {
 		for trial := 0; trial < 6; trial++ {
 			phase, rough := unit()*6, unit()
-			out = append(out, fill(func(i int) F {
+			out = append(out, fill(func(i int) float32 {
 				x := float64(i%4) + 0.3*float64(i/4%4) + 0.1*float64(i/16)
-				return F(mag * (math.Sin(x/3+phase) + rough*(unit()-0.5)))
+				return float32(mag * (math.Sin(x/3+phase) + rough*(unit()-0.5)))
 			}))
 		}
 	}
 	return out
 }
 
-func checkMaxAbs[F Float](t *testing.T) {
+// TestMaxAbsMatchesReference: the bit-pattern scan finds the same peak, to
+// the bit, and the same finite verdict as the per-element IsNaN / IsInf scan.
+func TestMaxAbsMatchesReference(t *testing.T) {
 	s := xs64(0xAB5AB5)
-	for n, blk := range adversarialBlocks[F](&s) {
+	for n, blk := range adversarialBlocks(&s) {
 		for _, size := range []int{4, 16, 64} {
 			got, gotFinite := maxAbs(blk[:size])
 			want, wantFinite := refMaxAbs(blk[:size])
@@ -347,22 +342,15 @@ func checkMaxAbs[F Float](t *testing.T) {
 	}
 }
 
-// TestMaxAbsMatchesReference: the bit-pattern scan finds the same peak, to
-// the bit, and the same finite verdict as the per-element IsNaN / IsInf scan.
-func TestMaxAbsMatchesReference(t *testing.T) {
-	checkMaxAbs[float32](t)
-	checkMaxAbs[float64](t)
-}
-
-// checkVerifyCutoff prepares each finite block the way encodeBlock does —
-// quantize, transform, negabinary — and requires verifyCutoff's verdict to
-// equal the reference's at every cutoff, for tolerances from far below an
-// ULP of the block's peak to far above its range.
-func checkVerifyCutoff[F Float](t *testing.T) {
-	tr := traitsFor[F]()
+// TestVerifyCutoffMatchesReference prepares each finite block the way
+// encodeBlock does — quantize, transform, negabinary — and requires
+// verifyCutoff's verdict to equal the reference verifier's at every cutoff,
+// on every adversarial class, for tolerances from far below an ULP of the
+// block's peak to far above its range.
+func TestVerifyCutoffMatchesReference(t *testing.T) {
 	s := xs64(0x7E51F1)
 	verdicts := [2]int{}
-	for n, blk := range adversarialBlocks[F](&s) {
+	for n, blk := range adversarialBlocks(&s) {
 		for dim := 1; dim <= 3; dim++ {
 			size := blockSize(dim)
 			peak, finite := refMaxAbs(blk[:size])
@@ -370,9 +358,9 @@ func checkVerifyCutoff[F Float](t *testing.T) {
 				continue
 			}
 			_, emax := math.Frexp(peak)
-			ln := &zlane[F]{}
+			ln := &zlane{}
 			copy(ln.blk[:], blk[:size])
-			scale := math.Ldexp(1, tr.q-emax)
+			scale := math.Ldexp(1, qBits-emax)
 			for i, v := range blk[:size] {
 				ln.coef[i] = int64(math.RoundToEven(float64(v) * scale))
 			}
@@ -382,16 +370,13 @@ func checkVerifyCutoff[F Float](t *testing.T) {
 				ln.nb[i] = int2nb(ln.coef[p])
 				all |= ln.nb[i]
 			}
-			kmax := min(bitsLen(all), tr.hi)
+			kmax := min(bitsLen(all), hiPlane)
 			ulp := math.Ldexp(1, emax-24)
-			if tr.q == 52 {
-				ulp = math.Ldexp(1, emax-53)
-			}
 			for _, eb := range []float64{ulp / 1024, ulp / 2, ulp, 1.5 * ulp, 3 * ulp, 1000 * ulp,
 				peak * 1e-4, peak / 8, peak, 4 * peak, math.SmallestNonzeroFloat64, math.MaxFloat64} {
-				for kmin := 0; kmin < tr.hi; kmin++ {
+				for kmin := 0; kmin < hiPlane; kmin++ {
 					km := max(kmax, kmin)
-					got := verifyCutoff(ln, dim, eb, emax, kmin, km, tr)
+					got := verifyCutoff(ln, dim, eb, emax, kmin, km)
 					want := refVerifyCutoff(blk[:size], ln.nb[:size], dim, eb, emax, kmin, km)
 					if got != want {
 						t.Fatalf("block %d dim %d eb %g window [%d,%d): verifyCutoff = %v, reference %v",
@@ -409,11 +394,4 @@ func checkVerifyCutoff[F Float](t *testing.T) {
 	if verdicts[0] == 0 || verdicts[1] == 0 {
 		t.Fatalf("verdicts %v: the sweep must see both accepts and rejects", verdicts)
 	}
-}
-
-// TestVerifyCutoffMatchesReference: same accept / reject as the verifier this
-// PR replaced, on every adversarial class, in both precisions.
-func TestVerifyCutoffMatchesReference(t *testing.T) {
-	checkVerifyCutoff[float32](t)
-	checkVerifyCutoff[float64](t)
 }

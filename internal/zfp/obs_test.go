@@ -16,7 +16,7 @@ func codedPlanes(t *testing.T, stream []byte) (coded, planes int) {
 		r := bitstream.NewReader(p.bytes)
 		nb := make([]uint64, blockSize(p.dim))
 		for b := 0; b < p.blocks; b++ {
-			isCoded, kmin, kmax, err := planesHeader[float32](r, p.dim)
+			isCoded, kmin, kmax, err := planesHeader(r, p.dim)
 			if err == nil && isCoded {
 				err = refDecodePlanes(r, nb, kmin, kmax)
 			}
@@ -39,7 +39,7 @@ func codedPlanes(t *testing.T, stream []byte) (coded, planes int) {
 // worker count.
 func TestBlockCostCounters(t *testing.T) {
 	data, dims := multiShardField(t)
-	prev := obs.Active()
+	prev := obs.Use(nil)
 	defer obs.Use(prev)
 	var first [3]float64
 	for _, workers := range []int{1, 2, 8} {

@@ -139,7 +139,7 @@ func TestEncodePlanesMatchesReference(t *testing.T) {
 // count sits on and either side of each point where the windowed transpose
 // changes shape (8, 16 and 32 planes: one more pack on one side, one more
 // swap round on the other), at a low, a middle and the highest cutoff a
-// stream can carry, and float64-only windows of more than 32 planes.
+// stream can carry (hiPlane), and windows of more than 32 planes.
 func planeWindows(kmaxs []int, kmins func(kmax int) []int) [][2]int {
 	var out [][2]int
 	for _, kmax := range kmaxs {
@@ -149,9 +149,9 @@ func planeWindows(kmaxs []int, kmins func(kmax int) []int) [][2]int {
 			}
 		}
 	}
-	for _, live := range []int{7, 8, 9, 15, 16, 17, 31, 32, 33, 45, 62} {
-		for _, kmin := range []int{0, 11, 62 - live} {
-			if kmin+live <= 62 {
+	for _, live := range []int{7, 8, 9, 15, 16, 17, 31, 32, 33, 45} {
+		for _, kmin := range []int{0, 11, hiPlane - live} {
+			if kmin+live <= hiPlane {
 				out = append(out, [2]int{kmin, kmin + live})
 			}
 		}

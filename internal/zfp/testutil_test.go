@@ -20,6 +20,3 @@ func rank(dims []int) int {
 }
 
 func bitsLen(v uint64) int { return bits.Len64(v) }
-
-// hiPlane32 mirrors the float32 traits for tests.
-var hiPlane32 = traitsFor[float32]().hi

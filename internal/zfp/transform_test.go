@@ -112,13 +112,11 @@ func TestShapeFoldsExtraDims(t *testing.T) {
 	}
 }
 
+// TestTraits: the top plane sits above the fixed-point scale, with room for
+// the transform gain, and inside both a uint64 and the 6-bit kmin/kmax
+// fields of a block header.
 func TestTraits(t *testing.T) {
-	t32 := traitsFor[float32]()
-	t64 := traitsFor[float64]()
-	if t32.q >= t64.q || t32.hi >= t64.hi {
-		t.Fatalf("float64 traits must carry more precision: %+v vs %+v", t32, t64)
-	}
-	if t64.hi > 63 {
-		t.Fatalf("hi plane %d exceeds uint64", t64.hi)
+	if hiPlane <= qBits || hiPlane > 63 {
+		t.Fatalf("hiPlane %d, qBits %d", hiPlane, qBits)
 	}
 }

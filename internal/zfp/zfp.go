@@ -24,7 +24,8 @@
 // pre-adaptive fixed-size streams remain decodable. Fixed accuracy is the
 // one mode the codec has: a stream whose mode word names the retired
 // fixed-rate (1) or fixed-precision (2) mode, or any other, is refused from
-// its header.
+// its header. So is one whose element-width word is not 32: the codec holds
+// float32 values only.
 package zfp
 
 import (
@@ -73,7 +74,6 @@ const modeAccuracy = 0
 
 // header is the parsed stream preamble.
 type header struct {
-	kind uint32 // 32 or 64: element type
 	dims []int
 	eb   float64 // absolute tolerance
 	// byte offset where the block payload starts
@@ -82,10 +82,10 @@ type header struct {
 }
 
 // appendHeader appends the stream preamble to dst.
-func appendHeader[F Float](dst []byte, dims []int, eb float64) []byte {
+func appendHeader(dst []byte, dims []int, eb float64) []byte {
 	dst = wire.AppendUint32(dst, magic)
 	dst = wire.AppendUint32(dst, version)
-	dst = wire.AppendUint32(dst, wire.ElemBits[F]())
+	dst = wire.AppendUint32(dst, wire.ElemBits)
 	dst = wire.AppendUint32(dst, modeAccuracy)
 	dst = wire.AppendDims(dst, dims)
 	return wire.AppendFloat64(dst, eb)
@@ -103,9 +103,11 @@ func parseHeader(buf []byte) (header, error) {
 		}
 		return h, fmt.Errorf("zfp: unsupported version %d", v)
 	}
-	h.kind = rd.Uint32()
-	if h.kind != 32 && h.kind != 64 {
-		return h, ErrCorrupt
+	if bits := rd.Uint32(); bits != wire.ElemBits {
+		if rd.Err() != nil {
+			return h, ErrCorrupt
+		}
+		return h, fmt.Errorf("zfp: unsupported element width %d", bits)
 	}
 	if mode := rd.Uint32(); mode != modeAccuracy {
 		if rd.Err() != nil {
@@ -182,8 +184,8 @@ func shardPlan(totalBlocks int) (sb, numShards int) {
 // worker encodes the current shard into. Lanes are owned by a single worker
 // index, so scratch is reused without locking and total scratch memory
 // scales with the worker count, not the shard count.
-type zlane[F Float] struct {
-	blk   [64]F
+type zlane struct {
+	blk   [64]float32
 	coef  [64]int64
 	dcoef [64]int64
 	nb    [64]uint64
@@ -200,13 +202,6 @@ type zpartOut struct {
 	payload []byte
 }
 
-// zengine is the per-precision encode half of a Handle: the worker lanes and
-// per-shard outputs.
-type zengine[F Float] struct {
-	lanes par.Lanes[zlane[F]]
-	parts []zpartOut
-}
-
 // Handle is the reusable codec handle pooling all block and shard scratch of
 // both directions. Each direction's lanes are created on its first call, so
 // a handle that only compresses never holds decode scratch and the reverse.
@@ -215,12 +210,11 @@ type zengine[F Float] struct {
 type Handle struct {
 	workers int
 
-	e32 zengine[float32]
-	e64 zengine[float64]
-	d32 par.Lanes[zdecLane[float32]]
-	d64 par.Lanes[zdecLane[float64]]
+	lanes par.Lanes[zlane]
+	parts []zpartOut
+	dec   par.Lanes[zdecLane]
 
-	// Per-call shard index scratch of the decoder, shared across precisions.
+	// Per-call shard index scratch of the decoder.
 	lens     []int
 	payloads [][]byte
 	errs     []error
@@ -239,14 +233,6 @@ func NewHandle(workers int) *Handle {
 // Name returns the codec's registry name.
 func (h *Handle) Name() string { return "zfp" }
 
-func zengineFor[F Float](h *Handle) *zengine[F] {
-	var z F
-	if _, ok := any(z).(float32); ok {
-		return any(&h.e32).(*zengine[F])
-	}
-	return any(&h.e64).(*zengine[F])
-}
-
 // Compress compresses float32 data (row-major, dims slowest first) in
 // fixed-accuracy mode with absolute tolerance eb.
 func (h *Handle) Compress(data []float32, dims []int, eb float64) ([]byte, error) {
@@ -259,18 +245,7 @@ func (h *Handle) CompressAppend(dst []byte, data []float32, dims []int, eb float
 	return compressInto(h, dst, data, dims, eb)
 }
 
-// Compress64 is Compress for float64 data, carrying 52 fractional bits
-// through the block transform.
-func (h *Handle) Compress64(data []float64, dims []int, eb float64) ([]byte, error) {
-	return compressInto(h, nil, data, dims, eb)
-}
-
-// CompressAppend64 is CompressAppend for float64 data.
-func (h *Handle) CompressAppend64(dst []byte, data []float64, dims []int, eb float64) ([]byte, error) {
-	return compressInto(h, dst, data, dims, eb)
-}
-
-func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float64) ([]byte, error) {
+func compressInto(h *Handle, dst []byte, data []float32, dims []int, eb float64) ([]byte, error) {
 	if eb <= 0 || math.IsNaN(eb) || math.IsInf(eb, 0) {
 		return nil, fmt.Errorf("zfp: invalid tolerance %v", eb)
 	}
@@ -280,7 +255,8 @@ func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float
 	dim, d0, d1, d2 := wire.Collapse(dims)
 
 	span := obs.Start("zfp.compress")
-	span.SetWorkload("zfp.compress", int64(len(data))*int64(wire.ElemBits[F]()/8))
+	rawBytes := int64(len(data)) * wire.ElemBits / 8
+	span.SetWorkload("zfp.compress", rawBytes)
 	defer span.End()
 
 	nb0, nb1, nb2 := blockGrid(d0, d1, d2, dim)
@@ -289,10 +265,9 @@ func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float
 	workers := h.workers
 	obs.Set("lcpio_zfp_workers", float64(workers))
 
-	eng := zengineFor[F](h)
-	eng.lanes.SizeTo(min(workers, numShards))
-	eng.parts = par.Grow(eng.parts, numShards)
-	parts := eng.parts
+	h.lanes.SizeTo(min(workers, numShards))
+	h.parts = par.Grow(h.parts, numShards)
+	parts := h.parts
 
 	// The pipeline trace covers the *requested* workers: par clamps
 	// goroutines to the shard count, so surplus clocks spend the wall in
@@ -301,7 +276,7 @@ func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float
 	par.RunWorker(numShards, workers, func(w, s int) {
 		wc := pt.Worker(w)
 		wc.Run("encode_shard")
-		ln := eng.lanes.Lane(w)
+		ln := h.lanes.Lane(w)
 		sspan := obs.Start("zfp.shard")
 		lo := s * sb
 		hi := lo + sb
@@ -317,7 +292,7 @@ func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float
 
 	// Assemble: header + shard index + byte-aligned shard payloads.
 	out := dst
-	out = appendHeader[F](out, dims, eb)
+	out = appendHeader(out, dims, eb)
 	out = wire.AppendUint32(out, uint32(numShards))
 	out = wire.AppendUint32(out, uint32(sb))
 	for i := range parts {
@@ -330,13 +305,12 @@ func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float
 	// Planes per coded block is what a block costs to code; verifies per
 	// block is the retry rate of the cutoff seed.
 	var planes, verifies int64
-	for _, ln := range eng.lanes.All() {
+	for _, ln := range h.lanes.All() {
 		if ln != nil {
 			planes, verifies = planes+ln.planes, verifies+ln.verifies
 			ln.planes, ln.verifies = 0, 0
 		}
 	}
-	rawBytes := int64(len(data)) * int64(wire.ElemBits[F]()/8)
 	obs.Add("lcpio_zfp_blocks_total", int64(totalBlocks))
 	obs.Add("lcpio_zfp_planes_total", planes)
 	obs.Add("lcpio_zfp_verify_total", verifies)
@@ -346,8 +320,8 @@ func compressInto[F Float](h *Handle, dst []byte, data []F, dims []int, eb float
 }
 
 // encodeShard encodes blocks [loBlk, hiBlk) into ln.w.
-func encodeShard[F Float](ln *zlane[F], data []F, d0, d1, d2, dim, nb1, nb2, loBlk, hiBlk int, eb float64) {
-	co := cutoffFor[F](eb)
+func encodeShard(ln *zlane, data []float32, d0, d1, d2, dim, nb1, nb2, loBlk, hiBlk int, eb float64) {
+	co := cutoffFor(eb)
 	ln.w.Reset()
 	bspan := obs.Start("zfp.block_transform")
 	for idx := loBlk; idx < hiBlk; idx++ {
@@ -362,20 +336,12 @@ func encodeShard[F Float](ln *zlane[F], data []F, d0, d1, d2, dim, nb1, nb2, loB
 
 // zdecLane carries one worker's decode-side block buffers; lanes are owned
 // by a single worker index and reused across Decompress calls.
-type zdecLane[F Float] struct {
-	blk  [64]F
+type zdecLane struct {
+	blk  [64]float32
 	coef [64]int64
 	nb   [64]uint64
 	r    bitstream.Reader
 	err  error
-}
-
-func zdecLanesFor[F Float](h *Handle) *par.Lanes[zdecLane[F]] {
-	var z F
-	if _, ok := any(z).(float32); ok {
-		return any(&h.d32).(*par.Lanes[zdecLane[F]])
-	}
-	return any(&h.d64).(*par.Lanes[zdecLane[F]])
 }
 
 // shardIndex grows and returns the reusable per-shard index slices.
@@ -388,9 +354,9 @@ func (h *Handle) shardIndex(numShards int) ([]int, [][]byte, []error) {
 	return h.lens[:numShards], h.payloads[:numShards], h.errs[:numShards]
 }
 
-// Decompress reverses Compress for float32 streams.
+// Decompress reverses Compress.
 func (h *Handle) Decompress(buf []byte) ([]float32, []int, error) {
-	return decompressWith[float32](h, nil, buf)
+	return h.DecompressInto(nil, buf)
 }
 
 // DecompressInto is Decompress landing in dst's backing array when it has
@@ -398,35 +364,13 @@ func (h *Handle) Decompress(buf []byte) ([]float32, []int, error) {
 // allocation; it allocates like Decompress when it does not. Every element
 // of the returned slice is written, or an error is returned.
 func (h *Handle) DecompressInto(dst []float32, buf []byte) ([]float32, []int, error) {
-	return decompressWith(h, dst, buf)
-}
-
-// Decompress64 reverses Compress64 for float64 streams.
-func (h *Handle) Decompress64(buf []byte) ([]float64, []int, error) {
-	return decompressWith[float64](h, nil, buf)
-}
-
-// DecompressInto64 is DecompressInto for float64 streams.
-func (h *Handle) DecompressInto64(dst []float64, buf []byte) ([]float64, []int, error) {
-	return decompressWith(h, dst, buf)
-}
-
-func decompressWith[F Float](h *Handle, dst []F, buf []byte) ([]F, []int, error) {
 	hdr, err := parseHeader(buf)
 	if err != nil {
 		return nil, nil, err
 	}
-	if hdr.kind != wire.ElemBits[F]() {
-		return nil, nil, fmt.Errorf("zfp: stream holds float%d values, caller asked for float%d",
-			hdr.kind, wire.ElemBits[F]())
-	}
 	if !(hdr.eb > 0) || math.IsInf(hdr.eb, 0) {
 		return nil, nil, ErrCorrupt
 	}
-	return decompressAccuracy(h, dst, buf, hdr)
-}
-
-func decompressAccuracy[F Float](h *Handle, dst []F, buf []byte, hdr header) ([]F, []int, error) {
 	span := obs.Start("zfp.decompress")
 	defer span.End()
 
@@ -469,16 +413,15 @@ func decompressAccuracy[F Float](h *Handle, dst []F, buf []byte, hdr header) ([]
 
 	workers := h.workers
 	obs.Set("lcpio_zfp_workers", float64(workers))
-	span.SetWorkload("zfp.decompress", int64(hdr.n)*int64(wire.ElemBits[F]()/8))
+	span.SetWorkload("zfp.decompress", int64(hdr.n)*wire.ElemBits/8)
 
 	out := wire.Sized(dst, hdr.n)
-	lanes := zdecLanesFor[F](h)
-	lanes.SizeTo(min(workers, numShards))
+	h.dec.SizeTo(min(workers, numShards))
 	pt := obs.StartPipeline("zfp.decompress", workers)
 	par.RunWorker(numShards, workers, func(w, s int) {
 		wc := pt.Worker(w)
 		wc.Run("decode_shard")
-		ln := lanes.Lane(w)
+		ln := h.dec.Lane(w)
 		ln.err = nil
 		lo := s * sb
 		hi := lo + sb
@@ -500,11 +443,10 @@ func decompressAccuracy[F Float](h *Handle, dst []F, buf []byte, hdr header) ([]
 
 // decodeShard decodes blocks [loBlk, hiBlk) from payload, scattering each
 // into its (disjoint) region of out.
-func decodeShard[F Float](ln *zdecLane[F], payload []byte, out []F, d0, d1, d2, dim, nb1, nb2, loBlk, hiBlk int) {
-	tr := traitsFor[F]()
+func decodeShard(ln *zdecLane, payload []byte, out []float32, d0, d1, d2, dim, nb1, nb2, loBlk, hiBlk int) {
 	ln.r.Reset(payload)
 	for idx := loBlk; idx < hiBlk; idx++ {
-		if err := decodeBlock(&ln.r, ln, dim, tr); err != nil {
+		if err := decodeBlock(&ln.r, ln, dim); err != nil {
 			ln.err = err
 			return
 		}
@@ -526,13 +468,13 @@ func blockSize(dim int) int {
 
 // row is one block row: four consecutive samples along the fastest axis,
 // moved as a unit where the array holds all four.
-type row[F Float] [blockEdge]F
+type row [blockEdge]float32
 
 // gatherRow fills blk's first row from data[at+kb:], replicating the array's
 // last sample past its edge d2.
-func gatherRow[F Float](blk, data []F, at, kb, d2 int) {
+func gatherRow(blk, data []float32, at, kb, d2 int) {
 	if kb+blockEdge <= d2 {
-		*(*row[F])(blk) = row[F](data[at+kb:])
+		*(*row)(blk) = row(data[at+kb:])
 		return
 	}
 	for k := 0; k < blockEdge; k++ {
@@ -541,9 +483,9 @@ func gatherRow[F Float](blk, data []F, at, kb, d2 int) {
 }
 
 // scatterRow writes blk's first row to out[at+kb:], up to the array's edge.
-func scatterRow[F Float](out, blk []F, at, kb, d2 int) {
+func scatterRow(out, blk []float32, at, kb, d2 int) {
 	if kb+blockEdge <= d2 {
-		*(*row[F])(out[at+kb:]) = row[F](blk)
+		*(*row)(out[at+kb:]) = row(blk)
 		return
 	}
 	for k := 0; kb+k < d2; k++ {
@@ -553,7 +495,7 @@ func scatterRow[F Float](out, blk []F, at, kb, d2 int) {
 
 // gatherBlock copies one 4^dim block into blk, replicating edge samples for
 // partial blocks (padding never affects reconstruction of real samples).
-func gatherBlock[F Float](data []F, d0, d1, d2, dim, bi, bj, bk int, blk []F) {
+func gatherBlock(data []float32, d0, d1, d2, dim, bi, bj, bk int, blk []float32) {
 	ib, jb, kb := bi*blockEdge, bj*blockEdge, bk*blockEdge
 	switch dim {
 	case 1:
@@ -575,7 +517,7 @@ func gatherBlock[F Float](data []F, d0, d1, d2, dim, bi, bj, bk int, blk []F) {
 }
 
 // scatterBlock writes back the in-bounds portion of a decoded block.
-func scatterBlock[F Float](out []F, d0, d1, d2, dim, bi, bj, bk int, blk []F) {
+func scatterBlock(out []float32, d0, d1, d2, dim, bi, bj, bk int, blk []float32) {
 	ib, jb, kb := bi*blockEdge, bj*blockEdge, bk*blockEdge
 	switch dim {
 	case 1:

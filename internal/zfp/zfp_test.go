@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 
 	"lcpio/internal/fpdata"
-	"lcpio/internal/wire"
 )
 
 // The bound, worker identity, Into and hostile-bytes contracts every codec
@@ -18,23 +17,23 @@ import (
 // same classes as the tests below; these hold what only zfp claims on them.
 
 // ratio is data's raw size over its one-worker stream's at eb.
-func ratio[F Float](t *testing.T, data []F, dims []int, eb float64) float64 {
+func ratio(t *testing.T, data []float32, dims []int, eb float64) float64 {
 	t.Helper()
-	stream, err := compressInto(NewHandle(1), nil, data, dims, eb)
+	stream, err := NewHandle(1).Compress(data, dims, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return float64(len(data)*int(wire.ElemBits[F]()/8)) / float64(len(stream))
+	return float64(len(data)*4) / float64(len(stream))
 }
 
 // decoded is data back through its one-worker stream at eb.
-func decoded[F Float](t *testing.T, data []F, dims []int, eb float64) []F {
+func decoded(t *testing.T, data []float32, dims []int, eb float64) []float32 {
 	t.Helper()
-	stream, err := compressInto(NewHandle(1), nil, data, dims, eb)
+	stream, err := NewHandle(1).Compress(data, dims, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := decompressWith[F](NewHandle(1), nil, stream)
+	out, _, err := NewHandle(1).Decompress(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,12 +42,12 @@ func decoded[F Float](t *testing.T, data []F, dims []int, eb float64) []F {
 
 // withinBound reports whether data decodes within eb of itself under the
 // shard plan the caller set.
-func withinBound[F Float](data []F, dims []int, eb float64) bool {
-	stream, err := compressInto(NewHandle(2), nil, data, dims, eb)
+func withinBound(data []float32, dims []int, eb float64) bool {
+	stream, err := NewHandle(2).Compress(data, dims, eb)
 	if err != nil {
 		return false
 	}
-	out, _, err := decompressWith[F](NewHandle(2), nil, stream)
+	out, _, err := NewHandle(2).Decompress(stream)
 	if err != nil || len(out) != len(data) {
 		return false
 	}
@@ -357,10 +356,10 @@ func TestPlaneCodingRoundTrip(t *testing.T) {
 		nb := make([]uint64, size)
 		for i := range nb {
 			// Sparse-ish magnitudes like real transformed blocks.
-			nb[i] = rng.Uint64() >> uint(rng.Intn(50)) & ((1 << hiPlane32) - 1)
+			nb[i] = rng.Uint64() >> uint(rng.Intn(50)) & ((1 << hiPlane) - 1)
 		}
-		kmin := rng.Intn(hiPlane32)
-		kmax := hiPlane32
+		kmin := rng.Intn(hiPlane)
+		kmax := hiPlane
 		w := newTestWriter()
 		encodePlanes(w, nb, kmin, kmax)
 		got := make([]uint64, size)
@@ -369,7 +368,7 @@ func TestPlaneCodingRoundTrip(t *testing.T) {
 		}
 		mask := ^uint64(0) << uint(kmin)
 		for i := range nb {
-			if got[i] != nb[i]&mask&((1<<hiPlane32)-1) {
+			if got[i] != nb[i]&mask&((1<<hiPlane)-1) {
 				t.Fatalf("plane mismatch at %d: got %#x want %#x (kmin=%d)",
 					i, got[i], nb[i]&mask, kmin)
 			}
@@ -428,7 +427,7 @@ func shapes(n int) [][]int {
 // ULP of the block magnitude. The verifier used to compare the float64
 // reconstruction against the bound while the decoder stores it rounded to
 // float32, so these decoded 1.2207e-4 off under a 1e-4 tolerance. The same
-// inputs run through every dimensionality and the float64 codec.
+// inputs run through every dimensionality.
 func TestToleranceNearULP(t *testing.T) {
 	cases := []struct {
 		seed   int64
@@ -447,11 +446,7 @@ func TestToleranceNearULP(t *testing.T) {
 			for _, d := range dims {
 				n *= d
 			}
-			data64 := make([]float64, n)
-			for i := range data64 {
-				data64[i] = float64(data[i])
-			}
-			if !withinBound(data[:n], dims, eb) || !withinBound(data64, dims, eb) {
+			if !withinBound(data[:n], dims, eb) {
 				t.Errorf("seed %d dims %v: error past tolerance %g", c.seed, dims, eb)
 			}
 		}

@@ -39,9 +39,9 @@
 //	                          the obs race and lane-packing tests are built on it
 //	svc.(*Server).Usage       the admission ledger the svc tests hold to zero
 //	                          after every abort, refusal and close
-//	{sz,zfp}.(*Handle).CompressAppend, squant.(Handle).CompressAppend, and
-//	their *64 twins           lcpio.CodecHandle makes them public, and a
-//	                          steady-state client allocation budget needs them
+//	{sz,zfp}.(*Handle).CompressAppend, squant.(Handle).CompressAppend
+//	                          ROADMAP item 7's client allocation budget needs
+//	                          them: a dump that reuses its stream buffer
 //
 // What knobs lists on purpose, and why it stays:
 //
@@ -50,7 +50,10 @@
 //	                          the clamps are the contract
 //	ckpt.WriteOptions.Retry   the fault tests bound MaxAttempts with it
 //	core.DumpConfig.TotalBytes, .Chip, .Codec, .Dataset, .Mount
-//	                          the facade's lcpio.DumpConfig exposes them
+//	                          the first four set only by the pricing goldens
+//	                          and the datadump validation tests, Mount by
+//	                          none; collapsing them would re-record the
+//	                          core.dump pricing rows
 //	svc.Config.Mount          the backpressure tests slow the shared mount
 package main
 

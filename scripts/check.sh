@@ -23,9 +23,9 @@ go test -run '^Fuzz' ./...
 # Deep property run: tier-1's quick.Check sites use a fixed seed and
 # MaxCountScale, so testing/quick's own -quickchecks flag scales every one
 # of them ~100x while staying reproducible. The codecs' error-bound
-# invariants are the ones worth the minutes: every codec's, in both
-# precisions, in the compress conformance suite; sz's and zfp's under the
-# partition and shard plans only their own packages can set.
+# invariants are the ones worth the minutes: every codec's, in the compress
+# conformance suite; sz's and zfp's under the partition and shard plans only
+# their own packages can set.
 go test -count=1 -run 'Quick|Invariant' \
     ./internal/compress/ ./internal/zfp/ ./internal/sz/ -quickchecks 10000
 
