@@ -190,7 +190,7 @@ func BenchmarkFigure5(b *testing.B) {
 func BenchmarkFigure6(b *testing.B) {
 	var savedPct float64
 	for i := 0; i < b.N; i++ {
-		results, err := core.RunDataDump(benchConfig(), core.DumpConfig{})
+		results, err := core.RunDataDump(benchConfig())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -131,7 +132,7 @@ func TestGlobalFlagHoisting(t *testing.T) {
 		{[]string{"--workers", "4", "compress", "-in", "x"}, 4, []string{"compress", "-in", "x"}},
 		{[]string{"compress", "--workers", "4", "-in", "x"}, 4, []string{"compress", "-in", "x"}},
 		{[]string{"ckpt", "write", "--workers=8", "-out", "y"}, 8, []string{"ckpt", "write", "-out", "y"}},
-		{[]string{"ckpt", "--spans", "restore", "-in", "y"}, 0, []string{"ckpt", "restore", "-in", "y"}},
+		{[]string{"ckpt", "--trace", "f", "restore", "-in", "y"}, 0, []string{"ckpt", "restore", "-in", "y"}},
 		{[]string{"tune", "-chip", "Broadwell"}, 0, []string{"tune", "-chip", "Broadwell"}},
 	}
 	for _, tc := range cases {
@@ -157,6 +158,32 @@ func TestGlobalFlagHoisting(t *testing.T) {
 	if !reflect.DeepEqual(rest, []string{"compress", "--", "--workers", "4"}) {
 		t.Errorf("rest after -- = %v", rest)
 	}
+}
+
+// TestNoCommandShadowsAGlobalFlag: main hoists every global flag off the
+// line before a command parses its own, so a command flag of the same name
+// is never set. No command or subcommand may declare one.
+func TestNoCommandShadowsAGlobalFlag(t *testing.T) {
+	subs := map[string][]string{"ckpt": {"write", "restore", "verify", "stats"}, "client": {"dump", "list", "restore"}}
+	// Each refusal prints its command's usage; keep it off the test log.
+	defer func(f *os.File) { os.Stderr.Close(); os.Stderr = f }(os.Stderr)
+	os.Stderr, _ = os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	newGlobalFlagSet(new(globalFlags)).VisitAll(func(g *flag.Flag) {
+		for _, c := range commands() {
+			lines := [][]string{{"-" + g.Name, "x", "-h"}}
+			if s, ok := subs[c.name]; ok {
+				lines = nil
+				for _, sub := range s {
+					lines = append(lines, []string{sub, "-" + g.Name, "x", "-h"})
+				}
+			}
+			for _, args := range lines {
+				if err := c.run(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+					t.Errorf("lcpio %s %v: %v, want the flag refused as undefined", c.name, args, err)
+				}
+			}
+		}
+	})
 }
 
 func TestCkptParityCLI(t *testing.T) {

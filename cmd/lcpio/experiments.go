@@ -263,7 +263,7 @@ func cmdFig6(args []string) error {
 	if err != nil {
 		return err
 	}
-	results, err := core.RunDataDump(cfg, core.DumpConfig{})
+	results, err := core.RunDataDump(cfg)
 	if err != nil {
 		return err
 	}

@@ -8,110 +8,12 @@ import (
 
 	"lcpio/internal/advisor"
 	"lcpio/internal/cluster"
-	"lcpio/internal/container"
 	"lcpio/internal/core"
 	"lcpio/internal/fpdata"
 	"lcpio/internal/perf"
+	"lcpio/internal/phases"
 	"lcpio/internal/tables"
 )
-
-func cmdPack(args []string) error {
-	fs := flag.NewFlagSet("pack", flag.ContinueOnError)
-	codecName := fs.String("codec", "sz", "codec: sz or zfp")
-	dimsStr := fs.String("dims", "", "dimensions, e.g. 512x512x512")
-	eb := fs.Float64("eb", 1e-3, "absolute error bound")
-	chunk := fs.Int("chunk", container.DefaultChunkElems, "target elements per chunk")
-	par := fs.Int("par", 0, "compression workers (0 = global --workers, then GOMAXPROCS)")
-	in := fs.String("in", "", "input file of little-endian float32 values")
-	out := fs.String("out", "", "output container file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *in == "" || *out == "" || *dimsStr == "" {
-		return fmt.Errorf("-in, -out and -dims are required")
-	}
-	if *par == 0 {
-		*par = globalWorkers
-	}
-	dims, err := parseDims(*dimsStr)
-	if err != nil {
-		return err
-	}
-	data, err := readFloats(*in)
-	if err != nil {
-		return err
-	}
-	buf, err := container.Pack(*codecName, data, dims, *eb,
-		container.Options{ChunkElems: *chunk, Parallelism: *par})
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		return err
-	}
-	info, err := container.Stat(buf)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s: %d -> %d bytes in %d chunks (ratio %.2f)\n",
-		*in, len(data)*4, len(buf), info.NumChunks, info.Ratio())
-	return nil
-}
-
-func cmdUnpack(args []string) error {
-	fs := flag.NewFlagSet("unpack", flag.ContinueOnError)
-	in := fs.String("in", "", "container file")
-	out := fs.String("out", "", "output file of little-endian float32 values")
-	par := fs.Int("par", 0, "decompression workers (0 = global --workers, then GOMAXPROCS)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *in == "" || *out == "" {
-		return fmt.Errorf("-in and -out are required")
-	}
-	if *par == 0 {
-		*par = globalWorkers
-	}
-	buf, err := os.ReadFile(*in)
-	if err != nil {
-		return err
-	}
-	data, dims, err := container.Unpack(buf, container.Options{Parallelism: *par})
-	if err != nil {
-		return err
-	}
-	if err := writeFloats(*out, data); err != nil {
-		return err
-	}
-	fmt.Printf("%s: %d values, dims %v\n", *in, len(data), dims)
-	return nil
-}
-
-func cmdStat(args []string) error {
-	fs := flag.NewFlagSet("stat", flag.ContinueOnError)
-	in := fs.String("in", "", "container file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *in == "" {
-		return fmt.Errorf("-in is required")
-	}
-	buf, err := os.ReadFile(*in)
-	if err != nil {
-		return err
-	}
-	info, err := container.Stat(buf)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("codec:       %s\n", info.Codec)
-	fmt.Printf("dims:        %v\n", info.Dims)
-	fmt.Printf("error bound: %g\n", info.ErrorBound)
-	fmt.Printf("chunks:      %d\n", info.NumChunks)
-	fmt.Printf("raw:         %s\n", tables.FormatBytes(info.RawBytes))
-	fmt.Printf("packed:      %s (ratio %.2f)\n", tables.FormatBytes(info.PackedBytes), info.Ratio())
-	return nil
-}
 
 func cmdCluster(args []string) error {
 	fs := flag.NewFlagSet("cluster", flag.ContinueOnError)
@@ -137,7 +39,7 @@ func cmdCluster(args []string) error {
 		Ratio:            *ratio,
 		ServerIngressBps: *ingress * 1e9,
 		Chip:             *chip,
-	}, core.PaperRecommendation())
+	}, phases.PaperRule())
 	if err != nil {
 		return err
 	}
@@ -164,7 +66,7 @@ func cmdLoad(args []string) error {
 	if err != nil {
 		return err
 	}
-	results, err := core.RunDataLoad(cfg, core.DumpConfig{})
+	results, err := core.RunDataLoad(cfg)
 	if err != nil {
 		return err
 	}
@@ -334,7 +236,7 @@ func cmdGenerations(args []string) error {
 	fmt.Print(modelTable(
 		"Per-chip compression power models across CPU generations (paper's future-work question)",
 		rows))
-	rec := core.PaperRecommendation()
+	rec := phases.PaperRule()
 	fmt.Printf("\nEqn 3 applied per chip (compression %g f_max, writing %g f_max):\n",
 		rec.CompressionFraction, rec.WritingFraction)
 	for _, chip := range chips {
@@ -382,11 +284,12 @@ func cmdCores(args []string) error {
 	codec := fs.String("codec", "sz", "codec")
 	gb := fs.Int64("gb", 64, "data volume (GiB)")
 	maxCores := fs.Int("max", 8, "worker counts to evaluate")
-	seed := fs.Int64("seed", 1, "seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	samples, err := core.EnergyVsCores(core.Config{Seed: *seed}, *chip, *codec, *gb<<30, *maxCores)
+	// The paper's reference workload (rel 1e-3, ratio 9) at the Eqn 3
+	// compression clock.
+	samples, err := advisor.WorkerEnergies(*chip, *codec, *gb<<30, 1e-3, 9, 0, *maxCores)
 	if err != nil {
 		return err
 	}

@@ -27,8 +27,10 @@
 //
 // Tool commands:
 //
-//	compress    compress a raw float32 array file with sz or zfp
-//	decompress  reverse a compressed file
+//	compress    compress a raw float32 array file into a chunked container
+//	decompress  reverse a container to raw float32
+//	stat        print a container's header
+//	verify      check a container against its original
 //	tune        print the frequency recommendation for a chip
 //	ckpt        checkpoint store: write, restore or verify multi-rank sets
 //	report      render span/energy tree and occupancy from a recorded trace
@@ -67,13 +69,11 @@ func commands() []command {
 		{"load", "read-path energy: NFS fetch + decompress (extension)", cmdLoad},
 		{"ckpt", "checkpoint store: write|restore|verify multi-rank sets", cmdCkpt},
 		{"cluster", "fleet dump comparison: raw vs compressed vs tuned", cmdCluster},
-		{"compress", "compress a raw float32 file", cmdCompress},
-		{"decompress", "decompress a file", cmdDecompress},
-		{"pack", "pack a float32 file into a chunked container", cmdPack},
-		{"unpack", "unpack a chunked container", cmdUnpack},
+		{"compress", "compress a raw float32 file into a chunked container", cmdCompress},
+		{"decompress", "decompress a container to a raw float32 file", cmdDecompress},
 		{"stat", "show container metadata", cmdStat},
 		{"tune", "frequency recommendation for a chip", cmdTune},
-		{"verify", "check a compressed file against its original", cmdVerify},
+		{"verify", "check a container against its original", cmdVerify},
 		{"advise", "pick codec+bound meeting a PSNR floor at least energy", cmdAdvise},
 		{"generations", "per-chip models across CPU generations (extension)", cmdGenerations},
 		{"energy", "scaled energy vs frequency curves (extension)", cmdEnergy},

@@ -77,59 +77,59 @@ func writeTestField(t *testing.T, path string, n int) []float32 {
 	return data
 }
 
+// TestCompressDecompressFiles runs each codec through the one compressed-file
+// format the command line has: compress writes a chunked container, and
+// stat, decompress and verify read the codec from its header.
 func TestCompressDecompressFiles(t *testing.T) {
-	dir := t.TempDir()
-	in := filepath.Join(dir, "in.f32")
-	comp := filepath.Join(dir, "out.sz")
-	out := filepath.Join(dir, "out.f32")
-	want := writeTestField(t, in, 4096)
+	for _, codec := range []string{"sz", "zfp"} {
+		t.Run(codec, func(t *testing.T) {
+			dir := t.TempDir()
+			in := filepath.Join(dir, "in.f32")
+			comp := filepath.Join(dir, "out.lcpk")
+			out := filepath.Join(dir, "out.f32")
+			want := writeTestField(t, in, 8192)
 
-	if err := cmdCompress([]string{"-codec", "sz", "-dims", "64x64", "-eb", "1e-3",
-		"-in", in, "-out", comp}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmdDecompress([]string{"-codec", "sz", "-in", comp, "-out", out}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readFloats(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("length %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if math.Abs(float64(got[i])-float64(want[i])) > 1e-3 {
-			t.Fatalf("bound violated at %d", i)
-		}
-	}
-}
-
-func TestPackUnpackStatFiles(t *testing.T) {
-	dir := t.TempDir()
-	in := filepath.Join(dir, "in.f32")
-	pk := filepath.Join(dir, "out.lcpk")
-	out := filepath.Join(dir, "out.f32")
-	want := writeTestField(t, in, 8192)
-
-	if err := cmdPack([]string{"-codec", "zfp", "-dims", "8192", "-eb", "1e-3",
-		"-chunk", "1024", "-in", in, "-out", pk}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmdStat([]string{"-in", pk}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmdUnpack([]string{"-in", pk, "-out", out}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readFloats(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(float64(got[i])-float64(want[i])) > 1e-3 {
-			t.Fatalf("bound violated at %d", i)
-		}
+			if err := cmdCompress([]string{"-codec", codec, "-dims", "64x128", "-eb", "1e-3",
+				"-chunk", "1024", "-in", in, "-out", comp}); err != nil {
+				t.Fatal(err)
+			}
+			stat, err := captureStdout(t, func() error { return cmdStat([]string{"-in", comp}) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, line := range []string{"codec:       " + codec, "dims:        [64 128]", "chunks:      8"} {
+				if !strings.Contains(stat, line+"\n") {
+					t.Errorf("stat output lacks %q:\n%s", line, stat)
+				}
+			}
+			if err := cmdDecompress([]string{"-in", comp, "-out", out}); err != nil {
+				t.Fatal(err)
+			}
+			got, err := readFloats(out)
+			if err != nil || len(got) != len(want) {
+				t.Fatalf("decompressed %d values (%v), want %d", len(got), err, len(want))
+			}
+			for i := range want {
+				if math.Abs(float64(got[i])-float64(want[i])) > 1e-3 {
+					t.Fatalf("bound violated at %d", i)
+				}
+			}
+			if err := cmdVerify([]string{"-orig", in, "-comp", comp, "-eb", "1e-3"}); err != nil {
+				t.Fatal(err)
+			}
+			// An impossible bound must be reported as violated.
+			if err := cmdVerify([]string{"-orig", in, "-comp", comp, "-eb", "1e-12"}); err == nil {
+				t.Fatal("violated bound not reported")
+			}
+			// A truncated container is refused, not decoded short.
+			short := filepath.Join(dir, "short.lcpk")
+			if buf, err := os.ReadFile(comp); err != nil || os.WriteFile(short, buf[:len(buf)-1], 0o644) != nil {
+				t.Fatal("cannot write the truncated container")
+			}
+			if err := cmdVerify([]string{"-orig", in, "-comp", short, "-eb", "1e-3"}); err == nil {
+				t.Fatal("truncated container verified")
+			}
+		})
 	}
 }
 
@@ -140,8 +140,8 @@ func TestToolValidation(t *testing.T) {
 	if err := cmdDecompress(nil); err == nil {
 		t.Error("decompress without flags accepted")
 	}
-	if err := cmdPack(nil); err == nil {
-		t.Error("pack without flags accepted")
+	if err := cmdVerify(nil); err == nil {
+		t.Error("verify without flags accepted")
 	}
 	if err := cmdStat(nil); err == nil {
 		t.Error("stat without flags accepted")
@@ -225,27 +225,6 @@ func TestEnergyAndCoresCommands(t *testing.T) {
 	}
 	if err := cmdCores([]string{"-chip", "EPYC"}); err == nil {
 		t.Fatal("unknown chip accepted")
-	}
-}
-
-func TestVerifyCommand(t *testing.T) {
-	dir := t.TempDir()
-	in := filepath.Join(dir, "in.f32")
-	comp := filepath.Join(dir, "c.sz")
-	writeTestField(t, in, 2048)
-	if err := cmdCompress([]string{"-codec", "sz", "-dims", "2048", "-eb", "1e-3",
-		"-in", in, "-out", comp}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmdVerify([]string{"-codec", "sz", "-orig", in, "-comp", comp, "-eb", "1e-3"}); err != nil {
-		t.Fatal(err)
-	}
-	// An impossible bound must be reported as violated.
-	if err := cmdVerify([]string{"-codec", "sz", "-orig", in, "-comp", comp, "-eb", "1e-12"}); err == nil {
-		t.Fatal("violated bound not reported")
-	}
-	if err := cmdVerify(nil); err == nil {
-		t.Fatal("missing flags accepted")
 	}
 }
 

@@ -148,7 +148,6 @@ func cmdClientDump(args []string) error {
 	elems := fs.Int("elems", 1<<14, "elements per rank per field")
 	seed := fs.Int64("seed", 1, "synthetic data seed (rank r uses seed+r)")
 	relEB := fs.Float64("releb", 1e-3, "range-relative error bound")
-	workers := fs.Int("workers", 0, "compression workers (0 = all cores)")
 	ratio := fs.Float64("ratio", 0, "projected compression ratio for admission pricing (0 = daemon default)")
 	deadline := fs.Float64("deadline", 0, "projected-seconds deadline; the daemon rejects if the dump prices slower (0 = none)")
 	wireCodec := fs.String("wire-codec", "", "ship chunks as compressed-wire frames under this codec (must equal --codec)")
@@ -166,7 +165,7 @@ func cmdClientDump(args []string) error {
 	}
 	defer conn.Close()
 	res, err := cl.Dump(*tenant, set, svc.DumpOptions{
-		Workers: *workers, ProjectedRatio: *ratio, DeadlineSeconds: *deadline,
+		Workers: globalWorkers, ProjectedRatio: *ratio, DeadlineSeconds: *deadline,
 		WireCodec: *wireCodec,
 	})
 	if rej, ok := svc.IsReject(err); ok {

@@ -37,9 +37,13 @@ func TestServeClientRoundTrip(t *testing.T) {
 		}
 	}
 
+	// main hoists --workers off the command line into globalWorkers before
+	// the client parses its own flags.
+	defer func(w int) { globalWorkers = w }(globalWorkers)
+	globalWorkers = 2
 	if err := cmdClient([]string{"dump",
 		"--connect", addr, "--tenant", "team-a", "--name", "cli-set-p",
-		"--ranks", "2", "--elems", "4096", "--workers", "2"}); err != nil {
+		"--ranks", "2", "--elems", "4096"}); err != nil {
 		t.Fatalf("client dump: %v", err)
 	}
 	if err := cmdClient([]string{"list", "--connect", addr}); err != nil {
@@ -54,8 +58,7 @@ func TestServeClientRoundTrip(t *testing.T) {
 	// indistinguishable from the plain dump.
 	if err := cmdClient([]string{"dump",
 		"--connect", addr, "--tenant", "team-a", "--name", "cli-set-z",
-		"--ranks", "2", "--elems", "4096", "--workers", "2",
-		"--wire-codec", "sz"}); err != nil {
+		"--ranks", "2", "--elems", "4096", "--wire-codec", "sz"}); err != nil {
 		t.Fatalf("client dump --wire-codec: %v", err)
 	}
 	if err := cmdClient([]string{"restore", "--connect", addr, "--name", "cli-set-z"}); err != nil {

@@ -23,10 +23,7 @@ import (
 // declares them.
 type globalFlags struct {
 	metrics    string // Prometheus text-format output file
-	trace      string // JSON span-tree + metrics output file
-	chrome     string // Chrome trace-event JSON output file
-	folded     string // folded-stack (flamegraph) output file, self-time weighted
-	spans      bool   // dump the human-readable span tree to stderr on exit
+	trace      string // JSON span-tree + metrics output file; `lcpio report` renders it
 	pprof      string // net/http/pprof listen address
 	cpuprofile string // pprof CPU profile captured around the command
 	memprofile string // pprof heap profile written on exit
@@ -45,10 +42,7 @@ func newGlobalFlagSet(gf *globalFlags) *flag.FlagSet {
 	fs.SetOutput(os.Stderr)
 	fs.Usage = usage
 	fs.StringVar(&gf.metrics, "metrics", "", "write Prometheus text-format metrics to `file` on exit")
-	fs.StringVar(&gf.trace, "trace", "", "write a JSON span tree + metrics to `file` on exit")
-	fs.StringVar(&gf.chrome, "chrome", "", "write a Chrome trace-event JSON timeline to `file` on exit")
-	fs.StringVar(&gf.folded, "folded", "", "write folded stacks (flamegraph input, self-time weighted) to `file` on exit")
-	fs.BoolVar(&gf.spans, "spans", false, "print the span tree to stderr on exit")
+	fs.StringVar(&gf.trace, "trace", "", "write a JSON span tree + metrics to `file` on exit (render it with lcpio report)")
 	fs.StringVar(&gf.pprof, "pprof", "", "serve net/http/pprof on `addr` (e.g. localhost:6060)")
 	fs.StringVar(&gf.cpuprofile, "cpuprofile", "", "capture a pprof CPU profile of the command to `file`")
 	fs.StringVar(&gf.memprofile, "memprofile", "", "write a pprof heap profile to `file` on exit")
@@ -104,7 +98,7 @@ func parseGlobalFlags(args []string) (globalFlags, []string, error) {
 
 // telemetryWanted reports whether any flag needs a live registry.
 func (gf globalFlags) telemetryWanted() bool {
-	return gf.metrics != "" || gf.trace != "" || gf.chrome != "" || gf.folded != "" || gf.spans
+	return gf.metrics != "" || gf.trace != ""
 }
 
 // longSweepCommand lists the commands that run long enough for a
@@ -199,6 +193,7 @@ func setupTelemetry(gf globalFlags, cmdName string) (func() error, error) {
 			return firstErr
 		}
 		obs.Use(nil)
+		snap := reg.Snapshot()
 		write := func(path string, emit func(io.Writer) error) {
 			if path == "" {
 				return
@@ -214,15 +209,8 @@ func setupTelemetry(gf globalFlags, cmdName string) (func() error, error) {
 				firstErr = err
 			}
 		}
-		write(gf.metrics, reg.WritePrometheus)
-		write(gf.trace, reg.WriteJSON)
-		write(gf.chrome, reg.WriteChromeTrace)
-		write(gf.folded, func(w io.Writer) error { return reg.WriteFolded(w, false) })
-		if gf.spans {
-			if err := reg.WriteSpanTree(os.Stderr); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
+		write(gf.metrics, snap.WritePrometheus)
+		write(gf.trace, snap.WriteJSON)
 		return firstErr
 	}, nil
 }

@@ -22,15 +22,7 @@ func TestParseGlobalFlags(t *testing.T) {
 		t.Fatalf("command tail misparsed: %v", rest)
 	}
 
-	// Per-command flags after the command name must pass through untouched.
-	_, rest, err = parseGlobalFlags([]string{"tune", "-chip", "Broadwell"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rest) != 3 || rest[0] != "tune" {
-		t.Fatalf("plain command tail misparsed: %v", rest)
-	}
-
+	// TestGlobalFlagHoisting holds per-command flags to passing through.
 	if _, _, err = parseGlobalFlags([]string{"--metrics"}); err == nil {
 		t.Fatal("missing flag value accepted")
 	}

@@ -10,8 +10,10 @@ import (
 	"strings"
 
 	"lcpio/internal/compress"
-	"lcpio/internal/core"
+	"lcpio/internal/container"
 	"lcpio/internal/dvfs"
+	"lcpio/internal/phases"
+	"lcpio/internal/tables"
 )
 
 // parseDims parses "512x512x512" into dimensions.
@@ -54,13 +56,28 @@ func writeFloats(path string, data []float32) error {
 	return os.WriteFile(path, raw, 0o644)
 }
 
+// readContainer reads a compressed file: the chunked container compress
+// writes, whose header names the codec, dims and bound.
+func readContainer(path string) ([]byte, container.Info, error) {
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return nil, container.Info{}, err
+	}
+	info, err := container.Stat(buf)
+	if err != nil {
+		return nil, container.Info{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return buf, info, nil
+}
+
 func cmdCompress(args []string) error {
 	fs := flag.NewFlagSet("compress", flag.ContinueOnError)
 	codecName := fs.String("codec", "sz", "codec: sz or zfp")
 	dimsStr := fs.String("dims", "", "dimensions, e.g. 512x512x512 (slowest first)")
 	eb := fs.Float64("eb", 1e-3, "absolute error bound")
+	chunk := fs.Int("chunk", container.DefaultChunkElems, "target elements per chunk")
 	in := fs.String("in", "", "input file of little-endian float32 values")
-	out := fs.String("out", "", "output file")
+	out := fs.String("out", "", "output container file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -71,31 +88,30 @@ func cmdCompress(args []string) error {
 	if err != nil {
 		return err
 	}
-	codec, err := compress.NewHandle(*codecName, globalWorkers)
-	if err != nil {
-		return err
-	}
 	data, err := readFloats(*in)
 	if err != nil {
 		return err
 	}
-	buf, err := codec.Compress(data, dims, *eb)
+	buf, err := container.Pack(*codecName, data, dims, *eb,
+		container.Options{ChunkElems: *chunk, Parallelism: globalWorkers})
 	if err != nil {
 		return err
 	}
 	if err := os.WriteFile(*out, buf, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("%s: %d -> %d bytes (ratio %.2f) with %s at eb=%g\n",
-		*in, len(data)*4, len(buf), float64(len(data)*4)/float64(len(buf)),
-		codec.Name(), *eb)
+	info, err := container.Stat(buf)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%s: %d -> %d bytes in %d chunks (ratio %.2f) with %s at eb=%g\n",
+		*in, len(data)*4, len(buf), info.NumChunks, info.Ratio(), info.Codec, *eb)
 	return nil
 }
 
 func cmdDecompress(args []string) error {
 	fs := flag.NewFlagSet("decompress", flag.ContinueOnError)
-	codecName := fs.String("codec", "sz", "codec: sz or zfp")
-	in := fs.String("in", "", "compressed input file")
+	in := fs.String("in", "", "container file written by compress")
 	out := fs.String("out", "", "output file of little-endian float32 values")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -103,15 +119,11 @@ func cmdDecompress(args []string) error {
 	if *in == "" || *out == "" {
 		return fmt.Errorf("-in and -out are required")
 	}
-	codec, err := compress.NewHandle(*codecName, globalWorkers)
+	buf, _, err := readContainer(*in)
 	if err != nil {
 		return err
 	}
-	buf, err := os.ReadFile(*in)
-	if err != nil {
-		return err
-	}
-	data, dims, err := codec.Decompress(buf)
+	data, dims, err := container.Unpack(buf, container.Options{Parallelism: globalWorkers})
 	if err != nil {
 		return err
 	}
@@ -119,6 +131,28 @@ func cmdDecompress(args []string) error {
 		return err
 	}
 	fmt.Printf("%s: %d bytes -> %d values, dims %v\n", *in, len(buf), len(data), dims)
+	return nil
+}
+
+func cmdStat(args []string) error {
+	fs := flag.NewFlagSet("stat", flag.ContinueOnError)
+	in := fs.String("in", "", "container file written by compress")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *in == "" {
+		return fmt.Errorf("-in is required")
+	}
+	_, info, err := readContainer(*in)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("codec:       %s\n", info.Codec)
+	fmt.Printf("dims:        %v\n", info.Dims)
+	fmt.Printf("error bound: %g\n", info.ErrorBound)
+	fmt.Printf("chunks:      %d\n", info.NumChunks)
+	fmt.Printf("raw:         %s\n", tables.FormatBytes(info.RawBytes))
+	fmt.Printf("packed:      %s (ratio %.2f)\n", tables.FormatBytes(info.PackedBytes), info.Ratio())
 	return nil
 }
 
@@ -132,7 +166,7 @@ func cmdTune(args []string) error {
 	if err != nil {
 		return err
 	}
-	rec := core.PaperRecommendation()
+	rec := phases.PaperRule()
 	g := dvfs.NewGovernor(chip)
 	fComp := g.SetScaled(rec.CompressionFraction)
 	fWrite := g.SetScaled(rec.WritingFraction)
@@ -146,9 +180,8 @@ func cmdTune(args []string) error {
 
 func cmdVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ContinueOnError)
-	codecName := fs.String("codec", "sz", "codec: sz, zfp or squant")
 	orig := fs.String("orig", "", "original file of little-endian float32 values")
-	comp := fs.String("comp", "", "compressed file")
+	comp := fs.String("comp", "", "container file written by compress")
 	eb := fs.Float64("eb", 0, "absolute error bound to check against (0 = report only)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -156,19 +189,15 @@ func cmdVerify(args []string) error {
 	if *orig == "" || *comp == "" {
 		return fmt.Errorf("-orig and -comp are required")
 	}
-	codec, err := compress.NewHandle(*codecName, globalWorkers)
-	if err != nil {
-		return err
-	}
 	want, err := readFloats(*orig)
 	if err != nil {
 		return err
 	}
-	buf, err := os.ReadFile(*comp)
+	buf, info, err := readContainer(*comp)
 	if err != nil {
 		return err
 	}
-	got, dims, err := codec.Decompress(buf)
+	got, dims, err := container.Unpack(buf, container.Options{Parallelism: globalWorkers})
 	if err != nil {
 		return err
 	}
@@ -177,6 +206,7 @@ func cmdVerify(args []string) error {
 	}
 	maxErr := compress.MaxAbsError(want, got)
 	psnr := compress.PSNR(want, got)
+	fmt.Printf("codec:       %s\n", info.Codec)
 	fmt.Printf("dims:        %v\n", dims)
 	fmt.Printf("ratio:       %.2f\n", float64(len(want)*4)/float64(len(buf)))
 	fmt.Printf("max error:   %.6g\n", maxErr)

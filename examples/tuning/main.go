@@ -11,6 +11,7 @@ import (
 	"lcpio/internal/dvfs"
 	"lcpio/internal/machine"
 	"lcpio/internal/perf"
+	"lcpio/internal/phases"
 	"lcpio/internal/regress"
 	"lcpio/internal/tables"
 )
@@ -64,7 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	paperFrac := core.PaperRecommendation().CompressionFraction
+	paperFrac := phases.PaperRule().CompressionFraction
 	paper, err := core.SavingsAt(sweep, paperFrac)
 	if err != nil {
 		log.Fatal(err)

@@ -307,4 +307,10 @@ func TestWorkerEnergies(t *testing.T) {
 	if pts[1].Joules >= pts[0].Joules {
 		t.Fatal("2 cores should amortize static power below 1 core")
 	}
+	if _, err := WorkerEnergies("EPYC", "sz", 1<<30, 1e-3, 9, 0, 4); err == nil {
+		t.Fatal("unknown chip accepted")
+	}
+	if _, err := WorkerEnergies("Skylake", "lz4", 1<<30, 1e-3, 9, 0, 4); err == nil {
+		t.Fatal("unknown codec accepted")
+	}
 }

@@ -16,7 +16,7 @@ type WorkerPoint struct {
 // WorkerEnergies prices a compression job across worker counts at a fixed
 // frequency (0 = the Eqn 3 compression clock) — the single-axis slice of
 // the controller's (workers × fComp) search, exposed for the multi-core
-// study (core.EnergyVsCores wraps it).
+// study (`lcpio cores`).
 func WorkerEnergies(chipName, codec string, totalBytes int64, relEB, ratio, freqGHz float64, maxCores int) ([]WorkerPoint, error) {
 	if maxCores < 1 {
 		maxCores = 8

@@ -406,14 +406,14 @@ func TestSetValidation(t *testing.T) {
 			t.Errorf("%s: validation passed", tc.name)
 		}
 	}
-	if err := base.validate(); err != nil {
+	if err := base.Validate(); err != nil {
 		t.Fatalf("base set invalid: %v", err)
 	}
 	// The shape caps are package wire's; the error is this package's.
 	for _, dims := range [][]int{{1, 1, 1, 1, 1, 1, 1, 1, 12}, {12, 0}} {
 		s := testSet(2)
 		s.Fields[0].Dims = dims
-		if err := s.validate(); err == nil || !strings.HasPrefix(err.Error(), "ckpt: ") {
+		if err := s.Validate(); err == nil || !strings.HasPrefix(err.Error(), "ckpt: ") {
 			t.Errorf("dims %v: got %v, want a ckpt error", dims, err)
 		}
 	}

@@ -38,7 +38,10 @@ type Set struct {
 	Fields []Field
 }
 
-func (s Set) validate() error {
+// Validate refuses a set Write could not store: rank and field counts
+// outside the caps, an unknown codec, a bad name or bound, or a field whose
+// rank arrays do not match Ranks and Dims.
+func (s Set) Validate() error {
 	if s.Ranks <= 0 || s.Ranks > maxRanks {
 		return fmt.Errorf("ckpt: rank count %d outside [1,%d]", s.Ranks, maxRanks)
 	}
@@ -283,7 +286,7 @@ func fullWriter(set *Set, m *Manifest) streamWriter {
 // and only what it lacks is stored (see delta.go); the path is otherwise the
 // same.
 func Write(med Medium, set Set, opts WriteOptions) (*WriteResult, error) {
-	if err := set.validate(); err != nil {
+	if err := set.Validate(); err != nil {
 		return nil, err
 	}
 	opts = opts.normalized()

@@ -11,40 +11,14 @@ import (
 	"lcpio/internal/phases"
 )
 
-// DumpConfig describes the Section VI-B use case: compress a large field
-// with SZ and push it to an NFS mount, at base clock and under Eqn 3.
-type DumpConfig struct {
-	// TotalBytes of uncompressed data; 0 means the paper's 512 GB.
-	TotalBytes int64
-	// Chip to run on; empty means Broadwell (the paper's model chip).
-	Chip string
-	// Codec; empty means "sz" as in the paper.
-	Codec string
-	// Dataset whose statistics set the compression ratio; empty means NYX
-	// (the paper concatenates NYX velocity-x snapshots).
-	Dataset string
-	// Mount; zero value means nfs.DefaultMount.
-	Mount nfs.Mount
-}
-
-func (d DumpConfig) normalized() DumpConfig {
-	if d.TotalBytes <= 0 {
-		d.TotalBytes = 512 << 30
-	}
-	if d.Chip == "" {
-		d.Chip = "Broadwell"
-	}
-	if d.Codec == "" {
-		d.Codec = "sz"
-	}
-	if d.Dataset == "" {
-		d.Dataset = "NYX"
-	}
-	if d.Mount.WSize == 0 {
-		d.Mount = nfs.DefaultMount()
-	}
-	return d
-}
+// Figure 6's configuration, the Section VI-B use case: 512 GB of NYX
+// velocity-x snapshots compressed with SZ on Broadwell and pushed to a
+// 10 GbE NFS mount (nfs.DefaultMount), at base clock and under Eqn 3.
+const (
+	dumpBytes   = 512 << 30
+	dumpCodec   = "sz"
+	dumpDataset = "NYX"
+)
 
 // DumpResult is one bar group of Figure 6: total energy at base clock
 // versus the tuned schedule, per error bound.
@@ -94,24 +68,20 @@ type boundPrice struct {
 }
 
 // priceBounds is the shared body of RunDataDump and RunDataLoad: for each
-// of the paper's four error bounds, measure the real codec's compression ratio on a scaled
-// field, build the study's pipeline for TotalBytes at that ratio, and price
-// it untuned and tuned. what ("dump"/"load") names the spans and errors;
-// pipeline gets the normalized dump config.
-func priceBounds(cfg Config, dcfg DumpConfig, what string,
-	pipeline func(pr *phases.Pricer, d DumpConfig, rel, ratio float64, compressedBytes int64) ([]phases.Phase, error)) ([]boundPrice, error) {
+// of the paper's four error bounds, measure the real codec's compression
+// ratio on a scaled field, build the study's pipeline for dumpBytes at that
+// ratio, and price it untuned and tuned. what ("dump"/"load") names the
+// spans and errors.
+func priceBounds(cfg Config, what string,
+	pipeline func(pr *phases.Pricer, rel, ratio float64, compressedBytes int64) ([]phases.Phase, error)) ([]boundPrice, error) {
 	cfg = cfg.normalized()
-	dcfg = dcfg.normalized()
 
-	chip, err := dvfs.ChipByName(dcfg.Chip)
+	chip := dvfs.Broadwell()
+	spec, err := fpdata.Lookup(dumpDataset, "")
 	if err != nil {
 		return nil, err
 	}
-	spec, err := fpdata.Lookup(dcfg.Dataset, "")
-	if err != nil {
-		return nil, err
-	}
-	codec, err := compress.NewHandle(dcfg.Codec, cfg.Workers)
+	codec, err := compress.NewHandle(dumpCodec, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -135,8 +105,8 @@ func priceBounds(cfg Config, dcfg DumpConfig, what string,
 			return boundPrice{}, fmt.Errorf("core: %s codec run at eb=%g: %w", what, rel, err)
 		}
 		bp := boundPrice{eb: rel, ratio: res.Ratio()}
-		bp.compressedBytes = int64(float64(dcfg.TotalBytes) / bp.ratio)
-		stages, err := pipeline(base, dcfg, rel, bp.ratio, bp.compressedBytes)
+		bp.compressedBytes = int64(float64(dumpBytes) / bp.ratio)
+		stages, err := pipeline(base, rel, bp.ratio, bp.compressedBytes)
 		if err != nil {
 			return boundPrice{}, err
 		}
@@ -159,14 +129,14 @@ func priceBounds(cfg Config, dcfg DumpConfig, what string,
 }
 
 // RunDataDump reproduces Figure 6: for each error bound, measure the real
-// codec's compression ratio on a scaled field, model compressing TotalBytes
+// codec's compression ratio on a scaled field, model compressing 512 GiB
 // and writing the compressed output over NFS, at base clock and at the
 // tuned frequencies, and report the energy split.
-func RunDataDump(cfg Config, dcfg DumpConfig) ([]DumpResult, error) {
-	bps, err := priceBounds(cfg, dcfg, "dump",
-		func(pr *phases.Pricer, d DumpConfig, rel, ratio float64, compressedBytes int64) ([]phases.Phase, error) {
-			comp, err := pr.Compress(d.Codec, d.TotalBytes, rel, ratio)
-			return []phases.Phase{comp, pr.Move(d.Mount.Write, compressedBytes)}, err
+func RunDataDump(cfg Config) ([]DumpResult, error) {
+	bps, err := priceBounds(cfg, "dump",
+		func(pr *phases.Pricer, rel, ratio float64, compressedBytes int64) ([]phases.Phase, error) {
+			comp, err := pr.Compress(dumpCodec, dumpBytes, rel, ratio)
+			return []phases.Phase{comp, pr.Move(nfs.DefaultMount().Write, compressedBytes)}, err
 		})
 	if err != nil {
 		return nil, err
@@ -218,11 +188,11 @@ func (r LoadResult) SavedPct() float64 {
 // (writing fraction for the read, compression fraction for decompression).
 // The paper leaves the read path to future work; this extension uses the
 // identical methodology.
-func RunDataLoad(cfg Config, dcfg DumpConfig) ([]LoadResult, error) {
-	bps, err := priceBounds(cfg, dcfg, "load",
-		func(pr *phases.Pricer, d DumpConfig, rel, ratio float64, compressedBytes int64) ([]phases.Phase, error) {
-			dec, err := pr.Decompress(d.Codec, d.TotalBytes, rel, ratio)
-			return []phases.Phase{pr.Move(d.Mount.Read, compressedBytes), dec}, err
+func RunDataLoad(cfg Config) ([]LoadResult, error) {
+	bps, err := priceBounds(cfg, "load",
+		func(pr *phases.Pricer, rel, ratio float64, compressedBytes int64) ([]phases.Phase, error) {
+			dec, err := pr.Decompress(dumpCodec, dumpBytes, rel, ratio)
+			return []phases.Phase{pr.Move(nfs.DefaultMount().Read, compressedBytes), dec}, err
 		})
 	if err != nil {
 		return nil, err

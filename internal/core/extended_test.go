@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"lcpio/internal/phases"
 )
 
 // The conclusion's follow-up question: do the trends hold on a different
@@ -59,7 +61,7 @@ func TestPaperRuleTransfersToNewChip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := PaperRecommendation()
+	rec := phases.PaperRule()
 	comp, err := cs.Savings(rec.CompressionFraction)
 	if err != nil {
 		t.Fatal(err)
@@ -108,32 +110,5 @@ func TestEnergyCharacteristicInteriorMinimum(t *testing.T) {
 				t.Errorf("%s: energy minimum at fmax — tuning would be useless", s.Label)
 			}
 		}
-	}
-}
-
-func TestEnergyVsCores(t *testing.T) {
-	samples, err := EnergyVsCores(testConfig(), "Skylake", "sz", 8<<30, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 8 {
-		t.Fatalf("sample count %d", len(samples))
-	}
-	// Runtime strictly decreases with cores; energy decreases initially
-	// (static amortization).
-	for i := 1; i < len(samples); i++ {
-		if samples[i].Seconds >= samples[i-1].Seconds {
-			t.Errorf("cores=%d not faster than %d", samples[i].Cores, samples[i-1].Cores)
-		}
-	}
-	if samples[3].Joules >= samples[0].Joules {
-		t.Errorf("4 cores should save energy over 1: %.0f vs %.0f",
-			samples[3].Joules, samples[0].Joules)
-	}
-	if _, err := EnergyVsCores(testConfig(), "EPYC", "sz", 1<<30, 4); err == nil {
-		t.Fatal("unknown chip accepted")
-	}
-	if _, err := EnergyVsCores(testConfig(), "Skylake", "lz4", 1<<30, 4); err == nil {
-		t.Fatal("unknown codec accepted")
 	}
 }

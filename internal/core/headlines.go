@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"lcpio/internal/phases"
+)
 
 // Headlines collects the quantitative claims of the paper's abstract and
 // conclusion so one call regenerates every headline number for
@@ -18,7 +22,7 @@ type Headlines struct {
 	DumpSavedKJ  float64
 	DumpSavedPct float64
 	// Data-driven Eqn 3 versus the paper's published fractions.
-	Derived Recommendation
+	Derived phases.Rule
 }
 
 func (h Headlines) String() string {
@@ -36,7 +40,7 @@ func (h Headlines) String() string {
 // ComputeHeadlinesFrom aggregates headlines from already-run studies,
 // letting callers reuse expensive study objects.
 func ComputeHeadlinesFrom(cfg Config, cs, ts *Study) (Headlines, error) {
-	rec := PaperRecommendation()
+	rec := phases.PaperRule()
 	comp, err := cs.Savings(rec.CompressionFraction)
 	if err != nil {
 		return Headlines{}, err
@@ -49,7 +53,7 @@ func ComputeHeadlinesFrom(cfg Config, cs, ts *Study) (Headlines, error) {
 	if err != nil {
 		return Headlines{}, err
 	}
-	dump, err := RunDataDump(cfg, DumpConfig{})
+	dump, err := RunDataDump(cfg)
 	if err != nil {
 		return Headlines{}, err
 	}

@@ -8,13 +8,6 @@ import (
 	"lcpio/internal/phases"
 )
 
-// Recommendation is the frequency-tuning rule of Eqn 3, expressed as
-// fractions of the base clock — the pricer's Rule under the paper's name.
-type Recommendation = phases.Rule
-
-// PaperRecommendation returns the paper's published rule (Eqn 3).
-func PaperRecommendation() Recommendation { return phases.PaperRule() }
-
 // Savings quantifies the effect of running at a reduced frequency relative
 // to base clock, from measured sweep data.
 type Savings struct {
@@ -74,16 +67,16 @@ func EnergyOptimalFraction(sw perf.Sweep) (float64, error) {
 
 // DeriveRecommendation computes a data-driven Eqn 3 from the two studies:
 // the per-class mean of each sweep's energy-optimal fraction.
-func DeriveRecommendation(compression, writing *Study) (Recommendation, error) {
+func DeriveRecommendation(compression, writing *Study) (phases.Rule, error) {
 	cf, err := compression.meanOptimalFraction()
 	if err != nil {
-		return Recommendation{}, err
+		return phases.Rule{}, err
 	}
 	wf, err := writing.meanOptimalFraction()
 	if err != nil {
-		return Recommendation{}, err
+		return phases.Rule{}, err
 	}
-	return Recommendation{CompressionFraction: cf, WritingFraction: wf}, nil
+	return phases.Rule{CompressionFraction: cf, WritingFraction: wf}, nil
 }
 
 func (s *Study) meanOptimalFraction() (float64, error) {

@@ -5,22 +5,13 @@ import (
 	"testing"
 
 	"lcpio/internal/perf"
+	"lcpio/internal/phases"
 	"lcpio/internal/stats"
 )
 
-func TestPaperRecommendation(t *testing.T) {
-	r := PaperRecommendation()
-	if r.CompressionFraction != 0.875 || r.WritingFraction != 0.85 {
-		t.Fatalf("Eqn 3: %+v", r)
-	}
-	if r.String() == "" {
-		t.Fatal("empty String")
-	}
-}
-
 func TestSavingsAtPaperTuning(t *testing.T) {
 	cs, ts := sharedStudies(t)
-	rec := PaperRecommendation()
+	rec := phases.PaperRule()
 	comp, err := cs.Savings(rec.CompressionFraction)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +68,7 @@ func TestDerivedNearPaperRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paper := PaperRecommendation()
+	paper := phases.PaperRule()
 	if math.Abs(rec.CompressionFraction-paper.CompressionFraction) > 0.2 {
 		t.Errorf("derived compression fraction %.3f far from paper's %.3f",
 			rec.CompressionFraction, paper.CompressionFraction)

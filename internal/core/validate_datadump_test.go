@@ -60,7 +60,7 @@ func TestValidationFigure5(t *testing.T) {
 }
 
 func TestDataDumpFigure6(t *testing.T) {
-	results, err := RunDataDump(testConfig(), DumpConfig{})
+	results, err := RunDataDump(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +102,15 @@ func TestDataDumpFigure6(t *testing.T) {
 	if savedPct < 4 || savedPct > 25 {
 		t.Errorf("average saving %.1f%% outside [4,25]%% band", savedPct)
 	}
+	if _, _, err := AverageDumpSavings(nil); err == nil {
+		t.Error("empty results accepted")
+	}
 }
 
 func TestDataDumpEnergyMagnitude(t *testing.T) {
 	// Sanity: compressing+writing 512 GB at ~14 W and a few kiloseconds
 	// must land in the tens-of-kJ range, like the paper's Figure 6 axis.
-	results, err := RunDataDump(testConfig(), DumpConfig{})
+	results, err := RunDataDump(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,41 +118,6 @@ func TestDataDumpEnergyMagnitude(t *testing.T) {
 		if r.BaseTotalJ() < 5e3 || r.BaseTotalJ() > 5e5 {
 			t.Errorf("eb=%g: base energy %.0f J implausible for 512 GB", r.EB, r.BaseTotalJ())
 		}
-	}
-}
-
-func TestDataDumpCustomConfig(t *testing.T) {
-	res, err := RunDataDump(testConfig(), DumpConfig{
-		TotalBytes: 1 << 30,
-		Chip:       "Skylake",
-		Codec:      "zfp",
-		Dataset:    "CESM-ATM",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 4 {
-		t.Fatalf("custom dump results: %d", len(res))
-	}
-	for _, r := range res {
-		if r.TunedTotalJ() >= r.BaseTotalJ() {
-			t.Errorf("eb=%g: custom dump did not save energy", r.EB)
-		}
-	}
-}
-
-func TestDataDumpRejectsBadConfig(t *testing.T) {
-	if _, err := RunDataDump(testConfig(), DumpConfig{Chip: "EPYC"}); err == nil {
-		t.Error("unknown chip accepted")
-	}
-	if _, err := RunDataDump(testConfig(), DumpConfig{Dataset: "nope"}); err == nil {
-		t.Error("unknown dataset accepted")
-	}
-	if _, err := RunDataDump(testConfig(), DumpConfig{Codec: "gzip"}); err == nil {
-		t.Error("unknown codec accepted")
-	}
-	if _, _, err := AverageDumpSavings(nil); err == nil {
-		t.Error("empty results accepted")
 	}
 }
 
@@ -174,7 +142,7 @@ func TestHeadlinesEndToEnd(t *testing.T) {
 }
 
 func TestDataLoadReadback(t *testing.T) {
-	results, err := RunDataLoad(testConfig(), DumpConfig{})
+	results, err := RunDataLoad(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +165,11 @@ func TestDataLoadReadback(t *testing.T) {
 }
 
 func TestLoadCheaperThanDump(t *testing.T) {
-	dump, err := RunDataDump(testConfig(), DumpConfig{})
+	dump, err := RunDataDump(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	load, err := RunDataLoad(testConfig(), DumpConfig{})
+	load, err := RunDataLoad(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

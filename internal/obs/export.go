@@ -255,13 +255,9 @@ func (r *Registry) Snapshot() Snapshot {
 	return snap
 }
 
-// WriteJSON emits the full snapshot (span tree + metrics) as indented
-// JSON — the --trace exporter.
-func (r *Registry) WriteJSON(w io.Writer) error { return r.Snapshot().WriteJSON(w) }
-
-// WriteJSON emits the snapshot as indented JSON. The output round-trips
-// through ReadSnapshot, so recorded traces can be re-rendered later
-// (`lcpio report`).
+// WriteJSON emits the snapshot (span tree + metrics) as indented JSON — the
+// --trace exporter. The output round-trips through ReadSnapshot, so recorded
+// traces can be re-rendered later (`lcpio report`).
 func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -345,10 +341,6 @@ func sortedKeys[V any](m map[string]V) []string {
 // lcpio_span_count_total / lcpio_span_joules_total families, and
 // pipeline occupancy as lcpio_pipeline_stage_seconds_total — in the
 // Prometheus text exposition format (the --metrics exporter).
-func (r *Registry) WritePrometheus(w io.Writer) error { return r.Snapshot().WritePrometheus(w) }
-
-// WritePrometheus emits the snapshot in the Prometheus text format; see
-// Registry.WritePrometheus.
 func (snap Snapshot) WritePrometheus(w io.Writer) error {
 	var b strings.Builder
 
@@ -431,13 +423,8 @@ func (snap Snapshot) WritePrometheus(w io.Writer) error {
 
 // --- human-readable span tree ------------------------------------------------
 
-// WriteSpanTree prints the span hierarchy indented by depth with
-// durations, rolled-up joules and attributes — the debugging view of a
-// trace.
-func (r *Registry) WriteSpanTree(w io.Writer) error { return r.Snapshot().WriteTree(w) }
-
-// WriteTree prints the snapshot's span hierarchy; see
-// Registry.WriteSpanTree.
+// WriteTree prints the span hierarchy indented by depth with durations,
+// rolled-up joules and attributes — the debugging view of a trace.
 func (snap Snapshot) WriteTree(w io.Writer) error {
 	var b strings.Builder
 	var walk func(n *SpanNode, depth int)

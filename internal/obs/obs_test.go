@@ -197,7 +197,7 @@ func TestWritePrometheus(t *testing.T) {
 	s.End()
 
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -235,7 +235,7 @@ func TestWriteJSONAndSpanTree(t *testing.T) {
 	Add("n", 3)
 
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := r.Snapshot().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var snap struct {
@@ -259,7 +259,7 @@ func TestWriteJSONAndSpanTree(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := r.WriteSpanTree(&buf); err != nil {
+	if err := r.Snapshot().WriteTree(&buf); err != nil {
 		t.Fatal(err)
 	}
 	tree := buf.String()

@@ -51,10 +51,6 @@ func (l *laneState) fits(start, end int64) bool {
 	return true
 }
 
-// WriteChromeTrace emits the registry's span tree in the Chrome
-// trace-event format.
-func (r *Registry) WriteChromeTrace(w io.Writer) error { return r.Snapshot().WriteChromeTrace(w) }
-
 // WriteChromeTrace emits the snapshot's span tree in the Chrome
 // trace-event format. Concurrent sibling spans (goroutine fan-out) are
 // spread greedily across display lanes (tid values) so overlapping
@@ -143,12 +139,6 @@ func (snap Snapshot) WriteChromeTrace(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(trace)
-}
-
-// WriteFolded emits the registry's span tree as folded stacks; see
-// Snapshot.WriteFolded.
-func (r *Registry) WriteFolded(w io.Writer, energy bool) error {
-	return r.Snapshot().WriteFolded(w, energy)
 }
 
 // WriteFolded emits one "root;child;leaf weight" line per span — the

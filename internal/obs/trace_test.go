@@ -24,7 +24,7 @@ func TestWriteChromeTraceLanes(t *testing.T) {
 	root.End()
 
 	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
+	if err := r.Snapshot().WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var tr struct {
@@ -93,7 +93,7 @@ func TestWriteFolded(t *testing.T) {
 	root.End()
 
 	var buf bytes.Buffer
-	if err := r.WriteFolded(&buf, false); err != nil {
+	if err := r.Snapshot().WriteFolded(&buf, false); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -108,7 +108,7 @@ func TestWriteFolded(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := r.WriteFolded(&buf, true); err != nil {
+	if err := r.Snapshot().WriteFolded(&buf, true); err != nil {
 		t.Fatal(err)
 	}
 	// Energy weighting: only the leaf carries joules (0.5 J = 500000 µJ).
@@ -120,11 +120,11 @@ func TestWriteFolded(t *testing.T) {
 func TestExportersOnEmptyRegistry(t *testing.T) {
 	r := NewRegistry()
 	for name, emit := range map[string]func(*bytes.Buffer) error{
-		"json":   func(b *bytes.Buffer) error { return r.WriteJSON(b) },
-		"prom":   func(b *bytes.Buffer) error { return r.WritePrometheus(b) },
-		"tree":   func(b *bytes.Buffer) error { return r.WriteSpanTree(b) },
-		"chrome": func(b *bytes.Buffer) error { return r.WriteChromeTrace(b) },
-		"folded": func(b *bytes.Buffer) error { return r.WriteFolded(b, false) },
+		"json":   func(b *bytes.Buffer) error { return r.Snapshot().WriteJSON(b) },
+		"prom":   func(b *bytes.Buffer) error { return r.Snapshot().WritePrometheus(b) },
+		"tree":   func(b *bytes.Buffer) error { return r.Snapshot().WriteTree(b) },
+		"chrome": func(b *bytes.Buffer) error { return r.Snapshot().WriteChromeTrace(b) },
+		"folded": func(b *bytes.Buffer) error { return r.Snapshot().WriteFolded(b, false) },
 	} {
 		var buf bytes.Buffer
 		if err := emit(&buf); err != nil {
@@ -133,7 +133,7 @@ func TestExportersOnEmptyRegistry(t *testing.T) {
 	}
 	// The empty JSON snapshot still round-trips.
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := r.Snapshot().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadSnapshot(&buf); err != nil {
@@ -152,18 +152,18 @@ func TestExportersOnHugeRegistry(t *testing.T) {
 	root.End()
 
 	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
+	if err := r.Snapshot().WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !json.Valid(buf.Bytes()) {
 		t.Fatal("huge chrome trace is invalid JSON")
 	}
 	buf.Reset()
-	if err := r.WriteFolded(&buf, true); err != nil {
+	if err := r.Snapshot().WriteFolded(&buf, true); err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := r.Snapshot().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := ReadSnapshot(&buf)
@@ -191,13 +191,32 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	pt.Worker(0).Run("s1")
 	pt.End()
 
+	live := r.Snapshot()
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := live.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := ReadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Every rendering of the recorded file is the rendering of the live
+	// registry, so `--trace` followed by `lcpio report` loses nothing.
+	for name, render := range map[string]func(Snapshot, *bytes.Buffer) error{
+		"tree":          func(s Snapshot, b *bytes.Buffer) error { return s.WriteTree(b) },
+		"chrome":        func(s Snapshot, b *bytes.Buffer) error { return s.WriteChromeTrace(b) },
+		"folded":        func(s Snapshot, b *bytes.Buffer) error { return s.WriteFolded(b, false) },
+		"folded-energy": func(s Snapshot, b *bytes.Buffer) error { return s.WriteFolded(b, true) },
+		"prometheus":    func(s Snapshot, b *bytes.Buffer) error { return s.WritePrometheus(b) },
+	} {
+		var want, got bytes.Buffer
+		if render(live, &want) != nil || render(*snap, &got) != nil {
+			t.Fatalf("%s: render failed", name)
+		}
+		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			t.Errorf("%s: recorded trace renders differently from the live registry:\nlive:\n%s\nrecorded:\n%s",
+				name, want.Bytes(), got.Bytes())
+		}
 	}
 	if snap.Spans[0].Name != "cmd" || snap.Spans[0].Attrs["k"] != "v" {
 		t.Fatalf("spans lost in round trip: %+v", snap.Spans[0])

@@ -58,6 +58,11 @@ type DumpOptions struct {
 // admission denial is returned as a *Reject error (errors.As-able); the
 // set is not written.
 func (c *Client) Dump(tenant string, set ckpt.Set, opts DumpOptions) (Result, error) {
+	// A set ckpt.Write would refuse is refused here, before any frame: the
+	// lanes below index Data by rank and MeanRelEB reads each field's data.
+	if err := set.Validate(); err != nil {
+		return Result{}, err
+	}
 	req := OpenRequest{
 		Tenant:          tenant,
 		SetName:         set.Name,

@@ -177,6 +177,42 @@ func TestServiceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDumpRefusesMalformedSet: Client.Dump refuses a set ckpt.Write would
+// refuse before any frame is written, so nothing is charged and the same
+// connection dumps a valid set next.
+func TestDumpRefusesMalformedSet(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(s *ckpt.Set)
+	}{
+		{"short rank arrays", func(s *ckpt.Set) { s.Fields[1].Data = s.Fields[1].Data[:1] }},
+		{"no arrays", func(s *ckpt.Set) { s.Fields[0].Data = nil }},
+		{"zero ranks", func(s *ckpt.Set) { s.Ranks = 0 }},
+		{"mismatched dims", func(s *ckpt.Set) { s.Fields[0].Dims = []int{16, 25} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := NewServer(Config{})
+			if err := srv.AddTenant(TenantConfig{Name: "a"}); err != nil {
+				t.Fatal(err)
+			}
+			cl := startPair(t, srv)
+			bad := genSet("bad", 2, 1)
+			tc.mut(&bad)
+			if _, err := cl.Dump("a", bad, DumpOptions{Workers: 2}); err == nil {
+				t.Fatal("malformed set dumped")
+			}
+			if u, _ := srv.Usage("a"); u != (TenantUsage{Name: "a"}) {
+				t.Fatalf("refused set left the ledger at %+v", u)
+			}
+			good := genSet("good", 2, 1)
+			if _, err := cl.Dump("a", good, DumpOptions{Workers: 2}); err != nil {
+				t.Fatalf("next dump on the same connection: %v", err)
+			}
+			restoreEqual(t, srv, good.Name, good)
+		})
+	}
+}
+
 // TestConcurrentTenantsByteIdentical drives 8 simultaneous tenant streams
 // — the acceptance floor — each over its own connection, and then proves
 // every restore is byte-identical to a local single-writer dump. Run

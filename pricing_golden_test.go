@@ -327,8 +327,7 @@ func goldenCore(t *testing.T, g *goldenRows) {
 	// The rows were recorded at two of the paper's four bounds, 1e-2 and
 	// 1e-4 (a study prices each bound on its own): results 1 and 3.
 	cfg := core.Config{Seed: 3, RatioElems: 1 << 13, Workers: 2}
-	dcfg := core.DumpConfig{TotalBytes: 16 << 30, Chip: "Skylake", Codec: "zfp", Dataset: "HACC"}
-	dump, err := core.RunDataDump(cfg, dcfg)
+	dump, err := core.RunDataDump(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +340,7 @@ func goldenCore(t *testing.T, g *goldenRows) {
 		g.add(p+".base_s", r.BaseSeconds)
 		g.add(p+".tuned_s", r.TunedSeconds)
 	}
-	load, err := core.RunDataLoad(cfg, core.DumpConfig{})
+	load, err := core.RunDataLoad(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +353,9 @@ func goldenCore(t *testing.T, g *goldenRows) {
 		g.add(p+".base_s", r.BaseSeconds)
 		g.add(p+".tuned_s", r.TunedSeconds)
 	}
-	cores, err := core.EnergyVsCores(cfg, "Broadwell", "sz", 4<<30, 3)
+	// The multi-core study `lcpio cores` prints: rel 1e-3, ratio 9, at the
+	// Eqn 3 compression clock.
+	cores, err := advisor.WorkerEnergies("Broadwell", "sz", 4<<30, 1e-3, 9, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

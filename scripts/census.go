@@ -49,11 +49,6 @@
 //	                          FuzzSketch drives hostile values through them:
 //	                          the clamps are the contract
 //	ckpt.WriteOptions.Retry   the fault tests bound MaxAttempts with it
-//	core.DumpConfig.TotalBytes, .Chip, .Codec, .Dataset, .Mount
-//	                          the first four set only by the pricing goldens
-//	                          and the datadump validation tests, Mount by
-//	                          none; collapsing them would re-record the
-//	                          core.dump pricing rows
 //	svc.Config.Mount          the backpressure tests slow the shared mount
 package main
 

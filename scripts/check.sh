@@ -84,6 +84,29 @@ go build -o "$tmp/lcpio" ./cmd/lcpio
 test -s "$tmp/trace_chrome.json"
 test -s "$tmp/trace.folded"
 
+# CLI codec smoke: the one compressed-file format, end to end through the
+# built binary. A 4096-element float32 field (a 16-step ramp over [1, 2),
+# repeated) goes compress -> stat -> decompress -> verify -eb per codec;
+# only compress names the codec, the rest read it from the container.
+ramp=""
+for o in 200 210 220 230 240 250 260 270 300 310 320 330 340 350 360 370; do
+    ramp="$ramp\\000\\000\\$o\\077"
+done
+printf "$ramp" >"$tmp/field.f32"
+for _ in 1 2 3 4 5 6 7 8; do
+    cat "$tmp/field.f32" "$tmp/field.f32" >"$tmp/field2.f32"
+    mv "$tmp/field2.f32" "$tmp/field.f32"
+done
+test "$(wc -c <"$tmp/field.f32")" -eq 16384
+for codec in sz zfp; do
+    "$tmp/lcpio" compress -codec "$codec" -dims 64x64 -eb 1e-3 -chunk 1024 \
+        -in "$tmp/field.f32" -out "$tmp/field.lcpk" >/dev/null
+    "$tmp/lcpio" stat -in "$tmp/field.lcpk" | grep -q "codec: *$codec"
+    "$tmp/lcpio" decompress -in "$tmp/field.lcpk" -out "$tmp/field.out.f32" >/dev/null
+    test "$(wc -c <"$tmp/field.out.f32")" -eq 16384
+    "$tmp/lcpio" verify -orig "$tmp/field.f32" -comp "$tmp/field.lcpk" -eb 1e-3 >/dev/null
+done
+
 # The examples run, not just compile: each once, gated on its exit status.
 for example in quickstart tuning codeccompare checkpoint; do
     go run "./examples/$example" >/dev/null
