@@ -37,8 +37,7 @@ func TestServeClientRoundTrip(t *testing.T) {
 		}
 	}
 
-	// main hoists --workers off the command line into globalWorkers before
-	// the client parses its own flags.
+	// main hoists --workers into globalWorkers before the client parses.
 	defer func(w int) { globalWorkers = w }(globalWorkers)
 	globalWorkers = 2
 	if err := cmdClient([]string{"dump",

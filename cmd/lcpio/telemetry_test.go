@@ -22,7 +22,6 @@ func TestParseGlobalFlags(t *testing.T) {
 		t.Fatalf("command tail misparsed: %v", rest)
 	}
 
-	// TestGlobalFlagHoisting holds per-command flags to passing through.
 	if _, _, err = parseGlobalFlags([]string{"--metrics"}); err == nil {
 		t.Fatal("missing flag value accepted")
 	}

@@ -56,20 +56,6 @@ func writeFloats(path string, data []float32) error {
 	return os.WriteFile(path, raw, 0o644)
 }
 
-// readContainer reads a compressed file: the chunked container compress
-// writes, whose header names the codec, dims and bound.
-func readContainer(path string) ([]byte, container.Info, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, container.Info{}, err
-	}
-	info, err := container.Stat(buf)
-	if err != nil {
-		return nil, container.Info{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return buf, info, nil
-}
-
 func cmdCompress(args []string) error {
 	fs := flag.NewFlagSet("compress", flag.ContinueOnError)
 	codecName := fs.String("codec", "sz", "codec: sz or zfp")
@@ -119,7 +105,7 @@ func cmdDecompress(args []string) error {
 	if *in == "" || *out == "" {
 		return fmt.Errorf("-in and -out are required")
 	}
-	buf, _, err := readContainer(*in)
+	buf, err := os.ReadFile(*in)
 	if err != nil {
 		return err
 	}
@@ -143,7 +129,11 @@ func cmdStat(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("-in is required")
 	}
-	_, info, err := readContainer(*in)
+	buf, err := os.ReadFile(*in)
+	if err != nil {
+		return err
+	}
+	info, err := container.Stat(buf)
 	if err != nil {
 		return err
 	}
@@ -193,7 +183,7 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	buf, info, err := readContainer(*comp)
+	buf, err := os.ReadFile(*comp)
 	if err != nil {
 		return err
 	}
@@ -206,7 +196,6 @@ func cmdVerify(args []string) error {
 	}
 	maxErr := compress.MaxAbsError(want, got)
 	psnr := compress.PSNR(want, got)
-	fmt.Printf("codec:       %s\n", info.Codec)
 	fmt.Printf("dims:        %v\n", dims)
 	fmt.Printf("ratio:       %.2f\n", float64(len(want)*4)/float64(len(buf)))
 	fmt.Printf("max error:   %.6g\n", maxErr)
