@@ -77,22 +77,43 @@ func writeTestField(t *testing.T, path string, n int) []float32 {
 	return data
 }
 
+// compressField writes an 8192-value field and compresses it with codec at
+// eb 1e-3 into a chunked container, returning both paths and the field.
+func compressField(t *testing.T, codec, dims, chunk string) (in, comp string, want []float32) {
+	dir := t.TempDir()
+	in, comp = filepath.Join(dir, "in.f32"), filepath.Join(dir, "out.lcpk")
+	want = writeTestField(t, in, 8192)
+	if err := cmdCompress([]string{"-codec", codec, "-dims", dims, "-eb", "1e-3",
+		"-chunk", chunk, "-in", in, "-out", comp}); err != nil {
+		t.Fatal(err)
+	}
+	return in, comp, want
+}
+
+// decompressWithin decompresses comp and fails unless it holds want to 1e-3.
+func decompressWithin(t *testing.T, comp string, want []float32) {
+	out := comp + ".f32"
+	if err := cmdDecompress([]string{"-in", comp, "-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readFloats(out)
+	if err != nil || len(got) != len(want) {
+		t.Fatalf("decompressed %d values (%v), want %d", len(got), err, len(want))
+	}
+	for i := range want {
+		if math.Abs(float64(got[i])-float64(want[i])) > 1e-3 {
+			t.Fatalf("bound violated at %d", i)
+		}
+	}
+}
+
 // TestCompressDecompressFiles runs each codec through the one compressed-file
 // format the command line has: compress writes a chunked container, and
 // stat, decompress and verify read the codec from its header.
 func TestCompressDecompressFiles(t *testing.T) {
 	for _, codec := range []string{"sz", "zfp"} {
 		t.Run(codec, func(t *testing.T) {
-			dir := t.TempDir()
-			in := filepath.Join(dir, "in.f32")
-			comp := filepath.Join(dir, "out.lcpk")
-			out := filepath.Join(dir, "out.f32")
-			want := writeTestField(t, in, 8192)
-
-			if err := cmdCompress([]string{"-codec", codec, "-dims", "64x128", "-eb", "1e-3",
-				"-chunk", "1024", "-in", in, "-out", comp}); err != nil {
-				t.Fatal(err)
-			}
+			in, comp, want := compressField(t, codec, "64x128", "1024")
 			stat, err := captureStdout(t, func() error { return cmdStat([]string{"-in", comp}) })
 			if err != nil {
 				t.Fatal(err)
@@ -102,27 +123,38 @@ func TestCompressDecompressFiles(t *testing.T) {
 					t.Errorf("stat output lacks %q:\n%s", line, stat)
 				}
 			}
-			if err := cmdDecompress([]string{"-in", comp, "-out", out}); err != nil {
-				t.Fatal(err)
-			}
-			got, err := readFloats(out)
-			if err != nil || len(got) != len(want) {
-				t.Fatalf("decompressed %d values (%v), want %d", len(got), err, len(want))
-			}
-			for i := range want {
-				if math.Abs(float64(got[i])-float64(want[i])) > 1e-3 {
-					t.Fatalf("bound violated at %d", i)
-				}
-			}
+			decompressWithin(t, comp, want)
 			if err := cmdVerify([]string{"-orig", in, "-comp", comp, "-eb", "1e-3"}); err != nil {
 				t.Fatal(err)
 			}
+		})
+	}
+}
+
+// TestPackUnpackStatFiles holds the container to a chunk size that does not
+// divide the field: stat counts the short last chunk and decompress restores
+// every value of it.
+func TestPackUnpackStatFiles(t *testing.T) {
+	_, comp, want := compressField(t, "zfp", "8192", "3000")
+	stat, err := captureStdout(t, func() error { return cmdStat([]string{"-in", comp}) })
+	if err != nil || !strings.Contains(stat, "dims:        [8192]\n") || !strings.Contains(stat, "chunks:      3\n") {
+		t.Fatalf("stat (%v):\n%s", err, stat)
+	}
+	decompressWithin(t, comp, want)
+}
+
+// TestVerifyCommand holds verify to the bound it is given, for each codec,
+// and refuses a container it cannot read whole.
+func TestVerifyCommand(t *testing.T) {
+	for _, codec := range []string{"sz", "zfp"} {
+		t.Run(codec, func(t *testing.T) {
+			in, comp, _ := compressField(t, codec, "64x128", "1024")
 			// An impossible bound must be reported as violated.
 			if err := cmdVerify([]string{"-orig", in, "-comp", comp, "-eb", "1e-12"}); err == nil {
 				t.Fatal("violated bound not reported")
 			}
 			// A truncated container is refused, not decoded short.
-			short := filepath.Join(dir, "short.lcpk")
+			short := comp + ".short"
 			if buf, err := os.ReadFile(comp); err != nil || os.WriteFile(short, buf[:len(buf)-1], 0o644) != nil {
 				t.Fatal("cannot write the truncated container")
 			}
@@ -130,6 +162,9 @@ func TestCompressDecompressFiles(t *testing.T) {
 				t.Fatal("truncated container verified")
 			}
 		})
+	}
+	if err := cmdVerify(nil); err == nil {
+		t.Fatal("verify without flags accepted")
 	}
 }
 
@@ -139,9 +174,6 @@ func TestToolValidation(t *testing.T) {
 	}
 	if err := cmdDecompress(nil); err == nil {
 		t.Error("decompress without flags accepted")
-	}
-	if err := cmdVerify(nil); err == nil {
-		t.Error("verify without flags accepted")
 	}
 	if err := cmdStat(nil); err == nil {
 		t.Error("stat without flags accepted")

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"lcpio/internal/advisor"
 	"lcpio/internal/phases"
 )
 
@@ -110,5 +111,23 @@ func TestEnergyCharacteristicInteriorMinimum(t *testing.T) {
 				t.Errorf("%s: energy minimum at fmax — tuning would be useless", s.Label)
 			}
 		}
+	}
+}
+
+// TestEnergyVsCores runs the multi-core extension study at the paper's
+// reference workload (rel 1e-3, ratio 9, the Eqn 3 compression clock), as
+// `lcpio cores` prices it: static package power amortizes over shorter runs.
+func TestEnergyVsCores(t *testing.T) {
+	samples, err := advisor.WorkerEnergies("Skylake", "sz", 8<<30, 1e-3, 9, 0, 8)
+	if err != nil || len(samples) != 8 {
+		t.Fatalf("%d samples (%v), want 8", len(samples), err)
+	}
+	for i := 1; i < len(samples); i++ {
+		if samples[i].Seconds >= samples[i-1].Seconds {
+			t.Errorf("cores=%d not faster than %d", samples[i].Cores, samples[i-1].Cores)
+		}
+	}
+	if samples[3].Joules >= samples[0].Joules {
+		t.Errorf("4 cores should save energy over 1: %.0f vs %.0f", samples[3].Joules, samples[0].Joules)
 	}
 }

@@ -9,6 +9,13 @@ import (
 	"lcpio/internal/stats"
 )
 
+// TestPaperRecommendation pins the rule the headlines price with to Eqn 3.
+func TestPaperRecommendation(t *testing.T) {
+	if r := phases.PaperRule(); r.CompressionFraction != 0.875 || r.WritingFraction != 0.85 || r.String() == "" {
+		t.Fatalf("Eqn 3: %+v", r)
+	}
+}
+
 func TestSavingsAtPaperTuning(t *testing.T) {
 	cs, ts := sharedStudies(t)
 	rec := phases.PaperRule()

@@ -49,9 +49,6 @@ func TestExecuteBaseClock(t *testing.T) {
 }
 
 func TestApplyRuleFrequencies(t *testing.T) {
-	if r := PaperRule(); r.CompressionFraction != 0.875 || r.WritingFraction != 0.85 || r.String() == "" {
-		t.Fatalf("Eqn 3: %+v", r)
-	}
 	chip := dvfs.Broadwell()
 	pl := campaign(t, chip).ApplyRule(PaperRule(), chip)
 	for _, p := range pl.Phases {
