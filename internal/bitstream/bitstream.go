@@ -264,6 +264,25 @@ func (r *Reader) skipSlow(n uint) error {
 	return nil
 }
 
+// Window returns the reader's buffered bits: the next nc bits of the stream,
+// left-aligned in cur, with every bit below them zero. A hot loop may consume
+// from a copy held in locals — shifting cur left and lowering nc by the same
+// count keeps that shape — and hand what is left back with SetWindow before
+// it calls any other method.
+func (r *Reader) Window() (cur uint64, nc uint) { return r.cur, r.nc }
+
+// SetWindow replaces the buffered bits with a window taken by Window and
+// consumed from since.
+func (r *Reader) SetWindow(cur uint64, nc uint) { r.cur, r.nc = cur, nc }
+
+// Refill tops a window taken by Window up from the buffer, as every read
+// does — to more than 56 bits, or to the end of the stream — and returns it.
+func (r *Reader) Refill(cur uint64, nc uint) (uint64, uint) {
+	r.cur, r.nc = cur, nc
+	r.fill()
+	return r.cur, r.nc
+}
+
 // BitsRemaining reports the number of unread bits.
 func (r *Reader) BitsRemaining() int {
 	return (len(r.buf)-r.pos)*8 + int(r.nc)

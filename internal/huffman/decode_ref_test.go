@@ -2,6 +2,7 @@ package huffman
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -84,28 +85,36 @@ func randomLengths(rng *rand.Rand, maxLen int, complete bool) []uint8 {
 	return lens
 }
 
-// diffDecode decodes buf with the reference walk and with Decode until the
-// first error, requiring identical symbols, identical bit positions after
-// every symbol, and the same terminating error.
+// diffDecode decodes buf with the reference walk and with a Decoder whose
+// window stays in locals until the first error, requiring identical symbols,
+// identical bit positions after every symbol, and the same terminating error.
 func diffDecode(t *testing.T, c *Code, buf []byte, what string) {
 	t.Helper()
 	ref := bitstream.NewReader(buf)
-	got := bitstream.NewReader(buf)
+	wr := bitstream.NewReader(buf)
+	d := c.NewDecoder(wr)
+	cur, nc := d.Window()
 	for i := 0; ; i++ {
 		ws, werr := refDecode(c, ref)
-		gs, gerr := c.Decode(got)
-		if !errors.Is(gerr, werr) || (werr == nil) != (gerr == nil) {
-			t.Fatalf("%s: symbol %d: err %v, reference %v", what, i, gerr, werr)
+		var ds int
+		if ds, cur, nc = d.Next(cur, nc); ds < 0 {
+			ds, cur, nc = d.Resolve(cur, nc)
+		}
+		if !errors.Is(d.err, werr) || (werr == nil) != (d.err == nil) {
+			t.Fatalf("%s: symbol %d: err %v, reference %v", what, i, d.err, werr)
 		}
 		if werr != nil {
 			return
 		}
-		if gs != ws {
-			t.Fatalf("%s: symbol %d = %d, reference %d", what, i, gs, ws)
+		if ds != ws {
+			t.Fatalf("%s: symbol %d = %d, reference %d", what, i, ds, ws)
 		}
-		if got.BitsRemaining() != ref.BitsRemaining() {
+		// The reader has taken up the bytes behind its stale window; the
+		// live window holds nc of their bits.
+		_, stale := wr.Window()
+		if left := wr.BitsRemaining() - int(stale) + int(nc); left != ref.BitsRemaining() {
 			t.Fatalf("%s: after symbol %d reader has %d bits left, reference %d",
-				what, i, got.BitsRemaining(), ref.BitsRemaining())
+				what, i, left, ref.BitsRemaining())
 		}
 	}
 }
@@ -211,12 +220,79 @@ func TestDecodeDeepestCompleteTree(t *testing.T) {
 	syms := []int{MaxCodeLen, 0, MaxCodeLen - 1, MaxCodeLen, 5, MaxCodeLen - 1}
 	w := bitstream.NewWriter(0)
 	c.EncodeAll(w, syms)
-	r := bitstream.NewReader(w.Bytes())
+	out := make([]int, len(syms))
+	if err := c.DecodeAll(bitstream.NewReader(w.Bytes()), out, len(lens)); err != nil {
+		t.Fatal(err)
+	}
 	for i, want := range syms {
-		got, err := c.Decode(r)
-		if err != nil || got != want {
-			t.Fatalf("symbol %d = %d, %v; want %d", i, got, err, want)
+		if out[i] != want {
+			t.Fatalf("symbol %d = %d; want %d", i, out[i], want)
 		}
+	}
+	diffDecode(t, c, w.Bytes(), "deepest complete tree")
+}
+
+// TestDecoderStraddlesRefill puts a code of every length class — inside the
+// table, at its index width, just past it, deep, and the deepest — at every
+// bit offset across the first two refills of the window, and cuts each stream
+// short by up to six bytes: codes straddle a refill, and streams end in the
+// middle of one.
+func TestDecoderStraddlesRefill(t *testing.T) {
+	lens := []uint8{1, 7, 12, 13, 20, 32}
+	c, err := FromLengths(lens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sym := 1; sym < len(lens); sym++ {
+		for lead := 0; lead <= 130; lead++ {
+			syms := append(make([]int, lead), sym, sym, 0)
+			w := bitstream.NewWriter(0)
+			c.EncodeAll(w, syms)
+			buf := w.Bytes()
+			out := make([]int, len(syms))
+			if err := c.DecodeAll(bitstream.NewReader(buf), out, len(lens)); err != nil {
+				t.Fatalf("symbol %d after %d one-bit codes: %v", sym, lead, err)
+			}
+			for i := range out {
+				if out[i] != syms[i] {
+					t.Fatalf("symbol %d after %d one-bit codes: out[%d] = %d", sym, lead, i, out[i])
+				}
+			}
+			for cut := max(0, len(buf)-6); cut <= len(buf); cut++ {
+				diffDecode(t, c, buf[:cut], fmt.Sprintf("symbol %d after %d one-bit codes, %d bytes", sym, lead, cut))
+			}
+		}
+	}
+}
+
+// TestReadTableIntoDecodeOnly: a table read from a stream comes back with its
+// decode table built and without the encoder's per-symbol codes, and a table
+// claiming an alphabet wider than a packed entry's 24-bit symbol is refused,
+// whatever the caller allows.
+func TestReadTableIntoDecodeOnly(t *testing.T) {
+	c, err := Build([]uint64{5, 0, 3, 9, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := bitstream.NewWriter(0)
+	c.WriteTable(w)
+	var got Code
+	var lens []uint8
+	if err := ReadTableInto(bitstream.NewReader(w.Bytes()), &got, &lens, 5); err != nil {
+		t.Fatal(err)
+	}
+	if got.lutBits == 0 || len(got.codes) != 0 {
+		t.Fatalf("read table: lutBits %d, %d encoder codes; want a built table and none", got.lutBits, len(got.codes))
+	}
+
+	wide := bitstream.NewWriter(0)
+	wide.WriteBits(maxTableSyms+1, 32)
+	wide.WriteBits(0, 32)
+	if err := ReadTableInto(bitstream.NewReader(wide.Bytes()), &got, &lens, 1<<30); err != ErrCorrupt {
+		t.Fatalf("table claiming 2^24+1 symbols: err %v, want ErrCorrupt", err)
+	}
+	if _, err := FromLengths(make([]uint8, maxTableSyms+1)); err != ErrBadLengths {
+		t.Fatalf("FromLengths over 2^24+1 symbols: err %v, want ErrBadLengths", err)
 	}
 }
 

@@ -35,7 +35,7 @@ var (
 // Code is a canonical Huffman code over symbols [0, NumSymbols).
 type Code struct {
 	lens  []uint8  // code length per symbol; 0 = unused
-	codes []uint32 // canonical code per symbol, MSB-first
+	codes []uint32 // canonical code per symbol, MSB-first; encoding only
 
 	// Decoding acceleration: first code and first symbol index per length.
 	firstCode  [MaxCodeLen + 2]uint32
@@ -43,15 +43,16 @@ type Code struct {
 	symsByCode []int32 // symbols sorted by (len, symbol)
 	maxLen     uint8
 
-	// Decode tables, built lazily on the first Decode or DecodeAll (so a
-	// Code must not be shared between goroutines before its first decode):
-	// indexing by the next lutBits bits of the stream yields the symbol and
-	// its code length for every code no longer than lutBits. Longer codes
-	// are resolved against limit: limit[l] is one past the last code of
-	// length l, left-aligned to maxLen bits.
+	// Decode tables: indexing lut by the next lutIndexBits bits of the
+	// stream yields sym<<8 | len for every code no longer than lutBits =
+	// min(lutIndexBits, maxLen), and lutMiss for every other index. Longer
+	// codes are resolved against limit: limit[l] is one past the last code
+	// of length l, left-aligned to maxLen bits. FromLengths and ReadTableInto
+	// build them with the code; a Code from Build builds them on its first
+	// decode (lutBits is 0 until then), so it must not be shared between
+	// goroutines before that.
+	lut     *[1 << lutIndexBits]uint32
 	lutBits uint8
-	lutLen  []uint8
-	lutSym  []int32
 	limit   [MaxCodeLen + 1]uint64
 }
 
@@ -195,6 +196,7 @@ func (b *Builder) Build(freqs []uint64) (*Code, error) {
 		if err := b.code.initFrom(lens); err != nil {
 			return nil, err
 		}
+		b.code.assignCodes()
 		return &b.code, nil
 	}
 
@@ -252,6 +254,7 @@ func (b *Builder) Build(freqs []uint64) (*Code, error) {
 	if err := b.code.initFrom(lens); err != nil {
 		return nil, err
 	}
+	b.code.assignCodes()
 	return &b.code, nil
 }
 
@@ -284,19 +287,27 @@ func flattenLengths(lens []uint8) {
 }
 
 // FromLengths constructs the canonical code implied by per-symbol code
-// lengths (0 meaning the symbol is unused). The lengths must satisfy the
-// Kraft inequality.
+// lengths (0 meaning the symbol is unused), ready to encode and decode. The
+// lengths must satisfy the Kraft inequality.
 func FromLengths(lens []uint8) (*Code, error) {
 	c := &Code{}
 	if err := c.initFrom(lens); err != nil {
 		return nil, err
 	}
+	c.assignCodes()
+	c.buildDecodeTables()
 	return c, nil
 }
 
 // initFrom (re)initializes c as the canonical code implied by lens, reusing
-// c's existing table storage where capacity allows. lens is copied.
+// c's existing table storage where capacity allows. lens is copied. It sets
+// what both directions read — the lengths and the per-length first code and
+// symbol index — and leaves the encoder's codes to assignCodes and the
+// decoder's table to buildDecodeTables.
 func (c *Code) initFrom(lens []uint8) error {
+	if len(lens) > maxTableSyms {
+		return ErrBadLengths
+	}
 	var counts [MaxCodeLen + 2]uint32
 	maxLen := uint8(0)
 	used := 0
@@ -328,33 +339,23 @@ func (c *Code) initFrom(lens []uint8) error {
 	// Validation passed: reset all derived state before rebuilding.
 	c.maxLen = maxLen
 	c.lens = append(c.lens[:0], lens...)
+	c.codes = c.codes[:0]
 	c.firstCode = [MaxCodeLen + 2]uint32{}
 	c.firstSym = [MaxCodeLen + 2]int32{}
-	if cap(c.codes) < len(lens) {
-		c.codes = make([]uint32, len(lens))
-	} else {
-		c.codes = c.codes[:len(lens)]
-		clear(c.codes)
-	}
-	c.symsByCode = c.symsByCode[:0]
 	c.lutBits = 0
-	c.lutLen = c.lutLen[:0]
-	c.lutSym = c.lutSym[:0]
 
 	// Canonical first-code per length: codes of length l start where the
 	// doubled cumulative count of shorter codes leaves off.
 	var code uint32
-	var next [MaxCodeLen + 2]uint32
 	for l := uint8(1); l <= c.maxLen; l++ {
 		c.firstCode[l] = code
-		next[l] = code
 		code = (code + counts[l]) << 1
 	}
 
-	// Assign codes in (length, symbol) order; build symsByCode for decode.
-	// One pass over the symbols suffices: for a fixed length, symbols appear
-	// in increasing order, which is exactly the canonical tie-break, so each
-	// symbol lands at its length's running slot cursor.
+	// List the symbols in (length, symbol) order. One pass over the symbols
+	// suffices: for a fixed length, symbols appear in increasing order, which
+	// is exactly the canonical tie-break, so each symbol lands at its
+	// length's running slot cursor.
 	var symIdx int32
 	var slot [MaxCodeLen + 2]int32
 	for l := uint8(1); l <= c.maxLen; l++ {
@@ -372,12 +373,26 @@ func (c *Code) initFrom(lens []uint8) error {
 		if sl == 0 {
 			continue
 		}
-		c.codes[s] = next[sl]
-		next[sl]++
 		c.symsByCode[slot[sl]] = int32(s)
 		slot[sl]++
 	}
 	return nil
+}
+
+// assignCodes gives every used symbol its canonical code, for encoding: the
+// k-th symbol of length l in (length, symbol) order gets firstCode[l] + k.
+func (c *Code) assignCodes() {
+	if cap(c.codes) < len(c.lens) {
+		c.codes = make([]uint32, len(c.lens))
+	} else {
+		c.codes = c.codes[:len(c.lens)]
+		clear(c.codes)
+	}
+	for l := uint8(1); l <= c.maxLen; l++ {
+		for k, s := range c.symsByCode[c.firstSym[l]:c.firstSym[l+1]] {
+			c.codes[s] = c.firstCode[l] + uint32(k)
+		}
+	}
 }
 
 // Encode appends the code for symbol s to w. Encoding a symbol with no
@@ -414,38 +429,42 @@ func (c *Code) EncodeAll(w *bitstream.Writer, syms []int) {
 	}
 }
 
-// lutIndexBits caps the direct-lookup decode table at 2^12 entries (~20 KiB),
+// lutIndexBits sizes the direct-lookup decode table at 2^12 entries (16 KiB),
 // covering every code up to 12 bits in one table probe. SZ quantization codes
 // concentrate almost all mass on a few hundred symbols around the interval
 // radius, so in practice the long-code resolve runs only for deep-tail codes.
+// The index width is fixed — a code whose longest length is shorter repeats
+// each entry over more indices — so the probe is one shift and no bounds test.
 const lutIndexBits = 12
 
+// lutMiss is the table entry for an index no code of at most lutBits bits
+// prefixes. Its length field exceeds every window, so the fast path's one
+// comparison sends it to the resolve.
+const lutMiss = 0xFF
+
+// buildDecodeTables fills lut and limit from the canonical layout. Left-
+// aligned to lutIndexBits, the codes of length l continue exactly where those
+// of length l-1 end, so the entries fill the table from index 0 in code order,
+// and everything past the last code of at most lutBits bits is a miss.
 func (c *Code) buildDecodeTables() {
-	bits := uint8(lutIndexBits)
-	if c.maxLen < bits {
-		bits = c.maxLen
+	if c.lut == nil {
+		c.lut = new([1 << lutIndexBits]uint32)
 	}
+	bits := min(uint8(lutIndexBits), c.maxLen)
 	c.lutBits = bits
-	size := 1 << bits
-	if cap(c.lutLen) < size {
-		c.lutLen = make([]uint8, size)
-		c.lutSym = make([]int32, size)
-	} else {
-		c.lutLen = c.lutLen[:size]
-		c.lutSym = c.lutSym[:size]
-		clear(c.lutLen)
-	}
+	lut := c.lut
+	i := 0
 	for l := uint8(1); l <= bits; l++ {
-		count := c.firstSym[l+1] - c.firstSym[l]
-		for k := int32(0); k < count; k++ {
-			sym := c.symsByCode[c.firstSym[l]+k]
-			code := c.firstCode[l] + uint32(k)
-			base := code << (bits - l)
-			for j := 0; j < 1<<(bits-l); j++ {
-				c.lutLen[base+uint32(j)] = l
-				c.lutSym[base+uint32(j)] = sym
+		span := 1 << (lutIndexBits - l)
+		for _, sym := range c.symsByCode[c.firstSym[l]:c.firstSym[l+1]] {
+			e := uint32(sym)<<8 | uint32(l)
+			for end := i + span; i < end; i++ {
+				lut[i] = e
 			}
 		}
+	}
+	for ; i < len(lut); i++ {
+		lut[i] = lutMiss
 	}
 	for l := uint8(1); l <= c.maxLen; l++ {
 		count := uint64(c.firstSym[l+1] - c.firstSym[l])
@@ -453,62 +472,132 @@ func (c *Code) buildDecodeTables() {
 	}
 }
 
+// Decoder reads the symbols of one Code from a bitstream.Reader through the
+// reader's bit window, which the caller keeps in locals across a whole loop —
+// the way EncodeAll keeps its accumulator — and hands back with Finish:
+//
+//	d := code.NewDecoder(r)
+//	cur, nc := d.Window()
+//	for ... {
+//		s, cur, nc = d.Next(cur, nc)
+//		if s < 0 {
+//			s, cur, nc = d.Resolve(cur, nc)
+//		}
+//		...
+//	}
+//	err := d.Finish(cur, nc)
+//
+// Next is the inlined fast path and Resolve the out-of-line rest; the split
+// is the inliner's, which will not take a function that makes a call. Several
+// Decoders may share one reader and one window. An error is sticky: the
+// Resolve that meets it and every later one return -1, and Finish reports it.
+type Decoder struct {
+	lut *[1 << lutIndexBits]uint32
+	c   *Code
+	r   *bitstream.Reader
+	err error
+}
+
+// NewDecoder returns a Decoder for c over r.
+func (c *Code) NewDecoder(r *bitstream.Reader) Decoder {
+	if c.lutBits == 0 {
+		c.buildDecodeTables()
+	}
+	return Decoder{lut: c.lut, c: c, r: r}
+}
+
+// Window returns the reader's window, to start a loop of Next calls from.
+func (d *Decoder) Window() (cur uint64, nc uint) { return d.r.Window() }
+
+// Next decodes one symbol from the window (cur, nc) by one probe of the packed
+// table and returns it with the window that remains, when the entry's code
+// fits in the nc bits the window holds. Otherwise — the window needs a
+// refill, or the code is longer than the table's index, or no code has the
+// prefix — it returns -1 and the window unchanged, for Resolve.
+func (d *Decoder) Next(cur uint64, nc uint) (sym int, _ uint64, _ uint) {
+	e := d.lut[cur>>(64-lutIndexBits)]
+	if l := uint(e & 0xFF); l <= nc {
+		return int(e >> 8), cur << (l & 63), nc - l
+	}
+	return -1, cur, nc
+}
+
+// Resolve decodes the symbol Next could not, out of line: it refills the
+// window when it holds fewer bits than the longest code, and matches the code
+// there — by the table, or for a code longer than its index by the canonical
+// limits. It returns -1 on an error, and from then on: ErrOverrun for a code
+// longer than what the stream has left, and for a prefix no code has,
+// ErrCorrupt when maxLen real bits were there to look at and ErrOverrun when
+// the stream ran out first.
+func (d *Decoder) Resolve(cur uint64, nc uint) (sym int, _ uint64, _ uint) {
+	if d.err != nil {
+		return -1, cur, nc
+	}
+	maxLen := uint(d.c.maxLen)
+	if nc < maxLen {
+		cur, nc = d.r.Refill(cur, nc)
+	}
+	s, l := d.c.match(cur)
+	if l != 0 && l <= nc {
+		return s, cur << l, nc - l
+	}
+	d.r.SetWindow(cur, nc)
+	if l == 0 && d.r.BitsRemaining() >= int(maxLen) {
+		d.err = ErrCorrupt
+	} else {
+		d.err = bitstream.ErrOverrun
+	}
+	return -1, cur, nc
+}
+
+// Finish hands the window back to the reader and returns the first error a
+// Resolve met, if any.
+func (d *Decoder) Finish(cur uint64, nc uint) error {
+	d.r.SetWindow(cur, nc)
+	return d.err
+}
+
 // DecodeAll reads len(out) symbols from r into out, rejecting any symbol
 // >= max with ErrCorrupt.
 func (c *Code) DecodeAll(r *bitstream.Reader, out []int, max int) error {
+	d := c.NewDecoder(r)
+	cur, nc := d.Window()
 	for i := range out {
-		s, err := c.Decode(r)
-		if err != nil {
-			return err
+		var s int
+		if s, cur, nc = d.Next(cur, nc); s < 0 {
+			s, cur, nc = d.Resolve(cur, nc)
 		}
-		if s >= max {
+		if s < 0 || s >= max {
+			if err := d.Finish(cur, nc); err != nil {
+				return err
+			}
 			return ErrCorrupt
 		}
 		out[i] = s
 	}
-	return nil
+	return d.Finish(cur, nc)
 }
 
-// Decode reads one symbol from r: a table probe on the next lutBits bits —
-// Peek never overruns (it zero-pads), and Skip reports truncation — and the
-// canonical-limit resolve for the codes the table does not hold.
-func (c *Code) Decode(r *bitstream.Reader) (int, error) {
-	if c.lutBits == 0 {
-		c.buildDecodeTables()
+// match returns the symbol and length of the code that prefixes cur, whose
+// bits past the end of the stream are zero, or length 0 when no code does.
+// Codes up to lutBits long come from the table; a longer one is resolved from
+// cur's top maxLen bits. Canonical codes, left-aligned to maxLen bits, fill
+// ascending disjoint ranges in length order, each ending at limit[l]; so the
+// code's length is the first l whose limit exceeds that word — the same l the
+// per-bit canonical walk stops at.
+func (c *Code) match(cur uint64) (int, uint) {
+	if e := c.lut[cur>>(64-lutIndexBits)]; e&0xFF != lutMiss {
+		return int(e >> 8), uint(e & 0xFF)
 	}
-	v := r.Peek(uint(c.lutBits))
-	if l := c.lutLen[v]; l != 0 {
-		if err := r.Skip(uint(l)); err != nil {
-			return 0, err
-		}
-		return int(c.lutSym[v]), nil
-	}
-	return c.decodeLong(r)
-}
-
-// decodeLong resolves a code longer than lutBits from one Peek(maxLen).
-// Canonical codes, left-aligned to maxLen bits, fill ascending disjoint
-// ranges in length order, each ending at limit[l]; so the code's length is
-// the first l whose limit exceeds the peeked word — the same l the per-bit
-// canonical walk stops at. A word at or beyond every limit is a prefix no
-// code has: ErrCorrupt when maxLen real bits were there to look at, and
-// ErrOverrun when the stream ran out first, as the walk would have reported.
-func (c *Code) decodeLong(r *bitstream.Reader) (int, error) {
 	maxLen := uint(c.maxLen)
-	v := r.Peek(maxLen)
+	v := cur >> (64 - maxLen)
 	for l := uint(c.lutBits) + 1; l <= maxLen; l++ {
 		if v < c.limit[l] {
-			if err := r.Skip(l); err != nil {
-				return 0, err
-			}
 			k := uint32(v>>(maxLen-l)) - c.firstCode[l]
-			return int(c.symsByCode[uint32(c.firstSym[l])+k]), nil
+			return int(c.symsByCode[uint32(c.firstSym[l])+k]), l
 		}
 	}
-	if r.BitsRemaining() < int(maxLen) {
-		return 0, bitstream.ErrOverrun
-	}
-	return 0, ErrCorrupt
+	return 0, 0
 }
 
 // WriteTable serializes the code lengths to w so a decoder can reconstruct
@@ -533,16 +622,21 @@ func (c *Code) WriteTable(w *bitstream.Writer) {
 	}
 }
 
-// maxTableSyms is the widest alphabet a serialized table may claim.
-const maxTableSyms = 1 << 28
+// maxTableSyms is the widest alphabet a code may have, and a serialized
+// table may claim: a decode table entry packs the symbol into 24 bits. The
+// widest caller, sz, has 2^16 symbols.
+const maxTableSyms = 1 << 24
 
 // ReadTableInto reconstructs a Code from a table written by WriteTable into a
-// caller-owned Code and length scratch buffer, so decoders that parse one table per partition reuse the
-// table storage across partitions instead of reallocating ~NumSymbols-sized
-// arrays each time. *lensBuf is grown as needed and left holding the parsed
-// lengths. A table claiming more than maxSyms symbols is ErrCorrupt before
-// anything is sized from the claim: the caller knows its alphabet, and the
-// storage it keeps across streams must not grow to a forged one.
+// caller-owned Code and length scratch buffer, so decoders that parse one
+// table per partition reuse the table storage across partitions instead of
+// reallocating ~NumSymbols-sized arrays each time. *lensBuf is grown as
+// needed and left holding the parsed lengths. The Code comes back ready to
+// decode, with its decode table built, and without the per-symbol codes only
+// an encoder reads: it cannot Encode. A table claiming more than maxSyms
+// symbols is ErrCorrupt before anything is sized from the claim: the caller
+// knows its alphabet, and the storage it keeps across streams must not grow
+// to a forged one.
 func ReadTableInto(r *bitstream.Reader, c *Code, lensBuf *[]uint8, maxSyms int) error {
 	n64, err := r.ReadBits(32)
 	if err != nil {
@@ -587,7 +681,11 @@ func ReadTableInto(r *bitstream.Reader, c *Code, lensBuf *[]uint8, maxSyms int) 
 		lens[i] = uint8(l)
 		i++
 	}
-	return c.initFrom(lens)
+	if err := c.initFrom(lens); err != nil {
+		return err
+	}
+	c.buildDecodeTables()
+	return nil
 }
 
 // Histogram counts symbol frequencies over syms for an alphabet of size n.

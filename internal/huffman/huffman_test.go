@@ -57,13 +57,13 @@ func roundTrip(t *testing.T, freqs []uint64, stream []int) {
 	if err != nil {
 		t.Fatalf("readTable: %v", err)
 	}
+	got := make([]int, len(stream))
+	if err := c2.DecodeAll(r, got, len(freqs)); err != nil {
+		t.Fatalf("DecodeAll: %v", err)
+	}
 	for i, want := range stream {
-		got, err := c2.Decode(r)
-		if err != nil {
-			t.Fatalf("decode %d: %v", i, err)
-		}
-		if got != want {
-			t.Fatalf("decode %d: got %d want %d", i, got, want)
+		if got[i] != want {
+			t.Fatalf("decode %d: got %d want %d", i, got[i], want)
 		}
 	}
 }
@@ -162,7 +162,7 @@ func TestDecodeCorrupt(t *testing.T) {
 	w.WriteBits(0x3, 2) // code 11: not assigned
 	w.WriteBits(0, 62)
 	r := bitstream.NewReader(w.Bytes())
-	if _, err := c.Decode(r); err != ErrCorrupt {
+	if err := c.DecodeAll(r, make([]int, 1), 2); err != ErrCorrupt {
 		t.Fatalf("expected ErrCorrupt, got %v", err)
 	}
 }
@@ -266,9 +266,12 @@ func TestQuickRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, want := range stream {
-			got, err := c2.Decode(r)
-			if err != nil || got != want {
+		got := make([]int, len(stream))
+		if err := c2.DecodeAll(r, got, n); err != nil {
+			return false
+		}
+		for i, want := range stream {
+			if got[i] != want {
 				return false
 			}
 		}
@@ -308,6 +311,7 @@ func BenchmarkEncodeDecode(b *testing.B) {
 	for i := range stream {
 		stream[i] = rng.Intn(256)
 	}
+	out := make([]int, len(stream))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -315,11 +319,8 @@ func BenchmarkEncodeDecode(b *testing.B) {
 		for _, s := range stream {
 			c.Encode(w, s)
 		}
-		r := bitstream.NewReader(w.Bytes())
-		for range stream {
-			if _, err := c.Decode(r); err != nil {
-				b.Fatal(err)
-			}
+		if err := c.DecodeAll(bitstream.NewReader(w.Bytes()), out, len(freqs)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -396,10 +396,20 @@ func (st *decState) decompress(dst, buf []byte) ([]byte, error) {
 	if cap(out)-base < capHint {
 		out = append(make([]byte, 0, base+capHint), dst...)
 	}
+	// Both codes read through one bit window held in locals, and the extra
+	// bits come out of it too: r sees the window only to refill it.
+	litDec := litLenCode.NewDecoder(r)
+	var distDec huffman.Decoder
+	if hasDist {
+		distDec = distCode.NewDecoder(r)
+	}
+	cur, nc := litDec.Window()
 	for {
-		s, err := litLenCode.Decode(r)
-		if err != nil {
-			return nil, err
+		var s int
+		if s, cur, nc = litDec.Next(cur, nc); s < 0 {
+			if s, cur, nc = litDec.Resolve(cur, nc); s < 0 {
+				return nil, litDec.Finish(cur, nc)
+			}
 		}
 		switch {
 		case s < 256:
@@ -408,26 +418,34 @@ func (st *decState) decompress(dst, buf []byte) ([]byte, error) {
 			if len(out)-base != rawLen {
 				return nil, ErrCorrupt
 			}
+			r.SetWindow(cur, nc)
 			return out, nil
 		default:
 			lc := s - symLenBase
 			if lc >= 29 || !hasDist {
 				return nil, ErrCorrupt
 			}
-			extra, err := r.ReadBits(lenExtra[lc])
-			if err != nil {
-				return nil, err
+			n := lenExtra[lc]
+			if n > nc {
+				if cur, nc = r.Refill(cur, nc); n > nc {
+					return nil, bitstream.ErrOverrun
+				}
 			}
-			length := lenBase[lc] + int(extra)
-			ds, err := distCode.Decode(r)
-			if err != nil {
-				return nil, err
+			length := lenBase[lc] + int(cur>>(64-n))
+			cur, nc = cur<<n, nc-n
+			var ds int
+			if ds, cur, nc = distDec.Next(cur, nc); ds < 0 {
+				if ds, cur, nc = distDec.Resolve(cur, nc); ds < 0 {
+					return nil, distDec.Finish(cur, nc)
+				}
 			}
-			dextra, err := r.ReadBits(distExtra[ds])
-			if err != nil {
-				return nil, err
+			if n = distExtra[ds]; n > nc {
+				if cur, nc = r.Refill(cur, nc); n > nc {
+					return nil, bitstream.ErrOverrun
+				}
 			}
-			dist := distBase[ds] + int(dextra)
+			dist := distBase[ds] + int(cur>>(64-n))
+			cur, nc = cur<<n, nc-n
 			if dist > len(out)-base {
 				return nil, ErrCorrupt
 			}

@@ -71,3 +71,31 @@ func FuzzDecompress(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeDifferential: on any bytes the one-pass decoder and the two-pass
+// reference agree — both fail with the same error, or both succeed with the
+// same bits — and neither panics. Seeds: every committed golden, byte
+// prefixes and bit flips of the current ones, and hostile partitions of the
+// 3-D golden.
+func FuzzDecodeDifferential(f *testing.F) {
+	goldens, _ := filepath.Glob(filepath.Join("testdata", "golden_*.szs"))
+	for _, path := range goldens {
+		if raw, err := os.ReadFile(path); err == nil {
+			f.Add(raw)
+		}
+	}
+	for _, raw := range currentGoldens(f) {
+		for cut := 0; cut < len(raw); cut += len(raw)/8 + 1 {
+			f.Add(raw[:cut])
+			flip := append([]byte(nil), raw...)
+			flip[cut] ^= 1 << (cut % 8)
+			f.Add(flip)
+		}
+	}
+	for _, s := range hostilePartitions(f, currentGoldens(f)["golden_v4_order1_3d.f32.szs"], 211) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		diffDecode(t, in, "fuzz input")
+	})
+}

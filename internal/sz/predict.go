@@ -1,6 +1,10 @@
 package sz
 
-import "math"
+import (
+	"math"
+
+	"lcpio/internal/huffman"
+)
 
 // qz is the fused quantize step, small enough for the compiler to inline into
 // the kernel loops below (Floor and Abs are intrinsics): floor(diff/twoEB +
@@ -32,6 +36,31 @@ func qz(val float32, pred, twoEB, eb float64) (code int, rf float32, r float64) 
 	return -1, 0, 0
 }
 
+// dq is the step qz inverts, for the decode kernels below: the
+// reconstruction of code s under prediction pred — float64(s-radius) is the
+// quotient qz floored, so this is the value qz stored — or for code 0 the
+// next verbatim value, exact[ei]. ei counts the code-0 symbols seen; it runs
+// past len(exact) on a stream that stores too few values, where the missing
+// ones read as 0 and the caller refuses the partition for the count.
+func dq(s int, pred, twoEB float64, exact []float32, ei int) (float32, int) {
+	if s != 0 {
+		return float32(pred + float64(s-radius)*twoEB), ei
+	}
+	var v float32
+	if ei < len(exact) {
+		v = exact[ei]
+	}
+	return v, ei + 1
+}
+
+// The decode kernels run each quantize kernel backwards in one pass: every
+// element pulls its symbol from the Huffman decoder — the bit window in
+// locals, Resolve out of line — and is reconstructed at once, from the same
+// stencil terms summed in the same order as the quantize kernel, so the
+// output bits are the ones it reconstructed. Each returns the code-0 symbols
+// it met and the decoder's error, if any; on an error the symbols read -1
+// from there on and the values are garbage the caller discards.
+
 // --- 1-D ---------------------------------------------------------------------
 
 // quantize1D is the fused previous-value kernel: the 1-D Lorenzo stencil.
@@ -57,23 +86,19 @@ func quantize1D(data, recon []float32, codes []int, exact *[]float32, twoEB, eb 
 	*exact = ex
 }
 
-func reconstruct1D(recon []float32, codes []int, nextExact func() (float32, error), twoEB float64) error {
+func decode1D(recon []float32, d *huffman.Decoder, exact []float32, twoEB float64) (int, error) {
+	cur, nc := d.Window()
 	var left float64
-	for i, c := range codes {
-		if c == 0 {
-			v, err := nextExact()
-			if err != nil {
-				return err
-			}
-			recon[i] = v
-			left = float64(v)
-			continue
+	var s, ei int
+	var rf float32
+	for i := range recon {
+		if s, cur, nc = d.Next(cur, nc); s < 0 {
+			s, cur, nc = d.Resolve(cur, nc)
 		}
-		rf := float32(left + float64(c-radius)*twoEB)
-		recon[i] = rf
-		left = float64(rf)
+		rf, ei = dq(s, left, twoEB, exact, ei)
+		recon[i], left = rf, float64(rf)
 	}
-	return nil
+	return ei, d.Finish(cur, nc)
 }
 
 // --- 2-D ---------------------------------------------------------------------
@@ -129,41 +154,35 @@ func quantize2D(data, recon []float32, codes []int, exact *[]float32, d1, d2 int
 	*exact = ex
 }
 
-func reconstruct2D(recon []float32, codes []int, nextExact func() (float32, error), d1, d2 int, twoEB float64) error {
+func decode2D(recon []float32, d *huffman.Decoder, exact []float32, d1, d2 int, twoEB float64) (int, error) {
+	cur, nc := d.Window()
 	var left float64
-	step := func(idx int, pred float64) error {
-		if codes[idx] == 0 {
-			v, err := nextExact()
-			if err != nil {
-				return err
-			}
-			recon[idx] = v
-			left = float64(v)
-			return nil
-		}
-		rf := float32(pred + float64(codes[idx]-radius)*twoEB)
-		recon[idx] = rf
-		left = float64(rf)
-		return nil
-	}
+	var s, ei int
+	var rf float32
 	for j := 0; j < d2; j++ {
-		if err := step(j, left); err != nil {
-			return err
+		if s, cur, nc = d.Next(cur, nc); s < 0 {
+			s, cur, nc = d.Resolve(cur, nc)
 		}
+		rf, ei = dq(s, left, twoEB, exact, ei)
+		recon[j], left = rf, float64(rf)
 	}
 	for i := 1; i < d1; i++ {
 		row := i * d2
-		if err := step(row, float64(recon[row-d2])); err != nil {
-			return err
+		if s, cur, nc = d.Next(cur, nc); s < 0 {
+			s, cur, nc = d.Resolve(cur, nc)
 		}
+		rf, ei = dq(s, float64(recon[row-d2]), twoEB, exact, ei)
+		recon[row], left = rf, float64(rf)
 		for idx := row + 1; idx < row+d2; idx++ {
 			pred := left + float64(recon[idx-d2]) - float64(recon[idx-d2-1])
-			if err := step(idx, pred); err != nil {
-				return err
+			if s, cur, nc = d.Next(cur, nc); s < 0 {
+				s, cur, nc = d.Resolve(cur, nc)
 			}
+			rf, ei = dq(s, pred, twoEB, exact, ei)
+			recon[idx], left = rf, float64(rf)
 		}
 	}
-	return nil
+	return ei, d.Finish(cur, nc)
 }
 
 // --- 3-D ---------------------------------------------------------------------
@@ -277,67 +296,69 @@ func quantize3D(data, recon []float32, codes []int, exact *[]float32, d0, d1, d2
 	*exact = ex
 }
 
-func reconstruct3D(recon []float32, codes []int, nextExact func() (float32, error), d0, d1, d2 int, twoEB float64) error {
+func decode3D(recon []float32, d *huffman.Decoder, exact []float32, d0, d1, d2 int, twoEB float64) (int, error) {
 	sd := d1 * d2
+	cur, nc := d.Window()
 	var left float64
-	step := func(idx int, pred float64) error {
-		if codes[idx] == 0 {
-			v, err := nextExact()
-			if err != nil {
-				return err
-			}
-			recon[idx] = v
-			left = float64(v)
-			return nil
-		}
-		rf := float32(pred + float64(codes[idx]-radius)*twoEB)
-		recon[idx] = rf
-		left = float64(rf)
-		return nil
-	}
+	var s, ei int
+	var rf float32
 	for k := 0; k < d2; k++ {
-		if err := step(k, left); err != nil {
-			return err
+		if s, cur, nc = d.Next(cur, nc); s < 0 {
+			s, cur, nc = d.Resolve(cur, nc)
 		}
+		rf, ei = dq(s, left, twoEB, exact, ei)
+		recon[k], left = rf, float64(rf)
 	}
 	for j := 1; j < d1; j++ {
 		row := j * d2
-		if err := step(row, float64(recon[row-d2])); err != nil {
-			return err
+		if s, cur, nc = d.Next(cur, nc); s < 0 {
+			s, cur, nc = d.Resolve(cur, nc)
 		}
+		rf, ei = dq(s, float64(recon[row-d2]), twoEB, exact, ei)
+		recon[row], left = rf, float64(rf)
 		for idx := row + 1; idx < row+d2; idx++ {
 			pred := left + float64(recon[idx-d2]) - float64(recon[idx-d2-1])
-			if err := step(idx, pred); err != nil {
-				return err
+			if s, cur, nc = d.Next(cur, nc); s < 0 {
+				s, cur, nc = d.Resolve(cur, nc)
 			}
+			rf, ei = dq(s, pred, twoEB, exact, ei)
+			recon[idx], left = rf, float64(rf)
 		}
 	}
 	for i := 1; i < d0; i++ {
 		base := i * sd
-		if err := step(base, float64(recon[base-sd])); err != nil {
-			return err
+		if s, cur, nc = d.Next(cur, nc); s < 0 {
+			s, cur, nc = d.Resolve(cur, nc)
 		}
+		rf, ei = dq(s, float64(recon[base-sd]), twoEB, exact, ei)
+		recon[base], left = rf, float64(rf)
 		for idx := base + 1; idx < base+d2; idx++ {
 			pred := left + float64(recon[idx-sd]) - float64(recon[idx-sd-1])
-			if err := step(idx, pred); err != nil {
-				return err
+			if s, cur, nc = d.Next(cur, nc); s < 0 {
+				s, cur, nc = d.Resolve(cur, nc)
 			}
+			rf, ei = dq(s, pred, twoEB, exact, ei)
+			recon[idx], left = rf, float64(rf)
 		}
 		for j := 1; j < d1; j++ {
 			row := base + j*d2
 			pred := float64(recon[row-d2]) + float64(recon[row-sd]) - float64(recon[row-sd-d2])
-			if err := step(row, pred); err != nil {
-				return err
+			if s, cur, nc = d.Next(cur, nc); s < 0 {
+				s, cur, nc = d.Resolve(cur, nc)
 			}
+			rf, ei = dq(s, pred, twoEB, exact, ei)
+			recon[row], left = rf, float64(rf)
 			for idx := row + 1; idx < row+d2; idx++ {
 				pred := left + float64(recon[idx-d2]) + float64(recon[idx-sd]) -
 					float64(recon[idx-d2-1]) - float64(recon[idx-sd-1]) - float64(recon[idx-sd-d2]) +
 					float64(recon[idx-sd-d2-1])
-				if err := step(idx, pred); err != nil {
-					return err
+				if s, cur, nc = d.Next(cur, nc); s < 0 {
+					s, cur, nc = d.Resolve(cur, nc)
 				}
+				rf, ei = dq(s, pred, twoEB, exact, ei)
+				recon[idx], left = rf, float64(rf)
 			}
 		}
 	}
-	return nil
+	return ei, d.Finish(cur, nc)
 }

@@ -1,10 +1,19 @@
 package sz
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
+
+	"lcpio/internal/bitstream"
+	"lcpio/internal/huffman"
+	"lcpio/internal/lossless"
+	"lcpio/internal/wire"
 )
 
 // The element-at-a-time reference the fused kernels in predict.go replaced:
@@ -124,9 +133,10 @@ func sameBits(a, b []float32) bool {
 
 // fusedMatchesReference runs the fused kernel for the shape over data and
 // holds it to the element-at-a-time reference: the same codes, the same
-// reconstruction, the same verbatim values in raster order, and a fused
-// reconstructor that inverts them. It returns the codes for callers that
-// know what they should be.
+// reconstruction, the same verbatim values in raster order; and the
+// reconstruct pass of the two-pass reference and the one-pass decode kernel,
+// fed the codes as a Huffman stream, both invert them. It returns the codes
+// for callers that know what they should be.
 func fusedMatchesReference(t *testing.T, data []float32, d0, d1, d2 int, eb float64) []int {
 	t.Helper()
 	wantCodes, wantRecon, wantExact := refQuantize(data, d0, d1, d2, eb)
@@ -167,6 +177,30 @@ func fusedMatchesReference(t *testing.T, data []float32, d0, d1, d2 int, eb floa
 		t.Fatalf("%dx%dx%d: reconstruct err %v, %d/%d verbatim values used, identical %v",
 			d0, d1, d2, err, next, len(exact), sameBits(back, recon))
 	}
+
+	// The one-pass decode kernel, fed the codes through a Huffman stream,
+	// lands on the same bits.
+	code, err := huffman.Build(huffman.Histogram(codes, quantCount))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := bitstream.NewWriter(0)
+	code.EncodeAll(w, codes)
+	dec := code.NewDecoder(bitstream.NewReader(w.Bytes()))
+	fused := make([]float32, len(data))
+	var used int
+	switch {
+	case d0 == 1 && d1 == 1:
+		used, err = decode1D(fused, &dec, exact, 2*eb)
+	case d0 == 1:
+		used, err = decode2D(fused, &dec, exact, d1, d2, 2*eb)
+	default:
+		used, err = decode3D(fused, &dec, exact, d0, d1, d2, 2*eb)
+	}
+	if err != nil || used != len(exact) || !sameBits(fused, recon) {
+		t.Fatalf("%dx%dx%d: decode kernel err %v, %d/%d verbatim values used, identical %v",
+			d0, d1, d2, err, used, len(exact), sameBits(fused, recon))
+	}
 	return codes
 }
 
@@ -174,8 +208,9 @@ var fusedShapes = [][3]int{{1, 1, 257}, {1, 19, 23}, {1, 2, 1}, {5, 7, 11}, {2, 
 
 // TestFusedKernelsMatchReference: on noisy fields with spikes and non-finite
 // values, every fused kernel emits exactly the reference's codes,
-// reconstruction and verbatim values, and the fused reconstructors invert
-// them — the hoisted border cases and the term order of each stencil included.
+// reconstruction and verbatim values, and both the two-pass reconstructors
+// and the one-pass decode kernels invert them — the hoisted border cases and
+// the term order of each stencil included.
 func TestFusedKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, sh := range fusedShapes {
@@ -373,5 +408,391 @@ func TestQuickQuantDequantConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCountScale: 5, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The two-pass decode the one-pass kernels in predict.go replaced: every
+// symbol of the partition Huffman-decoded into a codes buffer, then each
+// element reconstructed from its code, its verbatim values pulled through a
+// closure. refDecodePartition is the reference TestFusedDecodeMatchesReference
+// and FuzzDecodeDifferential hold decodePartition to.
+
+func reconstruct1D(recon []float32, codes []int, nextExact func() (float32, error), twoEB float64) error {
+	var left float64
+	for i, c := range codes {
+		if c == 0 {
+			v, err := nextExact()
+			if err != nil {
+				return err
+			}
+			recon[i] = v
+			left = float64(v)
+			continue
+		}
+		rf := float32(left + float64(c-radius)*twoEB)
+		recon[i] = rf
+		left = float64(rf)
+	}
+	return nil
+}
+
+func reconstruct2D(recon []float32, codes []int, nextExact func() (float32, error), d1, d2 int, twoEB float64) error {
+	var left float64
+	step := func(idx int, pred float64) error {
+		if codes[idx] == 0 {
+			v, err := nextExact()
+			if err != nil {
+				return err
+			}
+			recon[idx] = v
+			left = float64(v)
+			return nil
+		}
+		rf := float32(pred + float64(codes[idx]-radius)*twoEB)
+		recon[idx] = rf
+		left = float64(rf)
+		return nil
+	}
+	for j := 0; j < d2; j++ {
+		if err := step(j, left); err != nil {
+			return err
+		}
+	}
+	for i := 1; i < d1; i++ {
+		row := i * d2
+		if err := step(row, float64(recon[row-d2])); err != nil {
+			return err
+		}
+		for idx := row + 1; idx < row+d2; idx++ {
+			pred := left + float64(recon[idx-d2]) - float64(recon[idx-d2-1])
+			if err := step(idx, pred); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func reconstruct3D(recon []float32, codes []int, nextExact func() (float32, error), d0, d1, d2 int, twoEB float64) error {
+	sd := d1 * d2
+	var left float64
+	step := func(idx int, pred float64) error {
+		if codes[idx] == 0 {
+			v, err := nextExact()
+			if err != nil {
+				return err
+			}
+			recon[idx] = v
+			left = float64(v)
+			return nil
+		}
+		rf := float32(pred + float64(codes[idx]-radius)*twoEB)
+		recon[idx] = rf
+		left = float64(rf)
+		return nil
+	}
+	for k := 0; k < d2; k++ {
+		if err := step(k, left); err != nil {
+			return err
+		}
+	}
+	for j := 1; j < d1; j++ {
+		row := j * d2
+		if err := step(row, float64(recon[row-d2])); err != nil {
+			return err
+		}
+		for idx := row + 1; idx < row+d2; idx++ {
+			pred := left + float64(recon[idx-d2]) - float64(recon[idx-d2-1])
+			if err := step(idx, pred); err != nil {
+				return err
+			}
+		}
+	}
+	for i := 1; i < d0; i++ {
+		base := i * sd
+		if err := step(base, float64(recon[base-sd])); err != nil {
+			return err
+		}
+		for idx := base + 1; idx < base+d2; idx++ {
+			pred := left + float64(recon[idx-sd]) - float64(recon[idx-sd-1])
+			if err := step(idx, pred); err != nil {
+				return err
+			}
+		}
+		for j := 1; j < d1; j++ {
+			row := base + j*d2
+			pred := float64(recon[row-d2]) + float64(recon[row-sd]) - float64(recon[row-sd-d2])
+			if err := step(row, pred); err != nil {
+				return err
+			}
+			for idx := row + 1; idx < row+d2; idx++ {
+				pred := left + float64(recon[idx-d2]) + float64(recon[idx-sd]) -
+					float64(recon[idx-d2-1]) - float64(recon[idx-sd-1]) - float64(recon[idx-sd-d2]) +
+					float64(recon[idx-sd-d2-1])
+				if err := step(idx, pred); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// refDecodePartition is decodePartition as two passes: DecodeAll into a codes
+// buffer, then the reconstruct pass over it.
+func refDecodePartition(lane *decLane, payload []byte, outPart []float32, dims []int, twoEB float64) error {
+	exact, err := openPartition(lane, payload, len(outPart))
+	if err != nil {
+		return err
+	}
+	codes := make([]int, len(outPart))
+	if err := lane.code.DecodeAll(&lane.br, codes, quantCount); err != nil {
+		return fmt.Errorf("sz: huffman payload: %w", err)
+	}
+	exactIdx := 0
+	nextExact := func() (float32, error) {
+		if exactIdx >= len(exact) {
+			return 0, ErrCorrupt
+		}
+		v := exact[exactIdx]
+		exactIdx++
+		return v, nil
+	}
+	switch rank, d0, d1, d2 := wire.Collapse(dims); rank {
+	case 1:
+		err = reconstruct1D(outPart, codes, nextExact, twoEB)
+	case 2:
+		err = reconstruct2D(outPart, codes, nextExact, d1, d2, twoEB)
+	default:
+		err = reconstruct3D(outPart, codes, nextExact, d0, d1, d2, twoEB)
+	}
+	if err != nil {
+		return err
+	}
+	if exactIdx != len(exact) {
+		return ErrCorrupt
+	}
+	return nil
+}
+
+// refDecompress decodes buf through refDecodePartition, one partition after
+// another, stopping at the first that fails — the partition DecompressInto
+// reports too.
+func refDecompress(buf []byte) ([]float32, error) {
+	h := NewHandle(1)
+	ix, err := h.readIndex(buf)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float32, ix.n)
+	var lane decLane
+	for i, sp := range h.spans {
+		pd := partDims(ix.dims, ix.splitDepth, sp.hi-sp.lo, nil)
+		if err := refDecodePartition(&lane, h.payloads[i], out[sp.lo*ix.rowElems:sp.hi*ix.rowElems], pd, 2*ix.eb); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// errClass maps an error to the sentinel it wraps (nil for none), so "same
+// error class" is one comparison.
+func errClass(err error) error {
+	for _, class := range []error{ErrCorrupt, huffman.ErrCorrupt, huffman.ErrBadLengths,
+		huffman.ErrNoSymbols, bitstream.ErrOverrun, lossless.ErrCorrupt} {
+		if errors.Is(err, class) {
+			return class
+		}
+	}
+	return nil
+}
+
+// diffDecode requires Decompress and refDecompress to agree on buf: both
+// fail with the same error — class and message — or both succeed with the
+// same bits.
+func diffDecode(t *testing.T, buf []byte, what string) (ok bool) {
+	t.Helper()
+	want, werr := refDecompress(buf)
+	got, _, gerr := NewHandle(2).Decompress(buf)
+	if (werr == nil) != (gerr == nil) || errClass(gerr) != errClass(werr) ||
+		(werr != nil && gerr.Error() != werr.Error()) {
+		t.Fatalf("%s: err %v, reference %v", what, gerr, werr)
+	}
+	if werr != nil {
+		return false
+	}
+	if !sameBits(got, want) {
+		t.Fatalf("%s: decoded bits differ from the reference's", what)
+	}
+	return true
+}
+
+// currentGoldens returns the committed streams of the one configuration the
+// decoder reads.
+func currentGoldens(tb testing.TB) map[string][]byte {
+	paths, _ := filepath.Glob(filepath.Join("testdata", "golden_*.szs"))
+	out := map[string][]byte{}
+	for _, path := range paths {
+		if isRetiredGolden(path) {
+			continue
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[filepath.Base(path)] = raw
+	}
+	if len(out) == 0 {
+		tb.Fatal("no golden streams")
+	}
+	return out
+}
+
+// TestFusedDecodeMatchesReference holds the one-pass decoder to the two-pass
+// reference, bit for bit: on every golden stream, on the matrix field cut
+// into 96 partitions, and on 1-D, 2-D and 3-D fields where many values are
+// stored verbatim — NaN, ±Inf and the quantizer's edge quotients.
+func TestFusedDecodeMatchesReference(t *testing.T) {
+	for name, stream := range currentGoldens(t) {
+		if !diffDecode(t, stream, name) {
+			t.Fatalf("%s: the reference refuses a golden stream", name)
+		}
+	}
+
+	saved := partTargetElems
+	defer func() { partTargetElems = saved }()
+	partTargetElems = 1 << 14
+	data, dims := multiPartField(t)
+	stream, err := NewHandle(0).Compress(data, dims, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parts := len(partitionPayloads(t, stream)); parts != 96 {
+		t.Fatalf("matrix field: %d partitions, want 96", parts)
+	}
+	diffDecode(t, stream, "96-partition matrix field")
+
+	partTargetElems = 1 << 10
+	rng := rand.New(rand.NewSource(35))
+	for _, dims := range [][]int{{4099}, {37, 61}, {5, 19, 23}} {
+		n := 1
+		for _, d := range dims {
+			n *= d
+		}
+		for _, eb := range []float64{0.5, 1e-3} {
+			data := quantizerEdges(n)
+			for i := range data {
+				if i%5 != 2 {
+					data[i] = float32(float64(data[i]) + rng.NormFloat64()*eb*30)
+				}
+			}
+			data[n/3] = float32(math.NaN())
+			data[n/2] = float32(math.Inf(-1))
+			stream, err := NewHandle(0).Compress(data, dims, eb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("%v edge field at %g", dims, eb)
+			if !diffDecode(t, stream, what) {
+				t.Fatalf("%s: the reference refuses it", what)
+			}
+		}
+	}
+}
+
+// partitionContainer is partition i's container under the lossless stage:
+// its verbatim values and its Huffman bytes (table, then symbols).
+func partitionContainer(t testing.TB, stream []byte, i int) (exact []float32, huff []byte) {
+	t.Helper()
+	raw, err := lossless.Decompress(partitionPayloads(t, stream)[i])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := wire.NewReader(raw, ErrCorrupt)
+	exact = make([]float32, rd.Uint64())
+	for k := range exact {
+		exact[k] = rd.Float32()
+	}
+	huff = rd.Bytes(int(rd.Uint64()))
+	if rd.Err() != nil {
+		t.Fatal(rd.Err())
+	}
+	return exact, huff
+}
+
+// restream returns stream with partition i's container replaced by
+// (exact, huff), lossless-coded afresh, and the partition index rewritten to
+// match: a stream whose header is sound and whose partition is not.
+func restream(t testing.TB, stream []byte, i int, exact []float32, huff []byte) []byte {
+	t.Helper()
+	inner := wire.AppendUint64(nil, uint64(len(exact)))
+	for _, v := range exact {
+		inner = wire.AppendFloat32(inner, v)
+	}
+	inner = wire.AppendUint64(inner, uint64(len(huff)))
+	inner = append(inner, huff...)
+	payloads := partitionPayloads(t, stream)
+	sum := 0
+	for _, p := range payloads {
+		sum += len(p)
+	}
+	h := NewHandle(1)
+	if _, err := h.readIndex(stream); err != nil {
+		t.Fatal(err)
+	}
+	payloads[i] = lossless.AppendCompress(nil, inner, lossless.Defaults())
+	out := append([]byte(nil), stream[:len(stream)-sum-16*len(payloads)]...)
+	for j, sp := range h.spans {
+		out = wire.AppendUint64(out, uint64(sp.hi-sp.lo))
+		out = wire.AppendUint64(out, uint64(len(payloads[j])))
+	}
+	for _, p := range payloads {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// hostilePartitions are streams, derived from a golden, whose first
+// partition ends its Huffman bytes at every stride-th byte (mid-code, mostly),
+// has a bit flipped there, or stores one verbatim value too few or too many
+// — alone, and with the symbols cut short too, where the Huffman error must
+// be the one reported. The first is the golden re-coded, intact.
+func hostilePartitions(t testing.TB, stream []byte, stride int) [][]byte {
+	exact, huff := partitionContainer(t, stream, 0)
+	if len(exact) == 0 {
+		t.Fatal("golden's first partition stores no verbatim value")
+	}
+	fewer, more := exact[:len(exact)-1], append(append([]float32(nil), exact...), 7)
+	out := [][]byte{restream(t, stream, 0, exact, huff), restream(t, stream, 0, fewer, huff),
+		restream(t, stream, 0, more, huff)}
+	for cut := 0; cut < len(huff); cut += stride {
+		out = append(out, restream(t, stream, 0, exact, huff[:cut]), restream(t, stream, 0, fewer, huff[:cut]))
+		flip := append([]byte(nil), huff...)
+		flip[cut] ^= 1 << (cut % 8)
+		out = append(out, restream(t, stream, 0, exact, flip))
+	}
+	return out
+}
+
+// TestFusedDecodeErrorPrecedence runs the differential over hostile
+// partitions of the 3-D golden: the one-pass decoder reports what the two
+// passes reported — a Huffman error ahead of a verbatim-count mismatch.
+func TestFusedDecodeErrorPrecedence(t *testing.T) {
+	stream := currentGoldens(t)["golden_v4_order1_3d.f32.szs"]
+	hostile := hostilePartitions(t, stream, 29)
+	if !diffDecode(t, hostile[0], "re-coded golden") {
+		t.Fatal("the golden re-coded partition by partition does not decode")
+	}
+	classes := map[error]int{}
+	for i, s := range hostile[1:] {
+		if !diffDecode(t, s, fmt.Sprintf("hostile stream %d", i+1)) {
+			_, err := refDecompress(s)
+			classes[errClass(err)]++
+		}
+	}
+	for _, class := range []error{ErrCorrupt, bitstream.ErrOverrun} {
+		if classes[class] == 0 {
+			t.Fatalf("no hostile stream failed with %v; classes %v", class, classes)
+		}
 	}
 }

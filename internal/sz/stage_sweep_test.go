@@ -20,7 +20,7 @@ const (
 
 // partitionPayloads walks a v4 stream's header and partition index and
 // returns each partition's lossless-coded payload.
-func partitionPayloads(t *testing.T, stream []byte) [][]byte {
+func partitionPayloads(t testing.TB, stream []byte) [][]byte {
 	t.Helper()
 	rd := wire.NewReader(stream, ErrCorrupt)
 	for i := 0; i < 5; i++ { // magic, version, kind, quantBits, predOrder

@@ -416,7 +416,6 @@ func compressPartition(lane *laneScratch, out *partOut, wc *obs.WorkerClock, dat
 // alone touches ~NumSymbols of storage per partition, so reusing it is most
 // of the decode-side allocation win.
 type decLane struct {
-	codes []int
 	raw   []byte // lossless-decoded partition container
 	exact []float32
 	code  huffman.Code
@@ -429,6 +428,17 @@ func (h *Handle) Decompress(buf []byte) ([]float32, []int, error) {
 	return h.DecompressInto(nil, buf)
 }
 
+// streamIndex is what a stream's header and partition index state, once
+// readIndex has checked it: the bound, the shape, the split depth, the
+// element count and the elements per virtual row. The partitions' row spans
+// and payloads are left in the Handle's spans and payloads.
+type streamIndex struct {
+	eb          float64
+	dims        []int
+	splitDepth  int
+	n, rowElems int
+}
+
 // DecompressInto is Decompress landing in dst's backing array when it has
 // the capacity for the stream's element count, avoiding the output
 // allocation; it allocates like Decompress when it does not. Every element
@@ -437,33 +447,76 @@ func (h *Handle) DecompressInto(dst []float32, buf []byte) ([]float32, []int, er
 	span := obs.Start("sz.decompress")
 	defer span.End()
 
+	ix, err := h.readIndex(buf)
+	if err != nil {
+		return nil, nil, err
+	}
+	workers := h.workers
+	obs.Set("lcpio_sz_workers", float64(workers))
+	span.SetWorkload("sz.decompress", int64(ix.n)*wire.ElemBits/8)
+
+	// Every check that refuses a stream from its header has run: dst is
+	// used when it can hold the array, and nothing was sized before now.
+	out := wire.Sized(dst, ix.n)
+	spans := h.spans
+	h.dec.SizeTo(min(workers, len(spans)))
+	h.errs = wire.Sized(h.errs, len(spans))
+	errs := h.errs
+	pdLen := 1 + len(ix.dims) - ix.splitDepth
+	h.pdims = wire.Sized(h.pdims, len(spans)*pdLen)
+	pdimsBuf := h.pdims
+
+	pt := obs.StartPipeline("sz.decompress", workers)
+	par.RunWorker(len(spans), workers, func(w, i int) {
+		wc := pt.Worker(w)
+		wc.Run("decode_partition")
+		lane := h.dec.Lane(w)
+		pd := partDims(ix.dims, ix.splitDepth, spans[i].hi-spans[i].lo,
+			pdimsBuf[i*pdLen:i*pdLen:i*pdLen+pdLen])
+		errs[i] = decodePartition(lane, h.payloads[i], out[spans[i].lo*ix.rowElems:spans[i].hi*ix.rowElems],
+			pd, 2*ix.eb)
+		wc.WaitInput()
+	})
+	pt.End()
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return out, ix.dims, nil
+}
+
+// readIndex checks buf's header and partition index, leaving the partitions'
+// row spans in h.spans and their payloads in h.payloads.
+func (h *Handle) readIndex(buf []byte) (streamIndex, error) {
+	var ix streamIndex
 	rd := wire.NewReader(buf, ErrCorrupt)
 	if rd.Uint32() != magic {
-		return nil, nil, ErrCorrupt
+		return ix, ErrCorrupt
 	}
 	if ver := rd.Uint32(); ver != version {
 		if rd.Err() != nil {
-			return nil, nil, ErrCorrupt
+			return ix, ErrCorrupt
 		}
-		return nil, nil, fmt.Errorf("sz: unsupported version %d", ver)
+		return ix, fmt.Errorf("sz: unsupported version %d", ver)
 	}
 	if bits := rd.Uint32(); bits != wire.ElemBits {
 		if rd.Err() != nil {
-			return nil, nil, ErrCorrupt
+			return ix, ErrCorrupt
 		}
-		return nil, nil, fmt.Errorf("sz: unsupported element width %d", bits)
+		return ix, fmt.Errorf("sz: unsupported element width %d", bits)
 	}
 	// The one configuration: any other quantizer width or predictor order
 	// (streams older builds could write) is refused before anything is sized.
 	qb, po := rd.Uint32(), rd.Uint32()
 	if rd.Err() == nil && (qb != quantBits || po != predOrder) {
-		return nil, nil, fmt.Errorf("sz: unsupported configuration (quantBits %d, predictor order %d)", qb, po)
+		return ix, fmt.Errorf("sz: unsupported configuration (quantBits %d, predictor order %d)", qb, po)
 	}
 	eb := rd.Float64()
 	dims, n := rd.Dims()
 	splitDepth := int(rd.Uint32())
 	if rd.Err() != nil || !(eb > 0) || math.IsInf(eb, 0) || splitDepth < 1 || splitDepth > len(dims) {
-		return nil, nil, ErrCorrupt
+		return ix, ErrCorrupt
 	}
 	ext := 1
 	for _, dd := range dims[:splitDepth] {
@@ -471,7 +524,7 @@ func (h *Handle) DecompressInto(dst []float32, buf []byte) ([]float32, []int, er
 	}
 	numParts := int(rd.Uint32())
 	if rd.Err() != nil || numParts <= 0 || numParts > maxPartitions {
-		return nil, nil, ErrCorrupt
+		return ix, ErrCorrupt
 	}
 	h.spans = h.spans[:0]
 	h.payloads = wire.Sized(h.payloads, numParts)
@@ -485,7 +538,7 @@ func (h *Handle) DecompressInto(dst []float32, buf []byte) ([]float32, []int, er
 		plen := rd.Uint64()
 		if rd.Err() != nil || rows == 0 || rows > uint64(ext-rowSum) ||
 			plen > uint64(rd.Remaining()) {
-			return nil, nil, ErrCorrupt
+			return ix, ErrCorrupt
 		}
 		h.spans = append(h.spans, partSpan{rowSum, rowSum + int(rows)})
 		lens[i] = int(plen)
@@ -493,7 +546,7 @@ func (h *Handle) DecompressInto(dst []float32, buf []byte) ([]float32, []int, er
 		payloadSum += int(plen)
 	}
 	if rowSum != ext || payloadSum > rd.Remaining() {
-		return nil, nil, ErrCorrupt
+		return ix, ErrCorrupt
 	}
 	// Plausibility: every element costs at least one Huffman bit before the
 	// lossless stage, which expands at most lossless.MaxExpansion bytes per
@@ -503,65 +556,61 @@ func (h *Handle) DecompressInto(dst []float32, buf []byte) ([]float32, []int, er
 	for i, sp := range h.spans {
 		elems := uint64(sp.hi-sp.lo) * uint64(rowElems)
 		if elems/8 > uint64(lens[i])*lossless.MaxExpansion+1024 {
-			return nil, nil, ErrCorrupt
+			return ix, ErrCorrupt
 		}
 	}
 	for i := range payloads {
 		payloads[i] = rd.Bytes(lens[i])
 	}
 	if rd.Err() != nil {
-		return nil, nil, ErrCorrupt
+		return ix, ErrCorrupt
 	}
-
-	workers := h.workers
-	obs.Set("lcpio_sz_workers", float64(workers))
-	span.SetWorkload("sz.decompress", int64(n)*wire.ElemBits/8)
-
-	// Every check that refuses a stream from its header has run: dst is
-	// used when it can hold the array, and nothing was sized before now.
-	out := wire.Sized(dst, n)
-	spans := h.spans
-	h.dec.SizeTo(min(workers, len(spans)))
-	h.errs = wire.Sized(h.errs, len(spans))
-	errs := h.errs
-	pdLen := 1 + len(dims) - splitDepth
-	h.pdims = wire.Sized(h.pdims, len(spans)*pdLen)
-	pdimsBuf := h.pdims
-
-	pt := obs.StartPipeline("sz.decompress", workers)
-	par.RunWorker(len(spans), workers, func(w, i int) {
-		wc := pt.Worker(w)
-		wc.Run("decode_partition")
-		lane := h.dec.Lane(w)
-		pd := partDims(dims, splitDepth, spans[i].hi-spans[i].lo,
-			pdimsBuf[i*pdLen:i*pdLen:i*pdLen+pdLen])
-		errs[i] = decodePartition(lane, payloads[i], out[spans[i].lo*rowElems:spans[i].hi*rowElems],
-			pd, 2*eb)
-		wc.WaitInput()
-	})
-	pt.End()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return out, dims, nil
+	return streamIndex{eb: eb, dims: dims, splitDepth: splitDepth, n: n, rowElems: rowElems}, nil
 }
 
 // decodePartition decodes one partition payload into outPart (the
-// partition's disjoint sub-range of the output array).
+// partition's disjoint sub-range of the output array) in one pass: each
+// element's Huffman symbol goes straight into the Lorenzo reconstruction.
 func decodePartition(lane *decLane, payload []byte, outPart []float32, dims []int, twoEB float64) error {
+	exact, err := openPartition(lane, payload, len(outPart))
+	if err != nil {
+		return err
+	}
+	d := lane.code.NewDecoder(&lane.br)
+	var used int
+	switch rank, d0, d1, d2 := wire.Collapse(dims); rank {
+	case 1:
+		used, err = decode1D(outPart, &d, exact, twoEB)
+	case 2:
+		used, err = decode2D(outPart, &d, exact, d1, d2, twoEB)
+	default:
+		used, err = decode3D(outPart, &d, exact, d0, d1, d2, twoEB)
+	}
+	// A Huffman error outranks a verbatim-count mismatch, as it did when
+	// every symbol was decoded before the first value was reconstructed.
+	if err != nil {
+		return fmt.Errorf("sz: huffman payload: %w", err)
+	}
+	if used != len(exact) {
+		return ErrCorrupt
+	}
+	return nil
+}
+
+// openPartition undoes the lossless stage of a partition of n elements and
+// parses the container under it: it returns the verbatim values, and leaves
+// the Huffman table in lane.code and lane.br at the coded symbols after it.
+func openPartition(lane *decLane, payload []byte, n int) ([]float32, error) {
 	raw, err := lossless.AppendDecompress(lane.raw[:0], payload)
 	if err != nil {
-		return fmt.Errorf("sz: lossless stage: %w", err)
+		return nil, fmt.Errorf("sz: lossless stage: %w", err)
 	}
 	lane.raw = raw
 
-	n := len(outPart)
 	rd := wire.NewReader(raw, ErrCorrupt)
 	numExact := int(rd.Uint64())
 	if rd.Err() != nil || numExact < 0 || numExact > n {
-		return ErrCorrupt
+		return nil, ErrCorrupt
 	}
 	lane.exact = wire.Sized(lane.exact, numExact)
 	exact := lane.exact
@@ -569,51 +618,20 @@ func decodePartition(lane *decLane, payload []byte, outPart []float32, dims []in
 		exact[i] = rd.Float32()
 	}
 	if rd.Err() != nil {
-		return ErrCorrupt
+		return nil, ErrCorrupt
 	}
 	huffLen := int(rd.Uint64())
 	if rd.Err() != nil || huffLen < 0 || huffLen > rd.Remaining() {
-		return ErrCorrupt
+		return nil, ErrCorrupt
 	}
 	huffPayload := rd.Bytes(huffLen)
 	if rd.Err() != nil {
-		return ErrCorrupt
+		return nil, ErrCorrupt
 	}
 
-	br := &lane.br
-	br.Reset(huffPayload)
-	code := &lane.code
-	if err := huffman.ReadTableInto(br, code, &lane.lens, quantCount); err != nil {
-		return fmt.Errorf("sz: huffman table: %w", err)
+	lane.br.Reset(huffPayload)
+	if err := huffman.ReadTableInto(&lane.br, &lane.code, &lane.lens, quantCount); err != nil {
+		return nil, fmt.Errorf("sz: huffman table: %w", err)
 	}
-	lane.codes = wire.Sized(lane.codes, n)
-	codes := lane.codes
-	if err := code.DecodeAll(br, codes, quantCount); err != nil {
-		return fmt.Errorf("sz: huffman payload: %w", err)
-	}
-
-	exactIdx := 0
-	nextExact := func() (float32, error) {
-		if exactIdx >= len(exact) {
-			return 0, ErrCorrupt
-		}
-		v := exact[exactIdx]
-		exactIdx++
-		return v, nil
-	}
-	switch rank, d0, d1, d2 := wire.Collapse(dims); rank {
-	case 1:
-		err = reconstruct1D(outPart, codes, nextExact, twoEB)
-	case 2:
-		err = reconstruct2D(outPart, codes, nextExact, d1, d2, twoEB)
-	default:
-		err = reconstruct3D(outPart, codes, nextExact, d0, d1, d2, twoEB)
-	}
-	if err != nil {
-		return err
-	}
-	if exactIdx != len(exact) {
-		return ErrCorrupt
-	}
-	return nil
+	return exact, nil
 }

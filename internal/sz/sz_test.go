@@ -293,39 +293,7 @@ func TestIdempotentRecompression(t *testing.T) {
 	}
 }
 
-// BenchmarkCompressField compresses one rank of each sz workload of the
-// end-to-end benchmark — NYX velocity_x at 1e-3 of its range, where
-// predict/quantize owns the time, and HACC vx at 1e-4, where the entropy and
-// lossless stages do — on one worker, so ns/op is the per-rank CPU cost.
-func BenchmarkCompressField(b *testing.B) {
-	for _, tc := range []struct {
-		dataset string
-		rel     float64
-	}{{"NYX", 1e-3}, {"HACC", 1e-4}} {
-		b.Run(tc.dataset, func(b *testing.B) {
-			spec, _ := fpdata.Lookup(tc.dataset, "")
-			f := fpdata.Generate(spec, spec.ScaleFor(2<<20), 0)
-			lo, hi := f.Range()
-			eb := tc.rel * float64(hi-lo)
-			h := NewHandle(1)
-			dst, err := h.CompressAppend(nil, f.Data, f.Dims, eb)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(f.SizeBytes())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if dst, err = h.CompressAppend(dst[:0], f.Data, f.Dims, eb); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(f.SizeBytes())/float64(len(dst)), "ratio")
-		})
-	}
-}
-
-// BenchmarkDecompress2D decodes through reconstruct2D, which no fpdata field
+// BenchmarkDecompress2D decodes through decode2D, which no fpdata field
 // reaches on its own (every generator is 1-D or 3-D): the CESM climate stack
 // read as one tall sheet, on one worker.
 func BenchmarkDecompress2D(b *testing.B) {
