@@ -14,8 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"lcpio/internal/dvfs"
-	"lcpio/internal/machine"
 	"lcpio/internal/obs"
 )
 
@@ -153,9 +151,6 @@ func setupTelemetry(gf globalFlags, cmdName string) (func() error, error) {
 	var prog *progressLine
 	if gf.telemetryWanted() || progressOn {
 		reg = obs.NewRegistry()
-		// Price span workloads through the simulated machine model so traces
-		// carry joules; campaign phases attribute their exact energy instead.
-		reg.SetEnergyModel(machine.EnergyModel(dvfs.Broadwell()))
 		if progressOn {
 			prog = &progressLine{reg: reg, out: os.Stderr}
 			reg.SetTap(prog)

@@ -2,10 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"lcpio/internal/obs"
 )
 
 func TestParseGlobalFlags(t *testing.T) {
@@ -104,6 +107,73 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if len(root.Children) == 0 {
 		t.Fatal("root span has no children — pipeline spans not nested under the command")
 	}
+	// fig6 prices its table outside the trace: no leg is executed, so no
+	// span carries a joule.
+	if root, _, stray := traceJoules(t, trace); root != 0 {
+		t.Fatalf("fig6 trace carries %v J (on %v), want none", root, stray)
+	}
+}
+
+// TestTraceJoulesArePhaseLegs: the trace of a priced campaign holds exactly
+// the joules of the legs phases executed, and no other span carries any —
+// the codec, nfs and ec spans of the write itself included.
+func TestTraceJoulesArePhaseLegs(t *testing.T) {
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "t.json")
+	gf, rest, err := parseGlobalFlags([]string{"--trace", trace, "ckpt", "write",
+		"-out", filepath.Join(dir, "w.lcpt"), "-ranks", "2", "-fields", "1", "-elems", "8192",
+		"-energy", "-iters", "1", "-compute", "0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	finish, err := setupTelemetry(gf, rest[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdCkpt(rest[1:]); err != nil {
+		t.Fatalf("ckpt write: %v", err)
+	}
+	if err := finish(); err != nil {
+		t.Fatalf("finish: %v", err)
+	}
+	root, legs, stray := traceJoules(t, trace)
+	if len(stray) > 0 {
+		t.Fatalf("joules on spans other than phases.phase: %v", stray)
+	}
+	if legs <= 0 || math.Abs(root-legs) > 1e-12*legs {
+		t.Fatalf("trace root %v J, phases.phase spans %v J: want equal and > 0", root, legs)
+	}
+}
+
+// traceJoules reads a recorded trace and returns its RootJoules, the self
+// joules summed over its phases.phase spans, and the names of any other
+// spans carrying joules.
+func traceJoules(t *testing.T, path string) (root, legs float64, stray []string) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	snap, err := obs.ReadSnapshot(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walk func(n *obs.SpanNode)
+	walk = func(n *obs.SpanNode) {
+		if n.Name == "phases.phase" {
+			legs += n.SelfJoules
+		} else if n.SelfJoules != 0 {
+			stray = append(stray, n.Name)
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	for _, n := range snap.Spans {
+		walk(n)
+	}
+	return snap.RootJoules(), legs, stray
 }
 
 // TestTelemetryDisabledByDefault checks that running a command with no

@@ -4,44 +4,58 @@ import (
 	"math"
 	"testing"
 
-	"lcpio/internal/dvfs"
-	"lcpio/internal/machine"
 	"lcpio/internal/obs"
+	"lcpio/internal/phases"
 )
 
-// TestCampaignEnergyReconcilesWithTrace is the issue's acceptance check: a
-// checkpoint campaign run under a recording registry must attribute energy
-// to its span tree that matches the phases.EnergyReport totals within 1%.
+// TestCampaignEnergyReconcilesWithTrace: a write and its campaign report,
+// run under one recording registry with no compute phase, put exactly the
+// report's joules in the trace. Every joule in a trace is a leg phases
+// priced; the write's own codec, nfs and ec spans carry none.
 func TestCampaignEnergyReconcilesWithTrace(t *testing.T) {
-	// The write itself runs outside any registry: its nfs/sz spans would be
-	// model-priced roots unrelated to the campaign's exact attribution.
-	med := NewMemMedium()
-	res := mustWrite(t, med, testSet(3), WriteOptions{Workers: 2})
+	for _, codec := range []string{"sz", "zfp"} {
+		full := deltaSet("full", 3, 48, 64)
+		full.Codec = codec
+		baseMed := NewMemMedium()
+		mustWrite(t, baseMed, full, WriteOptions{Workers: 2})
+		base := mustOpenBase(t, baseMed, nil, deltaParams)
+		next := churn(full, "next", 0.2)
+		for _, k := range []struct {
+			name string
+			set  Set
+			opts WriteOptions
+		}{
+			{"full", full, WriteOptions{Workers: 2}},
+			{"parity", full, WriteOptions{Workers: 2, ParityRanks: 2}},
+			{"delta", next, WriteOptions{Workers: 2, Base: base}},
+		} {
+			name := codec + "/" + k.name
+			r := obs.NewRegistry()
+			prev := obs.Use(r)
+			root := obs.Start("campaign")
+			res, err := Write(NewMemMedium(), k.set, k.opts)
+			var cmp phases.Comparison
+			if err == nil {
+				cmp, err = res.EnergyReport(CampaignOptions{})
+			}
+			root.End()
+			obs.Use(prev)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
 
-	r := obs.NewRegistry()
-	r.SetEnergyModel(machine.EnergyModel(dvfs.Broadwell()))
-	prev := obs.Use(r)
-	t.Cleanup(func() { obs.Use(prev) })
-
-	root := obs.Start("campaign")
-	cmp, err := res.EnergyReport(CampaignOptions{Iterations: 5, ComputeSeconds: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	root.End()
-	obs.Use(prev)
-
-	want := cmp.Base.Joules + cmp.Tuned.Joules // Compare executes both plans
-	if want <= 0 {
-		t.Fatalf("campaign joules = %v, want > 0", want)
-	}
-	snap := r.Snapshot()
-	if len(snap.Spans) != 1 {
-		t.Fatalf("want one root span, got %d", len(snap.Spans))
-	}
-	got := snap.Spans[0].Joules
-	if rel := math.Abs(got-want) / want; rel > 0.01 {
-		t.Fatalf("trace root joules %v vs EnergyReport total %v: rel err %v > 1%%", got, want, rel)
+			want := cmp.Base.Joules + cmp.Tuned.Joules // Compare executes both plans
+			if want <= 0 {
+				t.Fatalf("%s: campaign joules = %v, want > 0", name, want)
+			}
+			snap := r.Snapshot()
+			if len(snap.Spans) != 1 {
+				t.Fatalf("%s: want one root span, got %d", name, len(snap.Spans))
+			}
+			if got := snap.RootJoules(); math.Abs(got-want) > 1e-9*want {
+				t.Fatalf("%s: trace root joules %v, EnergyReport base + tuned %v", name, got, want)
+			}
+		}
 	}
 }
 

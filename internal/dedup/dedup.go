@@ -218,7 +218,6 @@ const gearWindow = 64
 // bytes of a chunk before that are never read.
 func split[S any](data S, n int, p Params, scan func(data S, from, first, last, align int, mask uint64) int) []int {
 	span := obs.Start("dedup.split")
-	span.SetWorkload("dedup.split", int64(n))
 	defer span.End()
 	p = p.Normalized()
 	mask := p.mask()

@@ -92,7 +92,6 @@ func (c *Coder) UpdateParity(parity [][]byte, idx int, shard []byte, workers int
 		return parity, nil
 	}
 	span := obs.Start("ec.encode")
-	span.SetWorkload("ec.encode", int64(len(shard)))
 	startT := time.Now()
 	stripeRun(len(shard), workers, func(lo, hi int) {
 		for j := 0; j < c.m; j++ {
@@ -165,7 +164,6 @@ func (c *Coder) Reconstruct(shards [][]byte, workers int) error {
 		return nil
 	}
 	span := obs.Start("ec.reconstruct")
-	span.SetWorkload("ec.reconstruct", int64(len(missing)*shardLen))
 	defer span.End()
 	startT := time.Now()
 

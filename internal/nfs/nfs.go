@@ -159,7 +159,6 @@ const (
 // profile. Deterministic, including under fault injection with a fixed seed.
 func (m Mount) Write(bytes int64) Transfer {
 	span := obs.Start("nfs.write")
-	span.SetWorkload("nfs.write", bytes)
 	defer span.End()
 	t := m.transfer(bytes, dirWrite)
 	obs.Add("lcpio_nfs_write_bytes_total", bytes)
@@ -179,7 +178,6 @@ func (m Mount) Write(bytes int64) Transfer {
 // package.
 func (m Mount) Read(bytes int64) Transfer {
 	span := obs.Start("nfs.read")
-	span.SetWorkload("nfs.read", bytes)
 	defer span.End()
 	t := m.transfer(bytes, dirRead)
 	obs.Add("lcpio_nfs_read_bytes_total", bytes)

@@ -16,14 +16,11 @@ type SpanNode struct {
 	StartUS int64  `json:"start_us"`
 	DurUS   int64  `json:"dur_us"`
 	Open    bool   `json:"open,omitempty"`
-	// SelfJoules is energy attributed directly to this span (AddEnergy
-	// plus the EnergyModel's pricing of its workload); Joules rolls
-	// children's totals up into it, so a root's Joules is the whole
-	// tree's energy.
+	// SelfJoules is energy attributed directly to this span, the sum of
+	// its AddEnergy calls; Joules rolls children's totals up into it, so a
+	// root's Joules is the whole tree's energy.
 	SelfJoules float64           `json:"self_joules,omitempty"`
 	Joules     float64           `json:"joules,omitempty"`
-	Workload   string            `json:"workload,omitempty"`
-	WorkBytes  int64             `json:"work_bytes,omitempty"`
 	Attrs      map[string]string `json:"attrs,omitempty"`
 	Children   []*SpanNode       `json:"children,omitempty"`
 }
@@ -162,8 +159,6 @@ func (r *Registry) Snapshot() Snapshot {
 			Open:       !rec.ended,
 			SelfJoules: rec.selfJoules,
 			Joules:     rec.selfJoules,
-			Workload:   rec.workload,
-			WorkBytes:  rec.workBytes,
 		}
 		if len(rec.attrs) > 0 {
 			n.Attrs = make(map[string]string, len(rec.attrs))

@@ -7,6 +7,8 @@
 // from per-phase attribution — energy and runtime measured separately for
 // compression and data transit (Section III) — so the pipelines that
 // reproduce those numbers are instrumented at the same phase boundaries.
+// Spans carry simulated energy only through Span.AddEnergy, which the
+// phases package calls with each leg it prices; obs itself prices nothing.
 //
 // Design: one process-global *Registry installed with Use. Every
 // instrumentation entry point (Start, Add, AddFloat, Set, Observe) first
@@ -67,8 +69,6 @@ type spanRecord struct {
 	ended      bool
 	attrs      []Attr
 	selfJoules float64 // energy attributed directly to this span
-	workload   string  // workload class priced by the energy model at End
-	workBytes  int64   // raw bytes the workload covers
 }
 
 // spanStat accumulates per-name span totals for the metrics exporters.
@@ -78,19 +78,11 @@ type spanStat struct {
 	joules  float64
 }
 
-// EnergyModel prices one ended span's declared workload (see
-// Span.SetWorkload) in joules. class is the workload class, bytes the raw
-// bytes it covered, elapsed the span's wall-clock duration. Returning 0
-// leaves the span unpriced. The model runs outside the registry lock, so
-// it may be arbitrary code (including code that consults the registry).
-type EnergyModel func(class string, bytes int64, elapsed time.Duration) float64
-
 // Registry collects spans and metrics. Create with NewRegistry and
 // install with Use. All methods are safe for concurrent use.
 type Registry struct {
-	epoch  time.Time
-	tap    Recorder    // set before Use; not mutated afterwards
-	energy EnergyModel // set before Use; not mutated afterwards
+	epoch time.Time
+	tap   Recorder // set before Use; not mutated afterwards
 
 	mu        sync.Mutex
 	spans     []spanRecord
@@ -121,11 +113,6 @@ func NewRegistry() *Registry {
 // SetTap attaches a live event recorder. Call before Use; the tap is
 // read without synchronization once the registry is installed.
 func (r *Registry) SetTap(rec Recorder) { r.tap = rec }
-
-// SetEnergyModel attaches the model that prices span workloads at End.
-// Call before Use; the model is read without synchronization once the
-// registry is installed.
-func (r *Registry) SetEnergyModel(m EnergyModel) { r.energy = m }
 
 // Span is a handle to one span. The zero Span (returned when telemetry
 // is disabled) ignores every method call.
@@ -211,23 +198,6 @@ func (s Span) AddEnergy(joules float64) {
 	s.reg.mu.Unlock()
 }
 
-// SetWorkload declares what the span is doing — a workload class (by
-// convention the span name, e.g. "sz.compress") and the raw bytes it
-// covers — so the registry's EnergyModel can price it when the span ends.
-// Calling SetWorkload after End is a no-op.
-func (s Span) SetWorkload(class string, bytes int64) {
-	if s.reg == nil {
-		return
-	}
-	s.reg.mu.Lock()
-	rec := &s.reg.spans[s.id]
-	if !rec.ended {
-		rec.workload = class
-		rec.workBytes = bytes
-	}
-	s.reg.mu.Unlock()
-}
-
 // End closes the span and returns its wall-clock duration (zero when
 // telemetry is disabled). Ending a span twice is a no-op. Per-name
 // duration totals feed the lcpio_span_seconds_total metric family.
@@ -251,19 +221,6 @@ func (s Span) End() time.Duration {
 		}
 	}
 	name, d := rec.name, rec.dur
-	workload, workBytes := rec.workload, rec.workBytes
-	r.mu.Unlock()
-
-	// Price the declared workload outside the registry lock: the model is
-	// arbitrary code and may itself consult the registry.
-	var priced float64
-	if workload != "" && r.energy != nil {
-		priced = r.energy(workload, workBytes, d)
-	}
-
-	r.mu.Lock()
-	rec = &r.spans[s.id]
-	rec.selfJoules += priced
 	st := r.spanStats[name]
 	if st == nil {
 		st = &spanStat{}

@@ -118,15 +118,11 @@ func (snap Snapshot) WriteChromeTrace(w io.Writer) error {
 			TS: n.StartUS, Dur: n.DurUS,
 			PID: 1, TID: laneOf[i] + 1,
 		}
-		if n.Joules != 0 || n.Workload != "" || len(n.Attrs) > 0 || n.Open {
+		if n.Joules != 0 || len(n.Attrs) > 0 || n.Open {
 			ev.Args = make(map[string]any)
 			if n.Joules != 0 {
 				ev.Args["joules"] = n.Joules
 				ev.Args["self_joules"] = n.SelfJoules
-			}
-			if n.Workload != "" {
-				ev.Args["workload"] = n.Workload
-				ev.Args["work_bytes"] = n.WorkBytes
 			}
 			if n.Open {
 				ev.Args["open"] = true

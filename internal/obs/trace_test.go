@@ -239,4 +239,30 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !ok || p.Workers != 2 || p.Stages["s1"].Items != 1 {
 		t.Fatalf("pipeline lost in round trip: %+v", p)
 	}
+
+	// A trace recorded while spans could still declare a workload for a
+	// span-side energy model carries "workload"/"work_bytes" keys on its
+	// nodes. It still decodes, and its joules still roll up and render.
+	const retired = `{"spans":[{"name":"lcpio.fig6","start_us":0,"dur_us":10,
+		"self_joules":0.5,"joules":3,"children":[{"name":"nfs.write","start_us":1,
+		"dur_us":5,"self_joules":2.5,"joules":2.5,"workload":"nfs.write","work_bytes":4096}]}],
+		"span_totals":{},"counters":{},"gauges":{},"histograms":{}}`
+	old, err := ReadSnapshot(strings.NewReader(retired))
+	if err != nil {
+		t.Fatalf("trace with retired workload keys refused: %v", err)
+	}
+	rt := old.Spans[0]
+	if len(rt.Children) != 1 || rt.SelfJoules+rt.Children[0].Joules != rt.Joules || old.RootJoules() != 3 {
+		t.Fatalf("retired-key trace joules do not roll up: %+v, RootJoules %v", rt, old.RootJoules())
+	}
+	var folded bytes.Buffer
+	if err := old.WriteFolded(&folded, true); err != nil {
+		t.Fatal(err)
+	}
+	if want := "lcpio.fig6 500000\nlcpio.fig6;nfs.write 2500000\n"; folded.String() != want {
+		t.Fatalf("retired-key trace folded energy = %q, want %q", folded.String(), want)
+	}
+	if err := old.WriteTree(&folded); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -2,9 +2,7 @@ package sz
 
 import (
 	"math"
-	"sync"
 	"testing"
-	"time"
 
 	"lcpio/internal/fpdata"
 	"lcpio/internal/lossless"
@@ -66,48 +64,6 @@ func TestCompressOccupancyNamesSerializedStage(t *testing.T) {
 	}
 	if p.Summary("sz.compress") == "" {
 		t.Fatal("empty pipeline summary")
-	}
-}
-
-// TestCompressWorkloadDeclared checks the span energy plumbing end to end
-// inside sz: with an energy model installed, the top-level compress and
-// decompress spans declare their raw-byte workloads and get priced.
-func TestCompressWorkloadDeclared(t *testing.T) {
-	r := obs.NewRegistry()
-	classes := make(map[string]int64)
-	var mu sync.Mutex
-	r.SetEnergyModel(func(class string, bytes int64, _ time.Duration) float64 {
-		mu.Lock()
-		classes[class] = bytes
-		mu.Unlock()
-		return 1
-	})
-	prev := obs.Use(r)
-	t.Cleanup(func() { obs.Use(prev) })
-
-	dims := []int{32, 32}
-	data := make([]float32, dims[0]*dims[1])
-	for i := range data {
-		data[i] = float32(i % 17)
-	}
-	blob, err := NewHandle(0).Compress(data, dims, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := NewHandle(0).Decompress(blob); err != nil {
-		t.Fatal(err)
-	}
-
-	raw := int64(len(data)) * 4
-	if classes["sz.compress"] != raw {
-		t.Fatalf("sz.compress workload = %d bytes, want %d", classes["sz.compress"], raw)
-	}
-	if classes["sz.decompress"] != raw {
-		t.Fatalf("sz.decompress workload = %d bytes, want %d", classes["sz.decompress"], raw)
-	}
-	snap := r.Snapshot()
-	if j := snap.SpanTotals["sz.compress"].Joules; j != 1 {
-		t.Fatalf("sz.compress joules = %v, want the model's 1", j)
 	}
 }
 

@@ -251,7 +251,6 @@ func compressInto(h *Handle, dst []byte, data []float32, dims []int, eb float64)
 
 	rawBytes := int64(len(data)) * wire.ElemBits / 8
 	span := obs.Start("sz.compress")
-	span.SetWorkload("sz.compress", rawBytes)
 	defer span.End()
 
 	splitDepth, spans := partitionPlan(dims, h.spans)
@@ -453,7 +452,6 @@ func (h *Handle) DecompressInto(dst []float32, buf []byte) ([]float32, []int, er
 	}
 	workers := h.workers
 	obs.Set("lcpio_sz_workers", float64(workers))
-	span.SetWorkload("sz.decompress", int64(ix.n)*wire.ElemBits/8)
 
 	// Every check that refuses a stream from its header has run: dst is
 	// used when it can hold the array, and nothing was sized before now.

@@ -256,7 +256,6 @@ func compressInto(h *Handle, dst []byte, data []float32, dims []int, eb float64)
 
 	span := obs.Start("zfp.compress")
 	rawBytes := int64(len(data)) * wire.ElemBits / 8
-	span.SetWorkload("zfp.compress", rawBytes)
 	defer span.End()
 
 	nb0, nb1, nb2 := blockGrid(d0, d1, d2, dim)
@@ -413,7 +412,6 @@ func (h *Handle) DecompressInto(dst []float32, buf []byte) ([]float32, []int, er
 
 	workers := h.workers
 	obs.Set("lcpio_zfp_workers", float64(workers))
-	span.SetWorkload("zfp.decompress", int64(hdr.n)*wire.ElemBits/8)
 
 	out := wire.Sized(dst, hdr.n)
 	h.dec.SizeTo(min(workers, numShards))
