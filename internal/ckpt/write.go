@@ -409,9 +409,15 @@ func Write(med Medium, set Set, opts WriteOptions) (*WriteResult, error) {
 	res.RawBytes = m.RawBytes()
 	res.CompressWallSeconds = compressWall
 	// The parity fold is writer-side CPU work; it extends both schedules
-	// equally (the serial schedule would run it after compressing).
-	res.SimPipelinedSeconds = w.clock + res.ECEncodeSeconds
-	res.SimSerialSeconds = compressWall + res.SimWriteSeconds + res.ECEncodeSeconds
+	// equally (the serial schedule would run it after compressing). The
+	// drain clock never passes compressWall + SimWriteSeconds in real
+	// arithmetic — no transfer starts later than the last blob exists — but
+	// it sums the same transfer times in another order, so it can land an
+	// ulp above. Clamping it there makes pipelined <= serial hold exactly:
+	// both add the same EC term to operands ordered min(c, s) <= s.
+	serial := compressWall + res.SimWriteSeconds
+	res.SimPipelinedSeconds = min(w.clock, serial) + res.ECEncodeSeconds
+	res.SimSerialSeconds = serial + res.ECEncodeSeconds
 	res.MeanRelEB = meanRelEB(set)
 	obs.AddFloat("lcpio_ckpt_sim_write_seconds_total", res.SimWriteSeconds)
 	obs.Set("lcpio_ckpt_queue_depth", 0)

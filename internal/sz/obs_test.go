@@ -1,6 +1,7 @@
 package sz
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -64,6 +65,58 @@ func TestCompressOccupancyNamesSerializedStage(t *testing.T) {
 	}
 	if p.Summary("sz.compress") == "" {
 		t.Fatal("empty pipeline summary")
+	}
+}
+
+// TestCompressSpanTree: every partition is one sz.partition span directly
+// under sz.compress, whatever the worker count and however partitions pair,
+// and its children are stage spans only. A pair's shared quantize pass is one
+// sz.predict_quantize span under the first partition of the pair. The field
+// plans 4, 4 and 3 rows: one worker pairs the first two, three workers pair
+// none.
+func TestCompressSpanTree(t *testing.T) {
+	savedTarget := partTargetElems
+	defer func() { partTargetElems = savedTarget }()
+	partTargetElems = 1 << 12
+	dims := []int{11, 1000}
+	data := oddPlanField(t, dims)
+	_, spans := partitionPlan(dims, nil)
+	stages := map[string]bool{
+		"sz.predict_quantize": true, "sz.huffman_build": true,
+		"sz.huffman_encode": true, "sz.lossless": true,
+	}
+	for _, tc := range []struct{ workers, passes int }{{1, 2}, {2, 2}, {3, 3}} {
+		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
+			r := installObs(t)
+			if _, err := NewHandle(tc.workers).Compress(data, dims, 1e-3); err != nil {
+				t.Fatal(err)
+			}
+			snap := r.Snapshot()
+			if len(snap.Spans) != 1 || snap.Spans[0].Name != "sz.compress" {
+				t.Fatalf("roots %v, want one sz.compress", snap.Spans)
+			}
+			parts, passes := 0, 0
+			for _, p := range snap.Spans[0].Children {
+				if p.Name != "sz.partition" {
+					t.Fatalf("sz.compress has a %q child, want sz.partition only", p.Name)
+				}
+				parts++
+				for _, c := range p.Children {
+					if !stages[c.Name] || len(c.Children) > 0 {
+						t.Fatalf("sz.partition has child %q with %d children, want stage spans only", c.Name, len(c.Children))
+					}
+					if c.Name == "sz.predict_quantize" {
+						passes++
+					}
+				}
+			}
+			if parts != len(spans) || passes != tc.passes {
+				t.Fatalf("%d sz.partition spans holding %d quantize passes, want %d holding %d", parts, passes, len(spans), tc.passes)
+			}
+			if h := r.Histogram("lcpio_sz_partition_seconds"); int(h.Count()) != len(spans) {
+				t.Fatalf("%d partition-seconds samples, want %d", h.Count(), len(spans))
+			}
+		})
 	}
 }
 

@@ -53,38 +53,16 @@ func dq(s int, pred, twoEB float64, exact []float32, ei int) (float32, int) {
 	return v, ei + 1
 }
 
-// The decode kernels run each quantize kernel backwards in one pass: every
-// element pulls its symbol from the Huffman decoder — the bit window in
-// locals, Resolve out of line — and is reconstructed at once, from the same
-// stencil terms summed in the same order as the quantize kernel, so the
-// output bits are the ones it reconstructed. Each returns the code-0 symbols
+// The decode kernels run quantize3D backwards in one pass — decode1D and
+// decode2D its d0 = d1 = 1 and d0 = 1 cases: every element pulls its symbol
+// from the Huffman decoder — the bit window in locals, Resolve out of line —
+// and is reconstructed at once, from the same stencil terms summed in the
+// same order as quantize3D, so the output bits are the ones it
+// reconstructed. Each returns the code-0 symbols
 // it met and the decoder's error, if any; on an error the symbols read -1
 // from there on and the values are garbage the caller discards.
 
 // --- 1-D ---------------------------------------------------------------------
-
-// quantize1D is the fused previous-value kernel: the 1-D Lorenzo stencil.
-// Like every kernel below it carries the element just reconstructed in a
-// local (left) instead of reloading recon[idx-1], which it stored one
-// iteration earlier: the store-to-load hop was on the chain from one
-// element's reconstruction to the next one's prediction.
-func quantize1D(data, recon []float32, codes []int, exact *[]float32, twoEB, eb float64) {
-	ex := *exact
-	var left float64
-	for i, val := range data {
-		if c, rf, r := qz(val, left, twoEB, eb); c >= 0 {
-			codes[i] = c
-			recon[i] = rf
-			left = r
-		} else {
-			codes[i] = 0
-			recon[i] = val
-			ex = append(ex, val)
-			left = float64(val)
-		}
-	}
-	*exact = ex
-}
 
 func decode1D(recon []float32, d *huffman.Decoder, exact []float32, twoEB float64) (int, error) {
 	cur, nc := d.Window()
@@ -102,57 +80,6 @@ func decode1D(recon []float32, d *huffman.Decoder, exact []float32, twoEB float6
 }
 
 // --- 2-D ---------------------------------------------------------------------
-
-// quantize2D is the fused first-order 2-D Lorenzo kernel,
-// f(i,j) ~ f(i,j-1) + f(i-1,j) - f(i-1,j-1), with the border cases hoisted
-// out of the inner loop.
-func quantize2D(data, recon []float32, codes []int, exact *[]float32, d1, d2 int, twoEB, eb float64) {
-	ex := *exact
-	// Row 0 warms up with the previous-value predictor (pred2D's j>0 case).
-	var left float64
-	for j := 0; j < d2; j++ {
-		if c, rf, r := qz(data[j], left, twoEB, eb); c >= 0 {
-			codes[j] = c
-			recon[j] = rf
-			left = r
-		} else {
-			codes[j] = 0
-			recon[j] = data[j]
-			ex = append(ex, data[j])
-			left = float64(data[j])
-		}
-	}
-	for i := 1; i < d1; i++ {
-		row := i * d2
-		// Column 0: only the neighbor above exists.
-		if c, rf, r := qz(data[row], float64(recon[row-d2]), twoEB, eb); c >= 0 {
-			codes[row] = c
-			recon[row] = rf
-			left = r
-		} else {
-			codes[row] = 0
-			recon[row] = data[row]
-			ex = append(ex, data[row])
-			left = float64(data[row])
-		}
-		// Interior: full stencil, evaluated left-to-right exactly as pred2D
-		// does so the float64 rounding matches term for term.
-		for idx := row + 1; idx < row+d2; idx++ {
-			pred := left + float64(recon[idx-d2]) - float64(recon[idx-d2-1])
-			if c, rf, r := qz(data[idx], pred, twoEB, eb); c >= 0 {
-				codes[idx] = c
-				recon[idx] = rf
-				left = r
-			} else {
-				codes[idx] = 0
-				recon[idx] = data[idx]
-				ex = append(ex, data[idx])
-				left = float64(data[idx])
-			}
-		}
-	}
-	*exact = ex
-}
 
 func decode2D(recon []float32, d *huffman.Decoder, exact []float32, d1, d2 int, twoEB float64) (int, error) {
 	cur, nc := d.Window()
@@ -187,9 +114,32 @@ func decode2D(recon []float32, d *huffman.Decoder, exact []float32, d1, d2 int, 
 
 // --- 3-D ---------------------------------------------------------------------
 
+// keep stores one element's outcome at idx — qz's code and reconstruction,
+// or for a negative code the value itself, appended to the verbatim list —
+// and returns the reconstruction the next element is predicted from: the
+// quantize kernels' loop body after the qz call, small enough to inline.
+func keep(c int, rf float32, r float64, val float32, codes []int, recon []float32, ex *[]float32, idx int) float64 {
+	if c >= 0 {
+		codes[idx], recon[idx] = c, rf
+		return r
+	}
+	codes[idx], recon[idx] = 0, val
+	*ex = append(*ex, val)
+	return float64(val)
+}
+
 // quantize3D is the fused first-order 3-D Lorenzo kernel: the inclusion–
 // exclusion sum over the 7 previously-seen corners of the unit cube at
 // (i,j,k), degrading to 2-D/1-D stencils on the boundary faces and edges.
+// It is the one single-partition kernel: at d0 = 1 it is the 2-D kernel
+// f(i,j) ~ f(i,j-1) + f(i-1,j) - f(i-1,j-1) term for term, and at
+// d0 = d1 = 1 the 1-D previous-value kernel, so 1-D and 2-D partitions run it
+// as degenerate 3-D ones, as refQuantize does.
+//
+// Like quantize3Dx2 below it carries the element just reconstructed in a
+// local (left) instead of reloading recon[idx-1], which it stored one
+// iteration earlier: the store-to-load hop was on the chain from one
+// element's reconstruction to the next one's prediction.
 func quantize3D(data, recon []float32, codes []int, exact *[]float32, d0, d1, d2 int, twoEB, eb float64) {
 	ex := *exact
 	// Slice 0 follows the 2-D stencil: pred3D with i=0 degenerates to
@@ -197,103 +147,118 @@ func quantize3D(data, recon []float32, codes []int, exact *[]float32, d0, d1, d2
 	sd := d1 * d2 // slice stride
 	var left float64
 	for k := 0; k < d2; k++ {
-		if c, rf, r := qz(data[k], left, twoEB, eb); c >= 0 {
-			codes[k] = c
-			recon[k] = rf
-			left = r
-		} else {
-			codes[k] = 0
-			recon[k] = data[k]
-			ex = append(ex, data[k])
-			left = float64(data[k])
-		}
+		c, rf, r := qz(data[k], left, twoEB, eb)
+		left = keep(c, rf, r, data[k], codes, recon, &ex, k)
 	}
 	for j := 1; j < d1; j++ {
 		row := j * d2
-		if c, rf, r := qz(data[row], float64(recon[row-d2]), twoEB, eb); c >= 0 {
-			codes[row] = c
-			recon[row] = rf
-			left = r
-		} else {
-			codes[row] = 0
-			recon[row] = data[row]
-			ex = append(ex, data[row])
-			left = float64(data[row])
-		}
+		c, rf, r := qz(data[row], float64(recon[row-d2]), twoEB, eb)
+		left = keep(c, rf, r, data[row], codes, recon, &ex, row)
 		for idx := row + 1; idx < row+d2; idx++ {
 			pred := left + float64(recon[idx-d2]) - float64(recon[idx-d2-1])
-			if c, rf, r := qz(data[idx], pred, twoEB, eb); c >= 0 {
-				codes[idx] = c
-				recon[idx] = rf
-				left = r
-			} else {
-				codes[idx] = 0
-				recon[idx] = data[idx]
-				ex = append(ex, data[idx])
-				left = float64(data[idx])
-			}
+			c, rf, r := qz(data[idx], pred, twoEB, eb)
+			left = keep(c, rf, r, data[idx], codes, recon, &ex, idx)
 		}
 	}
 	for i := 1; i < d0; i++ {
 		base := i * sd
 		// Row (i,0,*): neighbors exist only in k and the slice above.
-		if c, rf, r := qz(data[base], float64(recon[base-sd]), twoEB, eb); c >= 0 {
-			codes[base] = c
-			recon[base] = rf
-			left = r
-		} else {
-			codes[base] = 0
-			recon[base] = data[base]
-			ex = append(ex, data[base])
-			left = float64(data[base])
-		}
+		c, rf, r := qz(data[base], float64(recon[base-sd]), twoEB, eb)
+		left = keep(c, rf, r, data[base], codes, recon, &ex, base)
 		for idx := base + 1; idx < base+d2; idx++ {
 			pred := left + float64(recon[idx-sd]) - float64(recon[idx-sd-1])
-			if c, rf, r := qz(data[idx], pred, twoEB, eb); c >= 0 {
-				codes[idx] = c
-				recon[idx] = rf
-				left = r
-			} else {
-				codes[idx] = 0
-				recon[idx] = data[idx]
-				ex = append(ex, data[idx])
-				left = float64(data[idx])
-			}
+			c, rf, r := qz(data[idx], pred, twoEB, eb)
+			left = keep(c, rf, r, data[idx], codes, recon, &ex, idx)
 		}
 		for j := 1; j < d1; j++ {
 			row := base + j*d2
 			// Column (i,j,0): j and i neighbors only.
 			pred := float64(recon[row-d2]) + float64(recon[row-sd]) - float64(recon[row-sd-d2])
-			if c, rf, r := qz(data[row], pred, twoEB, eb); c >= 0 {
-				codes[row] = c
-				recon[row] = rf
-				left = r
-			} else {
-				codes[row] = 0
-				recon[row] = data[row]
-				ex = append(ex, data[row])
-				left = float64(data[row])
-			}
+			c, rf, r := qz(data[row], pred, twoEB, eb)
+			left = keep(c, rf, r, data[row], codes, recon, &ex, row)
 			// Interior: the full 7-term stencil, summed in pred3D's exact
 			// left-to-right order.
 			for idx := row + 1; idx < row+d2; idx++ {
 				pred := left + float64(recon[idx-d2]) + float64(recon[idx-sd]) -
 					float64(recon[idx-d2-1]) - float64(recon[idx-sd-1]) - float64(recon[idx-sd-d2]) +
 					float64(recon[idx-sd-d2-1])
-				if c, rf, r := qz(data[idx], pred, twoEB, eb); c >= 0 {
-					codes[idx] = c
-					recon[idx] = rf
-					left = r
-				} else {
-					codes[idx] = 0
-					recon[idx] = data[idx]
-					ex = append(ex, data[idx])
-					left = float64(data[idx])
-				}
+				c, rf, r := qz(data[idx], pred, twoEB, eb)
+				left = keep(c, rf, r, data[idx], codes, recon, &ex, idx)
 			}
 		}
 	}
 	*exact = ex
+}
+
+// quantize3Dx2 is quantize3D over two partitions of one shape in lockstep:
+// side a (da into ra, ca, xa) and side b, each with its own left and its own
+// verbatim list in raster order. Every element is predicted from the same
+// stencil terms summed in the same order and quantized by the same qz, so each
+// side comes out bit for bit as a quantize3D call would leave it. The two
+// reconstruction chains never meet, so the core overlaps them: one side's
+// divide and floor issue while the other's wait.
+func quantize3Dx2(da, db, ra, rb []float32, ca, cb []int, xa, xb *[]float32, d0, d1, d2 int, twoEB, eb float64) {
+	exA, exB := *xa, *xb
+	sd := d1 * d2
+	var la, lb float64
+	for k := 0; k < d2; k++ {
+		c, rf, r := qz(da[k], la, twoEB, eb)
+		la = keep(c, rf, r, da[k], ca, ra, &exA, k)
+		c, rf, r = qz(db[k], lb, twoEB, eb)
+		lb = keep(c, rf, r, db[k], cb, rb, &exB, k)
+	}
+	for j := 1; j < d1; j++ {
+		row := j * d2
+		c, rf, r := qz(da[row], float64(ra[row-d2]), twoEB, eb)
+		la = keep(c, rf, r, da[row], ca, ra, &exA, row)
+		c, rf, r = qz(db[row], float64(rb[row-d2]), twoEB, eb)
+		lb = keep(c, rf, r, db[row], cb, rb, &exB, row)
+		for idx := row + 1; idx < row+d2; idx++ {
+			pa := la + float64(ra[idx-d2]) - float64(ra[idx-d2-1])
+			pb := lb + float64(rb[idx-d2]) - float64(rb[idx-d2-1])
+			c, rf, r := qz(da[idx], pa, twoEB, eb)
+			la = keep(c, rf, r, da[idx], ca, ra, &exA, idx)
+			c, rf, r = qz(db[idx], pb, twoEB, eb)
+			lb = keep(c, rf, r, db[idx], cb, rb, &exB, idx)
+		}
+	}
+	for i := 1; i < d0; i++ {
+		base := i * sd
+		c, rf, r := qz(da[base], float64(ra[base-sd]), twoEB, eb)
+		la = keep(c, rf, r, da[base], ca, ra, &exA, base)
+		c, rf, r = qz(db[base], float64(rb[base-sd]), twoEB, eb)
+		lb = keep(c, rf, r, db[base], cb, rb, &exB, base)
+		for idx := base + 1; idx < base+d2; idx++ {
+			pa := la + float64(ra[idx-sd]) - float64(ra[idx-sd-1])
+			pb := lb + float64(rb[idx-sd]) - float64(rb[idx-sd-1])
+			c, rf, r := qz(da[idx], pa, twoEB, eb)
+			la = keep(c, rf, r, da[idx], ca, ra, &exA, idx)
+			c, rf, r = qz(db[idx], pb, twoEB, eb)
+			lb = keep(c, rf, r, db[idx], cb, rb, &exB, idx)
+		}
+		for j := 1; j < d1; j++ {
+			row := base + j*d2
+			pa := float64(ra[row-d2]) + float64(ra[row-sd]) - float64(ra[row-sd-d2])
+			pb := float64(rb[row-d2]) + float64(rb[row-sd]) - float64(rb[row-sd-d2])
+			c, rf, r := qz(da[row], pa, twoEB, eb)
+			la = keep(c, rf, r, da[row], ca, ra, &exA, row)
+			c, rf, r = qz(db[row], pb, twoEB, eb)
+			lb = keep(c, rf, r, db[row], cb, rb, &exB, row)
+			for idx := row + 1; idx < row+d2; idx++ {
+				pa := la + float64(ra[idx-d2]) + float64(ra[idx-sd]) -
+					float64(ra[idx-d2-1]) - float64(ra[idx-sd-1]) - float64(ra[idx-sd-d2]) +
+					float64(ra[idx-sd-d2-1])
+				pb := lb + float64(rb[idx-d2]) + float64(rb[idx-sd]) -
+					float64(rb[idx-d2-1]) - float64(rb[idx-sd-1]) - float64(rb[idx-sd-d2]) +
+					float64(rb[idx-sd-d2-1])
+				c, rf, r := qz(da[idx], pa, twoEB, eb)
+				la = keep(c, rf, r, da[idx], ca, ra, &exA, idx)
+				c, rf, r = qz(db[idx], pb, twoEB, eb)
+				lb = keep(c, rf, r, db[idx], cb, rb, &exB, idx)
+			}
+		}
+	}
+	*xa, *xb = exA, exB
 }
 
 func decode3D(recon []float32, d *huffman.Decoder, exact []float32, d0, d1, d2 int, twoEB float64) (int, error) {

@@ -135,8 +135,10 @@ func sameBits(a, b []float32) bool {
 // holds it to the element-at-a-time reference: the same codes, the same
 // reconstruction, the same verbatim values in raster order; and the
 // reconstruct pass of the two-pass reference and the one-pass decode kernel,
-// fed the codes as a Huffman stream, both invert them. It returns the codes
-// for callers that know what they should be.
+// fed the codes as a Huffman stream, both invert them. It holds the paired
+// kernel to the reference too, with data on either side of a pass beside a
+// different field. It returns the codes for
+// callers that know what they should be.
 func fusedMatchesReference(t *testing.T, data []float32, d0, d1, d2 int, eb float64) []int {
 	t.Helper()
 	wantCodes, wantRecon, wantExact := refQuantize(data, d0, d1, d2, eb)
@@ -144,21 +146,21 @@ func fusedMatchesReference(t *testing.T, data []float32, d0, d1, d2 int, eb floa
 	codes := make([]int, len(data))
 	recon := make([]float32, len(data))
 	var exact []float32
-	switch {
-	case d0 == 1 && d1 == 1:
-		quantize1D(data, recon, codes, &exact, 2*eb, eb)
-	case d0 == 1:
-		quantize2D(data, recon, codes, &exact, d1, d2, 2*eb, eb)
-	default:
-		quantize3D(data, recon, codes, &exact, d0, d1, d2, 2*eb, eb)
-	}
-	for i := range codes {
-		if codes[i] != wantCodes[i] {
-			t.Fatalf("%dx%dx%d: code %d = %d, reference %d", d0, d1, d2, i, codes[i], wantCodes[i])
+	quantize3D(data, recon, codes, &exact, d0, d1, d2, 2*eb, eb)
+	ref := [2]quantBufs{{wantCodes, wantRecon, wantExact}}
+	sameAsReference(t, fmt.Sprintf("%dx%dx%d", d0, d1, d2), quantBufs{codes, recon, exact}, ref[0])
+
+	fields := [2][]float32{data, pairedField(data, eb)}
+	ref[1].codes, ref[1].recon, ref[1].exact = refQuantize(fields[1], d0, d1, d2, eb)
+	for _, order := range [][2]int{{0, 1}, {1, 0}} {
+		var got [2]quantBufs
+		got[0].sized(len(data))
+		got[1].sized(len(data))
+		quantize3Dx2(fields[order[0]], fields[order[1]], got[0].recon, got[1].recon,
+			got[0].codes, got[1].codes, &got[0].exact, &got[1].exact, d0, d1, d2, 2*eb, eb)
+		for k, f := range order {
+			sameAsReference(t, fmt.Sprintf("%dx%dx%d paired: field %d on side %d", d0, d1, d2, f, k), got[k], ref[f])
 		}
-	}
-	if !sameBits(recon, wantRecon) || !sameBits(exact, wantExact) {
-		t.Fatalf("%dx%dx%d: fused reconstruction or verbatim values differ from the reference", d0, d1, d2)
 	}
 
 	next := 0
@@ -204,10 +206,46 @@ func fusedMatchesReference(t *testing.T, data []float32, d0, d1, d2 int, eb floa
 	return codes
 }
 
+// sameAsReference fails the test unless a kernel's codes, reconstruction
+// bits and verbatim values are the reference's.
+func sameAsReference(t *testing.T, what string, got, want quantBufs) {
+	t.Helper()
+	for i := range got.codes {
+		if got.codes[i] != want.codes[i] {
+			t.Fatalf("%s: code %d = %d, reference %d", what, i, got.codes[i], want.codes[i])
+		}
+	}
+	if !sameBits(got.recon, want.recon) || !sameBits(got.exact, want.exact) {
+		t.Fatalf("%s: fused reconstruction or verbatim values differ from the reference", what)
+	}
+}
+
+// pairedField is data's partner in a paired pass: a different field (data
+// reversed), with the quantizer's edge quotients planted every seventh
+// element and NaN, +Inf and -Inf at its quarter points, so the two sides
+// leave the fast path at different elements and store verbatim lists of
+// different lengths.
+func pairedField(data []float32, eb float64) []float32 {
+	n := len(data)
+	edges := quantizerEdges(5 * n)
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = data[n-1-i]
+		if i%7 == 3 {
+			out[i] = float32(float64(edges[5*(i/7)+2]) * 2 * eb)
+		}
+	}
+	for k, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		out[(k+1)*n/4] = float32(v)
+	}
+	return out
+}
+
 var fusedShapes = [][3]int{{1, 1, 257}, {1, 19, 23}, {1, 2, 1}, {5, 7, 11}, {2, 1, 9}, {3, 4, 1}}
 
 // TestFusedKernelsMatchReference: on noisy fields with spikes and non-finite
-// values, every fused kernel emits exactly the reference's codes,
+// values, and on fields whose stencil terms cancel across eleven orders of
+// magnitude, every fused kernel emits exactly the reference's codes,
 // reconstruction and verbatim values, and both the two-pass reconstructors
 // and the one-pass decode kernels invert them — the hoisted border cases and
 // the term order of each stencil included.
@@ -221,6 +259,22 @@ func TestFusedKernelsMatchReference(t *testing.T) {
 		data[len(data)/2] = 1e9
 		data[len(data)/3] = float32(math.NaN())
 		fusedMatchesReference(t, data, sh[0], sh[1], sh[2], 1e-3)
+
+		// Slice 0 (row 0 of a 2-D shape) at 2^29 and the rest near 1e-3:
+		// the stencil's large terms cancel, and a partial sum just above
+		// 2^29 rounds on twice the grid of one just below it, so an
+		// element's bits depend on the order its terms are summed in.
+		big := sh[2]
+		if sh[0] > 1 {
+			big *= sh[1]
+		}
+		for i := range data {
+			data[i] = 1e-3*float32(math.Sin(float64(i)/5)) + rng.Float32()*1e-5
+			if i < big {
+				data[i] = 1 << 29
+			}
+		}
+		fusedMatchesReference(t, data, sh[0], sh[1], sh[2], 1e-6)
 	}
 }
 

@@ -1,10 +1,13 @@
 package sz
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"runtime"
 	"testing"
+
+	"lcpio/internal/obs"
 )
 
 // matrixField is a mid-sized field used by the worker x granularity matrix:
@@ -20,23 +23,87 @@ func matrixField() ([]float32, []int) {
 	return data, dims
 }
 
+// oddPlanField is a smooth field of the given shape whose plan at
+// partTargetElems = 1<<12 has an odd partition count and a short last span,
+// so a one-worker compression pairs all but the last partition and runs that
+// one alone.
+func oddPlanField(t *testing.T, dims []int) []float32 {
+	t.Helper()
+	n := 1
+	for _, d := range dims {
+		n *= d
+	}
+	data := make([]float32, n)
+	for i := range data {
+		data[i] = float32(math.Sin(float64(i%dims[len(dims)-1])/17) + 0.3*math.Cos(float64(i)/211))
+	}
+	_, spans := partitionPlan(dims, nil)
+	last := spans[len(spans)-1]
+	if len(spans)%2 == 0 || last.hi-last.lo >= spans[0].hi-spans[0].lo {
+		t.Fatalf("%v: plan %v wants an odd partition count and a short last span", dims, spans)
+	}
+	return data
+}
+
+// alonePayloads is every partition of data's plan compressed on its own
+// through quantize3D, the single-partition path, in index order.
+func alonePayloads(data []float32, dims []int, eb float64) [][]byte {
+	splitDepth, spans := partitionPlan(dims, nil)
+	rowElems := len(data)
+	for _, d := range dims[:splitDepth] {
+		rowElems /= d
+	}
+	var lane laneScratch
+	out := make([][]byte, len(spans))
+	for i, s := range spans {
+		var p partOut
+		lane.pdims = partDims(dims, splitDepth, s.hi-s.lo, lane.pdims)
+		compressPartition(&lane, &p, nil, obs.Span{}, data[s.lo*rowElems:s.hi*rowElems], eb)
+		out[i] = p.payload
+	}
+	return out
+}
+
 // TestByteIdentityMatrix sweeps worker counts against partition
 // granularities the compress suite cannot set: within a granularity the
 // compressed bytes and the decoded values are identical at every worker
-// count — parallelism is pure execution policy. Across granularities only the
-// error bound is shared (partition boundaries reset the predictor, so
-// reconstructions differ).
+// count — parallelism is pure execution policy — and every partition's
+// payload is the one it gets compressed alone, so pairing partitions into one
+// quantize pass is too. The sweep covers the matrix field at three
+// granularities, and a 2-D and a 3-D field whose plan ends on an odd, short
+// partition. Across granularities only the error bound is shared (partition
+// boundaries reset the predictor, so reconstructions differ).
 func TestByteIdentityMatrix(t *testing.T) {
-	data, dims := matrixField()
 	savedTarget := partTargetElems
 	defer func() { partTargetElems = savedTarget }()
+	type tc struct {
+		name   string
+		target int
+		field  func() ([]float32, []int)
+	}
+	var cases []tc
 	for _, target := range []int{1 << 12, 1 << 14, 1 << 16} {
-		partTargetElems = target
+		cases = append(cases, tc{fmt.Sprintf("target=%d", target), target, matrixField})
+	}
+	for _, dims := range [][]int{{11, 1000}, {5, 48, 40}} {
+		cases = append(cases, tc{fmt.Sprintf("odd plan %v", dims), 1 << 12, func() ([]float32, []int) {
+			return oddPlanField(t, dims), dims
+		}})
+	}
+	for _, c := range cases {
+		partTargetElems = c.target
+		data, dims := c.field()
 		if _, spans := partitionPlan(dims, nil); len(spans) < 2 {
-			t.Fatalf("target=%d: plan yields %d partition(s); matrix needs fan-out", target, len(spans))
+			t.Fatalf("%s: plan yields %d partition(s); matrix needs fan-out", c.name, len(spans))
 		}
-		t.Run(fmt.Sprintf("target=%d", target), func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			stream, decoded := oneShot(t, data, dims)
+			got := partitionPayloads(t, stream)
+			for i, p := range alonePayloads(data, dims, 1e-3) {
+				if !bytes.Equal(got[i], p) {
+					t.Fatalf("partition %d: payload differs from the partition compressed alone", i)
+				}
+			}
 			matches(t, stream, func(w int) ([]byte, error) { return NewHandle(w).Compress(data, dims, 1e-3) })
 			matches(t, decoded, func(w int) ([]byte, error) {
 				out, _, err := NewHandle(w).Decompress(stream)

@@ -90,7 +90,8 @@ var (
 	partTargetElems = 1 << 20
 	// partMinFanout is the partition count the layout aims for on arrays
 	// with at least partMinFanout*partMinElems elements, so every worker
-	// pool up to this width gets enough independent units to stay busy.
+	// pool up to this width gets enough independent units to stay busy
+	// (compressInto pairs partitions only beyond the pool's width).
 	partMinFanout = 16
 	// partMinElems floors the partition size: below this, per-partition
 	// Huffman tables and cold predictor boundaries start to cost real
@@ -169,20 +170,35 @@ func partDims(dims []int, splitDepth, rows int, buf []int) []int {
 // --- compressor --------------------------------------------------------------
 
 // laneScratch holds every buffer one *worker lane* needs to run partition
-// pipelines back to back: quantization codes, the reconstruction mirror, the
-// Huffman builder and bit writer, and the pre-lossless container. Lanes
-// belong to the Handle, so steady-state compression allocates only the
-// per-partition payloads' growth and the output stream. Memory scales with
-// the worker count, never the partition count.
+// pipelines back to back: two sets of quantize outputs (one per side of a
+// paired pass; a partition that runs alone uses the first), the Huffman
+// builder and bit writer, and the pre-lossless container. Lanes belong to the
+// Handle, so steady-state compression allocates only the per-partition
+// payloads' growth and the output stream. Memory scales with the worker
+// count, never the partition count.
 type laneScratch struct {
-	codes []int
-	recon []float32
-	exact []float32
+	q     [2]quantBufs
 	freqs []uint64
 	hb    huffman.Builder
 	w     bitstream.Writer
 	inner []byte // pre-lossless partition container
 	pdims []int
+}
+
+// quantBufs is one partition's quantize output: its codes, the
+// reconstruction the predictor reads back, and its verbatim values.
+type quantBufs struct {
+	codes []int
+	recon []float32
+	exact []float32
+}
+
+// sized readies q for a partition of n elements and returns it.
+func (q *quantBufs) sized(n int) *quantBufs {
+	q.codes = wire.Sized(q.codes, n)
+	q.recon = wire.Sized(q.recon, n)
+	q.exact = q.exact[:0]
+	return q
 }
 
 // partOut is one partition's surviving output: the lossless-coded payload
@@ -264,7 +280,16 @@ func compressInto(h *Handle, dst []byte, data []float32, dims []int, eb float64)
 	}
 	rowElems := len(data) / ext
 
-	h.lanes.SizeTo(min(workers, len(spans)))
+	// Partitions (2t, 2t+1) for t < pairs share one quantize3Dx2 pass; the
+	// rest run alone through quantize3D. A pair takes longer than one
+	// partition but less than two, so it pays only while no worker is left
+	// idle: pairs is as many as keep the task count at or above workers, and
+	// a pool as wide as the partition count runs the unpaired schedule.
+	// Either way each partition's bytes are the ones quantize3D alone would
+	// have led to.
+	pairs := min(len(spans)/2, max(0, len(spans)-workers))
+	tasks := len(spans) - pairs
+	h.lanes.SizeTo(min(workers, tasks))
 	h.parts = par.Grow(h.parts, len(spans))
 	parts := h.parts
 	for i := range parts {
@@ -272,17 +297,29 @@ func compressInto(h *Handle, dst []byte, data []float32, dims []int, eb float64)
 	}
 
 	// The pipeline trace covers the *requested* workers: par clamps
-	// goroutines to the partition count, so on a small array the surplus
+	// goroutines to the task count, so on a small array the surplus
 	// clocks sit in wait-input for the whole wall — which is exactly the
 	// serialization the occupancy report has to surface.
 	pt := obs.StartPipeline("sz.compress", workers)
-	par.RunWorker(len(spans), workers, func(w, i int) {
+	par.RunWorker(tasks, workers, func(w, t int) {
 		wc := pt.Worker(w)
 		lane := h.lanes.Lane(w)
-		pspan := obs.Start("sz.partition")
-		lane.pdims = partDims(dims, splitDepth, spans[i].hi-spans[i].lo, lane.pdims)
-		compressPartition(lane, &parts[i], wc, data[spans[i].lo*rowElems:spans[i].hi*rowElems], eb)
-		obs.Observe("lcpio_sz_partition_seconds", pspan.End().Seconds())
+		i, n := 2*t, 2
+		if t >= pairs {
+			i, n = pairs+t, 1
+		}
+		task := spans[i : i+n]
+		rows := task[0].hi - task[0].lo
+		if len(task) == 2 && task[1].hi-task[1].lo == rows {
+			a, b := task[0], task[1]
+			lane.pdims = partDims(dims, splitDepth, rows, lane.pdims)
+			compressPair(lane, parts[i:i+2], wc, span, data[a.lo*rowElems:a.hi*rowElems], data[b.lo*rowElems:b.hi*rowElems], eb)
+		} else {
+			for k, s := range task {
+				lane.pdims = partDims(dims, splitDepth, s.hi-s.lo, lane.pdims)
+				compressPartition(lane, &parts[i+k], wc, span, data[s.lo*rowElems:s.hi*rowElems], eb)
+			}
+		}
 		wc.WaitInput()
 	})
 	pt.End()
@@ -331,34 +368,55 @@ func compressInto(h *Handle, dst []byte, data []float32, dims []int, eb float64)
 }
 
 // compressPartition runs the full predict/quantize/Huffman/lossless pipeline
-// over one partition on the given lane, leaving the coded payload in
-// out.payload. wc (nil when telemetry is off) tracks which stage the worker
-// occupies.
-func compressPartition(lane *laneScratch, out *partOut, wc *obs.WorkerClock, data []float32, eb float64) {
-	n := len(data)
-	twoEB := 2 * eb
-	lane.codes = wire.Sized(lane.codes, n)
-	codes := lane.codes
-	lane.recon = wire.Sized(lane.recon, n)
-	recon := lane.recon
-	lane.exact = lane.exact[:0]
-
+// over one partition of shape lane.pdims on the given lane, leaving the coded
+// payload in out.payload. Its spans hang under parent, the sz.compress span,
+// by explicit parentage, since lanes run on their own goroutines. wc (nil when
+// telemetry is off) tracks which stage the worker occupies.
+func compressPartition(lane *laneScratch, out *partOut, wc *obs.WorkerClock, parent obs.Span, data []float32, eb float64) {
+	pspan := parent.Child("sz.partition")
+	q := lane.q[0].sized(len(data))
 	wc.Run("predict_quantize")
-	qspan := obs.Start("sz.predict_quantize")
-	switch rank, d0, d1, d2 := wire.Collapse(lane.pdims); rank {
-	case 1:
-		quantize1D(data, recon, codes, &lane.exact, twoEB, eb)
-	case 2:
-		quantize2D(data, recon, codes, &lane.exact, d1, d2, twoEB, eb)
-	default:
-		quantize3D(data, recon, codes, &lane.exact, d0, d1, d2, twoEB, eb)
-	}
+	qspan := pspan.Child("sz.predict_quantize")
+	_, d0, d1, d2 := wire.Collapse(lane.pdims)
+	quantize3D(data, q.recon, q.codes, &q.exact, d0, d1, d2, 2*eb, eb)
 	qspan.End()
-	out.exact = len(lane.exact)
+	encodePartition(lane, pspan, q, out, wc)
+	obs.Observe("lcpio_sz_partition_seconds", pspan.End().Seconds())
+}
+
+// compressPair is compressPartition over two partitions of shape lane.pdims:
+// one quantize3Dx2 pass, then each encoded in index order into out[0] and
+// out[1]. The two sz.partition spans are siblings, one after the other: the
+// first holds the shared pass (one sz.predict_quantize span) and its own
+// encode, the second only its encode. The worker clock counts a
+// predict_quantize item for each.
+func compressPair(lane *laneScratch, out []partOut, wc *obs.WorkerClock, parent obs.Span, a, b []float32, eb float64) {
+	pa := parent.Child("sz.partition")
+	qa, qb := lane.q[0].sized(len(a)), lane.q[1].sized(len(b))
+	wc.Run("predict_quantize")
+	wc.Run("predict_quantize")
+	qspan := pa.Child("sz.predict_quantize")
+	_, d0, d1, d2 := wire.Collapse(lane.pdims)
+	quantize3Dx2(a, b, qa.recon, qb.recon, qa.codes, qb.codes, &qa.exact, &qb.exact, d0, d1, d2, 2*eb, eb)
+	qspan.End()
+	encodePartition(lane, pa, qa, &out[0], wc)
+	obs.Observe("lcpio_sz_partition_seconds", pa.End().Seconds())
+	pb := parent.Child("sz.partition")
+	encodePartition(lane, pb, qb, &out[1], wc)
+	obs.Observe("lcpio_sz_partition_seconds", pb.End().Seconds())
+}
+
+// encodePartition is the rest of a partition's pipeline once q holds its
+// quantize output: histogram, Huffman build and encode, the pre-lossless
+// container and the lossless stage, leaving the payload in out.payload. Its
+// stage spans hang under pspan.
+func encodePartition(lane *laneScratch, pspan obs.Span, q *quantBufs, out *partOut, wc *obs.WorkerClock) {
+	codes := q.codes
+	out.exact = len(q.exact)
 
 	// Entropy-code the quantization codes.
 	wc.Run("huffman_build")
-	hspan := obs.Start("sz.huffman_build")
+	hspan := pspan.Child("sz.huffman_build")
 	lane.freqs = wire.Sized(lane.freqs, quantCount)
 	freqs := lane.freqs
 	huffman.HistogramInto(freqs, codes)
@@ -369,7 +427,7 @@ func compressPartition(lane *laneScratch, out *partOut, wc *obs.WorkerClock, dat
 		return
 	}
 	wc.Run("huffman_encode")
-	espan := obs.Start("sz.huffman_encode")
+	espan := pspan.Child("sz.huffman_encode")
 	w := &lane.w
 	w.Reset()
 	code.WriteTable(w)
@@ -379,8 +437,8 @@ func compressPartition(lane *laneScratch, out *partOut, wc *obs.WorkerClock, dat
 
 	// Assemble the pre-lossless partition container.
 	inner := lane.inner[:0]
-	inner = wire.AppendUint64(inner, uint64(len(lane.exact)))
-	for _, v := range lane.exact {
+	inner = wire.AppendUint64(inner, uint64(len(q.exact)))
+	for _, v := range q.exact {
 		inner = wire.AppendFloat32(inner, v)
 	}
 	inner = wire.AppendUint64(inner, uint64(len(huffPayload)))
@@ -388,7 +446,7 @@ func compressPartition(lane *laneScratch, out *partOut, wc *obs.WorkerClock, dat
 	lane.inner = inner
 
 	wc.Run("lossless")
-	lspan := obs.Start("sz.lossless")
+	lspan := pspan.Child("sz.lossless")
 	out.payload = lossless.AppendCompress(out.payload[:0], inner, lossless.Defaults())
 	lspan.End()
 	if obs.Enabled() {
