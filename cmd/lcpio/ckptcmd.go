@@ -176,7 +176,7 @@ func cmdCkptWrite(args []string) error {
 	fs := flag.NewFlagSet("ckpt write", flag.ContinueOnError)
 	out := fs.String("out", "", "output checkpoint set file")
 	dataset := fs.String("dataset", "Hurricane-ISABEL", "synthetic dataset: CESM-ATM, HACC, NYX or Hurricane-ISABEL")
-	codec := fs.String("codec", "sz", "codec: sz, zfp or squant")
+	codec := fs.String("codec", "sz", "codec: sz or zfp")
 	ranks := fs.Int("ranks", 4, "simulated MPI ranks")
 	nFields := fs.Int("fields", 0, "fields per rank (0 = all the dataset has)")
 	elems := fs.Int("elems", 1<<16, "target elements per rank per field")

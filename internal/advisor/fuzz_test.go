@@ -61,7 +61,7 @@ func FuzzSketch(f *testing.F) {
 			if sk.Sampled > len(data) || sk.Sampled < 0 {
 				t.Fatalf("sampled %d outside [0, %d]", sk.Sampled, len(data))
 			}
-			for _, codec := range []string{"sz", "zfp", "squant"} {
+			for _, codec := range []string{"sz", "zfp"} {
 				for _, rel := range compress.PaperErrorBounds {
 					pred, err := sk.Predict(codec, rel)
 					if err != nil {

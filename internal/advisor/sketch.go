@@ -319,9 +319,6 @@ var calib = map[string]codecCalib{
 	// concentrates error well below the requested accuracy, increasingly
 	// so at tighter bounds.
 	"zfp": {bitsScale: 1.0, bitsBase: 1.9, psnrOffsetDB: 14.0, psnrSlopeDB: 4.0, errFrac: 0.2},
-	// squant: scalar quantization; its varint stream's LZ stage compresses
-	// runs of equal quanta, so residual entropy tracks its coded size.
-	"squant": {bitsScale: 1.0, bitsBase: 0.4, psnrOffsetDB: 4.8, errFrac: 0.5},
 }
 
 // psnrEstimate is the calibrated quality estimate: uniform-quantization
@@ -379,10 +376,7 @@ func (sk *Sketch) Predict(codec string, relEB float64) (Prediction, error) {
 		planes /= float64(len(ranges))
 		bits = cal.bitsScale*planes + cal.bitsBase
 	default:
-		// Lorenzo-predictor residual entropy. This covers squant too: its
-		// quantized-value varints go through the LZ stage, where runs of
-		// equal quanta — exactly the zero-residual stretches — are what
-		// compress, so residual entropy tracks its coded size as well.
+		// Lorenzo-predictor residual entropy.
 		series := sk.residuals
 		if len(series) == 0 {
 			series = sk.values

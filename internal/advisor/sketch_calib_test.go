@@ -24,7 +24,7 @@ func TestCalibrationReport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, codecName := range []string{"sz", "zfp", "squant"} {
+		for _, codecName := range []string{"sz", "zfp"} {
 			codec, err := compress.NewHandle(codecName, 0)
 			if err != nil {
 				t.Fatal(err)

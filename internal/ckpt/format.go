@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
+	"lcpio/internal/compress"
 	"lcpio/internal/dedup"
 	"lcpio/internal/ec"
 	"lcpio/internal/wire"
@@ -383,6 +384,9 @@ func parseManifest(buf []byte, fileSize int64) (*Manifest, error) {
 	if rd.Err() != nil || m.Codec == "" || m.Ranks <= 0 || m.Ranks > maxRanks ||
 		nFields <= 0 || nFields > maxFields || m.Ranks*nFields > maxChunks {
 		return nil, ErrCorrupt
+	}
+	if err := compress.CheckName(m.Codec); err != nil {
+		return nil, fmt.Errorf("ckpt: set codec: %w", err)
 	}
 	m.Fields = make([]FieldInfo, nFields)
 	for i := range m.Fields {

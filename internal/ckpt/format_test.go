@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"lcpio/internal/retry"
@@ -31,6 +32,33 @@ func reimage(image []byte, m *Manifest) []byte {
 	out = wire.AppendUint64(out, uint64(len(mb)))
 	out = wire.AppendUint32(out, Digest(mb))
 	return wire.AppendUint32(out, magic)
+}
+
+// TestRetiredCodecSetRefused: a set whose manifest names squant, a codec
+// this repository no longer registers, is refused by ReadManifest, Restore
+// and VerifySet (shallow and deep) with an error naming the codec.
+func TestRetiredCodecSetRefused(t *testing.T) {
+	clean := NewMemMedium()
+	mustWrite(t, clean, testSet(2), WriteOptions{Workers: 2})
+	m, err := ReadManifest(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Codec = "squant"
+	forged := memOf(t, reimage(clean.Bytes(), m))
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"ReadManifest", func() error { _, err := ReadManifest(forged); return err }},
+		{"Restore", func() error { _, err := Restore(forged, RestoreOptions{Workers: 2}); return err }},
+		{"VerifySet", func() error { _, err := VerifySet(forged, VerifyOptions{Workers: 2}); return err }},
+		{"VerifySet deep", func() error { _, err := VerifySet(forged, VerifyOptions{Workers: 2, Deep: true}); return err }},
+	} {
+		if err := c.call(); err == nil || !strings.Contains(err.Error(), `"squant"`) {
+			t.Errorf("%s: err %v, want a refusal naming the codec", c.name, err)
+		}
+	}
 }
 
 // TestManifestRejectsExtentOverflow forges Offset+Size overflow into each

@@ -9,29 +9,22 @@ import (
 	"math"
 	"sort"
 
-	"lcpio/internal/squant"
 	"lcpio/internal/sz"
 	"lcpio/internal/zfp"
 )
 
-// Codec is an error-bounded lossy compressor for float32 arrays: the subset
-// of Handle that Evaluate needs.
-type Codec interface {
-	// Name returns the registry name ("sz", "zfp" or "squant").
+// Handle is an error-bounded lossy compressor for float32 arrays. A handle
+// reuses all scratch across calls, so a warm call allocates a small
+// constant, and refuses a hostile stream from its header. NOT safe for
+// concurrent use: one per goroutine.
+type Handle interface {
+	// Name returns the registry name ("sz" or "zfp").
 	Name() string
 	// Compress encodes data (row-major, dims slowest first) so that every
 	// reconstructed value differs from the original by at most eb.
 	Compress(data []float32, dims []int, eb float64) ([]byte, error)
 	// Decompress reverses Compress, returning data and dims.
 	Decompress(buf []byte) ([]float32, []int, error)
-}
-
-// Handle is a codec. sz and zfp handles reuse all scratch across calls, so a
-// warm call allocates a small constant, and refuse a hostile stream from its
-// header; squant, the flat baseline, allocates per call and inflates a stream
-// before checking it. NOT safe for concurrent use: one per goroutine.
-type Handle interface {
-	Codec
 	// CompressAppend appends the stream to dst, avoiding the output
 	// allocation too when dst has capacity.
 	CompressAppend(dst []byte, data []float32, dims []int, eb float64) ([]byte, error)
@@ -46,9 +39,8 @@ type Handle interface {
 // codecs is the one table on the codec name, keyed by the names the paper
 // uses. The codec types satisfy Handle directly.
 var codecs = map[string]func(workers int) Handle{
-	"sz":     func(workers int) Handle { return sz.NewHandle(workers) },
-	"zfp":    func(workers int) Handle { return zfp.NewHandle(workers) },
-	"squant": func(int) Handle { return squant.Handle{} }, // flat quantizer, no parallel path
+	"sz":  func(workers int) Handle { return sz.NewHandle(workers) },
+	"zfp": func(workers int) Handle { return zfp.NewHandle(workers) },
 }
 
 // NewHandle returns the named codec with the given intra-codec worker count
@@ -106,7 +98,7 @@ func (r Result) BitRate() float64 {
 }
 
 // Evaluate compresses, decompresses and scores a codec on one array.
-func Evaluate(c Codec, data []float32, dims []int, eb float64) (Result, error) {
+func Evaluate(c Handle, data []float32, dims []int, eb float64) (Result, error) {
 	buf, err := c.Compress(data, dims, eb)
 	if err != nil {
 		return Result{}, err

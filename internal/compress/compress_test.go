@@ -9,7 +9,7 @@ import (
 
 func TestRegistry(t *testing.T) {
 	names := Names()
-	if len(names) != 3 || names[0] != "squant" || names[1] != "sz" || names[2] != "zfp" {
+	if len(names) != 2 || names[0] != "sz" || names[1] != "zfp" {
 		t.Fatalf("Names() = %v", names)
 	}
 	for _, n := range names {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"lcpio/internal/compress"
-	"lcpio/internal/squant"
 	"lcpio/internal/sz"
 	"lcpio/internal/zfp"
 )
@@ -16,7 +15,6 @@ import (
 var (
 	_ compress.Handle = (*sz.Handle)(nil)
 	_ compress.Handle = (*zfp.Handle)(nil)
-	_ compress.Handle = squant.Handle{}
 )
 
 // handleField is large enough that sz and zfp split it into several
@@ -39,9 +37,8 @@ func handleField() ([]float32, []int) {
 // is TestDecompressIntoMatchesGoldens.
 func TestHandleMatchesGoldens(t *testing.T) {
 	oneShot := map[string]func([]float32, []int, float64) ([]byte, error){
-		"sz":     sz.NewHandle(0).Compress,
-		"zfp":    zfp.NewHandle(0).Compress,
-		"squant": squant.Handle{}.Compress,
+		"sz":  sz.NewHandle(0).Compress,
+		"zfp": zfp.NewHandle(0).Compress,
 	}
 	eachCodec(t, func(t *testing.T, name string) { identical(t, name, oneShot[name]) })
 }

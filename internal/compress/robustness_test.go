@@ -10,7 +10,6 @@ import (
 
 	"lcpio/internal/compress"
 	"lcpio/internal/container"
-	"lcpio/internal/lossless"
 )
 
 // Decompressors face untrusted bytes (files on shared storage). These tests
@@ -30,11 +29,10 @@ func mustNotPanic(t *testing.T, what string, fn func()) {
 	fn()
 }
 
-// requireRefused holds Decompress and DecompressInto to an error on stream —
-// inside 4 KiB, for the codecs that promise a refusal from the header. squant
-// inflates its whole payload before it reads a header word. TotalAlloc counts
-// the whole process, so a runtime allocation landing in the window reads as
-// the decoder's: the least of three attempts is what is held to the budget.
+// requireRefused holds Decompress and DecompressInto to an error on stream,
+// inside 4 KiB. TotalAlloc counts the whole process, so a runtime allocation
+// landing in the window reads as the decoder's: the least of three attempts
+// is what is held to the budget.
 func requireRefused(t *testing.T, h compress.Handle, what string, stream []byte) {
 	t.Helper()
 	least := ^uint64(0)
@@ -49,7 +47,7 @@ func requireRefused(t *testing.T, h compress.Handle, what string, stream []byte)
 		}
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	if _, promised := promises[h.Name()]; promised && least > 4096 {
+	if least > 4096 {
 		t.Errorf("%s: refusing %d bytes allocated %d", what, len(stream), least)
 	}
 }
@@ -86,20 +84,10 @@ func refuseGarbage(t *testing.T, name string) {
 
 // widened returns stream with its element-width header word — the third
 // u32 of every codec's header — forged to 64, the retired float64 width.
-// squant's header sits inside its lossless stage.
-func widened(t *testing.T, name string, stream []byte) []byte {
-	t.Helper()
-	if name != "squant" {
-		out := bytes.Clone(stream)
-		binary.LittleEndian.PutUint32(out[8:], 64)
-		return out
-	}
-	payload, err := lossless.Decompress(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(payload[8:], 64)
-	return lossless.AppendCompress(nil, payload, lossless.Defaults())
+func widened(stream []byte) []byte {
+	out := bytes.Clone(stream)
+	binary.LittleEndian.PutUint32(out[8:], 64)
+	return out
 }
 
 // TestDecompressMutatedStreams: every truncation of a valid stream, and the
@@ -119,7 +107,7 @@ func mutated(t *testing.T, name string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireRefused(t, h, "float64-width", widened(t, name, valid))
+	requireRefused(t, h, "float64-width", widened(valid))
 	for _, cut := range []int{0, 1, 8, len(valid) / 10, len(valid) / 2, len(valid) * 9 / 10, len(valid) - 1} {
 		requireRefused(t, h, fmt.Sprintf("truncated to %d bytes", cut), valid[:cut])
 	}

@@ -227,6 +227,9 @@ func parse(buf []byte) (parsed, error) {
 	if rd.Err() != nil || p.info.Codec == "" {
 		return p, ErrCorrupt
 	}
+	if err := compress.CheckName(p.info.Codec); err != nil {
+		return p, err
+	}
 	if bits != wire.ElemBits {
 		return p, fmt.Errorf("container: unsupported element width %d", bits)
 	}
@@ -299,14 +302,10 @@ func NewUnpacker(opts Options) *Unpacker {
 	return &Unpacker{opts: opts.normalized(), handles: make(map[string][]compress.Handle)}
 }
 
-// open parses buf, checks that it names a known codec and that no chunk
-// claims more elements than its blob could carry, and selects the handles of
-// the container's codec.
+// open parses buf, checks that no chunk claims more elements than its blob
+// could carry, and selects the handles of the container's codec.
 func (u *Unpacker) open(buf []byte) (p parsed, rowElems int, err error) {
 	if p, err = parse(buf); err != nil {
-		return p, 0, err
-	}
-	if err := compress.CheckName(p.info.Codec); err != nil {
 		return p, 0, err
 	}
 	rowElems = p.n / p.info.Dims[0]

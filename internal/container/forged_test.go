@@ -2,35 +2,33 @@ package container
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
-	"lcpio/internal/lossless"
+	"lcpio/internal/compress"
 	"lcpio/internal/wire"
 )
 
-// TestForgedSquantChunkRefusedInsideBudget: a 118-byte container whose one
-// chunk is a squant stream claiming 2^26 exceptions goes through Check — what
-// the daemon's verification pool runs on every putZ frame — without the
-// forged count sizing anything: the call allocates the inflated payload and
-// little else.
-func TestForgedSquantChunkRefusedInsideBudget(t *testing.T) {
-	// squant's header by hand (the package exports neither magic nor
-	// version): a shape of [2^26], as many exceptions, and nothing after.
-	var p []byte
-	p = wire.AppendUint32(p, 0x53515543)
-	p = wire.AppendUint32(p, 1)
-	p = wire.AppendUint32(p, 32)
-	p = wire.AppendFloat64(p, 1e-3)
-	p = wire.AppendDims(p, []int{1 << 26})
-	p = wire.AppendUint64(p, 1<<26)
-	blob := lossless.AppendCompress(nil, p, lossless.Defaults())
-
-	const elems = 16
+// TestRetiredCodecRefusedInsideBudget: a container naming squant, a codec
+// this repository no longer registers, over a chunk claiming 2^26 elements
+// is refused by Stat, by Check — what the daemon's verification pool runs on
+// every putZ frame — and by Unpack, each with an error naming the codec and
+// inside 4 KiB: the name is read before anything is sized by the claim.
+func TestRetiredCodecRefusedInsideBudget(t *testing.T) {
+	h, err := compress.NewHandle("sz", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := h.Compress(make([]float32, 16), []int{16}, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const elems = 1 << 26
 	var buf []byte
 	buf = wire.AppendUint32(buf, magic)
 	buf = wire.AppendUint32(buf, version)
 	buf = wire.AppendString(buf, "squant")
-	buf = wire.AppendUint32(buf, 32)
+	buf = wire.AppendUint32(buf, wire.ElemBits)
 	buf = wire.AppendDims(buf, []int{elems})
 	buf = wire.AppendFloat64(buf, 1e-3)
 	buf = wire.AppendUint32(buf, 1)
@@ -38,27 +36,31 @@ func TestForgedSquantChunkRefusedInsideBudget(t *testing.T) {
 	buf = wire.AppendUint64(buf, elems)
 	buf = wire.AppendUint64(buf, uint64(len(blob)))
 	buf = append(buf, blob...)
-	if len(buf) != 118 {
-		t.Fatalf("forged container is %d bytes, want 118", len(buf))
-	}
 
 	u := NewUnpacker(Options{Parallelism: 1})
-	// TotalAlloc counts the whole process, and the first call builds the
-	// Unpacker's handle and slab: the least of three attempts is what is held
-	// to the budget.
-	budget := uint64(len(p)) + 4096
-	least := ^uint64(0)
-	for try := 0; try < 3 && least > budget; try++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := u.Check(buf, elems)
-		runtime.ReadMemStats(&after)
-		if err == nil {
-			t.Fatal("forged container passed Check")
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"Stat", func() error { _, err := Stat(buf); return err }},
+		{"Check", func() error { return u.Check(buf, elems) }},
+		{"Unpack", func() error { _, _, err := u.Unpack(buf); return err }},
+	} {
+		// TotalAlloc counts the whole process: the least of three attempts
+		// is what is held to the budget.
+		least := ^uint64(0)
+		for try := 0; try < 3 && least > 4096; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := c.call()
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), `"squant"`) {
+				t.Fatalf("%s: err %v, want a refusal naming the codec", c.name, err)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	if least > budget {
-		t.Errorf("refusing %d bytes allocated %d", len(buf), least)
+		if least > 4096 {
+			t.Errorf("%s: refusing %d bytes allocated %d", c.name, len(buf), least)
+		}
 	}
 }

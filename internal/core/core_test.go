@@ -293,7 +293,7 @@ func TestRatioTableUnmeasuredTuple(t *testing.T) {
 		codec, dataset string
 		eb             float64
 	}{
-		{"squant", measured, 1e-3},               // codec not run
+		{"gzip", measured, 1e-3},                 // codec not run
 		{"sz", fpdata.TableI()[1].Dataset, 1e-3}, // dataset not run
 		{"sz", measured, 5e-3},                   // bound not run
 	} {

@@ -83,14 +83,11 @@ type Options struct {
 	WindowSize int
 	// MaxChainLen bounds hash-chain traversal per position (effort).
 	MaxChainLen int
-	// LazyMatching enables one-byte-deferred matching as in deflate's
-	// higher effort levels.
-	LazyMatching bool
 }
 
 // Defaults returns the standard effort level used by the sz codec.
 func Defaults() Options {
-	return Options{WindowSize: 32 << 10, MaxChainLen: 64, LazyMatching: true}
+	return Options{WindowSize: 32 << 10, MaxChainLen: 64}
 }
 
 func (o Options) normalized() Options {
@@ -562,24 +559,21 @@ func tokenizeInto(st *encState, src []byte, opts Options) {
 	i := 0
 	for i < len(src) {
 		length, dist := findMatch(i)
-		if opts.LazyMatching && length > 0 && length < maxMatch && i+1 < len(src) {
-			insert(i)
-			nl, nd := findMatch(i + 1)
-			if nl > length+1 {
-				// Defer: emit the current byte as a literal, take the
-				// better match at i+1 next iteration.
+		insert(i)
+		if length == 0 {
+			tokens = append(tokens, literalToken(src[i]))
+			i++
+			continue
+		}
+		// Lazy matching, as in deflate's higher effort levels: when the
+		// match one byte later is longer by more than the literal it
+		// costs, emit this byte as a literal and take that match.
+		if length < maxMatch && i+1 < len(src) {
+			if nl, nd := findMatch(i + 1); nl > length+1 {
 				tokens = append(tokens, literalToken(src[i]))
 				i++
 				length, dist = nl, nd
 			}
-		} else if length > 0 {
-			insert(i)
-		}
-		if length == 0 {
-			insert(i)
-			tokens = append(tokens, literalToken(src[i]))
-			i++
-			continue
 		}
 		tokens = append(tokens, matchToken(length, dist))
 		// Insert hash entries across the match so later matches can refer

@@ -90,22 +90,6 @@ func TestMatchAtWindowEdge(t *testing.T) {
 	roundTrip(t, src, opts)
 }
 
-func TestLazyVsGreedy(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	src := make([]byte, 1<<15)
-	// Structured data with embedded repeats.
-	for i := range src {
-		src[i] = byte((i / 7) % 31)
-	}
-	rng.Read(src[1<<14:])
-	lazy := roundTrip(t, src, Options{LazyMatching: true})
-	greedy := roundTrip(t, src, Options{LazyMatching: false})
-	// Both must round-trip; lazy should never be dramatically worse.
-	if len(lazy) > len(greedy)*11/10 {
-		t.Fatalf("lazy %d much worse than greedy %d", len(lazy), len(greedy))
-	}
-}
-
 func TestWindowNormalization(t *testing.T) {
 	cases := []struct{ in, want int }{
 		{0, 32 << 10}, {100, 1 << 10}, {3000, 2048}, {1 << 20, 32 << 10},

@@ -94,14 +94,11 @@ const (
 	compressStallPerByte  = 2.0e-9
 
 	// Per-codec multipliers: zfp's block transform is cheaper per byte
-	// than SZ's prediction+Huffman pipeline; bare scalar quantization is
-	// cheaper still.
-	szCycleFactor     = 1.00
-	zfpCycleFactor    = 0.78
-	squantCycleFactor = 0.45
-	szStallFactor     = 1.00
-	zfpStallFactor    = 0.85
-	squantStallFactor = 0.70
+	// than SZ's prediction+Huffman pipeline.
+	szCycleFactor  = 1.00
+	zfpCycleFactor = 0.78
+	szStallFactor  = 1.00
+	zfpStallFactor = 0.85
 
 	// Finer error bounds quantize into more intervals and emit more bits:
 	// cycles grow by this fraction per decade of bound tightening below
@@ -133,7 +130,7 @@ const (
 )
 
 // CompressionWorkloadWithRatio characterizes compressing rawBytes with the
-// named codec ("sz"/"zfp"/"squant") at range-relative error bound relEB on
+// named codec ("sz" or "zfp") at range-relative error bound relEB on
 // the given chip, informed by the measured compression ratio of the actual
 // data: harder data (lower ratio) produces more quantization outliers and
 // entropy-coding work, costing more cycles per byte. The experiment
@@ -147,8 +144,6 @@ func CompressionWorkloadWithRatio(codec string, rawBytes int64, relEB, ratio flo
 		cf, sf = szCycleFactor, szStallFactor
 	case "zfp":
 		cf, sf = zfpCycleFactor, zfpStallFactor
-	case "squant":
-		cf, sf = squantCycleFactor, squantStallFactor
 	default:
 		return Workload{}, fmt.Errorf("machine: unknown codec %q", codec)
 	}

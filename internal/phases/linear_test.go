@@ -21,7 +21,7 @@ func TestLegLinearInBytes(t *testing.T) {
 		stages := map[string]func(bytes int64) (Phase, error){
 			"dedup": pr.Dedup,
 		}
-		for _, codec := range []string{"sz", "zfp", "squant"} {
+		for _, codec := range []string{"sz", "zfp"} {
 			codec := codec
 			stages[codec+" compress"] = func(b int64) (Phase, error) { return pr.Compress(codec, b, 1e-3, 9) }
 			stages[codec+" decompress"] = func(b int64) (Phase, error) { return pr.Decompress(codec, b, 1e-3, 9) }

@@ -34,6 +34,7 @@ import (
 	"math"
 
 	"lcpio/internal/ckpt"
+	"lcpio/internal/compress"
 	"lcpio/internal/wire"
 )
 
@@ -271,6 +272,9 @@ func parseOpenRequest(b []byte) (OpenRequest, error) {
 	}
 	if r.Codec = rd.String(maxNameLen); r.Codec == "" {
 		return r, fmt.Errorf("%w: codec", ErrCorruptFrame)
+	}
+	if err := compress.CheckName(r.Codec); err != nil {
+		return r, err
 	}
 	r.Ranks = int(rd.Uint32())
 	nf := int(rd.Uint32())

@@ -396,3 +396,29 @@ func TestExtentReclaimManyOutOfOrder(t *testing.T) {
 			u.ResidentBytes, listed, u.ReservedBytes, len(results), stored)
 	}
 }
+
+// TestRetiredCodecOpenRefused: an open naming squant, a codec this
+// repository no longer registers, is answered with an error frame naming the
+// codec, and the tenant's ledger is left at zero.
+func TestRetiredCodecOpenRefused(t *testing.T) {
+	srv := NewServer(Config{})
+	if err := srv.AddTenant(TenantConfig{Name: "climate"}); err != nil {
+		t.Fatal(err)
+	}
+	cl := startPair(t, srv)
+	req := smallOpenReq("retired", "")
+	req.Codec = "squant"
+	if err := writeFrame(cl.rw, frame{Type: frameOpen, Payload: req.encode()}); err != nil {
+		t.Fatal(err)
+	}
+	rf, err := readFrame(cl.rw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rf.Type != frameErr || !strings.Contains(string(rf.Payload), `"squant"`) {
+		t.Fatalf("open naming squant: frame %v %q, want an error naming the codec", rf.Type, rf.Payload)
+	}
+	if u, _ := srv.Usage("climate"); u != (TenantUsage{Name: "climate"}) {
+		t.Fatalf("refused open left %+v in the ledger", u)
+	}
+}

@@ -53,67 +53,6 @@ func dq(s int, pred, twoEB float64, exact []float32, ei int) (float32, int) {
 	return v, ei + 1
 }
 
-// The decode kernels run quantize3D backwards in one pass — decode1D and
-// decode2D its d0 = d1 = 1 and d0 = 1 cases: every element pulls its symbol
-// from the Huffman decoder — the bit window in locals, Resolve out of line —
-// and is reconstructed at once, from the same stencil terms summed in the
-// same order as quantize3D, so the output bits are the ones it
-// reconstructed. Each returns the code-0 symbols
-// it met and the decoder's error, if any; on an error the symbols read -1
-// from there on and the values are garbage the caller discards.
-
-// --- 1-D ---------------------------------------------------------------------
-
-func decode1D(recon []float32, d *huffman.Decoder, exact []float32, twoEB float64) (int, error) {
-	cur, nc := d.Window()
-	var left float64
-	var s, ei int
-	var rf float32
-	for i := range recon {
-		if s, cur, nc = d.Next(cur, nc); s < 0 {
-			s, cur, nc = d.Resolve(cur, nc)
-		}
-		rf, ei = dq(s, left, twoEB, exact, ei)
-		recon[i], left = rf, float64(rf)
-	}
-	return ei, d.Finish(cur, nc)
-}
-
-// --- 2-D ---------------------------------------------------------------------
-
-func decode2D(recon []float32, d *huffman.Decoder, exact []float32, d1, d2 int, twoEB float64) (int, error) {
-	cur, nc := d.Window()
-	var left float64
-	var s, ei int
-	var rf float32
-	for j := 0; j < d2; j++ {
-		if s, cur, nc = d.Next(cur, nc); s < 0 {
-			s, cur, nc = d.Resolve(cur, nc)
-		}
-		rf, ei = dq(s, left, twoEB, exact, ei)
-		recon[j], left = rf, float64(rf)
-	}
-	for i := 1; i < d1; i++ {
-		row := i * d2
-		if s, cur, nc = d.Next(cur, nc); s < 0 {
-			s, cur, nc = d.Resolve(cur, nc)
-		}
-		rf, ei = dq(s, float64(recon[row-d2]), twoEB, exact, ei)
-		recon[row], left = rf, float64(rf)
-		for idx := row + 1; idx < row+d2; idx++ {
-			pred := left + float64(recon[idx-d2]) - float64(recon[idx-d2-1])
-			if s, cur, nc = d.Next(cur, nc); s < 0 {
-				s, cur, nc = d.Resolve(cur, nc)
-			}
-			rf, ei = dq(s, pred, twoEB, exact, ei)
-			recon[idx], left = rf, float64(rf)
-		}
-	}
-	return ei, d.Finish(cur, nc)
-}
-
-// --- 3-D ---------------------------------------------------------------------
-
 // keep stores one element's outcome at idx — qz's code and reconstruction,
 // or for a negative code the value itself, appended to the verbatim list —
 // and returns the reconstruction the next element is predicted from: the
@@ -261,6 +200,14 @@ func quantize3Dx2(da, db, ra, rb []float32, ca, cb []int, xa, xb *[]float32, d0,
 	*xa, *xb = exA, exB
 }
 
+// decode3D runs quantize3D backwards in one pass, at every rank (a 1-D or
+// 2-D partition is d0 = d1 = 1 or d0 = 1): every element pulls its symbol
+// from the Huffman decoder — the bit window in locals, Resolve out of line —
+// and is reconstructed at once, from the same stencil terms summed in the
+// same order as quantize3D, so the output bits are the ones it
+// reconstructed. It returns the code-0 symbols it met and the decoder's
+// error, if any; on an error the symbols read -1 from there on and the
+// values are garbage the caller discards.
 func decode3D(recon []float32, d *huffman.Decoder, exact []float32, d0, d1, d2 int, twoEB float64) (int, error) {
 	sd := d1 * d2
 	cur, nc := d.Window()

@@ -190,15 +190,7 @@ func fusedMatchesReference(t *testing.T, data []float32, d0, d1, d2 int, eb floa
 	code.EncodeAll(w, codes)
 	dec := code.NewDecoder(bitstream.NewReader(w.Bytes()))
 	fused := make([]float32, len(data))
-	var used int
-	switch {
-	case d0 == 1 && d1 == 1:
-		used, err = decode1D(fused, &dec, exact, 2*eb)
-	case d0 == 1:
-		used, err = decode2D(fused, &dec, exact, d1, d2, 2*eb)
-	default:
-		used, err = decode3D(fused, &dec, exact, d0, d1, d2, 2*eb)
-	}
+	used, err := decode3D(fused, &dec, exact, d0, d1, d2, 2*eb)
 	if err != nil || used != len(exact) || !sameBits(fused, recon) {
 		t.Fatalf("%dx%dx%d: decode kernel err %v, %d/%d verbatim values used, identical %v",
 			d0, d1, d2, err, used, len(exact), sameBits(fused, recon))

@@ -633,15 +633,8 @@ func decodePartition(lane *decLane, payload []byte, outPart []float32, dims []in
 		return err
 	}
 	d := lane.code.NewDecoder(&lane.br)
-	var used int
-	switch rank, d0, d1, d2 := wire.Collapse(dims); rank {
-	case 1:
-		used, err = decode1D(outPart, &d, exact, twoEB)
-	case 2:
-		used, err = decode2D(outPart, &d, exact, d1, d2, twoEB)
-	default:
-		used, err = decode3D(outPart, &d, exact, d0, d1, d2, twoEB)
-	}
+	_, d0, d1, d2 := wire.Collapse(dims)
+	used, err := decode3D(outPart, &d, exact, d0, d1, d2, twoEB)
 	// A Huffman error outranks a verbatim-count mismatch, as it did when
 	// every symbol was decoded before the first value was reconstructed.
 	if err != nil {

@@ -293,7 +293,7 @@ func TestIdempotentRecompression(t *testing.T) {
 	}
 }
 
-// BenchmarkDecompress2D decodes through decode2D, which no fpdata field
+// BenchmarkDecompress2D decodes a 2-D partition plan, which no fpdata field
 // reaches on its own (every generator is 1-D or 3-D): the CESM climate stack
 // read as one tall sheet, on one worker.
 func BenchmarkDecompress2D(b *testing.B) {

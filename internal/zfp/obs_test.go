@@ -5,6 +5,7 @@ import (
 
 	"lcpio/internal/bitstream"
 	"lcpio/internal/obs"
+	"lcpio/internal/wire"
 )
 
 // codedPlanes walks a fixed-accuracy float32 stream shard by shard and
@@ -92,5 +93,49 @@ func TestBlockCostCountersFreeWhenOff(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("warm one-worker compress with telemetry off allocates %.0f times; want at most 1", allocs)
+	}
+}
+
+// TestCompressSpanTree: every shard is one zfp.shard span directly under
+// zfp.compress, whatever the worker count, holding exactly one
+// zfp.block_transform and nothing else, and each shard leaves one
+// lcpio_zfp_shard_seconds sample. Shards run on pool goroutines, so only
+// explicit parentage keeps one shard from nesting under another.
+func TestCompressSpanTree(t *testing.T) {
+	data, dims := multiShardField(t)
+	dim, d0, d1, d2 := wire.Collapse(dims)
+	nb0, nb1, nb2 := blockGrid(d0, d1, d2, dim)
+	_, numShards := shardPlan(nb0 * nb1 * nb2)
+	prev := obs.Use(nil)
+	defer obs.Use(prev)
+	for _, workers := range []int{1, 2, 3} {
+		r := obs.NewRegistry()
+		obs.Use(r)
+		if _, err := NewHandle(workers).Compress(data, dims, 1e-3); err != nil {
+			t.Fatal(err)
+		}
+		snap := r.Snapshot()
+		if len(snap.Spans) != 1 || snap.Spans[0].Name != "zfp.compress" {
+			t.Fatalf("workers=%d: roots %v, want one zfp.compress", workers, snap.Spans)
+		}
+		shards := snap.Spans[0].Children
+		for _, s := range shards {
+			if s.Name != "zfp.shard" {
+				t.Fatalf("workers=%d: zfp.compress has a %q child, want zfp.shard only", workers, s.Name)
+			}
+			if len(s.Children) != 1 {
+				t.Fatalf("workers=%d: a zfp.shard has %d children, want 1", workers, len(s.Children))
+			}
+			if c := s.Children[0]; c.Name != "zfp.block_transform" || len(c.Children) > 0 {
+				t.Fatalf("workers=%d: a zfp.shard holds %q with %d children, want zfp.block_transform with none",
+					workers, c.Name, len(c.Children))
+			}
+		}
+		if len(shards) != numShards {
+			t.Fatalf("workers=%d: %d zfp.shard spans, want %d", workers, len(shards), numShards)
+		}
+		if h := r.Histogram("lcpio_zfp_shard_seconds"); int(h.Count()) != numShards {
+			t.Fatalf("workers=%d: %d shard-seconds samples, want %d", workers, h.Count(), numShards)
+		}
 	}
 }

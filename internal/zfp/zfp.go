@@ -276,13 +276,13 @@ func compressInto(h *Handle, dst []byte, data []float32, dims []int, eb float64)
 		wc := pt.Worker(w)
 		wc.Run("encode_shard")
 		ln := h.lanes.Lane(w)
-		sspan := obs.Start("zfp.shard")
+		sspan := span.Child("zfp.shard")
 		lo := s * sb
 		hi := lo + sb
 		if hi > totalBlocks {
 			hi = totalBlocks
 		}
-		encodeShard(ln, data, d0, d1, d2, dim, nb1, nb2, lo, hi, eb)
+		encodeShard(sspan, ln, data, d0, d1, d2, dim, nb1, nb2, lo, hi, eb)
 		parts[s].payload = append(parts[s].payload[:0], ln.w.Bytes()...)
 		obs.Observe("lcpio_zfp_shard_seconds", sspan.End().Seconds())
 		wc.WaitInput()
@@ -318,11 +318,12 @@ func compressInto(h *Handle, dst []byte, data []float32, dims []int, eb float64)
 	return out, nil
 }
 
-// encodeShard encodes blocks [loBlk, hiBlk) into ln.w.
-func encodeShard(ln *zlane, data []float32, d0, d1, d2, dim, nb1, nb2, loBlk, hiBlk int, eb float64) {
+// encodeShard encodes blocks [loBlk, hiBlk) into ln.w, under the shard's
+// span.
+func encodeShard(shard obs.Span, ln *zlane, data []float32, d0, d1, d2, dim, nb1, nb2, loBlk, hiBlk int, eb float64) {
 	co := cutoffFor(eb)
 	ln.w.Reset()
-	bspan := obs.Start("zfp.block_transform")
+	bspan := shard.Child("zfp.block_transform")
 	for idx := loBlk; idx < hiBlk; idx++ {
 		bi, bj, bk := blockCoords(idx, nb1, nb2)
 		gatherBlock(data, d0, d1, d2, dim, bi, bj, bk, ln.blk[:])

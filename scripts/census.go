@@ -39,7 +39,7 @@
 //	                          the obs race and lane-packing tests are built on it
 //	svc.(*Server).Usage       the admission ledger the svc tests hold to zero
 //	                          after every abort, refusal and close
-//	{sz,zfp}.(*Handle).CompressAppend, squant.(Handle).CompressAppend
+//	{sz,zfp}.(*Handle).CompressAppend
 //	                          ROADMAP item 7's client allocation budget needs
 //	                          them: a dump that reuses its stream buffer
 //

@@ -65,9 +65,9 @@ go test -race -count=1 -v \
 go test -race -count=1 -v -run '^TestAdvisorRegretGate$' ./internal/advisor/
 
 # Worker-scaling gate: on hosts with >= 8 cores, 8-worker compression must
-# reach >= 3x the 1-worker throughput on every codec with a parallel path
-# (the test self-skips on narrower machines, where wall-clock scaling
-# assertions are meaningless).
+# reach >= 3x the 1-worker throughput on every codec (the test self-skips
+# on narrower machines, where wall-clock scaling assertions are
+# meaningless).
 LCPIO_SCALING_GATE=1 go test -run '^TestScalingGate$' -count=1 -v ./internal/compress/
 
 # `lcpio report` smoke: record a traced checkpoint write plus its campaign
@@ -106,6 +106,12 @@ for codec in sz zfp; do
     test "$(wc -c <"$tmp/field.out.f32")" -eq 16384
     "$tmp/lcpio" verify -orig "$tmp/field.f32" -comp "$tmp/field.lcpk" -eb 1e-3 >/dev/null
 done
+# squant, a retired codec, is refused: compress exits non-zero.
+if "$tmp/lcpio" compress -codec squant -dims 64x64 -eb 1e-3 \
+    -in "$tmp/field.f32" -out "$tmp/field.lcpk" >/dev/null 2>&1; then
+    echo "check.sh: compress -codec squant succeeded" >&2
+    exit 1
+fi
 
 # The examples run, not just compile: each once, gated on its exit status.
 for example in quickstart tuning codeccompare checkpoint; do
