@@ -27,7 +27,7 @@
 //
 // Tool commands:
 //
-//	compress    compress a raw float32 array file into a chunked container
+//	compress    compress a raw float32 array file into a container
 //	decompress  reverse a container to raw float32
 //	stat        print a container's header
 //	verify      check a container against its original
@@ -69,7 +69,7 @@ func commands() []command {
 		{"load", "read-path energy: NFS fetch + decompress (extension)", cmdLoad},
 		{"ckpt", "checkpoint store: write|restore|verify multi-rank sets", cmdCkpt},
 		{"cluster", "fleet dump comparison: raw vs compressed vs tuned", cmdCluster},
-		{"compress", "compress a raw float32 file into a chunked container", cmdCompress},
+		{"compress", "compress a raw float32 file into a container", cmdCompress},
 		{"decompress", "decompress a container to a raw float32 file", cmdDecompress},
 		{"stat", "show container metadata", cmdStat},
 		{"tune", "frequency recommendation for a chip", cmdTune},

@@ -78,13 +78,13 @@ func writeTestField(t *testing.T, path string, n int) []float32 {
 }
 
 // compressField writes an 8192-value field and compresses it with codec at
-// eb 1e-3 into a chunked container, returning both paths and the field.
-func compressField(t *testing.T, codec, dims, chunk string) (in, comp string, want []float32) {
+// eb 1e-3 into a container, returning both paths and the field.
+func compressField(t *testing.T, codec, dims string) (in, comp string, want []float32) {
 	dir := t.TempDir()
 	in, comp = filepath.Join(dir, "in.f32"), filepath.Join(dir, "out.lcpk")
 	want = writeTestField(t, in, 8192)
 	if err := cmdCompress([]string{"-codec", codec, "-dims", dims, "-eb", "1e-3",
-		"-chunk", chunk, "-in", in, "-out", comp}); err != nil {
+		"-in", in, "-out", comp}); err != nil {
 		t.Fatal(err)
 	}
 	return in, comp, want
@@ -108,17 +108,17 @@ func decompressWithin(t *testing.T, comp string, want []float32) {
 }
 
 // TestCompressDecompressFiles runs each codec through the one compressed-file
-// format the command line has: compress writes a chunked container, and
+// format the command line has: compress writes a container, and
 // stat, decompress and verify read the codec from its header.
 func TestCompressDecompressFiles(t *testing.T) {
 	for _, codec := range []string{"sz", "zfp"} {
 		t.Run(codec, func(t *testing.T) {
-			in, comp, want := compressField(t, codec, "64x128", "1024")
+			in, comp, want := compressField(t, codec, "64x128")
 			stat, err := captureStdout(t, func() error { return cmdStat([]string{"-in", comp}) })
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, line := range []string{"codec:       " + codec, "dims:        [64 128]", "chunks:      8"} {
+			for _, line := range []string{"codec:       " + codec, "dims:        [64 128]"} {
 				if !strings.Contains(stat, line+"\n") {
 					t.Errorf("stat output lacks %q:\n%s", line, stat)
 				}
@@ -131,13 +131,12 @@ func TestCompressDecompressFiles(t *testing.T) {
 	}
 }
 
-// TestPackUnpackStatFiles holds the container to a chunk size that does not
-// divide the field: stat counts the short last chunk and decompress restores
-// every value of it.
+// TestPackUnpackStatFiles holds the file format to a 1-D field: stat reads
+// its shape from the header and decompress restores every value of it.
 func TestPackUnpackStatFiles(t *testing.T) {
-	_, comp, want := compressField(t, "zfp", "8192", "3000")
+	_, comp, want := compressField(t, "zfp", "8192")
 	stat, err := captureStdout(t, func() error { return cmdStat([]string{"-in", comp}) })
-	if err != nil || !strings.Contains(stat, "dims:        [8192]\n") || !strings.Contains(stat, "chunks:      3\n") {
+	if err != nil || !strings.Contains(stat, "dims:        [8192]\n") {
 		t.Fatalf("stat (%v):\n%s", err, stat)
 	}
 	decompressWithin(t, comp, want)
@@ -148,7 +147,7 @@ func TestPackUnpackStatFiles(t *testing.T) {
 func TestVerifyCommand(t *testing.T) {
 	for _, codec := range []string{"sz", "zfp"} {
 		t.Run(codec, func(t *testing.T) {
-			in, comp, _ := compressField(t, codec, "64x128", "1024")
+			in, comp, _ := compressField(t, codec, "64x128")
 			// An impossible bound must be reported as violated.
 			if err := cmdVerify([]string{"-orig", in, "-comp", comp, "-eb", "1e-12"}); err == nil {
 				t.Fatal("violated bound not reported")

@@ -61,7 +61,6 @@ func cmdCompress(args []string) error {
 	codecName := fs.String("codec", "sz", "codec: sz or zfp")
 	dimsStr := fs.String("dims", "", "dimensions, e.g. 512x512x512 (slowest first)")
 	eb := fs.Float64("eb", 1e-3, "absolute error bound")
-	chunk := fs.Int("chunk", container.DefaultChunkElems, "target elements per chunk")
 	in := fs.String("in", "", "input file of little-endian float32 values")
 	out := fs.String("out", "", "output container file")
 	if err := fs.Parse(args); err != nil {
@@ -79,7 +78,7 @@ func cmdCompress(args []string) error {
 		return err
 	}
 	buf, err := container.Pack(*codecName, data, dims, *eb,
-		container.Options{ChunkElems: *chunk, Parallelism: globalWorkers})
+		container.Options{Parallelism: globalWorkers})
 	if err != nil {
 		return err
 	}
@@ -90,8 +89,8 @@ func cmdCompress(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %d -> %d bytes in %d chunks (ratio %.2f) with %s at eb=%g\n",
-		*in, len(data)*4, len(buf), info.NumChunks, info.Ratio(), info.Codec, *eb)
+	fmt.Printf("%s: %d -> %d bytes (ratio %.2f) with %s at eb=%g\n",
+		*in, len(data)*4, len(buf), info.Ratio(), info.Codec, *eb)
 	return nil
 }
 
@@ -140,7 +139,6 @@ func cmdStat(args []string) error {
 	fmt.Printf("codec:       %s\n", info.Codec)
 	fmt.Printf("dims:        %v\n", info.Dims)
 	fmt.Printf("error bound: %g\n", info.ErrorBound)
-	fmt.Printf("chunks:      %d\n", info.NumChunks)
 	fmt.Printf("raw:         %s\n", tables.FormatBytes(info.RawBytes))
 	fmt.Printf("packed:      %s (ratio %.2f)\n", tables.FormatBytes(info.PackedBytes), info.Ratio())
 	return nil

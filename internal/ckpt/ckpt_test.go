@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"lcpio/internal/container"
 	"lcpio/internal/netsim"
 	"lcpio/internal/nfs"
 	"lcpio/internal/retry"
@@ -197,6 +196,49 @@ func TestRetryExhaustion(t *testing.T) {
 	}
 }
 
+// firstReadTransient fails the medium's first ReadAt with ErrTransient —
+// the manifest's tail fetch — and serves every later read.
+type firstReadTransient struct {
+	*MemMedium
+	failed bool
+}
+
+func (m *firstReadTransient) ReadAt(p []byte, off int64) (int, error) {
+	if !m.failed {
+		m.failed = true
+		return 0, ErrTransient
+	}
+	return m.MemMedium.ReadAt(p, off)
+}
+
+// TestManifestRereadPricesBackoff: a manifest re-read costs the simulated
+// read path one more tail read and the backoff before it, as a chunk re-read
+// does.
+func TestManifestRereadPricesBackoff(t *testing.T) {
+	set := testSet(2)
+	med := NewMemMedium()
+	mustWrite(t, med, set, WriteOptions{Workers: 1})
+	opts := RestoreOptions{Workers: 1}
+	clean, err := Restore(med, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty, err := Restore(&firstReadTransient{MemMedium: med}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRestored(t, set, faulty)
+	if faulty.Report.Retries != 1 {
+		t.Fatalf("retries %d, want the one manifest re-read", faulty.Report.Retries)
+	}
+	o := opts.normalized()
+	want := o.Mount.Read(clean.Manifest.TailBytes()).NetworkSeconds + o.Retry.Backoff(1)
+	if got := faulty.Report.SimReadSeconds - clean.Report.SimReadSeconds; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("a manifest re-read added %.9f s of simulated reads, want %.9f (one tail read + %g s backoff)",
+			got, want, o.Retry.Backoff(1))
+	}
+}
+
 func TestTransientReadCorruptionRereadsOnlyThatChunk(t *testing.T) {
 	set := testSet(3)
 	inner := NewMemMedium()
@@ -312,7 +354,7 @@ func TestVerifyShallowAndDeep(t *testing.T) {
 
 // TestDeepVerifyBudget holds a deep verify of a 16 MiB set to what it needs:
 // each piece's stored bytes, read once to be digested, and per lane one slab
-// the size of the largest container chunk, which every piece decodes into.
+// the size of the largest field, which every piece decodes into.
 // Decoding each piece into an array of its own made this 1.1 × the raw bytes
 // on top.
 func TestDeepVerifyBudget(t *testing.T) {
@@ -322,7 +364,7 @@ func TestDeepVerifyBudget(t *testing.T) {
 	res := mustWrite(t, med, set, WriteOptions{Workers: lanes})
 	var slab int64
 	for _, f := range res.Manifest.Fields {
-		slab = max(slab, 4*min(int64(f.Elems()), container.DefaultChunkElems))
+		slab = max(slab, 4*int64(f.Elems()))
 	}
 	alloc := uint64(math.MaxUint64) // TotalAlloc is process-wide: the least of three
 	for i := 0; i < 3; i++ {

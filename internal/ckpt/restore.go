@@ -197,28 +197,30 @@ func Restore(med Medium, opts RestoreOptions) (*Restored, error) {
 	defer span.End()
 
 	// The footer/manifest fetch rides the same faulty medium as chunks, so
-	// it gets the same retry budget: transient read errors and corrupted
-	// first reads (digest or structure check fails) are re-read.
+	// it gets the same retry budget and backoff: transient read errors and
+	// corrupted first reads (digest or structure check fails) are re-read.
 	var m *Manifest
 	var err error
 	var manifestRetries int64
+	var manifestBackoff float64
 	for attempt := 1; ; attempt++ {
 		m, err = ReadManifest(med)
 		if err == nil {
 			break
 		}
-		if attempt >= opts.Retry.MaxAttempts ||
+		if opts.Retry.Exhausted(attempt) ||
 			!(errors.Is(err, ErrTransient) || errors.Is(err, ErrCorrupt)) {
 			return nil, err
 		}
 		manifestRetries++
+		manifestBackoff += opts.Retry.Backoff(attempt)
 	}
 	nFields := len(m.Fields)
 	out := &Restored{Manifest: m, Fields: make([]RestoredField, nFields)}
 	rep := &out.Report
 	// The manifest fetch itself rides the simulated read path.
 	rep.Retries = manifestRetries
-	rep.SimReadSeconds = float64(1+manifestRetries) * opts.Mount.Read(m.TailBytes()).NetworkSeconds
+	rep.SimReadSeconds = float64(1+manifestRetries)*opts.Mount.Read(m.TailBytes()).NetworkSeconds + manifestBackoff
 	if m.IsDelta() {
 		if out.Base, err = resolveBase(m, opts.Bases, opts); err != nil {
 			return nil, err

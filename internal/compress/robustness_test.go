@@ -130,7 +130,7 @@ func TestContainerMutatedStreams(t *testing.T) {
 	for i := range data {
 		data[i] = float32(i % 97)
 	}
-	valid, err := container.Pack("sz", data, []int{4096}, 1e-3, container.Options{ChunkElems: 512})
+	valid, err := container.Pack("sz", data, []int{4096}, 1e-3, container.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

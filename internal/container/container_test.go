@@ -1,14 +1,14 @@
 package container
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
-	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"lcpio/internal/compress"
 	"lcpio/internal/fpdata"
@@ -27,7 +27,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	f := nyxField(t)
 	eb := compress.AbsBoundFromRelative(1e-3, f.Data)
 	for _, codec := range []string{"sz", "zfp"} {
-		buf, err := Pack(codec, f.Data, f.Dims, eb, Options{ChunkElems: 4096})
+		buf, err := Pack(codec, f.Data, f.Dims, eb, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", codec, err)
 		}
@@ -47,7 +47,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 func TestStat(t *testing.T) {
 	f := nyxField(t)
 	eb := compress.AbsBoundFromRelative(1e-2, f.Data)
-	buf, err := Pack("sz", f.Data, f.Dims, eb, Options{ChunkElems: 4096})
+	buf, err := Pack("sz", f.Data, f.Dims, eb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestStat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Codec != "sz" || info.NumChunks < 2 {
+	if info.Codec != "sz" || !slices.Equal(info.Dims, f.Dims) {
 		t.Fatalf("info %+v", info)
 	}
 	if info.Ratio() <= 1 {
@@ -63,42 +63,6 @@ func TestStat(t *testing.T) {
 	}
 	if info.ErrorBound != eb {
 		t.Fatalf("eb %v, want %v", info.ErrorBound, eb)
-	}
-}
-
-func TestSingleChunkWhenTargetHuge(t *testing.T) {
-	f := nyxField(t)
-	eb := compress.AbsBoundFromRelative(1e-2, f.Data)
-	buf, err := Pack("zfp", f.Data, f.Dims, eb, Options{ChunkElems: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, _ := Stat(buf)
-	if info.NumChunks != 1 {
-		t.Fatalf("expected 1 chunk, got %d", info.NumChunks)
-	}
-}
-
-func TestParallelismEquivalence(t *testing.T) {
-	f := nyxField(t)
-	eb := compress.AbsBoundFromRelative(1e-3, f.Data)
-	seq, err := Pack("sz", f.Data, f.Dims, eb, Options{ChunkElems: 2048, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Pack("sz", f.Data, f.Dims, eb, Options{ChunkElems: 2048, Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Chunk compression is deterministic, so worker count must not change
-	// the bytes.
-	if len(seq) != len(par) {
-		t.Fatalf("parallelism changed output: %d vs %d bytes", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("parallelism changed output at byte %d", i)
-		}
 	}
 }
 
@@ -130,7 +94,7 @@ func TestPackValidation(t *testing.T) {
 func TestUnpackCorrupt(t *testing.T) {
 	f := nyxField(t)
 	eb := compress.AbsBoundFromRelative(1e-2, f.Data)
-	buf, err := Pack("sz", f.Data, f.Dims, eb, Options{ChunkElems: 4096})
+	buf, err := Pack("sz", f.Data, f.Dims, eb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,17 +114,25 @@ func TestUnpackCorrupt(t *testing.T) {
 // TestUnpackerReuse: one Unpacker across containers of both codecs and two
 // shapes returns what one-shot Unpack does, its Check accepts each of them
 // at their element count and at no other, and once its slab has seen the
-// largest chunk a Check allocates nothing the size of an output.
+// largest field a Check allocates nothing the size of an output.
 func TestUnpackerReuse(t *testing.T) {
 	f := nyxField(t)
 	eb := compress.AbsBoundFromRelative(1e-3, f.Data)
+	half := f.Data[:len(f.Data)/2]
+	halfDims := []int{f.Dims[0] / 2, f.Dims[1] * f.Dims[2]}
 	u := NewUnpacker(Options{Parallelism: 2})
 	var bufs [][]byte
 	for _, tc := range []struct {
 		codec string
-		chunk int
-	}{{"sz", 4096}, {"zfp", 8192}, {"sz", 0}, {"zfp", 4096}} {
-		buf, err := Pack(tc.codec, f.Data, f.Dims, eb, Options{ChunkElems: tc.chunk})
+		data  []float32
+		dims  []int
+	}{
+		{"sz", half, halfDims},
+		{"zfp", half, halfDims},
+		{"sz", f.Data, f.Dims},
+		{"zfp", f.Data, f.Dims},
+	} {
+		buf, err := Pack(tc.codec, tc.data, tc.dims, eb, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,29 +142,29 @@ func TestUnpackerReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, dims, err := u.Unpack(buf)
-		if err != nil || len(dims) != len(f.Dims) || len(got) != len(want) {
-			t.Fatalf("%s chunk %d: %d values, dims %v, err %v", tc.codec, tc.chunk, len(got), dims, err)
+		if err != nil || !slices.Equal(dims, tc.dims) || len(got) != len(want) {
+			t.Fatalf("%s %v: %d values, dims %v, err %v", tc.codec, tc.dims, len(got), dims, err)
 		}
 		for i := range want {
 			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("%s chunk %d: element %d differs from Unpack", tc.codec, tc.chunk, i)
+				t.Fatalf("%s %v: element %d differs from Unpack", tc.codec, tc.dims, i)
 			}
 		}
 		if err := u.Check(buf, len(want)); err != nil {
-			t.Fatalf("%s chunk %d: Check: %v", tc.codec, tc.chunk, err)
+			t.Fatalf("%s %v: Check: %v", tc.codec, tc.dims, err)
 		}
 		if err := u.Check(buf, len(want)+1); err == nil {
-			t.Fatalf("%s chunk %d: Check accepted the wrong element count", tc.codec, tc.chunk)
+			t.Fatalf("%s %v: Check accepted the wrong element count", tc.codec, tc.dims)
 		}
 		if err := u.Check(buf[:len(buf)-1], len(want)); err == nil {
-			t.Fatalf("%s chunk %d: Check accepted a container cut short", tc.codec, tc.chunk)
+			t.Fatalf("%s %v: Check accepted a container cut short", tc.codec, tc.dims)
 		}
 	}
 	least := ^uint64(0)
 	for try := 0; try < 3; try++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		for _, buf := range bufs[2:] { // sz then zfp: each codec's handles are kept
+		for _, buf := range bufs[2:] { // sz then zfp: each codec's handle is kept
 			if err := u.Check(buf, len(f.Data)); err != nil {
 				t.Fatal(err)
 			}
@@ -205,96 +177,93 @@ func TestUnpackerReuse(t *testing.T) {
 	}
 }
 
-// TestChunkClaimsMoreThanItsSpan: a chunk whose codec stream describes more
-// rows than the chunk table gives it must be refused, and must not reach past
-// its span on the way: the decode lands in an array of the codec's own.
+// TestChunkClaimsMoreThanItsSpan: a codec stream whose own dims are not the
+// container's must be refused — one describing more rows must not reach past
+// the output on the way (the decode lands in an array of the codec's own),
+// and one with the same element count and first dim in another shape is
+// refused too.
 func TestChunkClaimsMoreThanItsSpan(t *testing.T) {
-	pack := func(rows int) []byte {
-		data := make([]float32, rows*16)
-		for i := range data {
-			data[i] = float32(i) * 0.5
-		}
-		buf, err := Pack("sz", data, []int{rows, 16}, 1e-3, Options{})
+	const n = 64 // both containers' element count
+	data := make([]float32, 2*n)
+	for i := range data {
+		data[i] = float32(i) * 0.5
+	}
+	h, err := compress.NewHandle("sz", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name              string
+		container, stream []int
+	}{
+		{"more rows", []int{4, 16}, []int{8, 16}},
+		{"other shape", []int{4, 4, 4}, []int{4, 16}},
+	} {
+		frame, err := Pack("sz", data[:n], tc.container, 1e-3, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return buf
-	}
-	small, big := pack(4), pack(8)
-	ps, err := parse(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := parse(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The 4-row container's framing around the 8-row container's one blob:
-	// the chunk's size word is the last 8 bytes before the blobs.
-	forged := append([]byte(nil), small[:ps.blobAt[0]]...)
-	binary.LittleEndian.PutUint64(forged[len(forged)-8:], uint64(pb.blobSz[0]))
-	forged = append(forged, big[pb.blobAt[0]:]...)
-	if _, _, err := Unpack(forged, Options{}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Unpack: %v, want ErrCorrupt", err)
-	}
-	if err := NewUnpacker(Options{Parallelism: 1}).Check(forged, 4*16); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Check: %v, want ErrCorrupt", err)
-	}
-}
-
-func TestChunkSpans(t *testing.T) {
-	spans := chunkSpans([]int{100, 10}, 250) // 25 rows per chunk
-	if len(spans) != 4 {
-		t.Fatalf("spans: %v", spans)
-	}
-	if spans[0].lo != 0 || spans[3].hi != 100 {
-		t.Fatalf("span coverage: %v", spans)
-	}
-	// Tiny target still yields at least one row per chunk.
-	spans = chunkSpans([]int{5, 1000}, 1)
-	if len(spans) != 5 {
-		t.Fatalf("one-row spans: %v", spans)
-	}
-}
-
-// Property: any chunk size and 1-D length round-trips within bound.
-func TestQuickChunkingInvariant(t *testing.T) {
-	f := func(seed int64, chunkRaw uint16) bool {
-		n := int(seed%5000) + 16
-		if n < 0 {
-			n = -n + 16
-		}
-		data := make([]float32, n)
-		for i := range data {
-			data[i] = float32(math.Sin(float64(i)/7) * 100)
-		}
-		eb := 1e-3
-		chunk := int(chunkRaw)%2048 + 1
-		buf, err := Pack("sz", data, []int{n}, eb, Options{ChunkElems: chunk})
+		stream, err := h.Compress(data[:tc.stream[0]*tc.stream[1]], tc.stream, 1e-3)
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
-		out, _, err := Unpack(buf, Options{})
-		return err == nil && len(out) == n && compress.MaxAbsError(data, out) <= eb
-	}
-	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.25, Rand: rand.New(rand.NewSource(1))}); err != nil {
-		t.Fatal(err)
+		// The container's header, its size word patched, around the stream.
+		p, err := parse(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head := len(frame) - len(p.stream)
+		forged := append(frame[:head:head], stream...)
+		binary.LittleEndian.PutUint64(forged[head-8:], uint64(len(stream)))
+		if _, _, err := Unpack(forged, Options{}); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: Unpack: %v, want ErrCorrupt", tc.name, err)
+		}
+		if err := NewUnpacker(Options{Parallelism: 1}).Check(forged, n); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: Check: %v, want ErrCorrupt", tc.name, err)
+		}
 	}
 }
 
-func BenchmarkPackParallel(b *testing.B) {
-	spec, _ := fpdata.Lookup("NYX", "")
-	f := fpdata.Generate(spec, 8, 3) // 64^3
+// TestContainerIsOneCodecStream: a container is its header plus the codec's
+// stream of the whole array, byte for byte, at any handle width — so its
+// stored bytes are the ones the model prices with compress.Evaluate.
+func TestContainerIsOneCodecStream(t *testing.T) {
+	spec, err := fpdata.Lookup("NYX", "velocity_x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fpdata.Generate(spec, spec.ScaleFor(1<<21), 0)
+	if !slices.Equal(f.Dims, []int{128, 128, 128}) {
+		t.Fatalf("field dims %v, want 128x128x128", f.Dims)
+	}
 	eb := compress.AbsBoundFromRelative(1e-3, f.Data)
-	for _, par := range []int{1, 4} {
-		b.Run(map[int]string{1: "serial", 4: "par4"}[par], func(b *testing.B) {
-			b.SetBytes(f.SizeBytes())
-			for i := 0; i < b.N; i++ {
-				if _, err := Pack("sz", f.Data, f.Dims, eb,
-					Options{ChunkElems: 32768, Parallelism: par}); err != nil {
-					b.Fatal(err)
-				}
+	for _, codec := range []string{"sz", "zfp"} {
+		// magic, version, codec name, element width, dims, bound, row count
+		// and the one (lo, hi, size) row.
+		head := 4 + 4 + 4 + len(codec) + 4 + 4 + 8*len(f.Dims) + 8 + 4 + 3*8
+		var first []byte
+		for _, w := range []int{1, 2, 4} {
+			buf, err := Pack(codec, f.Data, f.Dims, eb, Options{Parallelism: w})
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
+			h, err := compress.NewHandle(codec, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := h.Compress(f.Data, f.Dims, eb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(buf) != head+len(want) || !bytes.Equal(buf[head:], want) {
+				t.Fatalf("%s at %d workers: %d B after a %d B header, want the %d B stream of the whole array",
+					codec, w, len(buf)-head, head, len(want))
+			}
+			if first == nil {
+				first = buf
+			} else if !bytes.Equal(buf, first) {
+				t.Fatalf("%s: %d workers changed the container", codec, w)
+			}
+		}
 	}
 }

@@ -37,6 +37,47 @@ func TestRetiredCodecRefusedInsideBudget(t *testing.T) {
 	buf = wire.AppendUint64(buf, uint64(len(blob)))
 	buf = append(buf, blob...)
 
+	requireRefusedInsideBudget(t, buf, elems, `"squant"`)
+}
+
+// TestMultiStreamContainerRefused: a version-2 container whose chunk table
+// has two rows, as builds that split arrays into slabs wrote, is refused by
+// Stat, by Check and by Unpack with an error naming the row count, inside
+// 4 KiB: the table is read before anything is sized by the dims' claim of
+// 2^26 elements.
+func TestMultiStreamContainerRefused(t *testing.T) {
+	h, err := compress.NewHandle("sz", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const row = 1 << 25
+	blob, err := h.Compress(make([]float32, 16), []int{16}, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	buf = wire.AppendUint32(buf, magic)
+	buf = wire.AppendUint32(buf, version)
+	buf = wire.AppendString(buf, "sz")
+	buf = wire.AppendUint32(buf, wire.ElemBits)
+	buf = wire.AppendDims(buf, []int{2, row})
+	buf = wire.AppendFloat64(buf, 1e-3)
+	buf = wire.AppendUint32(buf, 2)
+	for lo := range 2 {
+		buf = wire.AppendUint64(buf, uint64(lo))
+		buf = wire.AppendUint64(buf, uint64(lo+1))
+		buf = wire.AppendUint64(buf, uint64(len(blob)))
+	}
+	buf = append(buf, blob...)
+	buf = append(buf, blob...)
+	requireRefusedInsideBudget(t, buf, 2*row, "2 codec streams")
+}
+
+// requireRefusedInsideBudget holds Stat, Check — what the daemon's
+// verification pool runs on every putZ frame — and Unpack to refusing buf
+// with an error containing want, each inside 4 KiB.
+func requireRefusedInsideBudget(t *testing.T, buf []byte, elems int, want string) {
+	t.Helper()
 	u := NewUnpacker(Options{Parallelism: 1})
 	for _, c := range []struct {
 		name string
@@ -54,8 +95,8 @@ func TestRetiredCodecRefusedInsideBudget(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			err := c.call()
 			runtime.ReadMemStats(&after)
-			if err == nil || !strings.Contains(err.Error(), `"squant"`) {
-				t.Fatalf("%s: err %v, want a refusal naming the codec", c.name, err)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: err %v, want a refusal containing %q", c.name, err, want)
 			}
 			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}

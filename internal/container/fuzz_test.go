@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// FuzzUnpack drives Unpack/Check with corrupted containers. Contract: coherent output or an error — never a panic, and
-// never an output allocation a chunk blob could not plausibly back — and
+// FuzzUnpack drives Unpack/Check with corrupted containers. Contract:
+// coherent output or an error — never a panic, and never an output
+// allocation the codec stream could not plausibly back — and
 // Check, which decodes without keeping the values, accepts exactly what
 // Unpack does.
 func FuzzUnpack(f *testing.F) {
@@ -15,11 +16,11 @@ func FuzzUnpack(f *testing.F) {
 		data[i] = float32(i%31) * 0.125
 	}
 	dims := []int{8, 16, 16}
-	pk, err := Pack("sz", data, dims, 1e-3, Options{ChunkElems: 2 * 16 * 16})
+	pk, err := Pack("sz", data, dims, 1e-3, Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
-	zk, err := Pack("zfp", data, dims, 1e-3, Options{ChunkElems: 4 * 16 * 16})
+	zk, err := Pack("zfp", data, dims, 1e-3, Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -28,14 +29,14 @@ func FuzzUnpack(f *testing.F) {
 	f.Add(pk[:4]) // magic only
 	f.Add(pk)
 	f.Add(zk)
-	// Truncations: mid-header, mid-chunk-index, mid-blob.
+	// Truncations: mid-header, mid-chunk-table, mid-stream.
 	for _, cut := range []int{1, 8, 12, 20, 40, 64, 88, len(pk) / 2, len(pk) - 1} {
 		if cut < len(pk) {
 			f.Add(pk[:cut])
 		}
 	}
 	// Bit flips over the header (incl. the codec name at byte 12), the dims,
-	// the chunk index rows (lo/hi/size triples), and blob bytes.
+	// the row count, the one (lo, hi, size) row, and stream bytes.
 	for _, pos := range []int{4, 8, 12, 17, 25, 33, 49, 57, 65, 73, 81, len(pk) - 3} {
 		if pos < len(pk) {
 			c := append([]byte(nil), pk...)

@@ -1,6 +1,6 @@
 // Package wire provides the little-endian byte-level framing helpers shared
 // by every stream format in this repository (the sz and zfp codecs, the
-// chunked container, the checkpoint-set manifest and the daemon's
+// container, the checkpoint-set manifest and the daemon's
 // frames), and owns what all of them say about an array: its shape header,
 // the caps a shape must stay inside, the element width word, and the
 // collapse of singleton dimensions to the 1-, 2- or 3-D form the codecs work

@@ -35,13 +35,8 @@
 //	                          build their tables with it
 //	netsim.JumboTenGbE        the nfs wsize ablation's second link
 //	nfs.(Transfer).GoodputBps the nfs tests' bandwidth-ceiling checks
-//	obs.(Span).Child          the explicit-parent span for goroutine fan-out;
-//	                          the obs race and lane-packing tests are built on it
 //	svc.(*Server).Usage       the admission ledger the svc tests hold to zero
 //	                          after every abort, refusal and close
-//	{sz,zfp}.(*Handle).CompressAppend
-//	                          ROADMAP item 7's client allocation budget needs
-//	                          them: a dump that reuses its stream buffer
 //
 // What knobs lists on purpose, and why it stays:
 //

@@ -99,7 +99,7 @@ for _ in 1 2 3 4 5 6 7 8; do
 done
 test "$(wc -c <"$tmp/field.f32")" -eq 16384
 for codec in sz zfp; do
-    "$tmp/lcpio" compress -codec "$codec" -dims 64x64 -eb 1e-3 -chunk 1024 \
+    "$tmp/lcpio" compress -codec "$codec" -dims 64x64 -eb 1e-3 \
         -in "$tmp/field.f32" -out "$tmp/field.lcpk" >/dev/null
     "$tmp/lcpio" stat -in "$tmp/field.lcpk" | grep -q "codec: *$codec"
     "$tmp/lcpio" decompress -in "$tmp/field.lcpk" -out "$tmp/field.out.f32" >/dev/null
