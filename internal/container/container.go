@@ -146,11 +146,13 @@ func parse(buf []byte) (parsed, error) {
 	}
 	p.info.RawBytes = int64(p.n) * wire.ElemBits / 8
 	p.info.PackedBytes = int64(len(buf))
+	// The one stream runs to the end of buf: a byte after it would be
+	// counted in PackedBytes and lower the ratio Stat reports.
 	lo, hi, size := rd.Uint64(), rd.Uint64(), rd.Uint64()
-	if rd.Err() != nil || lo != 0 || hi != uint64(p.info.Dims[0]) || size > uint64(rd.Remaining()) {
+	if rd.Err() != nil || lo != 0 || hi != uint64(p.info.Dims[0]) || size != uint64(rd.Remaining()) {
 		return p, ErrCorrupt
 	}
-	p.stream = buf[rd.Offset() : rd.Offset()+int(size)]
+	p.stream = buf[rd.Offset():]
 	return p, nil
 }
 

@@ -267,3 +267,40 @@ func TestContainerIsOneCodecStream(t *testing.T) {
 		}
 	}
 }
+
+// TestTrailingBytesRefused: a container ends where its one stream does.
+// Bytes appended to a valid one make Stat, Check and Unpack refuse it, and a
+// clean container's PackedBytes is its header plus its stream.
+func TestTrailingBytesRefused(t *testing.T) {
+	data := make([]float32, 64)
+	for i := range data {
+		data[i] = float32(i) * 0.25
+	}
+	for _, codec := range []string{"sz", "zfp"} {
+		buf, err := Pack(codec, data, []int{64}, 1e-3, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := parse(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// magic, version, codec name, element width, dims, bound, row count
+		// and the one (lo, hi, size) row.
+		head := 4 + 4 + 4 + len(codec) + 4 + 4 + 8 + 8 + 4 + 3*8
+		if p.info.PackedBytes != int64(head+len(p.stream)) || int(p.info.PackedBytes) != len(buf) {
+			t.Fatalf("%s: PackedBytes %d, want a %d B header plus the %d B stream",
+				codec, p.info.PackedBytes, head, len(p.stream))
+		}
+		padded := append(append([]byte(nil), buf...), make([]byte, 1000)...)
+		if _, err := Stat(padded); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: Stat of a container with 1000 B appended: %v, want ErrCorrupt", codec, err)
+		}
+		if err := NewUnpacker(Options{Parallelism: 1}).Check(padded, len(data)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: Check: %v, want ErrCorrupt", codec, err)
+		}
+		if _, _, err := Unpack(padded, Options{}); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: Unpack: %v, want ErrCorrupt", codec, err)
+		}
+	}
+}

@@ -277,8 +277,7 @@ func TestReadTableIntoDecodeOnly(t *testing.T) {
 	w := bitstream.NewWriter(0)
 	c.WriteTable(w)
 	var got Code
-	var lens []uint8
-	if err := ReadTableInto(bitstream.NewReader(w.Bytes()), &got, &lens, 5); err != nil {
+	if err := ReadTableInto(bitstream.NewReader(w.Bytes()), &got, 5); err != nil {
 		t.Fatal(err)
 	}
 	if got.lutBits == 0 || len(got.codes) != 0 {
@@ -288,7 +287,7 @@ func TestReadTableIntoDecodeOnly(t *testing.T) {
 	wide := bitstream.NewWriter(0)
 	wide.WriteBits(maxTableSyms+1, 32)
 	wide.WriteBits(0, 32)
-	if err := ReadTableInto(bitstream.NewReader(wide.Bytes()), &got, &lens, 1<<30); err != ErrCorrupt {
+	if err := ReadTableInto(bitstream.NewReader(wide.Bytes()), &got, 1<<30); err != ErrCorrupt {
 		t.Fatalf("table claiming 2^24+1 symbols: err %v, want ErrCorrupt", err)
 	}
 	if _, err := FromLengths(make([]uint8, maxTableSyms+1)); err != ErrBadLengths {

@@ -2,15 +2,26 @@
 // alphabets. It is the entropy-coding stage for the sz codec's quantization
 // codes and the literal/length coder inside the lossless backend.
 //
-// Code construction uses the standard two-queue algorithm over a heap of
-// symbol frequencies, followed by canonicalization (codes assigned in
-// (length, symbol) order) so that only the code lengths need to be stored in
-// a compressed stream header.
+// Build merges the two lightest subtrees of a binary min-heap until one tree
+// is left, then canonicalizes its code lengths (codes assigned in (length,
+// symbol) order), so that only the lengths need to be stored in a compressed
+// stream header. The lengths, and so every stream byte, depend on which of
+// equally light subtrees merge first. The heap orders subtrees by (freq,
+// depth) — total frequency, then height, the shallower first — and leaves a
+// tie between equal keys to heap order: the leaves enter in ascending symbol
+// order and are heapified, and each merge pops two subtrees and pushes their
+// parent, with the textbook sift moves and a strict less.
+//
+// Past the one scan of the frequency table that finds the used symbols, every
+// step — the heap, canonicalization, the code table, a table's serialized
+// form and its parse — costs time in proportion to the symbols a code uses,
+// not to its alphabet.
 package huffman
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"lcpio/internal/bitstream"
@@ -24,6 +35,9 @@ const MaxCodeLen = 32
 var (
 	// ErrNoSymbols is returned when building a code over an empty alphabet.
 	ErrNoSymbols = errors.New("huffman: no symbols with nonzero frequency")
+	// ErrFreqTotal is returned when a frequency table sums to 2^57 or more,
+	// which Build's packed heap keys cannot hold.
+	ErrFreqTotal = errors.New("huffman: frequencies sum to 2^57 or more")
 	// ErrBadLengths is returned when a set of code lengths does not describe
 	// a valid (complete or over-subscribed-free) prefix code.
 	ErrBadLengths = errors.New("huffman: invalid code length set")
@@ -34,8 +48,13 @@ var (
 
 // Code is a canonical Huffman code over symbols [0, NumSymbols).
 type Code struct {
-	lens  []uint8  // code length per symbol; 0 = unused
-	codes []uint32 // canonical code per symbol, MSB-first; encoding only
+	// lens is the code length per symbol, 0 for an unused one, and used lists
+	// the symbols whose length is not 0 in ascending order. Only those
+	// entries of lens's storage are ever nonzero, so a rebuild clears the
+	// previous code's symbols rather than its whole alphabet.
+	lens  []uint8
+	used  []int32
+	codes []uint32 // canonical code per used symbol, MSB-first; encoding only
 
 	// Decoding acceleration: first code and first symbol index per length.
 	firstCode  [MaxCodeLen + 2]uint32
@@ -56,231 +75,240 @@ type Code struct {
 	limit   [MaxCodeLen + 1]uint64
 }
 
-type hnode struct {
-	freq        uint64
-	sym         int32 // -1 for internal
-	left, right int32 // indices into node arena
-	depth       int32 // tie-break: prefer shallow trees
-}
-
-// hheap is a min-heap of arena indices ordered by (freq, depth). It is
-// implemented directly on int32 indices rather than through container/heap:
-// the interface{}-based Push/Pop there boxes every index above 255, which
-// costs an allocation per heap operation — thousands per Build on wide
-// alphabets, and the dominant term in the codecs' steady-state allocs.
-type hheap struct {
-	arena []hnode
-	idx   []int32
-}
-
-func (h *hheap) less(i, j int) bool {
-	a, b := h.arena[h.idx[i]], h.arena[h.idx[j]]
-	if a.freq != b.freq {
-		return a.freq < b.freq
+// resetLens empties c for an alphabet of n symbols: it zeroes the lengths of
+// the symbols the previous code used, so lens's storage is all zero, and
+// sizes lens to n.
+func (c *Code) resetLens(n int) {
+	for _, s := range c.used {
+		c.lens[s] = 0
 	}
-	return a.depth < b.depth
-}
-
-func (h *hheap) push(v int32) {
-	h.idx = append(h.idx, v)
-	i := len(h.idx) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h.idx[i], h.idx[parent] = h.idx[parent], h.idx[i]
-		i = parent
+	c.used = c.used[:0]
+	if cap(c.lens) < n {
+		c.lens = make([]uint8, n)
+	} else {
+		c.lens = c.lens[:n]
 	}
 }
 
-func (h *hheap) pop() int32 {
-	v := h.idx[0]
-	n := len(h.idx) - 1
-	h.idx[0] = h.idx[n]
-	h.idx = h.idx[:n]
-	i := 0
+// depthBits is the width of a heap key's depth field. A Huffman tree whose
+// weights sum to W is at most about log_φ W deep (a node at height h weighs
+// at least the (h+2)-th Fibonacci number), so under 94 for any uint64 sum and
+// under 2^depthBits = 128 with room to spare.
+const depthBits = 7
+
+// maxFreqTotal bounds the frequency sum: every subtree's weight, shifted
+// left by depthBits, must fit a uint64 key.
+const maxFreqTotal = 1 << (64 - depthBits)
+
+// hslot is one heap entry: a subtree's key, freq<<depthBits | depth, whose
+// unsigned order is the (freq, depth) order, and its node number.
+type hslot struct {
+	key  uint64
+	node int32
+}
+
+// sentinel is the key of the slot past a heap's last entry: heavier than any
+// subtree, so a node with one child compares it as if it had two.
+const sentinel = ^uint64(0)
+
+// siftDown fills the hole at i with x, moving x down the heap s (whose last
+// slot is the sentinel): at each level the lighter child, the left one on a
+// tie, rises into the hole while it is strictly lighter than x. These are the
+// swaps of the textbook heap with a strict less, so equal keys keep their
+// order.
+func siftDown(s []hslot, i int, x hslot) {
+	n := len(s) - 1
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && h.less(l, min) {
-			min = l
-		}
-		if r < n && h.less(r, min) {
-			min = r
-		}
-		if min == i {
+		l := 2*i + 1
+		if l >= n {
 			break
 		}
-		h.idx[i], h.idx[min] = h.idx[min], h.idx[i]
-		i = min
+		// The right child wins only when strictly lighter. Its index and
+		// key come from the borrow of kr - kl, not from a branch, which
+		// would mispredict about every other level.
+		kl, kr := s[l].key, s[l+1].key
+		_, right := bits.Sub64(kr, kl, 0)
+		c := l + int(right)
+		kc := kl + (kr-kl)&-right
+		if kc >= x.key {
+			break
+		}
+		s[i] = s[c]
+		i = c
 	}
-	return v
+	s[i] = x
 }
 
-// init heapifies idx in place.
-func (h *hheap) heapify() {
-	n := len(h.idx)
-	for i := n/2 - 1; i >= 0; i-- {
-		// sift down from i
-		j := i
-		for {
-			l, r := 2*j+1, 2*j+2
-			min := j
-			if l < n && h.less(l, min) {
-				min = l
-			}
-			if r < n && h.less(r, min) {
-				min = r
-			}
-			if min == j {
-				break
-			}
-			h.idx[j], h.idx[min] = h.idx[min], h.idx[j]
-			j = min
-		}
+// pop removes the lightest entry from the heap s and returns it with the
+// shrunk heap: the last entry fills the root's hole and sifts down.
+func pop(s []hslot) (hslot, []hslot) {
+	top := s[0]
+	n := len(s) - 2 // the last entry, and the heap's size after the pop
+	x := s[n]
+	s[n] = hslot{key: sentinel}
+	s = s[:n+1]
+	if n > 0 {
+		siftDown(s, 0, x)
 	}
+	return top, s
+}
+
+// push adds x to the heap s, whose capacity must hold one more slot, and
+// returns the grown heap: x enters at the end and rises past every parent
+// strictly heavier than it.
+func push(s []hslot, x hslot) []hslot {
+	s = append(s, hslot{key: sentinel})
+	i := len(s) - 2
+	for i > 0 {
+		p := (i - 1) / 2
+		if x.key >= s[p].key {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = x
+	return s
 }
 
 // Build constructs a canonical Huffman code from symbol frequencies.
 // freqs[i] is the frequency of symbol i; zero-frequency symbols get no code.
-// At least one symbol must have nonzero frequency. If exactly one symbol is
-// used it is assigned a 1-bit code.
+// At least one symbol must have nonzero frequency, and the frequencies must
+// sum to less than 2^57 (ErrFreqTotal otherwise); sz partitions and lossless
+// inputs stay below 2^31. If exactly one symbol is used it is assigned a
+// 1-bit code.
 func Build(freqs []uint64) (*Code, error) {
 	var b Builder
 	return b.Build(freqs)
 }
 
-// Builder constructs canonical Huffman codes while reusing the heap arena,
-// length scratch, and the resulting Code's tables across calls. The zero
-// value is ready to use. A Builder is not safe for concurrent use; the *Code
-// returned by Build is only valid until the next Build call on the same
-// Builder.
+// Builder constructs canonical Huffman codes while reusing the heap, the tree
+// scratch, and the resulting Code's tables across calls. The zero value is
+// ready to use. A Builder is not safe for concurrent use; the *Code returned
+// by Build is only valid until the next Build call on the same Builder.
 type Builder struct {
-	heap  hheap
-	lens  []uint8
-	stack []hframe
-	code  Code
-}
-
-// hframe is one pending node in the iterative depth-assignment walk.
-type hframe struct {
-	node  int32
-	depth uint8
+	heap []hslot
+	// tree holds one entry per node: leaves 0..u-1 in used order, then each
+	// merge's parent in the order made. The merges write each node's parent,
+	// which is always a later node; the length pass turns those into depths.
+	tree []int32
+	code Code
 }
 
 // Build is the reusable-scratch equivalent of the package-level Build. The
 // returned Code aliases the Builder's internal storage.
 func (b *Builder) Build(freqs []uint64) (*Code, error) {
-	n := len(freqs)
-	if cap(b.lens) < n {
-		b.lens = make([]uint8, n)
-	}
-	lens := b.lens[:n]
-	clear(lens)
-	used := 0
-	for _, f := range freqs {
-		if f > 0 {
-			used++
-		}
-	}
-	if used == 0 {
-		return nil, ErrNoSymbols
-	}
-	if used == 1 {
-		for i, f := range freqs {
-			if f > 0 {
-				lens[i] = 1
-			}
-		}
-		if err := b.code.initFrom(lens); err != nil {
-			return nil, err
-		}
-		b.code.assignCodes()
-		return &b.code, nil
-	}
-
-	h := &b.heap
-	h.arena = h.arena[:0]
-	h.idx = h.idx[:0]
-	for i, f := range freqs {
-		if f > 0 {
-			h.arena = append(h.arena, hnode{freq: f, sym: int32(i), left: -1, right: -1})
-			h.idx = append(h.idx, int32(len(h.arena)-1))
-		}
-	}
-	h.heapify()
-	for len(h.idx) > 1 {
-		a := h.pop()
-		b := h.pop()
-		d := h.arena[a].depth
-		if h.arena[b].depth > d {
-			d = h.arena[b].depth
-		}
-		h.arena = append(h.arena, hnode{
-			freq: h.arena[a].freq + h.arena[b].freq,
-			sym:  -1, left: a, right: b, depth: d + 1,
-		})
-		h.push(int32(len(h.arena) - 1))
-	}
-	root := h.idx[0]
-
-	// Depth-first assignment of lengths (iterative to avoid recursion limits
-	// on degenerate frequency distributions).
-	stack := append(b.stack[:0], hframe{root, 0})
-	overflow := false
-	for len(stack) > 0 {
-		fr := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := h.arena[fr.node]
-		if nd.sym >= 0 {
-			d := fr.depth
-			if d == 0 {
-				d = 1
-			}
-			if d > MaxCodeLen {
-				overflow = true
-				d = MaxCodeLen
-			}
-			lens[nd.sym] = d
+	c := &b.code
+	c.resetLens(len(freqs))
+	// One scan lists the used symbols, ascending. A partition uses few of
+	// sz's 2^16, so the scan passes over eight unused ones at a time.
+	var total uint64
+	for base := 0; base < len(freqs); base += 8 {
+		blk := freqs[base:min(base+8, len(freqs))]
+		if len(blk) == 8 && blk[0]|blk[1]|blk[2]|blk[3]|blk[4]|blk[5]|blk[6]|blk[7] == 0 {
 			continue
 		}
-		stack = append(stack, hframe{nd.left, fr.depth + 1}, hframe{nd.right, fr.depth + 1})
+		for j, f := range blk {
+			if f != 0 {
+				if f >= maxFreqTotal-total {
+					return nil, ErrFreqTotal
+				}
+				total += f
+				c.used = append(c.used, int32(base+j))
+			}
+		}
 	}
-	b.stack = stack[:0]
-	if overflow {
-		flattenLengths(lens)
+	switch len(c.used) {
+	case 0:
+		return nil, ErrNoSymbols
+	case 1:
+		c.lens[c.used[0]] = 1
+	default:
+		b.lengths(freqs)
 	}
-	if err := b.code.initFrom(lens); err != nil {
+	if err := c.canonicalize(); err != nil {
 		return nil, err
 	}
-	b.code.assignCodes()
-	return &b.code, nil
+	c.assignCodes()
+	return c, nil
+}
+
+// lengths sets the code length of every used symbol, two or more, from the
+// Huffman tree over their frequencies.
+func (b *Builder) lengths(freqs []uint64) {
+	c := &b.code
+	u := len(c.used)
+	if cap(b.heap) < u+1 {
+		b.heap = make([]hslot, 0, u+1)
+	}
+	h := b.heap[:0]
+	for i, s := range c.used {
+		h = append(h, hslot{key: freqs[s] << depthBits, node: int32(i)})
+	}
+	h = append(h, hslot{key: sentinel})
+	for i := u/2 - 1; i >= 0; i-- {
+		siftDown(h, i, h[i])
+	}
+
+	if cap(b.tree) < 2*u-1 {
+		b.tree = make([]int32, 2*u-1)
+	}
+	tree := b.tree[:2*u-1]
+	const depthMask = 1<<depthBits - 1
+	for next := int32(u); len(h) > 2; next++ {
+		var x, y hslot
+		x, h = pop(h)
+		y, h = pop(h)
+		tree[x.node], tree[y.node] = next, next
+		depth := max(x.key&depthMask, y.key&depthMask) + 1
+		h = push(h, hslot{key: (x.key&^depthMask + y.key&^depthMask) | depth, node: next})
+	}
+	b.heap = h
+
+	// Depths from the root down: every parent is a later node, so walking
+	// the nodes backwards meets it first, already turned into its depth.
+	root := 2*u - 2
+	tree[root] = 0
+	for i := root - 1; i >= 0; i-- {
+		tree[i] = tree[tree[i]] + 1
+	}
+	overflow := false
+	for i, s := range c.used {
+		d := tree[i]
+		if d > MaxCodeLen {
+			overflow = true
+			d = MaxCodeLen
+		}
+		c.lens[s] = uint8(d)
+	}
+	if overflow {
+		flattenLengths(c.lens, c.used)
+	}
 }
 
 // flattenLengths repairs a length set whose Kraft sum exceeds 1 after
 // clamping, by repeatedly lengthening the shortest over-represented codes.
-// This mirrors the length-limited repair used by deflate encoders.
-func flattenLengths(lens []uint8) {
+// This mirrors the length-limited repair used by deflate encoders. used lists
+// the symbols with a length, ascending.
+func flattenLengths(lens []uint8, used []int32) {
 	for {
 		var kraft uint64 // scaled by 1<<MaxCodeLen
-		for _, l := range lens {
-			if l > 0 {
-				kraft += 1 << (MaxCodeLen - l)
-			}
+		for _, s := range used {
+			kraft += 1 << (MaxCodeLen - lens[s])
 		}
 		if kraft <= 1<<MaxCodeLen {
 			return
 		}
-		// Lengthen the longest code shorter than MaxCodeLen.
-		best := -1
-		for i, l := range lens {
-			if l > 0 && l < MaxCodeLen && (best < 0 || l > lens[best]) {
-				best = i
+		// Lengthen the longest code shorter than MaxCodeLen, the lowest
+		// symbol on a tie.
+		best := int32(-1)
+		for _, s := range used {
+			if l := lens[s]; l < MaxCodeLen && (best < 0 || l > lens[best]) {
+				best = s
 			}
 		}
 		if best < 0 {
-			return // cannot repair; FromLengths will reject
+			return // cannot repair; canonicalize will reject
 		}
 		lens[best]++
 	}
@@ -290,8 +318,13 @@ func flattenLengths(lens []uint8) {
 // lengths (0 meaning the symbol is unused), ready to encode and decode. The
 // lengths must satisfy the Kraft inequality.
 func FromLengths(lens []uint8) (*Code, error) {
-	c := &Code{}
-	if err := c.initFrom(lens); err != nil {
+	c := &Code{lens: append([]uint8(nil), lens...)}
+	for s, l := range lens {
+		if l != 0 {
+			c.used = append(c.used, int32(s))
+		}
+	}
+	if err := c.canonicalize(); err != nil {
 		return nil, err
 	}
 	c.assignCodes()
@@ -299,32 +332,25 @@ func FromLengths(lens []uint8) (*Code, error) {
 	return c, nil
 }
 
-// initFrom (re)initializes c as the canonical code implied by lens, reusing
-// c's existing table storage where capacity allows. lens is copied. It sets
-// what both directions read — the lengths and the per-length first code and
-// symbol index — and leaves the encoder's codes to assignCodes and the
-// decoder's table to buildDecodeTables.
-func (c *Code) initFrom(lens []uint8) error {
-	if len(lens) > maxTableSyms {
+// canonicalize checks the lengths of the used symbols and sets what both
+// directions read from them: the per-length first code and symbol index and
+// the symbols in (length, symbol) order. It leaves the encoder's codes to
+// assignCodes and the decoder's table to buildDecodeTables.
+func (c *Code) canonicalize() error {
+	if len(c.lens) > maxTableSyms {
 		return ErrBadLengths
 	}
 	var counts [MaxCodeLen + 2]uint32
 	maxLen := uint8(0)
-	used := 0
-	for _, l := range lens {
-		if l == 0 {
-			continue
-		}
+	for _, s := range c.used {
+		l := c.lens[s]
 		if l > MaxCodeLen {
 			return ErrBadLengths
 		}
 		counts[l]++
-		used++
-		if l > maxLen {
-			maxLen = l
-		}
+		maxLen = max(maxLen, l)
 	}
-	if used == 0 {
+	if len(c.used) == 0 {
 		return ErrNoSymbols
 	}
 	// Kraft check.
@@ -336,9 +362,7 @@ func (c *Code) initFrom(lens []uint8) error {
 		return ErrBadLengths
 	}
 
-	// Validation passed: reset all derived state before rebuilding.
 	c.maxLen = maxLen
-	c.lens = append(c.lens[:0], lens...)
 	c.codes = c.codes[:0]
 	c.firstCode = [MaxCodeLen + 2]uint32{}
 	c.firstSym = [MaxCodeLen + 2]int32{}
@@ -352,10 +376,9 @@ func (c *Code) initFrom(lens []uint8) error {
 		code = (code + counts[l]) << 1
 	}
 
-	// List the symbols in (length, symbol) order. One pass over the symbols
-	// suffices: for a fixed length, symbols appear in increasing order, which
-	// is exactly the canonical tie-break, so each symbol lands at its
-	// length's running slot cursor.
+	// List the symbols in (length, symbol) order. One pass over the used
+	// symbols suffices: they ascend, which is the canonical tie-break for a
+	// fixed length, so each lands at its length's running slot cursor.
 	var symIdx int32
 	var slot [MaxCodeLen + 2]int32
 	for l := uint8(1); l <= c.maxLen; l++ {
@@ -369,24 +392,23 @@ func (c *Code) initFrom(lens []uint8) error {
 	} else {
 		c.symsByCode = c.symsByCode[:symIdx]
 	}
-	for s, sl := range lens {
-		if sl == 0 {
-			continue
-		}
-		c.symsByCode[slot[sl]] = int32(s)
-		slot[sl]++
+	for _, s := range c.used {
+		l := c.lens[s]
+		c.symsByCode[slot[l]] = s
+		slot[l]++
 	}
 	return nil
 }
 
 // assignCodes gives every used symbol its canonical code, for encoding: the
 // k-th symbol of length l in (length, symbol) order gets firstCode[l] + k.
+// The entries of unused symbols keep whatever they held: Encode refuses
+// those symbols by their zero length before it reads a code.
 func (c *Code) assignCodes() {
 	if cap(c.codes) < len(c.lens) {
 		c.codes = make([]uint32, len(c.lens))
 	} else {
 		c.codes = c.codes[:len(c.lens)]
-		clear(c.codes)
 	}
 	for l := uint8(1); l <= c.maxLen; l++ {
 		for k, s := range c.symsByCode[c.firstSym[l]:c.firstSym[l+1]] {
@@ -601,24 +623,25 @@ func (c *Code) match(cur uint64) (int, uint) {
 }
 
 // WriteTable serializes the code lengths to w so a decoder can reconstruct
-// the canonical code. Lengths are run-length encoded: (zeroRun, len) pairs.
+// the canonical code. Lengths are run-length encoded: a run of unused symbols
+// is a 0 bit and a 16-bit count, at most 65535 to a run, and a used symbol a
+// 1 bit and its 6-bit length.
 func (c *Code) WriteTable(w *bitstream.Writer) {
 	w.WriteBits(uint64(len(c.lens)), 32)
-	i := 0
-	for i < len(c.lens) {
-		if c.lens[i] == 0 {
-			run := 0
-			for i < len(c.lens) && c.lens[i] == 0 && run < 65535 {
-				run++
-				i++
-			}
-			w.WriteBit(0)
-			w.WriteBits(uint64(run), 16)
-			continue
-		}
-		w.WriteBit(1)
-		w.WriteBits(uint64(c.lens[i]), 6)
-		i++
+	next := 0
+	for _, s := range c.used {
+		writeUnusedRun(w, int(s)-next)
+		w.WriteBits(1<<6|uint64(c.lens[s]), 7)
+		next = int(s) + 1
+	}
+	writeUnusedRun(w, len(c.lens)-next)
+}
+
+// writeUnusedRun writes n unused symbols as the runs WriteTable's format
+// allows, each a 0 tag bit and its count in one 17-bit write.
+func writeUnusedRun(w *bitstream.Writer, n int) {
+	for ; n > 0; n -= 65535 {
+		w.WriteBits(uint64(min(n, 65535)), 17)
 	}
 }
 
@@ -628,16 +651,15 @@ func (c *Code) WriteTable(w *bitstream.Writer) {
 const maxTableSyms = 1 << 24
 
 // ReadTableInto reconstructs a Code from a table written by WriteTable into a
-// caller-owned Code and length scratch buffer, so decoders that parse one
-// table per partition reuse the table storage across partitions instead of
-// reallocating ~NumSymbols-sized arrays each time. *lensBuf is grown as
-// needed and left holding the parsed lengths. The Code comes back ready to
+// caller-owned Code, so decoders that parse one table per partition reuse
+// the table storage across partitions; the parse and the rebuild cost the
+// symbols the table uses, not its alphabet. The Code comes back ready to
 // decode, with its decode table built, and without the per-symbol codes only
 // an encoder reads: it cannot Encode. A table claiming more than maxSyms
 // symbols is ErrCorrupt before anything is sized from the claim: the caller
 // knows its alphabet, and the storage it keeps across streams must not grow
 // to a forged one.
-func ReadTableInto(r *bitstream.Reader, c *Code, lensBuf *[]uint8, maxSyms int) error {
+func ReadTableInto(r *bitstream.Reader, c *Code, maxSyms int) error {
 	n64, err := r.ReadBits(32)
 	if err != nil {
 		return err
@@ -646,14 +668,7 @@ func ReadTableInto(r *bitstream.Reader, c *Code, lensBuf *[]uint8, maxSyms int) 
 	if n < 0 || n > min(maxSyms, maxTableSyms) {
 		return ErrCorrupt
 	}
-	lens := *lensBuf
-	if cap(lens) < n {
-		lens = make([]uint8, n)
-	} else {
-		lens = lens[:n]
-		clear(lens)
-	}
-	*lensBuf = lens
+	c.resetLens(n)
 	i := 0
 	for i < n {
 		tag, err := r.ReadBit()
@@ -678,10 +693,11 @@ func ReadTableInto(r *bitstream.Reader, c *Code, lensBuf *[]uint8, maxSyms int) 
 		if l == 0 || l > MaxCodeLen {
 			return ErrCorrupt
 		}
-		lens[i] = uint8(l)
+		c.lens[i] = uint8(l)
+		c.used = append(c.used, int32(i))
 		i++
 	}
-	if err := c.initFrom(lens); err != nil {
+	if err := c.canonicalize(); err != nil {
 		return err
 	}
 	c.buildDecodeTables()

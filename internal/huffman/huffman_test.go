@@ -13,8 +13,7 @@ import (
 // that trusts its stream would.
 func readTable(r *bitstream.Reader) (*Code, error) {
 	c := &Code{}
-	var lens []uint8
-	if err := ReadTableInto(r, c, &lens, maxTableSyms); err != nil {
+	if err := ReadTableInto(r, c, maxTableSyms); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -279,21 +278,6 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCountScale: 1, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkBuild(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	freqs := make([]uint64, 65536)
-	for i := range freqs {
-		freqs[i] = uint64(rng.Intn(10000))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Build(freqs); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

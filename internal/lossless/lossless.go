@@ -315,13 +315,11 @@ func EntropyGain(src []byte) (gain float64, asked bool) {
 
 // decState is the decode-side counterpart of encState: the bit reader, both
 // Huffman codes with their decode tables (a 12-bit table pair is ~20 KiB per
-// code) and the table-length scratch, so steady-state decompression allocates
-// nothing beyond growing dst.
+// code), so steady-state decompression allocates nothing beyond growing dst.
 type decState struct {
-	r       bitstream.Reader
-	litLen  huffman.Code
-	dist    huffman.Code
-	lensBuf []uint8
+	r      bitstream.Reader
+	litLen huffman.Code
+	dist   huffman.Code
 }
 
 var decPool = sync.Pool{New: func() any { return new(decState) }}
@@ -374,11 +372,11 @@ func (st *decState) decompress(dst, buf []byte) ([]byte, error) {
 	// it is parsed keeps the pooled tables at their working size and every
 	// decoded symbol inside the base/extra-bits arrays.
 	litLenCode, distCode := &st.litLen, &st.dist
-	if err := huffman.ReadTableInto(r, litLenCode, &st.lensBuf, numLitLen); err != nil {
+	if err := huffman.ReadTableInto(r, litLenCode, numLitLen); err != nil {
 		return nil, err
 	}
 	if hasDist {
-		if err := huffman.ReadTableInto(r, distCode, &st.lensBuf, numDistSyms); err != nil {
+		if err := huffman.ReadTableInto(r, distCode, numDistSyms); err != nil {
 			return nil, err
 		}
 	}

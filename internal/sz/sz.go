@@ -469,14 +469,12 @@ func encodePartition(lane *laneScratch, pspan obs.Span, q *quantBufs, out *partO
 // --- decompressor ------------------------------------------------------------
 
 // decLane holds one worker lane's decode-side buffers, reused across the
-// partitions the lane picks up and across calls: the Huffman table parse
-// alone touches ~NumSymbols of storage per partition, so reusing it is most
-// of the decode-side allocation win.
+// partitions the lane picks up and across calls: the Huffman code's
+// alphabet-sized tables are most of the decode-side allocation a lane saves.
 type decLane struct {
 	raw   []byte // lossless-decoded partition container
 	exact []float32
 	code  huffman.Code
-	lens  []uint8
 	br    bitstream.Reader
 }
 
@@ -679,7 +677,7 @@ func openPartition(lane *decLane, payload []byte, n int) ([]float32, error) {
 	}
 
 	lane.br.Reset(huffPayload)
-	if err := huffman.ReadTableInto(&lane.br, &lane.code, &lane.lens, quantCount); err != nil {
+	if err := huffman.ReadTableInto(&lane.br, &lane.code, quantCount); err != nil {
 		return nil, fmt.Errorf("sz: huffman table: %w", err)
 	}
 	return exact, nil

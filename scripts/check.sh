@@ -25,15 +25,17 @@ go test -run '^Fuzz' ./...
 # of them ~100x while staying reproducible. The codecs' error-bound
 # invariants are the ones worth the minutes: every codec's, in the compress
 # conformance suite; sz's and zfp's under the partition and shard plans only
-# their own packages can set.
+# their own packages can set; and Huffman's code lengths against the heap
+# Build they must match, on which every sz and lossless stream byte rests.
 go test -count=1 -run 'Quick|Invariant' \
-    ./internal/compress/ ./internal/zfp/ ./internal/sz/ -quickchecks 10000
+    ./internal/compress/ ./internal/zfp/ ./internal/sz/ ./internal/huffman/ -quickchecks 10000
 
 # Codec micro-benchmarks, one iteration each, so they cannot rot: the
 # literal-heavy lossless case, the long-tail Huffman case and the per-
 # dimension plane decoder are the ones that see the regime the end-to-end
-# restore runs in; the Huffman-coded lossless inputs, the table builds and
-# the one-rank sz fields are the dump's. BenchmarkDumpLoopback is the whole
+# restore runs in; the Huffman-coded lossless inputs, the table builds (on
+# NYX- and HACC-shaped partition histograms and a full alphabet) and the
+# one-rank sz fields are the dump's. BenchmarkDumpLoopback is the whole
 # dump over a real loopback listener — client, frames, the daemon's
 # verification pool and committer — as zfp putZ and as sz put.
 go test -run '^$' -bench 'Decode|Decompress|Compress|Build|TransposeWindow' -benchtime 1x \
