@@ -14,6 +14,7 @@ import (
 	"lcpio/internal/fpdata"
 	"lcpio/internal/netsim"
 	"lcpio/internal/nfs"
+	"lcpio/internal/tables"
 )
 
 // cmdCkpt dispatches the checkpoint-store subcommands. Global flags
@@ -283,10 +284,13 @@ func cmdCkptWrite(args []string) error {
 			kind = "checkpoint/restart"
 		}
 		fmt.Printf("energy (%s campaign, %d iterations on %s):\n", kind, *iters, chip.Model)
-		fmt.Printf("  base clock:      %.1f s, %.1f kJ (%.1f W avg)\n",
-			cmp.Base.Seconds, cmp.Base.Joules/1e3, cmp.Base.AvgWatts())
-		fmt.Printf("  tuned (Eqn 3):   %.1f s, %.1f kJ (%.1f W avg)\n",
-			cmp.Tuned.Seconds, cmp.Tuned.Joules/1e3, cmp.Tuned.AvgWatts())
+		// A campaign is joules and a fraction of a second on a small set
+		// and megajoules and hours on a large one: both legs print with
+		// four significant digits and SI-prefixed joules.
+		fmt.Printf("  base clock:      %.4g s, %s (%.1f W avg)\n",
+			cmp.Base.Seconds, tables.FormatSI(cmp.Base.Joules, "J"), cmp.Base.AvgWatts())
+		fmt.Printf("  tuned (Eqn 3):   %.4g s, %s (%.1f W avg)\n",
+			cmp.Tuned.Seconds, tables.FormatSI(cmp.Tuned.Joules, "J"), cmp.Tuned.AvgWatts())
 		fmt.Printf("  energy saved:    %.2f%% for %.2f%% more runtime\n",
 			cmp.EnergySavedPct(), cmp.RuntimeIncreasePct())
 		if res.ParityRanks > 0 {

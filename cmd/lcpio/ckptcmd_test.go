@@ -2,9 +2,12 @@ package main
 
 import (
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -223,5 +226,51 @@ func TestCkptParityCLI(t *testing.T) {
 	}
 	if err := cmdCkpt([]string{"restore", "-in", path, "-check"}); err != nil {
 		t.Fatalf("strict restore with parity reconstruction: %v", err)
+	}
+}
+
+// TestCkptEnergyReportUnits: a two-iteration campaign over an 8 MiB set with
+// no compute phase costs about a joule and a tenth of a second per leg. The
+// report must print both legs in units that show them — read back, they are
+// nonzero and give the saving and the runtime increase the report states.
+func TestCkptEnergyReportUnits(t *testing.T) {
+	out, err := captureStdout(t, func() error {
+		return cmdCkpt([]string{"write", "-out", filepath.Join(t.TempDir(), "e.lcpt"),
+			"-ranks", "2", "-fields", "1", "-elems", "1048576", "-energy", "-iters", "2", "-compute", "0"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legRE := regexp.MustCompile(`(?m)^  (?:base clock|tuned \(Eqn 3\)):\s+(\S+) s, (\S+) (\S+) \(`)
+	legs := legRE.FindAllStringSubmatch(out, -1)
+	savedRE := regexp.MustCompile(`energy saved:\s+(\S+)% for (\S+)% more runtime`)
+	saved := savedRE.FindStringSubmatch(out)
+	if len(legs) != 2 || saved == nil {
+		t.Fatalf("no base, tuned and saving lines in:\n%s", out)
+	}
+	var secs, joules [2]float64
+	for i, m := range legs {
+		if secs[i], err = strconv.ParseFloat(m[1], 64); err != nil {
+			t.Fatal(err)
+		}
+		joules[i] = siJoules(t, m[2], m[3])
+		if !(secs[i] > 0 && joules[i] > 0) {
+			t.Fatalf("leg %q prints %g s and %g J; both must show", m[0], secs[i], joules[i])
+		}
+	}
+	for _, c := range []struct {
+		what   string
+		got    float64
+		stated string
+	}{
+		{"energy saved", 100 * (1 - joules[1]/joules[0]), saved[1]},
+		{"runtime increase", 100 * (secs[1]/secs[0] - 1), saved[2]},
+	} {
+		stated, err := strconv.ParseFloat(c.stated, 64)
+		// Three significant digits per leg put the read-back within a
+		// point of the stated percentage.
+		if err != nil || math.Abs(c.got-stated) > 1 {
+			t.Errorf("%s: the printed legs give %.2f%%, the report states %s%%", c.what, c.got, c.stated)
+		}
 	}
 }

@@ -374,7 +374,7 @@ func siJoules(t *testing.T, value, unit string) float64 {
 	if err != nil {
 		t.Fatalf("energy %q %q: %v", value, unit, err)
 	}
-	scale, ok := map[string]float64{"J": 1, "kJ": 1e3, "MJ": 1e6, "GJ": 1e9}[unit]
+	scale, ok := map[string]float64{"mJ": 1e-3, "J": 1, "kJ": 1e3, "MJ": 1e6, "GJ": 1e9}[unit]
 	if !ok {
 		t.Fatalf("energy unit %q", unit)
 	}

@@ -316,9 +316,10 @@ var calib = map[string]codecCalib{
 	// (scale < 1) but pays Huffman table + container overhead (base).
 	"sz": {bitsScale: 0.90, bitsBase: 0.6, psnrOffsetDB: 5.0, errFrac: 0.45},
 	// ZFP: bits follow the 4^d-block bit-plane count; the transform
-	// concentrates error well below the requested accuracy, increasingly
-	// so at tighter bounds.
-	"zfp": {bitsScale: 1.0, bitsBase: 1.9, psnrOffsetDB: 14.0, psnrSlopeDB: 4.0, errFrac: 0.2},
+	// concentrates error below the requested accuracy, a little more so
+	// at tighter bounds, though each block's cutoff search spends most of
+	// its bound (NYX and Hurricane-ISABEL within 1 dB at 1e-3 and 1e-4).
+	"zfp": {bitsScale: 1.0, bitsBase: 1.5, psnrOffsetDB: 12.0, psnrSlopeDB: 2.0, errFrac: 0.2},
 }
 
 // psnrEstimate is the calibrated quality estimate: uniform-quantization

@@ -183,16 +183,32 @@ func buildPerm(dim int) []int {
 	return out
 }
 
-// cutoff is what one compress call fixes for all of its blocks: the tolerance
-// and the plane it seeds each block's cutoff from.
+// cutoff is what one compress call fixes for all of its blocks: the tolerance,
+// the plane the cutoff search starts from, and the largest error at which a
+// passing cutoff still tries the plane above it.
 type cutoff struct {
 	eb     float64
 	ebLog2 int // floor(log2(eb))
+	climb  float64
 }
 
+// climbShare of the tolerance is co.climb. Dropping a plane roughly doubles
+// a block's error, which puts the textbook threshold at one half; measured
+// there, the plane above still passed for 40–55 % of NYX blocks that ended
+// between 0.5 and 0.75 of the tolerance, and for 20–30 % of
+// Hurricane-ISABEL ones. DESIGN §5i "Cutoff search" has the trade that set
+// it at 0.6.
+const climbShare = 0.6
+
 func cutoffFor(eb float64) cutoff {
-	return cutoff{eb: eb, ebLog2: int(math.Floor(math.Log2(eb)))}
+	return cutoff{eb: eb, ebLog2: int(math.Floor(math.Log2(eb))), climb: climbShare * eb}
 }
+
+// seedOff is the offset below the tolerance's plane at which a lane searches
+// its first block of a shard, by block dimensionality: later blocks start
+// where the previous one ended. Shard starts depend only on the array shape,
+// so the bytes do not depend on the worker count.
+var seedOff = [4]int{1: 1, 2: 1, 3: 2}
 
 // maxAbs returns the largest magnitude in blk and whether every value is
 // finite, in one pass over the bit patterns: with the sign cleared, IEEE
@@ -211,10 +227,9 @@ func maxAbs(blk []float32) (float64, bool) {
 // ln so the hot path is allocation-free.
 //
 // Quantization, the forward transform and the negabinary mapping run exactly
-// once per block: a retry only moves the plane cutoff, which is applied to
-// the already-computed negabinary words as a mask (see verifyCutoff), so the
-// expensive per-retry work of the old encode/decode/re-encode loop is gone
-// and each block's planes are emitted a single time.
+// once per block: trying another cutoff only moves the plane mask applied to
+// the already-computed negabinary words (see verifyCutoff), and the block's
+// planes are emitted a single time, at the cutoff the search settles on.
 func encodeBlock(w *bitstream.Writer, ln *zlane, dim int, co cutoff) {
 	size := blockSize(dim)
 	blk := ln.blk[:size]
@@ -234,7 +249,7 @@ func encodeBlock(w *bitstream.Writer, ln *zlane, dim int, co cutoff) {
 	// Lane scratch is indexed as arrays (perm entries and block offsets are
 	// all below 64), sliced only where a callee wants the block's length.
 	coef, nb := &ln.coef, &ln.nb
-	scale := math.Ldexp(1, qBits-emax)
+	scale, inv := math.Ldexp(1, qBits-emax), math.Ldexp(1, emax-qBits)
 	for i, v := range blk {
 		coef[i&63] = int64(math.RoundToEven(float64(v) * scale))
 	}
@@ -252,54 +267,68 @@ func encodeBlock(w *bitstream.Writer, ln *zlane, dim int, co cutoff) {
 		kmaxFull = hiPlane
 	}
 
-	// Seed the plane cutoff from the tolerance: a coefficient error below
-	// 2^kmin in fixed point is eb' = 2^(kmin + emax - qBits) in value units.
-	// One guard bit absorbs typical transform gain; the verify-and-retry
-	// loop below catches the block that needs more planes.
-	const guard = 1
-	kmin := co.ebLog2 + qBits - emax - guard
-	if kmin < 0 {
-		kmin = 0
-	}
-	if kmin >= hiPlane {
-		kmin = hiPlane - 1
-	}
-
-	for {
-		kmax := kmaxFull
-		if kmax < kmin {
-			kmax = kmin
+	// Search for the block's tightest verified cutoff. A coefficient error
+	// below 2^k in fixed point is 2^(k + emax - qBits) in value units, so k0
+	// is the tolerance's plane before transform gain; the search starts
+	// ln.off planes below it. A failed verification steps one plane down,
+	// until a cutoff passes or plane 0 fails and the block is stored raw. A
+	// pass whose largest error is within co.climb tries the plane above, and
+	// keeps it if it passes too. Only the choice of cutoffs to try depends on
+	// the seed: every cutoff emitted has passed verifyCutoff.
+	k0 := co.ebLog2 + qBits - emax
+	kmin := min(max(k0-ln.off, 0), hiPlane-1)
+	e, ok := ln.verify(dim, co.eb, inv, kmin, kmaxFull)
+	if ok {
+		// Above kmaxFull no plane is left to drop.
+		for e <= co.climb && kmin < kmaxFull && kmin+1 < hiPlane {
+			e1, ok1 := ln.verify(dim, co.eb, inv, kmin+1, kmaxFull)
+			if !ok1 {
+				break
+			}
+			kmin, e = kmin+1, e1
 		}
-		ln.verifies++
-		if verifyCutoff(ln, dim, co.eb, emax, kmin, kmax) {
-			w.WriteBits(tagCoded, 2)
-			w.WriteBits(uint64(emax+emaxBias), emaxFieldBits)
-			w.WriteBits(uint64(kmin), 6)
-			w.WriteBits(uint64(kmax), 6)
-			encodePlanes(w, nb[:size], kmin, kmax)
-			ln.planes += int64(kmax - kmin)
-			return
-		}
+	}
+	for !ok {
 		if kmin == 0 {
 			writeRawBlock(w, blk)
 			return
 		}
-		kmin -= 3
-		if kmin < 0 {
-			kmin = 0
-		}
+		kmin--
+		e, ok = ln.verify(dim, co.eb, inv, kmin, kmaxFull)
 	}
+	// A block that codes no planes passes at any cutoff above its
+	// coefficients and says nothing about where the next one will.
+	if kmin < kmaxFull {
+		ln.off = k0 - kmin
+	}
+	kmax := max(kmaxFull, kmin)
+	w.WriteBits(tagCoded, 2)
+	w.WriteBits(uint64(emax+emaxBias), emaxFieldBits)
+	w.WriteBits(uint64(kmin), 6)
+	w.WriteBits(uint64(kmax), 6)
+	encodePlanes(w, nb[:size], kmin, kmax)
+	ln.planes += int64(kmax - kmin)
+}
+
+// verify counts and runs one cutoff verification of the block in ln, its
+// window planes max(kmaxFull, kmin)-1 .. kmin.
+func (ln *zlane) verify(dim int, eb, inv float64, kmin, kmaxFull int) (float64, bool) {
+	ln.verifies++
+	return verifyCutoff(ln, dim, eb, inv, kmin, max(kmaxFull, kmin))
 }
 
 // verifyCutoff reports whether planes kmax-1..kmin reconstruct ln.blk within
-// eb, without round-tripping through the bitstream. The group-tested coder is
-// lossless on the planes it transmits — the decoder recovers exactly
-// nb[i] & planeMask — so masking the negabinary words reproduces the decoder's
-// coefficients directly. The comparison goes through the same cast to float32
+// eb, and an error it saw — on a pass the block's largest, on a failure the
+// first past eb — without round-tripping through the bitstream. The
+// group-tested coder is lossless on the planes it transmits — the decoder
+// recovers exactly nb[i] & planeMask — so masking the negabinary words
+// reproduces the decoder's coefficients directly. The comparison goes through the same cast to float32
 // the decoder's store does: that rounding moves the value by up to half an
 // ULP, which decides the bound when the tolerance is near an ULP of the
 // block's magnitude.
-func verifyCutoff(ln *zlane, dim int, eb float64, emax, kmin, kmax int) bool {
+//
+// inv is 2^(emax - qBits), the block's fixed-point unit in value units.
+func verifyCutoff(ln *zlane, dim int, eb, inv float64, kmin, kmax int) (float64, bool) {
 	size := blockSize(dim)
 	// kmax <= hiPlane < 64, so the shifts stay in range.
 	mask := (uint64(1)<<uint(kmax) - 1) &^ (uint64(1)<<uint(kmin) - 1)
@@ -308,13 +337,17 @@ func verifyCutoff(ln *zlane, dim int, eb float64, emax, kmin, kmax int) bool {
 		dcoef[p&63] = nb2int(nb[i&63] & mask)
 	}
 	invTransform(dcoef[:size], dim)
-	inv := math.Ldexp(1, emax-qBits)
+	m := 0.0
 	for i, c := range dcoef[:size] {
-		if math.Abs(float64(float32(float64(c)*inv))-float64(blk[i&63])) > eb {
-			return false
+		e := math.Abs(float64(float32(float64(c)*inv)) - float64(blk[i&63]))
+		if e > eb {
+			return e, false
+		}
+		if e > m {
+			m = e
 		}
 	}
-	return true
+	return m, true
 }
 
 func writeRawBlock(w *bitstream.Writer, blk []float32) {

@@ -1,6 +1,9 @@
 package zfp
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -72,6 +75,74 @@ func FuzzDecompress(f *testing.F) {
 		h := NewHandle(0)
 		if out, dims, err := h.Decompress(in); err == nil && wire.CheckDims("zfp", len(out), dims) != nil {
 			t.Fatalf("decode succeeded with dims %v for %d values", dims, len(out))
+		}
+	})
+}
+
+// FuzzCompressBound drives the encoder with arbitrary float32 values —
+// subnormals, exponent spreads as wide as the format, NaN and ±Inf — cut
+// into 1-, 2- or 3-D arrays, at tolerances over 320 binary orders, far
+// below an ULP of any float32 and far above its range. Contract: every
+// finite element decodes within the tolerance, every non-finite one as its
+// own bits, and the bytes are the same at one and four workers, with shards
+// of at most four blocks so the cutoff search restarts in each. Seeded with
+// the verifier reference test's adversarial blocks.
+func FuzzCompressBound(f *testing.F) {
+	s := xs64(0x7E51F1)
+	for n, blk := range adversarialBlocks(&s) {
+		for _, exp := range []int{-160, -24, -10, 0, 20, 128} {
+			f.Add(uint8(n), uint16(exp+160)<<4|uint16(n&15), bitsOf(blk))
+		}
+	}
+	smallShards(f, 4)
+	f.Fuzz(func(t *testing.T, shape uint8, tol uint16, raw []byte) {
+		n := min(len(raw)/4, 4096)
+		if n == 0 {
+			return
+		}
+		data := make([]float32, n)
+		for i := range data {
+			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		// One row of width w (1-D), rows of w (2-D), or planes of w×w (3-D),
+		// trimming what does not fill the last row or plane.
+		w := int(shape>>2)%9 + 1
+		dims := []int{n}
+		switch shape % 3 {
+		case 1:
+			dims = []int{n / w, w}
+		case 2:
+			dims = []int{n / (w * w), w, w}
+		}
+		if dims[0] == 0 {
+			return
+		}
+		size := 1
+		for _, d := range dims {
+			size *= d
+		}
+		data = data[:size]
+		eb := math.Ldexp(1+float64(tol&15)/16, int(tol>>4)%320-160)
+
+		one, err := NewHandle(1).Compress(data, dims, eb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		four, err := NewHandle(4).Compress(data, dims, eb)
+		if err != nil || !bytes.Equal(one, four) {
+			t.Fatalf("dims %v eb %g: err %v, or four workers write other bytes than one", dims, eb, err)
+		}
+		out, _, err := NewHandle(1).Decompress(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range data {
+			finite := !math.IsNaN(float64(v)) && !math.IsInf(float64(v), 0)
+			if finite && !(math.Abs(float64(out[i])-float64(v)) <= eb) ||
+				!finite && math.Float32bits(out[i]) != math.Float32bits(v) {
+				t.Fatalf("dims %v eb %g: element %d = %g (%#x) decodes %g (%#x)",
+					dims, eb, i, v, math.Float32bits(v), out[i], math.Float32bits(out[i]))
+			}
 		}
 	})
 }

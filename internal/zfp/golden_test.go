@@ -61,6 +61,13 @@ func (tc goldenCase) file() string {
 	return fmt.Sprintf("golden_v%d_%s.f32.zfs", version, tc.name)
 }
 
+// preSearchFile is tc's stream as the encoder wrote it before the cutoff
+// search (the fixed-step rule refEncodeBlockFixedStep keeps), committed with
+// its decoded image as a decode-only fixture.
+func (tc goldenCase) preSearchFile() string {
+	return fmt.Sprintf("golden_v%d_presearch_%s.f32.zfs", version, tc.name)
+}
+
 // compress appends tc's stream, written by h, to dst.
 func (tc goldenCase) compress(h *Handle, dst []byte) ([]byte, error) {
 	return h.CompressAppend(dst, goldenField32(tc.dims), tc.dims, tc.eb)
@@ -176,12 +183,7 @@ func decodeRecon(stream []byte) ([]byte, error) {
 // TestHandleMatchesGoldens: at every worker count a Handle's CompressAppend
 // writes exactly the committed streams, so the
 // configuration the codec has is the one the goldens pin.
-// The goldens predate the adaptive shard plan and carry its old fixed size of
-// 4096 blocks, which the plan is pinned to here.
 func TestHandleMatchesGoldens(t *testing.T) {
-	saved := shardMinBlocks
-	shardMinBlocks = shardTargetBlocks
-	defer func() { shardMinBlocks = saved }()
 	for _, tc := range goldenCases {
 		want, err := os.ReadFile(filepath.Join("testdata", tc.file()))
 		if err != nil {

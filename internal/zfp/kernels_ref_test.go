@@ -131,6 +131,24 @@ func refVerifyCutoff(blk []float32, nb []uint64, dim int, eb float64, emax, kmin
 	return true
 }
 
+// refCutoffError is the largest error of refVerifyCutoff's reconstruction,
+// the number verifyCutoff reports beside a pass.
+func refCutoffError(blk []float32, nb []uint64, dim int, emax, kmin, kmax int) float64 {
+	size := blockSize(dim)
+	mask := (uint64(1)<<uint(kmax) - 1) &^ (uint64(1)<<uint(kmin) - 1)
+	dcoef := make([]int64, size)
+	for i, p := range permFor(dim) {
+		dcoef[p] = nb2int(nb[i] & mask)
+	}
+	refInvTransform(dcoef, dim)
+	inv := math.Ldexp(1, emax-qBits)
+	m := 0.0
+	for i := 0; i < size; i++ {
+		m = max(m, math.Abs(float64(float32(float64(dcoef[i])*inv))-float64(blk[i])))
+	}
+	return m
+}
+
 // transformInputs are the coefficient classes the transforms are compared
 // on: random at several magnitudes, all-ones, the int64 extremes and mixes
 // of them, so every add and shift wraps somewhere.
@@ -346,7 +364,9 @@ func TestMaxAbsMatchesReference(t *testing.T) {
 // encodeBlock does — quantize, transform, negabinary — and requires
 // verifyCutoff's verdict to equal the reference verifier's at every cutoff,
 // on every adversarial class, for tolerances from far below an ULP of the
-// block's peak to far above its range.
+// block's peak to far above its range. The error it reports is the block's
+// largest on a pass, which the cutoff search climbs on, and past eb on a
+// failure.
 func TestVerifyCutoffMatchesReference(t *testing.T) {
 	s := xs64(0x7E51F1)
 	verdicts := [2]int{}
@@ -376,11 +396,15 @@ func TestVerifyCutoffMatchesReference(t *testing.T) {
 				peak * 1e-4, peak / 8, peak, 4 * peak, math.SmallestNonzeroFloat64, math.MaxFloat64} {
 				for kmin := 0; kmin < hiPlane; kmin++ {
 					km := max(kmax, kmin)
-					got := verifyCutoff(ln, dim, eb, emax, kmin, km)
+					e, got := verifyCutoff(ln, dim, eb, math.Ldexp(1, emax-qBits), kmin, km)
 					want := refVerifyCutoff(blk[:size], ln.nb[:size], dim, eb, emax, kmin, km)
 					if got != want {
 						t.Fatalf("block %d dim %d eb %g window [%d,%d): verifyCutoff = %v, reference %v",
 							n, dim, eb, kmin, km, got, want)
+					}
+					if worst := refCutoffError(blk[:size], ln.nb[:size], dim, emax, kmin, km); got && e != worst || !got && !(e > eb) {
+						t.Fatalf("block %d dim %d eb %g window [%d,%d): error %g on %v, largest %g",
+							n, dim, eb, kmin, km, e, got, worst)
 					}
 					if got {
 						verdicts[1]++

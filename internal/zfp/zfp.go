@@ -6,12 +6,16 @@
 //	conversion -> lifted orthogonal decorrelating transform -> negabinary
 //	mapping -> embedded group-tested bit-plane coding
 //
-// Fixed-accuracy mode encodes bit planes down to a cutoff derived from the
-// absolute error tolerance. Because the lifted transform's right-shifts are
-// not exactly reversible (as in the reference implementation), every block
-// is verified after encoding and re-encoded with more planes — or stored
-// verbatim — if the tolerance would be violated, so the user-facing
-// guarantee max|x - x'| <= eb always holds.
+// Fixed-accuracy mode codes each block's bit planes down to the tightest
+// cutoff a short search verifies: where the reference implementation derives
+// one conservative cutoff from the absolute error tolerance alone, this
+// codec starts each block where the previous block of its shard ended and
+// moves one plane at a time — down on a failed verification, up while the
+// block's error leaves room. A verification reconstructs the block exactly
+// as the decoder will (the lifted transform's right-shifts are not exactly
+// reversible, as in the reference implementation), every emitted cutoff has
+// passed one, and a block that fails even with every plane is stored
+// verbatim, so the user-facing guarantee max|x - x'| <= eb always holds.
 //
 // Since format version 3, fixed-accuracy streams group the (independent)
 // blocks into shards: shards are encoded concurrently into separate
@@ -194,6 +198,10 @@ type zlane struct {
 	// What the blocks this lane has coded since the call began cost:
 	// planes emitted and cutoff verifications run (compressInto drains both).
 	planes, verifies int64
+
+	// off is how many planes below the tolerance's plane the lane's last
+	// coded block settled; encodeShard resets it to seedOff.
+	off int
 }
 
 // zpartOut holds one shard's finished payload; the byte buffer is reused
@@ -302,7 +310,7 @@ func compressInto(h *Handle, dst []byte, data []float32, dims []int, eb float64)
 	}
 
 	// Planes per coded block is what a block costs to code; verifies per
-	// block is the retry rate of the cutoff seed.
+	// block is what the cutoff search costs.
 	var planes, verifies int64
 	for _, ln := range h.lanes.All() {
 		if ln != nil {
@@ -323,6 +331,7 @@ func compressInto(h *Handle, dst []byte, data []float32, dims []int, eb float64)
 func encodeShard(shard obs.Span, ln *zlane, data []float32, d0, d1, d2, dim, nb1, nb2, loBlk, hiBlk int, eb float64) {
 	co := cutoffFor(eb)
 	ln.w.Reset()
+	ln.off = seedOff[dim]
 	bspan := shard.Child("zfp.block_transform")
 	for idx := loBlk; idx < hiBlk; idx++ {
 		bi, bj, bk := blockCoords(idx, nb1, nb2)

@@ -453,19 +453,19 @@ func TestToleranceNearULP(t *testing.T) {
 	}
 }
 
-// smallShards pins the shard plan to shards as small as one block for the
-// rest of the test, so every stream is many shards — a plan the compress
+// smallShards pins the shard plan for the rest of the test to shards of one
+// to target blocks, so every stream is many shards — a plan the compress
 // suite cannot set.
-func smallShards(t *testing.T) {
-	saved := shardMinBlocks
-	shardMinBlocks = 1
-	t.Cleanup(func() { shardMinBlocks = saved })
+func smallShards(tb testing.TB, target int) {
+	savedMin, savedTarget := shardMinBlocks, shardTargetBlocks
+	shardMinBlocks, shardTargetBlocks = 1, target
+	tb.Cleanup(func() { shardMinBlocks, shardTargetBlocks = savedMin, savedTarget })
 }
 
 // TestQuickTolerance3D: the tolerance holds on random 3-D shapes, partial
 // blocks on every axis, cut into one-block shards.
 func TestQuickTolerance3D(t *testing.T) {
-	smallShards(t)
+	smallShards(t, shardTargetBlocks)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d0, d1, d2 := rng.Intn(9)+1, rng.Intn(9)+1, rng.Intn(9)+1
