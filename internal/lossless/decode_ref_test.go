@@ -447,9 +447,11 @@ func losslessSeeds(tb testing.TB) [][]byte {
 	// Three decoded float images from the zfp goldens stand in for the
 	// images of the retired sz streams (order-0, order-2, float64), which
 	// were deleted with their configuration: the corpus keeps its raw-float
-	// inputs and its size.
-	for _, name := range []string{"golden_v3_acc_2d.f32.recon", "golden_v3_acc_3d.f32.recon",
-		"golden_v3_acc_1d.f32.recon"} {
+	// inputs and its size. They are the pre-search encoder's images, which
+	// stay committed as decode-only fixtures, so the corpus does not move
+	// when the zfp encoder does.
+	for _, name := range []string{"golden_v3_presearch_acc_2d.f32.recon", "golden_v3_presearch_acc_3d.f32.recon",
+		"golden_v3_presearch_acc_1d.f32.recon"} {
 		goldens = append(goldens, filepath.Join("..", "zfp", "testdata", name))
 	}
 	for _, path := range goldens {
