@@ -10,6 +10,7 @@ import (
 	"lcpio/internal/dvfs"
 	"lcpio/internal/fpdata"
 	"lcpio/internal/perf"
+	"lcpio/internal/phases"
 	"lcpio/internal/tables"
 )
 
@@ -253,8 +254,8 @@ func cmdFig5(args []string) error {
 			{Label: "measured (ISABEL)", X: v.Measured.Freq, Y: v.Measured.Y},
 			{Label: "model " + bw.Fit.String(), X: v.Predicted.Freq, Y: v.Predicted.Y},
 		}))
-	fmt.Printf("\nvalidation: SSE=%.4g RMSE=%.4g (paper: SSE=0.1463, RMSE=0.0256)\n",
-		v.GF.SSE, v.GF.RMSE)
+	fmt.Printf("\nvalidation: SSE=%.4g RMSE=%.4g (paper: SSE=%.4g, RMSE=%.4g)\n",
+		v.GF.SSE, v.GF.RMSE, core.PaperValue("fig5/ISABEL/SSE"), core.PaperValue("fig5/ISABEL/RMSE"))
 	return nil
 }
 
@@ -289,8 +290,9 @@ func cmdFig6(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\naverage saving: %s (%.1f%%)  [paper: 6.5 kJ, 13%%]\n",
-		tables.FormatSI(savedJ, "J"), savedPct)
+	fmt.Printf("\naverage saving: %s (%.1f%%)  [paper: %.1f kJ, %.0f%%]\n",
+		tables.FormatSI(savedJ, "J"), savedPct,
+		core.PaperValue("fig6/average/kJ"), core.PaperValue("fig6/average/pct"))
 	return nil
 }
 
@@ -308,11 +310,13 @@ func cmdHeadlines(args []string) error {
 		return err
 	}
 	fmt.Println(h)
-	fmt.Println("\npaper headlines for comparison:")
-	fmt.Println("  compression: power -19.4%, runtime +7.5% at 0.875 f_max")
-	fmt.Println("  data writing: power -11.2%, runtime +9.3% at 0.85 f_max")
-	fmt.Println("  average: 14.3% energy savings, +8.4% runtime")
-	fmt.Println("  512GB dump: 6.5 kJ (13%) saved")
+	p, rule := core.PaperValue, phases.PaperRule()
+	fmt.Printf("\npaper headlines for comparison:\n"+
+		"  compression: power -%.1f%%, runtime +%.1f%% at %g f_max\n  data writing: power -%.1f%%, runtime +%.1f%% at %g f_max\n"+
+		"  average: %.1f%% energy savings, +%.1f%% runtime\n  512GB dump: %.1f kJ (%.0f%%) saved\n",
+		p("headlines/compression/power"), p("headlines/compression/runtime"), rule.CompressionFraction,
+		p("headlines/writing/power"), p("headlines/writing/runtime"), rule.WritingFraction,
+		p("headlines/average/energy"), p("headlines/average/runtime"), p("fig6/average/kJ"), p("fig6/average/pct"))
 	return nil
 }
 

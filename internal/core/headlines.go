@@ -7,21 +7,22 @@ import (
 )
 
 // Headlines collects the quantitative claims of the paper's abstract and
-// conclusion so one call regenerates every headline number for
-// paper-vs-measured comparison in EXPERIMENTS.md.
+// conclusion so one call regenerates every headline number; the Ledger's
+// headlines/ and fig6/average/ rows hold the paper's values beside them.
 type Headlines struct {
-	// Compression tuning at 0.875 f_max (paper: 19.4% power, +7.5% runtime).
+	// Compression tuning at Eqn 3's compression fraction
+	// (headlines/compression/*).
 	Compression Savings
-	// Data writing tuning at 0.85 f_max (paper: 11.2% power, +9.3% runtime).
+	// Data writing tuning at Eqn 3's writing fraction (headlines/writing/*).
 	Transit Savings
-	// Averages across the two classes (paper: 14.3% savings, +8.4% runtime).
+	// Averages across the two classes (headlines/average/*).
 	AvgPowerSavingsPct    float64
 	AvgRuntimeIncreasePct float64
 	AvgEnergySavingsPct   float64
-	// The 512 GB dump (paper: 6.5 kJ, 13%).
+	// The 512 GB dump (fig6/average/*).
 	DumpSavedKJ  float64
 	DumpSavedPct float64
-	// Data-driven Eqn 3 versus the paper's published fractions.
+	// Data-driven Eqn 3 (headlines/derived/*).
 	Derived phases.Rule
 }
 

@@ -95,8 +95,8 @@ func (s *Study) meanOptimalFraction() (float64, error) {
 }
 
 // Savings averages the study's per-sweep savings at a tuning fraction —
-// the per-class numbers the paper quotes (19.4% power / +7.5% runtime at
-// -12.5% for compression; 11.2% / +9.3% at -15% for writing).
+// the per-class numbers the paper quotes (the Ledger's
+// headlines/compression/* and headlines/writing/* rows).
 func (s *Study) Savings(fraction float64) (Savings, error) {
 	if len(s.Entries) == 0 {
 		return Savings{}, fmt.Errorf("core: no sweeps")
