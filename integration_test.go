@@ -59,10 +59,10 @@ func TestIntegrationFullReproduction(t *testing.T) {
 		h.AvgEnergySavingsPct <= 0 || h.DumpSavedKJ <= 0 {
 		t.Errorf("headlines degenerate: %+v", h)
 	}
-	if math.Abs(h.Derived.CompressionFraction-0.875) > 0.15 {
+	if math.Abs(h.Derived.CompressionFraction-core.PaperValue("headlines/derived/compression")) > 0.15 {
 		t.Errorf("derived compression fraction %.3f far from Eqn 3", h.Derived.CompressionFraction)
 	}
-	if math.Abs(h.Derived.WritingFraction-0.85) > 0.15 {
+	if math.Abs(h.Derived.WritingFraction-core.PaperValue("headlines/derived/writing")) > 0.15 {
 		t.Errorf("derived writing fraction %.3f far from Eqn 3", h.Derived.WritingFraction)
 	}
 

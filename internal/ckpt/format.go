@@ -392,7 +392,7 @@ func parseManifest(buf []byte, fileSize int64) (*Manifest, error) {
 	for i := range m.Fields {
 		f := &m.Fields[i]
 		f.Name = rd.String(maxNameLen)
-		f.Dims, _ = rd.Dims()
+		f.Dims, _ = rd.Dims(nil)
 		f.ErrorBound = rd.Float64()
 		if rd.Err() != nil || f.Name == "" || !(f.ErrorBound > 0) {
 			return nil, ErrCorrupt

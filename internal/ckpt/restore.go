@@ -475,20 +475,6 @@ func decodePiece(u *container.Unpacker, p *piece, blob []byte) ([]float32, error
 	return data, nil
 }
 
-// checkPiece is decodePiece for a caller that wants the verdict and not the
-// values: the shape the payload's header states is held to the manifest, then
-// every container chunk is decoded into the lane unpacker's one slab.
-func checkPiece(u *container.Unpacker, p *piece, blob []byte) error {
-	info, err := container.Stat(blob)
-	if err != nil {
-		return err
-	}
-	if !slices.Equal(info.Dims, p.dims) {
-		return fmt.Errorf("%w: chunk shape %v disagrees with manifest %v", ErrCorrupt, info.Dims, p.dims)
-	}
-	return u.Check(blob, FieldInfo{Dims: p.dims}.Elems())
-}
-
 // VerifyReport summarizes a Verify pass.
 type VerifyReport struct {
 	Chunks   int
@@ -531,11 +517,11 @@ type VerifyOptions struct {
 
 // VerifySet checks a checkpoint set without materializing it: manifest
 // digest and structure always, then the CRC32C of every stored piece and
-// parity shard; with Deep it also decodes each piece, a container chunk at a
-// time into its lane's slab, to prove the payloads decode. The report says
-// whether any damage found is still within the erasure budget, and — when a
-// delta set's base chain is provided — whether every base reference still
-// matches the restored base.
+// parity shard; with Deep it also gives each piece its lane unpacker's
+// Check (the manifest's shape, then the codec's verdict-only pass) to prove
+// the payloads decode. The report says whether any damage found is still
+// within the erasure budget, and — when a delta set's base chain is provided
+// — whether every base reference still matches the restored base.
 func VerifySet(med Medium, opts VerifyOptions) (*VerifyReport, error) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -558,7 +544,7 @@ func VerifySet(med Medium, opts VerifyOptions) (*VerifyReport, error) {
 		}
 		buf := make([]byte, pieces[i].Size)
 		if errs[i] = fetch(med, &pieces[i].ChunkInfo, buf); errs[i] == nil && opts.Deep {
-			errs[i] = checkPiece(lanes[w], &pieces[i], buf)
+			errs[i] = lanes[w].Check(buf, pieces[i].dims)
 		}
 	})
 	// lost[field] counts failed stripe members — ranks with a failed piece,

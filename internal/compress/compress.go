@@ -34,6 +34,11 @@ type Handle interface {
 	// as Decompress does. Every element of the returned slice is written,
 	// or an error is returned — dst's old contents never show through.
 	DecompressInto(dst []float32, buf []byte) ([]float32, []int, error)
+	// Check returns the error and dims DecompressInto would return on buf,
+	// for a caller that wants the verdict and not the values: a stream
+	// Check accepts is one DecompressInto decodes. The dims may be the
+	// handle's scratch, valid until its next call.
+	Check(buf []byte) ([]int, error)
 }
 
 // codecs is the one table on the codec name, keyed by the names the paper

@@ -3,6 +3,7 @@ package compress_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -345,6 +346,54 @@ func checkInto(t *testing.T, h compress.Handle, stream []byte) []byte {
 		}
 	}
 	return bitsOf(want)
+}
+
+// TestCheckMatchesDecompressInto: Check's verdict is DecompressInto's — the
+// same error and the same dims — on every committed golden stream, and on
+// every truncation and every single-byte flip of two small streams: a 3-D
+// one and a 1-D one that zfp splits into two shards.
+func TestCheckMatchesDecompressInto(t *testing.T) { eachCodec(t, checkMatches) }
+
+func checkMatches(t *testing.T, name string) {
+	h := newHandle(t, name, 2)
+	var streams [][]byte
+	for _, g := range committedGoldens(t) {
+		if g.codec == name {
+			streams = append(streams, g.stream)
+		}
+	}
+	for _, dims := range [][]int{{4, 8, 8}, {512}} {
+		data := make([]float32, elems(dims))
+		for i := range data {
+			data[i] = float32(math.Sin(float64(i)/7) + 0.01*float64(i%5))
+		}
+		small, err := h.Compress(data, dims, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams = append(streams, small)
+		for cut := range small {
+			streams = append(streams, small[:cut])
+		}
+		for pos := range small {
+			for _, flip := range []byte{0x01, 0x80, 0xff} {
+				c := slices.Clone(small)
+				c[pos] ^= flip
+				streams = append(streams, c)
+			}
+		}
+	}
+	for i, stream := range streams {
+		dims, err := h.Check(stream)
+		dims = slices.Clone(dims) // Check's dims hold until the next call
+		_, want, werr := h.DecompressInto(nil, stream)
+		// The same sentinel, or an error built from the same bytes: each
+		// call formats its own "unsupported version" error.
+		same := errors.Is(err, werr) || err != nil && werr != nil && err.Error() == werr.Error()
+		if !same || !slices.Equal(dims, want) {
+			t.Fatalf("stream %d (%d B): Check gives %v, %v; DecompressInto %v, %v", i, len(stream), dims, err, want, werr)
+		}
+	}
 }
 
 // A warm one-worker handle allocates this many times per call: the small

@@ -112,7 +112,13 @@ type parsed struct {
 	stream []byte
 }
 
-func parse(buf []byte) (parsed, error) {
+// codecNames are the registry's names, which a parse hands out in place of
+// a copy of the header's bytes.
+var codecNames = compress.Names()
+
+// parse reads buf's header, its dims landing in dims' backing array when it
+// has the room.
+func parse(buf []byte, dims []int) (parsed, error) {
 	var p parsed
 	rd := wire.NewReader(buf, ErrCorrupt)
 	if rd.Uint32() != magic {
@@ -124,18 +130,23 @@ func parse(buf []byte) (parsed, error) {
 		}
 		return p, fmt.Errorf("container: unsupported version %d", v)
 	}
-	p.info.Codec = rd.String(64)
+	codec := rd.Bytes(int(rd.Uint32()))
 	bits := rd.Uint32()
-	if rd.Err() != nil || p.info.Codec == "" {
+	if rd.Err() != nil || len(codec) == 0 || len(codec) > 64 {
 		return p, ErrCorrupt
 	}
-	if err := compress.CheckName(p.info.Codec); err != nil {
-		return p, err
+	for _, name := range codecNames {
+		if string(codec) == name {
+			p.info.Codec = name
+		}
+	}
+	if p.info.Codec == "" {
+		return p, compress.CheckName(string(codec))
 	}
 	if bits != wire.ElemBits {
 		return p, fmt.Errorf("container: unsupported element width %d", bits)
 	}
-	p.info.Dims, p.n = rd.Dims()
+	p.info.Dims, p.n = rd.Dims(dims)
 	p.info.ErrorBound = rd.Float64()
 	rows := rd.Uint32()
 	if rd.Err() != nil {
@@ -158,7 +169,7 @@ func parse(buf []byte) (parsed, error) {
 
 // Stat parses a container's metadata without decompressing anything.
 func Stat(buf []byte) (Info, error) {
-	p, err := parse(buf)
+	p, err := parse(buf, nil)
 	return p.info, err
 }
 
@@ -169,15 +180,15 @@ func Unpack(buf []byte, opts Options) ([]float32, []int, error) {
 
 // Unpacker unpacks many containers through one codec handle per codec — the
 // read-side Packer: repeated calls (a restore decodes one container per
-// rank×field, the daemon inflate-verifies one per chunk frame) reuse all
-// codec scratch instead of building a handle per call. An Unpacker is NOT
-// safe for concurrent use — create one per goroutine.
+// rank×field, the daemon checks one per chunk frame) reuse all codec scratch
+// instead of building a handle per call. An Unpacker is NOT safe for
+// concurrent use — create one per goroutine.
 type Unpacker struct {
 	workers int
 	// handles holds one handle for each codec seen, built on first use.
 	handles map[string]compress.Handle
-	// slab is Check's decode target, grown to the largest field seen.
-	slab []float32
+	// dims is Check's header dims scratch.
+	dims []int
 }
 
 // NewUnpacker returns an Unpacker whose handles run opts.Parallelism
@@ -186,10 +197,11 @@ func NewUnpacker(opts Options) *Unpacker {
 	return &Unpacker{workers: opts.Parallelism, handles: make(map[string]compress.Handle)}
 }
 
-// open parses buf, checks that the dims claim no more elements than the
-// stream could carry, and returns the handle of the container's codec.
-func (u *Unpacker) open(buf []byte) (parsed, compress.Handle, error) {
-	p, err := parse(buf)
+// open parses buf, its dims landing in dims' backing array when it has the
+// room, checks that they claim no more elements than the stream could carry,
+// and returns the handle of the container's codec.
+func (u *Unpacker) open(buf []byte, dims []int) (parsed, compress.Handle, error) {
+	p, err := parse(buf, dims)
 	if err != nil {
 		return p, nil, err
 	}
@@ -211,48 +223,47 @@ func (u *Unpacker) open(buf []byte) (parsed, compress.Handle, error) {
 	return p, h, nil
 }
 
-// decode decodes p's stream into dst, which holds exactly the container's
-// elements: a stream whose own dims are not the container's is corrupt (one
-// claiming more lands in an array of the codec's own, never past dst).
-func decode(h compress.Handle, p *parsed, dst []float32) error {
-	vals, dims, err := h.DecompressInto(dst, p.stream)
-	if err != nil {
-		return fmt.Errorf("container: decompression: %w", err)
-	}
-	if !slices.Equal(dims, p.info.Dims) || len(vals) != len(dst) {
-		return ErrCorrupt
-	}
-	return nil
-}
-
 // Unpack decompresses one float32 container straight into the output array,
-// reusing the Unpacker's handle.
+// reusing the Unpacker's handle. A stream whose own dims are not the
+// header's is corrupt (one claiming more lands in an array of the codec's
+// own, never past the output).
 func (u *Unpacker) Unpack(buf []byte) ([]float32, []int, error) {
-	p, h, err := u.open(buf)
+	p, h, err := u.open(buf, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	out := make([]float32, p.n)
-	if err := decode(h, &p, out); err != nil {
-		return nil, nil, err
+	vals, dims, err := h.DecompressInto(out, p.stream)
+	if err != nil {
+		return nil, nil, fmt.Errorf("container: decompression: %w", err)
+	}
+	if !slices.Equal(dims, p.info.Dims) || len(vals) != len(out) {
+		return nil, nil, ErrCorrupt
 	}
 	return out, p.info.Dims, nil
 }
 
-// Check decodes a float32 container that must hold exactly elems elements
-// and discards the values: it reports what Unpack would — every parse,
-// shape and decode error — without materializing the array. The element
-// count is checked against the header before anything is decoded, and the
-// stream decodes into one slab the Unpacker keeps, so a call allocates only
-// when a field is larger than any before.
-func (u *Unpacker) Check(buf []byte, elems int) error {
-	p, h, err := u.open(buf)
+// Check gives a float32 container of shape dims the verdict Unpack would —
+// every parse and decode error — plus a shape check, without materializing
+// the array: in one parse the header must state dims, and the codec's
+// stream the header's. The shape is checked before anything is decoded, and
+// the stream goes through the codec's Check, so a warm zfp call allocates
+// nothing.
+func (u *Unpacker) Check(buf []byte, dims []int) error {
+	p, h, err := u.open(buf, u.dims)
 	if err != nil {
 		return err
 	}
-	if p.n != elems {
-		return fmt.Errorf("container: holds %d elements, want %d", p.n, elems)
+	u.dims = p.info.Dims
+	if !slices.Equal(p.info.Dims, dims) {
+		return fmt.Errorf("%w: holds %v (%d elements), want %v", ErrCorrupt, p.info.Dims, p.n, dims)
 	}
-	u.slab = wire.Sized(u.slab, p.n)
-	return decode(h, &p, u.slab[:p.n:p.n])
+	got, err := h.Check(p.stream)
+	if err != nil {
+		return fmt.Errorf("container: decompression: %w", err)
+	}
+	if !slices.Equal(got, p.info.Dims) {
+		return ErrCorrupt
+	}
+	return nil
 }

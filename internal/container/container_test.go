@@ -113,8 +113,9 @@ func TestUnpackCorrupt(t *testing.T) {
 
 // TestUnpackerReuse: one Unpacker across containers of both codecs and two
 // shapes returns what one-shot Unpack does, its Check accepts each of them
-// at their element count and at no other, and once its slab has seen the
-// largest field a Check allocates nothing the size of an output.
+// at their shape and at no other — the same element count in another shape
+// included — and once its handles have seen the largest field a Check
+// allocates nothing the size of an output.
 func TestUnpackerReuse(t *testing.T) {
 	f := nyxField(t)
 	eb := compress.AbsBoundFromRelative(1e-3, f.Data)
@@ -150,13 +151,15 @@ func TestUnpackerReuse(t *testing.T) {
 				t.Fatalf("%s %v: element %d differs from Unpack", tc.codec, tc.dims, i)
 			}
 		}
-		if err := u.Check(buf, len(want)); err != nil {
+		if err := u.Check(buf, tc.dims); err != nil {
 			t.Fatalf("%s %v: Check: %v", tc.codec, tc.dims, err)
 		}
-		if err := u.Check(buf, len(want)+1); err == nil {
-			t.Fatalf("%s %v: Check accepted the wrong element count", tc.codec, tc.dims)
+		for _, wrong := range [][]int{{len(want)}, {len(want) + 1}} {
+			if err := u.Check(buf, wrong); err == nil {
+				t.Fatalf("%s %v: Check accepted shape %v", tc.codec, tc.dims, wrong)
+			}
 		}
-		if err := u.Check(buf[:len(buf)-1], len(want)); err == nil {
+		if err := u.Check(buf[:len(buf)-1], tc.dims); err == nil {
 			t.Fatalf("%s %v: Check accepted a container cut short", tc.codec, tc.dims)
 		}
 	}
@@ -165,7 +168,7 @@ func TestUnpackerReuse(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for _, buf := range bufs[2:] { // sz then zfp: each codec's handle is kept
-			if err := u.Check(buf, len(f.Data)); err != nil {
+			if err := u.Check(buf, f.Dims); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -174,6 +177,25 @@ func TestUnpackerReuse(t *testing.T) {
 	}
 	if raw := uint64(len(f.Data)) * 4; least > raw {
 		t.Fatalf("two warm Checks allocated %d B against %d B of values", least, raw)
+	}
+}
+
+// TestWarmZfpCheckAllocatesNothing: the daemon's verifier — a one-worker
+// Unpacker — gives a zfp chunk it has seen the like of its verdict without
+// allocating: the header's dims and the codec's land in scratch, the codec
+// name is the registry's, and no value is rebuilt.
+func TestWarmZfpCheckAllocatesNothing(t *testing.T) {
+	f := nyxField(t)
+	buf, err := Pack("zfp", f.Data, f.Dims, compress.AbsBoundFromRelative(1e-3, f.Data), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := NewUnpacker(Options{Parallelism: 1})
+	if err := u.Check(buf, f.Dims); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(20, func() { _ = u.Check(buf, f.Dims) }); a != 0 {
+		t.Fatalf("a warm zfp Check allocates %.1f times per call; want 0", a)
 	}
 }
 
@@ -208,7 +230,7 @@ func TestChunkClaimsMoreThanItsSpan(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The container's header, its size word patched, around the stream.
-		p, err := parse(frame)
+		p, err := parse(frame, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +240,7 @@ func TestChunkClaimsMoreThanItsSpan(t *testing.T) {
 		if _, _, err := Unpack(forged, Options{}); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: Unpack: %v, want ErrCorrupt", tc.name, err)
 		}
-		if err := NewUnpacker(Options{Parallelism: 1}).Check(forged, n); !errors.Is(err, ErrCorrupt) {
+		if err := NewUnpacker(Options{Parallelism: 1}).Check(forged, tc.container); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: Check: %v, want ErrCorrupt", tc.name, err)
 		}
 	}
@@ -281,7 +303,7 @@ func TestTrailingBytesRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := parse(buf)
+		p, err := parse(buf, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +318,7 @@ func TestTrailingBytesRefused(t *testing.T) {
 		if _, err := Stat(padded); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: Stat of a container with 1000 B appended: %v, want ErrCorrupt", codec, err)
 		}
-		if err := NewUnpacker(Options{Parallelism: 1}).Check(padded, len(data)); !errors.Is(err, ErrCorrupt) {
+		if err := NewUnpacker(Options{Parallelism: 1}).Check(padded, []int{64}); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: Check: %v, want ErrCorrupt", codec, err)
 		}
 		if _, _, err := Unpack(padded, Options{}); !errors.Is(err, ErrCorrupt) {

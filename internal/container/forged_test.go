@@ -37,7 +37,7 @@ func TestRetiredCodecRefusedInsideBudget(t *testing.T) {
 	buf = wire.AppendUint64(buf, uint64(len(blob)))
 	buf = append(buf, blob...)
 
-	requireRefusedInsideBudget(t, buf, elems, `"squant"`)
+	requireRefusedInsideBudget(t, buf, []int{elems}, `"squant"`)
 }
 
 // TestMultiStreamContainerRefused: a version-2 container whose chunk table
@@ -70,13 +70,13 @@ func TestMultiStreamContainerRefused(t *testing.T) {
 	}
 	buf = append(buf, blob...)
 	buf = append(buf, blob...)
-	requireRefusedInsideBudget(t, buf, 2*row, "2 codec streams")
+	requireRefusedInsideBudget(t, buf, []int{2, row}, "2 codec streams")
 }
 
 // requireRefusedInsideBudget holds Stat, Check — what the daemon's
 // verification pool runs on every putZ frame — and Unpack to refusing buf
 // with an error containing want, each inside 4 KiB.
-func requireRefusedInsideBudget(t *testing.T, buf []byte, elems int, want string) {
+func requireRefusedInsideBudget(t *testing.T, buf []byte, dims []int, want string) {
 	t.Helper()
 	u := NewUnpacker(Options{Parallelism: 1})
 	for _, c := range []struct {
@@ -84,7 +84,7 @@ func requireRefusedInsideBudget(t *testing.T, buf []byte, elems int, want string
 		call func() error
 	}{
 		{"Stat", func() error { _, err := Stat(buf); return err }},
-		{"Check", func() error { return u.Check(buf, elems) }},
+		{"Check", func() error { return u.Check(buf, dims) }},
 		{"Unpack", func() error { _, _, err := u.Unpack(buf); return err }},
 	} {
 		// TotalAlloc counts the whole process: the least of three attempts

@@ -289,7 +289,7 @@ func parseOpenRequest(b []byte) (OpenRequest, error) {
 			return r, fmt.Errorf("%w: field name", ErrCorruptFrame)
 		}
 		var elems int
-		if f.Dims, elems = rd.Dims(); rd.Err() != nil {
+		if f.Dims, elems = rd.Dims(nil); rd.Err() != nil {
 			return r, fmt.Errorf("%w: field dims", ErrCorruptFrame)
 		}
 		f.ErrorBound = rd.Float64()

@@ -215,9 +215,9 @@ func FuzzTransitFrame(f *testing.F) {
 			t.Fatalf("re-encode mismatch: %x vs %x", re, payload)
 		}
 		_ = ckpt.Digest(pb) == h.CRC
-		// Inflate exactly as Server.verify does. A declared length that the
-		// container's own header does not state is refused before anything
-		// is decoded; the slab is bounded by the blob's plausibility guard.
-		_ = container.NewUnpacker(container.Options{Parallelism: 1}).Check(pb, int(h.RawLen/4))
+		// Check exactly as Server.verify does, against a one-dimensional
+		// field of the declared length: a shape the container's own header
+		// does not state is refused before anything is decoded.
+		_ = container.NewUnpacker(container.Options{Parallelism: 1}).Check(pb, []int{int(h.RawLen / 4)})
 	})
 }

@@ -281,7 +281,7 @@ func TestPutDigestRefusesEveryFlip(t *testing.T) {
 		for pos := range blob {
 			bad := append([]byte(nil), blob...)
 			bad[pos] ^= 0xff
-			if check.Check(bad, smallElems) == nil {
+			if check.Check(bad, []int{smallElems}) == nil {
 				decodable++
 			}
 			// The refusal breaks the session, so every flip gets its own.

@@ -162,7 +162,7 @@ type Server struct {
 	closed     bool
 
 	// verifiers is the daemon-wide verification pool: GOMAXPROCS unpackers,
-	// each with its codec handles and one chunk-sized slab, taken by a put's
+	// each with its codec handles and their scratch, taken by a put's
 	// verification for as long as it runs. However many connections are
 	// pipelining, that many chunks are being checked at once and no more.
 	verifiers chan *container.Unpacker
@@ -485,9 +485,9 @@ func (sess *session) admits(job *putJob) error {
 
 // verify gives a queued chunk its verdict on one of the pool's verifiers:
 // the sender's digest over the blob as it arrived, then, for a
-// compressed-wire chunk, a decode of every container chunk into the
-// verifier's slab — the values are dropped, the element count and any decode
-// error are the verdict. Goroutines blocked on the pool are served first
+// compressed-wire chunk, the container's Check against the field's shape —
+// the header and the codec stream must both state it, and the codec reads
+// every block without rebuilding a value. Goroutines blocked on the pool are served first
 // come, first served, so chunks are verified in close to arrival order; the
 // commit order does not depend on it.
 func (s *Server) verify(job *putJob) {
@@ -501,7 +501,7 @@ func (s *Server) verify(job *putJob) {
 	case ckpt.Digest(job.blob) != job.hdr.CRC:
 		job.err = fmt.Errorf("svc: chunk %d does not match its sender's digest", idx)
 	case job.z:
-		if err := v.Check(job.blob, int(job.hdr.RawLen/4)); err != nil {
+		if err := v.Check(job.blob, job.sess.req.Fields[idx%len(job.sess.req.Fields)].Dims); err != nil {
 			job.err = fmt.Errorf("svc: chunk %d failed inflate verification: %w", idx, err)
 		}
 	}

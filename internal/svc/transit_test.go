@@ -151,6 +151,33 @@ func TestPutZLengthLieRejected(t *testing.T) {
 	rejected(bigElems, bigElems*4, bad, "bit-flipped blob", "inflate verification")
 }
 
+// TestPutZShapeLieRejected sends a field of dims [8 8] a chunk that holds
+// its 64 elements as a 1-D [64] array, under the truthful raw length and a
+// digest that matches. Accepted, it would finalize a set that no restore
+// can read ("chunk shape [64] disagrees with manifest [8 8]"); the
+// verification holds the chunk to the field's shape and refuses it.
+func TestPutZShapeLieRejected(t *testing.T) {
+	srv := NewServer(Config{})
+	if err := srv.AddTenant(TenantConfig{Name: "climate"}); err != nil {
+		t.Fatal(err)
+	}
+	cl := startPair(t, srv)
+	req := smallOpenReq("shape-lie", "sz")
+	req.Fields[0].Dims = []int{8, 8}
+	acc := openSession(t, cl, req)
+	if err := writeFrame(cl.rw, frame{Type: framePutZ, Session: acc.Session,
+		Payload: encodePutZ(0, smallRawLen, smallBlob(t))}); err != nil {
+		t.Fatal(err)
+	}
+	rf, err := readFrame(cl.rw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rf.Type != frameErr || !strings.Contains(string(rf.Payload), "want [8 8]") {
+		t.Fatalf("a [64] chunk for an [8 8] field got %v %q, want a refusal naming the shape", rf.Type, rf.Payload)
+	}
+}
+
 // encodePut and encodePutZ build put payloads the way the client does — the
 // frame appendPutFrame writes, less its frame header — with the digest taken
 // over the blob as given.

@@ -229,6 +229,9 @@ type Handle struct {
 	plens    []int
 	errs     []error
 	pdims    []int
+
+	// check is Check's decode target, grown to the largest array seen.
+	check []float32
 }
 
 // NewHandle returns a Handle whose calls fan partitions out over workers
@@ -483,6 +486,18 @@ func (h *Handle) Decompress(buf []byte) ([]float32, []int, error) {
 	return h.DecompressInto(nil, buf)
 }
 
+// Check returns the error and dims DecompressInto returns on buf: it
+// decodes into an array the handle keeps, so a call allocates for the
+// values only when the array is larger than any before.
+func (h *Handle) Check(buf []byte) ([]int, error) {
+	vals, dims, err := h.DecompressInto(h.check, buf)
+	if err != nil {
+		return nil, err
+	}
+	h.check = vals
+	return dims, nil
+}
+
 // streamIndex is what a stream's header and partition index state, once
 // readIndex has checked it: the bound, the shape, the split depth, the
 // element count and the elements per virtual row. The partitions' row spans
@@ -567,7 +582,7 @@ func (h *Handle) readIndex(buf []byte) (streamIndex, error) {
 		return ix, fmt.Errorf("sz: unsupported configuration (quantBits %d, predictor order %d)", qb, po)
 	}
 	eb := rd.Float64()
-	dims, n := rd.Dims()
+	dims, n := rd.Dims(nil)
 	splitDepth := int(rd.Uint32())
 	if rd.Err() != nil || !(eb > 0) || math.IsInf(eb, 0) || splitDepth < 1 || splitDepth > len(dims) {
 		return ix, ErrCorrupt

@@ -171,15 +171,17 @@ func (r *Reader) Bytes(n int) []byte {
 }
 
 // Dims reads a shape header — u32 ndims, then ndims × u64 extents — and
-// returns the extents with the element count they describe. A shape outside
-// the caps latches the corrupt-stream error and returns nil.
-func (r *Reader) Dims() (dims []int, n int) {
+// returns the extents with the element count they describe, in dst's backing
+// array when it has the room (a verdict-only parse passes scratch it keeps)
+// and in a new one otherwise. A shape outside the caps latches the
+// corrupt-stream error and returns nil.
+func (r *Reader) Dims(dst []int) (dims []int, n int) {
 	nd := r.Uint32()
 	if r.err != nil || nd == 0 || nd > MaxDims {
 		r.err = r.corrupt
 		return nil, 0
 	}
-	dims = make([]int, nd)
+	dims = Sized(dst, int(nd))
 	for i := range dims {
 		d := r.Uint64()
 		if d > MaxExtent {

@@ -121,7 +121,7 @@ func TestDimsReadsWhatCheckDimsAdmits(t *testing.T) {
 		}
 		admitted := CheckDims("pkg", n, dims) == nil
 		r := NewReader(AppendDims(nil, dims), errTest)
-		got, gotN := r.Dims()
+		got, gotN := r.Dims(nil)
 		if admitted {
 			if r.Err() != nil || gotN != n || len(got) != len(dims) || r.Remaining() != 0 {
 				t.Errorf("%v: read %v (%d elements), err %v", dims, got, gotN, r.Err())
@@ -132,12 +132,12 @@ func TestDimsReadsWhatCheckDimsAdmits(t *testing.T) {
 	}
 	// A u64 extent with the top bit set must not narrow to a negative int.
 	r := NewReader(AppendUint64(AppendUint32(nil, 1), 1<<63|5), errTest)
-	if got, _ := r.Dims(); got != nil || r.Err() == nil {
+	if got, _ := r.Dims(nil); got != nil || r.Err() == nil {
 		t.Errorf("2^63+5 extent read as %v", got)
 	}
 	// Truncated mid-extent.
 	r = NewReader(AppendDims(nil, []int{3, 4})[:15], errTest)
-	if got, _ := r.Dims(); got != nil || r.Err() == nil {
+	if got, _ := r.Dims(nil); got != nil || r.Err() == nil {
 		t.Errorf("truncated shape read as %v", got)
 	}
 }

@@ -79,6 +79,30 @@ func BenchmarkDecompressRank(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckRank is BenchmarkDecompressRank's verdict-only pass, as the
+// daemon's verify pool runs it on every putZ chunk: every block's bits read,
+// no value rebuilt.
+func BenchmarkCheckRank(b *testing.B) {
+	for _, rf := range rankFields {
+		b.Run(rf.name, func(b *testing.B) {
+			f, eb := rankField(b, rf.dataset, rf.field, rf.rel)
+			h := NewHandle(1)
+			comp, err := h.Compress(f.Data, f.Dims, eb)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(f.SizeBytes())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := h.Check(comp); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTransposeWindow times the plane transpose alone on a
 // 64-coefficient block, in both directions, at live-plane counts either side
 // of its pack thresholds: NYX at rel 1e-3 codes 7 to 15 planes a block, and

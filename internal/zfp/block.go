@@ -487,24 +487,15 @@ func encodePlanes(w *bitstream.Writer, nb []uint64, kmin, kmax int) {
 	}
 }
 
-// decodePlanes mirrors encodePlanes word for word. A 64-coefficient block is
-// rebuilt as one plane word per bit plane — the raw prefix reversed out of a
-// single read, each group-test run located with one LeadingZeros64 — and one
-// windowed transpose of the planes the stream carries turns them back into
-// coefficients, the way encodePlanes made them. The 4- and 16-coefficient
-// blocks have too few columns to pay for plane words: they decode their runs
-// the same way and drop each bit straight into its coefficient. On success
-// every word of nb is written.
-func decodePlanes(r *bitstream.Reader, nb []uint64, kmin, kmax int) error {
-	size := len(nb)
-	if size != 64 {
-		return decodePlanesSmall(r, nb, kmin, kmax)
-	}
-	if kmax <= kmin {
-		clear(nb)
-		return nil
-	}
-	var planes [64]uint64
+// readPlanes mirrors encodePlanes word for word on a 64-coefficient block,
+// leaving plane kmin+k's word in planes[k]: the raw prefix reversed out of a
+// single read, each group-test run located with one LeadingZeros64.
+// rebuildBlock's windowed transpose turns the words back into coefficients,
+// the way encodePlanes made them. The 4- and 16-coefficient blocks have too
+// few columns to pay for plane words: decodePlanesSmall decodes their runs
+// the same way and drops each bit straight into its coefficient.
+func readPlanes(r *bitstream.Reader, planes *[64]uint64, kmin, kmax int) error {
+	const size = 64
 	n := 0
 	for k := kmax - kmin - 1; k >= 0; k-- {
 		var x uint64
@@ -530,10 +521,11 @@ func decodePlanes(r *bitstream.Reader, nb []uint64, kmin, kmax int) error {
 		}
 		planes[k&63] = x
 	}
-	transposeWindow(nb, planes[:kmax-kmin], size, 0, uint(kmin))
 	return nil
 }
 
+// decodePlanesSmall decodes planes kmax-1..kmin of a 4- or 16-coefficient
+// block into nb; on success every word of nb is written.
 func decodePlanesSmall(r *bitstream.Reader, nb []uint64, kmin, kmax int) error {
 	size := len(nb)
 	clear(nb)
@@ -614,25 +606,28 @@ func decodeRun(r *bitstream.Reader, i, size int) (int, error) {
 	return i, r.Skip(used)
 }
 
-// decodeBlock reads one block into ln.blk; the working buffers live in ln.
-func decodeBlock(r *bitstream.Reader, ln *zdecLane, dim int) error {
+// readBlock reads one block's bits into ln: the tag, then a raw block's
+// values, or a coded block's exponent, plane range and planes — plane words
+// for a 64-value block, coefficient words for a smaller one. Every check the
+// format has on a block is made here, so rebuildBlock cannot fail, and a
+// shard readBlock accepts block by block is one DecompressInto accepts.
+func readBlock(r *bitstream.Reader, ln *zdecLane, dim int) error {
 	size := blockSize(dim)
-	blk := ln.blk[:size]
 	tag, err := r.ReadBits(2)
 	if err != nil {
 		return err
 	}
+	ln.tag = tag
 	switch tag {
 	case tagZero:
-		clear(blk)
 		return nil
 	case tagRaw:
-		for i := range blk {
+		for i := range ln.blk[:size] {
 			v, err := r.ReadBits(32)
 			if err != nil {
 				return err
 			}
-			blk[i] = math.Float32frombits(uint32(v))
+			ln.blk[i] = math.Float32frombits(uint32(v))
 		}
 		return nil
 	case tagCoded:
@@ -640,34 +635,59 @@ func decodeBlock(r *bitstream.Reader, ln *zdecLane, dim int) error {
 		if err != nil {
 			return err
 		}
-		emax := int(e64) - emaxBias
 		k64, err := r.ReadBits(6)
 		if err != nil {
 			return err
 		}
-		kmin := int(k64)
 		kx64, err := r.ReadBits(6)
 		if err != nil {
 			return err
 		}
-		kmax := int(kx64)
+		kmin, kmax := int(k64), int(kx64)
 		if kmin >= hiPlane || kmax > hiPlane || kmax < kmin {
 			return ErrCorrupt
 		}
+		ln.emax, ln.kmin, ln.kmax = int(e64)-emaxBias, kmin, kmax
+		if size == 64 {
+			return readPlanes(r, &ln.planes, kmin, kmax)
+		}
+		return decodePlanesSmall(r, ln.nb[:size], kmin, kmax)
+	default:
+		return ErrCorrupt
+	}
+}
+
+// rebuildBlock turns the block readBlock left in ln into its values in
+// ln.blk: a coded block's plane words are transposed back to coefficient
+// words, which go through the inverse sequency order, the inverse transform
+// and the float store.
+func rebuildBlock(ln *zdecLane, dim int) {
+	size := blockSize(dim)
+	switch ln.tag {
+	case tagZero:
+		clear(ln.blk[:size])
+	case tagCoded:
 		nb, coef := &ln.nb, &ln.coef
-		if err := decodePlanes(r, nb[:size], kmin, kmax); err != nil {
-			return err
+		if size == 64 {
+			unpackPlanes(nb, &ln.planes, ln.kmin, ln.kmax)
 		}
 		for i, p := range permFor(dim) {
 			coef[p&63] = nb2int(nb[i&63])
 		}
 		invTransform(coef[:size], dim)
-		inv := math.Ldexp(1, emax-qBits)
+		inv := math.Ldexp(1, ln.emax-qBits)
 		for i, c := range coef[:size] {
-			blk[i] = float32(float64(c) * inv)
+			ln.blk[i&63] = float32(float64(c) * inv)
 		}
-		return nil
-	default:
-		return ErrCorrupt
 	}
+}
+
+// unpackPlanes writes into nb the coefficient words of the plane words
+// readPlanes read for planes kmax-1..kmin.
+func unpackPlanes(nb, planes *[64]uint64, kmin, kmax int) {
+	if kmax <= kmin {
+		clear(nb[:])
+		return
+	}
+	transposeWindow(nb[:], planes[:kmax-kmin], 64, 0, uint(kmin))
 }

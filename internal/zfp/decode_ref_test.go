@@ -58,8 +58,22 @@ func refDecodePlanes(r *bitstream.Reader, nb []uint64, kmin, kmax int) error {
 	return nil
 }
 
+// decodePlanes is readBlock's plane read and rebuildBlock's unpack of it,
+// composed: the plane decoder the reference and the plane tests hold to.
+func decodePlanes(r *bitstream.Reader, nb []uint64, kmin, kmax int) error {
+	if len(nb) != 64 {
+		return decodePlanesSmall(r, nb, kmin, kmax)
+	}
+	var planes [64]uint64
+	if err := readPlanes(r, &planes, kmin, kmax); err != nil {
+		return err
+	}
+	unpackPlanes((*[64]uint64)(nb), &planes, kmin, kmax)
+	return nil
+}
+
 // planesHeader reads a coded block's header up to the planes, or reports
-// that the block carries none. It is decodeBlock's own parse, shared by the
+// that the block carries none. It is readBlock's own parse, shared by the
 // block-level differential so both decoders start each block's planes from
 // the same bit.
 func planesHeader(r *bitstream.Reader, dim int) (coded bool, kmin, kmax int, err error) {
@@ -280,7 +294,7 @@ func goldenPayloads(tb testing.TB) []goldenPayload {
 // blockCount parses a stream's header and counts the blocks of its grid.
 func blockCount(tb testing.TB, buf []byte) (header, int) {
 	tb.Helper()
-	h, err := parseHeader(buf)
+	h, err := parseHeader(buf, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

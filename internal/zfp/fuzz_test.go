@@ -3,9 +3,11 @@ package zfp
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"lcpio/internal/wire"
@@ -75,6 +77,55 @@ func FuzzDecompress(f *testing.F) {
 		h := NewHandle(0)
 		if out, dims, err := h.Decompress(in); err == nil && wire.CheckDims("zfp", len(out), dims) != nil {
 			t.Fatalf("decode succeeded with dims %v for %d values", dims, len(out))
+		}
+	})
+}
+
+// FuzzCheck holds Check to DecompressInto on arbitrary bytes: the same
+// error (the same sentinel, or the same message) and the same dims, at two
+// workers so a multi-shard stream's first failing shard is the one both
+// report. Seeded with the golden streams, a fresh two-shard stream, its
+// truncations and flips.
+func FuzzCheck(f *testing.F) {
+	data := make([]float32, 16*16*32)
+	for i := range data {
+		data[i] = float32(math.Sin(float64(i)/19)) * 3
+	}
+	acc, err := NewHandle(1).Compress(data, []int{16, 16, 32}, 1e-3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(acc)
+	for _, cut := range []int{0, 16, 48, 60, len(acc) / 2, len(acc) - 1} {
+		f.Add(acc[:cut])
+	}
+	// Flips in the header and the shard index, then of every byte of the
+	// last 128: they move where the last shard's last blocks start and end,
+	// which a check that stopped a block early would not see.
+	for _, pos := range []int{9, 45, 61, len(acc) / 3} {
+		c := bytes.Clone(acc)
+		c[pos] ^= 0x40
+		f.Add(c)
+	}
+	for pos := len(acc) - 128; pos < len(acc); pos++ {
+		c := bytes.Clone(acc)
+		c[pos] ^= 0xff
+		f.Add(c)
+	}
+	goldens, _ := filepath.Glob(filepath.Join("testdata", "golden_*.zfs"))
+	for _, path := range goldens {
+		if raw, err := os.ReadFile(path); err == nil {
+			f.Add(raw)
+		}
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		h := NewHandle(2)
+		dims, err := h.Check(in)
+		dims = slices.Clone(dims)
+		_, want, werr := h.DecompressInto(nil, in)
+		same := errors.Is(err, werr) || err != nil && werr != nil && err.Error() == werr.Error()
+		if !same || !slices.Equal(dims, want) {
+			t.Fatalf("Check gives %v, %v; DecompressInto %v, %v", dims, err, want, werr)
 		}
 	})
 }

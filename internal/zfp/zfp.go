@@ -95,7 +95,9 @@ func appendHeader(dst []byte, dims []int, eb float64) []byte {
 	return wire.AppendFloat64(dst, eb)
 }
 
-func parseHeader(buf []byte) (header, error) {
+// parseHeader reads the preamble, the dims landing in dst's backing array
+// when it has the room.
+func parseHeader(buf []byte, dst []int) (header, error) {
 	var h header
 	rd := wire.NewReader(buf, ErrCorrupt)
 	if rd.Uint32() != magic {
@@ -119,7 +121,7 @@ func parseHeader(buf []byte) (header, error) {
 		}
 		return h, fmt.Errorf("zfp: unsupported mode %d", mode)
 	}
-	h.dims, h.n = rd.Dims()
+	h.dims, h.n = rd.Dims(dst)
 	h.eb = rd.Float64()
 	if rd.Err() != nil {
 		return h, ErrCorrupt
@@ -226,6 +228,17 @@ type Handle struct {
 	lens     []int
 	payloads [][]byte
 	errs     []error
+
+	// The read-side call in flight, which runShard reads on every worker:
+	// the stream's plan, the array it lands in (nil for Check) and its
+	// pipeline trace. runShardFn is runShard as a func value, made once, so
+	// that a warm call's fan-out allocates nothing; checkDims is Check's
+	// dims scratch.
+	cur        plan
+	out        []float32
+	pt         *obs.PipelineTrace
+	runShardFn func(w, s int)
+	checkDims  []int
 }
 
 // NewHandle returns a Handle whose fixed-accuracy calls fan shards out over
@@ -343,24 +356,91 @@ func encodeShard(shard obs.Span, ln *zlane, data []float32, d0, d1, d2, dim, nb1
 
 // --- decompressor ------------------------------------------------------------
 
-// zdecLane carries one worker's decode-side block buffers; lanes are owned
-// by a single worker index and reused across Decompress calls.
+// zdecLane carries one worker's decode-side block buffers and the block
+// readBlock last read — its tag, exponent and plane range — for
+// rebuildBlock; lanes are owned by a single worker index and reused across
+// calls.
 type zdecLane struct {
-	blk  [64]float32
-	coef [64]int64
-	nb   [64]uint64
-	r    bitstream.Reader
-	err  error
+	blk    [64]float32
+	coef   [64]int64
+	nb     [64]uint64
+	planes [64]uint64
+	r      bitstream.Reader
+
+	tag              uint64
+	emax, kmin, kmax int
 }
 
-// shardIndex grows and returns the reusable per-shard index slices.
-func (h *Handle) shardIndex(numShards int) ([]int, [][]byte, []error) {
+// plan is what a stream's header and shard index fix for reading it: the
+// shape, the block grid and the shard size. The shards' payloads are left in
+// the Handle's payloads.
+type plan struct {
+	dims                    []int
+	n                       int
+	dim, d0, d1, d2         int
+	nb1, nb2                int
+	totalBlocks, sb, shards int
+}
+
+// shardIndex grows the reusable per-shard slices and returns two of them.
+func (h *Handle) shardIndex(numShards int) ([]int, [][]byte) {
 	if cap(h.lens) < numShards {
 		h.lens = make([]int, numShards)
 		h.payloads = make([][]byte, numShards)
 		h.errs = make([]error, numShards)
 	}
-	return h.lens[:numShards], h.payloads[:numShards], h.errs[:numShards]
+	return h.lens[:numShards], h.payloads[:numShards]
+}
+
+// open checks buf's header and shard index — every refusal that needs no
+// block decoded — and returns its plan, the dims landing in dims' backing
+// array when it has the room.
+func (h *Handle) open(buf []byte, dims []int) (plan, error) {
+	hdr, err := parseHeader(buf, dims)
+	if err != nil {
+		return plan{}, err
+	}
+	if !(hdr.eb > 0) || math.IsInf(hdr.eb, 0) {
+		return plan{}, ErrCorrupt
+	}
+	p := plan{dims: hdr.dims, n: hdr.n}
+	p.dim, p.d0, p.d1, p.d2 = wire.Collapse(hdr.dims)
+	nb0, nb1, nb2 := blockGrid(p.d0, p.d1, p.d2, p.dim)
+	p.nb1, p.nb2, p.totalBlocks = nb1, nb2, nb0*nb1*nb2
+
+	rd := wire.NewReader(buf[hdr.payloadOff:], ErrCorrupt)
+	p.shards = int(rd.Uint32())
+	p.sb = int(rd.Uint32())
+	if rd.Err() != nil || p.shards <= 0 || p.shards > maxShards ||
+		p.sb <= 0 || p.shards != (p.totalBlocks+p.sb-1)/p.sb {
+		return plan{}, ErrCorrupt
+	}
+	lens, payloads := h.shardIndex(p.shards)
+	total := 0
+	for i := range lens {
+		l := rd.Uint64()
+		if rd.Err() != nil || l > uint64(rd.Remaining()) {
+			return plan{}, ErrCorrupt
+		}
+		lens[i] = int(l)
+		total += int(l)
+	}
+	if total > rd.Remaining() {
+		return plan{}, ErrCorrupt
+	}
+	// Plausibility: every block costs at least a 2-bit tag, so a stream whose
+	// payload bytes cannot cover totalBlocks/4 is corrupt. Checked before the
+	// output slice is sized from header-claimed dims.
+	if p.totalBlocks > total*4+64 {
+		return plan{}, ErrCorrupt
+	}
+	for i := range payloads {
+		payloads[i] = rd.Bytes(lens[i])
+	}
+	if rd.Err() != nil {
+		return plan{}, ErrCorrupt
+	}
+	return p, nil
 }
 
 // Decompress reverses Compress.
@@ -373,94 +453,100 @@ func (h *Handle) Decompress(buf []byte) ([]float32, []int, error) {
 // allocation; it allocates like Decompress when it does not. Every element
 // of the returned slice is written, or an error is returned.
 func (h *Handle) DecompressInto(dst []float32, buf []byte) ([]float32, []int, error) {
-	hdr, err := parseHeader(buf)
+	p, err := h.open(buf, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	if !(hdr.eb > 0) || math.IsInf(hdr.eb, 0) {
-		return nil, nil, ErrCorrupt
-	}
 	span := obs.Start("zfp.decompress")
 	defer span.End()
-
-	dim, d0, d1, d2 := wire.Collapse(hdr.dims)
-	nb0, nb1, nb2 := blockGrid(d0, d1, d2, dim)
-	totalBlocks := nb0 * nb1 * nb2
-
-	rd := wire.NewReader(buf[hdr.payloadOff:], ErrCorrupt)
-	numShards := int(rd.Uint32())
-	sb := int(rd.Uint32())
-	if rd.Err() != nil || numShards <= 0 || numShards > maxShards ||
-		sb <= 0 || numShards != (totalBlocks+sb-1)/sb {
-		return nil, nil, ErrCorrupt
+	out := wire.Sized(dst, p.n)
+	if err := h.runShards("zfp.decompress", p, out); err != nil {
+		return nil, nil, err
 	}
-	lens, payloads, errs := h.shardIndex(numShards)
-	total := 0
-	for i := range lens {
-		l := rd.Uint64()
-		if rd.Err() != nil || l > uint64(rd.Remaining()) {
-			return nil, nil, ErrCorrupt
-		}
-		lens[i] = int(l)
-		total += int(l)
-	}
-	if total > rd.Remaining() {
-		return nil, nil, ErrCorrupt
-	}
-	// Plausibility: every block costs at least a 2-bit tag, so a stream whose
-	// payload bytes cannot cover totalBlocks/4 is corrupt. Checked before the
-	// output slice is sized from header-claimed dims.
-	if totalBlocks > total*4+64 {
-		return nil, nil, ErrCorrupt
-	}
-	for i := range payloads {
-		payloads[i] = rd.Bytes(lens[i])
-	}
-	if rd.Err() != nil {
-		return nil, nil, ErrCorrupt
-	}
-
-	workers := h.workers
-	obs.Set("lcpio_zfp_workers", float64(workers))
-
-	out := wire.Sized(dst, hdr.n)
-	h.dec.SizeTo(min(workers, numShards))
-	pt := obs.StartPipeline("zfp.decompress", workers)
-	par.RunWorker(numShards, workers, func(w, s int) {
-		wc := pt.Worker(w)
-		wc.Run("decode_shard")
-		ln := h.dec.Lane(w)
-		ln.err = nil
-		lo := s * sb
-		hi := lo + sb
-		if hi > totalBlocks {
-			hi = totalBlocks
-		}
-		decodeShard(ln, payloads[s], out, d0, d1, d2, dim, nb1, nb2, lo, hi)
-		errs[s] = ln.err
-		wc.WaitInput()
-	})
-	pt.End()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return out, hdr.dims, nil
+	return out, p.dims, nil
 }
 
-// decodeShard decodes blocks [loBlk, hiBlk) from payload, scattering each
-// into its (disjoint) region of out.
-func decodeShard(ln *zdecLane, payload []byte, out []float32, d0, d1, d2, dim, nb1, nb2, loBlk, hiBlk int) {
-	ln.r.Reset(payload)
-	for idx := loBlk; idx < hiBlk; idx++ {
-		if err := decodeBlock(&ln.r, ln, dim); err != nil {
-			ln.err = err
-			return
-		}
-		bi, bj, bk := blockCoords(idx, nb1, nb2)
-		scatterBlock(out, d0, d1, d2, dim, bi, bj, bk, ln.blk[:])
+// Check returns the error and dims DecompressInto would on buf, reading
+// every block's bits with the same checks but rebuilding no value: nothing
+// is transformed or stored, and a warm call allocates nothing. The dims are
+// the handle's scratch, valid until its next call.
+func (h *Handle) Check(buf []byte) ([]int, error) {
+	p, err := h.open(buf, h.checkDims)
+	if err != nil {
+		return nil, err
 	}
+	h.checkDims = p.dims
+	span := obs.Start("zfp.check")
+	defer span.End()
+	if err := h.runShards("zfp.check", p, nil); err != nil {
+		return nil, err
+	}
+	return p.dims, nil
+}
+
+// runShards fans p's shards out over the handle's workers — decoding each
+// into out, or only reading it when out is nil — and returns the first
+// shard's error in shard order.
+func (h *Handle) runShards(name string, p plan, out []float32) error {
+	workers := h.workers
+	obs.Set("lcpio_zfp_workers", float64(workers))
+	h.dec.SizeTo(min(workers, p.shards))
+	if h.runShardFn == nil {
+		h.runShardFn = h.runShard
+	}
+	h.cur, h.out, h.pt = p, out, obs.StartPipeline(name, workers)
+	par.RunWorker(p.shards, workers, h.runShardFn)
+	h.pt.End()
+	h.out, h.pt = nil, nil
+	for _, err := range h.errs[:p.shards] {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runShard reads shard s of the call in flight on worker w's lane, and
+// rebuilds its blocks into h.out unless the call is a Check.
+func (h *Handle) runShard(w, s int) {
+	wc := h.pt.Worker(w)
+	ln := h.dec.Lane(w)
+	p := &h.cur
+	lo := s * p.sb
+	hi := min(lo+p.sb, p.totalBlocks)
+	ln.r.Reset(h.payloads[s])
+	if h.out == nil {
+		wc.Run("check_shard")
+		h.errs[s] = checkShard(ln, p.dim, lo, hi)
+	} else {
+		wc.Run("decode_shard")
+		h.errs[s] = decodeShard(ln, h.out, p, lo, hi)
+	}
+	wc.WaitInput()
+}
+
+// checkShard reads blocks [loBlk, hiBlk) from the lane's reader.
+func checkShard(ln *zdecLane, dim, loBlk, hiBlk int) error {
+	for idx := loBlk; idx < hiBlk; idx++ {
+		if err := readBlock(&ln.r, ln, dim); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// decodeShard reads and rebuilds blocks [loBlk, hiBlk) from the lane's
+// reader, scattering each into its (disjoint) region of out.
+func decodeShard(ln *zdecLane, out []float32, p *plan, loBlk, hiBlk int) error {
+	for idx := loBlk; idx < hiBlk; idx++ {
+		if err := readBlock(&ln.r, ln, p.dim); err != nil {
+			return err
+		}
+		rebuildBlock(ln, p.dim)
+		bi, bj, bk := blockCoords(idx, p.nb1, p.nb2)
+		scatterBlock(out, p.d0, p.d1, p.d2, p.dim, bi, bj, bk, ln.blk[:])
+	}
+	return nil
 }
 
 func blockSize(dim int) int {

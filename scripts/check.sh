@@ -35,10 +35,12 @@ go test -count=1 -run 'Quick|Invariant' \
 # dimension plane decoder are the ones that see the regime the end-to-end
 # restore runs in; the Huffman-coded lossless inputs, the table builds (on
 # NYX- and HACC-shaped partition histograms and a full alphabet) and the
-# one-rank sz fields are the dump's. BenchmarkDumpLoopback is the whole
+# one-rank sz and zfp fields are the dump's, and zfp's Check on them is
+# what the daemon's verification pool runs on every putZ chunk.
+# BenchmarkDumpLoopback is the whole
 # dump over a real loopback listener — client, frames, the daemon's
 # verification pool and committer — as zfp putZ and as sz put.
-go test -run '^$' -bench 'Decode|Decompress|Compress|Build|TransposeWindow' -benchtime 1x \
+go test -run '^$' -bench 'Decode|Decompress|Compress|Check|Build|TransposeWindow' -benchtime 1x \
     ./internal/huffman/ ./internal/lossless/ ./internal/compress/ ./internal/zfp/ ./internal/sz/
 go test -run '^$' -bench 'DumpLoopback' -benchtime 1x ./internal/svc/
 # The delta path's own: the chunker over bytes and over floats beside the
