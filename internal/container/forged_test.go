@@ -12,7 +12,7 @@ import (
 // TestRetiredCodecRefusedInsideBudget: a container naming squant, a codec
 // this repository no longer registers, over a chunk claiming 2^26 elements
 // is refused by Stat, by Check — what the daemon's verification pool runs on
-// every putZ frame — and by Unpack, each with an error naming the codec and
+// every put of a compressed-wire session — and by Unpack, each with an error naming the codec and
 // inside 4 KiB: the name is read before anything is sized by the claim.
 func TestRetiredCodecRefusedInsideBudget(t *testing.T) {
 	h, err := compress.NewHandle("sz", 1)
@@ -74,7 +74,7 @@ func TestMultiStreamContainerRefused(t *testing.T) {
 }
 
 // requireRefusedInsideBudget holds Stat, Check — what the daemon's
-// verification pool runs on every putZ frame — and Unpack to refusing buf
+// verification pool runs on every put of a compressed-wire session — and Unpack to refusing buf
 // with an error containing want, each inside 4 KiB.
 func requireRefusedInsideBudget(t *testing.T, buf []byte, dims []int, want string) {
 	t.Helper()

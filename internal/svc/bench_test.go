@@ -29,8 +29,8 @@ func (m *sinkMedium) ReadAt(p []byte, off int64) (int, error) {
 // BenchmarkDumpLoopback is one whole dump over a real loopback TCP listener
 // — client compress, frames, the daemon's verification pool and committer —
 // on the benchmark's NYX field at half its rank size: 8 ranks of 1 Mi
-// float32 at a 1e-3 relative bound, as zfp with compressed-wire frames (every
-// chunk inflate-verified) and as sz with plain ones. The MB/s column is raw
+// float32 at a 1e-3 relative bound, as zfp in a compressed-wire session (every
+// chunk checked at the wire) and as sz in a plain one. The MB/s column is raw
 // bytes dumped per wall second.
 func BenchmarkDumpLoopback(b *testing.B) {
 	const ranks, elems, relEB = 8, 1 << 20, 1e-3
@@ -48,7 +48,7 @@ func BenchmarkDumpLoopback(b *testing.B) {
 		field.Data = append(field.Data, f.Data)
 	}
 	for _, tc := range []struct{ name, codec, wireCodec string }{
-		{"zfp-putZ", "zfp", "zfp"},
+		{"zfp-wire", "zfp", "zfp"},
 		{"sz-put", "sz", ""},
 	} {
 		b.Run(tc.name, func(b *testing.B) {

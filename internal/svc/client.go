@@ -45,10 +45,10 @@ type DumpOptions struct {
 	// pricing (see OpenRequest).
 	ProjectedRatio  float64
 	DeadlineSeconds float64
-	// WireCodec, when non-empty, negotiates compressed payload frames: each
-	// chunk ships as a framePutZ declaring its raw size so the daemon can
-	// inflate-verify it and credit the wire time saved. It must equal the
-	// set's codec — the wire carries the same container blobs a plain dump
+	// WireCodec, when non-empty, negotiates a compressed-wire session: the
+	// daemon checks every chunk against its field's shape and credits the
+	// wire time saved over the raw floats. It must equal the set's codec —
+	// the wire carries the same put frames and container blobs a plain dump
 	// would, just accounted (and verified) as compressed transfers.
 	WireCodec string
 }
@@ -118,8 +118,7 @@ func (c *Client) dump(set ckpt.Set, req OpenRequest, opts DumpOptions) (Result, 
 
 	// The lanes are ckpt.Write's; the in-order drain ships PUT frames instead
 	// of writing a local medium.
-	nFields := len(set.Fields)
-	n := set.Ranks * nFields
+	n := set.Ranks * len(set.Fields)
 	eng := stream.Start(n, stream.Options{
 		Name:    "svc.client",
 		Workers: opts.Workers,
@@ -133,10 +132,6 @@ func (c *Client) dump(set ckpt.Set, req OpenRequest, opts DumpOptions) (Result, 
 	sent := make(chan int, n)
 	acks := &ackReader{r: c.rw, done: make(chan struct{})}
 	go acks.run(sent)
-	putType := framePut
-	if req.WireCodec != "" {
-		putType = framePutZ
-	}
 	var buf []byte
 	err = eng.Drain(func(d stream.Item) error {
 		if d.Err != nil {
@@ -145,12 +140,8 @@ func (c *Client) dump(set ckpt.Set, req OpenRequest, opts DumpOptions) (Result, 
 		if acks.failed.Load() {
 			return errStopSending
 		}
-		h := putHeader{Idx: d.Idx, CRC: ckpt.Digest(d.Blob)}
-		if putType == framePutZ {
-			h.RawLen = int64(req.Fields[d.Idx%nFields].Elems()) * 4
-		}
 		var err error
-		if buf, err = appendPutFrame(buf[:0], putType, sid, h, d.Blob); err != nil {
+		if buf, err = appendPutFrame(buf[:0], sid, putHeader{Idx: d.Idx, CRC: ckpt.Digest(d.Blob)}, d.Blob); err != nil {
 			return err
 		}
 		if _, err := c.rw.Write(buf); err != nil {

@@ -65,7 +65,6 @@ const (
 	frameRestoreReq           // client → server: set name (server-side restore)
 	frameRestoreOK            // server → client: RestoreReply
 	frameErr                  // server → client: protocol/session error string
-	framePutZ                 // client → server: compressed-wire chunk (idx + raw length + blob digest + blob)
 	frameTypeEnd
 )
 
@@ -217,12 +216,12 @@ type OpenRequest struct {
 	// DeadlineSeconds bounds the projected dump wall time (Eqn 2 seconds
 	// at the tuned clocks); 0 means no deadline.
 	DeadlineSeconds float64
-	// WireCodec, when non-empty, negotiates compressed payload frames
-	// (framePutZ): chunks arrive as codec blobs with a declared raw length
-	// and the daemon inflates them at the wire boundary to verify
-	// integrity before storing the blob byte-identically. Must equal Codec
-	// — the wire carries the same container blobs a plain session ships,
-	// just accounted (and verified) as compressed transfers.
+	// WireCodec, when non-empty, negotiates a compressed-wire session: the
+	// daemon checks every put's blob against its field's shape at the wire
+	// boundary before storing it byte-identically, and credits the transfer
+	// time it saved over the field's raw floats. Must equal Codec — the wire
+	// carries the same container blobs a plain session ships, just accounted
+	// (and verified) as compressed transfers.
 	WireCodec string
 }
 
@@ -457,66 +456,45 @@ func parseReject(b []byte) (Reject, error) {
 	return r, nil
 }
 
-// putHeader is what precedes the blob in a put or putZ payload: the chunk
-// index, for putZ the inflated (raw float) byte length the blob claims to
-// decode to, and the sender's ckpt.Digest of the blob. The daemon checks the
-// digest before anything else looks at the blob and stores that verified
-// value as the chunk's manifest CRC, so a byte flipped between the client's
-// packer and the daemon's medium is refused whatever it would have decoded
-// to.
+// putHeader is what precedes the blob in a put payload: the chunk index and
+// the sender's ckpt.Digest of the blob. The daemon checks the digest before
+// anything else looks at the blob and stores that verified value as the
+// chunk's manifest CRC, so a byte flipped between the client's packer and the
+// daemon's medium is refused whatever it would have decoded to. Everything
+// else about a chunk — its field, its shape, its raw size, whether it is
+// checked — the daemon takes from the session its index falls in.
 type putHeader struct {
-	Idx    int
-	RawLen int64 // putZ only
-	CRC    uint32
+	Idx int
+	CRC uint32
 }
 
-const (
-	putHdrLen  = 4 + 4     // idx | crc
-	putZHdrLen = 4 + 8 + 4 // idx | rawLen | crc
-)
+const putHdrLen = 4 + 4 // idx | crc
 
-// appendPutFrame appends one complete put frame of type t (framePut or
-// framePutZ) — frame header, put header, blob — to b. The sender builds each
-// frame in one buffer it reuses, so a blob is copied once on its way to the
-// socket and the frame leaves in one Write.
-func appendPutFrame(b []byte, t frameType, sess uint32, h putHeader, blob []byte) ([]byte, error) {
+// appendPutFrame appends one complete put frame — frame header, put header,
+// blob — to b. The sender builds each frame in one buffer it reuses, so a
+// blob is copied once on its way to the socket and the frame leaves in one
+// Write.
+func appendPutFrame(b []byte, sess uint32, h putHeader, blob []byte) ([]byte, error) {
 	n := putHdrLen + len(blob)
-	if t == framePutZ {
-		n = putZHdrLen + len(blob)
-	}
 	if n > maxPayloadLen {
 		return b, fmt.Errorf("svc: frame payload %d exceeds cap %d", n, maxPayloadLen)
 	}
 	b = wire.AppendUint32(b, frameMagic)
-	b = append(b, byte(t))
+	b = append(b, byte(framePut))
 	b = wire.AppendUint32(b, sess)
 	b = wire.AppendUint32(b, uint32(n))
 	b = wire.AppendUint32(b, uint32(h.Idx))
-	if t == framePutZ {
-		b = wire.AppendUint64(b, uint64(h.RawLen))
-	}
 	b = wire.AppendUint32(b, h.CRC)
 	return append(b, blob...), nil
 }
 
-// parsePut decodes the payload of a put frame of type t (framePut or
-// framePutZ); blob aliases b. A putZ's declared raw length is a hostile
-// input: it is capped here, re-checked against the session's field geometry
-// before any inflation, and the container's own element count must equal it
-// before a chunk is decoded — a lying length field can therefore never
-// drive an allocation larger than the geometry the session negotiated.
-func parsePut(t frameType, b []byte) (h putHeader, blob []byte, err error) {
+// parsePut decodes a put frame's payload; blob aliases b.
+func parsePut(b []byte) (h putHeader, blob []byte, err error) {
 	rd := wire.NewReader(b, ErrCorruptFrame)
 	h.Idx = int(rd.Uint32())
-	if t == framePutZ {
-		h.RawLen = int64(rd.Uint64())
-	}
 	h.CRC = rd.Uint32()
 	if rd.Err() != nil {
 		return h, nil, fmt.Errorf("%w: put header", ErrCorruptFrame)
-	}
-	if t == framePutZ && (h.RawLen <= 0 || h.RawLen > maxRawB || h.RawLen%4 != 0) {
-		return h, nil, fmt.Errorf("%w: putz raw length %d", ErrCorruptFrame, h.RawLen)
 	}
 	if blob = b[rd.Offset():]; len(blob) == 0 {
 		return h, nil, fmt.Errorf("%w: put with an empty blob", ErrCorruptFrame)
@@ -588,9 +566,10 @@ type Result struct {
 	AdmissionWaitSeconds float64
 	// WireCodec is the negotiated compressed-wire codec ("" for plain
 	// sessions); WireSavedSeconds is the shared-medium transfer time the
-	// compressed frames saved over shipping the raw floats, and
-	// WireVerifiedChunks counts putZ chunks the daemon inflated and
-	// verified at the wire boundary.
+	// compressed chunks saved over shipping the raw floats, and
+	// WireVerifiedChunks counts the chunks the daemon checked at the wire
+	// boundary — every chunk of a compressed-wire session, none of a plain
+	// one.
 	WireCodec          string
 	WireSavedSeconds   float64
 	WireVerifiedChunks int64

@@ -2,6 +2,7 @@ package svc
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"lcpio/internal/ckpt"
@@ -34,7 +35,6 @@ func fuzzFrames() [][]byte {
 		{Type: frameOpenOK, Session: 1, Payload: acc.encode()},
 		{Type: frameReject, Payload: rej.encode()},
 		{Type: framePut, Session: 1, Payload: encodePut(3, []byte{9, 8, 7, 6})},
-		{Type: framePutZ, Session: 1, Payload: encodePutZ(3, 64, []byte{9, 8, 7, 6})},
 		{Type: framePutOK, Session: 1, Payload: pr.encode()},
 		{Type: frameClose, Session: 1},
 		{Type: frameCloseOK, Session: 1, Payload: res.encode()},
@@ -94,8 +94,12 @@ func FuzzSvcFrame(f *testing.F) {
 	huge := append([]byte(nil), open[:frameHdrLen]...)
 	huge = wire.AppendUint32(huge[:frameHdrLen-4], 1<<31-1)
 	f.Add(huge)
-	// The retired advise pair (types 14 and 15) carrying an advise request,
-	// as an older client sent it: refused from the header alone.
+	// The retired frames, as an older client sent them, refused from the
+	// header alone: the compressed-wire put (type 13: index, raw length,
+	// digest, blob) and the advise pair (14 and 15) carrying an advise
+	// request.
+	putZ := append(wire.AppendUint64(wire.AppendUint32(nil, 3), 64), encodePut(3, []byte{9, 8, 7, 6})[4:]...)
+	f.Add(appendFrame(nil, frame{Type: 13, Session: 1, Payload: putZ}))
 	advise := wire.AppendFloat64(wire.AppendFloat64(wire.AppendUint64(wire.AppendString(nil, "t0"), 1<<20), 0.5), 60)
 	for _, t := range []frameType{14, 15} {
 		f.Add(appendFrame(nil, frame{Type: t, Payload: advise}))
@@ -137,9 +141,9 @@ func FuzzSvcFrame(f *testing.F) {
 				_, _ = parseOpenAccept(fr.Payload)
 			case frameReject:
 				_, _ = parseReject(fr.Payload)
-			case framePut, framePutZ:
-				if h, blob, err := parsePut(fr.Type, fr.Payload); err == nil {
-					if re := putPayload(fr.Type, h, blob); !bytes.Equal(re, fr.Payload) {
+			case framePut:
+				if h, blob, err := parsePut(fr.Payload); err == nil {
+					if re := putPayload(h, blob); !bytes.Equal(re, fr.Payload) {
 						t.Fatal("put re-encode mismatch")
 					}
 				}
@@ -159,65 +163,68 @@ func FuzzSvcFrame(f *testing.F) {
 	})
 }
 
-// FuzzTransitFrame drives the compressed-wire chunk decoder (framePutZ
-// payloads) plus the daemon's verification path. Contract: parsePut either
-// fails cleanly or returns a capped, 4-aligned raw length and a non-empty
-// blob that re-encode to exactly the input; verifying the blob the way
-// Server.verify does never panics and never allocates from the hostile
-// declared length. The digest is the sender's word, and a sender can put a
-// matching one over any bytes, so the inflate is driven whether or not it
+// FuzzTransitFrame drives a compressed-wire session's put path: the put
+// parser, then the check Server.verify runs on the chunk against the
+// session's field, here [8 12]. Contract: parsePut either fails cleanly or
+// returns a non-empty blob that re-encodes to exactly the input; the check
+// never panics; and a blob it passes is one a restore reads back at the
+// field's shape. The digest is the sender's word, and a sender can put a
+// matching one over any bytes, so the check is driven whether or not it
 // matches: it must stand hostile blobs on its own.
 func FuzzTransitFrame(f *testing.F) {
+	dims := []int{8, 12}
 	data := make([]float32, 96)
 	for i := range data {
 		data[i] = float32(i) * 0.5
 	}
-	blob, err := container.Pack("sz", data, []int{96}, 1e-3, container.Options{Parallelism: 1})
-	if err != nil {
-		f.Fatal(err)
+	pack := func(codec string, dims ...int) []byte {
+		elems := 1
+		for _, d := range dims {
+			elems *= d
+		}
+		blob, err := container.Pack(codec, data[:elems], dims, 1e-3, container.Options{Parallelism: 1})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return blob
 	}
-	valid := encodePutZ(2, int64(len(data))*4, blob)
+	valid := encodePut(2, pack("sz", dims...))
 	f.Add(valid)
 	// Truncations through the header boundary and mid-blob.
-	for _, cut := range []int{0, 1, putHdrLen, putZHdrLen - 1, putZHdrLen, putZHdrLen + 1, len(valid) - 1} {
+	for _, cut := range []int{0, 1, putHdrLen - 1, putHdrLen, putHdrLen + 1, len(valid) / 2, len(valid) - 1} {
 		f.Add(valid[:cut])
 	}
-	// Bit flips across index, length field, and blob body.
-	for _, pos := range []int{0, 3, 4, 11, putZHdrLen, putZHdrLen + 8, len(valid) - 2} {
+	// Bit flips across index, digest and blob body.
+	for _, pos := range []int{0, 3, 4, 7, putHdrLen, putHdrLen + 8, len(valid) - 2} {
 		mut := append([]byte(nil), valid...)
 		mut[pos] ^= 0x40
 		f.Add(mut)
 	}
-	// Length-field lies: zero, unaligned, negative (as uint64), beyond the
-	// allocation cap, and well-formed-but-wrong.
-	lie := func(rawLen uint64) []byte {
-		return encodePutZ(2, int64(rawLen), blob)
+	// Shape lies under a matching digest: the field's elements in other
+	// shapes, one element short or over, and the other codec's blob.
+	for _, blob := range [][]byte{pack("sz", 96), pack("sz", 12, 8), pack("sz", 4, 24),
+		pack("sz", 95), pack("zfp", dims...), pack("zfp", 96)} {
+		f.Add(encodePut(2, blob))
 	}
-	f.Add(lie(0))
-	f.Add(lie(7))
-	f.Add(lie(1 << 63))
-	f.Add(lie(uint64(maxRawB) + 4))
-	f.Add(lie(uint64(len(data))*4 + 4))
-	// A flip inside the digest field itself.
-	mut := append([]byte(nil), valid...)
-	mut[putZHdrLen-2] ^= 0x40
-	f.Add(mut)
 
+	u := container.NewUnpacker(container.Options{Parallelism: 1})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		h, pb, err := parsePut(framePutZ, payload)
+		h, pb, err := parsePut(payload)
 		if err != nil {
 			return
 		}
-		if h.RawLen <= 0 || h.RawLen > maxRawB || h.RawLen%4 != 0 || len(pb) == 0 {
-			t.Fatalf("accepted out-of-contract chunk: rawLen %d blob %d B", h.RawLen, len(pb))
+		if len(pb) == 0 {
+			t.Fatal("accepted a put with an empty blob")
 		}
-		if re := putPayload(framePutZ, h, pb); !bytes.Equal(re, payload) {
+		if re := putPayload(h, pb); !bytes.Equal(re, payload) {
 			t.Fatalf("re-encode mismatch: %x vs %x", re, payload)
 		}
 		_ = ckpt.Digest(pb) == h.CRC
-		// Check exactly as Server.verify does, against a one-dimensional
-		// field of the declared length: a shape the container's own header
-		// does not state is refused before anything is decoded.
-		_ = container.NewUnpacker(container.Options{Parallelism: 1}).Check(pb, []int{int(h.RawLen / 4)})
+		if u.Check(pb, dims) != nil {
+			return
+		}
+		if _, got, err := u.Unpack(pb); err != nil || !slices.Equal(got, dims) {
+			t.Fatalf("the check passed a chunk that unpacks to %v, %v", got, err)
+		}
 	})
 }

@@ -43,14 +43,8 @@ func handDump(t *testing.T, c *Client, tenant string, set ckpt.Set, wireCodec st
 	req := setOpenReq(tenant, set, 0)
 	req.WireCodec = wireCodec
 	acc := openSession(t, c, req)
-	nf := len(set.Fields)
 	for idx, blob := range packAll(t, set) {
-		out := frame{Type: framePut, Session: acc.Session, Payload: encodePut(idx, blob)}
-		if wireCodec != "" {
-			out = frame{Type: framePutZ, Session: acc.Session,
-				Payload: encodePutZ(idx, int64(req.Fields[idx%nf].Elems())*4, blob)}
-		}
-		if err := writeFrame(c.rw, out); err != nil {
+		if err := writeFrame(c.rw, frame{Type: framePut, Session: acc.Session, Payload: encodePut(idx, blob)}); err != nil {
 			t.Fatal(err)
 		}
 		rf, err := readFrame(c.rw)
@@ -93,7 +87,7 @@ func setImage(t *testing.T, srv *Server, name string) []byte {
 }
 
 // TestPipelinedDumpMatchesOneAtATime is the identity the pipeline rests on:
-// for both codecs, plain and compressed-wire frames, at 1, 2 and 4 client
+// for both codecs, plain and compressed-wire sessions, at 1, 2 and 4 client
 // workers, a pipelined Client.Dump stores the bytes and reports the Result
 // — offsets, simulated clock, queue wait, joules — of a hand-driven dump
 // that keeps one frame in flight. Commit order is arrival order, so nothing
@@ -148,7 +142,7 @@ type faultConn struct {
 }
 
 func (c *faultConn) Write(p []byte) (int, error) {
-	if t := frameType(p[4]); t == framePut || t == framePutZ {
+	if frameType(p[4]) == framePut {
 		k := c.puts
 		c.puts++
 		if k == c.at && c.cut {
@@ -257,7 +251,7 @@ func TestPutDigestRefusesEveryFlip(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		codec string
-		z     bool
+		wire  bool
 	}{{"sz", true}, {"sz", false}, {"zfp", true}} {
 		blob, err := container.Pack(tc.codec, data, []int{smallElems}, 1e-3, container.Options{Parallelism: 1})
 		if err != nil {
@@ -269,15 +263,11 @@ func TestPutDigestRefusesEveryFlip(t *testing.T) {
 		}
 		hdr := putHeader{CRC: ckpt.Digest(blob)}
 		wireCodec := ""
-		if tc.z {
-			hdr.RawLen, wireCodec = smallRawLen, tc.codec
+		if tc.wire {
+			wireCodec = tc.codec
 		}
 		check := container.NewUnpacker(container.Options{Parallelism: 1})
 		decodable := 0
-		ft := framePut
-		if tc.z {
-			ft = framePutZ
-		}
 		for pos := range blob {
 			bad := append([]byte(nil), blob...)
 			bad[pos] ^= 0xff
@@ -289,8 +279,8 @@ func TestPutDigestRefusesEveryFlip(t *testing.T) {
 			req := rampOpenReq(fmt.Sprintf("flip-%d", pos), wireCodec, smallElems)
 			req.Codec = tc.codec
 			acc := openSession(t, cl, req)
-			if err := writeFrame(cl.rw, frame{Type: ft, Session: acc.Session,
-				Payload: putPayload(ft, hdr, bad)}); err != nil {
+			if err := writeFrame(cl.rw, frame{Type: framePut, Session: acc.Session,
+				Payload: putPayload(hdr, bad)}); err != nil {
 				t.Fatal(err)
 			}
 			rf, err := readFrame(cl.rw)
@@ -298,16 +288,16 @@ func TestPutDigestRefusesEveryFlip(t *testing.T) {
 				t.Fatal(err)
 			}
 			if rf.Type != frameErr || !strings.Contains(string(rf.Payload), "digest") {
-				t.Fatalf("%s z=%v: byte %d flipped got %v %q, want a digest refusal",
-					tc.codec, tc.z, pos, rf.Type, rf.Payload)
+				t.Fatalf("%s wire=%v: byte %d flipped got %v %q, want a digest refusal",
+					tc.codec, tc.wire, pos, rf.Type, rf.Payload)
 			}
 		}
 		if decodable == 0 {
 			t.Fatalf("%s: no flip of the %d-byte blob still decodes; the case no longer shows what the digest adds",
 				tc.codec, len(blob))
 		}
-		t.Logf("%s z=%v: %d of the %d-byte blob's single-byte flips still decode; all %d refused",
-			tc.codec, tc.z, decodable, len(blob), len(blob))
+		t.Logf("%s wire=%v: %d of the %d-byte blob's single-byte flips still decode; all %d refused",
+			tc.codec, tc.wire, decodable, len(blob), len(blob))
 	}
 }
 

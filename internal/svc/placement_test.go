@@ -27,8 +27,9 @@ func localWrite(t *testing.T, set ckpt.Set) (*ckpt.WriteResult, []byte) {
 // TestDaemonSetIsLocalWriteImage is the placement rule's identity: a set
 // Client.Dump sends — chunks in index order — is on the daemon's medium the
 // bytes ckpt.Write leaves on a private one, for both codecs, plain and
-// compressed-wire frames, at 1, 2 and 4 client workers; and every ledger that
-// states the set's size states that image's.
+// compressed-wire sessions, at 1, 2 and 4 client workers; every ledger that
+// states the set's size states that image's; and a compressed-wire session
+// checks every chunk it stores, a plain one none.
 func TestDaemonSetIsLocalWriteImage(t *testing.T) {
 	for _, codec := range []string{"sz", "zfp"} {
 		set := genCodecSet("image", codec, 4, 5)
@@ -43,6 +44,13 @@ func TestDaemonSetIsLocalWriteImage(t *testing.T) {
 				res, err := startPair(t, srv).Dump("a", set, DumpOptions{Workers: workers, WireCodec: wireCodec})
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
+				}
+				checked := int64(0)
+				if wireCodec != "" {
+					checked = int64(res.Chunks)
+				}
+				if res.WireVerifiedChunks != checked {
+					t.Fatalf("%s: %d of %d chunks checked at the wire", what, res.WireVerifiedChunks, res.Chunks)
 				}
 				if got := setImage(t, srv, set.Name); !bytes.Equal(got, want) {
 					t.Fatalf("%s: daemon holds %d B, ckpt.Write wrote %d B, or the bytes differ", what, len(got), len(want))

@@ -114,9 +114,10 @@ type session struct {
 	seen      []bool
 	nSeen     int
 	compSec   []float64 // per-field modeled compress seconds at the tuned clock
-	// wireCodec is the negotiated compressed-wire codec ("" = plain PUT
-	// frames only); wireSaved accumulates the shared-medium transfer time
-	// saved versus shipping raw, wireChunks the inflate-verified chunks.
+	// wireCodec is the negotiated compressed-wire codec ("" = a plain
+	// session, whose puts are held to their digest only); wireSaved
+	// accumulates the shared-medium transfer time saved versus shipping raw,
+	// wireChunks the chunks checked at the wire boundary.
 	wireCodec  string
 	wireSaved  float64
 	wireChunks int64
@@ -244,8 +245,8 @@ func (s *Server) Serve(l net.Listener) error {
 //
 // Put frames are pipelined through three stages. This goroutine, the
 // reader, parses a put, runs the checks that need no payload byte (session,
-// index range, declared raw length) and queues it; verification (digest,
-// and for putZ the inflate) runs on the daemon-wide pool; the connection's
+// index range) and queues it; verification (digest, and in a compressed-wire
+// session the shape check) runs on the daemon-wide pool; the connection's
 // committer takes the queue in arrival order, waits for that chunk's
 // verdict, lands it and writes its reply. So replies leave in request
 // order, a chunk's offset, simulated clock and queue wait are what a
@@ -266,7 +267,7 @@ func (s *Server) ServeConn(rw io.ReadWriter) error {
 		f, n, err := readFrameHeader(rw)
 		switch {
 		case err != nil:
-		case f.Type == framePut || f.Type == framePutZ:
+		case f.Type == framePut:
 			if err = p.receive(rw, f, n, sess); err == nil {
 				continue
 			}
@@ -369,7 +370,6 @@ func init() {
 type putJob struct {
 	sess    *session // nil: the frame named no open session
 	sid     uint32   // the session id the frame carried, echoed in the reply
-	z       bool     // arrived as framePutZ
 	hdr     putHeader
 	buf     []byte        // payload buffer, kept across uses
 	blob    []byte        // the chunk, aliasing buf
@@ -445,11 +445,11 @@ func (p *putPipe) receive(r io.Reader, f frame, n int, sess *session) error {
 		return err
 	}
 	obs.Set("lcpio_svc_put_inflight", float64(p.s.inflight.Add(1)))
-	job.sess, job.sid, job.z, job.err = nil, f.Session, f.Type == framePutZ, errNoSession
+	job.sess, job.sid, job.err = nil, f.Session, errNoSession
 	if sess != nil && !sess.done && f.Session == sess.id {
 		job.sess = sess
-		if job.hdr, job.blob, job.err = parsePut(f.Type, job.buf); job.err == nil {
-			job.err = sess.admits(job)
+		if job.hdr, job.blob, job.err = parsePut(job.buf); job.err == nil {
+			job.err = sess.admits(job.hdr.Idx)
 		}
 	}
 	job.queued = time.Now()
@@ -466,30 +466,23 @@ func (p *putPipe) receive(r io.Reader, f frame, n int, sess *session) error {
 	return nil
 }
 
-// admits runs the checks a put needs no payload byte for. It reads only
-// what open fixed, so it is safe while the committer owns the session.
-func (sess *session) admits(job *putJob) error {
-	idx := job.hdr.Idx
-	if job.z && sess.wireCodec == "" {
-		return errors.New("svc: compressed-wire chunk without a negotiated wire codec")
-	}
+// admits runs the check a put needs no payload byte for. It reads only what
+// open fixed, so it is safe while the committer owns the session.
+func (sess *session) admits(idx int) error {
 	if idx < 0 || idx >= len(sess.seen) {
 		return fmt.Errorf("svc: chunk index %d outside set of %d", idx, len(sess.seen))
-	}
-	if f := sess.req.Fields[idx%len(sess.req.Fields)]; job.z && job.hdr.RawLen != int64(f.Elems())*4 {
-		return fmt.Errorf("svc: chunk %d declares %d raw B; field %q inflates to %d B",
-			idx, job.hdr.RawLen, f.Name, int64(f.Elems())*4)
 	}
 	return nil
 }
 
 // verify gives a queued chunk its verdict on one of the pool's verifiers:
-// the sender's digest over the blob as it arrived, then, for a
-// compressed-wire chunk, the container's Check against the field's shape —
-// the header and the codec stream must both state it, and the codec reads
-// every block without rebuilding a value. Goroutines blocked on the pool are served first
-// come, first served, so chunks are verified in close to arrival order; the
-// commit order does not depend on it.
+// the sender's digest over the blob as it arrived, then, in a compressed-wire
+// session, the container's Check against the field's shape — the header and
+// the codec stream must both state it, and the codec reads every block
+// without rebuilding a value. Whether a chunk is checked is the session's
+// fact, fixed at open, not the frame's. Goroutines blocked on the pool are
+// served first come, first served, so chunks are verified in close to arrival
+// order; the commit order does not depend on it.
 func (s *Server) verify(job *putJob) {
 	v := <-s.verifiers
 	t0 := time.Now()
@@ -500,7 +493,7 @@ func (s *Server) verify(job *putJob) {
 		job.err = errSessionFailed // nothing of it can land: skip the work
 	case ckpt.Digest(job.blob) != job.hdr.CRC:
 		job.err = fmt.Errorf("svc: chunk %d does not match its sender's digest", idx)
-	case job.z:
+	case job.sess.wireCodec != "":
 		if err := v.Check(job.blob, job.sess.req.Fields[idx%len(job.sess.req.Fields)].Dims); err != nil {
 			job.err = fmt.Errorf("svc: chunk %d failed inflate verification: %w", idx, err)
 		}
@@ -766,10 +759,10 @@ func (s *Server) countReject(ten *tenant) {
 // queue wait — time the chunk sat compressed but unwritable because other
 // sessions held the medium — is the backpressure signal. The manifest CRC is
 // the sender's digest, which the verifier matched against these bytes. A
-// compressed-wire chunk (framePutZ) is the same container blob a plain put
-// carries, stored byte-identically; its declared raw size, which the
-// verifier held to the session's geometry and to the decoded element count,
-// credits the shared-medium transfer time compression saved.
+// compressed-wire session stores the same container blobs a plain one does;
+// each chunk's field, whose raw size open fixed and whose shape the verifier
+// held the chunk to, prices the shared-medium transfer time compression
+// saved.
 func (s *Server) put(sess *session, job *putJob) (PutReply, error) {
 	if sess.broken.Load() {
 		return PutReply{}, errSessionFailed
@@ -827,8 +820,9 @@ func (s *Server) put(sess *session, job *putJob) (PutReply, error) {
 	sess.seen[idx] = true
 	sess.nSeen++
 	sess.payload += int64(len(blob))
-	if job.z {
-		sess.wireSaved += s.cfg.Mount.Write(job.hdr.RawLen).NetworkSeconds - wireSec
+	if sess.wireCodec != "" {
+		raw := int64(sess.req.Fields[field].Elems()) * 4
+		sess.wireSaved += s.cfg.Mount.Write(raw).NetworkSeconds - wireSec
 		sess.wireChunks++
 	}
 	obs.Add("lcpio_svc_chunks_total", 1)

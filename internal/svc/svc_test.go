@@ -552,11 +552,11 @@ func TestHostileRatioRefusedBeforeReservation(t *testing.T) {
 }
 
 // TestFrameHeaderRefusesUnknownTypes: a header whose type byte names no
-// frame — 0, the retired advise request and reply (14, 15), anything past
-// them — is refused as unknown from its 13 bytes alone, before any payload
-// byte is read.
+// frame — 0, the retired compressed-wire put (13), the retired advise
+// request and reply (14, 15), anything past them — is refused as unknown from
+// its 13 bytes alone, before any payload byte is read.
 func TestFrameHeaderRefusesUnknownTypes(t *testing.T) {
-	for _, ft := range []frameType{frameInvalid, 14, 15, 255} {
+	for _, ft := range []frameType{frameInvalid, 13, 14, 15, 255} {
 		r := bytes.NewReader(appendFrame(nil, frame{Type: ft, Payload: []byte("payload")}))
 		_, _, err := readFrameHeader(r)
 		if !errors.Is(err, ErrCorruptFrame) || !strings.Contains(err.Error(), "unknown frame type") {
@@ -607,13 +607,9 @@ func TestFrameRoundTrips(t *testing.T) {
 		t.Fatalf("result round trip: %+v, %v", got, err)
 	}
 
-	ph, blob, err := parsePut(framePut, encodePut(5, []byte{1, 2, 3}))
+	ph, blob, err := parsePut(encodePut(5, []byte{1, 2, 3}))
 	if err != nil || ph != (putHeader{Idx: 5, CRC: ckpt.Digest([]byte{1, 2, 3})}) || !bytes.Equal(blob, []byte{1, 2, 3}) {
 		t.Fatalf("put round trip: %+v %v %v", ph, blob, err)
-	}
-	ph, blob, err = parsePut(framePutZ, encodePutZ(6, 64, []byte{4, 5}))
-	if err != nil || ph != (putHeader{Idx: 6, RawLen: 64, CRC: ckpt.Digest([]byte{4, 5})}) || !bytes.Equal(blob, []byte{4, 5}) {
-		t.Fatalf("putZ round trip: %+v %v %v", ph, blob, err)
 	}
 
 	entries := []SetEntry{{Name: "a", Tenant: "x", Bytes: 1, Joules: 2, RawByte: 3}}

@@ -10,9 +10,9 @@ import (
 )
 
 // TestWireCodecDumpRestoresByteIdentical is the compressed-wire acceptance
-// check: a dump negotiated with --wire-codec ships framePutZ chunks, the
-// daemon inflate-verifies every one, and the restored set is byte-identical
-// to a plain dump of the same data.
+// check: in a dump negotiated with --wire-codec the daemon checks every
+// chunk at the wire, and the restored set is byte-identical to a plain dump
+// of the same data.
 func TestWireCodecDumpRestoresByteIdentical(t *testing.T) {
 	srv := NewServer(Config{})
 	if err := srv.AddTenant(TenantConfig{Name: "climate"}); err != nil {
@@ -70,47 +70,24 @@ func TestWireCodecMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestPutZWithoutNegotiationRejected sends a compressed-wire chunk on a
-// session that never negotiated one.
-func TestPutZWithoutNegotiationRejected(t *testing.T) {
-	srv := NewServer(Config{})
-	if err := srv.AddTenant(TenantConfig{Name: "climate"}); err != nil {
-		t.Fatal(err)
-	}
-	cl := startPair(t, srv)
-	acc := openSession(t, cl, smallOpenReq("nz", ""))
-	blob := smallBlob(t)
-	if err := writeFrame(cl.rw, frame{Type: framePutZ, Session: acc.Session,
-		Payload: encodePutZ(0, smallRawLen, blob)}); err != nil {
-		t.Fatal(err)
-	}
-	rf, err := readFrame(cl.rw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rf.Type != frameErr {
-		t.Fatalf("putZ without negotiation got %v, want error", rf.Type)
-	}
-}
-
-// TestPutZLengthLieRejected declares a raw length that disagrees with the
-// session's field geometry, and one the blob does not inflate to; then it
-// sends corrupt blobs under the truthful length and a digest that matches
-// them, as a sender with a broken packer would. The first refusal breaks a
-// session, so each case opens its own and is held to the reason it names.
+// TestPutZLengthLieRejected sends a compressed-wire session a container that
+// holds half its field's elements, then corrupt blobs under a digest that
+// matches them, as a sender with a broken packer would. The first refusal
+// breaks a session, so each case opens its own and is held to the reason it
+// names.
 func TestPutZLengthLieRejected(t *testing.T) {
 	srv := NewServer(Config{})
 	if err := srv.AddTenant(TenantConfig{Name: "climate"}); err != nil {
 		t.Fatal(err)
 	}
 	cases := 0
-	rejected := func(elems int, rawLen int64, blob []byte, what, reason string) {
+	rejected := func(elems int, blob []byte, what, reason string) {
 		t.Helper()
 		cases++
 		cl := startPair(t, srv)
 		acc := openSession(t, cl, rampOpenReq(fmt.Sprintf("lie-%d", cases), "sz", elems))
-		if err := writeFrame(cl.rw, frame{Type: framePutZ, Session: acc.Session,
-			Payload: encodePutZ(0, rawLen, blob)}); err != nil {
+		if err := writeFrame(cl.rw, frame{Type: framePut, Session: acc.Session,
+			Payload: encodePut(0, blob)}); err != nil {
 			t.Fatal(err)
 		}
 		rf, err := readFrame(cl.rw)
@@ -122,17 +99,14 @@ func TestPutZLengthLieRejected(t *testing.T) {
 		}
 	}
 	blob := smallBlob(t)
-	for _, lie := range []int64{smallRawLen + 4, smallRawLen * 2} {
-		rejected(smallElems, lie, blob, fmt.Sprintf("raw-length lie %d", lie), "raw B")
-	}
-	// The declared length agrees with the session and the container header
-	// does not: refused from the header, before anything is decoded.
-	rejected(2*smallElems, 2*smallRawLen, blob, "container of half the declared elements", "elements")
-	// A blob that no longer decodes must fail inflate verification under the
-	// truthful length rather than land on the medium. The verification is a
-	// decode: it catches what breaks the stream's structure, and the digest
-	// beside it catches what does not.
-	rejected(smallElems, smallRawLen, blob[:len(blob)-1], "blob cut one byte short", "inflate verification")
+	// The container header disagrees with the session's field: refused from
+	// the header, before anything is decoded.
+	rejected(2*smallElems, blob, "container of half the field's elements", "elements")
+	// A blob that no longer decodes must fail inflate verification rather
+	// than land on the medium. The verification reads the whole stream: it
+	// catches what breaks the stream's structure, and the digest beside it
+	// catches what does not.
+	rejected(smallElems, blob[:len(blob)-1], "blob cut one byte short", "inflate verification")
 
 	// Two flipped payload bytes break a deflated partition's bit stream.
 	// (smallBlob's partition is stored, deflate's tables would outweigh it,
@@ -148,49 +122,91 @@ func TestPutZLengthLieRejected(t *testing.T) {
 	bad := append([]byte(nil), big...)
 	bad[len(bad)/2] ^= 0xff
 	bad[len(bad)-1] ^= 0xff
-	rejected(bigElems, bigElems*4, bad, "bit-flipped blob", "inflate verification")
+	rejected(bigElems, bad, "bit-flipped blob", "inflate verification")
 }
 
-// TestPutZShapeLieRejected sends a field of dims [8 8] a chunk that holds
-// its 64 elements as a 1-D [64] array, under the truthful raw length and a
-// digest that matches. Accepted, it would finalize a set that no restore
-// can read ("chunk shape [64] disagrees with manifest [8 8]"); the
-// verification holds the chunk to the field's shape and refuses it.
+// TestPutZShapeLieRejected sends a compressed-wire session's field of dims
+// [8 8] a chunk that holds its 64 elements as a 1-D [64] array, under a
+// digest that matches. Accepted, it would finalize a set that no restore can
+// read ("chunk shape [64] disagrees with manifest [8 8]"); the verification
+// holds the chunk to the field's shape and refuses it.
 func TestPutZShapeLieRejected(t *testing.T) {
 	srv := NewServer(Config{})
 	if err := srv.AddTenant(TenantConfig{Name: "climate"}); err != nil {
 		t.Fatal(err)
 	}
+	if rf := putSquare(t, srv, "shape-lie", smallBlob(t)); rf.Type != frameErr || !strings.Contains(string(rf.Payload), "want [8 8]") {
+		t.Fatalf("a [64] chunk for an [8 8] field got %v %q, want a refusal naming the shape", rf.Type, rf.Payload)
+	}
+}
+
+// TestPlainPutInWireSessionChecked: whether a chunk is checked is the
+// session's fact. A compressed-wire session counts its one put, the frame
+// every session sends, as checked, and the set restores; the same put of a
+// [64] container for the [8 8] field — the frame a plain-session client
+// sends — is refused, not acked into a set whose every restore fails.
+func TestPlainPutInWireSessionChecked(t *testing.T) {
+	srv := NewServer(Config{})
+	if err := srv.AddTenant(TenantConfig{Name: "climate"}); err != nil {
+		t.Fatal(err)
+	}
+	if rf := putSquare(t, srv, "flat", smallBlob(t)); rf.Type != frameErr || !strings.Contains(string(rf.Payload), "want [8 8]") {
+		t.Fatalf("a [64] put in an sz wire session got %v %q, want a refusal naming the shape", rf.Type, rf.Payload)
+	}
+
+	data := make([]float32, smallElems)
+	for i := range data {
+		data[i] = float32(i) * 0.25
+	}
+	square, err := container.Pack("sz", data, []int{8, 8}, 1e-3, container.Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cl := startPair(t, srv)
-	req := smallOpenReq("shape-lie", "sz")
+	res := finishSessionWith(t, cl, openSession(t, cl, squareOpenReq("square")), square)
+	if res.WireVerifiedChunks != 1 {
+		t.Fatalf("wire session checked %d of its 1 chunk", res.WireVerifiedChunks)
+	}
+	view, err := srv.OpenSet("square")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ckpt.Restore(view, ckpt.RestoreOptions{}); err != nil {
+		t.Fatalf("restore of the checked set: %v", err)
+	}
+}
+
+// squareOpenReq opens an sz compressed-wire session of one [8 8] field;
+// putSquare sends blob as its chunk and returns the reply.
+func squareOpenReq(name string) OpenRequest {
+	req := smallOpenReq(name, "sz")
 	req.Fields[0].Dims = []int{8, 8}
-	acc := openSession(t, cl, req)
-	if err := writeFrame(cl.rw, frame{Type: framePutZ, Session: acc.Session,
-		Payload: encodePutZ(0, smallRawLen, smallBlob(t))}); err != nil {
+	return req
+}
+
+func putSquare(t *testing.T, srv *Server, name string, blob []byte) frame {
+	t.Helper()
+	cl := startPair(t, srv)
+	acc := openSession(t, cl, squareOpenReq(name))
+	if err := writeFrame(cl.rw, frame{Type: framePut, Session: acc.Session, Payload: encodePut(0, blob)}); err != nil {
 		t.Fatal(err)
 	}
 	rf, err := readFrame(cl.rw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rf.Type != frameErr || !strings.Contains(string(rf.Payload), "want [8 8]") {
-		t.Fatalf("a [64] chunk for an [8 8] field got %v %q, want a refusal naming the shape", rf.Type, rf.Payload)
-	}
+	return rf
 }
 
-// encodePut and encodePutZ build put payloads the way the client does — the
-// frame appendPutFrame writes, less its frame header — with the digest taken
-// over the blob as given.
+// encodePut builds a put payload the way the client does — the frame
+// appendPutFrame writes, less its frame header — with the digest taken over
+// the blob as given.
 func encodePut(idx int, blob []byte) []byte {
-	return putPayload(framePut, putHeader{Idx: idx, CRC: ckpt.Digest(blob)}, blob)
+	return putPayload(putHeader{Idx: idx, CRC: ckpt.Digest(blob)}, blob)
 }
 
-func encodePutZ(idx int, rawLen int64, blob []byte) []byte {
-	return putPayload(framePutZ, putHeader{Idx: idx, RawLen: rawLen, CRC: ckpt.Digest(blob)}, blob)
-}
-
-func putPayload(t frameType, h putHeader, blob []byte) []byte {
-	b, err := appendPutFrame(nil, t, 0, h, blob)
+func putPayload(h putHeader, blob []byte) []byte {
+	b, err := appendPutFrame(nil, 0, h, blob)
 	if err != nil {
 		panic(err)
 	}
@@ -205,7 +221,6 @@ func (s *Server) watermark() int64 {
 }
 
 const smallElems = 64
-const smallRawLen = int64(smallElems) * 4
 
 func smallOpenReq(name, wireCodec string) OpenRequest {
 	return rampOpenReq(name, wireCodec, smallElems)
@@ -260,8 +275,15 @@ func openSession(t *testing.T, c *Client, req OpenRequest) OpenAccept {
 // closes it, returning the daemon's accounting.
 func finishSession(t *testing.T, c *Client, acc OpenAccept) Result {
 	t.Helper()
+	return finishSessionWith(t, c, acc, smallBlob(t))
+}
+
+// finishSessionWith streams blob as a one-chunk session's chunk and closes
+// it.
+func finishSessionWith(t *testing.T, c *Client, acc OpenAccept, blob []byte) Result {
+	t.Helper()
 	if err := writeFrame(c.rw, frame{Type: framePut, Session: acc.Session,
-		Payload: encodePut(0, smallBlob(t))}); err != nil {
+		Payload: encodePut(0, blob)}); err != nil {
 		t.Fatal(err)
 	}
 	rf, err := readFrame(c.rw)

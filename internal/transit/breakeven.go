@@ -12,8 +12,9 @@
 //     reconstruction, from which the chaos steppers in this package measure
 //     the divergence horizon of a chaotic system.
 //
-// The pipeline itself — compress, ship, inflate-verify — runs for real in
-// internal/svc (putZ frames); this package only prices the trade.
+// The pipeline itself — compress, ship, check at the wire — runs for real in
+// internal/svc (compressed-wire sessions); this package only prices the
+// trade.
 package transit
 
 import (

@@ -80,7 +80,7 @@ func BenchmarkDecompressRank(b *testing.B) {
 }
 
 // BenchmarkCheckRank is BenchmarkDecompressRank's verdict-only pass, as the
-// daemon's verify pool runs it on every putZ chunk: every block's bits read,
+// daemon's verify pool runs it on every chunk of a compressed-wire session: every block's bits read,
 // no value rebuilt.
 func BenchmarkCheckRank(b *testing.B) {
 	for _, rf := range rankFields {
