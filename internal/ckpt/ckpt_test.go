@@ -496,15 +496,3 @@ func TestEnergyReport(t *testing.T) {
 		}
 	}
 }
-
-func TestOverheadBytesMatchesRealManifest(t *testing.T) {
-	med := NewMemMedium()
-	res := mustWrite(t, med, testSet(4), WriteOptions{Workers: 2})
-	actual := res.FileBytes - res.PayloadBytes
-	est := OverheadBytes(len(res.Manifest.Fields), res.Manifest.Ranks, 12, 2)
-	// The estimate feeds a fleet model; it should be the right order of
-	// magnitude, not exact.
-	if est < actual/2 || est > actual*4 {
-		t.Fatalf("OverheadBytes = %d, actual framing = %d", est, actual)
-	}
-}

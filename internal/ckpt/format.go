@@ -634,27 +634,3 @@ func ReadManifest(med Medium) (*Manifest, error) {
 	}
 	return parseManifest(mb, size)
 }
-
-// OverheadBytes estimates the framing cost of a checkpoint set beyond its
-// compressed payload: header, footer, and a manifest with the given field
-// and rank counts (avgNameLen covers SetName/Meta/field names, ndims the
-// per-field shape entries). The cluster fleet model uses this so
-// contended-ingress traffic reflects manifest + chunk-table overheads, not
-// just payload bytes.
-func OverheadBytes(fields, ranks, avgNameLen, ndims int) int64 {
-	if fields <= 0 || ranks <= 0 {
-		return 0
-	}
-	if avgNameLen <= 0 {
-		avgNameLen = 16
-	}
-	if ndims <= 0 {
-		ndims = 3
-	}
-	manifest := int64(8)                                        // magic+version (the two section counts ride in the name slack)
-	manifest += 3 * int64(4+avgNameLen)                         // set name, meta, codec
-	manifest += 8                                               // ranks + nfields
-	manifest += int64(fields) * int64(4+avgNameLen+4+8*ndims+8) // field table
-	manifest += int64(fields) * int64(ranks) * 20               // chunk table
-	return headerLen + footerLen + manifest
-}

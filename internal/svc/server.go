@@ -561,9 +561,9 @@ func reply(w io.Writer, t frameType, sess uint32, payload []byte) error {
 }
 
 // price projects a dump's Eqn 2 cost at the Eqn 3 tuned clocks: compress
-// the raw bytes at the assumed ratio, then push the projected file through
-// the shared mount.
-func (s *Server) price(req OpenRequest, ratio float64) (projJ, projSec float64, err error) {
+// the raw bytes at the assumed ratio, then push the projected file — header,
+// the payload at that ratio, and the set's tail — through the shared mount.
+func (s *Server) price(req OpenRequest, ratio float64, tail int64) (projJ, projSec float64, err error) {
 	raw := req.RawBytes()
 	comp, err := s.pr.Compress(req.Codec, raw, req.RelEB, ratio)
 	if err != nil {
@@ -573,21 +573,8 @@ func (s *Server) price(req OpenRequest, ratio float64) (projJ, projSec float64, 
 	if !ok {
 		return 0, 0, errPricingInputs
 	}
-	t, err := s.pr.Price(comp, s.pr.Move(s.cfg.Mount.Write, projFile+s.overhead(req)))
+	t, err := s.pr.Price(comp, s.pr.Move(s.cfg.Mount.Write, ckpt.HeaderLen+projFile+tail))
 	return t.Joules, t.Seconds, err
-}
-
-func (s *Server) overhead(req OpenRequest) int64 {
-	nameLen, ndims := len(req.SetName), 0
-	for _, f := range req.Fields {
-		if len(f.Name) > nameLen {
-			nameLen = len(f.Name)
-		}
-		if len(f.Dims) > ndims {
-			ndims = len(f.Dims)
-		}
-	}
-	return ckpt.OverheadBytes(len(req.Fields), req.Ranks, nameLen+len(req.Meta)/3+1, ndims)
 }
 
 // open runs admission control. Exactly one of (session, reject, error) is
@@ -599,17 +586,26 @@ func (s *Server) open(req OpenRequest) (*session, OpenAccept, *Reject, error) {
 	if ratio <= 0 {
 		ratio = s.cfg.DefaultRatio
 	}
-	projJ, projSec, err := s.price(req, ratio)
+	// The manifest the set will close with, chunk table sized: its encoding
+	// has a fixed width per chunk, so its size now is its size at close.
+	n := req.Ranks * len(req.Fields)
+	m := &ckpt.Manifest{
+		SetName: req.SetName, Meta: req.Meta, Codec: req.Codec,
+		Ranks: req.Ranks, Fields: req.Fields,
+		Chunks: make([]ckpt.ChunkInfo, n),
+	}
+	tail := m.TailBytes()
+	projJ, projSec, err := s.price(req, ratio, tail)
 	if err != nil {
 		return nil, OpenAccept{}, nil, err
 	}
 
-	// The extent, from the set's first chunk on: each rank's projected
-	// compressed share with extentSlack over it and room for container
-	// framing, then twice the estimated manifest. It is the set's as a whole.
+	// The extent: the header, each rank's projected compressed share with
+	// extentSlack over it and room for container framing, and the set's
+	// tail. It is the set's as a whole.
 	start := int64(ckpt.HeaderLen)
 	perRank := req.RawBytes() / int64(req.Ranks)
-	extCap := start + 2*s.overhead(req) + int64(req.Ranks)*
+	extCap := start + tail + int64(req.Ranks)*
 		(int64(float64(perRank)/ratio*extentSlack)+int64(len(req.Fields))*512+4096)
 
 	t0 := time.Now()
@@ -679,12 +675,6 @@ func (s *Server) open(req OpenRequest) (*session, OpenAccept, *Reject, error) {
 	}
 
 	s.nextSess++
-	n := req.Ranks * len(req.Fields)
-	m := &ckpt.Manifest{
-		SetName: req.SetName, Meta: req.Meta, Codec: req.Codec,
-		Ranks: req.Ranks, Fields: req.Fields,
-		Chunks: make([]ckpt.ChunkInfo, n),
-	}
 	sess := &session{
 		id:        s.nextSess,
 		ten:       ten,
@@ -694,7 +684,7 @@ func (s *Server) open(req OpenRequest) (*session, OpenAccept, *Reject, error) {
 		base:      s.nextOff,
 		extCap:    extCap,
 		off:       start,
-		tail:      m.TailBytes(),
+		tail:      tail,
 		ratio:     ratio,
 		wireCodec: req.WireCodec,
 		seen:      make([]bool, n),
