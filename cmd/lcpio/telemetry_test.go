@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -32,8 +33,9 @@ func TestParseGlobalFlags(t *testing.T) {
 
 // TestTelemetryEndToEnd is the acceptance path: `lcpio --metrics out.prom
 // --trace out.json fig6` must write valid Prometheus metrics covering
-// codec stage durations, sweep point counts and NFS bytes written, and a
-// span tree whose root covers the whole command.
+// codec stage durations and sweep point counts, and a span tree whose root
+// covers the whole command. fig6 prices its 512 GiB dumps and moves no byte,
+// so it counts no NFS bytes written.
 func TestTelemetryEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "out.prom")
@@ -63,14 +65,16 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		`lcpio_span_seconds_total{span="sz.compress"}`, // codec stage durations
 		`lcpio_span_seconds_total{span="sz.predict_quantize"}`,
-		"lcpio_sweep_points_total",    // sweep point counts
-		"lcpio_nfs_write_bytes_total", // NFS bytes written
+		"lcpio_sweep_points_total", // sweep point counts
 		"lcpio_sz_in_bytes_total",
 		"# TYPE lcpio_sz_ratio histogram",
 	} {
 		if !strings.Contains(prom, want) {
 			t.Errorf("metrics file missing %q", want)
 		}
+	}
+	if strings.Contains(prom, "lcpio_nfs_write_bytes_total") {
+		t.Error("fig6 counted NFS bytes written for dumps it only priced")
 	}
 	// Prometheus text format: every sample line is "name value".
 	for _, line := range strings.Split(strings.TrimSpace(prom), "\n") {
@@ -116,12 +120,14 @@ func TestTelemetryEndToEnd(t *testing.T) {
 
 // TestTraceJoulesArePhaseLegs: the trace of a priced campaign holds exactly
 // the joules of the legs phases executed, and no other span carries any —
-// the codec, nfs and ec spans of the write itself included.
+// the codec, nfs and ec spans of the write itself included; and the NFS
+// bytes written are the set the write moved, not the campaign's priced
+// transfers.
 func TestTraceJoulesArePhaseLegs(t *testing.T) {
 	dir := t.TempDir()
-	trace := filepath.Join(dir, "t.json")
-	gf, rest, err := parseGlobalFlags([]string{"--trace", trace, "ckpt", "write",
-		"-out", filepath.Join(dir, "w.lcpt"), "-ranks", "2", "-fields", "1", "-elems", "8192",
+	trace, metrics, set := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.prom"), filepath.Join(dir, "w.lcpt")
+	gf, rest, err := parseGlobalFlags([]string{"--trace", trace, "--metrics", metrics, "ckpt", "write",
+		"-out", set, "-ranks", "2", "-fields", "1", "-elems", "8192",
 		"-energy", "-iters", "1", "-compute", "0"})
 	if err != nil {
 		t.Fatal(err)
@@ -142,6 +148,18 @@ func TestTraceJoulesArePhaseLegs(t *testing.T) {
 	}
 	if legs <= 0 || math.Abs(root-legs) > 1e-12*legs {
 		t.Fatalf("trace root %v J, phases.phase spans %v J: want equal and > 0", root, legs)
+	}
+
+	fi, err := os.Stat(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("lcpio_nfs_write_bytes_total %d\n", fi.Size()); !strings.Contains(string(raw), want) {
+		t.Fatalf("metrics lack %q", want)
 	}
 }
 

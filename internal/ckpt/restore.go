@@ -220,7 +220,7 @@ func Restore(med Medium, opts RestoreOptions) (*Restored, error) {
 	rep := &out.Report
 	// The manifest fetch itself rides the simulated read path.
 	rep.Retries = manifestRetries
-	rep.SimReadSeconds = float64(1+manifestRetries)*opts.Mount.Read(m.TailBytes()).NetworkSeconds + manifestBackoff
+	rep.SimReadSeconds = float64(1+manifestRetries)*opts.Mount.Fetch(m.TailBytes()).NetworkSeconds + manifestBackoff
 	if m.IsDelta() {
 		if out.Base, err = resolveBase(m, opts.Bases, opts); err != nil {
 			return nil, err
@@ -436,7 +436,7 @@ func readVerified(med Medium, c *ChunkInfo, opts RestoreOptions) outcome {
 			o.reread = true
 			o.simSec += opts.Retry.Backoff(attempt - 1)
 		}
-		o.simSec += opts.Mount.Read(c.Size).NetworkSeconds
+		o.simSec += opts.Mount.Fetch(c.Size).NetworkSeconds
 		if lastErr = fetch(med, c, buf); lastErr == nil {
 			o.raw = buf
 			return o

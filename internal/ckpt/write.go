@@ -430,7 +430,7 @@ func Write(med Medium, set Set, opts WriteOptions) (*WriteResult, error) {
 // simulated NFS time of the transfer (retries add backoff plus the resent
 // bytes' wire time).
 func writeChunk(med Medium, blob []byte, off int64, opts WriteOptions, res *WriteResult) (float64, error) {
-	tr := opts.Mount.Write(int64(len(blob)))
+	tr := opts.Mount.Send(int64(len(blob)))
 	res.WireRetransmits += tr.Retransmits
 	res.WireShortWrites += tr.ShortWrites
 	simSec := tr.NetworkSeconds
@@ -453,7 +453,7 @@ func writeChunk(med Medium, blob []byte, off int64, opts WriteOptions, res *Writ
 		obs.Add("lcpio_ckpt_retries_total", 1)
 		backoff := opts.Retry.Backoff(attempt)
 		// The resent tail costs wire time again, after the backoff.
-		rt := opts.Mount.Write(int64(len(blob) - wrote))
+		rt := opts.Mount.Send(int64(len(blob) - wrote))
 		res.WireRetransmits += rt.Retransmits
 		res.WireShortWrites += rt.ShortWrites
 		simSec += backoff + rt.NetworkSeconds

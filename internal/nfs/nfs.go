@@ -156,11 +156,25 @@ const (
 )
 
 // Write simulates writing `bytes` to the mount and returns the transfer
-// profile. Deterministic, including under fault injection with a fixed seed.
-func (m Mount) Write(bytes int64) Transfer {
+// profile. It records nothing: pricing sinks call it for bytes that never
+// move (a projected file, a counterfactual raw transfer), and Send is the
+// write whose bytes do. Deterministic, including under fault injection with
+// a fixed seed: each call takes its fault draws from the injector.
+func (m Mount) Write(bytes int64) Transfer { return m.transfer(bytes, dirWrite) }
+
+// Read simulates reading `bytes` back from the mount: READ RPCs under the
+// same window, with the server serializing data onto the link and the
+// client acknowledging. It shares the Write pipeline with the data leg
+// reversed, records nothing, and has Fetch as its recording twin; the client
+// CPU cost of receiving is attached by the machine package.
+func (m Mount) Read(bytes int64) Transfer { return m.transfer(bytes, dirRead) }
+
+// Send is Write for bytes that move: it records the transfer as an
+// nfs.write span and the lcpio_nfs_write_* counters.
+func (m Mount) Send(bytes int64) Transfer {
 	span := obs.Start("nfs.write")
 	defer span.End()
-	t := m.transfer(bytes, dirWrite)
+	t := m.Write(bytes)
 	obs.Add("lcpio_nfs_write_bytes_total", bytes)
 	obs.Add("lcpio_nfs_write_rpcs_total", t.RPCs)
 	obs.AddFloat("lcpio_nfs_write_sim_seconds_total", t.NetworkSeconds)
@@ -171,15 +185,12 @@ func (m Mount) Write(bytes int64) Transfer {
 	return t
 }
 
-// Read simulates reading `bytes` back from the mount: READ RPCs under the
-// same window, with the server serializing data onto the link and the
-// client acknowledging. It shares the Write pipeline with the data leg
-// reversed; the client CPU cost of receiving is attached by the machine
-// package.
-func (m Mount) Read(bytes int64) Transfer {
+// Fetch is Read for bytes that move: it records the transfer as an nfs.read
+// span and the lcpio_nfs_read_* counters.
+func (m Mount) Fetch(bytes int64) Transfer {
 	span := obs.Start("nfs.read")
 	defer span.End()
-	t := m.transfer(bytes, dirRead)
+	t := m.Read(bytes)
 	obs.Add("lcpio_nfs_read_bytes_total", bytes)
 	obs.Add("lcpio_nfs_read_rpcs_total", t.RPCs)
 	obs.AddFloat("lcpio_nfs_read_sim_seconds_total", t.NetworkSeconds)

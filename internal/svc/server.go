@@ -780,7 +780,7 @@ func (s *Server) put(sess *session, job *putJob) (PutReply, error) {
 		}
 		sess.compSec[field] = leg.Seconds
 	}
-	wireSec := s.cfg.Mount.Write(int64(len(blob))).NetworkSeconds
+	wireSec := s.cfg.Mount.Send(int64(len(blob))).NetworkSeconds
 
 	s.mu.Lock()
 	avail := sess.simClock + sess.compSec[field]
@@ -842,7 +842,7 @@ func (s *Server) closeSession(sess *session) (Result, error) {
 
 	// The framing (the header flushed at open rides along with manifest and
 	// footer) takes its turn on the shared medium like any chunk.
-	wireSec := s.cfg.Mount.Write(total - sess.payload).NetworkSeconds
+	wireSec := s.cfg.Mount.Send(total - sess.payload).NetworkSeconds
 
 	raw := sess.req.RawBytes()
 	ratio := float64(raw) / float64(sess.payload)

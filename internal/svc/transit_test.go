@@ -7,6 +7,7 @@ import (
 
 	"lcpio/internal/ckpt"
 	"lcpio/internal/container"
+	"lcpio/internal/obs"
 )
 
 // TestWireCodecDumpRestoresByteIdentical is the compressed-wire acceptance
@@ -55,6 +56,29 @@ func TestWireCodecDumpRestoresByteIdentical(t *testing.T) {
 	}
 	if res.Joules != res2.Joules {
 		t.Errorf("wire codec changed attributed energy: %g vs %g", res.Joules, res2.Joules)
+	}
+}
+
+// TestNFSWriteBytesAreSetBytes: the NFS write counter counts the bytes a
+// dump moves — its set, header to footer — and no byte admission priced or
+// the wire credit imagined, in a plain and in a compressed-wire session.
+func TestNFSWriteBytesAreSetBytes(t *testing.T) {
+	reg := obs.NewRegistry()
+	prev := obs.Use(reg)
+	defer obs.Use(prev)
+	srv := NewServer(Config{})
+	if err := srv.AddTenant(TenantConfig{Name: "climate"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, wireCodec := range []string{"", "sz"} {
+		before, _ := reg.CounterValue("lcpio_nfs_write_bytes_total")
+		res, err := startPair(t, srv).Dump("climate", genSet("nfs"+wireCodec, 3, 5), DumpOptions{Workers: 2, WireCodec: wireCodec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after, _ := reg.CounterValue("lcpio_nfs_write_bytes_total"); after-before != float64(res.SetBytes) {
+			t.Errorf("wire %q: lcpio_nfs_write_bytes_total rose %v B for a %d B set", wireCodec, after-before, res.SetBytes)
+		}
 	}
 }
 
