@@ -255,13 +255,18 @@ func BenchmarkSZCompressTelemetryOn(b *testing.B) {
 	}
 }
 
-// BenchmarkHeadlines runs the aggregate headline computation.
+// BenchmarkHeadlines runs the aggregate headline computation over measured
+// studies and Figure 6's dump.
 func BenchmarkHeadlines(b *testing.B) {
 	cs, ts := benchStudies(b)
+	dump, err := core.RunDataDump(benchConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	var energy float64
 	for i := 0; i < b.N; i++ {
-		h, err := core.ComputeHeadlinesFrom(benchConfig(), cs, ts)
+		h, err := core.ComputeHeadlinesFrom(cs, ts, dump)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -51,7 +51,11 @@ func TestIntegrationFullReproduction(t *testing.T) {
 	}
 
 	// Headlines: all savings positive, derived rule near Eqn 3.
-	h, err := core.ComputeHeadlinesFrom(cfg, cs, ts)
+	dump, err := core.RunDataDump(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := core.ComputeHeadlinesFrom(cs, ts, dump)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,9 +38,10 @@ func (h Headlines) String() string {
 		h.DumpSavedKJ, h.DumpSavedPct, h.Derived)
 }
 
-// ComputeHeadlinesFrom aggregates headlines from already-run studies,
-// letting callers reuse expensive study objects.
-func ComputeHeadlinesFrom(cfg Config, cs, ts *Study) (Headlines, error) {
+// ComputeHeadlinesFrom aggregates headlines from already-run studies and
+// Figure 6's dump (RunDataDump), letting callers reuse expensive
+// measurements.
+func ComputeHeadlinesFrom(cs, ts *Study, dump []DumpResult) (Headlines, error) {
 	rec := phases.PaperRule()
 	comp, err := cs.Savings(rec.CompressionFraction)
 	if err != nil {
@@ -51,10 +52,6 @@ func ComputeHeadlinesFrom(cfg Config, cs, ts *Study) (Headlines, error) {
 		return Headlines{}, err
 	}
 	derived, err := DeriveRecommendation(cs, ts)
-	if err != nil {
-		return Headlines{}, err
-	}
-	dump, err := RunDataDump(cfg)
 	if err != nil {
 		return Headlines{}, err
 	}

@@ -27,7 +27,7 @@ func gather(t *testing.T, cfg Config, cs, ts *Study) *Evidence {
 	ev.Fig4, errs[5] = ts.Characteristics(perf.Sweep.ScaledRuntime)
 	ev.Fig5, errs[6] = ValidateBroadwellModel(cfg, fit(ev.TableIV, "Broadwell"))
 	ev.Fig6, errs[7] = RunDataDump(cfg)
-	ev.Headlines, errs[8] = ComputeHeadlinesFrom(cfg, cs, ts)
+	ev.Headlines, errs[8] = ComputeHeadlinesFrom(cs, ts, ev.Fig6)
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
