@@ -36,10 +36,11 @@ go test -count=1 -run 'Quick|Invariant' \
 # restore runs in; the Huffman-coded lossless inputs, the table builds (on
 # NYX- and HACC-shaped partition histograms and a full alphabet) and the
 # one-rank sz and zfp fields are the dump's, and zfp's Check on them is
-# what the daemon's verification pool runs on every putZ chunk.
-# BenchmarkDumpLoopback is the whole
-# dump over a real loopback listener — client, frames, the daemon's
-# verification pool and committer — as zfp putZ and as sz put.
+# what the daemon's verification pool runs on every chunk of a
+# compressed-wire session. BenchmarkDumpLoopback is the whole dump over a
+# real loopback listener — client, frames, the daemon's verification pool
+# and committer — as zfp in a compressed-wire session and as sz in a plain
+# one.
 go test -run '^$' -bench 'Decode|Decompress|Compress|Check|Build|TransposeWindow' -benchtime 1x \
     ./internal/huffman/ ./internal/lossless/ ./internal/compress/ ./internal/zfp/ ./internal/sz/
 go test -run '^$' -bench 'DumpLoopback' -benchtime 1x ./internal/svc/
