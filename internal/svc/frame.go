@@ -176,6 +176,7 @@ const (
 	maxMetaLen = 1 << 12
 	maxRanks   = 1 << 16
 	maxFields  = 1 << 12
+	maxChunks  = 1 << 22 // ranks × fields: ckpt's manifest parse refuses more
 	maxRawB    = int64(1) << 40
 	// maxExpansion bounds a projected file relative to the largest raw
 	// set: incompressible data plus framing stores at a ratio a little
@@ -277,7 +278,7 @@ func parseOpenRequest(b []byte) (OpenRequest, error) {
 	}
 	r.Ranks = int(rd.Uint32())
 	nf := int(rd.Uint32())
-	if rd.Err() != nil || r.Ranks <= 0 || r.Ranks > maxRanks || nf <= 0 || nf > maxFields {
+	if rd.Err() != nil || r.Ranks <= 0 || r.Ranks > maxRanks || nf <= 0 || nf > maxFields || r.Ranks*nf > maxChunks {
 		return r, fmt.Errorf("%w: geometry", ErrCorruptFrame)
 	}
 	r.Fields = make([]ckpt.FieldInfo, nf)

@@ -514,6 +514,19 @@ func TestOpenRequestShapeCaps(t *testing.T) {
 			t.Errorf("%s: got %v, want ErrCorruptFrame", tc.name, err)
 		}
 	}
+	// A set of more chunks than a ckpt manifest may hold would finalize and
+	// never restore; open builds its manifest before admission, so the cap
+	// also bounds what any open, a stranger's included, makes the daemon
+	// allocate.
+	for _, nf := range []int{1 << 6, 1 << 7} {
+		req := OpenRequest{Tenant: "t", SetName: "s", Codec: "sz", Ranks: maxRanks, RelEB: 1e-3}
+		for i := 0; i < nf; i++ {
+			req.Fields = append(req.Fields, ckpt.FieldInfo{Name: "f", Dims: []int{1}, ErrorBound: 1e-3})
+		}
+		if _, err := parseOpenRequest(req.encode()); (err == nil) != (maxRanks*nf <= maxChunks) {
+			t.Errorf("%d ranks × %d fields: got %v", maxRanks, nf, err)
+		}
+	}
 }
 
 // TestHostileRatioRefusedBeforeReservation: the server itself refuses a
