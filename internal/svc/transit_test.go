@@ -178,16 +178,8 @@ func TestPlainPutInWireSessionChecked(t *testing.T) {
 		t.Fatalf("a [64] put in an sz wire session got %v %q, want a refusal naming the shape", rf.Type, rf.Payload)
 	}
 
-	data := make([]float32, smallElems)
-	for i := range data {
-		data[i] = float32(i) * 0.25
-	}
-	square, err := container.Pack("sz", data, []int{8, 8}, 1e-3, container.Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cl := startPair(t, srv)
-	res := finishSessionWith(t, cl, openSession(t, cl, squareOpenReq("square")), square)
+	res := finishSessionWith(t, cl, openSession(t, cl, squareOpenReq("square")), rampBlob(t, 8, 8))
 	if res.WireVerifiedChunks != 1 {
 		t.Fatalf("wire session checked %d of its 1 chunk", res.WireVerifiedChunks)
 	}
@@ -253,7 +245,7 @@ func smallOpenReq(name, wireCodec string) OpenRequest {
 func smallBlob(t *testing.T) []byte { return rampBlob(t, smallElems) }
 
 // rampOpenReq opens a one-rank, one-field sz set of elems float32s;
-// rampBlob packs the linear ramp that fills it.
+// rampBlob packs the linear ramp that fills a field of the given shape.
 func rampOpenReq(name, wireCodec string, elems int) OpenRequest {
 	return OpenRequest{
 		Tenant: "climate", SetName: name, Codec: "sz", Ranks: 1,
@@ -263,13 +255,17 @@ func rampOpenReq(name, wireCodec string, elems int) OpenRequest {
 	}
 }
 
-func rampBlob(t *testing.T, elems int) []byte {
+func rampBlob(t *testing.T, dims ...int) []byte {
 	t.Helper()
+	elems := 1
+	for _, d := range dims {
+		elems *= d
+	}
 	data := make([]float32, elems)
 	for i := range data {
 		data[i] = float32(i) * 0.25
 	}
-	blob, err := container.Pack("sz", data, []int{elems}, 1e-3, container.Options{Parallelism: 1})
+	blob, err := container.Pack("sz", data, dims, 1e-3, container.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
