@@ -583,7 +583,8 @@ func (m *Manifest) regionSizes() []int64 {
 // piece is the read path's uniform view of one stored payload extent — a
 // (rank, field) chunk of a full set or a blob of a delta set: where it
 // lies, the stream whose parity region carries it (Rank, Field), and the
-// shape its container payload must decode to.
+// shape its container payload must decode to. Its field's ErrorBound is
+// m.Fields[Field].ErrorBound.
 type piece struct {
 	ChunkInfo
 	dims []int

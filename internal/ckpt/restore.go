@@ -518,10 +518,11 @@ type VerifyOptions struct {
 // VerifySet checks a checkpoint set without materializing it: manifest
 // digest and structure always, then the CRC32C of every stored piece and
 // parity shard; with Deep it also gives each piece its lane unpacker's
-// Check (the manifest's shape, then the codec's verdict-only pass) to prove
-// the payloads decode. The report says whether any damage found is still
-// within the erasure budget, and — when a delta set's base chain is provided
-// — whether every base reference still matches the restored base.
+// Check (the manifest's codec, shape and bound, then the codec's
+// verdict-only pass) to prove the payloads decode within the set's
+// promises. The report says whether any damage found is still within the
+// erasure budget, and — when a delta set's base chain is provided — whether
+// every base reference still matches the restored base.
 func VerifySet(med Medium, opts VerifyOptions) (*VerifyReport, error) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -544,7 +545,7 @@ func VerifySet(med Medium, opts VerifyOptions) (*VerifyReport, error) {
 		}
 		buf := make([]byte, pieces[i].Size)
 		if errs[i] = fetch(med, &pieces[i].ChunkInfo, buf); errs[i] == nil && opts.Deep {
-			errs[i] = lanes[w].Check(buf, pieces[i].dims)
+			errs[i] = lanes[w].Check(buf, m.Codec, pieces[i].dims, m.Fields[pieces[i].Field].ErrorBound)
 		}
 	})
 	// lost[field] counts failed stripe members — ranks with a failed piece,

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"lcpio/internal/compress"
@@ -149,7 +150,7 @@ func parse(buf []byte, dims []int) (parsed, error) {
 	p.info.Dims, p.n = rd.Dims(dims)
 	p.info.ErrorBound = rd.Float64()
 	rows := rd.Uint32()
-	if rd.Err() != nil {
+	if rd.Err() != nil || !(p.info.ErrorBound > 0) || math.IsInf(p.info.ErrorBound, 0) {
 		return p, ErrCorrupt
 	}
 	if rows != 1 {
@@ -243,20 +244,25 @@ func (u *Unpacker) Unpack(buf []byte) ([]float32, []int, error) {
 	return out, p.info.Dims, nil
 }
 
-// Check gives a float32 container of shape dims the verdict Unpack would —
-// every parse and decode error — plus a shape check, without materializing
-// the array: in one parse the header must state dims, and the codec's
-// stream the header's. The shape is checked before anything is decoded, and
-// the stream goes through the codec's Check, so a warm zfp call allocates
-// nothing.
-func (u *Unpacker) Check(buf []byte, dims []int) error {
+// Check gives a float32 container the verdict Unpack would — every parse
+// and decode error — plus what the set it belongs to promises, without
+// materializing the array: in one parse the header must state codec and
+// dims and a bound no looser than eb, and the codec's stream the header's
+// dims. The promises are checked before anything is decoded, and the stream
+// goes through the codec's Check, so a warm zfp call allocates nothing.
+func (u *Unpacker) Check(buf []byte, codec string, dims []int, eb float64) error {
 	p, h, err := u.open(buf, u.dims)
 	if err != nil {
 		return err
 	}
 	u.dims = p.info.Dims
-	if !slices.Equal(p.info.Dims, dims) {
+	switch {
+	case p.info.Codec != codec:
+		return fmt.Errorf("%w: codec %s, want %s", ErrCorrupt, p.info.Codec, codec)
+	case !slices.Equal(p.info.Dims, dims):
 		return fmt.Errorf("%w: holds %v (%d elements), want %v", ErrCorrupt, p.info.Dims, p.n, dims)
+	case !(p.info.ErrorBound <= eb):
+		return fmt.Errorf("%w: error bound %g, want at most %g", ErrCorrupt, p.info.ErrorBound, eb)
 	}
 	got, err := h.Check(p.stream)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 
 	"lcpio/internal/compress"
 	"lcpio/internal/fpdata"
+	"lcpio/internal/wire"
 )
 
 func nyxField(t *testing.T) *fpdata.Field {
@@ -109,13 +110,24 @@ func TestUnpackCorrupt(t *testing.T) {
 	if _, _, err := Unpack(mut, Options{}); err == nil {
 		t.Error("corrupted codec name accepted")
 	}
+	// A header bound no Pack writes: a check that holds it to a set's bound
+	// must not pass a zero, negative or infinite one, nor NaN.
+	at := bytes.Index(buf, wire.AppendFloat64(nil, eb))
+	for _, bad := range []float64{0, -eb, math.Inf(1), math.NaN()} {
+		mut := append([]byte(nil), buf...)
+		copy(mut[at:], wire.AppendFloat64(nil, bad))
+		if _, err := Stat(mut); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("header bound %g: Stat %v, want ErrCorrupt", bad, err)
+		}
+	}
 }
 
 // TestUnpackerReuse: one Unpacker across containers of both codecs and two
 // shapes returns what one-shot Unpack does, its Check accepts each of them
-// at their shape and at no other — the same element count in another shape
-// included — and once its handles have seen the largest field a Check
-// allocates nothing the size of an output.
+// at their codec, their shape and a bound no tighter than theirs, and at no
+// other — the same element count in another shape included — and once its
+// handles have seen the largest field a Check allocates nothing the size of
+// an output.
 func TestUnpackerReuse(t *testing.T) {
 	f := nyxField(t)
 	eb := compress.AbsBoundFromRelative(1e-3, f.Data)
@@ -151,15 +163,27 @@ func TestUnpackerReuse(t *testing.T) {
 				t.Fatalf("%s %v: element %d differs from Unpack", tc.codec, tc.dims, i)
 			}
 		}
-		if err := u.Check(buf, tc.dims); err != nil {
+		// A set may promise a looser bound than the chunk keeps, never a
+		// tighter one, and never another codec.
+		if err := u.Check(buf, tc.codec, tc.dims, eb); err != nil {
 			t.Fatalf("%s %v: Check: %v", tc.codec, tc.dims, err)
 		}
-		for _, wrong := range [][]int{{len(want)}, {len(want) + 1}} {
-			if err := u.Check(buf, wrong); err == nil {
-				t.Fatalf("%s %v: Check accepted shape %v", tc.codec, tc.dims, wrong)
+		if err := u.Check(buf, tc.codec, tc.dims, 2*eb); err != nil {
+			t.Fatalf("%s %v: Check under a looser bound: %v", tc.codec, tc.dims, err)
+		}
+		other := map[string]string{"sz": "zfp", "zfp": "sz"}[tc.codec]
+		for _, wrong := range []struct {
+			codec string
+			dims  []int
+			eb    float64
+		}{{tc.codec, []int{len(want)}, eb}, {tc.codec, []int{len(want) + 1}, eb},
+			{other, tc.dims, eb}, {tc.codec, tc.dims, eb / 2}} {
+			if err := u.Check(buf, wrong.codec, wrong.dims, wrong.eb); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s %v: Check of %s %v at bound %g: %v, want ErrCorrupt",
+					tc.codec, tc.dims, wrong.codec, wrong.dims, wrong.eb, err)
 			}
 		}
-		if err := u.Check(buf[:len(buf)-1], tc.dims); err == nil {
+		if err := u.Check(buf[:len(buf)-1], tc.codec, tc.dims, eb); err == nil {
 			t.Fatalf("%s %v: Check accepted a container cut short", tc.codec, tc.dims)
 		}
 	}
@@ -167,8 +191,8 @@ func TestUnpackerReuse(t *testing.T) {
 	for try := 0; try < 3; try++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		for _, buf := range bufs[2:] { // sz then zfp: each codec's handle is kept
-			if err := u.Check(buf, f.Dims); err != nil {
+		for k, buf := range bufs[2:] { // sz then zfp: each codec's handle is kept
+			if err := u.Check(buf, []string{"sz", "zfp"}[k], f.Dims, eb); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -186,15 +210,16 @@ func TestUnpackerReuse(t *testing.T) {
 // name is the registry's, and no value is rebuilt.
 func TestWarmZfpCheckAllocatesNothing(t *testing.T) {
 	f := nyxField(t)
-	buf, err := Pack("zfp", f.Data, f.Dims, compress.AbsBoundFromRelative(1e-3, f.Data), Options{})
+	eb := compress.AbsBoundFromRelative(1e-3, f.Data)
+	buf, err := Pack("zfp", f.Data, f.Dims, eb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	u := NewUnpacker(Options{Parallelism: 1})
-	if err := u.Check(buf, f.Dims); err != nil {
+	if err := u.Check(buf, "zfp", f.Dims, eb); err != nil {
 		t.Fatal(err)
 	}
-	if a := testing.AllocsPerRun(20, func() { _ = u.Check(buf, f.Dims) }); a != 0 {
+	if a := testing.AllocsPerRun(20, func() { _ = u.Check(buf, "zfp", f.Dims, eb) }); a != 0 {
 		t.Fatalf("a warm zfp Check allocates %.1f times per call; want 0", a)
 	}
 }
@@ -240,7 +265,7 @@ func TestChunkClaimsMoreThanItsSpan(t *testing.T) {
 		if _, _, err := Unpack(forged, Options{}); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: Unpack: %v, want ErrCorrupt", tc.name, err)
 		}
-		if err := NewUnpacker(Options{Parallelism: 1}).Check(forged, tc.container); !errors.Is(err, ErrCorrupt) {
+		if err := checkStated(NewUnpacker(Options{Parallelism: 1}), forged, tc.container); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: Check: %v, want ErrCorrupt", tc.name, err)
 		}
 	}
@@ -318,11 +343,18 @@ func TestTrailingBytesRefused(t *testing.T) {
 		if _, err := Stat(padded); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: Stat of a container with 1000 B appended: %v, want ErrCorrupt", codec, err)
 		}
-		if err := NewUnpacker(Options{Parallelism: 1}).Check(padded, []int{64}); !errors.Is(err, ErrCorrupt) {
+		if err := checkStated(NewUnpacker(Options{Parallelism: 1}), padded, []int{64}); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: Check: %v, want ErrCorrupt", codec, err)
 		}
 		if _, _, err := Unpack(padded, Options{}); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: Unpack: %v, want ErrCorrupt", codec, err)
 		}
 	}
+}
+
+// checkStated is u.Check held to what buf's own header states, its codec and
+// bound, at the given dims.
+func checkStated(u *Unpacker, buf []byte, dims []int) error {
+	info, _ := Stat(buf)
+	return u.Check(buf, info.Codec, dims, info.ErrorBound)
 }

@@ -79,12 +79,13 @@ func TestMultiStreamContainerRefused(t *testing.T) {
 func requireRefusedInsideBudget(t *testing.T, buf []byte, dims []int, want string) {
 	t.Helper()
 	u := NewUnpacker(Options{Parallelism: 1})
+	info, _ := Stat(buf)
 	for _, c := range []struct {
 		name string
 		call func() error
 	}{
 		{"Stat", func() error { _, err := Stat(buf); return err }},
-		{"Check", func() error { return u.Check(buf, dims) }},
+		{"Check", func() error { return u.Check(buf, info.Codec, dims, info.ErrorBound) }},
 		{"Unpack", func() error { _, _, err := u.Unpack(buf); return err }},
 	} {
 		// TotalAlloc counts the whole process: the least of three attempts

@@ -58,7 +58,7 @@ func FuzzUnpack(f *testing.F) {
 		if err == nil {
 			checkCoherent(t, len(out), dims)
 		}
-		if cerr := NewUnpacker(Options{Parallelism: 1}).Check(in, dims); (cerr == nil) != (err == nil) {
+		if cerr := checkStated(NewUnpacker(Options{Parallelism: 1}), in, dims); (cerr == nil) != (err == nil) {
 			t.Fatalf("Unpack: %v, Check: %v", err, cerr)
 		}
 		// Stat must tolerate anything Unpack tolerates.

@@ -46,10 +46,11 @@ type DumpOptions struct {
 	ProjectedRatio  float64
 	DeadlineSeconds float64
 	// WireCodec, when non-empty, negotiates a compressed-wire session: the
-	// daemon checks every chunk against its field's shape and credits the
-	// wire time saved over the raw floats. It must equal the set's codec —
-	// the wire carries the same put frames and container blobs a plain dump
-	// would, just accounted (and verified) as compressed transfers.
+	// daemon holds every chunk to the set's codec and its field's shape and
+	// bound, and credits the wire time saved over the raw floats. It must
+	// equal the set's codec — the wire carries the same put frames and
+	// container blobs a plain dump would, just accounted (and verified) as
+	// compressed transfers.
 	WireCodec string
 }
 

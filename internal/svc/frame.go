@@ -218,11 +218,12 @@ type OpenRequest struct {
 	// at the tuned clocks); 0 means no deadline.
 	DeadlineSeconds float64
 	// WireCodec, when non-empty, negotiates a compressed-wire session: the
-	// daemon checks every put's blob against its field's shape at the wire
-	// boundary before storing it byte-identically, and credits the transfer
-	// time it saved over the field's raw floats. Must equal Codec — the wire
-	// carries the same container blobs a plain session ships, just accounted
-	// (and verified) as compressed transfers.
+	// daemon checks every put's blob against the set's codec and its field's
+	// shape and bound at the wire boundary before storing it
+	// byte-identically, and credits the transfer time it saved over the
+	// field's raw floats. Must equal Codec — the wire carries the same
+	// container blobs a plain session ships, just accounted (and verified)
+	// as compressed transfers.
 	WireCodec string
 }
 

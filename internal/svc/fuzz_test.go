@@ -165,12 +165,12 @@ func FuzzSvcFrame(f *testing.F) {
 
 // FuzzTransitFrame drives a compressed-wire session's put path: the put
 // parser, then the check Server.verify runs on the chunk against the
-// session's field, here [8 12]. Contract: parsePut either fails cleanly or
-// returns a non-empty blob that re-encodes to exactly the input; the check
-// never panics; and a blob it passes is one a restore reads back at the
-// field's shape. The digest is the sender's word, and a sender can put a
-// matching one over any bytes, so the check is driven whether or not it
-// matches: it must stand hostile blobs on its own.
+// session's codec and field, here sz and [8 12] at bound 1e-3. Contract:
+// parsePut either fails cleanly or returns a non-empty blob that re-encodes
+// to exactly the input; the check never panics; and a blob it passes is one
+// a restore reads back at the field's shape. The digest is the sender's word,
+// and a sender can put a matching one over any bytes, so the check is driven
+// whether or not it matches: it must stand hostile blobs on its own.
 func FuzzTransitFrame(f *testing.F) {
 	dims := []int{8, 12}
 	data := make([]float32, 96)
@@ -220,7 +220,7 @@ func FuzzTransitFrame(f *testing.F) {
 			t.Fatalf("re-encode mismatch: %x vs %x", re, payload)
 		}
 		_ = ckpt.Digest(pb) == h.CRC
-		if u.Check(pb, dims) != nil {
+		if u.Check(pb, "sz", dims, 1e-3) != nil {
 			return
 		}
 		if _, got, err := u.Unpack(pb); err != nil || !slices.Equal(got, dims) {

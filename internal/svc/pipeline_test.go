@@ -271,7 +271,7 @@ func TestPutDigestRefusesEveryFlip(t *testing.T) {
 		for pos := range blob {
 			bad := append([]byte(nil), blob...)
 			bad[pos] ^= 0xff
-			if check.Check(bad, []int{smallElems}) == nil {
+			if check.Check(bad, tc.codec, []int{smallElems}, 1e-3) == nil {
 				decodable++
 			}
 			// The refusal breaks the session, so every flip gets its own.

@@ -477,12 +477,13 @@ func (sess *session) admits(idx int) error {
 
 // verify gives a queued chunk its verdict on one of the pool's verifiers:
 // the sender's digest over the blob as it arrived, then, in a compressed-wire
-// session, the container's Check against the field's shape — the header and
-// the codec stream must both state it, and the codec reads every block
-// without rebuilding a value. Whether a chunk is checked is the session's
-// fact, fixed at open, not the frame's. Goroutines blocked on the pool are
-// served first come, first served, so chunks are verified in close to arrival
-// order; the commit order does not depend on it.
+// session, the container's Check against the set's codec and the field's
+// shape and bound — the header must state all three, the codec stream the
+// shape, and the codec reads every block without rebuilding a value.
+// Whether a chunk is checked is the session's fact, fixed at open, not the
+// frame's. Goroutines blocked on the pool are served first come, first
+// served, so chunks are verified in close to arrival order; the commit order
+// does not depend on it.
 func (s *Server) verify(job *putJob) {
 	v := <-s.verifiers
 	t0 := time.Now()
@@ -494,7 +495,8 @@ func (s *Server) verify(job *putJob) {
 	case ckpt.Digest(job.blob) != job.hdr.CRC:
 		job.err = fmt.Errorf("svc: chunk %d does not match its sender's digest", idx)
 	case job.sess.wireCodec != "":
-		if err := v.Check(job.blob, job.sess.req.Fields[idx%len(job.sess.req.Fields)].Dims); err != nil {
+		f := &job.sess.req.Fields[idx%len(job.sess.req.Fields)]
+		if err := v.Check(job.blob, job.sess.req.Codec, f.Dims, f.ErrorBound); err != nil {
 			job.err = fmt.Errorf("svc: chunk %d failed inflate verification: %w", idx, err)
 		}
 	}

@@ -192,6 +192,56 @@ func TestPlainPutInWireSessionChecked(t *testing.T) {
 	}
 }
 
+// TestWireChunkKeepsSetPromises: a compressed-wire session holds each chunk
+// to its set's codec and its field's bound, not to its shape alone. Under a
+// matching digest, an sz session's [8 8] field at bound 1e-3 refuses a
+// container of that shape packed at bound 4, which would restore with
+// errors 4,000 times the manifest's bound, and a zfp container of that
+// shape, which would restore under a manifest that says sz. A plain session
+// holds the same chunks to their digest only and acks them, and deep
+// VerifySet then fails the set for the promise its chunk breaks.
+func TestWireChunkKeepsSetPromises(t *testing.T) {
+	srv := NewServer(Config{})
+	if err := srv.AddTenant(TenantConfig{Name: "climate"}); err != nil {
+		t.Fatal(err)
+	}
+	data := make([]float32, 64)
+	for i := range data {
+		data[i] = float32(i) * 0.25
+	}
+	for _, c := range []struct {
+		codec string
+		eb    float64
+		want  string
+	}{{"sz", 4, "error bound 4, want at most 0.001"}, {"zfp", 1e-3, "codec zfp, want sz"}} {
+		t.Run(c.codec, func(t *testing.T) {
+			blob, err := container.Pack(c.codec, data, []int{8, 8}, c.eb, container.Options{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rf := putSquare(t, srv, c.codec+"-lie", blob); rf.Type != frameErr || !strings.Contains(string(rf.Payload), c.want) {
+				t.Fatalf("got %v %q, want a refusal naming %q", rf.Type, rf.Payload, c.want)
+			}
+
+			cl := startPair(t, srv)
+			req := squareOpenReq("plain-" + c.codec)
+			req.WireCodec = ""
+			finishSessionWith(t, cl, openSession(t, cl, req), blob)
+			view, err := srv.OpenSet(req.SetName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := ckpt.VerifySet(view, ckpt.VerifyOptions{Deep: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.ChunksOK != 0 || len(rep.Failed) != 1 || !strings.Contains(rep.Failed[0].Err.Error(), c.want) {
+				t.Fatalf("deep verify of the plain set: %d of 1 ok, failures %v", rep.ChunksOK, rep.Failed)
+			}
+		})
+	}
+}
+
 // squareOpenReq opens an sz compressed-wire session of one [8 8] field;
 // putSquare sends blob as its chunk and returns the reply.
 func squareOpenReq(name string) OpenRequest {

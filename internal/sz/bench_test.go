@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"lcpio/internal/bitstream"
 	"lcpio/internal/fpdata"
+	"lcpio/internal/huffman"
 	"lcpio/internal/wire"
 )
 
@@ -109,11 +111,46 @@ func BenchmarkCompressSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkQuantizePair is the predict/quantize kernel alone on the first two
-// partitions of a field: two quantize3D calls against one quantize3Dx2 pass
-// over the same pair, in ns per element. The fields are the sz workloads'
-// ranks and the CESM-ATM climate sheet as 2-D, since no workload field is.
-func BenchmarkQuantizePair(b *testing.B) {
+// BenchmarkDecompressSchedule is BenchmarkCompressSchedule's decode: the
+// same slabs' streams decoded on a 2-worker handle into a reused array, so 2
+// partitions run alone, 3 run as one pair and one alone, and 16 as 8 pairs.
+// Run it at -cpu 2.
+func BenchmarkDecompressSchedule(b *testing.B) {
+	f, eb := rankField(b, "NYX", "velocity_x", 1e-3)
+	for _, slabs := range []int{8, 12, 128} {
+		dims := []int{slabs, f.Dims[1], f.Dims[2]}
+		data := f.Data[:slabs*f.Dims[1]*f.Dims[2]]
+		_, spans := partitionPlan(dims, nil)
+		b.Run(fmt.Sprintf("%dparts", len(spans)), func(b *testing.B) {
+			h := NewHandle(2)
+			comp, err := h.Compress(data, dims, eb)
+			if err != nil {
+				b.Fatal(err)
+			}
+			out := make([]float32, len(data))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := h.DecompressInto(out, comp); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// kernelPair is the first two partitions of a field, the input of the
+// paired-kernel benchmarks below: each side's data and the shape the
+// kernels see.
+type kernelPair struct {
+	name       string
+	a, b       []float32
+	d0, d1, d2 int
+	eb         float64
+}
+
+// kernelPairs are the sz workloads' ranks and the CESM-ATM climate sheet as
+// 2-D, since no workload field is.
+func kernelPairs(b *testing.B) []kernelPair {
 	type field struct {
 		name string
 		data []float32
@@ -130,6 +167,7 @@ func BenchmarkQuantizePair(b *testing.B) {
 	lo, hi := cesm.Range()
 	fields = append(fields, field{"CESM2D", cesm.Data, []int{cesm.Dims[0] * cesm.Dims[1], cesm.Dims[2]}, 1e-3 * float64(hi-lo)})
 
+	var out []kernelPair
 	for _, f := range fields {
 		splitDepth, spans := partitionPlan(f.dims, nil)
 		rowElems := len(f.data)
@@ -139,25 +177,81 @@ func BenchmarkQuantizePair(b *testing.B) {
 		rows := spans[0].hi - spans[0].lo
 		_, d0, d1, d2 := wire.Collapse(partDims(f.dims, splitDepth, rows, nil))
 		n := rows * rowElems
-		da, db, eb := f.data[:n], f.data[n:2*n], f.eb
-		var q [2]quantBufs
-		q[0].sized(n)
-		q[1].sized(n)
-		run := func(name string, pass func()) {
-			b.Run(f.name+"/"+name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					q[0].exact, q[1].exact = q[0].exact[:0], q[1].exact[:0]
-					pass()
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*n), "ns/elem")
-			})
+		out = append(out, kernelPair{f.name, f.data[:n], f.data[n : 2*n], d0, d1, d2, f.eb})
+	}
+	return out
+}
+
+// runKernel times pass as the sub-benchmark kp.name/name, in ns per element
+// of the two sides.
+func runKernel(b *testing.B, kp kernelPair, name string, pass func()) {
+	b.Run(kp.name+"/"+name, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			pass()
 		}
-		run("single", func() {
-			quantize3D(da, q[0].recon, q[0].codes, &q[0].exact, d0, d1, d2, 2*eb, eb)
-			quantize3D(db, q[1].recon, q[1].codes, &q[1].exact, d0, d1, d2, 2*eb, eb)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*len(kp.a)), "ns/elem")
+	})
+}
+
+// BenchmarkQuantizePair is the predict/quantize kernel alone on the first two
+// partitions of a field: two quantize3D calls against one quantize3Dx2 pass
+// over the same pair, in ns per element.
+func BenchmarkQuantizePair(b *testing.B) {
+	for _, kp := range kernelPairs(b) {
+		d0, d1, d2, eb := kp.d0, kp.d1, kp.d2, kp.eb
+		var q [2]quantBufs
+		q[0].sized(len(kp.a))
+		q[1].sized(len(kp.b))
+		runKernel(b, kp, "single", func() {
+			q[0].exact, q[1].exact = q[0].exact[:0], q[1].exact[:0]
+			quantize3D(kp.a, q[0].recon, q[0].codes, &q[0].exact, d0, d1, d2, 2*eb, eb)
+			quantize3D(kp.b, q[1].recon, q[1].codes, &q[1].exact, d0, d1, d2, 2*eb, eb)
 		})
-		run("paired", func() {
-			quantize3Dx2(da, db, q[0].recon, q[1].recon, q[0].codes, q[1].codes, &q[0].exact, &q[1].exact, d0, d1, d2, 2*eb, eb)
+		runKernel(b, kp, "paired", func() {
+			q[0].exact, q[1].exact = q[0].exact[:0], q[1].exact[:0]
+			quantize3Dx2(kp.a, kp.b, q[0].recon, q[1].recon, q[0].codes, q[1].codes, &q[0].exact, &q[1].exact, d0, d1, d2, 2*eb, eb)
+		})
+	}
+}
+
+// BenchmarkDecodePair is the decode kernel alone on the same pairs, their
+// symbols Huffman-coded as a stream codes them: two decode3D calls against
+// one decode3Dx2 pass, in ns per element.
+func BenchmarkDecodePair(b *testing.B) {
+	for _, kp := range kernelPairs(b) {
+		d0, d1, d2, twoEB := kp.d0, kp.d1, kp.d2, 2*kp.eb
+		var q [2]quantBufs
+		var code [2]*huffman.Code
+		var bits [2][]byte
+		for k, data := range [][]float32{kp.a, kp.b} {
+			q[k].sized(len(data))
+			quantize3D(data, q[k].recon, q[k].codes, &q[k].exact, d0, d1, d2, twoEB, kp.eb)
+			c, err := huffman.Build(huffman.Histogram(q[k].codes, quantCount))
+			if err != nil {
+				b.Fatal(err)
+			}
+			w := bitstream.NewWriter(0)
+			c.EncodeAll(w, q[k].codes)
+			code[k], bits[k] = c, w.Bytes()
+		}
+		var br [2]bitstream.Reader
+		decoder := func(k int) huffman.Decoder {
+			br[k].Reset(bits[k])
+			return code[k].NewDecoder(&br[k])
+		}
+		runKernel(b, kp, "single", func() {
+			for k := range q {
+				d := decoder(k)
+				if _, err := decode3D(q[k].recon, &d, q[k].exact, d0, d1, d2, twoEB); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		runKernel(b, kp, "paired", func() {
+			da, db := decoder(0), decoder(1)
+			if _, _, ea, eb := decode3Dx2(q[0].recon, q[1].recon, &da, &db, q[0].exact, q[1].exact, d0, d1, d2, twoEB); ea != nil || eb != nil {
+				b.Fatal(ea, eb)
+			}
 		})
 	}
 }

@@ -3,6 +3,7 @@ package sz
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -74,13 +75,44 @@ func TestParallelBytesDeterministic(t *testing.T) {
 }
 
 // TestParallelDecodeEquivalence: one stream decodes to the same bits at every
-// decoder worker count.
+// decoder worker count, and to the two-pass reference's, whichever
+// partitions share a paired pass: the fanned-out field's 16 partitions run as
+// 8 pairs at 1 to 3 workers and as none at 16; three partitions of 8,192
+// elements run as one pair and one alone; and a short last partition, odd or
+// the second of a pair, always runs alone. The small plans are cut from the
+// same values as 3-D, 2-D and 1-D arrays.
 func TestParallelDecodeEquivalence(t *testing.T) {
-	_, _, stream, decoded := fannedOut(t)
+	data, _, stream, decoded := fannedOut(t)
 	matches(t, decoded, func(w int) ([]byte, error) {
 		out, _, err := NewHandle(w).Decompress(stream)
 		return bitsOf(out), err
 	})
+
+	streams := map[string][]byte{"fanned-out field": stream}
+	saved := partTargetElems
+	defer func() { partTargetElems = saved }()
+	partTargetElems = 2 * 64 * 64
+	for _, slabs := range []int{5, 6, 7} {
+		for _, dims := range [][]int{{slabs, 64, 64}, {slabs * 64, 64}, {slabs * 64 * 64}} {
+			s, err := NewHandle(0).Compress(data[:slabs*64*64], dims, 1e-3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streams[fmt.Sprintf("%v in partitions of 8192", dims)] = s
+		}
+	}
+	for what, s := range streams {
+		want, err := refDecompress(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 2, 3, 16} {
+			got, _, err := NewHandle(w).Decompress(s)
+			if err != nil || !sameBits(got, want) {
+				t.Fatalf("%s at %d workers: err %v, or the bits differ from the reference's", what, w, err)
+			}
+		}
+	}
 }
 
 // TestDecompressIntoMatchesGoldens: every partition decodes straight into its

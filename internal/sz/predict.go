@@ -274,3 +274,119 @@ func decode3D(recon []float32, d *huffman.Decoder, exact []float32, d0, d1, d2 i
 	}
 	return ei, d.Finish(cur, nc)
 }
+
+// decode3Dx2 is decode3D over two partitions of one shape in lockstep: side a
+// (ra, from da and xa) and side b, each with its own bit window, its own
+// left and its own count of code-0 symbols. Every element is reconstructed
+// by the same dq from the same stencil terms summed in the same order, so
+// each side comes out bit for bit — values, count and error — as a decode3D
+// call would leave it. The two reconstruction chains never meet, so the core
+// overlaps them, as quantize3Dx2 does on the encode side.
+func decode3Dx2(ra, rb []float32, da, db *huffman.Decoder, xa, xb []float32, d0, d1, d2 int, twoEB float64) (ua, ub int, errA, errB error) {
+	sd := d1 * d2
+	ca, na := da.Window()
+	cb, nb := db.Window()
+	var la, lb float64
+	var sa, sb, ea, eb int
+	var fa, fb float32
+	for k := 0; k < d2; k++ {
+		if sa, ca, na = da.Next(ca, na); sa < 0 {
+			sa, ca, na = da.Resolve(ca, na)
+		}
+		if sb, cb, nb = db.Next(cb, nb); sb < 0 {
+			sb, cb, nb = db.Resolve(cb, nb)
+		}
+		fa, ea = dq(sa, la, twoEB, xa, ea)
+		fb, eb = dq(sb, lb, twoEB, xb, eb)
+		ra[k], la = fa, float64(fa)
+		rb[k], lb = fb, float64(fb)
+	}
+	for j := 1; j < d1; j++ {
+		row := j * d2
+		if sa, ca, na = da.Next(ca, na); sa < 0 {
+			sa, ca, na = da.Resolve(ca, na)
+		}
+		if sb, cb, nb = db.Next(cb, nb); sb < 0 {
+			sb, cb, nb = db.Resolve(cb, nb)
+		}
+		fa, ea = dq(sa, float64(ra[row-d2]), twoEB, xa, ea)
+		fb, eb = dq(sb, float64(rb[row-d2]), twoEB, xb, eb)
+		ra[row], la = fa, float64(fa)
+		rb[row], lb = fb, float64(fb)
+		for idx := row + 1; idx < row+d2; idx++ {
+			pa := la + float64(ra[idx-d2]) - float64(ra[idx-d2-1])
+			pb := lb + float64(rb[idx-d2]) - float64(rb[idx-d2-1])
+			if sa, ca, na = da.Next(ca, na); sa < 0 {
+				sa, ca, na = da.Resolve(ca, na)
+			}
+			if sb, cb, nb = db.Next(cb, nb); sb < 0 {
+				sb, cb, nb = db.Resolve(cb, nb)
+			}
+			fa, ea = dq(sa, pa, twoEB, xa, ea)
+			fb, eb = dq(sb, pb, twoEB, xb, eb)
+			ra[idx], la = fa, float64(fa)
+			rb[idx], lb = fb, float64(fb)
+		}
+	}
+	for i := 1; i < d0; i++ {
+		base := i * sd
+		if sa, ca, na = da.Next(ca, na); sa < 0 {
+			sa, ca, na = da.Resolve(ca, na)
+		}
+		if sb, cb, nb = db.Next(cb, nb); sb < 0 {
+			sb, cb, nb = db.Resolve(cb, nb)
+		}
+		fa, ea = dq(sa, float64(ra[base-sd]), twoEB, xa, ea)
+		fb, eb = dq(sb, float64(rb[base-sd]), twoEB, xb, eb)
+		ra[base], la = fa, float64(fa)
+		rb[base], lb = fb, float64(fb)
+		for idx := base + 1; idx < base+d2; idx++ {
+			pa := la + float64(ra[idx-sd]) - float64(ra[idx-sd-1])
+			pb := lb + float64(rb[idx-sd]) - float64(rb[idx-sd-1])
+			if sa, ca, na = da.Next(ca, na); sa < 0 {
+				sa, ca, na = da.Resolve(ca, na)
+			}
+			if sb, cb, nb = db.Next(cb, nb); sb < 0 {
+				sb, cb, nb = db.Resolve(cb, nb)
+			}
+			fa, ea = dq(sa, pa, twoEB, xa, ea)
+			fb, eb = dq(sb, pb, twoEB, xb, eb)
+			ra[idx], la = fa, float64(fa)
+			rb[idx], lb = fb, float64(fb)
+		}
+		for j := 1; j < d1; j++ {
+			row := base + j*d2
+			pa := float64(ra[row-d2]) + float64(ra[row-sd]) - float64(ra[row-sd-d2])
+			pb := float64(rb[row-d2]) + float64(rb[row-sd]) - float64(rb[row-sd-d2])
+			if sa, ca, na = da.Next(ca, na); sa < 0 {
+				sa, ca, na = da.Resolve(ca, na)
+			}
+			if sb, cb, nb = db.Next(cb, nb); sb < 0 {
+				sb, cb, nb = db.Resolve(cb, nb)
+			}
+			fa, ea = dq(sa, pa, twoEB, xa, ea)
+			fb, eb = dq(sb, pb, twoEB, xb, eb)
+			ra[row], la = fa, float64(fa)
+			rb[row], lb = fb, float64(fb)
+			for idx := row + 1; idx < row+d2; idx++ {
+				pa := la + float64(ra[idx-d2]) + float64(ra[idx-sd]) -
+					float64(ra[idx-d2-1]) - float64(ra[idx-sd-1]) - float64(ra[idx-sd-d2]) +
+					float64(ra[idx-sd-d2-1])
+				pb := lb + float64(rb[idx-d2]) + float64(rb[idx-sd]) -
+					float64(rb[idx-d2-1]) - float64(rb[idx-sd-1]) - float64(rb[idx-sd-d2]) +
+					float64(rb[idx-sd-d2-1])
+				if sa, ca, na = da.Next(ca, na); sa < 0 {
+					sa, ca, na = da.Resolve(ca, na)
+				}
+				if sb, cb, nb = db.Next(cb, nb); sb < 0 {
+					sb, cb, nb = db.Resolve(cb, nb)
+				}
+				fa, ea = dq(sa, pa, twoEB, xa, ea)
+				fb, eb = dq(sb, pb, twoEB, xb, eb)
+				ra[idx], la = fa, float64(fa)
+				rb[idx], lb = fb, float64(fb)
+			}
+		}
+	}
+	return ea, eb, da.Finish(ca, na), db.Finish(cb, nb)
+}

@@ -136,9 +136,9 @@ func sameBits(a, b []float32) bool {
 // reconstruction, the same verbatim values in raster order; and the
 // reconstruct pass of the two-pass reference and the one-pass decode kernel,
 // fed the codes as a Huffman stream, both invert them. It holds the paired
-// kernel to the reference too, with data on either side of a pass beside a
-// different field. It returns the codes for
-// callers that know what they should be.
+// kernels to the reference too, with data on either side of a pass beside a
+// different field. It returns the codes for callers that know what they
+// should be.
 func fusedMatchesReference(t *testing.T, data []float32, d0, d1, d2 int, eb float64) []int {
 	t.Helper()
 	wantCodes, wantRecon, wantExact := refQuantize(data, d0, d1, d2, eb)
@@ -161,6 +161,22 @@ func fusedMatchesReference(t *testing.T, data []float32, d0, d1, d2 int, eb floa
 		for k, f := range order {
 			sameAsReference(t, fmt.Sprintf("%dx%dx%d paired: field %d on side %d", d0, d1, d2, f, k), got[k], ref[f])
 		}
+
+		// The paired decode kernel, fed each side's codes through its own
+		// Huffman stream, rebuilds both.
+		da, db := symbolDecoder(t, got[0].codes), symbolDecoder(t, got[1].codes)
+		out := [2][]float32{make([]float32, len(data)), make([]float32, len(data))}
+		ua, ub, errA, errB := decode3Dx2(out[0], out[1], &da, &db, got[0].exact, got[1].exact, d0, d1, d2, 2*eb)
+		for k, side := range []struct {
+			used int
+			err  error
+		}{{ua, errA}, {ub, errB}} {
+			want := ref[order[k]]
+			if side.err != nil || side.used != len(want.exact) || !sameBits(out[k], want.recon) {
+				t.Fatalf("%dx%dx%d paired decode: field %d on side %d: err %v, %d/%d verbatim values used, identical %v",
+					d0, d1, d2, order[k], k, side.err, side.used, len(want.exact), sameBits(out[k], want.recon))
+			}
+		}
 	}
 
 	next := 0
@@ -182,20 +198,28 @@ func fusedMatchesReference(t *testing.T, data []float32, d0, d1, d2 int, eb floa
 
 	// The one-pass decode kernel, fed the codes through a Huffman stream,
 	// lands on the same bits.
-	code, err := huffman.Build(huffman.Histogram(codes, quantCount))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := bitstream.NewWriter(0)
-	code.EncodeAll(w, codes)
-	dec := code.NewDecoder(bitstream.NewReader(w.Bytes()))
+	dec := symbolDecoder(t, codes)
 	fused := make([]float32, len(data))
 	used, err := decode3D(fused, &dec, exact, d0, d1, d2, 2*eb)
 	if err != nil || used != len(exact) || !sameBits(fused, recon) {
 		t.Fatalf("%dx%dx%d: decode kernel err %v, %d/%d verbatim values used, identical %v",
 			d0, d1, d2, err, used, len(exact), sameBits(fused, recon))
 	}
+
 	return codes
+}
+
+// symbolDecoder returns a decoder over codes Huffman-coded under their own
+// histogram, as a partition codes its symbols.
+func symbolDecoder(t *testing.T, codes []int) huffman.Decoder {
+	t.Helper()
+	code, err := huffman.Build(huffman.Histogram(codes, quantCount))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := bitstream.NewWriter(0)
+	code.EncodeAll(w, codes)
+	return code.NewDecoder(bitstream.NewReader(w.Bytes()))
 }
 
 // sameAsReference fails the test unless a kernel's codes, reconstruction
@@ -659,18 +683,55 @@ func errClass(err error) error {
 func diffDecode(t *testing.T, buf []byte, what string) (ok bool) {
 	t.Helper()
 	want, werr := refDecompress(buf)
-	got, _, gerr := NewHandle(2).Decompress(buf)
-	if (werr == nil) != (gerr == nil) || errClass(gerr) != errClass(werr) ||
-		(werr != nil && gerr.Error() != werr.Error()) {
-		t.Fatalf("%s: err %v, reference %v", what, gerr, werr)
+	// One worker pairs every same-row pair, two leave the pool's width
+	// unpaired.
+	for _, workers := range []int{1, 2} {
+		got, _, gerr := NewHandle(workers).Decompress(buf)
+		if !sameErr(gerr, werr) {
+			t.Fatalf("%s at %d workers: err %v, reference %v", what, workers, gerr, werr)
+		}
+		if werr == nil && !sameBits(got, want) {
+			t.Fatalf("%s at %d workers: decoded bits differ from the reference's", what, workers)
+		}
 	}
-	if werr != nil {
-		return false
+	return werr == nil
+}
+
+// sameErr reports whether a and b are both nil or the same error: class and
+// message.
+func sameErr(a, b error) bool {
+	return (a == nil) == (b == nil) && errClass(a) == errClass(b) && (a == nil || a.Error() == b.Error())
+}
+
+// pairedAsAlone requires decodePair over stream's first two partitions to
+// report, for each side, the error decodePartition reports for it alone, and
+// returns the first partition's.
+func pairedAsAlone(t *testing.T, stream []byte, what string) error {
+	t.Helper()
+	h := NewHandle(1)
+	ix, err := h.readIndex(stream)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !sameBits(got, want) {
-		t.Fatalf("%s: decoded bits differ from the reference's", what)
+	sp := h.spans
+	if sp[0].hi-sp[0].lo != sp[1].hi-sp[1].lo {
+		t.Fatalf("%s: partitions 0 and 1 differ in rows", what)
 	}
-	return true
+	pd := partDims(ix.dims, ix.splitDepth, sp[0].hi-sp[0].lo, nil)
+	out := func(k int) []float32 { return make([]float32, (sp[k].hi-sp[k].lo)*ix.rowElems) }
+	var alone, lane decLane
+	want := [2]error{
+		decodePartition(&alone, h.payloads[0], out(0), pd, 2*ix.eb),
+		decodePartition(&alone, h.payloads[1], out(1), pd, 2*ix.eb),
+	}
+	var got [2]error
+	got[0], got[1] = decodePair(&lane, h.payloads[0], h.payloads[1], out(0), out(1), pd, 2*ix.eb)
+	for k := range got {
+		if !sameErr(got[k], want[k]) {
+			t.Fatalf("%s: paired side %d err %v, alone %v", what, k, got[k], want[k])
+		}
+	}
+	return want[0]
 }
 
 // currentGoldens returns the committed streams of the one configuration the
@@ -822,7 +883,12 @@ func hostilePartitions(t testing.TB, stream []byte, stride int) [][]byte {
 
 // TestFusedDecodeErrorPrecedence runs the differential over hostile
 // partitions of the 3-D golden: the one-pass decoder reports what the two
-// passes reported — a Huffman error ahead of a verbatim-count mismatch.
+// passes reported — a Huffman error ahead of a verbatim-count mismatch. The
+// golden's first two partitions share a paired pass, where each side reports
+// what it reports alone: with the first partition hostile, and with one
+// side's Huffman bytes cut while the other stores one verbatim value too
+// few, or its container does not open, where the stream's error is the
+// first partition's.
 func TestFusedDecodeErrorPrecedence(t *testing.T) {
 	stream := currentGoldens(t)["golden_v4_order1_3d.f32.szs"]
 	hostile := hostilePartitions(t, stream, 29)
@@ -831,7 +897,9 @@ func TestFusedDecodeErrorPrecedence(t *testing.T) {
 	}
 	classes := map[error]int{}
 	for i, s := range hostile[1:] {
-		if !diffDecode(t, s, fmt.Sprintf("hostile stream %d", i+1)) {
+		what := fmt.Sprintf("hostile stream %d", i+1)
+		pairedAsAlone(t, s, what)
+		if !diffDecode(t, s, what) {
 			_, err := refDecompress(s)
 			classes[errClass(err)]++
 		}
@@ -840,5 +908,30 @@ func TestFusedDecodeErrorPrecedence(t *testing.T) {
 		if classes[class] == 0 {
 			t.Fatalf("no hostile stream failed with %v; classes %v", class, classes)
 		}
+	}
+
+	x0, h0 := partitionContainer(t, stream, 0)
+	x1, h1 := partitionContainer(t, stream, 1)
+	if len(x0) == 0 || len(x1) == 0 {
+		t.Fatal("golden's first two partitions do not both store a verbatim value")
+	}
+	// More verbatim values than elements: a container that does not open.
+	unopened := make([]float32, len(x0)+2*32*32)
+	for k, c := range []struct {
+		x0, x1 []float32
+		h0, h1 []byte
+	}{
+		{x0, x1[:len(x1)-1], h0[:len(h0)/2], h1},
+		{x0[:len(x0)-1], x1, h0, h1[:len(h1)/2]},
+		{x0, unopened, h0[:len(h0)/2], h1},
+		{unopened, x1, h0, h1[:len(h1)/2]},
+	} {
+		what := fmt.Sprintf("cross-hostile pair %d", k)
+		s := restream(t, restream(t, stream, 0, c.x0, c.h0), 1, c.x1, c.h1)
+		first := pairedAsAlone(t, s, what)
+		if _, _, err := NewHandle(1).Decompress(s); first == nil || !sameErr(err, first) {
+			t.Fatalf("%s: err %v, want the first partition's %v", what, err, first)
+		}
+		diffDecode(t, s, what)
 	}
 }

@@ -474,11 +474,14 @@ func encodePartition(lane *laneScratch, pspan obs.Span, q *quantBufs, out *partO
 // decLane holds one worker lane's decode-side buffers, reused across the
 // partitions the lane picks up and across calls: the Huffman code's
 // alphabet-sized tables are most of the decode-side allocation a lane saves.
+// A paired pass needs a second partition open at once: b holds its buffers,
+// made the first time the lane runs a pair.
 type decLane struct {
 	raw   []byte // lossless-decoded partition container
 	exact []float32
 	code  huffman.Code
 	br    bitstream.Reader
+	b     *decLane
 }
 
 // Decompress reverses Compress.
@@ -528,22 +531,44 @@ func (h *Handle) DecompressInto(dst []float32, buf []byte) ([]float32, []int, er
 	// used when it can hold the array, and nothing was sized before now.
 	out := wire.Sized(dst, ix.n)
 	spans := h.spans
-	h.dec.SizeTo(min(workers, len(spans)))
 	h.errs = wire.Sized(h.errs, len(spans))
 	errs := h.errs
 	pdLen := 1 + len(ix.dims) - ix.splitDepth
 	h.pdims = wire.Sized(h.pdims, len(spans)*pdLen)
 	pdimsBuf := h.pdims
+	// compressInto's schedule: partitions (2t, 2t+1) for t < pairs share one
+	// decode3Dx2 pass, the rest run alone through decode3D, and a pair whose
+	// spans differ in rows runs each alone.
+	pairs := min(len(spans)/2, max(0, len(spans)-workers))
+	tasks := len(spans) - pairs
+	h.dec.SizeTo(min(workers, tasks))
 
 	pt := obs.StartPipeline("sz.decompress", workers)
-	par.RunWorker(len(spans), workers, func(w, i int) {
+	par.RunWorker(tasks, workers, func(w, t int) {
 		wc := pt.Worker(w)
-		wc.Run("decode_partition")
 		lane := h.dec.Lane(w)
-		pd := partDims(ix.dims, ix.splitDepth, spans[i].hi-spans[i].lo,
-			pdimsBuf[i*pdLen:i*pdLen:i*pdLen+pdLen])
-		errs[i] = decodePartition(lane, h.payloads[i], out[spans[i].lo*ix.rowElems:spans[i].hi*ix.rowElems],
-			pd, 2*ix.eb)
+		part := func(i int) ([]byte, []float32, []int) {
+			s := spans[i]
+			return h.payloads[i], out[s.lo*ix.rowElems : s.hi*ix.rowElems],
+				partDims(ix.dims, ix.splitDepth, s.hi-s.lo, pdimsBuf[i*pdLen:i*pdLen:i*pdLen+pdLen])
+		}
+		i, n := 2*t, 2
+		if t >= pairs {
+			i, n = pairs+t, 1
+		}
+		if n == 2 && spans[i].hi-spans[i].lo == spans[i+1].hi-spans[i+1].lo {
+			wc.Run("decode_partition")
+			wc.Run("decode_partition")
+			pa, oa, pd := part(i)
+			pb, ob, _ := part(i + 1)
+			errs[i], errs[i+1] = decodePair(lane, pa, pb, oa, ob, pd, 2*ix.eb)
+		} else {
+			for k := i; k < i+n; k++ {
+				wc.Run("decode_partition")
+				p, o, pd := part(k)
+				errs[k] = decodePartition(lane, p, o, pd, 2*ix.eb)
+			}
+		}
 		wc.WaitInput()
 	})
 	pt.End()
@@ -645,18 +670,55 @@ func decodePartition(lane *decLane, payload []byte, outPart []float32, dims []in
 	if err != nil {
 		return err
 	}
+	return decodeOpened(lane, exact, outPart, dims, twoEB)
+}
+
+// decodeOpened is decodePartition after openPartition: the one-pass decode
+// of the symbols lane.br is left at.
+func decodeOpened(lane *decLane, exact, outPart []float32, dims []int, twoEB float64) error {
 	d := lane.code.NewDecoder(&lane.br)
 	_, d0, d1, d2 := wire.Collapse(dims)
 	used, err := decode3D(outPart, &d, exact, d0, d1, d2, twoEB)
-	// A Huffman error outranks a verbatim-count mismatch, as it did when
-	// every symbol was decoded before the first value was reconstructed.
+	return partitionErr(used, len(exact), err)
+}
+
+// partitionErr is a decoded partition's verdict from the code-0 symbols its
+// decode met, the verbatim values it stores and the decoder's error. A
+// Huffman error outranks a verbatim-count mismatch, as it did when every
+// symbol was decoded before the first value was reconstructed.
+func partitionErr(used, stored int, err error) error {
 	if err != nil {
 		return fmt.Errorf("sz: huffman payload: %w", err)
 	}
-	if used != len(exact) {
+	if used != stored {
 		return ErrCorrupt
 	}
 	return nil
+}
+
+// decodePair is decodePartition over two partitions of shape dims, side a
+// on the lane and side b on its second side, in one decode3Dx2 pass. Each
+// side's error is the one decodePartition would return for it alone: a side
+// whose container does not open reports that, and the other is decoded
+// alone.
+func decodePair(lane *decLane, pa, pb []byte, oa, ob []float32, dims []int, twoEB float64) (errA, errB error) {
+	if lane.b == nil {
+		lane.b = new(decLane)
+	}
+	xa, errA := openPartition(lane, pa, len(oa))
+	xb, errB := openPartition(lane.b, pb, len(ob))
+	switch {
+	case errA != nil && errB != nil:
+		return errA, errB
+	case errA != nil:
+		return errA, decodeOpened(lane.b, xb, ob, dims, twoEB)
+	case errB != nil:
+		return decodeOpened(lane, xa, oa, dims, twoEB), errB
+	}
+	da, db := lane.code.NewDecoder(&lane.br), lane.b.code.NewDecoder(&lane.b.br)
+	_, d0, d1, d2 := wire.Collapse(dims)
+	ua, ub, errA, errB := decode3Dx2(oa, ob, &da, &db, xa, xb, d0, d1, d2, twoEB)
+	return partitionErr(ua, len(xa), errA), partitionErr(ub, len(xb), errB)
 }
 
 // openPartition undoes the lossless stage of a partition of n elements and

@@ -5,6 +5,23 @@
 # fuzz target replayed over its seed corpus. See ROADMAP.md.
 set -eux
 cd "$(dirname "$0")/.."
+
+# ceiling CENSUS prints the one total scripts/census.txt records for CENSUS,
+# or fails naming the file when it holds no `CENSUS N` line, more than one,
+# or one whose N is not a single integer. It runs for all four censuses
+# before anything else, so a malformed ceiling fails in seconds, not after
+# the suite.
+ceiling() {
+    awk -v c="$1" '$1 == c { n++; v = $2; if (NF != 2 || v !~ /^[0-9]+$/) bad = 1 }
+        END { if (n == 1 && !bad) print v }' scripts/census.txt | grep . || {
+        echo "scripts/census.txt must hold exactly one '$1 N' line, N one integer" >&2
+        return 1
+    }
+}
+for census in loc tests unreached knobs; do
+    ceiling "$census" >/dev/null
+done
+
 fmt="$(gofmt -l .)"
 if [ -n "$fmt" ]; then
     echo "gofmt needed on:" >&2
@@ -135,10 +152,9 @@ for census in loc tests unreached knobs; do
     list="$(sh "scripts/$census.sh")"
     echo "$list"
     total="$(echo "$list" | awk 'END { print $1 }')"
-    ceiling="$(awk -v c="$census" '$1 == c { print $2 }' scripts/census.txt)"
-    : "${ceiling:?scripts/census.txt records no $census total}"
-    if [ "$total" -gt "$ceiling" ]; then
-        echo "scripts/$census.sh counts $total, scripts/census.txt allows $ceiling" >&2
+    allowed="$(ceiling "$census")"
+    if [ "$total" -gt "$allowed" ]; then
+        echo "scripts/$census.sh counts $total, scripts/census.txt allows $allowed" >&2
         exit 1
     fi
 done
